@@ -10,6 +10,7 @@ test:
 smoke:
 	REPRO_CI=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbench_core.py -q --benchmark-disable
 
-# Wall-clock perf baseline: writes BENCH_1.json (see docs/usage.md).
+# The end-to-end benchmark: every workload, results on stdout (see
+# benchmarks/e2e/README.md; add --out PATH to keep a result set).
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench --output BENCH_1.json
+	python3 benchmarks/e2e/run.py

@@ -13,10 +13,13 @@ always run.
 """
 
 import os
+import random
 
 import pytest
 
 from repro.bench.harness import ExperimentConfig, ExperimentSuite
+from repro.core.epoch import partition_fixed
+from repro.trace.generator import simulated_alloc_program
 
 #: Events per thread for the full benchmark runs (2/4/8-thread traces).
 BENCH_EVENTS_PER_THREAD = 32768
@@ -46,6 +49,20 @@ def suite():
     return ExperimentSuite(
         ExperimentConfig(events_per_thread=BENCH_EVENTS_PER_THREAD)
     )
+
+
+@pytest.fixture(scope="session")
+def core_partition():
+    """The small error-dense AddrCheck workload the overhead budgets
+    (observability, supervision, streaming, serve) all measure on, so
+    their ratios are comparable with each other."""
+    program = simulated_alloc_program(
+        random.Random(7),
+        num_threads=4,
+        total_events=8000,
+        num_locations=256,
+    )
+    return partition_fixed(program, 512)
 
 
 def emit(text: str) -> None:

@@ -1,105 +1,24 @@
-"""Disabled-observability overhead budget (PR acceptance criterion).
+"""Observability is off by default and read-only when on.
 
 The recorder defaults to :data:`repro.obs.NULL_RECORDER` everywhere,
 and instrumented hot paths branch on ``recorder.enabled`` at epoch or
-batch granularity -- so with observability off, the engine must run the
-microbench-core workload within 2% of the pre-observability baseline
-recorded in ``BENCH_1.json``.
-
-Timing-sensitive: skipped under ``REPRO_CI=1`` (shared CI runners make
-single-digit-percent budgets meaningless there); the interleaved
-comparison against the live re-measurement keeps the check meaningful
-on a noisy-but-consistent host.
+batch granularity.  What that default costs is measured end to end:
+every ``benchmarks/e2e`` workload runs with the recorder off, so the
+regression bound on ``cols_addr_small_h`` (per-block overhead
+dominates there) gates the disabled path, and the per-layer
+``obs.recorder_on_ratio`` reports the cost of switching it on.  The
+tests here pin the two correctness properties those numbers rest on.
 """
 
-import json
-import pathlib
-import random
-import time
-
-import pytest
-
-from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs import NULL_RECORDER, Recorder
-from repro.trace.generator import simulated_alloc_program
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "BENCH_1.json"
-
-#: The acceptance budget: disabled-path slowdown vs the recorded
-#: pre-observability baseline.
-BUDGET = 1.02
-
-
-@pytest.fixture(scope="module")
-def core_partition():
-    from repro.bench.perf import (
-        CORE_EPOCH,
-        CORE_EVENTS,
-        CORE_LOCATIONS,
-        CORE_SEED,
-        CORE_THREADS,
-    )
-
-    program = simulated_alloc_program(
-        random.Random(CORE_SEED),
-        num_threads=CORE_THREADS,
-        total_events=CORE_EVENTS,
-        num_locations=CORE_LOCATIONS,
-    )
-    return partition_fixed(program, CORE_EPOCH)
-
-
-def _best_of(fn, repeats=7):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def test_null_recorder_is_the_default(core_partition):
     engine = ButterflyEngine(ButterflyAddrCheck())
     assert engine.recorder is NULL_RECORDER
     assert not engine.recorder.enabled
-
-
-def test_disabled_overhead_within_budget(timing_guard, core_partition):
-    """Optimized-serial with the default NULL recorder must stay within
-    ``BUDGET`` of the BENCH_1.json ``optimized_serial`` baseline.
-
-    Machines drift between sessions, so the recorded wall time is
-    rescaled by re-measuring the *reference* configuration (untouched
-    by the observability layer) on this host first; the budget is then
-    applied to the calibrated expectation.
-    """
-    recorded = json.loads(BASELINE.read_text())
-    core = recorded["workloads"]["microbench_core"]["runs"]
-    recorded_opt = core["optimized_serial"]["best_s"]
-    recorded_ref = core["reference_serial"]["best_s"]
-
-    def run_reference():
-        with ButterflyEngine(ButterflyAddrCheck(optimized=False)) as e:
-            e.run(core_partition)
-
-    def run_optimized():
-        with ButterflyEngine(ButterflyAddrCheck(optimized=True)) as e:
-            e.run(core_partition)
-
-    # Calibrate host speed on the reference config, then hold the
-    # optimized config (the instrumented hot path) to the budget.
-    host_ref = _best_of(run_reference)
-    calibrated = recorded_opt * (host_ref / recorded_ref)
-    host_opt = _best_of(run_optimized)
-    assert host_opt <= calibrated * BUDGET, (
-        f"disabled-observability path too slow: {host_opt * 1e3:.2f} ms "
-        f"vs calibrated budget {calibrated * BUDGET * 1e3:.2f} ms "
-        f"(recorded {recorded_opt * 1e3:.2f} ms, host speed factor "
-        f"{host_ref / recorded_ref:.2f})"
-    )
 
 
 def test_enabled_recorder_changes_no_results(core_partition):

@@ -12,12 +12,10 @@ the serve-vs-offline *result* equivalence always runs.
 
 import gc
 import json
-import random
 import time
 
 import pytest
 
-from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.serve import (
     ServeConfig,
@@ -27,7 +25,6 @@ from repro.serve import (
     push_trace,
 )
 from repro.serve.server import make_guard
-from repro.trace.generator import simulated_alloc_program
 from repro.trace.serialize import (
     iter_load,
     save_stream_file,
@@ -45,24 +42,9 @@ BUDGET = 3.0
 
 
 @pytest.fixture(scope="module")
-def core_trace(tmp_path_factory):
-    from repro.bench.perf import (
-        CORE_EPOCH,
-        CORE_EVENTS,
-        CORE_LOCATIONS,
-        CORE_SEED,
-        CORE_THREADS,
-    )
-
-    program = simulated_alloc_program(
-        random.Random(CORE_SEED),
-        num_threads=CORE_THREADS,
-        total_events=CORE_EVENTS,
-        num_locations=CORE_LOCATIONS,
-    )
-    partition = partition_fixed(program, CORE_EPOCH)
+def core_trace(core_partition, tmp_path_factory):
     path = tmp_path_factory.mktemp("serve-bench") / "core.stream.jsonl"
-    save_stream_file(partition, str(path))
+    save_stream_file(core_partition, str(path))
     return path
 
 

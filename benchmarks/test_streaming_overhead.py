@@ -5,55 +5,23 @@ Feeding the engine one epoch at a time through an
 generator hop plus the eviction bookkeeping, so a streamed run of the
 microbench-core workload must stay within 5% of the materialized run.
 
-The measured ratio is also recorded in ``BENCH_4.json`` (the
-``streaming_overhead`` workload) by ``repro bench --stream``.
+At scale the same comparison is ``file_check`` against
+``paper_ocean`` in ``benchmarks/e2e`` (one OCEAN trace, streamed from
+disk vs. materialized).
 
 Timing-sensitive: skipped under ``REPRO_CI=1``; on a live host the two
 configurations are measured interleaved so clock drift hits both.
 """
 
-import json
-import pathlib
-import random
 import time
 
-import pytest
-
-from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.core.stream import PartitionSource
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs.recorder import Recorder, normalize_events
-from repro.trace.generator import simulated_alloc_program
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RECORDED = REPO_ROOT / "BENCH_4.json"
 
 #: The acceptance budget: streamed slowdown over materialized.
 BUDGET = 1.05
-
-
-def _core_partition():
-    from repro.bench.perf import (
-        CORE_EPOCH,
-        CORE_EVENTS,
-        CORE_LOCATIONS,
-        CORE_SEED,
-        CORE_THREADS,
-    )
-
-    program = simulated_alloc_program(
-        random.Random(CORE_SEED),
-        num_threads=CORE_THREADS,
-        total_events=CORE_EVENTS,
-        num_locations=CORE_LOCATIONS,
-    )
-    return partition_fixed(program, CORE_EPOCH)
-
-
-@pytest.fixture(scope="module")
-def core_partition():
-    return _core_partition()
 
 
 def _interleaved_best(fns, repeats=14):
@@ -101,23 +69,6 @@ def test_streaming_within_budget(timing_guard, core_partition):
         f"materialized (ratio {streamed / materialized:.4f}, "
         f"budget {BUDGET})"
     )
-
-
-def test_recorded_overhead_within_budget():
-    """The checked-in BENCH_4.json measurement itself meets the budget."""
-    recorded = json.loads(RECORDED.read_text())
-    assert recorded["schema"] == 4
-    workload = recorded["workloads"]["streaming_overhead"]
-    runs = workload["runs"]
-    ratio = workload["overhead_ratio"]
-    assert ratio == pytest.approx(
-        runs["streamed"]["best_s"] / runs["materialized"]["best_s"]
-    )
-    assert ratio <= BUDGET, (
-        f"recorded streaming overhead {ratio:.4f} exceeds budget {BUDGET}"
-    )
-    # The run that produced the recording honored the window bound.
-    assert workload["window_high_water"] <= workload["window_bound"]
 
 
 def test_streaming_changes_no_results(core_partition):

@@ -51,8 +51,6 @@ from repro.errors import (
     ResilienceError,
     TraceError,
 )
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
-from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.lifeguards.reports import compare_reports
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.obs import NULL_RECORDER, JsonlSink, Recorder
@@ -70,6 +68,7 @@ from repro.serve import (
     ServerThread,
     build_report,
     format_report,
+    make_guard,
     make_hello,
     parse_address,
     push_trace,
@@ -155,12 +154,6 @@ def _close_backend(backend: Any) -> None:
         backend.close()
 
 
-def _make_guard(lifeguard: str, preallocated):
-    if lifeguard == "addrcheck":
-        return ButterflyAddrCheck(initially_allocated=preallocated)
-    return ButterflyRaceCheck()
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -226,56 +219,23 @@ def _run_meta(
 def _drive_engine(
     args: argparse.Namespace,
     engine: ButterflyEngine,
-    partition,
+    source: EpochSource,
     checkpoint_path: Optional[str],
     meta: Dict[str, Any],
     start_epoch: int = 0,
 ) -> bool:
     """Feed the remaining epochs; return True when the run finished.
 
+    Pulls one epoch at a time from ``source`` -- a
+    :class:`PartitionSource` for a materialized run, whose blocks are
+    the attached partition's own -- so streamed and materialized runs
+    are killed and resumed by the same loop.  ``start_epoch > 0`` is
+    the resume path, seeking the reader past epochs the checkpoint
+    covers.
+
     ``--stop-after-epoch N`` exits cleanly right after receiving epoch
     ``N`` -- the kill/resume drill used by the resilience tests and the
     CI fault-injection job.
-    """
-    if checkpoint_path:
-        engine.enable_checkpoints(
-            Checkpointer(
-                checkpoint_path,
-                meta,
-                every=getattr(args, "checkpoint_every", 1),
-            )
-        )
-    stop_after = getattr(args, "stop_after_epoch", None)
-    for lid in range(start_epoch, partition.num_epochs):
-        engine.feed_epoch(lid)
-        if stop_after is not None and lid >= stop_after:
-            message = f"stopped after receiving epoch {lid}"
-            if checkpoint_path:
-                message += (
-                    "; resume with: repro resume "
-                    f"--checkpoint {checkpoint_path}"
-                )
-            print(message)
-            return False
-    engine.finish()
-    return True
-
-
-def _drive_engine_stream(
-    args: argparse.Namespace,
-    engine: ButterflyEngine,
-    source: EpochSource,
-    checkpoint_path: Optional[str],
-    meta: Dict[str, Any],
-    start_epoch: int = 0,
-) -> bool:
-    """The streaming counterpart of :func:`_drive_engine`.
-
-    Pulls one epoch at a time from ``source`` (the engine must already
-    be attached to it); ``start_epoch > 0`` is the resume path, seeking
-    the reader past epochs the checkpoint covers.  Honors the same
-    ``--stop-after-epoch`` drill and checkpoint hooks, so a streamed
-    run is killed and resumed exactly like a materialized one.
     """
     if checkpoint_path:
         engine.enable_checkpoints(
@@ -479,25 +439,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     partition = None
     if program is not None:
         partition = partition_auto(program, args.epoch_size)
-        guard = _make_guard(args.lifeguard, program.preallocated)
+        guard = make_guard(args.lifeguard, program.preallocated)
         if args.stream:
             source = PartitionSource(partition)
     else:
-        guard = _make_guard(args.lifeguard, source.preallocated)
+        guard = make_guard(args.lifeguard, source.preallocated)
     streaming = source is not None
     meta = _run_meta(args, args.threads, trace_path, streaming, partition)
     engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
     try:
         if streaming:
             engine.attach_source(source)
-            finished = _drive_engine_stream(
-                args, engine, source, args.checkpoint, meta
-            )
         else:
             engine.attach(partition)
-            finished = _drive_engine(
-                args, engine, partition, args.checkpoint, meta
-            )
+        finished = _drive_engine(
+            args, engine,
+            source if streaming else PartitionSource(partition),
+            args.checkpoint, meta,
+        )
     except (ResilienceError, TraceError) as exc:
         return _fail("check", str(exc))
     finally:
@@ -613,18 +572,14 @@ def cmd_resume(args: argparse.Namespace) -> int:
         # uninterrupted one, never a re-count of finished epochs.
         if source is not None:
             engine.attach_source(source, resumed=True)
-            checkpoint.restore_into(engine)
-            finished = _drive_engine_stream(
-                args, engine, source, args.checkpoint, meta,
-                start_epoch=checkpoint.next_epoch,
-            )
         else:
             engine.attach(partition, resumed=True)
-            checkpoint.restore_into(engine)
-            finished = _drive_engine(
-                args, engine, partition, args.checkpoint, meta,
-                start_epoch=checkpoint.next_epoch,
-            )
+        checkpoint.restore_into(engine)
+        finished = _drive_engine(
+            args, engine,
+            source if source is not None else PartitionSource(partition),
+            args.checkpoint, meta, start_epoch=checkpoint.next_epoch,
+        )
     except (ResilienceError, CheckpointError, TraceError) as exc:
         return _fail("resume", str(exc))
     finally:
@@ -818,103 +773,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         except OSError as exc:
             return _fail("tune", f"cannot write {args.output}: {exc}")
         print(f"wrote {args.output}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Measure wall-clock performance and write a BENCH_*.json report."""
-    from repro.bench.perf import run_perf
-
-    if args.repeats < 1:
-        return _fail("bench", f"--repeats must be >= 1, got {args.repeats}")
-    if args.big_events < 0:
-        return _fail(
-            "bench", f"--big-events must be >= 0, got {args.big_events}"
-        )
-    if args.serve_streams < 0:
-        return _fail(
-            "bench",
-            f"--serve-streams must be >= 0, got {args.serve_streams}",
-        )
-    if args.adaptive_events < 0:
-        return _fail(
-            "bench",
-            f"--adaptive-events must be >= 0, got {args.adaptive_events}",
-        )
-    if args.inject_faults:
-        try:
-            FaultPlan.parse(args.inject_faults)
-        except ResilienceError as exc:
-            return _fail("bench", str(exc))
-    # Fail before measuring, not minutes later at report time.
-    for path in (args.output, args.emit_events):
-        if path is None:
-            continue
-        try:
-            with open(path, "w"):
-                pass
-        except OSError as exc:
-            return _fail("bench", f"cannot write {path}: {exc}")
-    report = run_perf(
-        repeats=args.repeats,
-        output_path=args.output,
-        events_path=args.emit_events,
-        inject_faults=args.inject_faults,
-        stream_file=args.stream,
-        big_events=args.big_events,
-        serve_streams=args.serve_streams,
-        adaptive_events=args.adaptive_events,
-    )
-    core = report["workloads"]["microbench_core"]
-    print(f"wrote {args.output}")
-    if args.emit_events:
-        print(f"wrote event log to {args.emit_events}")
-    print(f"microbench core: "
-          f"{core['speedup_vs_baseline']:.2f}x vs reference serial "
-          f"(reference {core['runs']['reference_serial']['best_s']*1e3:.1f} ms, "
-          f"optimized {core['runs']['optimized_serial']['best_s']*1e3:.1f} ms)")
-    obs = report["workloads"]["observability_overhead"]
-    print(f"observability overhead: {obs['overhead_ratio']:.3f}x when enabled")
-    res = report["workloads"]["resilience_overhead"]
-    print(f"supervision overhead: {res['overhead_ratio']:.3f}x fault-free")
-    stream = report["workloads"]["streaming_overhead"]
-    print(f"streaming overhead: {stream['overhead_ratio']:.3f}x vs "
-          f"materialized (window peak {stream['window_high_water']}, "
-          f"bound {stream['window_bound']})")
-    big = report["workloads"].get("columnar_10m")
-    if big is not None:
-        if big.get("skipped"):
-            print(f"columnar_10m: skipped ({big['skipped']})")
-        else:
-            ups = big["speedups"]
-            print(f"columnar_10m ({big['params']['total_events']} events): "
-                  f"columnar serial "
-                  f"{ups['columnar_serial_vs_reference']:.1f}x vs reference, "
-                  f"{ups['columnar_serial_vs_object_optimized']:.1f}x vs "
-                  f"optimized objects; processes "
-                  f"{ups['columnar_processes_vs_object_optimized']:.2f}x vs "
-                  f"optimized serial")
-    serve = report["workloads"].get("serve_throughput")
-    if serve is not None:
-        thread_run = serve["runs"]["thread"]
-        process_run = serve["runs"]["process"]
-        print(f"serve throughput ({serve['params']['streams']} producers, "
-              f"{serve['params']['cpu_count']} cpus): "
-              f"thread shards {thread_run['epochs_per_s']:.0f} epochs/s, "
-              f"process shards {process_run['epochs_per_s']:.0f} epochs/s "
-              f"({serve['speedup_process_vs_thread']:.2f}x)")
-    adaptive = report["workloads"].get("adaptive_epoch")
-    if adaptive is not None:
-        fit = adaptive["tune"]["fit"]["fp_rate_vs_log2_h"]
-        runs = adaptive["serve"]["runs"]
-        slo = adaptive["serve"]["params"]["slo_target_ms"]
-        print(f"adaptive epoch: tune FP slope {fit['slope']:+.4f} per "
-              f"log2(h); bursty p95 latency "
-              f"{runs['adaptive']['p95_row_latency_ms']:.1f} ms adaptive "
-              f"vs {runs['fixed_small']['p95_row_latency_ms']:.1f} ms "
-              f"fixed-small (SLO {slo:.1f} ms); FP rate "
-              f"{runs['adaptive']['fp_rate']:.3%} adaptive vs "
-              f"{runs['fixed_large']['fp_rate']:.3%} fixed-large")
     return 0
 
 
@@ -1176,7 +1034,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if rc is not None:
             return rc
     else:
-        guard = _make_guard(args.lifeguard, program.preallocated)
+        guard = make_guard(args.lifeguard, program.preallocated)
         try:
             with ButterflyEngine(
                 guard, backend=backend, recorder=recorder
@@ -1438,42 +1296,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_arg(p)
     p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser(
-        "bench", help="measure wall-clock perf and write BENCH_<n>.json"
-    )
-    p.add_argument("--output", default="BENCH_1.json",
-                   help="report path (default: BENCH_1.json)")
-    p.add_argument("--repeats", type=int, default=5,
-                   help="timing repetitions per configuration (best-of)")
-    p.add_argument(
-        "--big-events", type=int, default=10_000_000, metavar="N",
-        help="event count for the columnar_10m workload; 0 skips it "
-             "(default: 10000000)",
-    )
-    p.add_argument(
-        "--serve-streams", type=int, default=4, metavar="N",
-        help="concurrent producers for the serve_throughput workload; "
-             "0 skips it (default: 4)",
-    )
-    p.add_argument(
-        "--adaptive-events", type=int, default=1024, metavar="N",
-        help="events per thread for the adaptive_epoch workload; "
-             "0 skips it (default: 1024)",
-    )
-    p.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help="additionally time the core workload under supervised "
-             "fault injection with SPEC",
-    )
-    _add_stream_arg(
-        p,
-        "additionally time the streaming pipeline against a version 2 "
-        "stream file on disk (the streaming_overhead workload always "
-        "measures the in-memory source)",
-    )
-    _add_emit_events_arg(p)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "fuzz",

@@ -287,6 +287,20 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         """
         self._checkpointer = checkpointer
 
+    def checkpoint_now(self) -> None:
+        """Force a snapshot through the attached checkpointer (no-op
+        when checkpointing is off) -- the save path a serve session
+        takes on failure, outside the per-epoch cadence."""
+        if self._checkpointer is not None:
+            self._checkpointer.save_now(self)
+
+    @property
+    def resume_position(self) -> int:
+        """The next epoch this engine expects: every epoch below it has
+        been received by a committed feed (a rolled-back feed does not
+        advance it; a restored checkpoint sets it)."""
+        return self._next_to_receive
+
     def reset(self) -> None:
         """Detach from the current partition and zero all run state.
 

@@ -180,7 +180,7 @@ class AdaptiveEngine:
       absorbed into committed engine feeds -- the resume coordinate the
       serve protocol advertises (buffered rows are not covered by any
       checkpoint, so a resuming producer re-sends them).
-    - The wrapped engine's ``_next_to_receive`` counts *analysis
+    - The wrapped engine's own ``resume_position`` counts *analysis
       epochs* -- the coordinate checkpoints snapshot and restore.
 
     Bookkeeping is updated *before* the wrapped feed runs (and rolled
@@ -256,7 +256,7 @@ class AdaptiveEngine:
 
     def _fold(self, count: int) -> None:
         rows = self._pending[:count]
-        alid = self.engine._next_to_receive
+        alid = self.engine.resume_position
         merged = [
             merge_block_run(alid, [rows[k][tid] for k in range(count)])
             for tid in range(self.num_threads)

@@ -101,19 +101,6 @@ def adaptive_params(config) -> Optional[Dict[str, Any]]:
     }
 
 
-def resume_position(engine) -> int:
-    """The resume coordinate an ``ACK``/``ERROR`` frame advertises.
-
-    Producer rows for an adaptive engine (its analysis-epoch counter
-    runs on a different clock), the engine's own epoch counter -- the
-    same thing -- otherwise.
-    """
-    position = getattr(engine, "resume_position", None)
-    if position is not None:
-        return position
-    return engine._next_to_receive
-
-
 def _feed_row(engine, lid: int, row, queue_depth: int) -> int:
     """One feed on the shard side; returns the post-feed resume
     position (the loop-side mirror tracks rollbacks exactly)."""
@@ -121,16 +108,7 @@ def _feed_row(engine, lid: int, row, queue_depth: int) -> int:
     if note is not None:
         note(queue_depth)
     engine.feed_blocks(lid, row)
-    return resume_position(engine)
-
-
-def _checkpoint_now(engine) -> None:
-    """Force a snapshot through the engine's own checkpointer (no-op
-    when checkpointing is off) -- the one forced-save path, so extra
-    state (adaptive progress) always rides along."""
-    checkpointer = engine._checkpointer
-    if checkpointer is not None:
-        checkpointer.save_now(engine)
+    return engine.resume_position
 
 
 def build_stream_engine(
@@ -198,7 +176,7 @@ def build_stream_engine(
         if checkpoint is not None:
             engine.restore_extra(checkpoint.extra)
         extra_state = engine.extra_state
-    resume_epoch = resume_position(engine) if checkpoint is not None else 0
+    resume_epoch = engine.resume_position if checkpoint is not None else 0
     if path is not None:
         engine.enable_checkpoints(
             Checkpointer(
@@ -221,8 +199,8 @@ class StreamEngineHandle:
 
     #: The epoch the engine resumed from (0 for a fresh run).
     resume_epoch: int = 0
-    #: Mirror of the engine's resume position (producer rows; see
-    #: :func:`resume_position`) -- the coordinate ``ERROR`` frames
+    #: Mirror of the engine's ``resume_position`` (producer rows for an
+    #: adaptive engine) -- the coordinate ``ACK``/``ERROR`` frames
     #: advertise.
     next_to_receive: int = 0
 
@@ -302,7 +280,7 @@ class _ThreadStreamEngine(StreamEngineHandle):
 
     @property
     def next_to_receive(self) -> int:
-        return resume_position(self._engine)
+        return self._engine.resume_position
 
     async def feed(self, lid: int, row, queue_depth: int = 0) -> None:
         await self._shard._run(
@@ -318,9 +296,7 @@ class _ThreadStreamEngine(StreamEngineHandle):
         )
 
     async def save_checkpoint(self) -> None:
-        if self._engine._checkpointer is None:
-            return
-        await self._shard._run(_checkpoint_now, self._engine)
+        await self._shard._run(self._engine.checkpoint_now)
 
     async def close(self) -> None:
         self._engine.close()
@@ -392,7 +368,7 @@ def _worker_dispatch(
         _token, stream_id, hello = args
         return build_report(stream_id, hello, engine, engine.analysis)
     if command == "checkpoint":
-        _checkpoint_now(engine)
+        engine.checkpoint_now()
         return None
     if command == "close":
         engine.close()

@@ -210,27 +210,14 @@ class TestErrorPaths:
             "repro sweep: error: cannot write"
         )
 
-    def test_bench_unwritable_output(self, tmp_path, capsys):
-        rc = main(["bench", "--output", self.bad_path(tmp_path)])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "repro bench: error: cannot write"
-        )
-
-    def test_bench_unwritable_emit_events(self, tmp_path, capsys):
-        rc = main(
-            ["bench", "--output", str(tmp_path / "ok.json"),
-             "--emit-events", self.bad_path(tmp_path)]
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "repro bench: error: cannot write"
-        )
-
-    def test_bench_bad_repeats(self, capsys):
-        rc = main(["bench", "--repeats", "0"])
-        assert rc == 2
-        assert "--repeats must be >= 1" in capsys.readouterr().err
+    def test_bench_subcommand_is_gone(self, capsys):
+        # Performance is measured by benchmarks/e2e/run.py; the old
+        # subcommand is removed outright, not left half-wired.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err
 
     def test_generate_unwritable_output(self, tmp_path, capsys):
         rc = main(

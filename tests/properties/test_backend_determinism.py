@@ -307,8 +307,21 @@ class TestObservabilityDeterminism:
             rec = Recorder()
             guard = ButterflyAddrCheck(optimized=optimized)
             with ButterflyEngine(guard, recorder=rec) as engine:
-                engine.run(partition_by_global_order(prog, h))
+                stats = engine.run(partition_by_global_order(prog, h))
             logs[optimized] = normalize_events(rec.events)
+            # The per-epoch rows account for the whole run.
+            rows = [
+                ev for ev in logs[optimized] if ev["ev"] == "epoch.summary"
+            ]
+            assert [r["epoch"] for r in rows] == list(
+                range(stats.epochs_processed)
+            )
+            assert (
+                sum(r["instructions"] for r in rows)
+                == stats.first_pass_instructions
+            )
+            assert sum(r["meets"] for r in rows) == stats.meets
+            assert rows[-1]["errors_total"] == len(guard.errors)
 
         def error_set(log):
             return {

@@ -8,6 +8,8 @@ import pytest
 
 from repro.core.epoch import partition_by_global_order
 from repro.core.framework import ButterflyEngine
+from repro.core.stream import ShapeSource
+from repro.core.tune import AdaptiveEngine, EpochController, SloConfig
 from repro.errors import CheckpointError
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs import Recorder
@@ -400,6 +402,107 @@ class TestCheckpointerPolicy:
         engine.run(part)
         assert os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
+
+
+class _FlakyAddrCheck(ButterflyAddrCheck):
+    """AddrCheck whose second pass raises on demand -- after the engine
+    has already counted the epoch as received, so the feed must roll
+    its progress back.  Module-level so checkpoints can pickle it."""
+
+    armed = False
+
+    def second_pass(self, butterfly, side_in):
+        if self.armed:
+            raise RuntimeError("boom")
+        super().second_pass(butterfly, side_in)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "adaptive"])
+class TestEngineResumeSurface:
+    """``resume_position`` / ``checkpoint_now()``: the public surface
+    the serve shards drive, identical on a fixed engine (epochs) and an
+    adaptive one folding two producer rows per analysis epoch (rows)."""
+
+    ROWS = 4
+
+    def _engine(self, kind, part, guard=None, checkpointer_args=None):
+        resumed = guard is not None
+        guard = guard if resumed else _FlakyAddrCheck()
+        inner = engine = ButterflyEngine(guard)
+        engine.attach_source(
+            ShapeSource(part.num_threads, num_epochs=None), resumed=resumed
+        )
+        extra_state = None
+        if kind == "adaptive":
+            engine = AdaptiveEngine(
+                engine,
+                EpochController(SloConfig(min_fold=2, max_fold=2)),
+                part.num_threads,
+            )
+            extra_state = engine.extra_state
+        if checkpointer_args is not None:
+            engine.enable_checkpoints(
+                Checkpointer(*checkpointer_args, extra_state=extra_state)
+            )
+        return engine, inner, guard
+
+    def _feed(self, engine, part, rows):
+        for lid in rows:
+            engine.feed_blocks(lid, part.epoch_blocks(lid))
+
+    def test_committed_feeds_advance_it(self, kind):
+        part = partition_by_global_order(_program(), 8)
+        engine, _, _ = self._engine(kind, part)
+        assert engine.resume_position == 0
+        self._feed(engine, part, range(self.ROWS))
+        assert engine.resume_position == self.ROWS
+
+    def test_rolled_back_feed_does_not(self, kind):
+        part = partition_by_global_order(_program(), 8)
+        engine, _, guard = self._engine(kind, part)
+        self._feed(engine, part, range(2))
+        guard.armed = True
+        # The fixed engine fails on row 2; the adaptive one buffers it
+        # and fails folding rows 2-3.  Neither commits anything.
+        with pytest.raises(RuntimeError, match="boom"):
+            self._feed(engine, part, range(2, self.ROWS))
+        assert engine.resume_position == 2
+
+    def test_restore_into_sets_it(self, kind, tmp_path):
+        part = partition_by_global_order(_program(), 8)
+        path = str(tmp_path / "run.ckpt")
+        engine, _, _ = self._engine(kind, part, checkpointer_args=(path, META))
+        self._feed(engine, part, range(self.ROWS))
+
+        ck = load_checkpoint(path)
+        resumed, inner, _ = self._engine(kind, part, guard=ck.analysis)
+        ck.restore_into(inner)
+        if kind == "adaptive":
+            resumed.restore_extra(ck.extra)
+        assert inner.resume_position == ck.next_epoch
+        assert resumed.resume_position == self.ROWS
+
+    def test_checkpoint_now_writes_a_loadable_snapshot(self, kind, tmp_path):
+        part = partition_by_global_order(_program(), 8)
+        path = str(tmp_path / "forced.ckpt")
+        # every=100: no periodic save fires, only the forced one.
+        engine, inner, _ = self._engine(
+            kind, part, checkpointer_args=(path, META, 100)
+        )
+        self._feed(engine, part, range(self.ROWS))
+        assert not os.path.exists(path)
+        engine.checkpoint_now()
+        ck = load_checkpoint(path)
+        assert ck.next_epoch == inner.resume_position
+        if kind == "adaptive":
+            assert ck.extra["rows_folded"] == self.ROWS
+
+    def test_checkpoint_now_is_a_noop_when_off(self, kind, tmp_path):
+        part = partition_by_global_order(_program(), 8)
+        engine, _, _ = self._engine(kind, part)
+        self._feed(engine, part, range(self.ROWS))
+        engine.checkpoint_now()
+        assert os.listdir(tmp_path) == []
 
 
 class TestVerify:
