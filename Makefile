@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test smoke bench
+.PHONY: test smoke bench bench-ab
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -14,3 +14,12 @@ smoke:
 # benchmarks/e2e/README.md; add --out PATH to keep a result set).
 bench:
 	python3 benchmarks/e2e/run.py
+
+# Parent-vs-change measurement: `make bench-ab BASE=<rev> [RUNS=N]` makes
+# N alternating pairs of suite runs (BASE exported under .bench_tmp/ and
+# measured with this tree's benchmarks/e2e), then prints run.py's
+# --compare table and the pairs each side won (scripts/bench_ab.py).
+BASE ?= HEAD
+RUNS ?= 10
+bench-ab:
+	python3 scripts/bench_ab.py $(BASE) --runs $(RUNS)

@@ -14,7 +14,7 @@ only records and serves the published epoch states).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Set
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Set
 
 from repro.errors import AnalysisError
 
@@ -28,15 +28,23 @@ class SOSHistory:
 
         ``SOS_l := GEN_{l-2} U (SOS_{l-1} - KILL_{l-2})``,
 
-    with ``SOS_0 = SOS_1 = {}``.  ``KILL`` is supplied as a predicate
-    because kill sets are symbolic (unbounded element universe).
+    with ``SOS_0 = SOS_1 = initial`` (empty by default; a lifeguard
+    whose metadata is not empty at program start -- AddrCheck's
+    ``initially_allocated`` -- passes it here).
+
+    The rule has two entry points.  :meth:`advance` takes ``KILL`` as a
+    predicate, for the analyses whose kill sets are symbolic over an
+    unbounded element universe (``reaching_defs``: "every definition of
+    variable v"; ``reaching_exprs``: "every expression reading v") and
+    so can only be tested, not enumerated.  :meth:`publish` takes the
+    finished state, for analyses whose ``KILL_l`` is a concrete set
+    (AddrCheck, TaintCheck) and which therefore evaluate the rule as
+    one set difference and one union.
     """
 
-    def __init__(self) -> None:
-        self._states: Dict[int, FrozenSet[Element]] = {
-            0: frozenset(),
-            1: frozenset(),
-        }
+    def __init__(self, initial: Iterable[Element] = ()) -> None:
+        base = frozenset(initial)
+        self._states: Dict[int, FrozenSet[Element]] = {0: base, 1: base}
         self._frontier = 1  # largest epoch whose SOS is published
         self._evicted_before = 0  # smallest epoch still readable
 
@@ -68,7 +76,11 @@ class SOSHistory:
         killed: Callable[[Element], bool],
     ) -> FrozenSet[Element]:
         """Publish ``SOS_{summarized_epoch + 2}`` from epoch-level GEN and
-        a KILL predicate over the previous SOS."""
+        a KILL predicate over the previous SOS.
+
+        Costs one Python call per element of the previous state, every
+        epoch: only for symbolic kills (see the class docstring).
+        """
         target = summarized_epoch + 2
         if target != self._frontier + 1:
             raise AnalysisError(
@@ -85,10 +97,11 @@ class SOSHistory:
     ) -> FrozenSet[Element]:
         """Publish a precomputed ``SOS_{summarized_epoch + 2}``.
 
-        The escape hatch for analyses that evaluate the update rule in
-        closed form (e.g. as interned-bitset word operations) instead of
-        enumerating the previous state against a KILL predicate; the
-        same in-order invariant applies.
+        For analyses that evaluate the update rule in closed form --
+        ``(get(frontier) - KILL) | GEN`` as set algebra, or interned-
+        bitset word operations -- instead of testing every element of
+        the previous state against a KILL predicate; the same in-order
+        invariant applies.
         """
         target = summarized_epoch + 2
         if target != self._frontier + 1:

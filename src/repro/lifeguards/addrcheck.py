@@ -76,6 +76,22 @@ _DETAIL_CHANGE_RACE = "allocation-state change concurrent with another"
 _DETAIL_ACCESS_RACE = "access concurrent with an allocation-state change"
 
 
+#: ``_epoch_killers`` value for a location two or more threads finally
+#: free in one epoch (no thread id is negative).
+_MANY_KILLERS = -1
+
+
+def _final_kills(facts: BlockFacts) -> Set[int]:
+    """``KILL_{l,t}`` as a set: every location whose last allocation
+    event in the block is a free, i.e. exactly the ``loc`` for which
+    :meth:`ButterflyAddrCheck._kills` holds.  Sized by the block's own
+    MALLOC/FREE events."""
+    last_event = facts.last_event
+    kills = {loc for loc, event in last_event.items() if event == "kill"}
+    kills.update(facts.killed_vars - last_event.keys())
+    return kills
+
+
 @dataclass
 class AddrSummary:
     """Per-block summary ``s_{l,t} = (GEN, KILL, ACCESS)``.
@@ -166,6 +182,9 @@ class AddrScanner:
     ``context`` is the block's starting LSOS (a fresh, private set the
     scan mutates as its running state); everything else the scan needs
     travels with the block, so the unit crosses process boundaries.
+    The LSOS is the whole live heap and a block touches a sliver of it,
+    so both kernels only ever *probe* it -- one hash lookup per location
+    the block names -- and never enumerate or re-encode it.
 
     Two interchangeable scan kernels produce bit-identical
     :class:`AddrScan` results (the ``columnar`` differential-fuzz mode
@@ -300,11 +319,13 @@ class AddrScanner:
         flattens every dereferenced location into one access stream
         (CSR expansion, srcs before dst exactly like ``Instr.accessed``)
         and resolves stable locations wholesale with a handful of
-        C-level passes; only the (typically rare) accesses to changed
-        locations plus the change events themselves are replayed with
-        the exact scalar semantics, and every error record carries its
-        stream position so the merged error list comes out in event
-        order.  The result is bit-identical to :meth:`_scan_objects`.
+        C-level passes over the block's arrays (plus one ``running``
+        probe per unique location); only the (typically rare) accesses
+        to changed locations plus the change events themselves are
+        replayed with the exact scalar semantics, and every error record
+        carries its stream position so the merged error list comes out
+        in event order.  The result is bit-identical to
+        :meth:`_scan_objects`.
         """
         n = cols.length
         ops = np.asarray(cols.op)
@@ -430,15 +451,21 @@ class AddrScanner:
             access.update(uniq_list)
             first_access.update(zip(uniq_list, _ev_at(first_pos).tolist()))
 
-            running_arr = np.fromiter(
-                running, dtype=np.int64, count=len(running)
+            # Membership of the block's unique locations in the LSOS and
+            # in the changed set: probe the Python sets already in hand,
+            # one hash lookup per *block* location.  Turning the LSOS
+            # into an array to vectorize the test costs O(|LSOS|) per
+            # block, and the LSOS is the whole live heap.
+            n_uniq = len(uniq_list)
+            in_run = np.fromiter(
+                map(running.__contains__, uniq_list), dtype=bool, count=n_uniq
             )
-            in_run = np.isin(uniq, running_arr)
             if changed_locs:
-                changed_arr = np.fromiter(
-                    changed_locs, dtype=np.int64, count=len(changed_locs)
+                is_changed = np.fromiter(
+                    map(changed_locs.__contains__, uniq_list),
+                    dtype=bool,
+                    count=n_uniq,
                 )
-                is_changed = np.isin(uniq, changed_arr)
                 stable = ~is_changed
                 if is_changed.any():
                     if dense:
@@ -606,11 +633,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         optimized: bool = True,
         use_columnar_kernel: Optional[bool] = None,
     ) -> None:
-        self.sos = SOSHistory()
-        base = frozenset(initially_allocated)
-        if base:
-            self.sos._states[0] = base
-            self.sos._states[1] = base
+        self.sos = SOSHistory(initial=initially_allocated)
         self.use_idempotent_filter = use_idempotent_filter
         self.optimized = optimized
         self.use_columnar_kernel = use_columnar_kernel
@@ -618,6 +641,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self.parallel_second_pass = optimized
         self.errors = ErrorLog()
         self._summaries: Dict[BlockId, AddrSummary] = {}
+        #: Per resident epoch: location -> the one thread whose block
+        #: finally frees it there, or ``_MANY_KILLERS`` (built once per
+        #: epoch by :meth:`epoch_update`, evicted with the summaries).
+        self._epoch_killers: Dict[int, Dict[int, int]] = {}
         self._loc_bits = BitInterner()
         #: Per-block work counters consumed by the timing substrate:
         #: ``events`` (log records dispatched), ``checks`` (metadata
@@ -1026,13 +1053,18 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                 if self._epoch_gen_holds(loc, lid, t, num_threads):
                     gen_l.add(loc)
 
-        kill_union: Set[int] = set()
-        for s in summaries.values():
-            for loc in s.facts.killed_vars:
-                if s.facts.last_event.get(loc, "kill") == "kill":
-                    kill_union.add(loc)
+        # Who finally kills what in this epoch: location -> the killing
+        # thread, or _MANY_KILLERS.  Its keys are KILL_l; the LSOS of
+        # epoch l+2 reads it for the sibling-kill rule.
+        killers: Dict[int, int] = {}
+        for (_, t), s in summaries.items():
+            for loc in _final_kills(s.facts):
+                killers[loc] = t if loc not in killers else _MANY_KILLERS
+        self._epoch_killers[lid] = killers
 
-        self.sos.advance(lid, gen_l, lambda loc: loc in kill_union)
+        self.sos.publish(
+            lid, self.sos.get(lid + 1).difference(killers) | gen_l
+        )
         self._evict(lid - 1)
 
     def evict_history(self, before: int) -> None:
@@ -1072,30 +1104,28 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         return True
 
     def _compute_lsos(self, lid: int, tid: int) -> Set[int]:
-        """Reaching-expressions LSOS (Section 5.2.1): head allocations
-        survive unless a sibling freed the location in epoch ``l-2``;
-        SOS entries survive unless the head freed them."""
-        sos = self.sos.get(lid)
+        """Reaching-expressions LSOS (Section 5.2.1),
+        ``GEN_{l-1,t} U (SOS_l - KILL_{l-1,t})``: SOS entries survive
+        unless the head freed them; head allocations survive unless a
+        sibling freed the location in epoch ``l-2``.
+
+        One C-level copy of the SOS, then work proportional to the head
+        block's own allocation events -- never a Python visit per SOS
+        element (the SOS is the whole live heap; this runs per block).
+        """
+        lsos = set(self.sos.get(lid))
         head = self._facts(lid - 1, tid) if lid >= 1 else None
         if head is None:
-            return set(sos)
-        lsos: Set[int] = set()
+            return lsos
+        lsos -= _final_kills(head)
+        killers = self._epoch_killers.get(lid - 2, {})
         for loc in head.gen:
-            if not self._sibling_killed(loc, lid - 2, tid):
-                lsos.add(loc)
-        for loc in sos:
-            if not self._kills(head, loc):
+            if killers.get(loc, tid) == tid:
                 lsos.add(loc)
         return lsos
-
-    def _sibling_killed(self, loc: int, lid: int, tid: int) -> bool:
-        if lid < 0:
-            return False
-        for (l, t), s in self._summaries.items():
-            if l == lid and t != tid and self._kills(s.facts, loc):
-                return True
-        return False
 
     def _evict(self, older_than: int) -> None:
         for key in [k for k in self._summaries if k[0] < older_than]:
             del self._summaries[key]
+        for lid in [k for k in self._epoch_killers if k < older_than]:
+            del self._epoch_killers[lid]

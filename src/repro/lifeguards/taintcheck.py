@@ -422,8 +422,8 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
                         if t2 != t
                     ):
                         kill_l.add(loc)
-        kill_l -= gen_l
-        self.sos.advance(lid, gen_l, lambda loc: loc in kill_l)
+        # (SOS - KILL_l) U GEN_l: a location in both sets stays tainted.
+        self.sos.publish(lid, (self.sos.get(lid + 1) - kill_l) | gen_l)
         self._evict(lid - 1)
 
     def evict_history(self, before: int) -> None:
@@ -450,18 +450,23 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
     def _compute_lsos(self, lid: int, tid: int) -> Set[int]:
         """Tainted-address LSOS: head taints, SOS survivors of the head's
         untaints, plus the resurrection term (head untaints a location a
-        sibling tainted in the adjacent epoch ``l-2``)."""
-        sos = self.sos.get(lid)
+        sibling tainted in the adjacent epoch ``l-2``).
+
+        One C-level copy of the SOS, then a visit of the head's own
+        ``lastcheck`` -- never of the SOS element by element."""
+        lsos = set(self.sos.get(lid))
         head = self._summaries.get((lid - 1, tid)) if lid >= 1 else None
         if head is None:
-            return set(sos)
-        lsos = {loc for loc, v in head.lastcheck.items() if v is BOT}
-        for loc in sos:
-            verdict = head.lastcheck.get(loc)
-            if verdict is not TOP:
+            return lsos
+        for loc, verdict in head.lastcheck.items():
+            if verdict is BOT:
                 lsos.add(loc)
-            elif self._sibling_tainted(loc, lid - 2, tid):
-                lsos.add(loc)
+            elif (
+                verdict is TOP
+                and loc in lsos
+                and not self._sibling_tainted(loc, lid - 2, tid)
+            ):
+                lsos.discard(loc)
         return lsos
 
     def _sibling_tainted(self, loc: int, lid: int, tid: int) -> bool:

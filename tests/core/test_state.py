@@ -98,3 +98,42 @@ class TestEviction:
         before = sos.get(sos.frontier)
         sos.advance(3, {"x"}, lambda e: False)
         assert sos.get(sos.frontier) == before | {"x"}
+
+
+class TestInitialState:
+    """``initial=`` seeds SOS_0 and SOS_1 (a lifeguard whose metadata
+    is non-empty at program start); everything after is the same rule."""
+
+    def test_initial_readable_at_epochs_0_and_1(self):
+        sos = SOSHistory(initial=[3, 5, 5])
+        assert sos.get(0) == frozenset({3, 5})
+        assert sos.get(1) == frozenset({3, 5})
+        assert sos.frontier == 1
+        assert sos.get(-1) == frozenset()
+
+    def test_initial_accepts_any_iterable_once(self):
+        sos = SOSHistory(initial=(i for i in range(3)))
+        assert sos.get(0) == sos.get(1) == frozenset({0, 1, 2})
+
+    def test_advance_filters_the_initial_state(self):
+        sos = SOSHistory(initial={"a", "b"})
+        sos.advance(0, {"c"}, lambda e: e == "a")
+        assert sos.get(2) == {"b", "c"}
+        # Published states are not rewritten by a later advance.
+        assert sos.get(1) == {"a", "b"}
+
+    def test_publish_builds_on_the_initial_state(self):
+        sos = SOSHistory(initial={"a", "b"})
+        sos.publish(0, (sos.get(sos.frontier) - {"a"}) | {"c"})
+        assert sos.get(2) == {"b", "c"}
+        with pytest.raises(AnalysisError):
+            sos.publish(0, set())
+
+    def test_evict_keeps_the_frontier_of_a_seeded_history(self):
+        sos = SOSHistory(initial={"a"})
+        sos.evict(99)
+        assert sos.published() == {1: frozenset({"a"})}
+        with pytest.raises(AnalysisError, match="evicted"):
+            sos.get(0)
+        sos.advance(0, set(), lambda e: False)
+        assert sos.get(2) == {"a"}

@@ -5,11 +5,19 @@ elements (Section 6.1); these tests pin the epoch-level GEN/KILL and
 the LSOS construction at that instantiation.
 """
 
+import pytest
+
+from repro.core.dataflow import BlockFacts
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.lifeguards.addrcheck import (
+    AddrSummary,
+    ButterflyAddrCheck,
+    _final_kills,
+)
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
+from repro.workloads import get_benchmark
 
 
 def run(program, h, **kwargs):
@@ -88,3 +96,234 @@ class TestLSOS:
         guard = run(prog, 1, initially_allocated=[5])
         flagged_refs = {r.ref for r in guard.errors if r.ref}
         assert (0, 2) in flagged_refs  # the read at thread 0, index 2
+
+
+# -- the LSOS algebra against the paper's formula ---------------------------
+#
+# The guard evaluates LSOS_{l,t} = GEN_{l-1,t} U (SOS_l - KILL_{l-1,t})
+# as set algebra sized by the head block.  The reference below is the
+# same line written element by element, straight from Section 5.2.1
+# (one KILL-membership test per SOS element, one scan of the resident
+# summaries per head allocation): slow, obviously the formula, and the
+# oracle for everything in this section.
+
+
+def _block_kills(facts, loc):
+    """loc in KILL_{l,t}: the block's last allocation event on ``loc``
+    is a free (a location the block only ever freed has no other)."""
+    state = facts.last_event.get(loc)
+    if state is not None:
+        return state == "kill"
+    return loc in facts.killed_vars
+
+
+def reference_lsos(guard, lid, tid):
+    sos = guard.sos.get(lid)
+    head = guard._summaries.get((lid - 1, tid)) if lid >= 1 else None
+    if head is None:
+        return set(sos)
+    lsos = set()
+    for loc in head.facts.gen:
+        sibling_killed = any(
+            l == lid - 2 and t != tid and _block_kills(s.facts, loc)
+            for (l, t), s in guard._summaries.items()
+        )
+        if not sibling_killed:
+            lsos.add(loc)
+    for loc in sos:
+        if not _block_kills(head.facts, loc):
+            lsos.add(loc)
+    return lsos
+
+
+class CheckedAddrCheck(ButterflyAddrCheck):
+    """Asserts the formula at every LSOS the run computes and keeps
+    each result for the scenario's own assertions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lsos_seen = {}
+
+    def _compute_lsos(self, lid, tid):
+        lsos = super()._compute_lsos(lid, tid)
+        assert lsos == reference_lsos(self, lid, tid), (lid, tid)
+        self.lsos_seen[(lid, tid)] = set(lsos)
+        return lsos
+
+
+def run_checked(program, h, **kwargs):
+    guard = CheckedAddrCheck(**kwargs)
+    ButterflyEngine(guard).run(partition_fixed(program, h))
+    return guard
+
+
+def _pad(instrs, n):
+    return instrs + [Instr.nop()] * (n - len(instrs))
+
+
+@pytest.mark.parametrize("optimized", [True, False])
+class TestLSOSAlgebra:
+    def test_no_head_is_a_private_copy_of_the_sos(self, optimized):
+        prog = TraceProgram.from_lists([Instr.read(5), Instr.malloc(6)])
+        guard = run_checked(
+            prog, 2, initially_allocated=[5], optimized=optimized
+        )
+        assert guard.lsos_seen[(0, 0)] == {5}
+        # The scan's mutations (malloc 6) stayed in its private copy.
+        assert guard.sos.get(0) == {5}
+
+    def test_head_malloc_then_free_leaves_location_dead(self, optimized):
+        prog = TraceProgram.from_lists(
+            [Instr.malloc(5), Instr.free(5), Instr.nop(), Instr.nop()],
+        )
+        guard = run_checked(prog, 2, optimized=optimized)
+        assert 5 not in guard.lsos_seen[(1, 0)]
+        # ...and kills an SOS entry just the same.
+        guard = run_checked(
+            prog, 2, initially_allocated=[5], optimized=optimized
+        )
+        assert 5 not in guard.lsos_seen[(1, 0)]
+
+    def test_head_free_then_malloc_leaves_location_live(self, optimized):
+        prog = TraceProgram.from_lists(
+            [Instr.free(5), Instr.malloc(5), Instr.nop(), Instr.nop()],
+        )
+        guard = run_checked(
+            prog, 2, initially_allocated=[5], optimized=optimized
+        )
+        assert 5 in guard.lsos_seen[(1, 0)]
+
+    def test_sibling_free_in_l_minus_2_drops_head_allocation(self, optimized):
+        prog = TraceProgram.from_lists(
+            _pad([Instr.nop(), Instr.malloc(5)], 4),
+            _pad([Instr.free(5)], 4),
+        )
+        guard = run_checked(
+            prog, 1, initially_allocated=[5], optimized=optimized
+        )
+        assert 5 not in guard.lsos_seen[(2, 0)]
+
+    def test_own_free_in_l_minus_2_does_not_drop_it(self, optimized):
+        # Same thread, program order: free (epoch 0) precedes malloc
+        # (epoch 1) on every valid ordering.
+        prog = TraceProgram.from_lists(
+            _pad([Instr.free(5), Instr.malloc(5)], 4),
+            _pad([], 4),
+        )
+        guard = run_checked(
+            prog, 1, initially_allocated=[5], optimized=optimized
+        )
+        assert 5 in guard.lsos_seen[(2, 0)]
+
+    def test_own_and_sibling_free_in_l_minus_2_drops_it(self, optimized):
+        prog = TraceProgram.from_lists(
+            _pad([Instr.free(5), Instr.malloc(5)], 4),
+            _pad([Instr.free(5)], 4),
+        )
+        guard = run_checked(
+            prog, 1, initially_allocated=[5], optimized=optimized
+        )
+        assert 5 not in guard.lsos_seen[(2, 0)]
+        # The other thread sees two frees too, one of them a sibling's.
+        prog = TraceProgram.from_lists(
+            _pad([Instr.free(5)], 4),
+            _pad([Instr.free(5), Instr.malloc(5)], 4),
+        )
+        guard = run_checked(
+            prog, 1, initially_allocated=[5], optimized=optimized
+        )
+        assert 5 not in guard.lsos_seen[(2, 1)]
+
+    def test_large_untouched_heap_passes_through(self, optimized):
+        heap = set(range(100_000))
+        prog = TraceProgram.from_lists(
+            [Instr.malloc(200_000), Instr.read(200_000),
+             Instr.free(200_000), Instr.read(7)] * 2,
+            _pad([Instr.read(99_999), Instr.malloc(200_001)], 8),
+        )
+        guard = run_checked(
+            prog, 2, initially_allocated=heap, optimized=optimized
+        )
+        assert len(guard.errors) == 0
+        for (lid, tid), lsos in guard.lsos_seen.items():
+            assert lsos >= heap, (lid, tid)
+        assert guard.lsos_seen[(3, 1)] - heap == {200_001}
+        assert guard.sos.get(guard.sos.frontier) >= heap
+
+    def test_generated_traces(self, optimized):
+        for seed in range(3):
+            prog = get_benchmark("OCEAN").generate(3, 400, seed=seed)
+            guard = run_checked(
+                prog, 64,
+                initially_allocated=prog.preallocated,
+                optimized=optimized,
+            )
+            assert len(guard.lsos_seen) > 3
+
+
+class TestFinalKillFallback:
+    """``killed_vars`` entries absent from ``last_event``: the block
+    freed the location and recorded no event order for it.  The scanner
+    never builds such facts, but the KILL-membership rule defines them
+    (the fallback branch of ``_kills``), so the set form must agree."""
+
+    def _guard(self, epochs, initially_allocated=()):
+        """Commit hand-built facts ``{(lid, tid): BlockFacts}`` and
+        summarize every epoch but the last."""
+        guard = ButterflyAddrCheck(initially_allocated=initially_allocated)
+        last = max(lid for lid, _ in epochs)
+        for lid in range(last + 1):
+            row = {
+                key: AddrSummary(facts=facts)
+                for key, facts in epochs.items() if key[0] == lid
+            }
+            guard._summaries.update(row)
+            if lid < last:
+                guard.epoch_update(lid, row)
+        return guard
+
+    def test_final_kills_is_the_kills_predicate_as_a_set(self):
+        facts = BlockFacts(
+            block_id=(0, 0),
+            gen={1},
+            all_gen={1, 2},
+            killed_vars={2, 3, 4},
+            last_event={1: "gen", 2: "kill", 4: "gen", 6: "kill"},
+        )
+        guard = ButterflyAddrCheck()
+        assert _final_kills(facts) == {
+            loc for loc in range(8) if guard._kills(facts, loc)
+        } == {2, 3, 6}
+
+    def test_head_fallback_kill_removes_sos_entry(self):
+        guard = self._guard(
+            {(0, 0): BlockFacts(block_id=(0, 0), killed_vars={7})},
+            initially_allocated=[7, 8],
+        )
+        assert guard._compute_lsos(1, 0) == reference_lsos(guard, 1, 0) == {8}
+
+    def test_fallback_kill_leaves_the_published_sos(self):
+        guard = self._guard(
+            {
+                (0, 0): BlockFacts(block_id=(0, 0), killed_vars={7}),
+                (1, 0): BlockFacts(block_id=(1, 0)),
+            },
+            initially_allocated=[7, 8],
+        )
+        assert guard.sos.get(2) == {8}
+
+    def test_sibling_fallback_kill_drops_head_allocation(self):
+        guard = self._guard({
+            (0, 0): BlockFacts(block_id=(0, 0)),
+            (0, 1): BlockFacts(block_id=(0, 1), killed_vars={9}),
+            (1, 0): BlockFacts(
+                block_id=(1, 0), gen={9}, all_gen={9}, last_event={9: "gen"}
+            ),
+            (1, 1): BlockFacts(block_id=(1, 1)),
+            (2, 0): BlockFacts(block_id=(2, 0)),
+            (2, 1): BlockFacts(block_id=(2, 1)),
+        })
+        assert guard._compute_lsos(2, 0) == reference_lsos(guard, 2, 0) == set()
+        # Thread 1's own kill does not poison its own later allocation.
+        guard._summaries[(1, 1)].facts.gen.add(9)
+        assert guard._compute_lsos(2, 1) == reference_lsos(guard, 2, 1) == {9}

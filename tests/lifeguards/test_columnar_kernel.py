@@ -119,6 +119,68 @@ class TestKernelIdentity:
         assert indices == sorted(indices)
 
 
+class TestLargeLSOS:
+    """The shape a real run has and the blocks above do not: an LSOS of
+    the whole live heap (100k locations) probed by a block of under a
+    thousand events.  Membership is answered per *block* location
+    against the set, in both location-domain branches of the kernel."""
+
+    #: Every even location below 200k is allocated.
+    LSOS = frozenset(range(0, 200_000, 2))
+
+    def _block(self, rng, pool, events=800):
+        instrs = []
+        for _ in range(events):
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            roll = rng.random()
+            if roll < 0.45:
+                instrs.append(Instr.read(a))
+            elif roll < 0.65:
+                instrs.append(Instr.write(a))
+            elif roll < 0.80:
+                instrs.append(Instr.assign(a, b, c))
+            elif roll < 0.90:
+                instrs.append(Instr.malloc(a, size=rng.randrange(1, 4)))
+            else:
+                instrs.append(Instr.free(a, size=rng.randrange(1, 4)))
+        return instrs
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_dense_span(self, use_filter):
+        rng = random.Random(11 + use_filter)
+        # 300 neighbouring locations, half of them allocated: the span
+        # is far below the kernel's dense limit.
+        pool = range(50_000, 50_300)
+        instrs = self._block(rng, pool)
+        assert any(i.op is Op.MALLOC for i in instrs)
+        assert any(i.op is Op.FREE for i in instrs)
+        _assert_kernels_agree(instrs, self.LSOS, use_filter)
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_sparse_span(self, use_filter):
+        rng = random.Random(13 + use_filter)
+        # 64 locations scattered over 2**40: the span rules out the
+        # dense tables and the kernel takes the np.unique path.  Half
+        # fall inside the LSOS's range, on both parities.
+        pool = sorted(
+            [rng.randrange(0, 200_000) for _ in range(32)]
+            + [rng.randrange(200_000, 1 << 40) for _ in range(32)]
+        )
+        instrs = self._block(rng, pool)
+        total = sum(len(i.accessed) for i in instrs)
+        assert pool[-1] - pool[0] > max(4 * total, 1 << 16)
+        _assert_kernels_agree(instrs, self.LSOS, use_filter)
+
+    def test_change_free_block(self):
+        # No MALLOC/FREE at all: every location is stable and the
+        # changed-set probe is skipped.
+        rng = random.Random(17)
+        instrs = [Instr.read(rng.randrange(60_000, 60_400))
+                  for _ in range(500)]
+        for use_filter in (True, False):
+            _assert_kernels_agree(instrs, self.LSOS, use_filter)
+
+
 class TestPoolPayload:
     """The processes-backend fix: a first-pass task's payload is columnar
     bytes plus a location set -- never ``Instr`` object trees and never

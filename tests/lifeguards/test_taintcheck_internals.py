@@ -1,7 +1,11 @@
 """White-box tests for TaintCheck's Check-algorithm machinery."""
 
+import random
+
 import pytest
 
+from repro.core.epoch import partition_fixed
+from repro.core.framework import ButterflyEngine
 from repro.lifeguards.taintcheck import (
     BOT,
     TOP,
@@ -10,6 +14,7 @@ from repro.lifeguards.taintcheck import (
     _RuleGraph,
     _strictly_before,
 )
+from repro.trace.generator import simulated_taint_program
 
 
 def summary(block_id, rules=None, jumps=()):
@@ -151,3 +156,136 @@ class TestPhaseFallback:
         for mode in ("relaxed", "sc"):
             g = graph([wing], body, mode=mode)
             assert not g.tainted_parents((1,), 0, set())
+
+
+# -- the tainted-address LSOS / SOS algebra ----------------------------------
+#
+# The guard copies the SOS and then visits only the head's LASTCHECK;
+# the references below are the same rules written one SOS element at a
+# time (LSOS) and through the KILL predicate (SOS), as the oracle.
+
+
+def reference_lsos(guard, lid, tid):
+    sos = guard.sos.get(lid)
+    head = guard._summaries.get((lid - 1, tid)) if lid >= 1 else None
+    if head is None:
+        return set(sos)
+    lsos = {loc for loc, v in head.lastcheck.items() if v is BOT}
+    for loc in sos:
+        if head.lastcheck.get(loc) is not TOP:
+            lsos.add(loc)
+        elif any(
+            l == lid - 2 and t != tid and s.lastcheck.get(loc) is BOT
+            for (l, t), s in guard._summaries.items()
+        ):
+            lsos.add(loc)
+    return lsos
+
+
+def checked(summary_rows, sos=None):
+    """A guard holding hand-resolved ``{(lid, tid): {loc: verdict}}``
+    LASTCHECK maps, with ``sos`` published for every epoch up to the
+    last one present."""
+    guard = ButterflyTaintCheck()
+    for block_id, lastcheck in summary_rows.items():
+        s = TaintSummary(block_id=block_id)
+        s.lastcheck.update(lastcheck)
+        guard._summaries[block_id] = s
+    last = max(lid for lid, _ in summary_rows)
+    for lid in range(last - 1):
+        guard.sos.publish(lid, set(sos or ()))
+    return guard
+
+
+class TestTaintLSOSAlgebra:
+    def test_no_head_is_a_private_copy_of_the_sos(self):
+        guard = ButterflyTaintCheck()
+        guard.sos.publish(0, {1, 2})
+        lsos = guard._compute_lsos(2, 0)
+        assert lsos == reference_lsos(guard, 2, 0) == {1, 2}
+        lsos.add(3)
+        assert guard.sos.get(2) == {1, 2}
+        assert guard._compute_lsos(0, 0) == set()
+
+    def test_head_verdicts_edit_the_sos(self):
+        guard = checked(
+            {
+                (0, 0): {}, (0, 1): {},
+                # taints 7 (new), untaints 2 (in SOS) and 9 (not in it)
+                (1, 0): {7: BOT, 2: TOP, 9: TOP},
+                (1, 1): {},
+                (2, 0): {}, (2, 1): {},
+            },
+            sos={1, 2, 3},
+        )
+        assert guard._compute_lsos(2, 0) == reference_lsos(guard, 2, 0)
+        assert guard._compute_lsos(2, 0) == {1, 3, 7}
+        # The sibling's view has no head verdicts: the SOS unchanged.
+        assert guard._compute_lsos(2, 1) == reference_lsos(guard, 2, 1)
+        assert guard._compute_lsos(2, 1) == {1, 2, 3}
+
+    def test_sibling_taint_in_l_minus_2_resurrects_an_untaint(self):
+        rows = {
+            (0, 0): {2: BOT}, (0, 1): {3: BOT},
+            (1, 0): {2: TOP, 3: TOP}, (1, 1): {},
+            (2, 0): {}, (2, 1): {},
+        }
+        guard = checked(rows, sos={2, 3})
+        # 3 was tainted by the sibling next to the head: the untaint may
+        # have run first.  2 was tainted by this thread itself: dead.
+        assert guard._compute_lsos(2, 0) == reference_lsos(guard, 2, 0) == {3}
+
+    def test_large_untouched_sos_passes_through(self):
+        heap = set(range(100_000))
+        guard = checked(
+            {
+                (0, 0): {}, (0, 1): {100_001: BOT},
+                (1, 0): {100_000: BOT, 100_001: TOP, 5: TOP}, (1, 1): {},
+                (2, 0): {}, (2, 1): {},
+            },
+            sos=heap | {100_001},
+        )
+        lsos = guard._compute_lsos(2, 0)
+        assert lsos == reference_lsos(guard, 2, 0)
+        assert lsos == (heap - {5}) | {100_000, 100_001}
+
+    def test_generated_runs_agree_with_the_reference(self):
+        class Checked(ButterflyTaintCheck):
+            lsos_checked = 0
+            sos_changed = 0
+
+            def _compute_lsos(self, lid, tid):
+                lsos = super()._compute_lsos(lid, tid)
+                assert lsos == reference_lsos(self, lid, tid), (lid, tid)
+                Checked.lsos_checked += 1
+                return lsos
+
+            def epoch_update(self, lid, summaries):
+                # SOS_{l+2} one element of SOS_{l+1} at a time, through
+                # the KILL predicate.
+                prev = self.sos.get(lid + 1)
+                threads = sorted(t for _, t in summaries)
+                gen, kill = set(), set()
+                for (_, t), s in summaries.items():
+                    for loc, verdict in s.lastcheck.items():
+                        if verdict is BOT:
+                            gen.add(loc)
+                        elif all(
+                            self._lastcheck_span(loc, lid, t2) in (TOP, None)
+                            for t2 in threads if t2 != t
+                        ):
+                            kill.add(loc)
+                kill -= gen
+                expected = {loc for loc in prev if loc not in kill} | gen
+                super().epoch_update(lid, summaries)
+                assert self.sos.get(lid + 2) == expected, lid
+                Checked.sos_changed += expected != prev
+
+        for seed in range(4):
+            prog = simulated_taint_program(
+                random.Random(seed), num_threads=3, total_events=240,
+                taint_rate=0.2, untaint_rate=0.2,
+            )
+            ButterflyEngine(Checked()).run(partition_fixed(prog, 8))
+        assert Checked.lsos_checked > 100
+        assert Checked.sos_changed > 10
