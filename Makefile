@@ -15,11 +15,13 @@ smoke:
 bench:
 	python3 benchmarks/e2e/run.py
 
-# Parent-vs-change measurement: `make bench-ab BASE=<rev> [RUNS=N]` makes
-# N alternating pairs of suite runs (BASE exported under .bench_tmp/ and
-# measured with this tree's benchmarks/e2e), then prints run.py's
-# --compare table and the pairs each side won (scripts/bench_ab.py).
+# Parent-vs-change measurement: `make bench-ab BASE=<rev> [RUNS=N]
+# [WORKLOAD=<name>]` makes N alternating pairs of suite runs (BASE
+# exported under .bench_tmp/ and measured with this tree's
+# benchmarks/e2e), then prints run.py's --compare table and the pairs
+# each side won (scripts/bench_ab.py).  WORKLOAD narrows both sides to
+# one workload: ~1/7 of the wall time.
 BASE ?= HEAD
 RUNS ?= 10
 bench-ab:
-	python3 scripts/bench_ab.py $(BASE) --runs $(RUNS)
+	python3 scripts/bench_ab.py $(BASE) --runs $(RUNS) $(if $(WORKLOAD),--workload $(WORKLOAD))

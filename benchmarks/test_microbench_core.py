@@ -13,9 +13,10 @@ import pytest
 
 from repro.core.columnar import HAVE_NUMPY
 from repro.core.dataflow import DefinitionDomain, summarize_block
-from repro.core.epoch import partition_fixed
+from repro.core.epoch import partition_fixed, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
 from repro.core.reaching_defs import ReachingDefinitions
+from repro.core.state import SOSHistory
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.shadow.shadow_memory import ShadowMemory
@@ -174,6 +175,89 @@ def test_first_pass_cost_does_not_scale_with_the_heap():
         small = min(run(1_000, columnar).first_pass_s for _ in range(3))
         large = min(run(64_000, columnar).first_pass_s for _ in range(3))
         assert large <= 3 * small, (columnar, small, large)
+
+
+class _SecondPassTimed(ButterflyTaintCheck):
+    """Accumulates the wall time of the guard's second-pass hook (LSOS
+    construction + check resolution + commit), as ``benchmarks/e2e``
+    attributes it."""
+
+    second_pass_s = 0.0
+
+    def second_pass(self, butterfly, side_in):
+        t0 = time.perf_counter()
+        try:
+            return super().second_pass(butterfly, side_in)
+        finally:
+            self.second_pass_s += time.perf_counter() - t0
+
+
+def test_taint_second_pass_cost_follows_the_checks_not_the_window():
+    """A body's second pass costs what its checks reach, not what its
+    wings and the SOS hold.  Four threads of ~2 000-event blocks over
+    five epochs, their checks confined to 256 locations, measured twice
+    over:
+
+    (a) beside a fifth thread whose blocks carry 2 000 vs 32 000 WRITE
+        rules to locations nothing reads -- every body's wings hold
+        them, no check asks for them.  What legitimately remains is
+        that thread's own LASTCHECK loop (measured ratio 1.2-1.6;
+        copying the window into each body's graph measured 7.8);
+    (b) with 16 vs 64 000 tainted locations in the SOS, again beside
+        the program's own.  What remains is one C-level ``set(sos)``
+        copy per body (measured 1.1-2.0; one more ``frozenset`` of it
+        per *check* measured 5.3, one more per body 2.5).
+
+    Hence the bound of 3.  The reports must agree always; the ratios
+    are only asserted where clocks can be trusted (not under
+    ``REPRO_CI``)."""
+    program = simulated_taint_program(
+        random.Random(7), num_threads=4, total_events=40_000,
+        num_locations=256,
+    )
+    epochs = 5
+    real = [list(thread) for thread in program.threads]
+    real_cuts = [
+        [-(-len(thread) * (e + 1) // epochs) for e in range(epochs)]
+        for thread in real
+    ]
+
+    def window(unread_rules):
+        """The program beside one more thread writing ``unread_rules``
+        fresh locations per block."""
+        extra = [
+            Instr.write(1_000_000 + i) for i in range(epochs * unread_rules)
+        ]
+        cuts = [(e + 1) * unread_rules for e in range(epochs)]
+        return partition_from_boundaries(
+            TraceProgram.from_lists(*real, extra), real_cuts + [cuts]
+        )
+
+    def run(partition, tainted):
+        guard = _SecondPassTimed()
+        guard.sos = SOSHistory(range(2_000_000, 2_000_000 + tainted))
+        ButterflyEngine(guard).run(partition)
+        return guard
+
+    configs = {
+        "1x rules": (window(2_000), 16),
+        "16x rules": (window(32_000), 16),
+        "64k tainted": (window(2_000), 64_000),
+    }
+    reports = {
+        name: list(run(*config).errors) for name, config in configs.items()
+    }
+    assert len(reports["1x rules"]) > 1_000
+    assert all(r == reports["1x rules"] for r in reports.values())
+
+    if not timing_asserts_enabled():
+        return
+    cost = {
+        name: min(run(*config).second_pass_s for _ in range(3))
+        for name, config in configs.items()
+    }
+    assert cost["16x rules"] <= 3 * cost["1x rules"], cost
+    assert cost["64k tainted"] <= 3 * cost["1x rules"], cost
 
 
 def test_store_range_beats_scalar_loop(timing_guard):

@@ -31,7 +31,16 @@ a block -- with the reaching-definitions update rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.columnar import (
     HAVE_NUMPY,
@@ -305,6 +314,8 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         body = butterfly.body
         lid, tid = body.block_id
         summary = self._summaries[body.block_id]
+        # Already a private copy of the SOS: every check below reads
+        # this one set, and none edits it.
         lsos = self._compute_lsos(lid, tid)
 
         if self.two_phase:
@@ -458,24 +469,23 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         head = self._summaries.get((lid - 1, tid)) if lid >= 1 else None
         if head is None:
             return lsos
+        # The other threads' LASTCHECKs in epoch l-2, gathered once: the
+        # resurrection term probes them per head untaint.
+        siblings = [
+            s.lastcheck
+            for (l, t), s in self._summaries.items()
+            if l == lid - 2 and t != tid
+        ]
         for loc, verdict in head.lastcheck.items():
             if verdict is BOT:
                 lsos.add(loc)
             elif (
                 verdict is TOP
                 and loc in lsos
-                and not self._sibling_tainted(loc, lid - 2, tid)
+                and not any(check.get(loc) is BOT for check in siblings)
             ):
                 lsos.discard(loc)
         return lsos
-
-    def _sibling_tainted(self, loc: int, lid: int, tid: int) -> bool:
-        if lid < 0:
-            return False
-        for (l, t), s in self._summaries.items():
-            if l == lid and t != tid and s.lastcheck.get(loc) is BOT:
-                return True
-        return False
 
     def _evict(self, older_than: int) -> None:
         for key in [k for k in self._summaries if k[0] < older_than]:
@@ -506,21 +516,34 @@ class _RuleGraph:
         #: first two epochs -- the phase-1 graph answers that query.
         self._fallback = fallback
         self._query_memo: Dict[int, bool] = {}
-        # loc -> list of (site, value); site = (lid, tid, offset) for the
-        # SC-mode per-thread ordering constraint.
-        self.rules: Dict[int, List[Tuple[InstrId, Value]]] = {}
-        for s in wing_summaries:
-            lid, tid = s.block_id
-            for loc, writes in s.rules.items():
-                bucket = self.rules.setdefault(loc, [])
-                for offset, value in writes:
-                    bucket.append(((lid, tid, offset), value))
-        blid, btid = body.block_id
-        for loc, writes in body.rules.items():
-            bucket = self.rules.setdefault(loc, [])
-            for offset, value in writes:
-                bucket.append(((blid, btid, offset), value))
+        #: The in-phase first-pass summaries, by reference: the wings in
+        #: the order the engine handed them over, then the body.
+        self._sources = [*wing_summaries, body]
+        # loc -> list of (site, value), filled by _rules_for.
+        self._buckets: Dict[int, List[Tuple[InstrId, Value]]] = {}
         self._budget = [guard.max_steps]
+
+    def _rules_for(self, loc: int) -> List[Tuple[InstrId, Value]]:
+        """Every in-phase rule writing ``loc``, as ``(site, value)`` with
+        ``site = (lid, tid, offset)`` for the SC-mode per-thread ordering
+        constraint: wings in ``side_in`` order, then the body.
+
+        Built the first time a check asks for ``loc``: each block was
+        summarised once in the first pass and is only consulted here,
+        so a body pays for the locations its checks reach, not for
+        every rule of every wing."""
+        bucket = self._buckets.get(loc)
+        if bucket is None:
+            bucket = self._buckets[loc] = []
+            for s in self._sources:
+                writes = s.rules.get(loc)
+                if writes:
+                    lid, tid = s.block_id
+                    bucket += [
+                        ((lid, tid, offset), value)
+                        for offset, value in writes
+                    ]
+        return bucket
 
     # -- top-level resolution ------------------------------------------------
 
@@ -528,7 +551,7 @@ class _RuleGraph:
         self,
         parents: Tuple[int, ...],
         offset: int,
-        lsos: Set[int],
+        base: AbstractSet[int],
     ) -> bool:
         """Is any parent possibly tainted at body offset ``offset``?
 
@@ -540,8 +563,9 @@ class _RuleGraph:
         to the parent are not directly visible -- intra-thread
         dependences are respected -- though a wing may have captured any
         of them and re-exposed the value through its own rules.
+
+        ``base`` is the body's entry state (its LSOS); it is only read.
         """
-        base = frozenset(lsos)
         for y in parents:
             local = self._local_write_before(y, offset)
             if local is not None:
@@ -561,7 +585,7 @@ class _RuleGraph:
     def _base_tainted(
         self,
         y: int,
-        base: FrozenSet[int],
+        base: AbstractSet[int],
         counters: Optional[Dict[int, InstrId]] = None,
     ) -> bool:
         """Entry-state taint: the LSOS, or (phase 2 only) a phase-1
@@ -585,7 +609,7 @@ class _RuleGraph:
             )
         return self._fallback.query_taint(y, base)
 
-    def query_taint(self, y: int, base: FrozenSet[int]) -> bool:
+    def query_taint(self, y: int, base: AbstractSet[int]) -> bool:
         """Unanchored taint of ``y`` under this phase's rules: used when
         phase 2 needs 'was y tainted by the first two epochs?'."""
         cached = self._query_memo.get(y)
@@ -620,7 +644,7 @@ class _RuleGraph:
         return best
 
     def _local_chain_tainted(
-        self, value: Value, offset: int, base: FrozenSet[int]
+        self, value: Value, offset: int, base: AbstractSet[int]
     ) -> bool:
         """Follow the body's own def-use chain (program order), allowing
         wing interference at every hop."""
@@ -641,14 +665,14 @@ class _RuleGraph:
 
     # -- graph search ------------------------------------------------------------
 
-    def _wing_taint(self, loc: int, base: FrozenSet[int]) -> bool:
+    def _wing_taint(self, loc: int, base: AbstractSet[int]) -> bool:
         """Could a potentially-concurrent wing write leave ``loc``
         tainted?  The first hop must be a wing rule (the body's own
         writes are ordered by intra-thread dependences and handled by
         the anchored local chain); deeper hops may use any rule in the
         window, because a wing may have captured any body value."""
         body_tid = self._body.block_id[1]
-        for site, value in self.rules.get(loc, ()):
+        for site, value in self._rules_for(loc):
             if site[1] == body_tid:
                 continue
             if value is BOT:
@@ -692,7 +716,7 @@ class _RuleGraph:
             if loc in seen:
                 continue
             seen.add(loc)
-            for _site, value in self.rules.get(loc, ()):
+            for _site, value in self._rules_for(loc):
                 if value is BOT:
                     return True
                 if value is TOP:
@@ -705,7 +729,7 @@ class _RuleGraph:
         return False
 
     def _search_sc(
-        self, loc: int, counters: Dict[int, InstrId], base: FrozenSet[int]
+        self, loc: int, counters: Dict[int, InstrId], base: AbstractSet[int]
     ) -> bool:
         """SC termination: derivation chains carry per-thread site
         counters; a rule from thread ``t`` is usable only strictly
@@ -716,7 +740,7 @@ class _RuleGraph:
         self._budget[0] -= 1
         if self._base_tainted(loc, base, counters):
             return True
-        for site, value in self.rules.get(loc, ()):
+        for site, value in self._rules_for(loc):
             if not _strictly_before(site, counters.get(site[1])):
                 continue
             if value is BOT:

@@ -443,6 +443,7 @@ class StreamTraceSource(EpochSource):
         self._path = str(path)
         with open(self._path) as fp:
             self._header = stream_header(fp, self._path)
+        self._preallocated = frozenset(self._header["preallocated"])
 
     @property
     def path(self) -> str:
@@ -458,7 +459,7 @@ class StreamTraceSource(EpochSource):
 
     @property
     def preallocated(self) -> frozenset:
-        return frozenset(self._header["preallocated"])
+        return self._preallocated
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
         with open(self._path) as fp:

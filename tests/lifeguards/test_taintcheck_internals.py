@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
+from repro.lifeguards import taintcheck
 from repro.lifeguards.taintcheck import (
     BOT,
     TOP,
@@ -15,6 +16,7 @@ from repro.lifeguards.taintcheck import (
     _strictly_before,
 )
 from repro.trace.generator import simulated_taint_program
+from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
 
 def summary(block_id, rules=None, jumps=()):
@@ -156,6 +158,140 @@ class TestPhaseFallback:
         for mode in ("relaxed", "sc"):
             g = graph([wing], body, mode=mode)
             assert not g.tainted_parents((1,), 0, set())
+
+
+# -- on-demand rule buckets ---------------------------------------------------
+#
+# The graph keeps references to the summaries it was handed and buckets
+# a location's rules the first time a check asks for it.  The reference
+# below is the merge its constructor used to run -- every rule of every
+# in-phase summary copied into one dict up front -- kept here as the
+# oracle for bucket content *and order* (SC search order, error order
+# and report digests all follow it).
+
+
+def reference_buckets(wings, body):
+    rules = {}
+    for s in wings:
+        lid, tid = s.block_id
+        for loc, writes in s.rules.items():
+            bucket = rules.setdefault(loc, [])
+            for offset, value in writes:
+                bucket.append(((lid, tid, offset), value))
+    blid, btid = body.block_id
+    for loc, writes in body.rules.items():
+        bucket = rules.setdefault(loc, [])
+        for offset, value in writes:
+            bucket.append(((blid, btid, offset), value))
+    return rules
+
+
+class EagerRuleGraph(_RuleGraph):
+    """``_RuleGraph`` answering from the eager merge."""
+
+    def __init__(self, wings, body, guard, fallback=None):
+        super().__init__(wings, body, guard, fallback=fallback)
+        self.rules = reference_buckets(wings, body)
+
+    def _rules_for(self, loc):
+        return self.rules.get(loc, ())
+
+
+class TestOnDemandBuckets:
+    def test_hand_built_window_matches_the_eager_merge(self):
+        wings = [
+            summary((0, 1), rules={1: [(0, BOT), (4, TOP)], 2: [(2, (1, 3))]}),
+            summary((1, 2), rules={1: [(1, (2,))], 5: [(0, TOP)]}),
+            summary((1, 1), rules={2: [(3, BOT)], 1: [(5, (7,))]}),
+        ]
+        body = summary(
+            (1, 0), rules={1: [(2, TOP)], 6: [(0, (1,)), (3, BOT)]},
+        )
+        g = graph(wings, body)
+        assert g._buckets == {}  # construction copies nothing
+        expected = reference_buckets(wings, body)
+        assert set(expected) == {1, 2, 5, 6}
+        for loc, bucket in expected.items():
+            assert g._rules_for(loc) == bucket, loc
+        # In several wings and the body: side_in order, then the body.
+        assert g._rules_for(1) == [
+            ((0, 1, 0), BOT), ((0, 1, 4), TOP),
+            ((1, 2, 1), (2,)),
+            ((1, 1, 5), (7,)),
+            ((1, 0, 2), TOP),
+        ]
+        assert g._rules_for(6) == [((1, 0, 0), (1,)), ((1, 0, 3), BOT)]
+        assert g._rules_for(99) == []
+        # Bucketed once, then reused.
+        assert g._rules_for(1) is g._rules_for(1)
+        assert set(g._buckets) == {1, 2, 5, 6, 99}
+
+    def test_wing_order_is_the_order_given(self):
+        a = summary((0, 1), rules={1: [(0, BOT)]})
+        b = summary((0, 2), rules={1: [(0, TOP)]})
+        body = summary((0, 0))
+        assert graph([a, b], body)._rules_for(1) == [
+            ((0, 1, 0), BOT), ((0, 2, 0), TOP),
+        ]
+        assert graph([b, a], body)._rules_for(1) == [
+            ((0, 2, 0), TOP), ((0, 1, 0), BOT),
+        ]
+
+    @pytest.mark.parametrize("two_phase", [True, False])
+    @pytest.mark.parametrize("mode", ["relaxed", "sc"])
+    def test_generated_runs_agree_with_the_eager_merge(
+        self, mode, two_phase, monkeypatch
+    ):
+        seen = {"buckets": 0, "bodies": 0, "flagged": 0, "tainted": 0}
+
+        class Audited(_RuleGraph):
+            """Every graph ``check_body`` builds: a fresh twin answers
+            for every location of every summary it was handed."""
+
+            def __init__(self, wings, body, guard, fallback=None):
+                super().__init__(wings, body, guard, fallback=fallback)
+                assert self._buckets == {}
+                twin = _RuleGraph(wings, body, guard)
+                for loc, bucket in reference_buckets(wings, body).items():
+                    assert twin._rules_for(loc) == bucket, (body.block_id, loc)
+                    seen["buckets"] += 1
+
+        class Checked(ButterflyTaintCheck):
+            def check_body(self, butterfly, side_in):
+                with monkeypatch.context() as patch:
+                    patch.setattr(taintcheck, "_RuleGraph", Audited)
+                    result = super().check_body(butterfly, side_in)
+                with monkeypatch.context() as patch:
+                    patch.setattr(taintcheck, "_RuleGraph", EagerRuleGraph)
+                    expected = super().check_body(butterfly, side_in)
+                assert result == expected, butterfly.body.block_id
+                lastcheck, flagged = result
+                seen["bodies"] += 1
+                seen["flagged"] += len(flagged)
+                seen["tainted"] += sum(
+                    v is BOT for v in lastcheck.values()
+                )
+                return result
+
+        def guard():
+            return Checked(mode=mode, two_phase=two_phase)
+
+        gen = AdversarialCaseGenerator(4)
+        families = set()
+        for i in range(4 * len(FAMILIES)):
+            case = gen.case(i)
+            families.add(case.label)
+            ButterflyEngine(guard()).run(case.partition())
+        assert families == set(FAMILIES)
+        for seed in range(3):
+            prog = simulated_taint_program(
+                random.Random(seed), num_threads=3, total_events=240,
+                taint_rate=0.2, untaint_rate=0.2,
+            )
+            ButterflyEngine(guard()).run(partition_fixed(prog, 8))
+        assert seen["buckets"] > 500
+        assert seen["bodies"] > 100
+        assert seen["flagged"] > 0 and seen["tainted"] > 10
 
 
 # -- the tainted-address LSOS / SOS algebra ----------------------------------

@@ -10,6 +10,11 @@ import os
 
 import pytest
 
+from repro.core.epoch import partition_fixed
+from repro.core.framework import ButterflyEngine
+from repro.lifeguards.taintcheck import ButterflyTaintCheck
+from repro.trace.events import Instr
+from repro.trace.program import TraceProgram
 from repro.verify import (
     AdversarialCaseGenerator,
     DifferentialHarness,
@@ -74,6 +79,35 @@ class TestNarrowWindowMutant:
         assert finding.mode == "orderings"
         assert finding.shrunk_instructions <= 8
         assert "missed an error" in finding.detail
+
+
+class TestNarrowWindowTaintCheck:
+    """TaintCheck resolves against the wings the engine hands it
+    (``side_in``), not against its own record of what was scanned: a
+    rule source that bypasses ``side_in`` would make ``narrow-window``
+    invisible to this lifeguard.  No campaign, no seed -- one trace."""
+
+    # Thread 0 jumps through 5 in epoch 0; only thread 1's epoch-1
+    # block -- the body's l+1 wing -- taints it.  Adjacent epochs
+    # interleave, so the taint may land first.
+    PROGRAM = TraceProgram.from_lists(
+        [Instr.jump(5), Instr.nop()],
+        [Instr.nop(), Instr.taint(5)],
+    )
+
+    def flags(self, **kwargs):
+        guard = ButterflyTaintCheck(**kwargs)
+        ButterflyEngine(guard).run(partition_fixed(self.PROGRAM, 1))
+        return [(e.kind.value, e.location, e.ref) for e in guard.errors]
+
+    @pytest.mark.parametrize("two_phase", [True, False])
+    @pytest.mark.parametrize("mode", ["relaxed", "sc"])
+    def test_stripping_the_future_wing_loses_the_flag(self, mode, two_phase):
+        clean = self.flags(mode=mode, two_phase=two_phase)
+        assert clean == [("tainted-jump", 5, (0, 0))]
+        with apply_mutant("narrow-window"):
+            assert self.flags(mode=mode, two_phase=two_phase) == []
+        assert self.flags(mode=mode, two_phase=two_phase) == clean
 
 
 class TestRegistry:
