@@ -1,9 +1,15 @@
 PYTHON ?= python
 
-.PHONY: test smoke bench bench-ab
+.PHONY: test smoke bench bench-ab surface
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# The numbers simplicity PRs quote: src/ size, CLI flags, config fields.
+surface:
+	@printf 'src/ physical lines: '; find src -name '*.py' -print0 | xargs -0 cat | wc -l
+	@printf 'cli.py add_argument calls: '; grep -c add_argument src/repro/cli.py
+	@PYTHONPATH=src $(PYTHON) -c "import dataclasses as d; from repro.serve import ServeConfig; from repro.resilience import RetryPolicy; from repro.core.epoch import SloConfig; print('ServeConfig/RetryPolicy/SloConfig fields:', '/'.join(str(len(d.fields(c))) for c in (ServeConfig, RetryPolicy, SloConfig)))"
 
 # Benchmark-suite smoke run: correctness assertions only, timing
 # comparisons skipped (REPRO_CI) and pytest-benchmark timing disabled.

@@ -180,39 +180,23 @@ def _run_meta(
     is recorded too: resume replays those exact cuts
     (:func:`partition_from_boundaries`) instead of re-deriving them
     from ``epoch_size``, so variable-size partitions -- skewed,
-    global-order, adaptive -- resume on identical epoch geometry.
-    (``epoch_size`` alone loses that information; deriving cuts from it
-    was the old resume path's latent bug.)
+    global-order -- resume on identical epoch geometry.
     """
-    boundaries = (
-        [list(cuts) for cuts in partition.boundaries]
-        if partition is not None else None
-    )
-    if trace_path:
-        trace_abs = os.path.abspath(trace_path)
-        return {
-            "benchmark": None,
-            "trace": trace_abs,
-            "trace_sha256": _sha256(trace_abs),
-            "threads": num_threads,
-            "events": None,
-            "seed": None,
-            "epoch_size": args.epoch_size,
-            "lifeguard": args.lifeguard,
-            "stream": stream,
-            "boundaries": boundaries,
-        }
+    trace_abs = os.path.abspath(trace_path) if trace_path else None
     return {
-        "benchmark": args.benchmark,
-        "trace": None,
-        "trace_sha256": None,
+        "benchmark": None if trace_abs else args.benchmark,
+        "trace": trace_abs,
+        "trace_sha256": _sha256(trace_abs) if trace_abs else None,
         "threads": num_threads,
-        "events": args.events,
-        "seed": args.seed,
+        "events": None if trace_abs else args.events,
+        "seed": None if trace_abs else args.seed,
         "epoch_size": args.epoch_size,
         "lifeguard": args.lifeguard,
         "stream": stream,
-        "boundaries": boundaries,
+        "boundaries": (
+            [list(cuts) for cuts in partition.boundaries]
+            if partition is not None else None
+        ),
     }
 
 
@@ -301,12 +285,6 @@ def _print_check_results(
         for race in guard.races[:limit]:
             print(f"  {race.kind:12s} loc=0x{race.location:x} "
                   f"at {race.body_ref}")
-
-
-def _print_window_peak(engine: ButterflyEngine, threads: int) -> None:
-    """The streamed runs' extra line: the observed memory bound."""
-    print(f"stream: peak resident summaries "
-          f"{engine.window_high_water} (bound {3 * threads})")
 
 
 def _print_stream_results(
@@ -400,6 +378,104 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_workload(
+    command: str,
+    trace_path: Optional[str],
+    benchmark: str,
+    threads: int,
+    events: int,
+    seed: int,
+) -> "tuple[Any, Optional[EpochSource], Optional[int]]":
+    """Trace path or benchmark parameters -> ``(program, source, rc)``.
+
+    Exactly one of ``program``/``source`` is set: a version 2
+    (epoch-major) file opens as a streaming source and is never
+    materialized; a version 1 file or a generated benchmark is a
+    program.  On an unreadable or malformed trace both are ``None`` and
+    ``rc`` is the exit status (the diagnostic is already printed).
+    """
+    if not trace_path:
+        program = get_benchmark(benchmark).generate(
+            threads, events, seed=seed
+        )
+        return program, None, None
+    try:
+        if file_version(trace_path) == STREAM_VERSION:
+            return None, iter_load(trace_path), None
+        return load_file(trace_path), None, None
+    except OSError as exc:
+        return None, None, _fail(
+            command, f"cannot read {trace_path}: {exc}"
+        )
+    except TraceError as exc:
+        return None, None, _fail(command, str(exc))
+
+
+def _run_and_report(
+    command: str,
+    args: argparse.Namespace,
+    recorder: Recorder,
+    guard: Any,
+    program,
+    partition,
+    source: Optional[EpochSource],
+    meta: Dict[str, Any],
+    label: str,
+    checkpoint=None,
+) -> int:
+    """Drive one check/resume run and print its result block.
+
+    ``source`` set means the run streams (``attach_source``); otherwise
+    the materialized ``partition`` is attached and fed through a
+    :class:`PartitionSource`.  With ``checkpoint`` the engine continues
+    from it: ``resumed=True`` suppresses the duplicate ``run.attach``
+    event and ``restore_into`` continues the log numbering from the
+    checkpoint boundary, so the resumed event log is the exact suffix
+    of the uninterrupted one, never a re-count of finished epochs.
+    """
+    backend, rc = _resolve_backend(args, command)
+    if backend is None:
+        return rc
+    resumed = checkpoint is not None
+    streaming = source is not None
+    engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
+    try:
+        if streaming:
+            engine.attach_source(source, resumed=resumed)
+        else:
+            engine.attach(partition, resumed=resumed)
+        if resumed:
+            checkpoint.restore_into(engine)
+        finished = _drive_engine(
+            args, engine,
+            source if streaming else PartitionSource(partition),
+            args.checkpoint, meta,
+            start_epoch=checkpoint.next_epoch if resumed else 0,
+        )
+    except (ResilienceError, TraceError) as exc:
+        return _fail(command, str(exc))
+    finally:
+        engine.close()
+        _close_backend(backend)
+    if finished:
+        threads, lifeguard = meta["threads"], meta["lifeguard"]
+        if program is not None:
+            _print_check_results(
+                label, threads, meta["epoch_size"], lifeguard,
+                args.limit, program, partition, guard,
+            )
+            if streaming:  # the observed memory bound
+                print(f"stream: peak resident summaries "
+                      f"{engine.window_high_water} (bound {3 * threads})")
+        else:
+            _print_stream_results(
+                label, threads, source.num_epochs, lifeguard,
+                args.limit, guard, engine,
+            )
+    _finish_events(recorder, args)
+    return 0
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     """Run one lifeguard over a workload (generated or from a file).
 
@@ -414,69 +490,27 @@ def cmd_check(args: argparse.Namespace) -> int:
     recorder, rc = _open_recorder(args, "check")
     if recorder is None:
         return rc
-    trace_path = args.trace
-    program = None
-    source = None
-    if trace_path:
-        try:
-            if file_version(trace_path) == STREAM_VERSION:
-                source = iter_load(trace_path)
-                args.threads = source.num_threads
-            else:
-                program = load_file(trace_path)
-                args.threads = program.num_threads
-        except OSError as exc:
-            return _fail("check", f"cannot read {trace_path}: {exc}")
-        except TraceError as exc:
-            return _fail("check", str(exc))
-    else:
-        program = get_benchmark(args.benchmark).generate(
-            args.threads, args.events, seed=args.seed
-        )
-    backend, rc = _resolve_backend(args, "check")
-    if backend is None:
+    program, source, rc = _load_workload(
+        "check", args.trace, args.benchmark, args.threads, args.events,
+        args.seed,
+    )
+    if rc is not None:
         return rc
     partition = None
     if program is not None:
         partition = partition_auto(program, args.epoch_size)
-        guard = make_guard(args.lifeguard, program.preallocated)
         if args.stream:
             source = PartitionSource(partition)
-    else:
-        guard = make_guard(args.lifeguard, source.preallocated)
-    streaming = source is not None
-    meta = _run_meta(args, args.threads, trace_path, streaming, partition)
-    engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
-    try:
-        if streaming:
-            engine.attach_source(source)
-        else:
-            engine.attach(partition)
-        finished = _drive_engine(
-            args, engine,
-            source if streaming else PartitionSource(partition),
-            args.checkpoint, meta,
-        )
-    except (ResilienceError, TraceError) as exc:
-        return _fail("check", str(exc))
-    finally:
-        engine.close()
-        _close_backend(backend)
-    if finished:
-        if program is not None:
-            _print_check_results(
-                args.benchmark, args.threads, args.epoch_size,
-                args.lifeguard, args.limit, program, partition, guard,
-            )
-            if streaming:
-                _print_window_peak(engine, args.threads)
-        else:
-            _print_stream_results(
-                trace_path, args.threads, source.num_epochs,
-                args.lifeguard, args.limit, guard, engine,
-            )
-    _finish_events(recorder, args)
-    return 0
+    loaded = program if program is not None else source
+    meta = _run_meta(
+        args, loaded.num_threads, args.trace, source is not None, partition
+    )
+    return _run_and_report(
+        "check", args, recorder,
+        make_guard(args.lifeguard, loaded.preallocated),
+        program, partition, source, meta,
+        label=args.benchmark if program is not None else args.trace,
+    )
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -508,98 +542,45 @@ def cmd_resume(args: argparse.Namespace) -> int:
         checkpoint.verify(expected)
     except CheckpointError as exc:
         return _fail("resume", str(exc))
-    program = None
-    source = None
-    if meta.get("trace"):
-        if meta.get("trace_sha256"):
-            try:
-                digest = _sha256(meta["trace"])
-            except OSError as exc:
-                return _fail(
-                    "resume", f"cannot read {meta['trace']}: {exc}"
-                )
-            if digest != meta["trace_sha256"]:
-                return _fail(
-                    "resume",
-                    f"trace file {meta['trace']} changed since the "
-                    "checkpoint was taken (sha256 mismatch)",
-                )
+    trace_path = meta["trace"]
+    if trace_path and meta["trace_sha256"]:
         try:
-            if file_version(meta["trace"]) == STREAM_VERSION:
-                source = iter_load(meta["trace"])
-            else:
-                program = load_file(meta["trace"])
+            digest = _sha256(trace_path)
         except OSError as exc:
-            return _fail("resume", f"cannot read {meta['trace']}: {exc}")
-        except TraceError as exc:
-            return _fail("resume", str(exc))
-        label = meta["trace"]
-    else:
-        program = get_benchmark(meta["benchmark"]).generate(
-            meta["threads"], meta["events"], seed=meta["seed"]
-        )
-        label = meta["benchmark"]
-    backend, rc = _resolve_backend(args, "resume")
-    if backend is None:
+            return _fail("resume", f"cannot read {trace_path}: {exc}")
+        if digest != meta["trace_sha256"]:
+            return _fail(
+                "resume",
+                f"trace file {trace_path} changed since the "
+                "checkpoint was taken (sha256 mismatch)",
+            )
+    program, source, rc = _load_workload(
+        "resume", trace_path, meta["benchmark"], meta["threads"],
+        meta["events"], meta["seed"],
+    )
+    if rc is not None:
         return rc
     partition = None
     if program is not None:
-        if meta.get("boundaries"):
-            # Replay the recorded cuts verbatim: the interrupted run's
-            # partition may not be derivable from epoch_size (skewed or
-            # otherwise variable cuts), and resuming on different
-            # geometry would silently change the analysis.
-            try:
-                partition = partition_from_boundaries(
-                    program, meta["boundaries"]
-                )
-            except ReproError as exc:
-                return _fail("resume", str(exc))
-        else:
-            # Pre-boundary checkpoints: fall back to re-deriving the
-            # fixed-h cuts the old writer used.
-            partition = partition_auto(program, meta["epoch_size"])
-        if meta.get("stream"):
+        # Replay the recorded cuts verbatim: the interrupted run's
+        # partition may not be derivable from epoch_size (skewed or
+        # otherwise variable cuts), and resuming on different geometry
+        # would silently change the analysis.
+        try:
+            partition = partition_from_boundaries(
+                program, meta["boundaries"]
+            )
+        except ReproError as exc:
+            return _fail("resume", str(exc))
+        if meta["stream"]:
             # The interrupted run streamed; resume through the same
             # pipeline so its counters and window gauge stay coherent.
             source = PartitionSource(partition)
-    guard = checkpoint.analysis
-    engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
-    try:
-        # resumed=True suppresses the duplicate run.attach event, and
-        # restore_into continues the log numbering from the checkpoint
-        # boundary: the resumed event log is the exact suffix of the
-        # uninterrupted one, never a re-count of finished epochs.
-        if source is not None:
-            engine.attach_source(source, resumed=True)
-        else:
-            engine.attach(partition, resumed=True)
-        checkpoint.restore_into(engine)
-        finished = _drive_engine(
-            args, engine,
-            source if source is not None else PartitionSource(partition),
-            args.checkpoint, meta, start_epoch=checkpoint.next_epoch,
-        )
-    except (ResilienceError, CheckpointError, TraceError) as exc:
-        return _fail("resume", str(exc))
-    finally:
-        engine.close()
-        _close_backend(backend)
-    if finished:
-        if program is not None:
-            _print_check_results(
-                label, meta["threads"], meta["epoch_size"],
-                meta["lifeguard"], args.limit, program, partition, guard,
-            )
-            if source is not None:
-                _print_window_peak(engine, meta["threads"])
-        else:
-            _print_stream_results(
-                label, meta["threads"], source.num_epochs,
-                meta["lifeguard"], args.limit, guard, engine,
-            )
-    _finish_events(recorder, args)
-    return 0
+    return _run_and_report(
+        "resume", args, recorder, checkpoint.analysis,
+        program, partition, source, meta,
+        label=trace_path or meta["benchmark"], checkpoint=checkpoint,
+    )
 
 
 def _quarantine_file(path: str, directory: str) -> str:

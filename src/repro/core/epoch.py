@@ -25,16 +25,23 @@ checkpoints, the serve daemon) carry the *explicit boundaries* a policy
 produced, never the policy's parameters, so re-running, resuming, or
 re-checking a trace always reproduces identical cuts -- the invariant
 the differential harness's variable-partition mode enforces.
+
+The one *online* policy lives here too: an :class:`EpochController`
+picks how many producer epochs the engine coalesces into one analysis
+epoch (:func:`merge_block_run`) -- a coarser heartbeat chosen while the
+run is live, recorded as explicit boundaries like every other.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 import random
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarBlock
-from repro.errors import PartitionError
+from repro.errors import PartitionError, ReproError
 from repro.trace.events import Instr
 from repro.trace.program import GlobalRef, TraceProgram
 
@@ -440,6 +447,112 @@ class ExplicitHeartbeat(HeartbeatPolicy):
 
     def boundaries(self, program: TraceProgram) -> List[List[int]]:
         return [list(cuts) for cuts in self._boundaries]
+
+
+# ---------------------------------------------------------------------------
+# Online coalescing: the fold-factor controller (a coarser heartbeat)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SloConfig:
+    """The latency/precision SLO the controller holds.
+
+    ``target_fold_ms`` is the hard latency objective: one fold (receive
+    + first pass + the previous epoch's second pass) must not take
+    longer than this, or results are arriving late.  The queue
+    watermarks steer precision: a backed-up queue means the producer is
+    bursting and per-epoch overhead is the bottleneck (grow the fold),
+    a drained queue means there is headroom to run precise (shrink
+    toward ``min_fold``).
+    """
+
+    target_fold_ms: float = 50.0
+    queue_high: int = 3
+    queue_low: int = 1
+    min_fold: int = 1
+    max_fold: int = 64
+    #: Shrink when a fold surfaced new errors: reports are exactly the
+    #: signal precision exists for, so bias toward tight windows while
+    #: they are firing.
+    error_bias: bool = True
+
+    def __post_init__(self) -> None:
+        if self.min_fold < 1:
+            raise ReproError("min_fold must be >= 1")
+        if self.max_fold < self.min_fold:
+            raise ReproError("max_fold must be >= min_fold")
+        if self.target_fold_ms <= 0:
+            raise ReproError("target_fold_ms must be > 0")
+
+
+class EpochController:
+    """Deterministic fold-factor control loop (AIMD-flavoured).
+
+    Grows multiplicatively under burst (a deep queue doubles the fold:
+    catching up is urgent and amortization is the only lever), shrinks
+    additively when the queue drains (precision is cheap again), and
+    halves outright when a fold breaches the latency SLO -- the one
+    signal that must win every argument.  Decisions depend only on the
+    observation stream, so a replayed observation sequence reproduces
+    the same fold factors; live runs are still timing-dependent, which
+    is why the engine records the boundaries it used instead of
+    assuming anyone can re-derive them.
+    """
+
+    def __init__(self, slo: Optional[SloConfig] = None) -> None:
+        self.slo = slo or SloConfig()
+        self.fold_factor = self.slo.min_fold
+        self.observations = 0
+        self.slo_breaches = 0
+
+    def observe(
+        self,
+        queue_depth: int,
+        fold_ns: int,
+        rows: int,
+        errors_delta: int = 0,
+    ) -> int:
+        """Fold ``rows`` producer rows took ``fold_ns`` with
+        ``queue_depth`` rows still waiting; returns the next fold
+        factor."""
+        slo = self.slo
+        self.observations += 1
+        if fold_ns > slo.target_fold_ms * 1e6:
+            self.slo_breaches += 1
+            self.fold_factor = max(slo.min_fold, self.fold_factor // 2)
+        elif slo.error_bias and errors_delta > 0:
+            self.fold_factor = max(slo.min_fold, self.fold_factor - 1)
+        elif queue_depth >= slo.queue_high:
+            self.fold_factor = min(slo.max_fold, self.fold_factor * 2)
+        elif queue_depth <= slo.queue_low:
+            self.fold_factor = max(slo.min_fold, self.fold_factor - 1)
+        return self.fold_factor
+
+
+def merge_block_run(lid: int, blocks: Sequence[Block]) -> Block:
+    """One thread's consecutive blocks -> one block at epoch ``lid``.
+
+    Stays columnar when every input is (the serve hot path: stream rows
+    decode straight to columns); otherwise concatenates the object
+    tuples.  ``start`` is inherited from the first block, so the merged
+    block's global refs are identical to the unmerged ones'.
+    """
+    first = blocks[0]
+    if len(blocks) == 1:
+        if first.lid == lid:
+            return first
+        return Block(
+            lid, first.tid, first.start,
+            instrs=first._instrs, columns=first._columns,
+        )
+    if all(b.has_columns for b in blocks):
+        merged = ColumnarBlock.concat([b.columns for b in blocks])
+        return Block(lid, first.tid, first.start, columns=merged)
+    instrs = tuple(
+        itertools.chain.from_iterable(b.instrs for b in blocks)
+    )
+    return Block(lid, first.tid, first.start, instrs=instrs)
 
 
 # ---------------------------------------------------------------------------

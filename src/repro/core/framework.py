@@ -42,14 +42,21 @@ serial path, so legacy analyses that override ``first_pass`` /
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generic, List, Optional, TypeVar, Union
 
-from repro.core.epoch import Block, BlockId, EpochPartition
+from repro.core.epoch import (
+    Block,
+    BlockId,
+    EpochController,
+    EpochPartition,
+    merge_block_run,
+)
 from repro.core.parallel import ExecutionBackend, get_backend
 from repro.core.stream import EpochSource
 from repro.core.window import Butterfly, butterflies_for_epoch
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CheckpointError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 Summary = TypeVar("Summary")
@@ -205,6 +212,34 @@ class _WindowView:
         return self._blocks[(lid, tid)]
 
 
+#: What :func:`_span` hands out while recording is off: one shared,
+#: stateless context manager, so that path builds nothing per epoch.
+_NO_SPAN = NULL_RECORDER.span("")
+
+
+def _span(recorder: Optional[Recorder], name: str, *fields: Any) -> Any:
+    """A ``name`` span on a live ``recorder``; a no-op when it is ``None``.
+
+    ``fields`` are the span's fields as flat ``key, value`` pairs, so
+    the recorder-off path builds no span and no kwargs.
+    """
+    if recorder is None:
+        return _NO_SPAN
+    return recorder.span(name, **dict(zip(fields[::2], fields[1::2])))
+
+
+def _spanned(recorder: Recorder, name: str, blocks, key: str, counts, steps):
+    """Re-yield lazy per-block ``steps``, running each inside a
+    ``name`` span (``epoch``/``thread`` of its block, ``key``=count).
+    Only a live recorder pays for this wrapper."""
+    for block, count in zip(blocks, counts):
+        with recorder.span(
+            name, epoch=block.lid, thread=block.tid, **{key: count}
+        ):
+            result = next(steps)
+        yield result
+
+
 class ButterflyEngine(Generic[Summary, SideIn]):
     """Drives a :class:`ButterflyAnalysis` over an epoch partition.
 
@@ -226,6 +261,15 @@ class ButterflyEngine(Generic[Summary, SideIn]):
     :class:`AnalysisError`), tracked in :attr:`window_high_water`, and
     exported as the ``engine.window_resident_blocks`` gauge.
 
+    Coordinates: callers always feed *producer rows* -- ``feed_blocks``
+    ids, :attr:`resume_position`, :attr:`rows_folded` and the
+    completeness check in :meth:`finish` all count them.  Without a
+    ``controller`` every row is one *analysis epoch*; with one, rows
+    buffer until the controller's fold factor is reached and then merge
+    (:func:`~repro.core.epoch.merge_block_run`) into a single analysis
+    epoch, whose cuts :attr:`recorded_boundaries` keeps so the run can
+    be replayed offline (``docs/tuning.md``).
+
     Parameters
     ----------
     analysis:
@@ -242,6 +286,10 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         emits per-epoch/per-pass/per-block spans, per-epoch summary
         events, and wires the recorder into the analysis (error
         provenance) and the backend (fan-out telemetry).
+    controller:
+        Fold-factor controller coalescing producer rows into larger
+        analysis epochs; ``None`` (the default) analyzes every fed row
+        as its own epoch.
     """
 
     def __init__(
@@ -249,6 +297,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         analysis: ButterflyAnalysis,
         backend: Union[str, ExecutionBackend] = "serial",
         recorder: Recorder = NULL_RECORDER,
+        controller: Optional[EpochController] = None,
     ) -> None:
         self.analysis = analysis
         self._owns_backend = not isinstance(backend, ExecutionBackend)
@@ -256,23 +305,9 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         self.recorder = recorder
         if recorder.enabled:
             self.backend.recorder = recorder
-        self.stats = EngineStats()
-        self._partition: Optional[EpochPartition] = None
-        self._source: Optional[EpochSource] = None
-        self._attached = False
-        self._num_threads = 0
-        self._expected_epochs: Optional[int] = None
-        self._summaries: Dict[BlockId, Any] = {}
-        self._window: Dict[BlockId, Block] = {}
-        self._first_pass_errors: Dict[int, int] = {}
-        self._next_to_receive = 0
-        self._next_to_process = 0
-        self._finished = False
-        self._failed = False
-        #: Peak resident block summaries over the run -- the quantity
-        #: the sliding-window invariant bounds at 3 x num_threads.
-        self.window_high_water = 0
+        self.controller = controller
         self._checkpointer: Optional[Any] = None
+        self.reset()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -296,10 +331,72 @@ class ButterflyEngine(Generic[Summary, SideIn]):
 
     @property
     def resume_position(self) -> int:
-        """The next epoch this engine expects: every epoch below it has
-        been received by a committed feed (a rolled-back feed does not
-        advance it; a restored checkpoint sets it)."""
-        return self._next_to_receive
+        """The next producer row a restarted feeder must send: every
+        row below it is part of a committed analysis epoch (a
+        rolled-back feed does not advance it, rows still buffered for
+        the next fold are not covered, a restored snapshot sets it)."""
+        return self.rows_folded
+
+    def note_queue_depth(self, depth: int) -> None:
+        """Latest backpressure observation (rows waiting behind the one
+        being fed); the controller samples it at each fold."""
+        self._queue_depth = depth
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        """Everything :meth:`restore_state` needs to continue this run.
+
+        Holds live references (the analysis object included): pickle it
+        before feeding further.  Rows buffered for the next fold are not
+        part of it -- :attr:`resume_position` tells the feeder to
+        re-send them.
+        """
+        return {
+            "stats": self.stats,
+            "summaries": self._summaries,
+            # The resident block window (<= 2 epochs at a checkpoint
+            # boundary): what lets a streamed resume seek the reader
+            # forward instead of re-reading the whole prefix.
+            "window": self._window,
+            "window_high_water": self.window_high_water,
+            "first_pass_errors": self._first_pass_errors,
+            "next_to_receive": self._next_to_receive,
+            "next_to_process": self._next_to_process,
+            "rows_folded": self.rows_folded,
+            # ``None`` for a fixed engine -- which is also how a reader
+            # tells the two kinds of run apart.
+            "boundaries": self.recorded_boundaries,
+            # Event-log position: resume continues the numbering from
+            # here, so truncate-at-boundary(interrupted log) + resumed
+            # log equals the uninterrupted log.
+            "events_emitted": self.recorder.seq,
+            "analysis": self.analysis,
+        }
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Fast-forward this attached engine to a :meth:`snapshot_state`.
+
+        The engine must have been constructed around the snapshot's
+        ``analysis`` object and attached to the same (identically cut)
+        trace; the next :meth:`feed_blocks` then continues the run at
+        :attr:`resume_position`.
+        """
+        self._require_usable()
+        if self.analysis is not state["analysis"]:
+            raise CheckpointError(
+                "engine must be constructed around the checkpoint's "
+                "analysis object (engine.analysis is not it)"
+            )
+        self.stats = state["stats"]
+        self._summaries = state["summaries"]
+        self._window = state["window"]
+        self.window_high_water = state["window_high_water"]
+        self._first_pass_errors = state["first_pass_errors"]
+        self._next_to_receive = state["next_to_receive"]
+        self._next_to_process = state["next_to_process"]
+        self.rows_folded = state["rows_folded"]
+        self.recorded_boundaries = state["boundaries"]
+        if self.recorder.enabled:
+            self.recorder.resume_from(state["events_emitted"])
 
     def reset(self) -> None:
         """Detach from the current partition and zero all run state.
@@ -311,19 +408,28 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         analysis too.
         """
         self.stats = EngineStats()
-        self._partition = None
-        self._source = None
+        self._partition: Optional[EpochPartition] = None
+        self._source: Optional[EpochSource] = None
         self._attached = False
         self._num_threads = 0
-        self._expected_epochs = None
-        self._summaries = {}
-        self._window = {}
-        self._first_pass_errors = {}
+        self._expected_epochs: Optional[int] = None
+        self._summaries: Dict[BlockId, Any] = {}
+        self._window: Dict[BlockId, Block] = {}
+        self._first_pass_errors: Dict[int, int] = {}
         self._next_to_receive = 0
         self._next_to_process = 0
         self._finished = False
         self._failed = False
+        #: Peak resident block summaries over the run -- the quantity
+        #: the sliding-window invariant bounds at 3 x num_threads.
         self.window_high_water = 0
+        #: Producer rows folded into committed analysis epochs.
+        self.rows_folded = 0
+        #: With a controller: the cuts actually analyzed, per thread
+        #: (exclusive block ends).  ``None`` on a fixed engine.
+        self.recorded_boundaries: Optional[List[List[int]]] = None
+        self._pending: List[List[Block]] = []
+        self._queue_depth = 0
 
     def close(self) -> None:
         """Shut down an engine-owned backend's worker pool."""
@@ -371,11 +477,8 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         resume must not emit a second one (the resumed log is the exact
         suffix of the uninterrupted log past the checkpoint boundary).
         """
-        self._pre_attach()
+        self._bind(partition.num_threads, partition.num_epochs, resumed)
         self._partition = partition
-        self._num_threads = partition.num_threads
-        self._expected_epochs = partition.num_epochs
-        self._announce(resumed)
 
     def attach_source(
         self, source: EpochSource, resumed: bool = False
@@ -386,13 +489,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         epoch rows (or uses :meth:`run_source`, which does exactly
         that).  ``resumed`` has the same meaning as for :meth:`attach`.
         """
-        self._pre_attach()
+        self._bind(source.num_threads, source.num_epochs, resumed)
         self._source = source
-        self._num_threads = source.num_threads
-        self._expected_epochs = source.num_epochs
-        self._announce(resumed)
 
-    def _pre_attach(self) -> None:
+    def _bind(
+        self, num_threads: int, num_epochs: Optional[int], resumed: bool
+    ) -> None:
         if self._attached:
             raise AnalysisError(
                 "engine already attached to a partition; call reset() "
@@ -400,8 +502,10 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             )
         self.reset()  # guard: never start a run with stale counters
         self._attached = True
-
-    def _announce(self, resumed: bool) -> None:
+        self._num_threads = num_threads
+        self._expected_epochs = num_epochs
+        if self.controller is not None:
+            self.recorded_boundaries = [[] for _ in range(num_threads)]
         if self.recorder.enabled:
             self.analysis.recorder = self.recorder
             # The backend name stays out of analysis-level events so
@@ -409,9 +513,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             # materialized paths emit the identical event.
             if not resumed:
                 self.recorder.event(
-                    "run.attach",
-                    epochs=self._expected_epochs,
-                    threads=self._num_threads,
+                    "run.attach", epochs=num_epochs, threads=num_threads
                 )
 
     def feed_epoch(self, lid: int) -> None:
@@ -422,29 +524,31 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         self.feed_blocks(lid, partition.epoch_blocks(lid))
 
     def feed_blocks(self, lid: int, blocks: List[Block]) -> None:
-        """Receive epoch ``l`` as an explicit block row (the streaming
-        primitive behind :meth:`feed_epoch` and :meth:`run_source`).
+        """Receive producer row ``lid`` as an explicit block row (the
+        streaming primitive behind :meth:`feed_epoch` and
+        :meth:`run_source`).
+
+        Without a controller the row is analysis epoch ``lid``; with
+        one it is buffered, and the buffer folds into one analysis
+        epoch once it holds the controller's fold factor of rows.
 
         Failed feeds are atomic at the engine level: a feed that raises
         rolls the engine's receipt bookkeeping (window blocks, block
-        summaries, progress counters) back to the previous epoch
-        boundary.  Validation failures -- out-of-order epochs, a
-        malformed row -- leave the engine fully usable; an exception
-        escaping the analysis or a checkpointer mid-feed marks the
-        engine *failed* (the analysis may have partially absorbed the
-        epoch), after which further feeds raise until :meth:`reset`.
+        summaries, progress counters, recorded boundaries) back to the
+        previous epoch boundary.  Validation failures -- out-of-order
+        rows, a malformed row -- leave the engine fully usable (the row
+        was never buffered); an exception escaping the analysis or a
+        checkpointer mid-feed marks the engine *failed* (the analysis
+        may have partially absorbed the epoch), after which further
+        feeds raise until :meth:`reset`.
         """
-        self._require_attached()
-        if self._failed:
-            raise AnalysisError(
-                "engine is in a failed state after an earlier feed "
-                "error; call reset() and re-attach to reuse it"
-            )
+        self._require_usable()
         if self._finished:
             raise AnalysisError("cannot feed epochs after finish()")
-        if lid != self._next_to_receive:
+        expected = self.rows_folded + len(self._pending)
+        if lid != expected:
             raise AnalysisError(
-                f"epochs must arrive in order: expected {self._next_to_receive}, "
+                f"epochs must arrive in order: expected {expected}, "
                 f"got {lid}"
             )
         if len(blocks) != self._num_threads:
@@ -458,6 +562,47 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                     f"epoch {lid}: block {tid} carries id "
                     f"{block.block_id}, expected {(lid, tid)}"
                 )
+        if self.controller is None:
+            self._commit(lid, blocks, 1)
+            return
+        self._pending.append(blocks)
+        if len(self._pending) >= self.controller.fold_factor:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Commit the buffered rows as one analysis epoch, then let the
+        controller observe the fold and pick the next factor."""
+        rows = self._pending
+        lid = self._next_to_receive
+        merged = [
+            merge_block_run(lid, [row[tid] for row in rows])
+            for tid in range(self._num_threads)
+        ]
+        errors_before = self._error_count()
+        started = time.perf_counter_ns()
+        self._commit(lid, merged, len(rows))
+        self._pending = []
+        self.controller.observe(
+            queue_depth=self._queue_depth,
+            fold_ns=time.perf_counter_ns() - started,
+            rows=len(rows),
+            errors_delta=self._error_count() - errors_before,
+        )
+
+    def _commit(self, lid: int, blocks: List[Block], rows: int) -> None:
+        """Receive analysis epoch ``lid`` -- ``rows`` producer rows'
+        worth of blocks -- atomically.
+
+        Row progress and the epoch's cuts are booked *before* the
+        analysis runs, so a checkpoint taken mid-feed (``after_epoch``
+        fires inside) snapshots progress matching the engine state it
+        rides with; a raise unbooks them again.
+        """
+        cuts = self.recorded_boundaries
+        if cuts is not None:
+            for tid, block in enumerate(blocks):
+                cuts[tid].append(block.start + len(block))
+        self.rows_folded += rows
         try:
             self._receive(lid, blocks)
         except Exception:
@@ -468,8 +613,11 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 self._window.pop(block.block_id, None)
                 self._summaries.pop(block.block_id, None)
             self._first_pass_errors.pop(lid, None)
-            if self._next_to_receive > lid:
-                self._next_to_receive = lid
+            self._next_to_receive = lid
+            self.rows_folded -= rows
+            if cuts is not None:
+                for thread_cuts in cuts:
+                    del thread_cuts[lid:]
             self._failed = True
             raise
 
@@ -485,18 +633,16 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             else None
         )
         recorder = self.recorder if self.recorder.enabled else None
-        if recorder is not None:
-            errors_before = self._error_count(analysis)
-            with recorder.span("pass.first", epoch=lid, blocks=len(blocks)):
-                self._first_pass(analysis, blocks, scanner, recorder)
-            self._first_pass_errors[lid] = (
-                self._error_count(analysis) - errors_before
-            )
-        else:
-            self._first_pass(analysis, blocks, scanner, None)
+        errors_before = 0 if recorder is None else self._error_count()
+        with _span(
+            recorder, "pass.first", "epoch", lid, "blocks", len(blocks)
+        ):
+            self._first_pass(analysis, blocks, scanner, recorder)
         self._next_to_receive += 1
-        if self._source is not None and recorder is not None:
-            recorder.count("stream.epochs_received")
+        if recorder is not None:
+            self._first_pass_errors[lid] = self._error_count() - errors_before
+            if self._source is not None:
+                recorder.count("stream.epochs_received")
         self._note_residency()
         if lid >= 1:
             self._process_epoch(lid - 1)
@@ -508,7 +654,15 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         scanner: Optional[Scanner],
         recorder: Optional[Recorder],
     ) -> None:
-        """Step 1 over one received epoch (fanned out when possible)."""
+        """Step 1 over one received epoch (fanned out when possible).
+
+        ``steps`` is lazy -- each ``next`` runs one block's (commit)
+        stage, in ascending thread order -- so both schedules and both
+        recorder states share the loop below.  The ``block.first_pass``
+        span carries the same name on both schedules so logs compare
+        equal across backends; fanned out, it covers the commit stage
+        only (the scan ran in the pool).
+        """
         if scanner is not None:
             # Contexts snapshot published state only, so computing them
             # up front matches the serial schedule exactly.
@@ -517,60 +671,40 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 for block in blocks
             ]
             scans = self.backend.map_ordered(scanner, items)
-            for block, scan in zip(blocks, scans):
-                if recorder is not None:
-                    # Same event name as the serial path so logs compare
-                    # equal across backends; here the span covers the
-                    # commit stage only (the scan ran in the pool).
-                    with recorder.span(
-                        "block.first_pass",
-                        epoch=block.block_id[0],
-                        thread=block.block_id[1],
-                        instrs=len(block),
-                    ):
-                        summary = analysis.commit_scan(block, scan)
-                else:
-                    summary = analysis.commit_scan(block, scan)
-                self._summaries[block.block_id] = summary
-                self.stats.first_pass_instructions += len(block)
+            steps = map(analysis.commit_scan, blocks, scans)
         else:
-            for block in blocks:
-                if recorder is not None:
-                    with recorder.span(
-                        "block.first_pass",
-                        epoch=block.block_id[0],
-                        thread=block.block_id[1],
-                        instrs=len(block),
-                    ):
-                        summary = analysis.first_pass(block)
-                else:
-                    summary = analysis.first_pass(block)
-                self._summaries[block.block_id] = summary
-                self.stats.first_pass_instructions += len(block)
+            steps = map(analysis.first_pass, blocks)
+        if recorder is not None:
+            steps = _spanned(
+                recorder, "block.first_pass", blocks,
+                "instrs", map(len, blocks), steps,
+            )
+        for block in blocks:
+            self._summaries[block.block_id] = next(steps)
+            self.stats.first_pass_instructions += len(block)
 
     def finish(self) -> None:
-        """End of trace: process the final epoch's bodies.
+        """End of trace: fold any buffered rows, then process the final
+        epoch's bodies.
 
         With a partition (or a source whose length is known up front)
         an early finish is an error; an unbounded source's stream ends
         wherever the feeder stops.
         """
-        self._require_attached()
+        self._require_usable()
         if self._finished:
             return
-        if self._failed:
-            raise AnalysisError(
-                "engine is in a failed state after an earlier feed "
-                "error; call reset() and re-attach to reuse it"
-            )
+        received = self.rows_folded + len(self._pending)
         if (
             self._expected_epochs is not None
-            and self._next_to_receive != self._expected_epochs
+            and received != self._expected_epochs
         ):
             raise AnalysisError(
                 "finish() called before all epochs were fed "
-                f"({self._next_to_receive}/{self._expected_epochs})"
+                f"({received}/{self._expected_epochs})"
             )
+        if self._pending:
+            self._fold()
         last = self._next_to_receive - 1
         if last >= 0 and self._next_to_process == last:
             try:
@@ -589,7 +723,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 first_pass_instructions=self.stats.first_pass_instructions,
                 second_pass_instructions=self.stats.second_pass_instructions,
                 meets=self.stats.meets,
-                errors_total=self._error_count(self.analysis),
+                errors_total=self._error_count(),
             )
 
     # -- internals ------------------------------------------------------
@@ -599,9 +733,14 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             raise AnalysisError("engine not attached to a partition")
         return self._partition
 
-    def _require_attached(self) -> None:
+    def _require_usable(self) -> None:
         if not self._attached:
             raise AnalysisError("engine not attached to a partition")
+        if self._failed:
+            raise AnalysisError(
+                "engine is in a failed state after an earlier feed "
+                "error; call reset() and re-attach to reuse it"
+            )
 
     def _window_view(self) -> _WindowView:
         return _WindowView(
@@ -634,57 +773,45 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 f"{self._next_to_process}, got {lid}"
             )
         analysis = self.analysis
-        stats = self.stats
         summaries = self._summaries
         num_threads = self._num_threads
         recorder = self.recorder if self.recorder.enabled else None
-        errors_before = (
-            self._error_count(analysis) if recorder is not None else 0
-        )
+        errors_before = 0 if recorder is None else self._error_count()
         butterflies = butterflies_for_epoch(self._window_view(), lid)
         wings = [
             [summaries[b.block_id] for b in bf.wings] for bf in butterflies
         ]
-        if recorder is not None:
-            with recorder.span(
-                "pass.second", epoch=lid, bodies=len(butterflies)
-            ):
-                self._second_pass(analysis, butterflies, wings, recorder)
-        else:
-            self._second_pass(analysis, butterflies, wings, None)
+        with _span(
+            recorder, "pass.second", "epoch", lid, "bodies", len(butterflies)
+        ):
+            self._second_pass(analysis, butterflies, wings, recorder)
         epoch_summaries = {
             (lid, tid): summaries[(lid, tid)]
             for tid in range(num_threads)
         }
         first_errors = self._first_pass_errors.pop(lid, 0)
+        with _span(recorder, "epoch.update", "epoch", lid):
+            analysis.epoch_update(lid, epoch_summaries)
         if recorder is not None:
-            with recorder.span("epoch.update", epoch=lid):
-                analysis.epoch_update(lid, epoch_summaries)
+            errors_total = self._error_count()
             recorder.event(
                 "epoch.summary",
                 epoch=lid,
                 instructions=sum(len(bf.body) for bf in butterflies),
                 meets=len(butterflies),
                 first_pass_errors=first_errors,
-                second_pass_errors=(
-                    self._error_count(analysis) - errors_before
-                ),
-                errors_total=self._error_count(analysis),
+                second_pass_errors=errors_total - errors_before,
+                errors_total=errors_total,
             )
-        else:
-            analysis.epoch_update(lid, epoch_summaries)
-        stats.epochs_processed += 1
+        self.stats.epochs_processed += 1
         self._next_to_process += 1
         # Epoch ``lid`` is folded into the SOS now.  The next body is
         # ``lid+1``, whose butterflies reach back only to its head
         # ``lid`` -- so summaries and blocks for ``lid-1`` are dead,
         # and the resident window peaks at exactly the three epochs
         # ``lid..lid+2`` when the next epoch is received.
-        stale = lid - 1
-        if stale >= 0:
-            for tid in range(num_threads):
-                summaries.pop((stale, tid), None)
         for tid in range(num_threads):
+            summaries.pop((lid - 1, tid), None)
             self._window.pop((lid - 1, tid), None)
         if self._partition is not None:
             # The partition's block cache duplicates the window; keep
@@ -706,7 +833,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         wings: List[List[Any]],
         recorder: Optional[Recorder],
     ) -> None:
-        """Steps 2-3 over one epoch's bodies (fanned out when possible)."""
+        """Steps 2-3 over one epoch's bodies (fanned out when possible).
+
+        As in the first pass, ``steps`` is lazy and ``block.second_pass``
+        names the span on both schedules; fanned out, it covers the
+        commit stage only.
+        """
         stats = self.stats
         if (
             self.backend.concurrent
@@ -723,44 +855,29 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             results = self.backend.map_ordered(
                 compute, list(zip(butterflies, wings))
             )
-            for bf, ws, (side_in, result) in zip(butterflies, wings, results):
-                stats.meets += 1
-                stats.wing_summaries_combined += len(ws)
-                if recorder is not None:
-                    # Same event name as the serial path (logs must
-                    # compare equal across backends); the span covers
-                    # the commit stage only here.
-                    with recorder.span(
-                        "block.second_pass",
-                        epoch=bf.body.block_id[0],
-                        thread=bf.body.block_id[1],
-                        wings=len(ws),
-                    ):
-                        analysis.commit_check(bf, side_in, result)
-                else:
-                    analysis.commit_check(bf, side_in, result)
-                stats.second_pass_instructions += len(bf.body)
+            steps = (
+                analysis.commit_check(bf, side_in, result)
+                for bf, (side_in, result) in zip(butterflies, results)
+            )
         else:
-            for bf, ws in zip(butterflies, wings):
-                stats.meets += 1
-                stats.wing_summaries_combined += len(ws)
-                if recorder is not None:
-                    with recorder.span(
-                        "block.second_pass",
-                        epoch=bf.body.block_id[0],
-                        thread=bf.body.block_id[1],
-                        wings=len(ws),
-                    ):
-                        side_in = analysis.meet(bf, ws)
-                        analysis.second_pass(bf, side_in)
-                else:
-                    side_in = analysis.meet(bf, ws)
-                    analysis.second_pass(bf, side_in)
-                stats.second_pass_instructions += len(bf.body)
+            steps = (
+                analysis.second_pass(bf, analysis.meet(bf, ws))
+                for bf, ws in zip(butterflies, wings)
+            )
+        if recorder is not None:
+            steps = _spanned(
+                recorder, "block.second_pass",
+                [bf.body for bf in butterflies],
+                "wings", map(len, wings), steps,
+            )
+        for bf, ws in zip(butterflies, wings):
+            stats.meets += 1
+            stats.wing_summaries_combined += len(ws)
+            next(steps)
+            stats.second_pass_instructions += len(bf.body)
 
-    @staticmethod
-    def _error_count(analysis: ButterflyAnalysis) -> int:
+    def _error_count(self) -> int:
         """Size of the analysis's error log, for lifeguards that keep
         one (analyses without an ``errors`` attribute report 0)."""
-        errors = getattr(analysis, "errors", None)
+        errors = getattr(self.analysis, "errors", None)
         return len(errors) if errors is not None else 0

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Uni
 from repro.errors import AnalysisError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
-#: Backend names accepted by the engine, the CLI, and the bench harness.
+#: Backend names accepted by the engine and the CLI.
 BACKEND_CHOICES = ("serial", "threads", "processes")
 
 

@@ -25,9 +25,8 @@ Two implementations share this class, selected by ``optimized``:
   the raw tuple fast path, and the GEN/KILL/ACCESS summaries are
   interned to bitsets so the wing meet and isolation intersections are
   bitwise OR/AND.
-- ``optimized=False``: the original per-instruction reference
-  implementation, kept as the perf baseline the bench harness measures
-  against and as a differential-testing oracle.
+- ``optimized=False``: the per-instruction reference implementation,
+  the differential-testing oracle of the ``optref`` fuzz mode.
 
 Both produce identical reports (as sets -- the optimized isolation pass
 emits them in interned-bit order rather than set-iteration order) and

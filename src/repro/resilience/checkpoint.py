@@ -5,8 +5,10 @@ instant epoch ``l``'s bodies have committed and ``SOS_{l+2}`` is
 published, the entire analysis state is a deterministic function of the
 trace prefix.  A :class:`Checkpointer` snapshots exactly that state --
 the analysis object (SOS/LSOS history, interner tables, shadow memory,
-error log), the engine's window of block summaries, and its
-``EngineStats``/progress counters -- after each committed epoch.
+error log), the engine's window of block summaries, its
+``EngineStats``/progress counters and, on an adaptive run, the boundary
+stream recorded so far (``ButterflyEngine.snapshot_state()``) -- after
+each committed epoch.
 
 Snapshots are written with the classic atomic-rename protocol (write to
 a sibling temp file, flush, fsync, ``os.replace``), so a checkpoint
@@ -30,57 +32,24 @@ import pickle
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.errors import CheckpointError
-from repro.obs.recorder import NULL_RECORDER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ButterflyEngine
 
 FORMAT = "repro-checkpoint"
-VERSION = 1
-
-
-def _engine_state(engine: "ButterflyEngine") -> Dict[str, Any]:
-    """The engine's resumable state (see the module docstring)."""
-    return {
-        "stats": engine.stats,
-        "summaries": engine._summaries,
-        # The resident block window (<= 2 epochs at a checkpoint
-        # boundary).  Materialized resumes could rebuild it from the
-        # partition, but a streamed resume has no partition -- the
-        # window is what lets resume seek the reader forward instead of
-        # re-reading the whole prefix.
-        "window": engine._window,
-        "window_high_water": engine.window_high_water,
-        "first_pass_errors": engine._first_pass_errors,
-        "next_to_receive": engine._next_to_receive,
-        "next_to_process": engine._next_to_process,
-        # How many observability events the run had emitted when this
-        # snapshot was taken.  Resume continues the log's numbering from
-        # here instead of re-emitting events for already-covered epochs,
-        # so truncate-at-boundary(interrupted log) + resumed log equals
-        # the uninterrupted log.
-        "events_emitted": engine.recorder.seq,
-        "analysis": engine.analysis,
-    }
+#: Version 2: the engine state is ``ButterflyEngine.snapshot_state()``
+#: (adds producer-row progress and the recorded boundary stream).
+VERSION = 2
 
 
 def save_checkpoint(
-    path: str,
-    engine: "ButterflyEngine",
-    meta: Dict[str, Any],
-    extra: Optional[Dict[str, Any]] = None,
+    path: str, engine: "ButterflyEngine", meta: Dict[str, Any]
 ) -> None:
     """Atomically snapshot ``engine`` (and its analysis) to ``path``.
 
     The analysis's recorder is detached during pickling (a live sink
     holds an open file handle); resume re-attaches whatever recorder
     the resuming run configures.
-
-    ``extra`` carries caller-owned resumable state that is *not* part
-    of the configuration fingerprint (``meta`` is compared key-for-key
-    by :meth:`Checkpoint.verify`; extra state is merely restored) --
-    the adaptive serve path stores its producer-row progress and
-    recorded boundaries here.
     """
     analysis = engine.analysis
     had_recorder = "recorder" in analysis.__dict__
@@ -91,8 +60,7 @@ def save_checkpoint(
                 "format": FORMAT,
                 "version": VERSION,
                 "meta": dict(meta),
-                "engine": _engine_state(engine),
-                "extra": dict(extra) if extra is not None else None,
+                "engine": engine.snapshot_state(),
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
@@ -110,17 +78,9 @@ def save_checkpoint(
 class Checkpoint:
     """A loaded checkpoint: config fingerprint plus engine state."""
 
-    def __init__(
-        self,
-        meta: Dict[str, Any],
-        state: Dict[str, Any],
-        extra: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def __init__(self, meta: Dict[str, Any], state: Dict[str, Any]) -> None:
         self.meta = meta
         self._state = state
-        #: Caller-owned resumable state (``None`` when the writer passed
-        #: nothing) -- outside the fingerprint, see :func:`save_checkpoint`.
-        self.extra = extra
 
     @property
     def analysis(self) -> Any:
@@ -128,17 +88,19 @@ class Checkpoint:
 
     @property
     def next_epoch(self) -> int:
-        """The first epoch the resumed run still has to receive."""
-        return self._state["next_to_receive"]
+        """The first producer row the resumed run still has to feed."""
+        return self._state["rows_folded"]
 
     @property
     def events_emitted(self) -> int:
-        """Event-log position at the snapshot (the dedup boundary).
+        """Event-log position at the snapshot (the dedup boundary)."""
+        return self._state["events_emitted"]
 
-        Older checkpoints (written before the field existed) report 0,
-        which degrades to the historical restart-at-1 numbering.
-        """
-        return self._state.get("events_emitted", 0)
+    @property
+    def adaptive(self) -> bool:
+        """Whether the writer coalesced rows under a controller (such a
+        run and a fixed one do not share analysis-epoch coordinates)."""
+        return self._state["boundaries"] is not None
 
     def verify(self, expected_meta: Dict[str, Any]) -> None:
         """Refuse to resume under a different configuration."""
@@ -155,53 +117,9 @@ class Checkpoint:
             )
 
     def restore_into(self, engine: "ButterflyEngine") -> None:
-        """Fast-forward an attached engine to the checkpointed state.
-
-        The engine must have been constructed around this checkpoint's
-        ``analysis`` object and attached to the (identically
-        partitioned) trace; this rewrites its progress counters and
-        summary window so the next :meth:`feed_epoch` continues the
-        run.
-        """
-        state = self._state
-        if engine.analysis is not state["analysis"]:
-            raise CheckpointError(
-                "engine must be constructed around the checkpoint's "
-                "analysis object (engine.analysis is not it)"
-            )
-        engine.stats = state["stats"]
-        engine._summaries = state["summaries"]
-        engine._first_pass_errors = state["first_pass_errors"]
-        engine._next_to_receive = state["next_to_receive"]
-        engine._next_to_process = state["next_to_process"]
-        window = state.get("window")
-        if window is None:
-            # Checkpoint written before the engine kept an explicit
-            # block window: rebuild it from the attached partition
-            # (streamed resumes always have the field).
-            window = self._rebuild_window(engine)
-        engine._window = window
-        engine.window_high_water = state.get(
-            "window_high_water", len(engine._summaries)
-        )
-        if engine.recorder.enabled:
-            engine.recorder.resume_from(self.events_emitted)
-
-    @staticmethod
-    def _rebuild_window(engine: "ButterflyEngine") -> Dict[Any, Any]:
-        partition = engine._partition
-        if partition is None:
-            raise CheckpointError(
-                "checkpoint predates block-window snapshots and the "
-                "engine is attached to a stream; resume it with a "
-                "materialized partition instead"
-            )
-        window: Dict[Any, Any] = {}
-        start = max(0, engine._next_to_process - 1)
-        for lid in range(start, engine._next_to_receive):
-            for tid in range(partition.num_threads):
-                window[(lid, tid)] = partition.block(lid, tid)
-        return window
+        """Fast-forward an attached engine to the checkpointed state
+        (see :meth:`ButterflyEngine.restore_state`)."""
+        engine.restore_state(self._state)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -222,7 +140,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"unsupported checkpoint version {raw.get('version')!r} "
             f"(this build reads version {VERSION})"
         )
-    return Checkpoint(raw["meta"], raw["engine"], raw.get("extra"))
+    return Checkpoint(raw["meta"], raw["engine"])
 
 
 class Checkpointer:
@@ -238,7 +156,6 @@ class Checkpointer:
         path: str,
         meta: Optional[Dict[str, Any]] = None,
         every: int = 1,
-        extra_state: Optional[Any] = None,
     ) -> None:
         if every < 1:
             raise CheckpointError(f"checkpoint interval must be >= 1: {every}")
@@ -246,17 +163,11 @@ class Checkpointer:
         self.meta = dict(meta or {})
         self.every = every
         self.written = 0
-        #: Zero-arg callable sampled at every save; its dict rides the
-        #: snapshot as :attr:`Checkpoint.extra`.
-        self.extra_state = extra_state
 
     def save_now(self, engine: "ButterflyEngine") -> None:
         """Write one snapshot immediately (the forced-save entry point
         shard backends use on session failure)."""
-        extra = (
-            self.extra_state() if self.extra_state is not None else None
-        )
-        save_checkpoint(self.path, engine, self.meta, extra=extra)
+        save_checkpoint(self.path, engine, self.meta)
 
     def after_epoch(self, engine: "ButterflyEngine", lid: int) -> None:
         if (lid + 1) % self.every:

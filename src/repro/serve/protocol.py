@@ -239,15 +239,15 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
     like with like.
 
     ``boundaries`` is the per-thread heartbeat cut stream the run
-    *actually* analyzed with.  Adaptive sessions record it so an
-    offline re-check can replay the identical partition
-    (``ExplicitHeartbeat``) and must reproduce this report bit for bit;
-    when the caller passes nothing, an engine that carries
-    ``recorded_boundaries`` (the adaptive wrapper) still gets them into
-    the report automatically.
+    *actually* analyzed with.  An engine that coalesced rows under a
+    controller recorded it (``engine.recorded_boundaries``) and it
+    enters the report so an offline re-check can replay the identical
+    partition (``ExplicitHeartbeat``) and must reproduce this report
+    bit for bit; a fixed engine recorded nothing, so its report has no
+    such key unless the caller passes the cuts explicitly.
     """
     if boundaries is None:
-        boundaries = getattr(engine, "recorded_boundaries", None)
+        boundaries = engine.recorded_boundaries
     report: Dict[str, Any] = {
         "stream": stream_id,
         "lifeguard": hello["lifeguard"],

@@ -7,20 +7,21 @@ progress independently.  This module provides two interchangeable shard
 implementations behind one async interface:
 
 ``thread`` (the default)
-    One single-thread executor per shard, exactly PR 8's architecture.
-    Engines live in the daemon process; concurrency is bounded by the
-    GIL, which is fine when streams are I/O-bound or few.
+    One single-thread executor per shard.  Engines live in the daemon
+    process; concurrency is bounded by the GIL, which is fine when
+    streams are I/O-bound or few.
 
 ``process``
     One long-lived worker *process* per shard, owning its streams'
     :class:`~repro.core.framework.ButterflyEngine` objects.  The event
     loop ships each validated epoch row over a ``multiprocessing`` pipe
-    -- columnar blocks pickle as raw little-endian column bytes (the
-    PR-6 zero-object pickle graph), so nothing heavier than ``bytes``
-    and ints crosses the boundary -- and gets back folded-epoch acks,
-    end-of-stream reports, and checkpoint confirmations.  Analysis then
-    runs on real cores while the loop process keeps owning sockets,
-    queues, backpressure, and the recorder.
+    -- columnar blocks pickle as raw little-endian column bytes, with no
+    per-event objects in the pickle graph, so nothing heavier than
+    ``bytes`` and ints crosses the boundary -- and gets back
+    folded-epoch acks, end-of-stream reports, and checkpoint
+    confirmations.  Analysis then runs on real cores while the loop
+    process keeps owning sockets, queues, backpressure, and the
+    recorder.
 
 Both implementations expose per-stream :class:`StreamEngineHandle`
 objects with identical semantics: engines are built (or restored from
@@ -46,9 +47,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.epoch import EpochController, SloConfig
 from repro.core.framework import ButterflyEngine
 from repro.core.stream import ShapeSource
-from repro.core.tune import AdaptiveEngine, EpochController, SloConfig
 from repro.errors import (
     AnalysisError,
     CheckpointError,
@@ -86,7 +87,7 @@ def stream_checkpoint_path(
 def adaptive_params(config) -> Optional[Dict[str, Any]]:
     """The SLO knobs an adaptive session folds under, as a plain dict.
 
-    A dict (not an :class:`~repro.core.tune.SloConfig`) so process
+    A dict (not an :class:`~repro.core.epoch.SloConfig`) so process
     shards can ship it over the worker pipe next to the hello;
     ``None`` means fixed producer-sized epochs (the default).
     """
@@ -104,9 +105,7 @@ def adaptive_params(config) -> Optional[Dict[str, Any]]:
 def _feed_row(engine, lid: int, row, queue_depth: int) -> int:
     """One feed on the shard side; returns the post-feed resume
     position (the loop-side mirror tracks rollbacks exactly)."""
-    note = getattr(engine, "note_queue_depth", None)
-    if note is not None:
-        note(queue_depth)
+    engine.note_queue_depth(queue_depth)
     engine.feed_blocks(lid, row)
     return engine.resume_position
 
@@ -118,7 +117,7 @@ def build_stream_engine(
     checkpoint_every: int,
     backend: str,
     adaptive: Optional[Dict[str, Any]] = None,
-) -> Tuple[Any, int]:
+) -> Tuple[ButterflyEngine, int]:
     """``(engine, resume_epoch)``: fresh, or restored from checkpoint.
 
     The one engine-construction path for both shard backends -- thread
@@ -126,14 +125,12 @@ def build_stream_engine(
     the worker -- so resume semantics (fingerprint verification,
     window restore, event-log numbering) cannot drift between them.
 
-    ``adaptive`` (see :func:`adaptive_params`) wraps the engine in an
-    :class:`~repro.core.tune.AdaptiveEngine`: the source drops its
-    epoch count (the engine's completeness check runs on analysis
-    epochs, whose count the controller decides; the *session* still
-    enforces the producer-row count against the hello), checkpoints
-    carry the adaptive progress as extra state, and the returned resume
-    epoch is in producer rows.  A checkpoint written by the other mode
-    is refused -- the two runs do not share a coordinate system.
+    ``adaptive`` (see :func:`adaptive_params`) gives the engine an
+    :class:`~repro.core.epoch.EpochController`, so it coalesces
+    producer rows into larger analysis epochs; either way the caller
+    feeds -- and the returned resume epoch counts -- producer rows.  A
+    checkpoint written by the other mode is refused: the two runs do
+    not share analysis-epoch coordinates.
     """
     path = stream_checkpoint_path(checkpoint_dir, token)
     meta = checkpoint_meta(hello, token)
@@ -141,15 +138,11 @@ def build_stream_engine(
     if path is not None and os.path.exists(path):
         checkpoint = load_checkpoint(path)
         checkpoint.verify(meta)
-        was_adaptive = (
-            checkpoint.extra is not None
-            and "rows_folded" in checkpoint.extra
-        )
-        if was_adaptive != (adaptive is not None):
+        if checkpoint.adaptive != (adaptive is not None):
             raise CheckpointError(
                 f"checkpoint for stream {hello['stream']!r} was written "
-                f"by an {'adaptive' if was_adaptive else 'fixed'}-epoch "
-                f"daemon but this one is "
+                f"by an {'adaptive' if checkpoint.adaptive else 'fixed'}"
+                f"-epoch daemon but this one is "
                 f"{'adaptive' if adaptive is not None else 'fixed'}; "
                 f"restart the daemon in the matching mode or delete the "
                 f"checkpoint"
@@ -160,30 +153,24 @@ def build_stream_engine(
         guard = make_guard(
             hello["lifeguard"], frozenset(hello["preallocated"])
         )
-    engine = ButterflyEngine(guard, backend=backend)
+    controller = (
+        EpochController(SloConfig(**adaptive))
+        if adaptive is not None else None
+    )
+    engine = ButterflyEngine(guard, backend=backend, controller=controller)
     source = ShapeSource(
         hello["threads"],
-        num_epochs=None if adaptive is not None else hello["epochs"],
+        num_epochs=hello["epochs"],
         preallocated=frozenset(hello["preallocated"]),
     )
     engine.attach_source(source, resumed=checkpoint is not None)
     if checkpoint is not None:
         checkpoint.restore_into(engine)
-    extra_state = None
-    if adaptive is not None:
-        controller = EpochController(SloConfig(**adaptive))
-        engine = AdaptiveEngine(engine, controller, hello["threads"])
-        if checkpoint is not None:
-            engine.restore_extra(checkpoint.extra)
-        extra_state = engine.extra_state
-    resume_epoch = engine.resume_position if checkpoint is not None else 0
     if path is not None:
         engine.enable_checkpoints(
-            Checkpointer(
-                path, meta, every=checkpoint_every, extra_state=extra_state
-            )
+            Checkpointer(path, meta, every=checkpoint_every)
         )
-    return engine, resume_epoch
+    return engine, engine.resume_position
 
 
 class StreamEngineHandle:
@@ -199,9 +186,8 @@ class StreamEngineHandle:
 
     #: The epoch the engine resumed from (0 for a fresh run).
     resume_epoch: int = 0
-    #: Mirror of the engine's ``resume_position`` (producer rows for an
-    #: adaptive engine) -- the coordinate ``ACK``/``ERROR`` frames
-    #: advertise.
+    #: Mirror of the engine's ``resume_position`` (producer rows) --
+    #: the coordinate ``ACK``/``ERROR`` frames advertise.
     next_to_receive: int = 0
 
     async def feed(self, lid: int, row, queue_depth: int = 0) -> None:
@@ -229,7 +215,7 @@ class StreamEngineHandle:
 
 
 class ThreadShard:
-    """PR 8's shard: a single-thread executor in the daemon process."""
+    """A shard that is a single-thread executor in the daemon process."""
 
     backend = "thread"
 
@@ -247,8 +233,8 @@ class ThreadShard:
         self, hello: Dict[str, Any], token: str, config
     ) -> "_ThreadStreamEngine":
         # Engine construction (including checkpoint load) stays on the
-        # loop thread, as in PR 8: it happens once per handshake and
-        # must finish before the ACK names the resume epoch.
+        # loop thread: it happens once per handshake and must finish
+        # before the ACK names the resume epoch.
         engine, resume_epoch = build_stream_engine(
             hello,
             token,
@@ -327,7 +313,7 @@ def _error_kind(exc: BaseException) -> str:
 
 
 def _worker_dispatch(
-    engines: Dict[str, Tuple[Any, Optional[str], Dict]],
+    engines: Dict[str, ButterflyEngine],
     command: str,
     *args: Any,
 ) -> Any:
@@ -337,27 +323,21 @@ def _worker_dispatch(
          adaptive) = args
         stale = engines.pop(token, None)
         if stale is not None:
-            stale[0].close()
-        engine, resume_epoch = build_stream_engine(
+            stale.close()
+        engines[token], resume_epoch = build_stream_engine(
             hello, token, checkpoint_dir, checkpoint_every, backend,
             adaptive=adaptive,
         )
-        engines[token] = (
-            engine,
-            stream_checkpoint_path(checkpoint_dir, token),
-            checkpoint_meta(hello, token),
-        )
         return resume_epoch
     token = args[0]
-    entry = engines.get(token)
-    if entry is None:
+    engine = engines.get(token)
+    if engine is None:
         # The worker was respawned after a crash and lost this engine;
         # the session fails (resumably -- the checkpoint is on disk).
         raise AnalysisError(
             f"shard worker holds no engine for token {token!r} "
             f"(worker restarted?); reconnect to resume"
         )
-    engine, path, meta = entry
     if command == "feed":
         _token, lid, row, queue_depth = args
         return _feed_row(engine, lid, row, queue_depth)
@@ -384,7 +364,7 @@ def _shard_worker_main(conn) -> None:
     included -- its pipe end closes and the blocking ``recv`` raises
     ``EOFError``, so workers can never outlive the daemon.
     """
-    engines: Dict[str, Tuple[Any, Optional[str], Dict]] = {}
+    engines: Dict[str, ButterflyEngine] = {}
     try:
         while True:
             try:
@@ -405,7 +385,7 @@ def _shard_worker_main(conn) -> None:
             except (BrokenPipeError, OSError):
                 break
     finally:
-        for engine, _path, _meta in engines.values():
+        for engine in engines.values():
             engine.close()
         try:
             conn.close()

@@ -1,7 +1,7 @@
 """The differential harness: every execution mode must agree.
 
-Eight mode pairs, each an independent equivalence the paper (or this
-codebase's own contracts) promises:
+Ten mode pairs (:data:`MODE_NAMES`), each an independent equivalence
+the paper (or this codebase's own contracts) promises:
 
 ``orderings``
     Butterfly lifeguard vs. the sequential lifeguard over *every*
@@ -53,6 +53,12 @@ codebase's own contracts) promises:
     the report must still match the offline pipeline bit for bit.
     The transport, framing, queueing, and shard hand-off must be
     invisible in every output.
+``adaptive``
+    An adaptive-epoch daemon (fold factor pinned at 3) vs. an offline
+    replay of the boundary stream its REPORT recorded: the engine's
+    online coalescing is only trustworthy if re-cutting the same trace
+    at the recorded boundaries (``ExplicitHeartbeat``) reproduces the
+    report bit for bit.
 
 Each check returns ``None`` on agreement (or when inapplicable) and a
 human-readable diagnosis string on disagreement; the diagnosis string

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Dict, Iterator
 
-from repro.errors import CheckpointError
+from repro.obs.recorder import NULL_RECORDER
 
 
 @contextlib.contextmanager
@@ -25,44 +25,35 @@ def resume_event_replay() -> Iterator[None]:
     """Revert the resume event-log dedup fix.
 
     The pre-fix behavior: ``attach`` emits a second ``run.attach`` on
-    resume and ``restore_into`` leaves the recorder's sequence at zero,
+    resume and ``restore_state`` leaves the recorder's sequence at zero,
     so a resumed run's log restarts numbering and re-covers completed
     epochs instead of continuing the uninterrupted log's suffix.
     """
     from repro.core.framework import ButterflyEngine
-    from repro.resilience.checkpoint import Checkpoint
 
     orig_attach = ButterflyEngine.attach
-    orig_restore = Checkpoint.restore_into
+    orig_restore = ButterflyEngine.restore_state
 
     def attach(self, partition, resumed=False):
         # Pre-fix: the resumed flag did not exist.
         return orig_attach(self, partition, resumed=False)
 
-    def restore_into(self, engine):
-        # The pre-fix implementation: engine state comes back, but the
-        # recorder handoff (resume_from) is missing.
-        state = self._state
-        if engine.analysis is not state["analysis"]:
-            raise CheckpointError(
-                "engine must be constructed around the checkpoint's "
-                "analysis object (engine.analysis is not it)"
-            )
-        engine.stats = state["stats"]
-        engine._summaries = state["summaries"]
-        engine._first_pass_errors = state["first_pass_errors"]
-        engine._next_to_receive = state["next_to_receive"]
-        engine._next_to_process = state["next_to_process"]
-        engine._window = state["window"]
-        engine.window_high_water = state["window_high_water"]
+    def restore_state(self, state):
+        # Pre-fix: engine state comes back, but the recorder handoff
+        # (resume_from) is missing -- hide the recorder from the restore.
+        recorder, self.recorder = self.recorder, NULL_RECORDER
+        try:
+            orig_restore(self, state)
+        finally:
+            self.recorder = recorder
 
     ButterflyEngine.attach = attach
-    Checkpoint.restore_into = restore_into
+    ButterflyEngine.restore_state = restore_state
     try:
         yield
     finally:
         ButterflyEngine.attach = orig_attach
-        Checkpoint.restore_into = orig_restore
+        ButterflyEngine.restore_state = orig_restore
 
 
 @contextlib.contextmanager

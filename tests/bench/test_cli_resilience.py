@@ -12,6 +12,8 @@ import os
 from repro.cli import main
 from repro.obs import read_events
 
+from tests.resilience.test_checkpoint import stamp_version
+
 CHECK_ARGS = [
     "check", "--benchmark", "OCEAN", "--threads", "2",
     "--events", "3000", "--epoch-size", "256",
@@ -102,6 +104,18 @@ class TestResume:
         path.write_bytes(b"\x00\x01 not a checkpoint")
         assert main(["resume", "--checkpoint", str(path)]) == 2
         _one_line_error(capsys, "resume")
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path, capsys):
+        ck = str(tmp_path / "run.ckpt")
+        assert main(
+            CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "3"]
+        ) == 0
+        capsys.readouterr()
+        stamp_version(ck, 1)
+        assert main(["resume", "--checkpoint", ck]) == 2
+        assert "unsupported checkpoint version 1" in _one_line_error(
+            capsys, "resume"
+        )
 
     def test_resume_trace_run_verifies_digest(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"

@@ -1,28 +1,37 @@
 """Adaptive epoch sizing: the SLO controller, block coalescing, the
-AdaptiveEngine wrapper, and the offline tune sweep."""
+engine's fold stage (against the wrapper it replaced), and the offline
+tune sweep."""
 
+import itertools
+import os
+import pickle
 import random
+import time
 
 import pytest
 
 from repro.core.columnar import HAVE_NUMPY, ColumnarBlock
-from repro.core.epoch import Block, partition_auto, partition_from_boundaries
-from repro.core.framework import ButterflyAnalysis, ButterflyEngine
-from repro.core.stream import ShapeSource
-from repro.core.tune import (
-    AdaptiveEngine,
+from repro.core.epoch import (
+    Block,
     EpochController,
     SloConfig,
-    TunePoint,
-    fit_line,
-    fit_tradeoff,
     merge_block_run,
-    tune_workload,
+    partition_auto,
+    partition_from_boundaries,
 )
+from repro.core.framework import ButterflyAnalysis, ButterflyEngine
+from repro.core.stream import ShapeSource
+from repro.core.tune import TunePoint, fit_line, fit_tradeoff, tune_workload
 from repro.errors import AnalysisError, ReproError
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.resilience.checkpoint import Checkpointer
+from repro.serve.shards import make_guard
 from repro.trace.events import Instr
-from repro.trace.generator import alloc_handoff_program
+from repro.trace.generator import (
+    alloc_handoff_program,
+    simulated_taint_program,
+)
+from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
 MS = 1_000_000  # observe() takes nanoseconds
 
@@ -167,24 +176,26 @@ class TestMergeBlockRun:
         assert merged.instrs == a.instrs + b.instrs
 
 
+def pinned(fold):
+    """A controller whose fold factor cannot move."""
+    return EpochController(slo(min_fold=fold, max_fold=fold))
+
+
+def shape_of(partition, num_epochs):
+    return ShapeSource(
+        partition.num_threads,
+        num_epochs=num_epochs,
+        preallocated=partition.program.preallocated,
+    )
+
+
 def adaptive_pair(program, h, fold, backend="serial"):
-    """An AdaptiveEngine with the fold factor pinned at ``fold``."""
+    """An engine folding under a controller pinned at ``fold``."""
     partition = partition_auto(program, h)
     guard = ButterflyAddrCheck(initially_allocated=program.preallocated)
-    engine = ButterflyEngine(guard, backend=backend)
-    engine.attach_source(
-        ShapeSource(
-            partition.num_threads,
-            num_epochs=None,
-            preallocated=program.preallocated,
-        )
-    )
-    controller = EpochController(slo(min_fold=fold, max_fold=fold))
-    return (
-        AdaptiveEngine(engine, controller, partition.num_threads),
-        guard,
-        partition,
-    )
+    engine = ButterflyEngine(guard, backend=backend, controller=pinned(fold))
+    engine.attach_source(shape_of(partition, partition.num_epochs))
+    return engine, guard, partition
 
 
 def error_identities(guard):
@@ -232,6 +243,48 @@ class TestAdaptiveEngine:
         finally:
             adaptive.close()
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda row: row + [row[-1]],
+            lambda row: row[:-1],
+            lambda row: [
+                Block(b.lid + 1, b.tid, b.start, instrs=b.instrs) for b in row
+            ],
+        ],
+        ids=["one-block-too-many", "one-block-short", "wrong-block-ids"],
+    )
+    def test_malformed_row_is_refused_and_the_engine_stays_usable(
+        self, mangle
+    ):
+        prog = self.program()
+        clean, clean_guard, partition = adaptive_pair(prog, 4, fold=3)
+        feed_all(clean, partition)
+
+        engine, guard, _ = adaptive_pair(prog, 4, fold=3)
+        for lid in range(4):  # one fold committed, one row buffered
+            engine.feed_blocks(lid, partition.epoch_blocks(lid))
+
+        def progress():
+            return (
+                engine.resume_position,
+                [list(c) for c in engine.recorded_boundaries],
+                list(engine._pending),
+            )
+
+        before = progress()
+        assert before[0] == 3 and len(before[2]) == 1
+        with pytest.raises(AnalysisError, match="epoch 4"):
+            engine.feed_blocks(4, mangle(partition.epoch_blocks(4)))
+        assert progress() == before
+        # The corrected row is accepted and the run ends as a clean one.
+        for lid in range(4, partition.num_epochs):
+            engine.feed_blocks(lid, partition.epoch_blocks(lid))
+        engine.finish()
+        assert error_identities(guard) == error_identities(clean_guard)
+        assert engine.recorded_boundaries == clean.recorded_boundaries
+        assert engine.stats == clean.stats
+
     def test_finish_flushes_a_partial_fold(self):
         prog = self.program(events=40)
         adaptive, _, partition = adaptive_pair(prog, 8, fold=4)
@@ -243,6 +296,16 @@ class TestAdaptiveEngine:
         assert rows % 4 != 0  # the last fold really is a remainder
         assert adaptive.stats.epochs_processed == (rows + 3) // 4
         assert adaptive.rows_folded == rows
+
+    def test_finish_counts_producer_rows_for_completeness(self):
+        prog = self.program()
+        adaptive, _, partition = adaptive_pair(prog, 4, fold=3)
+        for lid in range(4):
+            adaptive.feed_blocks(lid, partition.epoch_blocks(lid))
+        with pytest.raises(
+            AnalysisError, match=f"4/{partition.num_epochs}"
+        ):
+            adaptive.finish()
 
     def test_bit_identical_to_explicit_boundary_replay(self):
         prog = self.program()
@@ -262,25 +325,41 @@ class TestAdaptiveEngine:
         assert error_identities(guard) == error_identities(replay_guard)
         assert stats.epochs_processed == adaptive.stats.epochs_processed
 
-    def test_extra_state_round_trips(self):
+    def test_fixed_engine_records_no_boundaries(self):
         prog = self.program()
-        adaptive, _, partition = adaptive_pair(prog, 4, fold=2)
-        try:
-            for lid in range(4):
-                adaptive.feed_blocks(lid, partition.epoch_blocks(lid))
-            extra = adaptive.extra_state()
-        finally:
-            adaptive.close()
-        assert extra["rows_folded"] == 4
+        partition = partition_auto(prog, 4)
+        with ButterflyEngine(ButterflyAddrCheck()) as engine:
+            engine.run(partition)
+        assert engine.recorded_boundaries is None
+        assert engine.resume_position == partition.num_epochs
 
-        other, _, _ = adaptive_pair(prog, 4, fold=2)
-        try:
-            other.restore_extra(extra)
-            assert other.rows_folded == 4
-            assert other.resume_position == 4
-            assert other.recorded_boundaries == extra["boundaries"]
-        finally:
-            other.close()
+    def test_snapshot_state_round_trips(self):
+        prog = self.program()
+        clean, clean_guard, partition = adaptive_pair(prog, 4, fold=2)
+        feed_all(clean, partition)
+
+        adaptive, guard, _ = adaptive_pair(prog, 4, fold=2)
+        for lid in range(5):  # two folds committed, one row buffered
+            adaptive.feed_blocks(lid, partition.epoch_blocks(lid))
+        state = adaptive.snapshot_state()
+        assert state["rows_folded"] == 4
+
+        other = ButterflyEngine(guard, controller=pinned(2))
+        other.attach_source(
+            shape_of(partition, partition.num_epochs), resumed=True
+        )
+        other.restore_state(state)
+        assert other.rows_folded == 4
+        assert other.resume_position == 4
+        assert other.recorded_boundaries == state["boundaries"]
+        # The buffered row is not in the snapshot: the feeder re-sends
+        # from resume_position and the run ends as an uninterrupted one.
+        for lid in range(4, partition.num_epochs):
+            other.feed_blocks(lid, partition.epoch_blocks(lid))
+        other.finish()
+        assert error_identities(guard) == error_identities(clean_guard)
+        assert other.recorded_boundaries == clean.recorded_boundaries
+        assert other.stats == clean.stats
 
     def test_failed_fold_rolls_back_bookkeeping(self):
         class Exploding(ButterflyAnalysis):
@@ -306,14 +385,9 @@ class TestAdaptiveEngine:
         prog = self.program()
         partition = partition_auto(prog, 4)
         analysis = Exploding()
-        engine = ButterflyEngine(analysis)
-        engine.attach_source(
+        adaptive = ButterflyEngine(analysis, controller=pinned(2))
+        adaptive.attach_source(
             ShapeSource(partition.num_threads, num_epochs=None)
-        )
-        adaptive = AdaptiveEngine(
-            engine,
-            EpochController(slo(min_fold=2, max_fold=2)),
-            partition.num_threads,
         )
         adaptive.feed_blocks(0, partition.epoch_blocks(0))
         adaptive.feed_blocks(1, partition.epoch_blocks(1))
@@ -332,6 +406,224 @@ class TestAdaptiveEngine:
             committed_cuts
         )
         assert len(adaptive._pending) == 2
+
+
+# -- the fold stage against the wrapper it replaced --------------------------
+#
+# ``ReferenceAdaptiveEngine`` is the facade ``ButterflyEngine(controller=)``
+# replaced, kept here verbatim as the oracle: it wraps a fixed engine,
+# keeps its own producer-row coordinates, and rode checkpoints through a
+# caller-owned ``extra_state`` callback (``RiderCheckpointer`` below).
+
+
+def error_count(analysis):
+    errors = getattr(analysis, "errors", None)
+    return len(errors) if errors is not None else 0
+
+
+class ReferenceAdaptiveEngine:
+    def __init__(self, engine, controller, num_threads):
+        self.engine = engine
+        self.controller = controller
+        self.num_threads = num_threads
+        self._pending = []
+        self.rows_folded = 0
+        self.recorded_boundaries = [[] for _ in range(num_threads)]
+        self._queue_depth = 0
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    @property
+    def resume_position(self):
+        return self.rows_folded
+
+    def note_queue_depth(self, depth):
+        self._queue_depth = depth
+
+    def feed_blocks(self, lid, row):
+        expected = self.rows_folded + len(self._pending)
+        if lid != expected:
+            raise AnalysisError(
+                f"producer epochs must arrive in order: expected "
+                f"{expected}, got {lid}"
+            )
+        self._pending.append(row)
+        if len(self._pending) >= self.controller.fold_factor:
+            self._fold(len(self._pending))
+
+    def finish(self):
+        if self._pending:
+            self._fold(len(self._pending))
+        self.engine.finish()
+
+    def extra_state(self):
+        return {
+            "rows_folded": self.rows_folded,
+            "boundaries": [list(c) for c in self.recorded_boundaries],
+        }
+
+    def _fold(self, count):
+        rows = self._pending[:count]
+        alid = self.engine.resume_position
+        merged = [
+            merge_block_run(alid, [rows[k][tid] for k in range(count)])
+            for tid in range(self.num_threads)
+        ]
+        saved_rows = self.rows_folded
+        saved_cut_lens = [len(c) for c in self.recorded_boundaries]
+        for tid, blk in enumerate(merged):
+            self.recorded_boundaries[tid].append(blk.start + len(blk))
+        self.rows_folded += count
+        del self._pending[:count]
+        errors_before = error_count(self.engine.analysis)
+        started = time.perf_counter_ns()
+        try:
+            self.engine.feed_blocks(alid, merged)
+        except Exception:
+            self.rows_folded = saved_rows
+            for tid, n in enumerate(saved_cut_lens):
+                del self.recorded_boundaries[tid][n:]
+            self._pending[:0] = rows
+            raise
+        self.controller.observe(
+            queue_depth=self._queue_depth,
+            fold_ns=time.perf_counter_ns() - started,
+            rows=count,
+            errors_delta=(
+                error_count(self.engine.analysis) - errors_before
+            ),
+        )
+
+
+class RiderCheckpointer(Checkpointer):
+    """The deleted ``extra_state`` channel: sample the wrapper's
+    progress at the instant the wrapped engine is snapshotted."""
+
+    def __init__(self, path, wrapper):
+        super().__init__(path, {}, every=1)
+        self.wrapper = wrapper
+        self.rider = None
+
+    def save_now(self, engine):
+        super().save_now(engine)
+        self.rider = self.wrapper.extra_state()
+
+
+#: Queue depths the scripted feeder reports, cycled: bursts, drains and
+#: the mid band, so a free-running controller grows and shrinks.
+DEPTHS = (5, 5, 0, 2, 7, 0, 0, 4, 1, 3)
+
+CONTROLLERS = {
+    **{f"fold{n}": (lambda n=n: pinned(n)) for n in (1, 2, 3, 4)},
+    # Latency can never breach, so decisions depend only on the
+    # scripted depths and the (deterministic) per-fold error deltas.
+    "free": lambda: EpochController(slo(target_fold_ms=1e9, max_fold=4)),
+}
+
+
+def generated_runs():
+    gen = AdversarialCaseGenerator(4)
+    for i in range(len(FAMILIES)):
+        case = gen.case(i)
+        yield case.label, case.partition()
+    yield "handoff", partition_auto(
+        alloc_handoff_program(
+            random.Random(5), num_threads=3, events_per_thread=96
+        ),
+        4,
+    )
+    yield "taint", partition_auto(
+        simulated_taint_program(
+            random.Random(2), num_threads=3, total_events=240,
+            taint_rate=0.2, untaint_rate=0.2,
+        ),
+        8,
+    )
+
+
+def engine_state(path):
+    with open(path, "rb") as fh:
+        return pickle.load(fh)["engine"]
+
+
+@pytest.mark.parametrize("controller", sorted(CONTROLLERS))
+@pytest.mark.parametrize("columnar", [False, True], ids=["object", "columnar"])
+@pytest.mark.parametrize("lifeguard", ["addrcheck", "taintcheck"])
+def test_fold_stage_matches_the_wrapper_it_replaced(
+    tmp_path, lifeguard, columnar, controller
+):
+    labels = set()
+    folds = 0
+    for label, partition in generated_runs():
+        labels.add(label)
+        prealloc = partition.program.preallocated
+        guard = make_guard(lifeguard, prealloc)
+        engine = ButterflyEngine(guard, controller=CONTROLLERS[controller]())
+        engine.attach_source(shape_of(partition, partition.num_epochs))
+        ref_guard = make_guard(lifeguard, prealloc)
+        inner = ButterflyEngine(ref_guard)
+        inner.attach_source(shape_of(partition, None))
+        ref = ReferenceAdaptiveEngine(
+            inner, CONTROLLERS[controller](), partition.num_threads
+        )
+        path = str(tmp_path / f"{label}.ckpt")
+        ref_path = str(tmp_path / f"{label}.ref.ckpt")
+        engine.enable_checkpoints(Checkpointer(path, {}, every=1))
+        rider = RiderCheckpointer(ref_path, ref)
+        ref.enable_checkpoints(rider)
+
+        def assert_identical(where):
+            assert engine.resume_position == ref.resume_position, where
+            assert engine.recorded_boundaries == ref.recorded_boundaries, where
+            assert engine.stats == ref.stats, where
+            assert engine.window_high_water == ref.window_high_water, where
+            assert (
+                engine.controller.fold_factor == ref.controller.fold_factor
+            ), where
+            assert error_identities(guard) == error_identities(ref_guard), where
+            # The snapshot written mid-feed, against wrapped-engine
+            # snapshot + rider.
+            assert os.path.exists(path) == os.path.exists(ref_path), where
+            if not os.path.exists(path):
+                return
+            state, ref_state = engine_state(path), engine_state(ref_path)
+            for key in (
+                "stats", "window", "window_high_water", "first_pass_errors",
+                "next_to_receive", "next_to_process",
+            ):
+                assert state[key] == ref_state[key], (where, key)
+            assert sorted(state["summaries"]) == sorted(
+                ref_state["summaries"]
+            ), where
+            assert state["rows_folded"] == rider.rider["rows_folded"], where
+            assert state["boundaries"] == rider.rider["boundaries"], where
+            assert error_identities(state["analysis"]) == error_identities(
+                ref_state["analysis"]
+            ), where
+
+        for lid, depth in zip(
+            range(partition.num_epochs), itertools.cycle(DEPTHS)
+        ):
+            row = partition.epoch_blocks(lid)
+            if columnar:
+                row = [
+                    Block(
+                        b.lid, b.tid, b.start,
+                        columns=ColumnarBlock.from_instrs(b.instrs),
+                    )
+                    for b in row
+                ]
+            for side in (engine, ref):
+                side.note_queue_depth(depth)
+                side.feed_blocks(lid, row)
+            assert_identical(f"{label}: after row {lid}")
+        engine.finish()
+        ref.finish()
+        assert_identical(f"{label}: after finish")
+        folds += engine.stats.epochs_processed
+    assert labels >= set(FAMILIES)
+    assert folds > len(labels)  # runs really spanned several folds
 
 
 class TestFitting:

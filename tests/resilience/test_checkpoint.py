@@ -6,10 +6,13 @@ import random
 
 import pytest
 
-from repro.core.epoch import partition_by_global_order
+from repro.core.epoch import (
+    EpochController,
+    SloConfig,
+    partition_by_global_order,
+)
 from repro.core.framework import ButterflyEngine
 from repro.core.stream import ShapeSource
-from repro.core.tune import AdaptiveEngine, EpochController, SloConfig
 from repro.errors import CheckpointError
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs import Recorder
@@ -53,6 +56,16 @@ def _run_uninterrupted(part):
 
 
 META = {"benchmark": "X", "epoch_size": 8, "seed": 5}
+
+
+def stamp_version(path, version):
+    """Rewrite a checkpoint file's format version in place (what a file
+    left behind by another build looks like to this one)."""
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    payload["version"] = version
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh)
 
 
 class TestSaveLoadRoundtrip:
@@ -201,56 +214,24 @@ class TestStreamedResume:
         self._feed_stream(resumed, source, ck.next_epoch)
         assert _fingerprint(ck.analysis, resumed.stats) == reference
 
-    def test_legacy_checkpoint_rebuilds_window_from_partition(
-        self, tmp_path
-    ):
-        # Checkpoints written before the engine kept an explicit block
-        # window resume fine against a materialized partition.
-        part = partition_by_global_order(_program(), 8)
-        reference = _run_uninterrupted(part)
-        path = str(tmp_path / "legacy.ckpt")
-        engine = ButterflyEngine(ButterflyAddrCheck())
-        engine.enable_checkpoints(Checkpointer(path, META))
-        engine.attach(part)
-        for lid in range(3):
-            engine.feed_epoch(lid)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        del payload["engine"]["window"]
-        del payload["engine"]["window_high_water"]
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-
-        ck = load_checkpoint(path)
-        resumed = ButterflyEngine(ck.analysis)
-        resumed.attach(part)
-        ck.restore_into(resumed)
-        for lid in range(ck.next_epoch, part.num_epochs):
-            resumed.feed_epoch(lid)
-        resumed.finish()
-        assert _fingerprint(ck.analysis, resumed.stats) == reference
-
     def test_legacy_checkpoint_refuses_stream_resume(self, tmp_path):
+        # The state layout changed with version 2 (engine-owned
+        # snapshot_state); a file from the previous writer is refused
+        # up front instead of being half-understood.
         from repro.core.stream import PartitionSource
 
         part = partition_by_global_order(_program(), 8)
-        path = str(tmp_path / "legacy2.ckpt")
+        path = str(tmp_path / "legacy.ckpt")
         engine = ButterflyEngine(ButterflyAddrCheck())
         engine.enable_checkpoints(Checkpointer(path, META))
-        engine.attach(part)
-        for lid in range(3):
-            engine.feed_epoch(lid)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        del payload["engine"]["window"]
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-
-        ck = load_checkpoint(path)
-        resumed = ButterflyEngine(ck.analysis)
-        resumed.attach_source(PartitionSource(part), resumed=True)
-        with pytest.raises(CheckpointError, match="materialized"):
-            ck.restore_into(resumed)
+        engine.attach_source(PartitionSource(part))
+        self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
+        load_checkpoint(path)  # this build's own version loads
+        stamp_version(path, 1)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 1"
+        ):
+            load_checkpoint(path)
 
     def test_streamed_stitched_log_equals_uninterrupted(self, tmp_path):
         from repro.core.stream import PartitionSource
@@ -353,31 +334,6 @@ class TestResumeEventLog:
         ck = load_checkpoint(path)
         assert 0 < ck.events_emitted <= rec.seq
 
-    def test_old_checkpoints_default_to_zero(self, tmp_path):
-        # Pre-fix checkpoints lack the field; resume must still work.
-        part = partition_by_global_order(_program(events=60), 8)
-        engine = ButterflyEngine(ButterflyAddrCheck())
-        path = str(tmp_path / "old.ckpt")
-        engine.enable_checkpoints(Checkpointer(path, META))
-        engine.attach(part)
-        for lid in range(3):
-            engine.feed_epoch(lid)
-        import pickle
-
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        del payload["engine"]["events_emitted"]
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        ck = load_checkpoint(path)
-        assert ck.events_emitted == 0
-        resumed = ButterflyEngine(ck.analysis)
-        resumed.attach(part, resumed=True)
-        ck.restore_into(resumed)
-        for lid in range(ck.next_epoch, part.num_epochs):
-            resumed.feed_epoch(lid)
-        resumed.finish()
-
 
 class TestCheckpointerPolicy:
     def test_every_n_epochs(self, tmp_path):
@@ -428,23 +384,17 @@ class TestEngineResumeSurface:
     def _engine(self, kind, part, guard=None, checkpointer_args=None):
         resumed = guard is not None
         guard = guard if resumed else _FlakyAddrCheck()
-        inner = engine = ButterflyEngine(guard)
+        controller = (
+            EpochController(SloConfig(min_fold=2, max_fold=2))
+            if kind == "adaptive" else None
+        )
+        engine = ButterflyEngine(guard, controller=controller)
         engine.attach_source(
             ShapeSource(part.num_threads, num_epochs=None), resumed=resumed
         )
-        extra_state = None
-        if kind == "adaptive":
-            engine = AdaptiveEngine(
-                engine,
-                EpochController(SloConfig(min_fold=2, max_fold=2)),
-                part.num_threads,
-            )
-            extra_state = engine.extra_state
         if checkpointer_args is not None:
-            engine.enable_checkpoints(
-                Checkpointer(*checkpointer_args, extra_state=extra_state)
-            )
-        return engine, inner, guard
+            engine.enable_checkpoints(Checkpointer(*checkpointer_args))
+        return engine, guard
 
     def _feed(self, engine, part, rows):
         for lid in rows:
@@ -452,14 +402,14 @@ class TestEngineResumeSurface:
 
     def test_committed_feeds_advance_it(self, kind):
         part = partition_by_global_order(_program(), 8)
-        engine, _, _ = self._engine(kind, part)
+        engine, _ = self._engine(kind, part)
         assert engine.resume_position == 0
         self._feed(engine, part, range(self.ROWS))
         assert engine.resume_position == self.ROWS
 
     def test_rolled_back_feed_does_not(self, kind):
         part = partition_by_global_order(_program(), 8)
-        engine, _, guard = self._engine(kind, part)
+        engine, guard = self._engine(kind, part)
         self._feed(engine, part, range(2))
         guard.armed = True
         # The fixed engine fails on row 2; the adaptive one buffers it
@@ -471,35 +421,32 @@ class TestEngineResumeSurface:
     def test_restore_into_sets_it(self, kind, tmp_path):
         part = partition_by_global_order(_program(), 8)
         path = str(tmp_path / "run.ckpt")
-        engine, _, _ = self._engine(kind, part, checkpointer_args=(path, META))
+        engine, _ = self._engine(kind, part, checkpointer_args=(path, META))
         self._feed(engine, part, range(self.ROWS))
 
         ck = load_checkpoint(path)
-        resumed, inner, _ = self._engine(kind, part, guard=ck.analysis)
-        ck.restore_into(inner)
-        if kind == "adaptive":
-            resumed.restore_extra(ck.extra)
-        assert inner.resume_position == ck.next_epoch
-        assert resumed.resume_position == self.ROWS
+        resumed, _ = self._engine(kind, part, guard=ck.analysis)
+        ck.restore_into(resumed)
+        assert resumed.resume_position == ck.next_epoch == self.ROWS
+        assert resumed.recorded_boundaries == engine.recorded_boundaries
 
     def test_checkpoint_now_writes_a_loadable_snapshot(self, kind, tmp_path):
         part = partition_by_global_order(_program(), 8)
         path = str(tmp_path / "forced.ckpt")
         # every=100: no periodic save fires, only the forced one.
-        engine, inner, _ = self._engine(
+        engine, _ = self._engine(
             kind, part, checkpointer_args=(path, META, 100)
         )
         self._feed(engine, part, range(self.ROWS))
         assert not os.path.exists(path)
         engine.checkpoint_now()
         ck = load_checkpoint(path)
-        assert ck.next_epoch == inner.resume_position
-        if kind == "adaptive":
-            assert ck.extra["rows_folded"] == self.ROWS
+        assert ck.next_epoch == engine.resume_position == self.ROWS
+        assert ck.adaptive == (kind == "adaptive")
 
     def test_checkpoint_now_is_a_noop_when_off(self, kind, tmp_path):
         part = partition_by_global_order(_program(), 8)
-        engine, _, _ = self._engine(kind, part)
+        engine, _ = self._engine(kind, part)
         self._feed(engine, part, range(self.ROWS))
         engine.checkpoint_now()
         assert os.listdir(tmp_path) == []

@@ -101,15 +101,26 @@ class TestAdaptiveServe:
         assert served == offline_report(path, "s1")
 
     def test_adaptive_resume_across_restart(self, tmp_path):
+        self.resume_across_restart(tmp_path, "thread")
+
+    def test_adaptive_resume_across_restart_process_shards(self, tmp_path):
+        # Adaptive progress crosses the worker pipe here.
+        self.resume_across_restart(tmp_path, "process")
+
+    def resume_across_restart(self, tmp_path, shard_backend):
         prog, partition, path = handoff_trace(tmp_path, events=200)
         ck = tmp_path / "ck"
-        first = adaptive_config(tmp_path, "a", fold=2, ck=ck)
+        first = adaptive_config(
+            tmp_path, "a", fold=2, shard_backend=shard_backend, ck=ck
+        )
         with ServerThread(first) as daemon:
             sock = raw_handshake(daemon.address, path, "s1", 6)
             wait_for_checkpoint(ck, min_epoch=1)
             sock.close()  # abandon mid-stream
 
-        second = adaptive_config(tmp_path, "b", fold=2, ck=ck)
+        second = adaptive_config(
+            tmp_path, "b", fold=2, shard_backend=shard_backend, ck=ck
+        )
         with ServerThread(second) as daemon:
             client = StreamClient(
                 daemon.address, str(path), "s1", policy=FAST, retries=2

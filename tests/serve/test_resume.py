@@ -25,6 +25,7 @@ from repro.serve.protocol import (
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.serialize import save_stream_file, stream_header
 
+from tests.resilience.test_checkpoint import stamp_version
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_server import FAST, connect, raw_handshake
 
@@ -72,6 +73,44 @@ class TestResumeAcrossRestart:
             served = client.push()
         assert client.last_ack["resume_epoch"] == committed
         assert served == offline_report(trace, "s1")
+
+    @pytest.mark.parametrize("shard_backend", ["thread", "process"])
+    def test_version_1_checkpoint_refuses_the_reconnect(
+        self, tmp_path, shard_backend
+    ):
+        trace = tmp_path / "t.stream.jsonl"
+        write_trace(trace, events=300, seed=5)
+        ck = tmp_path / "ck"
+
+        def config(name):
+            return ServeConfig(
+                unix_path=str(tmp_path / f"{name}.sock"),
+                checkpoint_dir=str(ck),
+                shard_backend=shard_backend,
+            )
+
+        with ServerThread(config("a")) as daemon:
+            sock = raw_handshake(daemon.address, trace, "s1", 6)
+            wait_for_checkpoint(ck, min_epoch=2)
+            sock.close()  # abandon mid-stream
+        path, _ = wait_for_checkpoint(ck, min_epoch=2)
+        stamp_version(str(path), 1)
+
+        with open(trace) as fp:
+            header = stream_header(fp, str(trace))
+        hello = make_hello(
+            "s1", header["threads"], header["epochs"],
+            header["preallocated"], "addrcheck",
+        )
+        with ServerThread(config("b")) as daemon:
+            sock = connect(daemon.address)
+            sock.sendall(encode_json_frame(FRAME_HELLO, hello))
+            ftype, payload = read_frame_sync(sock)
+            sock.close()
+        assert ftype == FRAME_ERROR
+        answer = json.loads(payload)
+        assert answer["code"] == "token"
+        assert "unsupported checkpoint version 1" in answer["error"]
 
     def test_token_mismatch_is_refused(self, daemon, trace_file):
         with open(trace_file) as fp:

@@ -116,15 +116,13 @@ class TestRegistry:
             apply_mutant("no-such-mutant")
 
     def test_mutants_restore_patched_attributes(self):
-        from repro.core.framework import ButterflyEngine
-        from repro.resilience.checkpoint import Checkpoint
-
         attach = ButterflyEngine.attach
-        restore = Checkpoint.restore_into
+        restore = ButterflyEngine.restore_state
         with apply_mutant("resume-replay"):
             assert ButterflyEngine.attach is not attach
+            assert ButterflyEngine.restore_state is not restore
         assert ButterflyEngine.attach is attach
-        assert Checkpoint.restore_into is restore
+        assert ButterflyEngine.restore_state is restore
 
     def test_clean_code_passes_the_mutant_free_campaign(self, tmp_path):
         gen = AdversarialCaseGenerator(4)
