@@ -26,8 +26,8 @@ bench:
 # exported under .bench_tmp/ and measured with this tree's
 # benchmarks/e2e), then prints run.py's --compare table and the pairs
 # each side won (scripts/bench_ab.py).  WORKLOAD narrows both sides to
-# one workload: ~1/7 of the wall time.
+# the named workloads (space-separated): ~1/7 of the wall time each.
 BASE ?= HEAD
 RUNS ?= 10
 bench-ab:
-	python3 scripts/bench_ab.py $(BASE) --runs $(RUNS) $(if $(WORKLOAD),--workload $(WORKLOAD))
+	python3 scripts/bench_ab.py $(BASE) --runs $(RUNS) $(foreach w,$(WORKLOAD),--workload $(w))

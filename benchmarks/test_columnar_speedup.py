@@ -19,6 +19,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.columnar import HAVE_NUMPY  # noqa: E402
+from repro.core.state import SOSView  # noqa: E402
 from repro.lifeguards.addrcheck import AddrScanner  # noqa: E402
 from repro.trace.generator import ColumnarAllocSource  # noqa: E402
 
@@ -46,7 +47,7 @@ def _blocks():
 def _scan_all(scanner, blocks, preallocated):
     checks = 0
     for block in blocks:
-        scan = scanner(block, set(preallocated))
+        scan = scanner(block, SOSView(preallocated))
         checks += scan.checks
     return checks
 

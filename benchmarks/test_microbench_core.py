@@ -110,11 +110,13 @@ def test_optimized_addrcheck_beats_reference(timing_guard, alloc_program):
     assert optimized < reference, (optimized, reference)
 
 
-class _FirstPassTimed(ButterflyAddrCheck):
+class _HooksTimed(ButterflyAddrCheck):
     """Accumulates the wall time of the guard's first-pass hook (LSOS
-    construction + scan + commit), as ``benchmarks/e2e`` attributes it."""
+    construction + scan + commit) and of its epoch-update hook (epoch
+    GEN/KILL + SOS publish), as ``benchmarks/e2e`` attributes them."""
 
     first_pass_s = 0.0
+    epoch_update_s = 0.0
 
     def first_pass(self, block):
         t0 = time.perf_counter()
@@ -123,24 +125,22 @@ class _FirstPassTimed(ButterflyAddrCheck):
         finally:
             self.first_pass_s += time.perf_counter() - t0
 
+    def epoch_update(self, lid, summaries):
+        t0 = time.perf_counter()
+        try:
+            return super().epoch_update(lid, summaries)
+        finally:
+            self.epoch_update_s += time.perf_counter() - t0
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="compares the two scan kernels")
-def test_first_pass_cost_does_not_scale_with_the_heap():
-    """Per-block state cost is O(block), not O(|SOS|): the same 20
-    blocks against a 1k-location and a 64k-location live heap.  What
-    legitimately remains is one C-level ``set(sos)`` copy per block
-    (1-2 ms at 64k, beside a ~2 000-event scan: a measured ratio of
-    1.8-1.9), hence the bound of 3; one Python visit per SOS element
-    per block measured 4.5 (object kernel) and 5.7 (columnar) here.
-    The reports of the two kernels and of the two heaps must agree
-    always; the wall-clock ratio is only asserted where clocks can be
-    trusted (not under ``REPRO_CI``)."""
+
+def _heap_scaling_runs():
+    """``run(heap, columnar)`` over the same 20 blocks -- five epochs of
+    four ~2 000-event blocks -- against a live heap of ``heap``
+    locations beside the program's own 256, untouched."""
     program = simulated_alloc_program(
         random.Random(7), num_threads=4, total_events=40_000,
         num_locations=256,
     )
-    # Five epochs of four ~2 000-event blocks, whatever the threads'
-    # exact lengths came out as.
     longest = max(len(thread) for thread in program.threads)
     partition = partition_fixed(program, -(-longest // 5))
     blocks = [
@@ -152,15 +152,42 @@ def test_first_pass_cost_does_not_scale_with_the_heap():
     for block in blocks:
         block.columns  # converted once, outside every timed region
 
-    def run(heap, columnar):
-        # The heap sits beside the program's 256 locations, untouched.
-        guard = _FirstPassTimed(
+    def run(heap, columnar=None):
+        guard = _HooksTimed(
             initially_allocated=range(1_000_000, 1_000_000 + heap),
             use_columnar_kernel=columnar,
         )
         ButterflyEngine(guard).run(partition)
         return guard
 
+    return run
+
+
+def _best_alternating(seconds_at, repeats=7):
+    """Best-of-``repeats`` ``seconds_at(heap)`` at the 1k and the 64k
+    heap, the two sides taking turns so that a slow stretch of the host
+    lands on both."""
+    small = large = float("inf")
+    for _ in range(repeats):
+        small = min(small, seconds_at(1_000))
+        large = min(large, seconds_at(64_000))
+    return small, large
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="compares the two scan kernels")
+def test_first_pass_cost_does_not_scale_with_the_heap():
+    """Per-block state cost is O(block), not O(|SOS|): the same 20
+    blocks against a 1k-location and a 64k-location live heap.  The
+    LSOS is a view of the shared SOS with the head's changes in an
+    overlay, so nothing on this path copies or visits the heap; what
+    remains is that a probe into a 64k-entry hash table misses cache
+    more often than one into a 1k-entry table, hence 1.3 and not 1.0.
+    One ``set(sos)`` copy per block measured 1.8-1.9 here; one Python
+    visit per SOS element per block 4.5 (object kernel) and 5.7
+    (columnar).  The reports of the two kernels and of the two heaps
+    must agree always; the wall-clock ratio is only asserted where
+    clocks can be trusted (not under ``REPRO_CI``)."""
+    run = _heap_scaling_runs()
     reports = {
         (heap, columnar): list(run(heap, columnar).errors)
         for heap in (1_000, 64_000)
@@ -172,9 +199,34 @@ def test_first_pass_cost_does_not_scale_with_the_heap():
     if not timing_asserts_enabled():
         return
     for columnar in (False, True):
-        small = min(run(1_000, columnar).first_pass_s for _ in range(3))
-        large = min(run(64_000, columnar).first_pass_s for _ in range(3))
-        assert large <= 3 * small, (columnar, small, large)
+        small, large = _best_alternating(
+            lambda heap: run(heap, columnar).first_pass_s
+        )
+        assert large <= 1.3 * small, (columnar, small, large)
+
+
+def test_epoch_update_cost_does_not_scale_with_the_heap():
+    """The per-epoch twin: ``SOS_{l+2}`` is published by applying
+    ``GEN_l``/``KILL_l`` to the one live set in place, so an epoch
+    update costs what the epoch changed.  ``SOS_{l+1}.difference(KILL)
+    | GEN`` plus a ``frozenset`` of it -- three heap-sized copies per
+    epoch -- measured 3.4x here.  The published states must agree
+    (shifted by the heap) always; the ratio is asserted only where
+    clocks can be trusted."""
+    run = _heap_scaling_runs()
+    small, large = run(1_000), run(64_000)
+    assert small.sos.frontier == large.sos.frontier == 6
+    for lid, state in small.sos.published().items():
+        assert (
+            {loc for loc in state if loc < 1_000_000}
+            == {loc for loc in large.sos.get(lid) if loc < 1_000_000}
+        )
+        assert len(large.sos.get(lid)) - len(state) == 63_000
+
+    if not timing_asserts_enabled():
+        return
+    small_s, large_s = _best_alternating(lambda heap: run(heap).epoch_update_s)
+    assert large_s <= 1.5 * small_s, (small_s, large_s)
 
 
 class _SecondPassTimed(ButterflyTaintCheck):
@@ -204,9 +256,10 @@ def test_taint_second_pass_cost_follows_the_checks_not_the_window():
         that thread's own LASTCHECK loop (measured ratio 1.2-1.6;
         copying the window into each body's graph measured 7.8);
     (b) with 16 vs 64 000 tainted locations in the SOS, again beside
-        the program's own.  What remains is one C-level ``set(sos)``
-        copy per body (measured 1.1-2.0; one more ``frozenset`` of it
-        per *check* measured 5.3, one more per body 2.5).
+        the program's own.  What remains is one C-level copy of the
+        LSOS per body (``SOSView.copy``: measured 1.1-2.0; one more
+        ``frozenset`` of it per *check* measured 5.3, one more per body
+        2.5).
 
     Hence the bound of 3.  The reports must agree always; the ratios
     are only asserted where clocks can be trusted (not under

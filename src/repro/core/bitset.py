@@ -17,9 +17,7 @@ Masks are plain Python ``int`` values at the API surface (arbitrary
 width, hashable, picklable); when numpy is available the expensive
 spots -- composing a mask from many bit positions and decoding a wide
 mask back to elements -- run as word-wise kernels over the mask's
-little-endian byte form instead of repeated big-int shifts.  The
-:func:`mask_to_words` / :func:`mask_from_words` helpers expose the same
-packed ``uint64`` form the process pool ships across task boundaries.
+little-endian byte form instead of repeated big-int shifts.
 """
 
 from __future__ import annotations
@@ -63,24 +61,6 @@ def compose_mask(bits: List[int]) -> int:
     for b in bits:
         out |= 1 << b
     return out
-
-
-def mask_to_words(mask: int) -> bytes:
-    """The mask's packed little-endian 64-bit-word form (wire format)."""
-    n = (mask.bit_length() + 63) // 64 * 8
-    return mask.to_bytes(n, "little")
-
-
-def mask_from_words(words: bytes) -> int:
-    """Inverse of :func:`mask_to_words`."""
-    return int.from_bytes(words, "little")
-
-
-def popcount_words(words: bytes) -> int:
-    """Set-bit count of a packed-word mask without big-int conversion."""
-    if HAVE_NUMPY and len(words) >= 32:
-        return int(np.bitwise_count(np.frombuffer(words, dtype=np.uint8)).sum())
-    return popcount(int.from_bytes(words, "little"))
 
 
 class BitInterner:

@@ -289,7 +289,12 @@ class ReachingDefinitions(
             )
             new_mask = gen_mask | survivors
             self._sos_masks[lid + 2] = new_mask
-            self.sos.publish(lid, set(self._def_bits.decode(new_mask)))
+            decode = self._def_bits.decode
+            self.sos.publish(
+                lid,
+                set(decode(new_mask & ~prev_mask)),
+                set(decode(prev_mask & ~new_mask)),
+            )
             if not self.keep_history:
                 self._evict(lid - 2)
             return

@@ -6,19 +6,85 @@ shared and single-writer: one lifeguard thread is nominated master and
 publishes each ``SOS_l`` before any butterfly with a body in epoch ``l``
 runs its second pass, so no synchronization on the metadata is needed.
 
-The LSOS (local SOS) augments ``SOS_l`` with the head block's effects
-and is recomputed per body block by each analysis (the defs/exprs rules
-differ, so the formulas live in the analysis modules; this container
-only records and serves the published epoch states).
+The paper's state equations are deltas -- ``SOS_{l+2}`` differs from
+``SOS_{l+1}`` by ``GEN_l``/``KILL_l`` (Lemma 5.2), ``LSOS_{l,t}`` from
+``SOS_l`` by the head block's GEN/KILL (Sections 5.1.2, 5.2.1) -- and
+are stored that way: one live set edited in place per publish, plus the
+per-epoch deltas back to older versions.  Readers get a
+:class:`SOSView`, and each analysis builds its LSOS by editing the
+view's overlay with its own rule (the defs/exprs rules differ, so the
+formulas live in the analysis modules).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Set
+from collections.abc import MutableSet
+from typing import (
+    AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
+    Set, Tuple,
+)
 
 from repro.errors import AnalysisError
 
 Element = Hashable
+
+
+class SOSView(MutableSet):
+    """The set ``(base - removed) | added`` without copying ``base``.
+
+    ``base`` is shared and only ever read; ``add``/``discard`` edit the
+    view's own ``added`` (disjoint from ``base``) and ``removed`` (a
+    subset of it), so a view costs what was changed through it, not
+    ``|base|``.  Membership is one Python call; a hot loop probes the
+    three plain sets itself (``AddrScanner`` does).  A view of an
+    :class:`SOSHistory` is valid until the next ``publish``/``advance``
+    rewrites the shared base: ``view.copy()`` keeps it longer.
+    """
+
+    __slots__ = ("base", "added", "removed")
+
+    def __init__(self, base: AbstractSet[Element]) -> None:
+        self.base = base
+        self.added: Set[Element] = set()
+        self.removed: Set[Element] = set()
+
+    _from_iterable = set  # ``view | s``, ``view - s``, ...: plain sets
+
+    def __contains__(self, element: object) -> bool:
+        if element in self.base:
+            return element not in self.removed
+        return element in self.added
+
+    def __iter__(self) -> Iterator[Element]:
+        removed = self.removed
+        if removed:
+            yield from (e for e in self.base if e not in removed)
+        else:
+            yield from self.base
+        yield from self.added
+
+    def __len__(self) -> int:
+        return len(self.base) - len(self.removed) + len(self.added)
+
+    def copy(self) -> Set[Element]:
+        """The view as a plain set: one C-level copy of ``base`` (a
+        ``set(view)`` iterates it in Python, ~8x slower at 64k)."""
+        out = set(self.base)
+        out -= self.removed
+        out |= self.added
+        return out
+
+    def add(self, element: Element) -> None:
+        if element in self.base:
+            self.removed.discard(element)
+        else:
+            self.added.add(element)
+
+    def discard(self, element: Element) -> None:
+        if element in self.base:
+            self.removed.add(element)
+        else:
+            self.added.discard(element)
 
 
 class SOSHistory:
@@ -32,19 +98,31 @@ class SOSHistory:
     whose metadata is not empty at program start -- AddrCheck's
     ``initially_allocated`` -- passes it here).
 
-    The rule has two entry points.  :meth:`advance` takes ``KILL`` as a
+    Only the frontier exists as a set.  Publishing applies the epoch's
+    GEN/KILL to it in place and records what changed; :meth:`get` hands
+    out a :class:`SOSView` of the live set, with those changes undone
+    in its overlay for an older version.  A publish costs
+    O(|GEN| + |KILL|), reading ``k`` versions back the ``k`` deltas in
+    between, and resident (and checkpointed) state is one set plus the
+    deltas -- nothing is O(|SOS|) per epoch or per block.
+
+    The rule has two entry points.  :meth:`publish` takes ``GEN_l`` and
+    ``KILL_l`` as concrete sets (AddrCheck, TaintCheck, the reaching-
+    definitions mask kernel).  :meth:`advance` takes ``KILL`` as a
     predicate, for the analyses whose kill sets are symbolic over an
     unbounded element universe (``reaching_defs``: "every definition of
     variable v"; ``reaching_exprs``: "every expression reading v") and
-    so can only be tested, not enumerated.  :meth:`publish` takes the
-    finished state, for analyses whose ``KILL_l`` is a concrete set
-    (AddrCheck, TaintCheck) and which therefore evaluate the rule as
-    one set difference and one union.
+    so can only be tested, not enumerated.
     """
 
     def __init__(self, initial: Iterable[Element] = ()) -> None:
-        base = frozenset(initial)
-        self._states: Dict[int, FrozenSet[Element]] = {0: base, 1: base}
+        self._live: Set[Element] = set(initial)
+        #: ``j -> (added, removed)`` with ``SOS_j = (SOS_{j-1} - removed)
+        #: | added``, ``added`` disjoint from and ``removed`` inside
+        #: ``SOS_{j-1}``; kept for every ``j`` above the eviction point.
+        self._deltas: Dict[
+            int, Tuple[FrozenSet[Element], FrozenSet[Element]]
+        ] = {1: (frozenset(), frozenset())}
         self._frontier = 1  # largest epoch whose SOS is published
         self._evicted_before = 0  # smallest epoch still readable
 
@@ -53,82 +131,88 @@ class SOSHistory:
         """Largest epoch id with a published SOS."""
         return self._frontier
 
-    def get(self, lid: int) -> FrozenSet[Element]:
-        """The published ``SOS_l``; raises if not yet computed."""
+    def get(self, lid: int) -> SOSView:
+        """A fresh, privately editable view of the published ``SOS_l``
+        (see :class:`SOSView` for how long it stays valid); raises if
+        ``SOS_l`` is not yet computed or already evicted."""
         if lid < 0:
-            return frozenset()
-        try:
-            return self._states[lid]
-        except KeyError:
-            if lid < self._evicted_before:
-                raise AnalysisError(
-                    f"SOS_{lid} was evicted (bounded history retains "
-                    f"epochs >= {self._evicted_before})"
-                ) from None
+            return SOSView(frozenset())
+        if lid < self._evicted_before:
+            raise AnalysisError(
+                f"SOS_{lid} was evicted (bounded history retains "
+                f"epochs >= {self._evicted_before})"
+            )
+        if lid > self._frontier:
             raise AnalysisError(
                 f"SOS_{lid} requested before epoch {lid - 2} was summarized"
-            ) from None
+            )
+        view = SOSView(self._live)
+        for step in range(self._frontier, lid, -1):
+            added, removed = self._deltas[step]
+            view -= added
+            view |= removed
+        return view
 
     def advance(
         self,
         summarized_epoch: int,
-        gen: Set[Element],
+        gen: AbstractSet[Element],
         killed: Callable[[Element], bool],
-    ) -> FrozenSet[Element]:
+    ) -> None:
         """Publish ``SOS_{summarized_epoch + 2}`` from epoch-level GEN and
         a KILL predicate over the previous SOS.
 
         Costs one Python call per element of the previous state, every
         epoch: only for symbolic kills (see the class docstring).
         """
-        target = summarized_epoch + 2
-        if target != self._frontier + 1:
-            raise AnalysisError(
-                f"SOS must advance in order: next is SOS_{self._frontier + 1}, "
-                f"got SOS_{target}"
-            )
-        prev = self._states[self._frontier]
-        survivors = {e for e in prev if not killed(e)}
-        survivors |= gen
-        return self.publish(summarized_epoch, survivors)
+        self._check_next(summarized_epoch + 2)
+        self.publish(
+            summarized_epoch, gen, {e for e in self._live if killed(e)}
+        )
 
     def publish(
-        self, summarized_epoch: int, state: Set[Element]
-    ) -> FrozenSet[Element]:
-        """Publish a precomputed ``SOS_{summarized_epoch + 2}``.
-
-        For analyses that evaluate the update rule in closed form --
-        ``(get(frontier) - KILL) | GEN`` as set algebra, or interned-
-        bitset word operations -- instead of testing every element of
-        the previous state against a KILL predicate; the same in-order
-        invariant applies.
-        """
+        self,
+        summarized_epoch: int,
+        gen: AbstractSet[Element],
+        kill: AbstractSet[Element],
+    ) -> None:
+        """Publish ``SOS_{summarized_epoch + 2} = GEN U (SOS - KILL)`` by
+        editing the live set: work proportional to ``|gen| + |kill|``."""
         target = summarized_epoch + 2
+        self._check_next(target)
+        live = self._live
+        added = frozenset(gen - live)
+        removed = frozenset((kill - gen) & live)
+        live -= removed
+        live |= added
+        self._deltas[target] = (added, removed)
+        self._frontier = target
+
+    def _check_next(self, target: int) -> None:
         if target != self._frontier + 1:
             raise AnalysisError(
                 f"SOS must advance in order: next is SOS_{self._frontier + 1}, "
                 f"got SOS_{target}"
             )
-        frozen = frozenset(state)
-        self._states[target] = frozen
-        self._frontier = target
-        return frozen
 
     def evict(self, before: int) -> None:
         """Drop published states for epochs ``< before``.
 
         The caller asserts those states will never be read again (on a
         streamed run, second passes have moved past them).  The
-        frontier itself is always retained: :meth:`advance` reads it to
-        build the next state.
+        frontier itself is always retained: it is the live set.
         """
         before = min(before, self._frontier)
         if before <= self._evicted_before:
             return
-        for lid in [k for k in self._states if k < before]:
-            del self._states[lid]
+        for step in [k for k in self._deltas if k <= before]:
+            del self._deltas[step]
         self._evicted_before = before
 
     def published(self) -> Dict[int, FrozenSet[Element]]:
-        """All published states still retained (for inspection/tests)."""
-        return dict(self._states)
+        """Every readable state, materialized (for inspection/tests:
+        one full copy per resident version)."""
+        return {
+            lid: frozenset(self.get(lid))
+            for lid in range(self._evicted_before, self._frontier + 1)
+        }

@@ -20,25 +20,21 @@ positives near epoch boundaries, which Figure 13 quantifies.
 Two implementations share this class, selected by ``optimized``:
 
 - ``optimized=True`` (default): the first pass runs as a picklable
-  :class:`AddrScanner` against a pre-computed LSOS snapshot (so the
-  engine may fan blocks out across a backend), errors are recorded via
-  the raw tuple fast path, and the GEN/KILL/ACCESS summaries are
-  interned to bitsets so the wing meet and isolation intersections are
-  bitwise OR/AND.
+  :class:`AddrScanner` against a pre-computed LSOS view (so the engine
+  may fan blocks out across a backend), errors are recorded via the raw
+  tuple fast path, and the isolation check intersects the body with the
+  union of the wings' *change* sets only -- the one thing it reads.
 - ``optimized=False``: the per-instruction reference implementation,
   the differential-testing oracle of the ``optref`` fuzz mode.
 
-Both produce identical reports (as sets -- the optimized isolation pass
-emits them in interned-bit order rather than set-iteration order) and
-identical work counters.
+Both produce identical reports and identical work counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from repro.core.bitset import BitInterner, popcount
 from repro.core.columnar import (
     HAVE_NUMPY,
     OP_ASSIGN,
@@ -53,7 +49,7 @@ from repro.core.columnar import (
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis
-from repro.core.state import SOSHistory
+from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
 from repro.trace.events import Instr, Op
@@ -98,16 +94,13 @@ class AddrSummary:
     ``facts`` carries the allocation-domain block facts (downward-exposed
     allocations, freed locations, last-event map) used by the SOS/LSOS
     rules; ``gen``/``kill``/``access`` are the side-out views (union over
-    instructions) used by the isolation check.  ``access_mask`` is the
-    interned-bitset encoding of ``access`` (optimized mode only; the
-    GEN/KILL masks live on ``facts``).
+    instructions) used by the isolation check.
     """
 
     facts: BlockFacts
     access: Set[int] = field(default_factory=set)
     first_change: Dict[int, int] = field(default_factory=dict)
     first_access: Dict[int, int] = field(default_factory=dict)
-    access_mask: Optional[int] = None
 
     @property
     def gen(self) -> Set[int]:
@@ -137,22 +130,13 @@ class WingSummary:
         return self.gen | self.kill
 
 
-@dataclass
-class WingMask:
-    """Bitset form of :class:`WingSummary` (optimized mode).
+class WingChanges(NamedTuple):
+    """Optimized-mode side-in: the union of the wings' GEN and KILL --
+    all the isolation check reads of them -- and the meet's element
+    count, which the (pure) meet defers to the ordered commit."""
 
-    ``meet_work`` carries the meet's set-operation element count so the
-    (pure) meet can defer its work accounting to the ordered commit.
-    """
-
-    gen: int
-    kill: int
-    access: int
+    changed: Set[int]
     meet_work: int
-
-    @property
-    def changed(self) -> int:
-        return self.gen | self.kill
 
 
 @dataclass
@@ -178,12 +162,16 @@ class AddrScan:
 class AddrScanner:
     """Picklable first-pass work unit.
 
-    ``context`` is the block's starting LSOS (a fresh, private set the
-    scan mutates as its running state); everything else the scan needs
-    travels with the block, so the unit crosses process boundaries.
-    The LSOS is the whole live heap and a block touches a sliver of it,
-    so both kernels only ever *probe* it -- one hash lookup per location
-    the block names -- and never enumerate or re-encode it.
+    ``context`` is the block's starting LSOS, an
+    :class:`~repro.core.state.SOSView`: the published ``SOS_l`` as the
+    shared, read-only ``base`` under the head's GEN/KILL in a private
+    overlay.  That overlay is the scan's running state -- a malloc or
+    free edits ``added``/``removed``, never the base -- so an epoch's
+    scans may run concurrently on any backend, and everything else the
+    scan needs travels with the block, so the unit crosses process
+    boundaries.  The LSOS is the whole live heap and a block touches a
+    sliver of it, so both kernels only ever *probe* it -- per location
+    the block names -- and never copy, enumerate or re-encode it.
 
     Two interchangeable scan kernels produce bit-identical
     :class:`AddrScan` results (the ``columnar`` differential-fuzz mode
@@ -203,13 +191,19 @@ class AddrScanner:
     use_idempotent_filter: bool
     columnar: Optional[bool] = None
 
-    def __call__(self, block: Block, running: Set[int]) -> AddrScan:
+    def __call__(self, block: Block, running: SOSView) -> AddrScan:
         if HAVE_NUMPY and self.columnar is not False:
             if self.columnar or block.has_columns:
                 return self._scan_columns(block.columns, running)
         return self._scan_objects(block, running)
 
-    def _scan_objects(self, block: Block, running: Set[int]) -> AddrScan:
+    def _scan_objects(self, block: Block, running: SOSView) -> AddrScan:
+        # ``loc in running`` / ``running.add`` / ``running.discard``
+        # below are SOSView's methods written out against its three
+        # plain sets: this loop runs per event.
+        base = running.base
+        added = running.added
+        removed = running.removed
         gen: Set[int] = set()
         all_gen: Set[int] = set()
         killed_vars: Set[int] = set()
@@ -241,11 +235,16 @@ class AddrScanner:
                 for loc in range(dst, dst + instr.size):
                     allocs += 1
                     checked.discard(loc)
-                    if loc in running:
+                    if loc in base:
+                        live = loc not in removed
+                        removed.discard(loc)
+                    else:
+                        live = loc in added
+                        added.add(loc)
+                    if live:
                         errors.append(
                             (ErrorKind.MALLOC_ALLOCATED, loc, i, _DETAIL_MALLOC)
                         )
-                    running.add(loc)
                     gen.add(loc)
                     all_gen.add(loc)
                     last_event[loc] = "gen"
@@ -256,11 +255,16 @@ class AddrScanner:
                 for loc in range(dst, dst + instr.size):
                     allocs += 1
                     checked.discard(loc)
-                    if loc not in running:
+                    if loc in base:
+                        live = loc not in removed
+                        removed.add(loc)
+                    else:
+                        live = loc in added
+                        added.discard(loc)
+                    if not live:
                         errors.append(
                             (ErrorKind.FREE_UNALLOCATED, loc, i, _DETAIL_FREE)
                         )
-                    running.discard(loc)
                     killed_vars.add(loc)
                     gen.discard(loc)
                     last_event[loc] = "kill"
@@ -284,7 +288,9 @@ class AddrScanner:
                         continue
                     checked.add(loc)
                     checks += 1
-                    if loc not in running:
+                    if (
+                        loc in removed if loc in base else loc not in added
+                    ):
                         errors.append(
                             (ErrorKind.ACCESS_UNALLOCATED, loc, i, _DETAIL_ACCESS)
                         )
@@ -304,7 +310,7 @@ class AddrScanner:
         )
 
     def _scan_columns(
-        self, cols: ColumnarBlock, running: Set[int]
+        self, cols: ColumnarBlock, running: SOSView
     ) -> AddrScan:
         """Vectorized first pass over column arrays.
 
@@ -318,8 +324,9 @@ class AddrScanner:
         flattens every dereferenced location into one access stream
         (CSR expansion, srcs before dst exactly like ``Instr.accessed``)
         and resolves stable locations wholesale with a handful of
-        C-level passes over the block's arrays (plus one ``running``
-        probe per unique location); only the (typically rare) accesses
+        C-level passes over the block's arrays (plus one ``running.base``
+        probe per unique location, patched at the few locations
+        ``running``'s overlay names); only the (typically rare) accesses
         to changed locations plus the change events themselves are
         replayed with the exact scalar semantics, and every error record
         carries its stream position so the merged error list comes out
@@ -454,11 +461,23 @@ class AddrScanner:
             # in the changed set: probe the Python sets already in hand,
             # one hash lookup per *block* location.  Turning the LSOS
             # into an array to vectorize the test costs O(|LSOS|) per
-            # block, and the LSOS is the whole live heap.
+            # block, and the LSOS is the whole live heap.  The probe goes
+            # to the view's base at C level; its overlay (the head's few
+            # changes) then overrides the entries it names (``uniq`` is
+            # ascending on both branches above).
             n_uniq = len(uniq_list)
             in_run = np.fromiter(
-                map(running.__contains__, uniq_list), dtype=bool, count=n_uniq
+                map(running.base.__contains__, uniq_list),
+                dtype=bool,
+                count=n_uniq,
             )
+            for locs, member in (
+                (running.removed, False), (running.added, True)
+            ):
+                if locs:
+                    ov = np.fromiter(locs, dtype=np.int64, count=len(locs))
+                    at = np.minimum(np.searchsorted(uniq, ov), n_uniq - 1)
+                    in_run[at[uniq[at] == ov]] = member
             if changed_locs:
                 is_changed = np.fromiter(
                     map(changed_locs.__contains__, uniq_list),
@@ -616,8 +635,9 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         conceptually flushed at every epoch boundary (filtering never
         crosses epochs).  An allocation-state change re-arms the check.
     optimized:
-        Select the scanner/bitset fast path (default) or the reference
-        per-instruction implementation (see the module docstring).
+        Select the scanner/change-set fast path (default) or the
+        reference per-instruction implementation (see the module
+        docstring).
     use_columnar_kernel:
         Kernel selection for the optimized first pass: ``None`` (auto,
         the default -- vectorize when numpy is available and the block
@@ -644,7 +664,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         #: finally frees it there, or ``_MANY_KILLERS`` (built once per
         #: epoch by :meth:`epoch_update`, evicted with the summaries).
         self._epoch_killers: Dict[int, Dict[int, int]] = {}
-        self._loc_bits = BitInterner()
         #: Per-block work counters consumed by the timing substrate:
         #: ``events`` (log records dispatched), ``checks`` (metadata
         #: checks after idempotent filtering), ``accesses`` (pre-filter
@@ -656,14 +675,8 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self.recorded_accesses = 0
 
     def emit_metrics(self, recorder: Any) -> None:
-        """End-of-run gauges: intern-table pressure and access volume.
-
-        Everything published here is a deterministic function of the
-        trace (interning happens on the serial commit path only), so
-        these gauges compare equal across execution backends.
-        """
-        for key, value in self._loc_bits.stats().items():
-            recorder.gauge(f"intern.{key}", value)
+        """End-of-run gauges: access volume and errors, deterministic
+        functions of the trace (they compare equal across backends)."""
         recorder.gauge("addrcheck.recorded_accesses", self.recorded_accesses)
         recorder.gauge("addrcheck.errors", len(self.errors))
 
@@ -672,7 +685,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
     def make_scanner(self) -> AddrScanner:
         return AddrScanner(self.use_idempotent_filter, self.use_columnar_kernel)
 
-    def first_pass_context(self, block: Block) -> Set[int]:
+    def first_pass_context(self, block: Block) -> SOSView:
         lid, tid = block.block_id
         return self._compute_lsos(lid, tid)
 
@@ -710,10 +723,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                         stage="first",
                         wing=None,
                     )
-        loc_bits = self._loc_bits
-        facts.all_gen_mask = loc_bits.mask(scan.all_gen)
-        facts.killed_mask = loc_bits.mask(scan.killed_vars)
-        summary.access_mask = loc_bits.mask(scan.access)
         self.recorded_accesses += scan.accesses
         self.block_work[block_id] = {
             "events": scan.events,
@@ -839,21 +848,17 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self, butterfly: Butterfly, wing_summaries: List[AddrSummary]
     ) -> Any:
         if self.optimized:
-            gen = 0
-            kill = 0
-            access = 0
+            # The wings' ACCESS sets count as meet work (the paper's
+            # S = (GEN, KILL, ACCESS)) but no check reads their union,
+            # so only the change sets -- tens of locations -- are built.
+            changed: Set[int] = set()
             work = 0
             for s in wing_summaries:
                 f = s.facts
-                gen |= f.all_gen_mask
-                kill |= f.killed_mask
-                access |= s.access_mask
-                work += (
-                    popcount(f.all_gen_mask)
-                    + popcount(f.killed_mask)
-                    + popcount(s.access_mask)
-                )
-            return WingMask(gen=gen, kill=kill, access=access, meet_work=work)
+                changed |= f.all_gen
+                changed |= f.killed_vars
+                work += len(f.all_gen) + len(f.killed_vars) + len(s.access)
+            return WingChanges(changed, work)
         gen_set: Set[int] = set()
         kill_set: Set[int] = set()
         access_set: Set[int] = set()
@@ -869,34 +874,38 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
     # -- step 3: isolation check -------------------------------------------
 
     def check_body(
-        self, butterfly: Butterfly, side_in: WingMask
-    ) -> Tuple[int, int]:
-        """Pure isolation intersections over interned bitsets: racing
-        state changes and accesses racing a state change."""
+        self, butterfly: Butterfly, side_in: WingChanges
+    ) -> Tuple[Set[int], Set[int]]:
+        """Pure isolation intersections against the wings' change set
+        (each sized by the smaller operand): racing state changes and
+        accesses racing a state change."""
         s = self._summaries[butterfly.body.block_id]
         f = s.facts
-        wing_changed = side_in.gen | side_in.kill
-        changed = f.all_gen_mask | f.killed_mask
-        return changed & wing_changed, s.access_mask & wing_changed
+        wing_changed = side_in.changed
+        return (
+            (f.all_gen | f.killed_vars) & wing_changed,
+            s.access & wing_changed,
+        )
 
     def commit_check(
-        self, butterfly: Butterfly, side_in: WingMask, result: Tuple[int, int]
+        self,
+        butterfly: Butterfly,
+        side_in: WingChanges,
+        result: Tuple[Set[int], Set[int]],
     ) -> None:
         change_hits, access_hits = result
         body = butterfly.body
         block_id = body.block_id
         s = self._summaries[block_id]
         errors = self.errors
-        decode = self._loc_bits.decode
         rec = self.recorder
         emit = rec.enabled
         flags = 0
-        # Sorted location order: decode() yields interning order, which
-        # depends on which instruction touched a location first; sorting
+        # Sorted location order: set order is hash-dependent; sorting
         # makes the report order a function of the trace alone, so the
         # optimized and reference paths are bit-identical (the fuzz
         # harness's optref mode diffs them report-for-report).
-        for loc in sorted(decode(change_hits)):
+        for loc in sorted(change_hits):
             if errors.record(
                 ErrorKind.UNSAFE_ISOLATION,
                 loc,
@@ -909,7 +918,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                     self._emit_isolation_event(
                         butterfly, loc, s.first_change[loc]
                     )
-        for loc in sorted(decode(access_hits)):
+        for loc in sorted(access_hits):
             if errors.record(
                 ErrorKind.UNSAFE_ISOLATION,
                 loc,
@@ -924,9 +933,9 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                     )
         work = self.block_work[block_id]
         work["flags"] += flags
-        work["iso"] += popcount(
-            s.facts.all_gen_mask | s.facts.killed_mask
-        ) + popcount(s.access_mask)
+        work["iso"] += len(s.facts.all_gen | s.facts.killed_vars) + len(
+            s.access
+        )
         work["meet"] += side_in.meet_work
 
     def _emit_first_pass_event(
@@ -1061,9 +1070,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                 killers[loc] = t if loc not in killers else _MANY_KILLERS
         self._epoch_killers[lid] = killers
 
-        self.sos.publish(
-            lid, self.sos.get(lid + 1).difference(killers) | gen_l
-        )
+        self.sos.publish(lid, gen_l, killers.keys())
         self._evict(lid - 1)
 
     def evict_history(self, before: int) -> None:
@@ -1102,17 +1109,18 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                 return False
         return True
 
-    def _compute_lsos(self, lid: int, tid: int) -> Set[int]:
+    def _compute_lsos(self, lid: int, tid: int) -> SOSView:
         """Reaching-expressions LSOS (Section 5.2.1),
         ``GEN_{l-1,t} U (SOS_l - KILL_{l-1,t})``: SOS entries survive
         unless the head freed them; head allocations survive unless a
         sibling freed the location in epoch ``l-2``.
 
-        One C-level copy of the SOS, then work proportional to the head
-        block's own allocation events -- never a Python visit per SOS
-        element (the SOS is the whole live heap; this runs per block).
+        A view of ``SOS_l`` with the head's edits in its overlay: work
+        proportional to the head block's own allocation events, never a
+        copy of the SOS or a visit per SOS element (the SOS is the whole
+        live heap; this runs per block).
         """
-        lsos = set(self.sos.get(lid))
+        lsos = self.sos.get(lid)
         head = self._facts(lid - 1, tid) if lid >= 1 else None
         if head is None:
             return lsos

@@ -54,7 +54,7 @@ from repro.core.columnar import (
 )
 from repro.core.epoch import Block, BlockId, InstrId
 from repro.core.framework import ButterflyAnalysis
-from repro.core.state import SOSHistory
+from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
 from repro.trace.events import Instr, Op
@@ -314,9 +314,9 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         body = butterfly.body
         lid, tid = body.block_id
         summary = self._summaries[body.block_id]
-        # Already a private copy of the SOS: every check below reads
-        # this one set, and none edits it.
-        lsos = self._compute_lsos(lid, tid)
+        # A private copy of the LSOS view: every check below reads this
+        # one plain set (C-level probes), and none edits it.
+        lsos = self._compute_lsos(lid, tid).copy()
 
         if self.two_phase:
             phase1 = _RuleGraph(
@@ -434,7 +434,7 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
                     ):
                         kill_l.add(loc)
         # (SOS - KILL_l) U GEN_l: a location in both sets stays tainted.
-        self.sos.publish(lid, (self.sos.get(lid + 1) - kill_l) | gen_l)
+        self.sos.publish(lid, gen_l, kill_l)
         self._evict(lid - 1)
 
     def evict_history(self, before: int) -> None:
@@ -458,14 +458,15 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
 
     # -- SOS / LSOS ---------------------------------------------------------------
 
-    def _compute_lsos(self, lid: int, tid: int) -> Set[int]:
+    def _compute_lsos(self, lid: int, tid: int) -> SOSView:
         """Tainted-address LSOS: head taints, SOS survivors of the head's
         untaints, plus the resurrection term (head untaints a location a
         sibling tainted in the adjacent epoch ``l-2``).
 
-        One C-level copy of the SOS, then a visit of the head's own
-        ``lastcheck`` -- never of the SOS element by element."""
-        lsos = set(self.sos.get(lid))
+        A view of ``SOS_l`` edited by a visit of the head's own
+        ``lastcheck`` -- never of the SOS element by element
+        (:meth:`check_body` takes its one C-level copy)."""
+        lsos = self.sos.get(lid)
         head = self._summaries.get((lid - 1, tid)) if lid >= 1 else None
         if head is None:
             return lsos

@@ -4,11 +4,11 @@ The engine's ordered-commit discipline gives a natural safe point: the
 instant epoch ``l``'s bodies have committed and ``SOS_{l+2}`` is
 published, the entire analysis state is a deterministic function of the
 trace prefix.  A :class:`Checkpointer` snapshots exactly that state --
-the analysis object (SOS/LSOS history, interner tables, shadow memory,
-error log), the engine's window of block summaries, its
-``EngineStats``/progress counters and, on an adaptive run, the boundary
-stream recorded so far (``ButterflyEngine.snapshot_state()``) -- after
-each committed epoch.
+the analysis object (the live SOS and its per-epoch deltas, interner
+tables, shadow memory, error log), the engine's window of block
+summaries, its ``EngineStats``/progress counters and, on an adaptive
+run, the boundary stream recorded so far
+(``ButterflyEngine.snapshot_state()``) -- after each committed epoch.
 
 Snapshots are written with the classic atomic-rename protocol (write to
 a sibling temp file, flush, fsync, ``os.replace``), so a checkpoint
@@ -39,7 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 FORMAT = "repro-checkpoint"
 #: Version 2: the engine state is ``ButterflyEngine.snapshot_state()``
 #: (adds producer-row progress and the recorded boundary stream).
-VERSION = 2
+#: Version 3: the pickled SOS history is one live set plus per-epoch
+#: deltas (was a set per epoch); AddrCheck summaries carry no masks.
+VERSION = 3
 
 
 def save_checkpoint(

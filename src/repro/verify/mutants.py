@@ -92,10 +92,35 @@ def narrow_window() -> Iterator[None]:
         framework.butterflies_for_epoch = orig
 
 
+@contextlib.contextmanager
+def stale_overlay() -> Iterator[None]:
+    """Make LSOS views forget their ``removed`` overlay.
+
+    The bug a base-plus-delta LSOS invites: a location the head block
+    (or the scanned block itself) freed still reads as allocated.  The
+    reference first pass and the columnar kernel's replay ask the view
+    and go wrong; the object kernel probes the three sets itself and
+    does not -- the disagreement ``optref`` and ``columnar`` must find.
+    """
+    from repro.core.state import SOSView
+
+    orig = SOSView.__contains__
+
+    def contains(self, element):
+        return element in self.base or element in self.added
+
+    SOSView.__contains__ = contains
+    try:
+        yield
+    finally:
+        SOSView.__contains__ = orig
+
+
 #: Registry used by ``repro fuzz --mutant`` and the self-tests.
 MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "resume-replay": resume_event_replay,
     "narrow-window": narrow_window,
+    "stale-overlay": stale_overlay,
 }
 
 

@@ -139,7 +139,10 @@ class TestStatsCommand:
         assert "spans (aggregated):" in out
         assert "pass.first" in out
         assert "gauges:" in out
-        assert "intern.size" in out
+        assert "addrcheck.recorded_accesses" in out
+        # AddrCheck interns nothing (its isolation check is plain set
+        # algebra); the intern.* gauges are RaceCheck's.
+        assert "intern." not in out
 
     def test_stats_race_lifeguard(self, capsys):
         assert main(
@@ -149,7 +152,9 @@ class TestStatsCommand:
                 "--lifeguard", "race",
             ]
         ) == 0
-        assert "racecheck.races" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "racecheck.races" in out
+        assert "intern.size" in out
 
     def test_stats_emit_events(self, tmp_path, capsys):
         path = tmp_path / "stats.jsonl"

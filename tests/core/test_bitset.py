@@ -5,10 +5,7 @@ import random
 from repro.core.bitset import (
     BitInterner,
     _compose_mask,
-    mask_from_words,
-    mask_to_words,
     popcount,
-    popcount_words,
 )
 
 
@@ -114,19 +111,3 @@ class TestComposeMask:
 
     def test_duplicate_positions(self):
         assert _compose_mask([3, 3, 3]) == 0b1000
-
-
-class TestWireWords:
-    def test_round_trip(self):
-        rng = random.Random(9)
-        masks = [0, 1, (1 << 63), (1 << 64) - 1, (1 << 1000) | 5]
-        masks += [rng.getrandbits(500) for _ in range(20)]
-        for mask in masks:
-            words = mask_to_words(mask)
-            assert len(words) % 8 == 0
-            assert mask_from_words(words) == mask
-            assert popcount_words(words) == popcount(mask)
-
-    def test_empty(self):
-        assert mask_from_words(b"") == 0
-        assert popcount_words(b"") == 0

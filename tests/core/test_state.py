@@ -1,8 +1,9 @@
 """Unit tests for the SOS container."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.state import SOSHistory
+from repro.core.state import SOSHistory, SOSView
 from repro.errors import AnalysisError
 
 
@@ -30,6 +31,14 @@ class TestSOSHistory:
         sos = SOSHistory()
         with pytest.raises(AnalysisError):
             sos.advance(1, set(), lambda e: False)
+
+    def test_out_of_order_advance_is_rejected_before_the_kill_scan(self):
+        def killed(element):
+            raise AssertionError("scanned the SOS for a call that must fail")
+
+        sos = SOSHistory({"a"})
+        with pytest.raises(AnalysisError):
+            sos.advance(1, set(), killed)
 
     def test_double_advance_rejected(self):
         sos = SOSHistory()
@@ -124,10 +133,10 @@ class TestInitialState:
 
     def test_publish_builds_on_the_initial_state(self):
         sos = SOSHistory(initial={"a", "b"})
-        sos.publish(0, (sos.get(sos.frontier) - {"a"}) | {"c"})
+        sos.publish(0, {"c"}, {"a"})
         assert sos.get(2) == {"b", "c"}
         with pytest.raises(AnalysisError):
-            sos.publish(0, set())
+            sos.publish(0, set(), set())
 
     def test_evict_keeps_the_frontier_of_a_seeded_history(self):
         sos = SOSHistory(initial={"a"})
@@ -137,3 +146,106 @@ class TestInitialState:
             sos.get(0)
         sos.advance(0, set(), lambda e: False)
         assert sos.get(2) == {"a"}
+
+
+# -- base + delta against full copies ---------------------------------------
+#
+# SOSHistory used to hold one frozenset per published epoch, built as
+# ``frozenset(SOS_{l+1}.difference(KILL_l) | GEN_l)``.  CopyHistory below
+# is that container; every operation sequence must leave the live-set-
+# plus-deltas history reading exactly what the copies read.
+
+
+class CopyHistory:
+    def __init__(self, initial=()):
+        base = frozenset(initial)
+        self.states = {0: base, 1: base}
+        self.frontier = 1
+
+    def publish(self, summarized_epoch, gen, kill):
+        assert summarized_epoch + 2 == self.frontier + 1
+        prev = self.states[self.frontier]
+        self.frontier += 1
+        self.states[self.frontier] = frozenset(prev.difference(kill) | gen)
+
+    def evict(self, before):
+        before = min(before, self.frontier)
+        for lid in [k for k in self.states if k < before]:
+            del self.states[lid]
+
+
+_ELEMENTS = st.integers(0, 11)
+_SETS = st.sets(_ELEMENTS, max_size=6)
+_OPS = st.one_of(
+    st.tuples(st.just("publish"), _SETS, _SETS),
+    st.tuples(st.just("evict"), st.integers(0, 12)),
+    # edit a view of a resident version: (how far back, adds, discards)
+    st.tuples(
+        st.just("edit"), st.integers(0, 12),
+        st.lists(st.tuples(st.booleans(), _ELEMENTS), max_size=8),
+    ),
+)
+
+
+class TestViewsAgainstCopies:
+    @settings(max_examples=200, deadline=None)
+    @given(initial=_SETS, ops=st.lists(_OPS, max_size=14))
+    def test_any_interleaving_of_add_discard_publish_evict(self, initial, ops):
+        sos = SOSHistory(initial)
+        ref = CopyHistory(initial)
+        for op in ops:
+            if op[0] == "publish":
+                sos.publish(sos.frontier - 1, op[1], op[2])
+                ref.publish(ref.frontier - 1, op[1], op[2])
+            elif op[0] == "evict":
+                sos.evict(op[1])
+                ref.evict(op[1])
+            else:
+                lid = sorted(ref.states)[op[1] % len(ref.states)]
+                view = sos.get(lid)
+                expected = set(ref.states[lid])
+                for is_add, element in op[2]:
+                    if is_add:
+                        view.add(element)
+                        expected.add(element)
+                    else:
+                        view.discard(element)
+                        expected.discard(element)
+                    assert (element in view) == (element in expected)
+                _assert_view_is(view, expected)
+            assert sos.frontier == ref.frontier
+            assert sos.published() == ref.states
+            # Edits went to the overlays: no resident version moved.
+            for lid, state in ref.states.items():
+                _assert_view_is(sos.get(lid), state)
+
+    def test_views_do_not_see_each_others_edits(self):
+        sos = SOSHistory(initial={1, 2})
+        a, b = sos.get(1), sos.get(1)
+        a.add(3)
+        a.discard(1)
+        assert a == {2, 3} and b == {1, 2} and sos.get(1) == {1, 2}
+
+    def test_set_algebra_on_a_view_yields_plain_sets(self):
+        view = SOSView({1, 2, 3})
+        view.discard(2)
+        view.add(9)
+        assert view == {1, 3, 9} and {1, 3, 9} == view
+        assert view != {1, 3} and view >= {1, 9} and view <= {1, 3, 9, 10}
+        assert type(view | {4}) is set and view | {4} == {1, 3, 4, 9}
+        assert type(view - {1}) is set and view - {1} == {3, 9}
+        assert view & {2, 3, 9} == {3, 9}
+        view -= {9, 3}
+        assert sorted(view) == [1] and len(view) == 1
+
+
+def _assert_view_is(view, expected):
+    """``view`` reads as ``expected`` and is the normalized
+    ``(base - removed) | added``."""
+    assert view == expected and len(view) == len(expected)
+    assert sorted(view) == sorted(expected)
+    assert set(view) == (set(view.base) - view.removed) | view.added
+    copied = view.copy()
+    assert type(copied) is set and copied == expected
+    assert view.removed <= set(view.base)
+    assert not view.added & set(view.base)

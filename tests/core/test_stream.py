@@ -165,14 +165,14 @@ class TestWindowBound:
         prog, partition = alloc_case(events=4000)
         guard = ButterflyAddrCheck(initially_allocated=prog.preallocated)
         ButterflyEngine(guard).run_source(PartitionSource(partition))
-        assert len(guard.sos._states) <= 2
+        assert len(guard.sos.published()) <= 2
         assert guard.sos.frontier == partition.num_epochs + 1
         # Materialized runs keep the full history for post-run
         # inspection -- and flag identical errors either way.
         _, partition2 = alloc_case(events=4000)
         mat = ButterflyAddrCheck(initially_allocated=prog.preallocated)
         ButterflyEngine(mat).run(partition2)
-        assert len(mat.sos._states) == partition2.num_epochs + 2
+        assert len(mat.sos.published()) == partition2.num_epochs + 2
         assert guard.sos.get(guard.sos.frontier) == mat.sos.get(
             mat.sos.frontier
         )

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.columnar import HAVE_NUMPY
 from repro.core.epoch import Block
+from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.trace.events import Instr, Op
 from repro.trace.generator import adversarial_instrs
@@ -45,18 +46,44 @@ def _scan_dict(scan):
     }
 
 
+def _views_of(running, instrs):
+    """``running`` as the LSOS views a scan can be handed: the set
+    itself as the base, and a base that is wrong at every third
+    location the block names with the overlay putting it right (what a
+    head's frees and allocations look like)."""
+    yield SOSView(running)
+    named = {
+        loc
+        for i in instrs
+        for loc in (*i.accessed, *i.extent)
+        if loc % 3 == 0
+    }
+    view = SOSView(frozenset(running) ^ named)
+    for loc in named:
+        if loc in running:
+            view.add(loc)
+        else:
+            view.discard(loc)
+    assert named <= view.added | view.removed
+    yield view
+
+
 def _assert_kernels_agree(instrs, running, use_filter):
     block = Block(0, 0, 0, tuple(instrs))
-    running_obj = set(running)
-    running_col = set(running)
-    obj = AddrScanner(use_filter, columnar=False)(block, running_obj)
-    col = AddrScanner(use_filter, columnar=True)(block, running_col)
-    assert _scan_dict(col) == _scan_dict(obj)
-    assert running_col == running_obj
-    # Results must be built from plain Python ints, not numpy scalars:
-    # summaries feed sets/dicts that are later pickled and interned.
-    for x in col.gen | col.access:
-        assert type(x) is int
+    for running_obj, running_col in zip(
+        _views_of(running, instrs), _views_of(running, instrs)
+    ):
+        obj = AddrScanner(use_filter, columnar=False)(block, running_obj)
+        col = AddrScanner(use_filter, columnar=True)(block, running_col)
+        assert _scan_dict(col) == _scan_dict(obj)
+        # Same running state left behind, in the overlay alone.
+        assert running_col.added == running_obj.added
+        assert running_col.removed == running_obj.removed
+        assert running_col.base == running_obj.base
+        # Results must be built from plain Python ints, not numpy
+        # scalars: summaries feed sets/dicts that are later pickled.
+        for x in col.gen | col.access | running_col.added:
+            assert type(x) is int
 
 
 class TestKernelIdentity:
@@ -114,7 +141,7 @@ class TestKernelIdentity:
         instrs = [Instr.read(9), Instr.write(3), Instr.read(7),
                   Instr.malloc(5), Instr.read(9), Instr.write(3)]
         block = Block(0, 0, 0, tuple(instrs))
-        scan = AddrScanner(True, columnar=True)(block, set())
+        scan = AddrScanner(True, columnar=True)(block, SOSView(set()))
         indices = [err[2] for err in scan.errors]
         assert indices == sorted(indices)
 

@@ -296,9 +296,10 @@ class TestOnDemandBuckets:
 
 # -- the tainted-address LSOS / SOS algebra ----------------------------------
 #
-# The guard copies the SOS and then visits only the head's LASTCHECK;
-# the references below are the same rules written one SOS element at a
-# time (LSOS) and through the KILL predicate (SOS), as the oracle.
+# The guard overlays a view of the SOS with a visit of the head's
+# LASTCHECK only; the references below are the same rules written one
+# SOS element at a time (LSOS) and through the KILL predicate (SOS), as
+# the oracle.
 
 
 def reference_lsos(guard, lid, tid):
@@ -329,14 +330,14 @@ def checked(summary_rows, sos=None):
         guard._summaries[block_id] = s
     last = max(lid for lid, _ in summary_rows)
     for lid in range(last - 1):
-        guard.sos.publish(lid, set(sos or ()))
+        guard.sos.publish(lid, set(sos or ()), set())
     return guard
 
 
 class TestTaintLSOSAlgebra:
     def test_no_head_is_a_private_copy_of_the_sos(self):
         guard = ButterflyTaintCheck()
-        guard.sos.publish(0, {1, 2})
+        guard.sos.publish(0, {1, 2}, set())
         lsos = guard._compute_lsos(2, 0)
         assert lsos == reference_lsos(guard, 2, 0) == {1, 2}
         lsos.add(3)
@@ -399,7 +400,8 @@ class TestTaintLSOSAlgebra:
             def epoch_update(self, lid, summaries):
                 # SOS_{l+2} one element of SOS_{l+1} at a time, through
                 # the KILL predicate.
-                prev = self.sos.get(lid + 1)
+                # (a copy: publishing rewrites the view's base in place)
+                prev = set(self.sos.get(lid + 1))
                 threads = sorted(t for _, t in summaries)
                 gen, kill = set(), set()
                 for (_, t), s in summaries.items():

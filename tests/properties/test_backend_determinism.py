@@ -63,7 +63,7 @@ def _report_list(errors):
 
 def _sos_states(guard):
     """Value-comparable snapshot of a guard's SOS history."""
-    return (dict(guard.sos._states), guard.sos._frontier)
+    return (guard.sos.published(), guard.sos.frontier)
 
 
 class TestAddrCheckDeterminism:

@@ -53,7 +53,7 @@ def _report_list(errors):
 
 
 def _sos_states(guard):
-    return (dict(guard.sos._states), guard.sos._frontier)
+    return (guard.sos.published(), guard.sos.frontier)
 
 
 def _addr_fingerprint(guard, stats):

@@ -10,6 +10,7 @@ from repro.core.epoch import (
     EpochController,
     SloConfig,
     partition_by_global_order,
+    partition_fixed,
 )
 from repro.core.framework import ButterflyEngine
 from repro.core.stream import ShapeSource
@@ -22,7 +23,9 @@ from repro.resilience import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
+from repro.trace.program import TraceProgram
 
 
 def _program(seed=5, threads=3, events=120):
@@ -45,7 +48,7 @@ def _fingerprint(guard, stats):
             stats.wing_summaries_combined,
         ),
         [(r.kind, r.location, r.ref, r.block, r.detail) for r in guard.errors],
-        (dict(guard.sos._states), guard.sos._frontier),
+        (guard.sos.published(), guard.sos.frontier),
     )
 
 
@@ -190,7 +193,7 @@ class TestStreamedResume:
         self._feed_stream(resumed, PartitionSource(part), ck.next_epoch)
         assert _fingerprint(ck.analysis, resumed.stats) == reference
 
-    def test_streamed_resume_from_a_version_2_file(self, tmp_path):
+    def test_streamed_resume_seeks_a_trace_file(self, tmp_path):
         from repro.trace.serialize import iter_load, save_stream_file
 
         part = partition_by_global_order(_program(), 8)
@@ -216,8 +219,9 @@ class TestStreamedResume:
 
     def test_legacy_checkpoint_refuses_stream_resume(self, tmp_path):
         # The state layout changed with version 2 (engine-owned
-        # snapshot_state); a file from the previous writer is refused
-        # up front instead of being half-understood.
+        # snapshot_state) and again with version 3 (the SOS history as
+        # one live set plus deltas); a file from either previous writer
+        # is refused up front instead of being half-understood.
         from repro.core.stream import PartitionSource
 
         part = partition_by_global_order(_program(), 8)
@@ -227,11 +231,13 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        stamp_version(path, 1)
-        with pytest.raises(
-            CheckpointError, match="unsupported checkpoint version 1"
-        ):
-            load_checkpoint(path)
+        for older in (1, 2):
+            stamp_version(path, older)
+            with pytest.raises(
+                CheckpointError,
+                match=f"unsupported checkpoint version {older}",
+            ):
+                load_checkpoint(path)
 
     def test_streamed_stitched_log_equals_uninterrupted(self, tmp_path):
         from repro.core.stream import PartitionSource
@@ -358,6 +364,57 @@ class TestCheckpointerPolicy:
         engine.run(part)
         assert os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
+
+
+class _SizeLoggingCheckpointer(Checkpointer):
+    def __init__(self, path, meta):
+        super().__init__(path, meta)
+        self.sizes = []
+
+    def save_now(self, engine):
+        super().save_now(engine)
+        self.sizes.append(os.path.getsize(self.path))
+
+
+class TestCheckpointSize:
+    def test_bytes_per_save_do_not_grow_with_resident_sos_versions(
+        self, tmp_path
+    ):
+        """A materialized run keeps every published ``SOS_l`` readable.
+        With one set per version each save grew by a heap's worth; the
+        history is one live set plus per-epoch deltas, so a save costs
+        the heap once however many versions it can still serve."""
+        heap = range(1_000, 21_000)
+        # Sixteen quiet epochs: one private malloc/free pair per thread
+        # per epoch, so every epoch publishes a (tiny) delta.
+        threads = [
+            [
+                instr
+                for lid in range(16)
+                for instr in (
+                    Instr.malloc(tid), Instr.read(1_000 + lid),
+                    Instr.free(tid), Instr.nop(),
+                )
+            ]
+            for tid in range(3)
+        ]
+        part = partition_fixed(TraceProgram.from_lists(*threads), 4)
+        cp = _SizeLoggingCheckpointer(str(tmp_path / "size.ckpt"), META)
+        guard = ButterflyAddrCheck(initially_allocated=heap)
+        engine = ButterflyEngine(guard)
+        engine.enable_checkpoints(cp)
+        engine.run(part)
+        assert len(guard.errors) == 0
+        assert len(cp.sizes) == part.num_epochs == 16
+        versions = guard.sos.published()
+        assert len(versions) == 18 and all(
+            len(state) >= len(heap) for state in versions.values()
+        )
+        # From the first full window on (save 3), a save's size is flat:
+        # twelve more resident versions, well under one heap's pickle.
+        heap_bytes = len(pickle.dumps(set(heap), pickle.HIGHEST_PROTOCOL))
+        assert cp.sizes[2] > heap_bytes
+        assert cp.sizes[-1] - cp.sizes[2] < heap_bytes // 20
 
 
 class _FlakyAddrCheck(ButterflyAddrCheck):

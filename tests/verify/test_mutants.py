@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.core.columnar import HAVE_NUMPY
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
@@ -79,6 +80,43 @@ class TestNarrowWindowMutant:
         assert finding.mode == "orderings"
         assert finding.shrunk_instructions <= 8
         assert "missed an error" in finding.detail
+
+
+class TestStaleOverlayMutant:
+    """An LSOS view that forgets its ``removed`` overlay (a freed
+    location still reads as allocated): both pairs with one side
+    reading the view through ``__contains__`` must see it."""
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            "optref",
+            pytest.param(
+                "columnar",
+                marks=pytest.mark.skipif(
+                    not HAVE_NUMPY,
+                    reason="without numpy both sides run the object kernel",
+                ),
+            ),
+        ],
+    )
+    def test_mode_catches_the_forgotten_free(self, mode, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=(mode,),
+            failures_dir=str(tmp_path),
+            mutant="stale-overlay",
+        )
+        assert not report.ok
+        finding = report.findings[0]
+        assert finding.mode == mode
+        assert finding.shrunk_instructions <= 8
+        case, _, _ = load_repro(finding.artifact)
+        harness = DifferentialHarness()
+        assert harness.check(case, mode) is None
+        with apply_mutant("stale-overlay"):
+            assert harness.check(case, mode) is not None
 
 
 class TestNarrowWindowTaintCheck:
