@@ -26,6 +26,7 @@ from repro.trace.generator import (
     simulated_taint_program,
 )
 from repro.trace.program import TraceProgram
+from repro.verify.reference import ReferenceAddrCheck
 
 from .conftest import timing_asserts_enabled
 
@@ -96,17 +97,15 @@ def _best_of(fn, repeats=3):
 
 
 def test_optimized_addrcheck_beats_reference(timing_guard, alloc_program):
-    """The scanner/bitset fast path must outrun the per-instruction
-    reference implementation (timing-sensitive: skipped in CI)."""
+    """The scanner fast path must outrun the per-instruction reference
+    implementation (timing-sensitive: skipped in CI)."""
     partition = partition_fixed(alloc_program, 512)
 
-    def run(optimized):
-        ButterflyEngine(ButterflyAddrCheck(optimized=optimized)).run(
-            partition
-        )
+    def run(guard_class):
+        ButterflyEngine(guard_class()).run(partition)
 
-    reference = _best_of(lambda: run(False))
-    optimized = _best_of(lambda: run(True))
+    reference = _best_of(lambda: run(ReferenceAddrCheck))
+    optimized = _best_of(lambda: run(ButterflyAddrCheck))
     assert optimized < reference, (optimized, reference)
 
 

@@ -17,17 +17,15 @@ Zero false negatives (Theorem 6.1) holds because the valid orderings
 considered are a superset of real machine orderings; the price is false
 positives near epoch boundaries, which Figure 13 quantifies.
 
-Two implementations share this class, selected by ``optimized``:
-
-- ``optimized=True`` (default): the first pass runs as a picklable
-  :class:`AddrScanner` against a pre-computed LSOS view (so the engine
-  may fan blocks out across a backend), errors are recorded via the raw
-  tuple fast path, and the isolation check intersects the body with the
-  union of the wings' *change* sets only -- the one thing it reads.
-- ``optimized=False``: the per-instruction reference implementation,
-  the differential-testing oracle of the ``optref`` fuzz mode.
-
-Both produce identical reports and identical work counters.
+The first pass runs as a picklable :class:`AddrScanner` against a
+pre-computed LSOS view (so the engine may fan blocks out across a
+backend), errors are recorded via the raw tuple fast path, and the
+isolation check intersects the body with the union of the wings'
+*change* sets only -- the one thing it reads.  The per-instruction
+implementation this replaced lives on as the differential-testing
+oracle of the ``optref`` fuzz mode,
+:class:`repro.verify.reference.ReferenceAddrCheck`, with identical
+reports and identical work counters.
 """
 
 from __future__ import annotations
@@ -51,8 +49,8 @@ from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
-from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
-from repro.trace.events import Instr, Op
+from repro.lifeguards.reports import ErrorKind, ErrorLog
+from repro.trace.events import Op
 
 if HAVE_NUMPY:
     # Op-class lookup tables indexed by the uint8 op column: one fancy
@@ -117,21 +115,8 @@ class AddrSummary:
         return self.facts.block_id
 
 
-@dataclass
-class WingSummary:
-    """The meet of the wings: elementwise union of their summaries."""
-
-    gen: Set[int]
-    kill: Set[int]
-    access: Set[int]
-
-    @property
-    def changed(self) -> Set[int]:
-        return self.gen | self.kill
-
-
 class WingChanges(NamedTuple):
-    """Optimized-mode side-in: the union of the wings' GEN and KILL --
+    """The isolation check's side-in: the union of the wings' GEN and KILL --
     all the isolation check reads of them -- and the meet's element
     count, which the (pure) meet defers to the ordered commit."""
 
@@ -634,30 +619,25 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         of a location within one block are skipped, and the filter is
         conceptually flushed at every epoch boundary (filtering never
         crosses epochs).  An allocation-state change re-arms the check.
-    optimized:
-        Select the scanner/change-set fast path (default) or the
-        reference per-instruction implementation (see the module
-        docstring).
     use_columnar_kernel:
-        Kernel selection for the optimized first pass: ``None`` (auto,
+        Kernel selection for the first pass: ``None`` (auto,
         the default -- vectorize when numpy is available and the block
         is columnar-backed), ``True`` (always vectorize) or ``False``
         (always scan per-``Instr``).  See :class:`AddrScanner`.
     """
 
+    parallel_first_pass = True
+    parallel_second_pass = True
+
     def __init__(
         self,
         initially_allocated: Iterable[int] = (),
         use_idempotent_filter: bool = True,
-        optimized: bool = True,
         use_columnar_kernel: Optional[bool] = None,
     ) -> None:
         self.sos = SOSHistory(initial=initially_allocated)
         self.use_idempotent_filter = use_idempotent_filter
-        self.optimized = optimized
         self.use_columnar_kernel = use_columnar_kernel
-        self.parallel_first_pass = optimized
-        self.parallel_second_pass = optimized
         self.errors = ErrorLog()
         self._summaries: Dict[BlockId, AddrSummary] = {}
         #: Per resident epoch: location -> the one thread whose block
@@ -736,140 +716,22 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self._summaries[block_id] = summary
         return summary
 
-    def first_pass(self, block: Block) -> AddrSummary:
-        if self.optimized:
-            return super().first_pass(block)
-        return self._first_pass_reference(block)
-
-    def _first_pass_reference(self, block: Block) -> AddrSummary:
-        lid, tid = block.block_id
-        running = self._compute_lsos(lid, tid)
-        facts = BlockFacts(block_id=block.block_id)
-        summary = AddrSummary(facts=facts)
-        gen = facts.gen
-        all_gen = facts.all_gen
-        killed_vars = facts.killed_vars
-        last_event = facts.last_event
-        access = summary.access
-        first_change = summary.first_change
-        first_access = summary.first_access
-        # Idempotent-filter state: one filter per thread, flushed at
-        # every heartbeat -- i.e. per-block scope.
-        checked: Set[int] = set()
-        events = 0
-        checks = 0
-        accesses = 0
-        allocs = 0
-        flags_before = len(self.errors)
-        emit = self.recorder.enabled
-
-        for i, instr in enumerate(block.instrs):
-            events += 1
-            op = instr.op
-            if op is Op.MALLOC:
-                for loc in instr.extent:
-                    allocs += 1
-                    checked.discard(loc)
-                    if loc in running:
-                        if self.errors.flag(
-                            ErrorReport(
-                                ErrorKind.MALLOC_ALLOCATED,
-                                loc,
-                                ref=block.global_ref(i),
-                                detail=_DETAIL_MALLOC,
-                            )
-                        ) and emit:
-                            self._emit_first_pass_event(
-                                block, ErrorKind.MALLOC_ALLOCATED, loc, i
-                            )
-                    running.add(loc)
-                    gen.add(loc)
-                    all_gen.add(loc)
-                    last_event[loc] = "gen"
-                    first_change.setdefault(loc, i)
-            elif op is Op.FREE:
-                for loc in instr.extent:
-                    allocs += 1
-                    checked.discard(loc)
-                    if loc not in running:
-                        if self.errors.flag(
-                            ErrorReport(
-                                ErrorKind.FREE_UNALLOCATED,
-                                loc,
-                                ref=block.global_ref(i),
-                                detail=_DETAIL_FREE,
-                            )
-                        ) and emit:
-                            self._emit_first_pass_event(
-                                block, ErrorKind.FREE_UNALLOCATED, loc, i
-                            )
-                    running.discard(loc)
-                    killed_vars.add(loc)
-                    gen.discard(loc)
-                    last_event[loc] = "kill"
-                    first_change.setdefault(loc, i)
-            else:
-                for loc in instr.accessed:
-                    accesses += 1
-                    self.recorded_accesses += 1
-                    access.add(loc)
-                    first_access.setdefault(loc, i)
-                    if self.use_idempotent_filter and loc in checked:
-                        continue
-                    checked.add(loc)
-                    checks += 1
-                    if loc not in running:
-                        if self.errors.flag(
-                            ErrorReport(
-                                ErrorKind.ACCESS_UNALLOCATED,
-                                loc,
-                                ref=block.global_ref(i),
-                                detail=_DETAIL_ACCESS,
-                            )
-                        ) and emit:
-                            self._emit_first_pass_event(
-                                block, ErrorKind.ACCESS_UNALLOCATED, loc, i
-                            )
-        self.block_work[block.block_id] = {
-            "events": events,
-            "checks": checks,
-            "accesses": accesses,
-            "allocs": allocs,
-            "flags": len(self.errors) - flags_before,
-            "meet": 0,
-            "iso": 0,
-        }
-        self._summaries[block.block_id] = summary
-        return summary
-
     # -- step 2: meet (elementwise union of wing summaries) ----------------
 
     def meet(
         self, butterfly: Butterfly, wing_summaries: List[AddrSummary]
-    ) -> Any:
-        if self.optimized:
-            # The wings' ACCESS sets count as meet work (the paper's
-            # S = (GEN, KILL, ACCESS)) but no check reads their union,
-            # so only the change sets -- tens of locations -- are built.
-            changed: Set[int] = set()
-            work = 0
-            for s in wing_summaries:
-                f = s.facts
-                changed |= f.all_gen
-                changed |= f.killed_vars
-                work += len(f.all_gen) + len(f.killed_vars) + len(s.access)
-            return WingChanges(changed, work)
-        gen_set: Set[int] = set()
-        kill_set: Set[int] = set()
-        access_set: Set[int] = set()
+    ) -> WingChanges:
+        # The wings' ACCESS sets count as meet work (the paper's
+        # S = (GEN, KILL, ACCESS)) but no check reads their union, so
+        # only the change sets -- tens of locations -- are built.
+        changed: Set[int] = set()
         work = 0
         for s in wing_summaries:
-            gen_set |= s.gen
-            kill_set |= s.kill
-            access_set |= s.access
-            work += len(s.gen) + len(s.kill) + len(s.access)
-        self.block_work[butterfly.body.block_id]["meet"] += work
-        return WingSummary(gen=gen_set, kill=kill_set, access=access_set)
+            f = s.facts
+            changed |= f.all_gen
+            changed |= f.killed_vars
+            work += len(f.all_gen) + len(f.killed_vars) + len(s.access)
+        return WingChanges(changed, work)
 
     # -- step 3: isolation check -------------------------------------------
 
@@ -902,8 +764,8 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         emit = rec.enabled
         flags = 0
         # Sorted location order: set order is hash-dependent; sorting
-        # makes the report order a function of the trace alone, so the
-        # optimized and reference paths are bit-identical (the fuzz
+        # makes the report order a function of the trace alone, so this
+        # class and the reference one are bit-identical (the fuzz
         # harness's optref mode diffs them report-for-report).
         for loc in sorted(change_hits):
             if errors.record(
@@ -938,30 +800,12 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         )
         work["meet"] += side_in.meet_work
 
-    def _emit_first_pass_event(
-        self, block: Block, kind: ErrorKind, loc: int, i: int
-    ) -> None:
-        """Provenance event for a freshly flagged first-pass error
-        (reference mode; optimized mode emits from :meth:`commit_scan`)."""
-        lid, tid = block.block_id
-        self.recorder.event(
-            "error",
-            kind=kind.value,
-            location=loc,
-            epoch=lid,
-            thread=tid,
-            index=i,
-            ref=list(block.global_ref(i)),
-            stage="first",
-            wing=None,
-        )
-
     def _wing_with_change(
         self, butterfly: Butterfly, loc: int
     ) -> Optional[BlockId]:
         """Provenance: the first wing block whose GEN/KILL involves
         ``loc`` -- the concurrent state change the isolation flag is
-        blaming.  Set-based so optimized and reference mode attribute
+        blaming.  Set-based so the reference class attributes
         identically."""
         for wing in butterfly.wings:
             s = self._summaries.get(wing.block_id)
@@ -988,63 +832,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             stage="second",
             wing=list(wing) if wing is not None else None,
         )
-
-    def second_pass(self, butterfly: Butterfly, side_in: Any) -> None:
-        """Flag every location where the body's allocation-state changes
-        collide with concurrent wing operations (and vice versa for the
-        body's accesses against wing state changes)."""
-        if self.optimized:
-            super().second_pass(butterfly, side_in)
-            return
-        self._second_pass_reference(butterfly, side_in)
-
-    def _second_pass_reference(
-        self, butterfly: Butterfly, side_in: WingSummary
-    ) -> None:
-        body = butterfly.body
-        s = self._summaries[body.block_id]
-        flags_before = len(self.errors)
-        emit = self.recorder.enabled
-        changed = s.gen | s.kill
-        wing_changed = side_in.changed
-        # Sorted location order, matching the optimized path: raw set
-        # intersection order is hash-dependent, and a multi-location
-        # extent would flag its locations in an arbitrary order.
-        # (s.GEN U s.KILL) n (S.GEN U S.KILL): racing state changes.
-        for loc in sorted(changed & wing_changed):
-            if self.errors.flag(
-                ErrorReport(
-                    ErrorKind.UNSAFE_ISOLATION,
-                    loc,
-                    ref=body.global_ref(s.first_change[loc]),
-                    block=body.block_id,
-                    detail=_DETAIL_CHANGE_RACE,
-                )
-            ) and emit:
-                self._emit_isolation_event(
-                    butterfly, loc, s.first_change[loc]
-                )
-        # s.ACCESS n (S.GEN U S.KILL): access during a concurrent change.
-        for loc in sorted(s.access & wing_changed):
-            if self.errors.flag(
-                ErrorReport(
-                    ErrorKind.UNSAFE_ISOLATION,
-                    loc,
-                    ref=body.global_ref(s.first_access[loc]),
-                    block=body.block_id,
-                    detail=_DETAIL_ACCESS_RACE,
-                )
-            ) and emit:
-                self._emit_isolation_event(
-                    butterfly, loc, s.first_access[loc]
-                )
-        # S.ACCESS n (s.GEN U s.KILL) is caught symmetrically when each
-        # wing block is processed as its own butterfly's body (the wing
-        # relation is symmetric), so flagging it here would only
-        # duplicate reports.
-        work = self.block_work[body.block_id]
-        work["flags"] += len(self.errors) - flags_before
-        work["iso"] += len(changed) + len(s.access)
 
     # -- step 4: epoch summary and SOS update --------------------------------
 

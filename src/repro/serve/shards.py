@@ -66,13 +66,17 @@ from repro.serve.protocol import build_report, checkpoint_meta
 SHARD_BACKEND_CHOICES = ("thread", "process")
 
 
-def make_guard(lifeguard: str, preallocated) -> Any:
-    """Lifeguard factory shared by the daemon, workers, and offline CLI."""
+def make_guard(lifeguard: str, preallocated, **ablation: Any) -> Any:
+    """Lifeguard factory shared by the daemon, workers, offline CLI and
+    the differential harness (the only caller passing ``ablation``:
+    constructor arguments such as a forced kernel or a precision knob)."""
     if lifeguard == "addrcheck":
-        return ButterflyAddrCheck(initially_allocated=preallocated)
+        return ButterflyAddrCheck(initially_allocated=preallocated, **ablation)
     if lifeguard == "taintcheck":
-        return ButterflyTaintCheck()
-    return ButterflyRaceCheck()
+        return ButterflyTaintCheck(**ablation)
+    if lifeguard == "race":
+        return ButterflyRaceCheck(**ablation)
+    raise ReproError(f"unknown lifeguard {lifeguard!r}")
 
 
 def stream_checkpoint_path(

@@ -16,9 +16,10 @@ that ends it.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.verify.generator import AdversarialCaseGenerator
@@ -98,10 +99,10 @@ def run_fuzz(
         checks_run=harness.checks_run,
         skipped=harness.skipped,
     )
-    guard_ctx = apply_mutant(mutant) if mutant else _null_context()
+    guard_ctx = apply_mutant(mutant) if mutant else contextlib.nullcontext()
     started = time.monotonic()
-    # ``finally: harness.close()`` tears down the shared serve daemon
-    # the serve pair may have started (no-op otherwise).
+    # Leaving ``harness`` tears down the shared serve daemons the serve
+    # deliveries may have started (no-op otherwise).
     with guard_ctx, harness:
         trial = 0
         while True:
@@ -201,11 +202,3 @@ def _handle_disagreement(
         original_instructions=case.total_instructions,
         shrunk_instructions=shrunk.total_instructions,
     )
-
-
-class _null_context:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        pass

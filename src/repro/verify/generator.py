@@ -36,9 +36,6 @@ FAMILIES = (
     "taint_chain",
 )
 
-#: Lifeguard families a case can target.
-LIFEGUARDS = ("addrcheck", "taintcheck")
-
 
 @dataclass(frozen=True)
 class TraceCase:

@@ -1,68 +1,17 @@
-"""The differential harness: every execution mode must agree.
+"""The differential harness: every way of running a case must agree.
 
-Ten mode pairs (:data:`MODE_NAMES`), each an independent equivalence
-the paper (or this codebase's own contracts) promises:
-
-``orderings``
-    Butterfly lifeguard vs. the sequential lifeguard over *every*
-    enumerated valid ordering -- the zero-false-negative invariant
-    (Theorems 6.1/6.2).  Exponential, so it only runs on cases whose
-    instruction count fits ``oracle_budget``.
-``optref``
-    Optimized (scanner/bitset) AddrCheck vs. the per-instruction
-    reference implementation: bit-identical error reports.  TaintCheck
-    pairs the precise configurations against their conservative
-    ablations (sc vs. relaxed, two-phase vs. whole-window): the precise
-    side must never flag something the conservative side misses.
-``backends``
-    Serial vs. threads execution: identical errors, stats, and
-    normalized event logs (the ordered-commit determinism contract).
-``faults``
-    Supervised execution under deterministic crash/corrupt injection
-    vs. a fault-free serial run: identical errors and stats (the
-    resilience layer's exactly-once contract).
-``resume``
-    Checkpoint at an epoch boundary, abandon, resume -- vs. an
-    uninterrupted run: identical errors, stats, and the truncated
-    interrupted log + resumed log must equal the uninterrupted log
-    after normalization.
-``stream``
-    The bounded-memory streaming pipeline vs. the materialized run:
-    the case is round-tripped through an epoch-major (version 2)
-    stream file and fed to the engine one epoch at a time; errors,
-    stats, and normalized event logs must be bit-identical, and the
-    engine's resident window must respect the three-epoch bound.
-``columnar``
-    Columnar-backed blocks -- and the vectorized scan kernels both
-    AddrCheck and TaintCheck select on them -- vs. object-backed
-    blocks with the per-``Instr`` kernel forced, on serial and
-    concurrent backends: errors, stats and normalized event logs must
-    be bit-identical.  This doubles as a losslessness proof of the
-    columnar round trip, since the object side materializes
-    ``block.instrs`` from the columns.
-``serve``
-    The ``repro serve`` daemon vs. the offline streaming pipeline: the
-    case is written as a version 2 stream file, pushed over a Unix
-    socket to a shared in-process daemon, and the daemon's end-of-
-    stream report (errors, work counters, window peak) must be
-    bit-identical to what ``run_source`` computes over the same file.
-``serve_process``
-    The same proof against a daemon running process shards
-    (``shard_backend="process"``): the engine lives in a worker
-    process and every epoch crosses a pipe as raw column bytes, and
-    the report must still match the offline pipeline bit for bit.
-    The transport, framing, queueing, and shard hand-off must be
-    invisible in every output.
-``adaptive``
-    An adaptive-epoch daemon (fold factor pinned at 3) vs. an offline
-    replay of the boundary stream its REPORT recorded: the engine's
-    online coalescing is only trustworthy if re-cutting the same trace
-    at the recorded boundaries (``ExplicitHeartbeat``) reproduces the
-    report bit for bit.
-
-Each check returns ``None`` on agreement (or when inapplicable) and a
-human-readable diagnosis string on disagreement; the diagnosis string
-doubles as the shrinker's predicate signal.
+A run is a :class:`Point` -- one value on each of the four :data:`AXES`
+(representation x delivery x executor x cut) -- executed by the one
+:meth:`DifferentialHarness.run` and recorded as one :class:`Outcome`.
+A fuzz mode is a pair of points plus the outcome fields :func:`diff`
+compares: a row of :data:`PRESETS`, which is also where each mode is
+described -- so a new file format, executor or transport is an axis
+value and a table row, not a method.  The fault-free serial
+:data:`BASELINE` is run once per case and shared by every row that
+names it.  Two modes are subset relations, not equalities, and stay
+hand-written: ``orderings`` (zero false negatives against every valid
+ordering) and the TaintCheck half of ``optref`` (precision only ever
+removes flags).
 """
 
 from __future__ import annotations
@@ -71,18 +20,18 @@ import json
 import os
 import tempfile
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from itertools import zip_longest
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarBlock
-from repro.core.epoch import Block, EpochPartition, partition_from_boundaries
-from repro.core.framework import ButterflyEngine
+from repro.core.epoch import Block
+from repro.core.framework import ButterflyEngine, EngineStats
 from repro.core.ordering import all_valid_orderings
-from repro.core.stream import EpochSource
-from repro.errors import ReproError, ResilienceError
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.core.stream import PartitionSource
+from repro.errors import CheckpointError, ReproError, ResilienceError
 from repro.lifeguards.sequential import true_errors_under_any_ordering
-from repro.lifeguards.taintcheck import ButterflyTaintCheck
-from repro.obs.recorder import NULL_RECORDER, Recorder, normalize_events
+from repro.obs.recorder import Recorder, normalize_events
 from repro.resilience.checkpoint import Checkpointer, load_checkpoint
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import RetryPolicy, SupervisedBackend
@@ -94,106 +43,192 @@ from repro.serve import (
     make_hello,
     push_trace,
 )
-from repro.trace.serialize import iter_load, save_stream_file, stream_header
+from repro.trace.serialize import iter_load, save_stream_file
 from repro.verify.generator import TraceCase
+from repro.verify.reference import ReferenceAddrCheck
 
-#: The full mode-pair matrix, in the order ``repro fuzz`` reports it.
-MODE_NAMES = (
-    "orderings",
-    "optref",
-    "backends",
-    "faults",
-    "resume",
-    "stream",
-    "columnar",
-    "serve",
-    "serve_process",
-    "adaptive",
-)
+#: The axes of a run and the values :meth:`DifferentialHarness.run` accepts.
+AXES = {
+    # Per-Instr scan kernels forced | column-backed blocks, kernels on
+    # auto (vectorized under numpy, the pure-Python fallbacks without).
+    "representation": ("objects", "columns"),
+    # The in-memory partition | a round trip through a version 2 stream
+    # file | that file pushed to a shared ``repro serve`` daemon with
+    # thread shards, process shards, or adaptive folding (factor 3).
+    "delivery": (
+        "partition", "stream-file",
+        "serve-thread", "serve-process", "serve-adaptive",
+    ),
+    # pool: the harness's concurrent backend (threads by default), alone
+    # or under the retry supervisor with crash/corrupt injection.
+    "executor": ("serial", "pool", "supervised+faults"),
+    # Checkpoint, abandon mid-run, resume from the checkpoint file.
+    "cut": ("none", "kill-and-resume"),
+}
 
 
-class _ColumnarCaseSource(EpochSource):
+class Point(NamedTuple):
+    """One way of running a case: a value per axis of :data:`AXES`."""
+
+    representation: str = "objects"
+    delivery: str = "partition"
+    executor: str = "serial"
+    cut: str = "none"
+
+    def __str__(self) -> str:
+        return "×".join(self)
+
+
+#: The fault-free serial run over the in-memory partition.
+BASELINE = Point()
+
+
+class Preset(NamedTuple):
+    """A fuzz mode: ``left`` must equal every point of ``rights`` on
+    ``fields`` of their outcomes -- and every right side must keep its
+    resident window within the three-epoch bound."""
+
+    left: Point
+    rights: Tuple[Point, ...]
+    fields: Tuple[str, ...]
+    reference: bool = False  # the right side runs the reference lifeguard
+    #: The right side runs the case re-cut at the boundaries the left
+    #: side's report recorded.
+    recut: bool = False
+
+
+_LOGGED = ("errors", "stats", "events")
+
+#: The equivalence modes -- the one place each is described
+#: (``docs/verification.md`` mirrors this table).
+PRESETS: Dict[str, Preset] = {
+    # The production AddrCheck (scan kernels, change-set isolation
+    # check) vs. the per-instruction reference: bit-identical reports.
+    # TaintCheck cases run the precision relation instead; RaceCheck skips.
+    "optref": Preset(BASELINE, (BASELINE,), ("errors",), reference=True),
+    # Serial vs. the concurrent backend: identical errors, stats and
+    # normalized event logs (the ordered-commit determinism contract).
+    "backends": Preset(BASELINE, (Point(executor="pool"),), _LOGGED),
+    # Supervised execution under deterministic crash/corrupt injection
+    # vs. the fault-free run: identical errors and stats (exactly-once).
+    # A run whose faults exhaust the retry budget is skipped.
+    "faults": Preset(
+        BASELINE, (Point(executor="supervised+faults"),), ("errors", "stats")
+    ),
+    # Checkpoint at an epoch boundary, abandon, resume vs. uninterrupted:
+    # identical errors and stats, and the interrupted log up to the
+    # checkpoint + the resumed log is the uninterrupted log.  Skipped
+    # below two epochs or when no epoch committed before the stop.
+    "resume": Preset(BASELINE, (Point(cut="kill-and-resume"),), _LOGGED),
+    # The bounded-memory streaming pipeline fed from a round-tripped
+    # version 2 file vs. the materialized run.
+    "stream": Preset(BASELINE, (Point("columns", "stream-file"),), _LOGGED),
+    # Column-backed blocks and the kernels every lifeguard selects on
+    # them vs. object-backed blocks with the per-Instr kernels forced,
+    # serial and concurrent; also proves the columnar round trip lossless.
+    "columnar": Preset(
+        BASELINE, (Point("columns"), Point("columns", executor="pool")),
+        _LOGGED,
+    ),
+    # The daemon's end-of-stream REPORT (errors, work counters, window
+    # peak) vs. the report of the in-memory run: the file, the wire,
+    # framing, queueing and the shard hand-off are all invisible.
+    "serve": Preset(
+        BASELINE, (Point("columns", "serve-thread"),), ("report",)
+    ),
+    # The same under process shards: the engine lives in a worker
+    # process and every epoch crosses a pipe as raw column bytes.
+    "serve_process": Preset(
+        BASELINE, (Point("columns", "serve-process"),), ("report",)
+    ),
+    # An adaptive-epoch daemon vs. an offline run of the trace re-cut
+    # at the boundaries its REPORT recorded: online coalescing must be a
+    # deterministic re-partitioning, not a different analysis.
+    "adaptive": Preset(
+        Point("columns", "serve-adaptive"), (BASELINE,), ("report",),
+        recut=True,
+    ),
+}
+
+#: The full mode matrix, in the order ``repro fuzz`` reports it.
+MODE_NAMES = ("orderings",) + tuple(PRESETS)
+
+
+class Inapplicable(Exception):
+    """The case cannot exercise the run or mode: a skip, no disagreement."""
+
+
+@dataclass
+class Outcome:
+    """Everything one run produced that another run can be held to."""
+
+    name: str  # str(point), plus a note when the reference lifeguard ran
+    #: Error identities in report order, and the normalized event log:
+    #: both ``None`` over a serve delivery (the wire carries the report).
+    errors: Optional[List[Tuple]]
+    stats: EngineStats
+    events: Optional[List[Dict[str, Any]]]
+    window_high_water: int
+    report: Dict[str, Any]  # ``build_report``'s, minus its stream id
+
+
+def _outcome(name: str, report: Dict[str, Any], errors=None, events=None):
+    """An :class:`Outcome` around an end-of-stream ``report``."""
+    del report["stream"]
+    return Outcome(
+        name, errors, EngineStats(**report["stats"]), events,
+        report["window_high_water"], report,
+    )
+
+
+def diff(left: Outcome, right: Outcome, fields: Sequence[str]):
+    """The first of ``fields`` on which two outcomes differ, as a
+    diagnosis string -- ``None`` when they agree on all of them."""
+    for field in fields:
+        a, b = getattr(left, field), getattr(right, field)
+        if a is None or b is None:
+            raise ValueError(
+                f"{field!r} is not recorded by {left.name} and {right.name}"
+            )
+        if a != b:
+            return (
+                f"{left.name} and {right.name} differ in {field}: "
+                f"{_first_diff(a, b)}"
+            )
+    return None
+
+
+class Disagreement(NamedTuple):
+    """One surviving difference between two modes on one case."""
+
+    mode: str
+    case: TraceCase
+    detail: str
+
+
+class _ColumnarCaseSource(PartitionSource):
     """A case's partition re-backed by columnar blocks, as a source."""
 
-    def __init__(self, partition: EpochPartition) -> None:
-        self._partition = partition
-
-    @property
-    def num_threads(self) -> int:
-        return self._partition.num_threads
-
-    @property
-    def num_epochs(self) -> int:
-        return self._partition.num_epochs
-
-    @property
-    def preallocated(self) -> frozenset:
-        return frozenset(self._partition.program.preallocated)
-
     def epochs(self, start: int = 0):
-        for lid in range(start, self._partition.num_epochs):
+        for row in super().epochs(start):
             yield [
                 Block(
                     b.lid, b.tid, b.start,
                     columns=ColumnarBlock.from_instrs(b.instrs),
                 )
-                for b in self._partition.epoch_blocks(lid)
+                for b in row
             ]
 
 
-class Disagreement:
-    """One surviving difference between two modes on one case."""
-
-    def __init__(self, mode: str, case: TraceCase, detail: str) -> None:
-        self.mode = mode
-        self.case = case
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return f"Disagreement(mode={self.mode!r}, detail={self.detail!r})"
-
-
-def _guards_for(case: TraceCase, **kwargs):
-    if case.lifeguard == "addrcheck":
-        return ButterflyAddrCheck(
-            initially_allocated=case.preallocated, **kwargs
-        )
-    return ButterflyTaintCheck(**kwargs)
-
-
-def _run(
-    case: TraceCase,
-    guard,
-    backend="serial",
-    recorder: Recorder = NULL_RECORDER,
-):
-    partition = case.partition()
-    engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
-    try:
-        engine.run(partition)
-    finally:
-        engine.close()
-    return engine, partition
-
-
-def _identities(guard) -> List[Tuple]:
-    return [r.identity() for r in guard.errors]
-
-
-def _flag_sets(partition, guard):
+def _flag_sets(errors: List[Tuple]):
     """(ref, loc) flags plus block-granularity flagged locations."""
-    flags = set()
-    block_locs = set()
-    for r in guard.errors:
-        if r.ref is not None:
-            flags.add((r.ref, r.location))
-        if r.block is not None:
-            block_locs.add(r.location)
+    flags = {(ref, loc) for _, loc, ref, _ in errors if ref is not None}
+    block_locs = {loc for _, loc, _, block in errors if block is not None}
     return flags, block_locs
 
 
 class DifferentialHarness:
-    """Runs a :class:`TraceCase` through the mode-pair matrix."""
+    """Runs a :class:`TraceCase` through the mode matrix."""
 
     def __init__(
         self,
@@ -213,10 +248,13 @@ class DifferentialHarness:
         self.checks_run: Dict[str, int] = {m: 0 for m in MODE_NAMES}
         #: mode -> number of cases skipped as inapplicable.
         self.skipped: Dict[str, int] = {m: 0 for m in MODE_NAMES}
-        # The serve pairs' shared in-process daemons (one per shard
-        # backend), created lazily on first use, torn down by close().
-        self._serve_daemons: Dict[str, Any] = {}
-        self._serve_dir: Optional[tempfile.TemporaryDirectory] = None
+        # Outcomes of the case run_case() is on, shared by its modes.
+        self._memo: Optional[Dict[Tuple, Outcome]] = None
+        # One shared in-process daemon per serve delivery, and the
+        # directory of their sockets and each run's stream file and
+        # checkpoint: created lazily, torn down by close().
+        self._serve_daemons: Dict[str, ServerThread] = {}
+        self._scratch_dir: Optional[tempfile.TemporaryDirectory] = None
         self._serve_seq = 0
 
     def close(self) -> None:
@@ -224,9 +262,9 @@ class DifferentialHarness:
         for daemon in self._serve_daemons.values():
             daemon.stop()
         self._serve_daemons.clear()
-        if self._serve_dir is not None:
-            self._serve_dir.cleanup()
-            self._serve_dir = None
+        if self._scratch_dir is not None:
+            self._scratch_dir.cleanup()
+            self._scratch_dir = None
 
     def __enter__(self) -> "DifferentialHarness":
         return self
@@ -234,38 +272,251 @@ class DifferentialHarness:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- driving --------------------------------------------------------
-
     def run_case(self, case: TraceCase) -> List[Disagreement]:
-        out = []
-        for mode in self.modes:
-            detail = self.check(case, mode)
-            if detail is not None:
-                out.append(Disagreement(mode, case, detail))
-        return out
+        self._memo = {}
+        try:
+            details = [(mode, self.check(case, mode)) for mode in self.modes]
+        finally:
+            self._memo = None
+        return [Disagreement(m, case, d) for m, d in details if d is not None]
 
     def check(self, case: TraceCase, mode: str) -> Optional[str]:
-        """Run one mode pair; ``None`` means agreement or inapplicable."""
-        checker = getattr(self, f"check_{mode}")
-        detail = checker(case)
-        if detail is _SKIPPED:
+        """Run one mode: ``None`` on agreement (or when inapplicable), a
+        human-readable diagnosis on disagreement -- which doubles as the
+        shrinker's predicate signal."""
+        try:
+            if case.lifeguard == "race" and mode in ("orderings", "optref"):
+                raise Inapplicable("RaceCheck has no oracle or reference")
+            if mode == "orderings":
+                detail = self._check_orderings(case)
+            elif mode == "optref" and case.lifeguard != "addrcheck":
+                detail = self._check_taint_precision(case)
+            else:
+                detail = self._check_preset(case, PRESETS[mode])
+        except Inapplicable:
             self.skipped[mode] += 1
             return None
         self.checks_run[mode] += 1
         return detail
 
-    # -- mode pairs -----------------------------------------------------
+    def _check_preset(self, case: TraceCase, preset: Preset) -> Optional[str]:
+        try:
+            left = self.run(case, preset.left)
+            for point in preset.rights:
+                if preset.recut:
+                    right = self._replay_recorded_cuts(case, left, point)
+                else:
+                    right = self.run(case, point, reference=preset.reference)
+                detail = diff(left, right, preset.fields)
+                if detail is not None:
+                    return detail
+                if right.window_high_water > 3 * case.num_threads:
+                    return (
+                        f"{right.name} violated the 3-epoch window bound: "
+                        f"peak {right.window_high_water} resident summaries"
+                    )
+        except ReproError as exc:
+            # A daemon refusing a valid push, recorded cuts that do not
+            # partition the trace, an engine invariant tripping.
+            return f"run failed: {type(exc).__name__}: {exc}"
+        return None
 
-    def check_orderings(self, case: TraceCase) -> Optional[str]:
-        """Zero false negatives over every enumerated valid ordering.
+    def _replay_recorded_cuts(self, case, served: Outcome, point) -> Outcome:
+        """``point`` over the case re-cut at the boundaries ``served``
+        recorded, reported in the producer's terms (its row count)."""
+        cuts = served.report.get("boundaries")
+        if cuts is None:
+            raise ReproError(f"{served.name} recorded no boundaries")
+        recut = replace(case, boundaries=tuple(tuple(c) for c in cuts))
+        replay = self.run(recut, point)
+        report = dict(
+            replay.report,
+            epochs=case.num_epochs,
+            boundaries=[list(c) for c in recut.partition().boundaries],
+        )
+        return replace(replay, report=report)
 
-        The oracle side runs through the prefix-memoized enumerator
-        (consecutive orderings replay only their divergent suffix), so
-        the exponential sweep stays off the fuzz campaign's critical
-        path.
+    def run(
+        self, case: TraceCase, point: Point = BASELINE,
+        reference: bool = False, **ablation: Any,
+    ) -> Outcome:
+        """Run ``case`` at ``point`` and record what came out.
+
+        ``reference`` swaps in the paper-faithful reference lifeguard;
+        ``ablation`` goes to the lifeguard's constructor.  Raises
+        :class:`Inapplicable` when the case cannot exercise the point,
+        ``ValueError`` for a point no code path realizes."""
+        if any(v not in AXES[axis] for axis, v in zip(Point._fields, point)):
+            raise ValueError(f"{point} is off the axes; choose from {AXES}")
+        key = (case, point, reference, tuple(sorted(ablation.items())))
+        memo = self._memo
+        if memo is not None and key in memo:
+            return memo[key]
+        if point.delivery.startswith("serve-"):
+            if (point, reference, ablation) != (
+                Point("columns", point.delivery), False, {}
+            ):
+                raise ValueError(
+                    f"{point}: a serve delivery runs the daemon's own "
+                    f"lifeguard (columns, kernels on auto), serially, uncut"
+                )
+            self._serve_seq += 1
+            report = push_trace(
+                self._serve_address(point.delivery), self._stream_file(case),
+                f"case-{self._serve_seq}", lifeguard=case.lifeguard,
+            )
+            outcome = _outcome(str(point), report)
+        else:
+            outcome = self._run_local(case, point, reference, ablation)
+        if memo is not None:
+            memo[key] = outcome
+        return outcome
+
+    def _scratch(self, name: str) -> str:
+        if self._scratch_dir is None:
+            self._scratch_dir = tempfile.TemporaryDirectory(
+                prefix="repro-verify-"
+            )
+        return os.path.join(self._scratch_dir.name, name)
+
+    def _stream_file(self, case: TraceCase) -> str:
+        path = self._scratch("case.stream.jsonl")
+        save_stream_file(case.partition(), path)
+        return path
+
+    def _backend(self, case: TraceCase, executor: str) -> Any:
+        if executor == "serial":
+            return "serial"
+        if executor == "pool":
+            return self.backend
+        # Every case carries the same campaign seed, so seeding the
+        # fault plan from it alone would roll identical fault dice for
+        # every trial; digest the case content so each trial sees its
+        # own crash/corrupt pattern (deterministically replayable).
+        seed = zlib.crc32(json.dumps(case.to_json(), sort_keys=True).encode())
+        return SupervisedBackend(
+            self.backend,
+            # Zero backoff: retry delays protect production pools, but
+            # here they only throttle the fuzz campaign's trial rate.
+            policy=RetryPolicy(
+                max_retries=4, task_timeout=10.0,
+                backoff_base=0.0, backoff_max=0.0,
+            ),
+            plan=FaultPlan(crash=0.2, corrupt=0.2, seed=seed),
+        )
+
+    def _run_local(
+        self, case: TraceCase, point: Point, reference: bool, ablation
+    ) -> Outcome:
+        """An engine in this process, fed per the delivery, executor
+        and cut axes."""
+        partition = case.partition()
+        num_epochs = partition.num_epochs
+        if point.delivery == "stream-file":
+            source = iter_load(self._stream_file(case))
+        elif point.representation == "columns":
+            source = _ColumnarCaseSource(partition)
+        else:
+            source = None  # the materialized partition itself
+        if point.representation == "objects" and case.lifeguard != "race":
+            # RaceCheck has one (per-Instr) kernel and nothing to force.
+            ablation = {"use_columnar_kernel": False, **ablation}
+        if not reference:
+            guard = make_guard(case.lifeguard, case.preallocated, **ablation)
+        elif case.lifeguard == "addrcheck":
+            guard = ReferenceAddrCheck(case.preallocated, **ablation)
+        else:
+            raise Inapplicable("only AddrCheck has a reference lifeguard")
+        recorder = Recorder()
+        backend = self._backend(case, point.executor)
+        try:
+            engine = ButterflyEngine(guard, backend, recorder)
+            if point.cut == "none":
+                _feed(engine, partition, source, range(num_epochs))
+                events = recorder.events
+            else:
+                if num_epochs < 2:
+                    raise Inapplicable("a single epoch has no cut point")
+                path = self._scratch("run.ckpt")
+                if os.path.exists(path):
+                    os.remove(path)
+                engine.enable_checkpoints(
+                    Checkpointer(path, every=2 if num_epochs >= 4 else 1)
+                )
+                # Feed through epoch ``num_epochs // 2``, then abandon
+                # (the CLI's --stop-after-epoch drill, in-process).
+                stop = max(1, num_epochs // 2) + 1
+                _feed(engine, partition, source, range(stop), finish=False)
+                if not os.path.exists(path):
+                    raise Inapplicable("no epoch committed before the stop")
+                checkpoint = load_checkpoint(path)
+                events = [
+                    e for e in recorder.events
+                    if e["seq"] <= checkpoint.events_emitted
+                ]
+                guard = checkpoint.analysis
+                recorder = Recorder()
+                engine = ButterflyEngine(guard, backend, recorder)
+                _feed(
+                    engine, partition, source,
+                    range(checkpoint.next_epoch, num_epochs), checkpoint,
+                )
+                events += recorder.events
+        except ResilienceError as exc:
+            if isinstance(exc, CheckpointError):
+                raise
+            # The injected faults exhausted the retry budget and the
+            # supervisor gave up: its documented contract, no divergence.
+            raise Inapplicable("faults exhausted the retries") from None
+        finally:
+            if isinstance(backend, SupervisedBackend):
+                backend.close()
+        hello = make_hello(
+            "", case.num_threads, num_epochs, case.preallocated, case.lifeguard
+        )
+        return _outcome(
+            f"{point} (reference lifeguard)" if reference else str(point),
+            build_report("", hello, engine, guard),
+            [r.identity() for r in guard.errors],
+            normalize_events(events),
+        )
+
+    def _serve_address(self, delivery: str):
+        """The shared in-process daemon's address, starting it lazily.
+
+        One daemon per serve delivery serves the whole campaign (a
+        thread, an event loop and a shard pool per case would dominate
+        the fuzz rate); every push uses a fresh stream id.  Checkpoints
+        stay off: each push is one complete delivery.  The adaptive
+        daemon pins the fold factor (min == max) so the recorded cuts
+        depend on the case alone -- a shrink must replay them exactly.
         """
+        daemon = self._serve_daemons.get(delivery)
+        if daemon is None:
+            config = ServeConfig(
+                unix_path=self._scratch(f"{delivery}.sock"),
+                queue_depth=2,
+                shard_backend=(
+                    "process" if delivery == "serve-process" else "thread"
+                ),
+            )
+            if delivery == "serve-adaptive":
+                config = replace(
+                    config, adaptive_epoch=True, slo_min_fold=3, slo_max_fold=3
+                )
+            daemon = ServerThread(config)
+            daemon.start()
+            self._serve_daemons[delivery] = daemon
+        return daemon.address
+
+    def _check_orderings(self, case: TraceCase) -> Optional[str]:
+        """Zero false negatives over every enumerated valid ordering
+        (Theorems 6.1/6.2).  Exponential, so only cases within
+        ``oracle_budget`` instructions run it; the oracle side uses the
+        prefix-memoized enumerator (consecutive orderings replay only
+        their divergent suffix)."""
         if case.total_instructions > self.oracle_budget:
-            return _SKIPPED
+            raise Inapplicable("case exceeds the oracle budget")
         partition = case.partition()
         truth = true_errors_under_any_ordering(
             None,
@@ -280,14 +531,9 @@ class DifferentialHarness:
         }
         # Exact per-event coverage needs the idempotent filter off; the
         # filtered variant still must cover every erroneous location.
-        precise = (
-            {"use_idempotent_filter": False}
-            if case.lifeguard == "addrcheck"
-            else {}
-        )
-        guard = _guards_for(case, **precise)
-        _run(case, guard)
-        flags, block_locs = _flag_sets(partition, guard)
+        filter_off = {"use_idempotent_filter": False}
+        precise = filter_off if case.lifeguard == "addrcheck" else {}
+        flags, block_locs = _flag_sets(self.run(case, **precise).errors)
         for ref, loc in sorted(oracle):
             if (ref, loc) not in flags and loc not in block_locs:
                 return (
@@ -295,9 +541,7 @@ class DifferentialHarness:
                     f"reports under some valid ordering: ref={ref} loc={loc}"
                 )
         if case.lifeguard == "addrcheck":
-            filtered = _guards_for(case)
-            _run(case, filtered)
-            f_flags, f_blocks = _flag_sets(partition, filtered)
+            f_flags, f_blocks = _flag_sets(self.run(case).errors)
             flagged_locs = {loc for _, loc in f_flags} | f_blocks
             for ref, loc in sorted(oracle):
                 if loc not in flagged_locs:
@@ -307,36 +551,17 @@ class DifferentialHarness:
                     )
         return None
 
-    def check_optref(self, case: TraceCase) -> Optional[str]:
-        """Optimized vs. reference / precise vs. conservative ablation."""
-        if case.lifeguard == "addrcheck":
-            opt = _guards_for(case, optimized=True)
-            ref = _guards_for(case, optimized=False)
-            _run(case, opt)
-            _run(case, ref)
-            a, b = _identities(opt), _identities(ref)
-            if a != b:
-                return (
-                    f"optimized AddrCheck reported {len(a)} error(s), "
-                    f"reference reported {len(b)}; first diff: "
-                    f"{_first_diff(a, b)}"
-                )
-            return None
-        # TaintCheck: the precise configuration must never flag an event
-        # its conservative ablation misses (precision only ever removes
-        # false positives, never adds flags).
-        partition = case.partition()
+    def _check_taint_precision(self, case: TraceCase) -> Optional[str]:
+        """TaintCheck's half of ``optref``: a precise configuration must
+        never flag an event its conservative ablation misses (precision
+        only ever removes false positives, never adds flags)."""
         for precise_kw, loose_kw, name in (
             ({"mode": "sc"}, {"mode": "relaxed"}, "sc vs relaxed"),
             ({"two_phase": True}, {"two_phase": False},
              "two-phase vs whole-window"),
         ):
-            precise = _guards_for(case, **precise_kw)
-            loose = _guards_for(case, **loose_kw)
-            _run(case, precise)
-            _run(case, loose)
-            p_flags, p_blocks = _flag_sets(partition, precise)
-            l_flags, l_blocks = _flag_sets(partition, loose)
+            p_flags, _ = _flag_sets(self.run(case, **precise_kw).errors)
+            l_flags, l_blocks = _flag_sets(self.run(case, **loose_kw).errors)
             extra = {
                 (ref, loc)
                 for ref, loc in p_flags
@@ -350,415 +575,42 @@ class DifferentialHarness:
                 )
         return None
 
-    def check_backends(self, case: TraceCase) -> Optional[str]:
-        """Serial vs. concurrent backend: bit-identical results."""
-        runs = {}
-        for backend in ("serial", self.backend):
-            guard = _guards_for(case)
-            rec = Recorder()
-            engine, _ = _run(case, guard, backend=backend, recorder=rec)
-            runs[backend] = (
-                _identities(guard),
-                engine.stats,
-                normalize_events(rec.events),
-            )
-        serial, concurrent = runs["serial"], runs[self.backend]
-        if serial[0] != concurrent[0]:
-            return (
-                f"backend divergence in errors: serial={len(serial[0])} "
-                f"{self.backend}={len(concurrent[0])}; first diff: "
-                f"{_first_diff(serial[0], concurrent[0])}"
-            )
-        if serial[1] != concurrent[1]:
-            return (
-                f"backend divergence in stats: serial={serial[1]} "
-                f"{self.backend}={concurrent[1]}"
-            )
-        if serial[2] != concurrent[2]:
-            return (
-                "backend divergence in normalized event logs: "
-                f"{_first_diff(serial[2], concurrent[2])}"
-            )
-        return None
 
-    def check_faults(self, case: TraceCase) -> Optional[str]:
-        """Fault-injected supervised run vs. fault-free serial run."""
-        clean = _guards_for(case)
-        clean_engine, _ = _run(case, clean)
-        # Every case carries the same campaign seed, so seeding the
-        # fault plan from it alone would roll identical fault dice for
-        # every trial; digest the case content so each trial sees its
-        # own crash/corrupt pattern (deterministically replayable).
-        fault_seed = zlib.crc32(
-            json.dumps(case.to_json(), sort_keys=True).encode()
-        )
-        plan = FaultPlan(crash=0.2, corrupt=0.2, seed=fault_seed)
-        backend = SupervisedBackend(
-            self.backend,
-            # Zero backoff: retry delays protect production pools, but
-            # here they only throttle the fuzz campaign's trial rate.
-            policy=RetryPolicy(
-                max_retries=4, task_timeout=10.0,
-                backoff_base=0.0, backoff_max=0.0,
-            ),
-            plan=plan,
-        )
-        faulted = _guards_for(case)
-        try:
-            faulted_engine, _ = _run(case, faulted, backend=backend)
-        except ResilienceError:
-            # The injected faults exhausted the retry budget and the
-            # supervisor gave up -- its documented contract, not a
-            # divergence.  The pair is inapplicable for this case.
-            return _SKIPPED
-        finally:
-            backend.close()
-        if _identities(clean) != _identities(faulted):
-            return (
-                "fault-injected run diverged in errors: "
-                f"{_first_diff(_identities(clean), _identities(faulted))}"
-            )
-        if clean_engine.stats != faulted_engine.stats:
-            return (
-                f"fault-injected run diverged in stats: "
-                f"clean={clean_engine.stats} faulted={faulted_engine.stats}"
-            )
-        return None
+def _feed(engine, partition, source, rows, checkpoint=None, finish=True):
+    """Feed epochs ``rows`` of the partition -- read through ``source``
+    unless it is ``None`` -- into a fresh engine, first restoring
+    ``checkpoint`` when resuming; ``finish=False`` abandons the run."""
+    resumed = checkpoint is not None
+    try:
+        if source is None:
+            engine.attach(partition, resumed=resumed)
+            blocks = map(partition.epoch_blocks, rows)
+        else:
+            engine.attach_source(source, resumed=resumed)
+            blocks = source.epochs(rows.start)
+        if resumed:
+            checkpoint.restore_into(engine)
+        for lid, row in zip(rows, blocks):
+            engine.feed_blocks(lid, row)
+        if finish:
+            engine.finish()
+    finally:
+        engine.close()
 
-    def check_resume(self, case: TraceCase) -> Optional[str]:
-        """Checkpoint/abandon/resume vs. uninterrupted, including logs."""
-        partition = case.partition()
-        num_epochs = partition.num_epochs
-        if num_epochs < 2:
-            return _SKIPPED
-        stop_after = max(1, num_epochs // 2)
-        every = 2 if num_epochs >= 4 else 1
 
-        # Uninterrupted reference run.
-        full_guard = _guards_for(case)
-        full_rec = Recorder()
-        full_engine, _ = _run(case, full_guard, recorder=full_rec)
-
-        with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-            path = os.path.join(tmp, "run.ckpt")
-            # Interrupted run: feed through epoch ``stop_after``, then
-            # abandon (the CLI's --stop-after-epoch drill, in-process).
-            stopped_guard = _guards_for(case)
-            stopped_rec = Recorder()
-            engine = ButterflyEngine(stopped_guard, recorder=stopped_rec)
-            engine.enable_checkpoints(Checkpointer(path, every=every))
-            try:
-                engine.attach(partition)
-                for lid in range(stop_after + 1):
-                    engine.feed_epoch(lid)
-            finally:
-                engine.close()
-            if not os.path.exists(path):
-                return _SKIPPED  # no epoch committed before the stop
-            checkpoint = load_checkpoint(path)
-            boundary = checkpoint.events_emitted
-            prefix = [
-                e for e in stopped_rec.events if e["seq"] <= boundary
-            ]
-
-            # Resumed run around the checkpointed analysis.
-            resumed_guard = checkpoint.analysis
-            resumed_rec = Recorder()
-            engine = ButterflyEngine(resumed_guard, recorder=resumed_rec)
-            try:
-                engine.attach(partition, resumed=True)
-                checkpoint.restore_into(engine)
-                for lid in range(checkpoint.next_epoch, num_epochs):
-                    engine.feed_epoch(lid)
-                engine.finish()
-                resumed_stats = engine.stats
-            finally:
-                engine.close()
-
-        if _identities(full_guard) != _identities(resumed_guard):
-            return (
-                "resumed run diverged in errors: "
-                f"{_first_diff(_identities(full_guard), _identities(resumed_guard))}"
-            )
-        if full_engine.stats != resumed_stats:
-            return (
-                f"resumed run diverged in stats: full={full_engine.stats} "
-                f"resumed={resumed_stats}"
-            )
-        stitched = normalize_events(prefix + resumed_rec.events)
-        reference = normalize_events(full_rec.events)
-        if stitched != reference:
-            return (
-                "resumed event log is not the suffix of the uninterrupted "
-                f"log: stitched has {len(stitched)} events, uninterrupted "
-                f"has {len(reference)}; first diff: "
-                f"{_first_diff(stitched, reference)}"
-            )
-        return None
-
-    def check_stream(self, case: TraceCase) -> Optional[str]:
-        """Stream-vs-materialized: the bounded-memory pipeline must be
-        invisible in every output."""
-        mat_guard = _guards_for(case)
-        mat_rec = Recorder()
-        mat_engine, _ = _run(case, mat_guard, recorder=mat_rec)
-
-        stream_guard = _guards_for(case)
-        stream_rec = Recorder()
-        engine = ButterflyEngine(stream_guard, recorder=stream_rec)
-        with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-            path = os.path.join(tmp, "case.stream.jsonl")
-            save_stream_file(case.partition(), path)
-            try:
-                engine.run_source(iter_load(path))
-            finally:
-                engine.close()
-
-        if _identities(mat_guard) != _identities(stream_guard):
-            return (
-                "streamed run diverged in errors: "
-                f"{_first_diff(_identities(mat_guard), _identities(stream_guard))}"
-            )
-        if mat_engine.stats != engine.stats:
-            return (
-                f"streamed run diverged in stats: "
-                f"materialized={mat_engine.stats} streamed={engine.stats}"
-            )
-        mat_events = normalize_events(mat_rec.events)
-        stream_events = normalize_events(stream_rec.events)
-        if mat_events != stream_events:
-            return (
-                "streamed run diverged in normalized event logs: "
-                f"{_first_diff(mat_events, stream_events)}"
-            )
-        bound = 3 * case.num_threads
-        if engine.window_high_water > bound:
-            return (
-                f"streamed run violated the window bound: peak "
-                f"{engine.window_high_water} resident summaries > {bound}"
-            )
-        return None
-
-    def check_columnar(self, case: TraceCase) -> Optional[str]:
-        """Columnar-backed blocks (vector kernel) vs. object-backed
-        blocks (per-``Instr`` kernel), serial and concurrent."""
-        obj_guard = _guards_for(case, use_columnar_kernel=False)
-        obj_rec = Recorder()
-        obj_engine, _ = _run(case, obj_guard, recorder=obj_rec)
-        ref_ids = _identities(obj_guard)
-        ref_events = normalize_events(obj_rec.events)
-
-        for backend in ("serial", self.backend):
-            col_guard = _guards_for(case)
-            col_rec = Recorder()
-            engine = ButterflyEngine(
-                col_guard, backend=backend, recorder=col_rec
-            )
-            try:
-                engine.run_source(_ColumnarCaseSource(case.partition()))
-            finally:
-                engine.close()
-            if _identities(col_guard) != ref_ids:
+def _first_diff(a: Any, b: Any) -> str:
+    """Where two unequal values part ways: the first differing key of
+    two dicts or index of two lists, recursively."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if a.get(key) != b.get(key):
+                return f"{key!r}: {_first_diff(a.get(key), b.get(key))}"
+    if isinstance(a, list) and isinstance(b, list):
+        pairs = zip_longest(a, b, fillvalue="<missing>")
+        for i, (x, y) in enumerate(pairs):
+            if x != y:
                 return (
-                    f"columnar run ({backend}) diverged in errors: "
-                    f"{_first_diff(ref_ids, _identities(col_guard))}"
+                    f"{len(a)} vs {len(b)} entries; first diff at index "
+                    f"{i}: {x!r} != {y!r}"
                 )
-            if engine.stats != obj_engine.stats:
-                return (
-                    f"columnar run ({backend}) diverged in stats: "
-                    f"object={obj_engine.stats} columnar={engine.stats}"
-                )
-            col_events = normalize_events(col_rec.events)
-            if col_events != ref_events:
-                return (
-                    f"columnar run ({backend}) diverged in normalized "
-                    f"event logs: {_first_diff(ref_events, col_events)}"
-                )
-        return None
-
-    def _serve_address(
-        self, shard_backend: str = "thread", adaptive: bool = False
-    ):
-        """The shared in-process daemon's address, starting it lazily.
-
-        One daemon per shard backend (plus one adaptive-epoch daemon)
-        serves the whole campaign (the cost of a thread, an event
-        loop, and a shard pool per case would dominate the fuzz rate);
-        every case pushes under a fresh stream id, so sessions never
-        collide.  Checkpointing stays off -- each push is a complete
-        one-shot delivery and the resume pair has its own dedicated
-        tests.  The adaptive daemon pins the controller's fold factor
-        at 3 (min == max) so the recorded cut stream is a
-        deterministic function of the case -- shrinking a disagreement
-        must replay it exactly.
-        """
-        key = "adaptive" if adaptive else shard_backend
-        daemon = self._serve_daemons.get(key)
-        if daemon is None:
-            if self._serve_dir is None:
-                self._serve_dir = tempfile.TemporaryDirectory(
-                    prefix="repro-verify-serve-"
-                )
-            daemon = ServerThread(
-                ServeConfig(
-                    unix_path=os.path.join(
-                        self._serve_dir.name, f"serve-{key}.sock"
-                    ),
-                    queue_depth=2,
-                    shard_backend=shard_backend,
-                    adaptive_epoch=adaptive,
-                    slo_min_fold=3 if adaptive else 1,
-                    slo_max_fold=3 if adaptive else 64,
-                )
-            )
-            daemon.start()
-            self._serve_daemons[key] = daemon
-        return daemon.address
-
-    def check_serve(self, case: TraceCase) -> Optional[str]:
-        """Daemon-ingested stream vs. the offline streaming pipeline:
-        the wire must be invisible in the end-of-stream report."""
-        return self._check_serve(case, "thread")
-
-    def check_serve_process(self, case: TraceCase) -> Optional[str]:
-        """The same wire-invisibility proof under process shards: the
-        engine lives in a worker process, epochs cross a pipe as raw
-        column bytes, and the report must *still* be bit-identical to
-        the offline pipeline's."""
-        return self._check_serve(case, "process")
-
-    def _check_serve(
-        self, case: TraceCase, shard_backend: str
-    ) -> Optional[str]:
-        self._serve_seq += 1
-        stream_id = f"case-{shard_backend}-{self._serve_seq}"
-        with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-            path = os.path.join(tmp, "case.stream.jsonl")
-            save_stream_file(case.partition(), path)
-            with open(path) as fp:
-                header = stream_header(fp, path)
-
-            # Offline side: the exact pipeline `repro check --trace`
-            # runs, built from the file's own header so both sides see
-            # byte-identical inputs.
-            guard = make_guard(case.lifeguard, header["preallocated"])
-            engine = ButterflyEngine(guard)
-            try:
-                engine.run_source(iter_load(path))
-            finally:
-                engine.close()
-            hello = make_hello(
-                stream_id,
-                header["threads"],
-                header["epochs"],
-                header["preallocated"],
-                case.lifeguard,
-            )
-            offline = json.loads(
-                json.dumps(build_report(stream_id, hello, engine, guard))
-            )
-
-            try:
-                served = push_trace(
-                    self._serve_address(shard_backend),
-                    path,
-                    stream_id,
-                    lifeguard=case.lifeguard,
-                )
-            except ReproError as exc:
-                return f"serve push failed ({shard_backend} shards): {exc}"
-
-        if served != offline:
-            for key in sorted(set(served) | set(offline)):
-                if served.get(key) != offline.get(key):
-                    return (
-                        f"serve daemon diverged from offline run in "
-                        f"{key!r}: offline={offline.get(key)!r} "
-                        f"served={served.get(key)!r}"
-                    )
-        if served["window_high_water"] > served["window_bound"]:
-            return (
-                f"served stream violated the window bound: peak "
-                f"{served['window_high_water']} resident summaries > "
-                f"{served['window_bound']}"
-            )
-        return None
-
-    def check_adaptive(self, case: TraceCase) -> Optional[str]:
-        """Adaptive-epoch serve vs. an offline replay of its recorded
-        cuts.
-
-        The adaptive daemon coalesces producer epochs online and its
-        REPORT carries the per-thread boundary stream it *actually*
-        analyzed.  An offline engine run over exactly those cuts
-        (``partition_from_boundaries``) must reproduce the report bit
-        for bit -- the adaptive run is only trustworthy if it is a
-        deterministic re-partitioning, not a different analysis.
-        """
-        self._serve_seq += 1
-        stream_id = f"case-adaptive-{self._serve_seq}"
-        with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
-            path = os.path.join(tmp, "case.stream.jsonl")
-            save_stream_file(case.partition(), path)
-            with open(path) as fp:
-                header = stream_header(fp, path)
-            try:
-                served = push_trace(
-                    self._serve_address("thread", adaptive=True),
-                    path,
-                    stream_id,
-                    lifeguard=case.lifeguard,
-                )
-            except ReproError as exc:
-                return f"adaptive serve push failed: {exc}"
-        boundaries = served.get("boundaries")
-        if boundaries is None:
-            return "adaptive REPORT carried no recorded boundaries"
-        try:
-            replay = partition_from_boundaries(
-                case.program(), [list(cuts) for cuts in boundaries]
-            )
-        except ReproError as exc:
-            return (
-                f"recorded boundaries do not partition the trace: {exc}"
-            )
-        guard = make_guard(case.lifeguard, header["preallocated"])
-        engine = ButterflyEngine(guard)
-        try:
-            engine.run(replay)
-        finally:
-            engine.close()
-        hello = make_hello(
-            stream_id,
-            header["threads"],
-            header["epochs"],
-            header["preallocated"],
-            case.lifeguard,
-        )
-        offline = json.loads(json.dumps(build_report(
-            stream_id, hello, engine, guard,
-            boundaries=replay.boundaries,
-        )))
-        if served != offline:
-            for key in sorted(set(served) | set(offline)):
-                if served.get(key) != offline.get(key):
-                    return (
-                        f"adaptive serve diverged from the boundary "
-                        f"replay in {key!r}: "
-                        f"replay={offline.get(key)!r} "
-                        f"served={served.get(key)!r}"
-                    )
-        return None
-
-
-#: Sentinel a mode check returns when the case doesn't apply to it.
-_SKIPPED = "__skipped__"
-
-
-def _first_diff(a: List, b: List) -> str:
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else "<missing>"
-        y = b[i] if i < len(b) else "<missing>"
-        if x != y:
-            return f"at index {i}: {x!r} != {y!r}"
-    return "<equal>"
+    return f"{a!r} != {b!r}"

@@ -116,11 +116,68 @@ def stale_overlay() -> Iterator[None]:
         SOSView.__contains__ = orig
 
 
+@contextlib.contextmanager
+def reversed_commit() -> Iterator[None]:
+    """Commit fanned-out first-pass scans last thread first.
+
+    The bug an "apply results as they arrive" executor invites: the
+    scans themselves are pure, but their commits append to one error
+    log and one event log, so only ascending thread order reproduces
+    the serial schedule.  The serial path is left alone -- the
+    ``backends`` pair must see the two schedules part ways.
+    """
+    from repro.core.framework import ButterflyEngine
+
+    orig = ButterflyEngine._first_pass
+
+    def first_pass(self, analysis, blocks, scanner, recorder):
+        if scanner is not None:
+            blocks = blocks[::-1]
+        orig(self, analysis, blocks, scanner, recorder)
+
+    ButterflyEngine._first_pass = first_pass
+    try:
+        yield
+    finally:
+        ButterflyEngine._first_pass = orig
+
+
+@contextlib.contextmanager
+def lossy_decode() -> Iterator[None]:
+    """Drop every MALLOC/FREE ``size`` while decoding an epoch record.
+
+    ``decode_epoch_row`` is the one decoder behind both the version 2
+    file reader and the daemon's ``EPOCH`` frames, so a field it loses
+    is lost on every delivery but the in-memory partition: sized
+    extents shrink to one location.  ``stream`` and ``serve`` each have
+    a side that never went through it.
+    """
+    from repro.serve import server
+    from repro.trace import serialize
+
+    orig = serialize.decode_epoch_row
+
+    def decode(record, lid, num_threads, name, lineno):
+        if isinstance(record, dict) and isinstance(record.get("blocks"), list):
+            record = dict(record, blocks=[
+                [row[:3] + [1] for row in block] for block in record["blocks"]
+            ])
+        return orig(record, lid, num_threads, name, lineno)
+
+    serialize.decode_epoch_row = server.decode_epoch_row = decode
+    try:
+        yield
+    finally:
+        serialize.decode_epoch_row = server.decode_epoch_row = orig
+
+
 #: Registry used by ``repro fuzz --mutant`` and the self-tests.
 MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "resume-replay": resume_event_replay,
     "narrow-window": narrow_window,
     "stale-overlay": stale_overlay,
+    "reversed-commit": reversed_commit,
+    "lossy-decode": lossy_decode,
 }
 
 

@@ -16,11 +16,13 @@ from repro.core.framework import ButterflyEngine
 from repro.lifeguards.addrcheck import (
     AddrSummary,
     ButterflyAddrCheck,
+    WingChanges,
     _final_kills,
 )
 from repro.trace.events import Instr
 from repro.trace.generator import ColumnarAllocSource
 from repro.trace.program import TraceProgram
+from repro.verify.reference import ReferenceAddrCheck
 from repro.workloads import get_benchmark
 
 
@@ -242,7 +244,7 @@ class CheckedAddrCheck(ButterflyAddrCheck):
 
     def meet(self, butterfly, wing_summaries):
         side_in = super().meet(butterfly, wing_summaries)
-        if self.optimized:
+        if isinstance(side_in, WingChanges):
             masked = masked_meet(self._masks, wing_summaries)
             decode = self._loc_bits.decode
             assert set(decode(masked.gen | masked.kill)) == side_in.changed
@@ -272,8 +274,17 @@ class CheckedAddrCheck(ButterflyAddrCheck):
         ) + popcount(access_mask)
 
 
-def run_checked(program, h, **kwargs):
-    guard = CheckedAddrCheck(**kwargs)
+class CheckedReference(CheckedAddrCheck, ReferenceAddrCheck):
+    """The same assertions around the reference lifeguard's passes (its
+    whole-pass second pass never reaches ``check_body``)."""
+
+
+def checked(optimized, **kwargs):
+    return (CheckedAddrCheck if optimized else CheckedReference)(**kwargs)
+
+
+def run_checked(program, h, optimized=True, **kwargs):
+    guard = checked(optimized, **kwargs)
     ButterflyEngine(guard).run(partition_fixed(program, h))
     return guard
 
@@ -408,8 +419,8 @@ class TestLSOSAlgebra:
                 seed, num_threads=3, num_epochs=6, events_per_block=301,
                 num_locations=64, change_period=7, error_rate=0.02,
             )
-            guard = CheckedAddrCheck(
-                initially_allocated=source.preallocated, optimized=optimized
+            guard = checked(
+                optimized, initially_allocated=source.preallocated
             )
             ButterflyEngine(guard).run_source(source)
             assert len(guard.lsos_seen) == 18

@@ -29,6 +29,7 @@ from repro.trace.generator import (
     simulated_alloc_program,
     simulated_taint_program,
 )
+from repro.verify.reference import ReferenceAddrCheck
 
 THREADS = ThreadPoolBackend(max_workers=4)
 PROCESSES = ProcessPoolBackend(max_workers=2)
@@ -102,9 +103,8 @@ class TestAddrCheckDeterminism:
     )
     @settings(max_examples=20, deadline=None)
     def test_optimized_matches_reference(self, seed, threads, h, err):
-        """The bitset/scanner fast path reports exactly the reference
-        implementation's errors (order may differ: bit-decode order vs
-        set iteration), work counters, and state."""
+        """The scanner fast path reports exactly the reference
+        implementation's errors, work counters, and state."""
         prog = simulated_alloc_program(
             random.Random(seed),
             num_threads=threads,
@@ -113,9 +113,9 @@ class TestAddrCheckDeterminism:
             inject_error_rate=err,
         )
         part = partition_by_global_order(prog, h)
-        ref = ButterflyAddrCheck(optimized=False)
+        ref = ReferenceAddrCheck()
         ref_stats = ButterflyEngine(ref).run(part)
-        opt = ButterflyAddrCheck(optimized=True)
+        opt = ButterflyAddrCheck()
         opt_stats = ButterflyEngine(opt).run(part)
         assert _stats_tuple(opt_stats) == _stats_tuple(ref_stats)
         assert set(_report_list(opt.errors)) == set(_report_list(ref.errors))
@@ -291,10 +291,9 @@ class TestObservabilityDeterminism:
     def test_optimized_reference_same_errors_and_epoch_counts(
         self, seed, threads, h, err
     ):
-        """Differential: the bitset fast path and the reference
-        implementation emit the same error *events* (unordered: decode
-        order vs set iteration) and identical per-epoch error counts in
-        ``epoch.summary``."""
+        """Differential: the scanner fast path and the reference
+        implementation emit the same error *events* and identical
+        per-epoch error counts in ``epoch.summary``."""
         prog = simulated_alloc_program(
             random.Random(seed),
             num_threads=threads,
@@ -305,7 +304,7 @@ class TestObservabilityDeterminism:
         logs = {}
         for optimized in (False, True):
             rec = Recorder()
-            guard = ButterflyAddrCheck(optimized=optimized)
+            guard = ButterflyAddrCheck() if optimized else ReferenceAddrCheck()
             with ButterflyEngine(guard, recorder=rec) as engine:
                 stats = engine.run(partition_by_global_order(prog, h))
             logs[optimized] = normalize_events(rec.events)

@@ -33,6 +33,7 @@ from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.obs import Recorder
 from repro.trace.events import Op
 from repro.trace.generator import random_program
+from repro.verify.reference import ReferenceAddrCheck
 
 ADDR_OPS = (Op.MALLOC, Op.FREE, Op.READ, Op.WRITE, Op.NOP)
 TAINT_OPS = (Op.TAINT, Op.UNTAINT, Op.ASSIGN, Op.JUMP, Op.NOP)
@@ -153,11 +154,11 @@ class TestAddrCheckProvenance:
             )
 
         opt = error_events(
-            ButterflyAddrCheck(optimized=True, use_idempotent_filter=False),
+            ButterflyAddrCheck(use_idempotent_filter=False),
             partition_fixed(prog, 2),
         )
         ref = error_events(
-            ButterflyAddrCheck(optimized=False, use_idempotent_filter=False),
+            ReferenceAddrCheck(use_idempotent_filter=False),
             part,
         )
         assert keyed(opt) == keyed(ref)

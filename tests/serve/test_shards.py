@@ -22,12 +22,13 @@ from repro.serve.protocol import (
     FRAME_END,
     FRAME_EPOCH,
     FRAME_ERROR,
+    LIFEGUARD_CHOICES,
     encode_frame,
     encode_json_frame,
     make_hello,
     resume_token,
 )
-from repro.serve.shards import build_stream_engine, make_shards
+from repro.serve.shards import build_stream_engine, make_guard, make_shards
 
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_resume import wait_for_checkpoint
@@ -45,6 +46,15 @@ def test_unknown_shard_backend_rejected():
         ReproServer(ServeConfig(shard_backend="greenlet"))
     with pytest.raises(ReproError, match="unknown shard backend"):
         make_shards("greenlet", 2)
+
+
+def test_make_guard_builds_every_choice_and_nothing_else():
+    for name in LIFEGUARD_CHOICES:
+        guard = make_guard(name, frozenset({7}))
+        assert name.replace("check", "") in type(guard).__name__.lower()
+    # A typo used to come back as a RaceCheck.
+    with pytest.raises(ReproError, match="unknown lifeguard 'racecheck'"):
+        make_guard("racecheck", frozenset())
 
 
 def test_build_stream_engine_fresh():

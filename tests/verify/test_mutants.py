@@ -25,6 +25,25 @@ from repro.verify import (
 )
 
 
+def assert_replays_only_under(mutant, artifact):
+    """The artifact agrees on the shipped code and still disagrees with
+    the mutant active -- by the mode name it was written under."""
+    case, mode, _ = load_repro(artifact)
+    with DifferentialHarness() as harness:
+        assert harness.check(case, mode) is None
+        with apply_mutant(mutant):
+            assert harness.check(case, mode) is not None
+
+
+def assert_found_and_shrunk(report, mode, mutant):
+    assert not report.ok
+    finding = report.findings[0]
+    assert finding.mode == mode
+    # The acceptance bar: the shrunk repro is tiny.
+    assert finding.shrunk_instructions <= 8
+    assert_replays_only_under(mutant, finding.artifact)
+
+
 class TestResumeReplayMutant:
     """Reverting the resume event-log dedup fix must be caught."""
 
@@ -54,13 +73,9 @@ class TestResumeReplayMutant:
             failures_dir=str(tmp_path),
             mutant="resume-replay",
         )
-        case, mode, _ = load_repro(report.findings[0].artifact)
-        harness = DifferentialHarness()
-        # Fixed code: the minimal repro agrees again.
-        assert harness.check(case, mode) is None
-        # Mutant active: the same artifact still disagrees.
-        with apply_mutant("resume-replay"):
-            assert harness.check(case, mode) is not None
+        assert_replays_only_under(
+            "resume-replay", report.findings[0].artifact
+        )
 
 
 class TestNarrowWindowMutant:
@@ -108,15 +123,51 @@ class TestStaleOverlayMutant:
             failures_dir=str(tmp_path),
             mutant="stale-overlay",
         )
-        assert not report.ok
-        finding = report.findings[0]
-        assert finding.mode == mode
-        assert finding.shrunk_instructions <= 8
-        case, _, _ = load_repro(finding.artifact)
-        harness = DifferentialHarness()
-        assert harness.check(case, mode) is None
-        with apply_mutant("stale-overlay"):
-            assert harness.check(case, mode) is not None
+        assert_found_and_shrunk(report, mode, "stale-overlay")
+
+    def test_an_artifact_the_previous_harness_wrote_replays_by_mode_name(
+        self
+    ):
+        # Written by the commit before the harness was rebuilt around
+        # axes (format version 1, diagnosis in that harness's wording).
+        artifact = os.path.join(
+            os.path.dirname(__file__), "data", "optref-seed4-trial0.json"
+        )
+        _, mode, detail = load_repro(artifact)
+        assert mode == "optref" and detail.startswith("optimized AddrCheck")
+        assert_replays_only_under("stale-overlay", artifact)
+
+
+class TestReversedCommitMutant:
+    """The executor axis: fanned-out scans committed last thread first
+    leave the error and event logs in another order than the serial
+    schedule's."""
+
+    def test_backends_catches_the_reordered_commit(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("backends",),
+            failures_dir=str(tmp_path),
+            mutant="reversed-commit",
+        )
+        assert_found_and_shrunk(report, "backends", "reversed-commit")
+
+
+class TestLossyDecodeMutant:
+    """The delivery axis: a decoder that drops MALLOC/FREE sizes is
+    wrong on the file and on the wire, and right nowhere else."""
+
+    @pytest.mark.parametrize("mode", ["stream", "serve"])
+    def test_mode_catches_the_dropped_size(self, mode, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=(mode,),
+            failures_dir=str(tmp_path),
+            mutant="lossy-decode",
+        )
+        assert_found_and_shrunk(report, mode, "lossy-decode")
 
 
 class TestNarrowWindowTaintCheck:
@@ -164,6 +215,6 @@ class TestRegistry:
 
     def test_clean_code_passes_the_mutant_free_campaign(self, tmp_path):
         gen = AdversarialCaseGenerator(4)
-        harness = DifferentialHarness()
-        for i in range(6):
-            assert harness.run_case(gen.case(i)) == []
+        with DifferentialHarness() as harness:
+            for i in range(6):
+                assert harness.run_case(gen.case(i)) == []
