@@ -5,10 +5,12 @@ PYTHON ?= python
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# The numbers simplicity PRs quote: src/ size, CLI flags, config fields.
+# The numbers simplicity PRs quote: src/ size, CLI flags, the three
+# executor modules (ROADMAP: one executor), config fields.
 surface:
 	@printf 'src/ physical lines: '; find src -name '*.py' -print0 | xargs -0 cat | wc -l
 	@printf 'cli.py add_argument calls: '; grep -c add_argument src/repro/cli.py
+	@printf 'executor lines (core/parallel.py + resilience/supervisor.py + serve/shards.py): '; cat src/repro/core/parallel.py src/repro/resilience/supervisor.py src/repro/serve/shards.py | wc -l
 	@PYTHONPATH=src $(PYTHON) -c "import dataclasses as d; from repro.serve import ServeConfig; from repro.resilience import RetryPolicy; from repro.core.epoch import SloConfig; print('ServeConfig/RetryPolicy/SloConfig fields:', '/'.join(str(len(d.fields(c))) for c in (ServeConfig, RetryPolicy, SloConfig)))"
 
 # Benchmark-suite smoke run: correctness assertions only, timing

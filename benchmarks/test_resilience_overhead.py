@@ -1,27 +1,67 @@
-"""Fault-free supervision overhead budget (PR acceptance criterion).
+"""Fault-free supervision overhead budget.
 
-Wrapping a backend in :class:`~repro.resilience.SupervisedBackend` with
-no fault plan adds only a per-task decision lookup (which short-circuits
-when no plan is installed) and the ordered-collect bookkeeping, so a
-fault-free supervised serial run must stay within 2% of the bare serial
-run on the microbench-core workload.
+Every pooled backend is supervised (:class:`repro.core.parallel.PoolBackend`:
+ordered collect with a per-task timeout, result validation, retry and
+ladder bookkeeping), so the question is what that costs when nothing
+fails.  The yardstick is the loop it replaced, kept here as a
+test-local reference: submit every unit, ``result()`` in order, nothing
+else.  The merged pool must return the same results and stay within
+10% of that bare loop on the microbench-core workload (measured on a
+2-vCPU host: 1.01-1.06 threads, 1.02-1.08 processes).
+
+The guard this replaces budgeted 1.02 for a "supervised serial" backend
+against the bare serial one -- but the engine never fans out on a
+non-concurrent backend, so both sides ran the same code and the ratio
+measured only noise.
 
 This live interleaved ratio is the only measurement of supervision
-overhead: no ``benchmarks/e2e`` workload runs supervised.
+overhead: no ``benchmarks/e2e`` workload runs a pooled backend.
 
 Timing-sensitive: skipped under ``REPRO_CI=1``; on a live host the two
 configurations are measured interleaved so clock drift hits both.
 """
 
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+import pytest
 
 from repro.core.framework import ButterflyEngine
+from repro.core.parallel import ExecutionBackend, PoolBackend
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
-from repro.resilience import SupervisedBackend
 
-#: The acceptance budget: fault-free supervised-serial slowdown over
-#: bare serial.
-BUDGET = 1.02
+#: The acceptance budget: fault-free merged-pool slowdown over the bare
+#: submit-all / collect-in-order loop on the same executor type.
+BUDGET = 1.10
+
+WORKERS = 2
+
+
+def _apply(payload):
+    fn, args = payload
+    return fn(*args)
+
+
+class BareReferencePool(ExecutionBackend):
+    """The unsupervised loop the merged pool replaced: no timeout, no
+    validation, no retry, no telemetry."""
+
+    concurrent = True
+
+    def __init__(self, kind):
+        self.name = kind
+        self.shares_memory = kind == "threads"
+        self._executor = (
+            ThreadPoolExecutor(WORKERS) if kind == "threads"
+            else ProcessPoolExecutor(WORKERS)
+        )
+
+    def map_ordered(self, fn, items):
+        futures = [self._executor.submit(_apply, (fn, item)) for item in items]
+        return [future.result() for future in futures]
+
+    def close(self):
+        self._executor.shutdown(wait=True)
 
 
 def _interleaved_best(fns, repeats=14):
@@ -51,28 +91,32 @@ def _interleaved_best(fns, repeats=14):
     return best
 
 
-def test_fault_free_supervision_within_budget(timing_guard, core_partition):
-    def run_bare():
-        with ButterflyEngine(ButterflyAddrCheck()) as engine:
-            engine.run(core_partition)
+def _run(backend, partition):
+    guard = ButterflyAddrCheck()
+    stats = ButterflyEngine(guard, backend=backend).run(partition)
+    return stats, [(r.kind, r.location, r.ref, r.block) for r in guard.errors]
 
-    def run_supervised():
-        backend = SupervisedBackend("serial")
-        try:
-            with ButterflyEngine(
-                ButterflyAddrCheck(), backend=backend
-            ) as engine:
-                engine.run(core_partition)
-        finally:
-            backend.close()
 
-    # A single-digit-percent budget on wall clock can still lose to a
-    # burst of host noise; a genuine regression fails every re-measure,
-    # noise almost never fails three independent ones.
-    for attempt in range(3):
-        bare, supervised = _interleaved_best([run_bare, run_supervised])
-        if supervised <= bare * BUDGET:
-            return
+@pytest.mark.parametrize("kind", ["threads", "processes"])
+def test_fault_free_supervision_within_budget(
+    kind, timing_guard, core_partition
+):
+    # Both pools are built once and kept warm: the budget is on the
+    # fan-out loop, not on worker start-up.
+    with BareReferencePool(kind) as bare_pool, PoolBackend(
+        kind, WORKERS
+    ) as pool:
+        # A single-digit-percent budget on wall clock can still lose to
+        # a burst of host noise; a genuine regression fails every
+        # re-measure, noise almost never fails three independent ones.
+        for attempt in range(3):
+            bare, supervised = _interleaved_best([
+                lambda: _run(bare_pool, core_partition),
+                lambda: _run(pool, core_partition),
+            ])
+            if supervised <= bare * BUDGET:
+                break
+    print(f"\nsupervised / bare ({kind}): {supervised / bare:.3f}")
     assert supervised <= bare * BUDGET, (
         f"fault-free supervision too slow on 3 measurements: "
         f"{supervised * 1e3:.2f} ms vs {bare * 1e3:.2f} ms bare "
@@ -80,19 +124,15 @@ def test_fault_free_supervision_within_budget(timing_guard, core_partition):
     )
 
 
-def test_supervision_changes_no_results(core_partition):
-    """Supervision must be invisible: identical errors and stats."""
-    bare = ButterflyAddrCheck()
-    with ButterflyEngine(bare) as engine:
-        stats_bare = engine.run(core_partition)
-    guarded = ButterflyAddrCheck()
-    backend = SupervisedBackend("serial")
-    try:
-        with ButterflyEngine(guarded, backend=backend) as engine:
-            stats_sup = engine.run(core_partition)
-    finally:
-        backend.close()
-    assert stats_sup == stats_bare
-    assert [
-        (r.kind, r.location, r.ref, r.block) for r in guarded.errors
-    ] == [(r.kind, r.location, r.ref, r.block) for r in bare.errors]
+@pytest.mark.parametrize("kind", ["threads", "processes"])
+def test_supervision_changes_no_results(kind, core_partition):
+    """Supervision must be invisible: identical errors and stats to the
+    bare loop and to the serial reference schedule."""
+    with BareReferencePool(kind) as bare_pool, PoolBackend(
+        kind, WORKERS
+    ) as pool:
+        assert (
+            _run(pool, core_partition)
+            == _run(bare_pool, core_partition)
+            == _run("serial", core_partition)
+        )

@@ -42,7 +42,11 @@ from repro.bench.harness import ExperimentConfig, ExperimentSuite
 from repro.bench.reporting import render_table
 from repro.core.epoch import partition_auto, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
-from repro.core.parallel import BACKEND_CHOICES, ExecutionBackend
+from repro.core.parallel import (
+    BACKEND_CHOICES,
+    ExecutionBackend,
+    get_backend,
+)
 from repro.core.stream import EpochSource, PartitionSource
 from repro.core.tune import ORACLE_LIFEGUARDS, tune_workload
 from repro.errors import (
@@ -58,7 +62,6 @@ from repro.resilience import (
     Checkpointer,
     FaultPlan,
     RetryPolicy,
-    SupervisedBackend,
     load_checkpoint,
 )
 from repro.serve import (
@@ -122,36 +125,25 @@ def _finish_events(recorder: Recorder, args: argparse.Namespace) -> None:
 
 def _resolve_backend(
     args: argparse.Namespace, command: str
-) -> "tuple[Any, Optional[int]]":
+) -> "tuple[Optional[ExecutionBackend], Optional[int]]":
     """``--backend`` plus the resilience flags -> engine backend.
 
-    Plain runs return the backend *name* (the engine then owns the
-    pool); ``--supervised`` or ``--inject-faults`` return a constructed
-    :class:`SupervisedBackend` the caller must close via
-    :func:`_close_backend`.  Returns ``(None, exit_code)`` on a
-    malformed fault spec.
+    Returns a constructed backend the caller must ``close()`` (the
+    engine only owns backends it built from a name), or ``(None,
+    exit_code)`` on a malformed fault spec or compute faults aimed at
+    the serial backend, which has no fan-out to inject them into.
     """
-    plan = None
-    spec = getattr(args, "inject_faults", None)
-    if spec:
-        try:
-            plan = FaultPlan.parse(spec)
-        except ResilienceError as exc:
-            return None, _fail(command, str(exc))
-    if not getattr(args, "supervised", False) and plan is None:
-        return args.backend, None
-    policy = RetryPolicy(
-        max_retries=getattr(args, "retries", 3),
-        task_timeout=getattr(args, "task_timeout", 30.0),
-    )
-    return SupervisedBackend(args.backend, policy=policy, plan=plan), None
-
-
-def _close_backend(backend: Any) -> None:
-    """Close a backend the CLI constructed (the engine only owns
-    backends it built from a name)."""
-    if isinstance(backend, ExecutionBackend):
-        backend.close()
+    try:
+        plan = (
+            FaultPlan.parse(args.inject_faults)
+            if args.inject_faults else None
+        )
+        policy = RetryPolicy(
+            max_retries=args.retries, task_timeout=args.task_timeout
+        )
+        return get_backend(args.backend, policy=policy, plan=plan), None
+    except ResilienceError as exc:
+        return None, _fail(command, str(exc))
 
 
 def _sha256(path: str) -> str:
@@ -456,7 +448,7 @@ def _run_and_report(
         return _fail(command, str(exc))
     finally:
         engine.close()
-        _close_backend(backend)
+        backend.close()
     if finished:
         threads, lifeguard = meta["threads"], meta["lifeguard"]
         if program is not None:
@@ -616,7 +608,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 programs.append((path, load_file(path)))
             except OSError as exc:
-                _close_backend(backend)
+                backend.close()
                 return _fail("sweep", f"cannot read {path}: {exc}")
             except TraceError as exc:
                 if args.quarantine:
@@ -627,10 +619,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                     continue
-                _close_backend(backend)
+                backend.close()
                 return _fail("sweep", str(exc))
         if not programs:
-            _close_backend(backend)
+            backend.close()
             return _fail("sweep", "no readable trace files remain")
     else:
         programs.append((
@@ -672,7 +664,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ResilienceError as exc:
         return _fail("sweep", str(exc))
     finally:
-        _close_backend(backend)
+        backend.close()
     _finish_events(recorder, args)
     return 0
 
@@ -1010,7 +1002,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.serve:
         # The daemon builds its own per-stream engines; the CLI-level
         # backend object is unused on this path.
-        _close_backend(backend)
+        backend.close()
         rc = _run_stats_serve(args, recorder, partition)
         if rc is not None:
             return rc
@@ -1027,7 +1019,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         except ResilienceError as exc:
             return _fail("stats", str(exc))
         finally:
-            _close_backend(backend)
+            backend.close()
 
     snap = recorder.snapshot()
     via = " via serve daemon" if args.serve else ""
@@ -1086,20 +1078,16 @@ def _add_emit_events_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--supervised", action="store_true",
-        help="wrap the backend in the resilience supervisor "
-             "(per-task timeout, bounded retry, pool healing, "
-             "degradation ladder)",
-    )
-    parser.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic fault injection, e.g. "
              "'crash=0.05,hang=0.02,corrupt=0.05,seed=7' "
-             "(implies --supervised; see docs/robustness.md)",
+             "(needs --backend threads|processes; see "
+             "docs/robustness.md)",
     )
     parser.add_argument(
         "--retries", type=int, default=3,
-        help="max retries per work unit under supervision (default: 3)",
+        help="max retries per pooled work unit; 0 fails fast "
+             "(default: 3)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=30.0,

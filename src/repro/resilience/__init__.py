@@ -1,6 +1,7 @@
-"""Resilient execution: fault injection, supervised backends, and
+"""Resilient execution: fault injection, the supervision policy, and
 epoch-boundary checkpoint/resume.
 
+The supervised loop itself is :class:`repro.core.parallel.PoolBackend`.
 See ``docs/robustness.md`` for the fault model, retry/backoff defaults,
 the degradation ladder, and the checkpoint format.
 """
@@ -19,11 +20,7 @@ from repro.resilience.faults import (
     InjectedFault,
     result_is_valid,
 )
-from repro.resilience.supervisor import (
-    DEGRADATION_LADDER,
-    RetryPolicy,
-    SupervisedBackend,
-)
+from repro.resilience.supervisor import DEGRADATION_LADDER, RetryPolicy
 
 __all__ = [
     "Checkpoint",
@@ -34,7 +31,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "RetryPolicy",
-    "SupervisedBackend",
     "TRANSPORT_FAULT_KINDS",
     "load_checkpoint",
     "result_is_valid",

@@ -103,11 +103,17 @@ class InjectedFault(RuntimeError):
         self.key = key
         self.attempt = attempt
 
+    def __reduce__(self):
+        # Exceptions unpickle as ``cls(*args)`` and ``args`` is the
+        # message; without this a crash injected in a worker *process*
+        # fails to unpickle in the parent and breaks the whole pool.
+        return (type(self), (self.key, self.attempt))
+
 
 class CorruptedResult:
     """A detectably corrupted work-unit result.
 
-    Models a summary whose integrity check fails: the supervisor's
+    Models a summary whose integrity check fails: the pool's
     result validation rejects it and schedules a retry, exactly as a
     checksum mismatch would in a real monitor.
     """
@@ -123,7 +129,7 @@ class CorruptedResult:
 
 
 def result_is_valid(result: Any) -> bool:
-    """The supervisor's result validation hook."""
+    """The pool's result validation hook."""
     return not isinstance(result, CorruptedResult)
 
 
@@ -248,7 +254,7 @@ def faulted_apply(
 
     ``payload`` is ``(fn, args, plan, key, attempt, allow_kill)``.
     Module-level (and all-primitive-carrying) so it crosses the
-    process-pool boundary.  ``allow_kill`` is set by the supervisor only
+    process-pool boundary.  ``allow_kill`` is set by the pool only
     when the unit runs in a sacrificial worker process; elsewhere a
     ``kill`` decision downgrades to ``crash`` so injection never takes
     the coordinating process down.

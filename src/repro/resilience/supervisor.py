@@ -1,66 +1,22 @@
-"""Supervised execution: retries, timeouts, pool healing, degradation.
+"""Supervision policy: the knobs every pooled backend runs under.
 
-:class:`SupervisedBackend` wraps any
-:class:`~repro.core.parallel.ExecutionBackend` and makes its fan-out
-survive faults without changing results:
-
-- **per-task timeout** -- a work unit that hangs past
-  ``policy.task_timeout`` is abandoned (the pool is recycled so the
-  stuck worker cannot starve later batches) and retried;
-- **bounded retry** -- a unit that raises, or returns a corrupted
-  summary (see :func:`~repro.resilience.faults.result_is_valid`), is
-  re-executed up to ``policy.max_retries`` times with exponential
-  backoff and deterministic jitter;
-- **pool healing** -- ``BrokenProcessPool``/``BrokenThreadPool`` tears
-  the executor down and lazily builds a fresh one; in-flight units are
-  resubmitted;
-- **graceful degradation** -- after ``policy.degrade_after``
-  *consecutive* pool-level failures the backend steps down the ladder
-  ``processes -> threads -> serial`` mid-run.
-
-Work units on the fan-out path are *pure* by the engine's contract
-(the scan/commit split in :mod:`repro.core.framework`), so re-executing
-one is always safe, and because the supervisor still returns results in
-item order the engine's ordered commits -- and therefore error logs,
-``EngineStats``, and summaries -- stay bit-identical to a fault-free
-serial run.  The resilience property tests assert exactly that under
-injected crashes, hangs, kills, and corruptions.
-
-Every detected fault, retry, recycle, and degradation is logged through
-the attached :class:`~repro.obs.recorder.Recorder` as ``resilience.*``
-counters and events, with epoch/thread provenance recovered from the
-work unit itself when it carries a block.  Like ``backend.*``, the
-``resilience.*`` family is schedule/fault-dependent and is stripped by
-:func:`~repro.obs.recorder.normalize_events`.
+The supervised loop itself is :class:`repro.core.parallel.PoolBackend`
+-- there is no unsupervised pool and no wrapper around one -- so this
+module holds only what callers configure: :class:`RetryPolicy` and the
+:data:`DEGRADATION_LADDER` the pool steps down.  It imports nothing
+from :mod:`repro.core`, which is what lets the pool live there without
+an import cycle.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import BrokenExecutor, Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Optional
 
-from repro.core.parallel import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    _PooledBackend,
-    _apply,
-    get_backend,
-)
-from repro.errors import ResilienceError
-from repro.obs.recorder import NULL_RECORDER
-from repro.resilience.faults import (
-    FaultPlan,
-    _mix,
-    faulted_apply,
-    result_is_valid,
-)
+from repro.resilience.faults import _mix
 
-#: The degradation ladder, most to least capable.
+#: The degradation ladder, most to least capable.  The last rung is the
+#: pool running its units inline, in the calling thread.
 DEGRADATION_LADDER = ("processes", "threads", "serial")
 
 
@@ -68,10 +24,10 @@ DEGRADATION_LADDER = ("processes", "threads", "serial")
 class RetryPolicy:
     """Supervision knobs (defaults documented in docs/robustness.md)."""
 
-    #: Retries per task beyond its first execution.
+    #: Retries per task beyond its first execution (0 = fail fast).
     max_retries: int = 3
     #: Seconds to wait on one task's result before declaring it hung
-    #: (``None`` disables timeouts; serial execution never times out).
+    #: (``None`` disables timeouts; the inline rung never times out).
     task_timeout: Optional[float] = 30.0
     #: First retry delay in seconds; doubles (``backoff_factor``) per
     #: further retry of the same task, capped at ``backoff_max``.
@@ -94,392 +50,3 @@ class RetryPolicy:
         delay = min(delay, self.backoff_max)
         u = _mix(self.seed, batch, index, attempt) / float(1 << 64)
         return delay * (1.0 + self.jitter * u)
-
-
-class SupervisedBackend(ExecutionBackend):
-    """Fault-tolerant wrapper around any execution backend.
-
-    Parameters
-    ----------
-    inner:
-        The supervised backend: a name from
-        :data:`~repro.core.parallel.BACKEND_CHOICES` or an instance.
-        The supervisor *owns* its inner backend (it must be able to
-        tear it down and replace it), so do not share it.
-    policy:
-        Retry/timeout/degradation knobs.
-    plan:
-        Optional deterministic :class:`~repro.resilience.faults.FaultPlan`
-        injected into every work unit (testing/chaos mode).
-    """
-
-    def __init__(
-        self,
-        inner: Union[str, ExecutionBackend],
-        policy: Optional[RetryPolicy] = None,
-        plan: Optional[FaultPlan] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        self.inner = get_backend(inner, max_workers=max_workers)
-        self.policy = policy or RetryPolicy()
-        self.plan = plan
-        self.recorder = NULL_RECORDER
-        #: Fan-out capability is fixed at construction: the engine may
-        #: cache its scheduling decision, and degradation must never
-        #: widen the contract mid-run.
-        self.concurrent = self.inner.concurrent
-        self._batches = 0
-        self._consecutive_pool_failures = 0
-
-    # -- backend surface -------------------------------------------------
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"supervised:{self.inner.name}"
-
-    @property
-    def shares_memory(self) -> bool:  # type: ignore[override]
-        # Tracks the *current* rung: after processes -> threads the
-        # second pass may start fanning out (results are identical
-        # either way by the ordered-commit contract).
-        return self.inner.shares_memory
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def map_ordered(
-        self, fn: Callable[..., Any], items: Sequence[Tuple]
-    ) -> List[Any]:
-        self._batches += 1
-        batch = self._batches
-        rec = self.recorder
-        if rec.enabled:
-            rec.count("resilience.batches")
-            with rec.span(
-                "resilience.map", backend=self.name, tasks=len(items)
-            ):
-                return self._map(fn, items, batch)
-        return self._map(fn, items, batch)
-
-    # -- internals --------------------------------------------------------
-
-    def _map(
-        self, fn: Callable[..., Any], items: Sequence[Tuple], batch: int
-    ) -> List[Any]:
-        if isinstance(self.inner, _PooledBackend):
-            return self._map_pooled(fn, items, batch)
-        return [
-            self._run_inline(fn, item, batch, idx)
-            for idx, item in enumerate(items)
-        ]
-
-    def _submit(
-        self,
-        executor: Any,
-        fn: Callable[..., Any],
-        item: Tuple,
-        batch: int,
-        index: int,
-        attempt: int,
-    ) -> Future:
-        if self.plan is None:
-            return executor.submit(_apply, (fn, item))
-        allow_kill = isinstance(self.inner, ProcessPoolBackend)
-        return executor.submit(
-            faulted_apply,
-            (fn, item, self.plan, (batch, index), attempt, allow_kill),
-        )
-
-    def _submit_healthy(
-        self,
-        fn: Callable[..., Any],
-        item: Tuple,
-        batch: int,
-        index: int,
-        attempt: int,
-    ) -> Optional[Future]:
-        """Submit one task, healing the pool if submission itself hits a
-        broken executor.
-
-        A worker killed by a racing task can break the pool *between* a
-        collect and the next submit, so ``executor.submit`` may raise
-        ``BrokenExecutor`` at any submission site.  Each such incident
-        recycles the pool (and counts toward degradation); returns
-        ``None`` once the backend has degraded off the pooled ladder,
-        in which case the caller falls back to inline execution."""
-        while True:
-            inner = self.inner
-            if not isinstance(inner, _PooledBackend):
-                return None
-            try:
-                return self._submit(
-                    inner.executor, fn, item, batch, index, attempt
-                )
-            except BrokenExecutor:
-                self._pool_incident("broken")
-
-    def _map_pooled(
-        self, fn: Callable[..., Any], items: Sequence[Tuple], batch: int
-    ) -> List[Any]:
-        n = len(items)
-        results: List[Any] = [None] * n
-        attempts = [0] * n
-        futures: List[Optional[Future]] = [None] * n
-        self._resubmit(fn, items, batch, attempts, futures, 0)
-        idx = 0
-        while idx < n:
-            inner = self.inner
-            if not isinstance(inner, _PooledBackend):
-                # Degraded to serial mid-batch: finish the rest inline.
-                for j in range(idx, n):
-                    results[j] = self._run_inline(
-                        fn, items[j], batch, j, start_attempt=attempts[j]
-                    )
-                return results
-            future = futures[idx]
-            assert future is not None
-            item = items[idx]
-            try:
-                result = future.result(timeout=self.policy.task_timeout)
-            except FuturesTimeoutError:
-                self._note_fault("timeout", batch, idx, attempts[idx], item)
-                self._pool_incident("timeout")
-                attempts[idx] += 1
-                self._check_retries(batch, idx, attempts[idx], futures)
-                self._backoff(batch, idx, attempts[idx])
-                self._resubmit(fn, items, batch, attempts, futures, idx)
-                continue
-            except BrokenExecutor:
-                self._note_fault("pool", batch, idx, attempts[idx], item)
-                self._pool_incident("broken")
-                attempts[idx] += 1
-                self._check_retries(batch, idx, attempts[idx], futures)
-                self._backoff(batch, idx, attempts[idx])
-                self._resubmit(fn, items, batch, attempts, futures, idx)
-                continue
-            except Exception:
-                # Task-level failure: the pool is healthy, retry just
-                # this unit.
-                self._note_fault("crash", batch, idx, attempts[idx], item)
-                self._consecutive_pool_failures = 0
-                attempts[idx] += 1
-                self._check_retries(batch, idx, attempts[idx], futures)
-                self._backoff(batch, idx, attempts[idx])
-                futures[idx] = self._submit_healthy(
-                    fn, item, batch, idx, attempts[idx]
-                )
-                continue
-            if not result_is_valid(result):
-                self._note_fault("corrupt", batch, idx, attempts[idx], item)
-                self._consecutive_pool_failures = 0
-                attempts[idx] += 1
-                self._check_retries(batch, idx, attempts[idx], futures)
-                self._backoff(batch, idx, attempts[idx])
-                futures[idx] = self._submit_healthy(
-                    fn, item, batch, idx, attempts[idx]
-                )
-                continue
-            self._consecutive_pool_failures = 0
-            results[idx] = result
-            idx += 1
-        return results
-
-    def _resubmit(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Tuple],
-        batch: int,
-        attempts: List[int],
-        futures: List[Optional[Future]],
-        start: int,
-    ) -> None:
-        """(Re)submit every uncollected task from ``start`` on.
-
-        Completed, healthy futures are kept (their results are still
-        valid -- work units are pure and nothing has been committed),
-        so a pool recycle only re-runs what was actually lost.
-        """
-        for j in range(start, len(items)):
-            old = futures[j]
-            if (
-                old is not None
-                and old.done()
-                and not old.cancelled()
-                and old.exception() is None
-            ):
-                continue
-            future = self._submit_healthy(
-                fn, items[j], batch, j, attempts[j]
-            )
-            if future is None:
-                return  # degraded off the ladder; finished inline later
-            futures[j] = future
-
-    def _run_inline(
-        self,
-        fn: Callable[..., Any],
-        item: Tuple,
-        batch: int,
-        index: int,
-        start_attempt: int = 0,
-    ) -> Any:
-        """Serial execution with the same retry/validation contract.
-
-        No timeout is possible in the calling thread, so an injected
-        hang degrades to a stall of ``plan.hang_s`` -- the unit still
-        returns the correct result.
-        """
-        attempt = start_attempt
-        while True:
-            try:
-                if self.plan is None:
-                    result = fn(*item)
-                else:
-                    result = faulted_apply(
-                        (fn, item, self.plan, (batch, index), attempt, False)
-                    )
-            except Exception:
-                self._note_fault("crash", batch, index, attempt, item)
-            else:
-                if result_is_valid(result):
-                    return result
-                self._note_fault("corrupt", batch, index, attempt, item)
-            attempt += 1
-            self._check_retries(batch, index, attempt, None)
-            self._backoff(batch, index, attempt)
-
-    # -- fault bookkeeping -------------------------------------------------
-
-    def _pool_incident(self, reason: str) -> None:
-        """A pool-level failure: recycle the executor, maybe degrade."""
-        inner = self.inner
-        if isinstance(inner, _PooledBackend):
-            inner.discard()
-        rec = self.recorder
-        if rec.enabled:
-            rec.count("resilience.pool_recycles")
-            rec.event(
-                "resilience.pool.recycle",
-                backend=self.name,
-                reason=reason,
-            )
-        self._consecutive_pool_failures += 1
-        if self._consecutive_pool_failures >= self.policy.degrade_after:
-            self._degrade()
-
-    def _degrade(self) -> bool:
-        """Step down the ladder ``processes -> threads -> serial``."""
-        inner = self.inner
-        if isinstance(inner, ProcessPoolBackend):
-            replacement: ExecutionBackend = ThreadPoolBackend(
-                max_workers=inner.max_workers
-            )
-        elif isinstance(inner, ThreadPoolBackend):
-            replacement = SerialBackend()
-        else:
-            return False
-        if isinstance(inner, _PooledBackend):
-            inner.discard()
-        rec = self.recorder
-        if rec.enabled:
-            rec.count("resilience.degradations")
-            rec.event(
-                "resilience.degrade",
-                from_backend=inner.name,
-                to_backend=replacement.name,
-                after_failures=self._consecutive_pool_failures,
-            )
-        self.inner = replacement
-        self._consecutive_pool_failures = 0
-        return True
-
-    def _note_fault(
-        self,
-        kind: str,
-        batch: int,
-        index: int,
-        attempt: int,
-        item: Tuple,
-    ) -> None:
-        rec = self.recorder
-        if not rec.enabled:
-            return
-        rec.count("resilience.faults")
-        rec.count(f"resilience.faults.{kind}")
-        block_id = _block_provenance(item)
-        rec.event(
-            "resilience.fault",
-            kind=kind,
-            backend=self.name,
-            batch=batch,
-            task=index,
-            attempt=attempt,
-            epoch=block_id[0] if block_id else None,
-            thread=block_id[1] if block_id else None,
-        )
-
-    def _check_retries(
-        self,
-        batch: int,
-        index: int,
-        attempt: int,
-        futures: Optional[List[Optional[Future]]],
-    ) -> None:
-        if attempt <= self.policy.max_retries:
-            return
-        if futures is not None:
-            self._abort_batch(futures)
-        rec = self.recorder
-        if rec.enabled:
-            rec.event(
-                "resilience.giveup",
-                backend=self.name,
-                batch=batch,
-                task=index,
-                attempts=attempt,
-            )
-        raise ResilienceError(
-            f"task {index} of batch {batch} failed "
-            f"{attempt} times (max_retries={self.policy.max_retries})"
-        )
-
-    def _abort_batch(self, futures: List[Optional[Future]]) -> None:
-        """Cancel what we can and drop the pool so nothing leaks."""
-        for future in futures:
-            if future is not None:
-                future.cancel()
-        inner = self.inner
-        if isinstance(inner, _PooledBackend):
-            inner.discard()
-
-    def _backoff(self, batch: int, index: int, attempt: int) -> None:
-        delay = self.policy.delay_for(batch, index, attempt)
-        rec = self.recorder
-        if rec.enabled:
-            rec.count("resilience.retries")
-            rec.event(
-                "resilience.retry",
-                backend=self.name,
-                batch=batch,
-                task=index,
-                attempt=attempt,
-                delay_ms=round(delay * 1e3, 3),
-            )
-        if delay > 0:
-            time.sleep(delay)
-
-
-def _block_provenance(item: Tuple) -> Optional[Tuple[int, int]]:
-    """Best-effort ``(epoch, thread)`` of a work unit.
-
-    First-pass units are ``(block, context)``; second-pass units are
-    ``(butterfly, wings)``.  Anything else yields ``None``.
-    """
-    if not item:
-        return None
-    head = item[0]
-    block_id = getattr(head, "block_id", None)
-    if block_id is None:
-        body = getattr(head, "body", None)
-        block_id = getattr(body, "block_id", None)
-    return block_id

@@ -80,7 +80,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.shards import (
     SHARD_BACKEND_CHOICES,
-    StreamEngineHandle,
+    StreamHandle,
     make_guard,
     make_shards,
     stream_checkpoint_path,
@@ -225,7 +225,7 @@ class StreamSession:
         self.queue: "asyncio.Queue[Any]" = asyncio.Queue(
             maxsize=server.config.queue_depth
         )
-        self.engine: Optional[StreamEngineHandle] = None
+        self.engine: Optional[StreamHandle] = None
         self.shard_index = server.shard_index_for(self.stream_id)
         self.resume_epoch = 0
         self.next_epoch = 0

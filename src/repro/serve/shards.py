@@ -3,13 +3,16 @@
 A *shard* is the unit of analysis concurrency in ``repro serve``:
 streams hash onto shards, every ``feed``/``finish``/checkpoint call for
 a stream runs on its shard, and streams on different shards make
-progress independently.  This module provides two interchangeable shard
-implementations behind one async interface:
+progress independently.  A shard is a table of engines driven by one
+command dispatcher (:func:`_worker_dispatch`: open, feed, finish,
+report, checkpoint, close) on the shard's single dispatch thread; the
+two shard kinds differ only in where the table lives:
 
 ``thread`` (the default)
-    One single-thread executor per shard.  Engines live in the daemon
-    process; concurrency is bounded by the GIL, which is fine when
-    streams are I/O-bound or few.
+    The table lives in the daemon process and the dispatch thread runs
+    the commands itself -- a process shard without the pipe.
+    Concurrency is bounded by the GIL, which is fine when streams are
+    I/O-bound or few.
 
 ``process``
     One long-lived worker *process* per shard, owning its streams'
@@ -23,10 +26,11 @@ implementations behind one async interface:
     process keeps owning sockets, queues, backpressure, and the
     recorder.
 
-Both implementations expose per-stream :class:`StreamEngineHandle`
-objects with identical semantics: engines are built (or restored from
-the same on-disk checkpoints) by :func:`build_stream_engine`, feeds are
-atomic at epoch boundaries, and the end-of-stream report is produced by
+The event loop drives either kind through one per-stream
+:class:`StreamHandle`, so semantics cannot differ: engines are built
+(or restored from the same on-disk checkpoints) by
+:func:`build_stream_engine` on the shard, never on the loop; feeds are
+atomic at epoch boundaries; and the end-of-stream report is produced by
 the same :func:`~repro.serve.protocol.build_report` either way -- which
 is what lets the serve fuzz mode and the SIGKILL-resume drills assert
 bit-identical reports across shard backends.
@@ -124,10 +128,10 @@ def build_stream_engine(
 ) -> Tuple[ButterflyEngine, int]:
     """``(engine, resume_epoch)``: fresh, or restored from checkpoint.
 
-    The one engine-construction path for both shard backends -- thread
-    shards call it in the daemon process, process shards call it inside
-    the worker -- so resume semantics (fingerprint verification,
-    window restore, event-log numbering) cannot drift between them.
+    The one engine-construction path for both shard backends -- the
+    ``open`` command runs it wherever the shard keeps its engines -- so
+    resume semantics (fingerprint verification, window restore,
+    event-log numbering) cannot drift between them.
 
     ``adaptive`` (see :func:`adaptive_params`) gives the engine an
     :class:`~repro.core.epoch.EpochController`, so it coalesces
@@ -177,51 +181,116 @@ def build_stream_engine(
     return engine, engine.resume_position
 
 
-class StreamEngineHandle:
+# -- the shard surface ------------------------------------------------------
+
+
+def _worker_dispatch(
+    engines: Dict[str, ButterflyEngine],
+    command: str,
+    *args: Any,
+) -> Any:
+    """Execute one command against a shard's engine table."""
+    if command == "open":
+        (token, hello, checkpoint_dir, checkpoint_every, backend,
+         adaptive) = args
+        stale = engines.pop(token, None)
+        if stale is not None:
+            stale.close()
+        engines[token], resume_epoch = build_stream_engine(
+            hello, token, checkpoint_dir, checkpoint_every, backend,
+            adaptive=adaptive,
+        )
+        return resume_epoch
+    token = args[0]
+    engine = engines.get(token)
+    if engine is None:
+        # A process shard's worker was respawned after a crash and lost
+        # this engine; the session fails (resumably -- the checkpoint
+        # is on disk).
+        raise AnalysisError(
+            f"shard worker holds no engine for token {token!r} "
+            f"(worker restarted?); reconnect to resume"
+        )
+    if command == "feed":
+        _token, lid, row, queue_depth = args
+        return _feed_row(engine, lid, row, queue_depth)
+    if command == "finish":
+        engine.finish()
+        return None
+    if command == "report":
+        _token, stream_id, hello = args
+        return build_report(stream_id, hello, engine, engine.analysis)
+    if command == "checkpoint":
+        engine.checkpoint_now()
+        return None
+    if command == "close":
+        engine.close()
+        del engines[token]
+        return None
+    raise ReproError(f"unknown shard command {command!r}")
+
+
+class StreamHandle:
     """One stream's engine as seen from the event loop.
 
     The server never touches a :class:`ButterflyEngine` directly; it
-    drives this handle, and the shard decides where the engine actually
-    lives (same process for thread shards, a worker for process
-    shards).  All coroutines run their work off the loop -- on the
-    shard's single dispatch thread -- so per-stream epoch order and
-    per-shard serialization hold identically across backends.
+    drives this handle, which names the engine by its token in its
+    shard's table.  Every coroutine is one shard command, run off the
+    loop on the shard's single dispatch thread, so per-stream epoch
+    order and per-shard serialization hold identically across backends.
     """
 
-    #: The epoch the engine resumed from (0 for a fresh run).
-    resume_epoch: int = 0
-    #: Mirror of the engine's ``resume_position`` (producer rows) --
-    #: the coordinate ``ACK``/``ERROR`` frames advertise.
-    next_to_receive: int = 0
+    def __init__(self, shard: "_Shard", token: str, resume_epoch: int) -> None:
+        self._shard = shard
+        self._token = token
+        #: The epoch the engine resumed from (0 for a fresh run).
+        self.resume_epoch = resume_epoch
+        #: Mirror of the engine's ``resume_position`` (producer rows) --
+        #: the coordinate ``ACK``/``ERROR`` frames advertise.
+        self.next_to_receive = resume_epoch
+        self._closed = False
 
     async def feed(self, lid: int, row, queue_depth: int = 0) -> None:
         """Fold one epoch row.  ``queue_depth`` is the number of rows
         still queued behind this one -- the adaptive controller's
         backpressure signal; fixed engines ignore it."""
-        raise NotImplementedError
+        # The reply carries the engine's post-feed progress, so the
+        # loop-side mirror tracks rollbacks exactly: a failed feed
+        # raises and leaves next_to_receive at the epoch boundary.
+        self.next_to_receive = await self._shard.call(
+            "feed", self._token, lid, row, queue_depth
+        )
 
     async def finish(self) -> None:
-        raise NotImplementedError
+        await self._shard.call("finish", self._token)
 
     async def report(self, stream_id: str, hello: Dict[str, Any]) -> Dict:
-        raise NotImplementedError
+        return await self._shard.call(
+            "report", self._token, stream_id, hello
+        )
 
     async def save_checkpoint(self) -> None:
         """Force a snapshot now (no-op when checkpointing is off)."""
-        raise NotImplementedError
+        await self._shard.call("checkpoint", self._token)
 
     async def close(self) -> None:
         """Release the engine's resources (never raises)."""
-        raise NotImplementedError
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            await self._shard.call("close", self._token)
+        except Exception:
+            # A dead worker (or a shard already shut down) has nothing
+            # to close; resume covers it.
+            pass
 
 
-# -- thread shards -----------------------------------------------------------
+class _Shard:
+    """What the two shard kinds share: one dispatch thread, on which
+    :meth:`_call` runs each command to completion before the next."""
 
-
-class ThreadShard:
-    """A shard that is a single-thread executor in the daemon process."""
-
-    backend = "thread"
+    backend = "abstract"
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -229,67 +298,51 @@ class ThreadShard:
             max_workers=1, thread_name_prefix=f"repro-shard-{index}"
         )
 
-    async def _run(self, fn, *args: Any) -> Any:
+    def _call(self, command: str, *args: Any) -> Any:
+        """Run one :func:`_worker_dispatch` command (dispatch thread)."""
+        raise NotImplementedError
+
+    async def call(self, command: str, *args: Any) -> Any:
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
+        return await loop.run_in_executor(
+            self._executor, self._call, command, *args
+        )
 
     async def open_stream(
         self, hello: Dict[str, Any], token: str, config
-    ) -> "_ThreadStreamEngine":
-        # Engine construction (including checkpoint load) stays on the
-        # loop thread: it happens once per handshake and must finish
-        # before the ACK names the resume epoch.
-        engine, resume_epoch = build_stream_engine(
-            hello,
+    ) -> StreamHandle:
+        """Build (or restore) the stream's engine on the shard; it must
+        finish before the ACK names the resume epoch."""
+        resume_epoch = await self.call(
+            "open",
             token,
+            hello,
             config.checkpoint_dir,
             config.checkpoint_every,
             config.backend,
-            adaptive=adaptive_params(config),
+            adaptive_params(config),
         )
-        return _ThreadStreamEngine(self, engine, hello, token, resume_epoch)
+        return StreamHandle(self, token, resume_epoch)
+
+
+class ThreadShard(_Shard):
+    """A shard whose engine table lives in the daemon process: the
+    dispatch thread runs the commands itself."""
+
+    backend = "thread"
+
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
+        self._engines: Dict[str, ButterflyEngine] = {}
+
+    def _call(self, command: str, *args: Any) -> Any:
+        return _worker_dispatch(self._engines, command, *args)
 
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
-
-
-class _ThreadStreamEngine(StreamEngineHandle):
-    def __init__(
-        self,
-        shard: ThreadShard,
-        engine: ButterflyEngine,
-        hello: Dict[str, Any],
-        token: str,
-        resume_epoch: int,
-    ) -> None:
-        self._shard = shard
-        self._engine = engine
-        self._hello = hello
-        self._token = token
-        self.resume_epoch = resume_epoch
-
-    @property
-    def next_to_receive(self) -> int:
-        return self._engine.resume_position
-
-    async def feed(self, lid: int, row, queue_depth: int = 0) -> None:
-        await self._shard._run(
-            _feed_row, self._engine, lid, row, queue_depth
-        )
-
-    async def finish(self) -> None:
-        await self._shard._run(self._engine.finish)
-
-    async def report(self, stream_id: str, hello: Dict[str, Any]) -> Dict:
-        return build_report(
-            stream_id, hello, self._engine, self._engine.analysis
-        )
-
-    async def save_checkpoint(self) -> None:
-        await self._shard._run(self._engine.checkpoint_now)
-
-    async def close(self) -> None:
-        self._engine.close()
+        for engine in self._engines.values():
+            engine.close()
+        self._engines.clear()
 
 
 # -- process shards ----------------------------------------------------------
@@ -314,51 +367,6 @@ def _error_kind(exc: BaseException) -> str:
     if isinstance(exc, ReproError):
         return "repro"
     return "other"
-
-
-def _worker_dispatch(
-    engines: Dict[str, ButterflyEngine],
-    command: str,
-    *args: Any,
-) -> Any:
-    """Execute one command against the worker's engine table."""
-    if command == "open":
-        (token, hello, checkpoint_dir, checkpoint_every, backend,
-         adaptive) = args
-        stale = engines.pop(token, None)
-        if stale is not None:
-            stale.close()
-        engines[token], resume_epoch = build_stream_engine(
-            hello, token, checkpoint_dir, checkpoint_every, backend,
-            adaptive=adaptive,
-        )
-        return resume_epoch
-    token = args[0]
-    engine = engines.get(token)
-    if engine is None:
-        # The worker was respawned after a crash and lost this engine;
-        # the session fails (resumably -- the checkpoint is on disk).
-        raise AnalysisError(
-            f"shard worker holds no engine for token {token!r} "
-            f"(worker restarted?); reconnect to resume"
-        )
-    if command == "feed":
-        _token, lid, row, queue_depth = args
-        return _feed_row(engine, lid, row, queue_depth)
-    if command == "finish":
-        engine.finish()
-        return None
-    if command == "report":
-        _token, stream_id, hello = args
-        return build_report(stream_id, hello, engine, engine.analysis)
-    if command == "checkpoint":
-        engine.checkpoint_now()
-        return None
-    if command == "close":
-        engine.close()
-        del engines[token]
-        return None
-    raise ReproError(f"unknown shard command {command!r}")
 
 
 def _shard_worker_main(conn) -> None:
@@ -397,15 +405,15 @@ def _shard_worker_main(conn) -> None:
             pass
 
 
-class ProcessShard:
+class ProcessShard(_Shard):
     """A shard whose engines live in a long-lived worker process.
 
-    One dispatch thread per shard serializes pipe access (send a
-    command, block for the reply), preserving exactly the ordering the
-    thread shard's single executor gives.  The worker is spawned
-    lazily on first use -- a daemon with many shards but few streams
-    pays only for the workers it routes to -- and respawned if found
-    dead, with lost engines rebuilt from checkpoints on reconnect.
+    The dispatch thread serializes pipe access (send a command, block
+    for the reply), preserving exactly the ordering the thread shard's
+    in-process dispatch gives.  The worker is spawned lazily on first
+    use -- a daemon with many shards but few streams pays only for the
+    workers it routes to -- and respawned if found dead, with lost
+    engines rebuilt from checkpoints on reconnect.
     """
 
     backend = "process"
@@ -415,15 +423,10 @@ class ProcessShard:
     JOIN_TIMEOUT = 10.0
 
     def __init__(self, index: int) -> None:
-        self.index = index
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-shard-{index}"
-        )
+        super().__init__(index)
         self._ctx = multiprocessing.get_context("spawn")
         self._proc = None
         self._conn = None
-
-    # -- dispatch-thread side ------------------------------------------
 
     def _ensure_worker(self) -> None:
         if self._proc is not None and self._proc.is_alive():
@@ -488,28 +491,6 @@ class ProcessShard:
         self._proc = None
         self._conn = None
 
-    # -- loop side ------------------------------------------------------
-
-    async def call(self, command: str, *args: Any) -> Any:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, lambda: self._call(command, *args)
-        )
-
-    async def open_stream(
-        self, hello: Dict[str, Any], token: str, config
-    ) -> "_ProcessStreamEngine":
-        resume_epoch = await self.call(
-            "open",
-            token,
-            hello,
-            config.checkpoint_dir,
-            config.checkpoint_every,
-            config.backend,
-            adaptive_params(config),
-        )
-        return _ProcessStreamEngine(self, token, resume_epoch)
-
     def shutdown(self, wait: bool = True) -> None:
         if wait:
             self._executor.submit(self._stop_worker).result()
@@ -517,46 +498,6 @@ class ProcessShard:
         else:  # pragma: no cover - only the wait path is exercised
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._discard_worker()
-
-
-class _ProcessStreamEngine(StreamEngineHandle):
-    def __init__(
-        self, shard: ProcessShard, token: str, resume_epoch: int
-    ) -> None:
-        self._shard = shard
-        self._token = token
-        self.resume_epoch = resume_epoch
-        self.next_to_receive = resume_epoch
-        self._closed = False
-
-    async def feed(self, lid: int, row, queue_depth: int = 0) -> None:
-        # The reply carries the worker engine's post-feed progress, so
-        # the loop-side mirror tracks rollbacks exactly: a failed feed
-        # raises and leaves next_to_receive at the epoch boundary.
-        self.next_to_receive = await self._shard.call(
-            "feed", self._token, lid, row, queue_depth
-        )
-
-    async def finish(self) -> None:
-        await self._shard.call("finish", self._token)
-
-    async def report(self, stream_id: str, hello: Dict[str, Any]) -> Dict:
-        return await self._shard.call(
-            "report", self._token, stream_id, hello
-        )
-
-    async def save_checkpoint(self) -> None:
-        await self._shard.call("checkpoint", self._token)
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            await self._shard.call("close", self._token)
-        except Exception:
-            # A dead worker has nothing to close; resume covers it.
-            pass
 
 
 def make_shards(shard_backend: str, workers: int):

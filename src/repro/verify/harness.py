@@ -28,13 +28,14 @@ from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block
 from repro.core.framework import ButterflyEngine, EngineStats
 from repro.core.ordering import all_valid_orderings
+from repro.core.parallel import ExecutionBackend, get_backend
 from repro.core.stream import PartitionSource
 from repro.errors import CheckpointError, ReproError, ResilienceError
 from repro.lifeguards.sequential import true_errors_under_any_ordering
 from repro.obs.recorder import Recorder, normalize_events
 from repro.resilience.checkpoint import Checkpointer, load_checkpoint
 from repro.resilience.faults import FaultPlan
-from repro.resilience.supervisor import RetryPolicy, SupervisedBackend
+from repro.resilience.supervisor import RetryPolicy
 from repro.serve import (
     ServeConfig,
     ServerThread,
@@ -59,9 +60,9 @@ AXES = {
         "partition", "stream-file",
         "serve-thread", "serve-process", "serve-adaptive",
     ),
-    # pool: the harness's concurrent backend (threads by default), alone
-    # or under the retry supervisor with crash/corrupt injection.
-    "executor": ("serial", "pool", "supervised+faults"),
+    # pool: the harness's pooled backend (threads by default), alone or
+    # with deterministic crash/corrupt injection for it to recover from.
+    "executor": ("serial", "pool", "pool+faults"),
     # Checkpoint, abandon mid-run, resume from the checkpoint file.
     "cut": ("none", "kill-and-resume"),
 }
@@ -109,11 +110,11 @@ PRESETS: Dict[str, Preset] = {
     # Serial vs. the concurrent backend: identical errors, stats and
     # normalized event logs (the ordered-commit determinism contract).
     "backends": Preset(BASELINE, (Point(executor="pool"),), _LOGGED),
-    # Supervised execution under deterministic crash/corrupt injection
-    # vs. the fault-free run: identical errors and stats (exactly-once).
+    # The pool under deterministic crash/corrupt injection vs. the
+    # fault-free run: identical errors and stats (exactly-once).
     # A run whose faults exhaust the retry budget is skipped.
     "faults": Preset(
-        BASELINE, (Point(executor="supervised+faults"),), ("errors", "stats")
+        BASELINE, (Point(executor="pool+faults"),), ("errors", "stats")
     ),
     # Checkpoint at an epoch boundary, abandon, resume vs. uninterrupted:
     # identical errors and stats, and the interrupted log up to the
@@ -384,17 +385,17 @@ class DifferentialHarness:
         save_stream_file(case.partition(), path)
         return path
 
-    def _backend(self, case: TraceCase, executor: str) -> Any:
-        if executor == "serial":
-            return "serial"
-        if executor == "pool":
-            return self.backend
+    def _backend(self, case: TraceCase, executor: str) -> ExecutionBackend:
+        if executor != "pool+faults":
+            return get_backend(
+                "serial" if executor == "serial" else self.backend
+            )
         # Every case carries the same campaign seed, so seeding the
         # fault plan from it alone would roll identical fault dice for
         # every trial; digest the case content so each trial sees its
         # own crash/corrupt pattern (deterministically replayable).
         seed = zlib.crc32(json.dumps(case.to_json(), sort_keys=True).encode())
-        return SupervisedBackend(
+        return get_backend(
             self.backend,
             # Zero backoff: retry delays protect production pools, but
             # here they only throttle the fuzz campaign's trial rate.
@@ -463,14 +464,17 @@ class DifferentialHarness:
                 )
                 events += recorder.events
         except ResilienceError as exc:
-            if isinstance(exc, CheckpointError):
+            if (
+                isinstance(exc, CheckpointError)
+                or point.executor != "pool+faults"
+            ):
+                # A fault-free pool giving up is a finding, not a skip.
                 raise
             # The injected faults exhausted the retry budget and the
-            # supervisor gave up: its documented contract, no divergence.
+            # pool gave up: its documented contract, no divergence.
             raise Inapplicable("faults exhausted the retries") from None
         finally:
-            if isinstance(backend, SupervisedBackend):
-                backend.close()
+            backend.close()
         hello = make_hello(
             "", case.num_threads, num_epochs, case.preallocated, case.lifeguard
         )

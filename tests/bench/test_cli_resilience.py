@@ -9,6 +9,8 @@ results indistinguishable from an undisturbed run.
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.obs import read_events
 
@@ -198,7 +200,49 @@ class TestFaultInjectionCLI:
             + ["--backend", "threads", "--retries", "1",
                "--inject-faults", "crash=1.0"]
         ) == 2
-        assert "failed" in _one_line_error(capsys, "check")
+        # The diagnostic says why the unit kept failing, not just that
+        # it did (the cause used to be dropped).
+        message = _one_line_error(capsys, "check")
+        assert "failed 2 times (max_retries=1): InjectedFault" in message
+
+    def test_retries_zero_fails_fast(self, capsys):
+        assert main(
+            CHECK_ARGS
+            + ["--backend", "threads", "--retries", "0",
+               "--inject-faults", "crash=1.0"]
+        ) == 2
+        assert "failed 1 times (max_retries=0)" in _one_line_error(
+            capsys, "check"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "resume", "sweep", "stats"])
+    def test_compute_faults_on_the_serial_backend_are_refused(
+        self, command, tmp_path, capsys
+    ):
+        # The serial backend has no fan-out to inject into: this used
+        # to exit 0 with a clean report and nothing injected.
+        faults = ["--inject-faults", "crash=1.0", "--retries", "1"]
+        if command == "check":
+            argv = CHECK_ARGS + faults
+        elif command == "resume":
+            ck = str(tmp_path / "run.ckpt")
+            assert main(
+                CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "1"]
+            ) == 0
+            capsys.readouterr()
+            argv = ["resume", "--checkpoint", ck] + faults
+        else:
+            argv = [command, "--benchmark", "LU", "--threads", "2",
+                    "--events", "500"] + faults
+        assert main(argv) == 2
+        message = _one_line_error(capsys, command)
+        assert "--backend threads|processes" in message
+        # ...and the default backend still takes a transport-only plan
+        # (nothing there is the backend's to inject).
+        if command == "check":
+            assert main(
+                CHECK_ARGS + ["--inject-faults", "disconnect=0.5"]
+            ) == 0
 
     def test_fault_events_carry_provenance(self, tmp_path, capsys):
         log = tmp_path / "faults.jsonl"

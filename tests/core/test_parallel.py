@@ -6,10 +6,8 @@ from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyAnalysis, ButterflyEngine
 from repro.core.parallel import (
     BACKEND_CHOICES,
-    ExecutionBackend,
-    ProcessPoolBackend,
+    PoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     get_backend,
 )
 from repro.errors import AnalysisError
@@ -25,8 +23,8 @@ def _square(x):
 class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("threads"), ThreadPoolBackend)
-        assert isinstance(get_backend("processes"), ProcessPoolBackend)
+        assert isinstance(get_backend("threads"), PoolBackend)
+        assert isinstance(get_backend("processes"), PoolBackend)
 
     def test_none_is_serial(self):
         assert isinstance(get_backend(None), SerialBackend)
@@ -53,33 +51,41 @@ class TestCapabilities:
         assert backend.shares_memory
 
     def test_threads(self):
-        backend = ThreadPoolBackend()
+        backend = PoolBackend("threads")
         assert backend.concurrent
         assert backend.shares_memory
 
     def test_processes(self):
-        backend = ProcessPoolBackend()
+        backend = PoolBackend("processes")
         assert backend.concurrent
         assert not backend.shares_memory
 
 
+#: Both pool kinds.  The ids are the names of the two classes these
+#: were before the pools merged, so the test ids did not move.
+POOL_KINDS = [
+    pytest.param("threads", id="ThreadPoolBackend"),
+    pytest.param("processes", id="ProcessPoolBackend"),
+]
+
+
 class TestWorkerCountValidation:
-    @pytest.mark.parametrize(
-        "backend_cls", [ThreadPoolBackend, ProcessPoolBackend]
-    )
+    @pytest.mark.parametrize("kind", POOL_KINDS)
     @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_non_positive_max_workers_rejected(self, backend_cls, bad):
+    def test_non_positive_max_workers_rejected(self, kind, bad):
         # Regression: `max_workers or _default_workers()` silently
         # turned an explicit 0 into the CPU-count default.
         with pytest.raises(ValueError, match="max_workers must be >= 1"):
-            backend_cls(max_workers=bad)
+            PoolBackend(kind, max_workers=bad)
 
-    @pytest.mark.parametrize(
-        "backend_cls", [ThreadPoolBackend, ProcessPoolBackend]
-    )
-    def test_omitted_still_defaults(self, backend_cls):
-        assert backend_cls().max_workers >= 1
-        assert backend_cls(max_workers=1).max_workers == 1
+    @pytest.mark.parametrize("kind", POOL_KINDS)
+    def test_omitted_still_defaults(self, kind):
+        assert PoolBackend(kind).max_workers >= 1
+        assert PoolBackend(kind, max_workers=1).max_workers == 1
+
+    def test_a_pool_is_threads_or_processes(self):
+        with pytest.raises(AnalysisError, match="threads or processes"):
+            PoolBackend("serial")
 
 
 class TestMapOrdered:
@@ -97,7 +103,7 @@ class TestMapOrdered:
             assert backend.map_ordered(_square, []) == []
 
     def test_close_idempotent(self):
-        backend = ThreadPoolBackend(max_workers=1)
+        backend = PoolBackend("threads", max_workers=1)
         backend.map_ordered(_square, [(3,)])
         backend.close()
         backend.close()
@@ -153,7 +159,7 @@ class TestEngineBackendWiring:
         assert engine.backend._executor is None
 
     def test_engine_does_not_own_passed_instance(self):
-        backend = ThreadPoolBackend(max_workers=1)
+        backend = PoolBackend("threads", max_workers=1)
         try:
             backend.map_ordered(_square, [(2,)])  # spin up the pool
             with ButterflyEngine(LegacyAnalysis(), backend=backend) as engine:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 from repro.core.epoch import partition_by_global_order
 from repro.core.framework import ButterflyEngine
-from repro.core.parallel import ProcessPoolBackend, ThreadPoolBackend
+from repro.core.parallel import PoolBackend
 from repro.core.reaching_defs import ReachingDefinitions
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.racecheck import ButterflyRaceCheck
@@ -31,8 +31,8 @@ from repro.trace.generator import (
 )
 from repro.verify.reference import ReferenceAddrCheck
 
-THREADS = ThreadPoolBackend(max_workers=4)
-PROCESSES = ProcessPoolBackend(max_workers=2)
+THREADS = PoolBackend("threads", max_workers=4)
+PROCESSES = PoolBackend("processes", max_workers=2)
 BACKENDS = [("serial", "serial"), ("threads", THREADS), ("processes", PROCESSES)]
 
 

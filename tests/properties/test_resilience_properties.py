@@ -1,6 +1,6 @@
 """Resilience determinism: fault-injected runs must change nothing.
 
-The supervisor's whole contract is that recovery is invisible: a run
+The pool's whole contract is that recovery is invisible: a run
 surviving injected crashes, corruptions, kills, and hangs -- including
 one that degraded down the backend ladder mid-run, or one that was
 killed at an epoch boundary and resumed -- produces error logs,
@@ -8,34 +8,51 @@ killed at an epoch boundary and resumed -- produces error logs,
 serial run.  These properties pin that down on randomized traces and
 randomized fault schedules.
 
-Pool backends are shared at module scope (pool spin-up per hypothesis
-example would dominate); the supervisor wrappers are constructed per
-example around them and never closed here.
+A pool carries its own fault plan, so each hypothesis example builds
+and closes one (executors are lazy: an example pays only for the
+workers it uses), and only examples in which a fault was actually
+detected count (:func:`_faulty_pool`).
 """
 
 import random
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.core.epoch import partition_by_global_order
 from repro.core.framework import ButterflyEngine
-from repro.core.parallel import ProcessPoolBackend, ThreadPoolBackend
+from repro.core.parallel import PoolBackend
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.obs import Recorder, normalize_events
-from repro.resilience import Checkpointer, FaultPlan, RetryPolicy, SupervisedBackend
+from repro.resilience import Checkpointer, FaultPlan, RetryPolicy
 from repro.resilience.checkpoint import load_checkpoint
 from repro.trace.generator import simulated_alloc_program
-
-THREADS = ThreadPoolBackend(max_workers=4)
-PROCESSES = ProcessPoolBackend(max_workers=2)
 
 #: Deep retry budget + zero backoff: a fault schedule cannot plausibly
 #: exhaust it (p ~ rate^31 per task -- hypothesis DID find the rate^9
 #: tail with a budget of 8), and retries cost no wall time.
 POLICY = RetryPolicy(max_retries=30, backoff_base=0.0, jitter=0.0,
                      degrade_after=99)
+
+
+@contextmanager
+def _faulty_pool(kind, workers, plan):
+    """A pool under ``plan``, closed on exit.
+
+    An example whose assertions held is then *discarded* unless the
+    pool detected at least one fault: a plan that never fires (a
+    one-thread trace has no fan-out to inject into) proves nothing, and
+    must not count toward the examples a test ran.
+    """
+    pool = PoolBackend(kind, workers, POLICY, plan)
+    pool.recorder = Recorder(keep_events=False)
+    try:
+        yield pool
+    finally:
+        pool.close()
+    assume(pool.recorder.counters.get("resilience.faults", 0) > 0)
 
 
 def _stats_tuple(stats):
@@ -91,9 +108,9 @@ class TestFaultInjectionPreservesResults:
 
         plan = FaultPlan(crash=0.2, corrupt=0.15, seed=fault_seed)
         guard = ButterflyAddrCheck()
-        backend = SupervisedBackend(THREADS, policy=POLICY, plan=plan)
-        stats = ButterflyEngine(guard, backend=backend).run(part)
-        assert _addr_fingerprint(guard, stats) == ref_print
+        with _faulty_pool("threads", 4, plan) as backend:
+            stats = ButterflyEngine(guard, backend=backend).run(part)
+            assert _addr_fingerprint(guard, stats) == ref_print
 
     @given(
         seed=st.integers(0, 10_000),
@@ -111,9 +128,9 @@ class TestFaultInjectionPreservesResults:
         # Low kill rate: every kill costs a pool teardown + respawn.
         plan = FaultPlan(crash=0.1, kill=0.02, corrupt=0.1, seed=fault_seed)
         guard = ButterflyAddrCheck()
-        backend = SupervisedBackend(PROCESSES, policy=POLICY, plan=plan)
-        stats = ButterflyEngine(guard, backend=backend).run(part)
-        assert _addr_fingerprint(guard, stats) == ref_print
+        with _faulty_pool("processes", 2, plan) as backend:
+            stats = ButterflyEngine(guard, backend=backend).run(part)
+            assert _addr_fingerprint(guard, stats) == ref_print
 
     @given(
         seed=st.integers(0, 10_000),
@@ -122,9 +139,11 @@ class TestFaultInjectionPreservesResults:
         fault_seed=st.integers(0, 1_000),
     )
     @settings(max_examples=10, deadline=None)
-    def test_hang_faults_on_serial_supervisor(self, seed, threads, h, fault_seed):
+    def test_hang_faults_on_threads(self, seed, threads, h, fault_seed):
         # Zero-length hangs exercise the hang path (private-copy
-        # execution) without wall-clock cost.
+        # execution) without wall-clock cost.  (This ran on a
+        # "supervised serial" backend whose fan-out the engine never
+        # called, so no hang was ever injected.)
         prog = _program(seed, threads)
         part = partition_by_global_order(prog, h)
         ref = ButterflyAddrCheck()
@@ -133,9 +152,9 @@ class TestFaultInjectionPreservesResults:
         plan = FaultPlan(crash=0.15, hang=0.2, corrupt=0.1,
                          seed=fault_seed, hang_s=0.0)
         guard = ButterflyAddrCheck()
-        backend = SupervisedBackend("serial", policy=POLICY, plan=plan)
-        stats = ButterflyEngine(guard, backend=backend).run(part)
-        assert _addr_fingerprint(guard, stats) == ref_print
+        with _faulty_pool("threads", 4, plan) as backend:
+            stats = ButterflyEngine(guard, backend=backend).run(part)
+            assert _addr_fingerprint(guard, stats) == ref_print
 
     @given(
         seed=st.integers(0, 10_000),
@@ -152,13 +171,13 @@ class TestFaultInjectionPreservesResults:
 
         plan = FaultPlan(crash=0.2, corrupt=0.1, seed=fault_seed)
         guard = ButterflyRaceCheck()
-        backend = SupervisedBackend(THREADS, policy=POLICY, plan=plan)
-        stats = ButterflyEngine(guard, backend=backend).run(part)
-        assert _stats_tuple(stats) == _stats_tuple(ref_stats)
-        assert _report_list(guard.errors) == _report_list(ref.errors)
-        assert [
-            (r.kind, r.location, r.body_ref) for r in guard.races
-        ] == [(r.kind, r.location, r.body_ref) for r in ref.races]
+        with _faulty_pool("threads", 4, plan) as backend:
+            stats = ButterflyEngine(guard, backend=backend).run(part)
+            assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+            assert _report_list(guard.errors) == _report_list(ref.errors)
+            assert [
+                (r.kind, r.location, r.body_ref) for r in guard.races
+            ] == [(r.kind, r.location, r.body_ref) for r in ref.races]
 
 
 class TestFaultInjectionPreservesEventLog:
@@ -187,14 +206,16 @@ class TestFaultInjectionPreservesEventLog:
 
         plan = FaultPlan(crash=0.2, corrupt=0.15, seed=fault_seed)
         rec = Recorder()
-        backend = SupervisedBackend(THREADS, policy=POLICY, plan=plan)
-        ButterflyEngine(
-            ButterflyAddrCheck(), backend=backend, recorder=rec
-        ).run(part)
-        assert normalize_events(rec.events) == ref_log
-        # The raw log does carry the fault telemetry it just filtered.
-        if any(ev["ev"] == "resilience.fault" for ev in rec.events):
-            assert rec.counters["resilience.faults"] >= 1
+        with _faulty_pool("threads", 4, plan) as backend:
+            # The engine points the pool's recorder at its own.
+            ButterflyEngine(
+                ButterflyAddrCheck(), backend=backend, recorder=rec
+            ).run(part)
+            assert normalize_events(rec.events) == ref_log
+        # The raw log does carry the fault telemetry it just filtered,
+        # next to the per-task telemetry of the same pool.
+        kinds = {ev["ev"] for ev in rec.events}
+        assert {"resilience.fault", "backend.task.complete"} <= kinds
 
 
 class TestDegradationPreservesResults:
@@ -212,9 +233,9 @@ class TestDegradationPreservesResults:
         ref = ButterflyAddrCheck()
         ref_print = _addr_fingerprint(ref, ButterflyEngine(ref).run(part))
 
-        backend = SupervisedBackend(
-            ProcessPoolBackend(max_workers=2),
-            policy=RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=1),
+        backend = PoolBackend(
+            "processes", 2,
+            RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=1),
         )
         guard = ButterflyAddrCheck()
         engine = ButterflyEngine(guard, backend=backend)
@@ -228,7 +249,7 @@ class TestDegradationPreservesResults:
             engine.feed_epoch(lid)
         engine.finish()
         backend.close()
-        assert backend.inner.name == "serial"
+        assert backend.name == "serial"
         assert _addr_fingerprint(guard, engine.stats) == ref_print
 
 
@@ -242,7 +263,7 @@ class TestResumeUnderFaults:
     def test_faulty_checkpointed_run_resumes_identically(
         self, seed, threads, fault_seed, tmp_path_factory
     ):
-        """Kill a fault-injected supervised run at an epoch boundary,
+        """Kill a fault-injected pooled run at an epoch boundary,
         resume it on a *different* backend: still bit-identical."""
         h = 6
         prog = _program(seed, threads)
@@ -254,13 +275,13 @@ class TestResumeUnderFaults:
 
         path = str(tmp_path_factory.mktemp("ck") / "run.ckpt")
         plan = FaultPlan(crash=0.2, corrupt=0.1, seed=fault_seed)
-        backend = SupervisedBackend(THREADS, policy=POLICY, plan=plan)
-        engine = ButterflyEngine(ButterflyAddrCheck(), backend=backend)
-        engine.enable_checkpoints(Checkpointer(path, {"h": h}))
-        engine.attach(part)
-        stop_after = max(2, part.num_epochs // 2)
-        for lid in range(stop_after):
-            engine.feed_epoch(lid)
+        with _faulty_pool("threads", 4, plan) as backend:
+            engine = ButterflyEngine(ButterflyAddrCheck(), backend=backend)
+            engine.enable_checkpoints(Checkpointer(path, {"h": h}))
+            engine.attach(part)
+            stop_after = max(2, part.num_epochs // 2)
+            for lid in range(stop_after):
+                engine.feed_epoch(lid)
 
         ck = load_checkpoint(path)
         resumed = ButterflyEngine(ck.analysis)  # plain serial from here

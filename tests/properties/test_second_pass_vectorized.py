@@ -24,7 +24,7 @@ from repro.core.dataflow import (
 )
 from repro.core.epoch import Block, partition_by_global_order
 from repro.core.framework import ButterflyEngine
-from repro.core.parallel import ProcessPoolBackend, ThreadPoolBackend
+from repro.core.parallel import PoolBackend
 from repro.core.reaching_defs import ReachingDefinitions
 from repro.core.stream import PartitionSource
 from repro.trace.events import Op
@@ -35,8 +35,8 @@ from repro.trace.generator import (
 )
 from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
-THREADS = ThreadPoolBackend(max_workers=4)
-PROCESSES = ProcessPoolBackend(max_workers=2)
+THREADS = PoolBackend("threads", max_workers=4)
+PROCESSES = PoolBackend("processes", max_workers=2)
 
 _DEFINING_OPS = (Op.WRITE, Op.ASSIGN, Op.TAINT, Op.UNTAINT,
                  Op.READ, Op.JUMP, Op.NOP, Op.MALLOC, Op.FREE)

@@ -224,6 +224,12 @@ class TestFaultedApply:
         assert exc_info.value.key == (2, 5)
         assert exc_info.value.attempt == 1
         assert data == [1, 2, 3]  # untouched: the retry needs it pristine
+        # It must survive the trip back from a worker process: a crash
+        # that fails to unpickle breaks the whole pool instead.
+        clone = pickle.loads(pickle.dumps(exc_info.value))
+        assert (clone.key, clone.attempt, str(clone)) == (
+            (2, 5), 1, str(exc_info.value)
+        )
 
     def test_corrupt_returns_marker_without_executing(self):
         plan = FaultPlan(corrupt=1.0)

@@ -1,4 +1,4 @@
-"""Tests for the supervised backend (retry, timeout, healing, ladder)."""
+"""Tests for the pool's supervision (retry, timeout, healing, ladder)."""
 
 import time
 from dataclasses import dataclass
@@ -7,20 +7,11 @@ import pytest
 
 from repro.core.epoch import partition_by_global_order
 from repro.core.framework import ButterflyEngine
-from repro.core.parallel import (
-    SerialBackend,
-    ThreadPoolBackend,
-    ProcessPoolBackend,
-)
-from repro.errors import ResilienceError
+from repro.core.parallel import PoolBackend, SerialBackend, get_backend
+from repro.errors import AnalysisError, ResilienceError
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs import Recorder
-from repro.resilience import (
-    DEGRADATION_LADDER,
-    FaultPlan,
-    RetryPolicy,
-    SupervisedBackend,
-)
+from repro.resilience import DEGRADATION_LADDER, FaultPlan, RetryPolicy
 
 import random
 
@@ -28,6 +19,17 @@ from repro.trace.generator import simulated_alloc_program
 
 #: Zero-delay policy so retry tests don't sleep.
 FAST = RetryPolicy(backoff_base=0.0, jitter=0.0)
+
+
+def _pool(rung, **kwargs):
+    """A pool standing on ``rung`` of the ladder.  ``"serial"`` is a
+    threads pool stepped down to the last rung, where units run inline
+    under the same retry/validation contract."""
+    if rung != "serial":
+        return PoolBackend(rung, **kwargs)
+    pool = PoolBackend("threads", **kwargs)
+    assert pool._degrade() and pool.name == "serial"
+    return pool
 
 
 def _square(x):
@@ -63,41 +65,64 @@ class CorruptFirstAttempt(FaultPlan):
 
 class TestBackendSurface:
     def test_name_and_capabilities_track_inner(self):
-        backend = SupervisedBackend("threads")
-        try:
-            assert backend.name == "supervised:threads"
+        # The name is the current rung's; capabilities follow it.
+        with PoolBackend("threads") as backend:
+            assert backend.name == "threads"
             assert backend.concurrent
             assert backend.shares_memory
-        finally:
-            backend.close()
+        with PoolBackend("processes") as backend:
+            assert backend.name == "processes"
+            assert backend.concurrent
+            assert not backend.shares_memory
 
     def test_serial_inner_not_concurrent(self):
-        backend = SupervisedBackend("serial")
-        assert backend.name == "supervised:serial"
+        # The serial backend is not a pool and a pool cannot start on
+        # the serial rung: nothing supervised sits inside a serial run.
+        backend = get_backend("serial")
+        assert isinstance(backend, SerialBackend)
         assert not backend.concurrent
+        with pytest.raises(AnalysisError, match="threads or processes"):
+            PoolBackend("serial")
 
     def test_ladder_constant(self):
         assert DEGRADATION_LADDER == ("processes", "threads", "serial")
 
-    def test_owns_a_backend_built_from_an_instance(self):
-        inner = ThreadPoolBackend(max_workers=1)
-        backend = SupervisedBackend(inner)
-        assert backend.inner is inner
-        backend.close()
+    def test_policy_and_plan_reach_a_named_pool(self):
+        plan = FaultPlan(crash=0.5)
+        with get_backend("threads", 2, FAST, plan) as backend:
+            assert (backend.max_workers, backend.policy, backend.plan) == (
+                2, FAST, plan
+            )
+            # An instance passes through untouched: its own policy stands.
+            assert get_backend(backend, policy=RetryPolicy()) is backend
+            assert backend.policy is FAST
+
+    @pytest.mark.parametrize("kind", ["crash", "hang", "kill", "corrupt"])
+    def test_compute_faults_on_the_serial_backend_are_refused(self, kind):
+        # The serial backend fans nothing out, so the plan would never
+        # fire; that used to run clean and report success.
+        for spec in ("serial", None):
+            with pytest.raises(ResilienceError, match="threads.processes"):
+                get_backend(spec, plan=FaultPlan(**{kind: 0.5}))
+        # Transport faults are the producer's, not the backend's.
+        assert isinstance(
+            get_backend("serial", plan=FaultPlan(disconnect=0.5)),
+            SerialBackend,
+        )
 
 
 class TestFaultFreeMapping:
     @pytest.mark.parametrize("inner", ["serial", "threads", "processes"])
     def test_matches_plain_backend(self, inner):
         items = [(i,) for i in range(16)]
-        with SupervisedBackend(inner, policy=FAST, max_workers=2) as backend:
+        with _pool(inner, policy=FAST, max_workers=2) as backend:
             assert backend.map_ordered(_square, items) == [
                 i * i for i in range(16)
             ]
 
     @pytest.mark.parametrize("inner", ["serial", "threads"])
     def test_empty_batch(self, inner):
-        with SupervisedBackend(inner, policy=FAST) as backend:
+        with _pool(inner, policy=FAST) as backend:
             assert backend.map_ordered(_square, []) == []
 
 
@@ -105,7 +130,7 @@ class TestRetries:
     @pytest.mark.parametrize("inner", ["serial", "threads"])
     def test_crash_first_attempt_recovers(self, inner):
         plan = CrashFirstAttempt()
-        with SupervisedBackend(inner, policy=FAST, plan=plan) as backend:
+        with _pool(inner, policy=FAST, plan=plan) as backend:
             assert backend.map_ordered(_square, [(i,) for i in range(6)]) == [
                 i * i for i in range(6)
             ]
@@ -113,7 +138,7 @@ class TestRetries:
     @pytest.mark.parametrize("inner", ["serial", "threads"])
     def test_corrupt_first_attempt_recovers(self, inner):
         plan = CorruptFirstAttempt()
-        with SupervisedBackend(inner, policy=FAST, plan=plan) as backend:
+        with _pool(inner, policy=FAST, plan=plan) as backend:
             assert backend.map_ordered(_square, [(i,) for i in range(6)]) == [
                 i * i for i in range(6)
             ]
@@ -122,21 +147,44 @@ class TestRetries:
     def test_permanent_fault_exhausts_retries(self, inner):
         plan = FaultPlan(crash=1.0)
         policy = RetryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0)
-        with SupervisedBackend(inner, policy=policy, plan=plan) as backend:
-            with pytest.raises(ResilienceError, match="max_retries=2"):
+        with _pool(inner, policy=policy, plan=plan) as backend:
+            with pytest.raises(
+                ResilienceError,
+                match=r"failed 3 times \(max_retries=2\): "
+                      r"InjectedFault: injected crash",
+            ):
                 backend.map_ordered(_square, [(1,), (2,)])
 
     def test_real_task_exception_retries_then_raises(self):
         # A genuine (non-injected) failure follows the same contract.
         policy = RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0)
-        with SupervisedBackend("threads", policy=policy) as backend:
-            with pytest.raises(ResilienceError):
+        with PoolBackend("threads", policy=policy) as backend:
+            with pytest.raises(
+                ResilienceError,
+                match=r"failed 2 times \(max_retries=1\): ValueError: boom",
+            ) as caught:
                 backend.map_ordered(_boom, [(1,)])
+        # The give-up keeps its cause: it is raised from the task's
+        # last exception, not in place of it.
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    def test_giveup_names_a_corrupt_result_and_a_timeout(self):
+        policy = RetryPolicy(max_retries=0, backoff_base=0.0, jitter=0.0)
+        with PoolBackend(
+            "threads", policy=policy, plan=FaultPlan(corrupt=1.0)
+        ) as backend:
+            with pytest.raises(ResilienceError, match="failed validation"):
+                backend.map_ordered(_square, [(1,)])
+        _hang_state["armed"] = False
+        policy = RetryPolicy(max_retries=0, task_timeout=0.05)
+        with PoolBackend("threads", policy=policy) as backend:
+            with pytest.raises(ResilienceError, match="no result within 0.05s"):
+                backend.map_ordered(_hang_once, [(1,)])
 
     def test_retry_events_logged(self):
         rec = Recorder()
         plan = CrashFirstAttempt()
-        with SupervisedBackend("threads", policy=FAST, plan=plan) as backend:
+        with PoolBackend("threads", policy=FAST, plan=plan) as backend:
             backend.recorder = rec
             backend.map_ordered(_square, [(i,) for i in range(4)])
         assert rec.counters["resilience.faults"] >= 1
@@ -144,6 +192,18 @@ class TestRetries:
         assert rec.counters["resilience.retries"] >= 1
         kinds = {ev["ev"] for ev in rec.events}
         assert {"resilience.fault", "resilience.retry"} <= kinds
+
+    def test_a_crash_in_a_worker_process_is_a_task_level_fault(self):
+        # The injected exception must unpickle in the parent; when it
+        # did not, every crash broke (and recycled) the process pool.
+        rec = Recorder()
+        with PoolBackend("processes", 2, FAST, CrashFirstAttempt()) as pool:
+            pool.recorder = rec
+            assert pool.map_ordered(_square, [(i,) for i in range(4)]) == [
+                0, 1, 4, 9
+            ]
+        assert rec.counters["resilience.faults.crash"] == 4
+        assert "resilience.pool_recycles" not in rec.counters
 
 
 _hang_state = {"armed": False}
@@ -164,9 +224,7 @@ class TestTimeoutsAndHealing:
         policy = RetryPolicy(
             task_timeout=0.15, backoff_base=0.0, jitter=0.0, degrade_after=99
         )
-        with SupervisedBackend(
-            ThreadPoolBackend(max_workers=2), policy=policy
-        ) as backend:
+        with PoolBackend("threads", max_workers=2, policy=policy) as backend:
             backend.recorder = rec
             assert backend.map_ordered(_hang_once, [(i,) for i in range(4)]) == [
                 0, 1, 4, 9
@@ -182,8 +240,8 @@ class TestTimeoutsAndHealing:
         rec = Recorder()
         policy = RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=99)
         plan = KillFirstAttempt()
-        with SupervisedBackend(
-            ProcessPoolBackend(max_workers=2), policy=policy, plan=plan
+        with PoolBackend(
+            "processes", max_workers=2, policy=policy, plan=plan
         ) as backend:
             backend.recorder = rec
             assert backend.map_ordered(_square, [(i,) for i in range(3)]) == [
@@ -199,14 +257,11 @@ class TestDegradationLadder:
         policy = RetryPolicy(
             task_timeout=0.15, backoff_base=0.0, jitter=0.0, degrade_after=1
         )
-        with SupervisedBackend(
-            ThreadPoolBackend(max_workers=2), policy=policy
-        ) as backend:
+        with PoolBackend("threads", max_workers=2, policy=policy) as backend:
             backend.recorder = rec
             result = backend.map_ordered(_hang_once, [(i,) for i in range(5)])
             assert result == [0, 1, 4, 9, 16]
-            assert isinstance(backend.inner, SerialBackend)
-            assert backend.name == "supervised:serial"
+            assert backend.name == "serial"
             # The engine's fan-out contract was fixed at construction.
             assert backend.concurrent
         degrades = [ev for ev in rec.events if ev["ev"] == "resilience.degrade"]
@@ -224,14 +279,15 @@ class TestDegradationLadder:
         rec = Recorder()
         policy = RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=1)
         plan = KillFirstAttempt()
-        with SupervisedBackend(
-            ProcessPoolBackend(max_workers=2), policy=policy, plan=plan
+        with PoolBackend(
+            "processes", max_workers=2, policy=policy, plan=plan
         ) as backend:
             backend.recorder = rec
             assert backend.map_ordered(_square, [(i,) for i in range(4)]) == [
                 0, 1, 4, 9
             ]
-            assert isinstance(backend.inner, ThreadPoolBackend)
+            assert backend.name == "threads"
+            assert backend.shares_memory
         assert any(
             ev["ev"] == "resilience.degrade"
             and ev["from_backend"] == "processes"
@@ -240,8 +296,9 @@ class TestDegradationLadder:
         )
 
     def test_serial_cannot_degrade_further(self):
-        backend = SupervisedBackend("serial")
+        backend = _pool("serial")
         assert backend._degrade() is False
+        assert backend.name == "serial"
 
 
 class TestEngineIntegration:
@@ -260,7 +317,7 @@ class TestEngineIntegration:
         plan = FaultPlan(crash=0.15, corrupt=0.1, seed=3)
         policy = RetryPolicy(max_retries=8, backoff_base=0.0, jitter=0.0)
         guard = ButterflyAddrCheck()
-        with SupervisedBackend("threads", policy=policy, plan=plan) as backend:
+        with PoolBackend("threads", policy=policy, plan=plan) as backend:
             with ButterflyEngine(guard, backend=backend) as engine:
                 stats = engine.run(part)
         assert stats == ref_stats
@@ -280,7 +337,7 @@ class TestEngineIntegration:
         plan = CrashFirstAttempt()
         policy = RetryPolicy(max_retries=8, backoff_base=0.0, jitter=0.0)
         guard = ButterflyAddrCheck()
-        with SupervisedBackend("threads", policy=policy, plan=plan) as backend:
+        with PoolBackend("threads", policy=policy, plan=plan) as backend:
             with ButterflyEngine(
                 guard, backend=backend, recorder=rec
             ) as engine:
@@ -294,12 +351,15 @@ class TestEngineIntegration:
 
 
 class TestPooledBackendLeakFix:
-    """Satellite: a failing batch must not leak in-flight futures."""
+    """A failing batch must not leak in-flight futures -- here with the
+    fail-fast policy, where the first failure ends the batch."""
+
+    FAIL_FAST = RetryPolicy(max_retries=0)
 
     def test_plain_path_discards_executor_on_failure(self):
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = PoolBackend("threads", 2, self.FAIL_FAST)
         backend.map_ordered(_square, [(1,)])
-        with pytest.raises(ValueError, match="boom"):
+        with pytest.raises(ResilienceError, match="ValueError: boom"):
             backend.map_ordered(_boom, [(i,) for i in range(8)])
         # The suspect executor was dropped; the next use builds a fresh
         # pool lazily instead of reusing one with abandoned futures.
@@ -308,9 +368,14 @@ class TestPooledBackendLeakFix:
         backend.close()
 
     def test_instrumented_path_discards_executor_on_failure(self):
-        backend = ThreadPoolBackend(max_workers=2)
-        backend.recorder = Recorder()
-        with pytest.raises(ValueError, match="boom"):
+        backend = PoolBackend("threads", 2, self.FAIL_FAST)
+        backend.recorder = rec = Recorder()
+        with pytest.raises(ResilienceError, match="ValueError: boom"):
             backend.map_ordered(_boom, [(i,) for i in range(8)])
         assert backend._executor is None
+        assert [
+            ev["attempts"] for ev in rec.events
+            if ev["ev"] == "resilience.giveup"
+        ] == [1]
+        assert "resilience.retries" not in rec.counters
         backend.close()
