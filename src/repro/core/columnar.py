@@ -192,16 +192,18 @@ class ColumnarBlock:
                 code = code_of[op_value]
             except (ValueError, TypeError, KeyError):
                 raise RowDecodeError(row, "bad row shape or op") from None
-            if not isinstance(size, int) or size < 1:
+            # ``type(x) is int``, not ``isinstance``: a JSON ``true`` is
+            # an ``int`` to the latter and would be analysed as 1.
+            if type(size) is not int or size < 1:
                 raise RowDecodeError(row, f"size must be >= 1, got {size!r}")
             if dst is None:
                 if code in needs_dst:
                     raise RowDecodeError(row, "op requires a destination")
                 dst = NO_DST
-            elif not isinstance(dst, int):
+            elif type(dst) is not int:
                 raise RowDecodeError(row, f"bad destination {dst!r}")
             if not isinstance(srcs, list) or not all(
-                isinstance(s, int) for s in srcs
+                type(s) is int for s in srcs
             ):
                 raise RowDecodeError(row, f"bad sources {srcs!r}")
             nsrc = len(srcs)

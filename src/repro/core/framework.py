@@ -37,6 +37,11 @@ Analyses advertise the split via ``parallel_first_pass`` /
 ``parallel_second_pass``; everything else transparently runs on the
 serial path, so legacy analyses that override ``first_pass`` /
 ``second_pass`` directly keep working on any backend.
+
+The same independence serves the serial schedule: before calling
+``first_pass`` block by block it announces the row (``stage_row``), and
+an analysis whose scanner amortizes work across blocks (AddrCheck's
+columnar kernel) scans the whole row inside its first call.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generic, List, Optional, TypeVar, Union
+from typing import (
+    Any, Callable, Dict, Generic, List, Optional, Sequence, TypeVar, Union,
+)
 
 from repro.core.epoch import (
     Block,
@@ -126,6 +133,16 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
         """Ordered post-stage: apply a scan's effects (summaries,
         errors, counters) to shared state; return the block summary."""
         raise NotImplementedError
+
+    def stage_row(self, blocks: Sequence[Block]) -> None:
+        """Announce the epoch row the serial schedule is about to hand
+        to :meth:`first_pass` block by block, in this order (``()``
+        once it is through, or abandoned).  Only sent when
+        ``parallel_first_pass`` is set -- every context of the row may
+        then be computed before any of its commits -- so an analysis
+        whose scanner amortizes work across blocks can scan the row on
+        its first ``first_pass`` call.  Nothing staged may outlive the
+        row.  The default ignores it."""
 
     def first_pass(self, block: Block) -> Summary:
         """Step 1: analyze ``block`` with local state; return its summary."""
@@ -661,8 +678,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         recorder states share the loop below.  The ``block.first_pass``
         span carries the same name on both schedules so logs compare
         equal across backends; fanned out, it covers the commit stage
-        only (the scan ran in the pool).
+        only (the scan ran in the pool).  The serial schedule announces
+        the row first (:meth:`ButterflyAnalysis.stage_row`): the hook is
+        still called -- and timed -- once per block, but an analysis may
+        then do the row's scans in its first call.
         """
+        staged = scanner is None and analysis.parallel_first_pass
         if scanner is not None:
             # Contexts snapshot published state only, so computing them
             # up front matches the serial schedule exactly.
@@ -673,15 +694,21 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             scans = self.backend.map_ordered(scanner, items)
             steps = map(analysis.commit_scan, blocks, scans)
         else:
+            if staged:
+                analysis.stage_row(blocks)
             steps = map(analysis.first_pass, blocks)
         if recorder is not None:
             steps = _spanned(
                 recorder, "block.first_pass", blocks,
                 "instrs", map(len, blocks), steps,
             )
-        for block in blocks:
-            self._summaries[block.block_id] = next(steps)
-            self.stats.first_pass_instructions += len(block)
+        try:
+            for block in blocks:
+                self._summaries[block.block_id] = next(steps)
+                self.stats.first_pass_instructions += len(block)
+        finally:
+            if staged:
+                analysis.stage_row(())
 
     def finish(self) -> None:
         """End of trace: fold any buffered rows, then process the final

@@ -30,8 +30,11 @@ reports and identical work counters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.columnar import (
     HAVE_NUMPY,
@@ -61,6 +64,18 @@ if HAVE_NUMPY:
     _DST_LUT[[OP_WRITE, OP_ASSIGN]] = 1
 else:  # pragma: no cover - tables are only consulted on the numpy path
     _ACC_LUT = _DST_LUT = None
+
+#: Most events :meth:`AddrScanner.scan_row` hands the columnar kernel as
+#: one group.  Scanning T small blocks as one stream saves T-1 rounds of
+#: the kernel's ~75 length-independent numpy calls and pays a concat
+#: plus wider arrays; measured against T per-block scans (x = faster):
+#: 4 x 128 events 1.8x, 4 x 512 1.8x, 8 x 256 2.2x, 4 x 1 024 1.6x,
+#: 3 x 2 048 1.3x -- then the temporaries outgrow the cache and the
+#: allocator's small bins: 4 x 2 048 1.0-1.4x and 2 x 4 096 0.8-1.1x
+#: (run to run), 4 x 4 096 0.8x, 4 x 25 000 0.6x.  4 096 stays a factor
+#: of two below the totals that lost on some run; a block larger than it
+#: is a group of one, i.e. the per-block scan.
+_GROUP_EVENTS = 4096
 
 _DETAIL_MALLOC = "malloc of location believed allocated"
 _DETAIL_FREE = "free of location believed unallocated"
@@ -177,10 +192,40 @@ class AddrScanner:
     columnar: Optional[bool] = None
 
     def __call__(self, block: Block, running: SOSView) -> AddrScan:
-        if HAVE_NUMPY and self.columnar is not False:
-            if self.columnar or block.has_columns:
-                return self._scan_columns(block.columns, running)
-        return self._scan_objects(block, running)
+        return self.scan_row([(block, running)])[0]
+
+    def scan_row(self, items: List[Tuple[Block, SOSView]]) -> List[AddrScan]:
+        """Scan one epoch row, ``[(block, LSOS view), ...]``, into one
+        :class:`AddrScan` per block.
+
+        Step 1 reads only published state (each view is ``SOS_l`` under
+        its head's edits), so a row's scans are independent and may
+        share one pass: consecutive columnar blocks over one base are
+        handed to the vector kernel together while their summed length
+        stays within :data:`_GROUP_EVENTS`.  A single block is a group
+        of one, so this is the only route into either kernel.
+        """
+        scans: List[AddrScan] = []
+        group: List[Tuple[ColumnarBlock, SOSView]] = []
+        events = 0
+        vectorize = HAVE_NUMPY and self.columnar is not False
+        for block, running in items:
+            vector = vectorize and (self.columnar or block.has_columns)
+            if group and not (
+                vector
+                and events + len(block) <= _GROUP_EVENTS
+                and running.base is group[0][1].base
+            ):
+                scans.extend(self._scan_columns(group))
+                group, events = [], 0
+            if vector:
+                group.append((block.columns, running))
+                events += len(block)
+            else:
+                scans.append(self._scan_objects(block, running))
+        if group:
+            scans.extend(self._scan_columns(group))
+        return scans
 
     def _scan_objects(self, block: Block, running: SOSView) -> AddrScan:
         # ``loc in running`` / ``running.add`` / ``running.discard``
@@ -295,9 +340,9 @@ class AddrScanner:
         )
 
     def _scan_columns(
-        self, cols: ColumnarBlock, running: SOSView
-    ) -> AddrScan:
-        """Vectorized first pass over column arrays.
+        self, group: List[Tuple[ColumnarBlock, SOSView]]
+    ) -> List[AddrScan]:
+        """Vectorized first pass over a group of blocks' column arrays.
 
         Key observation: MALLOC/FREE events only ever change the
         allocation state and filter arming of the locations in their
@@ -309,41 +354,38 @@ class AddrScanner:
         flattens every dereferenced location into one access stream
         (CSR expansion, srcs before dst exactly like ``Instr.accessed``)
         and resolves stable locations wholesale with a handful of
-        C-level passes over the block's arrays (plus one ``running.base``
-        probe per unique location, patched at the few locations
-        ``running``'s overlay names); only the (typically rare) accesses
-        to changed locations plus the change events themselves are
-        replayed with the exact scalar semantics, and every error record
-        carries its stream position so the merged error list comes out
-        in event order.  The result is bit-identical to
-        :meth:`_scan_objects`.
+        C-level passes over the arrays (plus one ``base`` probe per
+        unique location, patched at the few locations a view's overlay
+        names); only the (typically rare) accesses to changed locations
+        plus the change events themselves are replayed with the exact
+        scalar semantics, and every error record carries its stream
+        position so the merged error list comes out in event order.
+        The result is bit-identical to :meth:`_scan_objects`.
+
+        The passes cost ~75 numpy calls whatever the array length, so a
+        group's blocks are concatenated and scanned as *segments* of
+        one stream: everything above is keyed by ``(segment,
+        location)`` instead of location, and only the parts that touch
+        a block's own state -- its view's overlay, its change events
+        and their replays, its result sets -- run per segment.  All
+        views share one ``base`` (:meth:`scan_row` groups by it).  A
+        group of one is one segment over the block's own arrays.
         """
+        nseg = len(group)
+        cols = ColumnarBlock.concat([c for c, _ in group])
         n = cols.length
         ops = np.asarray(cols.op)
         dst_col = np.asarray(cols.dst)
         size_col = np.asarray(cols.size)
         src_off = np.asarray(cols.src_off)
         src_val = np.asarray(cols.src_val)
-
-        gen: Set[int] = set()
-        all_gen: Set[int] = set()
-        killed_vars: Set[int] = set()
-        last_event: Dict[int, str] = {}
-        access: Set[int] = set()
-        first_change: Dict[int, int] = {}
-        first_access: Dict[int, int] = {}
-        errors: List[Tuple[ErrorKind, int, int, str]] = []
-        checked: Set[int] = set()
-        checks = 0
-        accesses = 0
-        allocs = 0
         use_filter = self.use_idempotent_filter
 
         # Flatten every dereferenced location into ``acc_loc``: per
         # event, sources in order then (for WRITE/ASSIGN) the
         # destination -- the exact order of the scalar loop.  Op-class
         # tests are one table-lookup pass over the uint8 op column.
-        cnt = np.diff(src_off)
+        cnt = src_off[1:] - src_off[:-1]
         is_acc = _ACC_LUT[ops]
         src_cnt = np.where(is_acc, cnt, 0)
         dst_extra = _DST_LUT[ops]
@@ -355,9 +397,10 @@ class AddrScanner:
         if total:
             dst_ev = np.flatnonzero(dst_extra)
             dst_pos = acc_off[dst_ev] + src_cnt[dst_ev]
-            if bool((cnt[~is_acc] != 0).any()):
-                # Some non-access event carries sources: filter them out
-                # of the flattened source stream before scattering.
+            if total - dst_ev.shape[0] != src_val.shape[0]:
+                # Fewer source slots than sources: some non-access event
+                # carries sources.  Filter them out of the flattened
+                # source stream before scattering.
                 src_ev = np.repeat(np.arange(n, dtype=np.int64), cnt)
                 keep = is_acc[src_ev]
                 kept_ev = src_ev[keep]
@@ -377,11 +420,32 @@ class AddrScanner:
                 acc_loc[is_src_slot] = src_val
             acc_loc[dst_pos] = dst_col[dst_ev]
 
+        # Segment ``s`` owns events ``ev_lo[s]..ev_lo[s+1]-1`` and the
+        # access slots ``slot_lo[s]..slot_lo[s+1]-1``; every ``*_lo``
+        # list below cuts one stream-ordered list the same way.
+        ev_lo = [0]
+        for c, _ in group:
+            ev_lo.append(ev_lo[-1] + c.length)
+        ev_lo_arr = np.array(ev_lo, dtype=np.int64)
+        slot_lo_arr = acc_off[ev_lo_arr]
+        slot_lo = slot_lo_arr.tolist()
+
+        ev_of_slot = None
+
         def _ev_at(pos: Any) -> Any:
-            # Recover event ids for (sparse) occurrence positions: event
-            # ``e`` owns access slots ``acc_off[e] .. acc_off[e+1]-1``,
-            # so a binary search beats materializing the full repeat.
-            return np.searchsorted(acc_off, pos, side="right") - 1
+            # Recover (stream-wide) event ids for occurrence positions:
+            # event ``e`` owns access slots ``acc_off[e] ..
+            # acc_off[e+1]-1``.  A binary search per position beats
+            # materializing the full repeat while positions are sparse
+            # (a few hundred locations in a 25 000-event block); the
+            # repeat wins once they are not (an unsorted needle costs
+            # 40-100 ns, a repeated slot ~3 ns).
+            nonlocal ev_of_slot
+            if 16 * pos.shape[0] < n:
+                return np.searchsorted(acc_off, pos, side="right") - 1
+            if ev_of_slot is None:
+                ev_of_slot = np.repeat(np.arange(n, dtype=np.int64), tot)
+            return ev_of_slot[pos]
 
         change_idx = np.flatnonzero((ops == OP_MALLOC) | (ops == OP_FREE))
         change_list = change_idx.tolist()
@@ -391,219 +455,255 @@ class AddrScanner:
         #: Access-stream slots preceding each change event: accesses at
         #: positions < change_off[ci] happen before change event ci.
         change_off = acc_off[change_idx].tolist()
+        change_lo = np.searchsorted(change_idx, ev_lo_arr).tolist()
 
-        changed_locs: Set[int] = set()
-        for d, s in zip(change_dst, change_size):
-            changed_locs.update(range(d, d + s))
+        changed_locs: List[Set[int]] = []
+        for s in range(nseg):
+            locs: Set[int] = set()
+            for ci in range(change_lo[s], change_lo[s + 1]):
+                d = change_dst[ci]
+                locs.update(range(d, d + change_size[ci]))
+            changed_locs.append(locs)
 
-        # Errors are collected with a stream-position sort key and
-        # merged at the end: access errors at occurrence position ``p``
-        # key as ``(p, 1, ...)``, change-event errors at event ``ci``
-        # (whose extent locations error in order ``k``) key as
-        # ``(change_off[ci], 0, ci, k)`` -- an access sharing a change's
-        # offset happens *after* it, hence the 1-vs-0 middle component.
-        keyed: List[Tuple[Tuple[int, int, int, int],
-                          Tuple[ErrorKind, int, int, str]]] = []
-
-        # Replayed occurrences: accesses whose location a change event
-        # touches, as (position, location, event) in stream order.
+        # What the vector phase leaves for the per-segment loop, each a
+        # stream-ordered list with its segment cuts: the unique
+        # ``(segment, location)`` pairs (location, first event), the
+        # stable occurrences that are errors and the occurrences to
+        # replay -- the last two as ``(position, location, stream-wide
+        # event)``.
+        uniq_list: List[int] = []
+        first_ev: List[int] = []
+        bad: List[Tuple[int, int, int]] = []
         sub: List[Tuple[int, int, int]] = []
+        uniq_lo = bad_lo = sub_lo = [0] * (nseg + 1)
 
-        accesses = total
         if total:
             # ``access``/``first_access`` are pure functions of the
             # access stream (no allocation state, no filter), computed
-            # wholesale: the first occurrence of a location in the
-            # stream IS its first occurrence in event order.
+            # wholesale: the first occurrence of a key in the stream IS
+            # its first occurrence in event order.  Keys are
+            # ``segment * width + rel`` with ``rel`` a location's offset
+            # in a dense domain (the usual case) or its rank among the
+            # stream's locations (``np.unique``'s sort, only when the
+            # widened key space would be mostly holes); either way
+            # ascending keys are ascending ``(segment, location)``.
             lo = int(acc_loc.min())
-            hi = int(acc_loc.max())
-            span = hi - lo + 1
-            dense = span <= max(4 * total, 1 << 16)
-            if dense:
-                # Dense location domain (the usual case): reversed
-                # scatter-assign finds first occurrences in O(n + span)
-                # without the sort ``np.unique`` would pay.
-                rel = acc_loc - lo
-                first_slot = np.full(span, -1, dtype=np.int64)
-                first_slot[rel[::-1]] = np.arange(
-                    total - 1, -1, -1, dtype=np.int64
-                )
-                uniq_rel = np.flatnonzero(first_slot >= 0)
-                uniq = uniq_rel + lo
-                first_pos = first_slot[uniq_rel]
-                inv = None
+            span = int(acc_loc.max()) - lo + 1
+            if nseg * span <= max(4 * total, 1 << 16):
+                key = acc_loc - lo
+                width = span
+                ranked = None
             else:
-                uniq, first_pos, inv = np.unique(
-                    acc_loc, return_index=True, return_inverse=True
-                )
-                rel = uniq_rel = None
-
-            uniq_list = uniq.tolist()
-            access.update(uniq_list)
-            first_access.update(zip(uniq_list, _ev_at(first_pos).tolist()))
-
-            # Membership of the block's unique locations in the LSOS and
-            # in the changed set: probe the Python sets already in hand,
-            # one hash lookup per *block* location.  Turning the LSOS
-            # into an array to vectorize the test costs O(|LSOS|) per
-            # block, and the LSOS is the whole live heap.  The probe goes
-            # to the view's base at C level; its overlay (the head's few
-            # changes) then overrides the entries it names (``uniq`` is
-            # ascending on both branches above).
-            n_uniq = len(uniq_list)
-            in_run = np.fromiter(
-                map(running.base.__contains__, uniq_list),
-                dtype=bool,
-                count=n_uniq,
+                ranked, key = np.unique(acc_loc, return_inverse=True)
+                width = int(ranked.shape[0])
+            for s in range(1, nseg):
+                key[slot_lo[s]:slot_lo[s + 1]] += s * width
+            # Reversed scatter-assign finds first occurrences in
+            # O(total + keys) without a sort.
+            first_slot = np.full(nseg * width, -1, dtype=np.int64)
+            first_slot[key[::-1]] = np.arange(
+                total - 1, -1, -1, dtype=np.int64
             )
-            for locs, member in (
-                (running.removed, False), (running.added, True)
-            ):
-                if locs:
-                    ov = np.fromiter(locs, dtype=np.int64, count=len(locs))
-                    at = np.minimum(np.searchsorted(uniq, ov), n_uniq - 1)
-                    in_run[at[uniq[at] == ov]] = member
-            if changed_locs:
-                is_changed = np.fromiter(
-                    map(changed_locs.__contains__, uniq_list),
+            uniq_key = np.flatnonzero(first_slot >= 0)
+            first_pos = first_slot[uniq_key]
+            uniq_rel = uniq_key % width if nseg > 1 else uniq_key
+            uniq = uniq_rel + lo if ranked is None else ranked[uniq_rel]
+            n_uniq = int(uniq.shape[0])
+            uniq_list = uniq.tolist()
+            uniq_lo = np.searchsorted(
+                uniq_key, np.arange(nseg + 1, dtype=np.int64) * width
+            ).tolist()
+            first_ev_arr = _ev_at(first_pos)
+            for s in range(1, nseg):
+                first_ev_arr[uniq_lo[s]:uniq_lo[s + 1]] -= ev_lo[s]
+            first_ev = first_ev_arr.tolist()
+
+            # Membership of the unique locations in the LSOS and in the
+            # changed sets: probe the Python sets already in hand, one
+            # hash lookup per (segment, location).  Turning the LSOS
+            # into an array to vectorize the test costs O(|LSOS|), and
+            # the LSOS is the whole live heap.  The probe goes to the
+            # shared base at C level, once for the group; each view's
+            # overlay (its head's few changes) then overrides the
+            # entries it names in its own segment's slice (locations
+            # ascend within a slice).
+            base = group[0][1].base
+            if n_uniq > width:
+                # More pairs than keys per segment: threads share
+                # locations, so probe each location once.  ``by_rel``
+                # marks the locations present, then holds their answers.
+                by_rel = np.zeros(width, dtype=bool)
+                by_rel[uniq_rel] = True
+                rels = np.flatnonzero(by_rel)
+                locs = rels + lo if ranked is None else ranked[rels]
+                by_rel[rels] = np.fromiter(
+                    map(base.__contains__, locs.tolist()),
+                    dtype=bool,
+                    count=rels.shape[0],
+                )
+                in_run = by_rel[uniq_rel]
+            else:
+                in_run = np.fromiter(
+                    map(base.__contains__, uniq_list),
                     dtype=bool,
                     count=n_uniq,
                 )
-                stable = ~is_changed
-                if is_changed.any():
-                    if dense:
-                        mark = np.zeros(span, dtype=bool)
-                        mark[uniq_rel[is_changed]] = True
-                        occ = mark[rel]
-                    else:
-                        occ = is_changed[inv]
-                    sub_pos = np.flatnonzero(occ)
-                    sub = list(zip(
-                        sub_pos.tolist(),
-                        acc_loc[sub_pos].tolist(),
-                        _ev_at(sub_pos).tolist(),
-                    ))
-            else:
-                stable = np.ones(uniq.shape[0], dtype=bool)
+            is_changed = np.zeros(n_uniq, dtype=bool)
+            for s, (_, running) in enumerate(group):
+                a, b = uniq_lo[s], uniq_lo[s + 1]
+                for locs, flags, member in (
+                    (running.removed, in_run, False),
+                    (running.added, in_run, True),
+                    (changed_locs[s], is_changed, True),
+                ):
+                    for loc in locs:
+                        at = bisect_left(uniq_list, loc, a, b)
+                        if at < b and uniq_list[at] == loc:
+                            flags[at] = member
 
-            if use_filter:
-                # Each stable location: exactly one check, at its first
-                # occurrence, against the initial running set.
-                checks += int(stable.sum())
-                checked.update(uniq[stable].tolist())
-                bad_u = stable & ~in_run
-                if bad_u.any():
-                    bad_pos = first_pos[bad_u]
-                    for p, u, e in zip(
-                        bad_pos.tolist(),
-                        uniq[bad_u].tolist(),
-                        _ev_at(bad_pos).tolist(),
-                    ):
-                        keyed.append((
-                            (p, 1, 0, 0),
-                            (ErrorKind.ACCESS_UNALLOCATED, u, e,
-                             _DETAIL_ACCESS),
-                        ))
-            else:
-                # Every occurrence of a stable location is a check (and
-                # an error per occurrence when unallocated).
-                checks += total - len(sub)
-                bad_u = stable & ~in_run
-                if bad_u.any():
-                    if dense:
-                        mark = np.zeros(span, dtype=bool)
-                        mark[uniq_rel[bad_u]] = True
-                        occ = mark[rel]
-                    else:
-                        occ = bad_u[inv]
-                    bad_pos = np.flatnonzero(occ)
-                    for p, u, e in zip(
-                        bad_pos.tolist(),
-                        acc_loc[bad_pos].tolist(),
-                        _ev_at(bad_pos).tolist(),
-                    ):
-                        keyed.append((
-                            (p, 1, 0, 0),
-                            (ErrorKind.ACCESS_UNALLOCATED, u, e,
-                             _DETAIL_ACCESS),
-                        ))
+            def _occurrences(of_uniq: Any) -> Any:
+                # Stream positions of every occurrence of the marked
+                # unique pairs, ascending.
+                mark = np.zeros(nseg * width, dtype=bool)
+                mark[uniq_key[of_uniq]] = True
+                return np.flatnonzero(mark[key])
 
-        # Replay, in stream order, the accesses that touch changed
-        # locations interleaved with the change events themselves --
-        # exact scalar semantics against the live ``running``/filter.
-        def _replay_access(p: int, u: int, e: int) -> None:
-            nonlocal checks
-            if use_filter:
-                if u in checked:
-                    return
-                checked.add(u)
-            checks += 1
-            if u not in running:
-                keyed.append((
-                    (p, 1, 0, 0),
-                    (ErrorKind.ACCESS_UNALLOCATED, u, e, _DETAIL_ACCESS),
+            def _records(pos: Any, locs: Any) -> List[Tuple[int, int, int]]:
+                return list(zip(
+                    pos.tolist(), locs.tolist(), _ev_at(pos).tolist()
                 ))
 
-        si = 0
-        nsub = len(sub)
-        for ci, c in enumerate(change_list):
-            coff = change_off[ci]
-            while si < nsub and sub[si][0] < coff:
-                _replay_access(*sub[si])
-                si += 1
-            dst = change_dst[ci]
-            if change_ops[ci] == OP_MALLOC:
-                for k, loc in enumerate(range(dst, dst + change_size[ci])):
-                    allocs += 1
-                    checked.discard(loc)
-                    if loc in running:
-                        keyed.append((
-                            (coff, 0, ci, k),
-                            (ErrorKind.MALLOC_ALLOCATED, loc, c,
-                             _DETAIL_MALLOC),
-                        ))
-                    running.add(loc)
-                    gen.add(loc)
-                    all_gen.add(loc)
-                    last_event[loc] = "gen"
-                    if loc not in first_change:
-                        first_change[loc] = c
-            else:
-                for k, loc in enumerate(range(dst, dst + change_size[ci])):
-                    allocs += 1
-                    checked.discard(loc)
-                    if loc not in running:
-                        keyed.append((
-                            (coff, 0, ci, k),
-                            (ErrorKind.FREE_UNALLOCATED, loc, c,
-                             _DETAIL_FREE),
-                        ))
-                    running.discard(loc)
-                    killed_vars.add(loc)
-                    gen.discard(loc)
-                    last_event[loc] = "kill"
-                    if loc not in first_change:
-                        first_change[loc] = c
-        while si < nsub:
-            _replay_access(*sub[si])
-            si += 1
+            if is_changed.any():
+                sub_pos = _occurrences(is_changed)
+                sub = _records(sub_pos, acc_loc[sub_pos])
+                sub_lo = np.searchsorted(sub_pos, slot_lo_arr).tolist()
+            # Stable pairs outside the running set: an error at the
+            # first occurrence under the idempotent filter (one check
+            # per pair), else at every occurrence.
+            bad_u = np.flatnonzero(~(is_changed | in_run))
+            if bad_u.shape[0] and use_filter:
+                bad = _records(first_pos[bad_u], uniq[bad_u])
+                bad_lo = np.searchsorted(bad_u, uniq_lo).tolist()
+            elif bad_u.shape[0]:
+                bad_pos = _occurrences(bad_u)
+                bad = _records(bad_pos, acc_loc[bad_pos])
+                bad_lo = np.searchsorted(bad_pos, slot_lo_arr).tolist()
 
-        keyed.sort(key=lambda kv: kv[0])
-        errors.extend(rec for _, rec in keyed)
-        return AddrScan(
-            gen=gen,
-            all_gen=all_gen,
-            killed_vars=killed_vars,
-            last_event=last_event,
-            access=access,
-            first_change=first_change,
-            first_access=first_access,
-            errors=errors,
-            events=n,
-            checks=checks,
-            accesses=accesses,
-            allocs=allocs,
-        )
+        scans: List[AddrScan] = []
+        for s, (_, running) in enumerate(group):
+            ev0 = ev_lo[s]
+            gen: Set[int] = set()
+            all_gen: Set[int] = set()
+            killed_vars: Set[int] = set()
+            last_event: Dict[int, str] = {}
+            first_change: Dict[int, int] = {}
+            allocs = 0
+            a, b = uniq_lo[s], uniq_lo[s + 1]
+            first_access = dict(zip(uniq_list[a:b], first_ev[a:b]))
+            si, sub_hi = sub_lo[s], sub_lo[s + 1]
+            # The stable checks, against the initial running set: one
+            # per stable pair under the idempotent filter (whose state
+            # therefore only ever matters for replayed, i.e. changed,
+            # locations), else one per stable occurrence.
+            checked: Set[int] = set()
+            if use_filter:
+                checks = b - a - len({u for _, u, _ in sub[si:sub_hi]})
+            else:
+                checks = slot_lo[s + 1] - slot_lo[s] - (sub_hi - si)
+
+            # Errors are collected with a stream-position sort key and
+            # merged at the end: access errors at occurrence position
+            # ``p`` key as ``(p, 1, ...)``, change-event errors at event
+            # ``ci`` (whose extent locations error in order ``k``) key
+            # as ``(change_off[ci], 0, ci, k)`` -- an access sharing a
+            # change's offset happens *after* it, hence the 1-vs-0
+            # middle component.
+            keyed: List[Tuple[Tuple[int, int, int, int],
+                              Tuple[ErrorKind, int, int, str]]] = [
+                ((p, 1, 0, 0),
+                 (ErrorKind.ACCESS_UNALLOCATED, u, e - ev0, _DETAIL_ACCESS))
+                for p, u, e in bad[bad_lo[s]:bad_lo[s + 1]]
+            ]
+
+            # Replay, in stream order, the accesses that touch changed
+            # locations interleaved with the change events themselves
+            # -- exact scalar semantics against the live
+            # ``running``/filter.  One extra turn past the last change
+            # event drains the accesses that follow it.
+            change_hi = change_lo[s + 1]
+            for ci in range(change_lo[s], change_hi + 1):
+                coff = change_off[ci] if ci < change_hi else slot_lo[s + 1]
+                while si < sub_hi and sub[si][0] < coff:
+                    p, u, e = sub[si]
+                    si += 1
+                    if use_filter:
+                        if u in checked:
+                            continue
+                        checked.add(u)
+                    checks += 1
+                    if u not in running:
+                        keyed.append((
+                            (p, 1, 0, 0),
+                            (ErrorKind.ACCESS_UNALLOCATED, u, e - ev0,
+                             _DETAIL_ACCESS),
+                        ))
+                if ci == change_hi:
+                    break
+                c = change_list[ci] - ev0
+                dst = change_dst[ci]
+                if change_ops[ci] == OP_MALLOC:
+                    for k, loc in enumerate(
+                        range(dst, dst + change_size[ci])
+                    ):
+                        allocs += 1
+                        checked.discard(loc)
+                        if loc in running:
+                            keyed.append((
+                                (coff, 0, ci, k),
+                                (ErrorKind.MALLOC_ALLOCATED, loc, c,
+                                 _DETAIL_MALLOC),
+                            ))
+                        running.add(loc)
+                        gen.add(loc)
+                        all_gen.add(loc)
+                        last_event[loc] = "gen"
+                        if loc not in first_change:
+                            first_change[loc] = c
+                else:
+                    for k, loc in enumerate(
+                        range(dst, dst + change_size[ci])
+                    ):
+                        allocs += 1
+                        checked.discard(loc)
+                        if loc not in running:
+                            keyed.append((
+                                (coff, 0, ci, k),
+                                (ErrorKind.FREE_UNALLOCATED, loc, c,
+                                 _DETAIL_FREE),
+                            ))
+                        running.discard(loc)
+                        killed_vars.add(loc)
+                        gen.discard(loc)
+                        last_event[loc] = "kill"
+                        if loc not in first_change:
+                            first_change[loc] = c
+
+            keyed.sort(key=lambda kv: kv[0])
+            scans.append(AddrScan(
+                gen=gen,
+                all_gen=all_gen,
+                killed_vars=killed_vars,
+                last_event=last_event,
+                access=set(first_access),
+                first_change=first_change,
+                first_access=first_access,
+                errors=[rec for _, rec in keyed],
+                events=ev_lo[s + 1] - ev0,
+                checks=checks,
+                accesses=slot_lo[s + 1] - slot_lo[s],
+                allocs=allocs,
+            ))
+        return scans
 
 
 class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
@@ -628,6 +728,13 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
 
     parallel_first_pass = True
     parallel_second_pass = True
+
+    #: The row the engine announced, until its first ``first_pass``
+    #: scans it; then the ``(block, scan)`` pairs still to commit, last
+    #: thread first.  Both are empty outside a row's first pass (class
+    #: defaults, so a restored checkpoint needs neither).
+    _staged_row: Sequence[Block] = ()
+    _staged_scans: Sequence[Tuple[Block, AddrScan]] = ()
 
     def __init__(
         self,
@@ -668,6 +775,26 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
     def first_pass_context(self, block: Block) -> SOSView:
         lid, tid = block.block_id
         return self._compute_lsos(lid, tid)
+
+    def stage_row(self, blocks: Sequence[Block]) -> None:
+        self._staged_row = blocks
+        self._staged_scans = ()
+
+    def first_pass(self, block: Block) -> AddrSummary:
+        """Step 1 for one block.  The first call of a staged row scans
+        all of it in one :meth:`AddrScanner.scan_row` -- every context
+        reads published state only, so computing them up front changes
+        nothing -- and each call commits its own block's scan, in the
+        row's order; any other block is a row of one."""
+        pending = self._staged_scans
+        if not (pending and pending[-1][0] is block):
+            row, self._staged_row = self._staged_row, ()
+            if not (row and row[0] is block):
+                row = (block,)
+            items = [(b, self.first_pass_context(b)) for b in row]
+            scans = self._scanner().scan_row(items)
+            pending = self._staged_scans = list(zip(row, scans))[::-1]
+        return self.commit_scan(*pending.pop())
 
     def commit_scan(self, block: Block, scan: AddrScan) -> AddrSummary:
         block_id = block.block_id

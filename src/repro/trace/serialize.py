@@ -50,6 +50,14 @@ def _encode_instr(instr: Instr) -> list:
 def _decode_instr(raw: list) -> Instr:
     try:
         op, dst, srcs, size = raw
+        # Exactly ``int``: JSON ``true`` and ``1.0`` both compare equal
+        # to 1 and would otherwise be analysed as location (or size) 1.
+        if not (
+            type(size) is int
+            and (dst is None or type(dst) is int)
+            and all(type(s) is int for s in srcs)
+        ):
+            raise TypeError("locations and sizes must be integers")
         return Instr(Op(op), dst=dst, srcs=tuple(srcs), size=size)
     except (ValueError, TypeError) as exc:
         raise TraceError(f"malformed instruction record: {raw!r}") from exc

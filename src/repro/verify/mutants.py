@@ -117,6 +117,38 @@ def stale_overlay() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def thread_bleed() -> Iterator[None]:
+    """Give every block of a row scan the *first* block's LSOS overlay.
+
+    The bug a batched first pass invites: the row's blocks share one
+    probe of the published ``SOS_l``, and each must then see its own
+    head's frees and allocations -- not its neighbour's.  Only the
+    columnar kernel groups blocks, so the object kernel stays right and
+    the ``columnar`` pair must see the two part ways.
+    """
+    from repro.core.state import SOSView
+    from repro.lifeguards.addrcheck import AddrScanner
+
+    orig = AddrScanner._scan_columns
+
+    def scan_columns(self, group):
+        first = group[0][1]
+        added, removed = set(first.added), set(first.removed)
+        bled = [group[0]]
+        for cols, running in group[1:]:
+            view = SOSView(running.base)
+            view.added, view.removed = set(added), set(removed)
+            bled.append((cols, view))
+        return orig(self, bled)
+
+    AddrScanner._scan_columns = scan_columns
+    try:
+        yield
+    finally:
+        AddrScanner._scan_columns = orig
+
+
+@contextlib.contextmanager
 def reversed_commit() -> Iterator[None]:
     """Commit fanned-out first-pass scans last thread first.
 
@@ -176,6 +208,7 @@ MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "resume-replay": resume_event_replay,
     "narrow-window": narrow_window,
     "stale-overlay": stale_overlay,
+    "thread-bleed": thread_bleed,
     "reversed-commit": reversed_commit,
     "lossy-decode": lossy_decode,
 }

@@ -1,6 +1,7 @@
 """The bounded-memory streaming pipeline: EpochSource, eviction, and
 the feed_blocks contract."""
 
+import pickle
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from repro.core.epoch import (
 from repro.core.framework import ButterflyAnalysis, ButterflyEngine
 from repro.core.stream import EpochSource, PartitionSource
 from repro.errors import AnalysisError
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.obs.recorder import Recorder, normalize_events
 from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
@@ -301,6 +302,120 @@ class TestFeedBlocksContract:
             engine.attach_source(PartitionSource(partition))
         with pytest.raises(AnalysisError, match="already attached"):
             engine.attach(partition)
+
+
+class _ExplodingScanner(AddrScanner):
+    """Thread 2's scan of epoch 1 raises, after threads 0 and 1 were
+    scanned."""
+
+    def _scan_objects(self, block, running):
+        if block.block_id == (1, 2):
+            raise RuntimeError("boom")
+        return super()._scan_objects(block, running)
+
+
+class _ExplodingGuard(ButterflyAddrCheck):
+    def make_scanner(self):
+        return _ExplodingScanner(self.use_idempotent_filter, False)
+
+
+class _PickleEveryEpoch:
+    """Stands in for a checkpointer: pickles the snapshot at each of
+    the engine's safe points."""
+
+    def __init__(self):
+        self.snapshots = []
+
+    def after_epoch(self, engine, lid):
+        self.snapshots.append(pickle.dumps(engine.snapshot_state()))
+
+    def save_now(self, engine):
+        self.after_epoch(engine, None)
+
+
+class TestStagedRows:
+    """The serial schedule announces each row (``stage_row``) so a
+    lifeguard may scan it in one pass; the hook is still called per
+    block, a failed scan commits nothing, nothing staged is ever
+    checkpointed."""
+
+    def partition(self):
+        # Every epoch-1 block reads a never-allocated location: under a
+        # scan-then-commit-per-block schedule threads 0 and 1 would log
+        # their errors before thread 2 blew up.
+        prog = TraceProgram.from_lists(*[
+            [Instr.malloc(10 + tid), Instr.read(10 + tid),
+             Instr.read(90 + tid), Instr.free(10 + tid)]
+            for tid in range(4)
+        ])
+        return partition_fixed(prog, 2)
+
+    def test_a_scan_raising_mid_row_commits_none_of_the_row(self):
+        partition = self.partition()
+        guard = _ExplodingGuard()
+        engine = ButterflyEngine(guard)
+        engine.attach_source(PartitionSource(partition))
+        engine.feed_blocks(0, partition.epoch_blocks(0))
+        before = (
+            engine.resume_position,
+            dict(engine._summaries),
+            dict(guard._summaries),
+            [(r.kind, r.location, r.ref) for r in guard.errors.reports],
+            dict(guard.block_work),
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.feed_blocks(1, partition.epoch_blocks(1))
+        assert before == (
+            engine.resume_position,
+            engine._summaries,
+            guard._summaries,
+            [(r.kind, r.location, r.ref) for r in guard.errors.reports],
+            guard.block_work,
+        )
+        assert not guard._staged_row and not guard._staged_scans
+        with pytest.raises(AnalysisError, match="failed state"):
+            engine.feed_blocks(1, partition.epoch_blocks(1))
+
+    def test_the_hook_is_still_called_once_per_block_in_thread_order(self):
+        partition = self.partition()
+        calls = []
+
+        class Counting(ButterflyAddrCheck):
+            def first_pass(self, block):
+                calls.append(block.block_id)
+                return super().first_pass(block)
+
+        guard = Counting()
+        ButterflyEngine(guard).run_source(PartitionSource(partition))
+        assert calls == [
+            (lid, tid) for lid in range(2) for tid in range(4)
+        ]
+        reference = ButterflyAddrCheck()
+        for lid in range(2):  # a direct caller: nothing staged
+            for block in partition.epoch_blocks(lid):
+                reference.first_pass(block)
+        assert [
+            (r.kind, r.location, r.ref) for r in reference.errors.reports
+        ] == [
+            (r.kind, r.location, r.ref) for r in guard.errors.reports
+            if r.kind.value != "unsafe-isolation"
+        ]
+
+    def test_no_snapshot_pickles_a_staged_row(self):
+        partition = self.partition()
+        for guard in (ButterflyAddrCheck(), _ExplodingGuard()):
+            engine = ButterflyEngine(guard)
+            saver = _PickleEveryEpoch()
+            engine.enable_checkpoints(saver)
+            try:
+                engine.run_source(PartitionSource(partition))
+            except RuntimeError:
+                engine.checkpoint_now()  # what a serve session does
+            assert saver.snapshots
+            for blob in saver.snapshots:
+                restored = pickle.loads(blob)["analysis"]
+                assert not restored._staged_row
+                assert not restored._staged_scans
 
 
 class TestVariablePartitions:

@@ -156,6 +156,30 @@ class TestTransportFaults:
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")
 
+    @pytest.mark.parametrize("bad_row", [
+        ["write", True, [3], 1],
+        ["malloc", 5, [], True],
+    ])
+    def test_boolean_for_an_integer_is_refused_not_analysed(
+        self, daemon, trace_file, bad_row
+    ):
+        """``isinstance(True, int)``: the EPOCH decoder used to take a
+        JSON ``true`` as location (or size) 1 and fold it."""
+        with open(trace_file) as fp:
+            stream_header(fp, str(trace_file))
+            epoch = json.loads(fp.readline())
+        epoch["blocks"][0].append(bad_row)
+        sock = raw_handshake(daemon.address, trace_file, "bool", 0)
+        sock.sendall(encode_json_frame(FRAME_EPOCH, epoch))
+        ftype, payload = read_frame_sync(sock)
+        assert ftype == FRAME_ERROR
+        answer = json.loads(payload)
+        assert answer["code"] == "protocol"
+        assert "malformed instruction record" in answer["error"]
+        sock.close()
+        served = push_trace(daemon.address, str(trace_file), "good")
+        assert served == offline_report(trace_file, "good")
+
     def test_idle_producer_times_out(self, tmp_path, trace_file):
         config = ServeConfig(
             unix_path=str(tmp_path / "s.sock"), idle_timeout=0.2

@@ -1,6 +1,7 @@
 """Round-trip tests for trace persistence."""
 
 import io
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import (
+    decode_epoch_row,
     dump,
     dump_stream,
     file_version,
@@ -22,6 +24,17 @@ from repro.trace.serialize import (
     stream_epochs,
 )
 from repro.workloads.registry import get_benchmark
+
+
+#: Instruction records with a JSON boolean or float where an integer
+#: belongs; ``1.0`` only ever got past the version 1 decoder.
+NOT_INTEGERS = [
+    '["write", true, [3], 1]',
+    '["malloc", 5, [], true]',
+    '["read", null, [false], 1]',
+    '["write", 1.0, [3], 1]',
+    '["malloc", 5, [], 1.0]',
+]
 
 
 def round_trip(program):
@@ -85,6 +98,22 @@ class TestValidation:
         )
         with pytest.raises(TraceError):
             load(buf)
+
+    @pytest.mark.parametrize("record", NOT_INTEGERS)
+    def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
+        """``isinstance(True, int)``: a JSON ``true`` (or ``1.0``) used
+        to load as location 1 / size 1."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 1, "threads": 1}\n'
+            f'[["nop", null, [], 1], {record}]\n'
+            '{"true_order": null}\n{"timesliced_order": null}\n'
+            '{"preallocated": []}\n'
+        )
+        with pytest.raises(
+            TraceError, match=r"t\.jsonl:2: malformed instruction record"
+        ):
+            load_file(path)
 
     def test_truncated_final_record_has_file_line_context(self):
         prog = TraceProgram.from_lists([Instr.nop(), Instr.read(7)])
@@ -179,6 +208,26 @@ class TestStreamValidation:
         no_footer = "".join(text.splitlines(keepends=True)[:-1])
         with pytest.raises(TraceError, match=r"t:\d+.*footer"):
             list(stream_epochs(io.StringIO(no_footer), name="t"))
+
+    @pytest.mark.parametrize("record", NOT_INTEGERS)
+    def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
+        _, partition = stream_partition(threads=2)
+        lines = stream_text(partition).splitlines(keepends=True)
+        epoch = json.loads(lines[2])  # line 3: epoch 1
+        epoch["blocks"][1].append(json.loads(record))
+        lines[2] = json.dumps(epoch) + "\n"
+        path = tmp_path / "t.stream.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(
+            TraceError,
+            match=r"t\.stream\.jsonl:3: malformed instruction record",
+        ):
+            list(iter_load(path).epochs())
+        # The decoder the daemon's EPOCH frames share.
+        with pytest.raises(
+            TraceError, match=r"s1:9: malformed instruction record"
+        ):
+            decode_epoch_row(epoch, 1, 2, "s1", 9)
 
     def test_truncated_epoch_record(self):
         _, partition = stream_partition()

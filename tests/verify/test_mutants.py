@@ -138,6 +138,27 @@ class TestStaleOverlayMutant:
         assert_replays_only_under("stale-overlay", artifact)
 
 
+@pytest.mark.skipif(
+    not HAVE_NUMPY, reason="without numpy no scan groups blocks"
+)
+class TestThreadBleedMutant:
+    """The row axis of the columnar kernel: every block of a grouped
+    scan patched with the first block's overlay, so a thread whose head
+    freed (or allocated) a location reads its neighbour's state."""
+
+    def test_columnar_catches_the_shared_overlay(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("columnar",),
+            failures_dir=str(tmp_path),
+            mutant="thread-bleed",
+        )
+        assert_found_and_shrunk(report, "columnar", "thread-bleed")
+        case, _, _ = load_repro(report.findings[0].artifact)
+        assert len(case.threads) == 2
+
+
 class TestReversedCommitMutant:
     """The executor axis: fanned-out scans committed last thread first
     leave the error and event logs in another order than the serial
