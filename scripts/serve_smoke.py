@@ -206,26 +206,30 @@ def phase_concurrent_streams(tmp, summary_path):
             )
     log(f"{STREAMS} concurrent streams (3 faulty) all match offline")
 
-    # CLI diff: `repro push` output == `repro check --trace` output.
+    # CLI diff: `repro push` output == `repro check --trace` output,
+    # under each lifeguard (both print through format_report).
     path, _ = traces["stream-0"]
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    push_out = subprocess.run(
-        [sys.executable, "-m", "repro", "push", "--trace", str(path),
-         "--unix", str(sock), "--stream-id", str(path)],
-        capture_output=True, text=True, cwd=str(REPO_ROOT), env=env,
-    )
-    check_out = subprocess.run(
-        [sys.executable, "-m", "repro", "check", "--trace", str(path)],
-        capture_output=True, text=True, cwd=str(REPO_ROOT), env=env,
-    )
-    if push_out.returncode not in (0, 1):
-        fail(f"repro push errored: {push_out.stderr}")
-    if push_out.stdout != check_out.stdout:
-        fail(
-            "repro push and repro check disagree:\n"
-            f"--- push ---\n{push_out.stdout}"
-            f"--- check ---\n{check_out.stdout}"
+    for lifeguard in ("addrcheck", "race", "taintcheck"):
+        push_out = subprocess.run(
+            [sys.executable, "-m", "repro", "push", "--trace", str(path),
+             "--unix", str(sock), "--stream-id", f"{path}:{lifeguard}",
+             "--lifeguard", lifeguard],
+            capture_output=True, text=True, cwd=str(REPO_ROOT), env=env,
         )
+        check_out = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "--trace", str(path),
+             "--lifeguard", lifeguard],
+            capture_output=True, text=True, cwd=str(REPO_ROOT), env=env,
+        )
+        if push_out.returncode != 0:
+            fail(f"repro push ({lifeguard}) errored: {push_out.stderr}")
+        if push_out.stdout != check_out.stdout:
+            fail(
+                f"repro push and repro check disagree ({lifeguard}):\n"
+                f"--- push ---\n{push_out.stdout}"
+                f"--- check ---\n{check_out.stdout}"
+            )
     log("repro push output diffs clean against repro check")
 
     proc.send_signal(signal.SIGTERM)
@@ -236,8 +240,8 @@ def phase_concurrent_streams(tmp, summary_path):
         fail(f"no drain farewell in output: {out!r}")
     summary = json.loads(summary_path.read_text())
     counters = summary["counters"]
-    # stream-0 was pushed twice (client + CLI diff).
-    if counters.get("serve.streams_completed", 0) < STREAMS + 1:
+    # stream-0 was pushed four times (client + three CLI diffs).
+    if counters.get("serve.streams_completed", 0) < STREAMS + 3:
         fail(f"unexpected completion count: {counters}")
     for needed in ("serve.streams_accepted", "serve.epochs_folded",
                    "serve.bytes_ingested"):

@@ -12,9 +12,9 @@ Examples
     python -m repro check --benchmark OCEAN --emit-events events.jsonl
     python -m repro check --benchmark OCEAN --checkpoint run.ckpt
     python -m repro check --backend processes --inject-faults crash=0.05,seed=7
-    python -m repro check --benchmark OCEAN --stream
+    python -m repro check --benchmark OCEAN --lifeguard taintcheck
     python -m repro generate --benchmark OCEAN --stream --output big.jsonl
-    python -m repro check --trace big.jsonl        # v2 traces stream
+    python -m repro check --trace big.jsonl        # v1 or v2 file
     python -m repro resume --checkpoint run.ckpt
     python -m repro sweep --benchmark OCEAN --threads 4
     python -m repro sweep --traces a.jsonl b.jsonl --quarantine bad/
@@ -40,7 +40,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.bench.experiments import figure11, figure12, figure13, table1
 from repro.bench.harness import ExperimentConfig, ExperimentSuite
 from repro.bench.reporting import render_table
-from repro.core.epoch import partition_auto, partition_from_boundaries
+from repro.core.epoch import (
+    SloConfig,
+    partition_auto,
+    partition_from_boundaries,
+)
 from repro.core.framework import ButterflyEngine
 from repro.core.parallel import (
     BACKEND_CHOICES,
@@ -48,13 +52,8 @@ from repro.core.parallel import (
     get_backend,
 )
 from repro.core.stream import EpochSource, PartitionSource
-from repro.core.tune import ORACLE_LIFEGUARDS, tune_workload
-from repro.errors import (
-    CheckpointError,
-    ReproError,
-    ResilienceError,
-    TraceError,
-)
+from repro.core.tune import tune_workload
+from repro.errors import AnalysisError, ReproError, TraceError
 from repro.lifeguards.reports import compare_reports
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.obs import NULL_RECORDER, JsonlSink, Recorder
@@ -76,6 +75,7 @@ from repro.serve import (
     parse_address,
     push_trace,
 )
+from repro.serve.protocol import LIFEGUARD_CHOICES
 from repro.sim.lba import LBASystem
 from repro.trace.generator import alloc_handoff_program
 from repro.trace.serialize import (
@@ -96,24 +96,20 @@ def _fail(command: str, message: str) -> int:
     return 2
 
 
-def _open_recorder(
-    args: argparse.Namespace, command: str
-) -> "tuple[Optional[Recorder], Optional[int]]":
+def _open_recorder(args: argparse.Namespace) -> Recorder:
     """Resolve ``--emit-events`` into a recorder, failing fast.
 
-    Returns ``(recorder, None)`` on success -- the shared
-    :data:`NULL_RECORDER` when the flag is absent -- or ``(None,
-    exit_code)`` when the path is unwritable, so a typo'd directory
-    aborts before any analysis work runs.
+    The shared :data:`NULL_RECORDER` when the flag is absent; an
+    unwritable path raises, so a typo'd directory aborts before any
+    analysis work runs.
     """
     path = getattr(args, "emit_events", None)
     if not path:
-        return NULL_RECORDER, None
+        return NULL_RECORDER
     try:
-        sink = JsonlSink.open(path)
+        return Recorder(sink=JsonlSink.open(path))
     except OSError as exc:
-        return None, _fail(command, f"cannot write {path}: {exc}")
-    return Recorder(sink=sink), None
+        raise ReproError(f"cannot write {path}: {exc}") from exc
 
 
 def _finish_events(recorder: Recorder, args: argparse.Namespace) -> None:
@@ -123,27 +119,19 @@ def _finish_events(recorder: Recorder, args: argparse.Namespace) -> None:
         print(f"wrote {len(recorder.events)} events to {args.emit_events}")
 
 
-def _resolve_backend(
-    args: argparse.Namespace, command: str
-) -> "tuple[Optional[ExecutionBackend], Optional[int]]":
+def _resolve_backend(args: argparse.Namespace) -> ExecutionBackend:
     """``--backend`` plus the resilience flags -> engine backend.
 
     Returns a constructed backend the caller must ``close()`` (the
-    engine only owns backends it built from a name), or ``(None,
-    exit_code)`` on a malformed fault spec or compute faults aimed at
-    the serial backend, which has no fan-out to inject them into.
+    engine only owns backends it built from a name).  A malformed fault
+    spec, or compute faults aimed at the serial backend (which has no
+    fan-out to inject them into), raise :class:`ResilienceError`.
     """
-    try:
-        plan = (
-            FaultPlan.parse(args.inject_faults)
-            if args.inject_faults else None
-        )
-        policy = RetryPolicy(
-            max_retries=args.retries, task_timeout=args.task_timeout
-        )
-        return get_backend(args.backend, policy=policy, plan=plan), None
-    except ResilienceError as exc:
-        return None, _fail(command, str(exc))
+    plan = FaultPlan.parse(args.inject_faults) if args.inject_faults else None
+    policy = RetryPolicy(
+        max_retries=args.retries, task_timeout=args.task_timeout
+    )
+    return get_backend(args.backend, policy=policy, plan=plan)
 
 
 def _sha256(path: str) -> str:
@@ -155,39 +143,31 @@ def _sha256(path: str) -> str:
 
 
 def _run_meta(
-    args: argparse.Namespace,
-    num_threads: int,
-    trace_path: Optional[str],
-    stream: bool,
-    partition=None,
+    args: argparse.Namespace, source: EpochSource, trace_path: Optional[str]
 ) -> Dict[str, Any]:
     """The checkpoint's configuration fingerprint: everything needed to
     rebuild the identical trace and partition at resume time.
 
-    ``stream`` records whether the run fed the engine through an
-    :class:`EpochSource`; resume replays the same pipeline so a
-    checkpoint taken mid-stream is continued by seeking the reader.
-
-    When the run materialized a partition, its explicit boundary stream
-    is recorded too: resume replays those exact cuts
+    When the source cuts an in-memory program, its explicit boundary
+    stream is recorded too: resume replays those exact cuts
     (:func:`partition_from_boundaries`) instead of re-deriving them
     from ``epoch_size``, so variable-size partitions -- skewed,
-    global-order -- resume on identical epoch geometry.
+    global-order -- resume on identical epoch geometry.  A version 2
+    file carries its own cuts and records none.
     """
     trace_abs = os.path.abspath(trace_path) if trace_path else None
     return {
         "benchmark": None if trace_abs else args.benchmark,
         "trace": trace_abs,
         "trace_sha256": _sha256(trace_abs) if trace_abs else None,
-        "threads": num_threads,
+        "threads": source.num_threads,
         "events": None if trace_abs else args.events,
         "seed": None if trace_abs else args.seed,
         "epoch_size": args.epoch_size,
         "lifeguard": args.lifeguard,
-        "stream": stream,
         "boundaries": (
-            [list(cuts) for cuts in partition.boundaries]
-            if partition is not None else None
+            [list(cuts) for cuts in source.partition.boundaries]
+            if isinstance(source, PartitionSource) else None
         ),
     }
 
@@ -196,18 +176,16 @@ def _drive_engine(
     args: argparse.Namespace,
     engine: ButterflyEngine,
     source: EpochSource,
-    checkpoint_path: Optional[str],
-    meta: Dict[str, Any],
+    checkpoint_path: Optional[str] = None,
+    meta: Optional[Dict[str, Any]] = None,
     start_epoch: int = 0,
 ) -> bool:
     """Feed the remaining epochs; return True when the run finished.
 
-    Pulls one epoch at a time from ``source`` -- a
-    :class:`PartitionSource` for a materialized run, whose blocks are
-    the attached partition's own -- so streamed and materialized runs
-    are killed and resumed by the same loop.  ``start_epoch > 0`` is
-    the resume path, seeking the reader past epochs the checkpoint
-    covers.
+    Pulls one epoch at a time from ``source`` -- the engine never holds
+    more than the three-epoch window -- so every command's run is
+    killed and resumed by the same loop.  ``start_epoch > 0`` is the
+    resume path, seeking the reader past epochs the checkpoint covers.
 
     ``--stop-after-epoch N`` exits cleanly right after receiving epoch
     ``N`` -- the kill/resume drill used by the resilience tests and the
@@ -243,62 +221,43 @@ def _drive_engine(
     return True
 
 
-def _print_check_results(
+def _print_report(
     label: str,
-    threads: int,
-    epoch_size: int,
-    lifeguard: str,
+    meta: Dict[str, Any],
     limit: int,
+    source: EpochSource,
     program,
-    partition,
+    engine: ButterflyEngine,
     guard,
 ) -> None:
-    """The check/resume result block (identical for both commands, so
-    a resumed run's output can be diffed against an uninterrupted
-    one)."""
-    if lifeguard == "addrcheck":
+    """The result block of a finished run, whatever fed it.
+
+    Rendered through the serve layer's report builder, so ``repro
+    check`` over a generated workload, a version 1 file or a version 2
+    file, ``repro resume`` and ``repro push`` print the same block for
+    the same trace -- the serve-smoke job diffs check against push byte
+    for byte.  AddrCheck over an in-memory program adds its precision
+    against the sequential oracle (Figure 13's quantity), which needs
+    the whole trace and so is not part of a streamed report.
+    """
+    hello = make_hello(
+        label, meta["threads"], source.num_epochs, (), meta["lifeguard"]
+    )
+    report = build_report(label, hello, engine, guard)
+    for line in format_report(report, label, limit):
+        print(line)
+    if program is not None and meta["lifeguard"] == "addrcheck":
         truth = SequentialAddrCheck(program.preallocated)
         truth.run_order(program)
         precision = compare_reports(
             truth.errors, guard.errors, program.memory_op_count
         )
-        print(f"benchmark: {label}, {threads} threads, "
-              f"h={epoch_size} events, "
-              f"{partition.num_epochs} epochs")
-        print(f"flags: {precision.flagged}  true: {precision.true_positives}"
+        print(f"oracle (h={meta['epoch_size']} events): "
+              f"true: {precision.true_positives}"
               f"  false positives: {precision.false_positives}"
               f"  false negatives: {precision.false_negatives}")
         print(f"false-positive rate: "
               f"{precision.false_positive_rate:.4%} of memory accesses")
-    else:
-        print(f"benchmark: {label}, {threads} threads, "
-              f"h={epoch_size} events")
-        print(f"potential conflicts: {len(guard.races)}")
-        for race in guard.races[:limit]:
-            print(f"  {race.kind:12s} loc=0x{race.location:x} "
-                  f"at {race.body_ref}")
-
-
-def _print_stream_results(
-    label: str,
-    threads: int,
-    num_epochs: Optional[int],
-    lifeguard: str,
-    limit: int,
-    guard,
-    engine: ButterflyEngine,
-) -> None:
-    """Result block for a pure stream run (no materialized program, so
-    no sequential-oracle precision accounting).
-
-    Rendered through the serve layer's report builder so ``repro check
-    --trace`` and ``repro push`` over the same trace print bit-identical
-    blocks -- the serve-smoke job diffs them directly.
-    """
-    hello = make_hello(label, threads, num_epochs, (), lifeguard)
-    report = build_report(label, hello, engine, guard)
-    for line in format_report(report, label, limit):
-        print(line)
 
 
 def _suite(args: argparse.Namespace) -> ExperimentSuite:
@@ -370,100 +329,72 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_workload(
-    command: str,
+def _open_source(
     trace_path: Optional[str],
     benchmark: str,
     threads: int,
     events: int,
     seed: int,
-) -> "tuple[Any, Optional[EpochSource], Optional[int]]":
-    """Trace path or benchmark parameters -> ``(program, source, rc)``.
+    cut,
+) -> "tuple[EpochSource, Any]":
+    """Trace path or benchmark parameters -> ``(source, program)``.
 
-    Exactly one of ``program``/``source`` is set: a version 2
-    (epoch-major) file opens as a streaming source and is never
-    materialized; a version 1 file or a generated benchmark is a
-    program.  On an unreadable or malformed trace both are ``None`` and
-    ``rc`` is the exit status (the diagnostic is already printed).
+    A version 2 (epoch-major) file is read one epoch at a time and
+    never materialized, so its ``program`` is ``None``; a version 1
+    file or a generated benchmark is a program in memory, which
+    ``cut(program)`` partitions and a :class:`PartitionSource` hands
+    the engine one epoch row at a time just the same.
     """
-    if not trace_path:
+    if trace_path:
+        try:
+            if file_version(trace_path) == STREAM_VERSION:
+                return iter_load(trace_path), None
+            program = load_file(trace_path)
+        except OSError as exc:
+            raise ReproError(f"cannot read {trace_path}: {exc}") from exc
+    else:
         program = get_benchmark(benchmark).generate(
             threads, events, seed=seed
         )
-        return program, None, None
-    try:
-        if file_version(trace_path) == STREAM_VERSION:
-            return None, iter_load(trace_path), None
-        return load_file(trace_path), None, None
-    except OSError as exc:
-        return None, None, _fail(
-            command, f"cannot read {trace_path}: {exc}"
-        )
-    except TraceError as exc:
-        return None, None, _fail(command, str(exc))
+    return PartitionSource(cut(program)), program
 
 
 def _run_and_report(
-    command: str,
     args: argparse.Namespace,
     recorder: Recorder,
     guard: Any,
+    source: EpochSource,
     program,
-    partition,
-    source: Optional[EpochSource],
     meta: Dict[str, Any],
     label: str,
     checkpoint=None,
 ) -> int:
     """Drive one check/resume run and print its result block.
 
-    ``source`` set means the run streams (``attach_source``); otherwise
-    the materialized ``partition`` is attached and fed through a
-    :class:`PartitionSource`.  With ``checkpoint`` the engine continues
-    from it: ``resumed=True`` suppresses the duplicate ``run.attach``
-    event and ``restore_into`` continues the log numbering from the
-    checkpoint boundary, so the resumed event log is the exact suffix
-    of the uninterrupted one, never a re-count of finished epochs.
+    With ``checkpoint`` the engine continues from it: ``resumed=True``
+    suppresses the duplicate ``run.attach`` event and ``restore_into``
+    continues the log numbering from the checkpoint boundary, so the
+    resumed event log is the exact suffix of the uninterrupted one,
+    never a re-count of finished epochs.
     """
-    backend, rc = _resolve_backend(args, command)
-    if backend is None:
-        return rc
+    backend = _resolve_backend(args)
     resumed = checkpoint is not None
-    streaming = source is not None
     engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
     try:
-        if streaming:
-            engine.attach_source(source, resumed=resumed)
-        else:
-            engine.attach(partition, resumed=resumed)
+        engine.attach_source(source, resumed=resumed)
         if resumed:
             checkpoint.restore_into(engine)
         finished = _drive_engine(
-            args, engine,
-            source if streaming else PartitionSource(partition),
-            args.checkpoint, meta,
+            args, engine, source, args.checkpoint, meta,
             start_epoch=checkpoint.next_epoch if resumed else 0,
         )
-    except (ResilienceError, TraceError) as exc:
-        return _fail(command, str(exc))
     finally:
         engine.close()
         backend.close()
     if finished:
-        threads, lifeguard = meta["threads"], meta["lifeguard"]
-        if program is not None:
-            _print_check_results(
-                label, threads, meta["epoch_size"], lifeguard,
-                args.limit, program, partition, guard,
-            )
-            if streaming:  # the observed memory bound
-                print(f"stream: peak resident summaries "
-                      f"{engine.window_high_water} (bound {3 * threads})")
-        else:
-            _print_stream_results(
-                label, threads, source.num_epochs, lifeguard,
-                args.limit, guard, engine,
-            )
+        _print_report(
+            label, meta, args.limit, source, program, engine, guard
+        )
     _finish_events(recorder, args)
     return 0
 
@@ -471,37 +402,22 @@ def _run_and_report(
 def cmd_check(args: argparse.Namespace) -> int:
     """Run one lifeguard over a workload (generated or from a file).
 
-    Version 2 (epoch-major) trace files always stream -- the engine
-    pulls one epoch at a time and never materializes the trace.
-    ``--stream`` additionally routes generated workloads and version 1
-    files through the same bounded-memory pipeline (the trace is in
-    memory, but the engine's resident state obeys the three-epoch
-    window); the report is identical to a materialized run, plus the
-    observed window peak.
+    The engine pulls one epoch at a time whatever the input: a version
+    2 trace file is never materialized, and a generated workload or a
+    version 1 file is in memory as a trace while the engine's resident
+    state still obeys the three-epoch window, whose observed peak the
+    report's last line prints.
     """
-    recorder, rc = _open_recorder(args, "check")
-    if recorder is None:
-        return rc
-    program, source, rc = _load_workload(
-        "check", args.trace, args.benchmark, args.threads, args.events,
-        args.seed,
-    )
-    if rc is not None:
-        return rc
-    partition = None
-    if program is not None:
-        partition = partition_auto(program, args.epoch_size)
-        if args.stream:
-            source = PartitionSource(partition)
-    loaded = program if program is not None else source
-    meta = _run_meta(
-        args, loaded.num_threads, args.trace, source is not None, partition
+    recorder = _open_recorder(args)
+    source, program = _open_source(
+        args.trace, args.benchmark, args.threads, args.events, args.seed,
+        lambda program: partition_auto(program, args.epoch_size),
     )
     return _run_and_report(
-        "check", args, recorder,
-        make_guard(args.lifeguard, loaded.preallocated),
-        program, partition, source, meta,
-        label=args.benchmark if program is not None else args.trace,
+        args, recorder,
+        make_guard(args.lifeguard, source.preallocated),
+        source, program, _run_meta(args, source, args.trace),
+        label=args.trace or args.benchmark,
     )
 
 
@@ -514,13 +430,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
     flag passed here is cross-checked against the fingerprint and a
     mismatch refuses to resume.
     """
-    recorder, rc = _open_recorder(args, "resume")
-    if recorder is None:
-        return rc
-    try:
-        checkpoint = load_checkpoint(args.checkpoint)
-    except CheckpointError as exc:
-        return _fail("resume", str(exc))
+    recorder = _open_recorder(args)
+    checkpoint = load_checkpoint(args.checkpoint)
     meta = dict(checkpoint.meta)
     expected = dict(meta)
     for key in ("benchmark", "threads", "events", "seed",
@@ -530,10 +441,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             expected[key] = value
     if getattr(args, "trace", None):
         expected["trace"] = os.path.abspath(args.trace)
-    try:
-        checkpoint.verify(expected)
-    except CheckpointError as exc:
-        return _fail("resume", str(exc))
+    checkpoint.verify(expected)
     trace_path = meta["trace"]
     if trace_path and meta["trace_sha256"]:
         try:
@@ -546,31 +454,19 @@ def cmd_resume(args: argparse.Namespace) -> int:
                 f"trace file {trace_path} changed since the "
                 "checkpoint was taken (sha256 mismatch)",
             )
-    program, source, rc = _load_workload(
-        "resume", trace_path, meta["benchmark"], meta["threads"],
-        meta["events"], meta["seed"],
+    # Replay the recorded cuts verbatim: the interrupted run's
+    # partition may not be derivable from epoch_size (skewed or
+    # otherwise variable cuts), and resuming on different geometry
+    # would silently change the analysis.
+    source, program = _open_source(
+        trace_path, meta["benchmark"], meta["threads"], meta["events"],
+        meta["seed"],
+        lambda program: partition_from_boundaries(
+            program, meta["boundaries"]
+        ),
     )
-    if rc is not None:
-        return rc
-    partition = None
-    if program is not None:
-        # Replay the recorded cuts verbatim: the interrupted run's
-        # partition may not be derivable from epoch_size (skewed or
-        # otherwise variable cuts), and resuming on different geometry
-        # would silently change the analysis.
-        try:
-            partition = partition_from_boundaries(
-                program, meta["boundaries"]
-            )
-        except ReproError as exc:
-            return _fail("resume", str(exc))
-        if meta["stream"]:
-            # The interrupted run streamed; resume through the same
-            # pipeline so its counters and window gauge stay coherent.
-            source = PartitionSource(partition)
     return _run_and_report(
-        "resume", args, recorder, checkpoint.analysis,
-        program, partition, source, meta,
+        args, recorder, checkpoint.analysis, source, program, meta,
         label=trace_path or meta["benchmark"], checkpoint=checkpoint,
     )
 
@@ -582,58 +478,42 @@ def _quarantine_file(path: str, directory: str) -> str:
     return dest
 
 
+def _sweep_programs(args: argparse.Namespace) -> List[Tuple[str, Any]]:
+    """The ``(label, program)`` pairs a sweep runs over."""
+    if not args.traces:
+        program = get_benchmark(args.benchmark).generate(
+            args.threads, args.events, seed=args.seed
+        )
+        return [(args.benchmark, program)]
+    programs = []
+    for path in args.traces:
+        try:
+            programs.append((path, load_file(path)))
+        except OSError as exc:
+            raise ReproError(f"cannot read {path}: {exc}") from exc
+        except TraceError as exc:
+            if not args.quarantine:
+                raise
+            dest = _quarantine_file(path, args.quarantine)
+            print(
+                f"repro sweep: warning: quarantined unparseable "
+                f"trace {path} -> {dest} ({exc})",
+                file=sys.stderr,
+            )
+    if not programs:
+        raise ReproError("no readable trace files remain")
+    return programs
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Epoch-size sweep for one benchmark (the paper's tuning knob),
-    or over saved trace files (``--traces``)."""
-    if args.lifeguard not in ORACLE_LIFEGUARDS:
-        # The FP column is a comparison against a sequential oracle for
-        # the *same* lifeguard; silently swapping in the AddrCheck
-        # oracle (the old behavior) would label another lifeguard's
-        # flags with a meaningless FP rate.
-        return _fail(
-            "sweep",
-            f"lifeguard {args.lifeguard!r} has no sequential oracle to "
-            f"measure false positives against; supported: "
-            f"{', '.join(ORACLE_LIFEGUARDS)}",
-        )
-    recorder, rc = _open_recorder(args, "sweep")
-    if recorder is None:
-        return rc
-    backend, rc = _resolve_backend(args, "sweep")
-    if backend is None:
-        return rc
-    programs: List[Tuple[str, Any]] = []
-    if args.traces:
-        for path in args.traces:
-            try:
-                programs.append((path, load_file(path)))
-            except OSError as exc:
-                backend.close()
-                return _fail("sweep", f"cannot read {path}: {exc}")
-            except TraceError as exc:
-                if args.quarantine:
-                    dest = _quarantine_file(path, args.quarantine)
-                    print(
-                        f"repro sweep: warning: quarantined unparseable "
-                        f"trace {path} -> {dest} ({exc})",
-                        file=sys.stderr,
-                    )
-                    continue
-                backend.close()
-                return _fail("sweep", str(exc))
-        if not programs:
-            backend.close()
-            return _fail("sweep", "no readable trace files remain")
-    else:
-        programs.append((
-            args.benchmark,
-            get_benchmark(args.benchmark).generate(
-                args.threads, args.events, seed=args.seed
-            ),
-        ))
+    or over saved trace files (``--traces``): AddrCheck's false
+    positives against the sequential AddrCheck oracle at each size."""
+    recorder = _open_recorder(args)
+    backend = _resolve_backend(args)
     system = LBASystem()
     try:
-        for label, program in programs:
+        for label, program in _sweep_programs(args):
             truth = SequentialAddrCheck(program.preallocated)
             truth.run_order(program)
             baseline = system.unmonitored_sequential(program)
@@ -642,8 +522,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 if recorder.enabled:
                     recorder.event("sweep.config", epoch_size=h)
                 run = system.butterfly(
-                    program, h, backend=backend, recorder=recorder,
-                    stream=args.stream,
+                    program, h, backend=backend, recorder=recorder
                 )
                 precision = compare_reports(
                     truth.errors, run.guard.errors, program.memory_op_count
@@ -661,8 +540,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ("epoch size", "epochs", "slowdown", "false pos", "FP rate"),
                 rows,
             ))
-    except ResilienceError as exc:
-        return _fail("sweep", str(exc))
     finally:
         backend.close()
     _finish_events(recorder, args)
@@ -678,13 +555,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     paper's Figure 13 shape); registry benchmarks are available via
     ``--benchmark`` but are allocation-clean and fit a flat curve.
     """
-    if args.lifeguard not in ORACLE_LIFEGUARDS:
-        return _fail(
-            "tune",
-            f"lifeguard {args.lifeguard!r} has no sequential oracle to "
-            f"measure false positives against; supported: "
-            f"{', '.join(ORACLE_LIFEGUARDS)}",
-        )
     if any(h < 1 for h in args.sizes):
         return _fail("tune", "--sizes must all be >= 1")
     if args.benchmark is not None:
@@ -699,13 +569,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             num_threads=args.threads,
             events_per_thread=args.events,
         )
-    try:
-        curve = tune_workload(
-            program, args.sizes,
-            lifeguard=args.lifeguard, backend=args.backend,
-        )
-    except ReproError as exc:
-        return _fail("tune", str(exc))
+    curve = tune_workload(program, args.sizes, backend=args.backend)
     print(f"workload: {label}, {args.threads} threads, "
           f"{args.events} events/thread, seed {args.seed}")
     print(render_table(
@@ -736,7 +600,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             "threads": args.threads,
             "events_per_thread": args.events,
             "seed": args.seed,
-            "lifeguard": args.lifeguard,
+            "lifeguard": "addrcheck",
         }
         record.update(curve.to_record())
         try:
@@ -764,9 +628,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return _fail(
             "fuzz", f"--oracle-budget must be >= 0, got {args.oracle_budget}"
         )
-    recorder, rc = _open_recorder(args, "fuzz")
-    if recorder is None:
-        return rc
+    recorder = _open_recorder(args)
     report = run_fuzz(
         seed=args.seed,
         budget_seconds=args.budget_seconds,
@@ -803,6 +665,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _serve_config(args: argparse.Namespace) -> ServeConfig:
+    # The --slo-* flags only mean something under --adaptive-epoch; a
+    # fixed-epoch daemon (the default) has no SLO at all.
+    slo = SloConfig(
+        target_fold_ms=args.slo_target_ms,
+        queue_high=args.slo_queue_high,
+        queue_low=args.slo_queue_low,
+        min_fold=args.slo_min_fold,
+        max_fold=args.slo_max_fold,
+    ) if args.adaptive_epoch else None
     return ServeConfig(
         host=args.host,
         port=args.port,
@@ -817,12 +688,7 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
         checkpoint_every=args.checkpoint_every,
         backend=args.backend,
         metrics_port=args.metrics,
-        adaptive_epoch=args.adaptive_epoch,
-        slo_target_ms=args.slo_target_ms,
-        slo_queue_high=args.slo_queue_high,
-        slo_queue_low=args.slo_queue_low,
-        slo_min_fold=args.slo_min_fold,
-        slo_max_fold=args.slo_max_fold,
+        slo=slo,
     )
 
 
@@ -858,9 +724,7 @@ async def _serve_main(server: ReproServer) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the trace-ingestion daemon (see docs/serving.md)."""
-    recorder, rc = _open_recorder(args, "serve")
-    if recorder is None:
-        return rc
+    recorder = _open_recorder(args)
     if (args.summary_json or args.metrics is not None) and not recorder.enabled:
         # The metrics listener serves the recorder's snapshot, so a
         # scrape-enabled daemon needs live counters even without a sink.
@@ -872,8 +736,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve_main(server))
     except OSError as exc:
         return _fail("serve", f"cannot listen: {exc}")
-    except ReproError as exc:
-        return _fail("serve", str(exc))
     snap = recorder.snapshot()
     served = {
         k: v for k, v in sorted(snap["counters"].items())
@@ -900,18 +762,10 @@ def cmd_push(args: argparse.Namespace) -> int:
     """
     if (args.connect is None) == (args.unix is None):
         return _fail("push", "exactly one of --connect or --unix is required")
-    try:
-        address = (
-            ("unix", args.unix) if args.unix else parse_address(args.connect)
-        )
-    except ReproError as exc:
-        return _fail("push", str(exc))
-    plan = None
-    if args.inject_faults:
-        try:
-            plan = FaultPlan.parse(args.inject_faults)
-        except ResilienceError as exc:
-            return _fail("push", str(exc))
+    address = (
+        ("unix", args.unix) if args.unix else parse_address(args.connect)
+    )
+    plan = FaultPlan.parse(args.inject_faults) if args.inject_faults else None
     stream_id = args.stream_id or os.path.basename(args.trace)
     try:
         report = push_trace(
@@ -925,8 +779,6 @@ def cmd_push(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         return _fail("push", f"cannot read {args.trace}: {exc}")
-    except (ReproError, TraceError) as exc:
-        return _fail("push", str(exc))
     for line in format_report(report, args.trace, args.limit):
         print(line)
     return 0
@@ -934,7 +786,7 @@ def cmd_push(args: argparse.Namespace) -> int:
 
 def _run_stats_serve(
     args: argparse.Namespace, recorder: Recorder, partition
-) -> Optional[int]:
+) -> None:
     """Route the stats workload through an in-process serve daemon.
 
     Exercises every ``serve.*`` counter family deterministically: two
@@ -980,46 +832,35 @@ def _run_stats_serve(
                     read_frame_sync(sock)  # ERROR protocol
                 finally:
                     sock.close()
-        except (ReproError, OSError) as exc:
-            return _fail("stats", str(exc))
-    return None
+        except OSError as exc:
+            raise ReproError(f"serve self-test: {exc}") from exc
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Run one instrumented workload and print the metrics summary."""
-    recorder, rc = _open_recorder(args, "stats")
-    if recorder is None:
-        return rc
+    recorder = _open_recorder(args)
     if not recorder.enabled:
         recorder = Recorder()  # stats is pointless without a live recorder
-    backend, rc = _resolve_backend(args, "stats")
-    if backend is None:
-        return rc
-    program = get_benchmark(args.benchmark).generate(
-        args.threads, args.events, seed=args.seed
-    )
-    partition = partition_auto(program, args.epoch_size)
-    if args.serve:
-        # The daemon builds its own per-stream engines; the CLI-level
-        # backend object is unused on this path.
-        backend.close()
-        rc = _run_stats_serve(args, recorder, partition)
-        if rc is not None:
-            return rc
-    else:
-        guard = make_guard(args.lifeguard, program.preallocated)
-        try:
+    backend = _resolve_backend(args)
+    try:
+        program = get_benchmark(args.benchmark).generate(
+            args.threads, args.events, seed=args.seed
+        )
+        partition = partition_auto(program, args.epoch_size)
+        if args.serve:
+            # The daemon builds its own per-stream engines; the
+            # CLI-level backend only validated the flags.
+            _run_stats_serve(args, recorder, partition)
+        else:
+            source = PartitionSource(partition)
             with ButterflyEngine(
-                guard, backend=backend, recorder=recorder
+                make_guard(args.lifeguard, source.preallocated),
+                backend=backend, recorder=recorder,
             ) as engine:
-                if args.stream:
-                    engine.run_source(PartitionSource(partition))
-                else:
-                    engine.run(partition)
-        except ResilienceError as exc:
-            return _fail("stats", str(exc))
-        finally:
-            backend.close()
+                engine.attach_source(source)
+                _drive_engine(args, engine, source)
+    finally:
+        backend.close()
 
     snap = recorder.snapshot()
     via = " via serve daemon" if args.serve else ""
@@ -1057,8 +898,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_stream_arg(parser: argparse.ArgumentParser, help_text: str) -> None:
-    parser.add_argument("--stream", action="store_true", help=help_text)
+def _add_lifeguard_arg(
+    parser: argparse.ArgumentParser, default: Optional[str] = "addrcheck"
+) -> None:
+    parser.add_argument(
+        "--lifeguard", default=default, choices=LIFEGUARD_CHOICES
+    )
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
@@ -1136,10 +981,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-size", type=int, default=512,
                    help="epoch geometry baked into a --stream trace "
                         "(default: 512)")
-    _add_stream_arg(
-        p,
-        "write the epoch-major (version 2) stream layout; 'repro "
-        "check' reads it back one epoch at a time",
+    p.add_argument(
+        "--stream", action="store_true",
+        help="write the epoch-major (version 2) stream layout; 'repro "
+             "check' reads it back one epoch at a time",
     )
     p.set_defaults(func=cmd_generate)
 
@@ -1151,19 +996,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--epoch-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--lifeguard", default="addrcheck", choices=("addrcheck", "race")
-    )
+    _add_lifeguard_arg(p)
     p.add_argument("--limit", type=int, default=10,
-                   help="max conflicts to print (race mode)")
+                   help="max reports to print")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot run state to PATH after each committed "
                         "epoch (resume with 'repro resume')")
-    _add_stream_arg(
-        p,
-        "feed the engine one epoch at a time (bounded memory); "
-        "version 2 trace files stream regardless",
-    )
     _add_checkpoint_args(p)
     _add_backend_arg(p)
     _add_resilience_args(p)
@@ -1184,30 +1022,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=None)
     p.add_argument("--epoch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--lifeguard", default=None, choices=("addrcheck", "race")
-    )
+    _add_lifeguard_arg(p, default=None)
     p.add_argument("--limit", type=int, default=10,
-                   help="max conflicts to print (race mode)")
+                   help="max reports to print")
     _add_checkpoint_args(p)
     _add_backend_arg(p)
     _add_resilience_args(p)
     _add_emit_events_arg(p)
     p.set_defaults(func=cmd_resume)
 
-    p = sub.add_parser("sweep", help="epoch-size sweep for one benchmark")
+    p = sub.add_parser(
+        "sweep",
+        help="epoch-size sweep for one benchmark: AddrCheck's false "
+             "positives against the sequential oracle at each size",
+    )
     p.add_argument("--benchmark", default="OCEAN", choices=sorted(BENCHMARKS))
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--lifeguard", default="addrcheck",
-        choices=("addrcheck", "race", "taintcheck"),
-        help="lifeguard whose FP rate the sweep measures; only "
-             "lifeguards with a sequential oracle are supported "
-             "(others exit 2 instead of silently comparing against "
-             "the AddrCheck oracle)",
-    )
     p.add_argument(
         "--sizes", type=int, nargs="+",
         default=[256, 512, 1024, 2048, 4096],
@@ -1220,11 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine", default=None, metavar="DIR",
         help="move unparseable --traces files into DIR and continue "
              "instead of aborting the sweep",
-    )
-    _add_stream_arg(
-        p,
-        "run each configuration through the bounded-memory streaming "
-        "pipeline (results are identical)",
     )
     _add_backend_arg(p)
     _add_resilience_args(p)
@@ -1250,12 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sizes", type=int, nargs="+", default=[2, 4, 8, 16, 32],
         help="heartbeat sizes to measure (default: 2 4 8 16 32)",
-    )
-    p.add_argument(
-        "--lifeguard", default="addrcheck",
-        choices=("addrcheck", "race", "taintcheck"),
-        help="lifeguard to tune; only lifeguards with a sequential "
-             "oracle are supported (others exit 2)",
     )
     p.add_argument(
         "--output", default=None, metavar="PATH",
@@ -1396,10 +1217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream-id", default=None,
                    help="stream identity for resume (default: the "
                         "trace file's basename)")
-    p.add_argument(
-        "--lifeguard", default="addrcheck",
-        choices=("addrcheck", "race", "taintcheck"),
-    )
+    _add_lifeguard_arg(p)
     p.add_argument("--limit", type=int, default=10,
                    help="max reports to print")
     p.add_argument(
@@ -1425,18 +1243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--epoch-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--lifeguard", default="addrcheck", choices=("addrcheck", "race")
-    )
+    _add_lifeguard_arg(p)
     p.add_argument(
         "--summary-json", default=None, metavar="PATH",
         help="also write the metrics snapshot to PATH (atomic rename)",
-    )
-    _add_stream_arg(
-        p,
-        "run through the streaming pipeline so the "
-        "engine.window_resident_blocks gauge and stream counters show "
-        "up in the summary",
     )
     p.add_argument(
         "--serve", action="store_true",
@@ -1463,6 +1273,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (head).
         return 0
+    except AnalysisError:
+        # The engine was driven wrongly: a bug here, not in the
+        # invocation, so it keeps its traceback.
+        raise
+    except ReproError as exc:
+        return _fail(args.command, str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,16 +12,12 @@ Module map (paper section in parentheses):
 """
 
 from repro.core.epoch import (
-    AutoHeartbeat,
     Block,
     BlockId,
     EpochPartition,
-    ExplicitHeartbeat,
-    FixedHeartbeat,
-    GlobalOrderHeartbeat,
-    HeartbeatPolicy,
     InstrId,
-    SkewedHeartbeat,
+    partition_auto,
+    partition_by_global_order,
     partition_fixed,
     partition_from_boundaries,
     partition_with_skew,
@@ -34,15 +30,11 @@ __all__ = [
     "BlockId",
     "InstrId",
     "EpochPartition",
-    "HeartbeatPolicy",
-    "FixedHeartbeat",
-    "SkewedHeartbeat",
-    "GlobalOrderHeartbeat",
-    "AutoHeartbeat",
-    "ExplicitHeartbeat",
     "partition_fixed",
-    "partition_from_boundaries",
+    "partition_by_global_order",
     "partition_with_skew",
+    "partition_auto",
+    "partition_from_boundaries",
     "Butterfly",
     "sliding_windows",
     "ButterflyEngine",

@@ -15,16 +15,16 @@ Heartbeat policies
 Where the cuts land is a *policy*, not a property of the partition: the
 paper's prototype fires a heartbeat every ``h`` events, but nothing in
 the analysis depends on that -- only on the boundary stream itself.
-:class:`HeartbeatPolicy` makes the boundary stream the first-class
-object: a policy maps a program to per-thread cut lists, and every
-partition constructor below is a trivial policy
-(:class:`FixedHeartbeat`, :class:`GlobalOrderHeartbeat`,
-:class:`SkewedHeartbeat`, :class:`AutoHeartbeat`,
-:class:`ExplicitHeartbeat`).  Downstream layers (the v2 stream writer,
-checkpoints, the serve daemon) carry the *explicit boundaries* a policy
-produced, never the policy's parameters, so re-running, resuming, or
-re-checking a trace always reproduces identical cuts -- the invariant
-the differential harness's variable-partition mode enforces.
+Each policy is one function from a program to an
+:class:`EpochPartition` (:func:`partition_fixed`,
+:func:`partition_by_global_order`, :func:`partition_with_skew`,
+:func:`partition_auto`, :func:`partition_from_boundaries`), and the
+partition's explicit ``boundaries`` are what travels on.  Downstream
+layers (the v2 stream writer, checkpoints, the serve daemon) carry
+those *explicit boundaries*, never the policy's parameters, so
+re-running, resuming, or re-checking a trace always reproduces
+identical cuts -- the invariant the differential harness's
+variable-partition mode enforces.
 
 The one *online* policy lives here too: an :class:`EpochController`
 picks how many producer epochs the engine coalesces into one analysis
@@ -34,7 +34,6 @@ run is live, recorded as explicit boundaries like every other.
 
 from __future__ import annotations
 
-import abc
 import itertools
 import random
 from dataclasses import dataclass
@@ -279,29 +278,8 @@ class EpochPartition:
 
 
 # ---------------------------------------------------------------------------
-# Heartbeat policies
+# Heartbeat policies: program -> partition
 # ---------------------------------------------------------------------------
-
-
-class HeartbeatPolicy(abc.ABC):
-    """Maps a program to the boundary stream that partitions it.
-
-    The policy is the only place epoch geometry is *decided*; everything
-    downstream consumes the explicit per-thread cut lists it emits.
-    Policies must be deterministic given their construction parameters
-    (randomized ones seed their own RNG) so the same policy over the
-    same program always reproduces identical cuts.
-    """
-
-    @abc.abstractmethod
-    def boundaries(self, program: TraceProgram) -> List[List[int]]:
-        """Per-thread cut points: ``result[t]`` is non-decreasing and
-        ends at ``len(program.threads[t])``; all threads emit the same
-        number of cuts (the epoch count)."""
-
-    def partition(self, program: TraceProgram) -> EpochPartition:
-        """Cut ``program`` with this policy's boundary stream."""
-        return EpochPartition(program, self.boundaries(program))
 
 
 def _check_epoch_size(epoch_size: int) -> None:
@@ -309,30 +287,31 @@ def _check_epoch_size(epoch_size: int) -> None:
         raise PartitionError("epoch_size must be >= 1")
 
 
-class FixedHeartbeat(HeartbeatPolicy):
-    """A heartbeat every ``h`` instructions of each thread.
+def _epoch_count(lengths: Sequence[int], epoch_size: int) -> int:
+    _check_epoch_size(epoch_size)
+    return max(1, max((-(-n // epoch_size) for n in lengths), default=1))
+
+
+def partition_fixed(program: TraceProgram, epoch_size: int) -> EpochPartition:
+    """A heartbeat every ``epoch_size`` instructions of each thread.
 
     This is the LBA software heartbeat of Section 7.1: a marker is
     inserted into each thread's log every ``h`` instructions.
     """
-
-    def __init__(self, epoch_size: int) -> None:
-        _check_epoch_size(epoch_size)
-        self.epoch_size = epoch_size
-
-    def boundaries(self, program: TraceProgram) -> List[List[int]]:
-        h = self.epoch_size
-        lengths = [len(t) for t in program.threads]
-        num_epochs = max(
-            1, max((n + h - 1) // h for n in lengths) if lengths else 1
-        )
-        return [
-            [min((k + 1) * h, n) for k in range(num_epochs)]
-            for n in lengths
-        ]
+    lengths = [len(t) for t in program.threads]
+    num_epochs = _epoch_count(lengths, epoch_size)
+    return EpochPartition(program, [
+        [min((k + 1) * epoch_size, n) for k in range(num_epochs)]
+        for n in lengths
+    ])
 
 
-class SkewedHeartbeat(HeartbeatPolicy):
+def partition_with_skew(
+    program: TraceProgram,
+    epoch_size: int,
+    max_skew: int,
+    rng: Optional[random.Random] = None,
+) -> EpochPartition:
     """Fixed-size epochs with per-thread heartbeat delivery jitter.
 
     Each boundary lands within ``max_skew`` instructions of its nominal
@@ -342,46 +321,31 @@ class SkewedHeartbeat(HeartbeatPolicy):
     ``rng`` (default ``random.Random(0)``) in a fixed thread-major,
     cut-minor order, so equal seeds cut equally.
     """
-
-    def __init__(
-        self,
-        epoch_size: int,
-        max_skew: int,
-        rng: Optional[random.Random] = None,
-        seed: int = 0,
-    ) -> None:
-        _check_epoch_size(epoch_size)
-        if max_skew < 0 or 2 * max_skew >= epoch_size:
-            raise PartitionError(
-                "max_skew must satisfy 0 <= 2*skew < epoch_size"
-            )
-        self.epoch_size = epoch_size
-        self.max_skew = max_skew
-        self._rng = rng if rng is not None else random.Random(seed)
-
-    def boundaries(self, program: TraceProgram) -> List[List[int]]:
-        h, max_skew, rng = self.epoch_size, self.max_skew, self._rng
-        lengths = [len(t) for t in program.threads]
-        num_epochs = max(
-            1, max((n + h - 1) // h for n in lengths) if lengths else 1
-        )
-        boundaries = []
-        for n in lengths:
-            cuts = []
-            for k in range(num_epochs - 1):
-                nominal = (k + 1) * h
-                jitter = rng.randint(-max_skew, max_skew)
-                cuts.append(max(0, min(nominal + jitter, n)))
-            cuts.append(n)
-            # Jitter near the trace tail can produce non-monotone cuts;
-            # clamp forward so every cut list stays sorted.
-            for k in range(1, len(cuts)):
-                cuts[k] = max(cuts[k], cuts[k - 1])
-            boundaries.append(cuts)
-        return boundaries
+    lengths = [len(t) for t in program.threads]
+    num_epochs = _epoch_count(lengths, epoch_size)
+    if max_skew < 0 or 2 * max_skew >= epoch_size:
+        raise PartitionError("max_skew must satisfy 0 <= 2*skew < epoch_size")
+    if rng is None:
+        rng = random.Random(0)
+    boundaries = []
+    for n in lengths:
+        cuts = []
+        for k in range(num_epochs - 1):
+            nominal = (k + 1) * epoch_size
+            jitter = rng.randint(-max_skew, max_skew)
+            cuts.append(max(0, min(nominal + jitter, n)))
+        cuts.append(n)
+        # Jitter near the trace tail can produce non-monotone cuts;
+        # clamp forward so every cut list stays sorted.
+        for k in range(1, len(cuts)):
+            cuts[k] = max(cuts[k], cuts[k - 1])
+        boundaries.append(cuts)
+    return EpochPartition(program, boundaries)
 
 
-class GlobalOrderHeartbeat(HeartbeatPolicy):
+def partition_by_global_order(
+    program: TraceProgram, epoch_size: int
+) -> EpochPartition:
     """Heartbeats in *global execution time* (the paper's footnote 4).
 
     The LBA prototype issues a heartbeat after ``h * n`` instructions
@@ -391,49 +355,39 @@ class GlobalOrderHeartbeat(HeartbeatPolicy):
     workloads within an epoch").  Requires the trace's recorded
     ground-truth order as the notion of time.
     """
-
-    def __init__(self, epoch_size: int) -> None:
-        _check_epoch_size(epoch_size)
-        self.epoch_size = epoch_size
-
-    def boundaries(self, program: TraceProgram) -> List[List[int]]:
-        order = program.recorded_order()
-        n = program.num_threads
-        interval = self.epoch_size * n
-        positions = [0] * n
-        boundaries: List[List[int]] = [[] for _ in range(n)]
-        for count, (t, _i) in enumerate(order, start=1):
-            positions[t] += 1
-            if count % interval == 0:
-                for tid in range(n):
-                    boundaries[tid].append(positions[tid])
-        # Close the final epoch at each trace's end.  When the last
-        # heartbeat landed exactly at the end, a final (possibly empty)
-        # epoch is still appended so every thread agrees.
-        lengths = [len(tr) for tr in program.threads]
-        for tid in range(n):
-            boundaries[tid].append(lengths[tid])
-        return boundaries
+    _check_epoch_size(epoch_size)
+    order = program.recorded_order()
+    n = program.num_threads
+    interval = epoch_size * n
+    positions = [0] * n
+    boundaries: List[List[int]] = [[] for _ in range(n)]
+    for count, (t, _i) in enumerate(order, start=1):
+        positions[t] += 1
+        if count % interval == 0:
+            for tid in range(n):
+                boundaries[tid].append(positions[tid])
+    # Close the final epoch at each trace's end.  When the last
+    # heartbeat landed exactly at the end, a final (possibly empty)
+    # epoch is still appended so every thread agrees.
+    for tid, trace in enumerate(program.threads):
+        boundaries[tid].append(len(trace))
+    return EpochPartition(program, boundaries)
 
 
-class AutoHeartbeat(HeartbeatPolicy):
+def partition_auto(program: TraceProgram, epoch_size: int) -> EpochPartition:
     """The LBA substrate's default cutting rule: heartbeats fire in
     *execution time* when the trace recorded its ground-truth global
     order (paper footnote 4), and per-thread instruction counts
     otherwise.  Shared by the CLI, the LBA simulator and the streaming
     trace writer so every path cuts a given trace identically."""
-
-    def __init__(self, epoch_size: int) -> None:
-        _check_epoch_size(epoch_size)
-        self.epoch_size = epoch_size
-
-    def boundaries(self, program: TraceProgram) -> List[List[int]]:
-        if program.true_order is not None:
-            return GlobalOrderHeartbeat(self.epoch_size).boundaries(program)
-        return FixedHeartbeat(self.epoch_size).boundaries(program)
+    if program.true_order is not None:
+        return partition_by_global_order(program, epoch_size)
+    return partition_fixed(program, epoch_size)
 
 
-class ExplicitHeartbeat(HeartbeatPolicy):
+def partition_from_boundaries(
+    program: TraceProgram, boundaries: Sequence[Sequence[int]]
+) -> EpochPartition:
     """A recorded boundary stream replayed verbatim.
 
     This is how cuts travel between layers: resume replays the
@@ -441,12 +395,7 @@ class ExplicitHeartbeat(HeartbeatPolicy):
     offline re-check replays the boundaries the controller actually
     chose, and tests hand-craft irregular geometries.
     """
-
-    def __init__(self, boundaries: Sequence[Sequence[int]]) -> None:
-        self._boundaries = [list(cuts) for cuts in boundaries]
-
-    def boundaries(self, program: TraceProgram) -> List[List[int]]:
-        return [list(cuts) for cuts in self._boundaries]
+    return EpochPartition(program, boundaries)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +421,6 @@ class SloConfig:
     queue_low: int = 1
     min_fold: int = 1
     max_fold: int = 64
-    #: Shrink when a fold surfaced new errors: reports are exactly the
-    #: signal precision exists for, so bias toward tight windows while
-    #: they are firing.
-    error_bias: bool = True
 
     def __post_init__(self) -> None:
         if self.min_fold < 1:
@@ -493,9 +438,10 @@ class EpochController:
     catching up is urgent and amortization is the only lever), shrinks
     additively when the queue drains (precision is cheap again), and
     halves outright when a fold breaches the latency SLO -- the one
-    signal that must win every argument.  Decisions depend only on the
-    observation stream, so a replayed observation sequence reproduces
-    the same fold factors; live runs are still timing-dependent, which
+    signal that must win every argument.  A fold that surfaced new
+    errors shrinks by one before the queue gets a say.  Decisions
+    depend only on the observation stream, so a replayed observation
+    sequence reproduces the same fold factors; live runs are still timing-dependent, which
     is why the engine records the boundaries it used instead of
     assuming anyone can re-derive them.
     """
@@ -521,7 +467,9 @@ class EpochController:
         if fold_ns > slo.target_fold_ms * 1e6:
             self.slo_breaches += 1
             self.fold_factor = max(slo.min_fold, self.fold_factor // 2)
-        elif slo.error_bias and errors_delta > 0:
+        elif errors_delta > 0:
+            # Reports are exactly the signal precision exists for, so
+            # bias toward tight windows while they are firing.
             self.fold_factor = max(slo.min_fold, self.fold_factor - 1)
         elif queue_depth >= slo.queue_high:
             self.fold_factor = min(slo.max_fold, self.fold_factor * 2)
@@ -553,42 +501,3 @@ def merge_block_run(lid: int, blocks: Sequence[Block]) -> Block:
         itertools.chain.from_iterable(b.instrs for b in blocks)
     )
     return Block(lid, first.tid, first.start, instrs=instrs)
-
-
-# ---------------------------------------------------------------------------
-# Partition constructors (trivial wrappers over the policies)
-# ---------------------------------------------------------------------------
-
-
-def partition_fixed(program: TraceProgram, epoch_size: int) -> EpochPartition:
-    """Cut with :class:`FixedHeartbeat` (Section 7.1's software heartbeat)."""
-    return FixedHeartbeat(epoch_size).partition(program)
-
-
-def partition_with_skew(
-    program: TraceProgram,
-    epoch_size: int,
-    max_skew: int,
-    rng: Optional[random.Random] = None,
-) -> EpochPartition:
-    """Cut with :class:`SkewedHeartbeat` (jittered heartbeat delivery)."""
-    return SkewedHeartbeat(epoch_size, max_skew, rng=rng).partition(program)
-
-
-def partition_auto(program: TraceProgram, epoch_size: int) -> EpochPartition:
-    """Cut with :class:`AutoHeartbeat` (the substrate's default rule)."""
-    return AutoHeartbeat(epoch_size).partition(program)
-
-
-def partition_from_boundaries(
-    program: TraceProgram, boundaries: Sequence[Sequence[int]]
-) -> EpochPartition:
-    """Cut with :class:`ExplicitHeartbeat` (recorded/custom cut points)."""
-    return ExplicitHeartbeat(boundaries).partition(program)
-
-
-def partition_by_global_order(
-    program: TraceProgram, epoch_size: int
-) -> EpochPartition:
-    """Cut with :class:`GlobalOrderHeartbeat` (footnote 4's global time)."""
-    return GlobalOrderHeartbeat(epoch_size).partition(program)

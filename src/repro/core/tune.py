@@ -26,17 +26,6 @@ from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.epoch import partition_auto
 from repro.core.framework import ButterflyEngine
-from repro.errors import ReproError
-
-
-# ---------------------------------------------------------------------------
-# Offline sweep + curve fitting (``repro tune``)
-# ---------------------------------------------------------------------------
-
-#: Lifeguards ``repro tune``/``repro sweep`` can ground-truth: the
-#: sweep's FP-rate column needs a sequential oracle for the *same*
-#: lifeguard, and AddrCheck is the one the repo has.
-ORACLE_LIFEGUARDS = ("addrcheck",)
 
 
 @dataclass
@@ -172,21 +161,14 @@ def fit_tradeoff(points: Sequence[TunePoint]) -> TradeoffCurve:
 def tune_workload(
     program: Any,
     epoch_sizes: Sequence[int],
-    lifeguard: str = "addrcheck",
     backend: str = "serial",
 ) -> TradeoffCurve:
     """Sweep ``epoch_sizes`` over one workload; the fitted curve.
 
-    Only oracle-backed lifeguards are tunable (the FP-rate axis *is*
-    the oracle comparison); anything else raises :class:`ReproError`
-    with the supported list.
+    The FP-rate axis *is* the comparison against a sequential oracle
+    for the same lifeguard, and AddrCheck is the lifeguard the repo has
+    one for -- so AddrCheck is what gets tuned.
     """
-    if lifeguard not in ORACLE_LIFEGUARDS:
-        raise ReproError(
-            f"lifeguard {lifeguard!r} has no sequential oracle to "
-            f"measure false positives against; tunable lifeguards: "
-            f"{', '.join(ORACLE_LIFEGUARDS)}"
-        )
     from repro.lifeguards.addrcheck import ButterflyAddrCheck
     from repro.lifeguards.sequential import SequentialAddrCheck
 

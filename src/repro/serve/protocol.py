@@ -233,8 +233,8 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
     """The end-of-stream report: everything ``repro check`` would print.
 
     Built from a finished engine/guard pair -- by the daemon after the
-    last epoch folds, and by offline runs (``repro check`` on a
-    version-2 trace goes through this same function), so the
+    last epoch folds, and by offline runs (``repro check`` prints
+    every finished run through this same function), so the
     serve-vs-offline differential mode and the CI smoke job compare
     like with like.
 
@@ -242,9 +242,9 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
     *actually* analyzed with.  An engine that coalesced rows under a
     controller recorded it (``engine.recorded_boundaries``) and it
     enters the report so an offline re-check can replay the identical
-    partition (``ExplicitHeartbeat``) and must reproduce this report
-    bit for bit; a fixed engine recorded nothing, so its report has no
-    such key unless the caller passes the cuts explicitly.
+    partition (``partition_from_boundaries``) and must reproduce this
+    report bit for bit; a fixed engine recorded nothing, so its report
+    has no such key unless the caller passes the cuts explicitly.
     """
     if boundaries is None:
         boundaries = engine.recorded_boundaries
@@ -287,9 +287,9 @@ def format_report(
 ) -> List[str]:
     """Render a report as the ``repro check`` streamed-result block.
 
-    Both ``repro check --trace v2.jsonl`` and ``repro push`` print
-    through here, so the two commands' outputs over the same trace can
-    be diffed byte for byte -- the serve-smoke job's acceptance check.
+    ``repro check``, ``repro resume`` and ``repro push`` all print
+    through here, so the commands' outputs over the same trace can be
+    diffed byte for byte -- the serve-smoke job's acceptance check.
     """
     threads = report["threads"]
     epochs = "?" if report["epochs"] is None else report["epochs"]

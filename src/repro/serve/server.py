@@ -59,6 +59,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.epoch import SloConfig
 from repro.errors import CheckpointError, ReproError, TraceError
 from repro.obs.metrics import CONTENT_TYPE, render_metrics
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -99,7 +100,8 @@ __all__ = [
 
 @dataclass
 class ServeConfig:
-    """Daemon knobs (CLI flags map onto these one to one)."""
+    """Daemon knobs (CLI flags map onto these one to one, except that
+    ``--adaptive-epoch`` and the ``--slo-*`` flags build ``slo``)."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -129,24 +131,13 @@ class ServeConfig:
     #: TCP port for the ``/metrics``-style text snapshot listener
     #: (``None`` disables it; ``0`` binds an ephemeral port).
     metrics_port: Optional[int] = None
-    #: Adaptive epoch sizing: coalesce producer epochs into larger
-    #: analysis epochs under an online controller
-    #: (:mod:`repro.core.tune`) instead of analyzing every producer cut
-    #: as its own epoch.  Resume coordinates stay in producer rows, and
-    #: the boundaries actually analyzed ride the REPORT for offline
-    #: replay.
-    adaptive_epoch: bool = False
-    #: Latency SLO: one fold must complete within this many ms.
-    slo_target_ms: float = 50.0
-    #: Queue depth at/above which the controller doubles the fold.
-    slo_queue_high: int = 3
-    #: Queue depth at/below which the controller shrinks toward
-    #: ``slo_min_fold``.
-    slo_queue_low: int = 1
-    #: Fold-factor floor (1 = producer-sized epochs when idle).
-    slo_min_fold: int = 1
-    #: Fold-factor ceiling.
-    slo_max_fold: int = 64
+    #: Adaptive epoch sizing: with an SLO, every stream's engine
+    #: coalesces producer epochs into larger analysis epochs under an
+    #: :class:`~repro.core.epoch.EpochController` holding it; ``None``
+    #: (the default) analyzes every producer cut as its own epoch.
+    #: Resume coordinates stay in producer rows, and the boundaries
+    #: actually analyzed ride the REPORT for offline replay.
+    slo: Optional[SloConfig] = None
 
 
 class _SessionError(Exception):

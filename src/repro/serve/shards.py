@@ -92,24 +92,6 @@ def stream_checkpoint_path(
     return os.path.join(checkpoint_dir, f"{token}.ckpt")
 
 
-def adaptive_params(config) -> Optional[Dict[str, Any]]:
-    """The SLO knobs an adaptive session folds under, as a plain dict.
-
-    A dict (not an :class:`~repro.core.epoch.SloConfig`) so process
-    shards can ship it over the worker pipe next to the hello;
-    ``None`` means fixed producer-sized epochs (the default).
-    """
-    if not getattr(config, "adaptive_epoch", False):
-        return None
-    return {
-        "target_fold_ms": config.slo_target_ms,
-        "queue_high": config.slo_queue_high,
-        "queue_low": config.slo_queue_low,
-        "min_fold": config.slo_min_fold,
-        "max_fold": config.slo_max_fold,
-    }
-
-
 def _feed_row(engine, lid: int, row, queue_depth: int) -> int:
     """One feed on the shard side; returns the post-feed resume
     position (the loop-side mirror tracks rollbacks exactly)."""
@@ -124,7 +106,7 @@ def build_stream_engine(
     checkpoint_dir: Optional[str],
     checkpoint_every: int,
     backend: str,
-    adaptive: Optional[Dict[str, Any]] = None,
+    slo: Optional[SloConfig] = None,
 ) -> Tuple[ButterflyEngine, int]:
     """``(engine, resume_epoch)``: fresh, or restored from checkpoint.
 
@@ -133,9 +115,11 @@ def build_stream_engine(
     resume semantics (fingerprint verification, window restore,
     event-log numbering) cannot drift between them.
 
-    ``adaptive`` (see :func:`adaptive_params`) gives the engine an
-    :class:`~repro.core.epoch.EpochController`, so it coalesces
-    producer rows into larger analysis epochs; either way the caller
+    ``slo`` (``ServeConfig.slo``; the frozen dataclass crosses a
+    process shard's pipe as it is) gives the engine an
+    :class:`~repro.core.epoch.EpochController` holding it, so it
+    coalesces producer rows into larger analysis epochs; ``None`` means
+    fixed producer-sized epochs.  Either way the caller
     feeds -- and the returned resume epoch counts -- producer rows.  A
     checkpoint written by the other mode is refused: the two runs do
     not share analysis-epoch coordinates.
@@ -146,12 +130,12 @@ def build_stream_engine(
     if path is not None and os.path.exists(path):
         checkpoint = load_checkpoint(path)
         checkpoint.verify(meta)
-        if checkpoint.adaptive != (adaptive is not None):
+        if checkpoint.adaptive != (slo is not None):
             raise CheckpointError(
                 f"checkpoint for stream {hello['stream']!r} was written "
                 f"by an {'adaptive' if checkpoint.adaptive else 'fixed'}"
                 f"-epoch daemon but this one is "
-                f"{'adaptive' if adaptive is not None else 'fixed'}; "
+                f"{'adaptive' if slo is not None else 'fixed'}; "
                 f"restart the daemon in the matching mode or delete the "
                 f"checkpoint"
             )
@@ -161,10 +145,7 @@ def build_stream_engine(
         guard = make_guard(
             hello["lifeguard"], frozenset(hello["preallocated"])
         )
-    controller = (
-        EpochController(SloConfig(**adaptive))
-        if adaptive is not None else None
-    )
+    controller = EpochController(slo) if slo is not None else None
     engine = ButterflyEngine(guard, backend=backend, controller=controller)
     source = ShapeSource(
         hello["threads"],
@@ -191,14 +172,12 @@ def _worker_dispatch(
 ) -> Any:
     """Execute one command against a shard's engine table."""
     if command == "open":
-        (token, hello, checkpoint_dir, checkpoint_every, backend,
-         adaptive) = args
+        token, hello, checkpoint_dir, checkpoint_every, backend, slo = args
         stale = engines.pop(token, None)
         if stale is not None:
             stale.close()
         engines[token], resume_epoch = build_stream_engine(
-            hello, token, checkpoint_dir, checkpoint_every, backend,
-            adaptive=adaptive,
+            hello, token, checkpoint_dir, checkpoint_every, backend, slo
         )
         return resume_epoch
     token = args[0]
@@ -320,7 +299,7 @@ class _Shard:
             config.checkpoint_dir,
             config.checkpoint_every,
             config.backend,
-            adaptive_params(config),
+            config.slo,
         )
         return StreamHandle(self, token, resume_epoch)
 

@@ -11,24 +11,19 @@ reproduces that machine in Python:
 - :mod:`repro.sim.cache` / :mod:`repro.sim.memory` -- set-associative
   caches and the L1/L2/DRAM hierarchy;
 - :mod:`repro.sim.cmp` -- in-order cores executing event traces;
-- :mod:`repro.sim.logbuffer` -- the bounded log buffer with
-  producer/consumer stall accounting;
+- :mod:`repro.sim.logbuffer` -- the bounded log buffer's steady-state
+  coupling of application and lifeguard time;
 - :mod:`repro.sim.accelerators` -- LBA's idempotent event filter;
 - :mod:`repro.sim.lba` -- the full system model producing execution
-  times for unmonitored, timesliced, and butterfly configurations;
-- :mod:`repro.sim.pipeline` -- the streaming co-simulation (epoch-by-
-  epoch arrival through the bounded log buffers).
+  times for unmonitored, timesliced, and butterfly configurations.
 """
 
 from repro.sim.config import MachineConfig, LifeguardCostModel
 from repro.sim.lba import LBASystem, SimResult
-from repro.sim.pipeline import StreamingLBASimulation, StreamingResult
 
 __all__ = [
     "MachineConfig",
     "LifeguardCostModel",
     "LBASystem",
     "SimResult",
-    "StreamingLBASimulation",
-    "StreamingResult",
 ]

@@ -181,7 +181,6 @@ class LBASystem:
         guard: Optional[ButterflyAddrCheck] = None,
         backend: str = "serial",
         recorder: Optional["Recorder"] = None,
-        stream: bool = False,
     ) -> ButterflyRun:
         """Parallel, Monitoring: butterfly AddrCheck on 2k cores.
 
@@ -189,10 +188,9 @@ class LBASystem:
         execution backend; results are backend-independent), then prices
         its measured work with the cost model.  ``recorder`` threads an
         observability recorder through to the engine (default: off).
-        ``stream`` feeds the engine through the bounded-memory
-        :class:`~repro.core.stream.PartitionSource` path instead of
-        ``run(partition)``; results are identical, only the engine's
-        resident state differs.
+        The engine is fed one epoch row at a time
+        (:class:`~repro.core.stream.PartitionSource`), so its resident
+        state is the three-epoch window however long the trace.
         """
         config = MachineConfig.for_app_threads(program.num_threads)
         costs = self.costs
@@ -209,10 +207,7 @@ class LBASystem:
             backend=backend,
             recorder=NULL_RECORDER if recorder is None else recorder,
         ) as engine:
-            if stream:
-                stats = engine.run_source(PartitionSource(partition))
-            else:
-                stats = engine.run(partition)
+            stats = engine.run_source(PartitionSource(partition))
 
         app = run_parallel(program, config)
         mtlb_cycles = self._mtlb_cycles_by_thread(program, epoch_size)
@@ -309,9 +304,3 @@ class LBASystem:
             out[tid] = cycles
         return out
 
-
-def _round_robin_stream(program: TraceProgram):
-    from repro.trace.interleave import round_robin
-
-    for ref in round_robin(program, quantum=64):
-        yield ref, program.instr_at(ref)

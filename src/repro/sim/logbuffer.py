@@ -6,96 +6,12 @@ application stalls on a full buffer (paper Section 7.1), which is why
 the measured execution time equals lifeguard processing time in the
 paper's experiments.
 
-Two views are provided:
-
-- :meth:`LogBuffer.simulate` -- an explicit producer/consumer rate walk
-  over time chunks, used by unit tests to show the stall mechanics;
-- :func:`coupled_time` -- the steady-state consequence (execution time
-  is the max of producer and consumer time plus a drain transient),
-  used by the system model where event streams are long enough that the
-  transient is negligible.
+The system model's event streams are long enough that the fill/drain
+transient is negligible, so the buffer enters it only through its
+steady-state consequence, :func:`coupled_time`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.errors import SimulationError
-
-
-@dataclass
-class BufferStats:
-    produced: int = 0
-    consumed: int = 0
-    stall_cycles: int = 0
-    high_watermark: int = 0
-
-
-class LogBuffer:
-    """A bounded queue of log records with stall accounting."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError("log buffer capacity must be >= 1")
-        self.capacity = capacity
-        self.occupancy = 0
-        self.stats = BufferStats()
-
-    def produce(self, records: int) -> int:
-        """Try to enqueue ``records``; returns how many fit."""
-        space = self.capacity - self.occupancy
-        accepted = min(space, records)
-        self.occupancy += accepted
-        self.stats.produced += accepted
-        self.stats.high_watermark = max(
-            self.stats.high_watermark, self.occupancy
-        )
-        return accepted
-
-    def consume(self, records: int) -> int:
-        """Dequeue up to ``records``; returns how many were available."""
-        taken = min(self.occupancy, records)
-        self.occupancy -= taken
-        self.stats.consumed += taken
-        return taken
-
-    def simulate(
-        self,
-        total_records: int,
-        produce_rate: float,
-        consume_rate: float,
-        chunk_cycles: int = 1000,
-    ) -> BufferStats:
-        """Walk producer/consumer in fixed time chunks until all records
-        are produced and consumed; accumulates application stall time.
-
-        Rates are records per cycle.  The producer stalls (accumulating
-        ``stall_cycles``) whenever the buffer cannot accept its chunk.
-        """
-        if produce_rate <= 0 or consume_rate <= 0:
-            raise SimulationError("rates must be positive")
-        # Keep per-chunk production at or below half the buffer so the
-        # stepping itself never manufactures stalls.
-        chunk = max(1, min(chunk_cycles, int(self.capacity / (2 * produce_rate))))
-        remaining_to_produce = total_records
-        produce_credit = 0.0
-        consume_credit = 0.0
-        while remaining_to_produce > 0 or self.occupancy > 0:
-            consume_credit += consume_rate * chunk
-            taken = self.consume(int(consume_credit))
-            consume_credit -= taken if consume_credit >= 1 else 0
-            produce_credit += produce_rate * chunk
-            want = min(remaining_to_produce, int(produce_credit))
-            accepted = self.produce(want) if want else 0
-            produce_credit -= accepted
-            if want and accepted < want:
-                # Producer blocked for the fraction of the chunk it
-                # could not make progress in.
-                self.stats.stall_cycles += int(
-                    chunk * (1 - accepted / want)
-                )
-            remaining_to_produce -= accepted
-        return self.stats
 
 
 def coupled_time(app_cycles: int, lifeguard_cycles: int) -> int:

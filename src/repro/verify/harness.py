@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarBlock
-from repro.core.epoch import Block
+from repro.core.epoch import Block, SloConfig
 from repro.core.framework import ButterflyEngine, EngineStats
 from repro.core.ordering import all_valid_orderings
 from repro.core.parallel import ExecutionBackend, get_backend
@@ -503,11 +503,11 @@ class DifferentialHarness:
                 shard_backend=(
                     "process" if delivery == "serve-process" else "thread"
                 ),
+                slo=(
+                    SloConfig(min_fold=3, max_fold=3)
+                    if delivery == "serve-adaptive" else None
+                ),
             )
-            if delivery == "serve-adaptive":
-                config = replace(
-                    config, adaptive_epoch=True, slo_min_fold=3, slo_max_fold=3
-                )
             daemon = ServerThread(config)
             daemon.start()
             self._serve_daemons[delivery] = daemon

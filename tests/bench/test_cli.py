@@ -62,6 +62,38 @@ class TestCommands:
         ) == 0
         assert "potential conflicts" in capsys.readouterr().out
 
+    def test_check_taintcheck(self, capsys):
+        # The paper's second lifeguard runs offline too: check, resume,
+        # stats and push share one --lifeguard list.
+        assert main(
+            [
+                "check", "--benchmark", "OCEAN", "--threads", "2",
+                "--events", "2000", "--epoch-size", "512",
+                "--lifeguard", "taintcheck",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].startswith("flags: ")
+        assert "oracle" not in out
+
+    def test_one_lifeguard_list_and_none_on_sweep_or_tune(self):
+        import argparse
+
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        choices = {
+            name: action.choices
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if "--lifeguard" in action.option_strings
+        }
+        assert sorted(choices) == ["check", "push", "resume", "stats"]
+        assert set(choices.values()) == {
+            ("addrcheck", "race", "taintcheck")
+        }
+
     def test_sweep(self, capsys):
         assert main(
             [
@@ -233,6 +265,56 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith(
             "repro generate: error: cannot write"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--epoch-size", "0"],
+            ["sweep", "--sizes", "0"],
+            ["stats", "--epoch-size", "0"],
+            ["generate", "--stream", "--epoch-size", "0", "--output", "OUT"],
+            ["check", "--threads", "0"],
+            ["serve", "--workers", "0"],
+            ["check", "--events", "64", "--inject-faults", "bogus"],
+            ["check", "--trace", "TRUNCATED"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_repro_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        # Every ReproError is caught once, in main(): a bad invocation
+        # never prints a stack, whichever layer noticed it.
+        truncated = tmp_path / "t.stream.jsonl"
+        if "TRUNCATED" in argv:
+            assert main(
+                ["generate", "--threads", "2", "--events", "600",
+                 "--stream", "--output", str(truncated)]
+            ) == 0
+            lines = truncated.read_text().splitlines(keepends=True)
+            truncated.write_text("".join(lines[:3]))
+            capsys.readouterr()
+        argv = [
+            {"OUT": str(tmp_path / "out"), "TRUNCATED": str(truncated)}
+            .get(arg, arg)
+            for arg in argv
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+
+    def test_analysis_error_keeps_its_traceback(self, monkeypatch):
+        # AnalysisError means this package drove its own engine wrongly:
+        # a bug to see in full, not a usage error to summarize.
+        from repro.errors import AnalysisError
+
+        def broken(args):
+            raise AnalysisError("epochs must arrive in order")
+
+        monkeypatch.setattr("repro.cli.cmd_table1", broken)
+        with pytest.raises(AnalysisError):
+            main(["table1"])
 
     def test_check_missing_trace(self, tmp_path, capsys):
         rc = main(["check", "--trace", str(tmp_path / "nope.trace")])

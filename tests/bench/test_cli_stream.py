@@ -1,24 +1,52 @@
-"""CLI streaming surfaces: ``--stream``, version-2 traces, and
-bounded-window resume.
+"""The one delivery path: every command that runs a lifeguard feeds the
+engine one epoch row at a time and prints through one report builder.
 
-Streaming must be invisible in results: every streamed command prints
-exactly what its materialized twin prints, plus one ``stream:`` line
-reporting the resident-summary peak against the 3-epoch bound.
+There is no ``--stream`` switch on ``check``/``sweep``/``stats`` (only
+``generate --stream``, which names a file format): the same trace as a
+generated workload, a version 1 file and a version 2 file prints the
+same report block under every lifeguard, killed-and-resumed runs print
+what uninterrupted ones print, and event logs and sweep tables are what
+the switch's streamed side used to produce.
 """
+
+import hashlib
+import json
+import pickle
+
+import pytest
 
 from repro.cli import main
 from repro.obs import read_events
 from repro.obs.recorder import normalize_events
+from repro.serve import ServeConfig, ServerThread
 from repro.trace.serialize import file_version
 
-CHECK_ARGS = [
-    "check", "--benchmark", "OCEAN", "--threads", "2",
-    "--events", "3000", "--epoch-size", "256",
+WORKLOAD = [
+    "--benchmark", "OCEAN", "--threads", "2", "--events", "3000",
 ]
+CHECK_ARGS = ["check"] + WORKLOAD + ["--epoch-size", "256"]
 
 GENERATE_ARGS = [
     "generate", "--benchmark", "OCEAN", "--threads", "2",
     "--events", "4000", "--epoch-size", "128", "--stream",
+]
+
+LIFEGUARDS = ["addrcheck", "race", "taintcheck"]
+
+#: sha256 of the normalized ``--emit-events`` log that ``repro check
+#: --stream`` and ``repro stats --stream`` both wrote for ``WORKLOAD``
+#: at ``--epoch-size 1024`` on the last commit that had the switch
+#: (6030ce3; 250 events, equal under numpy and REPRO_NO_NUMPY=1).
+STREAMED_LOG_SHA256 = (
+    "105571b7d6790357ae0b45b8dd6e89778af2fe9b43042383dc991da65a9c4f43"
+)
+
+#: ``repro sweep`` rows for ``WORKLOAD`` on that same commit:
+#: (epoch size, epochs, slowdown, false positives, FP rate).
+SWEEP_ROWS = [
+    ("128", "23", "2.32x", "0", "0.000%"),
+    ("256", "12", "1.92x", "0", "0.000%"),
+    ("1024", "3", "2.44x", "224", "7.356%"),
 ]
 
 
@@ -30,6 +58,17 @@ def _one_line_error(capsys, command):
     return lines[0]
 
 
+def _out(capsys, argv, rc=0):
+    assert main(argv) == rc
+    return capsys.readouterr().out
+
+
+def _log_digest(path):
+    events = normalize_events(read_events(str(path)))
+    blob = json.dumps(events, sort_keys=True, separators=(",", ":"))
+    return len(events), hashlib.sha256(blob.encode()).hexdigest()
+
+
 class TestGenerateStream:
     def test_writes_a_version_2_trace(self, tmp_path, capsys):
         path = tmp_path / "t.stream.jsonl"
@@ -39,15 +78,13 @@ class TestGenerateStream:
 
 
 class TestCheckStream:
-    def test_stream_flag_adds_only_the_peak_line(self, capsys):
-        assert main(CHECK_ARGS) == 0
-        materialized = capsys.readouterr().out
-        assert main(CHECK_ARGS + ["--stream"]) == 0
-        streamed = capsys.readouterr().out
-        assert streamed.startswith(materialized)
-        extra = streamed[len(materialized):].splitlines()
-        assert len(extra) == 1
-        assert extra[0] == "stream: peak resident summaries 6 (bound 6)"
+    def test_peak_line_is_always_printed(self, capsys):
+        lines = _out(capsys, CHECK_ARGS).splitlines()
+        assert lines[0] == "trace: OCEAN, 2 threads, 12 epochs (streamed)"
+        assert "stream: peak resident summaries 6 (bound 6)" in lines
+        with pytest.raises(SystemExit):
+            main(CHECK_ARGS + ["--stream"])
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
     def test_version_2_trace_streams_automatically(self, tmp_path, capsys):
         path = tmp_path / "t.stream.jsonl"
@@ -68,6 +105,89 @@ class TestCheckStream:
         path.write_text("".join(lines[:3]))
         assert main(["check", "--trace", str(path)]) == 2
         assert f"{path}:" in _one_line_error(capsys, "check")
+
+
+@pytest.fixture(scope="module")
+def ocean_files(tmp_path_factory):
+    """One OCEAN trace as a version 1 and a version 2 file, the latter
+    cut at the ``--epoch-size 1024`` the generated run uses."""
+    tmp = tmp_path_factory.mktemp("ocean")
+    v1, v2 = str(tmp / "ocean.v1.jsonl"), str(tmp / "ocean.v2.jsonl")
+    generate = ["generate"] + WORKLOAD
+    assert main(generate + ["--output", v1]) == 0
+    assert main(
+        generate + ["--epoch-size", "1024", "--stream", "--output", v2]
+    ) == 0
+    assert (file_version(v1), file_version(v2)) == (1, 2)
+    return v1, v2
+
+
+class TestOneReportBlock:
+    """Generated workload, v1 file, v2 file and ``repro push``: one
+    block, whatever the lifeguard."""
+
+    @staticmethod
+    def block(out, label):
+        """The ``format_report`` block of a check/push output, with the
+        label (benchmark name or path) taken out of its header."""
+        lines = out.splitlines()
+        end = next(
+            i for i, line in enumerate(lines) if line.startswith("stream: ")
+        )
+        assert lines[0].startswith(f"trace: {label}, ")
+        return [lines[0].replace(label, "<label>")] + lines[1:end + 1]
+
+    @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+    def test_same_block_from_workload_v1_and_v2(
+        self, ocean_files, capsys, lifeguard
+    ):
+        v1, v2 = ocean_files
+        tail = ["--epoch-size", "1024", "--lifeguard", lifeguard]
+        generated = _out(capsys, ["check"] + WORKLOAD + tail)
+        from_v1 = _out(capsys, ["check", "--trace", v1] + tail)
+        from_v2 = _out(capsys, ["check", "--trace", v2] + tail)
+        block = self.block(generated, "OCEAN")
+        assert block[0] == "trace: <label>, 2 threads, 3 epochs (streamed)"
+        assert self.block(from_v1, v1) == block
+        assert self.block(from_v2, v2) == block
+        # A v2 file has no program to run the sequential oracle over;
+        # the other two add AddrCheck's precision lines after the block.
+        assert from_v2.splitlines() == [
+            line.replace("<label>", v2) for line in block
+        ]
+        oracle = [
+            line for line in generated.splitlines()
+            if line.startswith(("oracle ", "false-positive rate: "))
+        ]
+        assert len(oracle) == (2 if lifeguard == "addrcheck" else 0)
+        assert from_v1.splitlines()[len(block):] == oracle
+
+    def test_flagging_run_prints_reports_and_oracle(self, capsys):
+        out = _out(capsys, ["check"] + WORKLOAD + ["--epoch-size", "1024"])
+        lines = out.splitlines()
+        assert lines[1] == "flags: 224"
+        assert lines[2].startswith("  access-unallocated")
+        assert (
+            "oracle (h=1024 events): true: 0  false positives: 224"
+            "  false negatives: 0"
+        ) in lines
+        assert "false-positive rate: 7.3563% of memory accesses" in lines
+
+    @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+    def test_check_on_a_v2_file_is_byte_identical_to_push(
+        self, ocean_files, tmp_path, capsys, lifeguard
+    ):
+        _v1, v2 = ocean_files
+        config = ServeConfig(unix_path=str(tmp_path / "d.sock"))
+        with ServerThread(config) as daemon:
+            pushed = _out(capsys, [
+                "push", "--trace", v2, "--unix", daemon.address[1],
+                "--lifeguard", lifeguard,
+            ])
+        checked = _out(
+            capsys, ["check", "--trace", v2, "--lifeguard", lifeguard]
+        )
+        assert pushed == checked
 
 
 class TestStreamResume:
@@ -91,6 +211,31 @@ class TestStreamResume:
         assert "stopped after receiving epoch 4" in capsys.readouterr().out
         assert main(["resume", "--checkpoint", ck]) == 0
         assert capsys.readouterr().out == full
+
+    @pytest.mark.parametrize("stream_key", [True, False])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_checkpoint_with_a_stream_key_still_resumes(
+        self, tmp_path, capsys, from_file, stream_key
+    ):
+        """Checkpoints written while ``check`` had a ``--stream``
+        switch recorded it in their fingerprint; ``verify`` compares a
+        checkpoint against its own meta, so the key is inert."""
+        workload = (
+            ["--trace", self._generate(tmp_path, capsys)] if from_file
+            else WORKLOAD + ["--epoch-size", "256"]
+        )
+        ck = str(tmp_path / "t.ckpt")
+        full = _out(capsys, ["check"] + workload)
+        _out(capsys, ["check"] + workload + [
+            "--checkpoint", ck, "--stop-after-epoch", "4",
+        ])
+        with open(ck, "rb") as fh:
+            payload = pickle.load(fh)
+        assert "stream" not in payload["meta"]
+        payload["meta"]["stream"] = stream_key
+        with open(ck, "wb") as fh:
+            pickle.dump(payload, fh)
+        assert _out(capsys, ["resume", "--checkpoint", ck]) == full
 
     def test_stitched_event_log_equals_uninterrupted(
         self, tmp_path, capsys
@@ -136,20 +281,35 @@ class TestStreamResume:
 
 class TestSweepAndStatsStream:
     def test_sweep_stream_matches_materialized_table(self, capsys):
-        args = [
-            "sweep", "--benchmark", "LU", "--threads", "2",
-            "--events", "3000", "--sizes", "256", "1024",
+        # The sweep has one delivery now (streamed); its rows are the
+        # ones the materialized default printed before the switch went.
+        out = _out(
+            capsys, ["sweep"] + WORKLOAD + ["--sizes", "128", "256", "1024"]
+        )
+        rows = [
+            tuple(cell.strip() for cell in line.split("|"))
+            for line in out.splitlines()[2:]
         ]
-        assert main(args) == 0
-        materialized = capsys.readouterr().out
-        assert main(args + ["--stream"]) == 0
-        assert capsys.readouterr().out == materialized
+        assert rows == SWEEP_ROWS
+        with pytest.raises(SystemExit):
+            main(["sweep", "--stream"])
+        capsys.readouterr()
 
     def test_stats_stream_reports_window_metrics(self, capsys):
         assert main([
             "stats", "--benchmark", "LU", "--threads", "2",
-            "--events", "2000", "--epoch-size", "256", "--stream",
+            "--events", "2000", "--epoch-size", "256",
         ]) == 0
         out = capsys.readouterr().out
         assert "stream.epochs_received" in out
         assert "engine.window_resident_blocks" in out
+
+    @pytest.mark.parametrize("command", ["check", "stats"])
+    def test_event_log_is_what_the_stream_switch_wrote(
+        self, tmp_path, capsys, command
+    ):
+        log = tmp_path / f"{command}.jsonl"
+        _out(capsys, [command] + WORKLOAD + [
+            "--epoch-size", "1024", "--emit-events", str(log),
+        ])
+        assert _log_digest(log) == (250, STREAMED_LOG_SHA256)

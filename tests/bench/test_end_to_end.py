@@ -14,7 +14,6 @@ from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.reports import compare_reports
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.sim.logformat import decode_block, encode_block
-from repro.sim.pipeline import StreamingLBASimulation
 from repro.trace.serialize import dump, load
 from repro.workloads.registry import get_benchmark
 
@@ -68,11 +67,3 @@ class TestPersistenceTransparency:
         for trace in original.threads:
             data = encode_block(trace.instrs)
             assert decode_block(data) == list(trace.instrs)
-
-
-class TestStreamingJourney:
-    def test_streamed_monitoring_of_reloaded_trace(self, journey):
-        _, reloaded = journey
-        result = StreamingLBASimulation(reloaded, epoch_size=1024).run()
-        assert result.cycles > 0
-        assert result.guard.sos.frontier >= result.epochs

@@ -100,14 +100,6 @@ class TestEpochController:
             == 3
         )
 
-    def test_error_bias_off_lets_the_burst_rule_win(self):
-        c = EpochController(slo(error_bias=False))
-        c.fold_factor = 4
-        assert (
-            c.observe(queue_depth=5, fold_ns=1 * MS, rows=4, errors_delta=2)
-            == 8
-        )
-
     def test_never_shrinks_below_min_fold(self):
         c = EpochController(slo(min_fold=2))
         assert c.observe(queue_depth=0, fold_ns=50 * MS, rows=2) == 2
@@ -673,13 +665,6 @@ class TestFitting:
 
 
 class TestTuneWorkload:
-    def test_non_oracle_lifeguards_are_refused(self):
-        prog = alloc_handoff_program(
-            random.Random(1), num_threads=2, events_per_thread=24
-        )
-        with pytest.raises(ReproError, match="no sequential oracle"):
-            tune_workload(prog, [2, 4], lifeguard="race")
-
     def test_handoff_sweep_has_rising_fp_curve(self):
         prog = alloc_handoff_program(
             random.Random(1), num_threads=4, events_per_thread=256

@@ -7,7 +7,11 @@ import random
 
 import pytest
 
-from repro.core.epoch import partition_auto, partition_from_boundaries
+from repro.core.epoch import (
+    SloConfig,
+    partition_auto,
+    partition_from_boundaries,
+)
 from repro.core.framework import ButterflyEngine
 from repro.errors import CheckpointError
 from repro.serve import ServeConfig, ServerThread, StreamClient, push_trace
@@ -41,9 +45,7 @@ def adaptive_config(tmp_path, name, fold, shard_backend="thread", ck=None):
         checkpoint_dir=None if ck is None else str(ck),
         queue_depth=2,
         shard_backend=shard_backend,
-        adaptive_epoch=True,
-        slo_min_fold=fold,
-        slo_max_fold=fold,
+        slo=SloConfig(min_fold=fold, max_fold=fold),
     )
 
 
@@ -148,20 +150,14 @@ class TestCheckpointModeGuard:
         )
         return partition, hello, resume_token(hello)
 
-    ADAPTIVE = {
-        "target_fold_ms": 1000.0,
-        "queue_high": 3,
-        "queue_low": 1,
-        "min_fold": 2,
-        "max_fold": 2,
-    }
+    ADAPTIVE = SloConfig(target_fold_ms=1000.0, min_fold=2, max_fold=2)
 
     def test_fixed_daemon_refuses_adaptive_checkpoint(self, tmp_path):
         partition, hello, token = self.setup_stream(tmp_path, "adaptive")
         ck = str(tmp_path / "ck")
         os.makedirs(ck)  # the daemon's loop normally creates this
         engine, resume = build_stream_engine(
-            hello, token, ck, 1, "serial", dict(self.ADAPTIVE)
+            hello, token, ck, 1, "serial", self.ADAPTIVE
         )
         assert resume == 0
         for lid in range(4):
@@ -173,7 +169,7 @@ class TestCheckpointModeGuard:
 
         # The matching mode resumes, in producer-row coordinates.
         resumed, resume = build_stream_engine(
-            hello, token, ck, 1, "serial", dict(self.ADAPTIVE)
+            hello, token, ck, 1, "serial", self.ADAPTIVE
         )
         assert resume == 4
         resumed.close()
@@ -189,5 +185,5 @@ class TestCheckpointModeGuard:
 
         with pytest.raises(CheckpointError, match="fixed-epoch daemon"):
             build_stream_engine(
-                hello, token, ck, 1, "serial", dict(self.ADAPTIVE)
+                hello, token, ck, 1, "serial", self.ADAPTIVE
             )

@@ -1,61 +1,6 @@
-"""Unit tests for the log buffer's stall mechanics."""
+"""Unit tests for the log buffer's steady-state coupling."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim.logbuffer import LogBuffer, coupled_time
-
-
-class TestLogBuffer:
-    def test_produce_within_capacity(self):
-        buf = LogBuffer(10)
-        assert buf.produce(5) == 5
-        assert buf.occupancy == 5
-
-    def test_produce_clipped_at_capacity(self):
-        buf = LogBuffer(10)
-        buf.produce(8)
-        assert buf.produce(5) == 2
-        assert buf.occupancy == 10
-
-    def test_consume(self):
-        buf = LogBuffer(10)
-        buf.produce(6)
-        assert buf.consume(4) == 4
-        assert buf.consume(10) == 2
-
-    def test_high_watermark(self):
-        buf = LogBuffer(10)
-        buf.produce(7)
-        buf.consume(7)
-        buf.produce(3)
-        assert buf.stats.high_watermark == 7
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            LogBuffer(0)
-
-
-class TestSimulate:
-    def test_fast_consumer_no_stalls(self):
-        buf = LogBuffer(64)
-        stats = buf.simulate(
-            total_records=1000, produce_rate=0.5, consume_rate=1.0
-        )
-        assert stats.stall_cycles == 0
-        assert stats.consumed == 1000
-
-    def test_slow_consumer_causes_stalls(self):
-        buf = LogBuffer(64)
-        stats = buf.simulate(
-            total_records=10000, produce_rate=1.0, consume_rate=0.25
-        )
-        assert stats.stall_cycles > 0
-        assert stats.consumed == 10000
-
-    def test_rates_must_be_positive(self):
-        with pytest.raises(SimulationError):
-            LogBuffer(8).simulate(10, 0, 1)
+from repro.sim.logbuffer import coupled_time
 
 
 class TestCoupledTime:
