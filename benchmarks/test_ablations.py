@@ -13,14 +13,12 @@ import random
 
 import pytest
 
+from repro.bench.harness import Oracle, measure_epoch_size
 from repro.bench.reporting import render_table
 from repro.core.epoch import partition_by_global_order, partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
-from repro.lifeguards.reports import compare_reports
-from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
-from repro.sim.lba import LBASystem
 from repro.trace.events import Instr
 from repro.trace.generator import simulated_taint_program
 from repro.trace.program import TraceProgram
@@ -36,18 +34,13 @@ class TestEpochSizeSweepAblation:
     @pytest.fixture(scope="class")
     def sweep(self):
         prog = get_benchmark("OCEAN").generate(4, 16384, seed=1)
-        truth = SequentialAddrCheck(prog.preallocated)
-        truth.run_order(prog)
-        system = LBASystem()
+        oracle = Oracle(prog)
         rows = []
         for h in (256, 512, 1024, 2048, 4096):
-            run = system.butterfly(prog, h)
-            pr = compare_reports(
-                truth.errors, run.guard.errors, prog.memory_op_count
-            )
+            point = measure_epoch_size(prog, h, oracle)
             rows.append(
-                (h, run.partition.num_epochs, run.result.cycles,
-                 pr.false_positives, pr.false_positive_rate)
+                (h, point.epochs, point.butterfly.cycles,
+                 point.precision.false_positives, point.fp_rate)
             )
         return rows
 

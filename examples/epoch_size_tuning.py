@@ -10,9 +10,8 @@ boundary-exchange churn as the showcase.
 Run:  python examples/epoch_size_tuning.py
 """
 
+from repro.bench.harness import Oracle, measure_epoch_size
 from repro.bench.reporting import render_table
-from repro.lifeguards.reports import compare_reports
-from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.sim.lba import LBASystem
 from repro.workloads.registry import get_benchmark
 
@@ -22,25 +21,21 @@ EVENTS_PER_THREAD = 16384
 print(f"OCEAN, {THREADS} threads, {EVENTS_PER_THREAD} events/thread")
 program = get_benchmark("OCEAN").generate(THREADS, EVENTS_PER_THREAD, seed=1)
 
-truth = SequentialAddrCheck(program.preallocated)
-truth.run_order(program)
-assert len(truth.errors) == 0, "the generated run is bug-free"
+oracle = Oracle(program)
+assert len(oracle.errors) == 0, "the generated run is bug-free"
 
 system = LBASystem()
 baseline = system.unmonitored_sequential(program)
 
 rows = []
 for h in (256, 512, 1024, 2048, 4096, 8192):
-    run = system.butterfly(program, h)
-    precision = compare_reports(
-        truth.errors, run.guard.errors, program.memory_op_count
-    )
+    point = measure_epoch_size(program, h, oracle, system=system)
     rows.append((
         h,
-        run.partition.num_epochs,
-        f"{run.result.cycles / baseline.cycles:.2f}x",
-        precision.false_positives,
-        f"{precision.false_positive_rate:.2%}",
+        point.epochs,
+        f"{point.butterfly.cycles / baseline.cycles:.2f}x",
+        point.precision.false_positives,
+        f"{point.fp_rate:.2%}",
     ))
 
 print()

@@ -2,7 +2,8 @@
 
 - :mod:`repro.bench.harness` -- runs one (benchmark, threads, epoch
   size) configuration through all system models, with caching so the
-  three figures share runs;
+  three figures share runs, and holds the one (trace, epoch size)
+  measurement ``repro sweep`` shares with them;
 - :mod:`repro.bench.experiments` -- assembles each table/figure's rows
   or series from harness runs;
 - :mod:`repro.bench.reporting` -- plain-text rendering of tables and

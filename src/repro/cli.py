@@ -18,6 +18,7 @@ Examples
     python -m repro resume --checkpoint run.ckpt
     python -m repro sweep --benchmark OCEAN --threads 4
     python -m repro sweep --traces a.jsonl b.jsonl --quarantine bad/
+    python -m repro sweep --benchmark HANDOFF --sizes 2 8 32 --output fit.json
     python -m repro stats --benchmark OCEAN --threads 4
     python -m repro fuzz --seed 4 --budget-seconds 60
     python -m repro fuzz --mutant narrow-window --trials 20
@@ -30,7 +31,6 @@ import asyncio
 import hashlib
 import json
 import os
-import random
 import shutil
 import signal
 import sys
@@ -38,7 +38,13 @@ import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.experiments import figure11, figure12, figure13, table1
-from repro.bench.harness import ExperimentConfig, ExperimentSuite
+from repro.bench.harness import (
+    ExperimentConfig,
+    ExperimentSuite,
+    Oracle,
+    fit_tradeoff,
+    measure_epoch_size,
+)
 from repro.bench.reporting import render_table
 from repro.core.epoch import (
     SloConfig,
@@ -52,10 +58,7 @@ from repro.core.parallel import (
     get_backend,
 )
 from repro.core.stream import EpochSource, PartitionSource
-from repro.core.tune import tune_workload
 from repro.errors import AnalysisError, ReproError, TraceError
-from repro.lifeguards.reports import compare_reports
-from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.obs import NULL_RECORDER, JsonlSink, Recorder
 from repro.resilience import (
     Checkpointer,
@@ -77,7 +80,6 @@ from repro.serve import (
 )
 from repro.serve.protocol import LIFEGUARD_CHOICES
 from repro.sim.lba import LBASystem
-from repro.trace.generator import alloc_handoff_program
 from repro.trace.serialize import (
     STREAM_VERSION,
     file_version,
@@ -87,7 +89,7 @@ from repro.trace.serialize import (
     save_stream_file,
 )
 from repro.verify import DEFAULT_TRIALS, MODE_NAMES, MUTANTS, run_fuzz
-from repro.workloads.registry import BENCHMARKS, get_benchmark
+from repro.workloads.registry import WORKLOADS, get_benchmark
 
 
 def _fail(command: str, message: str) -> int:
@@ -247,11 +249,7 @@ def _print_report(
     for line in format_report(report, label, limit):
         print(line)
     if program is not None and meta["lifeguard"] == "addrcheck":
-        truth = SequentialAddrCheck(program.preallocated)
-        truth.run_order(program)
-        precision = compare_reports(
-            truth.errors, guard.errors, program.memory_op_count
-        )
+        precision = Oracle(program).score(guard.errors)
         print(f"oracle (h={meta['epoch_size']} events): "
               f"true: {precision.true_positives}"
               f"  false positives: {precision.false_positives}"
@@ -507,109 +505,77 @@ def _sweep_programs(args: argparse.Namespace) -> List[Tuple[str, Any]]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Epoch-size sweep for one benchmark (the paper's tuning knob),
-    or over saved trace files (``--traces``): AddrCheck's false
-    positives against the sequential AddrCheck oracle at each size."""
+    or over saved trace files (``--traces``): at each size AddrCheck's
+    simulated slowdown and false positives against the sequential
+    oracle (deterministic) and the host's wall-clock cost per epoch,
+    then the FP-rate / latency tradeoff fitted over the sizes.
+    ``--benchmark HANDOFF`` is the workload whose FP rate genuinely
+    grows with the epoch size; Table 1's six fit a nearly flat curve."""
     recorder = _open_recorder(args)
     backend = _resolve_backend(args)
     system = LBASystem()
+    records = []
     try:
         for label, program in _sweep_programs(args):
-            truth = SequentialAddrCheck(program.preallocated)
-            truth.run_order(program)
-            baseline = system.unmonitored_sequential(program)
-            rows = []
+            oracle = Oracle(program)
+            baseline = system.unmonitored_sequential(program).cycles
+            points = []
             for h in args.sizes:
                 if recorder.enabled:
                     recorder.event("sweep.config", epoch_size=h)
-                run = system.butterfly(
-                    program, h, backend=backend, recorder=recorder
-                )
-                precision = compare_reports(
-                    truth.errors, run.guard.errors, program.memory_op_count
-                )
-                rows.append((
-                    h,
-                    run.partition.num_epochs,
-                    f"{run.result.cycles / baseline.cycles:.2f}x",
-                    precision.false_positives,
-                    f"{precision.false_positive_rate:.3%}",
+                points.append(measure_epoch_size(
+                    program, h, oracle,
+                    system=system, backend=backend, recorder=recorder,
                 ))
             if args.traces:
                 print(f"trace: {label}")
             print(render_table(
-                ("epoch size", "epochs", "slowdown", "false pos", "FP rate"),
-                rows,
+                ("epoch size", "epochs", "slowdown", "false pos", "FP rate",
+                 "mean epoch ms", "max epoch ms", "events/s"),
+                [
+                    (
+                        p.epoch_size,
+                        p.epochs,
+                        f"{p.butterfly.cycles / baseline:.2f}x",
+                        p.precision.false_positives,
+                        f"{p.fp_rate:.3%}",
+                        f"{p.mean_epoch_ms:.3f}",
+                        f"{p.max_epoch_ms:.3f}",
+                        f"{p.events_per_s:,.0f}",
+                    )
+                    for p in points
+                ],
             ))
+            curve = fit_tradeoff(points)
+            print(f"fit: fp_rate ~ {curve.fp_slope:+.4f} * log2(h) "
+                  f"{curve.fp_intercept:+.4f}")
+            print(f"fit: mean_epoch_ms ~ {curve.latency_slope:+.6f} * h "
+                  f"{curve.latency_intercept:+.4f}")
+            print("raw FP rate monotone nondecreasing: "
+                  + ("yes" if curve.fp_monotone else "no"))
+            record = {
+                "workload": label,
+                "threads": program.num_threads,
+                "events_per_thread": None if args.traces else args.events,
+                "seed": None if args.traces else args.seed,
+                "lifeguard": "addrcheck",
+            }
+            record.update(curve.to_record())
+            for p, row in zip(curve.points, record["points"]):
+                row["slowdown"] = p.butterfly.cycles / baseline
+            records.append(record)
     finally:
         backend.close()
-    _finish_events(recorder, args)
-    return 0
-
-
-def cmd_tune(args: argparse.Namespace) -> int:
-    """Sweep the heartbeat over one workload and fit the FP-rate /
-    latency tradeoff curve the adaptive controller navigates.
-
-    The default workload is the allocation-handoff generator, whose
-    false-positive rate genuinely grows with the heartbeat (the
-    paper's Figure 13 shape); registry benchmarks are available via
-    ``--benchmark`` but are allocation-clean and fit a flat curve.
-    """
-    if any(h < 1 for h in args.sizes):
-        return _fail("tune", "--sizes must all be >= 1")
-    if args.benchmark is not None:
-        label = args.benchmark
-        program = get_benchmark(args.benchmark).generate(
-            args.threads, args.events, seed=args.seed
-        )
-    else:
-        label = "handoff"
-        program = alloc_handoff_program(
-            random.Random(args.seed),
-            num_threads=args.threads,
-            events_per_thread=args.events,
-        )
-    curve = tune_workload(program, args.sizes, backend=args.backend)
-    print(f"workload: {label}, {args.threads} threads, "
-          f"{args.events} events/thread, seed {args.seed}")
-    print(render_table(
-        ("epoch size", "epochs", "false pos", "FP rate",
-         "mean epoch ms", "max epoch ms", "events/s"),
-        [
-            (
-                point.epoch_size,
-                point.epochs,
-                point.false_positives,
-                f"{point.fp_rate:.3%}",
-                f"{point.mean_epoch_ms:.3f}",
-                f"{point.max_epoch_ms:.3f}",
-                f"{point.events_per_s:,.0f}",
-            )
-            for point in curve.points
-        ],
-    ))
-    print(f"fit: fp_rate ~ {curve.fp_slope:+.4f} * log2(h) "
-          f"{curve.fp_intercept:+.4f}")
-    print(f"fit: mean_epoch_ms ~ {curve.latency_slope:+.6f} * h "
-          f"{curve.latency_intercept:+.4f}")
-    print("raw FP rate monotone nondecreasing: "
-          + ("yes" if curve.fp_monotone else "no"))
     if args.output:
-        record = {
-            "workload": label,
-            "threads": args.threads,
-            "events_per_thread": args.events,
-            "seed": args.seed,
-            "lifeguard": "addrcheck",
-        }
-        record.update(curve.to_record())
+        # One JSON record per line, one line per swept program.
         try:
             with open(args.output, "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                for record in records:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
         except OSError as exc:
-            return _fail("tune", f"cannot write {args.output}: {exc}")
+            return _fail("sweep", f"cannot write {args.output}: {exc}")
         print(f"wrote {args.output}")
+    _finish_events(recorder, args)
     return 0
 
 
@@ -973,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("generate", help="generate and save a trace")
-    p.add_argument("--benchmark", default="OCEAN", choices=sorted(BENCHMARKS))
+    p.add_argument("--benchmark", default="OCEAN", choices=sorted(WORKLOADS))
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--seed", type=int, default=1)
@@ -991,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a lifeguard on a workload")
     p.add_argument("--trace", default=None,
                    help="trace file from 'generate' (overrides --benchmark)")
-    p.add_argument("--benchmark", default="OCEAN", choices=sorted(BENCHMARKS))
+    p.add_argument("--benchmark", default="OCEAN", choices=sorted(WORKLOADS))
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--epoch-size", type=int, default=512)
@@ -1016,7 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint file written by 'repro check'")
     p.add_argument("--trace", default=None,
                    help="cross-check: must match the checkpointed trace")
-    p.add_argument("--benchmark", default=None, choices=sorted(BENCHMARKS),
+    p.add_argument("--benchmark", default=None, choices=sorted(WORKLOADS),
                    help="cross-check: must match the checkpointed config")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--events", type=int, default=None)
@@ -1033,10 +999,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="epoch-size sweep for one benchmark: AddrCheck's false "
-             "positives against the sequential oracle at each size",
+        help="epoch-size sweep for one benchmark: AddrCheck's slowdown, "
+             "false positives against the sequential oracle and wall-"
+             "clock cost at each size, and the fitted FP-rate/latency "
+             "tradeoff the adaptive-epoch controller navigates (see "
+             "docs/tuning.md)",
     )
-    p.add_argument("--benchmark", default="OCEAN", choices=sorted(BENCHMARKS))
+    p.add_argument("--benchmark", default="OCEAN", choices=sorted(WORKLOADS))
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--seed", type=int, default=1)
@@ -1053,39 +1022,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="move unparseable --traces files into DIR and continue "
              "instead of aborting the sweep",
     )
+    p.add_argument(
+        "--output", default=None, metavar="PATH",
+        help="write each swept program's points and fitted curve to PATH, "
+             "one JSON record per line (the sweep CI job asserts the "
+             "fitted FP slope is nonnegative)",
+    )
     _add_backend_arg(p)
     _add_resilience_args(p)
     _add_emit_events_arg(p)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
-        "tune",
-        help="sweep the heartbeat over a workload and fit the "
-             "FP-rate/latency tradeoff curve the adaptive-epoch "
-             "controller navigates (see docs/tuning.md)",
-    )
-    p.add_argument(
-        "--benchmark", default=None, choices=sorted(BENCHMARKS),
-        help="sweep a registry benchmark instead of the default "
-             "allocation-handoff workload (registry benchmarks are "
-             "allocation-clean, so their FP curves are flat)",
-    )
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--events", type=int, default=1024,
-                   help="events per thread (default: 1024)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--sizes", type=int, nargs="+", default=[2, 4, 8, 16, 32],
-        help="heartbeat sizes to measure (default: 2 4 8 16 32)",
-    )
-    p.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the measured points and fitted curve as JSON "
-             "(the tune-smoke CI job asserts the fitted FP slope "
-             "is nonnegative)",
-    )
-    _add_backend_arg(p)
-    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser(
         "fuzz",
@@ -1238,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one instrumented workload and print metrics "
              "(spans, counters, gauges)",
     )
-    p.add_argument("--benchmark", default="OCEAN", choices=sorted(BENCHMARKS))
+    p.add_argument("--benchmark", default="OCEAN", choices=sorted(WORKLOADS))
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--events", type=int, default=16384)
     p.add_argument("--epoch-size", type=int, default=512)

@@ -757,7 +757,8 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         #: location accesses), ``flags`` (errors raised), ``meet`` and
         #: ``iso`` (set-operation element counts in steps 2-3).  The
         #: per-epoch maxima of these drive the barrier-synchronized
-        #: lifeguard timing model.
+        #: lifeguard timing model.  On a streamed run only the window's
+        #: rows are resident (:meth:`evict_history`).
         self.block_work: Dict[BlockId, Dict[str, int]] = {}
         self.recorded_accesses = 0
 
@@ -989,6 +990,13 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
 
     def evict_history(self, before: int) -> None:
         self.sos.evict(before)
+        # Epoch ``before - 1`` just committed, so its ledger rows are
+        # final; they stay one more epoch for a reader that copies rows
+        # out between feeds (``sim/lba.py``) and the epoch before them
+        # goes -- by key, one block per thread, never a scan.
+        tid = 0
+        while self.block_work.pop((before - 2, tid), None) is not None:
+            tid += 1
 
     # -- helpers ----------------------------------------------------------------
 

@@ -125,24 +125,40 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read and structurally validate a checkpoint file."""
+    """Read and structurally validate a checkpoint file.
+
+    The file may come from a directory this process does not control,
+    and a damaged pickle raises whatever its mangled opcodes run into
+    (``UnicodeDecodeError``, ``MemoryError``, ``KeyError``, ...), so
+    every failure of the load or the shape checks is a
+    :class:`CheckpointError` naming the path.
+    """
     try:
         with open(path, "rb") as fh:
             raw = pickle.load(fh)
+        if not isinstance(raw, dict) or raw.get("format") != FORMAT:
+            raise CheckpointError(f"{path} is not a repro checkpoint file")
+        if raw.get("version") != VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {raw.get('version')!r} "
+                f"(this build reads version {VERSION})"
+            )
+        meta, state = raw["meta"], raw["engine"]
+        if not isinstance(meta, dict) or not isinstance(state, dict):
+            raise CheckpointError(
+                f"{path} is not a readable checkpoint: meta and engine "
+                "must be records"
+            )
+    except CheckpointError:
+        raise
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except Exception as exc:
         raise CheckpointError(
-            f"{path} is not a readable checkpoint: {exc}"
+            f"{path} is not a readable checkpoint: "
+            f"{type(exc).__name__}: {exc}"
         ) from exc
-    if not isinstance(raw, dict) or raw.get("format") != FORMAT:
-        raise CheckpointError(f"{path} is not a repro checkpoint file")
-    if raw.get("version") != VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {raw.get('version')!r} "
-            f"(this build reads version {VERSION})"
-        )
-    return Checkpoint(raw["meta"], raw["engine"])
+    return Checkpoint(meta, state)
 
 
 class Checkpointer:

@@ -117,7 +117,8 @@ class ServeConfig:
     queue_depth: int = 4
     #: Active-session cap: the refuse-connects rung.
     max_streams: int = 64
-    #: Daemon-wide queued-epoch cap: the shed-newest rung.
+    #: Daemon-wide queued-epoch cap: the shed-newest rung.  ``0`` sheds
+    #: a stream at its first queued epoch -- the rung's drill setting.
     max_pending_epochs: int = 256
     #: Seconds of producer silence before a session is timed out.
     idle_timeout: float = 30.0
@@ -353,10 +354,24 @@ class ReproServer:
     def __init__(
         self, config: ServeConfig, recorder: Recorder = NULL_RECORDER
     ) -> None:
-        if config.workers < 1:
-            raise ReproError(f"workers must be >= 1: {config.workers}")
-        if config.queue_depth < 1:
-            raise ReproError(f"queue depth must be >= 1: {config.queue_depth}")
+        # Refused here, once: each of these otherwise starts a daemon
+        # that fails every stream with an ERROR frame of its own.
+        for name in ("workers", "queue_depth", "max_streams",
+                     "checkpoint_every"):
+            if getattr(config, name) < 1:
+                raise ReproError(
+                    f"{name.replace('_', ' ')} must be >= 1: "
+                    f"{getattr(config, name)}"
+                )
+        if config.max_pending_epochs < 0:
+            raise ReproError(
+                "max pending epochs must be >= 0: "
+                f"{config.max_pending_epochs}"
+            )
+        if config.idle_timeout <= 0:
+            raise ReproError(
+                f"idle timeout must be > 0: {config.idle_timeout}"
+            )
         if config.shard_backend not in SHARD_BACKEND_CHOICES:
             raise ReproError(
                 f"unknown shard backend {config.shard_backend!r} (choose "

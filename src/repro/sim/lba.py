@@ -21,8 +21,9 @@ analysis itself is executed faithfully, only the hardware is modeled.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.epoch import EpochPartition, partition_auto
 from repro.core.framework import ButterflyEngine, EngineStats
@@ -59,6 +60,13 @@ class ButterflyRun:
     guard: ButterflyAddrCheck
     partition: EpochPartition
     engine_stats: EngineStats
+    #: The lifeguard's per-block work counters the timing was priced
+    #: from (the guard itself keeps only the window's rows on a stream).
+    block_work: Dict[Tuple[int, int], Dict[str, int]]
+    #: Wall seconds each epoch's feed took, and the whole run's
+    #: (attach to finish): host measurements, unlike ``result``.
+    epoch_seconds: List[float]
+    wall_seconds: float
 
 
 class LBASystem:
@@ -177,10 +185,8 @@ class LBASystem:
         self,
         program: TraceProgram,
         epoch_size: int,
-        partition: Optional[EpochPartition] = None,
-        guard: Optional[ButterflyAddrCheck] = None,
         backend: str = "serial",
-        recorder: Optional["Recorder"] = None,
+        recorder: Recorder = NULL_RECORDER,
     ) -> ButterflyRun:
         """Parallel, Monitoring: butterfly AddrCheck on 2k cores.
 
@@ -190,24 +196,34 @@ class LBASystem:
         observability recorder through to the engine (default: off).
         The engine is fed one epoch row at a time
         (:class:`~repro.core.stream.PartitionSource`), so its resident
-        state is the three-epoch window however long the trace.
+        state is the three-epoch window however long the trace -- the
+        lifeguard's work ledger included, so each epoch's rows are
+        copied out here before the window moves past them.
         """
         config = MachineConfig.for_app_threads(program.num_threads)
         costs = self.costs
-        if partition is None:
-            # Heartbeats fire in execution time (paper footnote 4), so
-            # cut by the recorded global order when one exists.
-            partition = partition_auto(program, epoch_size)
-        if guard is None:
-            guard = ButterflyAddrCheck(
-                initially_allocated=program.preallocated
-            )
+        # Heartbeats fire in execution time (paper footnote 4), so cut
+        # by the recorded global order when one exists.
+        partition = partition_auto(program, epoch_size)
+        guard = ButterflyAddrCheck(initially_allocated=program.preallocated)
+        source = PartitionSource(partition)
+        block_work: Dict[Tuple[int, int], Dict[str, int]] = {}
+        epoch_seconds = []
+        started = time.perf_counter()
         with ButterflyEngine(
-            guard,
-            backend=backend,
-            recorder=NULL_RECORDER if recorder is None else recorder,
+            guard, backend=backend, recorder=recorder
         ) as engine:
-            stats = engine.run_source(PartitionSource(partition))
+            engine.attach_source(source)
+            for lid, blocks in enumerate(source.epochs()):
+                fed = time.perf_counter()
+                engine.feed_blocks(lid, blocks)
+                epoch_seconds.append(time.perf_counter() - fed)
+                # The guard keeps a committed epoch's (final) rows for
+                # one more feed; rows copied early are copied again.
+                block_work.update(guard.block_work)
+            engine.finish()
+            block_work.update(guard.block_work)
+        wall_seconds = time.perf_counter() - started
 
         app = run_parallel(program, config)
         mtlb_cycles = self._mtlb_cycles_by_thread(program, epoch_size)
@@ -215,13 +231,13 @@ class LBASystem:
         # Average metadata-TLB cost per check, per lifeguard thread.
         total_checks = {
             tid: sum(
-                guard.block_work.get((lid, tid), {}).get("checks", 0)
+                block_work[lid, tid]["checks"]
                 for lid in range(partition.num_epochs)
             )
             for tid in range(program.num_threads)
         }
         avg_mtlb = {
-            tid: mtlb_cycles.get(tid, 0) / total_checks[tid]
+            tid: mtlb_cycles[tid] / total_checks[tid]
             if total_checks[tid]
             else 0.0
             for tid in range(program.num_threads)
@@ -232,14 +248,11 @@ class LBASystem:
         # time -- this is where load imbalance hurts butterfly analysis.
         lifeguard_cycles = 0
         barrier = 2 * costs.epoch_barrier_cycles
-        empty: Dict[str, int] = {}
         for lid in range(partition.num_epochs):
             first_max = 0
             second_max = 0
             for tid in range(program.num_threads):
-                w = guard.block_work.get((lid, tid), empty)
-                if not w:
-                    continue
+                w = block_work[lid, tid]
                 check_cost = costs.check_cycles + avg_mtlb[tid]
                 # First pass: every load/store is dispatched and
                 # recorded for the second pass (the paper's 7-10 extra
@@ -272,7 +285,8 @@ class LBASystem:
         )
         return ButterflyRun(
             result=result, guard=guard, partition=partition,
-            engine_stats=stats,
+            engine_stats=engine.stats, block_work=block_work,
+            epoch_seconds=epoch_seconds, wall_seconds=wall_seconds,
         )
 
     # -- helpers --------------------------------------------------------------

@@ -205,8 +205,8 @@ def alloc_handoff_program(
     the LSOS and are flagged.  The number of accesses inside that
     uncertainty window scales with the epoch size, so this workload's
     false-positive rate grows with ``h`` (the paper's Figure 13 shape),
-    which is what ``repro tune`` sweeps and what makes epoch-size
-    tuning a real precision/latency tradeoff.  (Contrast
+    which is what ``repro sweep --benchmark HANDOFF`` charts and what
+    makes epoch-size tuning a real precision/latency tradeoff.  (Contrast
     :func:`simulated_alloc_program`, whose uniform churn produces FPs
     dominated by stale *frees* instead.)
 

@@ -23,6 +23,7 @@ import random
 from typing import List
 
 from repro.trace.events import Instr
+from repro.trace.generator import alloc_handoff_program
 from repro.trace.program import TraceProgram
 from repro.workloads.base import (
     BenchmarkGenerator,
@@ -118,3 +119,31 @@ class SecureServer(BenchmarkGenerator):
             )
         program = b.build()
         return program
+
+
+class AllocHandoff(BenchmarkGenerator):
+    """``--benchmark HANDOFF``: :func:`alloc_handoff_program` under the
+    registry's interface.  Like :class:`SecureServer` it is not one of
+    Table 1's six, so the figures never loop over it; it is the
+    workload whose AddrCheck false-positive rate genuinely grows with
+    the epoch size, which makes it ``repro sweep``'s precision subject
+    (``docs/tuning.md``)."""
+
+    spec = WorkloadSpec(
+        name="HANDOFF",
+        suite="synthetic",
+        input_desc="malloc handed to the other threads at once",
+        mem_fraction=0.9,
+        reuse=0.9,
+        sharing=1.0,
+        imbalance=0.0,
+    )
+
+    def generate(
+        self, num_threads: int, events_per_thread: int, seed: int = 0
+    ) -> TraceProgram:
+        return alloc_handoff_program(
+            random.Random(seed),
+            num_threads=num_threads,
+            events_per_thread=events_per_thread,
+        )

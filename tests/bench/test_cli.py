@@ -1,5 +1,8 @@
 """Tests for the command-line interface (small workloads)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -41,6 +44,22 @@ class TestCommands:
             ["figure13", "--events", "2000", "--threads", "2"]
         ) == 0
         assert "Figure 13" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("figure, digest", [
+        ("figure12",
+         "96e43e8d4842560874ec9bea9316eeea631d190d721b9329749196dcbcfe6caa"),
+        ("figure13",
+         "e1d70965323ea6e55768f7acc8eaae390983c2d85419e2c7307633cd3d0a5e69"),
+    ])
+    def test_figures_print_what_their_own_loop_printed(
+        self, capsys, figure, digest
+    ):
+        # sha256 of stdout at d9461d1, where ExperimentSuite.run cut the
+        # partition, built the guard and ran the oracle itself (equal
+        # under numpy and REPRO_NO_NUMPY=1).
+        assert main([figure, "--events", "4096", "--threads", "2", "4"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_check_addrcheck(self, capsys):
         assert main(
@@ -104,6 +123,87 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "epoch size" in out
         assert "slowdown" in out
+
+    def test_sweep_handoff_writes_the_record_tune_wrote(
+        self, tmp_path, capsys
+    ):
+        # `repro tune`'s default invocation, as it read at d9461d1.
+        path = tmp_path / "f.json"
+        assert main(
+            [
+                "sweep", "--benchmark", "HANDOFF", "--threads", "4",
+                "--events", "1024", "--seed", "1",
+                "--sizes", "2", "4", "8", "16", "32",
+                "--output", str(path),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "fit: fp_rate ~ +0.1339 * log2(h) +0.2860" in out
+        assert "fit: mean_epoch_ms ~ " in out
+        assert "raw FP rate monotone nondecreasing: yes" in out
+        record = json.loads(path.read_text())
+        assert {
+            key: record[key]
+            for key in ("workload", "threads", "events_per_thread",
+                        "seed", "lifeguard", "fp_monotone_nondecreasing")
+        } == {
+            "workload": "HANDOFF", "threads": 4, "events_per_thread": 1024,
+            "seed": 1, "lifeguard": "addrcheck",
+            "fp_monotone_nondecreasing": True,
+        }
+        points = record["points"]
+        assert [p["epoch_size"] for p in points] == [2, 4, 8, 16, 32]
+        assert [p["epochs"] for p in points] == [513, 257, 129, 65, 33]
+        assert [p["false_positives"] for p in points] == [
+            1204, 1978, 2716, 2770, 3099
+        ]
+        assert [p["flagged"] for p in points] == [
+            1204, 1978, 2716, 2770, 3099
+        ]
+        assert [round(p["fp_rate"], 5) for p in points] == [
+            0.35184, 0.57802, 0.79369, 0.80947, 0.90561
+        ]
+        assert all(
+            p["slowdown"] > 1 and p["mean_epoch_ms"] > 0
+            and p["max_epoch_ms"] >= p["mean_epoch_ms"]
+            and p["events_per_s"] > 0
+            for p in points
+        )
+        fit = record["fit"]
+        assert round(fit["fp_rate_vs_log2_h"]["slope"], 4) == 0.1339
+        assert set(fit["mean_epoch_ms_vs_h"]) == {"slope", "intercept"}
+
+    def test_sweep_traces_output_has_one_record_per_trace(
+        self, tmp_path, capsys
+    ):
+        traces = []
+        for name, seed in (("a", 1), ("b", 2)):
+            traces.append(str(tmp_path / f"{name}.trace"))
+            assert main(
+                [
+                    "generate", "--benchmark", "HANDOFF", "--threads", "2",
+                    "--events", "200", "--seed", str(seed),
+                    "--output", traces[-1],
+                ]
+            ) == 0
+        path = tmp_path / "f.json"
+        assert main(
+            ["sweep", "--traces", *traces, "--sizes", "4", "16",
+             "--output", str(path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert [
+            line for line in out.splitlines() if line.startswith("trace: ")
+        ] == [f"trace: {trace}" for trace in traces]
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        assert [r["workload"] for r in records] == traces
+        for record in records:
+            assert record["threads"] == 2
+            assert record["seed"] is None
+            assert [p["epoch_size"] for p in record["points"]] == [4, 16]
+        assert records[0]["points"] != records[1]["points"]
 
 
 class TestEmitEvents:
@@ -256,6 +356,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "invalid choice: 'bench'" in err
 
+    def test_tune_subcommand_is_gone(self, capsys):
+        # Folded into `repro sweep` (--benchmark HANDOFF, --output).
+        with pytest.raises(SystemExit) as exc:
+            main(["tune"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
     def test_generate_unwritable_output(self, tmp_path, capsys):
         rc = main(
             ["generate", "--events", "64",
@@ -275,6 +382,8 @@ class TestErrorPaths:
             ["generate", "--stream", "--epoch-size", "0", "--output", "OUT"],
             ["check", "--threads", "0"],
             ["serve", "--workers", "0"],
+            ["serve", "--checkpoint-every", "0"],
+            ["serve", "--idle-timeout", "-1"],
             ["check", "--events", "64", "--inject-faults", "bogus"],
             ["check", "--trace", "TRUNCATED"],
         ],

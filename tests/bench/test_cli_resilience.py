@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.obs import read_events
 
-from tests.resilience.test_checkpoint import stamp_version
+from tests.resilience.test_checkpoint import DAMAGED_PICKLE, stamp_version
 
 CHECK_ARGS = [
     "check", "--benchmark", "OCEAN", "--threads", "2",
@@ -106,6 +106,13 @@ class TestResume:
         path.write_bytes(b"\x00\x01 not a checkpoint")
         assert main(["resume", "--checkpoint", str(path)]) == 2
         _one_line_error(capsys, "resume")
+
+    def test_damaged_checkpoint_file(self, tmp_path, capsys):
+        # Not one of pickle's own error types: used to print a stack.
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(DAMAGED_PICKLE)
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        assert "UnicodeDecodeError" in _one_line_error(capsys, "resume")
 
     def test_version_1_checkpoint_is_refused(self, tmp_path, capsys):
         ck = str(tmp_path / "run.ckpt")

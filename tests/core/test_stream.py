@@ -17,7 +17,7 @@ from repro.errors import AnalysisError
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.obs.recorder import Recorder, normalize_events
 from repro.trace.events import Instr
-from repro.trace.generator import simulated_alloc_program
+from repro.trace.generator import ColumnarAllocSource, simulated_alloc_program
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import iter_load, save_stream_file
 
@@ -180,6 +180,31 @@ class TestWindowBound:
         assert [r.identity() for r in guard.errors] == [
             r.identity() for r in mat.errors
         ]
+
+    def test_streamed_run_bounds_the_work_ledger(self):
+        # The simulator's per-block work ledger was the third unbounded
+        # structure -- 99% of the pickled guard a serve daemon
+        # checkpoints after 4,000 epochs.  It leaves with the history:
+        # the guard's pickle at epoch 2,000 is what it was at epoch 200.
+        threads = 4
+        source = ColumnarAllocSource(
+            3, num_threads=threads, num_epochs=2000, events_per_block=64
+        )
+        guard = ButterflyAddrCheck(initially_allocated=source.preallocated)
+        pickled = {}
+        with ButterflyEngine(guard) as engine:
+            engine.attach_source(source)
+            for lid, row in enumerate(source.epochs()):
+                engine.feed_blocks(lid, row)
+                assert len(guard.block_work) <= 3 * threads
+                # A committed epoch's rows outlive its second pass by
+                # one feed: a reader between feeds sees each row final.
+                assert lid == 0 or (lid - 1, 0) in guard.block_work
+                if lid + 1 in (200, 2000):
+                    pickled[lid + 1] = len(pickle.dumps(guard))
+            engine.finish()
+        assert 0 < len(guard.block_work) <= 3 * threads
+        assert pickled[2000] <= 1.1 * pickled[200]
 
     def test_materialized_run_obeys_the_same_bound(self):
         partition = nop_partition(threads=2, per_thread=100, h=1)

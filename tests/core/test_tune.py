@@ -1,6 +1,6 @@
 """Adaptive epoch sizing: the SLO controller, block coalescing, the
 engine's fold stage (against the wrapper it replaced), and the offline
-tune sweep."""
+epoch-size experiment (``repro.bench.harness``) with its tradeoff fit."""
 
 import itertools
 import os
@@ -10,6 +10,13 @@ import time
 
 import pytest
 
+from repro.bench.harness import (
+    Oracle,
+    TunePoint,
+    fit_line,
+    fit_tradeoff,
+    measure_epoch_size,
+)
 from repro.core.columnar import HAVE_NUMPY, ColumnarBlock
 from repro.core.epoch import (
     Block,
@@ -21,9 +28,9 @@ from repro.core.epoch import (
 )
 from repro.core.framework import ButterflyAnalysis, ButterflyEngine
 from repro.core.stream import ShapeSource
-from repro.core.tune import TunePoint, fit_line, fit_tradeoff, tune_workload
 from repro.errors import AnalysisError, ReproError
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.lifeguards.reports import PrecisionReport
 from repro.resilience.checkpoint import Checkpointer
 from repro.serve.shards import make_guard
 from repro.trace.events import Instr
@@ -634,11 +641,24 @@ class TestFitting:
         assert intercept == pytest.approx(2.0)
 
     def point(self, h, fp_rate, mean_ms):
+        flags = round(fp_rate * 1000)
         return TunePoint(
-            epoch_size=h, epochs=10, flagged=5, false_positives=3,
-            fp_rate=fp_rate, mean_epoch_ms=mean_ms, max_epoch_ms=mean_ms,
-            events_per_s=1000.0,
+            epoch_size=h, epochs=10, events=4000, butterfly=None,
+            precision=PrecisionReport(
+                true_errors=0, flagged=flags, true_positives=0,
+                false_positives=flags, false_negatives=0, memory_ops=1000,
+            ),
+            epoch_seconds=[mean_ms / 1e3] * 10, wall_seconds=4.0,
         )
+
+    def test_point_derives_its_flat_record(self):
+        record = self.point(8, 0.3, 4.0).to_record()
+        assert record == {
+            "epoch_size": 8, "epochs": 10, "flagged": 300,
+            "false_positives": 300, "fp_rate": pytest.approx(0.3),
+            "mean_epoch_ms": pytest.approx(4.0),
+            "max_epoch_ms": pytest.approx(4.0), "events_per_s": 1000.0,
+        }
 
     def test_fit_tradeoff_sorts_and_fits(self):
         points = [
@@ -669,12 +689,20 @@ class TestTuneWorkload:
         prog = alloc_handoff_program(
             random.Random(1), num_threads=4, events_per_thread=256
         )
-        curve = tune_workload(prog, [2, 8, 32])
+        oracle = Oracle(prog)
+        curve = fit_tradeoff(
+            [measure_epoch_size(prog, h, oracle) for h in (32, 2, 8)]
+        )
         assert [p.epoch_size for p in curve.points] == [2, 8, 32]
-        assert all(p.epochs > 0 for p in curve.points)
+        assert all(
+            p.epochs == len(p.epoch_seconds) > 0 for p in curve.points
+        )
+        assert all(p.wall_seconds > 0 for p in curve.points)
         # The handoff workload is error-free sequentially, so every
         # flag is a false positive -- and FPs grow with the window.
+        assert len(oracle.errors) == 0
         assert all(
-            p.false_positives == p.flagged for p in curve.points
+            p.precision.false_positives == p.precision.flagged
+            for p in curve.points
         )
         assert curve.fp_slope > 0

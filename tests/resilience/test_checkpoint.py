@@ -61,6 +61,11 @@ def _run_uninterrupted(part):
 META = {"benchmark": "X", "epoch_size": 8, "seed": 5}
 
 
+#: A two-byte string that is not UTF-8: ``pickle.load`` raises
+#: ``UnicodeDecodeError`` -- not one of pickle's own error types.
+DAMAGED_PICKLE = b"\x80\x04\x8c\x02\xff\xfe."
+
+
 def stamp_version(path, version):
     """Rewrite a checkpoint file's format version in place (what a file
     left behind by another build looks like to this one)."""
@@ -568,3 +573,50 @@ class TestLoadFailures:
         )
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(str(path))
+
+    def test_record_without_meta_or_engine(self, tmp_path):
+        path = tmp_path / "hollow.ckpt"
+        path.write_bytes(
+            pickle.dumps({"format": "repro-checkpoint", "version": 3})
+        )
+        with pytest.raises(CheckpointError, match="hollow.ckpt"):
+            load_checkpoint(str(path))
+
+    def test_damaged_files_raise_nothing_but_checkpoint_error(
+        self, tmp_path
+    ):
+        # Truncations, bit flips and random bytes: a mangled pickle
+        # raises whatever its opcodes run into (UnicodeDecodeError,
+        # MemoryError, ValueError, ImportError, ...).  The few that
+        # still unpickle into the right shape need a digest to catch.
+        path = str(tmp_path / "v.ckpt")
+        part = partition_by_global_order(_program(events=60), 8)
+        engine = ButterflyEngine(ButterflyAddrCheck())
+        engine.attach(part)
+        engine.feed_epoch(0)
+        engine.feed_epoch(1)
+        save_checkpoint(path, engine, META)
+        with open(path, "rb") as fh:
+            good = fh.read()
+        rng = random.Random(21)
+        refused = 0
+        for trial in range(1200):
+            if trial % 3 == 0:
+                data = good[: rng.randrange(len(good))]
+            elif trial % 3 == 1:
+                flipped = bytearray(good)
+                for _ in range(rng.randint(1, 4)):
+                    flipped[rng.randrange(len(good))] ^= 1 << rng.randrange(8)
+                data = bytes(flipped)
+            else:
+                data = bytes(
+                    rng.randrange(256) for _ in range(rng.randrange(1, 200))
+                )
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                load_checkpoint(path)
+            except CheckpointError as exc:
+                assert path in str(exc)
+                refused += 1
+        assert refused > 1000

@@ -25,7 +25,7 @@ from repro.serve.protocol import (
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.serialize import save_stream_file, stream_header
 
-from tests.resilience.test_checkpoint import stamp_version
+from tests.resilience.test_checkpoint import DAMAGED_PICKLE, stamp_version
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_server import FAST, connect, raw_handshake
 
@@ -74,10 +74,11 @@ class TestResumeAcrossRestart:
         assert client.last_ack["resume_epoch"] == committed
         assert served == offline_report(trace, "s1")
 
-    @pytest.mark.parametrize("shard_backend", ["thread", "process"])
-    def test_version_1_checkpoint_refuses_the_reconnect(
-        self, tmp_path, shard_backend
+    def _reconnect_to_a_spoiled_checkpoint(
+        self, tmp_path, shard_backend, spoil
     ):
+        """Abandon a stream mid-run, ``spoil(path)`` its checkpoint,
+        reconnect to a fresh daemon; the daemon's decoded answer."""
         trace = tmp_path / "t.stream.jsonl"
         write_trace(trace, events=300, seed=5)
         ck = tmp_path / "ck"
@@ -94,7 +95,7 @@ class TestResumeAcrossRestart:
             wait_for_checkpoint(ck, min_epoch=2)
             sock.close()  # abandon mid-stream
         path, _ = wait_for_checkpoint(ck, min_epoch=2)
-        stamp_version(str(path), 1)
+        spoil(str(path))
 
         with open(trace) as fp:
             header = stream_header(fp, str(trace))
@@ -108,9 +109,34 @@ class TestResumeAcrossRestart:
             ftype, payload = read_frame_sync(sock)
             sock.close()
         assert ftype == FRAME_ERROR
-        answer = json.loads(payload)
+        return json.loads(payload)
+
+    @pytest.mark.parametrize("shard_backend", ["thread", "process"])
+    def test_version_1_checkpoint_refuses_the_reconnect(
+        self, tmp_path, shard_backend
+    ):
+        answer = self._reconnect_to_a_spoiled_checkpoint(
+            tmp_path, shard_backend, lambda path: stamp_version(path, 1)
+        )
         assert answer["code"] == "token"
         assert "unsupported checkpoint version 1" in answer["error"]
+
+    @pytest.mark.parametrize("shard_backend", ["thread", "process"])
+    def test_damaged_checkpoint_refuses_the_reconnect(
+        self, tmp_path, shard_backend
+    ):
+        # The directory is not the daemon's alone: whatever a damaged
+        # pickle raises (here UnicodeDecodeError) is ERROR token -- the
+        # producer's cue to start over -- not ERROR internal.
+        def damage(path):
+            with open(path, "wb") as fh:
+                fh.write(DAMAGED_PICKLE)
+
+        answer = self._reconnect_to_a_spoiled_checkpoint(
+            tmp_path, shard_backend, damage
+        )
+        assert answer["code"] == "token"
+        assert "not a readable checkpoint" in answer["error"]
 
     def test_token_mismatch_is_refused(self, daemon, trace_file):
         with open(trace_file) as fp:

@@ -8,10 +8,12 @@ import time
 
 import pytest
 
+from repro.errors import ReproError
 from repro.obs.recorder import Recorder
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import RetryPolicy
 from repro.serve import (
+    ReproServer,
     ServeConfig,
     ServeErrorFrame,
     ServerThread,
@@ -66,6 +68,27 @@ def raw_handshake(address, path, stream_id, epochs_to_send=0):
     for line in lines:
         sock.sendall(encode_frame(FRAME_EPOCH, line.strip().encode()))
     return sock
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0),
+        ("queue_depth", 0),
+        ("max_streams", 0),
+        ("max_pending_epochs", -1),
+        ("checkpoint_every", 0),
+        ("idle_timeout", 0),
+        ("idle_timeout", -1.0),
+        ("shard_backend", "fiber"),
+    ])
+    def test_a_bad_field_is_refused_before_the_daemon_starts(
+        self, field, value
+    ):
+        # Not once per stream: checkpoint_every=0 used to start and then
+        # fail every stream with ERROR token, max_streams=0 with ERROR
+        # busy, idle_timeout=-1 with ERROR timeout.
+        with pytest.raises(ReproError, match=field.replace("_", " ")):
+            ReproServer(ServeConfig(**{field: value}))
 
 
 class TestEndToEnd:

@@ -60,4 +60,4 @@ class TestButterflySystem:
         for lid in range(part.num_epochs):
             for tid in range(part.num_threads):
                 if len(part.block(lid, tid)):
-                    assert (lid, tid) in run.guard.block_work
+                    assert (lid, tid) in run.block_work
