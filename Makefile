@@ -9,13 +9,15 @@ test:
 # the command line -- (command, option) pairs from build_parser(); the
 # add_argument count beside it is call sites, which counts a shared
 # _add_*_arg helper once however many commands use it -- the three
-# executor modules (ROADMAP: one executor), config fields.
+# executor modules (ROADMAP: one executor), config fields, and the src/
+# modules nothing but their own tests imports (scripts/reachability.py).
 surface:
 	@printf 'src/ physical lines: '; find src -name '*.py' -print0 | xargs -0 cat | wc -l
 	@PYTHONPATH=src $(PYTHON) -c "import argparse; from repro.cli import build_parser; sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)); print('CLI (command, option) pairs:', sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction) for p in sub.choices.values() for a in p._actions))"
 	@printf 'cli.py add_argument calls: '; grep -c add_argument src/repro/cli.py
 	@printf 'executor lines (core/parallel.py + resilience/supervisor.py + serve/shards.py): '; cat src/repro/core/parallel.py src/repro/resilience/supervisor.py src/repro/serve/shards.py | wc -l
 	@PYTHONPATH=src $(PYTHON) -c "import dataclasses as d; from repro.serve import ServeConfig; from repro.resilience import RetryPolicy; from repro.core.epoch import SloConfig; print('ServeConfig/RetryPolicy/SloConfig fields:', '/'.join(str(len(d.fields(c))) for c in (ServeConfig, RetryPolicy, SloConfig)))"
+	@$(PYTHON) scripts/reachability.py
 
 # Benchmark-suite smoke run: correctness assertions only, timing
 # comparisons skipped (REPRO_CI) and pytest-benchmark timing disabled.

@@ -34,7 +34,6 @@ import os
 import shutil
 import signal
 import sys
-import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.experiments import figure11, figure12, figure13, table1
@@ -70,7 +69,6 @@ from repro.serve import (
     SHARD_BACKEND_CHOICES,
     ReproServer,
     ServeConfig,
-    ServerThread,
     build_report,
     format_report,
     make_guard,
@@ -424,22 +422,13 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
     The checkpoint's configuration fingerprint rebuilds the identical
     trace and partition; the continued run's error log, stats, and
-    output are bit-identical to an uninterrupted one.  Any workload
-    flag passed here is cross-checked against the fingerprint and a
-    mismatch refuses to resume.
+    output are bit-identical to an uninterrupted one.  The workload is
+    whatever the checkpoint recorded -- there is nothing to pass but
+    the checkpoint -- and a trace file that changed since is refused.
     """
     recorder = _open_recorder(args)
     checkpoint = load_checkpoint(args.checkpoint)
-    meta = dict(checkpoint.meta)
-    expected = dict(meta)
-    for key in ("benchmark", "threads", "events", "seed",
-                "epoch_size", "lifeguard"):
-        value = getattr(args, key, None)
-        if value is not None:
-            expected[key] = value
-    if getattr(args, "trace", None):
-        expected["trace"] = os.path.abspath(args.trace)
-    checkpoint.verify(expected)
+    meta = checkpoint.meta
     trace_path = meta["trace"]
     if trace_path and meta["trace_sha256"]:
         try:
@@ -750,58 +739,6 @@ def cmd_push(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_stats_serve(
-    args: argparse.Namespace, recorder: Recorder, partition
-) -> None:
-    """Route the stats workload through an in-process serve daemon.
-
-    Exercises every ``serve.*`` counter family deterministically: two
-    complete streams (accepted/completed, bytes, epochs), a depth-1
-    queue (backpressure stalls), and one deliberately corrupt frame
-    (streams_failed) -- so ``--summary-json`` captures the daemon's
-    full metric surface.  The recorder is handed to the daemon's loop
-    thread and only read back after the daemon has stopped.
-    """
-    from repro.serve.client import _connect, read_frame_sync
-    from repro.serve.protocol import (
-        FRAME_EPOCH,
-        FRAME_HELLO,
-        encode_frame,
-        encode_json_frame,
-    )
-
-    with tempfile.TemporaryDirectory(prefix="repro-stats-serve-") as tmp:
-        trace = os.path.join(tmp, "stats.jsonl")
-        save_stream_file(partition, trace)
-        config = ServeConfig(
-            workers=args.workers,
-            queue_depth=1,
-            checkpoint_dir=os.path.join(tmp, "checkpoints"),
-            backend=args.backend,
-        )
-        try:
-            with ServerThread(config, recorder) as st:
-                for i in range(2):
-                    push_trace(
-                        st.address, trace, f"stats-{i}",
-                        lifeguard=args.lifeguard,
-                    )
-                # One stream that sends a corrupt epoch frame: the
-                # daemon isolates it and counts a failure.
-                sock = _connect(st.address, 10.0)
-                try:
-                    sock.sendall(encode_json_frame(
-                        FRAME_HELLO, make_hello("stats-bad", 1, 1, (), "race")
-                    ))
-                    read_frame_sync(sock)  # ACK
-                    sock.sendall(encode_frame(FRAME_EPOCH, b"not json"))
-                    read_frame_sync(sock)  # ERROR protocol
-                finally:
-                    sock.close()
-        except OSError as exc:
-            raise ReproError(f"serve self-test: {exc}") from exc
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     """Run one instrumented workload and print the metrics summary."""
     recorder = _open_recorder(args)
@@ -812,27 +749,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
         program = get_benchmark(args.benchmark).generate(
             args.threads, args.events, seed=args.seed
         )
-        partition = partition_auto(program, args.epoch_size)
-        if args.serve:
-            # The daemon builds its own per-stream engines; the
-            # CLI-level backend only validated the flags.
-            _run_stats_serve(args, recorder, partition)
-        else:
-            source = PartitionSource(partition)
-            with ButterflyEngine(
-                make_guard(args.lifeguard, source.preallocated),
-                backend=backend, recorder=recorder,
-            ) as engine:
-                engine.attach_source(source)
-                _drive_engine(args, engine, source)
+        source = PartitionSource(partition_auto(program, args.epoch_size))
+        with ButterflyEngine(
+            make_guard(args.lifeguard, source.preallocated),
+            backend=backend, recorder=recorder,
+        ) as engine:
+            engine.attach_source(source)
+            _drive_engine(args, engine, source)
     finally:
         backend.close()
 
     snap = recorder.snapshot()
-    via = " via serve daemon" if args.serve else ""
     print(f"benchmark: {args.benchmark}, {args.threads} threads, "
           f"h={args.epoch_size} events, backend={args.backend}, "
-          f"lifeguard={args.lifeguard}{via}")
+          f"lifeguard={args.lifeguard}")
     print(f"events recorded: {len(recorder.events)}")
     if snap["spans"]:
         print("\nspans (aggregated):")
@@ -864,11 +794,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_lifeguard_arg(
-    parser: argparse.ArgumentParser, default: Optional[str] = "addrcheck"
-) -> None:
+def _add_lifeguard_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--lifeguard", default=default, choices=LIFEGUARD_CHOICES
+        "--lifeguard", default="addrcheck", choices=LIFEGUARD_CHOICES
+    )
+
+
+def _add_limit_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--limit", type=int, default=10,
+        help="max reports to print; 0 prints the count only (default: 10)",
     )
 
 
@@ -963,8 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epoch-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=1)
     _add_lifeguard_arg(p)
-    p.add_argument("--limit", type=int, default=10,
-                   help="max reports to print")
+    _add_limit_arg(p)
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot run state to PATH after each committed "
                         "epoch (resume with 'repro resume')")
@@ -980,17 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--checkpoint", required=True, metavar="PATH",
                    help="checkpoint file written by 'repro check'")
-    p.add_argument("--trace", default=None,
-                   help="cross-check: must match the checkpointed trace")
-    p.add_argument("--benchmark", default=None, choices=sorted(WORKLOADS),
-                   help="cross-check: must match the checkpointed config")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--events", type=int, default=None)
-    p.add_argument("--epoch-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_lifeguard_arg(p, default=None)
-    p.add_argument("--limit", type=int, default=10,
-                   help="max reports to print")
+    _add_limit_arg(p)
     _add_checkpoint_args(p)
     _add_backend_arg(p)
     _add_resilience_args(p)
@@ -1164,8 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream identity for resume (default: the "
                         "trace file's basename)")
     _add_lifeguard_arg(p)
-    p.add_argument("--limit", type=int, default=10,
-                   help="max reports to print")
+    _add_limit_arg(p)
     p.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
         help="deterministic transport faults, e.g. "
@@ -1194,16 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-json", default=None, metavar="PATH",
         help="also write the metrics snapshot to PATH (atomic rename)",
     )
-    p.add_argument(
-        "--serve", action="store_true",
-        help="route the workload through an in-process serve daemon so "
-             "the serve.* counters (streams, backpressure stalls, bytes "
-             "ingested, epochs folded) land in the summary",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2,
-        help="engine shards for the --serve daemon (default: 2)",
-    )
     _add_backend_arg(p)
     _add_resilience_args(p)
     _add_emit_events_arg(p)
@@ -1214,6 +1127,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "limit", 0) < 0:
+        # format_report slices errors[:limit]; a negative one would
+        # silently drop reports under a header that counts them all.
+        return _fail(args.command, f"--limit must be >= 0, got {args.limit}")
     try:
         return args.func(args)
     except BrokenPipeError:

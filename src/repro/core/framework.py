@@ -112,8 +112,8 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
     recorder: Recorder = NULL_RECORDER
 
     def emit_metrics(self, recorder: Recorder) -> None:
-        """Publish end-of-run gauges (intern table pressure, footprint
-        sizes, ...) to ``recorder``.  Called once by the engine after
+        """Publish end-of-run gauges (footprint sizes, conflict counts,
+        ...) to ``recorder``.  Called once by the engine after
         the final epoch; the default publishes nothing."""
 
     # -- step 1 ----------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.bitset import BitInterner
 from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis
 from repro.core.window import Butterfly
@@ -35,27 +34,13 @@ from repro.trace.events import Instr, Op
 
 @dataclass
 class AccessSummary:
-    """Per-block read/write footprints with first-occurrence offsets.
-
-    ``reads_mask``/``writes_mask`` are interned-bitset encodings filled
-    in at commit time so the wing meet and conflict intersections run as
-    bitwise OR/AND."""
+    """Per-block read/write footprints with first-occurrence offsets."""
 
     block_id: BlockId
     reads: Set[int] = field(default_factory=set)
     writes: Set[int] = field(default_factory=set)
     first_read: Dict[int, int] = field(default_factory=dict)
     first_write: Dict[int, int] = field(default_factory=dict)
-    reads_mask: Optional[int] = None
-    writes_mask: Optional[int] = None
-
-
-@dataclass
-class WingAccesses:
-    """Union of the wings' footprints, as interned bitsets."""
-
-    reads: int
-    writes: int
 
 
 @dataclass(frozen=True)
@@ -93,7 +78,9 @@ class RaceReport:
     kind: str  # "write-write" or "read-write"
 
 
-class ButterflyRaceCheck(ButterflyAnalysis[AccessSummary, WingAccesses]):
+class ButterflyRaceCheck(
+    ButterflyAnalysis[AccessSummary, List[AccessSummary]]
+):
     """Conflict detection over the butterfly window.
 
     ``races`` collects :class:`RaceReport` entries; ``errors`` mirrors
@@ -108,7 +95,6 @@ class ButterflyRaceCheck(ButterflyAnalysis[AccessSummary, WingAccesses]):
         self.errors = ErrorLog()
         self.races: List[RaceReport] = []
         self._summaries: Dict[BlockId, AccessSummary] = {}
-        self._loc_bits = BitInterner()
 
     # -- step 1 ----------------------------------------------------------
 
@@ -116,9 +102,6 @@ class ButterflyRaceCheck(ButterflyAnalysis[AccessSummary, WingAccesses]):
         return RaceScanner()
 
     def commit_scan(self, block: Block, scan: AccessSummary) -> AccessSummary:
-        loc_bits = self._loc_bits
-        scan.reads_mask = loc_bits.mask(scan.reads)
-        scan.writes_mask = loc_bits.mask(scan.writes)
         self._summaries[block.block_id] = scan
         return scan
 
@@ -126,47 +109,49 @@ class ButterflyRaceCheck(ButterflyAnalysis[AccessSummary, WingAccesses]):
 
     def meet(
         self, butterfly: Butterfly, wing_summaries: List[AccessSummary]
-    ) -> WingAccesses:
-        reads = 0
-        writes = 0
-        for s in wing_summaries:
-            reads |= s.reads_mask
-            writes |= s.writes_mask
-        return WingAccesses(reads=reads, writes=writes)
+    ) -> List[AccessSummary]:
+        # No union is built: each conflict class intersects the body
+        # with one wing at a time, so the work is sized by the smaller
+        # footprint and nothing outlives the window.
+        return wing_summaries
 
     # -- step 3 --------------------------------------------------------------
 
     def check_body(
-        self, butterfly: Butterfly, side_in: WingAccesses
-    ) -> Tuple[int, int, int]:
-        """Conflict intersections as bitwise ANDs: write-write, body
-        write vs wing read, body read vs wing write."""
+        self, butterfly: Butterfly, side_in: List[AccessSummary]
+    ) -> Tuple[Set[int], Set[int], Set[int]]:
+        """Pure conflict intersections, accumulated over the wings:
+        write-write, body write vs wing read, body read vs wing write."""
         s = self._summaries[butterfly.body.block_id]
-        return (
-            s.writes_mask & side_in.writes,
-            s.writes_mask & side_in.reads,
-            s.reads_mask & side_in.writes,
-        )
+        ww: Set[int] = set()
+        wr: Set[int] = set()
+        rw: Set[int] = set()
+        for w in side_in:
+            ww |= s.writes & w.writes
+            wr |= s.writes & w.reads
+            rw |= s.reads & w.writes
+        return ww, wr, rw
 
     def commit_check(
         self,
         butterfly: Butterfly,
-        side_in: WingAccesses,
-        result: Tuple[int, int, int],
+        side_in: List[AccessSummary],
+        result: Tuple[Set[int], Set[int], Set[int]],
     ) -> None:
         ww, wr, rw = result
-        body = butterfly.body
-        s = self._summaries[body.block_id]
-        decode = self._loc_bits.decode
-        for loc in decode(ww):
+        s = self._summaries[butterfly.body.block_id]
+        # Ascending location within each conflict class: set order is
+        # hash-dependent, sorting makes the flag order a function of
+        # the trace alone.
+        for loc in sorted(ww):
             self._flag(
                 butterfly, loc, s.first_write[loc], "write-write", "writes"
             )
-        for loc in decode(wr):
+        for loc in sorted(wr):
             self._flag(
                 butterfly, loc, s.first_write[loc], "read-write", "reads"
             )
-        for loc in decode(rw):
+        for loc in sorted(rw):
             self._flag(
                 butterfly, loc, s.first_read[loc], "read-write", "writes"
             )
@@ -220,9 +205,7 @@ class ButterflyRaceCheck(ButterflyAnalysis[AccessSummary, WingAccesses]):
         return None
 
     def emit_metrics(self, recorder: Any) -> None:
-        """End-of-run gauges: intern-table pressure and conflict count."""
-        for key, value in self._loc_bits.stats().items():
-            recorder.gauge(f"intern.{key}", value)
+        """End-of-run gauge: the conflict count."""
         recorder.gauge("racecheck.races", len(self.races))
 
     # -- step 4 --------------------------------------------------------------

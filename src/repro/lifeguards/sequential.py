@@ -9,15 +9,9 @@ These play two roles in the reproduction:
    sequential lifeguard defines the true error set for that execution;
    butterfly reports are scored against it.
 
-Both guards expose two consumption grains.  :meth:`process` handles one
-``Instr`` at a time (the oracle's per-ordering replay).  :meth:`process_block`
-consumes a whole :class:`~repro.core.epoch.Block`; when numpy is present
-and the block is columnar-backed it runs a vector fast path -- one LUT
-pass over the op column selects the analysis-relevant rows and a CSR
-gather pulls just their fields -- with bit-identical errors, state, and
-``events_processed``.  The fast path keeps the differential oracle and
-the timesliced baseline from dominating fuzz/bench wall-clock on
-READ-heavy traces.
+Both guards consume one ``Instr`` at a time (:meth:`process`): in the
+recorded order (:meth:`run_order`) or in one the caller enumerates
+(:meth:`run`, :func:`true_errors_under_any_ordering`).
 """
 
 from __future__ import annotations
@@ -33,43 +27,13 @@ from typing import (
     Tuple,
 )
 
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    OP_ASSIGN,
-    OP_FREE,
-    OP_JUMP,
-    OP_MALLOC,
-    OP_READ,
-    OP_TAINT,
-    OP_UNTAINT,
-    OP_WRITE,
-    np,
-)
-from repro.core.epoch import Block
 from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
 from repro.trace.events import Instr, Op
 from repro.trace.program import GlobalRef, TraceProgram
 
-if HAVE_NUMPY:
-    #: Rows AddrCheck must look at: allocation-state changes plus the
-    #: dereferencing ops (``Instr.accessed`` is empty for everything
-    #: else, srcs or no srcs).
-    _ADDR_EVENT_LUT = np.zeros(256, dtype=bool)
-    _ADDR_EVENT_LUT[
-        [OP_MALLOC, OP_FREE, OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]
-    ] = True
-    #: Rows TaintCheck must look at (READs never move taint).
-    _SEQ_TAINT_LUT = np.zeros(256, dtype=bool)
-    _SEQ_TAINT_LUT[
-        [OP_TAINT, OP_UNTAINT, OP_WRITE, OP_ASSIGN, OP_JUMP]
-    ] = True
-else:  # pragma: no cover - exercised under REPRO_NO_NUMPY=1
-    _ADDR_EVENT_LUT = None
-    _SEQ_TAINT_LUT = None
-
 
 class _SequentialBase:
-    """Shared stream/block plumbing for the two sequential guards."""
+    """Shared stream plumbing for the two sequential guards."""
 
     def __init__(self) -> None:
         self.errors = ErrorLog()
@@ -77,24 +41,6 @@ class _SequentialBase:
 
     def process(self, ref: Optional[GlobalRef], instr: Instr) -> None:
         raise NotImplementedError
-
-    def _process_columns(self, block: Block) -> None:
-        raise NotImplementedError
-
-    def process_block(self, block: Block) -> None:
-        """Consume one thread-local block in program order.
-
-        Events are labelled ``(block.tid, block.start + i)`` -- exactly
-        the refs :meth:`run_order` passes for this thread's slice.
-        Columnar-backed blocks take the vector fast path under numpy;
-        otherwise the block replays through :meth:`process`.
-        """
-        if HAVE_NUMPY and block.has_columns:
-            self._process_columns(block)
-            return
-        tid, base = block.tid, block.start
-        for i, instr in enumerate(block.instrs):
-            self.process((tid, base + i), instr)
 
     def run(
         self, stream: Iterable[Tuple[Optional[GlobalRef], Instr]]
@@ -106,12 +52,6 @@ class _SequentialBase:
     def run_order(self, program: TraceProgram) -> ErrorLog:
         """Run over the program's recorded ground-truth interleaving."""
         return self.run(program.iter_recorded())
-
-    def run_blocks(self, blocks: Iterable[Block]) -> ErrorLog:
-        """Consume blocks back to back (a timesliced schedule)."""
-        for block in blocks:
-            self.process_block(block)
-        return self.errors
 
 
 class SequentialAddrCheck(_SequentialBase):
@@ -168,84 +108,6 @@ class SequentialAddrCheck(_SequentialBase):
     def restore_state(self, state: FrozenSet[int]) -> None:
         self.allocated = set(state)
 
-    # -- columnar fast path --------------------------------------------
-
-    def _process_columns(self, block: Block) -> None:
-        """Vectorized block scan.
-
-        The allocated set only changes at MALLOC/FREE rows, so the scan
-        splits the relevant rows into segments between allocation-state
-        changes.  Within a segment every dereferenced location is
-        membership-tested in one C-level ``issuperset`` sweep; only a
-        segment that actually contains an error is replayed row by row
-        (to emit reports in exact event order).
-        """
-        cols = block.columns
-        self.events_processed += cols.length
-        if cols.length == 0:
-            return
-        ops_arr = np.asarray(cols.op)
-        idx = np.flatnonzero(_ADDR_EVENT_LUT[ops_arr])
-        if idx.shape[0] == 0:
-            return
-        sel = ops_arr[idx]
-        alloc_pos = np.flatnonzero((sel == OP_MALLOC) | (sel == OP_FREE))
-        wa_pos = np.flatnonzero((sel == OP_WRITE) | (sel == OP_ASSIGN))
-        codes, dsts, bounds, srcs = cols.gather(idx)
-        rows = idx.tolist()
-        wa_list = wa_pos.tolist()
-        wa_dsts = [dsts[j] for j in wa_list]
-        sizes = cols.size
-        tid, base = block.tid, block.start
-        allocated = self.allocated
-        record = self.errors.record
-
-        def check_segment(lo: int, hi: int) -> None:
-            # Rows [lo, hi) hold no allocation-state change.
-            if lo == hi:
-                return
-            wlo, whi = np.searchsorted(wa_pos, (lo, hi))
-            if allocated.issuperset(
-                srcs[bounds[lo]:bounds[hi]]
-            ) and allocated.issuperset(wa_dsts[wlo:whi]):
-                return
-            for k in range(lo, hi):
-                acc = srcs[bounds[k]:bounds[k + 1]]
-                if codes[k] == OP_WRITE or codes[k] == OP_ASSIGN:
-                    acc = acc + [dsts[k]]
-                ref = (tid, base + rows[k])
-                for loc in acc:
-                    if loc not in allocated:
-                        record(
-                            ErrorKind.ACCESS_UNALLOCATED, loc, ref=ref,
-                            detail="access to unallocated location",
-                        )
-
-        prev = 0
-        for a in alloc_pos.tolist():
-            check_segment(prev, a)
-            dst = dsts[a]
-            extent = range(dst, dst + int(sizes[rows[a]]))
-            ref = (tid, base + rows[a])
-            if codes[a] == OP_MALLOC:
-                for loc in extent:
-                    if loc in allocated:
-                        record(
-                            ErrorKind.MALLOC_ALLOCATED, loc, ref=ref,
-                            detail="malloc of already-allocated location",
-                        )
-                    allocated.add(loc)
-            else:
-                for loc in extent:
-                    if loc not in allocated:
-                        record(
-                            ErrorKind.FREE_UNALLOCATED, loc, ref=ref,
-                            detail="free of unallocated location",
-                        )
-                    allocated.discard(loc)
-            prev = a + 1
-        check_segment(prev, len(rows))
-
 
 class SequentialTaintCheck(_SequentialBase):
     """TaintCheck over a single serialized event stream.
@@ -289,42 +151,6 @@ class SequentialTaintCheck(_SequentialBase):
 
     def restore_state(self, state: FrozenSet[int]) -> None:
         self.tainted = set(state)
-
-    # -- columnar fast path --------------------------------------------
-
-    def _process_columns(self, block: Block) -> None:
-        """Vectorized block scan: READs (and NOP/MALLOC/FREE) never move
-        taint, so one LUT pass drops them and the sequential walk only
-        touches TAINT/UNTAINT/WRITE/ASSIGN/JUMP rows."""
-        cols = block.columns
-        self.events_processed += cols.length
-        if cols.length == 0:
-            return
-        idx = np.flatnonzero(_SEQ_TAINT_LUT[np.asarray(cols.op)])
-        if idx.shape[0] == 0:
-            return
-        codes, dsts, bounds, srcs = cols.gather(idx)
-        tid, base = block.tid, block.start
-        tainted = self.tainted
-        record = self.errors.record
-        for k, i in enumerate(idx.tolist()):
-            code = codes[k]
-            if code == OP_TAINT:
-                tainted.add(dsts[k])
-            elif code == OP_JUMP:
-                loc = srcs[bounds[k]]
-                if loc in tainted:
-                    record(
-                        ErrorKind.TAINTED_JUMP, loc, ref=(tid, base + i),
-                        detail="tainted data used as jump target",
-                    )
-            elif code == OP_ASSIGN:
-                if any(s in tainted for s in srcs[bounds[k]:bounds[k + 1]]):
-                    tainted.add(dsts[k])
-                else:
-                    tainted.discard(dsts[k])
-            else:  # UNTAINT or WRITE stores trusted data
-                tainted.discard(dsts[k])
 
 
 def true_errors_under_any_ordering(

@@ -16,12 +16,14 @@ file on disk is always a complete, loadable snapshot no matter when the
 writer was killed.
 
 A checkpoint embeds a ``meta`` fingerprint of the run configuration
-(workload, seed, epoch size, lifeguard, trace digest).  Resume refuses
-a checkpoint whose fingerprint disagrees with the resuming command --
+(workload, seed, epoch size, lifeguard, trace digest).  ``repro
+resume`` rebuilds the run from it and refuses a trace file whose digest
+changed; the daemon refuses a checkpoint whose fingerprint disagrees
+with the reconnecting stream's HELLO (:meth:`Checkpoint.verify`) --
 continuing an analysis over a different trace would silently produce
-garbage -- and otherwise restores the engine mid-stream so the
-continued run's error log, stats, and summaries are bit-identical to an
-uninterrupted one (``repro resume``, and the equivalence tests in
+garbage.  Otherwise the engine is restored mid-stream so the continued
+run's error log, stats, and summaries are bit-identical to an
+uninterrupted one (the equivalence tests in
 ``tests/resilience/test_checkpoint.py``).
 """
 

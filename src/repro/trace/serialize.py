@@ -119,10 +119,18 @@ def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
     header = next_record("header")
     if not isinstance(header, dict) or header.get("format") != "repro-trace":
         raise TraceError(f"{name}:{lineno}: not a repro trace file")
-    if header.get("version") != FORMAT_VERSION:
+    version = header.get("version")
+    if version == STREAM_VERSION:
         raise TraceError(
-            f"{name}:{lineno}: unsupported trace version "
-            f"{header.get('version')!r}"
+            f"{name}:{lineno}: a version {STREAM_VERSION} file is an "
+            "epoch-major stream with no recorded order: 'repro sweep' and "
+            f"the oracle need a version {FORMAT_VERSION} program file "
+            "('repro generate' without --stream); 'repro check --trace' "
+            "reads this one"
+        )
+    if version != FORMAT_VERSION:
+        raise TraceError(
+            f"{name}:{lineno}: unsupported trace version {version!r}"
         )
     num_threads = header.get("threads")
     if not isinstance(num_threads, int) or num_threads < 0:

@@ -82,18 +82,17 @@ class TestResume:
         )
         assert resumed == full
 
-    def test_mismatched_config_refused(self, tmp_path, capsys):
-        ck = str(tmp_path / "run.ckpt")
-        assert main(
-            CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "3"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["resume", "--checkpoint", ck, "--epoch-size", "512"]
-        ) == 2
-        message = _one_line_error(capsys, "resume")
-        assert "different configuration" in message
-        assert "epoch_size: checkpoint=256 run=512" in message
+    def test_resume_takes_no_workload_flags(self, tmp_path, capsys):
+        # The checkpoint names its workload; the seven flags that could
+        # only refuse (--epoch-size 512 against a 256 checkpoint) are
+        # not declared any more, so argparse rejects them.
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", "--checkpoint", str(tmp_path / "run.ckpt"),
+                  "--epoch-size", "512"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epoch-size 512" in (
+            capsys.readouterr().err
+        )
 
     def test_missing_checkpoint_file(self, tmp_path, capsys):
         assert main(
@@ -178,6 +177,25 @@ class TestSweepQuarantine:
         ) == 2
         _one_line_error(capsys, "sweep")
         assert bad.exists()  # hard failure must not move files
+
+    def test_stream_file_is_named_for_what_it_is(self, tmp_path, capsys):
+        # `check --trace` reads a version 2 file, so sweep must not
+        # call it "unsupported"; it is still a quarantinable TraceError.
+        stream = tmp_path / "t.stream.jsonl"
+        assert main([
+            "generate", "--benchmark", "LU", "--threads", "2",
+            "--events", "500", "--stream", "--output", str(stream),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--traces", str(stream), "--sizes", "256"]) == 2
+        assert "'repro check --trace' reads this one" in _one_line_error(
+            capsys, "sweep"
+        )
+        assert main([
+            "sweep", "--traces", str(stream),
+            "--quarantine", str(tmp_path / "q"), "--sizes", "256",
+        ]) == 2
+        assert (tmp_path / "q" / stream.name).exists()
 
     def test_all_traces_quarantined_fails(self, tmp_path, capsys):
         bad = tmp_path / "only.trace"

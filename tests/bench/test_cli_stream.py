@@ -218,8 +218,8 @@ class TestStreamResume:
         self, tmp_path, capsys, from_file, stream_key
     ):
         """Checkpoints written while ``check`` had a ``--stream``
-        switch recorded it in their fingerprint; ``verify`` compares a
-        checkpoint against its own meta, so the key is inert."""
+        switch recorded it in their fingerprint; ``resume`` reads only
+        the keys it rebuilds the run from, so the key is inert."""
         workload = (
             ["--trace", self._generate(tmp_path, capsys)] if from_file
             else WORKLOAD + ["--epoch-size", "256"]

@@ -1,11 +1,4 @@
-"""The sequential guards' columnar fast paths and the memoized oracle.
-
-``SequentialAddrCheck``/``SequentialTaintCheck.process_block`` select a
-vector kernel on columnar-backed blocks under numpy; these tests pin
-that kernel to the per-``Instr`` ``process`` loop -- identical error
-reports (content *and* order), metadata state, and event counts.  Under
-``REPRO_NO_NUMPY=1`` the gate falls back to the object path and the
-same assertions hold trivially, so the module runs on both backends.
+"""The memoized all-orderings oracle.
 
 ``true_errors_under_any_ordering`` replays only the divergent suffix of
 each consecutive ordering; the trial-count tests assert both the union
@@ -13,160 +6,23 @@ each consecutive ordering; the trial-count tests assert both the union
 events replayed.
 """
 
-import random
-
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY, ColumnarBlock
-from repro.core.epoch import Block, partition_from_boundaries
+from repro.core.epoch import partition_from_boundaries
 from repro.core.ordering import all_valid_orderings
 from repro.lifeguards.sequential import (
     SequentialAddrCheck,
     SequentialTaintCheck,
     true_errors_under_any_ordering,
 )
-from repro.trace.events import Instr, Op
-from repro.trace.generator import adversarial_instrs
+from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
-from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
-
-_ALL_OPS = (
-    Op.READ, Op.WRITE, Op.MALLOC, Op.FREE, Op.ASSIGN,
-    Op.TAINT, Op.UNTAINT, Op.JUMP, Op.NOP,
-)
 
 
 def _make_guard(lifeguard, preallocated=()):
     if lifeguard == "addrcheck":
         return SequentialAddrCheck(preallocated)
     return SequentialTaintCheck()
-
-
-def _guard_state(guard):
-    meta = (
-        guard.allocated
-        if isinstance(guard, SequentialAddrCheck)
-        else guard.tainted
-    )
-    return {
-        "meta": set(meta),
-        "events": guard.events_processed,
-        "errors": [(r.identity(), r.detail) for r in guard.errors],
-    }
-
-
-def _assert_block_kernels_agree(
-    instrs, lifeguard, preallocated=(), lid=0, tid=1, start=5
-):
-    """Columnar ``process_block`` == scalar ``process`` replay."""
-    scalar = _make_guard(lifeguard, preallocated)
-    for i, instr in enumerate(instrs):
-        scalar.process((tid, start + i), instr)
-
-    block = Block(
-        lid, tid, start, columns=ColumnarBlock.from_instrs(tuple(instrs))
-    )
-    fast = _make_guard(lifeguard, preallocated)
-    fast.process_block(block)
-    assert _guard_state(fast) == _guard_state(scalar)
-
-
-class TestBlockKernelIdentity:
-    def test_addrcheck_corner_cases(self):
-        cases = [
-            [],
-            [Instr.nop()],
-            [Instr.read(3)],                      # access before malloc
-            [Instr.malloc(0, 4), Instr.read(2), Instr.free(0, 4),
-             Instr.read(2)],                      # use after free
-            [Instr.malloc(1), Instr.malloc(1)],   # double malloc
-            [Instr.free(9), Instr.free(9)],       # double free
-            [Instr.assign(2, 7, 8)],              # srcs then dst order
-            [Instr.write(5), Instr.jump(5)],
-            [Instr.malloc(0, 3), Instr.assign(1, 0, 2),
-             Instr.free(1), Instr.assign(1, 0, 2)],
-            [Instr.taint(4), Instr.untaint(4)],   # taint ops: no access
-        ]
-        for instrs in cases:
-            _assert_block_kernels_agree(instrs, "addrcheck")
-            _assert_block_kernels_agree(instrs, "addrcheck",
-                                        preallocated=range(4))
-
-    def test_taintcheck_corner_cases(self):
-        cases = [
-            [],
-            [Instr.jump(3)],
-            [Instr.taint(3), Instr.jump(3)],
-            [Instr.taint(3), Instr.write(3), Instr.jump(3)],
-            [Instr.taint(1), Instr.assign(2, 1), Instr.jump(2)],
-            [Instr.taint(1), Instr.assign(2, 1), Instr.assign(2, 0),
-             Instr.jump(2)],                      # untaint via assign
-            [Instr.taint(1), Instr.untaint(1), Instr.jump(1)],
-            [Instr.jump(4), Instr.taint(4), Instr.jump(4),
-             Instr.jump(4)],                      # dedup by identity? no:
-                                                  # distinct refs
-            [Instr.malloc(0, 8), Instr.read(5), Instr.free(0, 8)],
-        ]
-        for instrs in cases:
-            _assert_block_kernels_agree(instrs, "taintcheck")
-
-    def test_random_blocks(self):
-        rng = random.Random(47)
-        for _ in range(60):
-            n = rng.randrange(0, 50)
-            instrs = list(
-                adversarial_instrs(
-                    rng, n, num_locations=6, ops=_ALL_OPS, max_extent=3
-                )
-            )
-            pre = set(rng.sample(range(6), rng.randrange(0, 4)))
-            _assert_block_kernels_agree(instrs, "addrcheck",
-                                        preallocated=pre)
-            _assert_block_kernels_agree(instrs, "taintcheck")
-
-    def test_every_adversarial_family_run_blocks(self):
-        """run_blocks over columnar partitions of every generator family
-        == the scalar replay of the same block order."""
-        gen = AdversarialCaseGenerator(seed=29)
-        seen = set()
-        for index in range(3 * len(FAMILIES)):
-            case = gen.case(index)
-            seen.add(case.label)
-            partition = case.partition()
-            blocks = [
-                b
-                for lid in range(partition.num_epochs)
-                for b in partition.epoch_blocks(lid)
-            ]
-            scalar = _make_guard(case.lifeguard, case.preallocated)
-            for b in blocks:
-                for i, instr in enumerate(b.instrs):
-                    scalar.process((b.tid, b.start + i), instr)
-            fast = _make_guard(case.lifeguard, case.preallocated)
-            fast.run_blocks(
-                Block(
-                    b.lid, b.tid, b.start,
-                    columns=ColumnarBlock.from_instrs(b.instrs),
-                )
-                for b in blocks
-            )
-            assert _guard_state(fast) == _guard_state(scalar), case.label
-        assert seen == set(FAMILIES)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector kernel needs numpy")
-    def test_fast_path_never_materializes_instrs(self):
-        instrs = tuple(
-            adversarial_instrs(
-                random.Random(3), 40, num_locations=5, ops=_ALL_OPS
-            )
-        )
-        for guard in (SequentialAddrCheck(range(5)), SequentialTaintCheck()):
-            block = Block(
-                0, 0, 0, columns=ColumnarBlock.from_instrs(instrs)
-            )
-            guard.process_block(block)
-            assert block._instrs is None
-            assert guard.events_processed == len(instrs)
 
 
 def _lcp(a, b):

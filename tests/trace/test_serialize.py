@@ -251,8 +251,16 @@ class TestStreamValidation:
 
     def test_v1_reader_refuses_v2_and_vice_versa(self):
         prog, partition = stream_partition()
-        with pytest.raises(TraceError, match="unsupported trace version"):
-            load(io.StringIO(stream_text(partition)))
+        # Not "unsupported": `check --trace` reads the file, so the
+        # message says what it is and which command takes it.
+        with pytest.raises(TraceError) as exc:
+            load(io.StringIO(stream_text(partition)), name="t")
+        message = str(exc.value)
+        assert message.startswith("t:1: a version 2 file is an epoch-major")
+        assert "no recorded order" in message
+        assert "need a version 1 program file" in message
+        assert "'repro check --trace' reads this one" in message
+        assert "unsupported" not in message
         v1 = io.StringIO()
         dump(prog, v1)
         v1.seek(0)
