@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.trace.events import Instr, Op
 
@@ -111,16 +112,115 @@ class RowDecodeError(ValueError):
         self.row = row
 
 
-def _freeze_i64(values: List[int]):
+def _freeze_i64(values: Sequence[int]):
     if HAVE_NUMPY:
         return np.array(values, dtype=np.int64)
     return array("q", values)
 
 
-def _freeze_u8(values: List[int]):
+def _freeze_u8(values: Sequence[int]):
     if HAVE_NUMPY:
         return np.array(values, dtype=np.uint8)
     return array("B", values)
+
+
+#: ``(ops, dsts, sizes, src_off, src_val)`` as plain sequences of ints.
+_Columns = Tuple[Sequence[int], ...]
+_NONE = type(None)
+
+
+def _walk_columns(rows: Sequence[object]) -> _Columns:
+    """Validate raw stream rows one at a time, in Python.
+
+    The reference the bulk pass must agree with, and the only path that
+    raises: :func:`_bulk_columns` returns ``None`` on anything it does
+    not recognise and this walk names the first offending row.
+    """
+    code_of = CODE_OF_VALUE
+    needs_dst = _NEEDS_DST
+    ops: List[int] = []
+    dsts: List[int] = []
+    sizes: List[int] = []
+    src_off: List[int] = [0]
+    src_val: List[int] = []
+    for row in rows:
+        try:
+            op_value, dst, srcs, size = row
+            code = code_of[op_value]
+        except (ValueError, TypeError, KeyError):
+            raise RowDecodeError(row, "bad row shape or op") from None
+        # ``type(x) is int``, not ``isinstance``: a JSON ``true`` is
+        # an ``int`` to the latter and would be analysed as 1.
+        if type(size) is not int or size < 1:
+            raise RowDecodeError(row, f"size must be >= 1, got {size!r}")
+        if dst is None:
+            if code in needs_dst:
+                raise RowDecodeError(row, "op requires a destination")
+            dst = NO_DST
+        elif type(dst) is not int:
+            raise RowDecodeError(row, f"bad destination {dst!r}")
+        if not isinstance(srcs, list) or not all(
+            type(s) is int for s in srcs
+        ):
+            raise RowDecodeError(row, f"bad sources {srcs!r}")
+        nsrc = len(srcs)
+        if (code == OP_READ or code == OP_JUMP) and nsrc != 1:
+            raise RowDecodeError(row, "op requires exactly one source")
+        if code == OP_ASSIGN and nsrc > 2:
+            raise RowDecodeError(row, "assign takes at most two sources")
+        ops.append(code)
+        dsts.append(dst)
+        sizes.append(size)
+        src_val.extend(srcs)
+        src_off.append(len(src_val))
+    return ops, dsts, sizes, src_off, src_val
+
+
+def _signature_ok(signature: tuple) -> bool:
+    """:func:`_walk_columns`' per-row rules, asked once per distinct
+    ``(code, type(dst), len(srcs), type(size), type(srcs))``."""
+    code, dst_type, nsrc, size_type, srcs_type = signature
+    if size_type is not int or srcs_type is not list:
+        return False
+    if dst_type is not int and (dst_type is not _NONE or code in _NEEDS_DST):
+        return False
+    if code == OP_READ or code == OP_JUMP:
+        return nsrc == 1
+    return code != OP_ASSIGN or nsrc <= 2
+
+
+def _bulk_columns(rows: Sequence[object]) -> Optional[_Columns]:
+    """The columns of a well-formed block, or ``None``.
+
+    A row is valid or not by its op, the *types* of its fields and its
+    source count -- a block of thousands of rows has a handful of such
+    signatures -- plus two facts about values: every size is >= 1 and
+    every flattened source is exactly an ``int``.  So the block is
+    transposed once and each rule is one C-level pass over a column;
+    nothing below loops over rows in Python bytecode except the
+    ``None`` -> :data:`NO_DST` substitution.  Every check is at least as
+    strict as the walk's, and whatever is not recognised here (a short
+    row, an unknown op, an unsized ``srcs``) is left to the walk to name.
+    """
+    try:
+        if set(map(len, rows)) != {4}:  # zip would truncate to the shortest
+            return None
+        op_values, dsts, srcs, sizes = zip(*rows)
+        codes = list(map(CODE_OF_VALUE.__getitem__, op_values))
+        nsrcs = list(map(len, srcs))
+        signatures = set(zip(
+            codes, map(type, dsts), nsrcs, map(type, sizes), map(type, srcs)
+        ))
+        src_val = list(chain.from_iterable(srcs))
+    except (TypeError, KeyError):
+        return None
+    if not all(map(_signature_ok, signatures)):
+        return None
+    if min(sizes) < 1 or not set(map(type, src_val)) <= {int}:
+        return None
+    if None in dsts:
+        dsts = [NO_DST if dst is None else dst for dst in dsts]
+    return codes, dsts, sizes, list(accumulate(nsrcs, initial=0)), src_val
 
 
 class ColumnarBlock:
@@ -147,6 +247,20 @@ class ColumnarBlock:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _frozen(cls, ops, dsts, sizes, src_off, src_val) -> "ColumnarBlock":
+        """Columns held as plain int sequences -> the backend's arrays
+        (the one place numpy and ``REPRO_NO_NUMPY=1`` differ in building
+        a block)."""
+        return cls(
+            len(ops),
+            _freeze_u8(ops),
+            _freeze_i64(dsts),
+            _freeze_i64(sizes),
+            _freeze_i64(src_off),
+            _freeze_i64(src_val),
+        )
+
+    @classmethod
     def from_instrs(cls, instrs: Sequence[Instr]) -> "ColumnarBlock":
         """Convert materialized events (already validated) to columns."""
         op_codes = OP_CODES
@@ -161,14 +275,7 @@ class ColumnarBlock:
             sizes.append(instr.size)
             src_val.extend(instr.srcs)
             src_off.append(len(src_val))
-        return cls(
-            len(ops),
-            _freeze_u8(ops),
-            _freeze_i64(dsts),
-            _freeze_i64(sizes),
-            _freeze_i64(src_off),
-            _freeze_i64(src_val),
-        )
+        return cls._frozen(ops, dsts, sizes, src_off, src_val)
 
     @classmethod
     def from_rows(cls, rows: Sequence[object]) -> "ColumnarBlock":
@@ -176,54 +283,16 @@ class ColumnarBlock:
 
         This is the version 2 stream reader's fast path: it applies the
         same validation as ``Instr.__post_init__`` but touches no
-        dataclass, no enum boxing, no per-event tuple.  A malformed row
-        raises :class:`RowDecodeError` carrying the row.
+        dataclass, no enum boxing, no per-event tuple -- and, for a
+        well-formed block, no row from Python at all
+        (:func:`_bulk_columns`).  A malformed row raises
+        :class:`RowDecodeError` carrying the row.
         """
-        code_of = CODE_OF_VALUE
-        needs_dst = _NEEDS_DST
-        ops: List[int] = []
-        dsts: List[int] = []
-        sizes: List[int] = []
-        src_off: List[int] = [0]
-        src_val: List[int] = []
-        for row in rows:
-            try:
-                op_value, dst, srcs, size = row
-                code = code_of[op_value]
-            except (ValueError, TypeError, KeyError):
-                raise RowDecodeError(row, "bad row shape or op") from None
-            # ``type(x) is int``, not ``isinstance``: a JSON ``true`` is
-            # an ``int`` to the latter and would be analysed as 1.
-            if type(size) is not int or size < 1:
-                raise RowDecodeError(row, f"size must be >= 1, got {size!r}")
-            if dst is None:
-                if code in needs_dst:
-                    raise RowDecodeError(row, "op requires a destination")
-                dst = NO_DST
-            elif type(dst) is not int:
-                raise RowDecodeError(row, f"bad destination {dst!r}")
-            if not isinstance(srcs, list) or not all(
-                type(s) is int for s in srcs
-            ):
-                raise RowDecodeError(row, f"bad sources {srcs!r}")
-            nsrc = len(srcs)
-            if (code == OP_READ or code == OP_JUMP) and nsrc != 1:
-                raise RowDecodeError(row, "op requires exactly one source")
-            if code == OP_ASSIGN and nsrc > 2:
-                raise RowDecodeError(row, "assign takes at most two sources")
-            ops.append(code)
-            dsts.append(dst)
-            sizes.append(size)
-            src_val.extend(srcs)
-            src_off.append(len(src_val))
-        return cls(
-            len(ops),
-            _freeze_u8(ops),
-            _freeze_i64(dsts),
-            _freeze_i64(sizes),
-            _freeze_i64(src_off),
-            _freeze_i64(src_val),
-        )
+        columns = _bulk_columns(rows)
+        if columns is None:
+            # The reject path: walk the rows to name the first bad one.
+            columns = _walk_columns(rows)
+        return cls._frozen(*columns)
 
     @classmethod
     def concat(cls, blocks: Sequence["ColumnarBlock"]) -> "ColumnarBlock":
@@ -439,11 +508,6 @@ class ColumnBuilder:
         return len(self.ops)
 
     def freeze(self) -> ColumnarBlock:
-        return ColumnarBlock(
-            len(self.ops),
-            _freeze_u8(self.ops),
-            _freeze_i64(self.dsts),
-            _freeze_i64(self.sizes),
-            _freeze_i64(self.src_off),
-            _freeze_i64(self.src_val),
+        return ColumnarBlock._frozen(
+            self.ops, self.dsts, self.sizes, self.src_off, self.src_val
         )

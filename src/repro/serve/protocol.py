@@ -36,6 +36,7 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.trace.serialize import is_location_list
 
 # -- frame types ------------------------------------------------------------
 
@@ -177,9 +178,7 @@ def validate_hello(record: Dict[str, Any]) -> Dict[str, Any]:
     if not isinstance(epochs, int) or epochs < 0:
         raise ProtocolError(f"bad epoch count {epochs!r}")
     prealloc = record.get("preallocated")
-    if not isinstance(prealloc, list) or not all(
-        isinstance(loc, int) for loc in prealloc
-    ):
+    if not is_location_list(prealloc):
         raise ProtocolError(f"bad preallocated set {prealloc!r}")
     lifeguard = record.get("lifeguard")
     if lifeguard not in LIFEGUARD_CHOICES:

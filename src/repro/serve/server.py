@@ -52,7 +52,6 @@ producers with ``ERROR drain``, flush the event sink, exit 0.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import threading
 import zlib
@@ -86,7 +85,7 @@ from repro.serve.shards import (
     make_shards,
     stream_checkpoint_path,
 )
-from repro.trace.serialize import decode_epoch_row
+from repro.trace.serialize import decode_epoch_text
 
 __all__ = [
     "ReproServer",
@@ -263,16 +262,8 @@ class StreamSession:
         """Validate one EPOCH payload into a block row (or raise)."""
         lid = self.next_epoch
         try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise _SessionError(
-                "protocol",
-                f"epoch frame {lid} is not valid JSON: {exc}",
-                epoch=lid,
-            ) from None
-        try:
-            row = decode_epoch_row(
-                record, lid, self.hello["threads"], self.stream_id, lid + 2
+            row = decode_epoch_text(
+                payload, lid, self.hello["threads"], self.stream_id, lid + 2
             )
         except TraceError as exc:
             raise _SessionError("protocol", str(exc), epoch=lid) from None

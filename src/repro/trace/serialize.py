@@ -27,7 +27,10 @@ with ``file:line`` context, never a raw ``JSONDecodeError``.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import threading
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Union
 
@@ -272,6 +275,17 @@ def save_stream_file(
         dump_stream(partition, fp)
 
 
+def is_location_list(value: object) -> bool:
+    """Is ``value`` a JSON list of locations -- each exactly an ``int``?
+
+    The one check behind a stream header's and a ``HELLO`` frame's
+    ``preallocated`` set.  ``type(x) is int``, as for instruction rows:
+    ``true`` and ``1.0`` both equal 1 and would be analysed as location
+    1, and a nested list is not hashable into the set at all.
+    """
+    return isinstance(value, list) and set(map(type, value)) <= {int}
+
+
 def stream_header(fp: IO[str], name: str) -> dict:
     """Read and validate a version 2 header (line 1 of ``fp``).
 
@@ -299,7 +313,7 @@ def stream_header(fp: IO[str], name: str) -> dict:
     if not isinstance(epochs, int) or epochs < 0:
         raise TraceError(f"{name}:1: bad epoch count {epochs!r}")
     prealloc = header.get("preallocated")
-    if not isinstance(prealloc, list):
+    if not is_location_list(prealloc):
         raise TraceError(
             f"{name}:1: bad preallocated set {prealloc!r}"
         )
@@ -309,15 +323,8 @@ def stream_header(fp: IO[str], name: str) -> dict:
 def decode_epoch_row(
     record: object, lid: int, num_threads: int, name: str, lineno: int
 ) -> List[Block]:
-    """Turn one epoch record into a row of :class:`Block` objects.
-
-    Shared by the version 2 file reader and the serve daemon's framed
-    protocol (one ``EPOCH`` frame carries exactly one of these
-    records), so a byte stream arriving over a socket is validated by
-    the same code -- and rejected with the same diagnostics -- as a
-    trace file.  For the daemon, ``name`` is the stream id and
-    ``lineno`` the frame ordinal.
-    """
+    """Turn one *parsed* epoch record into a row of :class:`Block`
+    objects: :func:`decode_epoch_text` after its ``json.loads``."""
     if not isinstance(record, dict):
         raise TraceError(
             f"{name}:{lineno}: expected an epoch record, got {record!r}"
@@ -365,6 +372,86 @@ def decode_epoch_row(
     return row
 
 
+class _CollectorPause:
+    """Context manager: the cyclic collector is off inside the block.
+
+    ``json.loads`` returns two short-lived lists per instruction, so one
+    epoch record crosses the collector's allocation threshold dozens of
+    times, and each crossing walks the resident heap to find nothing:
+    neither the parsed rows nor the columns built from them can form a
+    cycle.  Pausing it for one record's parse -> validate -> columns
+    lifetime defers at most one frame's worth of garbage
+    (``MAX_FRAME``), which reference counting frees anyway.
+
+    The collector is process-global while decodes are not (daemon
+    shards, thread backends), so the pause is a depth count under a
+    lock: only the outermost entry disables and only the outermost exit
+    restores -- and only if the collector was on when it entered, so a
+    caller that runs with ``gc.disable()`` keeps it off.  A child forked
+    by one thread while another is mid-decode (a shard's engine starting
+    its process pool) would inherit the pause with nobody left to end
+    it, so the child ends it itself.
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._after_fork)
+
+    def _reset(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = False
+
+    def _after_fork(self) -> None:
+        if self._depth and self._restore:
+            gc.enable()
+        self._reset()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._restore = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
+def decode_epoch_text(
+    text: Union[str, bytes], lid: int, num_threads: int, name: str,
+    lineno: int,
+) -> List[Block]:
+    """One epoch record's text -> its row of columnar :class:`Block`\\ s.
+
+    The whole decode, shared by the version 2 file reader (``text`` is
+    one line) and the serve daemon (``text`` is one ``EPOCH`` frame's
+    UTF-8 payload; ``name`` the stream id, ``lineno`` the frame
+    ordinal): a byte stream arriving over a socket is parsed, validated
+    and rejected by the same code, with the same :class:`TraceError`
+    diagnostics, as a trace file.  The cyclic collector is paused from
+    parse to columns (:class:`_CollectorPause`) and restored before
+    this returns or raises -- never while a caller holds the row.
+    """
+    with _collector_paused:
+        try:
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+            record = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise TraceError(
+                f"{name}:{lineno}: invalid JSON (epoch {lid}): {exc}"
+            ) from None
+        return decode_epoch_row(record, lid, num_threads, name, lineno)
+
+
 def stream_epochs(
     fp: IO[str], name: str = "<trace>", start: int = 0
 ) -> Iterator[List[Block]]:
@@ -408,13 +495,7 @@ def _stream_rows(
                 f"{name}:{lineno}: unexpected end of file "
                 f"(expected epoch {lid})"
             )
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise TraceError(
-                f"{name}:{lineno}: invalid JSON (epoch {lid}): {exc}"
-            ) from None
-        yield decode_epoch_row(record, lid, num_threads, name, lineno)
+        yield decode_epoch_text(line, lid, num_threads, name, lineno)
     lineno += 1
     line = fp.readline()
     if not line.strip():

@@ -178,13 +178,13 @@ def reversed_commit() -> Iterator[None]:
 def lossy_decode() -> Iterator[None]:
     """Drop every MALLOC/FREE ``size`` while decoding an epoch record.
 
-    ``decode_epoch_row`` is the one decoder behind both the version 2
-    file reader and the daemon's ``EPOCH`` frames, so a field it loses
-    is lost on every delivery but the in-memory partition: sized
-    extents shrink to one location.  ``stream`` and ``serve`` each have
-    a side that never went through it.
+    ``decode_epoch_text`` is the one decoder behind both the version 2
+    file reader and the daemon's ``EPOCH`` frames, and it hands every
+    parsed record to ``decode_epoch_row``, so a field lost there is
+    lost on every delivery but the in-memory partition: sized extents
+    shrink to one location.  ``stream`` and ``serve`` each have a side
+    that never went through it.
     """
-    from repro.serve import server
     from repro.trace import serialize
 
     orig = serialize.decode_epoch_row
@@ -196,11 +196,11 @@ def lossy_decode() -> Iterator[None]:
             ])
         return orig(record, lid, num_threads, name, lineno)
 
-    serialize.decode_epoch_row = server.decode_epoch_row = decode
+    serialize.decode_epoch_row = decode
     try:
         yield
     finally:
-        serialize.decode_epoch_row = server.decode_epoch_row = orig
+        serialize.decode_epoch_row = orig
 
 
 #: Registry used by ``repro fuzz --mutant`` and the self-tests.

@@ -421,6 +421,18 @@ class TestErrorPaths:
         with pytest.raises(AnalysisError):
             main(["table1"])
 
+    def test_check_stream_with_nested_preallocated(self, tmp_path, capsys):
+        # Used to die with "TypeError: unhashable type: 'list'".
+        path = tmp_path / "t.stream.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 2, "threads": 1, '
+            '"epochs": 0, "preallocated": [[1]]}\n{"epochs_written": 0}\n'
+        )
+        assert main(["check", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro check: error: {path}:1: bad preallocated set [[1]]\n"
+        )
+
     def test_check_missing_trace(self, tmp_path, capsys):
         rc = main(["check", "--trace", str(tmp_path / "nope.trace")])
         assert rc == 2

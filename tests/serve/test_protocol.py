@@ -88,6 +88,9 @@ class TestHello:
         ({"preallocated": ["x"]}, "preallocated"),
         ({"lifeguard": "bouncer"}, "lifeguard"),
         ({"token": 5}, "token"),
+        ({"preallocated": [[1]]}, "preallocated"),
+        ({"preallocated": [7, True]}, "preallocated"),
+        ({"preallocated": [1.5]}, "preallocated"),
     ])
     def test_bad_hello_rejected(self, overrides, match):
         with pytest.raises(ProtocolError, match=match):

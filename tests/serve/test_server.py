@@ -1,6 +1,7 @@
 """Integration tests for the serve daemon: correctness, concurrency,
 fault isolation, backpressure, and the overload ladder."""
 
+import gc
 import json
 import socket
 import threading
@@ -32,6 +33,7 @@ from repro.serve.protocol import (
     encode_json_frame,
     make_hello,
 )
+from repro.serve.shards import ThreadShard
 from repro.trace.serialize import stream_header
 
 from tests.serve.conftest import offline_report, write_trace
@@ -179,6 +181,24 @@ class TestTransportFaults:
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")
 
+    def test_a_refused_epoch_leaves_the_collector_as_it_was(
+        self, daemon, trace_file, collector
+    ):
+        """The loop pauses the cyclic collector to decode an EPOCH
+        payload; a session that dies there must not leave it off (or
+        turn on one the embedding process had turned off)."""
+        sock = raw_handshake(daemon.address, trace_file, "bad", 1)
+        sock.sendall(encode_frame(
+            FRAME_EPOCH,
+            b'{"epoch": 1, "starts": [0, 0], '
+            b'"blocks": [[["read", null, [], 1]], []]}',
+        ))
+        ftype, payload = read_frame_sync(sock)
+        sock.close()
+        assert ftype == FRAME_ERROR
+        assert json.loads(payload)["code"] == "protocol"
+        assert gc.isenabled() is collector
+
     @pytest.mark.parametrize("bad_row", [
         ["write", True, [3], 1],
         ["malloc", 5, [], True],
@@ -199,6 +219,26 @@ class TestTransportFaults:
         answer = json.loads(payload)
         assert answer["code"] == "protocol"
         assert "malformed instruction record" in answer["error"]
+        sock.close()
+        served = push_trace(daemon.address, str(trace_file), "good")
+        assert served == offline_report(trace_file, "good")
+
+    @pytest.mark.parametrize("prealloc", [[[1]], ["x", True, 1.5, 7]])
+    def test_hello_preallocated_must_be_exactly_integers(
+        self, daemon, trace_file, prealloc
+    ):
+        """``isinstance(True, int)`` again: HELLO used to accept
+        ``true`` as preallocated location 1."""
+        hello = make_hello("pre", 2, 1, [], "addrcheck")
+        hello["preallocated"] = prealloc
+        sock = connect(daemon.address)
+        sock.sendall(encode_json_frame(FRAME_HELLO, hello))
+        ftype, payload = read_frame_sync(sock)
+        assert ftype == FRAME_ERROR
+        answer = json.loads(payload)
+        assert answer["code"] == "protocol"
+        assert "bad preallocated set" in answer["error"]
+        assert sock.recv(1) == b""  # terminal: the daemon hung up
         sock.close()
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")
@@ -329,8 +369,27 @@ class TestOverloadLadder:
 
 class TestBackpressure:
     def test_stalls_counted_and_accounting_balances(
-        self, tmp_path, trace_file
+        self, tmp_path, trace_file, monkeypatch
     ):
+        # Whether the loop ever meets a full queue is a race between its
+        # decode and the shard's fold, so the fold is held: no feed
+        # runs until the loop has counted one stall (epoch 0 is with
+        # the consumer, epoch 1 fills the queue, epoch 2 stalls).
+        stalled = threading.Event()
+        count, call = ReproServer.count, ThreadShard._call
+
+        def counting(server, name, delta=1):
+            if name == "backpressure_stalls":
+                stalled.set()
+            count(server, name, delta)
+
+        def held(shard, command, *args):
+            if command == "feed":
+                assert stalled.wait(10.0), "the loop never met a full queue"
+            return call(shard, command, *args)
+
+        monkeypatch.setattr(ReproServer, "count", counting)
+        monkeypatch.setattr(ThreadShard, "_call", held)
         config = ServeConfig(
             unix_path=str(tmp_path / "s.sock"), queue_depth=1
         )

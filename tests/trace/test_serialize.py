@@ -229,6 +229,24 @@ class TestStreamValidation:
         ):
             decode_epoch_row(epoch, 1, 2, "s1", 9)
 
+    @pytest.mark.parametrize("prealloc", [[[1]], ["x", True, 1.5, 7]])
+    def test_preallocated_locations_must_be_exactly_integers(
+        self, tmp_path, prealloc
+    ):
+        """The header used to be checked for ``list`` only: ``[[1]]``
+        died with ``TypeError: unhashable type`` building the source's
+        frozenset and ``true`` was analysed as location 1."""
+        _, partition = stream_partition()
+        lines = stream_text(partition).splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["preallocated"] = prealloc
+        path = tmp_path / "t.stream.jsonl"
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(
+            TraceError, match=r"t\.stream\.jsonl:1: bad preallocated set"
+        ):
+            iter_load(path)
+
     def test_truncated_epoch_record(self):
         _, partition = stream_partition()
         lines = stream_text(partition).splitlines(keepends=True)
