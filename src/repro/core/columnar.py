@@ -384,10 +384,10 @@ class ColumnarBlock:
         Returns ``(codes, dsts, bounds, flat_srcs)`` as plain Python
         lists, where row ``k``'s sources are
         ``flat_srcs[bounds[k]:bounds[k + 1]]``.  This is the shared
-        selection step of every vector kernel (AddrCheck, TaintCheck,
-        the dataflow summarizer): one LUT pass picks the relevant rows,
-        one gather materializes just those rows' fields, and only the
-        (typically sparse) selection is ever touched from Python.
+        selection step of the TaintCheck scan and the dataflow
+        summarizer: one LUT pass picks the relevant rows, one gather
+        materializes just those rows' fields, and only the (typically
+        sparse) selection is ever touched from Python.
         Numpy path only -- pure-Python callers iterate the columns
         directly.
         """

@@ -36,9 +36,9 @@ class SOSView(MutableSet):
     view's own ``added`` (disjoint from ``base``) and ``removed`` (a
     subset of it), so a view costs what was changed through it, not
     ``|base|``.  Membership is one Python call; a hot loop probes the
-    three plain sets itself (``AddrScanner`` does).  A view of an
-    :class:`SOSHistory` is valid until the next ``publish``/``advance``
-    rewrites the shared base: ``view.copy()`` keeps it longer.
+    three plain sets itself (``AddrScanner`` and TaintCheck's
+    ``check_body`` do).  A view of an :class:`SOSHistory` is valid until
+    the next ``publish``/``advance`` rewrites the shared base.
     """
 
     __slots__ = ("base", "added", "removed")
@@ -65,14 +65,6 @@ class SOSView(MutableSet):
 
     def __len__(self) -> int:
         return len(self.base) - len(self.removed) + len(self.added)
-
-    def copy(self) -> Set[Element]:
-        """The view as a plain set: one C-level copy of ``base`` (a
-        ``set(view)`` iterates it in Python, ~8x slower at 64k)."""
-        out = set(self.base)
-        out -= self.removed
-        out |= self.added
-        return out
 
     def add(self, element: Element) -> None:
         if element in self.base:

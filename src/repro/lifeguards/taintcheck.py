@@ -9,8 +9,10 @@ instruction site.
 
 Checks resolve transfer functions against the three-epoch window via the
 paper's Algorithm 1: parents are replaced by their defining rules until
-bottom is reached (tainted) or the parent list drains (untainted).  Two
-variants of the termination condition are provided:
+bottom is reached (tainted) or the parent list drains (untainted).  A
+location no rule of the window writes has no rule to be replaced by, so
+its verdict is LSOS membership and the algorithm runs only where the
+window writes.  Two variants of the termination condition are provided:
 
 - ``mode="sc"`` -- sequential consistency: each derivation chain keeps a
   per-thread site counter and a rule may only be used if it occurs
@@ -30,10 +32,12 @@ a block -- with the reaching-definitions update rules.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -236,6 +240,19 @@ class TaintScanner:
         return summary
 
 
+def _touched(asked: Set[int], window: List[TaintSummary]) -> Set[int]:
+    """The ``asked`` locations some rule of the ``window`` summaries
+    writes: one C-level key intersection per summary, over what no
+    earlier summary wrote, so the answer comes from the wings this
+    butterfly was handed and from nothing else."""
+    missing = set(asked)
+    for s in window:
+        if not missing:
+            break
+        missing -= s.rules.keys() & missing
+    return asked - missing
+
+
 class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
     """The parallel TaintCheck lifeguard.
 
@@ -306,6 +323,10 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
     ) -> Tuple[Dict[int, Value], List[Tuple[int, int]]]:
         """Resolve the body's LASTCHECK values and critical uses.
 
+        The locations the checks ask about are split first: one no rule
+        of the window writes is resolved against the LSOS with all the
+        others like it, and Algorithm 1 walks only the rest.
+
         Pure stage: reads only wing rules (first-pass products) and the
         LSOS (derived from earlier epochs' committed checks), so bodies
         of one epoch may resolve concurrently.  Returns the resolved
@@ -314,10 +335,61 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         body = butterfly.body
         lid, tid = body.block_id
         summary = self._summaries[body.block_id]
-        # A private copy of the LSOS view: every check below reads this
-        # one plain set (C-level probes), and none edits it.
-        lsos = self._compute_lsos(lid, tid).copy()
+        lsos = self._compute_lsos(lid, tid)
 
+        # LASTCHECK is each location's final write, an ASSIGN's untainted
+        # until a check below finds a tainted parent.  Those parents and
+        # the jump targets are what this body's checks ask about.
+        lastcheck: Dict[int, Value] = {}
+        assigns: List[Tuple[int, int, Tuple[int, ...]]] = []
+        asked = {loc for _, loc in summary.jumps}
+        for loc, writes in summary.rules.items():
+            offset, value = writes[-1]
+            if value is BOT or value is TOP:
+                lastcheck[loc] = value
+            else:
+                lastcheck[loc] = TOP
+                assigns.append((loc, offset, value))
+                asked.update(value)
+        # A location no rule of the window writes gives Algorithm 1
+        # nothing to replace: its verdict is LSOS membership (the SOS
+        # summarises everything older), taken for all of them at once on
+        # the view's three plain sets.
+        touched = _touched(asked, [summary, *side_in])
+        untouched = asked - touched
+        tainted = (untouched & lsos.base) - lsos.removed
+        tainted |= untouched & lsos.added
+        # Only a touched location is walked, and the phase graphs exist
+        # only when there is one.
+        walk = self._algorithm1(side_in, summary, lsos) if touched else None
+        is_touched = touched.__contains__
+
+        for loc, offset, parents in assigns:
+            if not untouched.isdisjoint(parents):
+                if not tainted.isdisjoint(parents):
+                    lastcheck[loc] = BOT
+                    continue
+                parents = tuple(filter(is_touched, parents))
+            if parents and walk(parents, offset):
+                lastcheck[loc] = BOT
+
+        # Critical-use checks.
+        flagged = [
+            (offset, loc)
+            for offset, loc in summary.jumps
+            if loc in tainted or (loc in touched and walk((loc,), offset))
+        ]
+        return lastcheck, flagged
+
+    def _algorithm1(
+        self,
+        side_in: List[TaintSummary],
+        summary: TaintSummary,
+        lsos: AbstractSet[int],
+    ) -> Callable[[Tuple[int, ...], int], bool]:
+        """The Check algorithm over one body's window, as ``walk(parents,
+        offset)``: is any parent possibly tainted at that body offset?"""
+        lid = summary.block_id[0]
         if self.two_phase:
             phase1 = _RuleGraph(
                 [s for s in side_in if s.block_id[0] <= lid], summary, self
@@ -329,35 +401,15 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         else:
             # Ablation: one pass over the whole window -- sound but it
             # admits epoch-spanning paths the two phases would reject.
-            phase1 = _RuleGraph(list(side_in), summary, self)
-            phase2 = phase1
+            phase1 = phase2 = _RuleGraph(list(side_in), summary, self)
+        first, second = phase1.tainted_parents, phase2.tainted_parents
 
-        def resolve(parents: Tuple[int, ...], offset: int) -> Value:
-            if phase1.tainted_parents(parents, offset, lsos):
-                return BOT
-            if phase2.tainted_parents(parents, offset, lsos):
-                return BOT
-            return TOP
+        def walk(parents: Tuple[int, ...], offset: int) -> bool:
+            return first(parents, offset, lsos) or second(
+                parents, offset, lsos
+            )
 
-        def resolve_value(value: Value, offset: int) -> Value:
-            if value is BOT:
-                return BOT
-            if value is TOP:
-                return TOP
-            return resolve(value, offset)
-
-        # LASTCHECK: resolve the final write of each location.
-        lastcheck: Dict[int, Value] = {}
-        for loc, writes in summary.rules.items():
-            offset, value = writes[-1]
-            lastcheck[loc] = resolve_value(value, offset)
-
-        # Critical-use checks.
-        flagged: List[Tuple[int, int]] = []
-        for offset, loc in summary.jumps:
-            if self._location_tainted(loc, offset, summary, phase1, phase2, lsos):
-                flagged.append((offset, loc))
-        return lastcheck, flagged
+        return walk
 
     def commit_check(
         self,
@@ -392,20 +444,6 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
                     stage="second",
                     wing=None,
                 )
-
-    def _location_tainted(
-        self,
-        loc: int,
-        offset: int,
-        summary: TaintSummary,
-        phase1: "_RuleGraph",
-        phase2: "_RuleGraph",
-        lsos: Set[int],
-    ) -> bool:
-        """Taint of ``loc`` as observed at body offset ``offset``."""
-        if phase1.tainted_parents((loc,), offset, lsos):
-            return True
-        return phase2.tainted_parents((loc,), offset, lsos)
 
     # -- step 4: LASTCHECK-driven SOS update ----------------------------------
 
@@ -464,8 +502,8 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         sibling tainted in the adjacent epoch ``l-2``).
 
         A view of ``SOS_l`` edited by a visit of the head's own
-        ``lastcheck`` -- never of the SOS element by element
-        (:meth:`check_body` takes its one C-level copy)."""
+        ``lastcheck`` -- never of the SOS element by element, and
+        :meth:`check_body` reads it without copying it."""
         lsos = self.sos.get(lid)
         head = self._summaries.get((lid - 1, tid)) if lid >= 1 else None
         if head is None:
@@ -636,13 +674,10 @@ class _RuleGraph:
         writes = self._body.rules.get(loc)
         if not writes:
             return None
-        best = None
-        for woffset, value in writes:
-            if woffset < offset:
-                best = (woffset, value)
-            else:
-                break
-        return best
+        # Sorted by offset by construction; ``(offset,)`` sorts before
+        # every ``(offset, value)``, so no ``Value`` is ever compared.
+        i = bisect_left(writes, (offset,))
+        return writes[i - 1] if i else None
 
     def _local_chain_tainted(
         self, value: Value, offset: int, base: AbstractSet[int]

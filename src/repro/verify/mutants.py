@@ -203,6 +203,26 @@ def lossy_decode() -> Iterator[None]:
         serialize.decode_epoch_row = orig
 
 
+@contextlib.contextmanager
+def blind_wholesale() -> Iterator[None]:
+    """Report every location a TaintCheck body asks about as untouched.
+
+    The bug the touched/untouched split of ``check_body`` invites: a
+    location some rule of the window does write is answered by LSOS
+    membership alone, Algorithm 1 never walks, and taint that only a
+    wing's (or the body's own) transfer function carries is silently
+    missed -- a false negative the ``orderings`` oracle must see.
+    """
+    from repro.lifeguards import taintcheck
+
+    orig = taintcheck._touched
+    taintcheck._touched = lambda asked, window: set()
+    try:
+        yield
+    finally:
+        taintcheck._touched = orig
+
+
 #: Registry used by ``repro fuzz --mutant`` and the self-tests.
 MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "resume-replay": resume_event_replay,
@@ -211,6 +231,7 @@ MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "thread-bleed": thread_bleed,
     "reversed-commit": reversed_commit,
     "lossy-decode": lossy_decode,
+    "blind-wholesale": blind_wholesale,
 }
 
 

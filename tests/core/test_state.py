@@ -245,7 +245,5 @@ def _assert_view_is(view, expected):
     assert view == expected and len(view) == len(expected)
     assert sorted(view) == sorted(expected)
     assert set(view) == (set(view.base) - view.removed) | view.added
-    copied = view.copy()
-    assert type(copied) is set and copied == expected
     assert view.removed <= set(view.base)
     assert not view.added & set(view.base)

@@ -15,7 +15,9 @@ from repro.lifeguards.taintcheck import (
     _RuleGraph,
     _strictly_before,
 )
+from repro.trace.events import Instr
 from repro.trace.generator import simulated_taint_program
+from repro.trace.program import TraceProgram
 from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
 
@@ -292,6 +294,222 @@ class TestOnDemandBuckets:
         assert seen["buckets"] > 500
         assert seen["bodies"] > 100
         assert seen["flagged"] > 0 and seen["tainted"] > 10
+
+
+# -- the touched / untouched split ------------------------------------------------
+#
+# ``check_body`` walks Algorithm 1 only for the locations some rule of
+# the window writes and answers the rest with one intersection against
+# the LSOS.  The reference below is the loop it replaced -- every check,
+# touched or not, through the walk against a plain-set LSOS --
+# kept as the oracle for verdicts *and order* (error order and report
+# digests follow ``flagged``; ``epoch_update`` iterates ``lastcheck``).
+
+
+def reference_check_body(guard, butterfly, side_in):
+    lid, tid = butterfly.body.block_id
+    own = guard._summaries[lid, tid]
+    tainted = guard._algorithm1(
+        side_in, own, set(guard._compute_lsos(lid, tid))
+    )
+
+    lastcheck = {}
+    for loc, writes in own.rules.items():
+        offset, value = writes[-1]
+        if value is not BOT and value is not TOP:
+            value = BOT if tainted(value, offset) else TOP
+        lastcheck[loc] = value
+    flagged = [
+        (offset, loc) for offset, loc in own.jumps if tainted((loc,), offset)
+    ]
+    return lastcheck, flagged
+
+
+class SplitChecked(ButterflyTaintCheck):
+    """Asserts every body's ``check_body`` equals the reference loop,
+    order included, and records the locations Algorithm 1 walked."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.bodies = 0
+        self.walked = {}  # body block id -> parents handed to the walk
+        self.lastchecks = {}
+
+    def check_body(self, butterfly, side_in):
+        expected = reference_check_body(self, butterfly, side_in)
+        walked = self.walked.setdefault(butterfly.body.block_id, [])
+        walk = _RuleGraph.tainted_parents
+
+        def logged(graph, parents, offset, base):
+            walked.append(parents)
+            return walk(graph, parents, offset, base)
+
+        _RuleGraph.tainted_parents = logged
+        try:
+            result = super().check_body(butterfly, side_in)
+        finally:
+            _RuleGraph.tainted_parents = walk
+        assert result == expected, butterfly.body.block_id
+        assert list(result[0]) == list(expected[0]), butterfly.body.block_id
+        self.bodies += 1
+        self.lastchecks[butterfly.body.block_id] = result[0]
+        return result
+
+
+def run_split_checked(threads, h, **kwargs):
+    guard = SplitChecked(**kwargs)
+    ButterflyEngine(guard).run(
+        partition_fixed(TraceProgram.from_lists(*threads), h)
+    )
+    flags = [(e.location, e.ref) for e in guard.errors]
+    return guard, flags
+
+
+CONFIGS = [
+    pytest.param(
+        {"mode": mode, "two_phase": two_phase},
+        id=f"{mode}-{'two' if two_phase else 'one'}-phase",
+    )
+    for mode in ("relaxed", "sc")
+    for two_phase in (True, False)
+]
+nop = Instr.nop
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+class TestTouchedUntouchedSplit:
+    def test_untouched_target_tainted_two_epochs_back_is_flagged_wholesale(
+        self, config
+    ):
+        # Thread 0 taints 5 in epoch 0 and jumps through it in epoch 2:
+        # nothing in that body's window writes 5, SOS_2 holds it.
+        guard, flags = run_split_checked(
+            [
+                [Instr.taint(5), nop(), Instr.jump(5)],
+                [nop(), nop(), nop()],
+            ],
+            1, **config,
+        )
+        assert flags == [(5, (0, 2))]
+        assert guard.walked[2, 0] == []
+
+    def test_target_only_a_next_epoch_wing_taints_is_walked(self, config):
+        guard, flags = run_split_checked(
+            [[Instr.jump(5), nop()], [nop(), Instr.taint(5)]], 1, **config
+        )
+        assert flags == [(5, (0, 0))]
+        assert set(guard.walked[0, 0]) == {(5,)}
+
+    def test_target_the_body_writes_only_after_the_jump(self, config):
+        # The body's later TAINT is not visible to its earlier jump, but
+        # it makes 5 a written location: the verdict comes from the
+        # walk (no local write before offset 0, no wing, empty LSOS).
+        guard, flags = run_split_checked(
+            [[Instr.jump(5), Instr.taint(5)], [nop(), nop()]], 2, **config
+        )
+        assert flags == []
+        assert set(guard.walked[0, 0]) == {(5,)}
+        # And with 5 tainted two epochs back, the later UNTAINT does not
+        # hide the entry state from the jump before it.
+        guard, flags = run_split_checked(
+            [
+                [Instr.taint(5), nop(), nop(), nop(),
+                 Instr.jump(5), Instr.untaint(5)],
+                [nop()] * 6,
+            ],
+            2, **config,
+        )
+        assert flags == [(5, (0, 4))]
+        assert set(guard.walked[2, 0]) == {(5,)}
+
+    def test_last_write_assign_with_one_touched_and_one_untouched_parent(
+        self, config
+    ):
+        def lastcheck_of_9(wing_op, taint_untouched):
+            guard, _ = run_split_checked(
+                [
+                    [Instr.taint(2) if taint_untouched else nop(), nop(),
+                     Instr.assign(9, 1, 2)],
+                    [nop(), nop(), wing_op(1)],
+                ],
+                1, **config,
+            )
+            return guard.lastchecks[2, 0][9], guard.walked[2, 0]
+
+        # 1 is written by the wing (touched), 2 by nothing in the window.
+        verdict, walked = lastcheck_of_9(Instr.taint, False)
+        assert verdict is BOT and set(walked) == {(1,)}
+        verdict, walked = lastcheck_of_9(Instr.untaint, False)
+        assert verdict is TOP and set(walked) == {(1,)}
+        # 2 tainted two epochs back: the intersection answers, no walk.
+        verdict, walked = lastcheck_of_9(Instr.untaint, True)
+        assert verdict is BOT and walked == []
+
+    def test_head_untaint_with_a_sibling_resurrection(self, config):
+        # Thread 1 tainted 3 in epoch 0, thread 0's head untaints it in
+        # epoch 1: the untaint may have run first, 3 stays in the LSOS.
+        guard, flags = run_split_checked(
+            [
+                [nop(), Instr.untaint(3), Instr.jump(3)],
+                [Instr.taint(3), nop(), nop()],
+            ],
+            1, **config,
+        )
+        assert flags == [(3, (0, 2))]
+        assert guard.walked[2, 0] == []
+        # The thread's own taint is dead after its own untaint (the
+        # view's ``removed``); the head's taint is live (``added``).
+        guard, flags = run_split_checked(
+            [
+                [Instr.taint(3), Instr.untaint(3), Instr.jump(3)],
+                [nop(), nop(), nop()],
+            ],
+            1, **config,
+        )
+        assert flags == [] and guard.walked[2, 0] == []
+        guard, flags = run_split_checked(
+            [[nop(), Instr.taint(7), Instr.jump(7)], [nop(), nop(), nop()]],
+            1, **config,
+        )
+        assert flags == [(7, (0, 2))] and guard.walked[2, 0] == []
+
+    def test_generated_runs_agree_with_the_per_check_loop(self, config):
+        seen = {"bodies": 0, "flagged": 0, "tainted": 0, "walked": 0}
+
+        def run(partition):
+            guard = SplitChecked(**config)
+            ButterflyEngine(guard).run(partition)
+            seen["bodies"] += guard.bodies
+            seen["flagged"] += len(guard.errors)
+            seen["walked"] += sum(map(len, guard.walked.values()))
+            seen["tainted"] += sum(
+                v is BOT
+                for lastcheck in guard.lastchecks.values()
+                for v in lastcheck.values()
+            )
+
+        gen = AdversarialCaseGenerator(4)
+        families = set()
+        for i in range(4 * len(FAMILIES)):
+            case = gen.case(i)
+            families.add(case.label)
+            run(case.partition())
+        assert families == set(FAMILIES)
+        for seed in range(3):
+            prog = simulated_taint_program(
+                random.Random(seed), num_threads=3, total_events=240,
+                taint_rate=0.2, untaint_rate=0.2,
+            )
+            run(partition_fixed(prog, 8))
+        # A sparse program: most checks name locations nothing writes.
+        prog = simulated_taint_program(
+            random.Random(9), num_threads=3, total_events=600,
+            num_locations=4096, taint_rate=0.2, untaint_rate=0.05,
+        )
+        run(partition_fixed(prog, 16))
+        assert seen["bodies"] > 150
+        assert seen["flagged"] > 0 and seen["tainted"] > 10
+        assert seen["walked"] > 100
 
 
 # -- the tainted-address LSOS / SOS algebra ----------------------------------

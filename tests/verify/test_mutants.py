@@ -220,6 +220,35 @@ class TestNarrowWindowTaintCheck:
         assert self.flags(mode=mode, two_phase=two_phase) == clean
 
 
+class TestBlindWholesaleMutant:
+    """TaintCheck's second pass answers a check wholesale from the LSOS
+    only when no rule of the window writes the location; a split that
+    calls everything untouched drops every taint the window carries."""
+
+    def test_orderings_oracle_catches_the_blind_split(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("orderings",),
+            failures_dir=str(tmp_path),
+            mutant="blind-wholesale",
+        )
+        assert_found_and_shrunk(report, "orderings", "blind-wholesale")
+        assert "missed an error" in report.findings[0].detail
+
+    @pytest.mark.parametrize("two_phase", [True, False])
+    @pytest.mark.parametrize("mode", ["relaxed", "sc"])
+    def test_the_wing_taint_is_lost_on_one_hand_trace(self, mode, two_phase):
+        # The two-epoch trace above: only the l+1 wing writes 5, and the
+        # LSOS knows nothing about it.  No campaign, no seed.
+        flags = TestNarrowWindowTaintCheck().flags
+        clean = flags(mode=mode, two_phase=two_phase)
+        assert clean == [("tainted-jump", 5, (0, 0))]
+        with apply_mutant("blind-wholesale"):
+            assert flags(mode=mode, two_phase=two_phase) == []
+        assert flags(mode=mode, two_phase=two_phase) == clean
+
+
 class TestRegistry:
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
