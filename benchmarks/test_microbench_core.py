@@ -6,17 +6,21 @@ check resolution.  Useful for tracking regressions; absolute numbers
 are host-dependent.
 """
 
+import ast
+import pathlib
 import random
 import time
 
 import pytest
 
+import repro
 from repro.core.columnar import HAVE_NUMPY
 from repro.core.dataflow import DefinitionDomain, summarize_block
 from repro.core.epoch import partition_fixed, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
 from repro.core.reaching_defs import ReachingDefinitions
 from repro.core.state import SOSHistory
+from repro.lifeguards import addrcheck
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards import taintcheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
@@ -29,6 +33,8 @@ from repro.trace.generator import (
 )
 from repro.trace.program import TraceProgram
 from repro.verify.reference import ReferenceAddrCheck
+
+from tests.lifeguards import flatten_reference
 
 from .conftest import timing_asserts_enabled
 
@@ -249,6 +255,89 @@ def test_first_pass_cost_does_not_scale_with_the_thread_count(timing_guard):
         narrow = min(narrow, narrow_once())
         wide = min(wide, wide_once())
     assert narrow <= 2.0 * wide, (narrow, wide)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="times the columnar flatten")
+def test_flatten_stays_off_numpys_slow_paths(timing_guard):
+    """The access-stream flatten of one 25 000-event block against the
+    parent's (``tests/lifeguards/flatten_reference.py``: uint8-indexed
+    tables, ``flatnonzero`` over int64, boolean-mask scatter),
+    alternating best-of-15.  Measured 3.2x (~305 vs ~980 us, 2-vCPU
+    Xeon, numpy 2.4); the bound is 1.5x."""
+    source = ColumnarAllocSource(
+        7, num_threads=1, num_epochs=1, events_per_block=25_000,
+        error_rate=1e-3,
+    )
+    cols = next(iter(source.epochs()))[0].columns
+
+    def best_us(flatten):
+        t0 = time.perf_counter()
+        for _ in range(20):
+            flatten(cols)
+        return 1e6 * (time.perf_counter() - t0) / 20
+
+    new = old = float("inf")
+    for _ in range(15):
+        new = min(new, best_us(addrcheck._access_stream))
+        old = min(old, best_us(flatten_reference.flatten))
+    assert 1.5 * new <= old, (new, old)
+
+
+def _table_reads_by_subscript(source):
+    """Line numbers at which an op-class table -- a ``*_LUT`` name, or
+    what a ``*_lut(...)`` factory returns -- is read by subscript rather
+    than ``.take``.  Stores (building a table) and constant subscripts
+    pass."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and not isinstance(node.slice, ast.Constant)
+        ):
+            continue
+        table = node.value.func if isinstance(node.value, ast.Call) else (
+            node.value
+        )
+        name = getattr(table, "id", None) or getattr(table, "attr", "")
+        if name.upper().endswith("_LUT"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_op_class_tables_are_read_with_take():
+    """No wall clock: indexing a 256-entry table with the uint8 op column
+    is numpy's slow path (~2.7x ``TABLE.take(ops)`` at 25 000 events),
+    which the timing guards only see on a quiet host.  So no ``*_LUT``
+    in ``src/repro`` is subscripted by an array -- and the tables the
+    kernels use are there, read with ``take``, so this cannot pass by
+    finding nothing."""
+    root = pathlib.Path(repro.__file__).parent
+    bad, takes = [], 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        bad += [f"{path.relative_to(root)}:{n}"
+                for n in _table_reads_by_subscript(text)]
+        takes += sum(
+            isinstance(node, ast.Attribute) and node.attr == "take"
+            and "_LUT" in ast.unparse(node.value).upper()
+            for node in ast.walk(ast.parse(text))
+        )
+    assert bad == []
+    assert takes >= 3  # AddrCheck's flatten, TaintCheck, the summarizer
+
+
+def test_the_table_guard_bites():
+    seeded = (
+        "_ACC_LUT = np.zeros(256, dtype=bool)\n"
+        "_ACC_LUT[[OP_READ, OP_WRITE]] = True\n"
+        "first = _ACC_LUT[0]\n"
+        "ok = _ACC_LUT.take(ops)\n"
+        "is_acc = _ACC_LUT[ops]\n"
+        "idx = np.flatnonzero(_relevant_lut(codes)[cols.op])\n"
+        "rows = taintcheck._TAINT_EVENT_LUT[ops[1:]]\n"
+    )
+    assert _table_reads_by_subscript(seeded) == [5, 6, 7]
 
 
 def test_epoch_update_cost_does_not_scale_with_the_heap():

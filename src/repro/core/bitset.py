@@ -70,17 +70,11 @@ class BitInterner:
     different interners are not comparable.
     """
 
-    __slots__ = ("_bit_of", "_elements", "hits", "misses")
+    __slots__ = ("_bit_of", "_elements")
 
     def __init__(self) -> None:
         self._bit_of: Dict[Any, int] = {}
         self._elements: List[Any] = []
-        #: Lookup pressure counters (plain int adds, cheap enough to
-        #: keep unconditionally): ``hits`` resolved to an existing bit,
-        #: ``misses`` assigned a fresh one.  The observability layer
-        #: reads them via :meth:`stats`.
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -92,9 +86,6 @@ class BitInterner:
             b = len(self._elements)
             self._bit_of[element] = b
             self._elements.append(element)
-            self.misses += 1
-        else:
-            self.hits += 1
         return b
 
     def mask(
@@ -111,15 +102,12 @@ class BitInterner:
         bit_of = self._bit_of
         bits: List[int] = []
         fresh: List[Any] = []
-        hits = 0
         for e in elements:
             b = bit_of.get(e)
             if b is None:
                 fresh.append(e)
             else:
                 bits.append(b)
-                hits += 1
-        self.hits += hits
         if fresh:
             fresh.sort(key=sort_key)
             for e in fresh:
@@ -147,16 +135,6 @@ class BitInterner:
         """Whether ``element`` is encoded in ``mask``."""
         b = self._bit_of.get(element)
         return b is not None and bool(mask >> b & 1)
-
-    def stats(self) -> Dict[str, Any]:
-        """Intern-table pressure: size, lookups, and hit rate."""
-        lookups = self.hits + self.misses
-        return {
-            "size": len(self._elements),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
 
 
 #: Backwards-compatible alias (pre-public name).

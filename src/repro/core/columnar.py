@@ -85,6 +85,8 @@ OP_NOP = OP_CODES[Op.NOP]
 
 #: Sentinel encoding ``dst=None`` (int64 minimum; never a real location).
 NO_DST = -(2**63)
+#: Largest value an int64 column holds.
+_I64_MAX = 2**63 - 1
 
 #: Ops whose sources/destination count as dereferences (mirrors
 #: ``Instr.accessed``): READ/JUMP read their source; WRITE/ASSIGN read
@@ -134,7 +136,9 @@ def _walk_columns(rows: Sequence[object]) -> _Columns:
 
     The reference the bulk pass must agree with, and the only path that
     raises: :func:`_bulk_columns` returns ``None`` on anything it does
-    not recognise and this walk names the first offending row.
+    not recognise, :meth:`ColumnarBlock.from_rows` hands over a block
+    whose values do not fit the int64 columns, and this walk names the
+    first offending row.
     """
     code_of = CODE_OF_VALUE
     needs_dst = _NEEDS_DST
@@ -151,16 +155,16 @@ def _walk_columns(rows: Sequence[object]) -> _Columns:
             raise RowDecodeError(row, "bad row shape or op") from None
         # ``type(x) is int``, not ``isinstance``: a JSON ``true`` is
         # an ``int`` to the latter and would be analysed as 1.
-        if type(size) is not int or size < 1:
+        if type(size) is not int or not 1 <= size <= _I64_MAX:
             raise RowDecodeError(row, f"size must be >= 1, got {size!r}")
         if dst is None:
             if code in needs_dst:
                 raise RowDecodeError(row, "op requires a destination")
             dst = NO_DST
-        elif type(dst) is not int:
+        elif type(dst) is not int or not NO_DST <= dst <= _I64_MAX:
             raise RowDecodeError(row, f"bad destination {dst!r}")
         if not isinstance(srcs, list) or not all(
-            type(s) is int for s in srcs
+            type(s) is int and NO_DST <= s <= _I64_MAX for s in srcs
         ):
             raise RowDecodeError(row, f"bad sources {srcs!r}")
         nsrc = len(srcs)
@@ -287,21 +291,32 @@ class ColumnarBlock:
         well-formed block, no row from Python at all
         (:func:`_bulk_columns`).  A malformed row raises
         :class:`RowDecodeError` carrying the row.
+
+        The bulk pass leaves the int64 range to the freeze, which
+        checks every value at C level anyway: a value outside it sends
+        the block down the walk, whose range rule names its row.
         """
         columns = _bulk_columns(rows)
         if columns is None:
             # The reject path: walk the rows to name the first bad one.
             columns = _walk_columns(rows)
-        return cls._frozen(*columns)
+        try:
+            return cls._frozen(*columns)
+        except OverflowError:
+            _walk_columns(rows)
+            raise
 
     @classmethod
     def concat(cls, blocks: Sequence["ColumnarBlock"]) -> "ColumnarBlock":
         """Concatenate blocks' events in order, staying columnar.
 
-        The adaptive serve path coalesces consecutive producer epochs
-        into one analysis epoch; this is its merge primitive -- pure
-        column appends (the CSR source offsets shift by each block's
-        running total), no per-event objects.
+        Pure column appends (the CSR source offsets shift by each
+        block's running total), no per-event objects.  Its hot caller is
+        :meth:`AddrScanner.scan_row
+        <repro.lifeguards.addrcheck.AddrScanner.scan_row>`, which scans
+        an epoch row's small blocks as one stream, once per row; the
+        adaptive serve path also merges consecutive producer epochs into
+        one analysis epoch with it.
         """
         blocks = [b for b in blocks]
         if not blocks:
@@ -310,24 +325,23 @@ class ColumnarBlock:
             return blocks[0]
         if HAVE_NUMPY:
             op = np.concatenate([np.asarray(b.op) for b in blocks])
-            dst = np.concatenate([np.asarray(b.dst) for b in blocks])
-            size = np.concatenate([np.asarray(b.size) for b in blocks])
-            src_val = np.concatenate(
-                [np.asarray(b.src_val) for b in blocks]
-            )
-            parts = [np.zeros(1, dtype=np.int64)]
-            base = 0
+            n = int(op.shape[0])
+            # Each block's shifted offsets land in place in the output.
+            src_off = np.empty(n + 1, dtype=np.int64)
+            src_off[0] = 0
+            at = base = 0
             for b in blocks:
                 off = np.asarray(b.src_off)
-                parts.append(off[1:] + base)
+                np.add(off[1:], base, out=src_off[at + 1:at + off.shape[0]])
+                at += off.shape[0] - 1
                 base += int(off[-1])
             return cls(
-                int(op.shape[0]),
+                n,
                 op.astype(np.uint8, copy=False),
-                dst,
-                size,
-                np.concatenate(parts),
-                src_val,
+                np.concatenate([np.asarray(b.dst) for b in blocks]),
+                np.concatenate([np.asarray(b.size) for b in blocks]),
+                src_off,
+                np.concatenate([np.asarray(b.src_val) for b in blocks]),
             )
         op = array("B")
         dst = array("q")
@@ -385,15 +399,15 @@ class ColumnarBlock:
         lists, where row ``k``'s sources are
         ``flat_srcs[bounds[k]:bounds[k + 1]]``.  This is the shared
         selection step of the TaintCheck scan and the dataflow
-        summarizer: one LUT pass picks the relevant rows, one gather
-        materializes just those rows' fields, and only the (typically
-        sparse) selection is ever touched from Python.
+        summarizer: one table read picks the relevant rows, one gather
+        through ``idx`` materializes just those rows' fields, and only
+        the (typically sparse) selection is ever touched from Python.
         Numpy path only -- pure-Python callers iterate the columns
         directly.
         """
         src_off = np.asarray(self.src_off)
         lo = src_off[idx]
-        counts = src_off[idx + 1] - lo
+        counts = src_off[1:][idx] - lo
         out_off = np.zeros(idx.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=out_off[1:])
         total = int(out_off[-1])

@@ -282,7 +282,7 @@ def _summarize_columns(
     cols = block.columns
     if cols.length == 0:
         return facts
-    idx = np.flatnonzero(_relevant_lut(codes)[np.asarray(cols.op)])
+    idx = np.flatnonzero(_relevant_lut(codes).take(cols.op))
     if idx.shape[0] == 0:
         return facts
     sel_codes, sel_dst, bounds, flat_srcs = cols.gather(idx)

@@ -56,14 +56,17 @@ from repro.lifeguards.reports import ErrorKind, ErrorLog
 from repro.trace.events import Op
 
 if HAVE_NUMPY:
-    # Op-class lookup tables indexed by the uint8 op column: one fancy
-    # index replaces a chain of elementwise comparisons per block.
+    # Op classes over the uint8 op column.  A class of four codes is a
+    # bool table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``,
+    # which numpy serves on a slow path for a uint8 index, ~2.7x the
+    # ``take`` (benchmarks/test_microbench_core.py holds every ``*_LUT``
+    # in src/ to that).  A class of two codes is two SIMD compares, which
+    # beat any table read at 25 000 events (4.5 vs 25 us) and tie it at
+    # 2 048 (docs/perf.md, "Numpy's slow paths").
     _ACC_LUT = np.zeros(256, dtype=bool)
     _ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
-    _DST_LUT = np.zeros(256, dtype=np.int64)
-    _DST_LUT[[OP_WRITE, OP_ASSIGN]] = 1
 else:  # pragma: no cover - tables are only consulted on the numpy path
-    _ACC_LUT = _DST_LUT = None
+    _ACC_LUT = None
 
 #: Most events :meth:`AddrScanner.scan_row` hands the columnar kernel as
 #: one group.  Scanning T small blocks as one stream saves T-1 rounds of
@@ -82,6 +85,64 @@ _DETAIL_FREE = "free of location believed unallocated"
 _DETAIL_ACCESS = "access to location believed unallocated"
 _DETAIL_CHANGE_RACE = "allocation-state change concurrent with another"
 _DETAIL_ACCESS_RACE = "access concurrent with an allocation-state change"
+
+
+def _access_stream(cols: ColumnarBlock) -> Tuple[Any, Any, Any]:
+    """Flatten every location ``cols`` dereferences into one access
+    stream, ``(acc_off, acc_loc, tot)``: event ``e`` owns the ``tot[e]``
+    slots ``acc_off[e] .. acc_off[e+1]-1`` of ``acc_loc``, which hold
+    its sources in order then (for WRITE/ASSIGN) its destination -- the
+    exact order of the scalar loop.
+
+    Every masked scatter or gather goes through an index array, every
+    ``flatnonzero`` runs over bools, and the block-sized int64 arrays
+    are built in place: each temporary is one more round of fresh pages
+    from the allocator."""
+    n = cols.length
+    ops = np.asarray(cols.op)
+    src_off = np.asarray(cols.src_off)
+    src_val = np.asarray(cols.src_val)
+    is_acc = _ACC_LUT.take(ops)
+    has_dst = (ops == OP_WRITE) | (ops == OP_ASSIGN)
+    tot = src_off[1:] - src_off[:-1]
+    tot *= is_acc
+    tot += has_dst
+    acc_off = np.empty(n + 1, dtype=np.int64)
+    acc_off[0] = 0
+    np.cumsum(tot, out=acc_off[1:])
+    total = int(acc_off[-1])
+    acc_loc = np.empty(total, dtype=np.int64)
+    if total:
+        dst_ev = np.flatnonzero(has_dst)
+        # A destination is its event's last slot.
+        dst_pos = acc_off[1:][dst_ev]
+        dst_pos -= 1
+        if total - dst_ev.shape[0] != src_val.shape[0]:
+            # Fewer source slots than sources: some non-access event
+            # carries sources.  Filter them out of the flattened source
+            # stream before scattering.
+            src_cnt = tot - has_dst
+            src_ev = np.repeat(
+                np.arange(n, dtype=np.int64), src_off[1:] - src_off[:-1]
+            )
+            kept = np.flatnonzero(is_acc[src_ev])
+            kept_ev = src_ev[kept]
+            # The kept sources of event e are contiguous starting at
+            # kept_start[e]; shift each run to its slot in acc_loc.
+            kept_start = np.cumsum(src_cnt) - src_cnt
+            pos = (acc_off[:-1] - kept_start)[kept_ev] + np.arange(
+                kept_ev.shape[0], dtype=np.int64
+            )
+            acc_loc[pos] = src_val[kept]
+        elif src_val.shape[0]:
+            # All sources belong to access events (the usual case): the
+            # slots that are not destination slots are exactly the
+            # sources in stream order.
+            is_src_slot = np.ones(total, dtype=bool)
+            is_src_slot[dst_pos] = False
+            acc_loc[np.flatnonzero(is_src_slot)] = src_val
+        acc_loc[dst_pos] = np.asarray(cols.dst)[dst_ev]
+    return acc_off, acc_loc, tot
 
 
 #: ``_epoch_killers`` value for a location two or more threads finally
@@ -377,48 +438,10 @@ class AddrScanner:
         ops = np.asarray(cols.op)
         dst_col = np.asarray(cols.dst)
         size_col = np.asarray(cols.size)
-        src_off = np.asarray(cols.src_off)
-        src_val = np.asarray(cols.src_val)
         use_filter = self.use_idempotent_filter
 
-        # Flatten every dereferenced location into ``acc_loc``: per
-        # event, sources in order then (for WRITE/ASSIGN) the
-        # destination -- the exact order of the scalar loop.  Op-class
-        # tests are one table-lookup pass over the uint8 op column.
-        cnt = src_off[1:] - src_off[:-1]
-        is_acc = _ACC_LUT[ops]
-        src_cnt = np.where(is_acc, cnt, 0)
-        dst_extra = _DST_LUT[ops]
-        tot = src_cnt + dst_extra
-        acc_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(tot, out=acc_off[1:])
-        total = int(acc_off[-1])
-        acc_loc = np.empty(total, dtype=np.int64)
-        if total:
-            dst_ev = np.flatnonzero(dst_extra)
-            dst_pos = acc_off[dst_ev] + src_cnt[dst_ev]
-            if total - dst_ev.shape[0] != src_val.shape[0]:
-                # Fewer source slots than sources: some non-access event
-                # carries sources.  Filter them out of the flattened
-                # source stream before scattering.
-                src_ev = np.repeat(np.arange(n, dtype=np.int64), cnt)
-                keep = is_acc[src_ev]
-                kept_ev = src_ev[keep]
-                # The kept sources of event e are contiguous starting at
-                # kept_start[e]; shift each run to its slot in acc_loc.
-                kept_start = np.cumsum(src_cnt) - src_cnt
-                pos = (acc_off[:-1] - kept_start)[kept_ev] + np.arange(
-                    kept_ev.shape[0], dtype=np.int64
-                )
-                acc_loc[pos] = src_val[keep]
-            elif src_val.shape[0]:
-                # All sources belong to access events (the usual case):
-                # the slots that are not destination slots are exactly
-                # the sources in stream order.
-                is_src_slot = np.ones(total, dtype=bool)
-                is_src_slot[dst_pos] = False
-                acc_loc[is_src_slot] = src_val
-            acc_loc[dst_pos] = dst_col[dst_ev]
+        acc_off, acc_loc, tot = _access_stream(cols)
+        total = acc_loc.shape[0]
 
         # Segment ``s`` owns events ``ev_lo[s]..ev_lo[s+1]-1`` and the
         # access slots ``slot_lo[s]..slot_lo[s+1]-1``; every ``*_lo``
@@ -566,7 +589,7 @@ class AddrScanner:
                 # unique pairs, ascending.
                 mark = np.zeros(nseg * width, dtype=bool)
                 mark[uniq_key[of_uniq]] = True
-                return np.flatnonzero(mark[key])
+                return np.flatnonzero(mark.take(key))
 
             def _records(pos: Any, locs: Any) -> List[Tuple[int, int, int]]:
                 return list(zip(

@@ -204,7 +204,7 @@ class TaintScanner:
         return summary
 
     def _scan_columns(self, block: Block) -> TaintSummary:
-        """Vectorized scan: one boolean LUT pass finds the relevant
+        """Vectorized scan: one boolean table read finds the relevant
         events, a CSR gather pulls just their sources, and a Python
         loop over only those events rebuilds ``rules``/``jumps`` in
         exact stream order (dict insertion order included), so the
@@ -213,11 +213,11 @@ class TaintScanner:
         summary = TaintSummary(block_id=block.block_id)
         if cols.length == 0:
             return summary
-        ops = np.asarray(cols.op)
-        relevant = _TAINT_EVENT_LUT[ops]
-        if not bool(relevant.any()):
+        # ``take``, not ``[ops]``: a uint8 fancy index is numpy's slow
+        # path (docs/perf.md, "Numpy's slow paths").
+        idx = np.flatnonzero(_TAINT_EVENT_LUT.take(cols.op))
+        if not idx.shape[0]:
             return summary
-        idx = np.flatnonzero(relevant)
         # Gather only the selected events' fields; READ sources
         # dominate src_val on real traces and are never touched.
         sel_ops, sel_dst, bounds, sel_src = cols.gather(idx)

@@ -353,7 +353,9 @@ def decode_epoch_row(
         )
     row = []
     for tid, (start, raw) in enumerate(zip(starts, blocks)):
-        if not isinstance(start, int) or not isinstance(raw, list):
+        # ``type(start) is int``: a JSON ``true`` is an ``int`` to
+        # ``isinstance`` and would start the block at event 1.
+        if type(start) is not int or start < 0 or not isinstance(raw, list):
             raise TraceError(
                 f"{name}:{lineno}: epoch {lid} thread {tid}: malformed "
                 f"block record"

@@ -106,6 +106,37 @@ class TestCheckStream:
         assert main(["check", "--trace", str(path)]) == 2
         assert f"{path}:" in _one_line_error(capsys, "check")
 
+    @pytest.mark.parametrize("field, value", [
+        ("row", ["write", 2**63, [3], 1]),
+        ("row", ["read", None, [-(2**63) - 1], 1]),
+        ("start", True),
+        ("start", -1),
+    ])
+    def test_malformed_epoch_record_is_one_error_line(
+        self, tmp_path, capsys, field, value
+    ):
+        """A value outside int64 used to end ``check --trace`` in an
+        ``OverflowError`` traceback (exit 1), and a ``true`` or negative
+        block start was analysed (exit 0)."""
+        path = tmp_path / "t.stream.jsonl"
+        assert main(GENERATE_ARGS + ["--output", str(path)]) == 0
+        capsys.readouterr()
+        lines = path.read_text().splitlines(keepends=True)
+        epoch = json.loads(lines[2])  # line 3: epoch 1
+        if field == "row":
+            epoch["blocks"][1].append(value)
+        else:
+            epoch["starts"][0] = value
+        lines[2] = json.dumps(epoch) + "\n"
+        path.write_text("".join(lines))
+        assert main(["check", "--trace", str(path)]) == 2
+        error = _one_line_error(capsys, "check")
+        assert f"{path}:3: " in error
+        assert (
+            "malformed instruction record" if field == "row"
+            else "malformed block record"
+        ) in error
+
 
 @pytest.fixture(scope="module")
 def ocean_files(tmp_path_factory):

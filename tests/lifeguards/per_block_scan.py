@@ -23,15 +23,14 @@ from repro.core.columnar import (
 from repro.core.epoch import Block
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import (
-    _ACC_LUT,
     _DETAIL_ACCESS,
     _DETAIL_FREE,
     _DETAIL_MALLOC,
-    _DST_LUT,
     AddrScan,
     AddrScanner,
 )
 from repro.lifeguards.reports import ErrorKind
+from tests.lifeguards.flatten_reference import _ACC_LUT, _DST_LUT
 
 
 def per_block_scan(

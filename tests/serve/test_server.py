@@ -202,12 +202,16 @@ class TestTransportFaults:
     @pytest.mark.parametrize("bad_row", [
         ["write", True, [3], 1],
         ["malloc", 5, [], True],
+        ["write", 2**63, [3], 1],
+        ["malloc", 5, [], 2**64],
     ])
     def test_boolean_for_an_integer_is_refused_not_analysed(
         self, daemon, trace_file, bad_row
     ):
         """``isinstance(True, int)``: the EPOCH decoder used to take a
-        JSON ``true`` as location (or size) 1 and fold it."""
+        JSON ``true`` as location (or size) 1 and fold it -- and answer
+        an integer the int64 columns cannot hold with ``serve error
+        [internal]: OverflowError``."""
         with open(trace_file) as fp:
             stream_header(fp, str(trace_file))
             epoch = json.loads(fp.readline())
@@ -222,6 +226,25 @@ class TestTransportFaults:
         sock.close()
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")
+
+    @pytest.mark.parametrize("start", [True, -1])
+    def test_block_start_must_be_a_non_negative_integer(
+        self, daemon, trace_file, start
+    ):
+        """A ``true`` (or negative) block start used to be folded into a
+        REPORT."""
+        with open(trace_file) as fp:
+            stream_header(fp, str(trace_file))
+            epoch = json.loads(fp.readline())
+        epoch["starts"][0] = start
+        sock = raw_handshake(daemon.address, trace_file, "start", 0)
+        sock.sendall(encode_json_frame(FRAME_EPOCH, epoch))
+        ftype, payload = read_frame_sync(sock)
+        sock.close()
+        assert ftype == FRAME_ERROR
+        answer = json.loads(payload)
+        assert answer["code"] == "protocol"
+        assert "malformed block record" in answer["error"]
 
     @pytest.mark.parametrize("prealloc", [[[1]], ["x", True, 1.5, 7]])
     def test_hello_preallocated_must_be_exactly_integers(

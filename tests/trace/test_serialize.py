@@ -36,6 +36,14 @@ NOT_INTEGERS = [
     '["malloc", 5, [], 1.0]',
 ]
 
+#: Rows holding an integer an int64 column cannot: destination, source
+#: (below the minimum) and size.
+OUT_OF_INT64 = [
+    f'["write", {2**63}, [3], 1]',
+    f'["read", null, [{-(2**63) - 1}], 1]',
+    f'["malloc", 5, [], {2**64}]',
+]
+
 
 def round_trip(program):
     buf = io.StringIO()
@@ -209,8 +217,10 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match=r"t:\d+.*footer"):
             list(stream_epochs(io.StringIO(no_footer), name="t"))
 
-    @pytest.mark.parametrize("record", NOT_INTEGERS)
+    @pytest.mark.parametrize("record", NOT_INTEGERS + OUT_OF_INT64)
     def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
+        """And integers the int64 columns cannot hold, which used to
+        escape the column freeze as an ``OverflowError`` traceback."""
         _, partition = stream_partition(threads=2)
         lines = stream_text(partition).splitlines(keepends=True)
         epoch = json.loads(lines[2])  # line 3: epoch 1
@@ -227,6 +237,40 @@ class TestStreamValidation:
         with pytest.raises(
             TraceError, match=r"s1:9: malformed instruction record"
         ):
+            decode_epoch_row(epoch, 1, 2, "s1", 9)
+
+    def test_int64_extremes_still_decode(self):
+        lo, hi = -(2**63), 2**63 - 1
+        row = decode_epoch_row(
+            {"epoch": 0, "starts": [0],
+             "blocks": [[["write", hi, [lo, hi], 1],
+                         ["malloc", 0, [], hi]]]},
+            0, 1, "s1", 2,
+        )
+        assert [(i.dst, i.srcs, i.size) for i in row[0].instrs] == [
+            (hi, (lo, hi), 1), (0, (), hi),
+        ]
+
+    @pytest.mark.parametrize("start", [True, -1])
+    def test_block_starts_must_be_non_negative_integers(
+        self, tmp_path, start
+    ):
+        """``isinstance(True, int)`` once more: a JSON ``true`` start
+        (and a negative one) used to be analysed."""
+        _, partition = stream_partition(threads=2)
+        lines = stream_text(partition).splitlines(keepends=True)
+        epoch = json.loads(lines[2])
+        epoch["starts"][0] = start
+        lines[2] = json.dumps(epoch) + "\n"
+        path = tmp_path / "t.stream.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(
+            TraceError,
+            match=r"t\.stream\.jsonl:3: epoch 1 thread 0: malformed "
+                  r"block record",
+        ):
+            list(iter_load(path).epochs())
+        with pytest.raises(TraceError, match=r"s1:9: .*malformed block"):
             decode_epoch_row(epoch, 1, 2, "s1", 9)
 
     @pytest.mark.parametrize("prealloc", [[[1]], ["x", True, 1.5, 7]])
