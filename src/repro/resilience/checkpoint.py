@@ -11,9 +11,14 @@ run, the boundary stream recorded so far
 (``ButterflyEngine.snapshot_state()``) -- after each committed epoch.
 
 Snapshots are written with the classic atomic-rename protocol (write to
-a sibling temp file, flush, fsync, ``os.replace``), so a checkpoint
-file on disk is always a complete, loadable snapshot no matter when the
-writer was killed.
+a sibling temp file, fsync, ``os.replace``), so a checkpoint file on
+disk is always a complete, loadable snapshot no matter when the writer
+was killed.  The protocol has two halves: :func:`write_snapshot` pickles
+the state into the temp file and must run at the epoch boundary (the
+only instant the state is consistent); :func:`commit_snapshot` makes it
+durable and may run later, on another thread.  :func:`save_checkpoint`
+does both inline; a :class:`CheckpointWriter` runs the second half in
+the background for the serve daemon, one writer per shard.
 
 A checkpoint embeds a ``meta`` fingerprint of the run configuration
 (workload, seed, epoch size, lifeguard, trace digest).  ``repro
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
+import uuid
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.errors import CheckpointError
@@ -46,37 +53,177 @@ FORMAT = "repro-checkpoint"
 VERSION = 3
 
 
-def save_checkpoint(
-    path: str, engine: "ButterflyEngine", meta: Dict[str, Any]
-) -> None:
-    """Atomically snapshot ``engine`` (and its analysis) to ``path``.
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
-    The analysis's recorder is detached during pickling (a live sink
-    holds an open file handle); resume re-attaches whatever recorder
-    the resuming run configures.
+
+def write_snapshot(
+    path: str, engine: "ButterflyEngine", meta: Dict[str, Any]
+) -> str:
+    """Pickle ``engine`` (and its analysis) into a fresh sibling temp
+    file of ``path``, without ``fsync``; returns the temp file's path.
+
+    The first half of a save, and the half that must run at the epoch
+    boundary.  The pickle streams into the file rather than through an
+    in-memory copy.  The analysis's recorder is detached during
+    pickling (a live sink holds an open file handle); resume re-attaches
+    whatever recorder the resuming run configures.
     """
+    # Unique: one snapshot of a path can be committing while the fold
+    # writes the next.
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     analysis = engine.analysis
     had_recorder = "recorder" in analysis.__dict__
     saved_recorder = analysis.__dict__.pop("recorder", None)
     try:
-        payload = pickle.dumps(
-            {
-                "format": FORMAT,
-                "version": VERSION,
-                "meta": dict(meta),
-                "engine": engine.snapshot_state(),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        with open(tmp, "xb") as fh:
+            pickle.dump(
+                {
+                    "format": FORMAT,
+                    "version": VERSION,
+                    "meta": dict(meta),
+                    "engine": engine.snapshot_state(),
+                },
+                fh,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+    except BaseException:
+        _unlink_quietly(tmp)
+        raise
     finally:
         if had_recorder:
             analysis.recorder = saved_recorder
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
+    return tmp
+
+
+def commit_snapshot(tmp: str, path: str) -> None:
+    """The second half of a save: ``fsync`` the temp file written by
+    :func:`write_snapshot` and atomically rename it onto ``path``."""
+    fd = os.open(tmp, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
+
+
+def save_checkpoint(
+    path: str, engine: "ButterflyEngine", meta: Dict[str, Any]
+) -> None:
+    """Atomically snapshot ``engine`` (and its analysis) to ``path``:
+    both halves, inline."""
+    commit_snapshot(write_snapshot(path, engine, meta), path)
+
+
+def discard_temps(path: str) -> None:
+    """Remove the temp files of saves to ``path`` that never committed
+    (a writer killed between the halves leaves one behind)."""
+    directory, name = os.path.split(path)
+    prefix = name + "."
+    for entry in os.listdir(directory or "."):
+        if entry.startswith(prefix) and entry.endswith(".tmp"):
+            _unlink_quietly(os.path.join(directory, entry))
+
+
+class CheckpointWriter:
+    """Commits snapshots in the background: the serve daemon's one disk
+    owner per shard.
+
+    The fold writes a snapshot's temp file (:func:`write_snapshot`) and
+    :meth:`submit`\\ s it; a writer thread, started on first use, runs
+    :func:`commit_snapshot`.  Latest wins per checkpoint path: a temp
+    submitted while an older one for the same path still waits
+    supersedes it, and the older temp is unlinked, never renamed.  A
+    failed commit is kept per path until :meth:`failure` or
+    :meth:`settle` hands it to the stream's next command.
+
+    Moving the commit off the fold changes only when a snapshot becomes
+    durable, never what it holds: that is fixed at its epoch boundary.
+    """
+
+    def __init__(self, name: str = "repro-checkpoint-writer") -> None:
+        self._name = name
+        self._cond = threading.Condition()
+        #: path -> the newest uncommitted temp for it.
+        self._pending: Dict[str, str] = {}
+        self._committing: Optional[str] = None
+        self._failed: Dict[str, BaseException] = {}
+        self._thread: Optional[threading.Thread] = None
+        self._closing = False
+
+    def submit(self, path: str, tmp: str) -> None:
+        """Queue ``tmp`` for commit onto ``path``, superseding any older
+        uncommitted temp for the same path."""
+        with self._cond:
+            superseded = self._pending.pop(path, None)
+            self._pending[path] = tmp
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name=self._name, daemon=True
+                )
+                self._thread.start()
+            self._cond.notify_all()
+        if superseded is not None:
+            _unlink_quietly(superseded)
+
+    def failure(self, path: str) -> Optional[CheckpointError]:
+        """The failed background commit of ``path`` not yet reported,
+        if any (reported once)."""
+        with self._cond:
+            exc = self._failed.pop(path, None)
+        if exc is None:
+            return None
+        return CheckpointError(
+            f"checkpoint commit to {path} failed: "
+            f"{type(exc).__name__}: {exc}"
+        )
+
+    def settle(self, path: str) -> Optional[CheckpointError]:
+        """Drop ``path``'s uncommitted temp and wait out its in-flight
+        commit, so nothing renames onto ``path`` until the next
+        :meth:`submit`; then :meth:`failure`."""
+        with self._cond:
+            superseded = self._pending.pop(path, None)
+        if superseded is not None:
+            _unlink_quietly(superseded)
+        with self._cond:
+            while self._committing == path:
+                self._cond.wait()
+        return self.failure(path)
+
+    def close(self) -> None:
+        """Commit what is pending, then stop the writer thread."""
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()
+            thread = self._thread
+        if thread is not None:
+            thread.join()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._pending and not self._closing:
+                    self._cond.wait()
+                if not self._pending:
+                    return
+                path = next(iter(self._pending))
+                tmp = self._pending.pop(path)
+                self._committing = path
+            failure: Optional[BaseException] = None
+            try:
+                commit_snapshot(tmp, path)
+            except Exception as exc:
+                _unlink_quietly(tmp)
+                failure = exc
+            with self._cond:
+                self._committing = None
+                if failure is not None:
+                    self._failed[path] = failure
+                self._cond.notify_all()
 
 
 class Checkpoint:
@@ -169,6 +316,11 @@ class Checkpointer:
     Attach with :meth:`ButterflyEngine.enable_checkpoints`; the engine
     calls :meth:`after_epoch` each time an epoch's bodies have
     committed and its SOS advance has been published.
+
+    Without a ``writer`` every save is :meth:`save_now`, both halves
+    inline.  With one (the serve daemon's shard writer), the per-epoch
+    saves write the snapshot on the fold and hand the commit to the
+    writer; :meth:`save_now` stays inline and flushes first.
     """
 
     def __init__(
@@ -176,18 +328,33 @@ class Checkpointer:
         path: str,
         meta: Optional[Dict[str, Any]] = None,
         every: int = 1,
+        writer: Optional[CheckpointWriter] = None,
     ) -> None:
         if every < 1:
             raise CheckpointError(f"checkpoint interval must be >= 1: {every}")
         self.path = path
         self.meta = dict(meta or {})
         self.every = every
+        self.writer = writer
         self.written = 0
 
     def save_now(self, engine: "ButterflyEngine") -> None:
         """Write one snapshot immediately (the forced-save entry point
-        shard backends use on session failure)."""
+        shard backends use on session failure).  With a writer it is a
+        flush: the uncommitted older snapshot is dropped and the
+        in-flight commit waited out, so this one lands last (and
+        supersedes a failed background commit)."""
+        if self.writer is not None:
+            self.writer.settle(self.path)
         save_checkpoint(self.path, engine, self.meta)
+
+    def _save_epoch(self, engine: "ButterflyEngine") -> None:
+        if self.writer is None:
+            self.save_now(engine)
+        else:
+            self.writer.submit(
+                self.path, write_snapshot(self.path, engine, self.meta)
+            )
 
     def after_epoch(self, engine: "ButterflyEngine", lid: int) -> None:
         if (lid + 1) % self.every:
@@ -195,8 +362,8 @@ class Checkpointer:
         rec = engine.recorder
         if rec.enabled:
             with rec.span("resilience.checkpoint", epoch=lid):
-                self.save_now(engine)
+                self._save_epoch(engine)
             rec.count("resilience.checkpoints")
         else:
-            self.save_now(engine)
+            self._save_epoch(engine)
         self.written += 1

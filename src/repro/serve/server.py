@@ -9,18 +9,23 @@ three-epoch butterfly window per stream.
 Architecture
 ------------
 
-One event loop owns all sockets, the accept path, every per-stream
-queue, and the daemon's :class:`~repro.obs.recorder.Recorder` (which is
-not thread-safe -- ``serve.*`` counters are only ever touched from the
-loop thread).  Analysis work never runs on the loop: each stream is
-routed by a stable hash of its id to one of ``workers`` *shards* --
-single-thread executors by default, long-lived worker *processes* with
-``shard_backend="process"`` (:mod:`repro.serve.shards`) -- and every
-``feed``/``finish``/checkpoint call runs there.  Streams on the same
-shard serialize; streams on different shards fold epochs genuinely in
-parallel (across real cores under process shards); and a lifeguard
-crash surfaces as a failed call on the one session that caused it,
-never as a dead daemon.
+One event loop owns all sockets, the accept path, framing, byte
+counting, every per-stream queue, and the daemon's
+:class:`~repro.obs.recorder.Recorder` (which is not thread-safe --
+``serve.*`` counters are only ever touched from the loop thread).  It
+parses ``HELLO`` and ``END`` itself and queues each ``EPOCH`` payload
+as received, numbered in arrival order.  Decode and analysis never run
+on the loop: each stream is routed by a stable hash of its id to one of
+``workers`` *shards* -- single-thread executors by default, long-lived
+worker *processes* with ``shard_backend="process"``
+(:mod:`repro.serve.shards`) -- and every ``feed`` (decode + fold),
+``finish`` and checkpoint call runs there.  Streams on the same shard
+serialize; streams on different shards fold epochs genuinely in
+parallel (across real cores under process shards).  A malformed record
+or a lifeguard crash surfaces as a failed call on the one session that
+caused it -- ``ERROR protocol`` or ``ERROR internal``, sent at once,
+with whatever was queued behind it discarded -- never as a dead daemon
+or a wedged session.
 
 Backpressure is the queue, not a protocol message: each session's epoch
 queue is bounded at ``queue_depth``, the socket reader ``await``\\ s the
@@ -40,13 +45,18 @@ completing, with the most sunk work -- are never the victims.
 
 Every stream checkpoints at epoch boundaries
 (:class:`~repro.resilience.checkpoint.Checkpointer` under
-``checkpoint_dir``, filename = resume token), so a SIGKILLed daemon
-restarted on the same directory resumes every in-flight stream from
-its last committed epoch: the ``ACK`` tells the reconnecting producer
-which epoch to resend from, and the resumed report is bit-identical to
-an uninterrupted run's.  SIGTERM/SIGINT triggers the graceful variant:
-stop accepting, stop reading, fold what is queued, checkpoint, notify
-producers with ``ERROR drain``, flush the event sink, exit 0.
+``checkpoint_dir``, filename = resume token).  A checkpoint is a
+durability *point*: the shard's writer commits snapshots off the fold
+path, so a SIGKILLed daemon restarted on the same directory resumes
+every in-flight stream from its last *durable* epoch -- possibly one
+behind the last folded one -- and the ``ACK`` tells the reconnecting
+producer which epoch to resend from; the resumed report is
+bit-identical to an uninterrupted run's.  Every forced save (failure,
+shed, drain, disconnect, timeout) is a flush, so the ``resume_epoch``
+an ``ERROR`` frame names is on disk.  SIGTERM/SIGINT triggers the
+graceful variant: stop accepting, stop reading, fold what is queued,
+checkpoint, notify producers with ``ERROR drain``, flush the event
+sink, exit 0.
 """
 
 from __future__ import annotations
@@ -85,7 +95,6 @@ from repro.serve.shards import (
     make_shards,
     stream_checkpoint_path,
 )
-from repro.trace.serialize import decode_epoch_text
 
 __all__ = [
     "ReproServer",
@@ -147,6 +156,16 @@ class _SessionError(Exception):
         super().__init__(message)
         self.code = code
         self.fields = fields
+
+
+async def _cancel(task: "asyncio.Task[Any]") -> None:
+    """Cancel ``task`` (a no-op once it is done) and let it unwind,
+    swallowing whatever it ends with."""
+    task.cancel()
+    try:
+        await task
+    except (asyncio.CancelledError, Exception):
+        pass
 
 
 async def read_frame(
@@ -221,8 +240,8 @@ class StreamSession:
         self.resume_epoch = 0
         self.next_epoch = 0
         self.ended = False
-        #: Set by the shed rung / drain to stop the read loop at the
-        #: next frame boundary.
+        #: Set by the shed rung / drain / a failed consumer to stop the
+        #: read loop at the next frame boundary.
         self.stopped: Optional[str] = None
         #: Wakes the read loop immediately when ``stopped`` is set, so
         #: a drain never waits out the idle timeout on a quiet stream.
@@ -233,6 +252,44 @@ class StreamSession:
         if self.stopped is None:
             self.stopped = reason
             self.stop_event.set()
+
+    def start_consumer(self) -> None:
+        def stop_if_failed(_task: "asyncio.Task[None]") -> None:
+            # A dead consumer takes nothing off the queue again: stop
+            # the read loop at once, wherever it waits, rather than let
+            # it block on a full queue forever.
+            if self.consumer_failed():
+                self.request_stop("failed")
+
+        self.consumer = asyncio.get_running_loop().create_task(
+            self.consume()
+        )
+        self.consumer.add_done_callback(stop_if_failed)
+
+    def consumer_failed(self) -> bool:
+        consumer = self.consumer
+        return (
+            consumer is not None and consumer.done()
+            and not consumer.cancelled() and consumer.exception() is not None
+        )
+
+    def consumer_error(self) -> _SessionError:
+        """The ``ERROR`` a failed consumer ends the session with."""
+        exc = self.consumer.exception()
+        if isinstance(exc, _SessionError):
+            return exc
+        return _SessionError("internal", f"analysis failed: {exc}")
+
+    def stop_error(self) -> _SessionError:
+        """The ``ERROR`` a stopped session ends with."""
+        if self.stopped == "failed":
+            return self.consumer_error()
+        return _SessionError(
+            self.stopped,
+            "stream shed under overload; reconnect to resume"
+            if self.stopped == "shed"
+            else "daemon is draining; reconnect to resume",
+        )
 
     # -- engine setup ---------------------------------------------------
 
@@ -258,18 +315,6 @@ class StreamSession:
         self.writer.write(encode_json_frame(ftype, record))
         await self.writer.drain()
 
-    def handle_epoch(self, payload: bytes) -> List[Any]:
-        """Validate one EPOCH payload into a block row (or raise)."""
-        lid = self.next_epoch
-        try:
-            row = decode_epoch_text(
-                payload, lid, self.hello["threads"], self.stream_id, lid + 2
-            )
-        except TraceError as exc:
-            raise _SessionError("protocol", str(exc), epoch=lid) from None
-        self.next_epoch += 1
-        return row
-
     def handle_end(self, payload: bytes) -> None:
         footer = decode_json_payload(FRAME_END, payload)
         if footer.get("epochs_written") != self.hello["epochs"]:
@@ -289,21 +334,25 @@ class StreamSession:
     # -- the shard-side consumer ----------------------------------------
 
     async def consume(self) -> None:
-        """Fold queued epochs on this stream's shard, in order."""
+        """Decode and fold queued epochs on this stream's shard, in
+        order.  A malformed payload ends the stream as ``ERROR
+        protocol`` naming its epoch, with the decoder's message."""
         server = self.server
         while True:
             item = await self.queue.get()
             if item is None:  # end-of-stream sentinel
                 await self.engine.finish()
                 return
-            lid, row = item
+            lid, payload = item
             ok = False
             try:
-                # The queue depth behind this row is the adaptive
+                # The queue depth behind this payload is the adaptive
                 # controller's backpressure signal (ignored by fixed
                 # engines).
-                await self.engine.feed(lid, row, self.queue.qsize())
+                await self.engine.feed(lid, payload, self.queue.qsize())
                 ok = True
+            except TraceError as exc:
+                raise _SessionError("protocol", str(exc), epoch=lid) from None
             finally:
                 # Balance the pending-epoch gauge even when the feed
                 # (or a cancellation) failed -- a leak here would
@@ -311,29 +360,32 @@ class StreamSession:
                 server.note_folded(self, ok)
 
     async def drain_queue(self) -> None:
-        """Fold what is already queued (shed/drain/timeout paths).
+        """Empty the queue: fold what is queued (shed/drain/timeout
+        paths) up to the first failed feed -- the consumer's own failure
+        included -- and discard the rest.
 
-        Per-item containment: a feed failure (e.g. the engine refusing
-        an epoch dropped by a cancelled consumer) must not leave later
-        items uncounted in the daemon's pending gauge -- resume covers
-        whatever could not be folded here.
+        Every item is counted out of the daemon's pending gauge whether
+        or not it was folded; resume covers whatever was not.
         """
+        fold = not self.consumer_failed()
         while not self.queue.empty():
             item = self.queue.get_nowait()
             if item is None:
                 continue
-            lid, row = item
+            lid, payload = item
             ok = False
             try:
-                await self.engine.feed(lid, row)
-                ok = True
+                if fold:
+                    await self.engine.feed(lid, payload)
+                    ok = True
             except Exception:
-                pass
+                fold = False  # later epochs would not be in order
             finally:
                 self.server.note_folded(self, ok)
 
     async def save_checkpoint_now(self) -> None:
-        """Force a snapshot regardless of ``checkpoint_every``."""
+        """Force a durable snapshot regardless of ``checkpoint_every``
+        (a flush of the shard's writer for this stream)."""
         if self.engine is None:
             return
         await self.engine.save_checkpoint()
@@ -592,8 +644,6 @@ class ReproServer:
             # Clean-ish transport death (disconnect fault): checkpoint
             # what we have; the producer will be back with the token.
             await self._fail_session(session, writer, None, "disconnect")
-        except CheckpointError as exc:
-            await self._fail_session(session, writer, "token", str(exc))
         except Exception as exc:  # fault isolation: never unwind the loop
             await self._fail_session(
                 session, writer, "internal",
@@ -666,9 +716,7 @@ class ReproServer:
             lifeguard=hello["lifeguard"],
         )
         self._gauge_active()
-        session.consumer = asyncio.get_running_loop().create_task(
-            session.consume()
-        )
+        session.start_consumer()
         await session.send(FRAME_ACK, {
             "stream": stream_id,
             "resume_epoch": session.resume_epoch,
@@ -679,7 +727,8 @@ class ReproServer:
     async def _pump(
         self, session: StreamSession, reader: asyncio.StreamReader
     ) -> None:
-        """The read loop: frames in, bounded queue out."""
+        """The read loop: frames in, bounded queue out -- each ``EPOCH``
+        payload queued as received, ``END`` as the sentinel."""
         config = self.config
         loop = asyncio.get_running_loop()
         stop = loop.create_task(session.stop_event.wait())
@@ -693,53 +742,61 @@ class ReproServer:
                         {read, stop}, return_when=asyncio.FIRST_COMPLETED
                     )
                     if not read.done():
-                        read.cancel()
-                        try:
-                            await read
-                        except (asyncio.CancelledError, Exception):
-                            pass
+                        await _cancel(read)
                         frame = None
                     else:
                         frame = read.result()  # re-raises read errors
                 if session.stopped is not None:
-                    raise _SessionError(
-                        session.stopped,
-                        "stream shed under overload; reconnect to resume"
-                        if session.stopped == "shed"
-                        else "daemon is draining; reconnect to resume",
-                    )
+                    raise session.stop_error()
                 if frame is None:
                     raise ConnectionResetError("producer disconnected")
                 ftype, payload = frame
                 self.count("bytes_ingested", HEADER_SIZE + len(payload))
                 if ftype == FRAME_EPOCH:
-                    lid = session.next_epoch
-                    row = session.handle_epoch(payload)
-                    if session.queue.full():
-                        # The await below blocks the read loop -- that
-                        # *is* the backpressure; count the stall.
-                        self.count("backpressure_stalls")
-                    await session.queue.put((lid, row))
-                    self.note_queued(session)
+                    item: Optional[Tuple[int, bytes]] = (
+                        session.next_epoch, payload
+                    )
                 elif ftype == FRAME_END:
                     session.handle_end(payload)
+                    item = None
                 else:
                     raise _SessionError(
                         "protocol",
                         f"unexpected frame type 0x{ftype:02x} mid-stream",
                     )
+                if not await self._enqueue(session, item, stop):
+                    raise session.stop_error()
+                if item is not None:
+                    session.next_epoch += 1
+                    self.note_queued(session)
         finally:
             stop.cancel()
 
+    async def _enqueue(
+        self, session: StreamSession, item: Any, stop: "asyncio.Task[Any]"
+    ) -> bool:
+        """Queue ``item``; ``False`` if the session stopped first.
+
+        A full queue blocks the read loop -- that *is* the backpressure;
+        the stall is counted -- until the consumer takes an item or the
+        session stops (a dead consumer never takes one again).
+        """
+        if not session.queue.full():
+            session.queue.put_nowait(item)
+            return True
+        self.count("backpressure_stalls")
+        put = asyncio.get_running_loop().create_task(session.queue.put(item))
+        await asyncio.wait({put, stop}, return_when=asyncio.FIRST_COMPLETED)
+        if put.done():
+            return True
+        await _cancel(put)
+        return False
+
     async def _complete(self, session: StreamSession) -> None:
-        """END received: finish the engine, send the REPORT."""
-        await session.queue.put(None)
-        try:
-            await session.consumer
-        except Exception as exc:
-            raise _SessionError(
-                "internal", f"analysis failed: {exc}"
-            ) from exc
+        """END queued: wait for the fold to finish, send the REPORT."""
+        await asyncio.wait({session.consumer})
+        if session.consumer_failed():
+            raise session.consumer_error()
         report = await session.engine.report(
             session.stream_id, session.hello
         )
@@ -764,8 +821,9 @@ class ReproServer:
         **fields: Any,
     ) -> None:
         """Contain one session's failure: stop its consumer, fold what
-        is queued, checkpoint at the epoch boundary, tell the producer
-        (when the socket still works), and count it."""
+        is queued (discard it when the fold itself failed), flush a
+        checkpoint at the epoch boundary, tell the producer (when the
+        socket still works), and count it."""
         if session is not None:
             self.count("streams_failed")
             self.emit(
@@ -775,11 +833,7 @@ class ReproServer:
                 epoch=session.next_epoch,
             )
             if session.consumer is not None:
-                session.consumer.cancel()
-                try:
-                    await session.consumer
-                except (asyncio.CancelledError, Exception):
-                    pass
+                await _cancel(session.consumer)
             try:
                 await session.drain_queue()
                 await session.save_checkpoint_now()

@@ -3,10 +3,24 @@
 A *shard* is the unit of analysis concurrency in ``repro serve``:
 streams hash onto shards, every ``feed``/``finish``/checkpoint call for
 a stream runs on its shard, and streams on different shards make
-progress independently.  A shard is a table of engines driven by one
-command dispatcher (:func:`_worker_dispatch`: open, feed, finish,
-report, checkpoint, close) on the shard's single dispatch thread; the
-two shard kinds differ only in where the table lives:
+progress independently.  A shard is a table of engines plus one
+checkpoint writer (:class:`_ShardTable`), driven by one command
+dispatcher (open, feed, finish, report, checkpoint, close) on the
+shard's single dispatch thread.
+
+``feed`` takes an ``EPOCH`` payload as it came off the wire: the shard
+decodes it (:func:`~repro.trace.serialize.decode_epoch_text`, the file
+reader's function) and folds the row, so decode runs beside the fold
+and a malformed record fails as that feed.  Each per-epoch checkpoint
+is pickled on the fold, at the epoch boundary, into a temp file; the
+shard's :class:`~repro.resilience.checkpoint.CheckpointWriter` thread
+does the ``fsync`` and rename off the fold path, latest-wins per
+stream.  A forced save (``checkpoint``) is a flush and ``report``
+discards the stream's uncommitted snapshot, so neither an ``ERROR``
+frame's resume epoch nor a finished stream's deleted checkpoint can be
+overtaken by a late commit.
+
+The two shard kinds differ only in where the table lives:
 
 ``thread`` (the default)
     The table lives in the daemon process and the dispatch thread runs
@@ -16,15 +30,13 @@ two shard kinds differ only in where the table lives:
 
 ``process``
     One long-lived worker *process* per shard, owning its streams'
-    :class:`~repro.core.framework.ButterflyEngine` objects.  The event
-    loop ships each validated epoch row over a ``multiprocessing`` pipe
-    -- columnar blocks pickle as raw little-endian column bytes, with no
-    per-event objects in the pickle graph, so nothing heavier than
-    ``bytes`` and ints crosses the boundary -- and gets back
-    folded-epoch acks, end-of-stream reports, and checkpoint
-    confirmations.  Analysis then runs on real cores while the loop
-    process keeps owning sockets, queues, backpressure, and the
-    recorder.
+    :class:`~repro.core.framework.ButterflyEngine` objects and its
+    checkpoint writer.  The event loop ships each ``EPOCH`` payload over
+    a ``multiprocessing`` pipe in the bytes it arrived in -- wire and
+    pipe carry one message shape -- and gets back folded-epoch acks,
+    end-of-stream reports, and checkpoint confirmations.  Decode and
+    analysis then run on real cores while the loop process keeps owning
+    sockets, framing, queues, backpressure, and the recorder.
 
 The event loop drives either kind through one per-stream
 :class:`StreamHandle`, so semantics cannot differ: engines are built
@@ -63,8 +75,14 @@ from repro.errors import (
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
-from repro.resilience.checkpoint import Checkpointer, load_checkpoint
+from repro.resilience.checkpoint import (
+    Checkpointer,
+    CheckpointWriter,
+    discard_temps,
+    load_checkpoint,
+)
 from repro.serve.protocol import build_report, checkpoint_meta
+from repro.trace.serialize import decode_epoch_text
 
 #: Shard backends accepted by ``ServeConfig.shard_backend`` / the CLI.
 SHARD_BACKEND_CHOICES = ("thread", "process")
@@ -92,9 +110,29 @@ def stream_checkpoint_path(
     return os.path.join(checkpoint_dir, f"{token}.ckpt")
 
 
-def _feed_row(engine, lid: int, row, queue_depth: int) -> int:
-    """One feed on the shard side; returns the post-feed resume
-    position (the loop-side mirror tracks rollbacks exactly)."""
+class _ShardStream:
+    """A shard's record of one stream: its engine, what decoding its
+    ``EPOCH`` payloads needs, and its checkpoint path."""
+
+    __slots__ = ("engine", "stream_id", "threads", "path")
+
+    def __init__(self, engine: ButterflyEngine, hello: Dict[str, Any],
+                 path: Optional[str]) -> None:
+        self.engine = engine
+        self.stream_id: str = hello["stream"]
+        self.threads: int = hello["threads"]
+        self.path = path
+
+
+def _feed_row(stream: _ShardStream, lid: int, payload: bytes,
+              queue_depth: int) -> int:
+    """One feed on the shard side: decode epoch ``lid``'s ``EPOCH``
+    payload and fold it.  Returns the post-feed resume position (the
+    loop-side mirror tracks rollbacks exactly)."""
+    row = decode_epoch_text(
+        payload, lid, stream.threads, stream.stream_id, lid + 2
+    )
+    engine = stream.engine
     engine.note_queue_depth(queue_depth)
     engine.feed_blocks(lid, row)
     return engine.resume_position
@@ -107,13 +145,18 @@ def build_stream_engine(
     checkpoint_every: int,
     backend: str,
     slo: Optional[SloConfig] = None,
+    writer: Optional[CheckpointWriter] = None,
 ) -> Tuple[ButterflyEngine, int]:
     """``(engine, resume_epoch)``: fresh, or restored from checkpoint.
 
     The one engine-construction path for both shard backends -- the
     ``open`` command runs it wherever the shard keeps its engines -- so
     resume semantics (fingerprint verification, window restore,
-    event-log numbering) cannot drift between them.
+    event-log numbering) cannot drift between them.  Opening a stream
+    first settles ``writer``'s commits for it and removes the temp files
+    of saves that never committed, so no stale snapshot outlives it.
+    With a ``writer`` the per-epoch saves commit on it; without one
+    they commit inline.
 
     ``slo`` (``ServeConfig.slo``; the frozen dataclass crosses a
     process shard's pipe as it is) gives the engine an
@@ -127,6 +170,10 @@ def build_stream_engine(
     path = stream_checkpoint_path(checkpoint_dir, token)
     meta = checkpoint_meta(hello, token)
     checkpoint = None
+    if path is not None:
+        if writer is not None:
+            writer.settle(path)
+        discard_temps(path)
     if path is not None and os.path.exists(path):
         checkpoint = load_checkpoint(path)
         checkpoint.verify(meta)
@@ -157,7 +204,7 @@ def build_stream_engine(
         checkpoint.restore_into(engine)
     if path is not None:
         engine.enable_checkpoints(
-            Checkpointer(path, meta, every=checkpoint_every)
+            Checkpointer(path, meta, every=checkpoint_every, writer=writer)
         )
     return engine, engine.resume_position
 
@@ -165,48 +212,78 @@ def build_stream_engine(
 # -- the shard surface ------------------------------------------------------
 
 
-def _worker_dispatch(
-    engines: Dict[str, ButterflyEngine],
-    command: str,
-    *args: Any,
-) -> Any:
-    """Execute one command against a shard's engine table."""
-    if command == "open":
-        token, hello, checkpoint_dir, checkpoint_every, backend, slo = args
-        stale = engines.pop(token, None)
-        if stale is not None:
-            stale.close()
-        engines[token], resume_epoch = build_stream_engine(
-            hello, token, checkpoint_dir, checkpoint_every, backend, slo
-        )
-        return resume_epoch
-    token = args[0]
-    engine = engines.get(token)
-    if engine is None:
-        # A process shard's worker was respawned after a crash and lost
-        # this engine; the session fails (resumably -- the checkpoint
-        # is on disk).
-        raise AnalysisError(
-            f"shard worker holds no engine for token {token!r} "
-            f"(worker restarted?); reconnect to resume"
-        )
-    if command == "feed":
-        _token, lid, row, queue_depth = args
-        return _feed_row(engine, lid, row, queue_depth)
-    if command == "finish":
-        engine.finish()
-        return None
-    if command == "report":
-        _token, stream_id, hello = args
-        return build_report(stream_id, hello, engine, engine.analysis)
-    if command == "checkpoint":
-        engine.checkpoint_now()
-        return None
-    if command == "close":
-        engine.close()
-        del engines[token]
-        return None
-    raise ReproError(f"unknown shard command {command!r}")
+class _ShardTable:
+    """One shard's streams and checkpoint writer, and the command
+    dispatcher over them.  Only the shard's dispatch thread calls
+    :meth:`dispatch`."""
+
+    def __init__(self, index: int) -> None:
+        self.streams: Dict[str, _ShardStream] = {}
+        self.writer = CheckpointWriter(f"repro-checkpoint-writer-{index}")
+
+    def dispatch(self, command: str, *args: Any) -> Any:
+        """Execute one command against the table."""
+        if command == "open":
+            token, hello, checkpoint_dir, checkpoint_every, backend, slo = args
+            stale = self.streams.pop(token, None)
+            if stale is not None:
+                stale.engine.close()
+            engine, resume_epoch = build_stream_engine(
+                hello, token, checkpoint_dir, checkpoint_every, backend, slo,
+                writer=self.writer,
+            )
+            self.streams[token] = _ShardStream(
+                engine, hello, stream_checkpoint_path(checkpoint_dir, token)
+            )
+            return resume_epoch
+        token = args[0]
+        stream = self.streams.get(token)
+        if stream is None:
+            # A process shard's worker was respawned after a crash and
+            # lost this engine; the session fails (resumably -- the
+            # checkpoint is on disk).
+            raise AnalysisError(
+                f"shard worker holds no engine for token {token!r} "
+                f"(worker restarted?); reconnect to resume"
+            )
+        engine, path = stream.engine, stream.path
+        if command == "checkpoint":
+            # A flush: supersedes whatever the writer holds for the path.
+            engine.checkpoint_now()
+            return engine.resume_position
+        if command == "close":
+            engine.close()
+            del self.streams[token]
+            if path is not None:
+                self.writer.failure(path)  # nobody is left to tell
+            return None
+        if path is not None:
+            # report waits for the stream's last commit, so a late
+            # rename cannot resurrect the checkpoint of a finished run.
+            failure = (
+                self.writer.settle(path) if command == "report"
+                else self.writer.failure(path)
+            )
+            if failure is not None:
+                raise failure
+        if command == "feed":
+            _token, lid, payload, queue_depth = args
+            return _feed_row(stream, lid, payload, queue_depth)
+        if command == "finish":
+            engine.finish()
+            return None
+        if command == "report":
+            _token, stream_id, hello = args
+            return build_report(stream_id, hello, engine, engine.analysis)
+        raise ReproError(f"unknown shard command {command!r}")
+
+    def close(self) -> None:
+        """Close every engine, then commit what is pending and stop the
+        writer."""
+        for stream in self.streams.values():
+            stream.engine.close()
+        self.streams.clear()
+        self.writer.close()
 
 
 class StreamHandle:
@@ -229,15 +306,18 @@ class StreamHandle:
         self.next_to_receive = resume_epoch
         self._closed = False
 
-    async def feed(self, lid: int, row, queue_depth: int = 0) -> None:
-        """Fold one epoch row.  ``queue_depth`` is the number of rows
-        still queued behind this one -- the adaptive controller's
-        backpressure signal; fixed engines ignore it."""
+    async def feed(self, lid: int, payload: bytes,
+                   queue_depth: int = 0) -> None:
+        """Decode and fold epoch ``lid``'s ``EPOCH`` payload (a
+        malformed one raises :class:`~repro.errors.TraceError`).
+        ``queue_depth`` is the number of payloads still queued behind
+        this one -- the adaptive controller's backpressure signal; fixed
+        engines ignore it."""
         # The reply carries the engine's post-feed progress, so the
         # loop-side mirror tracks rollbacks exactly: a failed feed
         # raises and leaves next_to_receive at the epoch boundary.
         self.next_to_receive = await self._shard.call(
-            "feed", self._token, lid, row, queue_depth
+            "feed", self._token, lid, payload, queue_depth
         )
 
     async def finish(self) -> None:
@@ -249,8 +329,11 @@ class StreamHandle:
         )
 
     async def save_checkpoint(self) -> None:
-        """Force a snapshot now (no-op when checkpointing is off)."""
-        await self._shard.call("checkpoint", self._token)
+        """Force a durable snapshot now (no-op when checkpointing is
+        off); the mirror then names exactly the epoch it holds."""
+        self.next_to_receive = await self._shard.call(
+            "checkpoint", self._token
+        )
 
     async def close(self) -> None:
         """Release the engine's resources (never raises)."""
@@ -278,7 +361,8 @@ class _Shard:
         )
 
     def _call(self, command: str, *args: Any) -> Any:
-        """Run one :func:`_worker_dispatch` command (dispatch thread)."""
+        """Run one :meth:`_ShardTable.dispatch` command (dispatch
+        thread)."""
         raise NotImplementedError
 
     async def call(self, command: str, *args: Any) -> Any:
@@ -312,16 +396,14 @@ class ThreadShard(_Shard):
 
     def __init__(self, index: int) -> None:
         super().__init__(index)
-        self._engines: Dict[str, ButterflyEngine] = {}
+        self._table = _ShardTable(index)
 
     def _call(self, command: str, *args: Any) -> Any:
-        return _worker_dispatch(self._engines, command, *args)
+        return self._table.dispatch(command, *args)
 
     def shutdown(self, wait: bool = True) -> None:
         self._executor.shutdown(wait=wait)
-        for engine in self._engines.values():
-            engine.close()
-        self._engines.clear()
+        self._table.close()
 
 
 # -- process shards ----------------------------------------------------------
@@ -348,14 +430,14 @@ def _error_kind(exc: BaseException) -> str:
     return "other"
 
 
-def _shard_worker_main(conn) -> None:
+def _shard_worker_main(conn, index: int) -> None:
     """The worker process: serve pipe commands until EOF or ``stop``.
 
     EOF is the parent-death signal: when the daemon dies -- SIGKILL
     included -- its pipe end closes and the blocking ``recv`` raises
     ``EOFError``, so workers can never outlive the daemon.
     """
-    engines: Dict[str, ButterflyEngine] = {}
+    table = _ShardTable(index)
     try:
         while True:
             try:
@@ -366,7 +448,7 @@ def _shard_worker_main(conn) -> None:
             if command == "stop":
                 break
             try:
-                result = _worker_dispatch(engines, *message)
+                result = table.dispatch(*message)
             except BaseException as exc:  # contained: reply, keep serving
                 reply = ("err", _error_kind(exc), f"{exc}")
             else:
@@ -376,8 +458,7 @@ def _shard_worker_main(conn) -> None:
             except (BrokenPipeError, OSError):
                 break
     finally:
-        for engine in engines.values():
-            engine.close()
+        table.close()
         try:
             conn.close()
         except OSError:
@@ -414,7 +495,7 @@ class ProcessShard(_Shard):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn,),
+            args=(child_conn, self.index),
             name=f"repro-shard-worker-{self.index}",
             daemon=True,
         )

@@ -138,7 +138,8 @@ PRESETS: Dict[str, Preset] = {
         BASELINE, (Point("columns", "serve-thread"),), ("report",)
     ),
     # The same under process shards: the engine lives in a worker
-    # process and every epoch crosses a pipe as raw column bytes.
+    # process and every EPOCH payload crosses a pipe as received, to be
+    # decoded and folded there.
     "serve_process": Preset(
         BASELINE, (Point("columns", "serve-process"),), ("report",)
     ),

@@ -183,7 +183,9 @@ def lossy_decode() -> Iterator[None]:
     parsed record to ``decode_epoch_row``, so a field lost there is
     lost on every delivery but the in-memory partition: sized extents
     shrink to one location.  ``stream`` and ``serve`` each have a side
-    that never went through it.
+    that never went through it.  The patch is in-process: a thread
+    shard's decode sees it, a spawned process shard's worker does not
+    (``serve_process`` decodes there).
     """
     from repro.trace import serialize
 

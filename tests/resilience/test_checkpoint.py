@@ -1,8 +1,11 @@
 """Tests for epoch-boundary checkpoint/resume."""
 
+import errno
 import os
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,8 +23,15 @@ from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
 from repro.resilience import (
     Checkpointer,
+    checkpoint,
     load_checkpoint,
     save_checkpoint,
+)
+from repro.resilience.checkpoint import (
+    CheckpointWriter,
+    commit_snapshot,
+    discard_temps,
+    write_snapshot,
 )
 from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
@@ -368,7 +378,236 @@ class TestCheckpointerPolicy:
         engine.enable_checkpoints(Checkpointer(path, META))
         engine.run(part)
         assert os.path.exists(path)
-        assert not os.path.exists(path + ".tmp")
+        assert os.listdir(tmp_path) == ["atomic.ckpt"]
+
+
+def _engine_at_epoch(epochs=3):
+    engine = ButterflyEngine(ButterflyAddrCheck())
+    engine.attach(partition_by_global_order(_program(), 8))
+    for lid in range(epochs):
+        engine.feed_epoch(lid)
+    return engine
+
+
+class TestTwoHalfSave:
+    def test_file_is_one_pickle_of_the_record(self, tmp_path):
+        """Pickling straight into the temp file changed nothing on
+        disk: version 3, the same bytes as one ``pickle.dumps``."""
+        engine = _engine_at_epoch()
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, engine, META)
+        assert checkpoint.VERSION == 3
+        expected = pickle.dumps(
+            {
+                "format": "repro-checkpoint",
+                "version": 3,
+                "meta": META,
+                "engine": engine.snapshot_state(),
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        with open(path, "rb") as fh:
+            assert fh.read() == expected
+
+    def test_a_snapshot_is_durable_only_once_committed(self, tmp_path):
+        engine = _engine_at_epoch()
+        path = str(tmp_path / "run.ckpt")
+        tmp = write_snapshot(path, engine, META)
+        assert os.path.dirname(tmp) == str(tmp_path)
+        assert os.path.basename(tmp).startswith("run.ckpt.")
+        assert tmp.endswith(".tmp")
+        assert not os.path.exists(path)
+        commit_snapshot(tmp, path)
+        assert os.listdir(tmp_path) == ["run.ckpt"]
+        assert load_checkpoint(path).next_epoch == engine.resume_position
+
+    def test_discard_temps_removes_only_this_paths_temps(self, tmp_path):
+        names = [
+            "a.ckpt", "a.ckpt.tmp", "a.ckpt.123-4.tmp",
+            "b.ckpt.123-4.tmp", "a.ckpt2.123-4.tmp",
+        ]
+        for name in names:
+            (tmp_path / name).write_bytes(b"")
+        discard_temps(str(tmp_path / "a.ckpt"))
+        assert sorted(os.listdir(tmp_path)) == [
+            "a.ckpt", "a.ckpt2.123-4.tmp", "b.ckpt.123-4.tmp",
+        ]
+
+
+@pytest.fixture
+def gated_commits(monkeypatch):
+    """Every commit waits for ``gate``; ``started`` counts the commits
+    begun and ``committed`` lists the temps that were renamed."""
+    gate = threading.Event()
+    started = threading.Semaphore(0)
+    committed = []
+    commit = checkpoint.commit_snapshot
+
+    def gated(tmp, path):
+        started.release()
+        assert gate.wait(10.0)
+        commit(tmp, path)
+        committed.append(tmp)
+
+    monkeypatch.setattr(checkpoint, "commit_snapshot", gated)
+    return gate, started, committed
+
+
+def _temp(directory, text):
+    path = directory / f"{text}.tmp"
+    path.write_text(text)
+    return str(path)
+
+
+class TestCheckpointWriter:
+    def test_latest_wins_and_a_superseded_temp_is_never_renamed(
+        self, tmp_path, gated_commits
+    ):
+        gate, started, committed = gated_commits
+        writer = CheckpointWriter()
+        path = str(tmp_path / "s.ckpt")
+        a, b, c = (_temp(tmp_path, text) for text in "abc")
+        writer.submit(path, a)
+        assert started.acquire(timeout=10.0)  # a is in flight
+        writer.submit(path, b)
+        writer.submit(path, c)
+        assert not os.path.exists(b)  # superseded: unlinked at once
+        gate.set()
+        writer.close()
+        assert committed == [a, c]
+        assert os.listdir(tmp_path) == ["s.ckpt"]
+        assert (tmp_path / "s.ckpt").read_text() == "c"
+
+    def test_streams_do_not_supersede_each_other(self, tmp_path):
+        writer = CheckpointWriter()
+        for name in ("s", "t"):
+            writer.submit(str(tmp_path / f"{name}.ckpt"),
+                          _temp(tmp_path, name))
+        writer.close()
+        assert sorted(os.listdir(tmp_path)) == ["s.ckpt", "t.ckpt"]
+
+    def test_settle_drops_the_pending_and_waits_out_the_inflight(
+        self, tmp_path, gated_commits
+    ):
+        gate, started, committed = gated_commits
+        writer = CheckpointWriter()
+        path = str(tmp_path / "s.ckpt")
+        a, b = _temp(tmp_path, "a"), _temp(tmp_path, "b")
+        writer.submit(path, a)
+        assert started.acquire(timeout=10.0)
+        writer.submit(path, b)
+        settled = threading.Event()
+        thread = threading.Thread(
+            target=lambda: (writer.settle(path), settled.set())
+        )
+        thread.start()
+        assert not settled.wait(0.2)  # a's commit is still in flight
+        assert not os.path.exists(b)
+        gate.set()
+        assert settled.wait(10.0)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert committed == [a]
+        writer.close()
+        assert (tmp_path / "s.ckpt").read_text() == "a"
+
+    def test_stress_latest_wins_under_a_short_switch_interval(
+        self, tmp_path
+    ):
+        """Six folds racing one writer, each settling now and then the
+        way a forced save does: every path ends holding the last temp
+        its fold submitted, and no temp survives."""
+        writer = CheckpointWriter()
+        rounds = 150
+        last = {}
+
+        def fold(i):
+            path = str(tmp_path / f"s{i}.ckpt")
+            for k in range(rounds):
+                tmp = str(tmp_path / f"s{i}.ckpt.{k}.tmp")
+                with open(tmp, "w") as fh:
+                    fh.write(f"{i}-{k}")
+                writer.submit(path, tmp)
+                if k % 37 == 36:
+                    assert writer.settle(path) is None
+            last[path] = f"{i}-{rounds - 1}"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            folds = [
+                threading.Thread(target=fold, args=(i,)) for i in range(6)
+            ]
+            for thread in folds:
+                thread.start()
+            for thread in folds:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        writer.close()
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(path) for path in last
+        )
+        for path, text in last.items():
+            with open(path) as fh:
+                assert fh.read() == text
+
+    def test_a_failed_commit_is_reported_once(self, tmp_path, monkeypatch):
+        def full_disk(tmp, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "commit_snapshot", full_disk)
+        writer = CheckpointWriter()
+        path = str(tmp_path / "s.ckpt")
+        writer.submit(path, _temp(tmp_path, "a"))
+        writer.close()  # commits what is pending
+        failure = writer.failure(path)
+        assert isinstance(failure, CheckpointError)
+        assert "No space left on device" in str(failure)
+        assert writer.failure(path) is None
+        assert os.listdir(tmp_path) == []  # the temp went with it
+
+    def test_save_now_is_a_flush(self, tmp_path, gated_commits):
+        """A forced save lands last: the queued snapshot is dropped, the
+        in-flight one committed first, then the forced one inline."""
+        gate, started, committed = gated_commits
+        writer = CheckpointWriter()
+        path = str(tmp_path / "s.ckpt")
+        engine = _engine_at_epoch()
+        cp = Checkpointer(path, META, writer=writer)
+        writer.submit(path, _temp(tmp_path, "a"))
+        assert started.acquire(timeout=10.0)
+        writer.submit(path, _temp(tmp_path, "b"))
+        threading.Timer(0.2, gate.set).start()
+        cp.save_now(engine)
+        assert len(committed) == 2  # a, then the forced save
+        writer.close()
+        assert os.listdir(tmp_path) == ["s.ckpt"]
+        assert load_checkpoint(path).next_epoch == engine.resume_position
+
+    def test_per_epoch_saves_go_through_the_writer(self, tmp_path):
+        part = partition_by_global_order(_program(), 8)
+        reference = _run_uninterrupted(part)
+        path = str(tmp_path / "run.ckpt")
+        writer = CheckpointWriter()
+        guard = ButterflyAddrCheck()
+        engine = ButterflyEngine(guard)
+        engine.enable_checkpoints(Checkpointer(path, META, writer=writer))
+        engine.attach(part)
+        for lid in range(3):
+            engine.feed_epoch(lid)
+        writer.close()
+        assert writer.failure(path) is None
+        ck = load_checkpoint(path)
+        assert ck.next_epoch == 3
+        resumed = ButterflyEngine(ck.analysis)
+        resumed.attach(part)
+        ck.restore_into(resumed)
+        for lid in range(ck.next_epoch, part.num_epochs):
+            resumed.feed_epoch(lid)
+        resumed.finish()
+        assert _fingerprint(ck.analysis, resumed.stats) == reference
 
 
 class _SizeLoggingCheckpointer(Checkpointer):

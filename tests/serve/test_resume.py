@@ -47,6 +47,17 @@ def wait_for_checkpoint(ckpt_dir, min_epoch=1, timeout=10.0):
     raise AssertionError(f"no checkpoint reached epoch {min_epoch}")
 
 
+def wait_for_empty(ckpt_dir, timeout=5.0):
+    """Poll until ``ckpt_dir`` holds no file (the daemon unlinks a
+    completed stream's checkpoint just after flushing its REPORT)."""
+    deadline = time.monotonic() + timeout
+    while list(ckpt_dir.iterdir()):
+        assert time.monotonic() < deadline, sorted(
+            p.name for p in ckpt_dir.iterdir()
+        )
+        time.sleep(0.01)
+
+
 class TestResumeAcrossRestart:
     def test_disconnect_then_new_daemon_resumes(self, tmp_path):
         trace = tmp_path / "t.stream.jsonl"
@@ -153,16 +164,24 @@ class TestResumeAcrossRestart:
         assert json.loads(payload)["code"] == "token"
 
     def test_error_frames_carry_resume_coordinates(
-        self, daemon, trace_file
+        self, daemon, trace_file, tmp_path
     ):
-        sock = raw_handshake(daemon.address, trace_file, "s1", 2)
+        """The resume epoch an ERROR names is exactly the folded count,
+        and it is on disk: the failure path's save is a flush of the
+        shard's checkpoint writer, not one more queued snapshot."""
+        good = 2
+        sock = raw_handshake(daemon.address, trace_file, "s1", good)
         sock.sendall(encode_frame(FRAME_EPOCH, b"garbage"))
         ftype, payload = read_frame_sync(sock)
         sock.close()
         assert ftype == FRAME_ERROR
         answer = json.loads(payload)
+        assert answer["code"] == "protocol"
+        assert answer["epoch"] == good
         assert len(answer["token"]) == 32
-        assert answer["resume_epoch"] >= 0
+        assert answer["resume_epoch"] == good
+        path = tmp_path / "ckpt" / f"{answer['token']}.ckpt"
+        assert load_checkpoint(str(path)).next_epoch == good
 
 
 def write_irregular_trace(path, seed=4):
@@ -215,13 +234,20 @@ class TestIrregularCutResume:
         assert served == offline_report(trace, "s1")
 
 
-def start_daemon(tmp_path, sock_name, ck, shard_backend="thread"):
-    """``repro serve`` as a real subprocess; returns (proc, address)."""
+def start_daemon(tmp_path, sock_name, ck, shard_backend="thread",
+                 fault=None):
+    """``repro serve`` as a real subprocess; returns (proc, address).
+    With ``fault`` it runs through ``patched_daemon.py`` with that
+    fault installed."""
     sock_path = str(tmp_path / sock_name)
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    entry = ["-m", "repro"] if fault is None else [
+        os.path.join(REPO_ROOT, "tests", "serve", "patched_daemon.py"),
+        fault, "--",
+    ]
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "serve",
+            sys.executable, *entry, "serve",
             "--unix", sock_path,
             "--checkpoint-dir", str(ck),
             "--queue-depth", "2",
@@ -278,6 +304,9 @@ class TestKilledDaemon:
             # the killed daemon's folded epochs were not re-fed.
             assert client.last_ack["resume_epoch"] >= committed
             assert served == offline_report(trace, "s1")
+            # Nothing outlives the completed stream: not its checkpoint,
+            # and not the temp files of the saves the SIGKILL cut short.
+            wait_for_empty(ck)
         finally:
             proc.terminate()
             proc.wait(timeout=10)
