@@ -9,8 +9,12 @@ test:
 # the command line -- (command, option) pairs from build_parser(); the
 # add_argument count beside it is call sites, which counts a shared
 # _add_*_arg helper once however many commands use it -- the three
-# executor modules (ROADMAP: one executor), config fields, and the src/
-# modules nothing but their own tests imports (scripts/reachability.py).
+# executor modules (ROADMAP: one executor), config fields, and what in
+# src/ only tests reach (scripts/reachability.py): the modules no
+# command, script, e2e benchmark or example imports, then the functions,
+# classes and methods no such code names -- a count that
+# tests/test_reachability.py holds at zero beside the named survivors,
+# each printed with its reason.
 surface:
 	@printf 'src/ physical lines: '; find src -name '*.py' -print0 | xargs -0 cat | wc -l
 	@PYTHONPATH=src $(PYTHON) -c "import argparse; from repro.cli import build_parser; sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)); print('CLI (command, option) pairs:', sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction) for p in sub.choices.values() for a in p._actions))"

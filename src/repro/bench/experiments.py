@@ -89,14 +89,6 @@ class Figure11:
             groups,
         )
 
-    def wins(self, threads: int) -> List[str]:
-        """Benchmarks where butterfly beats timesliced at a thread count."""
-        return [
-            bench
-            for bench, per in self.data.items()
-            if per[threads][1] < per[threads][0]
-        ]
-
 
 def figure11(
     suite: ExperimentSuite, epoch_size: Optional[int] = None
@@ -202,13 +194,6 @@ class Figure13:
             + render_table(
                 ("Benchmark", "Threads", "h=8K", "h=64K"), rows
             )
-        )
-
-    def worst_large_epoch(self) -> str:
-        """The benchmark with the highest large-epoch rate (paper: OCEAN)."""
-        return max(
-            self.data,
-            key=lambda b: max(r[1] for r in self.data[b].values()),
         )
 
 

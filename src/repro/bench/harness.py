@@ -29,7 +29,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.config import LifeguardCostModel
 from repro.sim.lba import LBASystem, SimResult
 from repro.trace.program import TraceProgram
-from repro.workloads.registry import BENCHMARKS, get_benchmark
+from repro.workloads.registry import get_benchmark
 
 #: Scale factor between the paper's instruction counts and our event
 #: counts (16x smaller traces, same structure).
@@ -53,13 +53,6 @@ class ExperimentConfig:
     #: Execution backend the butterfly engine fans out on ("serial",
     #: "threads", or "processes") -- results are backend-independent.
     backend: str = "serial"
-
-    def epoch_label(self, h: int) -> str:
-        """Report epoch sizes in the paper's units."""
-        for label, paper_h in PAPER_EPOCHS.items():
-            if paper_h // SCALE == h:
-                return label
-        return str(h)
 
 
 @dataclass
@@ -316,11 +309,3 @@ class ExperimentSuite:
         )
         self._runs[key] = record
         return record
-
-    def run_all(self, epoch_size: Optional[int] = None) -> Dict[Tuple[str, int, int], RunRecord]:
-        """Run the full benchmark x thread-count grid at one epoch size."""
-        h = epoch_size if epoch_size is not None else self.config.epoch_large
-        for benchmark in BENCHMARKS:
-            for threads in self.config.thread_counts:
-                self.run(benchmark, threads, h)
-        return dict(self._runs)

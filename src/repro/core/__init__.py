@@ -22,7 +22,7 @@ from repro.core.epoch import (
     partition_from_boundaries,
     partition_with_skew,
 )
-from repro.core.window import Butterfly, sliding_windows
+from repro.core.window import Butterfly
 from repro.core.framework import ButterflyEngine, ButterflyAnalysis
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "partition_auto",
     "partition_from_boundaries",
     "Butterfly",
-    "sliding_windows",
     "ButterflyEngine",
     "ButterflyAnalysis",
 ]

@@ -213,11 +213,6 @@ class BlockFacts:
             return state == "kill"
         return any(v in self.killed_vars for v in domain.element_vars(element))
 
-    def side_kills(self, element: Element, domain: ElementDomain) -> bool:
-        """KILL-SIDE-OUT membership: killed at *some* point, regardless
-        of later regeneration (the paper's union over instructions)."""
-        return any(v in self.killed_vars for v in domain.element_vars(element))
-
 
 if HAVE_NUMPY:
     #: Boolean row-filter LUTs keyed by a domain's ``relevant_codes``.

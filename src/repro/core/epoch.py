@@ -254,24 +254,6 @@ class EpochPartition:
         lid, tid, i = iid
         return self.block(lid, tid).instrs[i]
 
-    def epoch_of(self, tid: int, trace_index: int) -> int:
-        """Which epoch the ``trace_index``-th instruction of thread ``t``
-        landed in."""
-        cuts = self.boundaries[tid]
-        lo, hi = 0, len(cuts) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if trace_index < cuts[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def instr_id_of(self, tid: int, trace_index: int) -> InstrId:
-        lid = self.epoch_of(tid, trace_index)
-        start = self.boundaries[tid][lid - 1] if lid > 0 else 0
-        return (lid, tid, trace_index - start)
-
     def global_ref_of(self, iid: InstrId) -> GlobalRef:
         lid, tid, i = iid
         return self.block(lid, tid).global_ref(i)

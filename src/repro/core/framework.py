@@ -339,12 +339,24 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         """
         self._checkpointer = checkpointer
 
-    def checkpoint_now(self) -> None:
-        """Force a snapshot through the attached checkpointer (no-op
-        when checkpointing is off) -- the save path a serve session
-        takes on failure, outside the per-epoch cadence."""
-        if self._checkpointer is not None:
-            self._checkpointer.save_now(self)
+    def checkpoint_now(self) -> int:
+        """Force a durable snapshot through the attached checkpointer --
+        the save path a serve session takes on failure, outside the
+        per-epoch cadence -- and return the resume position it holds
+        (:attr:`resume_position` when checkpointing is off).
+
+        A failed engine is never snapshotted: its analysis may hold half
+        an epoch.  The checkpointer makes its newest good snapshot
+        durable instead, and that snapshot's position is returned.
+        """
+        checkpointer = self._checkpointer
+        if checkpointer is None:
+            return self.resume_position
+        if self._failed:
+            checkpointer.flush()
+        else:
+            checkpointer.save_now(self)
+        return checkpointer.position
 
     @property
     def resume_position(self) -> int:

@@ -15,9 +15,9 @@ body and are summarized by the SOS instead of appearing in the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.epoch import Block, BlockId, EpochPartition
+from repro.core.epoch import Block, EpochPartition
 
 
 @dataclass(frozen=True)
@@ -28,31 +28,6 @@ class Butterfly:
     head: Optional[Block]
     tail: Optional[Block]
     wings: Tuple[Block, ...]
-
-    @property
-    def body_id(self) -> BlockId:
-        return self.body.block_id
-
-    def wing_ids(self) -> List[BlockId]:
-        return [b.block_id for b in self.wings]
-
-    def all_blocks(self) -> List[Block]:
-        """Body, head, tail and wings -- the full three-epoch window."""
-        blocks = [self.body]
-        if self.head is not None:
-            blocks.append(self.head)
-        if self.tail is not None:
-            blocks.append(self.tail)
-        blocks.extend(self.wings)
-        return blocks
-
-    def is_potentially_concurrent(self, other: BlockId) -> bool:
-        """Whether ``other`` sits in this butterfly's wings."""
-        lid, tid = other
-        return (
-            tid != self.body.tid
-            and abs(lid - self.body.lid) <= 1
-        )
 
 
 def butterfly_for(partition: EpochPartition, lid: int, tid: int) -> Butterfly:
@@ -87,15 +62,3 @@ def butterflies_for_epoch(
         butterfly_for(partition, lid, tid)
         for tid in range(partition.num_threads)
     ]
-
-
-def sliding_windows(partition: EpochPartition) -> Iterator[Butterfly]:
-    """Yield every butterfly, epoch by epoch then thread by thread.
-
-    This is the order the two-pass engine processes bodies in: all
-    butterflies with bodies in epoch ``l`` become processable once epoch
-    ``l+1`` has been received (its blocks complete the wings).
-    """
-    for lid in range(partition.num_epochs):
-        for tid in range(partition.num_threads):
-            yield butterfly_for(partition, lid, tid)

@@ -119,15 +119,6 @@ class ErrorLog:
     def __iter__(self):
         return iter(self.reports)
 
-    def by_kind(self, kind: ErrorKind) -> List[ErrorReport]:
-        return [r for r in self.reports if r.kind == kind]
-
-    def flagged_events(self) -> Set[Tuple[GlobalRef, int]]:
-        """The set of ``(instruction ref, location)`` pairs flagged."""
-        return {
-            (r.ref, r.location) for r in self.reports if r.ref is not None
-        }
-
 
 @dataclass
 class PrecisionReport:

@@ -139,12 +139,6 @@ class Recorder:
         """Set the gauge ``name`` to its latest ``value``."""
         self.gauges[name] = value
 
-    def counters_update(self, items: Iterable[Tuple[str, int]]) -> None:
-        """Bulk :meth:`count` (one call per batch, not per item)."""
-        counters = self.counters
-        for name, delta in items:
-            counters[name] = counters.get(name, 0) + delta
-
     # -- events ---------------------------------------------------------
 
     @property
@@ -253,9 +247,6 @@ class NullRecorder(Recorder):
         pass
 
     def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def counters_update(self, items: Iterable[Tuple[str, int]]) -> None:
         pass
 
     def event(self, name: str, **fields: Any) -> None:

@@ -137,8 +137,8 @@ class CheckpointWriter:
     :func:`commit_snapshot`.  Latest wins per checkpoint path: a temp
     submitted while an older one for the same path still waits
     supersedes it, and the older temp is unlinked, never renamed.  A
-    failed commit is kept per path until :meth:`failure` or
-    :meth:`settle` hands it to the stream's next command.
+    failed commit is kept per path until :meth:`failure`, :meth:`settle`
+    or :meth:`flush` hands it to the stream's next command.
 
     Moving the commit off the fold changes only when a snapshot becomes
     durable, never what it holds: that is fixed at its epoch boundary.
@@ -191,6 +191,14 @@ class CheckpointWriter:
             _unlink_quietly(superseded)
         with self._cond:
             while self._committing == path:
+                self._cond.wait()
+        return self.failure(path)
+
+    def flush(self, path: str) -> Optional[CheckpointError]:
+        """Wait until the newest snapshot submitted for ``path`` is
+        committed -- nothing is dropped -- then :meth:`failure`."""
+        with self._cond:
+            while path in self._pending or self._committing == path:
                 self._cond.wait()
         return self.failure(path)
 
@@ -337,6 +345,10 @@ class Checkpointer:
         self.every = every
         self.writer = writer
         self.written = 0
+        #: The ``resume_position`` of the newest snapshot written -- or,
+        #: before the first, of the one the engine was restored from
+        #: (the owner sets it; 0 means none).
+        self.position = 0
 
     def save_now(self, engine: "ButterflyEngine") -> None:
         """Write one snapshot immediately (the forced-save entry point
@@ -347,6 +359,17 @@ class Checkpointer:
         if self.writer is not None:
             self.writer.settle(self.path)
         save_checkpoint(self.path, engine, self.meta)
+        self.position = engine.resume_position
+
+    def flush(self) -> None:
+        """Make the newest snapshot written durable without taking a new
+        one: what a forced save does for an engine whose analysis cannot
+        be trusted.  Raises the :class:`CheckpointError` of a failed
+        commit."""
+        if self.writer is not None:
+            failure = self.writer.flush(self.path)
+            if failure is not None:
+                raise failure
 
     def _save_epoch(self, engine: "ButterflyEngine") -> None:
         if self.writer is None:
@@ -355,6 +378,7 @@ class Checkpointer:
             self.writer.submit(
                 self.path, write_snapshot(self.path, engine, self.meta)
             )
+            self.position = engine.resume_position
 
     def after_epoch(self, engine: "ButterflyEngine", lid: int) -> None:
         if (lid + 1) % self.every:

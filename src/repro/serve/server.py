@@ -90,9 +90,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.shards import (
     SHARD_BACKEND_CHOICES,
+    SHARD_BACKENDS,
     StreamHandle,
     make_guard,
-    make_shards,
     stream_checkpoint_path,
 )
 
@@ -441,7 +441,8 @@ class ReproServer:
         config = self.config
         if config.checkpoint_dir is not None:
             os.makedirs(config.checkpoint_dir, exist_ok=True)
-        self._shards = make_shards(config.shard_backend, config.workers)
+        shard = SHARD_BACKENDS[config.shard_backend]
+        self._shards = [shard(i) for i in range(config.workers)]
         if self.recorder.enabled:
             self.recorder.gauge("serve.workers", config.workers)
             for i in range(config.workers):

@@ -84,9 +84,6 @@ from repro.resilience.checkpoint import (
 from repro.serve.protocol import build_report, checkpoint_meta
 from repro.trace.serialize import decode_epoch_text
 
-#: Shard backends accepted by ``ServeConfig.shard_backend`` / the CLI.
-SHARD_BACKEND_CHOICES = ("thread", "process")
-
 
 def make_guard(lifeguard: str, preallocated, **ablation: Any) -> Any:
     """Lifeguard factory shared by the daemon, workers, offline CLI and
@@ -203,9 +200,11 @@ def build_stream_engine(
     if checkpoint is not None:
         checkpoint.restore_into(engine)
     if path is not None:
-        engine.enable_checkpoints(
-            Checkpointer(path, meta, every=checkpoint_every, writer=writer)
+        checkpointer = Checkpointer(
+            path, meta, every=checkpoint_every, writer=writer
         )
+        checkpointer.position = engine.resume_position  # what is on disk
+        engine.enable_checkpoints(checkpointer)
     return engine, engine.resume_position
 
 
@@ -248,9 +247,8 @@ class _ShardTable:
             )
         engine, path = stream.engine, stream.path
         if command == "checkpoint":
-            # A flush: supersedes whatever the writer holds for the path.
-            engine.checkpoint_now()
-            return engine.resume_position
+            # A flush: what is on disk afterwards is what the ERROR names.
+            return engine.checkpoint_now()
         if command == "close":
             engine.close()
             del self.streams[token]
@@ -408,26 +406,16 @@ class ThreadShard(_Shard):
 
 # -- process shards ----------------------------------------------------------
 
-#: Error kinds a worker reply may carry, mapped back onto the exception
-#: types the server's session error paths dispatch on.
-_ERROR_KINDS = {
-    "checkpoint": CheckpointError,
-    "trace": TraceError,
-    "analysis": AnalysisError,
-    "repro": ReproError,
-}
-
-
-def _error_kind(exc: BaseException) -> str:
-    if isinstance(exc, CheckpointError):
-        return "checkpoint"
-    if isinstance(exc, TraceError):
-        return "trace"
-    if isinstance(exc, AnalysisError):
-        return "analysis"
-    if isinstance(exc, ReproError):
-        return "repro"
-    return "other"
+#: The exception types a worker reply may name, most specific first: a
+#: worker replies with the first kind its exception is an instance of
+#: ("other" for none), and the dispatch thread raises that type again --
+#: the types the server's session error paths dispatch on.
+_ERROR_KINDS = (
+    ("checkpoint", CheckpointError),
+    ("trace", TraceError),
+    ("analysis", AnalysisError),
+    ("repro", ReproError),
+)
 
 
 def _shard_worker_main(conn, index: int) -> None:
@@ -450,7 +438,9 @@ def _shard_worker_main(conn, index: int) -> None:
             try:
                 result = table.dispatch(*message)
             except BaseException as exc:  # contained: reply, keep serving
-                reply = ("err", _error_kind(exc), f"{exc}")
+                kind = next((name for name, error in _ERROR_KINDS
+                             if isinstance(exc, error)), "other")
+                reply = ("err", kind, f"{exc}")
             else:
                 reply = ("ok", None, result)
             try:
@@ -530,7 +520,7 @@ class ProcessShard(_Shard):
             ) from None
         if status == "ok":
             return value
-        raise _ERROR_KINDS.get(kind, ReproError)(value)
+        raise dict(_ERROR_KINDS).get(kind, ReproError)(value)
 
     def _stop_worker(self) -> None:
         if self._conn is not None:
@@ -560,13 +550,7 @@ class ProcessShard(_Shard):
             self._discard_worker()
 
 
-def make_shards(shard_backend: str, workers: int):
-    """The daemon's shard list for a validated backend name."""
-    if shard_backend == "thread":
-        return [ThreadShard(i) for i in range(workers)]
-    if shard_backend == "process":
-        return [ProcessShard(i) for i in range(workers)]
-    raise ReproError(
-        f"unknown shard backend {shard_backend!r} "
-        f"(choose from {', '.join(SHARD_BACKEND_CHOICES)})"
-    )
+#: Shard kinds by ``ServeConfig.shard_backend`` (and CLI) name;
+#: ``ReproServer`` refuses any other name.
+SHARD_BACKENDS = {"thread": ThreadShard, "process": ProcessShard}
+SHARD_BACKEND_CHOICES = tuple(SHARD_BACKENDS)

@@ -16,7 +16,6 @@ The evaluation uses two LBA accelerators:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Set, Tuple
 
 from repro.trace.events import Instr, Op
 
@@ -81,18 +80,3 @@ class IdempotentFilter:
     def filter_rate(self) -> float:
         total = self.passed + self.filtered
         return self.filtered / total if total else 0.0
-
-
-def filtered_event_counts(
-    instrs, epoch_size: int
-) -> Tuple[int, int]:
-    """Events dispatched vs. filtered for one thread's trace with the
-    filter flushed every ``epoch_size`` instructions."""
-    filt = IdempotentFilter()
-    dispatched = 0
-    for i, instr in enumerate(instrs):
-        if i and i % epoch_size == 0:
-            filt.flush()
-        if filt.admit(instr):
-            dispatched += 1
-    return dispatched, filt.filtered

@@ -63,10 +63,6 @@ class CMPResult:
     def total_instructions(self) -> int:
         return sum(r.instructions for r in self.per_thread)
 
-    @property
-    def total_memory_accesses(self) -> int:
-        return sum(r.memory_accesses for r in self.per_thread)
-
 
 def run_parallel(program: TraceProgram, config: MachineConfig) -> CMPResult:
     """Execute each thread on its own core over a shared L2."""

@@ -98,10 +98,6 @@ class MachineConfig:
             self.l2_latency,
         )
 
-    @property
-    def log_buffer_entries(self) -> int:
-        return self.log_buffer_bytes // self.log_record_bytes
-
     @staticmethod
     def for_app_threads(app_threads: int) -> "MachineConfig":
         """LBA runs k application threads on 2k cores."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class Op(enum.Enum):
@@ -189,9 +189,3 @@ class Instr:
         if self.size != 1:
             parts.append(f"size={self.size}")
         return f"Instr({', '.join(parts)})"
-
-
-def expand_locations(instrs: "Iterator[Instr]") -> Iterator[int]:
-    """Yield every location touched across an instruction stream."""
-    for instr in instrs:
-        yield from instr.locations

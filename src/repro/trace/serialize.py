@@ -454,23 +454,6 @@ def decode_epoch_text(
         return decode_epoch_row(record, lid, num_threads, name, lineno)
 
 
-def stream_epochs(
-    fp: IO[str], name: str = "<trace>", start: int = 0
-) -> Iterator[List[Block]]:
-    """Yield one epoch's row of blocks at a time from a version 2 stream.
-
-    ``fp`` must be positioned at the start of the file; the header is
-    consumed first.  ``start > 0`` is the checkpoint-resume seek:
-    already-processed epoch records are skipped *without* JSON-decoding
-    them (each epoch is exactly one line).  Truncation -- EOF before
-    the header's epoch count, or a missing/mismatched footer -- raises
-    :class:`TraceError` with ``file:line`` context, as does trailing
-    garbage after the footer.
-    """
-    header = stream_header(fp, name)
-    yield from _stream_rows(fp, header, name, start)
-
-
 def _stream_rows(
     fp: IO[str], header: dict, name: str, start: int
 ) -> Iterator[List[Block]]:

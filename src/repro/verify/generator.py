@@ -173,12 +173,6 @@ class AdversarialCaseGenerator:
             preallocated=frozenset(prealloc),
         )
 
-    def cases(self, start: int = 0):
-        index = start
-        while True:
-            yield self.case(index)
-            index += 1
-
     # -- families -------------------------------------------------------
 
     def _build_wing_heavy(self, rng: random.Random):

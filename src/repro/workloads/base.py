@@ -97,12 +97,6 @@ class PhasedTraceBuilder:
             )
             self._ts_cursors[t] = end
 
-    def serial_phase(self, tid: int, instrs: Sequence[Instr]) -> None:
-        """A phase executed by one thread while others wait."""
-        lists: List[List[Instr]] = [[] for _ in range(self.num_threads)]
-        lists[tid] = list(instrs)
-        self.phase(lists)
-
     def build(self, preallocated: frozenset = frozenset()) -> TraceProgram:
         program = TraceProgram(
             [ThreadTrace(tr) for tr in self._traces],
@@ -135,17 +129,6 @@ REGION = 1 << 20
 def thread_region(tid: int) -> int:
     """Base location of thread ``tid``'s private heap."""
     return (tid + 1) * REGION
-
-
-def compute_block(rng: random.Random, n: int) -> List[Instr]:
-    """``n`` compute-only instructions (NOPs to the lifeguard)."""
-    return [Instr.nop() for _ in range(n)]
-
-
-def strided_reads(
-    base: int, count: int, stride: int = 1
-) -> List[Instr]:
-    return [Instr.read(base + i * stride) for i in range(count)]
 
 
 class StreamingWorkingSet:
@@ -200,22 +183,3 @@ class StreamingWorkingSet:
                 if len(out) < n:
                     out.append(Instr.nop())
         return out[:n]
-
-
-def local_update(
-    rng: random.Random,
-    base: int,
-    footprint: int,
-    n: int,
-    reuse: float,
-    compute_per_mem: int,
-) -> List[Instr]:
-    """One-shot convenience wrapper over :class:`StreamingWorkingSet`.
-
-    Stateless callers (tests) get a fresh cursor; benchmark generators
-    should hold one :class:`StreamingWorkingSet` per thread so streams
-    continue across phases.
-    """
-    return StreamingWorkingSet(
-        rng, base, footprint, reuse, compute_per_mem
-    ).events(n)

@@ -48,11 +48,6 @@ class TestFigures:
             assert ts > 0 and bf > 0 and par > 0
         assert "Figure 11" in fig.render()
 
-    def test_figure11_wins_helper(self, small_suite):
-        fig = figure11(small_suite)
-        wins = fig.wins(2)
-        assert isinstance(wins, list)
-
     def test_figure12_pairs(self, small_suite):
         fig = figure12(small_suite)
         for per in fig.data.values():
@@ -66,7 +61,6 @@ class TestFigures:
             small, large = per[2]
             assert 0.0 <= small <= 1.0
             assert 0.0 <= large <= 1.0
-        assert fig.worst_large_epoch() in BENCHMARKS
         assert "Figure 13" in fig.render()
 
 

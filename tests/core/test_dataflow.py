@@ -96,8 +96,6 @@ class TestExpressionDomain:
         )
         assert Expression.of(1, 2) in facts.gen
         assert not facts.kills(Expression.of(1, 2), self.domain)
-        # Side-kill is a union over instructions: still side-killed.
-        assert facts.side_kills(Expression.of(1, 2), self.domain)
 
     def test_foreign_expression_killed_by_operand_write(self):
         facts = summarize_block(block([Instr.write(7)]), self.domain)

@@ -62,13 +62,12 @@ class TestBlockAddressing:
     def test_global_ref_round_trip(self):
         prog = TraceProgram.from_lists([Instr.write(i) for i in range(6)])
         part = partition_fixed(prog, 2)
-        for idx in range(6):
-            iid = part.instr_id_of(0, idx)
-            assert part.global_ref_of(iid) == (0, idx)
-
-    def test_epoch_of(self):
-        part = partition_fixed(program([10]), 3)
-        assert [part.epoch_of(0, i) for i in (0, 2, 3, 9)] == [0, 0, 1, 3]
+        refs = [
+            part.global_ref_of(iid)
+            for block in part.iter_blocks()
+            for iid, _instr in block.iter_ids()
+        ]
+        assert refs == [(0, idx) for idx in range(6)]
 
     def test_out_of_range_block(self):
         part = partition_fixed(program([4]), 2)

@@ -20,11 +20,11 @@ class RecordingAnalysis(ButterflyAnalysis):
         return block.block_id
 
     def meet(self, butterfly, wing_summaries):
-        self.calls.append(("meet", butterfly.body_id, tuple(sorted(wing_summaries))))
+        self.calls.append(("meet", butterfly.body.block_id, tuple(sorted(wing_summaries))))
         return wing_summaries
 
     def second_pass(self, butterfly, side_in):
-        self.calls.append(("second", butterfly.body_id))
+        self.calls.append(("second", butterfly.body.block_id))
 
     def epoch_update(self, lid, summaries):
         self.calls.append(("epoch", lid, tuple(sorted(summaries))))

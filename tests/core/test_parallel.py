@@ -126,7 +126,7 @@ class LegacyAnalysis(ButterflyAnalysis):
         return tuple(sorted(wing_summaries))
 
     def second_pass(self, butterfly, side_in):
-        self.order.append(("second", butterfly.body_id, side_in))
+        self.order.append(("second", butterfly.body.block_id, side_in))
 
     def epoch_update(self, lid, summaries):
         self.order.append(("epoch", lid))

@@ -34,7 +34,7 @@ class RecordingAnalysis(ButterflyAnalysis):
         return wing_summaries
 
     def second_pass(self, butterfly, side_in):
-        self.calls.append(("second", butterfly.body_id))
+        self.calls.append(("second", butterfly.body.block_id))
 
     def epoch_update(self, lid, summaries):
         self.calls.append(("epoch", lid))
@@ -348,14 +348,20 @@ class _PickleEveryEpoch:
     """Stands in for a checkpointer: pickles the snapshot at each of
     the engine's safe points."""
 
+    position = 0
+
     def __init__(self):
         self.snapshots = []
+        self.flushes = 0
 
     def after_epoch(self, engine, lid):
         self.snapshots.append(pickle.dumps(engine.snapshot_state()))
 
     def save_now(self, engine):
         self.after_epoch(engine, None)
+
+    def flush(self):
+        self.flushes += 1
 
 
 class TestStagedRows:
@@ -435,8 +441,13 @@ class TestStagedRows:
             try:
                 engine.run_source(PartitionSource(partition))
             except RuntimeError:
-                engine.checkpoint_now()  # what a serve session does
-            assert saver.snapshots
+                # What a serve session does; a failed engine is flushed,
+                # never snapshotted.
+                taken = len(saver.snapshots)
+                engine.checkpoint_now()
+                assert (len(saver.snapshots), saver.flushes) == (taken, 1)
+            else:
+                assert saver.snapshots
             for blob in saver.snapshots:
                 restored = pickle.loads(blob)["analysis"]
                 assert not restored._staged_row

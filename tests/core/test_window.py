@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.epoch import partition_fixed, partition_from_boundaries
-from repro.core.window import butterfly_for, sliding_windows
+from repro.core.window import butterfly_for
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 
@@ -16,6 +16,17 @@ def partition(threads=3, per_thread=9, h=3):
     return partition_fixed(prog, h)
 
 
+def wing_ids(bf):
+    return [b.block_id for b in bf.wings]
+
+
+def concurrent(bf, other):
+    """The paper's definition: another thread's block within one epoch
+    of the body (Section 4.1)."""
+    lid, tid = other
+    return tid != bf.body.tid and abs(lid - bf.body.lid) <= 1
+
+
 class TestButterflyStructure:
     def test_interior_body(self):
         bf = butterfly_for(partition(), 1, 0)
@@ -23,14 +34,14 @@ class TestButterflyStructure:
         assert bf.head.block_id == (0, 0)
         assert bf.tail.block_id == (2, 0)
         # Wings: epochs 0..2 of the other two threads.
-        assert sorted(bf.wing_ids()) == [
+        assert sorted(wing_ids(bf)) == [
             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
         ]
 
     def test_first_epoch_has_no_head(self):
         bf = butterfly_for(partition(), 0, 1)
         assert bf.head is None
-        assert {w[0] for w in bf.wing_ids()} == {0, 1}
+        assert {w[0] for w in wing_ids(bf)} == {0, 1}
 
     def test_last_epoch_has_no_tail(self):
         part = partition()
@@ -39,7 +50,7 @@ class TestButterflyStructure:
 
     def test_wings_never_include_own_thread(self):
         bf = butterfly_for(partition(), 1, 1)
-        assert all(t != 1 for (_, t) in bf.wing_ids())
+        assert all(t != 1 for (_, t) in wing_ids(bf))
 
     def test_single_thread_has_empty_wings(self):
         prog = TraceProgram.from_lists([Instr.nop()] * 6)
@@ -52,30 +63,30 @@ class TestButterflyStructure:
 class TestConcurrencyPredicate:
     def test_adjacent_other_thread_is_concurrent(self):
         bf = butterfly_for(partition(), 1, 0)
-        assert bf.is_potentially_concurrent((0, 1))
-        assert bf.is_potentially_concurrent((2, 2))
+        assert (0, 1) in wing_ids(bf)
+        assert (2, 2) in wing_ids(bf)
 
     def test_same_thread_never_concurrent(self):
         bf = butterfly_for(partition(), 1, 0)
-        assert not bf.is_potentially_concurrent((1, 0))
-        assert not bf.is_potentially_concurrent((0, 0))
+        assert (1, 0) not in wing_ids(bf)
+        assert (0, 0) not in wing_ids(bf)
 
     def test_distant_epoch_not_concurrent(self):
         part = partition(per_thread=15, h=3)
         bf = butterfly_for(part, 1, 0)
-        assert not bf.is_potentially_concurrent((3, 1))
+        assert (3, 1) not in wing_ids(bf)
 
     def test_all_blocks_includes_window(self):
         bf = butterfly_for(partition(), 1, 0)
-        ids = {b.block_id for b in bf.all_blocks()}
+        ids = {b.block_id for b in (bf.body, bf.head, bf.tail, *bf.wings)}
         assert (1, 0) in ids and (0, 0) in ids and (2, 0) in ids
         assert len(ids) == 9  # 3 own + 6 wings
 
 
 class TestConcurrencyMatchesWings:
-    """``is_potentially_concurrent`` must be exactly wing membership:
-    the predicate and ``wing_ids()`` are two encodings of the same
-    three-epoch window, including its first/last-epoch truncations."""
+    """The wings are exactly the blocks the paper calls potentially
+    concurrent with the body, including the window's first/last-epoch
+    truncations."""
 
     @given(
         lengths=st.lists(st.integers(0, 6), min_size=1, max_size=4),
@@ -104,34 +115,19 @@ class TestConcurrencyMatchesWings:
         for lid in range(part.num_epochs):
             for tid in range(part.num_threads):
                 bf = butterfly_for(part, lid, tid)
-                wings = set(bf.wing_ids())
+                wings = set(wing_ids(bf))
                 for other in all_ids:
-                    assert bf.is_potentially_concurrent(other) == (
-                        other in wings
-                    ), (bf.body_id, other)
+                    assert concurrent(bf, other) == (other in wings), (
+                        bf.body.block_id, other
+                    )
 
     def test_first_and_last_epoch_explicitly(self):
         part = partition(threads=2, per_thread=6, h=2)
         first = butterfly_for(part, 0, 0)
         last = butterfly_for(part, part.num_epochs - 1, 0)
         for bf in (first, last):
-            wings = set(bf.wing_ids())
+            wings = set(wing_ids(bf))
             for l in range(part.num_epochs):
                 for t in range(part.num_threads):
-                    assert bf.is_potentially_concurrent((l, t)) == (
-                        (l, t) in wings
-                    )
+                    assert concurrent(bf, (l, t)) == ((l, t) in wings)
 
-
-class TestSlidingWindows:
-    def test_yields_every_body_once(self):
-        part = partition()
-        bodies = [bf.body_id for bf in sliding_windows(part)]
-        assert len(bodies) == part.num_epochs * part.num_threads
-        assert len(set(bodies)) == len(bodies)
-
-    def test_epoch_major_order(self):
-        part = partition()
-        bodies = [bf.body_id for bf in sliding_windows(part)]
-        epochs = [l for l, _ in bodies]
-        assert epochs == sorted(epochs)

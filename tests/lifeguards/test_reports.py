@@ -30,17 +30,6 @@ class TestErrorLog:
         log.flag(report(kind=ErrorKind.UNSAFE_ISOLATION))
         assert len(log) == 2
 
-    def test_by_kind(self):
-        log = ErrorLog()
-        log.flag(report(kind=ErrorKind.FREE_UNALLOCATED))
-        log.flag(report(kind=ErrorKind.MALLOC_ALLOCATED, loc=2))
-        assert len(log.by_kind(ErrorKind.FREE_UNALLOCATED)) == 1
-
-    def test_flagged_events(self):
-        log = ErrorLog()
-        log.flag(report(loc=5, ref=(1, 3)))
-        assert log.flagged_events() == {((1, 3), 5)}
-
 
 class TestCompareReports:
     def test_all_false_positives_on_clean_truth(self):

@@ -22,12 +22,6 @@ class TestCounters:
         rec.count("b", -2)
         assert rec.counters == {"a": 5, "b": -2}
 
-    def test_counters_update_bulk(self):
-        rec = Recorder()
-        rec.count("a")
-        rec.counters_update([("a", 2), ("b", 3), ("a", 1)])
-        assert rec.counters == {"a": 4, "b": 3}
-
     def test_gauge_keeps_latest(self):
         rec = Recorder()
         rec.gauge("depth", 3)
@@ -117,7 +111,6 @@ class TestNullRecorder:
         rec = NullRecorder()
         rec.count("a")
         rec.gauge("g", 1)
-        rec.counters_update([("a", 1)])
         rec.event("e", x=1)
         with rec.span("s", y=2):
             pass

@@ -42,17 +42,6 @@ class TestPartitionInvariants:
             ]
             assert recovered == list(range(n))
 
-    @given(lengths=lengths_st, h=st.integers(1, 10))
-    def test_epoch_of_consistent_with_blocks(self, lengths, h):
-        prog = program_of(lengths)
-        part = partition_fixed(prog, h)
-        for t, n in enumerate(lengths):
-            for idx in range(n):
-                lid = part.epoch_of(t, idx)
-                iid = part.instr_id_of(t, idx)
-                assert iid[0] == lid
-                assert part.instr(iid).dst == idx
-
     @given(
         lengths=st.lists(st.integers(20, 60), min_size=1, max_size=3),
         h=st.integers(6, 12),

@@ -18,6 +18,8 @@ from repro.core.ordering import is_valid_ordering
 from repro.trace.generator import simulated_alloc_program
 from repro.workloads.registry import BENCHMARKS, get_benchmark
 
+from tests.properties.test_ordering_properties import instr_ids
+
 
 class TestRecordedOrderIsValid:
     @given(
@@ -32,7 +34,8 @@ class TestRecordedOrderIsValid:
             num_locations=6,
         )
         part = partition_by_global_order(prog, h)
-        order = [part.instr_id_of(t, i) for t, i in prog.true_order]
+        ids = instr_ids(part)
+        order = [ids[ref] for ref in prog.true_order]
         assert is_valid_ordering(part, order)
 
     @given(
@@ -44,5 +47,6 @@ class TestRecordedOrderIsValid:
     def test_benchmark_workloads(self, name, h, seed):
         prog = get_benchmark(name).generate(3, 2500, seed=seed)
         part = partition_by_global_order(prog, h)
-        order = [part.instr_id_of(t, i) for t, i in prog.true_order]
+        ids = instr_ids(part)
+        order = [ids[ref] for ref in prog.true_order]
         assert is_valid_ordering(part, order)

@@ -511,6 +511,32 @@ class TestCheckpointWriter:
         writer.close()
         assert (tmp_path / "s.ckpt").read_text() == "a"
 
+    def test_flush_commits_the_pending_after_the_inflight(
+        self, tmp_path, gated_commits
+    ):
+        """A failed engine's forced save: the newest snapshot already
+        written is made durable, never dropped, and lands last."""
+        gate, started, committed = gated_commits
+        writer = CheckpointWriter()
+        path = str(tmp_path / "s.ckpt")
+        a, b = _temp(tmp_path, "a"), _temp(tmp_path, "b")
+        writer.submit(path, a)
+        assert started.acquire(timeout=10.0)
+        writer.submit(path, b)
+        flushed = threading.Event()
+        thread = threading.Thread(
+            target=lambda: (writer.flush(path), flushed.set())
+        )
+        thread.start()
+        assert not flushed.wait(0.2)  # a's commit is still in flight
+        gate.set()
+        assert flushed.wait(10.0)
+        thread.join(10.0)
+        assert committed == [a, b]
+        assert os.listdir(tmp_path) == ["s.ckpt"]
+        assert (tmp_path / "s.ckpt").read_text() == "b"
+        writer.close()
+
     def test_stress_latest_wins_under_a_short_switch_interval(
         self, tmp_path
     ):

@@ -7,8 +7,11 @@ Usage::
 ``FAULT`` is one of
 
 ``fail-fold-at=N``
-    the shard's fold of epoch ``N`` raises ``AnalysisError`` (a
-    lifeguard exception);
+    the shard's fold of epoch ``N`` raises ``AnalysisError`` before the
+    engine sees the row;
+``fail-epoch-update-at=N``
+    AddrCheck's ``epoch_update(N)`` publishes ``SOS_{N+2}`` and then
+    raises, once: the engine fails with its analysis half-updated;
 ``block-commit-after=N``
     the checkpoint writer's commit of any snapshot past epoch ``N``
     blocks until the daemon is gone, then fails -- so the snapshots the
@@ -26,6 +29,7 @@ import threading
 import time
 
 from repro.errors import AnalysisError
+from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.resilience import checkpoint
 from repro.serve import shards
 
@@ -42,6 +46,17 @@ def _install(fault: str) -> None:
             return feed_row(stream, lid, *rest)
 
         shards._feed_row = failing_feed_row
+    elif name == "fail-epoch-update-at":
+        epoch_update = ButterflyAddrCheck.epoch_update
+        fired = threading.Event()
+
+        def failing_epoch_update(guard, lid, summaries):
+            epoch_update(guard, lid, summaries)
+            if lid == limit and not fired.is_set():
+                fired.set()
+                raise AnalysisError(f"injected epoch_update failure at {lid}")
+
+        ButterflyAddrCheck.epoch_update = failing_epoch_update
     elif name == "block-commit-after":
         commit = checkpoint.commit_snapshot
         # The daemon's parent, or a worker's daemon: it changes only

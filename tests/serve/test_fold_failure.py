@@ -259,3 +259,53 @@ def test_daemon_drains_to_exit_zero_after_a_fold_failure(
     assert client.last_ack["resume_epoch"] == FAIL_AT
     assert served == offline_report(path, "wedge")
     wait_for_empty(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_half_updated_analysis_is_never_checkpointed(
+    tmp_path, long_trace, backend
+):
+    """AddrCheck publishes ``SOS_{k+2}`` and then raises inside epoch
+    ``k``'s update, so the engine fails with its analysis half-updated.
+    The session's forced save must not snapshot that analysis: it makes
+    the last good snapshot durable instead, the ``ERROR`` names that
+    snapshot's epoch, and a reconnect with the token completes with the
+    offline report."""
+    path, lines = long_trace
+    ck = tmp_path / "ck"
+    proc, address = start_daemon(
+        tmp_path, "patched.sock", ck, backend,
+        fault="fail-epoch-update-at=3",
+    )
+    try:
+        sock = raw_handshake(address, path, "poisoned", 0)
+        send_in_background(sock, stream_frames(lines))
+        ftype, payload = read_frame_sync(sock)
+        sock.close()
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:  # pragma: no cover - cleanup
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, (out, err)
+    assert ftype == FRAME_ERROR
+    answer = json.loads(payload)
+    assert answer["code"] == "internal"
+    assert "injected epoch_update failure at 3" in answer["error"]
+    on_disk = load_checkpoint(str(ck / f"{answer['token']}.ckpt"))
+    assert answer["resume_epoch"] == on_disk.next_epoch == 4
+
+    config = ServeConfig(
+        unix_path=str(tmp_path / "healthy.sock"),
+        checkpoint_dir=str(ck),
+        shard_backend=backend,
+    )
+    with ServerThread(config) as daemon:
+        client = StreamClient(
+            daemon.address, str(path), "poisoned", policy=FAST, retries=0
+        )
+        served = client.push()
+    assert client.last_ack["resume_epoch"] == answer["resume_epoch"]
+    assert served == offline_report(path, "poisoned")
+    wait_for_empty(ck)

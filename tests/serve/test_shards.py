@@ -28,7 +28,7 @@ from repro.serve.protocol import (
     make_hello,
     resume_token,
 )
-from repro.serve.shards import build_stream_engine, make_guard, make_shards
+from repro.serve.shards import build_stream_engine, make_guard
 
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_resume import wait_for_checkpoint
@@ -42,10 +42,13 @@ def test_choices_cover_both_backends():
 
 
 def test_unknown_shard_backend_rejected():
-    with pytest.raises(ReproError, match="unknown shard backend"):
+    """The daemon's constructor is the one refusal: shards are built
+    from the same table the choices come from."""
+    with pytest.raises(
+        ReproError,
+        match=r"unknown shard backend 'greenlet' \(choose from thread, process\)",
+    ):
         ReproServer(ServeConfig(shard_backend="greenlet"))
-    with pytest.raises(ReproError, match="unknown shard backend"):
-        make_shards("greenlet", 2)
 
 
 def test_make_guard_builds_every_choice_and_nothing_else():

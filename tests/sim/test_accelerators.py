@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.accelerators import IdempotentFilter, filtered_event_counts
+from repro.sim.accelerators import IdempotentFilter
 from repro.trace.events import Instr
 
 
@@ -62,12 +62,3 @@ class TestIdempotentFilter:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             IdempotentFilter(capacity=0)
-
-
-class TestFilteredEventCounts:
-    def test_epoch_flush_boundaries(self):
-        instrs = [Instr.read(1)] * 6
-        dispatched, filtered = filtered_event_counts(instrs, epoch_size=3)
-        # One check per epoch of 3: 2 dispatched, 4 filtered.
-        assert dispatched == 2
-        assert filtered == 4

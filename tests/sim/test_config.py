@@ -24,10 +24,6 @@ class TestMachineConfig:
         with pytest.raises(SimulationError):
             MachineConfig.for_app_threads(0)
 
-    def test_log_buffer_entries(self):
-        config = MachineConfig()
-        assert config.log_buffer_entries == 8 * 1024 // 16
-
     def test_table_rows_render(self):
         rows = dict(MachineConfig(cores=4).table_rows())
         assert rows["Line size"] == "64B"

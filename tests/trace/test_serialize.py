@@ -21,7 +21,6 @@ from repro.trace.serialize import (
     load_file,
     save_file,
     save_stream_file,
-    stream_epochs,
 )
 from repro.workloads.registry import get_benchmark
 
@@ -163,11 +162,18 @@ def stream_text(partition):
     return buf.getvalue()
 
 
+def read_stream(tmp_path, text):
+    """Every epoch row of stream ``text``, read back as the file ``t``."""
+    path = tmp_path / "t"
+    path.write_text(text)
+    return list(iter_load(path).epochs())
+
+
 class TestStreamRoundTrip:
-    def test_blocks_round_trip_exactly(self):
+    def test_blocks_round_trip_exactly(self, tmp_path):
         _, partition = stream_partition()
         text = stream_text(partition)
-        rows = list(stream_epochs(io.StringIO(text)))
+        rows = read_stream(tmp_path, text)
         assert len(rows) == partition.num_epochs
         for lid, row in enumerate(rows):
             for tid, block in enumerate(row):
@@ -210,12 +216,12 @@ class TestStreamRoundTrip:
 
 
 class TestStreamValidation:
-    def test_missing_footer_is_a_truncated_stream(self):
+    def test_missing_footer_is_a_truncated_stream(self, tmp_path):
         _, partition = stream_partition()
         text = stream_text(partition)
         no_footer = "".join(text.splitlines(keepends=True)[:-1])
         with pytest.raises(TraceError, match=r"t:\d+.*footer"):
-            list(stream_epochs(io.StringIO(no_footer), name="t"))
+            read_stream(tmp_path, no_footer)
 
     @pytest.mark.parametrize("record", NOT_INTEGERS + OUT_OF_INT64)
     def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
@@ -291,27 +297,27 @@ class TestStreamValidation:
         ):
             iter_load(path)
 
-    def test_truncated_epoch_record(self):
+    def test_truncated_epoch_record(self, tmp_path):
         _, partition = stream_partition()
         lines = stream_text(partition).splitlines(keepends=True)
         chopped = "".join(lines[:2]) + lines[2][:-20]
         with pytest.raises(TraceError, match=r"t:\d+: invalid JSON"):
-            list(stream_epochs(io.StringIO(chopped), name="t"))
+            read_stream(tmp_path, chopped)
 
-    def test_out_of_order_epoch_records(self):
+    def test_out_of_order_epoch_records(self, tmp_path):
         _, partition = stream_partition()
         lines = stream_text(partition).splitlines(keepends=True)
         swapped = lines[0] + lines[2] + lines[1] + "".join(lines[3:])
         with pytest.raises(TraceError, match="in order"):
-            list(stream_epochs(io.StringIO(swapped), name="t"))
+            read_stream(tmp_path, swapped)
 
-    def test_trailing_garbage_after_footer(self):
+    def test_trailing_garbage_after_footer(self, tmp_path):
         _, partition = stream_partition()
         polluted = stream_text(partition) + '{"oops": 1}\n'
         with pytest.raises(TraceError, match="trailing garbage"):
-            list(stream_epochs(io.StringIO(polluted), name="t"))
+            read_stream(tmp_path, polluted)
 
-    def test_v1_reader_refuses_v2_and_vice_versa(self):
+    def test_v1_reader_refuses_v2_and_vice_versa(self, tmp_path):
         prog, partition = stream_partition()
         # Not "unsupported": `check --trace` reads the file, so the
         # message says what it is and which command takes it.
@@ -325,9 +331,8 @@ class TestStreamValidation:
         assert "unsupported" not in message
         v1 = io.StringIO()
         dump(prog, v1)
-        v1.seek(0)
         with pytest.raises(TraceError, match="not a stream trace"):
-            list(stream_epochs(v1))
+            read_stream(tmp_path, v1.getvalue())
 
     def test_seek_past_the_end_rejected(self, tmp_path):
         _, partition = stream_partition()
@@ -336,10 +341,10 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match="cannot seek"):
             list(iter_load(path).epochs(start=partition.num_epochs + 1))
 
-    def test_wrong_footer_count(self):
+    def test_wrong_footer_count(self, tmp_path):
         _, partition = stream_partition()
         lines = stream_text(partition).splitlines(keepends=True)
         bad = "".join(lines[:-1]) + '{"epochs_written": 1}\n'
         with pytest.raises(TraceError, match="bad footer"):
-            list(stream_epochs(io.StringIO(bad), name="t"))
+            read_stream(tmp_path, bad)
 

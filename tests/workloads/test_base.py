@@ -5,14 +5,11 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
-from repro.trace.events import Instr, Op
+from repro.trace.events import Instr
 from repro.workloads.base import (
     PhasedTraceBuilder,
     StreamingWorkingSet,
     WorkloadSpec,
-    compute_block,
-    local_update,
-    strided_reads,
     thread_region,
 )
 
@@ -37,13 +34,6 @@ class TestPhasedTraceBuilder:
                 seen_phase2 = True
             elif seen_phase2:
                 pytest.fail("phase-1 event after phase-2 in true order")
-
-    def test_serial_phase(self):
-        b = PhasedTraceBuilder(3, random.Random(0))
-        b.serial_phase(1, [Instr.write(9)])
-        prog = b.build()
-        assert len(prog.threads[1]) == 1
-        assert len(prog.threads[0]) == 0
 
     def test_timesliced_order_runs_threads_in_blocks(self):
         b = PhasedTraceBuilder(2, random.Random(0))
@@ -104,17 +94,6 @@ class TestStreamingWorkingSet:
 class TestHelpers:
     def test_thread_regions_disjoint(self):
         assert thread_region(1) - thread_region(0) >= (1 << 20)
-
-    def test_compute_block(self):
-        assert all(i.op is Op.NOP for i in compute_block(random.Random(0), 5))
-
-    def test_strided_reads(self):
-        reads = strided_reads(10, 3, stride=2)
-        assert [i.srcs[0] for i in reads] == [10, 12, 14]
-
-    def test_local_update_wrapper(self):
-        events = local_update(random.Random(0), 0, 100, 50, 0.5, 1)
-        assert len(events) == 50
 
     def test_spec_is_frozen(self):
         spec = WorkloadSpec("X", "S", "i", 0.5, 0.5, 0.5, 0.1)
