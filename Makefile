@@ -10,9 +10,10 @@ test:
 # add_argument count beside it is call sites, which counts a shared
 # _add_*_arg helper once however many commands use it -- the three
 # executor modules (ROADMAP: one executor), config fields, and what in
-# src/ only tests reach (scripts/reachability.py): the modules no
-# command, script, e2e benchmark or example imports, then the functions,
-# classes and methods no such code names -- a count that
+# src/ only tests reach or set (scripts/reachability.py): the modules no
+# command, script, e2e benchmark or example imports, the functions,
+# classes and methods no such code names, and the defaulted parameters
+# and dataclass fields no such code sets -- two counts that
 # tests/test_reachability.py holds at zero beside the named survivors,
 # each printed with its reason.
 surface:
@@ -23,10 +24,11 @@ surface:
 	@PYTHONPATH=src $(PYTHON) -c "import dataclasses as d; from repro.serve import ServeConfig; from repro.resilience import RetryPolicy; from repro.core.epoch import SloConfig; print('ServeConfig/RetryPolicy/SloConfig fields:', '/'.join(str(len(d.fields(c))) for c in (ServeConfig, RetryPolicy, SloConfig)))"
 	@$(PYTHON) scripts/reachability.py
 
-# Benchmark-suite smoke run: correctness assertions only, timing
+# Benchmark-suite smoke run (every file outside benchmarks/e2e, which
+# has its own self-test): correctness and shape assertions only, timing
 # comparisons skipped (REPRO_CI) and pytest-benchmark timing disabled.
 smoke:
-	REPRO_CI=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_microbench_core.py -q --benchmark-disable
+	REPRO_CI=1 PYTHONPATH=src $(PYTHON) -m pytest benchmarks --ignore=benchmarks/e2e -q --benchmark-disable
 
 # The end-to-end benchmark: every workload, results on stdout (see
 # benchmarks/e2e/README.md; add --out PATH to keep a result set).

@@ -12,6 +12,7 @@ far below the paper's 0.001 % line.
 import pytest
 
 from repro.bench.experiments import figure13
+from repro.bench.harness import EPOCH_LARGE, EPOCH_SMALL
 from repro.workloads.registry import BENCHMARKS
 
 from .conftest import emit
@@ -25,10 +26,9 @@ def fig13(suite):
 def test_zero_false_negatives_everywhere(suite, benchmark):
     benchmark.extra_info["assertions"] = "shape"
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cfg = suite.config
     for bench in BENCHMARKS:
-        for threads in cfg.thread_counts:
-            for h in (cfg.epoch_small, cfg.epoch_large):
+        for threads in suite.config.thread_counts:
+            for h in (EPOCH_SMALL, EPOCH_LARGE):
                 record = suite.run(bench, threads, h)
                 assert record.precision.false_negatives == 0, (
                     bench, threads, h

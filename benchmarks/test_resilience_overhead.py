@@ -34,7 +34,8 @@ from repro.lifeguards.addrcheck import ButterflyAddrCheck
 #: submit-all / collect-in-order loop on the same executor type.
 BUDGET = 1.10
 
-WORKERS = 2
+#: The bare loop runs as wide as every pool does (the CPU count).
+WORKERS = PoolBackend("threads").max_workers
 
 
 def _apply(payload):
@@ -103,9 +104,7 @@ def test_fault_free_supervision_within_budget(
 ):
     # Both pools are built once and kept warm: the budget is on the
     # fan-out loop, not on worker start-up.
-    with BareReferencePool(kind) as bare_pool, PoolBackend(
-        kind, WORKERS
-    ) as pool:
+    with BareReferencePool(kind) as bare_pool, PoolBackend(kind) as pool:
         # A single-digit-percent budget on wall clock can still lose to
         # a burst of host noise; a genuine regression fails every
         # re-measure, noise almost never fails three independent ones.
@@ -128,9 +127,7 @@ def test_fault_free_supervision_within_budget(
 def test_supervision_changes_no_results(kind, core_partition):
     """Supervision must be invisible: identical errors and stats to the
     bare loop and to the serial reference schedule."""
-    with BareReferencePool(kind) as bare_pool, PoolBackend(
-        kind, WORKERS
-    ) as pool:
+    with BareReferencePool(kind) as bare_pool, PoolBackend(kind) as pool:
         assert (
             _run(pool, core_partition)
             == _run(bare_pool, core_partition)

@@ -24,12 +24,11 @@ program = get_benchmark("OCEAN").generate(THREADS, EVENTS_PER_THREAD, seed=1)
 oracle = Oracle(program)
 assert len(oracle.errors) == 0, "the generated run is bug-free"
 
-system = LBASystem()
-baseline = system.unmonitored_sequential(program)
+baseline = LBASystem().unmonitored_sequential(program)
 
 rows = []
 for h in (256, 512, 1024, 2048, 4096, 8192):
-    point = measure_epoch_size(program, h, oracle, system=system)
+    point = measure_epoch_size(program, h, oracle)
     rows.append((
         h,
         point.epochs,

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """What in ``src/`` does no command, script, e2e benchmark or example
-reach?  ``make surface`` prints it, and ``tests/test_reachability.py``
-holds the definition list to the named ``SURVIVORS`` below.
+reach or set?  ``make surface`` prints it, and
+``tests/test_reachability.py`` holds the definition list to the named
+``SURVIVORS`` and the knob list to the named ``KNOB_SURVIVORS`` below.
 
 The roots are ``src/repro/cli.py``, ``scripts/``, ``benchmarks/e2e/`` and
-``examples/``.  The walk has two steps.
+``examples/``.  The walk has three steps.
 
 1. *Modules.*  An ``ast`` import walk from the roots (absolute imports:
    ``src/`` has no others).  A package ``__init__``'s re-exports resolve
@@ -24,6 +25,22 @@ The roots are ``src/repro/cli.py``, ``scripts/``, ``benchmarks/e2e/`` and
    class's dunder methods are reached, and a method is considered only
    once its class is reached.  Every definition of an unreached module
    is unreached.
+3. *Knobs.*  Every defaulted parameter (positional or keyword-only) of
+   a reached function or method other than a dunder, with ``__init__``
+   called by its class's name, and every defaulted field of a reached
+   ``@dataclass``, called by the class's name.  Reached code sets a knob
+   when it passes it by keyword to a call of that name, passes
+   positionals that cover it, calls that name with ``*``/``**``, or
+   names the callable other than by calling it (annotations and
+   ``isinstance`` arguments aside; ``getattr`` strings and prefixes
+   count).  ``replace(x, field=...)`` sets a field, and so, on a
+   non-frozen dataclass, does an attribute store or an in-place
+   mutation (``x.f = ...``, ``x.f[k] = ...``, ``x.f += ...``,
+   ``x.f.append(...)``).  Names resolve as in step 2, so the walk
+   over-approximates "set" and never lists a knob a command sets.  A
+   parameter passed on unchanged sets nothing unless it is set itself,
+   to a fixpoint: a default that only flows in from an unset knob is
+   unset too.  A listed knob becomes a constant.
 
 Run it as ``python scripts/reachability.py``.
 """
@@ -72,6 +89,36 @@ SURVIVORS = {
     "src/repro/verify/generator.py::TraceCase.from_json": _REPRO,
     "src/repro/shadow/shadow_memory.py": _OWED.format(225, 31),
     "src/repro/sim/logformat.py": _OWED.format(86, 21),
+}
+
+_SHAPE = "a shape parameter of a generated test input"
+
+# Knobs (``path::Callable(param)`` or ``path::Dataclass.field``) that
+# only tests set and that stay, each with why.  tests/test_reachability.py
+# fails when step 3 lists a knob not named here, or when a name here no
+# longer matches anything it lists.
+KNOB_SURVIVORS = {
+    "src/repro/core/reaching_defs.py::ReachingDefinitions(use_mask_kernel)": (
+        "False selects the scalar walk, the mask kernel's test reference; "
+        "ROADMAP lists the choice as closed by measurement"),
+    "src/repro/core/ordering.py::all_valid_orderings(up_to_epoch)": (
+        "the section 5 oracle's epoch bound (test_ordering, "
+        "test_reaching_defs)"),
+    "src/repro/lifeguards/sequential.py::"
+    "true_errors_under_any_ordering(stats)": (
+        "the section 5 oracle's prefix-reuse counters, which "
+        "test_sequential_fast_paths asserts"),
+    "src/repro/trace/generator.py::simulated_alloc_program(num_locations)":
+        _SHAPE,
+    "src/repro/trace/generator.py::"
+    "simulated_alloc_program(inject_error_rate)": _SHAPE,
+    "src/repro/trace/generator.py::alloc_handoff_program(num_locations)":
+        _SHAPE,
+    "src/repro/verify/generator.py::AdversarialCaseGenerator(num_locations)":
+        _SHAPE,
+    "src/repro/serve/server.py::ServerThread(recorder)": (
+        "the in-process daemon's recorder: ReproServer sets the serve.* "
+        "gauges at construction, which test_metrics and test_server read"),
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -200,8 +247,9 @@ class Definition:
 
 
 def walk(root):
-    """``(unreached modules, unreached definitions)`` for the tree at
-    ``root``: ``src/`` paths, and ``Definition``s by path and line."""
+    """``(unreached modules, unreached definitions, unset knobs)`` for the
+    tree at ``root``: ``src/`` paths, then ``Definition``s and ``Knob``s
+    by path and line."""
     root = Path(root)
     modules = module_paths(root)
     trees = {p: ast.parse(p.read_text())
@@ -221,6 +269,8 @@ def walk(root):
         candidates += tops
 
     names, prefixes = set(), set()
+    reached_code = [(None, node) for node in code]
+    reached = []
     while code:
         more_names, more_prefixes = names_used(code)
         names |= more_names
@@ -230,6 +280,8 @@ def walk(root):
             d = candidates.pop()
             if d.named_by(names, tuple(prefixes)):
                 code += d.code()
+                reached_code += [(d, node) for node in d.code()]
+                reached.append(d)
                 candidates += d.methods()  # a reached class's methods
             else:
                 waiting.append(d)
@@ -240,7 +292,222 @@ def walk(root):
     )
     unreached += candidates
     unreached.sort(key=lambda d: (d.path, d.node.lineno))
-    return unreached_mods, unreached
+    return unreached_mods, unreached, unset_knobs(
+        reached, reached_code, tuple(prefixes))
+
+
+_MUTATORS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault", "pop",
+    "popitem", "remove", "discard", "clear", "sort", "reverse",
+})
+
+
+class Knob:
+    """One defaulted parameter of a reached function or method, or one
+    defaulted field of a reached ``@dataclass``."""
+
+    def __init__(self, definition, name, callee, position, field=False,
+                 frozen=True):
+        self.definition, self.name, self.callee = definition, name, callee
+        self.position, self.field, self.frozen = position, field, frozen
+        d = definition
+        if field:
+            self.label = f"{d.qualname}.{name}"
+        else:
+            call = d.owner.name if d.name == "__init__" else d.qualname
+            self.label = f"{call}({name})"
+
+    @property
+    def path(self):
+        return self.definition.path
+
+    @property
+    def key(self):
+        return f"{self.path}::{self.label}"
+
+
+def _callee(call):
+    """The name a call resolves to: its function's name or attribute."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _decorated(node, name):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (getattr(target, "id", None) or getattr(target, "attr", None)) == name:
+            return dec
+    return None
+
+
+def _knobs_of(d):
+    """The knobs of reached definition ``d``."""
+    node = d.node
+    if isinstance(node, ast.ClassDef):
+        dec = _decorated(node, "dataclass")
+        if dec is None:
+            return []
+        frozen = isinstance(dec, ast.Call) and any(
+            k.arg == "frozen" and getattr(k.value, "value", False)
+            for k in dec.keywords)
+        fields = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                  and isinstance(s.target, ast.Name)
+                  and "ClassVar" not in ast.unparse(s.annotation)]
+        return [Knob(d, s.target.id, d.name, i, True, frozen)
+                for i, s in enumerate(fields) if s.value is not None]
+    name = d.name
+    if name.startswith("__") and name != "__init__":
+        return []  # called by the interpreter, never by name
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if d.owner is not None and not _decorated(node, "staticmethod"):
+        positional = positional[1:]
+    callee = d.owner.name if name == "__init__" else name
+    knobs = [Knob(d, a.arg, callee, i) for i, a in enumerate(positional)
+             if i >= len(positional) - len(args.defaults)]
+    knobs += [Knob(d, a.arg, callee, None)
+              for a, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return knobs
+
+
+def _not_uses(tree):
+    """Ids of nodes under ``tree`` that name a callable without using it:
+    annotations and ``isinstance``/``issubclass`` class arguments."""
+    skip = set()
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            notes = [x.annotation for x in (
+                *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                if x is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) in ("isinstance",
+                                                     "issubclass")
+              and len(node.args) == 2):
+            notes = [node.args[1]]
+        skip.update(id(n) for note in notes if note is not None
+                    for n in ast.walk(note))
+    return skip
+
+
+def _stored_attrs(target):
+    """Attribute names an assignment target stores to or mutates:
+    ``x.f = ...``, ``x.f[k] = ...``, ``(x.f, y.g) = ...``."""
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    if isinstance(target, ast.Attribute):
+        return [target.attr]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for t in target.elts for a in _stored_attrs(t)]
+    return []
+
+
+def _forwarded(d):
+    """``{name: knob key}`` for the defaulted parameters of function ``d``
+    that its body passes on unchanged (never rebound, never shadowed)."""
+    if d is None or isinstance(d.node, ast.ClassDef):
+        return {}
+    rebound = set()
+    for node in ast.walk(d.node):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            rebound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)) and node is not d.node:
+            a = node.args
+            rebound.update(x.arg for x in (*a.posonlyargs, *a.args,
+                                           *a.kwonlyargs, a.vararg, a.kwarg)
+                           if x is not None)
+    return {k.name: k.key for k in _knobs_of(d) if k.name not in rebound}
+
+
+class _Settings:
+    """What reached code does that can set a knob: calls by callee name
+    and slot (keyword or position), ``*``/``**`` calls, non-call
+    references, and attribute stores and in-place mutations."""
+
+    def __init__(self, reached_code):
+        #: ``(callee, slot) -> {None, or the knob key the value forwards}``
+        self.sources = {}
+        self.starred, self.referenced, self.stored = set(), set(), set()
+        for d, top in reached_code:
+            self._scan(top, _forwarded(d))
+
+    def _scan(self, top, forwarded):
+        calls = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                calls.add(id(node.func))
+                self._call(node, forwarded)
+            elif isinstance(node, (ast.Assign, ast.Delete)):
+                for t in node.targets:
+                    self.stored.update(_stored_attrs(t))
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                self.stored.update(_stored_attrs(node.target))
+        skip = _not_uses(top)
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in calls and id(node) not in skip):
+                self.referenced.add(
+                    node.id if isinstance(node, ast.Name) else node.attr)
+
+    def _call(self, node, forwarded):
+        def source(value):
+            return (forwarded.get(value.id)
+                    if isinstance(value, ast.Name) else None)
+
+        func = node.func
+        if (getattr(func, "id", None) == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            self.referenced.add(node.args[1].value)
+        if (getattr(func, "attr", None) in _MUTATORS
+                and isinstance(func.value, ast.Attribute)):
+            self.stored.add(func.value.attr)
+        name = _callee(node)
+        if (any(isinstance(a, ast.Starred) for a in node.args)
+                or any(k.arg is None for k in node.keywords)):
+            self.starred.add(name)
+        for i, arg in enumerate(node.args):
+            self.sources.setdefault((name, i), set()).add(source(arg))
+        for k in node.keywords:
+            self.sources.setdefault((name, k.arg), set()).add(source(k.value))
+
+    def sets(self, knob, unset, prefixes):
+        """Whether ``knob`` is set, counting a value forwarded from a
+        knob in ``unset`` as not setting it."""
+        def passed(callee, slot):
+            return any(s is None or s not in unset
+                       for s in self.sources.get((callee, slot), ()))
+
+        if knob.field and (passed("replace", knob.name) or (
+                not knob.frozen and knob.name in self.stored)):
+            return True
+        callee = knob.callee
+        return (callee in self.starred or callee in self.referenced
+                or callee.startswith(prefixes)
+                or passed(callee, knob.name)
+                or (knob.position is not None
+                    and passed(callee, knob.position)))
+
+
+def unset_knobs(reached, reached_code, prefixes):
+    """Step 3: the knobs of ``reached`` that ``reached_code`` (pairs of
+    enclosing definition and node) never sets."""
+    settings = _Settings(reached_code)
+    knobs = [k for d in reached for k in _knobs_of(d)]
+    unset, grown = set(), True
+    while grown:  # a knob forwarded only from unset knobs is unset too
+        now = {k.key for k in knobs if not settings.sets(k, unset, prefixes)}
+        grown, unset = now != unset, now
+    found = [k for k in knobs if k.key in unset]
+    found.sort(key=lambda k: (k.path, k.definition.node.lineno, k.label))
+    return found
 
 
 def survivor_of(definition):
@@ -252,7 +519,7 @@ def survivor_of(definition):
 
 
 def main():
-    unreached_mods, unreached = walk(ROOT)
+    unreached_mods, unreached, knobs = walk(ROOT)
     print("src modules no command, script, e2e benchmark or example imports:",
           len(unreached_mods), *unreached_mods)
     named = {}
@@ -270,6 +537,14 @@ def main():
         size = f"{len(ds)} defs, " if len(ds) > 1 else ""
         print(f"  {key} ({size}{sum(d.lines for d in ds)} lines): "
               f"{SURVIVORS[key]}")
+    unnamed = [k for k in knobs if k.key not in KNOB_SURVIVORS]
+    print(f"knobs only tests set: {len(unnamed)}")
+    for k in unnamed:
+        print(f"  {k.key}")
+    named = [k for k in knobs if k.key in KNOB_SURVIVORS]
+    print(f"named knob survivors: {len(named)}")
+    for k in named:
+        print(f"  {k.key}: {KNOB_SURVIVORS[k.key]}")
 
 
 if __name__ == "__main__":

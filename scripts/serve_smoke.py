@@ -73,10 +73,14 @@ from repro.trace.serialize import (  # noqa: E402
     stream_header,
 )
 
-#: Quick-but-nonzero backoff: an instantly reconnecting producer can
-#: race the daemon's reaping of its own dead session (ERROR busy, a
-#: documented retryable), so give the loop a beat between attempts.
-FAST = RetryPolicy(backoff_base=0.05, backoff_max=0.2)
+def fast(retries):
+    """``retries`` reconnects with a quick-but-nonzero backoff: an
+    instantly reconnecting producer can race the daemon's reaping of its
+    own dead session (ERROR busy, a documented retryable), so give the
+    loop a beat between attempts."""
+    return RetryPolicy(
+        max_retries=retries, backoff_base=0.05, backoff_max=0.2
+    )
 
 STREAMS = 8
 IDLE_TIMEOUT = 0.5
@@ -179,7 +183,7 @@ def phase_concurrent_streams(tmp, summary_path):
         try:
             results[sid] = StreamClient(
                 address, str(path), sid, lifeguard=lifeguard,
-                plan=plans.get(sid), policy=FAST, retries=60,
+                plan=plans.get(sid), policy=fast(60),
             ).push()
         except Exception as exc:
             errors.append(f"{sid}: {exc}")
@@ -298,7 +302,7 @@ def phase_sigkill_resume(tmp):
     try:
         client = StreamClient(
             ("unix", str(tmp / "kill-b.sock")), str(trace), "victim",
-            policy=FAST, retries=3,
+            policy=fast(3),
         )
         served = client.push()
         resumed_from = client.last_ack["resume_epoch"]
@@ -332,7 +336,7 @@ def phase_metrics(tmp):
     try:
         StreamClient(
             ("unix", str(sock)), str(trace), "observed",
-            policy=FAST, retries=5,
+            policy=fast(5),
         ).push()
         with urllib.request.urlopen(url, timeout=10) as response:
             if response.status != 200:

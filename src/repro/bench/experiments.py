@@ -7,9 +7,9 @@ render itself as text in the paper's presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.bench.harness import ExperimentConfig, ExperimentSuite
+from repro.bench.harness import EPOCH_LARGE, EPOCH_SMALL, ExperimentSuite
 from repro.bench.reporting import (
     format_rate,
     render_grouped_bars,
@@ -44,10 +44,9 @@ class Table1:
         )
 
 
-def table1(cores: int = 4) -> Table1:
+def table1() -> Table1:
     """Regenerate Table 1 (the core count column shows {4,8,16})."""
-    config = MachineConfig(cores=cores)
-    rows = config.table_rows()
+    rows = MachineConfig().table_rows()
     # The paper's table shows the whole sweep in one row.
     rows[0] = ("Cores", "{4,8,16} cores")
     l2_row = (
@@ -68,10 +67,10 @@ class Figure11:
     """Execution time normalized to sequential unmonitored execution.
 
     ``data[benchmark][threads]`` holds the three bars:
-    (timesliced, butterfly, parallel-no-monitoring).
+    (timesliced, butterfly, parallel-no-monitoring), all at
+    ``EPOCH_LARGE``.
     """
 
-    epoch_size: int
     data: Dict[str, Dict[int, Tuple[float, float, float]]]
 
     def render(self) -> str:
@@ -90,21 +89,18 @@ class Figure11:
         )
 
 
-def figure11(
-    suite: ExperimentSuite, epoch_size: Optional[int] = None
-) -> Figure11:
-    h = epoch_size if epoch_size is not None else suite.config.epoch_large
+def figure11(suite: ExperimentSuite) -> Figure11:
     data: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
     for bench in BENCHMARKS:
         data[bench] = {}
         for threads in suite.config.thread_counts:
-            record = suite.run(bench, threads, h)
+            record = suite.run(bench, threads, EPOCH_LARGE)
             data[bench][threads] = (
                 record.timesliced_norm,
                 record.butterfly_norm,
                 record.parallel_norm,
             )
-    return Figure11(epoch_size=h, data=data)
+    return Figure11(data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +115,6 @@ class Figure12:
     ``data[benchmark][threads]`` = (time at small h, time at large h).
     """
 
-    epoch_small: int
-    epoch_large: int
     data: Dict[str, Dict[int, Tuple[float, float]]]
 
     def render(self) -> str:
@@ -140,7 +134,7 @@ class Figure12:
                 )
         return (
             "Figure 12: performance sensitivity to epoch size "
-            f"(h={self.epoch_small} vs h={self.epoch_large} events; "
+            f"(h={EPOCH_SMALL} vs h={EPOCH_LARGE} events; "
             "paper: 8K vs 64K instructions)\n"
             + render_table(
                 ("Benchmark", "Threads", "h=8K", "h=64K", "Direction"), rows
@@ -149,20 +143,17 @@ class Figure12:
 
 
 def figure12(suite: ExperimentSuite) -> Figure12:
-    cfg = suite.config
     data: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for bench in BENCHMARKS:
         data[bench] = {}
-        for threads in cfg.thread_counts:
-            small = suite.run(bench, threads, cfg.epoch_small)
-            large = suite.run(bench, threads, cfg.epoch_large)
+        for threads in suite.config.thread_counts:
+            small = suite.run(bench, threads, EPOCH_SMALL)
+            large = suite.run(bench, threads, EPOCH_LARGE)
             data[bench][threads] = (
                 small.butterfly_norm,
                 large.butterfly_norm,
             )
-    return Figure12(
-        epoch_small=cfg.epoch_small, epoch_large=cfg.epoch_large, data=data
-    )
+    return Figure12(data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +168,6 @@ class Figure13:
     ``data[benchmark][threads]`` = (rate at small h, rate at large h).
     """
 
-    epoch_small: int
-    epoch_large: int
     data: Dict[str, Dict[int, Tuple[float, float]]]
 
     def render(self) -> str:
@@ -190,7 +179,7 @@ class Figure13:
                 )
         return (
             "Figure 13: false positives as % of memory accesses "
-            f"(h={self.epoch_small} vs h={self.epoch_large} events)\n"
+            f"(h={EPOCH_SMALL} vs h={EPOCH_LARGE} events)\n"
             + render_table(
                 ("Benchmark", "Threads", "h=8K", "h=64K"), rows
             )
@@ -198,17 +187,14 @@ class Figure13:
 
 
 def figure13(suite: ExperimentSuite) -> Figure13:
-    cfg = suite.config
     data: Dict[str, Dict[int, Tuple[float, float]]] = {}
     for bench in BENCHMARKS:
         data[bench] = {}
-        for threads in cfg.thread_counts:
-            small = suite.run(bench, threads, cfg.epoch_small)
-            large = suite.run(bench, threads, cfg.epoch_large)
+        for threads in suite.config.thread_counts:
+            small = suite.run(bench, threads, EPOCH_SMALL)
+            large = suite.run(bench, threads, EPOCH_LARGE)
             data[bench][threads] = (
                 small.precision.false_positive_rate,
                 large.precision.false_positive_rate,
             )
-    return Figure13(
-        epoch_small=cfg.epoch_small, epoch_large=cfg.epoch_large, data=data
-    )
+    return Figure13(data=data)

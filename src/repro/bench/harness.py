@@ -26,7 +26,6 @@ from repro.lifeguards.reports import (
 )
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.sim.config import LifeguardCostModel
 from repro.sim.lba import LBASystem, SimResult
 from repro.trace.program import TraceProgram
 from repro.workloads.registry import get_benchmark
@@ -38,6 +37,11 @@ SCALE = 16
 #: The paper's epoch sizes, in monitored instructions.
 PAPER_EPOCHS = {"8K": 8 * 1024, "64K": 64 * 1024}
 
+#: Scaled stand-ins for the paper's h = 8K and 64K: the two epoch sizes
+#: Figures 12-13 compare, and Figure 11's h (the large one).
+EPOCH_SMALL = PAPER_EPOCHS["8K"] // SCALE
+EPOCH_LARGE = PAPER_EPOCHS["64K"] // SCALE
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -45,14 +49,7 @@ class ExperimentConfig:
 
     events_per_thread: int = 8192
     thread_counts: Tuple[int, ...] = (2, 4, 8)
-    #: Scaled stand-ins for the paper's h = 8K and 64K.
-    epoch_small: int = PAPER_EPOCHS["8K"] // SCALE
-    epoch_large: int = PAPER_EPOCHS["64K"] // SCALE
     seed: int = 1
-    costs: LifeguardCostModel = field(default_factory=LifeguardCostModel)
-    #: Execution backend the butterfly engine fans out on ("serial",
-    #: "threads", or "processes") -- results are backend-independent.
-    backend: str = "serial"
 
 
 @dataclass
@@ -149,14 +146,13 @@ def measure_epoch_size(
     program: TraceProgram,
     epoch_size: int,
     oracle: Oracle,
-    system: Optional[LBASystem] = None,
     backend: Any = "serial",
     recorder: Recorder = NULL_RECORDER,
 ) -> TunePoint:
     """Run butterfly AddrCheck over ``program`` at one epoch size and
     score it against ``oracle`` -- the single way this repo measures
     what the paper's knob does at one setting."""
-    run = (system or LBASystem()).butterfly(
+    run = LBASystem().butterfly(
         program, epoch_size, backend=backend, recorder=recorder
     )
     return TunePoint(
@@ -255,7 +251,6 @@ class ExperimentSuite:
         self._programs: Dict[Tuple[str, int], TraceProgram] = {}
         self._baselines: Dict[Tuple[str, int], Tuple[SimResult, SimResult, SimResult, Oracle]] = {}
         self._runs: Dict[Tuple[str, int, int], RunRecord] = {}
-        self._system = LBASystem(costs=self.config.costs)
 
     # -- building blocks --------------------------------------------------
 
@@ -277,10 +272,11 @@ class ExperimentSuite:
         key = (benchmark, threads)
         if key not in self._baselines:
             program = self.program(benchmark, threads)
+            system = LBASystem()
             self._baselines[key] = (
-                self._system.unmonitored_sequential(program),
-                self._system.unmonitored_parallel(program),
-                self._system.timesliced(program),
+                system.unmonitored_sequential(program),
+                system.unmonitored_parallel(program),
+                system.timesliced(program),
                 Oracle(program),
             )
         return self._baselines[key]
@@ -293,10 +289,7 @@ class ExperimentSuite:
             return self._runs[key]
         program = self.program(benchmark, threads)
         seq_res, par_res, ts_res, oracle = self.baselines(benchmark, threads)
-        point = measure_epoch_size(
-            program, epoch_size, oracle,
-            system=self._system, backend=self.config.backend,
-        )
+        point = measure_epoch_size(program, epoch_size, oracle)
         record = RunRecord(
             benchmark=benchmark,
             threads=threads,

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+#: Characters in the longest bar of a chart.
+BAR_WIDTH = 50
+
 
 def render_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]]
@@ -24,33 +27,26 @@ def render_table(
     return "\n".join(out)
 
 
-def render_bars(
-    title: str,
-    series: Dict[str, float],
-    width: int = 50,
-    unit: str = "x",
-) -> str:
-    """Horizontal ASCII bar chart (one figure group)."""
+def render_bars(title: str, series: Dict[str, float]) -> str:
+    """Horizontal ASCII bar chart (one figure group), values as ratios."""
     if not series:
         return title
     peak = max(series.values()) or 1.0
     label_w = max(len(k) for k in series)
     lines = [title]
     for label, value in series.items():
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"  {label.ljust(label_w)} {bar} {value:.2f}{unit}")
+        bar = "#" * max(1, int(round(BAR_WIDTH * value / peak)))
+        lines.append(f"  {label.ljust(label_w)} {bar} {value:.2f}x")
     return "\n".join(lines)
 
 
 def render_grouped_bars(
-    title: str,
-    groups: Dict[str, Dict[str, float]],
-    unit: str = "x",
+    title: str, groups: Dict[str, Dict[str, float]]
 ) -> str:
     """One chart per group (e.g. per benchmark), Figure 11 style."""
     out = [title]
     for group, series in groups.items():
-        out.append(render_bars(f"[{group}]", series, unit=unit))
+        out.append(render_bars(f"[{group}]", series))
     return "\n\n".join(out)
 
 

@@ -502,19 +502,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grows with the epoch size; Table 1's six fit a nearly flat curve."""
     recorder = _open_recorder(args)
     backend = _resolve_backend(args)
-    system = LBASystem()
     records = []
     try:
         for label, program in _sweep_programs(args):
             oracle = Oracle(program)
-            baseline = system.unmonitored_sequential(program).cycles
+            baseline = LBASystem().unmonitored_sequential(program).cycles
             points = []
             for h in args.sizes:
                 if recorder.enabled:
                     recorder.event("sweep.config", epoch_size=h)
                 points.append(measure_epoch_size(
-                    program, h, oracle,
-                    system=system, backend=backend, recorder=recorder,
+                    program, h, oracle, backend=backend, recorder=recorder,
                 ))
             if args.traces:
                 print(f"trace: {label}")
@@ -641,7 +639,6 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
         idle_timeout=args.idle_timeout,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
-        backend=args.backend,
         metrics_port=args.metrics,
         slo=slo,
     )
@@ -1069,7 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adaptive: fold-factor floor (default: 1)")
     p.add_argument("--slo-max-fold", type=int, default=64, metavar="N",
                    help="adaptive: fold-factor ceiling (default: 64)")
-    _add_backend_arg(p)
     _add_emit_events_arg(p)
     p.set_defaults(func=cmd_serve)
 
@@ -1131,6 +1127,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # format_report slices errors[:limit]; a negative one would
         # silently drop reports under a header that counts them all.
         return _fail(args.command, f"--limit must be >= 0, got {args.limit}")
+    stop_after = getattr(args, "stop_after_epoch", None)
+    if stop_after is not None and stop_after < 0:
+        return _fail(
+            args.command, f"--stop-after-epoch must be >= 0, got {stop_after}"
+        )
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -34,7 +34,8 @@ without changing results --
 - **pool healing** -- ``BrokenProcessPool``/``BrokenThreadPool`` tears
   the executor down and lazily builds a fresh one; lost units are
   resubmitted, completed ones kept;
-- **graceful degradation** -- after ``policy.degrade_after``
+- **graceful degradation** -- after
+  :data:`~repro.resilience.supervisor.DEGRADE_AFTER`
   *consecutive* pool-level failures the pool steps down
   :data:`~repro.resilience.supervisor.DEGRADATION_LADDER`
   (``processes -> threads -> serial``, the last rung running units
@@ -69,7 +70,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 from repro.errors import AnalysisError, ResilienceError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.resilience.faults import FaultPlan, faulted_apply, result_is_valid
-from repro.resilience.supervisor import DEGRADATION_LADDER, RetryPolicy
+from repro.resilience.supervisor import (
+    DEGRADATION_LADDER,
+    DEGRADE_AFTER,
+    RetryPolicy,
+)
 
 #: Backend names accepted by the engine and the CLI.
 BACKEND_CHOICES = ("serial", "threads", "processes")
@@ -128,10 +133,10 @@ class PoolBackend(ExecutionBackend):
     ----------
     kind:
         ``"threads"`` or ``"processes"`` -- the rung the pool starts on.
-    max_workers:
-        Pool width (default: the CPU count).
+        The pool is as wide as the host has CPUs; results are identical
+        at any width.
     policy:
-        Retry/timeout/degradation knobs (default :class:`RetryPolicy`).
+        Retry and timeout knobs (default :class:`RetryPolicy`).
     plan:
         Optional deterministic
         :class:`~repro.resilience.faults.FaultPlan` injected into every
@@ -145,7 +150,6 @@ class PoolBackend(ExecutionBackend):
     def __init__(
         self,
         kind: str,
-        max_workers: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
         plan: Optional[FaultPlan] = None,
     ) -> None:
@@ -153,15 +157,10 @@ class PoolBackend(ExecutionBackend):
             raise AnalysisError(
                 f"a pool runs on threads or processes, not {kind!r}"
             )
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(
-                f"max_workers must be >= 1 (got {max_workers}); "
-                f"omit it to use the CPU-count default"
-            )
         #: The *current* rung of the ladder: ``kind`` until the pool
         #: degrades, then the name of the rung it stepped down to.
         self.name = kind
-        self.max_workers = max_workers or max(1, os.cpu_count() or 1)
+        self.max_workers = max(1, os.cpu_count() or 1)
         self.policy = policy or RetryPolicy()
         self.plan = plan
         self._executor: Optional[Executor] = None
@@ -346,7 +345,7 @@ class PoolBackend(ExecutionBackend):
             "resilience.pool.recycle", backend=self.name, reason=reason
         )
         self._consecutive_pool_failures += 1
-        if self._consecutive_pool_failures >= self.policy.degrade_after:
+        if self._consecutive_pool_failures >= DEGRADE_AFTER:
             self._degrade()
 
     def _degrade(self) -> bool:
@@ -457,7 +456,6 @@ def _block_provenance(item: Tuple) -> Optional[Tuple[int, int]]:
 
 def get_backend(
     spec: Union[str, ExecutionBackend, None],
-    max_workers: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
     plan: Optional[FaultPlan] = None,
 ) -> ExecutionBackend:
@@ -478,7 +476,7 @@ def get_backend(
             )
         return SerialBackend()
     if spec in DEGRADATION_LADDER[:-1]:
-        return PoolBackend(spec, max_workers, policy, plan)
+        return PoolBackend(spec, policy, plan)
     raise AnalysisError(
         f"unknown execution backend {spec!r} "
         f"(choose from {', '.join(BACKEND_CHOICES)})"

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional
 
 #: Keys holding wall-clock readings.  Everything else in an event is a
 #: deterministic function of the trace and the analysis configuration.
@@ -270,23 +270,23 @@ class _NullSpan:
 NULL_RECORDER = NullRecorder()
 
 
-def normalize_events(
-    events: Iterable[Dict[str, Any]],
-    drop_prefixes: Tuple[str, ...] = ("backend.", "resilience."),
-) -> List[Dict[str, Any]]:
+#: Event families that are schedule-dependent by nature: ``backend.*``
+#: telemetry only exists on concurrent backends, and ``resilience.*``
+#: depends on the fault schedule and the supervision configuration.
+SCHEDULE_DEPENDENT = ("backend.", "resilience.")
+
+
+def normalize_events(events: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Project an event log onto its deterministic content.
 
     Strips the wall-clock fields (:data:`WALL_CLOCK_FIELDS`) and drops
-    event families that are schedule-dependent by nature (by default the
-    ``backend.*`` telemetry, which only exists on concurrent backends,
-    and ``resilience.*``, which depends on the fault schedule and the
-    supervision configuration).  ``seq`` is recomputed after filtering
-    so logs from different backends compare equal.
+    the :data:`SCHEDULE_DEPENDENT` event families.  ``seq`` is
+    recomputed after filtering so logs from different backends compare
+    equal.
     """
     out: List[Dict[str, Any]] = []
     for ev in events:
-        name = ev.get("ev", "")
-        if any(name.startswith(p) for p in drop_prefixes):
+        if ev.get("ev", "").startswith(SCHEDULE_DEPENDENT):
             continue
         clean = {
             k: v

@@ -34,7 +34,7 @@ import time
 import zlib
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import ReproError, TraceError
+from repro.errors import ReproError, ResilienceError, TraceError
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import RetryPolicy
 from repro.serve.protocol import (
@@ -132,16 +132,19 @@ class StreamClient:
         lifeguard: str = "addrcheck",
         plan: Optional[FaultPlan] = None,
         policy: Optional[RetryPolicy] = None,
-        retries: int = 3,
         timeout: float = 30.0,
     ) -> None:
+        if not timeout > 0:
+            raise ResilienceError(
+                f"timeout must be > 0 seconds, got {timeout}"
+            )
         self.address = address
         self.trace_path = trace_path
         self.stream_id = stream_id
         self.lifeguard = lifeguard
         self.plan = plan
-        self.policy = policy or RetryPolicy(max_retries=retries)
-        self.retries = retries
+        #: Reconnects after the first attempt are ``policy.max_retries``.
+        self.policy = policy or RetryPolicy()
         self.timeout = timeout
         with open(trace_path) as fp:
             self.header = stream_header(fp, trace_path)
@@ -266,7 +269,8 @@ class StreamClient:
     def push(self) -> Dict[str, Any]:
         """Deliver the stream, resuming across failures; the REPORT."""
         last: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
+        attempts = self.policy.max_retries + 1
+        for attempt in range(attempts):
             if attempt:
                 time.sleep(
                     self.policy.delay_for(self._digest, 0, attempt)
@@ -278,7 +282,7 @@ class StreamClient:
                 last = cause if isinstance(cause, Exception) else exc
         message = (
             f"stream {self.stream_id!r} failed after "
-            f"{self.retries + 1} attempts: {last}"
+            f"{attempts} attempts: {last}"
         )
         if isinstance(last, ServeErrorFrame):
             raise ServeErrorFrame(last.payload) from last
@@ -293,16 +297,16 @@ def push_trace(
     plan: Optional[FaultPlan] = None,
     retries: int = 3,
     timeout: float = 30.0,
-    policy: Optional[RetryPolicy] = None,
 ) -> Dict[str, Any]:
-    """Push one version-2 trace file; return the daemon's REPORT."""
+    """Push one version-2 trace file; return the daemon's REPORT.
+    ``retries`` reconnects follow a failed attempt, backed off by the
+    default :class:`RetryPolicy`."""
     return StreamClient(
         address,
         trace_path,
         stream_id,
         lifeguard=lifeguard,
         plan=plan,
-        policy=policy,
-        retries=retries,
+        policy=RetryPolicy(max_retries=retries),
         timeout=timeout,
     ).push()

@@ -142,8 +142,8 @@ def make_hello(
     epochs: int,
     preallocated,
     lifeguard: str = "addrcheck",
-    token: Optional[str] = None,
 ) -> Dict[str, Any]:
+    """A fresh stream's ``HELLO``; a reconnect sets ``token`` on it."""
     return {
         "format": PROTOCOL_FORMAT,
         "version": PROTOCOL_VERSION,
@@ -152,7 +152,7 @@ def make_hello(
         "epochs": epochs,
         "preallocated": sorted(preallocated),
         "lifeguard": lifeguard,
-        "token": token,
+        "token": None,
     }
 
 

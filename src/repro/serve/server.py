@@ -134,9 +134,6 @@ class ServeConfig:
     checkpoint_dir: Optional[str] = None
     #: Checkpoint every N committed epochs.
     checkpoint_every: int = 1
-    #: Engine backend per stream ("serial" is right for a daemon:
-    #: cross-stream parallelism comes from the shards).
-    backend: str = "serial"
     #: TCP port for the ``/metrics``-style text snapshot listener
     #: (``None`` disables it; ``0`` binds an ephemeral port).
     metrics_port: Optional[int] = None

@@ -380,7 +380,9 @@ class _Shard:
             hello,
             config.checkpoint_dir,
             config.checkpoint_every,
-            config.backend,
+            # Serial per stream: cross-stream parallelism comes from
+            # the shards.
+            "serial",
             config.slo,
         )
         return StreamHandle(self, token, resume_epoch)

@@ -3,48 +3,28 @@
 The paper's evaluation uses LBA's *metadata-TLB* so the common case of a
 lifeguard metadata lookup costs a single indexed load (Section 7.1).
 This model is a small set-associative, LRU cache of shadow page numbers;
-the timing substrate charges ``hit_cycles`` or ``miss_cycles``
+the timing substrate charges ``HIT_CYCLES`` or ``MISS_CYCLES``
 accordingly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 
 class MetadataTLB:
-    """Set-associative LRU TLB over shadow pages."""
+    """Set-associative LRU TLB over shadow pages: 64 entries, 4-way."""
 
-    def __init__(
-        self,
-        entries: int = 64,
-        associativity: int = 4,
-        page_size: int = 4096,
-        hit_cycles: int = 1,
-        miss_cycles: int = 30,
-    ) -> None:
+    ENTRIES = 64
+    ASSOCIATIVITY = 4
+    HIT_CYCLES = 1
+    MISS_CYCLES = 30
+
+    def __init__(self, page_size: int = 4096) -> None:
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
-        if associativity < 1:
-            raise ValueError(
-                f"associativity must be >= 1, got {associativity}"
-            )
-        if entries < associativity:
-            # Covers entries <= 0 too: num_sets would be 0 and every
-            # lookup would die on ``page % 0``.  (entries ==
-            # associativity is legal -- it collapses to one
-            # fully-associative set.)
-            raise ValueError(
-                f"entries ({entries}) must be >= associativity "
-                f"({associativity}) so the TLB has at least one set"
-            )
-        if entries % associativity != 0:
-            raise ValueError("entries must be a multiple of associativity")
         self.page_size = page_size
-        self.associativity = associativity
-        self.num_sets = entries // associativity
-        self.hit_cycles = hit_cycles
-        self.miss_cycles = miss_cycles
+        self.num_sets = self.ENTRIES // self.ASSOCIATIVITY
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
@@ -58,12 +38,12 @@ class MetadataTLB:
             way.remove(page)
             way.append(page)
             self.hits += 1
-            return self.hit_cycles
+            return self.HIT_CYCLES
         self.misses += 1
         way.append(page)
-        if len(way) > self.associativity:
+        if len(way) > self.ASSOCIATIVITY:
             way.pop(0)
-        return self.miss_cycles
+        return self.MISS_CYCLES
 
     def flush(self) -> None:
         self._sets = [[] for _ in range(self.num_sets)]

@@ -1,10 +1,10 @@
 """Machine and cost-model parameters (paper Table 1).
 
 ``MachineConfig`` defaults reproduce Table 1's simulation parameters;
-``LifeguardCostModel`` captures the per-event lifeguard work the paper
-describes (LBA dispatch, metadata checks, and butterfly's first-pass
-recording overhead of "roughly 7-10 instructions for each monitored
-load and store").
+:data:`COSTS`, a ``LifeguardCostModel``, prices the per-event lifeguard
+work the paper describes (LBA dispatch, metadata checks, and butterfly's
+first-pass recording overhead of "roughly 7-10 instructions for each
+monitored load and store").
 """
 
 from __future__ import annotations
@@ -142,29 +142,43 @@ class LifeguardCostModel:
     The butterfly prototype's extra work is the paper's observation that
     the first pass "executes roughly 7-10 instructions for each
     monitored load and store simply to record it for the second pass".
-    False positives are "expensive to process in AddrCheck" -- the knob
+    False positives are "expensive to process in AddrCheck" -- the cost
     that makes OCEAN's large-epoch configuration slower (Figure 12).
+    The model's one calibration is :data:`COSTS`.
     """
 
     #: LBA event dispatch (decode + handler jump) per log record.
-    dispatch_cycles: int = 3
+    dispatch_cycles: int
     #: AddrCheck metadata check per location (beyond the metadata-TLB
     #: lookup, which is charged separately).
-    check_cycles: int = 25
+    check_cycles: int
     #: Extra first-pass instructions per monitored load/store to record
     #: the access for the second pass (paper: 7-10, plus the software
     #: filter probe).
-    record_cycles: int = 8
+    record_cycles: int
     #: Second-pass work per recorded access (summary set operations).
-    second_pass_cycles: int = 2
+    second_pass_cycles: int
     #: One barrier synchronization (two per epoch: after each pass),
     #: including the master's SOS update.  Scaled 1/16 with the traces.
-    epoch_barrier_cycles: int = 800
+    epoch_barrier_cycles: int
     #: Handling one flagged (false or true) positive: logging, metadata
     #: re-verification, rate limiting.  Scaled 1/16 with the traces.
-    error_handling_cycles: int = 400
+    error_handling_cycles: int
     #: OS context-switch cost charged per timeslice quantum in the
     #: timesliced baseline.
-    timeslice_switch_cycles: int = 300
+    timeslice_switch_cycles: int
     #: Timeslice quantum in events (scaled 1/16 with the traces).
-    timeslice_quantum: int = 6250
+    timeslice_quantum: int
+
+
+#: The cost model every simulated run is priced with.
+COSTS = LifeguardCostModel(
+    dispatch_cycles=3,
+    check_cycles=25,
+    record_cycles=8,
+    second_pass_cycles=2,
+    epoch_barrier_cycles=800,
+    error_handling_cycles=400,
+    timeslice_switch_cycles=300,
+    timeslice_quantum=6250,
+)

@@ -13,9 +13,9 @@ application running *sequentially, unmonitored*:
 Because lifeguard processing is slower than the application, the
 monitored application stalls on a full log buffer and measured time
 equals lifeguard processing time (Section 7.1); :func:`coupled_time`
-encodes that.  Lifeguard work is charged from the cost model of
-:class:`~repro.sim.config.LifeguardCostModel` using counters measured
-while *actually running* the butterfly AddrCheck over the trace -- the
+encodes that.  Lifeguard work is charged from the cost model
+:data:`~repro.sim.config.COSTS` using counters measured while
+*actually running* the butterfly AddrCheck over the trace -- the
 analysis itself is executed faithfully, only the hardware is modeled.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.epoch import EpochPartition, partition_auto
 from repro.core.framework import ButterflyEngine, EngineStats
@@ -34,7 +34,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.shadow.metadata_tlb import MetadataTLB
 from repro.sim.accelerators import IdempotentFilter
 from repro.sim.cmp import LOCATION_STRIDE, run_parallel, run_serialized
-from repro.sim.config import LifeguardCostModel, MachineConfig
+from repro.sim.config import COSTS, MachineConfig
 from repro.sim.logbuffer import coupled_time
 from repro.trace.events import Op
 from repro.trace.program import TraceProgram
@@ -69,23 +69,20 @@ class ButterflyRun:
     wall_seconds: float
 
 
-class LBASystem:
-    """Builds and times the three system configurations for one trace."""
+#: Cycles per summary set operation of the meet and the isolation check.
+SETOP_CYCLES = 1
+#: Entries of the timesliced lifeguard's idempotent filter.
+FILTER_CAPACITY = 16384
+#: Shadow locations per metadata page.  Small enough that the *merged*
+#: timesliced stream overflows the 64-entry metadata TLB on
+#: large-footprint benchmarks while each butterfly lifeguard's
+#: single-thread working set stays resident.
+MTLB_PAGE_SIZE = 512
 
-    def __init__(
-        self,
-        costs: Optional[LifeguardCostModel] = None,
-        setop_cycles: int = 1,
-        filter_capacity: int = 16384,
-    ) -> None:
-        self.costs = costs or LifeguardCostModel()
-        self.setop_cycles = setop_cycles
-        self.filter_capacity = filter_capacity
-        #: Shadow locations per metadata page.  Small enough that the
-        #: *merged* timesliced stream overflows the 64-entry metadata
-        #: TLB on large-footprint benchmarks while each butterfly
-        #: lifeguard's single-thread working set stays resident.
-        self.mtlb_page_size = 512
+
+class LBASystem:
+    """Builds and times the three system configurations for one trace,
+    priced with :data:`~repro.sim.config.COSTS`."""
 
     # -- baselines -----------------------------------------------------
 
@@ -125,7 +122,7 @@ class LBASystem:
         and a metadata TLB.
         """
         config = MachineConfig(cores=4)
-        costs = self.costs
+        costs = COSTS
         if program.timesliced_order is not None:
             order = program.timesliced_order
         elif program.true_order is not None:
@@ -140,8 +137,8 @@ class LBASystem:
         )
         app_cycles = app.cycles + switches * costs.timeslice_switch_cycles
 
-        mtlb = MetadataTLB(page_size=self.mtlb_page_size)
-        filt = IdempotentFilter(capacity=self.filter_capacity)
+        mtlb = MetadataTLB(page_size=MTLB_PAGE_SIZE)
+        filt = IdempotentFilter(capacity=FILTER_CAPACITY)
         lifeguard_cycles = 0
         errors = 0
         guard = SequentialAddrCheck(program.preallocated)
@@ -201,7 +198,7 @@ class LBASystem:
         copied out here before the window moves past them.
         """
         config = MachineConfig.for_app_threads(program.num_threads)
-        costs = self.costs
+        costs = COSTS
         # Heartbeats fire in execution time (paper footnote 4), so cut
         # by the recorded global order when one exists.
         partition = partition_auto(program, epoch_size)
@@ -265,7 +262,7 @@ class LBASystem:
                 )
                 second = int(
                     w["checks"] * costs.second_pass_cycles
-                    + (w["meet"] + w["iso"]) * self.setop_cycles
+                    + (w["meet"] + w["iso"]) * SETOP_CYCLES
                     + w["flags"] * costs.error_handling_cycles
                 )
                 first_max = max(first_max, first)
@@ -299,7 +296,7 @@ class LBASystem:
         are skipped just as the lifeguard skips them)."""
         out: Dict[int, int] = {}
         for tid, trace in enumerate(program.threads):
-            mtlb = MetadataTLB(page_size=self.mtlb_page_size)
+            mtlb = MetadataTLB(page_size=MTLB_PAGE_SIZE)
             seen: set = set()
             cycles = 0
             for i, instr in enumerate(trace):

@@ -147,12 +147,16 @@ def adversarial_instrs(
     return instrs
 
 
+#: :func:`simulated_alloc_program`: the chance that an event accesses an
+#: allocated location rather than allocating or freeing one.
+ACCESS_BIAS = 0.6
+
+
 def simulated_alloc_program(
     rng: random.Random,
     num_threads: int = 2,
     total_events: int = 32,
     num_locations: int = 8,
-    access_bias: float = 0.6,
     inject_error_rate: float = 0.0,
 ) -> TraceProgram:
     """Simulate a correct (or deliberately buggy) allocating execution.
@@ -172,7 +176,7 @@ def simulated_alloc_program(
     for _ in range(total_events):
         t = rng.randrange(num_threads)
         bad = rng.random() < inject_error_rate
-        instr = _next_alloc_event(rng, allocated, num_locations, access_bias, bad)
+        instr = _next_alloc_event(rng, allocated, num_locations, bad)
         order.append((t, len(traces[t])))
         traces[t].append(instr)
         # Track state transitions regardless of legality (a double free
@@ -187,13 +191,17 @@ def simulated_alloc_program(
     return program
 
 
+#: :func:`alloc_handoff_program`: global events between two handoffs,
+#: and how many of the newest allocations the accesses target.
+HANDOFF_PERIOD = 12
+RECENCY_WINDOW = 4
+
+
 def alloc_handoff_program(
     rng: random.Random,
     num_threads: int = 4,
     events_per_thread: int = 256,
     num_locations: int = 64,
-    handoff_period: int = 12,
-    recency_window: int = 4,
 ) -> TraceProgram:
     """An allocation-*handoff* execution: the epoch-size FP workload.
 
@@ -210,9 +218,9 @@ def alloc_handoff_program(
     :func:`simulated_alloc_program`, whose uniform churn produces FPs
     dominated by stale *frees* instead.)
 
-    Every ``handoff_period`` global events the scheduled thread
+    Every ``HANDOFF_PERIOD`` global events the scheduled thread
     allocates a fresh location; accesses always target the
-    ``recency_window`` most recent allocations (recency is what keeps
+    ``RECENCY_WINDOW`` most recent allocations (recency is what keeps
     accesses near their malloc); retired locations are freed only after
     falling out of use, so frees are strictly ordered too.
     """
@@ -232,7 +240,7 @@ def alloc_handoff_program(
     for step in range(total_events):
         t = schedule()
         instr: Instr
-        if step % handoff_period == 0 and len(live) < num_locations:
+        if step % HANDOFF_PERIOD == 0 and len(live) < num_locations:
             free_choices = [
                 loc for loc in range(num_locations) if loc not in live
             ]
@@ -240,12 +248,12 @@ def alloc_handoff_program(
             next_loc += 1
             live.append(loc)
             instr = Instr.malloc(loc)
-        elif len(live) > 2 * recency_window and rng.random() < 0.1:
+        elif len(live) > 2 * RECENCY_WINDOW and rng.random() < 0.1:
             # Retire the oldest allocation: long strictly-ordered by
             # now, so the free itself is never uncertain.
             instr = Instr.free(live.pop(0))
         elif live:
-            recent = live[-recency_window:]
+            recent = live[-RECENCY_WINDOW:]
             loc = rng.choice(recent)
             instr = (
                 Instr.read(loc) if rng.random() < 0.5 else Instr.write(loc)
@@ -266,7 +274,6 @@ def _next_alloc_event(
     rng: random.Random,
     allocated: set,
     num_locations: int,
-    access_bias: float,
     bad: bool,
 ) -> Instr:
     free_locs = [x for x in range(num_locations) if x not in allocated]
@@ -289,7 +296,7 @@ def _next_alloc_event(
             return Instr.free(rng.choice(free_locs))
         return Instr.malloc(rng.choice(alloc_locs))
 
-    if alloc_locs and rng.random() < access_bias:
+    if alloc_locs and rng.random() < ACCESS_BIAS:
         loc = rng.choice(alloc_locs)
         return Instr.read(loc) if rng.random() < 0.5 else Instr.write(loc)
     if free_locs and (not alloc_locs or rng.random() < 0.5):

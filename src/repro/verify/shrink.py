@@ -26,7 +26,7 @@ ARTIFACT_VERSION = 1
 
 #: Safety valve: rounds are cheap on the tiny generated cases, but the
 #: predicate can be expensive, so bound the total reduction attempts.
-DEFAULT_MAX_ROUNDS = 64
+MAX_ROUNDS = 64
 
 
 def _drop_thread(case: TraceCase, tid: int) -> Optional[TraceCase]:
@@ -85,7 +85,6 @@ def _candidates(case: TraceCase):
 def shrink_case(
     case: TraceCase,
     predicate: Callable[[TraceCase], bool],
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> TraceCase:
     """Greedy fixpoint of failing one-step reductions.
 
@@ -94,7 +93,7 @@ def shrink_case(
     returned case always satisfies the predicate.
     """
     current = case
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         for candidate in _candidates(current):
             failed = False
             try:

@@ -113,11 +113,19 @@ class BenchmarkGenerator(abc.ABC):
 
     spec: WorkloadSpec
 
-    @abc.abstractmethod
     def generate(
         self, num_threads: int, events_per_thread: int, seed: int = 0
     ) -> TraceProgram:
         """Produce a trace with ~``events_per_thread`` events per thread."""
+        if events_per_thread < 1:
+            raise WorkloadError("need at least one event per thread")
+        return self._generate(num_threads, events_per_thread, seed)
+
+    @abc.abstractmethod
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
+    ) -> TraceProgram:
+        """The trace, for a validated ``events_per_thread``."""
 
 
 # -- shared building blocks ------------------------------------------------

@@ -42,8 +42,8 @@ class Blackscholes(BenchmarkGenerator):
     OPTIONS = 232  #: options per thread
     FIELDS = 6  #: spot, strike, rate, volatility, time, result
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)

@@ -53,8 +53,8 @@ class SecureServer(BenchmarkGenerator):
     def __init__(self, attack_rate: float = 0.0) -> None:
         self.attack_rate = attack_rate
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         if num_threads < 2:
             raise ValueError("the server needs a receiver and >= 1 worker")
@@ -139,8 +139,8 @@ class AllocHandoff(BenchmarkGenerator):
         imbalance=0.0,
     )
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         return alloc_handoff_program(
             random.Random(seed),

@@ -71,8 +71,8 @@ class Barnes(BenchmarkGenerator):
     GAP = 1750  #: events between rebuild and cross-thread force reads
     CROSS = 2  #: cells sampled from each other thread per step
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)
@@ -158,8 +158,8 @@ class FFT(BenchmarkGenerator):
 
     ROWS = 16384  #: per-thread matrix partition (locations)
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)
@@ -227,8 +227,8 @@ class FMM(BenchmarkGenerator):
     GAP = 8700  #: spans two epochs even at the large epoch size
     CROSS = 12
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)
@@ -316,8 +316,8 @@ class Ocean(BenchmarkGenerator):
     def exchange_size(num_threads: int) -> int:
         return max(8, int(Ocean.EXCHANGE_BASE / num_threads ** 0.5))
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)
@@ -400,8 +400,8 @@ class LU(BenchmarkGenerator):
     BLOCK = 64
     BLOCKS_PER_THREAD = 4
 
-    def generate(
-        self, num_threads: int, events_per_thread: int, seed: int = 0
+    def _generate(
+        self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)

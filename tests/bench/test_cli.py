@@ -409,6 +409,31 @@ class TestErrorPaths:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(f"repro {argv[0]}: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--output", "OUT"],
+            ["check"],
+            ["stats"],
+            ["sweep"],
+            ["figure11", "--threads", "2"],
+            ["figure12", "--threads", "2"],
+            ["figure13", "--threads", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("events", ["0", "-100"])
+    def test_events_below_one_are_refused(self, argv, events, tmp_path, capsys):
+        # Every generator used to round a non-positive count up to its
+        # minimum trace (12,376 OCEAN events at --events 0).
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        assert main(argv + ["--events", events]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {argv[0]}: error: need at least one event per thread\n"
+        )
+
     def test_analysis_error_keeps_its_traceback(self, monkeypatch):
         # AnalysisError means this package drove its own engine wrongly:
         # a bug to see in full, not a usage error to summarize.

@@ -240,6 +240,56 @@ class TestFaultInjectionCLI:
             capsys, "check"
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # -1/-2 retries used to be accepted; a negative task timeout
+            # treated every pooled unit as hung and recycled the pool.
+            (["--retries", "-1"], "retries must be >= 0, got -1"),
+            (["--retries", "-2"], "retries must be >= 0, got -2"),
+            (["--backend", "threads", "--task-timeout", "-1"],
+             "task timeout must be > 0 seconds, got -1.0"),
+            (["--task-timeout", "0"],
+             "task timeout must be > 0 seconds, got 0.0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_check_refuses_bad_retry_values(self, flags, message, capsys):
+        assert main(CHECK_ARGS + flags) == 2
+        assert message in _one_line_error(capsys, "check")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # -1 retries never connected ("failed after 0 attempts:
+            # None"); a negative timeout raised a ValueError traceback.
+            (["--retries", "-1"], "retries must be >= 0, got -1"),
+            (["--timeout", "-1"], "timeout must be > 0 seconds, got -1.0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_push_refuses_bad_retry_values(
+        self, flags, message, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.stream.jsonl"
+        assert main([
+            "generate", "--threads", "2", "--events", "64", "--stream",
+            "--output", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "push", "--trace", str(trace),
+            "--unix", str(tmp_path / "no-daemon.sock"), *flags,
+        ]) == 2
+        assert message in _one_line_error(capsys, "push")
+
+    def test_negative_stop_after_epoch_is_refused(self, capsys):
+        # It used to stop after epoch 0.
+        assert main(CHECK_ARGS + ["--stop-after-epoch", "-1"]) == 2
+        assert "--stop-after-epoch must be >= 0, got -1" in _one_line_error(
+            capsys, "check"
+        )
+
     @pytest.mark.parametrize("command", ["check", "resume", "sweep", "stats"])
     def test_compute_faults_on_the_serial_backend_are_refused(
         self, command, tmp_path, capsys

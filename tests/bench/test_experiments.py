@@ -5,6 +5,7 @@ import pytest
 from repro.bench.experiments import figure11, figure12, figure13, table1
 from repro.bench.harness import ExperimentConfig, ExperimentSuite
 from repro.bench.reporting import (
+    BAR_WIDTH,
     format_rate,
     render_bars,
     render_grouped_bars,
@@ -16,12 +17,7 @@ from repro.workloads.registry import BENCHMARKS
 @pytest.fixture(scope="module")
 def small_suite():
     return ExperimentSuite(
-        ExperimentConfig(
-            events_per_thread=2500,
-            thread_counts=(2,),
-            epoch_small=128,
-            epoch_large=1024,
-        )
+        ExperimentConfig(events_per_thread=2500, thread_counts=(2,))
     )
 
 
@@ -72,8 +68,8 @@ class TestReporting:
         assert len({len(l) for l in lines}) == 1
 
     def test_render_bars_scales(self):
-        text = render_bars("t", {"x": 1.0, "y": 2.0}, width=10)
-        assert text.count("#") > 10
+        text = render_bars("t", {"x": 1.0, "y": 2.0})
+        assert text.count("#") == BAR_WIDTH + BAR_WIDTH // 2
 
     def test_render_bars_empty(self):
         assert render_bars("title", {}) == "title"

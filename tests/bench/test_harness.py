@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.harness import (
+    EPOCH_LARGE,
+    EPOCH_SMALL,
     PAPER_EPOCHS,
     SCALE,
     ExperimentConfig,
@@ -13,20 +15,14 @@ from repro.bench.harness import (
 @pytest.fixture(scope="module")
 def small_suite():
     return ExperimentSuite(
-        ExperimentConfig(
-            events_per_thread=3000,
-            thread_counts=(2,),
-            epoch_small=128,
-            epoch_large=1024,
-        )
+        ExperimentConfig(events_per_thread=3000, thread_counts=(2,))
     )
 
 
 class TestConfig:
     def test_default_epochs_are_scaled_paper_values(self):
-        cfg = ExperimentConfig()
-        assert cfg.epoch_small == PAPER_EPOCHS["8K"] // SCALE == 512
-        assert cfg.epoch_large == PAPER_EPOCHS["64K"] // SCALE == 4096
+        assert EPOCH_SMALL == PAPER_EPOCHS["8K"] // SCALE == 512
+        assert EPOCH_LARGE == PAPER_EPOCHS["64K"] // SCALE == 4096
 
 
 class TestSuite:
@@ -61,12 +57,7 @@ class TestSuite:
 class TestRunAll:
     def test_covers_the_grid_at_one_epoch_size(self):
         suite = ExperimentSuite(
-            ExperimentConfig(
-                events_per_thread=1500,
-                thread_counts=(2,),
-                epoch_small=64,
-                epoch_large=512,
-            )
+            ExperimentConfig(events_per_thread=1500, thread_counts=(2,))
         )
         from repro.workloads.registry import BENCHMARKS
 

@@ -1,5 +1,7 @@
 """Unit tests for the execution backends and engine/backend wiring."""
 
+import os
+
 import pytest
 
 from repro.core.epoch import partition_fixed
@@ -71,17 +73,9 @@ POOL_KINDS = [
 
 class TestWorkerCountValidation:
     @pytest.mark.parametrize("kind", POOL_KINDS)
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_non_positive_max_workers_rejected(self, kind, bad):
-        # Regression: `max_workers or _default_workers()` silently
-        # turned an explicit 0 into the CPU-count default.
-        with pytest.raises(ValueError, match="max_workers must be >= 1"):
-            PoolBackend(kind, max_workers=bad)
-
-    @pytest.mark.parametrize("kind", POOL_KINDS)
     def test_omitted_still_defaults(self, kind):
-        assert PoolBackend(kind).max_workers >= 1
-        assert PoolBackend(kind, max_workers=1).max_workers == 1
+        # A pool is as wide as the host has CPUs.
+        assert PoolBackend(kind).max_workers == max(1, os.cpu_count() or 1)
 
     def test_a_pool_is_threads_or_processes(self):
         with pytest.raises(AnalysisError, match="threads or processes"):
@@ -92,18 +86,18 @@ class TestMapOrdered:
     @pytest.mark.parametrize("name", BACKEND_CHOICES)
     def test_preserves_item_order(self, name):
         items = [(i,) for i in range(20)]
-        with get_backend(name, max_workers=2) as backend:
+        with get_backend(name) as backend:
             assert backend.map_ordered(_square, items) == [
                 i * i for i in range(20)
             ]
 
     @pytest.mark.parametrize("name", BACKEND_CHOICES)
     def test_empty_batch(self, name):
-        with get_backend(name, max_workers=2) as backend:
+        with get_backend(name) as backend:
             assert backend.map_ordered(_square, []) == []
 
     def test_close_idempotent(self):
-        backend = PoolBackend("threads", max_workers=1)
+        backend = PoolBackend("threads")
         backend.map_ordered(_square, [(3,)])
         backend.close()
         backend.close()
@@ -159,7 +153,7 @@ class TestEngineBackendWiring:
         assert engine.backend._executor is None
 
     def test_engine_does_not_own_passed_instance(self):
-        backend = PoolBackend("threads", max_workers=1)
+        backend = PoolBackend("threads")
         try:
             backend.map_ordered(_square, [(2,)])  # spin up the pool
             with ButterflyEngine(LegacyAnalysis(), backend=backend) as engine:

@@ -22,8 +22,8 @@ def test_faulted_pooled_run_carries_task_and_fault_events():
     part = partition_by_global_order(prog, 8)
     rec = Recorder()
     backend = PoolBackend(
-        "threads", 2,
-        RetryPolicy(max_retries=8, backoff_base=0.0, jitter=0.0),
+        "threads",
+        RetryPolicy(max_retries=8, backoff_base=0.0),
         FaultPlan(crash=0.2, corrupt=0.1, seed=3),
     )
     with backend, ButterflyEngine(

@@ -132,17 +132,9 @@ class TestNormalizeEvents:
             {"seq": 3, "ev": "backend.task.complete", "task": 0,
              "dur_ns": 9},
             {"seq": 4, "ev": "error", "location": 5, "t_ns": 77},
+            {"seq": 5, "ev": "resilience.retry", "task": 0},
         ]
         assert normalize_events(events) == [
             {"ev": "pass.first", "epoch": 0, "seq": 1},
             {"ev": "error", "location": 5, "seq": 2},
-        ]
-
-    def test_custom_drop_prefixes(self):
-        events = [
-            {"seq": 1, "ev": "keep.me"},
-            {"seq": 2, "ev": "drop.me"},
-        ]
-        assert normalize_events(events, drop_prefixes=("drop.",)) == [
-            {"ev": "keep.me", "seq": 1}
         ]

@@ -31,8 +31,8 @@ from repro.trace.generator import (
 )
 from repro.verify.reference import ReferenceAddrCheck
 
-THREADS = PoolBackend("threads", max_workers=4)
-PROCESSES = PoolBackend("processes", max_workers=2)
+THREADS = PoolBackend("threads")
+PROCESSES = PoolBackend("processes")
 BACKENDS = [("serial", "serial"), ("threads", THREADS), ("processes", PROCESSES)]
 
 

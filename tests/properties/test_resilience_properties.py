@@ -33,12 +33,11 @@ from repro.trace.generator import simulated_alloc_program
 #: Deep retry budget + zero backoff: a fault schedule cannot plausibly
 #: exhaust it (p ~ rate^31 per task -- hypothesis DID find the rate^9
 #: tail with a budget of 8), and retries cost no wall time.
-POLICY = RetryPolicy(max_retries=30, backoff_base=0.0, jitter=0.0,
-                     degrade_after=99)
+POLICY = RetryPolicy(max_retries=30, backoff_base=0.0)
 
 
 @contextmanager
-def _faulty_pool(kind, workers, plan):
+def _faulty_pool(kind, plan):
     """A pool under ``plan``, closed on exit.
 
     An example whose assertions held is then *discarded* unless the
@@ -46,7 +45,7 @@ def _faulty_pool(kind, workers, plan):
     one-thread trace has no fan-out to inject into) proves nothing, and
     must not count toward the examples a test ran.
     """
-    pool = PoolBackend(kind, workers, POLICY, plan)
+    pool = PoolBackend(kind, POLICY, plan)
     pool.recorder = Recorder(keep_events=False)
     try:
         yield pool
@@ -108,7 +107,7 @@ class TestFaultInjectionPreservesResults:
 
         plan = FaultPlan(crash=0.2, corrupt=0.15, seed=fault_seed)
         guard = ButterflyAddrCheck()
-        with _faulty_pool("threads", 4, plan) as backend:
+        with _faulty_pool("threads", plan) as backend:
             stats = ButterflyEngine(guard, backend=backend).run(part)
             assert _addr_fingerprint(guard, stats) == ref_print
 
@@ -128,7 +127,7 @@ class TestFaultInjectionPreservesResults:
         # Low kill rate: every kill costs a pool teardown + respawn.
         plan = FaultPlan(crash=0.1, kill=0.02, corrupt=0.1, seed=fault_seed)
         guard = ButterflyAddrCheck()
-        with _faulty_pool("processes", 2, plan) as backend:
+        with _faulty_pool("processes", plan) as backend:
             stats = ButterflyEngine(guard, backend=backend).run(part)
             assert _addr_fingerprint(guard, stats) == ref_print
 
@@ -152,7 +151,7 @@ class TestFaultInjectionPreservesResults:
         plan = FaultPlan(crash=0.15, hang=0.2, corrupt=0.1,
                          seed=fault_seed, hang_s=0.0)
         guard = ButterflyAddrCheck()
-        with _faulty_pool("threads", 4, plan) as backend:
+        with _faulty_pool("threads", plan) as backend:
             stats = ButterflyEngine(guard, backend=backend).run(part)
             assert _addr_fingerprint(guard, stats) == ref_print
 
@@ -171,7 +170,7 @@ class TestFaultInjectionPreservesResults:
 
         plan = FaultPlan(crash=0.2, corrupt=0.1, seed=fault_seed)
         guard = ButterflyRaceCheck()
-        with _faulty_pool("threads", 4, plan) as backend:
+        with _faulty_pool("threads", plan) as backend:
             stats = ButterflyEngine(guard, backend=backend).run(part)
             assert _stats_tuple(stats) == _stats_tuple(ref_stats)
             assert _report_list(guard.errors) == _report_list(ref.errors)
@@ -206,7 +205,7 @@ class TestFaultInjectionPreservesEventLog:
 
         plan = FaultPlan(crash=0.2, corrupt=0.15, seed=fault_seed)
         rec = Recorder()
-        with _faulty_pool("threads", 4, plan) as backend:
+        with _faulty_pool("threads", plan) as backend:
             # The engine points the pool's recorder at its own.
             ButterflyEngine(
                 ButterflyAddrCheck(), backend=backend, recorder=rec
@@ -233,19 +232,17 @@ class TestDegradationPreservesResults:
         ref = ButterflyAddrCheck()
         ref_print = _addr_fingerprint(ref, ButterflyEngine(ref).run(part))
 
-        backend = PoolBackend(
-            "processes", 2,
-            RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=1),
-        )
+        backend = PoolBackend("processes", RetryPolicy(backoff_base=0.0))
         guard = ButterflyAddrCheck()
         engine = ButterflyEngine(guard, backend=backend)
         engine.attach(part)
         mid = part.num_epochs // 2
         for lid in range(part.num_epochs):
-            if lid == mid:
-                backend._pool_incident("forced")  # processes -> threads
-            if lid == mid + 1:
-                backend._pool_incident("forced")  # threads -> serial
+            if lid in (mid, mid + 1):
+                # Two in a row step down one rung: processes -> threads
+                # at ``mid``, threads -> serial at ``mid + 1``.
+                for _ in range(2):
+                    backend._pool_incident("forced")
             engine.feed_epoch(lid)
         engine.finish()
         backend.close()
@@ -275,7 +272,7 @@ class TestResumeUnderFaults:
 
         path = str(tmp_path_factory.mktemp("ck") / "run.ckpt")
         plan = FaultPlan(crash=0.2, corrupt=0.1, seed=fault_seed)
-        with _faulty_pool("threads", 4, plan) as backend:
+        with _faulty_pool("threads", plan) as backend:
             engine = ButterflyEngine(ButterflyAddrCheck(), backend=backend)
             engine.enable_checkpoints(Checkpointer(path, {"h": h}))
             engine.attach(part)

@@ -35,8 +35,8 @@ from repro.trace.generator import (
 )
 from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
-THREADS = PoolBackend("threads", max_workers=4)
-PROCESSES = PoolBackend("processes", max_workers=2)
+THREADS = PoolBackend("threads")
+PROCESSES = PoolBackend("processes")
 
 _DEFINING_OPS = (Op.WRITE, Op.ASSIGN, Op.TAINT, Op.UNTAINT,
                  Op.READ, Op.JUMP, Op.NOP, Op.MALLOC, Op.FREE)

@@ -18,7 +18,7 @@ import random
 from repro.trace.generator import simulated_alloc_program
 
 #: Zero-delay policy so retry tests don't sleep.
-FAST = RetryPolicy(backoff_base=0.0, jitter=0.0)
+FAST = RetryPolicy(backoff_base=0.0)
 
 
 def _pool(rung, **kwargs):
@@ -49,6 +49,15 @@ class KillFirstAttempt(FaultPlan):
 
     def decide(self, key, attempt):
         return "kill" if attempt == 0 else None
+
+
+@dataclass(frozen=True)
+class KillTaskZeroTwice(FaultPlan):
+    """Task 0's first two executions die: two pool incidents in a row,
+    the count that steps a pool down one rung."""
+
+    def decide(self, key, attempt):
+        return "kill" if key[1] == 0 and attempt < 2 else None
 
 
 @dataclass(frozen=True)
@@ -89,10 +98,8 @@ class TestBackendSurface:
 
     def test_policy_and_plan_reach_a_named_pool(self):
         plan = FaultPlan(crash=0.5)
-        with get_backend("threads", 2, FAST, plan) as backend:
-            assert (backend.max_workers, backend.policy, backend.plan) == (
-                2, FAST, plan
-            )
+        with get_backend("threads", FAST, plan) as backend:
+            assert (backend.policy, backend.plan) == (FAST, plan)
             # An instance passes through untouched: its own policy stands.
             assert get_backend(backend, policy=RetryPolicy()) is backend
             assert backend.policy is FAST
@@ -115,7 +122,7 @@ class TestFaultFreeMapping:
     @pytest.mark.parametrize("inner", ["serial", "threads", "processes"])
     def test_matches_plain_backend(self, inner):
         items = [(i,) for i in range(16)]
-        with _pool(inner, policy=FAST, max_workers=2) as backend:
+        with _pool(inner, policy=FAST) as backend:
             assert backend.map_ordered(_square, items) == [
                 i * i for i in range(16)
             ]
@@ -146,7 +153,7 @@ class TestRetries:
     @pytest.mark.parametrize("inner", ["serial", "threads"])
     def test_permanent_fault_exhausts_retries(self, inner):
         plan = FaultPlan(crash=1.0)
-        policy = RetryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=2, backoff_base=0.0)
         with _pool(inner, policy=policy, plan=plan) as backend:
             with pytest.raises(
                 ResilienceError,
@@ -157,7 +164,7 @@ class TestRetries:
 
     def test_real_task_exception_retries_then_raises(self):
         # A genuine (non-injected) failure follows the same contract.
-        policy = RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=1, backoff_base=0.0)
         with PoolBackend("threads", policy=policy) as backend:
             with pytest.raises(
                 ResilienceError,
@@ -169,17 +176,17 @@ class TestRetries:
         assert isinstance(caught.value.__cause__, ValueError)
 
     def test_giveup_names_a_corrupt_result_and_a_timeout(self):
-        policy = RetryPolicy(max_retries=0, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=0, backoff_base=0.0)
         with PoolBackend(
             "threads", policy=policy, plan=FaultPlan(corrupt=1.0)
         ) as backend:
             with pytest.raises(ResilienceError, match="failed validation"):
                 backend.map_ordered(_square, [(1,)])
-        _hang_state["armed"] = False
+        _hang_state["hangs"] = 1
         policy = RetryPolicy(max_retries=0, task_timeout=0.05)
         with PoolBackend("threads", policy=policy) as backend:
             with pytest.raises(ResilienceError, match="no result within 0.05s"):
-                backend.map_ordered(_hang_once, [(1,)])
+                backend.map_ordered(_hang, [(0,)])
 
     def test_retry_events_logged(self):
         rec = Recorder()
@@ -197,7 +204,7 @@ class TestRetries:
         # The injected exception must unpickle in the parent; when it
         # did not, every crash broke (and recycled) the process pool.
         rec = Recorder()
-        with PoolBackend("processes", 2, FAST, CrashFirstAttempt()) as pool:
+        with PoolBackend("processes", FAST, CrashFirstAttempt()) as pool:
             pool.recorder = rec
             assert pool.map_ordered(_square, [(i,) for i in range(4)]) == [
                 0, 1, 4, 9
@@ -206,27 +213,27 @@ class TestRetries:
         assert "resilience.pool_recycles" not in rec.counters
 
 
-_hang_state = {"armed": False}
+_hang_state = {"hangs": 0}
 
 
-def _hang_once(x):
-    """Sleeps far past the test's task timeout on its first call only."""
-    if not _hang_state["armed"]:
-        _hang_state["armed"] = True
+def _hang(x):
+    """Task 0 sleeps far past the test's task timeout on each of its
+    first ``_hang_state["hangs"]`` executions (they run one at a time:
+    a retry starts only once the previous execution timed out)."""
+    if x == 0 and _hang_state["hangs"] > 0:
+        _hang_state["hangs"] -= 1
         time.sleep(1.0)
     return x * x
 
 
 class TestTimeoutsAndHealing:
     def test_timed_out_task_is_retried_on_a_fresh_pool(self):
-        _hang_state["armed"] = False
+        _hang_state["hangs"] = 1
         rec = Recorder()
-        policy = RetryPolicy(
-            task_timeout=0.15, backoff_base=0.0, jitter=0.0, degrade_after=99
-        )
-        with PoolBackend("threads", max_workers=2, policy=policy) as backend:
+        policy = RetryPolicy(task_timeout=0.15, backoff_base=0.0)
+        with PoolBackend("threads", policy=policy) as backend:
             backend.recorder = rec
-            assert backend.map_ordered(_hang_once, [(i,) for i in range(4)]) == [
+            assert backend.map_ordered(_hang, [(i,) for i in range(4)]) == [
                 0, 1, 4, 9
             ]
         assert rec.counters["resilience.faults.timeout"] >= 1
@@ -238,11 +245,9 @@ class TestTimeoutsAndHealing:
 
     def test_broken_process_pool_is_recycled(self):
         rec = Recorder()
-        policy = RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=99)
+        policy = RetryPolicy(backoff_base=0.0)
         plan = KillFirstAttempt()
-        with PoolBackend(
-            "processes", max_workers=2, policy=policy, plan=plan
-        ) as backend:
+        with PoolBackend("processes", policy=policy, plan=plan) as backend:
             backend.recorder = rec
             assert backend.map_ordered(_square, [(i,) for i in range(3)]) == [
                 0, 1, 4
@@ -252,14 +257,12 @@ class TestTimeoutsAndHealing:
 
 class TestDegradationLadder:
     def test_threads_degrade_to_serial_mid_batch(self):
-        _hang_state["armed"] = False
+        _hang_state["hangs"] = 2
         rec = Recorder()
-        policy = RetryPolicy(
-            task_timeout=0.15, backoff_base=0.0, jitter=0.0, degrade_after=1
-        )
-        with PoolBackend("threads", max_workers=2, policy=policy) as backend:
+        policy = RetryPolicy(task_timeout=0.15, backoff_base=0.0)
+        with PoolBackend("threads", policy=policy) as backend:
             backend.recorder = rec
-            result = backend.map_ordered(_hang_once, [(i,) for i in range(5)])
+            result = backend.map_ordered(_hang, [(i,) for i in range(5)])
             assert result == [0, 1, 4, 9, 16]
             assert backend.name == "serial"
             # The engine's fan-out contract was fixed at construction.
@@ -271,17 +274,15 @@ class TestDegradationLadder:
                 "ev": "resilience.degrade",
                 "from_backend": "threads",
                 "to_backend": "serial",
-                "after_failures": 1,
+                "after_failures": 2,
             }
         ]
 
     def test_processes_degrade_to_threads(self):
         rec = Recorder()
-        policy = RetryPolicy(backoff_base=0.0, jitter=0.0, degrade_after=1)
-        plan = KillFirstAttempt()
-        with PoolBackend(
-            "processes", max_workers=2, policy=policy, plan=plan
-        ) as backend:
+        policy = RetryPolicy(backoff_base=0.0)
+        plan = KillTaskZeroTwice()
+        with PoolBackend("processes", policy=policy, plan=plan) as backend:
             backend.recorder = rec
             assert backend.map_ordered(_square, [(i,) for i in range(4)]) == [
                 0, 1, 4, 9
@@ -315,7 +316,7 @@ class TestEngineIntegration:
         ref_stats = ButterflyEngine(ref).run(part)
 
         plan = FaultPlan(crash=0.15, corrupt=0.1, seed=3)
-        policy = RetryPolicy(max_retries=8, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=8, backoff_base=0.0)
         guard = ButterflyAddrCheck()
         with PoolBackend("threads", policy=policy, plan=plan) as backend:
             with ButterflyEngine(guard, backend=backend) as engine:
@@ -335,7 +336,7 @@ class TestEngineIntegration:
         part = partition_by_global_order(prog, 8)
         rec = Recorder()
         plan = CrashFirstAttempt()
-        policy = RetryPolicy(max_retries=8, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_retries=8, backoff_base=0.0)
         guard = ButterflyAddrCheck()
         with PoolBackend("threads", policy=policy, plan=plan) as backend:
             with ButterflyEngine(
@@ -357,7 +358,7 @@ class TestPooledBackendLeakFix:
     FAIL_FAST = RetryPolicy(max_retries=0)
 
     def test_plain_path_discards_executor_on_failure(self):
-        backend = PoolBackend("threads", 2, self.FAIL_FAST)
+        backend = PoolBackend("threads", self.FAIL_FAST)
         backend.map_ordered(_square, [(1,)])
         with pytest.raises(ResilienceError, match="ValueError: boom"):
             backend.map_ordered(_boom, [(i,) for i in range(8)])
@@ -368,7 +369,7 @@ class TestPooledBackendLeakFix:
         backend.close()
 
     def test_instrumented_path_discards_executor_on_failure(self):
-        backend = PoolBackend("threads", 2, self.FAIL_FAST)
+        backend = PoolBackend("threads", self.FAIL_FAST)
         backend.recorder = rec = Recorder()
         with pytest.raises(ResilienceError, match="ValueError: boom"):
             backend.map_ordered(_boom, [(i,) for i in range(8)])

@@ -22,7 +22,7 @@ from repro.trace.serialize import save_stream_file
 
 from tests.serve.conftest import offline_report
 from tests.serve.test_resume import wait_for_checkpoint
-from tests.serve.test_server import FAST, raw_handshake
+from tests.serve.test_server import fast, raw_handshake
 
 
 def handoff_trace(tmp_path, h=4, seed=3, threads=3, events=120):
@@ -125,7 +125,7 @@ class TestAdaptiveServe:
         )
         with ServerThread(second) as daemon:
             client = StreamClient(
-                daemon.address, str(path), "s1", policy=FAST, retries=2
+                daemon.address, str(path), "s1", policy=fast(2)
             )
             served = client.push()
         # The resume coordinate is producer rows, not analysis epochs.

@@ -36,7 +36,7 @@ from tests.serve.test_resume import (
     wait_for_checkpoint,
     wait_for_empty,
 )
-from tests.serve.test_server import FAST, raw_handshake
+from tests.serve.test_server import fast, raw_handshake
 
 
 def on_writer_thread():
@@ -100,7 +100,7 @@ def test_kill_between_snapshot_and_commit_resumes_from_the_durable_epoch(
     proc, address = start_daemon(tmp_path, "b.sock", ck, backend)
     try:
         client = StreamClient(
-            address, str(trace), "s1", policy=FAST, retries=0
+            address, str(trace), "s1", policy=fast(0)
         )
         served = client.push()
         assert client.last_ack["resume_epoch"] == 2
@@ -201,7 +201,7 @@ def test_a_failed_background_commit_fails_the_stream(
     )
     with ServerThread(config) as daemon:
         client = StreamClient(
-            daemon.address, str(trace_file), "s1", policy=FAST, retries=0
+            daemon.address, str(trace_file), "s1", policy=fast(0)
         )
         served = client.push()
     assert client.last_ack["resume_epoch"] == 3

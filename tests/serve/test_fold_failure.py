@@ -33,7 +33,7 @@ from repro.serve.shards import ProcessShard
 
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_resume import start_daemon, wait_for_empty
-from tests.serve.test_server import FAST, raw_handshake
+from tests.serve.test_server import fast, raw_handshake
 
 #: The epoch whose fold fails.
 FAIL_AT = 2
@@ -253,7 +253,7 @@ def test_daemon_drains_to_exit_zero_after_a_fold_failure(
     )
     with ServerThread(config) as daemon:
         client = StreamClient(
-            daemon.address, str(path), "wedge", policy=FAST, retries=0
+            daemon.address, str(path), "wedge", policy=fast(0)
         )
         served = client.push()
     assert client.last_ack["resume_epoch"] == FAIL_AT
@@ -303,7 +303,7 @@ def test_a_half_updated_analysis_is_never_checkpointed(
     )
     with ServerThread(config) as daemon:
         client = StreamClient(
-            daemon.address, str(path), "poisoned", policy=FAST, retries=0
+            daemon.address, str(path), "poisoned", policy=fast(0)
         )
         served = client.push()
     assert client.last_ack["resume_epoch"] == answer["resume_epoch"]

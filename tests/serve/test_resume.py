@@ -27,7 +27,7 @@ from repro.trace.serialize import save_stream_file, stream_header
 
 from tests.resilience.test_checkpoint import DAMAGED_PICKLE, stamp_version
 from tests.serve.conftest import offline_report, write_trace
-from tests.serve.test_server import FAST, connect, raw_handshake
+from tests.serve.test_server import connect, fast, raw_handshake
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
@@ -79,7 +79,7 @@ class TestResumeAcrossRestart:
         )
         with ServerThread(second) as daemon:
             client = StreamClient(
-                daemon.address, str(trace), "s1", policy=FAST, retries=2
+                daemon.address, str(trace), "s1", policy=fast(2)
             )
             served = client.push()
         assert client.last_ack["resume_epoch"] == committed
@@ -154,8 +154,9 @@ class TestResumeAcrossRestart:
             header = stream_header(fp, str(trace_file))
         hello = make_hello(
             "s1", header["threads"], header["epochs"],
-            header["preallocated"], "addrcheck", token="0" * 32,
+            header["preallocated"], "addrcheck",
         )
+        hello["token"] = "0" * 32
         sock = connect(daemon.address)
         sock.sendall(encode_json_frame(FRAME_HELLO, hello))
         ftype, payload = read_frame_sync(sock)
@@ -224,7 +225,7 @@ class TestIrregularCutResume:
         )
         with ServerThread(second) as daemon:
             client = StreamClient(
-                daemon.address, str(trace), "s1", policy=FAST, retries=2
+                daemon.address, str(trace), "s1", policy=fast(2)
             )
             served = client.push()
         # Resume coordinates survive irregular cuts: the committed
@@ -297,7 +298,7 @@ class TestKilledDaemon:
         )
         try:
             client = StreamClient(
-                address, str(trace), "s1", policy=FAST, retries=2
+                address, str(trace), "s1", policy=fast(2)
             )
             served = client.push()
             # Resumed from a committed boundary at or past what we saw:

@@ -38,9 +38,12 @@ from repro.trace.serialize import stream_header
 
 from tests.serve.conftest import offline_report, write_trace
 
-#: Zero-backoff retry policy: tests exercise the retry *logic*, not its
-#: production pacing.
-FAST = RetryPolicy(backoff_base=0.0, backoff_max=0.0)
+def fast(retries):
+    """A zero-backoff policy of ``retries`` reconnects: tests exercise
+    the retry *logic*, not its production pacing."""
+    return RetryPolicy(
+        max_retries=retries, backoff_base=0.0, backoff_max=0.0
+    )
 
 
 def connect(address):
@@ -324,7 +327,7 @@ class TestTransportFaults:
         with ServerThread(config) as daemon:
             served = StreamClient(
                 daemon.address, str(trace_file), "slow",
-                plan=plan, policy=FAST, retries=40,
+                plan=plan, policy=fast(40),
             ).push()
         assert served == offline_report(trace_file, "slow")
 
@@ -335,7 +338,7 @@ class TestOverloadLadder:
         with pytest.raises(ServeErrorFrame, match="already connected"):
             StreamClient(
                 daemon.address, str(trace_file), "dup",
-                policy=FAST, retries=0,
+                policy=fast(0),
             ).push()
         sock.close()
 
@@ -348,7 +351,7 @@ class TestOverloadLadder:
             with pytest.raises(ServeErrorFrame, match="cap"):
                 StreamClient(
                     daemon.address, str(trace_file), "second",
-                    policy=FAST, retries=0,
+                    policy=fast(0),
                 ).push()
             sock.close()
             snapshot = daemon.server.recorder.snapshot()
@@ -371,7 +374,7 @@ class TestOverloadLadder:
             with pytest.raises(ServeErrorFrame) as exc_info:
                 StreamClient(
                     daemon.address, str(trace_file), "victim",
-                    policy=FAST, retries=0,
+                    policy=fast(0),
                 ).push()
             snapshot = daemon.server.recorder.snapshot()
         assert exc_info.value.code == "shed"
@@ -385,7 +388,7 @@ class TestOverloadLadder:
         with ServerThread(ok_config) as daemon:
             served = StreamClient(
                 daemon.address, str(trace_file), "victim",
-                policy=FAST, retries=5,
+                policy=fast(5),
             ).push()
         assert served == offline_report(trace_file, "victim")
 

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.errors import ReproError
-from repro.resilience.supervisor import RetryPolicy
 from repro.serve import (
     SHARD_BACKEND_CHOICES,
     ReproServer,
@@ -32,9 +31,7 @@ from repro.serve.shards import build_stream_engine, make_guard
 
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_resume import wait_for_checkpoint
-from tests.serve.test_server import raw_handshake
-
-FAST = RetryPolicy(backoff_base=0.0, backoff_max=0.0)
+from tests.serve.test_server import fast, raw_handshake
 
 
 def test_choices_cover_both_backends():
@@ -150,7 +147,7 @@ class TestWorkerDeath:
             # from its checkpoint and the report is offline-identical.
             client = StreamClient(
                 daemon.address, str(trace), "victim",
-                policy=FAST, retries=2,
+                policy=fast(2),
             )
             served = client.push()
             assert client.last_ack["resume_epoch"] >= 1

@@ -16,7 +16,7 @@ from repro.serve.protocol import FRAME_ERROR
 
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_resume import REPO_ROOT, wait_for_checkpoint
-from tests.serve.test_server import FAST, raw_handshake
+from tests.serve.test_server import fast, raw_handshake
 
 
 class TestInProcessDrain:
@@ -58,7 +58,7 @@ class TestInProcessDrain:
         with ServerThread(next_config) as daemon:
             client = StreamClient(
                 daemon.address, str(trace), "inflight",
-                policy=FAST, retries=2,
+                policy=fast(2),
             )
             served = client.push()
         assert client.last_ack["resume_epoch"] >= 1
@@ -109,7 +109,7 @@ class TestSignals:
         ))
         try:
             served = StreamClient(
-                address, str(trace), "s1", policy=FAST, retries=2
+                address, str(trace), "s1", policy=fast(2)
             ).push()
             assert served == offline_report(trace, "s1")
             proc.send_signal(signal.SIGTERM)

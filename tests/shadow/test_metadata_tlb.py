@@ -1,48 +1,52 @@
-"""Unit tests for the metadata TLB."""
+"""Unit tests for the metadata TLB (64 entries, 4-way: 16 sets)."""
 
 import pytest
 
 from repro.shadow.metadata_tlb import MetadataTLB
 
+#: Pages ``SET_STRIDE`` apart land in the same set.
+SET_STRIDE = MetadataTLB.ENTRIES // MetadataTLB.ASSOCIATIVITY
+
 
 class TestMetadataTLB:
     def test_first_access_misses(self):
-        tlb = MetadataTLB(hit_cycles=1, miss_cycles=20)
-        assert tlb.lookup(0) == 20
+        tlb = MetadataTLB()
+        assert tlb.lookup(0) == MetadataTLB.MISS_CYCLES
         assert tlb.misses == 1
 
     def test_second_access_hits(self):
-        tlb = MetadataTLB(hit_cycles=1, miss_cycles=20)
+        tlb = MetadataTLB()
         tlb.lookup(0)
-        assert tlb.lookup(8) == 1  # same page
+        assert tlb.lookup(8) == MetadataTLB.HIT_CYCLES  # same page
         assert tlb.hits == 1
 
     def test_pages_distinguished(self):
         tlb = MetadataTLB(page_size=4096)
         tlb.lookup(0)
-        assert tlb.lookup(4096) == tlb.miss_cycles
+        assert tlb.lookup(4096) == tlb.MISS_CYCLES
 
     def test_lru_eviction(self):
-        tlb = MetadataTLB(entries=4, associativity=4, page_size=16)
-        # Fill one set beyond associativity with same-set pages.
+        tlb = MetadataTLB(page_size=16)
+        # Five pages onto one set of four ways.
         for page in range(5):
-            tlb.lookup(page * 16)
+            tlb.lookup(page * SET_STRIDE * 16)
         # Page 0 was least recently used: evicted.
-        assert tlb.lookup(0) == tlb.miss_cycles
+        assert tlb.lookup(0) == tlb.MISS_CYCLES
 
     def test_lru_refresh_on_hit(self):
-        tlb = MetadataTLB(entries=2, associativity=2, page_size=16)
-        tlb.lookup(0)       # page 0
-        tlb.lookup(32)      # page 2, same set (2 sets? entries/assoc=1 set)
-        tlb.lookup(0)       # refresh page 0
-        tlb.lookup(64)      # page 4: evicts page 2, not page 0
-        assert tlb.lookup(0) == tlb.hit_cycles
+        tlb = MetadataTLB(page_size=16)
+        for page in range(4):  # fill one set
+            tlb.lookup(page * SET_STRIDE * 16)
+        tlb.lookup(0)  # refresh page 0
+        tlb.lookup(4 * SET_STRIDE * 16)  # evicts the next-oldest, not 0
+        assert tlb.lookup(0) == tlb.HIT_CYCLES
+        assert tlb.lookup(SET_STRIDE * 16) == tlb.MISS_CYCLES
 
     def test_flush(self):
         tlb = MetadataTLB()
         tlb.lookup(0)
         tlb.flush()
-        assert tlb.lookup(0) == tlb.miss_cycles
+        assert tlb.lookup(0) == tlb.MISS_CYCLES
 
     def test_hit_rate(self):
         tlb = MetadataTLB()
@@ -51,40 +55,11 @@ class TestMetadataTLB:
         tlb.lookup(0)
         assert tlb.hit_rate == 0.5
 
-    def test_entries_must_divide(self):
-        with pytest.raises(ValueError):
-            MetadataTLB(entries=5, associativity=4)
-
 
 class TestDegenerateGeometry:
-    """Configs that used to crash with ZeroDivisionError on the first
-    lookup must be rejected up front -- or, when legal (one set), work."""
-
-    def test_zero_entries_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            MetadataTLB(entries=0)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            MetadataTLB(entries=-4)
-
-    def test_zero_associativity_rejected(self):
-        with pytest.raises(ValueError):
-            MetadataTLB(entries=4, associativity=0)
+    """A page size that used to crash with ZeroDivisionError on the
+    first lookup must be rejected up front."""
 
     def test_zero_page_size_rejected(self):
         with pytest.raises(ValueError):
             MetadataTLB(page_size=0)
-
-    def test_entries_below_associativity_rejected(self):
-        with pytest.raises(ValueError):
-            MetadataTLB(entries=2, associativity=4)
-
-    def test_fully_associative_single_set_works(self):
-        # entries == associativity -> exactly one set; this is a legal
-        # fully-associative TLB and every lookup lands in set 0.
-        tlb = MetadataTLB(entries=4, associativity=4, page_size=16)
-        for page in range(8):
-            tlb.lookup(page * 16)
-        assert tlb.hits + tlb.misses == 8
-        assert tlb.lookup(7 * 16) == tlb.hit_cycles

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.config import CacheConfig, LifeguardCostModel, MachineConfig
+from repro.sim.config import COSTS, CacheConfig, MachineConfig
 
 
 class TestMachineConfig:
@@ -69,10 +69,8 @@ class TestCacheConfig:
 class TestCostModel:
     def test_paper_record_overhead_range(self):
         # The paper reports 7-10 instructions per monitored load/store.
-        costs = LifeguardCostModel()
-        assert 6 <= costs.record_cycles <= 12
+        assert 6 <= COSTS.record_cycles <= 12
 
     def test_frozen(self):
-        costs = LifeguardCostModel()
         with pytest.raises(Exception):
-            costs.dispatch_cycles = 99
+            COSTS.dispatch_cycles = 99

@@ -1,8 +1,11 @@
 """Unit tests for the timesliced baseline's mechanics."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.sim.config import LifeguardCostModel
+from repro.sim import lba
+from repro.sim.config import COSTS
 from repro.sim.lba import LBASystem
 from repro.trace.events import Instr
 from repro.trace.program import ThreadTrace, TraceProgram
@@ -51,10 +54,9 @@ class TestTimesliced:
     def test_errors_charged(self):
         threads = [ThreadTrace([Instr.read(9)])]
         prog = TraceProgram(threads, true_order=[(0, 0)])
-        costs = LifeguardCostModel()
-        result = LBASystem(costs=costs).timesliced(prog)
+        result = LBASystem().timesliced(prog)
         assert result.extras["errors"] == 1
-        assert result.lifeguard_cycles >= costs.error_handling_cycles
+        assert result.lifeguard_cycles >= COSTS.error_handling_cycles
 
     def test_nops_never_dispatch(self):
         threads = [ThreadTrace([Instr.nop()] * 100)]
@@ -71,18 +73,26 @@ class TestTimesliced:
 
 
 class TestCostModelKnobs:
-    def test_error_cost_moves_butterfly_time(self):
+    """The timing responds to the cost model: each test re-prices
+    ``COSTS`` for its own runs."""
+
+    def test_error_cost_moves_butterfly_time(self, monkeypatch):
         prog = get_benchmark("OCEAN").generate(2, 6144, seed=9)
-        cheap = LBASystem(costs=LifeguardCostModel(error_handling_cycles=0))
-        dear = LBASystem(costs=LifeguardCostModel(error_handling_cycles=5000))
-        t_cheap = cheap.butterfly(prog, 2048).result.lifeguard_cycles
-        t_dear = dear.butterfly(prog, 2048).result.lifeguard_cycles
+        cycles = []
+        for cost in (0, 5000):
+            monkeypatch.setattr(
+                lba, "COSTS", replace(COSTS, error_handling_cycles=cost)
+            )
+            run = LBASystem().butterfly(prog, 2048)
+            cycles.append(run.result.lifeguard_cycles)
+        t_cheap, t_dear = cycles
         assert t_dear > t_cheap
 
-    def test_barrier_cost_scales_with_epochs(self):
+    def test_barrier_cost_scales_with_epochs(self, monkeypatch):
         prog = get_benchmark("LU").generate(2, 6144, seed=9)
-        system = LBASystem(costs=LifeguardCostModel(epoch_barrier_cycles=10_000))
-        many = system.butterfly(prog, 256)
-        system2 = LBASystem(costs=LifeguardCostModel(epoch_barrier_cycles=10_000))
-        few = system2.butterfly(prog, 2048)
+        monkeypatch.setattr(
+            lba, "COSTS", replace(COSTS, epoch_barrier_cycles=10_000)
+        )
+        many = LBASystem().butterfly(prog, 256)
+        few = LBASystem().butterfly(prog, 2048)
         assert many.result.lifeguard_cycles > few.result.lifeguard_cycles

@@ -1,8 +1,9 @@
-"""scripts/reachability.py: what in ``src/`` only tests reach.
+"""scripts/reachability.py: what in ``src/`` only tests reach or set.
 
-One case per rule of the definition walk over a synthetic tree, then the
-gate over this repository: the walk lists exactly the named survivors,
-so a definition whose last non-test caller goes fails here.
+One case per rule of the definition walk and of the knob walk, each over
+a synthetic tree, then the gates over this repository: the walk lists
+exactly the named survivors, so a definition whose last non-test caller
+goes, or a parameter whose last non-test setter goes, fails here.
 """
 
 import importlib.util
@@ -145,7 +146,7 @@ def tree(tmp_path):
 
 def listed(reachability, root):
     """Qualified names of what the walk lists, outside ``orphan.py``."""
-    _modules, defs = reachability.walk(root)
+    _modules, defs, _knobs = reachability.walk(root)
     return {d.qualname for d in defs if d.path != "src/repro/orphan.py"}
 
 
@@ -153,7 +154,7 @@ class TestRules:
     def test_a_module_no_root_imports_is_listed_whole(
         self, reachability, tree
     ):
-        modules, defs = reachability.walk(tree)
+        modules, defs, _knobs = reachability.walk(tree)
         assert modules == ["src/repro/orphan.py"]
         # Its ``reached`` is not the cli's, though the cli names it.
         assert "src/repro/orphan.py::reached" in {d.key for d in defs}
@@ -208,12 +209,245 @@ class TestRules:
         }
 
 
+KNOB_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/cli.py": """
+        from dataclasses import replace
+
+        from repro.knobs import (
+            Annotated, Base, Checked, Child, Frozen, Mutable, by_keyword,
+            by_position, by_reference, by_star, outer, set_forwarded,
+            test_only,
+        )
+        import repro.knobs
+
+
+        def main(args):
+            by_keyword(x=1)
+            by_position(1, 2)
+            by_star(*args)
+            callbacks = [by_reference]
+            getattr(repro.knobs, "by_getattr")(1)
+            getattr(repro.knobs, f"by_prefix_{args[0]}")()
+            Child(k=1)
+            outer()
+            set_forwarded(v=2)
+            test_only()
+            note: Annotated = None
+            isinstance(note, Checked)
+            frozen = replace(Frozen(), replaced=1)
+            frozen.stored = 1
+            mutable = Mutable()
+            mutable.stored = 1
+            mutable.appended.append(1)
+            mutable.indexed["k"] = 1
+            mutable.added += 1
+            return callbacks, frozen
+
+
+        if __name__ == "__main__":
+            main([])
+    """,
+    "src/repro/knobs.py": """
+        from dataclasses import dataclass, field
+
+
+        def by_keyword(x=0, unset=0):
+            pass
+
+
+        def by_position(a, b=0, c=0):
+            pass
+
+
+        def by_star(a, s=0):
+            pass
+
+
+        def by_reference(r=0):
+            pass
+
+
+        def by_getattr(g=0):
+            pass
+
+
+        def by_prefix_one(p=0):
+            pass
+
+
+        class Base:
+            def __init__(self, j=0):
+                pass
+
+            def __repr__(self, dunder=0):
+                return ""
+
+
+        class Child(Base):
+            def __init__(self, k=0, unset=0):
+                super().__init__(j=k)
+
+
+        def outer(w=None):
+            inner(w=w)
+
+
+        def inner(w=None):
+            pass
+
+
+        def set_forwarded(v=None):
+            forwarded_from_set(v=v)
+
+
+        def forwarded_from_set(v=None):
+            pass
+
+
+        def test_only(t=0):
+            pass
+
+
+        def unreached(u=0):
+            pass
+
+
+        class Annotated:
+            def __init__(self, a=0):
+                pass
+
+
+        class Checked:
+            def __init__(self, c=0):
+                pass
+
+
+        @dataclass(frozen=True)
+        class Frozen:
+            replaced: int = 0
+            stored: int = 0
+
+
+        @dataclass
+        class Mutable:
+            stored: int = 0
+            appended: list = field(default_factory=list)
+            indexed: dict = field(default_factory=dict)
+            added: int = 0
+            never: int = 0
+    """,
+    "tests/test_knobs.py": """
+        from repro.knobs import test_only, unreached
+
+        test_only(t=1)
+        unreached(u=1)
+    """,
+}
+
+
+@pytest.fixture
+def knob_tree(tmp_path):
+    for name, text in KNOB_TREE.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    return tmp_path
+
+
+def knobs(reachability, root):
+    """Labels of the knobs the walk lists."""
+    _modules, _defs, found = reachability.walk(root)
+    return {k.label for k in found}
+
+
+class TestKnobRules:
+    def test_a_keyword_sets_only_its_knob(self, reachability, knob_tree):
+        found = knobs(reachability, knob_tree)
+        assert "by_keyword(x)" not in found
+        assert "by_keyword(unset)" in found
+
+    def test_positionals_set_the_knobs_they_cover(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        assert "by_position(b)" not in found
+        assert "by_position(c)" in found
+
+    def test_a_starred_call_sets_every_knob(self, reachability, knob_tree):
+        assert "by_star(s)" not in knobs(reachability, knob_tree)
+
+    def test_a_reference_sets_every_knob(self, reachability, knob_tree):
+        found = knobs(reachability, knob_tree)
+        assert not {"by_reference(r)", "by_getattr(g)",
+                    "by_prefix_one(p)"} & found
+        # Naming a class as a base is a reference too.
+        assert "Base(j)" not in found
+
+    def test_annotations_and_isinstance_set_nothing(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        assert {"Annotated(a)", "Checked(c)"} <= found
+
+    def test_a_class_call_sets_its_init_knobs(self, reachability, knob_tree):
+        found = knobs(reachability, knob_tree)
+        assert "Child(k)" not in found
+        assert "Child(unset)" in found
+
+    def test_replace_and_stores_set_dataclass_fields(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        assert not {"Frozen.replaced", "Mutable.stored", "Mutable.appended",
+                    "Mutable.indexed", "Mutable.added"} & found
+        # A store to a frozen dataclass's field is not how it is set.
+        assert {"Frozen.stored", "Mutable.never"} <= found
+
+    def test_a_value_forwarded_from_an_unset_knob_sets_nothing(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        assert {"outer(w)", "inner(w)"} <= found
+        assert not {"set_forwarded(v)", "forwarded_from_set(v)"} & found
+
+    def test_tests_set_nothing_and_unreached_code_has_no_knobs(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        assert "test_only(t)" in found
+        assert "unreached(u)" not in found
+
+    def test_dunders_other_than_init_have_no_knobs(
+        self, reachability, knob_tree
+    ):
+        assert "Base.__repr__(dunder)" not in knobs(reachability, knob_tree)
+
+    def test_exactly_these_knobs_are_listed(self, reachability, knob_tree):
+        assert knobs(reachability, knob_tree) == {
+            "by_keyword(unset)", "by_position(c)", "Child(unset)",
+            "Annotated(a)", "Checked(c)", "Frozen.stored", "Mutable.never",
+            "outer(w)", "inner(w)", "test_only(t)",
+        }
+
+
 def test_only_named_survivors_are_reached_only_from_tests(reachability):
     """The gate: a new definition only tests reach fails here until it
     is deleted or named in ``SURVIVORS`` with its reason, and a survivor
     that gained a caller (or went) must leave the list."""
-    _modules, defs = reachability.walk(ROOT)
+    _modules, defs, _knobs = reachability.walk(ROOT)
     unnamed = [d.key for d in defs if reachability.survivor_of(d) is None]
     assert unnamed == []
     named = {reachability.survivor_of(d) for d in defs}
     assert named == set(reachability.SURVIVORS)
+
+
+def test_only_named_knob_survivors_are_set_only_by_tests(reachability):
+    """The knob gate: a parameter or dataclass field that no command,
+    script, e2e benchmark or example sets fails here until it becomes a
+    constant or is named in ``KNOB_SURVIVORS`` with its reason, and a
+    survivor that gained a setter (or went) must leave the list."""
+    _modules, _defs, found = reachability.walk(ROOT)
+    keys = [k.key for k in found]
+    assert [k for k in keys if k not in reachability.KNOB_SURVIVORS] == []
+    assert set(keys) == set(reachability.KNOB_SURVIVORS)
