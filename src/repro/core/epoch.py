@@ -69,7 +69,7 @@ class Block:
     makes process-pool task payloads cheap.
     """
 
-    __slots__ = ("lid", "tid", "start", "_instrs", "_columns")
+    __slots__ = ("lid", "tid", "start", "block_id", "_instrs", "_columns")
 
     def __init__(
         self,
@@ -83,6 +83,9 @@ class Block:
             raise TypeError("Block needs instrs or columns (or both)")
         self.lid = lid
         self.tid = tid
+        #: ``(lid, tid)``, built once: the engine and the lifeguards key
+        #: every per-block table by it.
+        self.block_id: BlockId = (lid, tid)
         #: offset of the first instruction within the thread trace
         self.start = start
         self._instrs = None if instrs is None else tuple(instrs)
@@ -106,10 +109,6 @@ class Block:
     def has_columns(self) -> bool:
         """Whether the columnar form already exists (conversion-free)."""
         return self._columns is not None
-
-    @property
-    def block_id(self) -> BlockId:
-        return (self.lid, self.tid)
 
     def __len__(self) -> int:
         if self._instrs is not None:
@@ -154,6 +153,7 @@ class Block:
 
     def __setstate__(self, state) -> None:
         self.lid, self.tid, self.start, self._columns = state
+        self.block_id = (self.lid, self.tid)
         self._instrs = None
 
 

@@ -30,25 +30,6 @@ class Butterfly:
     wings: Tuple[Block, ...]
 
 
-def butterfly_for(partition: EpochPartition, lid: int, tid: int) -> Butterfly:
-    """Construct the butterfly whose body is block ``(l, t)``."""
-    body = partition.block(lid, tid)
-    head = partition.block(lid - 1, tid) if lid >= 1 else None
-    tail = (
-        partition.block(lid + 1, tid)
-        if lid + 1 < partition.num_epochs
-        else None
-    )
-    wings = []
-    for wl in (lid - 1, lid, lid + 1):
-        if not 0 <= wl < partition.num_epochs:
-            continue
-        for wt in range(partition.num_threads):
-            if wt != tid:
-                wings.append(partition.block(wl, wt))
-    return Butterfly(body=body, head=head, tail=tail, wings=tuple(wings))
-
-
 def butterflies_for_epoch(
     partition: EpochPartition, lid: int
 ) -> List[Butterfly]:
@@ -56,9 +37,29 @@ def butterflies_for_epoch(
 
     This is one fan-out unit for the engine: once epoch ``l+1`` has been
     received these bodies are mutually independent (each second pass
-    reads only wing summaries already published by first passes).
+    reads only wing summaries already published by first passes).  The
+    three rows ``l-1, l, l+1`` (those that exist) are fetched once and
+    every butterfly is cut from them; each body's wings are the rows'
+    other-thread blocks, row by row in thread order.
     """
-    return [
-        butterfly_for(partition, lid, tid)
-        for tid in range(partition.num_threads)
+    num_threads = partition.num_threads
+    rows = [
+        [partition.block(wl, wt) for wt in range(num_threads)]
+        for wl in (lid - 1, lid, lid + 1)
+        if 0 <= wl < partition.num_epochs
     ]
+    head_row = rows[0] if lid >= 1 else None
+    tail_row = rows[-1] if lid + 1 < partition.num_epochs else None
+    butterflies = []
+    for tid, body in enumerate(rows[lid >= 1]):
+        wings: List[Block] = []
+        for row in rows:
+            wings += row[:tid]
+            wings += row[tid + 1:]
+        butterflies.append(Butterfly(
+            body=body,
+            head=head_row[tid] if head_row else None,
+            tail=tail_row[tid] if tail_row else None,
+            wings=tuple(wings),
+        ))
+    return butterflies

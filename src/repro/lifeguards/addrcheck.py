@@ -31,9 +31,11 @@ reports and identical work counters.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import ItemsView, KeysView, Mapping
+from dataclasses import dataclass
 from typing import (
-    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 from repro.core.columnar import (
@@ -161,34 +163,122 @@ def _final_kills(facts: BlockFacts) -> Set[int]:
     return kills
 
 
+def _sorted_hits(locs: Any, changed: Set[int]) -> Set[int]:
+    """The members of ``changed`` that the ascending int64 array ``locs``
+    holds: one ``searchsorted`` of the probe values, so the cost follows
+    ``|changed|`` and an empty ``changed`` costs nothing."""
+    if not changed or not locs.shape[0]:
+        return set()
+    probe = np.fromiter(changed, dtype=np.int64, count=len(changed))
+    # A probe above every location lands one past the end; ``clip``
+    # compares it with the last location there, which it cannot equal.
+    found = locs.take(locs.searchsorted(probe), mode="clip") == probe
+    return set(probe[found].tolist())
+
+
+class SortedFirstAccess(Mapping):
+    """``first_access`` as the columnar kernel leaves it: the block's
+    accessed locations ascending (``locs``) beside the offset of each
+    one's first access (``offsets``), both slices of the arrays the
+    kernel computed for its whole group -- no per-block dict or set.
+
+    A read-only mapping like the object kernel's dict, read the same
+    way: the isolation check's ``fa.keys() & changed`` is one sorted
+    search of the probe values (:func:`_sorted_hits`) and ``fa[loc]`` a
+    bisection, so neither visits every location.
+    """
+
+    __slots__ = ("locs", "offsets")
+
+    def __init__(self, locs: Any, offsets: Any) -> None:
+        self.locs = locs
+        self.offsets = offsets
+
+    def __getitem__(self, loc: int) -> int:
+        locs = self.locs
+        at = int(locs.searchsorted(loc))
+        if at < locs.shape[0] and locs[at] == loc:
+            return int(self.offsets[at])
+        raise KeyError(loc)
+
+    def __len__(self) -> int:
+        return self.locs.shape[0]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.locs.tolist())
+
+    def keys(self) -> KeysView:
+        return _SortedKeys(self)
+
+    def items(self) -> ItemsView:
+        return _SortedItems(self)
+
+
+class _SortedKeys(KeysView):
+    __slots__ = ()
+
+    def __and__(self, other: Set[int]) -> Set[int]:
+        return _sorted_hits(self._mapping.locs, other)
+
+    __rand__ = __and__
+
+
+class _SortedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        fa = self._mapping
+        return zip(fa.locs.tolist(), fa.offsets.tolist())
+
+
 @dataclass
 class AddrSummary:
     """Per-block summary ``s_{l,t} = (GEN, KILL, ACCESS)``.
 
     ``facts`` carries the allocation-domain block facts (downward-exposed
     allocations, freed locations, last-event map) used by the SOS/LSOS
-    rules; ``gen``/``kill``/``access`` are the side-out views (union over
-    instructions) used by the isolation check.
+    rules and, as ``all_gen``/``killed_vars``, the GEN/KILL side-out
+    views the isolation check reads.  ACCESS is the key set of
+    ``first_access`` (location -> offset of its first access in the
+    block): the object kernel's dict or the columnar kernel's
+    :class:`SortedFirstAccess`, read only as a mapping; ``num_accessed``
+    is its size, a plain int because the meet and the work counters
+    take it per wing.
+
+    Pickled, a summary is plain containers under the field names every
+    reader of checkpoint version 3 knows -- ``facts``, ``access`` (a
+    set), ``first_change`` and ``first_access`` (a dict) -- whichever
+    kernel built it, so the array form never reaches a checkpoint.  The
+    first save builds that state and every later save reuses it: a
+    summary stays resident for two or three saves.
     """
 
     facts: BlockFacts
-    access: Set[int] = field(default_factory=set)
-    first_change: Dict[int, int] = field(default_factory=dict)
-    first_access: Dict[int, int] = field(default_factory=dict)
+    first_change: Dict[int, int]
+    first_access: Mapping[int, int]
+    num_accessed: int
 
-    @property
-    def gen(self) -> Set[int]:
-        """All locations allocated anywhere in the block."""
-        return self.facts.all_gen
+    #: The pickled state, once a save has built it (not a field).
+    _pickled = None
 
-    @property
-    def kill(self) -> Set[int]:
-        """All locations freed anywhere in the block."""
-        return self.facts.killed_vars
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self._pickled
+        if state is None:
+            first_access = dict(self.first_access.items())
+            state = self._pickled = {
+                "facts": self.facts,
+                "access": set(first_access),
+                "first_change": self.first_change,
+                "first_access": first_access,
+            }
+        return state
 
-    @property
-    def block_id(self) -> BlockId:
-        return self.facts.block_id
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.facts = state["facts"]
+        self.first_change = state["first_change"]
+        self.first_access = state["first_access"]
+        self.num_accessed = len(self.first_access)
+        self._pickled = state
 
 
 class WingChanges(NamedTuple):
@@ -202,16 +292,17 @@ class WingChanges(NamedTuple):
 
 @dataclass
 class AddrScan:
-    """Raw result of scanning one block: summary sets, error records as
-    ``(kind, location, instr index, detail)`` tuples, and counters."""
+    """Raw result of scanning one block: the summary's parts (see
+    :class:`AddrSummary`), error records as ``(kind, location, instr
+    index, detail)`` tuples, and counters."""
 
     gen: Set[int]
     all_gen: Set[int]
     killed_vars: Set[int]
     last_event: Dict[int, str]
-    access: Set[int]
     first_change: Dict[int, int]
-    first_access: Dict[int, int]
+    first_access: Mapping[int, int]
+    num_accessed: int
     errors: List[Tuple[ErrorKind, int, int, str]]
     events: int
     checks: int
@@ -299,7 +390,6 @@ class AddrScanner:
         all_gen: Set[int] = set()
         killed_vars: Set[int] = set()
         last_event: Dict[int, str] = {}
-        access: Set[int] = set()
         first_change: Dict[int, int] = {}
         first_access: Dict[int, int] = {}
         errors: List[Tuple[ErrorKind, int, int, str]] = []
@@ -372,7 +462,6 @@ class AddrScanner:
                     continue
                 for loc in locs:
                     accesses += 1
-                    access.add(loc)
                     if loc not in first_access:
                         first_access[loc] = i
                     if use_filter and loc in checked:
@@ -390,9 +479,9 @@ class AddrScanner:
             all_gen=all_gen,
             killed_vars=killed_vars,
             last_event=last_event,
-            access=access,
             first_change=first_change,
             first_access=first_access,
+            num_accessed=len(first_access),
             errors=errors,
             events=events,
             checks=checks,
@@ -488,23 +577,23 @@ class AddrScanner:
                 locs.update(range(d, d + change_size[ci]))
             changed_locs.append(locs)
 
-        # What the vector phase leaves for the per-segment loop, each a
-        # stream-ordered list with its segment cuts: the unique
-        # ``(segment, location)`` pairs (location, first event), the
-        # stable occurrences that are errors and the occurrences to
-        # replay -- the last two as ``(position, location, stream-wide
-        # event)``.
-        uniq_list: List[int] = []
-        first_ev: List[int] = []
+        # What the vector phase leaves for the per-segment loop, each
+        # stream-ordered with its segment cuts: the unique ``(segment,
+        # location)`` pairs (``uniq`` locations and ``first_ev``
+        # segment-relative first events, as arrays each summary keeps a
+        # slice of), the stable occurrences that are errors and the
+        # occurrences to replay -- the last two as ``(position,
+        # location, stream-wide event)`` lists.
+        uniq = first_ev = np.empty(0, dtype=np.int64)
         bad: List[Tuple[int, int, int]] = []
         sub: List[Tuple[int, int, int]] = []
         uniq_lo = bad_lo = sub_lo = [0] * (nseg + 1)
 
         if total:
-            # ``access``/``first_access`` are pure functions of the
-            # access stream (no allocation state, no filter), computed
-            # wholesale: the first occurrence of a key in the stream IS
-            # its first occurrence in event order.  Keys are
+            # ``first_access`` is a pure function of the access stream
+            # (no allocation state, no filter), computed wholesale: the
+            # first occurrence of a key in the stream IS its first
+            # occurrence in event order.  Keys are
             # ``segment * width + rel`` with ``rel`` a location's offset
             # in a dense domain (the usual case) or its rank among the
             # stream's locations (``np.unique``'s sort, only when the
@@ -536,10 +625,9 @@ class AddrScanner:
             uniq_lo = np.searchsorted(
                 uniq_key, np.arange(nseg + 1, dtype=np.int64) * width
             ).tolist()
-            first_ev_arr = _ev_at(first_pos)
+            first_ev = _ev_at(first_pos)
             for s in range(1, nseg):
-                first_ev_arr[uniq_lo[s]:uniq_lo[s + 1]] -= ev_lo[s]
-            first_ev = first_ev_arr.tolist()
+                first_ev[uniq_lo[s]:uniq_lo[s + 1]] -= ev_lo[s]
 
             # Membership of the unique locations in the LSOS and in the
             # changed sets: probe the Python sets already in hand, one
@@ -622,7 +710,6 @@ class AddrScanner:
             first_change: Dict[int, int] = {}
             allocs = 0
             a, b = uniq_lo[s], uniq_lo[s + 1]
-            first_access = dict(zip(uniq_list[a:b], first_ev[a:b]))
             si, sub_hi = sub_lo[s], sub_lo[s + 1]
             # The stable checks, against the initial running set: one
             # per stable pair under the idempotent filter (whose state
@@ -717,9 +804,9 @@ class AddrScanner:
                 all_gen=all_gen,
                 killed_vars=killed_vars,
                 last_event=last_event,
-                access=set(first_access),
                 first_change=first_change,
-                first_access=first_access,
+                first_access=SortedFirstAccess(uniq[a:b], first_ev[a:b]),
+                num_accessed=b - a,
                 errors=[rec for _, rec in keyed],
                 events=ev_lo[s + 1] - ev0,
                 checks=checks,
@@ -831,9 +918,9 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         )
         summary = AddrSummary(
             facts=facts,
-            access=scan.access,
             first_change=scan.first_change,
             first_access=scan.first_access,
+            num_accessed=scan.num_accessed,
         )
         errors = self.errors
         flags = 0
@@ -881,7 +968,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             f = s.facts
             changed |= f.all_gen
             changed |= f.killed_vars
-            work += len(f.all_gen) + len(f.killed_vars) + len(s.access)
+            work += len(f.all_gen) + len(f.killed_vars) + s.num_accessed
         return WingChanges(changed, work)
 
     # -- step 3: isolation check -------------------------------------------
@@ -890,14 +977,15 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self, butterfly: Butterfly, side_in: WingChanges
     ) -> Tuple[Set[int], Set[int]]:
         """Pure isolation intersections against the wings' change set
-        (each sized by the smaller operand): racing state changes and
-        accesses racing a state change."""
+        (each sized by the smaller operand, or by the change set's
+        probes into ``first_access``): racing state changes and accesses
+        racing a state change."""
         s = self._summaries[butterfly.body.block_id]
         f = s.facts
         wing_changed = side_in.changed
         return (
             (f.all_gen | f.killed_vars) & wing_changed,
-            s.access & wing_changed,
+            s.first_access.keys() & wing_changed,
         )
 
     def commit_check(
@@ -946,8 +1034,8 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                     )
         work = self.block_work[block_id]
         work["flags"] += flags
-        work["iso"] += len(s.facts.all_gen | s.facts.killed_vars) + len(
-            s.access
+        work["iso"] += (
+            len(s.facts.all_gen | s.facts.killed_vars) + s.num_accessed
         )
         work["meet"] += side_in.meet_work
 

@@ -149,6 +149,34 @@ def thread_bleed() -> Iterator[None]:
 
 
 @contextlib.contextmanager
+def probe_edge() -> Iterator[None]:
+    """Let the isolation check's sorted probe miss the last location.
+
+    The bug a sorted search invites at its edge: a probe value equal to
+    the highest location a body accessed is taken for one past the end,
+    so an access racing a wing's allocation-state change there goes
+    unflagged.  Only the columnar kernel's summaries are probed this
+    way -- the object kernel and the reference intersect dicts and sets
+    -- so the ``columnar`` pair must see the two part ways.
+    """
+    from repro.lifeguards import addrcheck
+
+    orig = addrcheck._sorted_hits
+
+    def sorted_hits(locs, changed):
+        hits = orig(locs, changed)
+        if locs.shape[0]:
+            hits.discard(int(locs[-1]))
+        return hits
+
+    addrcheck._sorted_hits = sorted_hits
+    try:
+        yield
+    finally:
+        addrcheck._sorted_hits = orig
+
+
+@contextlib.contextmanager
 def reversed_commit() -> Iterator[None]:
     """Commit fanned-out first-pass scans last thread first.
 
@@ -231,6 +259,7 @@ MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "narrow-window": narrow_window,
     "stale-overlay": stale_overlay,
     "thread-bleed": thread_bleed,
+    "probe-edge": probe_edge,
     "reversed-commit": reversed_commit,
     "lossy-decode": lossy_decode,
     "blind-wholesale": blind_wholesale,

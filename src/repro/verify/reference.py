@@ -15,7 +15,7 @@ microbenchmark all diff the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
+from typing import Dict, List, Set
 
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block
@@ -26,11 +26,23 @@ from repro.lifeguards.addrcheck import (
     _DETAIL_CHANGE_RACE,
     _DETAIL_FREE,
     _DETAIL_MALLOC,
-    AddrSummary,
     ButterflyAddrCheck,
 )
 from repro.lifeguards.reports import ErrorKind, ErrorReport
 from repro.trace.events import Op
+
+
+@dataclass
+class ReferenceSummary:
+    """The reference's ``s_{l,t} = (GEN, KILL, ACCESS)`` in plain sets and
+    dicts of its own, so the oracle never reads the representation the
+    production summary keeps.  The state rules it shares with the
+    production class read ``facts`` only."""
+
+    facts: BlockFacts
+    access: Set[int]
+    first_change: Dict[int, int]
+    first_access: Dict[int, int]
 
 
 @dataclass
@@ -55,11 +67,13 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
 
     # -- step 1: local pass with LSOS checks ------------------------------
 
-    def first_pass(self, block: Block) -> AddrSummary:
+    def first_pass(self, block: Block) -> ReferenceSummary:
         lid, tid = block.block_id
         running = self._compute_lsos(lid, tid)
         facts = BlockFacts(block_id=block.block_id)
-        summary = AddrSummary(facts=facts)
+        summary = ReferenceSummary(
+            facts=facts, access=set(), first_change={}, first_access={}
+        )
         gen = facts.gen
         all_gen = facts.all_gen
         killed_vars = facts.killed_vars
@@ -177,17 +191,18 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
     # -- step 2: meet (elementwise union of wing summaries) ----------------
 
     def meet(
-        self, butterfly: Butterfly, wing_summaries: List[AddrSummary]
+        self, butterfly: Butterfly, wing_summaries: List[ReferenceSummary]
     ) -> WingSummary:
         gen_set: Set[int] = set()
         kill_set: Set[int] = set()
         access_set: Set[int] = set()
         work = 0
         for s in wing_summaries:
-            gen_set |= s.gen
-            kill_set |= s.kill
+            gen, kill = s.facts.all_gen, s.facts.killed_vars
+            gen_set |= gen
+            kill_set |= kill
             access_set |= s.access
-            work += len(s.gen) + len(s.kill) + len(s.access)
+            work += len(gen) + len(kill) + len(s.access)
         self.block_work[butterfly.body.block_id]["meet"] += work
         return WingSummary(gen=gen_set, kill=kill_set, access=access_set)
 
@@ -201,7 +216,7 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         s = self._summaries[body.block_id]
         flags_before = len(self.errors)
         emit = self.recorder.enabled
-        changed = s.gen | s.kill
+        changed = s.facts.all_gen | s.facts.killed_vars
         wing_changed = side_in.changed
         # Sorted location order, matching the production path: raw set
         # intersection order is hash-dependent, and a multi-location

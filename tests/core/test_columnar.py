@@ -194,6 +194,9 @@ class TestBlockIntegration:
         assert b"repro.trace.events" not in payload
         clone = pickle.loads(payload)
         assert (clone.lid, clone.tid, clone.start) == (2, 3, 20)
+        assert clone.block_id == (2, 3)
+        # The pickled state is the four fields, whatever the slots hold.
+        assert clone.__getstate__() == (2, 3, 20, block.columns)
         assert list(clone.instrs) == _sample_instrs()
         assert clone == block
 

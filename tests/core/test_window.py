@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.epoch import partition_fixed, partition_from_boundaries
-from repro.core.window import butterfly_for
+from repro.core.window import butterflies_for_epoch
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 
@@ -14,6 +14,10 @@ def partition(threads=3, per_thread=9, h=3):
         *[[Instr.nop() for _ in range(per_thread)] for _ in range(threads)]
     )
     return partition_fixed(prog, h)
+
+
+def butterfly_for(part, lid, tid):
+    return butterflies_for_epoch(part, lid)[tid]
 
 
 def wing_ids(bf):
@@ -37,6 +41,16 @@ class TestButterflyStructure:
         assert sorted(wing_ids(bf)) == [
             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
         ]
+
+    def test_wings_are_epoch_major_in_thread_order(self):
+        # Isolation provenance blames the first wing with a change.
+        bf = butterfly_for(partition(threads=4), 1, 2)
+        assert wing_ids(bf) == [
+            (lid, tid) for lid in (0, 1, 2) for tid in (0, 1, 3)
+        ]
+        assert [b.block_id for b in butterflies_for_epoch(
+            partition(threads=4), 1
+        )[0].wings] == [(lid, tid) for lid in (0, 1, 2) for tid in (1, 2, 3)]
 
     def test_first_epoch_has_no_head(self):
         bf = butterfly_for(partition(), 0, 1)

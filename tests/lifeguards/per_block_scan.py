@@ -3,7 +3,9 @@ the reference the identity tests diff :meth:`AddrScanner.scan_row`
 against.
 
 ``_scan_columns`` is PR 18's ``AddrScanner._scan_columns`` verbatim
-(``self.use_idempotent_filter`` became the ``use_filter`` argument);
+(``self.use_idempotent_filter`` became the ``use_filter`` argument,
+and the ``access`` set :class:`AddrScan` no longer carries became its
+``num_accessed``; its ``first_access`` stays a dict);
 ``per_block_scan`` is that commit's ``AddrScanner.__call__``: the
 vector kernel for a columnar-backed block when numpy is there, the
 per-``Instr`` kernel otherwise -- so under ``REPRO_NO_NUMPY`` the
@@ -76,7 +78,6 @@ def _scan_columns(
     all_gen: Set[int] = set()
     killed_vars: Set[int] = set()
     last_event: Dict[int, str] = {}
-    access: Set[int] = set()
     first_change: Dict[int, int] = {}
     first_access: Dict[int, int] = {}
     errors: List[Tuple[ErrorKind, int, int, str]] = []
@@ -157,10 +158,10 @@ def _scan_columns(
 
     accesses = total
     if total:
-        # ``access``/``first_access`` are pure functions of the
-        # access stream (no allocation state, no filter), computed
-        # wholesale: the first occurrence of a location in the
-        # stream IS its first occurrence in event order.
+        # ``first_access`` is a pure function of the access stream
+        # (no allocation state, no filter), computed wholesale: the
+        # first occurrence of a location in the stream IS its first
+        # occurrence in event order.
         lo = int(acc_loc.min())
         hi = int(acc_loc.max())
         span = hi - lo + 1
@@ -185,7 +186,6 @@ def _scan_columns(
             rel = uniq_rel = None
 
         uniq_list = uniq.tolist()
-        access.update(uniq_list)
         first_access.update(zip(uniq_list, _ev_at(first_pos).tolist()))
 
         # Membership of the block's unique locations in the LSOS and
@@ -341,9 +341,9 @@ def _scan_columns(
         all_gen=all_gen,
         killed_vars=killed_vars,
         last_event=last_event,
-        access=access,
         first_change=first_change,
         first_access=first_access,
+        num_accessed=len(first_access),
         errors=errors,
         events=n,
         checks=checks,

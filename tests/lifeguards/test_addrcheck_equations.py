@@ -184,7 +184,7 @@ class WingMask:
 def masked_meet(masks, wing_summaries):
     gen = kill = access = work = 0
     for s in wing_summaries:
-        all_gen_mask, killed_mask, access_mask = masks[s.block_id]
+        all_gen_mask, killed_mask, access_mask = masks[s.facts.block_id]
         gen |= all_gen_mask
         kill |= killed_mask
         access |= access_mask
@@ -237,8 +237,10 @@ class CheckedAddrCheck(ButterflyAddrCheck):
     def commit_scan(self, block, scan):
         summary = super().commit_scan(block, scan)
         mask = self._loc_bits.mask
+        facts = summary.facts
         self._masks[block.block_id] = (
-            mask(summary.gen), mask(summary.kill), mask(summary.access)
+            mask(facts.all_gen), mask(facts.killed_vars),
+            mask(summary.first_access),
         )
         return summary
 
@@ -441,7 +443,7 @@ class TestFinalKillFallback:
         last = max(lid for lid, _ in epochs)
         for lid in range(last + 1):
             row = {
-                key: AddrSummary(facts=facts)
+                key: AddrSummary(facts, {}, {}, 0)
                 for key, facts in epochs.items() if key[0] == lid
             }
             guard._summaries.update(row)

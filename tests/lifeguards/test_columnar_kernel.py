@@ -35,9 +35,9 @@ def _scan_dict(scan):
         "all_gen": scan.all_gen,
         "killed_vars": scan.killed_vars,
         "last_event": scan.last_event,
-        "access": scan.access,
         "first_change": scan.first_change,
-        "first_access": scan.first_access,
+        "first_access": dict(scan.first_access),
+        "num_accessed": scan.num_accessed,
         "errors": scan.errors,
         "events": scan.events,
         "checks": scan.checks,
@@ -82,7 +82,7 @@ def _assert_kernels_agree(instrs, running, use_filter):
         assert running_col.base == running_obj.base
         # Results must be built from plain Python ints, not numpy
         # scalars: summaries feed sets/dicts that are later pickled.
-        for x in col.gen | col.access | running_col.added:
+        for x in col.gen | set(col.first_access) | running_col.added:
             assert type(x) is int
 
 

@@ -87,7 +87,7 @@ def assert_row_matches_per_block(items, use_filter, columnar=None):
         for tid, (g, w) in enumerate(zip(got, want)):
             for name in FIELDS:
                 assert getattr(g, name) == getattr(w, name), (tid, name)
-            assert all(type(x) is int for x in g.access | g.gen)
+            assert all(type(x) is int for x in set(g.first_access) | g.gen)
         for (_, g), (_, w) in zip(got_items, want_items):
             assert (g.added, g.removed) == (w.added, w.removed)
             assert g.base is w.base
@@ -360,7 +360,7 @@ class TestGuardWithoutAStagedRow:
 
     def _summaries(self, guard, row):
         return [
-            (s.facts.all_gen, s.access, s.first_access)
+            (s.facts.all_gen, s.num_accessed, dict(s.first_access))
             for s in map(guard.first_pass, row)
         ]
 

@@ -1,14 +1,18 @@
 """Tests for epoch-boundary checkpoint/resume."""
 
+import copyreg
 import errno
+import io
 import os
 import pickle
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
+from repro.core.columnar import HAVE_NUMPY
 from repro.core.epoch import (
     EpochController,
     SloConfig,
@@ -18,7 +22,11 @@ from repro.core.epoch import (
 from repro.core.framework import ButterflyEngine
 from repro.core.stream import ShapeSource
 from repro.errors import CheckpointError
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.lifeguards.addrcheck import (
+    AddrSummary,
+    ButterflyAddrCheck,
+    SortedFirstAccess,
+)
 from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
 from repro.resilience import (
@@ -34,7 +42,7 @@ from repro.resilience.checkpoint import (
     write_snapshot,
 )
 from repro.trace.events import Instr
-from repro.trace.generator import simulated_alloc_program
+from repro.trace.generator import ColumnarAllocSource, simulated_alloc_program
 from repro.trace.program import TraceProgram
 
 
@@ -777,6 +785,167 @@ class TestEngineResumeSurface:
         self._feed(engine, part, range(self.ROWS))
         engine.checkpoint_now()
         assert os.listdir(tmp_path) == []
+
+
+def _save_in_the_earlier_layout(path, engine):
+    """Checkpoint ``engine`` as a build whose ``AddrSummary`` was a plain
+    dataclass wrote it: each summary as its class by name and its field
+    dict -- ``access`` a set beside the ``first_access`` dict."""
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is not AddrSummary:
+                return NotImplemented
+            first_access = dict(obj.first_access.items())
+            return (copyreg.__newobj__, (AddrSummary,), {
+                "facts": obj.facts,
+                "access": set(first_access),
+                "first_change": obj.first_change,
+                "first_access": first_access,
+            })
+
+    with open(path, "wb") as fh:
+        Pickler(fh, pickle.HIGHEST_PROTOCOL).dump({
+            "format": checkpoint.FORMAT,
+            "version": checkpoint.VERSION,
+            "meta": META,
+            "engine": engine.snapshot_state(),
+        })
+
+
+class _FieldsOnly:
+    """A class without ``__setstate__``: unpickling updates its
+    ``__dict__`` from the state, as a build whose summary is a plain
+    dataclass does."""
+
+
+def _fields_as_a_plain_dataclass_loads(payload):
+    class Unpickler(pickle.Unpickler):
+        def find_class(self, module, name):
+            if name == "AddrSummary":
+                return _FieldsOnly
+            return super().find_class(module, name)
+
+    return vars(Unpickler(io.BytesIO(payload)).load())
+
+
+def _alloc_source(epochs=6):
+    return ColumnarAllocSource(
+        3, num_threads=3, num_epochs=epochs, events_per_block=192,
+        num_locations=40, change_period=12, error_rate=0.02,
+    )
+
+
+def _streamed(source, path=None, stop_after=None):
+    """A columnar-kernel run over ``source`` (checkpointing every epoch
+    to ``path``); stops after ``stop_after`` rows, else finishes and
+    returns its fingerprint."""
+    guard = ButterflyAddrCheck(initially_allocated=source.preallocated)
+    engine = ButterflyEngine(guard)
+    if path is not None:
+        engine.enable_checkpoints(Checkpointer(path, META))
+    engine.attach_source(source)
+    for lid, row in enumerate(source.epochs()):
+        if lid == stop_after:
+            return engine
+        engine.feed_blocks(lid, row)
+    engine.finish()
+    return _fingerprint(guard, engine.stats)
+
+
+def _resumed(source, path):
+    ck = load_checkpoint(path)
+    engine = ButterflyEngine(ck.analysis)
+    engine.attach_source(source, resumed=True)
+    ck.restore_into(engine)
+    for lid, row in enumerate(source.epochs(ck.next_epoch), ck.next_epoch):
+        engine.feed_blocks(lid, row)
+    engine.finish()
+    return ck, _fingerprint(ck.analysis, engine.stats)
+
+
+class TestSummaryPickles:
+    """AddrCheck summaries keep the columnar kernel's sorted arrays in
+    memory, and pickle as they did before: the same field names, plain
+    sets and dicts, checkpoint ``VERSION`` 3 -- so a checkpoint from a
+    build on either side of the change resumes on the other."""
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="object kernel only")
+    def test_a_columnar_summary_loads_as_the_object_kernels(self):
+        source = _alloc_source(epochs=1)
+        row = next(iter(source.epochs()))
+        columnar = ButterflyAddrCheck(source.preallocated)
+        objects = ButterflyAddrCheck(
+            source.preallocated, use_columnar_kernel=False
+        )
+        columnar.stage_row(row)
+        for block in row:
+            col, obj = columnar.first_pass(block), objects.first_pass(block)
+            assert type(col.first_access) is SortedFirstAccess
+            assert type(obj.first_access) is dict
+            payload = pickle.dumps(col, pickle.HIGHEST_PROTOCOL)
+            assert b"numpy" not in payload
+            assert b"SortedFirstAccess" not in payload
+            restored = pickle.loads(payload)
+            assert type(restored.first_access) is dict
+            assert restored == obj
+            assert _fields_as_a_plain_dataclass_loads(payload) == {
+                "facts": obj.facts,
+                "access": set(obj.first_access),
+                "first_change": obj.first_change,
+                "first_access": obj.first_access,
+            }
+
+    def test_a_midstream_checkpoint_resumes_bit_identically(self, tmp_path):
+        reference = _streamed(_alloc_source())
+        path = str(tmp_path / "run.ckpt")
+        _streamed(_alloc_source(), path, stop_after=3)
+        assert checkpoint.VERSION == 3
+        ck, resumed = _resumed(_alloc_source(), path)
+        assert ck.next_epoch == 3
+        assert resumed == reference
+        assert len(reference[1]) > 0
+        assert all(
+            type(s.first_access) is dict
+            for s in load_checkpoint(path).analysis._summaries.values()
+        )
+
+    def test_a_summary_in_the_earlier_layout_still_resumes(self, tmp_path):
+        reference = _streamed(_alloc_source())
+        path = str(tmp_path / "earlier.ckpt")
+        _save_in_the_earlier_layout(
+            path, _streamed(_alloc_source(), stop_after=3)
+        )
+        with open(path, "rb") as fh:
+            assert b"SortedFirstAccess" not in fh.read()
+        loaded = load_checkpoint(path).analysis._summaries.values()
+        assert all(
+            type(s) is AddrSummary
+            and type(s.first_access) is dict
+            and s.num_accessed == len(s.first_access)
+            for s in loaded
+        )
+        _, resumed = _resumed(_alloc_source(), path)
+        assert resumed == reference
+
+    def test_each_summary_materializes_once_across_saves(
+        self, tmp_path, monkeypatch
+    ):
+        pickled, built, alive = Counter(), Counter(), []
+        getstate = AddrSummary.__getstate__
+
+        def counting(summary):
+            alive.append(summary)  # no id is reused while we count
+            pickled[id(summary)] += 1
+            built[id(summary)] += summary._pickled is None
+            return getstate(summary)
+
+        monkeypatch.setattr(AddrSummary, "__getstate__", counting)
+        _streamed(_alloc_source(), str(tmp_path / "run.ckpt"))
+        assert set(built) == set(pickled)
+        assert set(built.values()) == {1}
+        assert max(pickled.values()) >= 2
+        assert sum(n >= 2 for n in pickled.values()) > len(pickled) // 2
 
 
 class TestVerify:

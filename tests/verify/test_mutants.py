@@ -159,6 +159,27 @@ class TestThreadBleedMutant:
         assert len(case.threads) == 2
 
 
+@pytest.mark.skipif(
+    not HAVE_NUMPY, reason="without numpy no summary keeps sorted arrays"
+)
+class TestProbeEdgeMutant:
+    """The summary axis of the columnar kernel: the isolation check's
+    sorted probe into a body's accessed locations misses the last one,
+    so an access racing a wing's change at the body's highest location
+    is lost."""
+
+    def test_columnar_catches_the_missed_last_location(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("columnar",),
+            failures_dir=str(tmp_path),
+            mutant="probe-edge",
+        )
+        assert_found_and_shrunk(report, "columnar", "probe-edge")
+        assert "unsafe-isolation" in report.findings[0].detail
+
+
 class TestReversedCommitMutant:
     """The executor axis: fanned-out scans committed last thread first
     leave the error and event logs in another order than the serial
