@@ -26,7 +26,6 @@ from repro.lifeguards import addrcheck
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards import taintcheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
-from repro.shadow.shadow_memory import ShadowMemory
 from repro.trace.events import Instr
 from repro.trace.generator import (
     ColumnarAllocSource,
@@ -78,6 +77,13 @@ def test_addrcheck_end_to_end_throughput(benchmark, alloc_program):
 
 
 def test_reaching_definitions_throughput(benchmark, alloc_program):
+    """The hook-free analysis, which no command runs: the per-instruction
+    scalar walk.  Mean 37.7 ms under the interned-bitset mask kernel this
+    replaced, ~284 ms without it (7.5x; a quieter run of the same 2-vCPU
+    host: 23.0 -> 189 ms).  The kernel went because no command, script,
+    example or e2e workload could select it (``GenericLifeguard`` always
+    installs a hook)."""
+
     def run():
         analysis = ReachingDefinitions(keep_history=False)
         ButterflyEngine(analysis).run(partition_fixed(alloc_program, 512))
@@ -368,7 +374,10 @@ def test_op_class_tables_are_read_with_take():
             for node in ast.walk(ast.parse(text))
         )
     assert bad == []
-    assert takes >= 3  # AddrCheck's flatten, TaintCheck, the summarizer
+    # AddrCheck's flatten and TaintCheck.  The dataflow summarizer's
+    # row-filter table was a third until its columnar path went: no
+    # command reached it, and the object walk has no table.
+    assert takes >= 2
 
 
 def test_the_table_guard_bites():
@@ -526,25 +535,6 @@ def test_taint_second_pass_walks_only_where_the_window_writes(monkeypatch):
     assert flagged(wing + [Instr.taint(100_017)]) == [100_017]
     assert set(walked) == {(100_017,)}
     assert built == [(0, 0), (0, 0)]  # the jumping body's two phases
-
-
-def test_store_range_beats_scalar_loop(timing_guard):
-    """Bulk range writes must outrun the equivalent per-address loop
-    (timing-sensitive: skipped in CI)."""
-    span, bursts = 1024, 64
-
-    def bulk():
-        shadow = ShadowMemory(page_size=4096)
-        for b in range(bursts):
-            shadow.store_range(b * span, span, 1)
-
-    def scalar():
-        shadow = ShadowMemory(page_size=4096)
-        for b in range(bursts):
-            for addr in range(b * span, (b + 1) * span):
-                shadow.store(addr, 1)
-
-    assert _best_of(bulk) < _best_of(scalar)
 
 
 def test_engine_overhead_on_nops(benchmark):

@@ -33,7 +33,12 @@ The roots are ``src/repro/cli.py``, ``scripts/``, ``benchmarks/e2e/`` and
    positionals that cover it, calls that name with ``*``/``**``, or
    names the callable other than by calling it (annotations and
    ``isinstance`` arguments aside; ``getattr`` strings and prefixes
-   count).  ``replace(x, field=...)`` sets a field, and so, on a
+   count).  Naming a class to reach one of its attributes
+   (``Klass.staticmethod(...)``, ``Klass.CONSTANT``) or as a base is not
+   naming its constructor; ``cls(...)`` in a classmethod calls the owning
+   class, and ``super().__init__(...)``, or a call of a subclass that
+   inherits ``__init__``, calls the bases' constructors.
+   ``replace(x, field=...)`` sets a field, and so, on a
    non-frozen dataclass, does an attribute store or an in-place
    mutation (``x.f = ...``, ``x.f[k] = ...``, ``x.f += ...``,
    ``x.f.append(...)``).  Names resolve as in step 2, so the walk
@@ -62,7 +67,6 @@ _INPUT = "a generated input of the lifeguard tests and benchmarks"
 _SOS = ("the read side of the SOS history (section 4.2): what the "
         "equivalence, determinism and checkpoint tests compare engines by")
 _REPRO = "the documented way to replay a minimal repro (docs/verification.md)"
-_OWED = "owed to the next deletion tranche (ROADMAP): {} lines, {} tests"
 
 # Definitions (``path::qualname``) and whole modules (``path``) that only
 # tests reach and that stay, each with why: reference oracles, test
@@ -87,8 +91,6 @@ SURVIVORS = {
         "the documented reader of --emit-events logs"),
     "src/repro/verify/shrink.py::load_repro": _REPRO,
     "src/repro/verify/generator.py::TraceCase.from_json": _REPRO,
-    "src/repro/shadow/shadow_memory.py": _OWED.format(225, 31),
-    "src/repro/sim/logformat.py": _OWED.format(86, 21),
 }
 
 _SHAPE = "a shape parameter of a generated test input"
@@ -98,9 +100,6 @@ _SHAPE = "a shape parameter of a generated test input"
 # fails when step 3 lists a knob not named here, or when a name here no
 # longer matches anything it lists.
 KNOB_SURVIVORS = {
-    "src/repro/core/reaching_defs.py::ReachingDefinitions(use_mask_kernel)": (
-        "False selects the scalar walk, the mask kernel's test reference; "
-        "ROADMAP lists the choice as closed by measurement"),
     "src/repro/core/ordering.py::all_valid_orderings(up_to_epoch)": (
         "the section 5 oracle's epoch bound (test_ordering, "
         "test_reaching_defs)"),
@@ -334,6 +333,59 @@ def _callee(call):
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
+def _callee_key(call):
+    """What ``_aliases`` keys a call by: a bare name, ``super().__init__``
+    for that call, else ``None``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"):
+        return "super().__init__"
+    return None
+
+
+def _aliases(d):
+    """What calls inside method ``d`` resolve to by name: its first
+    parameter in a classmethod is the owning class, and
+    ``super().__init__`` is a call of each base named in the class."""
+    if d is None or d.owner is None:
+        return {}
+    aliases = {"super().__init__": _base_names(d.owner.node)}
+    args = d.node.args.posonlyargs + d.node.args.args
+    if _decorated(d.node, "classmethod") and args:
+        aliases[args[0].arg] = [d.owner.name]
+    return aliases
+
+
+def _base_names(node):
+    """The names of class ``node``'s bases (``B`` or ``module.B``)."""
+    names = [getattr(b, "id", None) or getattr(b, "attr", None)
+             for b in node.bases]
+    return [n for n in names if n]
+
+
+def _heirs(reached):
+    """``{class: names whose calls construct it}``: the class itself and,
+    to a fixpoint, every reached subclass that inherits its ``__init__``."""
+    inherits = {d.name: _base_names(d.node) for d in reached
+                if isinstance(d.node, ast.ClassDef) and not any(
+                    isinstance(s, _DEFS[:2]) and s.name == "__init__"
+                    for s in d.node.body)}
+    heirs = {}
+    for d in reached:
+        found, todo = {d.name}, [d.name]
+        while todo:
+            base = todo.pop()
+            for sub, bases in inherits.items():
+                if base in bases and sub not in found:
+                    found.add(sub)
+                    todo.append(sub)
+        heirs[d.name] = found
+    return heirs
+
+
 def _decorated(node, name):
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -375,11 +427,16 @@ def _knobs_of(d):
 
 def _not_uses(tree):
     """Ids of nodes under ``tree`` that name a callable without using it:
-    annotations and ``isinstance``/``issubclass`` class arguments."""
+    annotations, ``isinstance``/``issubclass`` class arguments, base
+    lists and the object of an attribute (``Klass`` in ``Klass.attr``)."""
     skip = set()
     for node in ast.walk(tree):
         notes = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.Attribute):
+            notes = [node.value]
+        elif isinstance(node, ast.ClassDef):
+            notes = node.bases
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             a = node.args
             notes = [x.annotation for x in (
                 *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
@@ -436,14 +493,16 @@ class _Settings:
         self.sources = {}
         self.starred, self.referenced, self.stored = set(), set(), set()
         for d, top in reached_code:
-            self._scan(top, _forwarded(d))
+            if d is not None and top in getattr(d.node, "bases", ()):
+                continue  # a base list names no constructor
+            self._scan(top, _forwarded(d), _aliases(d))
 
-    def _scan(self, top, forwarded):
+    def _scan(self, top, forwarded, aliases):
         calls = set()
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 calls.add(id(node.func))
-                self._call(node, forwarded)
+                self._call(node, forwarded, aliases)
             elif isinstance(node, (ast.Assign, ast.Delete)):
                 for t in node.targets:
                     self.stored.update(_stored_attrs(t))
@@ -457,7 +516,7 @@ class _Settings:
                 self.referenced.add(
                     node.id if isinstance(node, ast.Name) else node.attr)
 
-    def _call(self, node, forwarded):
+    def _call(self, node, forwarded, aliases):
         def source(value):
             return (forwarded.get(value.id)
                     if isinstance(value, ast.Name) else None)
@@ -469,18 +528,20 @@ class _Settings:
         if (getattr(func, "attr", None) in _MUTATORS
                 and isinstance(func.value, ast.Attribute)):
             self.stored.add(func.value.attr)
-        name = _callee(node)
-        if (any(isinstance(a, ast.Starred) for a in node.args)
-                or any(k.arg is None for k in node.keywords)):
-            self.starred.add(name)
-        for i, arg in enumerate(node.args):
-            self.sources.setdefault((name, i), set()).add(source(arg))
-        for k in node.keywords:
-            self.sources.setdefault((name, k.arg), set()).add(source(k.value))
+        for name in aliases.get(_callee_key(node), [_callee(node)]):
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                self.starred.add(name)
+            for i, arg in enumerate(node.args):
+                self.sources.setdefault((name, i), set()).add(source(arg))
+            for k in node.keywords:
+                self.sources.setdefault((name, k.arg), set()).add(
+                    source(k.value))
 
-    def sets(self, knob, unset, prefixes):
-        """Whether ``knob`` is set, counting a value forwarded from a
-        knob in ``unset`` as not setting it."""
+    def sets(self, knob, unset, prefixes, callees):
+        """Whether ``knob`` is set by a use of any name in ``callees``,
+        counting a value forwarded from a knob in ``unset`` as not
+        setting it."""
         def passed(callee, slot):
             return any(s is None or s not in unset
                        for s in self.sources.get((callee, slot), ()))
@@ -488,22 +549,24 @@ class _Settings:
         if knob.field and (passed("replace", knob.name) or (
                 not knob.frozen and knob.name in self.stored)):
             return True
-        callee = knob.callee
-        return (callee in self.starred or callee in self.referenced
-                or callee.startswith(prefixes)
-                or passed(callee, knob.name)
-                or (knob.position is not None
-                    and passed(callee, knob.position)))
+        return any(
+            callee in self.starred or callee in self.referenced
+            or callee.startswith(prefixes)
+            or passed(callee, knob.name)
+            or (knob.position is not None and passed(callee, knob.position))
+            for callee in callees)
 
 
 def unset_knobs(reached, reached_code, prefixes):
     """Step 3: the knobs of ``reached`` that ``reached_code`` (pairs of
     enclosing definition and node) never sets."""
     settings = _Settings(reached_code)
+    heirs = _heirs(reached)
     knobs = [k for d in reached for k in _knobs_of(d)]
     unset, grown = set(), True
     while grown:  # a knob forwarded only from unset knobs is unset too
-        now = {k.key for k in knobs if not settings.sets(k, unset, prefixes)}
+        now = {k.key for k in knobs if not settings.sets(
+            k, unset, prefixes, heirs.get(k.callee, [k.callee]))}
         grown, unset = now != unset, now
     found = [k for k in knobs if k.key in unset]
     found.sort(key=lambda k: (k.path, k.definition.node.lineno, k.label))

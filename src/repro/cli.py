@@ -373,6 +373,15 @@ def _run_and_report(
     resumed event log is the exact suffix of the uninterrupted one,
     never a re-count of finished epochs.
     """
+    if args.checkpoint:
+        # Refused before any epoch is analysed, as --emit-events is: the
+        # first save would otherwise fail after one.
+        directory = os.path.dirname(os.path.abspath(args.checkpoint))
+        if not os.path.isdir(directory):
+            raise ReproError(
+                f"cannot write {args.checkpoint}: no such directory "
+                f"{directory}"
+            )
     backend = _resolve_backend(args)
     resumed = checkpoint is not None
     engine = ButterflyEngine(guard, backend=backend, recorder=recorder)

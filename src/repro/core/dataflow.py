@@ -17,28 +17,8 @@ summaries then answer ``gens(e)`` / ``kills(e)`` queries symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Hashable, Iterable, Protocol, Set, Tuple
 
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    NO_DST,
-    OP_ASSIGN,
-    OP_TAINT,
-    OP_UNTAINT,
-    OP_WRITE,
-    np,
-)
 from repro.core.epoch import Block, InstrId
 from repro.trace.events import Instr, Op
 
@@ -108,11 +88,6 @@ class DefinitionDomain:
 
     _DEFINING = frozenset({Op.WRITE, Op.ASSIGN, Op.TAINT, Op.UNTAINT})
 
-    #: Op codes of events with any GEN/KILL effect -- the columnar
-    #: summarizer's one-LUT-pass row filter.  Every relevant row both
-    #: defines and kills its ``dst`` (when present).
-    relevant_codes = (OP_WRITE, OP_ASSIGN, OP_TAINT, OP_UNTAINT)
-
     def gen_of(self, instr: Instr, iid: InstrId) -> Iterable[Element]:
         if instr.op in self._DEFINING and instr.dst is not None:
             yield Definition(instr.dst, iid)
@@ -125,21 +100,12 @@ class DefinitionDomain:
         assert isinstance(element, Definition)
         yield element.var
 
-    def row_gen(
-        self, code: int, dst: int, srcs: Sequence[int], iid: InstrId
-    ) -> Tuple[Element, ...]:
-        """Columnar twin of :meth:`gen_of` for a relevant row."""
-        return (Definition(dst, iid),)
-
 
 class ExpressionDomain:
     """Reaching (available) expressions: an ASSIGN with sources computes
     an expression; writing any operand kills it."""
 
     _DEFINING = frozenset({Op.WRITE, Op.ASSIGN, Op.TAINT, Op.UNTAINT})
-
-    #: See :attr:`DefinitionDomain.relevant_codes`.
-    relevant_codes = (OP_WRITE, OP_ASSIGN, OP_TAINT, OP_UNTAINT)
 
     def gen_of(self, instr: Instr, iid: InstrId) -> Iterable[Element]:
         if instr.op is Op.ASSIGN and instr.srcs:
@@ -152,14 +118,6 @@ class ExpressionDomain:
     def element_vars(self, element: Element) -> Iterable[Var]:
         assert isinstance(element, Expression)
         return element.operands
-
-    def row_gen(
-        self, code: int, dst: int, srcs: Sequence[int], iid: InstrId
-    ) -> Tuple[Element, ...]:
-        """Columnar twin of :meth:`gen_of` for a relevant row."""
-        if code == OP_ASSIGN and srcs:
-            return (Expression.of(*srcs),)
-        return ()
 
 
 @dataclass
@@ -186,11 +144,6 @@ class BlockFacts:
         For elements generated *in this block*, whether the last
         relevant event was a ``gen`` or a ``kill`` -- resolves the block
         GEN/KILL membership of local elements exactly.
-    all_gen_mask / killed_mask:
-        Optional interned-bitset encodings of ``all_gen`` and
-        ``killed_vars`` (see :mod:`repro.core.bitset`), filled in by the
-        owning analysis at commit time so wing meets collapse to bitwise
-        ORs.  ``None`` when the analysis does not use bitsets.
     """
 
     block_id: Tuple[int, int]
@@ -198,8 +151,6 @@ class BlockFacts:
     all_gen: Set[Element] = field(default_factory=set)
     killed_vars: Set[Var] = field(default_factory=set)
     last_event: Dict[Element, str] = field(default_factory=dict)
-    all_gen_mask: Optional[int] = None
-    killed_mask: Optional[int] = None
 
     def gens(self, element: Element) -> bool:
         """Block-level GEN membership (downward-exposed)."""
@@ -214,34 +165,8 @@ class BlockFacts:
         return any(v in self.killed_vars for v in domain.element_vars(element))
 
 
-if HAVE_NUMPY:
-    #: Boolean row-filter LUTs keyed by a domain's ``relevant_codes``.
-    _RELEVANT_LUTS: Dict[Tuple[int, ...], "numpy.ndarray"] = {}
-
-    def _relevant_lut(codes: Tuple[int, ...]):
-        lut = _RELEVANT_LUTS.get(codes)
-        if lut is None:
-            lut = np.zeros(256, dtype=bool)
-            lut[list(codes)] = True
-            _RELEVANT_LUTS[codes] = lut
-        return lut
-
-
 def summarize_block(block: Block, domain: ElementDomain) -> BlockFacts:
-    """First-pass walk computing a block's GEN/KILL facts in one scan.
-
-    When numpy is available, the block is columnar-backed, and the
-    domain advertises ``relevant_codes`` (plus the ``row_gen`` twin of
-    ``gen_of``), the scan runs as a vector kernel: one LUT pass over
-    the op column selects the GEN/KILL-relevant rows, a CSR gather
-    pulls just those rows' fields, and the exposure bookkeeping loop
-    touches only the selection -- bit-identical facts, without
-    materializing ``Instr`` objects for the (typically READ-dominated)
-    irrelevant remainder.
-    """
-    codes = getattr(domain, "relevant_codes", None)
-    if HAVE_NUMPY and codes is not None and block.has_columns:
-        return _summarize_columns(block, domain, codes)
+    """First-pass walk computing a block's GEN/KILL facts in one scan."""
     facts = BlockFacts(block_id=block.block_id)
     # Elements currently downward-exposed, indexed by variable so a
     # write kills them in O(defs of that var).
@@ -264,50 +189,6 @@ def summarize_block(block: Block, domain: ElementDomain) -> BlockFacts:
             facts.last_event[element] = "gen"
             for var in domain.element_vars(element):
                 exposed_by_var.setdefault(var, set()).add(element)
-    return facts
-
-
-def _summarize_columns(
-    block: Block, domain: ElementDomain, codes: Tuple[int, ...]
-) -> BlockFacts:
-    """Columnar fast path of :func:`summarize_block` (same semantics,
-    relevant rows only; every relevant row kills its ``dst`` and
-    generates ``domain.row_gen(...)``)."""
-    facts = BlockFacts(block_id=block.block_id)
-    cols = block.columns
-    if cols.length == 0:
-        return facts
-    idx = np.flatnonzero(_relevant_lut(codes).take(cols.op))
-    if idx.shape[0] == 0:
-        return facts
-    sel_codes, sel_dst, bounds, flat_srcs = cols.gather(idx)
-    lid, tid = block.block_id
-    row_gen = domain.row_gen
-    element_vars = domain.element_vars
-    gen = facts.gen
-    all_gen = facts.all_gen
-    killed_vars = facts.killed_vars
-    last_event = facts.last_event
-    exposed_by_var: Dict[Var, Set[Element]] = {}
-    for k, i in enumerate(idx.tolist()):
-        var = sel_dst[k]
-        if var == NO_DST:
-            continue
-        killed_vars.add(var)
-        for element in exposed_by_var.pop(var, ()):
-            if element in gen:
-                gen.discard(element)
-                last_event[element] = "kill"
-                for other in element_vars(element):
-                    if other != var:
-                        exposed_by_var.get(other, set()).discard(element)
-        srcs = flat_srcs[bounds[k]:bounds[k + 1]]
-        for element in row_gen(sel_codes[k], var, srcs, (lid, tid, i)):
-            gen.add(element)
-            all_gen.add(element)
-            last_event[element] = "gen"
-            for v in element_vars(element):
-                exposed_by_var.setdefault(v, set()).add(element)
     return facts
 
 

@@ -31,8 +31,8 @@ Example -- a "definite initialization" lifeguard in a few lines::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Hashable, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, Hashable, Iterable, Optional
 
 from repro.core.epoch import InstrId
 from repro.core.framework import ButterflyAnalysis
@@ -98,22 +98,6 @@ class LifeguardSpec:
         return GenericLifeguard(self)
 
 
-class _SpecDomain:
-    """Adapts a spec's callables to the ElementDomain protocol."""
-
-    def __init__(self, spec: LifeguardSpec) -> None:
-        self._spec = spec
-
-    def gen_of(self, instr: Instr, iid: InstrId):
-        return self._spec.gen_of(instr, iid)
-
-    def kill_vars_of(self, instr: Instr):
-        return self._spec.kill_vars_of(instr)
-
-    def element_vars(self, element: Element):
-        return self._spec.element_vars(element)
-
-
 class GenericLifeguard(ButterflyAnalysis):
     """A spec-driven lifeguard: delegates the dataflow to the matching
     canonical analysis and collects check reports in ``errors``."""
@@ -129,7 +113,9 @@ class GenericLifeguard(ButterflyAnalysis):
             self._inner = ReachingExpressions(
                 on_instruction=self._run_check, keep_history=False
             )
-        self._inner.domain = _SpecDomain(spec)
+        # A spec has gen_of / kill_vars_of / element_vars, so it is the
+        # inner analysis' ElementDomain as it stands.
+        self._inner.domain = spec
 
     # -- check plumbing ----------------------------------------------------
 

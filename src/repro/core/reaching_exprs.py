@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.bitset import BitInterner
 from repro.core.dataflow import (
     BlockFacts,
     Expression,
     ExpressionDomain,
-    summarize_block,
     union_side_out_kill,
 )
 from repro.core.epoch import Block, BlockId, InstrId
@@ -53,7 +51,6 @@ class ReachingExpressions(ButterflyAnalysis[BlockFacts, Set[int]]):
         self.block_out: Dict[BlockId, FrozenSet[Expression]] = {}
         self.block_lsos: Dict[BlockId, FrozenSet[Expression]] = {}
         self.side_in: Dict[BlockId, FrozenSet[int]] = {}
-        self._var_bits = BitInterner()
         # Hooks are arbitrary closures; only the hook-free analysis
         # advertises the parallel split (mirrors ReachingDefinitions).
         self.parallel_first_pass = on_instruction is None
@@ -65,9 +62,7 @@ class ReachingExpressions(ButterflyAnalysis[BlockFacts, Set[int]]):
         return FactsScanner(self.domain)
 
     def commit_scan(self, block: Block, scan: BlockFacts) -> BlockFacts:
-        """Store the block facts; intern KILL-SIDE-OUT (a var set) so
-        the wing meet is a bitwise OR."""
-        scan.killed_mask = self._var_bits.mask(scan.killed_vars)
+        """Store the block facts for the meet, LSOS and SOS update."""
         self.facts[block.block_id] = scan
         return scan
 
@@ -78,12 +73,7 @@ class ReachingExpressions(ButterflyAnalysis[BlockFacts, Set[int]]):
     ) -> Set[int]:
         """KILL-SIDE-IN as a symbolic var set: union of the wings'
         KILL-SIDE-OUT (Section 5.2: the meet is union)."""
-        mask = 0
-        for facts in wing_summaries:
-            if facts.killed_mask is None:
-                return union_side_out_kill(wing_summaries)
-            mask |= facts.killed_mask
-        return set(self._var_bits.decode(mask))
+        return union_side_out_kill(wing_summaries)
 
     # -- step 3 ------------------------------------------------------------
 

@@ -117,7 +117,6 @@ class Recorder:
         self,
         sink: Optional[JsonlSink] = None,
         keep_events: bool = True,
-        clock: Callable[[], int] = time.perf_counter_ns,
     ) -> None:
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
@@ -126,7 +125,7 @@ class Recorder:
         self.events: List[Dict[str, Any]] = []
         self._sink = sink
         self._keep_events = keep_events
-        self._clock = clock
+        self._clock: Callable[[], int] = time.perf_counter_ns
         self._seq = 0
 
     # -- metrics --------------------------------------------------------

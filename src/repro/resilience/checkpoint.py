@@ -4,8 +4,8 @@ The engine's ordered-commit discipline gives a natural safe point: the
 instant epoch ``l``'s bodies have committed and ``SOS_{l+2}`` is
 published, the entire analysis state is a deterministic function of the
 trace prefix.  A :class:`Checkpointer` snapshots exactly that state --
-the analysis object (the live SOS and its per-epoch deltas, interner
-tables, shadow memory, error log), the engine's window of block
+the analysis object (the live SOS and its per-epoch deltas, its
+summaries, error log), the engine's window of block
 summaries, its ``EngineStats``/progress counters and, on an adaptive
 run, the boundary stream recorded so far
 (``ButterflyEngine.snapshot_state()``) -- after each committed epoch.

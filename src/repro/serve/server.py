@@ -437,7 +437,13 @@ class ReproServer:
     async def start(self) -> None:
         config = self.config
         if config.checkpoint_dir is not None:
-            os.makedirs(config.checkpoint_dir, exist_ok=True)
+            try:
+                os.makedirs(config.checkpoint_dir, exist_ok=True)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"cannot use checkpoint directory "
+                    f"{config.checkpoint_dir}: {exc.strerror}"
+                ) from exc
         shard = SHARD_BACKENDS[config.shard_backend]
         self._shards = [shard(i) for i in range(config.workers)]
         if self.recorder.enabled:

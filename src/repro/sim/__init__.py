@@ -13,7 +13,8 @@ reproduces that machine in Python:
 - :mod:`repro.sim.cmp` -- in-order cores executing event traces;
 - :mod:`repro.sim.logbuffer` -- the bounded log buffer's steady-state
   coupling of application and lifeguard time;
-- :mod:`repro.sim.accelerators` -- LBA's idempotent event filter;
+- :mod:`repro.sim.accelerators` -- LBA's metadata TLB and idempotent
+  event filter;
 - :mod:`repro.sim.lba` -- the full system model producing execution
   times for unmonitored, timesliced, and butterfly configurations.
 """

@@ -9,7 +9,7 @@ monitored load and store").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
@@ -67,26 +67,23 @@ class MachineConfig:
     2-cycle D); shared 8-way L2 in 4 banks at 6 cycles ({2,4,8} MB for
     {4,8,16} cores); 512 MB memory at 90 cycles; 8 KB per-thread log
     buffer.  LBA pairs each application core with a lifeguard core, so
-    ``cores`` is twice the application thread count.
+    ``cores`` is twice the application thread count; it is the one
+    field.  Every other parameter is a Table 1 constant.
     """
 
     cores: int = 4
-    clock_ghz: float = 1.0
-    line_bytes: int = 64
-    l1i: CacheConfig = field(
-        default=CacheConfig(64 * 1024, 64, 4, 1)
-    )
-    l1d: CacheConfig = field(
-        default=CacheConfig(64 * 1024, 64, 4, 2)
-    )
-    l2_mb_per_4_cores: int = 2
-    l2_assoc: int = 8
-    l2_banks: int = 4
-    l2_latency: int = 6
-    memory_mb: int = 512
-    memory_latency: int = 90
-    log_buffer_bytes: int = 8 * 1024
-    log_record_bytes: int = 16
+
+    clock_ghz = 1.0
+    line_bytes = 64
+    l1i = CacheConfig(64 * 1024, 64, 4, 1)
+    l1d = CacheConfig(64 * 1024, 64, 4, 2)
+    l2_mb_per_4_cores = 2
+    l2_assoc = 8
+    l2_banks = 4
+    l2_latency = 6
+    memory_mb = 512
+    memory_latency = 90
+    log_buffer_bytes = 8 * 1024
 
     @property
     def l2(self) -> CacheConfig:

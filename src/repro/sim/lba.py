@@ -31,8 +31,7 @@ from repro.core.stream import PartitionSource
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.shadow.metadata_tlb import MetadataTLB
-from repro.sim.accelerators import IdempotentFilter
+from repro.sim.accelerators import IdempotentFilter, MetadataTLB
 from repro.sim.cmp import LOCATION_STRIDE, run_parallel, run_serialized
 from repro.sim.config import COSTS, MachineConfig
 from repro.sim.logbuffer import coupled_time

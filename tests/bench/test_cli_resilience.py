@@ -357,3 +357,32 @@ class TestStatsSummaryJson:
             "--summary-json", str(tmp_path / "no" / "dir" / "s.json"),
         ]) == 2
         _one_line_error(capsys, "stats")
+
+
+class TestCheckpointPaths:
+    def test_checkpoint_into_a_missing_directory_is_refused(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "no" / "such"
+        log = tmp_path / "events.jsonl"
+        assert main(
+            CHECK_ARGS + ["--checkpoint", str(missing / "run.ckpt"),
+                          "--emit-events", str(log)]
+        ) == 2
+        message = _one_line_error(capsys, "check")
+        assert f"no such directory {missing}" in message
+        # Refused before the engine saw a single epoch.
+        assert not [ev for ev in read_events(str(log))
+                    if ev["ev"].startswith("pass.")]
+
+    def test_serve_checkpoint_dir_that_is_a_file_is_named(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "a-file"
+        path.write_text("")
+        assert main(
+            ["serve", "--port", "0", "--checkpoint-dir", str(path)]
+        ) == 2
+        message = _one_line_error(capsys, "serve")
+        assert f"checkpoint directory {path}" in message
+        assert "cannot listen" not in message

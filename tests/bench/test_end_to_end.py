@@ -13,7 +13,6 @@ from repro.core.framework import ButterflyEngine
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.reports import compare_reports
 from repro.lifeguards.sequential import SequentialAddrCheck
-from repro.sim.logformat import decode_block, encode_block
 from repro.trace.serialize import dump, load
 from repro.workloads.registry import get_benchmark
 
@@ -61,9 +60,3 @@ class TestPersistenceTransparency:
             results.append((pr.flagged, pr.false_positives,
                             pr.false_negatives))
         assert results[0] == results[1]
-
-    def test_wire_format_round_trips_whole_threads(self, journey):
-        original, _ = journey
-        for trace in original.threads:
-            data = encode_block(trace.instrs)
-            assert decode_block(data) == list(trace.instrs)

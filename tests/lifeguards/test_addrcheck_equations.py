@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.bitset import BitInterner, popcount
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
@@ -24,6 +23,7 @@ from repro.trace.generator import ColumnarAllocSource
 from repro.trace.program import TraceProgram
 from repro.verify.reference import ReferenceAddrCheck
 from repro.workloads import get_benchmark
+from tests.lifeguards.bitmask import BitInterner
 
 
 def run(program, h, **kwargs):
@@ -179,6 +179,10 @@ class WingMask:
     kill: int
     access: int
     meet_work: int
+
+
+def popcount(mask):
+    return bin(mask).count("1")
 
 
 def masked_meet(masks, wing_summaries):

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.core.bitset import BitInterner
 from repro.core.epoch import (
     Block,
     partition_by_global_order,
@@ -19,6 +18,7 @@ from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.program import TraceProgram
 from repro.workloads.registry import get_benchmark
+from tests.lifeguards.bitmask import BitInterner
 
 
 def run(program, h):

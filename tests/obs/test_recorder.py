@@ -48,7 +48,8 @@ class TestEvents:
 class TestSpans:
     def test_span_aggregates_and_emits_event(self):
         ticks = iter([10, 25, 100, 140])
-        rec = Recorder(clock=lambda: next(ticks))
+        rec = Recorder()
+        rec._clock = lambda: next(ticks)
         with rec.span("work", epoch=0):
             pass
         with rec.span("work", epoch=1):
@@ -61,7 +62,8 @@ class TestSpans:
 
     def test_snapshot_shape(self):
         ticks = iter([0, 7])
-        rec = Recorder(clock=lambda: next(ticks))
+        rec = Recorder()
+        rec._clock = lambda: next(ticks)
         rec.count("c", 2)
         rec.gauge("g", 1.5)
         with rec.span("s"):

@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.core.columnar import HAVE_NUMPY
+from repro.core.dataflow import BlockFacts
 from repro.core.epoch import (
     EpochController,
     SloConfig,
@@ -813,6 +814,27 @@ def _save_in_the_earlier_layout(path, engine):
         })
 
 
+def _save_with_mask_fields(path, engine):
+    """Checkpoint ``engine`` as the build before interned-bitset summaries
+    went wrote it: every ``BlockFacts`` also carries ``all_gen_mask`` and
+    ``killed_mask``, both ``None`` under AddrCheck."""
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is not BlockFacts:
+                return NotImplemented
+            return (copyreg.__newobj__, (BlockFacts,), dict(
+                vars(obj), all_gen_mask=None, killed_mask=None))
+
+    with open(path, "wb") as fh:
+        Pickler(fh, pickle.HIGHEST_PROTOCOL).dump({
+            "format": checkpoint.FORMAT,
+            "version": checkpoint.VERSION,
+            "meta": META,
+            "engine": engine.snapshot_state(),
+        })
+
+
 class _FieldsOnly:
     """A class without ``__setstate__``: unpickling updates its
     ``__dict__`` from the state, as a build whose summary is a plain
@@ -927,6 +949,23 @@ class TestSummaryPickles:
         )
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
+
+    def test_facts_with_the_mask_fields_still_resume(self, tmp_path):
+        reference = _streamed(_alloc_source())
+        path = str(tmp_path / "masks.ckpt")
+        _save_with_mask_fields(
+            path, _streamed(_alloc_source(), stop_after=3)
+        )
+        with open(path, "rb") as fh:
+            assert b"killed_mask" in fh.read()
+        assert checkpoint.VERSION == 3
+        _, resumed = _resumed(_alloc_source(), path)
+        assert resumed == reference
+        # A checkpoint this build writes does not carry them.
+        fresh = str(tmp_path / "fresh.ckpt")
+        _streamed(_alloc_source(), fresh, stop_after=3)
+        with open(fresh, "rb") as fh:
+            assert b"killed_mask" not in fh.read()
 
     def test_each_summary_materializes_once_across_saves(
         self, tmp_path, monkeypatch

@@ -215,9 +215,9 @@ KNOB_TREE = {
         from dataclasses import replace
 
         from repro.knobs import (
-            Annotated, Base, Checked, Child, Frozen, Mutable, by_keyword,
-            by_position, by_reference, by_star, outer, set_forwarded,
-            test_only,
+            Annotated, Base, Checked, Child, Derived, Factory, Frozen,
+            Mutable, Static, by_keyword, by_position, by_reference, by_star,
+            outer, set_forwarded, test_only,
         )
         import repro.knobs
 
@@ -230,6 +230,9 @@ KNOB_TREE = {
             getattr(repro.knobs, "by_getattr")(1)
             getattr(repro.knobs, f"by_prefix_{args[0]}")()
             Child(k=1)
+            Derived(d=1)
+            Static.make(Static.LIMIT)
+            Factory.create()
             outer()
             set_forwarded(v=2)
             test_only()
@@ -287,6 +290,35 @@ KNOB_TREE = {
         class Child(Base):
             def __init__(self, k=0, unset=0):
                 super().__init__(j=k)
+
+
+        class Parent:
+            def __init__(self, d=0, p=0):
+                pass
+
+
+        class Derived(Parent):
+            pass
+
+
+        class Static:
+            LIMIT = 1
+
+            def __init__(self, s=0):
+                pass
+
+            @staticmethod
+            def make(limit):
+                return Static()
+
+
+        class Factory:
+            def __init__(self, f=0, unset=0):
+                pass
+
+            @classmethod
+            def create(cls):
+                return cls(f=1)
 
 
         def outer(w=None):
@@ -381,8 +413,6 @@ class TestKnobRules:
         found = knobs(reachability, knob_tree)
         assert not {"by_reference(r)", "by_getattr(g)",
                     "by_prefix_one(p)"} & found
-        # Naming a class as a base is a reference too.
-        assert "Base(j)" not in found
 
     def test_annotations_and_isinstance_set_nothing(
         self, reachability, knob_tree
@@ -394,6 +424,30 @@ class TestKnobRules:
         found = knobs(reachability, knob_tree)
         assert "Child(k)" not in found
         assert "Child(unset)" in found
+
+    def test_a_class_attribute_does_not_name_the_constructor(
+        self, reachability, knob_tree
+    ):
+        # ``Static.make(...)`` and ``Static.LIMIT`` reach the class, but
+        # only ``Static()`` calls it, and that sets nothing.
+        assert "Static(s)" in knobs(reachability, knob_tree)
+
+    def test_a_base_list_does_not_name_the_constructor(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        # ``class Derived(Parent)`` sets nothing; ``Derived(d=1)`` calls
+        # the ``__init__`` it inherits, and ``super().__init__(j=k)`` in
+        # ``Child`` calls ``Base``'s.
+        assert "Parent(p)" in found
+        assert not {"Parent(d)", "Base(j)"} & found
+
+    def test_cls_in_a_classmethod_calls_the_owning_class(
+        self, reachability, knob_tree
+    ):
+        found = knobs(reachability, knob_tree)
+        assert "Factory(f)" not in found
+        assert "Factory(unset)" in found
 
     def test_replace_and_stores_set_dataclass_fields(
         self, reachability, knob_tree
@@ -426,6 +480,7 @@ class TestKnobRules:
     def test_exactly_these_knobs_are_listed(self, reachability, knob_tree):
         assert knobs(reachability, knob_tree) == {
             "by_keyword(unset)", "by_position(c)", "Child(unset)",
+            "Parent(p)", "Static(s)", "Factory(unset)",
             "Annotated(a)", "Checked(c)", "Frozen.stored", "Mutable.never",
             "outer(w)", "inner(w)", "test_only(t)",
         }
