@@ -8,23 +8,15 @@ floor so an accidental de-vectorization (a stray per-event Python loop,
 a dtype regression forcing object arrays) fails loudly instead of
 silently eating the speedup.
 
-Skips without numpy (there is no vector kernel to guard) and under
-``REPRO_CI=1`` (wall-clock ratios flake on shared runners).
+Skips under ``REPRO_CI=1`` (wall-clock ratios flake on shared
+runners).
 """
 
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
-from repro.core.columnar import HAVE_NUMPY  # noqa: E402
-from repro.core.state import SOSView  # noqa: E402
-from repro.lifeguards.addrcheck import AddrScanner  # noqa: E402
-from repro.trace.generator import ColumnarAllocSource  # noqa: E402
-
-if not HAVE_NUMPY:  # REPRO_NO_NUMPY forces the fallback even with numpy
-    pytest.skip("columnar vector kernel disabled", allow_module_level=True)
+from repro.core.state import SOSView
+from repro.lifeguards.addrcheck import AddrScanner
+from repro.trace.generator import ColumnarAllocSource
 
 #: 1M events across 10 blocks -- large enough that per-event dispatch
 #: dominates the scalar path, small enough to keep the guard quick.

@@ -16,7 +16,6 @@ import time
 import pytest
 
 import repro
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.dataflow import DefinitionDomain, summarize_block
 from repro.core.epoch import partition_fixed, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
@@ -189,7 +188,6 @@ def _best_alternating(seconds_at, repeats=7):
     return small, large
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="compares the two scan kernels")
 def test_first_pass_cost_does_not_scale_with_the_heap():
     """Per-block state cost is O(block), not O(|SOS|): the same 20
     blocks against a 1k-location and a 64k-location live heap.  The
@@ -220,7 +218,6 @@ def test_first_pass_cost_does_not_scale_with_the_heap():
         assert large <= 1.3 * small, (columnar, small, large)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="times the columnar row kernel")
 def test_first_pass_cost_does_not_scale_with_the_thread_count(timing_guard):
     """The same 2 048 events per epoch as 8 x 256-event blocks and as
     2 x 1 024-event blocks: first-pass wall per epoch (contexts, scans
@@ -290,7 +287,6 @@ def _resident_block_growth(num_locations):
     return growth, sum(s.num_accessed for s in resident) / len(resident)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="counts the columnar summaries")
 def test_resident_state_does_not_scale_with_distinct_locations():
     """No wall clock: the same stream shape over a 32- and a 512-location
     pool, so every block accesses 16x the distinct locations, and the
@@ -307,7 +303,6 @@ def test_resident_state_does_not_scale_with_distinct_locations():
     assert wide <= 1.5 * narrow, (narrow, wide)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="times the columnar flatten")
 def test_flatten_stays_off_numpys_slow_paths(timing_guard):
     """The access-stream flatten of one 25 000-event block against the
     parent's (``tests/lifeguards/flatten_reference.py``: uint8-indexed

@@ -7,22 +7,14 @@ on an idle host is far larger because the LUT pass skips the READ
 majority entirely.  This pins the floor so an accidental
 de-vectorization fails loudly instead of silently eating the speedup.
 
-Skips without numpy (there is no vector kernel to guard) and under
-``REPRO_CI=1`` (wall-clock ratios flake on shared runners).
+Skips under ``REPRO_CI=1`` (wall-clock ratios flake on shared
+runners).
 """
 
 import time
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
-from repro.core.columnar import HAVE_NUMPY  # noqa: E402
-from repro.lifeguards.taintcheck import TaintScanner  # noqa: E402
-from repro.trace.generator import ColumnarTaintSource  # noqa: E402
-
-if not HAVE_NUMPY:  # REPRO_NO_NUMPY forces the fallback even with numpy
-    pytest.skip("columnar vector kernel disabled", allow_module_level=True)
+from repro.lifeguards.taintcheck import TaintScanner
+from repro.trace.generator import ColumnarTaintSource
 
 #: 1M events across 10 blocks -- large enough that per-event dispatch
 #: dominates the object path, small enough to keep the guard quick.

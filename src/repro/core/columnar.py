@@ -26,34 +26,22 @@ columns and never materialize ``Instr`` objects; everything else can
 ask a columnar-backed :class:`~repro.core.epoch.Block` for ``.instrs``
 and fall back to the object path transparently.
 
-Backends: columns are numpy arrays when numpy is importable, and
-:mod:`array`-module arrays otherwise -- same dtypes, same ``tobytes``
-wire form, so pickled blocks are interchangeable between the two.  Set
-``REPRO_NO_NUMPY=1`` to force the pure-Python fallback (the CI leg that
-proves the fallback works runs the whole suite this way).
+Columns are numpy arrays (``uint8`` ops, ``int64`` everything else);
+numpy is a dependency of the package, not an option.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.trace.events import Instr, Op
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy
-
-try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI leg
-    if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+#: Always true: numpy is a dependency.  Kept because result sets of the
+#: end-to-end benchmark record the column backend under this name.
+HAVE_NUMPY = True
 
 #: Stable op-code table (baked into pickled blocks; append-only).
 OP_CODES = {
@@ -112,18 +100,6 @@ class RowDecodeError(ValueError):
     def __init__(self, row: object, reason: str) -> None:
         super().__init__(reason)
         self.row = row
-
-
-def _freeze_i64(values: Sequence[int]):
-    if HAVE_NUMPY:
-        return np.array(values, dtype=np.int64)
-    return array("q", values)
-
-
-def _freeze_u8(values: Sequence[int]):
-    if HAVE_NUMPY:
-        return np.array(values, dtype=np.uint8)
-    return array("B", values)
 
 
 #: ``(ops, dsts, sizes, src_off, src_val)`` as plain sequences of ints.
@@ -252,16 +228,14 @@ class ColumnarBlock:
 
     @classmethod
     def _frozen(cls, ops, dsts, sizes, src_off, src_val) -> "ColumnarBlock":
-        """Columns held as plain int sequences -> the backend's arrays
-        (the one place numpy and ``REPRO_NO_NUMPY=1`` differ in building
-        a block)."""
+        """Columns held as plain int sequences -> arrays."""
         return cls(
             len(ops),
-            _freeze_u8(ops),
-            _freeze_i64(dsts),
-            _freeze_i64(sizes),
-            _freeze_i64(src_off),
-            _freeze_i64(src_val),
+            np.array(ops, dtype=np.uint8),
+            np.array(dsts, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+            np.array(src_off, dtype=np.int64),
+            np.array(src_val, dtype=np.int64),
         )
 
     @classmethod
@@ -323,42 +297,25 @@ class ColumnarBlock:
             return cls.from_instrs(())
         if len(blocks) == 1:
             return blocks[0]
-        if HAVE_NUMPY:
-            op = np.concatenate([np.asarray(b.op) for b in blocks])
-            n = int(op.shape[0])
-            # Each block's shifted offsets land in place in the output.
-            src_off = np.empty(n + 1, dtype=np.int64)
-            src_off[0] = 0
-            at = base = 0
-            for b in blocks:
-                off = np.asarray(b.src_off)
-                np.add(off[1:], base, out=src_off[at + 1:at + off.shape[0]])
-                at += off.shape[0] - 1
-                base += int(off[-1])
-            return cls(
-                n,
-                op.astype(np.uint8, copy=False),
-                np.concatenate([np.asarray(b.dst) for b in blocks]),
-                np.concatenate([np.asarray(b.size) for b in blocks]),
-                src_off,
-                np.concatenate([np.asarray(b.src_val) for b in blocks]),
-            )
-        op = array("B")
-        dst = array("q")
-        size = array("q")
-        src_off = array("q", [0])
-        src_val = array("q")
-        base = 0
+        op = np.concatenate([b.op for b in blocks])
+        n = int(op.shape[0])
+        # Each block's shifted offsets land in place in the output.
+        src_off = np.empty(n + 1, dtype=np.int64)
+        src_off[0] = 0
+        at = base = 0
         for b in blocks:
-            op.extend(b.op)
-            dst.extend(b.dst)
-            size.extend(b.size)
-            src_val.extend(b.src_val)
-            offs = b.src_off
-            for o in list(offs)[1:]:
-                src_off.append(o + base)
-            base += int(offs[-1]) if len(offs) else 0
-        return cls(len(op), op, dst, size, src_off, src_val)
+            off = b.src_off
+            np.add(off[1:], base, out=src_off[at + 1:at + off.shape[0]])
+            at += off.shape[0] - 1
+            base += int(off[-1])
+        return cls(
+            n,
+            op,
+            np.concatenate([b.dst for b in blocks]),
+            np.concatenate([b.size for b in blocks]),
+            src_off,
+            np.concatenate([b.src_val for b in blocks]),
+        )
 
     # -- materialization ------------------------------------------------
 
@@ -397,15 +354,13 @@ class ColumnarBlock:
 
         Returns ``(codes, dsts, bounds, flat_srcs)`` as plain Python
         lists, where row ``k``'s sources are
-        ``flat_srcs[bounds[k]:bounds[k + 1]]``.  This is the shared
-        selection step of the TaintCheck scan and the dataflow
-        summarizer: one table read picks the relevant rows, one gather
-        through ``idx`` materializes just those rows' fields, and only
-        the (typically sparse) selection is ever touched from Python.
-        Numpy path only -- pure-Python callers iterate the columns
-        directly.
+        ``flat_srcs[bounds[k]:bounds[k + 1]]``.  This is the selection
+        step of the TaintCheck scan: one table read picks the relevant
+        rows, one gather through ``idx`` materializes just those rows'
+        fields, and only the (typically sparse) selection is ever
+        touched from Python.
         """
-        src_off = np.asarray(self.src_off)
+        src_off = self.src_off
         lo = src_off[idx]
         counts = src_off[1:][idx] - lo
         out_off = np.zeros(idx.shape[0] + 1, dtype=np.int64)
@@ -414,12 +369,12 @@ class ColumnarBlock:
         if total:
             flat = np.repeat(lo - out_off[:-1], counts)
             flat += np.arange(total, dtype=np.int64)
-            flat_srcs = np.asarray(self.src_val)[flat].tolist()
+            flat_srcs = self.src_val[flat].tolist()
         else:
             flat_srcs = []
         return (
-            np.asarray(self.op)[idx].tolist(),
-            np.asarray(self.dst)[idx].tolist(),
+            self.op[idx].tolist(),
+            self.dst[idx].tolist(),
             out_off.tolist(),
             flat_srcs,
         )
@@ -441,12 +396,11 @@ class ColumnarBlock:
             for i in range(self.length)
         ]
 
-    # -- pickling (compact wire form, backend-agnostic) -----------------
+    # -- pickling (compact wire form) -----------------------------------
 
     def __getstate__(self):
-        # Raw little-endian bytes: identical for numpy and array-module
-        # columns on every platform this runs on, and orders of
-        # magnitude cheaper to pickle than per-event objects.
+        # Raw little-endian bytes: no numpy object in the payload, and
+        # orders of magnitude cheaper to pickle than per-event objects.
         return (
             self.length,
             self.op.tobytes(),
@@ -459,23 +413,11 @@ class ColumnarBlock:
     def __setstate__(self, state) -> None:
         length, op_b, dst_b, size_b, off_b, val_b = state
         self.length = length
-        if HAVE_NUMPY:
-            self.op = np.frombuffer(op_b, dtype=np.uint8)
-            self.dst = np.frombuffer(dst_b, dtype=np.int64)
-            self.size = np.frombuffer(size_b, dtype=np.int64)
-            self.src_off = np.frombuffer(off_b, dtype=np.int64)
-            self.src_val = np.frombuffer(val_b, dtype=np.int64)
-        else:
-            self.op = array("B")
-            self.op.frombytes(op_b)
-            self.dst = array("q")
-            self.dst.frombytes(dst_b)
-            self.size = array("q")
-            self.size.frombytes(size_b)
-            self.src_off = array("q")
-            self.src_off.frombytes(off_b)
-            self.src_val = array("q")
-            self.src_val.frombytes(val_b)
+        self.op = np.frombuffer(op_b, dtype=np.uint8)
+        self.dst = np.frombuffer(dst_b, dtype=np.int64)
+        self.size = np.frombuffer(size_b, dtype=np.int64)
+        self.src_off = np.frombuffer(off_b, dtype=np.int64)
+        self.src_val = np.frombuffer(val_b, dtype=np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColumnarBlock):
@@ -488,40 +430,5 @@ class ColumnarBlock:
         return hash(self.__getstate__())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backend = "numpy" if HAVE_NUMPY else "array"
-        return f"ColumnarBlock(n={self.length}, backend={backend})"
+        return f"ColumnarBlock(n={self.length})"
 
-
-class ColumnBuilder:
-    """Incremental builder for generators that synthesize events
-    directly as columns (no ``Instr`` on the fast path)."""
-
-    __slots__ = ("ops", "dsts", "sizes", "src_off", "src_val")
-
-    def __init__(self) -> None:
-        self.ops: List[int] = []
-        self.dsts: List[int] = []
-        self.sizes: List[int] = []
-        self.src_off: List[int] = [0]
-        self.src_val: List[int] = []
-
-    def emit(
-        self,
-        code: int,
-        dst: int = NO_DST,
-        srcs: Iterable[int] = (),
-        size: int = 1,
-    ) -> None:
-        self.ops.append(code)
-        self.dsts.append(dst)
-        self.sizes.append(size)
-        self.src_val.extend(srcs)
-        self.src_off.append(len(self.src_val))
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def freeze(self) -> ColumnarBlock:
-        return ColumnarBlock._frozen(
-            self.ops, self.dsts, self.sizes, self.src_off, self.src_val
-        )

@@ -38,8 +38,9 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.columnar import (
-    HAVE_NUMPY,
     OP_ASSIGN,
     OP_FREE,
     OP_JUMP,
@@ -47,7 +48,6 @@ from repro.core.columnar import (
     OP_READ,
     OP_WRITE,
     ColumnarBlock,
-    np,
 )
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
@@ -57,18 +57,15 @@ from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog
 from repro.trace.events import Op
 
-if HAVE_NUMPY:
-    # Op classes over the uint8 op column.  A class of four codes is a
-    # bool table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``,
-    # which numpy serves on a slow path for a uint8 index, ~2.7x the
-    # ``take`` (benchmarks/test_microbench_core.py holds every ``*_LUT``
-    # in src/ to that).  A class of two codes is two SIMD compares, which
-    # beat any table read at 25 000 events (4.5 vs 25 us) and tie it at
-    # 2 048 (docs/perf.md, "Numpy's slow paths").
-    _ACC_LUT = np.zeros(256, dtype=bool)
-    _ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
-else:  # pragma: no cover - tables are only consulted on the numpy path
-    _ACC_LUT = None
+# Op classes over the uint8 op column.  A class of four codes is a bool
+# table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``, which numpy
+# serves on a slow path for a uint8 index, ~2.7x the ``take``
+# (benchmarks/test_microbench_core.py holds every ``*_LUT`` in src/ to
+# that).  A class of two codes is two SIMD compares, which beat any
+# table read at 25 000 events (4.5 vs 25 us) and tie it at 2 048
+# (docs/perf.md, "Numpy's slow paths").
+_ACC_LUT = np.zeros(256, dtype=bool)
+_ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
 
 #: Most events :meth:`AddrScanner.scan_row` hands the columnar kernel as
 #: one group.  Scanning T small blocks as one stream saves T-1 rounds of
@@ -101,9 +98,9 @@ def _access_stream(cols: ColumnarBlock) -> Tuple[Any, Any, Any]:
     are built in place: each temporary is one more round of fresh pages
     from the allocator."""
     n = cols.length
-    ops = np.asarray(cols.op)
-    src_off = np.asarray(cols.src_off)
-    src_val = np.asarray(cols.src_val)
+    ops = cols.op
+    src_off = cols.src_off
+    src_val = cols.src_val
     is_acc = _ACC_LUT.take(ops)
     has_dst = (ops == OP_WRITE) | (ops == OP_ASSIGN)
     tot = src_off[1:] - src_off[:-1]
@@ -143,7 +140,7 @@ def _access_stream(cols: ColumnarBlock) -> Tuple[Any, Any, Any]:
             is_src_slot = np.ones(total, dtype=bool)
             is_src_slot[dst_pos] = False
             acc_loc[np.flatnonzero(is_src_slot)] = src_val
-        acc_loc[dst_pos] = np.asarray(cols.dst)[dst_ev]
+        acc_loc[dst_pos] = cols.dst[dst_ev]
     return acc_off, acc_loc, tot
 
 
@@ -333,9 +330,9 @@ class AddrScanner:
     - the *columnar* kernel, vectorized over the block's column arrays.
 
     ``columnar=None`` picks automatically: the vector kernel runs when
-    numpy is available and the block is already columnar-backed, so
-    neither kernel ever pays a representation conversion (converting an
-    object block just to vectorize costs as much as scanning it).
+    the block is already columnar-backed, so neither kernel ever pays a
+    representation conversion (converting an object block just to
+    vectorize costs as much as scanning it).
     ``True``/``False`` force a kernel (benchmarks and the differential
     harness use both).
     """
@@ -360,7 +357,7 @@ class AddrScanner:
         scans: List[AddrScan] = []
         group: List[Tuple[ColumnarBlock, SOSView]] = []
         events = 0
-        vectorize = HAVE_NUMPY and self.columnar is not False
+        vectorize = self.columnar is not False
         for block, running in items:
             vector = vectorize and (self.columnar or block.has_columns)
             if group and not (
@@ -524,9 +521,9 @@ class AddrScanner:
         nseg = len(group)
         cols = ColumnarBlock.concat([c for c, _ in group])
         n = cols.length
-        ops = np.asarray(cols.op)
-        dst_col = np.asarray(cols.dst)
-        size_col = np.asarray(cols.size)
+        ops = cols.op
+        dst_col = cols.dst
+        size_col = cols.size
         use_filter = self.use_idempotent_filter
 
         acc_off, acc_loc, tot = _access_stream(cols)
@@ -830,10 +827,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         conceptually flushed at every epoch boundary (filtering never
         crosses epochs).  An allocation-state change re-arms the check.
     use_columnar_kernel:
-        Kernel selection for the first pass: ``None`` (auto,
-        the default -- vectorize when numpy is available and the block
-        is columnar-backed), ``True`` (always vectorize) or ``False``
-        (always scan per-``Instr``).  See :class:`AddrScanner`.
+        Kernel selection for the first pass: ``None`` (auto, the
+        default -- vectorize when the block is columnar-backed),
+        ``True`` (always vectorize) or ``False`` (always scan
+        per-``Instr``).  See :class:`AddrScanner`.
     """
 
     parallel_first_pass = True

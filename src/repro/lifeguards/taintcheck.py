@@ -46,15 +46,15 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.columnar import (
-    HAVE_NUMPY,
     NO_DST,
     OP_ASSIGN,
     OP_JUMP,
     OP_TAINT,
     OP_UNTAINT,
     OP_WRITE,
-    np,
 )
 from repro.core.epoch import Block, BlockId, InstrId
 from repro.core.framework import ButterflyAnalysis
@@ -63,17 +63,12 @@ from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
 from repro.trace.events import Instr, Op
 
-if HAVE_NUMPY:
-    #: Events that produce taint metadata (transfer-function rules) or
-    #: critical uses; everything else -- READ/MALLOC/FREE/NOP, the bulk
-    #: of realistic traces -- is invisible to the taint first pass and
-    #: the vector kernel skips it wholesale.
-    _TAINT_EVENT_LUT = np.zeros(256, dtype=bool)
-    _TAINT_EVENT_LUT[[OP_TAINT, OP_UNTAINT, OP_WRITE, OP_ASSIGN, OP_JUMP]] = (
-        True
-    )
-else:  # pragma: no cover - REPRO_NO_NUMPY / no-numpy environments
-    _TAINT_EVENT_LUT = None
+#: Events that produce taint metadata (transfer-function rules) or
+#: critical uses; everything else -- READ/MALLOC/FREE/NOP, the bulk of
+#: realistic traces -- is invisible to the taint first pass and the
+#: vector kernel skips it wholesale.
+_TAINT_EVENT_LUT = np.zeros(256, dtype=bool)
+_TAINT_EVENT_LUT[[OP_TAINT, OP_UNTAINT, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
 
 
 class _Bottom:
@@ -180,16 +175,15 @@ class TaintScanner:
       READ-dominated remainder of the block.
 
     ``columnar=None`` picks automatically: the vector kernel runs when
-    numpy is available and the block is already columnar-backed, so the
-    auto path never pays an object->columnar conversion.
+    the block is already columnar-backed, so the auto path never pays an
+    object->columnar conversion.
     """
 
     columnar: Optional[bool] = None
 
     def __call__(self, block: Block, context: object) -> TaintSummary:
-        if HAVE_NUMPY and self.columnar is not False:
-            if self.columnar or block.has_columns:
-                return self._scan_columns(block)
+        if self.columnar or (self.columnar is None and block.has_columns):
+            return self._scan_columns(block)
         return self._scan_objects(block)
 
     def _scan_objects(self, block: Block) -> TaintSummary:
@@ -272,8 +266,8 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         optimization).
     use_columnar_kernel:
         First-pass kernel selection: ``None`` (default) auto-selects
-        the vectorized scan when numpy is available and the block is
-        columnar-backed, ``True``/``False`` force a kernel (see
+        the vectorized scan when the block is columnar-backed,
+        ``True``/``False`` force a kernel (see
         :class:`TaintScanner`).
     """
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.columnar import (
-    HAVE_NUMPY,
     NO_DST,
     OP_ASSIGN,
     OP_FREE,
@@ -29,8 +30,6 @@ from repro.core.columnar import (
     OP_UNTAINT,
     OP_WRITE,
     ColumnarBlock,
-    ColumnBuilder,
-    np,
 )
 from repro.core.epoch import Block
 from repro.core.stream import EpochSource
@@ -324,10 +323,8 @@ class ColumnarAllocSource(EpochSource):
 
     Block ``(l, t)`` is a pure function of ``(seed, l, t)``, so
     ``epochs(start)`` regenerates identical blocks on checkpoint
-    resume.  The numpy and pure-Python backends draw from different
-    RNGs (so their workloads differ event-for-event across
-    environments), but within one environment every consumer -- both
-    kernels, ``as_objects``, a stream dump -- sees the same trace.
+    resume, and every consumer -- both kernels, ``as_objects``, a
+    stream dump -- sees the same trace.
     """
 
     def __init__(
@@ -380,44 +377,25 @@ class ColumnarAllocSource(EpochSource):
         # location's allocation state stays consistent for any h.
         per_block = h // self.change_period
         start_parity = (lid * per_block) % 2
-        if HAVE_NUMPY:
-            rng = np.random.default_rng((self.seed, lid, tid))
-            is_write = rng.integers(0, 2, size=h, dtype=np.int64)
-            loc = rng.integers(0, self.num_locations, size=h, dtype=np.int64)
-            if self.error_rate > 0.0:
-                loc[rng.random(h) < self.error_rate] = self._bad_loc
-            ops = np.where(is_write, OP_WRITE, OP_READ).astype(np.uint8)
-            dst = np.where(is_write, loc, NO_DST)
-            change_pos = np.arange(
-                self.change_period - 1, h, self.change_period, dtype=np.int64
-            )
-            parities = (np.arange(change_pos.shape[0]) + start_parity) % 2
-            ops[change_pos] = np.where(parities == 0, OP_MALLOC, OP_FREE)
-            dst[change_pos] = scratch
-            is_read = ops == OP_READ
-            src_off = np.zeros(h + 1, dtype=np.int64)
-            np.cumsum(is_read.astype(np.int64), out=src_off[1:])
-            src_val = loc[is_read]
-            size = np.ones(h, dtype=np.int64)
-            return ColumnarBlock(h, ops, dst, size, src_off, src_val)
-        rng_py = random.Random((self.seed + 1) * 1_000_003 + lid * 8191 + tid)
-        builder = ColumnBuilder()
-        parity = start_parity
-        for i in range(h):
-            if (i + 1) % self.change_period == 0:
-                code = OP_MALLOC if parity == 0 else OP_FREE
-                builder.emit(code, dst=scratch)
-                parity ^= 1
-                continue
-            if self.error_rate > 0.0 and rng_py.random() < self.error_rate:
-                x = self._bad_loc
-            else:
-                x = rng_py.randrange(self.num_locations)
-            if rng_py.random() < 0.5:
-                builder.emit(OP_WRITE, dst=x)
-            else:
-                builder.emit(OP_READ, srcs=(x,))
-        return builder.freeze()
+        rng = np.random.default_rng((self.seed, lid, tid))
+        is_write = rng.integers(0, 2, size=h, dtype=np.int64)
+        loc = rng.integers(0, self.num_locations, size=h, dtype=np.int64)
+        if self.error_rate > 0.0:
+            loc[rng.random(h) < self.error_rate] = self._bad_loc
+        ops = np.where(is_write, OP_WRITE, OP_READ).astype(np.uint8)
+        dst = np.where(is_write, loc, NO_DST)
+        change_pos = np.arange(
+            self.change_period - 1, h, self.change_period, dtype=np.int64
+        )
+        parities = (np.arange(change_pos.shape[0]) + start_parity) % 2
+        ops[change_pos] = np.where(parities == 0, OP_MALLOC, OP_FREE)
+        dst[change_pos] = scratch
+        is_read = ops == OP_READ
+        src_off = np.zeros(h + 1, dtype=np.int64)
+        np.cumsum(is_read.astype(np.int64), out=src_off[1:])
+        src_val = loc[is_read]
+        size = np.ones(h, dtype=np.int64)
+        return ColumnarBlock(h, ops, dst, size, src_off, src_val)
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
         h = self.events_per_block
@@ -480,10 +458,8 @@ class ColumnarTaintSource(EpochSource):
     preceding ASSIGN and untouched by every other thread, hence a true
     TAINTED_JUMP under *every* valid ordering.
 
-    Block ``(l, t)`` is a pure function of ``(seed, l, t)``; the numpy
-    and pure-Python backends draw from different RNGs but are each
-    internally consistent across kernels, ``as_objects`` and resume
-    (see :class:`ColumnarAllocSource`).
+    Block ``(l, t)`` is a pure function of ``(seed, l, t)`` (see
+    :class:`ColumnarAllocSource`).
     """
 
     def __init__(
@@ -535,60 +511,33 @@ class ColumnarTaintSource(EpochSource):
         # slot is preceded (in program order) by its TAINT/ASSIGN pair.
         per_block = h // self.taint_period
         start_step = (lid * per_block) % 4
-        if HAVE_NUMPY:
-            rng = np.random.default_rng((self.seed, lid, tid))
-            loc = rng.integers(0, self.num_locations, size=h, dtype=np.int64)
-            ops = np.full(h, OP_READ, dtype=np.uint8)
-            dst = np.full(h, NO_DST, dtype=np.int64)
-            srcv = loc.copy()
-            counts = np.ones(h, dtype=np.int64)
-            slots = np.arange(
-                self.taint_period - 1, h, self.taint_period, dtype=np.int64
-            )
-            steps = (np.arange(slots.shape[0]) + start_step) % 4
-            ops[slots] = np.array(
-                [OP_TAINT, OP_ASSIGN, OP_JUMP, OP_UNTAINT], dtype=np.uint8
-            )[steps]
-            dst[slots] = np.array([s, p, NO_DST, s], dtype=np.int64)[steps]
-            counts[slots[(steps == 0) | (steps == 3)]] = 0
-            srcv[slots[steps == 1]] = s
-            jump_slots = slots[steps == 2]
-            if self.error_rate > 0.0 and jump_slots.shape[0]:
-                bad = rng.random(jump_slots.shape[0]) < self.error_rate
-                targets = loc[jump_slots].copy()
-                targets[bad] = p
-                srcv[jump_slots] = targets
-            src_off = np.zeros(h + 1, dtype=np.int64)
-            np.cumsum(counts, out=src_off[1:])
-            src_val = srcv[counts == 1]
-            size = np.ones(h, dtype=np.int64)
-            return ColumnarBlock(h, ops, dst, size, src_off, src_val)
-        rng_py = random.Random((self.seed + 1) * 1_000_003 + lid * 8191 + tid)
-        builder = ColumnBuilder()
-        step = start_step
-        for i in range(h):
-            if (i + 1) % self.taint_period == 0:
-                if step == 0:
-                    builder.emit(OP_TAINT, dst=s)
-                elif step == 1:
-                    builder.emit(OP_ASSIGN, dst=p, srcs=(s,))
-                elif step == 2:
-                    if (
-                        self.error_rate > 0.0
-                        and rng_py.random() < self.error_rate
-                    ):
-                        target = p
-                    else:
-                        target = rng_py.randrange(self.num_locations)
-                    builder.emit(OP_JUMP, srcs=(target,))
-                else:
-                    builder.emit(OP_UNTAINT, dst=s)
-                step = (step + 1) % 4
-                continue
-            builder.emit(
-                OP_READ, srcs=(rng_py.randrange(self.num_locations),)
-            )
-        return builder.freeze()
+        rng = np.random.default_rng((self.seed, lid, tid))
+        loc = rng.integers(0, self.num_locations, size=h, dtype=np.int64)
+        ops = np.full(h, OP_READ, dtype=np.uint8)
+        dst = np.full(h, NO_DST, dtype=np.int64)
+        srcv = loc.copy()
+        counts = np.ones(h, dtype=np.int64)
+        slots = np.arange(
+            self.taint_period - 1, h, self.taint_period, dtype=np.int64
+        )
+        steps = (np.arange(slots.shape[0]) + start_step) % 4
+        ops[slots] = np.array(
+            [OP_TAINT, OP_ASSIGN, OP_JUMP, OP_UNTAINT], dtype=np.uint8
+        )[steps]
+        dst[slots] = np.array([s, p, NO_DST, s], dtype=np.int64)[steps]
+        counts[slots[(steps == 0) | (steps == 3)]] = 0
+        srcv[slots[steps == 1]] = s
+        jump_slots = slots[steps == 2]
+        if self.error_rate > 0.0 and jump_slots.shape[0]:
+            bad = rng.random(jump_slots.shape[0]) < self.error_rate
+            targets = loc[jump_slots].copy()
+            targets[bad] = p
+            srcv[jump_slots] = targets
+        src_off = np.zeros(h + 1, dtype=np.int64)
+        np.cumsum(counts, out=src_off[1:])
+        src_val = srcv[counts == 1]
+        size = np.ones(h, dtype=np.int64)
+        return ColumnarBlock(h, ops, dst, size, src_off, src_val)
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
         h = self.events_per_block

@@ -51,7 +51,7 @@ from repro.verify.reference import ReferenceAddrCheck
 #: The axes of a run and the values :meth:`DifferentialHarness.run` accepts.
 AXES = {
     # Per-Instr scan kernels forced | column-backed blocks, kernels on
-    # auto (vectorized under numpy, the pure-Python fallbacks without).
+    # auto (the vector kernels).
     "representation": ("objects", "columns"),
     # The in-memory partition | a round trip through a version 2 stream
     # file | that file pushed to a shared ``repro serve`` daemon with

@@ -1,21 +1,16 @@
 """Tests for the columnar event-block representation
 (``repro.core.columnar``)."""
 
-import os
 import pickle
 import random
-import subprocess
-import sys
 
+import numpy as np
 import pytest
 
 from repro.core.columnar import (
-    HAVE_NUMPY,
-    NO_DST,
     OP_CODES,
     OPS_BY_CODE,
     ColumnarBlock,
-    ColumnBuilder,
     RowDecodeError,
 )
 from repro.core.epoch import Block
@@ -80,19 +75,6 @@ class TestRoundTrip:
         assert cols.to_instrs() == ()
         assert cols.to_rows() == []
 
-    def test_builder_matches_from_instrs(self):
-        instrs = _sample_instrs()
-        b = ColumnBuilder()
-        for ins in instrs:
-            b.emit(
-                OP_CODES[ins.op],
-                dst=NO_DST if ins.dst is None else ins.dst,
-                srcs=ins.srcs,
-                size=ins.size,
-            )
-        assert len(b) == len(instrs)
-        assert b.freeze() == ColumnarBlock.from_instrs(instrs)
-
 
 class TestRowValidation:
     def test_bad_shape(self):
@@ -143,31 +125,19 @@ class TestPickling:
         assert b"Instr" not in payload
         assert b"repro.trace.events" not in payload
 
-    def test_wire_form_readable_without_numpy(self):
-        """A block pickled with the current backend must load under
-        ``REPRO_NO_NUMPY=1`` (and vice versa): the wire form is raw
-        little-endian bytes, not backend objects."""
-        payload = pickle.dumps(ColumnarBlock.from_instrs(_sample_instrs()))
-        code = (
-            "import pickle, sys\n"
-            "from repro.core.columnar import HAVE_NUMPY\n"
-            "assert not HAVE_NUMPY\n"
-            "cols = pickle.loads(sys.stdin.buffer.read())\n"
-            "rows = cols.to_rows()\n"
-            "assert len(rows) == cols.length\n"
-            "print(len(rows))\n"
-        )
-        env = dict(os.environ, REPRO_NO_NUMPY="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (env.get("PYTHONPATH"), "src") if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            input=payload, capture_output=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout.strip() == b"10"
+    def test_wire_form_is_raw_column_bytes(self):
+        """The payload holds each column's little-endian bytes, not
+        numpy objects, and loads back as numpy arrays of the same
+        dtypes."""
+        cols = ColumnarBlock.from_instrs(_sample_instrs())
+        payload = pickle.dumps(cols)
+        assert b"numpy" not in payload
+        assert cols.dst.tobytes() in payload
+        clone = pickle.loads(payload)
+        for name in ("op", "dst", "size", "src_off", "src_val"):
+            column = getattr(clone, name)
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == getattr(cols, name).dtype
 
 
 class TestBlockIntegration:
@@ -199,8 +169,3 @@ class TestBlockIntegration:
         assert clone.__getstate__() == (2, 3, 20, block.columns)
         assert list(clone.instrs) == _sample_instrs()
         assert clone == block
-
-    def test_backend_flag_matches_environment(self):
-        # In-process sanity: the flag reflects REPRO_NO_NUMPY.
-        if os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-            assert not HAVE_NUMPY

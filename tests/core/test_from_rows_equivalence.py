@@ -4,26 +4,15 @@ A well-formed block is validated by its distinct row signatures in a
 few C-level passes (``_bulk_columns``); the per-row loop
 (``_walk_columns``) is kept as the path that names a malformed row.  The
 two must be one decoder: the same accept/reject decision, the same five
-columns and dtypes, the same ``RowDecodeError.row`` and message -- under
-numpy and under ``REPRO_NO_NUMPY=1`` (the last test re-runs this file
-with the other backend).
+columns and dtypes, the same ``RowDecodeError.row`` and message.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import columnar
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    NO_DST,
-    ColumnarBlock,
-    RowDecodeError,
-)
+from repro.core.columnar import NO_DST, ColumnarBlock, RowDecodeError
 from repro.trace.events import Op
 
 COLUMNS = ("op", "dst", "size", "src_off", "src_val")
@@ -90,10 +79,6 @@ BAD_ROWS = [
 ]
 
 
-def dtype_of(column):
-    return column.dtype.str if HAVE_NUMPY else column.typecode
-
-
 def outcome(decode, rows):
     """``("ok", columns, dtypes)`` or ``("error", row, message)``."""
     try:
@@ -104,7 +89,7 @@ def outcome(decode, rows):
     return (
         "ok",
         [getattr(block, name).tolist() for name in COLUMNS],
-        [dtype_of(getattr(block, name)) for name in COLUMNS],
+        [getattr(block, name).dtype.str for name in COLUMNS],
     )
 
 
@@ -180,28 +165,3 @@ class TestTeeth:
             with pytest.raises(AssertionError, match="accepted a malformed"):
                 assert_one_decoder([bad], well_formed=False)
 
-
-def test_the_same_under_the_other_backend():
-    """Re-run this file (but not this test) with numpy gated the other
-    way."""
-    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-    env = dict(os.environ)
-    if HAVE_NUMPY:
-        env["REPRO_NO_NUMPY"] = "1"
-    else:
-        env.pop("REPRO_NO_NUMPY")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-    )
-    check = (
-        "import sys; from repro.core.columnar import HAVE_NUMPY; "
-        f"sys.exit(HAVE_NUMPY == {HAVE_NUMPY})"
-    )
-    if subprocess.run([sys.executable, "-c", check], env=env).returncode:
-        pytest.skip("numpy is not installed: there is no other backend")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-k", "not test_the_same_under_the_other_backend", __file__],
-        env=env, cwd=root, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -17,7 +17,7 @@ from repro.bench.harness import (
     fit_tradeoff,
     measure_epoch_size,
 )
-from repro.core.columnar import HAVE_NUMPY, ColumnarBlock
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import (
     Block,
     EpochController,
@@ -155,7 +155,6 @@ class TestMergeBlockRun:
             + [b.global_ref(i) for i in range(2)]
         )
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar path needs numpy")
     def test_all_columnar_inputs_stay_columnar(self):
         a_instrs = tuple(Instr.write(k) for k in range(3))
         b_instrs = (Instr.malloc(9, 1), Instr.write(9))

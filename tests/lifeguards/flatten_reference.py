@@ -9,22 +9,14 @@ gather -- with ``cols`` an already concatenated group.  Never imported
 by ``src/``.
 """
 
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    OP_ASSIGN,
-    OP_JUMP,
-    OP_READ,
-    OP_WRITE,
-    np,
-)
+import numpy as np
 
-if HAVE_NUMPY:
-    _ACC_LUT = np.zeros(256, dtype=bool)
-    _ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
-    _DST_LUT = np.zeros(256, dtype=np.int64)
-    _DST_LUT[[OP_WRITE, OP_ASSIGN]] = 1
-else:
-    _ACC_LUT = _DST_LUT = None
+from repro.core.columnar import OP_ASSIGN, OP_JUMP, OP_READ, OP_WRITE
+
+_ACC_LUT = np.zeros(256, dtype=bool)
+_ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
+_DST_LUT = np.zeros(256, dtype=np.int64)
+_DST_LUT[[OP_WRITE, OP_ASSIGN]] = 1
 
 
 def flatten(cols):

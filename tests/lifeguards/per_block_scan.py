@@ -7,21 +7,15 @@ against.
 and the ``access`` set :class:`AddrScan` no longer carries became its
 ``num_accessed``; its ``first_access`` stays a dict);
 ``per_block_scan`` is that commit's ``AddrScanner.__call__``: the
-vector kernel for a columnar-backed block when numpy is there, the
-per-``Instr`` kernel otherwise -- so under ``REPRO_NO_NUMPY`` the
-reference is the object kernel, which is what ``scan_row`` must degrade
-to.  Never imported by ``src/``.
+vector kernel for a columnar-backed block, the per-``Instr`` kernel
+otherwise.  Never imported by ``src/``.
 """
 
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    OP_FREE,
-    OP_MALLOC,
-    ColumnarBlock,
-    np,
-)
+import numpy as np
+
+from repro.core.columnar import OP_FREE, OP_MALLOC, ColumnarBlock
 from repro.core.epoch import Block
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import (
@@ -38,7 +32,7 @@ from tests.lifeguards.flatten_reference import _ACC_LUT, _DST_LUT
 def per_block_scan(
     block: Block, running: SOSView, use_filter: bool
 ) -> AddrScan:
-    if HAVE_NUMPY and block.has_columns:
+    if block.has_columns:
         return _scan_columns(block.columns, running, use_filter)
     return AddrScanner(use_filter, columnar=False)(block, running)
 

@@ -415,8 +415,7 @@ class TestLSOSAlgebra:
                 assert isolation_hits > 100
 
     def test_error_injected_columnar_blocks(self, optimized):
-        # Column-backed blocks (the vector kernel when numpy is on, the
-        # stdlib-array fallback when it is not).  43 changes per block,
+        # Column-backed blocks (the vector kernel).  43 changes per block,
         # an odd number: every other block leaves its scratch location
         # allocated for the next to free, which keeps the overlay busy;
         # injected accesses to a never-allocated slot flag.

@@ -14,16 +14,11 @@ import random
 
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.epoch import Block
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.trace.events import Instr, Op
 from repro.trace.generator import adversarial_instrs
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vector kernel requires numpy"
-)
 
 _ALL_OPS = (Op.WRITE, Op.READ, Op.MALLOC, Op.FREE, Op.ASSIGN,
             Op.TAINT, Op.UNTAINT, Op.JUMP, Op.NOP)

@@ -9,19 +9,13 @@ hand back exactly the :class:`AddrScan` of the per-block kernel built on
 that flatten (:mod:`tests.lifeguards.per_block_scan`).  Inputs:
 generator blocks at 512 and 25 000 events, every adversarial family,
 non-access events carrying sources, empty and access-free blocks, and
-multi-segment groups.  The array checks need numpy; the scan checks run
-without it too, where both sides are the object kernel.
+multi-segment groups.
 """
 
+import numpy as np
 import pytest
 
-from repro.core.columnar import (
-    HAVE_NUMPY,
-    OP_ASSIGN,
-    OP_WRITE,
-    ColumnarBlock,
-    np,
-)
+from repro.core.columnar import OP_ASSIGN, OP_WRITE, ColumnarBlock
 from repro.core.epoch import Block
 from repro.lifeguards import addrcheck
 from repro.trace.generator import ColumnarAllocSource
@@ -32,11 +26,6 @@ from tests.lifeguards.test_row_kernel import (
     assert_row_matches_per_block,
     _views,
 )
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the flatten and its reference are numpy code"
-)
-
 
 def _generated_rows(h, threads, epochs):
     source = ColumnarAllocSource(
@@ -124,7 +113,6 @@ def _column_inputs():
     return out
 
 
-@needs_numpy
 def test_flatten_matches_the_reference():
     inputs = _column_inputs()
     assert len(inputs) > 100

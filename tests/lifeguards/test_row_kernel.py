@@ -4,9 +4,7 @@ A row scan must hand back, for every block, *exactly* the
 :class:`AddrScan` the per-block first pass produced -- all twelve
 fields, error order included -- and leave each view's overlay as that
 scan left it.  The reference is the parent commit's kernel, kept
-test-local in :mod:`tests.lifeguards.per_block_scan`; without numpy it
-is the object kernel, which is what ``scan_row`` must degrade to, so
-this module runs in both environments.
+test-local in :mod:`tests.lifeguards.per_block_scan`.
 
 Rows come from real runs (the LSOS views the engine computed, one
 differing overlay per thread) and are each checked a second time over
@@ -18,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY, ColumnarBlock
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block, partition_auto
 from repro.core.framework import ButterflyEngine
 from repro.core.state import SOSView
@@ -225,8 +223,6 @@ class TestHandBuiltRows:
         assert not blocks[1].has_columns  # never converted to vectorize
         # Forced kernels take every block, whatever backs it.
         for columnar in (True, False):
-            if columnar and not HAVE_NUMPY:
-                continue
             items = _views(blocks, self.BASE, self._tweak)
             got = AddrScanner(use_filter, columnar).scan_row(
                 [(b, _copy(v)) for b, v in items]
@@ -255,18 +251,16 @@ class TestHandBuiltRows:
             )
         ]
         items = _views(blocks, frozenset(small.preallocated), self._tweak)
-        if HAVE_NUMPY:
-            groups = []
-            kernel = AddrScanner._scan_columns
+        groups = []
+        kernel = AddrScanner._scan_columns
 
-            def spy(self, group):
-                groups.append(len(group))
-                return kernel(self, group)
+        def spy(self, group):
+            groups.append(len(group))
+            return kernel(self, group)
 
-            monkeypatch.setattr(AddrScanner, "_scan_columns", spy)
+        monkeypatch.setattr(AddrScanner, "_scan_columns", spy)
         assert_row_matches_per_block(items, use_filter)
-        if HAVE_NUMPY:
-            assert groups == [1, 1, 2] * 2
+        assert groups == [1, 1, 2] * 2
 
     def test_views_over_different_bases_do_not_share_a_probe(
         self, use_filter
@@ -290,7 +284,7 @@ class TestHandBuiltRows:
         tweak = lambda tid: [loc * 10**6 for loc in self._tweak(tid)]  # noqa: E731
         calls = self._count_unique(monkeypatch)
         assert_row_matches_per_block(_views(blocks, base, tweak), use_filter)
-        assert bool(calls) == HAVE_NUMPY
+        assert calls
 
     def test_dense_test_is_taken_on_the_widened_key_space(
         self, use_filter, monkeypatch
@@ -302,25 +296,23 @@ class TestHandBuiltRows:
         tweak = lambda tid: [loc * 60 for loc in self._tweak(tid)]  # noqa: E731
         items = _views(blocks, base, tweak)
         calls = self._count_unique(monkeypatch)
-        if HAVE_NUMPY:
-            scanner = AddrScanner(use_filter)
-            scanner.scan_row([(b, _copy(v)) for b, v in items[:1]])
-            assert not calls
-            scanner.scan_row([(b, _copy(v)) for b, v in items])
-            assert len(calls) == 1
+        scanner = AddrScanner(use_filter)
+        scanner.scan_row([(b, _copy(v)) for b, v in items[:1]])
+        assert not calls
+        scanner.scan_row([(b, _copy(v)) for b, v in items])
+        assert len(calls) == 1
         assert_row_matches_per_block(items, use_filter)
 
     @staticmethod
     def _count_unique(monkeypatch):
         calls = []
-        if HAVE_NUMPY:
-            unique = addrcheck.np.unique
+        unique = addrcheck.np.unique
 
-            def spy(*args, **kwargs):
-                calls.append(1)
-                return unique(*args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
 
-            monkeypatch.setattr(addrcheck.np, "unique", spy)
+        monkeypatch.setattr(addrcheck.np, "unique", spy)
         return calls
 
     def test_non_access_events_carrying_sources(self, use_filter):

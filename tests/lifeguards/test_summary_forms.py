@@ -16,9 +16,9 @@ before mallocs and reallocations.
 import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY, np
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards import addrcheck
@@ -33,11 +33,6 @@ from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.verify import AdversarialCaseGenerator
 from repro.verify.reference import ReferenceAddrCheck, ReferenceSummary
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="only the columnar kernel keeps sorted arrays"
-)
-
 
 class RestoredSummaries(ButterflyAddrCheck):
     """Every summary the meet and the isolation check read has been
@@ -74,7 +69,7 @@ def _assert_forms_agree(partition, prealloc):
                 and type(s.first_access) is dict
                 for s in resident
             )
-        elif name == "columns" and HAVE_NUMPY:
+        elif name == "columns":
             assert all(
                 type(s.first_access) is SortedFirstAccess for s in resident
             )
@@ -134,7 +129,6 @@ class TestFormsAgree:
             flagged += sum(e[0] is ErrorKind.UNSAFE_ISOLATION for e in errors)
         assert flagged > 0
 
-    @needs_numpy
     def test_the_edge_family_probes_every_edge(self, monkeypatch):
         """Not vacuous: the columnar summaries' probes hit the lowest and
         the highest accessed location, and miss below and above them."""
@@ -160,7 +154,6 @@ class TestFormsAgree:
         assert seen == {"first hit", "last hit", "below", "above"}
 
 
-@needs_numpy
 class TestSortedFirstAccess:
     LOCS = [3, 5, 8, 13]
     OFFSETS = [4, 0, 7, 2]

@@ -4,18 +4,12 @@ The columnar :class:`TaintScanner` must produce *exactly* the scalar
 kernel's :class:`TaintSummary` -- same rules per location in the same
 program order, same dict insertion order, same BOT/TOP singletons, same
 critical-use list, plain Python ints throughout -- for any block.
-Without numpy (``REPRO_NO_NUMPY=1``) the ``columnar=True`` scanner
-falls back to the scalar path, so this module runs (and must pass)
-under both backends; the vector-vs-scalar comparison is only
-non-trivial on the numpy leg, which is why CI runs it twice.
 """
 
 import pickle
 import random
 
-import pytest
-
-from repro.core.columnar import HAVE_NUMPY, ColumnarBlock
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards.taintcheck import (
@@ -136,9 +130,8 @@ class TestKernelIdentity:
         assert _summary_dict(auto(obj_block, None)) == _summary_dict(
             auto(col_block, None)
         )
-        if HAVE_NUMPY:
-            # Auto never materializes objects on the columnar path.
-            assert col_block._instrs is None
+        # Auto never materializes objects on the columnar path.
+        assert col_block._instrs is None
 
 
 class TestEngineIdentity:
@@ -184,7 +177,6 @@ class TestEngineIdentity:
             assert len(offsets) == 3
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector kernel requires numpy")
 class TestPoolPayload:
     """A taint first-pass task on the columnar path ships the scanner,
     column bytes and a ``None`` context -- no ``Instr`` object trees."""

@@ -12,7 +12,6 @@ from collections import Counter
 
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import (
     EpochController,
@@ -892,7 +891,6 @@ class TestSummaryPickles:
     sets and dicts, checkpoint ``VERSION`` 3 -- so a checkpoint from a
     build on either side of the change resumes on the other."""
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="object kernel only")
     def test_a_columnar_summary_loads_as_the_object_kernels(self):
         source = _alloc_source(epochs=1)
         row = next(iter(source.epochs()))

@@ -10,7 +10,6 @@ import os
 
 import pytest
 
-from repro.core.columnar import HAVE_NUMPY
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
@@ -102,19 +101,7 @@ class TestStaleOverlayMutant:
     location still reads as allocated): both pairs with one side
     reading the view through ``__contains__`` must see it."""
 
-    @pytest.mark.parametrize(
-        "mode",
-        [
-            "optref",
-            pytest.param(
-                "columnar",
-                marks=pytest.mark.skipif(
-                    not HAVE_NUMPY,
-                    reason="without numpy both sides run the object kernel",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("mode", ["optref", "columnar"])
     def test_mode_catches_the_forgotten_free(self, mode, tmp_path):
         report = run_fuzz(
             seed=4,
@@ -138,9 +125,6 @@ class TestStaleOverlayMutant:
         assert_replays_only_under("stale-overlay", artifact)
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="without numpy no scan groups blocks"
-)
 class TestThreadBleedMutant:
     """The row axis of the columnar kernel: every block of a grouped
     scan patched with the first block's overlay, so a thread whose head
@@ -159,9 +143,6 @@ class TestThreadBleedMutant:
         assert len(case.threads) == 2
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="without numpy no summary keeps sorted arrays"
-)
 class TestProbeEdgeMutant:
     """The summary axis of the columnar kernel: the isolation check's
     sorted probe into a body's accessed locations misses the last one,
