@@ -20,9 +20,9 @@ from repro.core.dataflow import DefinitionDomain, summarize_block
 from repro.core.epoch import partition_fixed, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
 from repro.core.reaching_defs import ReachingDefinitions
-from repro.core.state import SOSHistory
+from repro.core.state import SOSHistory, SOSView
 from repro.lifeguards import addrcheck
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.lifeguards import taintcheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.trace.events import Instr
@@ -263,6 +263,46 @@ def test_first_pass_cost_does_not_scale_with_the_thread_count(timing_guard):
         narrow = min(narrow, narrow_once())
         wide = min(wide, wide_once())
     assert narrow <= 1.75 * wide, (narrow, wide)
+
+
+def test_first_pass_cost_follows_the_events_not_the_change_events(
+    timing_guard,
+):
+    """The same four 25 000-event blocks' worth of accesses with a
+    MALLOC/FREE of each thread's scratch location every 128 events (195
+    a block, ``cols_addr``'s shape) and every 8 (3 125, 16x the change
+    events): scan wall per block, alternating best-of-7.  The columnar
+    kernel used to replay each change event in Python against the live
+    view, ~1.2 us apiece: the dense blocks cost 4.7-6.1x the sparse
+    ones (4 510-7 780 vs 950-1 270 us, 2-vCPU Xeon, numpy 2.4, four
+    runs).  Its segmented scan sorts the expanded change entries once
+    and reads them in one pass over plain lists, ~0.3 us apiece:
+    1.9-2.2x (2 000-3 450 vs 940-1 550 us, same host and hour).  The
+    bound is 3.0."""
+
+    def scan_us(period):
+        source = ColumnarAllocSource(
+            7, num_threads=4, num_epochs=1, events_per_block=25_000,
+            change_period=period, error_rate=1e-3,
+        )
+        blocks = next(iter(source.epochs()))
+        base = source.preallocated
+        scanner = AddrScanner(True)
+
+        def once():
+            t0 = time.perf_counter()
+            for block in blocks:
+                scanner.scan_row([(block, SOSView(base))])
+            return 1e6 * (time.perf_counter() - t0) / len(blocks)
+
+        return once
+
+    sparse_once, dense_once = scan_us(128), scan_us(8)
+    sparse = dense = float("inf")
+    for _ in range(7):
+        sparse = min(sparse, sparse_once())
+        dense = min(dense, dense_once())
+    assert dense <= 3.0 * sparse, (sparse, dense)
 
 
 def _resident_block_growth(num_locations):

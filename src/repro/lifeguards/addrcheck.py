@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import ItemsView, KeysView, Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import (
     Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
     Tuple,
@@ -84,6 +85,12 @@ _DETAIL_FREE = "free of location believed unallocated"
 _DETAIL_ACCESS = "access to location believed unallocated"
 _DETAIL_CHANGE_RACE = "allocation-state change concurrent with another"
 _DETAIL_ACCESS_RACE = "access concurrent with an allocation-state change"
+#: First-pass error kinds read once (an enum lookup costs ~0.1 us).
+_CHANGE_ERRORS = {
+    True: (ErrorKind.MALLOC_ALLOCATED, _DETAIL_MALLOC),
+    False: (ErrorKind.FREE_UNALLOCATED, _DETAIL_FREE),
+}
+_ACCESS_ERROR = ErrorKind.ACCESS_UNALLOCATED
 
 
 def _access_stream(cols: ColumnarBlock) -> Tuple[Any, Any, Any]:
@@ -158,6 +165,13 @@ def _final_kills(facts: BlockFacts) -> Set[int]:
     kills = {loc for loc, event in last_event.items() if event == "kill"}
     kills.update(facts.killed_vars - last_event.keys())
     return kills
+
+
+def _pair_keys(segs: List[int], locs: List[int]) -> List[Tuple[int, int]]:
+    """What the columnar first pass's scan tells its runs apart by: a
+    ``(segment, location)`` per entry, so each block starts a location
+    from its own LSOS, never from a row neighbour's last change."""
+    return list(zip(segs, locs))
 
 
 def _sorted_hits(locs: Any, changed: Set[int]) -> Set[int]:
@@ -491,39 +505,39 @@ class AddrScanner:
     ) -> List[AddrScan]:
         """Vectorized first pass over a group of blocks' column arrays.
 
-        Key observation: MALLOC/FREE events only ever change the
-        allocation state and filter arming of the locations in their
-        extents.  Call a location *stable* when no change event in the
-        block touches it: a stable location's ``running`` membership and
-        filter state are constant across the whole block, so all of its
-        checks reduce to one block-level membership query -- no matter
-        how many change events interleave.  The kernel therefore
+        MALLOC/FREE events only ever change the allocation state and
+        filter arming of their extents.  A *stable* location, which no
+        change event in the block touches, keeps both for the whole
+        block, so its checks are one membership query: the kernel
         flattens every dereferenced location into one access stream
-        (CSR expansion, srcs before dst exactly like ``Instr.accessed``)
-        and resolves stable locations wholesale with a handful of
-        C-level passes over the arrays (plus one ``base`` probe per
-        unique location, patched at the few locations a view's overlay
-        names); only the (typically rare) accesses to changed locations
-        plus the change events themselves are replayed with the exact
-        scalar semantics, and every error record carries its stream
-        position so the merged error list comes out in event order.
-        The result is bit-identical to :meth:`_scan_objects`.
+        (srcs before dst, like ``Instr.accessed``) and resolves stable
+        locations wholesale in C-level passes and one probe per unique
+        location.
+
+        A changed location is the paper's two-state machine run in
+        stream order -- a segmented scan.  Each extent expands into one
+        entry per location, the accesses to changed locations join them,
+        and one stable sort by (location, slot) makes each ``(segment,
+        location)`` pair a run.  Before its first change a pair's state
+        is its view's answer, after it its last change's op: a MALLOC
+        errs iff the state is allocated, a FREE or a checked access iff
+        it is not.  One Python pass over plain lists reads the errors
+        off, and each run's end yields the pair's summary parts and its
+        one overlay write.  Errors carry their stream position: the
+        result is bit-identical to :meth:`_scan_objects`.
 
         The passes cost ~75 numpy calls whatever the array length, so a
-        group's blocks are concatenated and scanned as *segments* of
-        one stream: everything above is keyed by ``(segment,
-        location)`` instead of location, and only the parts that touch
-        a block's own state -- its view's overlay, its change events
-        and their replays, its result sets -- run per segment.  All
-        views share one ``base`` (:meth:`scan_row` groups by it).  A
-        group of one is one segment over the block's own arrays.
+        group's blocks are concatenated and scanned as *segments* of one
+        stream, keyed by ``(segment, location)``; only a block's own
+        state -- its view's overlay, its result sets -- is per segment.
+        All views share one ``base`` (:meth:`scan_row` groups by it).
         """
         nseg = len(group)
+        views = [running for _, running in group]
+        base = views[0].base
         cols = ColumnarBlock.concat([c for c, _ in group])
         n = cols.length
         ops = cols.op
-        dst_col = cols.dst
-        size_col = cols.size
         use_filter = self.use_idempotent_filter
 
         acc_off, acc_loc, tot = _access_stream(cols)
@@ -532,9 +546,7 @@ class AddrScanner:
         # Segment ``s`` owns events ``ev_lo[s]..ev_lo[s+1]-1`` and the
         # access slots ``slot_lo[s]..slot_lo[s+1]-1``; every ``*_lo``
         # list below cuts one stream-ordered list the same way.
-        ev_lo = [0]
-        for c, _ in group:
-            ev_lo.append(ev_lo[-1] + c.length)
+        ev_lo = [0, *accumulate(c.length for c, _ in group)]
         ev_lo_arr = np.array(ev_lo, dtype=np.int64)
         slot_lo_arr = acc_off[ev_lo_arr]
         slot_lo = slot_lo_arr.tolist()
@@ -542,13 +554,9 @@ class AddrScanner:
         ev_of_slot = None
 
         def _ev_at(pos: Any) -> Any:
-            # Recover (stream-wide) event ids for occurrence positions:
-            # event ``e`` owns access slots ``acc_off[e] ..
-            # acc_off[e+1]-1``.  A binary search per position beats
-            # materializing the full repeat while positions are sparse
-            # (a few hundred locations in a 25 000-event block); the
-            # repeat wins once they are not (an unsorted needle costs
-            # 40-100 ns, a repeated slot ~3 ns).
+            # Stream-wide events of access slots: a binary search while
+            # they are sparse (40-100 ns an unsorted needle), else the
+            # materialized repeat (~3 ns a slot).
             nonlocal ev_of_slot
             if 16 * pos.shape[0] < n:
                 return np.searchsorted(acc_off, pos, side="right") - 1
@@ -556,46 +564,39 @@ class AddrScanner:
                 ev_of_slot = np.repeat(np.arange(n, dtype=np.int64), tot)
             return ev_of_slot[pos]
 
+        # One entry per (MALLOC/FREE, extent location) in stream order:
+        # its stream-wide event, location, and True for a MALLOC (False
+        # for a FREE; the accesses that join later are None).
         change_idx = np.flatnonzero((ops == OP_MALLOC) | (ops == OP_FREE))
-        change_list = change_idx.tolist()
-        change_ops = ops[change_idx].tolist()
-        change_dst = dst_col[change_idx].tolist()
-        change_size = size_col[change_idx].tolist()
-        #: Access-stream slots preceding each change event: accesses at
-        #: positions < change_off[ci] happen before change event ci.
-        change_off = acc_off[change_idx].tolist()
-        change_lo = np.searchsorted(change_idx, ev_lo_arr).tolist()
+        extent = cols.size[change_idx]
+        ent = np.repeat(change_idx, extent)
+        ent_loc = cols.dst[ent]
+        n_ent = ent.shape[0]
+        if n_ent > change_idx.shape[0]:  # an extent's k-th is dst + k
+            ent_loc += np.arange(n_ent, dtype=np.int64) - np.repeat(
+                np.cumsum(extent) - extent, extent
+            )
+        ent_lo = ent.searchsorted(ev_lo_arr).tolist()
+        ent_list = ent.tolist()
+        loc_list = ent_loc.tolist()
+        is_gen = (ops[ent] == OP_MALLOC).tolist()
 
-        changed_locs: List[Set[int]] = []
-        for s in range(nseg):
-            locs: Set[int] = set()
-            for ci in range(change_lo[s], change_lo[s + 1]):
-                d = change_dst[ci]
-                locs.update(range(d, d + change_size[ci]))
-            changed_locs.append(locs)
-
-        # What the vector phase leaves for the per-segment loop, each
-        # stream-ordered with its segment cuts: the unique ``(segment,
-        # location)`` pairs (``uniq`` locations and ``first_ev``
-        # segment-relative first events, as arrays each summary keeps a
-        # slice of), the stable occurrences that are errors and the
-        # occurrences to replay -- the last two as ``(position,
-        # location, stream-wide event)`` lists.
+        # What the vector phase leaves, with segment cuts: the unique
+        # ``(segment, location)`` pairs (``uniq``, ``first_ev``: arrays
+        # each summary keeps a slice of) and how many are changed, then
+        # as ``(slot, location, event)`` lists the stable occurrences
+        # that are errors and the accesses to changed pairs.
         uniq = first_ev = np.empty(0, dtype=np.int64)
+        changed_pairs = [0] * nseg
         bad: List[Tuple[int, int, int]] = []
         sub: List[Tuple[int, int, int]] = []
         uniq_lo = bad_lo = sub_lo = [0] * (nseg + 1)
 
         if total:
-            # ``first_access`` is a pure function of the access stream
-            # (no allocation state, no filter), computed wholesale: the
-            # first occurrence of a key in the stream IS its first
-            # occurrence in event order.  Keys are
-            # ``segment * width + rel`` with ``rel`` a location's offset
-            # in a dense domain (the usual case) or its rank among the
-            # stream's locations (``np.unique``'s sort, only when the
-            # widened key space would be mostly holes); either way
-            # ascending keys are ascending ``(segment, location)``.
+            # ``first_access`` is a pure function of the access stream.
+            # Keys are ``segment * width + rel``, ``rel`` a location's
+            # offset in a dense domain or, if the key space would be
+            # mostly holes, its rank (``np.unique``'s sort).
             lo = int(acc_loc.min())
             span = int(acc_loc.max()) - lo + 1
             if nseg * span <= max(4 * total, 1 << 16):
@@ -607,8 +608,7 @@ class AddrScanner:
                 width = int(ranked.shape[0])
             for s in range(1, nseg):
                 key[slot_lo[s]:slot_lo[s + 1]] += s * width
-            # Reversed scatter-assign finds first occurrences in
-            # O(total + keys) without a sort.
+            # A reversed scatter finds first occurrences without a sort.
             first_slot = np.full(nseg * width, -1, dtype=np.int64)
             first_slot[key[::-1]] = np.arange(
                 total - 1, -1, -1, dtype=np.int64
@@ -626,52 +626,41 @@ class AddrScanner:
             for s in range(1, nseg):
                 first_ev[uniq_lo[s]:uniq_lo[s + 1]] -= ev_lo[s]
 
-            # Membership of the unique locations in the LSOS and in the
-            # changed sets: probe the Python sets already in hand, one
-            # hash lookup per (segment, location).  Turning the LSOS
-            # into an array to vectorize the test costs O(|LSOS|), and
-            # the LSOS is the whole live heap.  The probe goes to the
-            # shared base at C level, once for the group; each view's
-            # overlay (its head's few changes) then overrides the
-            # entries it names in its own segment's slice (locations
-            # ascend within a slice).
-            base = group[0][1].base
+            # LSOS membership: one C-level probe of the shared base per
+            # location (never an O(|LSOS|) array of the live heap), then
+            # each view's overlay and changed pairs, by bisection.
             if n_uniq > width:
-                # More pairs than keys per segment: threads share
-                # locations, so probe each location once.  ``by_rel``
-                # marks the locations present, then holds their answers.
+                # Threads share locations: probe each one once.
                 by_rel = np.zeros(width, dtype=bool)
                 by_rel[uniq_rel] = True
                 rels = np.flatnonzero(by_rel)
                 locs = rels + lo if ranked is None else ranked[rels]
-                by_rel[rels] = np.fromiter(
-                    map(base.__contains__, locs.tolist()),
-                    dtype=bool,
-                    count=rels.shape[0],
-                )
+                by_rel[rels] = np.fromiter(map(
+                    base.__contains__, locs.tolist()
+                ), dtype=bool, count=rels.shape[0])
                 in_run = by_rel[uniq_rel]
             else:
-                in_run = np.fromiter(
-                    map(base.__contains__, uniq_list),
-                    dtype=bool,
-                    count=n_uniq,
-                )
-            is_changed = np.zeros(n_uniq, dtype=bool)
-            for s, (_, running) in enumerate(group):
+                in_run = np.fromiter(map(
+                    base.__contains__, uniq_list
+                ), dtype=bool, count=n_uniq)
+            changed: List[int] = []
+            for s, running in enumerate(views):
                 a, b = uniq_lo[s], uniq_lo[s + 1]
-                for locs, flags, member in (
-                    (running.removed, in_run, False),
-                    (running.added, in_run, True),
-                    (changed_locs[s], is_changed, True),
+                mine = set(loc_list[ent_lo[s]:ent_lo[s + 1]])
+                for locs, member in (
+                    (running.removed, False), (running.added, True),
+                    (mine, True),  # the scan checks the changed pairs
                 ):
                     for loc in locs:
                         at = bisect_left(uniq_list, loc, a, b)
                         if at < b and uniq_list[at] == loc:
-                            flags[at] = member
+                            in_run[at] = member
+                            if locs is mine:
+                                changed.append(at)
+                                changed_pairs[s] += 1
 
             def _occurrences(of_uniq: Any) -> Any:
-                # Stream positions of every occurrence of the marked
-                # unique pairs, ascending.
+                # Stream slots of every occurrence of the marked pairs.
                 mark = np.zeros(nseg * width, dtype=bool)
                 mark[uniq_key[of_uniq]] = True
                 return np.flatnonzero(mark.take(key))
@@ -681,14 +670,15 @@ class AddrScanner:
                     pos.tolist(), locs.tolist(), _ev_at(pos).tolist()
                 ))
 
-            if is_changed.any():
-                sub_pos = _occurrences(is_changed)
-                sub = _records(sub_pos, acc_loc[sub_pos])
+            if changed:
+                sub_pos = _occurrences(changed)
+                sub_loc = acc_loc[sub_pos]
+                sub = _records(sub_pos, sub_loc)
                 sub_lo = np.searchsorted(sub_pos, slot_lo_arr).tolist()
             # Stable pairs outside the running set: an error at the
             # first occurrence under the idempotent filter (one check
             # per pair), else at every occurrence.
-            bad_u = np.flatnonzero(~(is_changed | in_run))
+            bad_u = np.flatnonzero(~in_run)
             if bad_u.shape[0] and use_filter:
                 bad = _records(first_pos[bad_u], uniq[bad_u])
                 bad_lo = np.searchsorted(bad_u, uniq_lo).tolist()
@@ -697,118 +687,106 @@ class AddrScanner:
                 bad = _records(bad_pos, acc_loc[bad_pos])
                 bad_lo = np.searchsorted(bad_pos, slot_lo_arr).tolist()
 
-        scans: List[AddrScan] = []
-        for s, (_, running) in enumerate(group):
-            ev0 = ev_lo[s]
-            gen: Set[int] = set()
-            all_gen: Set[int] = set()
-            killed_vars: Set[int] = set()
-            last_event: Dict[int, str] = {}
-            first_change: Dict[int, int] = {}
-            allocs = 0
-            a, b = uniq_lo[s], uniq_lo[s + 1]
-            si, sub_hi = sub_lo[s], sub_lo[s + 1]
-            # The stable checks, against the initial running set: one
-            # per stable pair under the idempotent filter (whose state
-            # therefore only ever matters for replayed, i.e. changed,
-            # locations), else one per stable occurrence.
-            checked: Set[int] = set()
-            if use_filter:
-                checks = b - a - len({u for _, u, _ in sub[si:sub_hi]})
-            else:
-                checks = slot_lo[s + 1] - slot_lo[s] - (sub_hi - si)
+        # The segmented scan of the change entries (``0..n_ent-1``) and
+        # the accesses in ``sub`` by location, then slot (stable: a change
+        # precedes the access in its offset's slot).  Error keys are
+        # stream positions: ``event * stride`` plus entry or slot.
+        seg_list: List[int] = []
+        for cuts in (ent_lo, sub_lo):
+            for s in range(nseg):
+                seg_list += [s] * (cuts[s + 1] - cuts[s])
+        if sub:
+            loc_list += sub_loc.tolist()
+            is_gen += [None] * len(sub)
+            order = np.lexsort((
+                np.concatenate((acc_off[ent], sub_pos)),
+                np.concatenate((ent_loc, sub_loc)),
+            ))
+        else:
+            order = ent_loc.argsort(kind="stable")
+        end = object()  # the pair key after the last run
+        pair_keys = _pair_keys(seg_list, loc_list) + [end]
+        # Per segment: first_change, last_event, GEN, all_gen, killed_vars.
+        results = [({}, {}, set(), set(), set()) for _ in views]
+        keyed: List[list] = [[] for _ in views]
+        scanned = [0] * nseg
+        stride = n_ent + total
+        prev = None
+        for j in order.tolist() + [len(pair_keys) - 1]:
+            pair = pair_keys[j]
+            if pair != prev:
+                if prev is not None:
+                    fc[loc] = ent_list[first] - ev0
+                    le[loc] = "gen" if state else "kill"
+                    if state:
+                        gen.add(loc)
+                if pair is end:
+                    break
+                prev = pair
+                s, loc, first = seg_list[j], loc_list[j], -1
+                fc, le, gen, all_gen, killed_vars = results[s]
+                state, armed, ev0 = loc in views[s], True, ev_lo[s]
+            op = is_gen[j]
+            if op is not None:
+                if op == state:
+                    kind, detail = _CHANGE_ERRORS[op]
+                    e = ent_list[j]
+                    keyed[s].append((
+                        e * stride + j, (kind, loc, e - ev0, detail)
+                    ))
+                (all_gen if op else killed_vars).add(loc)
+                if first < 0:
+                    first = j
+                state, armed = op, True
+            elif armed or not use_filter:
+                armed = False
+                scanned[s] += 1
+                if not state:
+                    p, _, e = sub[j - n_ent]
+                    keyed[s].append((e * stride + p, (
+                        _ACCESS_ERROR, loc, e - ev0, _DETAIL_ACCESS
+                    )))
 
-            # Errors are collected with a stream-position sort key and
-            # merged at the end: access errors at occurrence position
-            # ``p`` key as ``(p, 1, ...)``, change-event errors at event
-            # ``ci`` (whose extent locations error in order ``k``) key
-            # as ``(change_off[ci], 0, ci, k)`` -- an access sharing a
-            # change's offset happens *after* it, hence the 1-vs-0
-            # middle component.
-            keyed: List[Tuple[Tuple[int, int, int, int],
-                              Tuple[ErrorKind, int, int, str]]] = [
-                ((p, 1, 0, 0),
-                 (ErrorKind.ACCESS_UNALLOCATED, u, e - ev0, _DETAIL_ACCESS))
+        scans: List[AddrScan] = []
+        for s, running in enumerate(views):
+            ev0 = ev_lo[s]
+            ua, ub = uniq_lo[s], uniq_lo[s + 1]
+            accesses = slot_lo[s + 1] - slot_lo[s]
+            fc, le, gen, all_gen, killed_vars = results[s]
+            # Both dicts keep first-change order, and a pair's final state
+            # is its one overlay write (SOSView.add/discard as set algebra).
+            locs = loc_list[ent_lo[s]:ent_lo[s + 1]]
+            if len(fc) > 1 and list(dict.fromkeys(locs)) != list(fc):
+                fc = {loc: fc[loc] for loc in dict.fromkeys(locs) if loc in fc}
+                le = {loc: le[loc] for loc in fc}
+            if fc:
+                kill = fc.keys() - gen
+                running.removed -= gen & base
+                running.removed |= kill & base
+                running.added -= kill - base
+                running.added |= gen - base
+            errors = keyed[s] + [
+                (e * stride + p, (_ACCESS_ERROR, u, e - ev0, _DETAIL_ACCESS))
                 for p, u, e in bad[bad_lo[s]:bad_lo[s + 1]]
             ]
-
-            # Replay, in stream order, the accesses that touch changed
-            # locations interleaved with the change events themselves
-            # -- exact scalar semantics against the live
-            # ``running``/filter.  One extra turn past the last change
-            # event drains the accesses that follow it.
-            change_hi = change_lo[s + 1]
-            for ci in range(change_lo[s], change_hi + 1):
-                coff = change_off[ci] if ci < change_hi else slot_lo[s + 1]
-                while si < sub_hi and sub[si][0] < coff:
-                    p, u, e = sub[si]
-                    si += 1
-                    if use_filter:
-                        if u in checked:
-                            continue
-                        checked.add(u)
-                    checks += 1
-                    if u not in running:
-                        keyed.append((
-                            (p, 1, 0, 0),
-                            (ErrorKind.ACCESS_UNALLOCATED, u, e - ev0,
-                             _DETAIL_ACCESS),
-                        ))
-                if ci == change_hi:
-                    break
-                c = change_list[ci] - ev0
-                dst = change_dst[ci]
-                if change_ops[ci] == OP_MALLOC:
-                    for k, loc in enumerate(
-                        range(dst, dst + change_size[ci])
-                    ):
-                        allocs += 1
-                        checked.discard(loc)
-                        if loc in running:
-                            keyed.append((
-                                (coff, 0, ci, k),
-                                (ErrorKind.MALLOC_ALLOCATED, loc, c,
-                                 _DETAIL_MALLOC),
-                            ))
-                        running.add(loc)
-                        gen.add(loc)
-                        all_gen.add(loc)
-                        last_event[loc] = "gen"
-                        if loc not in first_change:
-                            first_change[loc] = c
-                else:
-                    for k, loc in enumerate(
-                        range(dst, dst + change_size[ci])
-                    ):
-                        allocs += 1
-                        checked.discard(loc)
-                        if loc not in running:
-                            keyed.append((
-                                (coff, 0, ci, k),
-                                (ErrorKind.FREE_UNALLOCATED, loc, c,
-                                 _DETAIL_FREE),
-                            ))
-                        running.discard(loc)
-                        killed_vars.add(loc)
-                        gen.discard(loc)
-                        last_event[loc] = "kill"
-                        if loc not in first_change:
-                            first_change[loc] = c
-
-            keyed.sort(key=lambda kv: kv[0])
+            errors.sort()  # keys are unique: records are never compared
             scans.append(AddrScan(
                 gen=gen,
                 all_gen=all_gen,
                 killed_vars=killed_vars,
-                last_event=last_event,
-                first_change=first_change,
-                first_access=SortedFirstAccess(uniq[a:b], first_ev[a:b]),
-                num_accessed=b - a,
-                errors=[rec for _, rec in keyed],
+                last_event=le,
+                first_change=fc,
+                first_access=SortedFirstAccess(uniq[ua:ub], first_ev[ua:ub]),
+                num_accessed=ub - ua,
+                errors=[rec for _, rec in errors],
                 events=ev_lo[s + 1] - ev0,
-                checks=checks,
-                accesses=slot_lo[s + 1] - slot_lo[s],
-                allocs=allocs,
+                # Unfiltered, every access; filtered, a stable pair once.
+                checks=(
+                    ub - ua - changed_pairs[s] + scanned[s] if use_filter
+                    else accesses
+                ),
+                accesses=accesses,
+                allocs=ent_lo[s + 1] - ent_lo[s],
             ))
         return scans
 

@@ -98,9 +98,10 @@ def stale_overlay() -> Iterator[None]:
 
     The bug a base-plus-delta LSOS invites: a location the head block
     (or the scanned block itself) freed still reads as allocated.  The
-    reference first pass and the columnar kernel's replay ask the view
-    and go wrong; the object kernel probes the three sets itself and
-    does not -- the disagreement ``optref`` and ``columnar`` must find.
+    reference first pass asks the view after every change and goes
+    wrong, the object kernel probes the three sets itself -- the
+    disagreement ``optref`` must find (the columnar scan asks only
+    before a block's first change of a location: seed 4, trial 121).
     """
     from repro.core.state import SOSView
 
@@ -146,6 +147,26 @@ def thread_bleed() -> Iterator[None]:
         yield
     finally:
         AddrScanner._scan_columns = orig
+
+
+@contextlib.contextmanager
+def segment_carry() -> Iterator[None]:
+    """Tell the columnar first pass's scan runs apart by location alone.
+
+    The bug a segmented scan invites: a row's blocks share one sorted
+    run of change entries, so a block continues the run a row neighbour
+    left at a location both change -- from its state, not its own LSOS
+    -- and the pair lands in the neighbour's summary.  Only the columnar
+    kernel groups blocks: the ``columnar`` pair must see it.
+    """
+    from repro.lifeguards import addrcheck
+
+    orig = addrcheck._pair_keys
+    addrcheck._pair_keys = lambda segs, locs: locs
+    try:
+        yield
+    finally:
+        addrcheck._pair_keys = orig
 
 
 @contextlib.contextmanager
@@ -259,6 +280,7 @@ MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "narrow-window": narrow_window,
     "stale-overlay": stale_overlay,
     "thread-bleed": thread_bleed,
+    "segment-carry": segment_carry,
     "probe-edge": probe_edge,
     "reversed-commit": reversed_commit,
     "lossy-decode": lossy_decode,

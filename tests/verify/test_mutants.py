@@ -98,10 +98,12 @@ class TestNarrowWindowMutant:
 
 class TestStaleOverlayMutant:
     """An LSOS view that forgets its ``removed`` overlay (a freed
-    location still reads as allocated): both pairs with one side
-    reading the view through ``__contains__`` must see it."""
+    location still reads as allocated): the reference first pass asks
+    the view through ``__contains__`` after every change, so ``optref``
+    must see it.  The columnar kernel asks once per changed location,
+    before its first change, and its drill is ``segment-carry``."""
 
-    @pytest.mark.parametrize("mode", ["optref", "columnar"])
+    @pytest.mark.parametrize("mode", ["optref"])
     def test_mode_catches_the_forgotten_free(self, mode, tmp_path):
         report = run_fuzz(
             seed=4,
@@ -139,6 +141,25 @@ class TestThreadBleedMutant:
             mutant="thread-bleed",
         )
         assert_found_and_shrunk(report, "columnar", "thread-bleed")
+        case, _, _ = load_repro(report.findings[0].artifact)
+        assert len(case.threads) == 2
+
+
+class TestSegmentCarryMutant:
+    """The scan axis of the columnar kernel: its segmented scan tells
+    runs apart by location alone, so a block starts a location its row
+    neighbour also changed from the neighbour's last change, not from
+    its own LSOS."""
+
+    def test_columnar_catches_the_carried_state(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("columnar",),
+            failures_dir=str(tmp_path),
+            mutant="segment-carry",
+        )
+        assert_found_and_shrunk(report, "columnar", "segment-carry")
         case, _, _ = load_repro(report.findings[0].artifact)
         assert len(case.threads) == 2
 
