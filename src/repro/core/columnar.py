@@ -22,9 +22,9 @@ The CSR source layout is lossless for any source arity, so *every*
 legal ``Instr`` round-trips exactly (``from_instrs`` then ``to_instrs``
 is the identity).  Vector kernels (the AddrCheck first-pass scan, the
 columnar workload generator, the stream decoder) operate on the raw
-columns and never materialize ``Instr`` objects; everything else can
-ask a columnar-backed :class:`~repro.core.epoch.Block` for ``.instrs``
-and fall back to the object path transparently.
+columns and never materialize ``Instr`` objects; what iterates events
+(RaceCheck, the dataflow analyses) asks a
+:class:`~repro.core.epoch.Block` for ``.instrs``.
 
 Columns are numpy arrays (``uint8`` ops, ``int64`` everything else);
 numpy is a dependency of the package, not an option.
@@ -60,6 +60,8 @@ OPS_BY_CODE: Tuple[Op, ...] = tuple(
 )
 #: ``op.value`` -> code, for decoding raw stream rows without Op boxing.
 CODE_OF_VALUE = {op.value: code for op, code in OP_CODES.items()}
+#: code -> ``op.value``, for encoding them.
+VALUE_OF_CODE: Tuple[str, ...] = tuple(op.value for op in OPS_BY_CODE)
 
 OP_READ = OP_CODES[Op.READ]
 OP_WRITE = OP_CODES[Op.WRITE]
@@ -208,7 +210,7 @@ class ColumnarBlock:
 
     Instances are immutable by convention: columns are built once by a
     constructor and never written afterwards, so a block may be shared
-    across threads and cached alongside its materialized twin.
+    across threads, and a slice's columns are views of its parent's.
     """
 
     __slots__ = ("length", "op", "dst", "size", "src_off", "src_val")
@@ -317,6 +319,26 @@ class ColumnarBlock:
             np.concatenate([b.src_val for b in blocks]),
         )
 
+    def slice(self, start: int, end: int) -> "ColumnarBlock":
+        """Events ``start .. end - 1`` as views of these columns.
+
+        Only the ``end - start + 1`` source offsets are new (rebased to
+        0); every other column is a zero-copy view, so a pickled slice
+        carries its own events' bytes and nothing else.  This is how an
+        :class:`~repro.core.epoch.EpochPartition` cuts a thread's
+        columns into blocks.
+        """
+        off = self.src_off[start:end + 1]
+        lo, hi = int(off[0]), int(off[-1])
+        return ColumnarBlock(
+            end - start,
+            self.op[start:end],
+            self.dst[start:end],
+            self.size[start:end],
+            off - lo,
+            self.src_val[lo:hi],
+        )
+
     # -- materialization ------------------------------------------------
 
     def instr(self, i: int) -> Instr:
@@ -381,19 +403,15 @@ class ColumnarBlock:
 
     def to_rows(self) -> List[list]:
         """Encode as raw ``[op, dst, srcs, size]`` stream rows."""
-        ops = self.op.tolist()
-        dsts = self.dst.tolist()
-        sizes = self.size.tolist()
+        value_of = VALUE_OF_CODE
         offs = self.src_off.tolist()
         vals = self.src_val.tolist()
         return [
-            [
-                OPS_BY_CODE[ops[i]].value,
-                None if dsts[i] == NO_DST else dsts[i],
-                vals[offs[i]:offs[i + 1]],
-                sizes[i],
-            ]
-            for i in range(self.length)
+            [value_of[op], None if dst == NO_DST else dst, vals[lo:hi], size]
+            for op, dst, lo, hi, size in zip(
+                self.op.tolist(), self.dst.tolist(), offs, offs[1:],
+                self.size.tolist(),
+            )
         ]
 
     # -- pickling (compact wire form) -----------------------------------

@@ -34,15 +34,16 @@ run is live, recorded as explicit boundaries like every other.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarBlock
 from repro.errors import PartitionError, ReproError
 from repro.trace.events import Instr
-from repro.trace.program import GlobalRef, TraceProgram
+
+if TYPE_CHECKING:  # trace.program builds its columns with core.columnar
+    from repro.trace.program import GlobalRef, TraceProgram
 
 #: A block address (epoch id, thread id).
 BlockId = Tuple[int, int]
@@ -53,34 +54,29 @@ InstrId = Tuple[int, int, int]
 class Block:
     """A contiguous run of one thread's instructions within one epoch.
 
-    A block holds its events in one (or both) of two representations:
-    a tuple of :class:`Instr` objects (the *object* path every
-    reference implementation iterates) and a
-    :class:`~repro.core.columnar.ColumnarBlock` of parallel arrays (the
-    *fast* path vector kernels scan).  Either may be supplied at
-    construction; the other is derived lazily on first use and cached,
-    so code that never touches ``.instrs`` on a columnar-backed block
-    never pays for materializing objects.
+    A block's events are a :class:`~repro.core.columnar.ColumnarBlock`
+    of parallel arrays, which the first-pass kernels scan.  ``instrs``
+    is the same events as :class:`Instr` objects, for what iterates them
+    (RaceCheck, the dataflow analyses, the reference kernels): a
+    partition hands over the program's own objects, any other block
+    materializes them from the columns on first use.
 
     Blocks are immutable value objects: equality and hashing use the
-    block address plus event content, matching the previous frozen
-    dataclass.  Pickling prefers the columnar form -- a few flat byte
-    strings instead of a tree of per-event objects -- which is what
-    makes process-pool task payloads cheap.
+    block address plus event content.  Pickling ships the columns only
+    -- a few flat byte strings instead of a tree of per-event objects
+    -- which is what makes process-pool task payloads cheap.
     """
 
-    __slots__ = ("lid", "tid", "start", "block_id", "_instrs", "_columns")
+    __slots__ = ("lid", "tid", "start", "block_id", "columns", "_instrs")
 
     def __init__(
         self,
         lid: int,
         tid: int,
         start: int,
+        columns: ColumnarBlock,
         instrs: Optional[Tuple[Instr, ...]] = None,
-        columns: Optional[ColumnarBlock] = None,
     ) -> None:
-        if instrs is None and columns is None:
-            raise TypeError("Block needs instrs or columns (or both)")
         self.lid = lid
         self.tid = tid
         #: ``(lid, tid)``, built once: the engine and the lifeguards key
@@ -88,32 +84,18 @@ class Block:
         self.block_id: BlockId = (lid, tid)
         #: offset of the first instruction within the thread trace
         self.start = start
-        self._instrs = None if instrs is None else tuple(instrs)
-        self._columns = columns
+        self.columns = columns
+        self._instrs = instrs
 
     @property
     def instrs(self) -> Tuple[Instr, ...]:
         """The events as ``Instr`` objects (materialized on demand)."""
         if self._instrs is None:
-            self._instrs = self._columns.to_instrs()
+            self._instrs = self.columns.to_instrs()
         return self._instrs
 
-    @property
-    def columns(self) -> ColumnarBlock:
-        """The events as parallel columns (converted on demand)."""
-        if self._columns is None:
-            self._columns = ColumnarBlock.from_instrs(self._instrs)
-        return self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """Whether the columnar form already exists (conversion-free)."""
-        return self._columns is not None
-
     def __len__(self) -> int:
-        if self._instrs is not None:
-            return len(self._instrs)
-        return len(self._columns)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[Instr]:
         return iter(self.instrs)
@@ -130,12 +112,9 @@ class Block:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
             return NotImplemented
-        if (self.lid, self.tid, self.start) != (other.lid, other.tid, other.start):
-            return False
-        # Compare in whichever representation avoids materialization.
-        if self._instrs is None and other._instrs is None:
-            return self._columns == other._columns
-        return self.instrs == other.instrs
+        return (self.lid, self.tid, self.start, self.columns) == (
+            other.lid, other.tid, other.start, other.columns
+        )
 
     def __hash__(self) -> int:
         return hash((self.lid, self.tid, self.start, len(self)))
@@ -152,7 +131,7 @@ class Block:
         return (self.lid, self.tid, self.start, self.columns)
 
     def __setstate__(self, state) -> None:
-        self.lid, self.tid, self.start, self._columns = state
+        self.lid, self.tid, self.start, self.columns = state
         self.block_id = (self.lid, self.tid)
         self._instrs = None
 
@@ -222,8 +201,10 @@ class EpochPartition:
         cuts = self.boundaries[tid]
         start = cuts[lid - 1] if lid > 0 else 0
         end = cuts[lid]
+        trace = self.program.threads[tid]
         blk = Block(
-            lid, tid, start, tuple(self.program.threads[tid].instrs[start:end])
+            lid, tid, start, trace.columns.slice(start, end),
+            trace.instrs[start:end],
         )
         self._blocks[key] = blk
         return blk
@@ -463,23 +444,15 @@ class EpochController:
 def merge_block_run(lid: int, blocks: Sequence[Block]) -> Block:
     """One thread's consecutive blocks -> one block at epoch ``lid``.
 
-    Stays columnar when every input is (the serve hot path: stream rows
-    decode straight to columns); otherwise concatenates the object
-    tuples.  ``start`` is inherited from the first block, so the merged
-    block's global refs are identical to the unmerged ones'.
+    The columns are concatenated (the serve hot path: stream rows decode
+    straight to columns).  ``start`` is inherited from the first block,
+    so the merged block's global refs are identical to the unmerged
+    ones'.
     """
     first = blocks[0]
     if len(blocks) == 1:
         if first.lid == lid:
             return first
-        return Block(
-            lid, first.tid, first.start,
-            instrs=first._instrs, columns=first._columns,
-        )
-    if all(b.has_columns for b in blocks):
-        merged = ColumnarBlock.concat([b.columns for b in blocks])
-        return Block(lid, first.tid, first.start, columns=merged)
-    instrs = tuple(
-        itertools.chain.from_iterable(b.instrs for b in blocks)
-    )
-    return Block(lid, first.tid, first.start, instrs=instrs)
+        return Block(lid, first.tid, first.start, first.columns, first._instrs)
+    merged = ColumnarBlock.concat([b.columns for b in blocks])
+    return Block(lid, first.tid, first.start, merged)

@@ -52,11 +52,10 @@ from repro.core.columnar import (
 )
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
-from repro.core.framework import ButterflyAnalysis
+from repro.core.framework import ButterflyAnalysis, Scanner
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog
-from repro.trace.events import Op
 
 # Op classes over the uint8 op column.  A class of four codes is a bool
 # table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``, which numpy
@@ -193,7 +192,7 @@ class SortedFirstAccess(Mapping):
     one's first access (``offsets``), both slices of the arrays the
     kernel computed for its whole group -- no per-block dict or set.
 
-    A read-only mapping like the object kernel's dict, read the same
+    A read-only mapping like the reference kernel's dict, read the same
     way: the isolation check's ``fa.keys() & changed`` is one sorted
     search of the probe values (:func:`_sorted_hits`) and ``fa[loc]`` a
     bisection, so neither visits every location.
@@ -251,7 +250,7 @@ class AddrSummary:
     rules and, as ``all_gen``/``killed_vars``, the GEN/KILL side-out
     views the isolation check reads.  ACCESS is the key set of
     ``first_access`` (location -> offset of its first access in the
-    block): the object kernel's dict or the columnar kernel's
+    block): the reference kernel's dict or the columnar kernel's
     :class:`SortedFirstAccess`, read only as a mapping; ``num_accessed``
     is its size, a plain int because the meet and the work counters
     take it per wing.
@@ -333,26 +332,16 @@ class AddrScanner:
     scans may run concurrently on any backend, and everything else the
     scan needs travels with the block, so the unit crosses process
     boundaries.  The LSOS is the whole live heap and a block touches a
-    sliver of it, so both kernels only ever *probe* it -- per location
+    sliver of it, so the kernel only ever *probes* it -- per location
     the block names -- and never copy, enumerate or re-encode it.
 
-    Two interchangeable scan kernels produce bit-identical
-    :class:`AddrScan` results (the ``columnar`` differential-fuzz mode
-    diffs them end to end):
-
-    - the *object* kernel, a per-``Instr`` Python loop;
-    - the *columnar* kernel, vectorized over the block's column arrays.
-
-    ``columnar=None`` picks automatically: the vector kernel runs when
-    the block is already columnar-backed, so neither kernel ever pays a
-    representation conversion (converting an object block just to
-    vectorize costs as much as scanning it).
-    ``True``/``False`` force a kernel (benchmarks and the differential
-    harness use both).
+    The kernel is vectorized over the blocks' column arrays.  The
+    per-``Instr`` loop it must match bit for bit is
+    :class:`repro.verify.reference.ReferenceAddrScanner` (the
+    ``columnar`` differential-fuzz mode diffs the two end to end).
     """
 
     use_idempotent_filter: bool
-    columnar: Optional[bool] = None
 
     def __call__(self, block: Block, running: SOSView) -> AddrScan:
         return self.scan_row([(block, running)])[0]
@@ -363,142 +352,26 @@ class AddrScanner:
 
         Step 1 reads only published state (each view is ``SOS_l`` under
         its head's edits), so a row's scans are independent and may
-        share one pass: consecutive columnar blocks over one base are
-        handed to the vector kernel together while their summed length
-        stays within :data:`_GROUP_EVENTS`.  A single block is a group
-        of one, so this is the only route into either kernel.
+        share one pass: consecutive blocks over one base are handed to
+        the kernel together while their summed length stays within
+        :data:`_GROUP_EVENTS`.  A single block is a group of one, so
+        this is the only route into the kernel.
         """
         scans: List[AddrScan] = []
         group: List[Tuple[ColumnarBlock, SOSView]] = []
         events = 0
-        vectorize = self.columnar is not False
         for block, running in items:
-            vector = vectorize and (self.columnar or block.has_columns)
             if group and not (
-                vector
-                and events + len(block) <= _GROUP_EVENTS
+                events + len(block) <= _GROUP_EVENTS
                 and running.base is group[0][1].base
             ):
                 scans.extend(self._scan_columns(group))
                 group, events = [], 0
-            if vector:
-                group.append((block.columns, running))
-                events += len(block)
-            else:
-                scans.append(self._scan_objects(block, running))
+            group.append((block.columns, running))
+            events += len(block)
         if group:
             scans.extend(self._scan_columns(group))
         return scans
-
-    def _scan_objects(self, block: Block, running: SOSView) -> AddrScan:
-        # ``loc in running`` / ``running.add`` / ``running.discard``
-        # below are SOSView's methods written out against its three
-        # plain sets: this loop runs per event.
-        base = running.base
-        added = running.added
-        removed = running.removed
-        gen: Set[int] = set()
-        all_gen: Set[int] = set()
-        killed_vars: Set[int] = set()
-        last_event: Dict[int, str] = {}
-        first_change: Dict[int, int] = {}
-        first_access: Dict[int, int] = {}
-        errors: List[Tuple[ErrorKind, int, int, str]] = []
-        # Idempotent-filter state: one filter per thread, flushed at
-        # every heartbeat -- i.e. per-block scope.
-        checked: Set[int] = set()
-        events = 0
-        checks = 0
-        accesses = 0
-        allocs = 0
-        use_filter = self.use_idempotent_filter
-        op_malloc = Op.MALLOC
-        op_free = Op.FREE
-        op_read = Op.READ
-        op_jump = Op.JUMP
-        op_write = Op.WRITE
-        op_assign = Op.ASSIGN
-
-        for i, instr in enumerate(block.instrs):
-            events += 1
-            op = instr.op
-            if op is op_malloc:
-                dst = instr.dst
-                for loc in range(dst, dst + instr.size):
-                    allocs += 1
-                    checked.discard(loc)
-                    if loc in base:
-                        live = loc not in removed
-                        removed.discard(loc)
-                    else:
-                        live = loc in added
-                        added.add(loc)
-                    if live:
-                        errors.append(
-                            (ErrorKind.MALLOC_ALLOCATED, loc, i, _DETAIL_MALLOC)
-                        )
-                    gen.add(loc)
-                    all_gen.add(loc)
-                    last_event[loc] = "gen"
-                    if loc not in first_change:
-                        first_change[loc] = i
-            elif op is op_free:
-                dst = instr.dst
-                for loc in range(dst, dst + instr.size):
-                    allocs += 1
-                    checked.discard(loc)
-                    if loc in base:
-                        live = loc not in removed
-                        removed.add(loc)
-                    else:
-                        live = loc in added
-                        added.discard(loc)
-                    if not live:
-                        errors.append(
-                            (ErrorKind.FREE_UNALLOCATED, loc, i, _DETAIL_FREE)
-                        )
-                    killed_vars.add(loc)
-                    gen.discard(loc)
-                    last_event[loc] = "kill"
-                    if loc not in first_change:
-                        first_change[loc] = i
-            else:
-                # Inlined Instr.accessed: READ/JUMP dereference their
-                # source; WRITE/ASSIGN their sources plus destination.
-                if op is op_read or op is op_jump:
-                    locs = instr.srcs
-                elif op is op_write or op is op_assign:
-                    locs = instr.srcs + (instr.dst,)
-                else:
-                    continue
-                for loc in locs:
-                    accesses += 1
-                    if loc not in first_access:
-                        first_access[loc] = i
-                    if use_filter and loc in checked:
-                        continue
-                    checked.add(loc)
-                    checks += 1
-                    if (
-                        loc in removed if loc in base else loc not in added
-                    ):
-                        errors.append(
-                            (ErrorKind.ACCESS_UNALLOCATED, loc, i, _DETAIL_ACCESS)
-                        )
-        return AddrScan(
-            gen=gen,
-            all_gen=all_gen,
-            killed_vars=killed_vars,
-            last_event=last_event,
-            first_change=first_change,
-            first_access=first_access,
-            num_accessed=len(first_access),
-            errors=errors,
-            events=events,
-            checks=checks,
-            accesses=accesses,
-            allocs=allocs,
-        )
 
     def _scan_columns(
         self, group: List[Tuple[ColumnarBlock, SOSView]]
@@ -524,7 +397,7 @@ class AddrScanner:
         it is not.  One Python pass over plain lists reads the errors
         off, and each run's end yields the pair's summary parts and its
         one overlay write.  Errors carry their stream position: the
-        result is bit-identical to :meth:`_scan_objects`.
+        result is bit-identical to the per-``Instr`` reference kernel.
 
         The passes cost ~75 numpy calls whatever the array length, so a
         group's blocks are concatenated and scanned as *segments* of one
@@ -805,10 +678,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         conceptually flushed at every epoch boundary (filtering never
         crosses epochs).  An allocation-state change re-arms the check.
     use_columnar_kernel:
-        Kernel selection for the first pass: ``None`` (auto, the
-        default -- vectorize when the block is columnar-backed),
-        ``True`` (always vectorize) or ``False`` (always scan
-        per-``Instr``).  See :class:`AddrScanner`.
+        ``False`` scans per ``Instr`` with the reference kernel
+        (:class:`repro.verify.reference.ReferenceAddrScanner`, the
+        differential harness's other leg); ``None`` (the default) or
+        ``True`` runs the columnar :class:`AddrScanner`.
     """
 
     parallel_first_pass = True
@@ -855,8 +728,12 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
 
     # -- step 1: local pass with LSOS checks ------------------------------
 
-    def make_scanner(self) -> AddrScanner:
-        return AddrScanner(self.use_idempotent_filter, self.use_columnar_kernel)
+    def make_scanner(self) -> Scanner:
+        if self.use_columnar_kernel is False:
+            from repro.verify.reference import ReferenceAddrScanner
+
+            return ReferenceAddrScanner(self.use_idempotent_filter)
+        return AddrScanner(self.use_idempotent_filter)
 
     def first_pass_context(self, block: Block) -> SOSView:
         lid, tid = block.block_id

@@ -57,11 +57,10 @@ from repro.core.columnar import (
     OP_WRITE,
 )
 from repro.core.epoch import Block, BlockId, InstrId
-from repro.core.framework import ButterflyAnalysis
+from repro.core.framework import ButterflyAnalysis, Scanner
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
-from repro.trace.events import Instr, Op
 
 #: Events that produce taint metadata (transfer-function rules) or
 #: critical uses; everything else -- READ/MALLOC/FREE/NOP, the bulk of
@@ -143,66 +142,24 @@ class TaintSummary:
     lastcheck: Dict[int, Value] = field(default_factory=dict)
 
 
-def _value_of(instr: Instr) -> Optional[Tuple[int, Value]]:
-    """Map an event to its transfer-function RHS, or None if it writes
-    no taint metadata."""
-    if instr.op is Op.TAINT:
-        return instr.dst, BOT
-    if instr.op in (Op.UNTAINT, Op.WRITE):
-        if instr.dst is None:
-            return None
-        return instr.dst, TOP
-    if instr.op is Op.ASSIGN:
-        if not instr.srcs:
-            return instr.dst, TOP
-        return instr.dst, tuple(instr.srcs)
-    return None
-
-
 @dataclass(frozen=True)
 class TaintScanner:
     """Picklable first-pass work unit: collect one block's transfer
     functions and critical uses.
 
-    Two interchangeable kernels produce bit-identical
-    :class:`TaintSummary` results:
-
-    - the *object* kernel, one :class:`Instr` at a time (the reference
-      semantics);
-    - the *columnar* kernel, which selects the taint-relevant events
-      (TAINT/UNTAINT/WRITE/ASSIGN/JUMP) with one LUT pass over the op
-      column and CSR-gathers only their sources, never touching the
-      READ-dominated remainder of the block.
-
-    ``columnar=None`` picks automatically: the vector kernel runs when
-    the block is already columnar-backed, so the auto path never pays an
-    object->columnar conversion.
+    The kernel selects the taint-relevant events
+    (TAINT/UNTAINT/WRITE/ASSIGN/JUMP) with one LUT pass over the op
+    column and CSR-gathers only their sources, never touching the
+    READ-dominated remainder of the block.  The per-``Instr`` loop it
+    must match bit for bit is
+    :class:`repro.verify.reference.ReferenceTaintScanner`.
     """
 
-    columnar: Optional[bool] = None
-
     def __call__(self, block: Block, context: object) -> TaintSummary:
-        if self.columnar or (self.columnar is None and block.has_columns):
-            return self._scan_columns(block)
-        return self._scan_objects(block)
-
-    def _scan_objects(self, block: Block) -> TaintSummary:
-        summary = TaintSummary(block_id=block.block_id)
-        for i, instr in enumerate(block.instrs):
-            written = _value_of(instr)
-            if written is not None:
-                dst, value = written
-                summary.rules.setdefault(dst, []).append((i, value))
-            elif instr.op is Op.JUMP:
-                summary.jumps.append((i, instr.srcs[0]))
-        return summary
-
-    def _scan_columns(self, block: Block) -> TaintSummary:
-        """Vectorized scan: one boolean table read finds the relevant
-        events, a CSR gather pulls just their sources, and a Python
-        loop over only those events rebuilds ``rules``/``jumps`` in
-        exact stream order (dict insertion order included), so the
-        result is bit-identical to :meth:`_scan_objects`."""
+        """One boolean table read finds the relevant events, a CSR
+        gather pulls just their sources, and a Python loop over only
+        those events rebuilds ``rules``/``jumps`` in exact stream order
+        (dict insertion order included)."""
         cols = block.columns
         summary = TaintSummary(block_id=block.block_id)
         if cols.length == 0:
@@ -265,10 +222,10 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         paths (the ablation of the 'Reducing False Positives'
         optimization).
     use_columnar_kernel:
-        First-pass kernel selection: ``None`` (default) auto-selects
-        the vectorized scan when the block is columnar-backed,
-        ``True``/``False`` force a kernel (see
-        :class:`TaintScanner`).
+        ``False`` scans per ``Instr`` with the reference kernel
+        (:class:`repro.verify.reference.ReferenceTaintScanner`);
+        ``None`` (the default) or ``True`` runs the columnar
+        :class:`TaintScanner`.
     """
 
     def __init__(
@@ -293,8 +250,12 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
 
     # -- step 1: collect transfer functions -------------------------------
 
-    def make_scanner(self) -> TaintScanner:
-        return TaintScanner(self.use_columnar_kernel)
+    def make_scanner(self) -> Scanner:
+        if self.use_columnar_kernel is False:
+            from repro.verify.reference import ReferenceTaintScanner
+
+            return ReferenceTaintScanner()
+        return TaintScanner()
 
     def commit_scan(self, block: Block, scan: TaintSummary) -> TaintSummary:
         self._summaries[block.block_id] = scan

@@ -323,8 +323,8 @@ class ColumnarAllocSource(EpochSource):
 
     Block ``(l, t)`` is a pure function of ``(seed, l, t)``, so
     ``epochs(start)`` regenerates identical blocks on checkpoint
-    resume, and every consumer -- both kernels, ``as_objects``, a
-    stream dump -- sees the same trace.
+    resume, and every consumer -- both kernels, a stream dump -- sees
+    the same trace.
     """
 
     def __init__(
@@ -405,39 +405,12 @@ class ColumnarAllocSource(EpochSource):
                 for tid in range(self._num_threads)
             ]
 
-    def as_objects(self) -> "_ObjectView":
-        """The same workload with object-backed blocks (reference path).
-
-        Materialization cost is charged to the consumer, exactly as the
-        pre-columnar pipeline paid it at generation time.
-        """
-        return _ObjectView(self)
-
-
-class _ObjectView(EpochSource):
-    """Object-backed view of a columnar source (alloc or taint)."""
-
-    def __init__(self, source: EpochSource) -> None:
-        self._source = source
-
-    @property
-    def num_threads(self) -> int:
-        return self._source.num_threads
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        return self._source.num_epochs
-
-    @property
-    def preallocated(self) -> frozenset:
-        return self._source.preallocated
-
-    def epochs(self, start: int = 0) -> Iterator[List[Block]]:
-        for row in self._source.epochs(start):
-            yield [
-                Block(b.lid, b.tid, b.start, b.columns.to_instrs())
-                for b in row
-            ]
+    def as_objects(self) -> "ColumnarAllocSource":
+        """This source itself, as the reference leg's source: a block
+        the per-``Instr`` kernel (``use_columnar_kernel=False``) scans
+        materializes its ``Instr`` objects on first read, so the
+        consumer pays for them."""
+        return self
 
 
 class ColumnarTaintSource(EpochSource):
@@ -547,9 +520,9 @@ class ColumnarTaintSource(EpochSource):
                 for tid in range(self._num_threads)
             ]
 
-    def as_objects(self) -> "_ObjectView":
-        """The same workload with object-backed blocks (reference path)."""
-        return _ObjectView(self)
+    def as_objects(self) -> "ColumnarTaintSource":
+        """This source itself (see :meth:`ColumnarAllocSource.as_objects`)."""
+        return self
 
 
 def simulated_taint_program(

@@ -11,23 +11,33 @@ true error sets and therefore false-positive rates (Figure 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.columnar import ColumnarBlock
 from repro.errors import TraceError
 from repro.trace.events import Instr
 
 
 @dataclass
 class ThreadTrace:
-    """The dynamic event sequence of a single application thread."""
+    """The dynamic event sequence of a single application thread.
 
-    instrs: List[Instr] = field(default_factory=list)
+    ``columns`` holds the same events as one
+    :class:`~repro.core.columnar.ColumnarBlock`, built once here, so
+    building a program pays the conversion and every partition of it
+    cuts blocks as slices of these arrays.  Both forms are fixed at
+    construction (``instrs`` becomes a tuple, the arrays read-only):
+    every block of every partition shares them.
+    """
 
-    def append(self, instr: Instr) -> None:
-        self.instrs.append(instr)
+    instrs: Tuple[Instr, ...] = ()
+    columns: ColumnarBlock = field(init=False, repr=False, compare=False)
 
-    def extend(self, instrs: Iterable[Instr]) -> None:
-        self.instrs.extend(instrs)
+    def __post_init__(self) -> None:
+        self.instrs = tuple(self.instrs)
+        self.columns = ColumnarBlock.from_instrs(self.instrs)
+        for name in ("op", "dst", "size", "src_off", "src_val"):
+            getattr(self.columns, name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.instrs)
@@ -78,21 +88,22 @@ class TraceProgram:
     @staticmethod
     def from_lists(*thread_instrs: Sequence[Instr]) -> "TraceProgram":
         """Build a program from per-thread instruction lists."""
-        return TraceProgram([ThreadTrace(list(seq)) for seq in thread_instrs])
+        return TraceProgram([ThreadTrace(seq) for seq in thread_instrs])
 
     def validate(self) -> None:
         """Raise :class:`TraceError` on structural problems."""
         if not self.threads:
             raise TraceError("a trace program needs at least one thread")
+        num_threads = self.num_threads
         for label, order in (
             ("true_order", self.true_order),
             ("timesliced_order", self.timesliced_order),
         ):
             if order is None:
                 continue
-            counts = [0] * self.num_threads
+            counts = [0] * num_threads
             for t, i in order:
-                if not 0 <= t < self.num_threads:
+                if not 0 <= t < num_threads:
                     raise TraceError(f"{label} references unknown thread {t}")
                 if i != counts[t]:
                     raise TraceError(

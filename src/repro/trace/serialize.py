@@ -45,11 +45,6 @@ FORMAT_VERSION = 1
 STREAM_VERSION = 2
 
 
-def _encode_instr(instr: Instr) -> list:
-    # Positional, compact: [op, dst, srcs, size].
-    return [instr.op.value, instr.dst, list(instr.srcs), instr.size]
-
-
 def _decode_instr(raw: list) -> Instr:
     try:
         op, dst, srcs, size = raw
@@ -75,9 +70,8 @@ def dump(program: TraceProgram, fp: IO[str]) -> None:
     }
     fp.write(json.dumps(header) + "\n")
     for trace in program.threads:
-        fp.write(
-            json.dumps([_encode_instr(i) for i in trace.instrs]) + "\n"
-        )
+        # Positional, compact: [op, dst, srcs, size] per instruction.
+        fp.write(json.dumps(trace.columns.to_rows()) + "\n")
     fp.write(json.dumps({"true_order": program.true_order}) + "\n")
     fp.write(json.dumps({"timesliced_order": program.timesliced_order}) + "\n")
     fp.write(json.dumps({"preallocated": sorted(program.preallocated)}) + "\n")
@@ -253,14 +247,7 @@ def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
         record = {
             "epoch": lid,
             "starts": [block.start for block in row],
-            "blocks": [
-                # Columnar-backed blocks encode straight from their
-                # columns; only object-backed blocks walk Instr objects.
-                block.columns.to_rows()
-                if block.has_columns
-                else [_encode_instr(i) for i in block.instrs]
-                for block in row
-            ],
+            "blocks": [block.columns.to_rows() for block in row],
         }
         fp.write(json.dumps(record) + "\n")
         partition.evict_blocks(lid + 1)

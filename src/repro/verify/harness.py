@@ -24,12 +24,10 @@ from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.columnar import ColumnarBlock
-from repro.core.epoch import Block, SloConfig
+from repro.core.epoch import SloConfig
 from repro.core.framework import ButterflyEngine, EngineStats
 from repro.core.ordering import all_valid_orderings
 from repro.core.parallel import ExecutionBackend, get_backend
-from repro.core.stream import PartitionSource
 from repro.errors import CheckpointError, ReproError, ResilienceError
 from repro.lifeguards.sequential import true_errors_under_any_ordering
 from repro.obs.recorder import Recorder, normalize_events
@@ -50,8 +48,8 @@ from repro.verify.reference import ReferenceAddrCheck
 
 #: The axes of a run and the values :meth:`DifferentialHarness.run` accepts.
 AXES = {
-    # Per-Instr scan kernels forced | column-backed blocks, kernels on
-    # auto (the vector kernels).
+    # The per-Instr reference scan kernels (``use_columnar_kernel=False``)
+    # | the production columnar kernels.
     "representation": ("objects", "columns"),
     # The in-memory partition | a round trip through a version 2 stream
     # file | that file pushed to a shared ``repro serve`` daemon with
@@ -124,9 +122,8 @@ PRESETS: Dict[str, Preset] = {
     # The bounded-memory streaming pipeline fed from a round-tripped
     # version 2 file vs. the materialized run.
     "stream": Preset(BASELINE, (Point("columns", "stream-file"),), _LOGGED),
-    # Column-backed blocks and the kernels every lifeguard selects on
-    # them vs. object-backed blocks with the per-Instr kernels forced,
-    # serial and concurrent; also proves the columnar round trip lossless.
+    # The production columnar kernels vs. the per-Instr reference
+    # kernels, serial and concurrent.
     "columnar": Preset(
         BASELINE, (Point("columns"), Point("columns", executor="pool")),
         _LOGGED,
@@ -206,20 +203,6 @@ class Disagreement(NamedTuple):
     mode: str
     case: TraceCase
     detail: str
-
-
-class _ColumnarCaseSource(PartitionSource):
-    """A case's partition re-backed by columnar blocks, as a source."""
-
-    def epochs(self, start: int = 0):
-        for row in super().epochs(start):
-            yield [
-                Block(
-                    b.lid, b.tid, b.start,
-                    columns=ColumnarBlock.from_instrs(b.instrs),
-                )
-                for b in row
-            ]
 
 
 def _flag_sets(errors: List[Tuple]):
@@ -416,10 +399,8 @@ class DifferentialHarness:
         num_epochs = partition.num_epochs
         if point.delivery == "stream-file":
             source = iter_load(self._stream_file(case))
-        elif point.representation == "columns":
-            source = _ColumnarCaseSource(partition)
         else:
-            source = None  # the materialized partition itself
+            source = None  # the partition itself
         if point.representation == "objects" and case.lifeguard != "race":
             # RaceCheck has one (per-Instr) kernel and nothing to force.
             ablation = {"use_columnar_kernel": False, **ablation}

@@ -99,7 +99,7 @@ def stale_overlay() -> Iterator[None]:
     The bug a base-plus-delta LSOS invites: a location the head block
     (or the scanned block itself) freed still reads as allocated.  The
     reference first pass asks the view after every change and goes
-    wrong, the object kernel probes the three sets itself -- the
+    wrong, the per-``Instr`` scanner probes the three sets itself -- the
     disagreement ``optref`` must find (the columnar scan asks only
     before a block's first change of a location: seed 4, trial 121).
     """
@@ -124,7 +124,7 @@ def thread_bleed() -> Iterator[None]:
     The bug a batched first pass invites: the row's blocks share one
     probe of the published ``SOS_l``, and each must then see its own
     head's frees and allocations -- not its neighbour's.  Only the
-    columnar kernel groups blocks, so the object kernel stays right and
+    columnar kernel groups blocks, so the per-``Instr`` one stays right and
     the ``columnar`` pair must see the two part ways.
     """
     from repro.core.state import SOSView
@@ -177,7 +177,7 @@ def probe_edge() -> Iterator[None]:
     the highest location a body accessed is taken for one past the end,
     so an access racing a wing's allocation-state change there goes
     unflagged.  Only the columnar kernel's summaries are probed this
-    way -- the object kernel and the reference intersect dicts and sets
+    way -- the per-``Instr`` scanner and the reference intersect dicts and sets
     -- so the ``columnar`` pair must see the two part ways.
     """
     from repro.lifeguards import addrcheck

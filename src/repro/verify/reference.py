@@ -1,24 +1,33 @@
-"""The paper-faithful reference AddrCheck (Section 6.1), kept for diffing.
+"""Per-``Instr`` references the production lifeguards are diffed against.
 
 :class:`~repro.lifeguards.addrcheck.ButterflyAddrCheck` scans blocks
 with picklable kernels, commits raw error tuples and intersects the
-body with the wings' *change* sets only.  This subclass is what it is
-measured against: one Python loop per instruction that flags through
+body with the wings' *change* sets only.  :class:`ReferenceAddrCheck`,
+the paper-faithful AddrCheck (Section 6.1), is what it is measured
+against: one Python loop per instruction that flags through
 constructed :class:`ErrorReport` objects, the full ``S = (GEN, KILL,
 ACCESS)`` meet, and a whole-pass second pass -- on the serial schedule
 only.  It shares the production class's state rules (LSOS, SOS update,
 eviction) and must report bit-identically to it: the ``optref`` fuzz
 preset, the determinism and provenance property tests and the core
 microbenchmark all diff the two.
+
+:class:`ReferenceAddrScanner` and :class:`ReferenceTaintScanner` are
+the two lifeguards' first-pass kernels one ``Instr`` at a time, the
+legs the columnar kernels must match bit for bit.
+``use_columnar_kernel=False`` swaps them into the production
+lifeguards, which is how the ``columnar`` fuzz mode and the kernel
+benchmarks run them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block
+from repro.core.state import SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.addrcheck import (
     _DETAIL_ACCESS,
@@ -26,10 +35,12 @@ from repro.lifeguards.addrcheck import (
     _DETAIL_CHANGE_RACE,
     _DETAIL_FREE,
     _DETAIL_MALLOC,
+    AddrScan,
     ButterflyAddrCheck,
 )
 from repro.lifeguards.reports import ErrorKind, ErrorReport
-from repro.trace.events import Op
+from repro.lifeguards.taintcheck import BOT, TOP, TaintSummary, Value
+from repro.trace.events import Instr, Op
 
 
 @dataclass
@@ -256,3 +267,163 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         work = self.block_work[body.block_id]
         work["flags"] += len(self.errors) - flags_before
         work["iso"] += len(changed) + len(s.access)
+
+
+@dataclass(frozen=True)
+class ReferenceAddrScanner:
+    """AddrCheck's first pass one ``Instr`` at a time, with the
+    interface of :class:`~repro.lifeguards.addrcheck.AddrScanner` and
+    bit-identical :class:`AddrScan` results.  Each block is scanned on
+    its own, so ``scan_row`` is a loop."""
+
+    use_idempotent_filter: bool
+
+    def __call__(self, block: Block, running: SOSView) -> AddrScan:
+        return self.scan_block(block, running)
+
+    def scan_row(self, items: List[Tuple[Block, SOSView]]) -> List[AddrScan]:
+        return [self.scan_block(block, running) for block, running in items]
+
+    def scan_block(self, block: Block, running: SOSView) -> AddrScan:
+        # ``loc in running`` / ``running.add`` / ``running.discard``
+        # below are SOSView's methods written out against its three
+        # plain sets: this loop runs per event.
+        base = running.base
+        added = running.added
+        removed = running.removed
+        gen: Set[int] = set()
+        all_gen: Set[int] = set()
+        killed_vars: Set[int] = set()
+        last_event: Dict[int, str] = {}
+        first_change: Dict[int, int] = {}
+        first_access: Dict[int, int] = {}
+        errors: List[Tuple[ErrorKind, int, int, str]] = []
+        # Idempotent-filter state: one filter per thread, flushed at
+        # every heartbeat -- i.e. per-block scope.
+        checked: Set[int] = set()
+        events = 0
+        checks = 0
+        accesses = 0
+        allocs = 0
+        use_filter = self.use_idempotent_filter
+        op_malloc = Op.MALLOC
+        op_free = Op.FREE
+        op_read = Op.READ
+        op_jump = Op.JUMP
+        op_write = Op.WRITE
+        op_assign = Op.ASSIGN
+
+        for i, instr in enumerate(block.instrs):
+            events += 1
+            op = instr.op
+            if op is op_malloc:
+                dst = instr.dst
+                for loc in range(dst, dst + instr.size):
+                    allocs += 1
+                    checked.discard(loc)
+                    if loc in base:
+                        live = loc not in removed
+                        removed.discard(loc)
+                    else:
+                        live = loc in added
+                        added.add(loc)
+                    if live:
+                        errors.append(
+                            (ErrorKind.MALLOC_ALLOCATED, loc, i, _DETAIL_MALLOC)
+                        )
+                    gen.add(loc)
+                    all_gen.add(loc)
+                    last_event[loc] = "gen"
+                    if loc not in first_change:
+                        first_change[loc] = i
+            elif op is op_free:
+                dst = instr.dst
+                for loc in range(dst, dst + instr.size):
+                    allocs += 1
+                    checked.discard(loc)
+                    if loc in base:
+                        live = loc not in removed
+                        removed.add(loc)
+                    else:
+                        live = loc in added
+                        added.discard(loc)
+                    if not live:
+                        errors.append(
+                            (ErrorKind.FREE_UNALLOCATED, loc, i, _DETAIL_FREE)
+                        )
+                    killed_vars.add(loc)
+                    gen.discard(loc)
+                    last_event[loc] = "kill"
+                    if loc not in first_change:
+                        first_change[loc] = i
+            else:
+                # Inlined Instr.accessed: READ/JUMP dereference their
+                # source; WRITE/ASSIGN their sources plus destination.
+                if op is op_read or op is op_jump:
+                    locs = instr.srcs
+                elif op is op_write or op is op_assign:
+                    locs = instr.srcs + (instr.dst,)
+                else:
+                    continue
+                for loc in locs:
+                    accesses += 1
+                    if loc not in first_access:
+                        first_access[loc] = i
+                    if use_filter and loc in checked:
+                        continue
+                    checked.add(loc)
+                    checks += 1
+                    if (
+                        loc in removed if loc in base else loc not in added
+                    ):
+                        errors.append(
+                            (ErrorKind.ACCESS_UNALLOCATED, loc, i, _DETAIL_ACCESS)
+                        )
+        return AddrScan(
+            gen=gen,
+            all_gen=all_gen,
+            killed_vars=killed_vars,
+            last_event=last_event,
+            first_change=first_change,
+            first_access=first_access,
+            num_accessed=len(first_access),
+            errors=errors,
+            events=events,
+            checks=checks,
+            accesses=accesses,
+            allocs=allocs,
+        )
+
+
+@dataclass(frozen=True)
+class ReferenceTaintScanner:
+    """TaintCheck's first pass one ``Instr`` at a time, with the
+    interface of :class:`~repro.lifeguards.taintcheck.TaintScanner` and
+    bit-identical :class:`TaintSummary` results."""
+
+    def __call__(self, block: Block, context: object) -> TaintSummary:
+        summary = TaintSummary(block_id=block.block_id)
+        for i, instr in enumerate(block.instrs):
+            written = _value_of(instr)
+            if written is not None:
+                dst, value = written
+                summary.rules.setdefault(dst, []).append((i, value))
+            elif instr.op is Op.JUMP:
+                summary.jumps.append((i, instr.srcs[0]))
+        return summary
+
+
+def _value_of(instr: Instr) -> Optional[Tuple[int, Value]]:
+    """Map an event to its transfer-function RHS, or None if it writes
+    no taint metadata."""
+    if instr.op is Op.TAINT:
+        return instr.dst, BOT
+    if instr.op in (Op.UNTAINT, Op.WRITE):
+        if instr.dst is None:
+            return None
+        return instr.dst, TOP
+    if instr.op is Op.ASSIGN:
+        if not instr.srcs:
+            return instr.dst, TOP
+        return instr.dst, tuple(instr.srcs)
+    return None

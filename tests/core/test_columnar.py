@@ -148,17 +148,19 @@ class TestBlockIntegration:
     def test_columnar_block_materializes_lazily(self):
         cols = ColumnarBlock.from_instrs(_sample_instrs())
         block = Block(0, 1, 0, columns=cols)
-        assert block.has_columns
+        assert block._instrs is None
         assert len(block) == len(cols)
         assert list(block.instrs) == _sample_instrs()
 
-    def test_object_block_columnarizes_lazily(self):
-        block = Block(0, 1, 0, _sample_instrs())
-        assert not block.has_columns
-        assert block.columns == ColumnarBlock.from_instrs(_sample_instrs())
+    def test_block_keeps_the_instrs_it_is_given(self):
+        instrs = tuple(_sample_instrs())
+        block = Block(0, 1, 0, ColumnarBlock.from_instrs(instrs), instrs)
+        assert block.instrs is instrs
+        assert block == Block(0, 1, 0, ColumnarBlock.from_instrs(instrs))
 
     def test_block_pickle_ships_columns_not_instrs(self):
-        block = Block(2, 3, 20, _sample_instrs())
+        instrs = tuple(_sample_instrs())
+        block = Block(2, 3, 20, ColumnarBlock.from_instrs(instrs), instrs)
         payload = pickle.dumps(block)
         assert b"Instr" not in payload
         assert b"repro.trace.events" not in payload

@@ -10,12 +10,13 @@ from repro.core.dataflow import (
     union_side_out_gen,
     union_side_out_kill,
 )
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block
 from repro.trace.events import Instr
 
 
 def block(instrs, lid=0, tid=0):
-    return Block(lid=lid, tid=tid, start=0, instrs=tuple(instrs))
+    return Block(lid, tid, 0, ColumnarBlock.from_instrs(instrs))
 
 
 class TestDefinitionDomain:

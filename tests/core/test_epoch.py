@@ -1,14 +1,19 @@
 """Unit tests for epoch partitioning."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.errors import PartitionError
 from repro.trace.events import Instr
+from repro.trace.generator import simulated_taint_program
 from repro.trace.program import TraceProgram
 from repro.core.epoch import (
+    Block,
     EpochPartition,
+    merge_block_run,
     partition_by_global_order,
     partition_fixed,
     partition_from_boundaries,
@@ -169,3 +174,45 @@ class TestExplicitBoundaries:
     def test_one_list_per_thread(self):
         with pytest.raises(PartitionError):
             partition_from_boundaries(program([4, 4]), [[4]])
+
+
+class TestBlocksAreColumnSlices:
+    def test_every_cut_policy_slices_the_thread_columns(self):
+        """Each policy's blocks are views of the program's columns: equal
+        to a fresh conversion of their ``Instr`` objects with their own
+        offsets from 0, merging back to the concatenation, and pickled
+        with their own events' bytes only."""
+        prog = simulated_taint_program(
+            random.Random(5), num_threads=3, total_events=120
+        )
+        assert prog.threads[0].columns.src_val.shape[0] > 0
+        lengths = [len(t) for t in prog.threads]
+        gapped = [[0, n // 2, n // 2, n, n] for n in lengths]
+        partitions = {
+            "fixed": partition_fixed(prog, 7),
+            "global-order": partition_by_global_order(prog, 5),
+            "skew": partition_with_skew(prog, 9, 4, random.Random(1)),
+            "empty-and-trailing": partition_from_boundaries(prog, gapped),
+        }
+        for name, part in partitions.items():
+            for tid, trace in enumerate(prog.threads):
+                blocks = [
+                    part.block(lid, tid) for lid in range(part.num_epochs)
+                ]
+                for block in blocks:
+                    fresh = ColumnarBlock.from_instrs(block.instrs)
+                    assert block.columns == fresh, name
+                    assert block.columns.src_off[0] == 0, name
+                    assert block.instrs == tuple(
+                        trace.instrs[block.start:block.start + len(block)]
+                    )
+                    rebuilt = Block(block.lid, tid, block.start, fresh)
+                    assert pickle.dumps(block) == pickle.dumps(rebuilt), name
+                for lo in range(len(blocks)):
+                    merged = merge_block_run(0, blocks[lo:])
+                    assert merged.columns == ColumnarBlock.from_instrs(
+                        trace.instrs[blocks[lo].start:]
+                    ), name
+                    assert merged.start == blocks[lo].start
+        gaps = partitions["empty-and-trailing"]
+        assert [len(gaps.block(lid, 0)) for lid in (0, 2, 4)] == [0, 0, 0]

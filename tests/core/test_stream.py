@@ -14,12 +14,13 @@ from repro.core.epoch import (
 from repro.core.framework import ButterflyAnalysis, ButterflyEngine
 from repro.core.stream import EpochSource, PartitionSource
 from repro.errors import AnalysisError
-from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
+from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs.recorder import Recorder, normalize_events
 from repro.trace.events import Instr
 from repro.trace.generator import ColumnarAllocSource, simulated_alloc_program
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import iter_load, save_stream_file
+from repro.verify.reference import ReferenceAddrScanner
 
 
 class RecordingAnalysis(ButterflyAnalysis):
@@ -329,19 +330,19 @@ class TestFeedBlocksContract:
             engine.attach(partition)
 
 
-class _ExplodingScanner(AddrScanner):
+class _ExplodingScanner(ReferenceAddrScanner):
     """Thread 2's scan of epoch 1 raises, after threads 0 and 1 were
     scanned."""
 
-    def _scan_objects(self, block, running):
+    def scan_block(self, block, running):
         if block.block_id == (1, 2):
             raise RuntimeError("boom")
-        return super()._scan_objects(block, running)
+        return super().scan_block(block, running)
 
 
 class _ExplodingGuard(ButterflyAddrCheck):
     def make_scanner(self):
-        return _ExplodingScanner(self.use_idempotent_filter, False)
+        return _ExplodingScanner(self.use_idempotent_filter)
 
 
 class _PickleEveryEpoch:

@@ -125,10 +125,9 @@ class TestEpochController:
 
 
 def object_block(lid, tid, start, n, base=0):
-    return Block(
-        lid, tid, start,
-        instrs=tuple(Instr.write(base + k) for k in range(n)),
-    )
+    """A block that carries its ``Instr`` objects, as a partition's does."""
+    instrs = tuple(Instr.write(base + k) for k in range(n))
+    return Block(lid, tid, start, ColumnarBlock.from_instrs(instrs), instrs)
 
 
 class TestMergeBlockRun:
@@ -161,16 +160,17 @@ class TestMergeBlockRun:
         a = Block(0, 1, 0, columns=ColumnarBlock.from_instrs(a_instrs))
         b = Block(1, 1, 3, columns=ColumnarBlock.from_instrs(b_instrs))
         merged = merge_block_run(0, [a, b])
-        assert merged.has_columns
+        assert merged.columns == ColumnarBlock.from_instrs(a_instrs + b_instrs)
         assert merged.instrs == a_instrs + b_instrs
 
-    def test_mixed_representations_fall_back_to_objects(self):
+    def test_blocks_with_and_without_instrs_merge_as_columns(self):
         a = Block(
             0, 0, 0,
             columns=ColumnarBlock.from_instrs((Instr.write(1),)),
         )
         b = object_block(1, 0, 1, 2)
         merged = merge_block_run(0, [a, b])
+        assert merged._instrs is None
         assert merged.instrs == a.instrs + b.instrs
 
 
@@ -247,7 +247,7 @@ class TestAdaptiveEngine:
             lambda row: row + [row[-1]],
             lambda row: row[:-1],
             lambda row: [
-                Block(b.lid + 1, b.tid, b.start, instrs=b.instrs) for b in row
+                Block(b.lid + 1, b.tid, b.start, b.columns) for b in row
             ],
         ],
         ids=["one-block-too-many", "one-block-short", "wrong-block-ids"],

@@ -6,9 +6,9 @@ against.
 (``self.use_idempotent_filter`` became the ``use_filter`` argument,
 and the ``access`` set :class:`AddrScan` no longer carries became its
 ``num_accessed``; its ``first_access`` stays a dict);
-``per_block_scan`` is that commit's ``AddrScanner.__call__``: the
-vector kernel for a columnar-backed block, the per-``Instr`` kernel
-otherwise.  Never imported by ``src/``.
+``per_block_scan`` is that commit's ``AddrScanner.__call__`` for a
+columnar-backed block -- every block is one now.  Never imported by
+``src/``.
 """
 
 from typing import Any, Dict, List, Set, Tuple
@@ -23,7 +23,6 @@ from repro.lifeguards.addrcheck import (
     _DETAIL_FREE,
     _DETAIL_MALLOC,
     AddrScan,
-    AddrScanner,
 )
 from repro.lifeguards.reports import ErrorKind
 from tests.lifeguards.flatten_reference import _ACC_LUT, _DST_LUT
@@ -32,9 +31,7 @@ from tests.lifeguards.flatten_reference import _ACC_LUT, _DST_LUT
 def per_block_scan(
     block: Block, running: SOSView, use_filter: bool
 ) -> AddrScan:
-    if block.has_columns:
-        return _scan_columns(block.columns, running, use_filter)
-    return AddrScanner(use_filter, columnar=False)(block, running)
+    return _scan_columns(block.columns, running, use_filter)
 
 
 def _scan_columns(
@@ -58,8 +55,8 @@ def _scan_columns(
     to changed locations plus the change events themselves are
     replayed with the exact scalar semantics, and every error record
     carries its stream position so the merged error list comes out
-    in event order.  The result is bit-identical to
-    :meth:`_scan_objects`.
+    in event order.  The result is bit-identical to the per-``Instr``
+    reference kernel.
     """
     n = cols.length
     ops = np.asarray(cols.op)

@@ -59,7 +59,7 @@ def scan_columns(
     plus the change events themselves are replayed with the exact
     scalar semantics, and every error record carries its stream
     position so the merged error list comes out in event order.
-    The result is bit-identical to :meth:`_scan_objects`.
+    The result is bit-identical to the per-``Instr`` reference kernel.
 
     The passes cost ~75 numpy calls whatever the array length, so a
     group's blocks are concatenated and scanned as *segments* of

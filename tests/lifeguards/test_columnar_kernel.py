@@ -14,11 +14,13 @@ import random
 
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.trace.events import Instr, Op
 from repro.trace.generator import adversarial_instrs
+from repro.verify.reference import ReferenceAddrScanner
 
 _ALL_OPS = (Op.WRITE, Op.READ, Op.MALLOC, Op.FREE, Op.ASSIGN,
             Op.TAINT, Op.UNTAINT, Op.JUMP, Op.NOP)
@@ -64,12 +66,12 @@ def _views_of(running, instrs):
 
 
 def _assert_kernels_agree(instrs, running, use_filter):
-    block = Block(0, 0, 0, tuple(instrs))
+    block = Block(0, 0, 0, ColumnarBlock.from_instrs(instrs))
     for running_obj, running_col in zip(
         _views_of(running, instrs), _views_of(running, instrs)
     ):
-        obj = AddrScanner(use_filter, columnar=False)(block, running_obj)
-        col = AddrScanner(use_filter, columnar=True)(block, running_col)
+        obj = ReferenceAddrScanner(use_filter)(block, running_obj)
+        col = AddrScanner(use_filter)(block, running_col)
         assert _scan_dict(col) == _scan_dict(obj)
         # Same running state left behind, in the overlay alone.
         assert running_col.added == running_obj.added
@@ -135,8 +137,8 @@ class TestKernelIdentity:
         kernel discovers them per-segment via sorted unique locations."""
         instrs = [Instr.read(9), Instr.write(3), Instr.read(7),
                   Instr.malloc(5), Instr.read(9), Instr.write(3)]
-        block = Block(0, 0, 0, tuple(instrs))
-        scan = AddrScanner(True, columnar=True)(block, SOSView(set()))
+        block = Block(0, 0, 0, ColumnarBlock.from_instrs(instrs))
+        scan = AddrScanner(True)(block, SOSView(set()))
         indices = [err[2] for err in scan.errors]
         assert indices == sorted(indices)
 
@@ -214,8 +216,7 @@ class TestPoolPayload:
         rng = random.Random(3)
         instrs = adversarial_instrs(rng, 300, num_locations=8,
                                     ops=_ALL_OPS, max_extent=3)
-        block = Block(0, 0, 0, tuple(instrs))
-        block.columns  # columnar-backed, as on the streamed fast path
+        block = Block(0, 0, 0, ColumnarBlock.from_instrs(instrs))
         context = guard.first_pass_context(block)
         return scanner, block, context
 

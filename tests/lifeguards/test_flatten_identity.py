@@ -37,7 +37,7 @@ def _generated_rows(h, threads, epochs):
 
 def _adversarial_rows():
     """``(label, preallocated, rows)`` for two rounds of every family,
-    each block columnar-backed."""
+    each block carrying columns only."""
     gen = AdversarialCaseGenerator(41, num_locations=24)
     out = []
     for index in range(2 * len(FAMILIES)):

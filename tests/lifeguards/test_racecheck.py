@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import (
     Block,
     partition_by_global_order,
@@ -174,10 +175,10 @@ class TestSetIntersectionsAgainstTheMasks:
         size = {}
         for lid in range(2001):
             engine.feed_blocks(lid, [
-                Block(lid, tid, lid * fresh, instrs=tuple(
+                Block(lid, tid, lid * fresh, ColumnarBlock.from_instrs([
                     Instr.write((lid * threads + tid) * fresh + i)
                     for i in range(fresh)
-                ))
+                ]))
                 for tid in range(threads)
             ])
             if lid in (200, 2000):

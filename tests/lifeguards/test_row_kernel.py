@@ -25,6 +25,7 @@ from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.trace.events import Instr
 from repro.trace.generator import ColumnarAllocSource
 from repro.trace.serialize import iter_load, save_stream_file
+from repro.verify.reference import ReferenceAddrScanner
 from repro.workloads.registry import get_benchmark
 
 from tests.lifeguards.per_block_scan import per_block_scan
@@ -41,10 +42,6 @@ def _copy(view):
 
 
 def _named(block):
-    if not block.has_columns:  # and stays that way
-        return {
-            loc for i in block.instrs for loc in (*i.accessed, *i.extent)
-        }
     cols = block.columns
     locs = set(cols.src_val.tolist())
     for dst, size in zip(cols.dst.tolist(), cols.size.tolist()):
@@ -74,12 +71,12 @@ def _rebased(items):
     return out
 
 
-def assert_row_matches_per_block(items, use_filter, columnar=None):
+def assert_row_matches_per_block(items, use_filter):
     assert len({id(view.base) for _, view in items}) == 1
     for variant in (items, _rebased(items)):
         got_items = [(b, _copy(v)) for b, v in variant]
         want_items = [(b, _copy(v)) for b, v in variant]
-        got = AddrScanner(use_filter, columnar).scan_row(got_items)
+        got = AddrScanner(use_filter).scan_row(got_items)
         want = [per_block_scan(b, v, use_filter) for b, v in want_items]
         assert len(got) == len(want) == len(items)
         for tid, (g, w) in enumerate(zip(got, want)):
@@ -110,7 +107,7 @@ def _rows_of_a_run(source, use_filter):
 
     class Guard(ButterflyAddrCheck):
         def make_scanner(self):
-            return Scanner(self.use_idempotent_filter, None)
+            return Scanner(self.use_idempotent_filter)
 
     guard = Guard(
         initially_allocated=source.preallocated,
@@ -131,7 +128,6 @@ class TestRowsOfRealRuns:
         assert len(rows) > 2 and all(len(row) == 4 for row in rows)
         assert any(v.added or v.removed for row in rows for _, v in row)
         for row in rows:
-            assert all(b.has_columns for b, _ in row)
             assert_row_matches_per_block(row, use_filter)
 
     @pytest.mark.parametrize("threads,h", [(4, 128), (4, 512), (8, 256)])
@@ -210,25 +206,27 @@ class TestHandBuiltRows:
         assert_row_matches_per_block(_views(empty, self.BASE), use_filter)
 
     def test_row_mixing_object_and_columnar_blocks(self, use_filter):
+        """A block that carries its ``Instr`` objects (a partition's)
+        beside blocks that carry columns only: the row scan reads
+        columns alone, and both scanners agree on it."""
+        busy = _busy(1)
         blocks = [
             _block(0, _busy(0)),
-            Block(2, 1, 0, tuple(_busy(1))),
+            Block(2, 1, 0, ColumnarBlock.from_instrs(busy), tuple(busy)),
             _block(2, _busy(2)),
             _block(3, _busy(3)),
         ]
-        assert not blocks[1].has_columns
         assert_row_matches_per_block(
             _views(blocks, self.BASE, self._tweak), use_filter
         )
-        assert not blocks[1].has_columns  # never converted to vectorize
-        # Forced kernels take every block, whatever backs it.
-        for columnar in (True, False):
+        assert [b._instrs is None for b in blocks] == [True, False, True, True]
+        for scanner in (AddrScanner, ReferenceAddrScanner):
             items = _views(blocks, self.BASE, self._tweak)
-            got = AddrScanner(use_filter, columnar).scan_row(
+            got = scanner(use_filter).scan_row(
                 [(b, _copy(v)) for b, v in items]
             )
             want = [
-                AddrScanner(use_filter, columnar=False)(b, _copy(v))
+                ReferenceAddrScanner(use_filter)(b, _copy(v))
                 for b, v in items
             ]
             assert got == want

@@ -29,6 +29,7 @@ from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import AddrScanner
 from repro.lifeguards.reports import ErrorKind
 from repro.trace.events import Instr
+from repro.verify.reference import ReferenceAddrScanner
 
 from tests.lifeguards.replay_reference import ReplayScanner
 from tests.lifeguards.test_flatten_identity import _adversarial_rows
@@ -45,9 +46,9 @@ def assert_three_kernels_agree(items, use_filter):
     kernel, each on its own copies of the views; return the scans."""
     runs = {}
     for name, scan_row in (
-        ("scan", AddrScanner(use_filter, True).scan_row),
-        ("replay", ReplayScanner(use_filter, True).scan_row),
-        ("objects", AddrScanner(use_filter, False).scan_row),
+        ("scan", AddrScanner(use_filter).scan_row),
+        ("replay", ReplayScanner(use_filter).scan_row),
+        ("objects", ReferenceAddrScanner(use_filter).scan_row),
     ):
         views = [_copy(v) for _, v in items]
         scans = scan_row([(b, v) for (b, _), v in zip(items, views)])
@@ -207,5 +208,5 @@ def test_a_changed_pair_asks_its_view_once():
     block = _block(0, [Instr.malloc(4), Instr.free(4), Instr.malloc(4),
                        Instr.read(4), Instr.free(4), Instr.read(9)])
     view = CountingView(frozenset({9}))
-    AddrScanner(True, True).scan_row([(block, view)])
+    AddrScanner(True).scan_row([(block, view)])
     assert asked == [4]

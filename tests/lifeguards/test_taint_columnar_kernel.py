@@ -22,6 +22,7 @@ from repro.trace.events import Instr, Op
 from repro.trace.generator import adversarial_instrs
 from repro.trace.program import ThreadTrace, TraceProgram
 from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
+from repro.verify.reference import ReferenceTaintScanner
 
 _ALL_OPS = (Op.WRITE, Op.READ, Op.MALLOC, Op.FREE, Op.ASSIGN,
             Op.TAINT, Op.UNTAINT, Op.JUMP, Op.NOP)
@@ -40,9 +41,9 @@ def _summary_dict(summary):
 
 
 def _assert_kernels_agree(instrs, lid=0, tid=0):
-    block = Block(lid, tid, 0, tuple(instrs))
-    obj = TaintScanner(columnar=False)(block, None)
-    col = TaintScanner(columnar=True)(block, None)
+    block = Block(lid, tid, 0, ColumnarBlock.from_instrs(instrs))
+    obj = ReferenceTaintScanner()(block, None)
+    col = TaintScanner()(block, None)
     assert _summary_dict(col) == _summary_dict(obj)
     # Values must be the BOT/TOP singletons (``is`` checks everywhere)
     # over plain Python ints, never numpy scalars.
@@ -120,18 +121,16 @@ class TestKernelIdentity:
                 _assert_kernels_agree(block.instrs, *block.block_id)
         assert seen == set(FAMILIES)
 
-    def test_auto_select_prefers_columnar_backing(self):
-        """``columnar=None`` uses the vector kernel iff the block is
-        already columnar-backed -- and both choices agree anyway."""
+    def test_kernel_reads_columns_only(self):
+        """The default kernel never materializes a block's objects."""
         instrs = (Instr.taint(1), Instr.assign(2, 1), Instr.jump(2))
-        obj_block = Block(0, 0, 0, instrs)
-        col_block = Block(0, 0, 0, columns=ColumnarBlock.from_instrs(instrs))
-        auto = TaintScanner()
-        assert _summary_dict(auto(obj_block, None)) == _summary_dict(
-            auto(col_block, None)
+        block = Block(0, 0, 0, ColumnarBlock.from_instrs(instrs))
+        assert ButterflyTaintCheck().make_scanner() == TaintScanner()
+        summary = TaintScanner()(block, None)
+        assert block._instrs is None
+        assert _summary_dict(summary) == _summary_dict(
+            ReferenceTaintScanner()(block, None)
         )
-        # Auto never materializes objects on the columnar path.
-        assert col_block._instrs is None
 
 
 class TestEngineIdentity:
@@ -187,8 +186,7 @@ class TestPoolPayload:
         rng = random.Random(3)
         instrs = adversarial_instrs(rng, 300, num_locations=8,
                                     ops=_ALL_OPS, max_extent=3)
-        block = Block(0, 0, 0, tuple(instrs))
-        block.columns  # columnar-backed, as on the streamed fast path
+        block = Block(0, 0, 0, ColumnarBlock.from_instrs(instrs))
         context = guard.first_pass_context(block)
         payload = pickle.dumps((scanner, (block, context)))
         assert b"Instr" not in payload

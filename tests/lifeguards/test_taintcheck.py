@@ -7,9 +7,10 @@ import pytest
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
 from repro.lifeguards.reports import ErrorKind
-from repro.lifeguards.taintcheck import BOT, TOP, ButterflyTaintCheck, _value_of
+from repro.lifeguards.taintcheck import BOT, TOP, ButterflyTaintCheck
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
+from repro.verify.reference import _value_of
 
 
 def run_guard(program, h, mode="relaxed", **kwargs):

@@ -94,7 +94,6 @@ class TestColumnarAllocSource:
             assert [b.tid for b in row] == [0, 1]
             for block in row:
                 assert block.lid == lid
-                assert block.has_columns
                 assert len(block) == 64
 
     def test_deterministic_and_resumable(self):
@@ -150,9 +149,9 @@ class TestColumnarAllocSource:
         obj_rows = list(src.as_objects().epochs())
         col_rows = list(src.epochs())
         assert obj_rows == col_rows
-        for row in obj_rows:
-            for block in row:
-                assert not block.has_columns
+        assert [b.instrs for row in obj_rows for b in row] == [
+            b.columns.to_instrs() for row in col_rows for b in row
+        ]
 
     def test_zero_errors_without_injection(self):
         """The default workload is error-free under butterfly AddrCheck

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.errors import TraceError
 from repro.trace.events import Instr
 from repro.trace.program import ThreadTrace, TraceProgram
@@ -34,12 +35,14 @@ class TestShape:
         assert len(trace) == 2
         assert all(i.op.value == "nop" for i in trace)
 
-    def test_thread_trace_append_extend(self):
-        trace = ThreadTrace()
-        trace.append(Instr.nop())
-        trace.extend([Instr.read(1)])
-        assert len(trace) == 2
-        assert trace[1].op.value == "read"
+    def test_thread_trace_builds_its_columns_once(self):
+        instrs = [Instr.nop(), Instr.read(1), Instr.assign(2, 1, 3)]
+        trace = ThreadTrace(instrs)
+        assert trace.columns == ColumnarBlock.from_instrs(instrs)
+        assert ThreadTrace().columns.length == 0
+        # Every partition's blocks are views of these arrays.
+        with pytest.raises(ValueError):
+            trace.columns.dst[0] = 7
 
 
 class TestValidation:

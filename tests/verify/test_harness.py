@@ -138,8 +138,8 @@ class TestApplicability:
 class TestColumnarMode:
     def test_columnar_checks_every_case(self):
         # columnar-vs-object applies unconditionally: running the same
-        # case from columnar-backed blocks (vector kernels engaged where
-        # available) must be invisible in every output.
+        # case through the columnar kernels instead of the per-Instr
+        # reference kernels must be invisible in every output.
         with DifferentialHarness(modes=("columnar",)) as harness:
             gen = AdversarialCaseGenerator(29)
             for i in range(10):
