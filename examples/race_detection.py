@@ -37,9 +37,9 @@ thread1 = [Instr.read(COUNTER), Instr.write(COUNTER)]
 program = TraceProgram.from_lists(thread0, thread1)
 guard = ButterflyRaceCheck()
 ButterflyEngine(guard).run(partition_fixed(program, 2))
-for race in guard.races:
-    print(f"  {race.kind} on 0x{race.location:x} at {race.body_ref}")
-assert guard.races, "the lost-update race must be reported"
+for race in guard.errors:
+    print(f"  {race.detail} on 0x{race.location:x} at {race.ref}")
+assert guard.errors, "the lost-update race must be reported"
 
 print("\n== two-epoch separated handoff: provably ordered ==")
 producer = [Instr.write(COUNTER)] + [Instr.nop()] * 7
@@ -47,15 +47,15 @@ consumer = [Instr.nop()] * 7 + [Instr.read(COUNTER)]
 program = TraceProgram.from_lists(producer, consumer)
 guard = ButterflyRaceCheck()
 ButterflyEngine(guard).run(partition_fixed(program, 2))
-print(f"  conflicts: {len(guard.races)}")
-assert not guard.races
+print(f"  conflicts: {len(guard.errors)}")
+assert not guard.errors
 
 print("\n== OCEAN boundary exchanges vs. the epoch size ==")
 program = get_benchmark("OCEAN").generate(4, 8192, seed=11)
 for h in (256, 1024, 4096):
     guard = ButterflyRaceCheck()
     ButterflyEngine(guard).run(partition_by_global_order(program, h))
-    print(f"  h={h:5d}: {len(guard.races):5d} potential conflicts")
+    print(f"  h={h:5d}: {len(guard.errors):5d} potential conflicts")
 
 print("\nsmall epochs prove the phase-separated exchanges ordered;")
 print("large epochs surface them as potential races -- the same knob")

@@ -124,8 +124,8 @@ class GenericLifeguard(ButterflyAnalysis):
     ) -> None:
         if self.spec.check is None:
             return
-        for report in self.spec.check(iid, instr, in_set):
-            self.errors.flag(report)
+        for r in self.spec.check(iid, instr, in_set):
+            self.errors.record(r.kind, r.location, r.ref, r.block, r.detail)
 
     # -- engine interface (delegation) ----------------------------------------
 

@@ -55,7 +55,7 @@ from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis, Scanner
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
-from repro.lifeguards.reports import ErrorKind, ErrorLog
+from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 
 # Op classes over the uint8 op column.  A class of four codes is a bool
 # table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``, which numpy
@@ -782,17 +782,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             if errors.record(kind, loc, ref=block.global_ref(i), detail=detail):
                 flags += 1
                 if emit:
-                    rec.event(
-                        "error",
-                        kind=kind.value,
-                        location=loc,
-                        epoch=block_id[0],
-                        thread=block_id[1],
-                        index=i,
-                        ref=list(block.global_ref(i)),
-                        stage="first",
-                        wing=None,
-                    )
+                    emit_error_event(rec, block, kind, loc, i, "first")
         self.recorded_accesses += scan.accesses
         self.block_work[block_id] = {
             "events": scan.events,
@@ -868,8 +858,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             ):
                 flags += 1
                 if emit:
-                    self._emit_isolation_event(
-                        butterfly, loc, s.first_change[loc]
+                    emit_error_event(
+                        rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
+                        s.first_change[loc], "second",
+                        self._wing_with_change(butterfly, loc),
                     )
         for loc in sorted(access_hits):
             if errors.record(
@@ -881,8 +873,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             ):
                 flags += 1
                 if emit:
-                    self._emit_isolation_event(
-                        butterfly, loc, s.first_access[loc]
+                    emit_error_event(
+                        rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
+                        s.first_access[loc], "second",
+                        self._wing_with_change(butterfly, loc),
                     )
         work = self.block_work[block_id]
         work["flags"] += flags
@@ -906,23 +900,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             if loc in facts.all_gen or loc in facts.killed_vars:
                 return wing.block_id
         return None
-
-    def _emit_isolation_event(
-        self, butterfly: Butterfly, loc: int, offset: int
-    ) -> None:
-        body = butterfly.body
-        wing = self._wing_with_change(butterfly, loc)
-        self.recorder.event(
-            "error",
-            kind=ErrorKind.UNSAFE_ISOLATION.value,
-            location=loc,
-            epoch=body.block_id[0],
-            thread=body.block_id[1],
-            index=offset,
-            ref=list(body.global_ref(offset)),
-            stage="second",
-            wing=list(wing) if wing is not None else None,
-        )
 
     # -- step 4: epoch summary and SOS update --------------------------------
 

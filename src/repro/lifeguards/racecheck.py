@@ -28,8 +28,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis
 from repro.core.window import Butterfly
-from repro.lifeguards.reports import ErrorLog, ErrorReport, ErrorKind
-from repro.trace.events import Instr, Op
+from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
+from repro.trace.events import Op
 
 
 @dataclass
@@ -69,23 +69,15 @@ class RaceScanner:
         return summary
 
 
-@dataclass(frozen=True)
-class RaceReport:
-    """One potential conflict: location plus the body-side access."""
-
-    location: int
-    body_ref: tuple
-    kind: str  # "write-write" or "read-write"
-
-
 class ButterflyRaceCheck(
     ButterflyAnalysis[AccessSummary, List[AccessSummary]]
 ):
     """Conflict detection over the butterfly window.
 
-    ``races`` collects :class:`RaceReport` entries; ``errors`` mirrors
-    them as standard reports (kind ``UNSAFE_ISOLATION`` -- a race *is*
-    a metadata-free isolation violation) for uniform accounting.
+    Each conflict is flagged in ``errors`` like any lifeguard's finding:
+    kind ``UNSAFE_ISOLATION`` (a race *is* a metadata-free isolation
+    violation), the body-side access as ``ref``, and the conflict class
+    in ``detail`` (``"potential write-write conflict"``).
     """
 
     parallel_first_pass = True
@@ -93,7 +85,6 @@ class ButterflyRaceCheck(
 
     def __init__(self) -> None:
         self.errors = ErrorLog()
-        self.races: List[RaceReport] = []
         self._summaries: Dict[BlockId, AccessSummary] = {}
 
     # -- step 1 ----------------------------------------------------------
@@ -165,31 +156,19 @@ class ButterflyRaceCheck(
         wing_side: str,
     ) -> None:
         body = butterfly.body
-        ref = body.global_ref(offset)
         if self.errors.record(
             ErrorKind.UNSAFE_ISOLATION,
             loc,
-            ref=ref,
+            ref=body.global_ref(offset),
             block=body.block_id,
             detail=f"potential {kind} conflict",
         ):
-            self.races.append(
-                RaceReport(location=loc, body_ref=ref, kind=kind)
-            )
             rec = self.recorder
             if rec.enabled:
-                wing = self._wing_touching(butterfly, loc, wing_side)
-                rec.event(
-                    "error",
-                    kind=ErrorKind.UNSAFE_ISOLATION.value,
-                    location=loc,
-                    epoch=body.block_id[0],
-                    thread=body.block_id[1],
-                    index=offset,
-                    ref=list(ref),
-                    stage="second",
+                emit_error_event(
+                    rec, body, ErrorKind.UNSAFE_ISOLATION, loc, offset,
+                    "second", self._wing_touching(butterfly, loc, wing_side),
                     conflict=kind,
-                    wing=list(wing) if wing is not None else None,
                 )
 
     def _wing_touching(
@@ -206,7 +185,7 @@ class ButterflyRaceCheck(
 
     def emit_metrics(self, recorder: Any) -> None:
         """End-of-run gauge: the conflict count."""
-        recorder.gauge("racecheck.races", len(self.races))
+        recorder.gauge("racecheck.races", len(self.errors))
 
     # -- step 4 --------------------------------------------------------------
 

@@ -11,7 +11,7 @@ number of memory-accessing events.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Set, Tuple
 
 from repro.trace.program import GlobalRef
@@ -59,29 +59,16 @@ class ErrorReport:
 class ErrorLog:
     """Collects reports with deduplication.
 
-    Two write paths share one log: :meth:`flag` takes a constructed
-    :class:`ErrorReport`, while :meth:`record` takes the raw fields and
-    defers constructing the report object until the log is read.  The
-    raw path exists because report construction dominates hot lifeguard
-    loops on error-dense workloads; reads see identical reports either
-    way.
+    :meth:`record` is the one way in: it appends the raw fields and
+    defers building :class:`ErrorReport` objects until the log is read,
+    because report construction dominates hot lifeguard loops on
+    error-dense workloads.
     """
 
     def __init__(self) -> None:
-        #: Entries are ErrorReport objects or raw (kind, location, ref,
-        #: block, detail) tuples; tuples are materialized lazily.
-        self._entries: List[Any] = []
+        #: Raw (kind, location, ref, block, detail) tuples, in flag order.
+        self._entries: List[Tuple] = []
         self._seen: Set[Tuple] = set()
-        self._has_raw = False
-
-    def flag(self, report: ErrorReport) -> bool:
-        """Record a report; returns False if an identical one exists."""
-        key = report.identity()
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self._entries.append(report)
-        return True
 
     def record(
         self,
@@ -91,33 +78,56 @@ class ErrorLog:
         block: Optional[Tuple[int, int]] = None,
         detail: str = "",
     ) -> bool:
-        """Deduplicating fast path: append raw fields, materialize later."""
+        """Append a report's fields; returns False if an identical one
+        (same :meth:`ErrorReport.identity`) exists."""
         key = (kind, location, ref, block)
         seen = self._seen
         if key in seen:
             return False
         seen.add(key)
         self._entries.append((kind, location, ref, block, detail))
-        self._has_raw = True
         return True
 
     @property
     def reports(self) -> List[ErrorReport]:
-        if self._has_raw:
-            entries = self._entries
-            for i, e in enumerate(entries):
-                if type(e) is tuple:
-                    entries[i] = ErrorReport(
-                        e[0], e[1], ref=e[2], block=e[3], detail=e[4]
-                    )
-            self._has_raw = False
-        return self._entries
+        return [ErrorReport(*e) for e in self._entries]
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self):
         return iter(self.reports)
+
+
+def emit_error_event(
+    recorder: Any,
+    block: Any,
+    kind: ErrorKind,
+    location: int,
+    index: int,
+    stage: str,
+    wing: Optional[Tuple[int, int]] = None,
+    **extra: Any,
+) -> None:
+    """The ``error`` provenance event of one fresh flag (the schema in
+    ``docs/observability.md``): the flagged instruction as its block id,
+    offset and global ref, the pass that flagged it (``"first"`` or
+    ``"second"``), the wing block blamed (``None`` when no single wing
+    is), and a lifeguard's extra fields (RaceCheck's ``conflict``).
+    Callers guard it with ``recorder.enabled``."""
+    lid, tid = block.block_id
+    recorder.event(
+        "error",
+        kind=kind.value,
+        location=location,
+        epoch=lid,
+        thread=tid,
+        index=index,
+        ref=list(block.global_ref(index)),
+        stage=stage,
+        **extra,
+        wing=list(wing) if wing is not None else None,
+    )
 
 
 @dataclass
@@ -161,24 +171,22 @@ def compare_reports(
 
     tp = 0
     fp = 0
-    matched: Set[Tuple[GlobalRef, int]] = set()
+    # ``flagged`` may be a one-shot iterable: read it once.  A truth
+    # event whose location was flagged at block granularity is still
+    # "caught" in the paper's sense.
+    flagged_instr: Set[Tuple[GlobalRef, int]] = set()
+    flagged_block_locs: Set[int] = set()
     for r in flagged:
+        if r.ref is not None:
+            flagged_instr.add((r.ref, r.location))
+        if r.block is not None:
+            flagged_block_locs.add(r.location)
         if r.ref is not None and (r.ref, r.location) in truth_events:
             tp += 1
-            matched.add((r.ref, r.location))
         elif r.block is not None and r.location in truth_locs:
             tp += 1
         else:
             fp += 1
-    fn = len(truth_events - matched)
-    # Any truth event whose location was flagged at block granularity is
-    # still "caught" in the paper's sense; remove those from fn.
-    flagged_block_locs = {
-        r.location for r in flagged if r.block is not None
-    }
-    flagged_instr = {
-        (r.ref, r.location) for r in flagged if r.ref is not None
-    }
     fn = sum(
         1
         for ev in truth_events

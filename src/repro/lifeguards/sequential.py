@@ -71,31 +71,25 @@ class SequentialAddrCheck(_SequentialBase):
         if instr.op is Op.MALLOC:
             for loc in instr.extent:
                 if loc in self.allocated:
-                    self.errors.flag(
-                        ErrorReport(
-                            ErrorKind.MALLOC_ALLOCATED, loc, ref=ref,
-                            detail="malloc of already-allocated location",
-                        )
+                    self.errors.record(
+                        ErrorKind.MALLOC_ALLOCATED, loc, ref=ref,
+                        detail="malloc of already-allocated location",
                     )
                 self.allocated.add(loc)
         elif instr.op is Op.FREE:
             for loc in instr.extent:
                 if loc not in self.allocated:
-                    self.errors.flag(
-                        ErrorReport(
-                            ErrorKind.FREE_UNALLOCATED, loc, ref=ref,
-                            detail="free of unallocated location",
-                        )
+                    self.errors.record(
+                        ErrorKind.FREE_UNALLOCATED, loc, ref=ref,
+                        detail="free of unallocated location",
                     )
                 self.allocated.discard(loc)
         else:
             for loc in instr.accessed:
                 if loc not in self.allocated:
-                    self.errors.flag(
-                        ErrorReport(
-                            ErrorKind.ACCESS_UNALLOCATED, loc, ref=ref,
-                            detail="access to unallocated location",
-                        )
+                    self.errors.record(
+                        ErrorKind.ACCESS_UNALLOCATED, loc, ref=ref,
+                        detail="access to unallocated location",
                     )
 
     # -- snapshot/restore (oracle prefix memoization) ------------------
@@ -136,11 +130,9 @@ class SequentialTaintCheck(_SequentialBase):
         elif instr.op is Op.JUMP:
             loc = instr.srcs[0]
             if loc in self.tainted:
-                self.errors.flag(
-                    ErrorReport(
-                        ErrorKind.TAINTED_JUMP, loc, ref=ref,
-                        detail="tainted data used as jump target",
-                    )
+                self.errors.record(
+                    ErrorKind.TAINTED_JUMP, loc, ref=ref,
+                    detail="tainted data used as jump target",
                 )
 
     # -- snapshot/restore (oracle prefix memoization) ------------------

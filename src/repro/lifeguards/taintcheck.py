@@ -60,7 +60,7 @@ from repro.core.epoch import Block, BlockId, InstrId
 from repro.core.framework import ButterflyAnalysis, Scanner
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
-from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
+from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 
 #: Events that produce taint metadata (transfer-function rules) or
 #: critical uses; everything else -- READ/MALLOC/FREE/NOP, the bulk of
@@ -244,7 +244,6 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         self.sos = SOSHistory()
         self.errors = ErrorLog()
         self._summaries: Dict[BlockId, TaintSummary] = {}
-        self._blocks: Dict[BlockId, Block] = {}
         self.parallel_first_pass = True
         self.parallel_second_pass = True
 
@@ -259,7 +258,6 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
 
     def commit_scan(self, block: Block, scan: TaintSummary) -> TaintSummary:
         self._summaries[block.block_id] = scan
-        self._blocks[block.block_id] = block
         return scan
 
     # -- step 2: gather wing rule sets -------------------------------------
@@ -388,16 +386,8 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
                 # Taint resolution walks rules from the whole window, so
                 # no single wing is blamed; provenance is the body block
                 # plus the check stage.
-                rec.event(
-                    "error",
-                    kind=ErrorKind.TAINTED_JUMP.value,
-                    location=loc,
-                    epoch=body.block_id[0],
-                    thread=body.block_id[1],
-                    index=offset,
-                    ref=list(body.global_ref(offset)),
-                    stage="second",
-                    wing=None,
+                emit_error_event(
+                    rec, body, ErrorKind.TAINTED_JUMP, loc, offset, "second"
                 )
 
     # -- step 4: LASTCHECK-driven SOS update ----------------------------------
@@ -484,7 +474,6 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
     def _evict(self, older_than: int) -> None:
         for key in [k for k in self._summaries if k[0] < older_than]:
             del self._summaries[key]
-            self._blocks.pop(key, None)
 
 
 class _RuleGraph:

@@ -85,10 +85,9 @@ def parse_address(spec: str) -> Address:
     host, sep, port = spec.rpartition(":")
     if not sep or not host:
         raise ReproError(f"bad address {spec!r}: expected HOST:PORT")
-    try:
-        return ("tcp", (host, int(port)))
-    except ValueError:
-        raise ReproError(f"bad port in address {spec!r}") from None
+    if not port.isdecimal() or int(port) > 65535:
+        raise ReproError(f"bad port in address {spec!r}")
+    return ("tcp", (host, int(port)))
 
 
 def _connect(address: Address, timeout: float) -> socket.socket:

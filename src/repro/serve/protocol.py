@@ -258,26 +258,16 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
     }
     if boundaries is not None:
         report["boundaries"] = [list(cuts) for cuts in boundaries]
-    if hello["lifeguard"] == "race":
-        report["races"] = [
-            {
-                "kind": race.kind,
-                "location": race.location,
-                "body_ref": list(race.body_ref),
-            }
-            for race in guard.races
-        ]
-    else:
-        report["errors"] = [
-            {
-                "kind": r.kind.value,
-                "location": r.location,
-                "ref": list(r.ref) if r.ref is not None else None,
-                "block": list(r.block) if r.block is not None else None,
-                "detail": r.detail,
-            }
-            for r in guard.errors.reports
-        ]
+    report["errors"] = [
+        {
+            "kind": r.kind.value,
+            "location": r.location,
+            "ref": list(r.ref) if r.ref is not None else None,
+            "block": list(r.block) if r.block is not None else None,
+            "detail": r.detail,
+        }
+        for r in guard.errors.reports
+    ]
     return report
 
 
@@ -293,22 +283,11 @@ def format_report(
     threads = report["threads"]
     epochs = "?" if report["epochs"] is None else report["epochs"]
     lines = [f"trace: {label}, {threads} threads, {epochs} epochs (streamed)"]
-    if report["lifeguard"] == "race":
-        races = report["races"]
-        lines.append(f"potential conflicts: {len(races)}")
-        for race in races[:limit]:
-            ref = tuple(race["body_ref"])
-            lines.append(
-                f"  {race['kind']:12s} loc=0x{race['location']:x} at {ref}"
-            )
-    else:
-        errors = report["errors"]
-        lines.append(f"flags: {len(errors)}")
-        for err in errors[:limit]:
-            ref = tuple(err["ref"]) if err["ref"] is not None else None
-            lines.append(
-                f"  {err['kind']:18s} loc=0x{err['location']:x} at {ref}"
-            )
+    errors = report["errors"]
+    lines.append(f"flags: {len(errors)}")
+    for err in errors[:limit]:
+        ref = tuple(err["ref"]) if err["ref"] is not None else None
+        lines.append(f"  {err['kind']:18s} loc=0x{err['location']:x} at {ref}")
     lines.append(
         f"stream: peak resident summaries {report['window_high_water']} "
         f"(bound {report['window_bound']})"

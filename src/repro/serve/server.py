@@ -412,6 +412,12 @@ class ReproServer:
             raise ReproError(
                 f"idle timeout must be > 0: {config.idle_timeout}"
             )
+        for name in ("port", "metrics_port"):
+            port = getattr(config, name)
+            if port is not None and not 0 <= port <= 65535:
+                raise ReproError(
+                    f"{name.replace('_', ' ')} must be in 0..65535: {port}"
+                )
         if config.shard_backend not in SHARD_BACKEND_CHOICES:
             raise ReproError(
                 f"unknown shard backend {config.shard_backend!r} (choose "
@@ -813,7 +819,7 @@ class ReproServer:
             "completed",
             stream=session.stream_id,
             epochs=session.next_epoch,
-            flags=len(report.get("errors", report.get("races", []))),
+            flags=len(report["errors"]),
         )
 
     async def _fail_session(

@@ -1,16 +1,15 @@
 """Per-``Instr`` references the production lifeguards are diffed against.
 
 :class:`~repro.lifeguards.addrcheck.ButterflyAddrCheck` scans blocks
-with picklable kernels, commits raw error tuples and intersects the
-body with the wings' *change* sets only.  :class:`ReferenceAddrCheck`,
-the paper-faithful AddrCheck (Section 6.1), is what it is measured
-against: one Python loop per instruction that flags through
-constructed :class:`ErrorReport` objects, the full ``S = (GEN, KILL,
-ACCESS)`` meet, and a whole-pass second pass -- on the serial schedule
-only.  It shares the production class's state rules (LSOS, SOS update,
-eviction) and must report bit-identically to it: the ``optref`` fuzz
-preset, the determinism and provenance property tests and the core
-microbenchmark all diff the two.
+with picklable kernels and intersects the body with the wings'
+*change* sets only.  :class:`ReferenceAddrCheck`, the paper-faithful
+AddrCheck (Section 6.1), is what it is measured against: one Python
+loop per instruction that flags as it goes, the full ``S = (GEN,
+KILL, ACCESS)`` meet, and a whole-pass second pass -- on the serial
+schedule only.  It shares the production class's state rules (LSOS,
+SOS update, eviction) and must report bit-identically to it: the
+``optref`` fuzz preset, the determinism and provenance property tests
+and the core microbenchmark all diff the two.
 
 :class:`ReferenceAddrScanner` and :class:`ReferenceTaintScanner` are
 the two lifeguards' first-pass kernels one ``Instr`` at a time, the
@@ -38,7 +37,7 @@ from repro.lifeguards.addrcheck import (
     AddrScan,
     ButterflyAddrCheck,
 )
-from repro.lifeguards.reports import ErrorKind, ErrorReport
+from repro.lifeguards.reports import ErrorKind, emit_error_event
 from repro.lifeguards.taintcheck import BOT, TOP, TaintSummary, Value
 from repro.trace.events import Instr, Op
 
@@ -100,7 +99,8 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         accesses = 0
         allocs = 0
         flags_before = len(self.errors)
-        emit = self.recorder.enabled
+        rec = self.recorder
+        emit = rec.enabled
 
         for i, instr in enumerate(block.instrs):
             events += 1
@@ -110,16 +110,15 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
                     allocs += 1
                     checked.discard(loc)
                     if loc in running:
-                        if self.errors.flag(
-                            ErrorReport(
-                                ErrorKind.MALLOC_ALLOCATED,
-                                loc,
-                                ref=block.global_ref(i),
-                                detail=_DETAIL_MALLOC,
-                            )
+                        if self.errors.record(
+                            ErrorKind.MALLOC_ALLOCATED,
+                            loc,
+                            ref=block.global_ref(i),
+                            detail=_DETAIL_MALLOC,
                         ) and emit:
-                            self._emit_first_pass_event(
-                                block, ErrorKind.MALLOC_ALLOCATED, loc, i
+                            emit_error_event(
+                                rec, block, ErrorKind.MALLOC_ALLOCATED, loc, i,
+                                "first",
                             )
                     running.add(loc)
                     gen.add(loc)
@@ -131,16 +130,15 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
                     allocs += 1
                     checked.discard(loc)
                     if loc not in running:
-                        if self.errors.flag(
-                            ErrorReport(
-                                ErrorKind.FREE_UNALLOCATED,
-                                loc,
-                                ref=block.global_ref(i),
-                                detail=_DETAIL_FREE,
-                            )
+                        if self.errors.record(
+                            ErrorKind.FREE_UNALLOCATED,
+                            loc,
+                            ref=block.global_ref(i),
+                            detail=_DETAIL_FREE,
                         ) and emit:
-                            self._emit_first_pass_event(
-                                block, ErrorKind.FREE_UNALLOCATED, loc, i
+                            emit_error_event(
+                                rec, block, ErrorKind.FREE_UNALLOCATED, loc, i,
+                                "first",
                             )
                     running.discard(loc)
                     killed_vars.add(loc)
@@ -158,16 +156,15 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
                     checked.add(loc)
                     checks += 1
                     if loc not in running:
-                        if self.errors.flag(
-                            ErrorReport(
-                                ErrorKind.ACCESS_UNALLOCATED,
-                                loc,
-                                ref=block.global_ref(i),
-                                detail=_DETAIL_ACCESS,
-                            )
+                        if self.errors.record(
+                            ErrorKind.ACCESS_UNALLOCATED,
+                            loc,
+                            ref=block.global_ref(i),
+                            detail=_DETAIL_ACCESS,
                         ) and emit:
-                            self._emit_first_pass_event(
-                                block, ErrorKind.ACCESS_UNALLOCATED, loc, i
+                            emit_error_event(
+                                rec, block, ErrorKind.ACCESS_UNALLOCATED,
+                                loc, i, "first",
                             )
         self.block_work[block.block_id] = {
             "events": events,
@@ -180,24 +177,6 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         }
         self._summaries[block.block_id] = summary
         return summary
-
-    def _emit_first_pass_event(
-        self, block: Block, kind: ErrorKind, loc: int, i: int
-    ) -> None:
-        """Provenance event for a freshly flagged first-pass error (the
-        production class emits from :meth:`commit_scan`)."""
-        lid, tid = block.block_id
-        self.recorder.event(
-            "error",
-            kind=kind.value,
-            location=loc,
-            epoch=lid,
-            thread=tid,
-            index=i,
-            ref=list(block.global_ref(i)),
-            stage="first",
-            wing=None,
-        )
 
     # -- step 2: meet (elementwise union of wing summaries) ----------------
 
@@ -226,7 +205,8 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         body = butterfly.body
         s = self._summaries[body.block_id]
         flags_before = len(self.errors)
-        emit = self.recorder.enabled
+        rec = self.recorder
+        emit = rec.enabled
         changed = s.facts.all_gen | s.facts.killed_vars
         wing_changed = side_in.changed
         # Sorted location order, matching the production path: raw set
@@ -234,31 +214,31 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         # extent would flag its locations in an arbitrary order.
         # (s.GEN U s.KILL) n (S.GEN U S.KILL): racing state changes.
         for loc in sorted(changed & wing_changed):
-            if self.errors.flag(
-                ErrorReport(
-                    ErrorKind.UNSAFE_ISOLATION,
-                    loc,
-                    ref=body.global_ref(s.first_change[loc]),
-                    block=body.block_id,
-                    detail=_DETAIL_CHANGE_RACE,
-                )
+            if self.errors.record(
+                ErrorKind.UNSAFE_ISOLATION,
+                loc,
+                ref=body.global_ref(s.first_change[loc]),
+                block=body.block_id,
+                detail=_DETAIL_CHANGE_RACE,
             ) and emit:
-                self._emit_isolation_event(
-                    butterfly, loc, s.first_change[loc]
+                emit_error_event(
+                    rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
+                    s.first_change[loc], "second",
+                    self._wing_with_change(butterfly, loc),
                 )
         # s.ACCESS n (S.GEN U S.KILL): access during a concurrent change.
         for loc in sorted(s.access & wing_changed):
-            if self.errors.flag(
-                ErrorReport(
-                    ErrorKind.UNSAFE_ISOLATION,
-                    loc,
-                    ref=body.global_ref(s.first_access[loc]),
-                    block=body.block_id,
-                    detail=_DETAIL_ACCESS_RACE,
-                )
+            if self.errors.record(
+                ErrorKind.UNSAFE_ISOLATION,
+                loc,
+                ref=body.global_ref(s.first_access[loc]),
+                block=body.block_id,
+                detail=_DETAIL_ACCESS_RACE,
             ) and emit:
-                self._emit_isolation_event(
-                    butterfly, loc, s.first_access[loc]
+                emit_error_event(
+                    rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
+                    s.first_access[loc], "second",
+                    self._wing_with_change(butterfly, loc),
                 )
         # S.ACCESS n (s.GEN U s.KILL) is caught symmetrically when each
         # wing block is processed as its own butterfly's body (the wing

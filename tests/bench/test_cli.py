@@ -79,7 +79,9 @@ class TestCommands:
                 "--lifeguard", "race",
             ]
         ) == 0
-        assert "potential conflicts" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("flags: ")
+        assert lines[2].split()[0] == "unsafe-isolation"
 
     def test_check_taintcheck(self, capsys):
         # The paper's second lifeguard runs offline too: check, stats
@@ -375,6 +377,10 @@ class TestErrorPaths:
             ["serve", "--workers", "0"],
             ["serve", "--checkpoint-every", "0"],
             ["serve", "--idle-timeout", "-1"],
+            # Ports outside 0..65535 used to die in bind/connect with an
+            # OverflowError traceback.
+            ["serve", "--port", "70000"],
+            ["serve", "--metrics", "-5"],
             ["check", "--events", "64", "--inject-faults", "bogus"],
             ["check", "--trace", "TRUNCATED"],
             # A negative --limit used to slice errors[:-1]: one report
@@ -408,6 +414,19 @@ class TestErrorPaths:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(f"repro {argv[0]}: error: ")
+
+    def test_push_refuses_an_out_of_range_port(self, tmp_path, capsys):
+        trace = str(tmp_path / "t.stream.jsonl")
+        assert main(
+            ["generate", "--threads", "2", "--events", "600", "--stream",
+             "--output", trace]
+        ) == 0
+        capsys.readouterr()
+        argv = ["push", "--trace", trace, "--connect", "127.0.0.1:70000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "repro push: error: bad port in address '127.0.0.1:70000'\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -32,30 +32,32 @@ class TestBasicConflicts:
     def test_concurrent_write_write(self):
         prog = TraceProgram.from_lists([Instr.write(5)], [Instr.write(5)])
         guard = run(prog, 1)
-        assert any(r.kind == "write-write" for r in guard.races)
+        assert any(
+            r.detail == "potential write-write conflict" for r in guard.errors
+        )
 
     def test_concurrent_read_write(self):
         prog = TraceProgram.from_lists([Instr.read(5)], [Instr.write(5)])
         guard = run(prog, 1)
-        kinds = {r.kind for r in guard.races}
-        assert "read-write" in kinds
+        details = {r.detail for r in guard.errors}
+        assert "potential read-write conflict" in details
 
     def test_concurrent_reads_are_fine(self):
         prog = TraceProgram.from_lists([Instr.read(5)], [Instr.read(5)])
         guard = run(prog, 1)
-        assert not guard.races
+        assert not guard.errors
 
     def test_disjoint_locations_are_fine(self):
         prog = TraceProgram.from_lists([Instr.write(5)], [Instr.write(6)])
         guard = run(prog, 1)
-        assert not guard.races
+        assert not guard.errors
 
     def test_same_thread_never_races(self):
         prog = TraceProgram.from_lists(
             [Instr.write(5), Instr.write(5), Instr.read(5)]
         )
         guard = run(prog, 1)
-        assert not guard.races
+        assert not guard.errors
 
     def test_two_epoch_separation_is_ordered(self):
         prog = TraceProgram.from_lists(
@@ -63,7 +65,7 @@ class TestBasicConflicts:
             [Instr.nop(), Instr.nop(), Instr.nop(), Instr.write(5)],
         )
         guard = run(prog, 1)
-        assert not guard.races
+        assert not guard.errors
 
     def test_adjacent_epoch_conflict_detected(self):
         prog = TraceProgram.from_lists(
@@ -71,14 +73,14 @@ class TestBasicConflicts:
             [Instr.nop(), Instr.write(5)],
         )
         guard = run(prog, 1)
-        assert guard.races
+        assert guard.errors
 
     def test_malloc_free_act_as_writes(self):
         prog = TraceProgram.from_lists(
             [Instr.malloc(5)], [Instr.read(5)]
         )
         guard = run(prog, 1)
-        assert guard.races
+        assert guard.errors
 
 
 class TestOnWorkloads:
@@ -87,7 +89,7 @@ class TestOnWorkloads:
         prog = get_benchmark("BLACKSCHOLES").generate(4, 4000, seed=3)
         guard = ButterflyRaceCheck()
         ButterflyEngine(guard).run(partition_by_global_order(prog, 512))
-        assert not guard.races
+        assert not guard.errors
 
     def test_ocean_handoffs_surface_at_large_epochs(self):
         prog = get_benchmark("OCEAN").generate(4, 8192, seed=3)
@@ -98,7 +100,7 @@ class TestOnWorkloads:
         # The boundary-buffer handoffs are unsynchronized *within the
         # window*: with a big window they are flagged as potential
         # races; with a small one they are provably ordered.
-        assert len(large.races) > len(small.races)
+        assert len(large.errors) > len(small.errors)
 
     def test_summaries_evicted(self):
         prog = get_benchmark("LU").generate(2, 4000, seed=3)
@@ -155,9 +157,9 @@ class TestSetIntersectionsAgainstTheMasks:
             new, old = ButterflyRaceCheck(), MaskRaceCheck()
             ButterflyEngine(new).run(cut(prog))
             ButterflyEngine(old).run(cut(prog))
-            assert new.races, "the trace must race for this to mean much"
-            assert set(new.races) == set(old.races)
-            assert len(new.races) == len(old.races)
+            assert new.errors, "the trace must race for this to mean much"
+            assert set(new.errors) == set(old.errors)
+            assert len(new.errors) == len(old.errors)
             assert {r.identity() for r in new.errors} == {
                 r.identity() for r in old.errors
             }

@@ -12,22 +12,27 @@ def report(kind=ErrorKind.ACCESS_UNALLOCATED, loc=1, ref=(0, 0), block=None):
     return ErrorReport(kind, loc, ref=ref, block=block)
 
 
+def record(log, r):
+    return log.record(r.kind, r.location, r.ref, r.block, r.detail)
+
+
 class TestErrorLog:
     def test_flag_and_iterate(self):
         log = ErrorLog()
-        assert log.flag(report())
+        assert record(log, report())
         assert len(log) == 1
+        assert list(log) == [report()]
 
     def test_dedup_identical(self):
         log = ErrorLog()
-        assert log.flag(report())
-        assert not log.flag(report())
+        assert record(log, report())
+        assert not record(log, report())
         assert len(log) == 1
 
     def test_different_kind_not_deduped(self):
         log = ErrorLog()
-        log.flag(report(kind=ErrorKind.ACCESS_UNALLOCATED))
-        log.flag(report(kind=ErrorKind.UNSAFE_ISOLATION))
+        record(log, report(kind=ErrorKind.ACCESS_UNALLOCATED))
+        record(log, report(kind=ErrorKind.UNSAFE_ISOLATION))
         assert len(log) == 2
 
 
@@ -62,6 +67,25 @@ class TestCompareReports:
         ]
         pr = compare_reports(truth, flagged, memory_ops=10)
         assert pr.false_negatives == 0
+
+    def test_one_shot_flagged_iterable_is_read_once(self):
+        # A generator of flags must score exactly like the list: the
+        # block-granularity catch still credits the truth event.
+        truth = [report(loc=7, ref=(1, 5)), report(loc=1, ref=(0, 0))]
+        flags = [
+            ErrorReport(
+                ErrorKind.UNSAFE_ISOLATION, 7, ref=(0, 2), block=(3, 0)
+            ),
+            report(loc=1, ref=(0, 0)),
+            report(loc=9, ref=(0, 4)),
+        ]
+        listed = compare_reports(truth, flags, memory_ops=10)
+        streamed = compare_reports(
+            truth, (f for f in flags), memory_ops=10
+        )
+        assert streamed == listed
+        assert streamed.false_negatives == 0
+        assert (streamed.true_positives, streamed.false_positives) == (2, 1)
 
     def test_zero_memory_ops_rate(self):
         pr = compare_reports([], [], memory_ops=0)

@@ -140,18 +140,12 @@ class TestRaceCheckDeterminism:
         )
         runs = _run(ButterflyRaceCheck, prog, h)
         ref_guard, ref_stats = runs["serial"]
-        ref_races = [
-            (r.kind, r.location, r.body_ref) for r in ref_guard.races
-        ]
         for name in ("threads", "processes"):
             guard, stats = runs[name]
             assert stats == ref_stats, name
             assert _report_list(guard.errors) == _report_list(
                 ref_guard.errors
             ), name
-            assert [
-                (r.kind, r.location, r.body_ref) for r in guard.races
-            ] == ref_races, name
 
 
 class TestTaintCheckDeterminism:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.epoch import partition_fixed
+from repro.core.framework import ButterflyEngine
 from repro.serve.protocol import (
     ERROR_CODES,
     FRAME_EPOCH,
@@ -10,6 +12,7 @@ from repro.serve.protocol import (
     HEADER_SIZE,
     MAX_FRAME,
     ProtocolError,
+    build_report,
     decode_header,
     decode_json_payload,
     encode_frame,
@@ -20,6 +23,9 @@ from repro.serve.protocol import (
     resume_token,
     validate_hello,
 )
+from repro.serve.shards import make_guard
+from repro.trace.events import Instr
+from repro.trace.program import TraceProgram
 
 
 class TestFraming:
@@ -146,13 +152,47 @@ class TestReportFormatting:
             "epochs": 3,
             "window_high_water": 2,
             "window_bound": 6,
-            "races": [
-                {"kind": "write-write", "location": 16, "body_ref": [0, 1, 0]},
+            "errors": [
+                {"kind": "unsafe-isolation", "location": 16,
+                 "ref": [0, 1], "block": [0, 0],
+                 "detail": "potential write-write conflict"},
             ],
         }
         lines = format_report(report, "demo", limit=10)
-        assert lines[1] == "potential conflicts: 1"
-        assert "write-write" in lines[2]
+        assert lines[1] == "flags: 1"
+        assert lines[2] == "  unsafe-isolation   loc=0x10 at (0, 1)"
+
+
+def _finished_report(lifeguard):
+    """A REPORT over a trace every lifeguard flags: unallocated
+    accesses (AddrCheck), a write-write conflict on 5 (RaceCheck) and a
+    tainted jump target (TaintCheck)."""
+    program = TraceProgram.from_lists(
+        [Instr.write(5), Instr.taint(6), Instr.jump(6)],
+        [Instr.write(5), Instr.read(7)],
+    )
+    guard = make_guard(lifeguard, ())
+    engine = ButterflyEngine(guard)
+    engine.run(partition_fixed(program, 2))
+    hello = make_hello("s", 2, 2, [], lifeguard=lifeguard)
+    return build_report("s", hello, engine, guard)
+
+
+class TestOneReportShape:
+    @pytest.mark.parametrize("lifeguard", ["addrcheck", "race", "taintcheck"])
+    def test_every_lifeguard_reports_flags_one_way(self, lifeguard):
+        report = _finished_report(lifeguard)
+        assert set(report) == set(_finished_report("addrcheck"))
+        assert report["errors"], "the trace must flag for this to mean much"
+        for err in report["errors"]:
+            assert set(err) == {"kind", "location", "ref", "block", "detail"}
+        lines = format_report(report, "demo")
+        assert lines[1] == f"flags: {len(report['errors'])}"
+        if lifeguard == "race":
+            assert {
+                (err["kind"], err["location"], err["detail"])
+                for err in report["errors"]
+            } == {("unsafe-isolation", 5, "potential write-write conflict")}
 
 
 class TestErrorPayload:

@@ -156,9 +156,12 @@ class TestColumnarMode:
                     lifeguard=lifeguard,
                 )
                 assert harness.run_case(case) == []
-                # Only a real RaceCheck can fill a race report.
+                # Only a real RaceCheck flags a conflict class.
                 report = harness.run(case, Point("columns")).report
-                assert ("races" in report) == (lifeguard == "race")
+                assert report["lifeguard"] == lifeguard
+                assert any(
+                    "conflict" in err["detail"] for err in report["errors"]
+                ) == (lifeguard == "race")
 
     def test_columnar_threads_backend(self):
         with DifferentialHarness(
