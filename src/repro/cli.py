@@ -142,6 +142,13 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+#: What :func:`_run_meta` records and ``repro resume`` reads back.
+_RUN_META_KEYS = (
+    "benchmark", "trace", "trace_sha256", "threads", "events", "seed",
+    "epoch_size", "lifeguard", "boundaries",
+)
+
+
 def _run_meta(
     args: argparse.Namespace, source: EpochSource, trace_path: Optional[str]
 ) -> Dict[str, Any]:
@@ -178,14 +185,14 @@ def _drive_engine(
     source: EpochSource,
     checkpoint_path: Optional[str] = None,
     meta: Optional[Dict[str, Any]] = None,
-    start_epoch: int = 0,
 ) -> bool:
     """Feed the remaining epochs; return True when the run finished.
 
     Pulls one epoch at a time from ``source`` -- the engine never holds
     more than the three-epoch window -- so every command's run is
-    killed and resumed by the same loop.  ``start_epoch > 0`` is the
-    resume path, seeking the reader past epochs the checkpoint covers.
+    killed and resumed by the same loop.  An engine attached with a
+    checkpoint starts at its :attr:`~ButterflyEngine.resume_position`,
+    seeking the reader past epochs the checkpoint covers.
 
     ``--stop-after-epoch N`` exits cleanly right after receiving epoch
     ``N`` -- the kill/resume drill used by the resilience tests and the
@@ -200,9 +207,10 @@ def _drive_engine(
             )
         )
     stop_after = getattr(args, "stop_after_epoch", None)
-    rows = source.epochs(start_epoch)
+    start = engine.resume_position
+    rows = source.epochs(start)
     try:
-        for lid, blocks in enumerate(rows, start=start_epoch):
+        for lid, blocks in enumerate(rows, start=start):
             engine.feed_blocks(lid, blocks)
             if stop_after is not None and lid >= stop_after:
                 message = f"stopped after receiving epoch {lid}"
@@ -367,11 +375,11 @@ def _run_and_report(
 ) -> int:
     """Drive one check/resume run and print its result block.
 
-    With ``checkpoint`` the engine continues from it: ``resumed=True``
-    suppresses the duplicate ``run.attach`` event and ``restore_into``
-    continues the log numbering from the checkpoint boundary, so the
-    resumed event log is the exact suffix of the uninterrupted one,
-    never a re-count of finished epochs.
+    With ``checkpoint`` the engine is attached with it and continues
+    the checkpointed run: no second ``run.attach`` event, and the log
+    numbering picks up at the checkpoint boundary, so the resumed event
+    log is the exact suffix of the uninterrupted one, never a re-count
+    of finished epochs.
     """
     if args.checkpoint:
         # Refused before any epoch is analysed, as --emit-events is: the
@@ -383,15 +391,11 @@ def _run_and_report(
                 f"{directory}"
             )
     backend = _resolve_backend(args)
-    resumed = checkpoint is not None
     engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
     try:
-        engine.attach_source(source, resumed=resumed)
-        if resumed:
-            checkpoint.restore_into(engine)
+        engine.attach_source(source, checkpoint)
         finished = _drive_engine(
-            args, engine, source, args.checkpoint, meta,
-            start_epoch=checkpoint.next_epoch if resumed else 0,
+            args, engine, source, args.checkpoint, meta
         )
     finally:
         engine.close()
@@ -438,6 +442,14 @@ def cmd_resume(args: argparse.Namespace) -> int:
     recorder = _open_recorder(args)
     checkpoint = load_checkpoint(args.checkpoint)
     meta = checkpoint.meta
+    missing = [key for key in _RUN_META_KEYS if key not in meta]
+    if missing:
+        return _fail(
+            "resume",
+            f"{args.checkpoint} is not a repro check checkpoint (its "
+            f"meta has no {', '.join(missing)}); a repro serve "
+            "checkpoint resumes when its stream reconnects",
+        )
     trace_path = meta["trace"]
     if trace_path and meta["trace_sha256"]:
         try:

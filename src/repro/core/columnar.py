@@ -341,17 +341,6 @@ class ColumnarBlock:
 
     # -- materialization ------------------------------------------------
 
-    def instr(self, i: int) -> Instr:
-        """Materialize event ``i`` as an :class:`Instr`."""
-        dst = self.dst[i]
-        lo, hi = self.src_off[i], self.src_off[i + 1]
-        return Instr(
-            OPS_BY_CODE[self.op[i]],
-            dst=None if dst == NO_DST else int(dst),
-            srcs=tuple(int(s) for s in self.src_val[lo:hi]),
-            size=int(self.size[i]),
-        )
-
     def to_instrs(self) -> Tuple[Instr, ...]:
         """Materialize the whole block (the slow/object path)."""
         ops_by_code = OPS_BY_CODE

@@ -50,7 +50,8 @@ import abc
 import time
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Generic, List, Optional, Sequence, TypeVar, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Generic, List, Optional, Sequence,
+    TypeVar, Union,
 )
 
 from repro.core.epoch import (
@@ -65,6 +66,9 @@ from repro.core.stream import EpochSource
 from repro.core.window import Butterfly, butterflies_for_epoch
 from repro.errors import AnalysisError, CheckpointError
 from repro.obs.recorder import NULL_RECORDER, Recorder
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.resilience.checkpoint import Checkpoint
 
 Summary = TypeVar("Summary")
 SideIn = TypeVar("SideIn")
@@ -335,9 +339,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         :class:`~repro.resilience.checkpoint.Checkpointer`; its
         ``after_epoch(engine, lid)`` is called each time epoch ``lid``'s
         bodies have committed and its SOS advance has been published --
-        the engine's natural safe point for resume.
+        the engine's natural safe point for resume.  The checkpointer's
+        ``position`` starts at :attr:`resume_position`: after a
+        resuming attach, the snapshot the engine was restored from.
         """
         self._checkpointer = checkpointer
+        checkpointer.position = self.resume_position
 
     def checkpoint_now(self) -> int:
         """Force a durable snapshot through the attached checkpointer --
@@ -402,7 +409,8 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        """Fast-forward this attached engine to a :meth:`snapshot_state`.
+        """Fast-forward this engine to a :meth:`snapshot_state`: the
+        second half of an attach given a checkpoint.
 
         The engine must have been constructed around the snapshot's
         ``analysis`` object and attached to the same (identically cut)
@@ -498,37 +506,56 @@ class ButterflyEngine(Generic[Summary, SideIn]):
 
     # -- streaming ------------------------------------------------------
 
-    def attach(self, partition: EpochPartition, resumed: bool = False) -> None:
-        """Bind the engine to a partition and announce the run.
-
-        ``resumed=True`` marks a continuation of a checkpointed run:
-        the uninterrupted run already emitted its ``run.attach``, so a
-        resume must not emit a second one (the resumed log is the exact
-        suffix of the uninterrupted log past the checkpoint boundary).
-        """
-        self._bind(partition.num_threads, partition.num_epochs, resumed)
+    def attach(
+        self,
+        partition: EpochPartition,
+        checkpoint: Optional[Checkpoint] = None,
+    ) -> None:
+        """Bind the engine to a partition and announce the run, or,
+        given a loaded :class:`Checkpoint`, continue the checkpointed
+        run (see :meth:`attach_source`)."""
+        self._bind(partition.num_threads, partition.num_epochs, checkpoint)
         self._partition = partition
 
     def attach_source(
-        self, source: EpochSource, resumed: bool = False
+        self, source: EpochSource, checkpoint: Optional[Checkpoint] = None
     ) -> None:
         """Bind the engine to a streaming epoch source.
 
         The caller then drives :meth:`feed_blocks` with the source's
         epoch rows (or uses :meth:`run_source`, which does exactly
-        that).  ``resumed`` has the same meaning as for :meth:`attach`.
+        that).  A fresh run emits ``run.attach``.  With ``checkpoint``
+        the engine continues that run from its
+        :attr:`~Checkpoint.next_epoch` instead: no ``run.attach`` (the
+        uninterrupted run emitted it; the resumed log is its exact
+        suffix past the checkpoint boundary), and the checkpointed
+        state is restored.  A checkpoint position outside
+        ``0..num_epochs`` is refused with :class:`CheckpointError`
+        before anything is bound.
         """
-        self._bind(source.num_threads, source.num_epochs, resumed)
+        self._bind(source.num_threads, source.num_epochs, checkpoint)
         self._source = source
 
     def _bind(
-        self, num_threads: int, num_epochs: Optional[int], resumed: bool
+        self,
+        num_threads: int,
+        num_epochs: Optional[int],
+        checkpoint: Optional[Checkpoint],
     ) -> None:
         if self._attached:
             raise AnalysisError(
                 "engine already attached to a partition; call reset() "
                 "to reuse it"
             )
+        if checkpoint is not None:
+            position = checkpoint.next_epoch
+            if position < 0 or (
+                num_epochs is not None and position > num_epochs
+            ):
+                raise CheckpointError(
+                    f"checkpoint resumes at epoch {position}, outside "
+                    f"this {num_epochs}-epoch input"
+                )
         self.reset()  # guard: never start a run with stale counters
         self._attached = True
         self._num_threads = num_threads
@@ -540,10 +567,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             # The backend name stays out of analysis-level events so
             # logs compare equal across backends; the streamed and
             # materialized paths emit the identical event.
-            if not resumed:
+            if checkpoint is None:
                 self.recorder.event(
                     "run.attach", epochs=num_epochs, threads=num_threads
                 )
+        if checkpoint is not None:
+            self.restore_state(checkpoint.state)
 
     def feed_epoch(self, lid: int) -> None:
         """Receive epoch ``l`` from the attached partition: first-pass

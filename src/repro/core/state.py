@@ -99,12 +99,12 @@ class SOSHistory:
     deltas -- nothing is O(|SOS|) per epoch or per block.
 
     The rule has two entry points.  :meth:`publish` takes ``GEN_l`` and
-    ``KILL_l`` as concrete sets (AddrCheck, TaintCheck, the reaching-
-    definitions mask kernel).  :meth:`advance` takes ``KILL`` as a
-    predicate, for the analyses whose kill sets are symbolic over an
-    unbounded element universe (``reaching_defs``: "every definition of
-    variable v"; ``reaching_exprs``: "every expression reading v") and
-    so can only be tested, not enumerated.
+    ``KILL_l`` as concrete sets (AddrCheck, TaintCheck).
+    :meth:`advance` takes ``KILL`` as a predicate, for the analyses
+    whose kill sets are symbolic over an unbounded element universe
+    (``reaching_defs``: "every definition of variable v";
+    ``reaching_exprs``: "every expression reading v") and so can only
+    be tested, not enumerated.
     """
 
     def __init__(self, initial: Iterable[Element] = ()) -> None:

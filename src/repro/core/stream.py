@@ -16,103 +16,74 @@ workload on the fly, or a socket.  The engine's
 butterfly window resident, so traces far larger than RAM stream through
 in bounded space.
 
-The protocol is deliberately tiny:
+The shape is plain attributes, set by :class:`EpochSource`'s
+constructor:
 
 ``num_threads``
     Application thread count (every epoch row has one block per
     thread).
 ``num_epochs``
     Total epoch count when known up front (a file with a header, a
-    partition), else ``None`` (an unbounded feed); only used for
-    progress reporting and the ``run.attach`` event.
+    partition), else ``None`` (an unbounded feed).  It reaches the
+    ``run.attach`` event, bounds the checkpoint position a resume may
+    start from, and drives ``finish()``'s completeness check.
 ``preallocated``
     Locations allocated before the monitored window began -- lifeguards
     seed their metadata with these, so the source must surface them
     before the first epoch.
+
+and a subclass adds the rows:
+
 ``epochs(start)``
     The epoch rows themselves, in order, beginning at epoch ``start``.
     ``start > 0`` is the resume seek: a file-backed source skips
     records without decoding them, a partition-backed source indexes
     directly.
+
+A bare :class:`EpochSource` is the shape alone: what a push-driven
+session (``repro serve``, whose rows arrive on a socket and go to
+``feed_blocks`` directly) attaches.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.core.epoch import Block, EpochPartition
 
-__all__ = ["EpochSource", "PartitionSource", "ShapeSource"]
+__all__ = ["EpochSource", "PartitionSource"]
 
 
-class EpochSource(abc.ABC):
-    """One epoch of blocks at a time, in epoch order (see module doc)."""
+class EpochSource:
+    """An input's shape and, in a subclass, its epoch rows in epoch
+    order (see module doc).
 
-    @property
-    @abc.abstractmethod
-    def num_threads(self) -> int:
-        """Application thread count (blocks per epoch row)."""
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        """Total epochs when known up front, else ``None``."""
-        return None
-
-    @property
-    def preallocated(self) -> frozenset:
-        """Locations allocated before the monitored window began."""
-        return frozenset()
-
-    @abc.abstractmethod
-    def epochs(self, start: int = 0) -> Iterator[List[Block]]:
-        """Yield epoch rows (one :class:`Block` per thread) from epoch
-        ``start`` onward.  ``start > 0`` is the checkpoint-resume seek."""
-
-    def __iter__(self) -> Iterator[List[Block]]:
-        return self.epochs()
-
-
-class ShapeSource(EpochSource):
-    """Metadata-only source for *push-driven* feeds.
-
-    The serve daemon (``repro serve``) receives epoch rows from a
-    socket and hands them to :meth:`ButterflyEngine.feed_blocks`
-    directly -- there is no pullable iterator.  The engine still needs
-    an attached source (shape for validation, ``num_epochs`` for the
-    ``finish()`` completeness check, ``preallocated`` for lifeguard
-    seeding, and source-attachment to enable streamed history
-    eviction), which is exactly what this carries.  :meth:`epochs`
-    raises: nothing may pull from a push-driven session.
+    A bare instance is push-driven: the engine gets its shape (for row
+    validation, the completeness check, lifeguard seeding and streamed
+    history eviction) while the rows arrive through
+    :meth:`ButterflyEngine.feed_blocks`, so :meth:`epochs` raises.
     """
 
     def __init__(
         self,
         num_threads: int,
         num_epochs: Optional[int] = None,
-        preallocated: frozenset = frozenset(),
+        preallocated: Iterable[int] = (),
     ) -> None:
-        self._num_threads = num_threads
-        self._num_epochs = num_epochs
-        self._preallocated = frozenset(preallocated)
-
-    @property
-    def num_threads(self) -> int:
-        return self._num_threads
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        return self._num_epochs
-
-    @property
-    def preallocated(self) -> frozenset:
-        return self._preallocated
+        self.num_threads = num_threads
+        self.num_epochs = num_epochs
+        self.preallocated = frozenset(preallocated)
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
+        """Yield epoch rows (one :class:`Block` per thread) from epoch
+        ``start`` onward.  ``start > 0`` is the checkpoint-resume seek."""
         raise RuntimeError(
-            "ShapeSource is push-driven: feed the engine with "
+            "this source is push-driven: feed the engine with "
             "feed_blocks(), do not pull epochs from it"
         )
+
+    def __iter__(self) -> Iterator[List[Block]]:
+        return self.epochs()
 
 
 class PartitionSource(EpochSource):
@@ -131,26 +102,15 @@ class PartitionSource(EpochSource):
     """
 
     def __init__(self, partition: EpochPartition) -> None:
-        self._partition = partition
-
-    @property
-    def partition(self) -> EpochPartition:
-        return self._partition
-
-    @property
-    def num_threads(self) -> int:
-        return self._partition.num_threads
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        return self._partition.num_epochs
-
-    @property
-    def preallocated(self) -> frozenset:
-        return frozenset(self._partition.program.preallocated)
+        super().__init__(
+            partition.num_threads,
+            partition.num_epochs,
+            partition.program.preallocated,
+        )
+        self.partition = partition
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
-        partition = self._partition
+        partition = self.partition
         for lid in range(start, partition.num_epochs):
             yield partition.epoch_blocks(lid)
             # The consumer holds its own references to the live window;

@@ -26,9 +26,10 @@ resume`` rebuilds the run from it and refuses a trace file whose digest
 changed; the daemon refuses a checkpoint whose fingerprint disagrees
 with the reconnecting stream's HELLO (:meth:`Checkpoint.verify`) --
 continuing an analysis over a different trace would silently produce
-garbage.  Otherwise the engine is restored mid-stream so the continued
-run's error log, stats, and summaries are bit-identical to an
-uninterrupted one (the equivalence tests in
+garbage.  Otherwise attaching an engine with the loaded checkpoint
+(``engine.attach_source(source, checkpoint)``) restores it mid-stream,
+so the continued run's error log, stats, and summaries are
+bit-identical to an uninterrupted one (the equivalence tests in
 ``tests/resilience/test_checkpoint.py``).
 """
 
@@ -239,27 +240,29 @@ class Checkpoint:
 
     def __init__(self, meta: Dict[str, Any], state: Dict[str, Any]) -> None:
         self.meta = meta
-        self._state = state
+        #: The engine's :meth:`~ButterflyEngine.snapshot_state`; an
+        #: engine attached with this checkpoint restores it.
+        self.state = state
 
     @property
     def analysis(self) -> Any:
-        return self._state["analysis"]
+        return self.state["analysis"]
 
     @property
     def next_epoch(self) -> int:
         """The first producer row the resumed run still has to feed."""
-        return self._state["rows_folded"]
+        return self.state["rows_folded"]
 
     @property
     def events_emitted(self) -> int:
         """Event-log position at the snapshot (the dedup boundary)."""
-        return self._state["events_emitted"]
+        return self.state["events_emitted"]
 
     @property
     def adaptive(self) -> bool:
         """Whether the writer coalesced rows under a controller (such a
         run and a fixed one do not share analysis-epoch coordinates)."""
-        return self._state["boundaries"] is not None
+        return self.state["boundaries"] is not None
 
     def verify(self, expected_meta: Dict[str, Any]) -> None:
         """Refuse to resume under a different configuration."""
@@ -274,11 +277,6 @@ class Checkpoint:
                 "checkpoint was taken under a different configuration "
                 "(" + "; ".join(mismatches) + ")"
             )
-
-    def restore_into(self, engine: "ButterflyEngine") -> None:
-        """Fast-forward an attached engine to the checkpointed state
-        (see :meth:`ButterflyEngine.restore_state`)."""
-        engine.restore_state(self._state)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -347,7 +345,7 @@ class Checkpointer:
         self.written = 0
         #: The ``resume_position`` of the newest snapshot written -- or,
         #: before the first, of the one the engine was restored from
-        #: (the owner sets it; 0 means none).
+        #: (``enable_checkpoints`` sets it; 0 means none).
         self.position = 0
 
     def save_now(self, engine: "ButterflyEngine") -> None:

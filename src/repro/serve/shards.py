@@ -65,7 +65,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.epoch import EpochController, SloConfig
 from repro.core.framework import ButterflyEngine
-from repro.core.stream import ShapeSource
+from repro.core.stream import EpochSource
 from repro.errors import (
     AnalysisError,
     CheckpointError,
@@ -191,20 +191,14 @@ def build_stream_engine(
         )
     controller = EpochController(slo) if slo is not None else None
     engine = ButterflyEngine(guard, backend=backend, controller=controller)
-    source = ShapeSource(
-        hello["threads"],
-        num_epochs=hello["epochs"],
-        preallocated=frozenset(hello["preallocated"]),
+    engine.attach_source(
+        EpochSource(hello["threads"], hello["epochs"], hello["preallocated"]),
+        checkpoint,
     )
-    engine.attach_source(source, resumed=checkpoint is not None)
-    if checkpoint is not None:
-        checkpoint.restore_into(engine)
     if path is not None:
-        checkpointer = Checkpointer(
-            path, meta, every=checkpoint_every, writer=writer
+        engine.enable_checkpoints(
+            Checkpointer(path, meta, every=checkpoint_every, writer=writer)
         )
-        checkpointer.position = engine.resume_position  # what is on disk
-        engine.enable_checkpoints(checkpointer)
     return engine, engine.resume_position
 
 

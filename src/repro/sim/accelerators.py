@@ -59,9 +59,6 @@ class MetadataTLB:
             way.pop(0)
         return self.MISS_CYCLES
 
-    def flush(self) -> None:
-        self._sets = [[] for _ in range(self.num_sets)]
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -76,9 +73,11 @@ class IdempotentFilter:
     finite hardware table (``capacity`` entries, LRU), so streaming
     workloads with working sets larger than the table defeat it while
     tight-reuse workloads (LU's blocks, BLACKSCHOLES' options) are
-    almost fully filtered.  Butterfly analysis additionally flushes at
-    every epoch boundary; the timesliced baseline has no epochs and
-    flushes only on capacity.
+    almost fully filtered.  Only the timesliced baseline runs its
+    events through this table, which, with no epochs, is bounded by
+    capacity alone.  Butterfly analysis filters in its first-pass
+    scanners instead (AddrCheck's ``use_idempotent_filter``): a
+    per-block ``checked`` set, so no filtering crosses an epoch.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -119,10 +118,6 @@ class IdempotentFilter:
             self._touch(loc)
         self.passed += 1
         return True
-
-    def flush(self) -> None:
-        """Epoch boundary: filtering never crosses epochs."""
-        self._checked.clear()
 
     @property
     def filter_rate(self) -> float:

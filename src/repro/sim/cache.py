@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.sim.config import CacheConfig
 
@@ -11,9 +11,9 @@ from repro.sim.config import CacheConfig
 class SetAssocCache:
     """A set-associative, write-allocate, LRU cache.
 
-    Tracks hits and misses; does not model dirty writebacks (the paper's
-    performance story is read-latency dominated and the lifeguard logs
-    flow through the L2 regardless).
+    Does not model dirty writebacks (the paper's performance story is
+    read-latency dominated and the lifeguard logs flow through the L2
+    regardless).
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
@@ -23,40 +23,16 @@ class SetAssocCache:
         self._sets: List["OrderedDict[int, None]"] = [
             OrderedDict() for _ in range(config.num_sets)
         ]
-        self.hits = 0
-        self.misses = 0
-
-    def _locate(self, addr: int) -> tuple:
-        line = addr // self.config.line_bytes
-        return line % self.config.num_sets, line
 
     def access(self, addr: int) -> bool:
         """Touch ``addr``; returns True on hit, False on miss (the line
         is installed either way)."""
-        idx, line = self._locate(addr)
-        ways = self._sets[idx]
+        line = addr // self.config.line_bytes
+        ways = self._sets[line % self.config.num_sets]
         if line in ways:
             ways.move_to_end(line)
-            self.hits += 1
             return True
-        self.misses += 1
         ways[line] = None
         if len(ways) > self.config.associativity:
             ways.popitem(last=False)
         return False
-
-    def contains(self, addr: int) -> bool:
-        idx, line = self._locate(addr)
-        return line in self._sets[idx]
-
-    def flush(self) -> None:
-        for ways in self._sets:
-            ways.clear()
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0

@@ -59,10 +59,6 @@ class CMPResult:
     def cycles(self) -> int:
         return max((r.cycles for r in self.per_thread), default=0)
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(r.instructions for r in self.per_thread)
-
 
 def run_parallel(program: TraceProgram, config: MachineConfig) -> CMPResult:
     """Execute each thread on its own core over a shared L2."""

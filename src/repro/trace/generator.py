@@ -305,7 +305,55 @@ def _next_alloc_event(
     return Instr.nop()
 
 
-class ColumnarAllocSource(EpochSource):
+class _ColumnarSource(EpochSource):
+    """What the two columnar-native generators share: the shape check,
+    the row loop and the size.
+
+    Block ``(l, t)`` is ``_block_columns(l, t)``, a pure function of
+    ``(seed, l, t)``, so ``epochs(start)`` regenerates identical blocks
+    on checkpoint resume, and every consumer -- both kernels, a stream
+    dump -- sees the same trace.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        num_threads: int,
+        num_epochs: int,
+        events_per_block: int,
+        num_locations: int,
+        error_rate: float,
+        preallocated: Sequence[int] = (),
+    ) -> None:
+        if events_per_block < 1 or num_epochs < 0 or num_threads < 1:
+            raise ValueError("bad workload shape")
+        super().__init__(num_threads, num_epochs, preallocated)
+        self.seed = seed
+        self.events_per_block = events_per_block
+        self.num_locations = num_locations
+        self.error_rate = error_rate
+
+    @property
+    def total_events(self) -> int:
+        return self.num_threads * self.num_epochs * self.events_per_block
+
+    def epochs(self, start: int = 0) -> Iterator[List[Block]]:
+        h = self.events_per_block
+        for lid in range(start, self.num_epochs):
+            yield [
+                Block(lid, tid, lid * h, columns=self._block_columns(lid, tid))
+                for tid in range(self.num_threads)
+            ]
+
+    def as_objects(self) -> "_ColumnarSource":
+        """This source itself, as the reference leg's source: a block
+        the per-``Instr`` kernel (``use_columnar_kernel=False``) scans
+        materializes its ``Instr`` objects on first read, so the
+        consumer pays for them."""
+        return self
+
+
+class ColumnarAllocSource(_ColumnarSource):
     """Columnar-native allocation workload for large-trace benchmarks.
 
     Synthesizes an AddrCheck-style workload *directly as column
@@ -320,11 +368,6 @@ class ColumnarAllocSource(EpochSource):
     isolation-silent because no other thread touches it).  With
     ``error_rate`` > 0 a fraction of accesses target a never-allocated
     location instead, each a guaranteed first-pass error.
-
-    Block ``(l, t)`` is a pure function of ``(seed, l, t)``, so
-    ``epochs(start)`` regenerates identical blocks on checkpoint
-    resume, and every consumer -- both kernels, a stream dump -- sees
-    the same trace.
     """
 
     def __init__(
@@ -337,37 +380,17 @@ class ColumnarAllocSource(EpochSource):
         change_period: int = 128,
         error_rate: float = 0.0,
     ) -> None:
-        if events_per_block < 1 or num_epochs < 0 or num_threads < 1:
-            raise ValueError("bad workload shape")
         if change_period < 2:
             raise ValueError("change_period must be >= 2")
-        self.seed = seed
-        self._num_threads = num_threads
-        self._num_epochs = num_epochs
-        self.events_per_block = events_per_block
-        self.num_locations = num_locations
+        super().__init__(
+            seed, num_threads, num_epochs, events_per_block, num_locations,
+            error_rate, preallocated=range(num_locations),
+        )
         self.change_period = change_period
-        self.error_rate = error_rate
         #: One never-touched-by-others scratch location per thread.
         self._scratch_base = num_locations
         #: Accesses with injected errors hit this never-allocated slot.
         self._bad_loc = num_locations + num_threads
-
-    @property
-    def num_threads(self) -> int:
-        return self._num_threads
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        return self._num_epochs
-
-    @property
-    def total_events(self) -> int:
-        return self._num_threads * self._num_epochs * self.events_per_block
-
-    @property
-    def preallocated(self) -> frozenset:
-        return frozenset(range(self.num_locations))
 
     def _block_columns(self, lid: int, tid: int) -> ColumnarBlock:
         h = self.events_per_block
@@ -397,23 +420,8 @@ class ColumnarAllocSource(EpochSource):
         size = np.ones(h, dtype=np.int64)
         return ColumnarBlock(h, ops, dst, size, src_off, src_val)
 
-    def epochs(self, start: int = 0) -> Iterator[List[Block]]:
-        h = self.events_per_block
-        for lid in range(start, self._num_epochs):
-            yield [
-                Block(lid, tid, lid * h, columns=self._block_columns(lid, tid))
-                for tid in range(self._num_threads)
-            ]
 
-    def as_objects(self) -> "ColumnarAllocSource":
-        """This source itself, as the reference leg's source: a block
-        the per-``Instr`` kernel (``use_columnar_kernel=False``) scans
-        materializes its ``Instr`` objects on first read, so the
-        consumer pays for them."""
-        return self
-
-
-class ColumnarTaintSource(EpochSource):
+class ColumnarTaintSource(_ColumnarSource):
     """Columnar-native TaintCheck workload for large-trace benchmarks.
 
     The taint analog of :class:`ColumnarAllocSource`: blocks are
@@ -430,9 +438,6 @@ class ColumnarTaintSource(EpochSource):
     in which case it targets ``p`` -- tainted in program order by the
     preceding ASSIGN and untouched by every other thread, hence a true
     TAINTED_JUMP under *every* valid ordering.
-
-    Block ``(l, t)`` is a pure function of ``(seed, l, t)`` (see
-    :class:`ColumnarAllocSource`).
     """
 
     def __init__(
@@ -445,33 +450,13 @@ class ColumnarTaintSource(EpochSource):
         taint_period: int = 128,
         error_rate: float = 0.0,
     ) -> None:
-        if events_per_block < 1 or num_epochs < 0 or num_threads < 1:
-            raise ValueError("bad workload shape")
         if taint_period < 2:
             raise ValueError("taint_period must be >= 2")
-        self.seed = seed
-        self._num_threads = num_threads
-        self._num_epochs = num_epochs
-        self.events_per_block = events_per_block
-        self.num_locations = num_locations
+        super().__init__(
+            seed, num_threads, num_epochs, events_per_block, num_locations,
+            error_rate,
+        )
         self.taint_period = taint_period
-        self.error_rate = error_rate
-
-    @property
-    def num_threads(self) -> int:
-        return self._num_threads
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        return self._num_epochs
-
-    @property
-    def total_events(self) -> int:
-        return self._num_threads * self._num_epochs * self.events_per_block
-
-    @property
-    def preallocated(self) -> frozenset:
-        return frozenset()
 
     def _scratch(self, tid: int) -> tuple:
         base = self.num_locations + 2 * tid
@@ -511,18 +496,6 @@ class ColumnarTaintSource(EpochSource):
         src_val = srcv[counts == 1]
         size = np.ones(h, dtype=np.int64)
         return ColumnarBlock(h, ops, dst, size, src_off, src_val)
-
-    def epochs(self, start: int = 0) -> Iterator[List[Block]]:
-        h = self.events_per_block
-        for lid in range(start, self._num_epochs):
-            yield [
-                Block(lid, tid, lid * h, columns=self._block_columns(lid, tid))
-                for tid in range(self._num_threads)
-            ]
-
-    def as_objects(self) -> "ColumnarTaintSource":
-        """This source itself (see :meth:`ColumnarAllocSource.as_objects`)."""
-        return self
 
 
 def simulated_taint_program(

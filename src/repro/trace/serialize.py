@@ -32,7 +32,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Iterator, List, Optional, Union
+from typing import IO, Iterator, List, Union
 
 from repro.core.columnar import ColumnarBlock, RowDecodeError
 from repro.core.epoch import Block, EpochPartition
@@ -509,31 +509,19 @@ class StreamTraceSource(EpochSource):
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self._path = str(path)
-        with open(self._path) as fp:
-            self._header = stream_header(fp, self._path)
-        self._preallocated = frozenset(self._header["preallocated"])
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def num_threads(self) -> int:
-        return self._header["threads"]
-
-    @property
-    def num_epochs(self) -> Optional[int]:
-        return self._header["epochs"]
-
-    @property
-    def preallocated(self) -> frozenset:
-        return self._preallocated
+        self.path = str(path)
+        with open(self.path) as fp:
+            self._header = stream_header(fp, self.path)
+        super().__init__(
+            self._header["threads"],
+            self._header["epochs"],
+            self._header["preallocated"],
+        )
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
-        with open(self._path) as fp:
+        with open(self.path) as fp:
             fp.readline()  # the header, validated at construction
-            yield from _stream_rows(fp, self._header, self._path, start)
+            yield from _stream_rows(fp, self._header, self.path, start)
 
 
 def iter_load(path: Union[str, Path]) -> StreamTraceSource:

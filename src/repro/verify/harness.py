@@ -564,18 +564,16 @@ class DifferentialHarness:
 
 def _feed(engine, partition, source, rows, checkpoint=None, finish=True):
     """Feed epochs ``rows`` of the partition -- read through ``source``
-    unless it is ``None`` -- into a fresh engine, first restoring
-    ``checkpoint`` when resuming; ``finish=False`` abandons the run."""
-    resumed = checkpoint is not None
+    unless it is ``None`` -- into a fresh engine attached with
+    ``checkpoint`` (``None`` starts the run); ``finish=False`` abandons
+    the run."""
     try:
         if source is None:
-            engine.attach(partition, resumed=resumed)
+            engine.attach(partition, checkpoint)
             blocks = map(partition.epoch_blocks, rows)
         else:
-            engine.attach_source(source, resumed=resumed)
+            engine.attach_source(source, checkpoint)
             blocks = source.epochs(rows.start)
-        if resumed:
-            checkpoint.restore_into(engine)
         for lid, row in zip(rows, blocks):
             engine.feed_blocks(lid, row)
         if finish:

@@ -24,19 +24,24 @@ from repro.obs.recorder import NULL_RECORDER
 def resume_event_replay() -> Iterator[None]:
     """Revert the resume event-log dedup fix.
 
-    The pre-fix behavior: ``attach`` emits a second ``run.attach`` on
-    resume and ``restore_state`` leaves the recorder's sequence at zero,
-    so a resumed run's log restarts numbering and re-covers completed
-    epochs instead of continuing the uninterrupted log's suffix.
+    The pre-fix behavior: attaching with a checkpoint emits a second
+    ``run.attach`` and ``restore_state`` leaves the recorder's sequence
+    at zero, so a resumed run's log restarts numbering and re-covers
+    completed epochs instead of continuing the uninterrupted log's
+    suffix.
     """
     from repro.core.framework import ButterflyEngine
 
-    orig_attach = ButterflyEngine.attach
+    orig_bind = ButterflyEngine._bind
     orig_restore = ButterflyEngine.restore_state
 
-    def attach(self, partition, resumed=False):
-        # Pre-fix: the resumed flag did not exist.
-        return orig_attach(self, partition, resumed=False)
+    def _bind(self, num_threads, num_epochs, checkpoint):
+        orig_bind(self, num_threads, num_epochs, checkpoint)
+        if checkpoint is not None and self.recorder.enabled:
+            # Pre-fix: every attach announced the run.
+            self.recorder.event(
+                "run.attach", epochs=num_epochs, threads=num_threads
+            )
 
     def restore_state(self, state):
         # Pre-fix: engine state comes back, but the recorder handoff
@@ -47,12 +52,12 @@ def resume_event_replay() -> Iterator[None]:
         finally:
             self.recorder = recorder
 
-    ButterflyEngine.attach = attach
+    ButterflyEngine._bind = _bind
     ButterflyEngine.restore_state = restore_state
     try:
         yield
     finally:
-        ButterflyEngine.attach = orig_attach
+        ButterflyEngine._bind = orig_bind
         ButterflyEngine.restore_state = orig_restore
 
 

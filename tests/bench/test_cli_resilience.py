@@ -13,8 +13,14 @@ import pytest
 
 from repro.cli import main
 from repro.obs import read_events
+from repro.serve.protocol import make_hello, resume_token
+from repro.serve.shards import build_stream_engine, stream_checkpoint_path
 
-from tests.resilience.test_checkpoint import DAMAGED_PICKLE, stamp_version
+from tests.resilience.test_checkpoint import (
+    DAMAGED_PICKLE,
+    stamp_position,
+    stamp_version,
+)
 
 CHECK_ARGS = [
     "check", "--benchmark", "OCEAN", "--threads", "2",
@@ -122,6 +128,49 @@ class TestResume:
         stamp_version(ck, 1)
         assert main(["resume", "--checkpoint", ck]) == 2
         assert "unsupported checkpoint version 1" in _one_line_error(
+            capsys, "resume"
+        )
+
+    def _resume_past_the_end(self, tmp_path, capsys, check_args):
+        ck = str(tmp_path / "c.ckpt")
+        assert main(check_args + ["--checkpoint", ck]) == 0
+        capsys.readouterr()
+        stamp_position(ck, 999)
+        assert main(["resume", "--checkpoint", ck]) == 2
+        return _one_line_error(capsys, "resume")
+
+    def test_position_past_a_generated_trace_is_refused(
+        self, tmp_path, capsys
+    ):
+        message = self._resume_past_the_end(tmp_path, capsys, [
+            "check", "--benchmark", "LU", "--threads", "2",
+            "--events", "2000", "--epoch-size", "256",
+        ])
+        assert "checkpoint resumes at epoch 999, outside this 3-epoch" in (
+            message
+        )
+
+    def test_position_past_a_stream_file_is_refused(self, tmp_path, capsys):
+        trace = str(tmp_path / "t.stream.jsonl")
+        assert main([
+            "generate", "--benchmark", "LU", "--threads", "2",
+            "--events", "2000", "--epoch-size", "256", "--stream",
+            "--output", trace,
+        ]) == 0
+        message = self._resume_past_the_end(
+            tmp_path, capsys, ["check", "--trace", trace]
+        )
+        assert "checkpoint resumes at epoch 999" in message
+
+    def test_a_serve_checkpoint_is_refused(self, tmp_path, capsys):
+        hello = make_hello("s1", 2, 4, (), "addrcheck")
+        token = resume_token(hello)
+        engine, _ = build_stream_engine(hello, token, str(tmp_path), 1,
+                                         "serial")
+        engine.checkpoint_now()
+        path = stream_checkpoint_path(str(tmp_path), token)
+        assert main(["resume", "--checkpoint", path]) == 2
+        assert "is not a repro check checkpoint" in _one_line_error(
             capsys, "resume"
         )
 

@@ -129,15 +129,11 @@ class TestRunSourceEquivalence:
         partition = nop_partition(threads=2, per_thread=12, h=2)
 
         class Unbounded(EpochSource):
-            @property
-            def num_threads(self):
-                return partition.num_threads
-
             def epochs(self, start=0):
                 for lid in range(start, partition.num_epochs):
                     yield partition.epoch_blocks(lid)
 
-        source = Unbounded()
+        source = Unbounded(partition.num_threads)
         assert source.num_epochs is None
         streamed = RecordingAnalysis()
         ButterflyEngine(streamed).run_source(source)

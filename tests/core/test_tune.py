@@ -27,11 +27,11 @@ from repro.core.epoch import (
     partition_from_boundaries,
 )
 from repro.core.framework import ButterflyAnalysis, ButterflyEngine
-from repro.core.stream import ShapeSource
+from repro.core.stream import EpochSource
 from repro.errors import AnalysisError, ReproError
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.reports import PrecisionReport
-from repro.resilience.checkpoint import Checkpointer
+from repro.resilience.checkpoint import Checkpoint, Checkpointer
 from repro.serve.shards import make_guard
 from repro.trace.events import Instr
 from repro.trace.generator import (
@@ -180,10 +180,8 @@ def pinned(fold):
 
 
 def shape_of(partition, num_epochs):
-    return ShapeSource(
-        partition.num_threads,
-        num_epochs=num_epochs,
-        preallocated=partition.program.preallocated,
+    return EpochSource(
+        partition.num_threads, num_epochs, partition.program.preallocated
     )
 
 
@@ -344,9 +342,8 @@ class TestAdaptiveEngine:
 
         other = ButterflyEngine(guard, controller=pinned(2))
         other.attach_source(
-            shape_of(partition, partition.num_epochs), resumed=True
+            shape_of(partition, partition.num_epochs), Checkpoint({}, state)
         )
-        other.restore_state(state)
         assert other.rows_folded == 4
         assert other.resume_position == 4
         assert other.recorded_boundaries == state["boundaries"]
@@ -384,9 +381,7 @@ class TestAdaptiveEngine:
         partition = partition_auto(prog, 4)
         analysis = Exploding()
         adaptive = ButterflyEngine(analysis, controller=pinned(2))
-        adaptive.attach_source(
-            ShapeSource(partition.num_threads, num_epochs=None)
-        )
+        adaptive.attach_source(EpochSource(partition.num_threads))
         adaptive.feed_blocks(0, partition.epoch_blocks(0))
         adaptive.feed_blocks(1, partition.epoch_blocks(1))
         committed_cuts = [list(c) for c in adaptive.recorded_boundaries]

@@ -13,7 +13,7 @@ from repro.core.epoch import (
     partition_with_skew,
 )
 from repro.core.framework import ButterflyEngine
-from repro.core.stream import ShapeSource
+from repro.core.stream import EpochSource
 from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
@@ -173,7 +173,7 @@ class TestSetIntersectionsAgainstTheMasks:
         threads, fresh = 4, 64
         guard = ButterflyRaceCheck()
         engine = ButterflyEngine(guard)
-        engine.attach_source(ShapeSource(threads))
+        engine.attach_source(EpochSource(threads))
         size = {}
         for lid in range(2001):
             engine.feed_blocks(lid, [

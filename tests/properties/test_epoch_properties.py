@@ -170,8 +170,9 @@ class TestSkewTailClamping:
                 engine.feed_epoch(lid)
             ck = load_checkpoint(ck_path)
             resumed = ButterflyEngine(ck.analysis)
-            resumed.attach(partition_from_boundaries(prog, part.boundaries))
-            ck.restore_into(resumed)
+            resumed.attach(
+                partition_from_boundaries(prog, part.boundaries), ck
+            )
             for lid in range(ck.next_epoch, live.num_epochs):
                 resumed.feed_epoch(lid)
             resumed.finish()

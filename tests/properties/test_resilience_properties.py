@@ -279,8 +279,7 @@ class TestResumeUnderFaults:
 
         ck = load_checkpoint(path)
         resumed = ButterflyEngine(ck.analysis)  # plain serial from here
-        resumed.attach(part)
-        ck.restore_into(resumed)
+        resumed.attach(part, ck)
         for lid in range(ck.next_epoch, part.num_epochs):
             resumed.feed_epoch(lid)
         resumed.finish()

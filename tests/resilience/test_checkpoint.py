@@ -20,7 +20,7 @@ from repro.core.epoch import (
     partition_fixed,
 )
 from repro.core.framework import ButterflyEngine
-from repro.core.stream import ShapeSource
+from repro.core.stream import EpochSource
 from repro.errors import CheckpointError
 from repro.lifeguards.addrcheck import (
     AddrSummary,
@@ -84,14 +84,24 @@ META = {"benchmark": "X", "epoch_size": 8, "seed": 5}
 DAMAGED_PICKLE = b"\x80\x04\x8c\x02\xff\xfe."
 
 
+def _rewrite(path, edit):
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    edit(payload)
+    with open(path, "wb") as fh:
+        pickle.dump(payload, fh)
+
+
 def stamp_version(path, version):
     """Rewrite a checkpoint file's format version in place (what a file
     left behind by another build looks like to this one)."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    payload["version"] = version
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    _rewrite(path, lambda payload: payload.update(version=version))
+
+
+def stamp_position(path, rows):
+    """Rewrite a checkpoint's resume position in place: a damaged file
+    that still loads."""
+    _rewrite(path, lambda payload: payload["engine"].update(rows_folded=rows))
 
 
 class TestSaveLoadRoundtrip:
@@ -112,8 +122,7 @@ class TestSaveLoadRoundtrip:
         assert ck.meta == META
         assert ck.next_epoch == 3
         resumed = ButterflyEngine(ck.analysis)
-        resumed.attach(part)
-        ck.restore_into(resumed)
+        resumed.attach(part, ck)
         for lid in range(ck.next_epoch, part.num_epochs):
             resumed.feed_epoch(lid)
         resumed.finish()
@@ -134,8 +143,7 @@ class TestSaveLoadRoundtrip:
                 engine.feed_epoch(lid)
             ck = load_checkpoint(path)
             resumed = ButterflyEngine(ck.analysis)
-            resumed.attach(part)
-            ck.restore_into(resumed)
+            resumed.attach(part, ck)
             for lid in range(ck.next_epoch, part.num_epochs):
                 resumed.feed_epoch(lid)
             resumed.finish()
@@ -211,8 +219,7 @@ class TestStreamedResume:
         ck = load_checkpoint(path)
         assert ck.next_epoch == 3
         resumed = ButterflyEngine(ck.analysis)
-        resumed.attach_source(PartitionSource(part), resumed=True)
-        ck.restore_into(resumed)
+        resumed.attach_source(PartitionSource(part), ck)
         self._feed_stream(resumed, PartitionSource(part), ck.next_epoch)
         assert _fingerprint(ck.analysis, resumed.stats) == reference
 
@@ -233,8 +240,7 @@ class TestStreamedResume:
         ck = load_checkpoint(path)
         resumed = ButterflyEngine(ck.analysis)
         source = iter_load(trace)
-        resumed.attach_source(source, resumed=True)
-        ck.restore_into(resumed)
+        resumed.attach_source(source, ck)
         # The resume seeks the reader: epochs before the checkpoint are
         # skipped at the file layer, never decoded.
         self._feed_stream(resumed, source, ck.next_epoch)
@@ -284,8 +290,7 @@ class TestStreamedResume:
         ]
         resumed_rec = Recorder()
         resumed = ButterflyEngine(ck.analysis, recorder=resumed_rec)
-        resumed.attach_source(PartitionSource(part), resumed=True)
-        ck.restore_into(resumed)
+        resumed.attach_source(PartitionSource(part), ck)
         self._feed_stream(resumed, PartitionSource(part), ck.next_epoch)
         assert normalize_events(prefix + resumed_rec.events) == reference
 
@@ -320,8 +325,7 @@ class TestResumeEventLog:
         ]
         resumed_rec = Recorder()
         resumed = ButterflyEngine(ck.analysis, recorder=resumed_rec)
-        resumed.attach(part, resumed=True)
-        ck.restore_into(resumed)
+        resumed.attach(part, ck)
         for lid in range(ck.next_epoch, part.num_epochs):
             resumed.feed_epoch(lid)
         resumed.finish()
@@ -636,8 +640,7 @@ class TestCheckpointWriter:
         ck = load_checkpoint(path)
         assert ck.next_epoch == 3
         resumed = ButterflyEngine(ck.analysis)
-        resumed.attach(part)
-        ck.restore_into(resumed)
+        resumed.attach(part, ck)
         for lid in range(ck.next_epoch, part.num_epochs):
             resumed.feed_epoch(lid)
         resumed.finish()
@@ -716,17 +719,14 @@ class TestEngineResumeSurface:
 
     ROWS = 4
 
-    def _engine(self, kind, part, guard=None, checkpointer_args=None):
-        resumed = guard is not None
-        guard = guard if resumed else _FlakyAddrCheck()
+    def _engine(self, kind, part, checkpoint=None, checkpointer_args=None):
+        guard = checkpoint.analysis if checkpoint else _FlakyAddrCheck()
         controller = (
             EpochController(SloConfig(min_fold=2, max_fold=2))
             if kind == "adaptive" else None
         )
         engine = ButterflyEngine(guard, controller=controller)
-        engine.attach_source(
-            ShapeSource(part.num_threads, num_epochs=None), resumed=resumed
-        )
+        engine.attach_source(EpochSource(part.num_threads), checkpoint)
         if checkpointer_args is not None:
             engine.enable_checkpoints(Checkpointer(*checkpointer_args))
         return engine, guard
@@ -760,8 +760,7 @@ class TestEngineResumeSurface:
         self._feed(engine, part, range(self.ROWS))
 
         ck = load_checkpoint(path)
-        resumed, _ = self._engine(kind, part, guard=ck.analysis)
-        ck.restore_into(resumed)
+        resumed, _ = self._engine(kind, part, checkpoint=ck)
         assert resumed.resume_position == ck.next_epoch == self.ROWS
         assert resumed.recorded_boundaries == engine.recorded_boundaries
 
@@ -877,8 +876,7 @@ def _streamed(source, path=None, stop_after=None):
 def _resumed(source, path):
     ck = load_checkpoint(path)
     engine = ButterflyEngine(ck.analysis)
-    engine.attach_source(source, resumed=True)
-    ck.restore_into(engine)
+    engine.attach_source(source, ck)
     for lid, row in enumerate(source.epochs(ck.next_epoch), ck.next_epoch):
         engine.feed_blocks(lid, row)
     engine.finish()
@@ -1012,9 +1010,8 @@ class TestVerify:
         ck = self._checkpoint(tmp_path)
         part = partition_by_global_order(_program(events=60), 8)
         stranger = ButterflyEngine(ButterflyAddrCheck())
-        stranger.attach(part)
         with pytest.raises(CheckpointError, match="analysis"):
-            ck.restore_into(stranger)
+            stranger.attach(part, ck)
 
 
 class TestLoadFailures:

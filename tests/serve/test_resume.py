@@ -25,7 +25,11 @@ from repro.serve.protocol import (
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.serialize import save_stream_file, stream_header
 
-from tests.resilience.test_checkpoint import DAMAGED_PICKLE, stamp_version
+from tests.resilience.test_checkpoint import (
+    DAMAGED_PICKLE,
+    stamp_position,
+    stamp_version,
+)
 from tests.serve.conftest import offline_report, write_trace
 from tests.serve.test_server import connect, fast, raw_handshake
 
@@ -148,6 +152,13 @@ class TestResumeAcrossRestart:
         )
         assert answer["code"] == "token"
         assert "not a readable checkpoint" in answer["error"]
+
+    def test_position_past_the_stream_refuses_the_reconnect(self, tmp_path):
+        answer = self._reconnect_to_a_spoiled_checkpoint(
+            tmp_path, "thread", lambda path: stamp_position(path, 999)
+        )
+        assert answer["code"] == "token"
+        assert "checkpoint resumes at epoch 999" in answer["error"]
 
     def test_token_mismatch_is_refused(self, daemon, trace_file):
         with open(trace_file) as fp:

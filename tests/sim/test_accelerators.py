@@ -32,12 +32,6 @@ class TestIdempotentFilter:
         filt = IdempotentFilter()
         assert filt.admit(Instr.nop())
 
-    def test_flush_resets(self):
-        filt = IdempotentFilter()
-        filt.admit(Instr.read(5))
-        filt.flush()
-        assert filt.admit(Instr.read(5))
-
     def test_capacity_eviction(self):
         filt = IdempotentFilter(capacity=2)
         filt.admit(Instr.read(1))

@@ -33,25 +33,6 @@ class TestSetAssocCache:
         assert c.access(0)
         assert not c.access(128)
 
-    def test_flush(self):
-        c = cache()
-        c.access(0)
-        c.flush()
-        assert not c.access(0)
-
-    def test_hit_rate(self):
-        c = cache()
-        c.access(0)
-        c.access(0)
-        c.access(0)
-        assert c.hit_rate == pytest.approx(2 / 3)
-
-    def test_contains(self):
-        c = cache()
-        c.access(0)
-        assert c.contains(32)
-        assert not c.contains(4096)
-
     def test_invalid_geometry(self):
         with pytest.raises(SimulationError):
             SetAssocCache(CacheConfig(100, 64, 2, 1))

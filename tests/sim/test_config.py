@@ -61,9 +61,10 @@ class TestCacheConfig:
         from repro.sim.cache import SetAssocCache
 
         cache = SetAssocCache(CacheConfig(64 * 4, 64, 4, 2))
-        for addr in (0, 64, 128, 192, 256):
-            cache.access(addr)
-        assert cache.hits + cache.misses == 5
+        hits = [cache.access(addr) for addr in (0, 64, 128, 192, 256)]
+        assert hits == [False] * 5
+        assert cache.access(256)
+        assert not cache.access(0)  # one set of four ways: 0 was evicted
 
 
 class TestCostModel:

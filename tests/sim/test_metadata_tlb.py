@@ -42,12 +42,6 @@ class TestMetadataTLB:
         assert tlb.lookup(0) == tlb.HIT_CYCLES
         assert tlb.lookup(SET_STRIDE * 16) == tlb.MISS_CYCLES
 
-    def test_flush(self):
-        tlb = MetadataTLB()
-        tlb.lookup(0)
-        tlb.flush()
-        assert tlb.lookup(0) == tlb.MISS_CYCLES
-
     def test_hit_rate(self):
         tlb = MetadataTLB()
         assert tlb.hit_rate == 0.0

@@ -278,12 +278,12 @@ class TestRegistry:
             apply_mutant("no-such-mutant")
 
     def test_mutants_restore_patched_attributes(self):
-        attach = ButterflyEngine.attach
+        bind = ButterflyEngine._bind
         restore = ButterflyEngine.restore_state
         with apply_mutant("resume-replay"):
-            assert ButterflyEngine.attach is not attach
+            assert ButterflyEngine._bind is not bind
             assert ButterflyEngine.restore_state is not restore
-        assert ButterflyEngine.attach is attach
+        assert ButterflyEngine._bind is bind
         assert ButterflyEngine.restore_state is restore
 
     def test_clean_code_passes_the_mutant_free_campaign(self, tmp_path):
