@@ -24,6 +24,7 @@ from repro.core.state import SOSHistory, SOSView
 from repro.lifeguards import addrcheck
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.lifeguards import taintcheck
+from repro.lifeguards.racecheck import RaceScanner
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.trace.events import Instr
 from repro.trace.generator import (
@@ -32,7 +33,8 @@ from repro.trace.generator import (
     simulated_taint_program,
 )
 from repro.trace.program import TraceProgram
-from repro.verify.reference import ReferenceAddrCheck
+from repro.verify.reference import ReferenceAddrCheck, ReferenceRaceScanner
+from repro.workloads.registry import get_benchmark
 
 from tests.lifeguards import flatten_reference
 
@@ -122,6 +124,30 @@ def test_optimized_addrcheck_beats_reference(timing_guard, alloc_program):
     reference = _best_of(lambda: run(ReferenceAddrCheck))
     optimized = _best_of(lambda: run(ButterflyAddrCheck))
     assert optimized < reference, (optimized, reference)
+
+
+def test_columnar_race_scan_beats_the_reference(timing_guard):
+    """RaceCheck's columnar scan of one 4 096-event LU block against the
+    per-``Instr`` reference scan of the same block (its ``Instr``
+    objects already built, as a partition hands them over), alternating
+    best-of-7.  Measured ~10x (2-vCPU Xeon, numpy 2.4); the bound is
+    that the columnar scan wins."""
+    program = get_benchmark("LU").generate(1, 16384, seed=0)
+    block = partition_fixed(program, 4096).block(0, 0)
+    assert len(block) == 4096
+    block.instrs  # built outside the timed region
+
+    def best_us(scanner):
+        t0 = time.perf_counter()
+        for _ in range(5):
+            scanner(block, None)
+        return 1e6 * (time.perf_counter() - t0) / 5
+
+    new = old = float("inf")
+    for _ in range(7):
+        new = min(new, best_us(RaceScanner()))
+        old = min(old, best_us(ReferenceRaceScanner()))
+    assert new < old, (new, old)
 
 
 class _HooksTimed(ButterflyAddrCheck):

@@ -23,8 +23,11 @@ legal ``Instr`` round-trips exactly (``from_instrs`` then ``to_instrs``
 is the identity).  Vector kernels (the AddrCheck first-pass scan, the
 columnar workload generator, the stream decoder) operate on the raw
 columns and never materialize ``Instr`` objects; what iterates events
-(RaceCheck, the dataflow analyses) asks a
+(the dataflow analyses, the per-``Instr`` reference kernels) asks a
 :class:`~repro.core.epoch.Block` for ``.instrs``.
+
+A block's access footprint, AddrCheck's and RaceCheck's alike, is a
+:class:`SortedFirstAccess`, defined here with what both kernels share.
 
 Columns are numpy arrays (``uint8`` ops, ``int64`` everything else);
 numpy is a dependency of the package, not an option.
@@ -33,7 +36,7 @@ numpy is a dependency of the package, not an option.
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -287,10 +290,8 @@ class ColumnarBlock:
         """Concatenate blocks' events in order, staying columnar.
 
         Pure column appends (the CSR source offsets shift by each
-        block's running total), no per-event objects.  Its hot caller is
-        :meth:`AddrScanner.scan_row
-        <repro.lifeguards.addrcheck.AddrScanner.scan_row>`, which scans
-        an epoch row's small blocks as one stream, once per row; the
+        block's running total), no per-event objects.  Its hot callers
+        are the AddrCheck and RaceCheck row scans, once per row; the
         adaptive serve path also merges consecutive producer epochs into
         one analysis epoch with it.
         """
@@ -439,3 +440,76 @@ class ColumnarBlock:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarBlock(n={self.length})"
 
+
+def expand_extents(dst: Any, idx: Any, extent: Any) -> Tuple[Any, Any]:
+    """``(event, location)`` arrays with one entry per location of each
+    event ``idx[k]``'s extent, the ``extent[k]`` from ``dst[idx[k]]``
+    up, in the order of the ascending ``idx``."""
+    ent = np.repeat(idx, extent)
+    ent_loc = dst[ent]
+    n_ent = ent.shape[0]
+    if n_ent > idx.shape[0]:  # an extent's k-th is dst + k
+        ent_loc += np.arange(n_ent, dtype=np.int64) - np.repeat(
+            np.cumsum(extent) - extent, extent
+        )
+    return ent, ent_loc
+
+
+def _sorted_hits(locs: Any, changed: Any) -> Set[int]:
+    """The members of ``changed`` (a set, or an int64 array that may
+    repeat values) that the ascending int64 array ``locs`` holds: one
+    ``searchsorted`` of the probe values, so the cost follows
+    ``len(changed)`` and an empty ``changed`` costs nothing."""
+    if not len(changed) or not locs.shape[0]:
+        return set()
+    probe = changed if isinstance(changed, np.ndarray) else np.fromiter(
+        changed, dtype=np.int64, count=len(changed)
+    )
+    # A probe above every location lands one past the end; ``clip``
+    # compares it with the last location there, which it cannot equal.
+    found = locs.take(locs.searchsorted(probe), mode="clip") == probe
+    return set(probe[found].tolist())
+
+
+class SortedFirstAccess:
+    """A block's access footprint: the locations it touches, ascending
+    (``locs``, int64), beside the block offset of each one's first touch
+    (``offsets``) -- AddrCheck's ACCESS set and RaceCheck's read and
+    write footprints, from every kernel (the per-``Instr`` ones convert
+    their dicts, :meth:`from_dict`) and in every checkpoint.  Read by
+    sorted search only, never by visiting every location."""
+
+    __slots__ = ("locs", "offsets")
+
+    def __init__(self, locs: Any, offsets: Any) -> None:
+        self.locs = locs
+        self.offsets = offsets
+
+    @classmethod
+    def from_dict(cls, first: Dict[int, int]) -> "SortedFirstAccess":
+        """``location -> first offset`` as a footprint."""
+        n = len(first)
+        locs = np.fromiter(first, dtype=np.int64, count=n)
+        offsets = np.fromiter(first.values(), dtype=np.int64, count=n)
+        order = locs.argsort()
+        return cls(locs[order], offsets[order])
+
+    def hits(self, changed: Any) -> Set[int]:
+        """The locations of ``changed`` this footprint holds."""
+        return _sorted_hits(self.locs, changed)
+
+    def __contains__(self, loc: int) -> bool:
+        return bool(_sorted_hits(self.locs, (loc,)))
+
+    def first_offsets(self, hits: Sequence[int]) -> List[int]:
+        """The first offsets of ``hits`` (held locations), in one search."""
+        if not hits:
+            return []
+        return self.offsets.take(self.locs.searchsorted(hits)).tolist()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SortedFirstAccess):
+            return NotImplemented
+        return np.array_equal(self.locs, other.locs) and np.array_equal(
+            self.offsets, other.offsets
+        )

@@ -55,10 +55,11 @@ class Block:
     """A contiguous run of one thread's instructions within one epoch.
 
     A block's events are a :class:`~repro.core.columnar.ColumnarBlock`
-    of parallel arrays, which the first-pass kernels scan.  ``instrs``
-    is the same events as :class:`Instr` objects, for what iterates them
-    (RaceCheck, the dataflow analyses, the reference kernels): a
-    partition hands over the program's own objects, any other block
+    of parallel arrays, which the lifeguards' first-pass kernels scan.
+    ``instrs`` is the same events as :class:`Instr` objects, for what
+    iterates them (the dataflow analyses, the reference kernels): a
+    partition hands over the program's own objects (never rebuilt from
+    the columns a reference is diffed against), any other block
     materializes them from the columns on first use.
 
     Blocks are immutable value objects: equality and hashing use the

@@ -40,8 +40,8 @@ serial path, so legacy analyses that override ``first_pass`` /
 
 The same independence serves the serial schedule: before calling
 ``first_pass`` block by block it announces the row (``stage_row``), and
-an analysis whose scanner amortizes work across blocks (AddrCheck's
-columnar kernel) scans the whole row inside its first call.
+the first call scans the whole row (``Scanner.scan_row``), which the
+columnar kernels do as one stream.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ import abc
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Generic, List, Optional, Sequence,
-    TypeVar, Union,
+    TYPE_CHECKING, Any, Dict, Generic, List, Optional, Sequence,
+    Tuple, TypeVar, Union,
 )
 
 from repro.core.epoch import (
@@ -73,8 +73,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Summary = TypeVar("Summary")
 SideIn = TypeVar("SideIn")
 
-#: A pure first-pass work unit: ``scanner(block, context) -> scan``.
-Scanner = Callable[[Block, Any], Any]
+class Scanner:
+    """A pure, picklable first-pass work unit: ``scanner(block, context)``
+    scans one block (what a pooled backend fans out), :meth:`scan_row`
+    an epoch row's ``(block, context)`` pairs (what the serial schedule
+    calls).  A kernel defines one; the other defaults to it."""
+
+    def __call__(self, block: Block, context: Any) -> Any:
+        return self.scan_row([(block, context)])[0]
+
+    def scan_row(self, items: Sequence[Tuple[Block, Any]]) -> List[Any]:
+        return [self(block, context) for block, context in items]
 
 
 @dataclass
@@ -109,6 +118,11 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
     #: and all mutation happens in ``commit_check``.
     parallel_second_pass: bool = False
 
+    #: The announced row until its first ``first_pass`` scans it, then
+    #: the ``(block, scan)`` pairs still to commit, last thread first.
+    _staged_row: Sequence[Block] = ()
+    _staged_scans: Sequence[Tuple[Block, Any]] = ()
+
     #: Observability hook; the engine points this at its own recorder on
     #: :meth:`ButterflyEngine.attach`.  Lifeguards emit error-provenance
     #: events through it from their serial commit paths only (guarded by
@@ -142,22 +156,28 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
         """Announce the epoch row the serial schedule is about to hand
         to :meth:`first_pass` block by block, in this order (``()``
         once it is through, or abandoned).  Only sent when
-        ``parallel_first_pass`` is set -- every context of the row may
-        then be computed before any of its commits -- so an analysis
-        whose scanner amortizes work across blocks can scan the row on
-        its first ``first_pass`` call.  Nothing staged may outlive the
-        row.  The default ignores it."""
+        ``parallel_first_pass`` is set, so every context of the row may
+        be computed before any of its commits."""
+        self._staged_row = blocks
+        self._staged_scans = ()
 
     def first_pass(self, block: Block) -> Summary:
-        """Step 1: analyze ``block`` with local state; return its summary."""
+        """Step 1: analyze ``block`` with local state; return its summary
+        (a staged row is scanned whole by its first call)."""
         scanner = self._scanner()
         if scanner is None:
             raise NotImplementedError(
                 "implement first_pass() or the make_scanner()/commit_scan() split"
             )
-        return self.commit_scan(
-            block, scanner(block, self.first_pass_context(block))
-        )
+        pending = self._staged_scans
+        if not (pending and pending[-1][0] is block):
+            row, self._staged_row = self._staged_row, ()
+            if not (row and row[0] is block):
+                row = (block,)
+            items = [(b, self.first_pass_context(b)) for b in row]
+            scans = scanner.scan_row(items)
+            pending = self._staged_scans = list(zip(row, scans))[::-1]
+        return self.commit_scan(*pending.pop())
 
     def _scanner(self) -> Optional[Scanner]:
         cache = self.__dict__

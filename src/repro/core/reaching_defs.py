@@ -32,7 +32,7 @@ from repro.core.dataflow import (
     union_side_out_gen,
 )
 from repro.core.epoch import Block, BlockId, InstrId
-from repro.core.framework import ButterflyAnalysis
+from repro.core.framework import ButterflyAnalysis, Scanner
 from repro.core.state import SOSHistory
 from repro.core.window import Butterfly
 
@@ -42,7 +42,7 @@ InstrHook = Callable[[InstrId, object, FrozenSet[Definition]], None]
 
 
 @dataclass(frozen=True)
-class FactsScanner:
+class FactsScanner(Scanner):
     """Picklable first-pass work unit: summarize one block.
 
     Carries only the (stateless) element domain, so it crosses process

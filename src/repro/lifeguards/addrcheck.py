@@ -31,12 +31,10 @@ reports and identical work counters.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import ItemsView, KeysView, Mapping
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import (
-    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
-    Tuple,
+    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -49,6 +47,8 @@ from repro.core.columnar import (
     OP_READ,
     OP_WRITE,
     ColumnarBlock,
+    SortedFirstAccess,
+    expand_extents,
 )
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
@@ -173,74 +173,6 @@ def _pair_keys(segs: List[int], locs: List[int]) -> List[Tuple[int, int]]:
     return list(zip(segs, locs))
 
 
-def _sorted_hits(locs: Any, changed: Set[int]) -> Set[int]:
-    """The members of ``changed`` that the ascending int64 array ``locs``
-    holds: one ``searchsorted`` of the probe values, so the cost follows
-    ``|changed|`` and an empty ``changed`` costs nothing."""
-    if not changed or not locs.shape[0]:
-        return set()
-    probe = np.fromiter(changed, dtype=np.int64, count=len(changed))
-    # A probe above every location lands one past the end; ``clip``
-    # compares it with the last location there, which it cannot equal.
-    found = locs.take(locs.searchsorted(probe), mode="clip") == probe
-    return set(probe[found].tolist())
-
-
-class SortedFirstAccess(Mapping):
-    """``first_access`` as the columnar kernel leaves it: the block's
-    accessed locations ascending (``locs``) beside the offset of each
-    one's first access (``offsets``), both slices of the arrays the
-    kernel computed for its whole group -- no per-block dict or set.
-
-    A read-only mapping like the reference kernel's dict, read the same
-    way: the isolation check's ``fa.keys() & changed`` is one sorted
-    search of the probe values (:func:`_sorted_hits`) and ``fa[loc]`` a
-    bisection, so neither visits every location.
-    """
-
-    __slots__ = ("locs", "offsets")
-
-    def __init__(self, locs: Any, offsets: Any) -> None:
-        self.locs = locs
-        self.offsets = offsets
-
-    def __getitem__(self, loc: int) -> int:
-        locs = self.locs
-        at = int(locs.searchsorted(loc))
-        if at < locs.shape[0] and locs[at] == loc:
-            return int(self.offsets[at])
-        raise KeyError(loc)
-
-    def __len__(self) -> int:
-        return self.locs.shape[0]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.locs.tolist())
-
-    def keys(self) -> KeysView:
-        return _SortedKeys(self)
-
-    def items(self) -> ItemsView:
-        return _SortedItems(self)
-
-
-class _SortedKeys(KeysView):
-    __slots__ = ()
-
-    def __and__(self, other: Set[int]) -> Set[int]:
-        return _sorted_hits(self._mapping.locs, other)
-
-    __rand__ = __and__
-
-
-class _SortedItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        fa = self._mapping
-        return zip(fa.locs.tolist(), fa.offsets.tolist())
-
-
 @dataclass
 class AddrSummary:
     """Per-block summary ``s_{l,t} = (GEN, KILL, ACCESS)``.
@@ -248,47 +180,17 @@ class AddrSummary:
     ``facts`` carries the allocation-domain block facts (downward-exposed
     allocations, freed locations, last-event map) used by the SOS/LSOS
     rules and, as ``all_gen``/``killed_vars``, the GEN/KILL side-out
-    views the isolation check reads.  ACCESS is the key set of
-    ``first_access`` (location -> offset of its first access in the
-    block): the reference kernel's dict or the columnar kernel's
-    :class:`SortedFirstAccess`, read only as a mapping; ``num_accessed``
+    views the isolation check reads.  ACCESS is ``first_access``, the
+    accessed locations beside each one's first offset
+    (:class:`~repro.core.columnar.SortedFirstAccess`); ``num_accessed``
     is its size, a plain int because the meet and the work counters
     take it per wing.
-
-    Pickled, a summary is plain containers under the field names every
-    reader of checkpoint version 3 knows -- ``facts``, ``access`` (a
-    set), ``first_change`` and ``first_access`` (a dict) -- whichever
-    kernel built it, so the array form never reaches a checkpoint.  The
-    first save builds that state and every later save reuses it: a
-    summary stays resident for two or three saves.
     """
 
     facts: BlockFacts
     first_change: Dict[int, int]
-    first_access: Mapping[int, int]
+    first_access: SortedFirstAccess
     num_accessed: int
-
-    #: The pickled state, once a save has built it (not a field).
-    _pickled = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self._pickled
-        if state is None:
-            first_access = dict(self.first_access.items())
-            state = self._pickled = {
-                "facts": self.facts,
-                "access": set(first_access),
-                "first_change": self.first_change,
-                "first_access": first_access,
-            }
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.facts = state["facts"]
-        self.first_change = state["first_change"]
-        self.first_access = state["first_access"]
-        self.num_accessed = len(self.first_access)
-        self._pickled = state
 
 
 class WingChanges(NamedTuple):
@@ -311,8 +213,7 @@ class AddrScan:
     killed_vars: Set[int]
     last_event: Dict[int, str]
     first_change: Dict[int, int]
-    first_access: Mapping[int, int]
-    num_accessed: int
+    first_access: SortedFirstAccess
     errors: List[Tuple[ErrorKind, int, int, str]]
     events: int
     checks: int
@@ -321,7 +222,7 @@ class AddrScan:
 
 
 @dataclass(frozen=True)
-class AddrScanner:
+class AddrScanner(Scanner):
     """Picklable first-pass work unit.
 
     ``context`` is the block's starting LSOS, an
@@ -342,9 +243,6 @@ class AddrScanner:
     """
 
     use_idempotent_filter: bool
-
-    def __call__(self, block: Block, running: SOSView) -> AddrScan:
-        return self.scan_row([(block, running)])[0]
 
     def scan_row(self, items: List[Tuple[Block, SOSView]]) -> List[AddrScan]:
         """Scan one epoch row, ``[(block, LSOS view), ...]``, into one
@@ -441,14 +339,10 @@ class AddrScanner:
         # its stream-wide event, location, and True for a MALLOC (False
         # for a FREE; the accesses that join later are None).
         change_idx = np.flatnonzero((ops == OP_MALLOC) | (ops == OP_FREE))
-        extent = cols.size[change_idx]
-        ent = np.repeat(change_idx, extent)
-        ent_loc = cols.dst[ent]
+        ent, ent_loc = expand_extents(
+            cols.dst, change_idx, cols.size[change_idx]
+        )
         n_ent = ent.shape[0]
-        if n_ent > change_idx.shape[0]:  # an extent's k-th is dst + k
-            ent_loc += np.arange(n_ent, dtype=np.int64) - np.repeat(
-                np.cumsum(extent) - extent, extent
-            )
         ent_lo = ent.searchsorted(ev_lo_arr).tolist()
         ent_list = ent.tolist()
         loc_list = ent_loc.tolist()
@@ -650,7 +544,6 @@ class AddrScanner:
                 last_event=le,
                 first_change=fc,
                 first_access=SortedFirstAccess(uniq[ua:ub], first_ev[ua:ub]),
-                num_accessed=ub - ua,
                 errors=[rec for _, rec in errors],
                 events=ev_lo[s + 1] - ev0,
                 # Unfiltered, every access; filtered, a stable pair once.
@@ -686,13 +579,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
 
     parallel_first_pass = True
     parallel_second_pass = True
-
-    #: The row the engine announced, until its first ``first_pass``
-    #: scans it; then the ``(block, scan)`` pairs still to commit, last
-    #: thread first.  Both are empty outside a row's first pass (class
-    #: defaults, so a restored checkpoint needs neither).
-    _staged_row: Sequence[Block] = ()
-    _staged_scans: Sequence[Tuple[Block, AddrScan]] = ()
 
     def __init__(
         self,
@@ -739,26 +625,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         lid, tid = block.block_id
         return self._compute_lsos(lid, tid)
 
-    def stage_row(self, blocks: Sequence[Block]) -> None:
-        self._staged_row = blocks
-        self._staged_scans = ()
-
-    def first_pass(self, block: Block) -> AddrSummary:
-        """Step 1 for one block.  The first call of a staged row scans
-        all of it in one :meth:`AddrScanner.scan_row` -- every context
-        reads published state only, so computing them up front changes
-        nothing -- and each call commits its own block's scan, in the
-        row's order; any other block is a row of one."""
-        pending = self._staged_scans
-        if not (pending and pending[-1][0] is block):
-            row, self._staged_row = self._staged_row, ()
-            if not (row and row[0] is block):
-                row = (block,)
-            items = [(b, self.first_pass_context(b)) for b in row]
-            scans = self._scanner().scan_row(items)
-            pending = self._staged_scans = list(zip(row, scans))[::-1]
-        return self.commit_scan(*pending.pop())
-
     def commit_scan(self, block: Block, scan: AddrScan) -> AddrSummary:
         block_id = block.block_id
         facts = BlockFacts(
@@ -772,7 +638,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             facts=facts,
             first_change=scan.first_change,
             first_access=scan.first_access,
-            num_accessed=scan.num_accessed,
+            num_accessed=scan.first_access.locs.shape[0],
         )
         errors = self.errors
         flags = 0
@@ -819,15 +685,15 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self, butterfly: Butterfly, side_in: WingChanges
     ) -> Tuple[Set[int], Set[int]]:
         """Pure isolation intersections against the wings' change set
-        (each sized by the smaller operand, or by the change set's
-        probes into ``first_access``): racing state changes and accesses
-        racing a state change."""
+        (sized by the smaller operand, or by the change set's probes
+        into ``first_access``): racing state changes and accesses racing
+        a state change."""
         s = self._summaries[butterfly.body.block_id]
         f = s.facts
         wing_changed = side_in.changed
         return (
             (f.all_gen | f.killed_vars) & wing_changed,
-            s.first_access.keys() & wing_changed,
+            s.first_access.hits(wing_changed),
         )
 
     def commit_check(
@@ -848,36 +714,28 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         # makes the report order a function of the trace alone, so this
         # class and the reference one are bit-identical (the fuzz
         # harness's optref mode diffs them report-for-report).
-        for loc in sorted(change_hits):
-            if errors.record(
-                ErrorKind.UNSAFE_ISOLATION,
-                loc,
-                ref=body.global_ref(s.first_change[loc]),
-                block=block_id,
-                detail=_DETAIL_CHANGE_RACE,
+        if change_hits or access_hits:
+            accesses = sorted(access_hits)
+            for loc, offset, detail in chain(
+                ((loc, s.first_change[loc], _DETAIL_CHANGE_RACE)
+                 for loc in sorted(change_hits)),
+                zip(accesses, s.first_access.first_offsets(accesses),
+                    repeat(_DETAIL_ACCESS_RACE)),
             ):
-                flags += 1
-                if emit:
-                    emit_error_event(
-                        rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
-                        s.first_change[loc], "second",
-                        self._wing_with_change(butterfly, loc),
-                    )
-        for loc in sorted(access_hits):
-            if errors.record(
-                ErrorKind.UNSAFE_ISOLATION,
-                loc,
-                ref=body.global_ref(s.first_access[loc]),
-                block=block_id,
-                detail=_DETAIL_ACCESS_RACE,
-            ):
-                flags += 1
-                if emit:
-                    emit_error_event(
-                        rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
-                        s.first_access[loc], "second",
-                        self._wing_with_change(butterfly, loc),
-                    )
+                if errors.record(
+                    ErrorKind.UNSAFE_ISOLATION,
+                    loc,
+                    ref=body.global_ref(offset),
+                    block=block_id,
+                    detail=detail,
+                ):
+                    flags += 1
+                    if emit:
+                        emit_error_event(
+                            rec, body, ErrorKind.UNSAFE_ISOLATION, loc,
+                            offset, "second",
+                            self._wing_with_change(butterfly, loc),
+                        )
         work = self.block_work[block_id]
         work["flags"] += flags
         work["iso"] += (

@@ -143,7 +143,7 @@ class TaintSummary:
 
 
 @dataclass(frozen=True)
-class TaintScanner:
+class TaintScanner(Scanner):
     """Picklable first-pass work unit: collect one block's transfer
     functions and critical uses.
 

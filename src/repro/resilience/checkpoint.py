@@ -51,7 +51,9 @@ FORMAT = "repro-checkpoint"
 #: (adds producer-row progress and the recorded boundary stream).
 #: Version 3: the pickled SOS history is one live set plus per-epoch
 #: deltas (was a set per epoch); AddrCheck summaries carry no masks.
-VERSION = 3
+#: Version 4: AddrCheck and RaceCheck summaries pickle their footprints
+#: as sorted location and first-offset arrays (were sets and dicts).
+VERSION = 4
 
 
 def _unlink_quietly(path: str) -> None:

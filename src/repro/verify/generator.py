@@ -177,7 +177,8 @@ class AdversarialCaseGenerator:
 
     def _build_wing_heavy(self, rng: random.Random):
         """2-3 threads hammering 1-2 shared locations: every butterfly's
-        wings conflict with its body."""
+        wings conflict with its body.  A third run RaceCheck (drawn last:
+        the trace and cuts are an AddrCheck case's)."""
         hot = rng.sample(range(self.num_locations), rng.randint(1, 2))
         nthreads = rng.randint(2, 3)
         lengths = [rng.randint(1, 3) for _ in range(nthreads)]
@@ -186,12 +187,10 @@ class AdversarialCaseGenerator:
             for n in lengths
         ]
         num_epochs = rng.randint(2, 3)
-        return (
-            threads,
-            _random_boundaries(rng, lengths, num_epochs),
-            "addrcheck",
-            hot if rng.random() < 0.5 else (),
-        )
+        boundaries = _random_boundaries(rng, lengths, num_epochs)
+        prealloc = hot if rng.random() < 0.5 else ()
+        lifeguard = "race" if rng.random() < 1 / 3 else "addrcheck"
+        return threads, boundaries, lifeguard, prealloc
 
     def _build_epoch_boundary(self, rng: random.Random):
         """Allocation-state changes placed right at epoch cuts."""

@@ -401,8 +401,7 @@ class DifferentialHarness:
             source = iter_load(self._stream_file(case))
         else:
             source = None  # the partition itself
-        if point.representation == "objects" and case.lifeguard != "race":
-            # RaceCheck has one (per-Instr) kernel and nothing to force.
+        if point.representation == "objects":
             ablation = {"use_columnar_kernel": False, **ablation}
         if not reference:
             guard = make_guard(case.lifeguard, case.preallocated, **ablation)

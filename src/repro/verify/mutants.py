@@ -15,13 +15,25 @@ must never be active concurrently with real analysis work.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, Iterator
+from typing import Callable, ContextManager, Dict, Iterator
 
 from repro.obs.recorder import NULL_RECORDER
 
 
 @contextlib.contextmanager
-def resume_event_replay() -> Iterator[None]:
+def _patched(owner: object, **attrs: object) -> Iterator[None]:
+    """Set ``owner``'s ``attrs`` for the ``with`` body, then restore them."""
+    originals = {name: getattr(owner, name) for name in attrs}
+    for name, value in attrs.items():
+        setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        for name, value in originals.items():
+            setattr(owner, name, value)
+
+
+def resume_event_replay() -> ContextManager[None]:
     """Revert the resume event-log dedup fix.
 
     The pre-fix behavior: attaching with a checkpoint emits a second
@@ -52,17 +64,10 @@ def resume_event_replay() -> Iterator[None]:
         finally:
             self.recorder = recorder
 
-    ButterflyEngine._bind = _bind
-    ButterflyEngine.restore_state = restore_state
-    try:
-        yield
-    finally:
-        ButterflyEngine._bind = orig_bind
-        ButterflyEngine.restore_state = orig_restore
+    return _patched(ButterflyEngine, _bind=_bind, restore_state=restore_state)
 
 
-@contextlib.contextmanager
-def narrow_window() -> Iterator[None]:
+def narrow_window() -> ContextManager[None]:
     """Strip next-epoch wings from every butterfly.
 
     A classic unsound 'optimization': treating epoch ``l+1`` as
@@ -90,15 +95,10 @@ def narrow_window() -> Iterator[None]:
             )
         return out
 
-    framework.butterflies_for_epoch = narrowed
-    try:
-        yield
-    finally:
-        framework.butterflies_for_epoch = orig
+    return _patched(framework, butterflies_for_epoch=narrowed)
 
 
-@contextlib.contextmanager
-def stale_overlay() -> Iterator[None]:
+def stale_overlay() -> ContextManager[None]:
     """Make LSOS views forget their ``removed`` overlay.
 
     The bug a base-plus-delta LSOS invites: a location the head block
@@ -110,20 +110,13 @@ def stale_overlay() -> Iterator[None]:
     """
     from repro.core.state import SOSView
 
-    orig = SOSView.__contains__
-
     def contains(self, element):
         return element in self.base or element in self.added
 
-    SOSView.__contains__ = contains
-    try:
-        yield
-    finally:
-        SOSView.__contains__ = orig
+    return _patched(SOSView, __contains__=contains)
 
 
-@contextlib.contextmanager
-def thread_bleed() -> Iterator[None]:
+def thread_bleed() -> ContextManager[None]:
     """Give every block of a row scan the *first* block's LSOS overlay.
 
     The bug a batched first pass invites: the row's blocks share one
@@ -147,15 +140,10 @@ def thread_bleed() -> Iterator[None]:
             bled.append((cols, view))
         return orig(self, bled)
 
-    AddrScanner._scan_columns = scan_columns
-    try:
-        yield
-    finally:
-        AddrScanner._scan_columns = orig
+    return _patched(AddrScanner, _scan_columns=scan_columns)
 
 
-@contextlib.contextmanager
-def segment_carry() -> Iterator[None]:
+def segment_carry() -> ContextManager[None]:
     """Tell the columnar first pass's scan runs apart by location alone.
 
     The bug a segmented scan invites: a row's blocks share one sorted
@@ -166,28 +154,22 @@ def segment_carry() -> Iterator[None]:
     """
     from repro.lifeguards import addrcheck
 
-    orig = addrcheck._pair_keys
-    addrcheck._pair_keys = lambda segs, locs: locs
-    try:
-        yield
-    finally:
-        addrcheck._pair_keys = orig
+    return _patched(addrcheck, _pair_keys=lambda segs, locs: locs)
 
 
-@contextlib.contextmanager
-def probe_edge() -> Iterator[None]:
+def probe_edge() -> ContextManager[None]:
     """Let the isolation check's sorted probe miss the last location.
 
     The bug a sorted search invites at its edge: a probe value equal to
     the highest location a body accessed is taken for one past the end,
     so an access racing a wing's allocation-state change there goes
-    unflagged.  Only the columnar kernel's summaries are probed this
-    way -- the per-``Instr`` scanner and the reference intersect dicts and sets
-    -- so the ``columnar`` pair must see the two part ways.
+    unflagged.  Every kernel's summary is a footprint probed this way;
+    the reference lifeguard intersects sets of its own, so the
+    ``optref`` pair must see the two part ways.
     """
-    from repro.lifeguards import addrcheck
+    from repro.core import columnar
 
-    orig = addrcheck._sorted_hits
+    orig = columnar._sorted_hits
 
     def sorted_hits(locs, changed):
         hits = orig(locs, changed)
@@ -195,15 +177,28 @@ def probe_edge() -> Iterator[None]:
             hits.discard(int(locs[-1]))
         return hits
 
-    addrcheck._sorted_hits = sorted_hits
-    try:
-        yield
-    finally:
-        addrcheck._sorted_hits = orig
+    return _patched(columnar, _sorted_hits=sorted_hits)
 
 
-@contextlib.contextmanager
-def reversed_commit() -> Iterator[None]:
+def race_first_write() -> ContextManager[None]:
+    """Take a location's first-write offset from its *last* write.
+
+    The bug a sort-based footprint invites (a reversed stream, an
+    unstable sort): a conflict is blamed on the wrong access.  The
+    per-``Instr`` race scanner keeps the first write in a dict, so the
+    ``columnar`` pair must see the refs part ways."""
+    from repro.lifeguards import racecheck
+
+    orig = racecheck._write_stream
+
+    def write_stream(cols, is_change):
+        ev, locs = orig(cols, is_change)
+        return ev[::-1], locs[::-1]
+
+    return _patched(racecheck, _write_stream=write_stream)
+
+
+def reversed_commit() -> ContextManager[None]:
     """Commit fanned-out first-pass scans last thread first.
 
     The bug an "apply results as they arrive" executor invites: the
@@ -221,15 +216,10 @@ def reversed_commit() -> Iterator[None]:
             blocks = blocks[::-1]
         orig(self, analysis, blocks, scanner, recorder)
 
-    ButterflyEngine._first_pass = first_pass
-    try:
-        yield
-    finally:
-        ButterflyEngine._first_pass = orig
+    return _patched(ButterflyEngine, _first_pass=first_pass)
 
 
-@contextlib.contextmanager
-def lossy_decode() -> Iterator[None]:
+def lossy_decode() -> ContextManager[None]:
     """Drop every MALLOC/FREE ``size`` while decoding an epoch record.
 
     ``decode_epoch_text`` is the one decoder behind both the version 2
@@ -252,15 +242,10 @@ def lossy_decode() -> Iterator[None]:
             ])
         return orig(record, lid, num_threads, name, lineno)
 
-    serialize.decode_epoch_row = decode
-    try:
-        yield
-    finally:
-        serialize.decode_epoch_row = orig
+    return _patched(serialize, decode_epoch_row=decode)
 
 
-@contextlib.contextmanager
-def blind_wholesale() -> Iterator[None]:
+def blind_wholesale() -> ContextManager[None]:
     """Report every location a TaintCheck body asks about as untouched.
 
     The bug the touched/untouched split of ``check_body`` invites: a
@@ -271,12 +256,7 @@ def blind_wholesale() -> Iterator[None]:
     """
     from repro.lifeguards import taintcheck
 
-    orig = taintcheck._touched
-    taintcheck._touched = lambda asked, window: set()
-    try:
-        yield
-    finally:
-        taintcheck._touched = orig
+    return _patched(taintcheck, _touched=lambda asked, window: set())
 
 
 #: Registry used by ``repro fuzz --mutant`` and the self-tests.
@@ -287,6 +267,7 @@ MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "thread-bleed": thread_bleed,
     "segment-carry": segment_carry,
     "probe-edge": probe_edge,
+    "race-first-write": race_first_write,
     "reversed-commit": reversed_commit,
     "lossy-decode": lossy_decode,
     "blind-wholesale": blind_wholesale,

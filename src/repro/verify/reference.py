@@ -11,12 +11,12 @@ SOS update, eviction) and must report bit-identically to it: the
 ``optref`` fuzz preset, the determinism and provenance property tests
 and the core microbenchmark all diff the two.
 
-:class:`ReferenceAddrScanner` and :class:`ReferenceTaintScanner` are
-the two lifeguards' first-pass kernels one ``Instr`` at a time, the
-legs the columnar kernels must match bit for bit.
-``use_columnar_kernel=False`` swaps them into the production
-lifeguards, which is how the ``columnar`` fuzz mode and the kernel
-benchmarks run them.
+:class:`ReferenceAddrScanner`, :class:`ReferenceRaceScanner` and
+:class:`ReferenceTaintScanner` are the three lifeguards' first-pass
+kernels one ``Instr`` at a time, the legs the columnar kernels must
+match bit for bit.  ``use_columnar_kernel=False`` swaps them into the
+production lifeguards, which is how the ``columnar`` fuzz mode and the
+kernel benchmarks run them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.columnar import SortedFirstAccess
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block
+from repro.core.framework import Scanner
 from repro.core.state import SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.addrcheck import (
@@ -37,6 +39,7 @@ from repro.lifeguards.addrcheck import (
     AddrScan,
     ButterflyAddrCheck,
 )
+from repro.lifeguards.racecheck import AccessSummary
 from repro.lifeguards.reports import ErrorKind, emit_error_event
 from repro.lifeguards.taintcheck import BOT, TOP, TaintSummary, Value
 from repro.trace.events import Instr, Op
@@ -250,21 +253,15 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
 
 
 @dataclass(frozen=True)
-class ReferenceAddrScanner:
+class ReferenceAddrScanner(Scanner):
     """AddrCheck's first pass one ``Instr`` at a time, with the
     interface of :class:`~repro.lifeguards.addrcheck.AddrScanner` and
     bit-identical :class:`AddrScan` results.  Each block is scanned on
-    its own, so ``scan_row`` is a loop."""
+    its own."""
 
     use_idempotent_filter: bool
 
     def __call__(self, block: Block, running: SOSView) -> AddrScan:
-        return self.scan_block(block, running)
-
-    def scan_row(self, items: List[Tuple[Block, SOSView]]) -> List[AddrScan]:
-        return [self.scan_block(block, running) for block, running in items]
-
-    def scan_block(self, block: Block, running: SOSView) -> AddrScan:
         # ``loc in running`` / ``running.add`` / ``running.discard``
         # below are SOSView's methods written out against its three
         # plain sets: this loop runs per event.
@@ -365,8 +362,7 @@ class ReferenceAddrScanner:
             killed_vars=killed_vars,
             last_event=last_event,
             first_change=first_change,
-            first_access=first_access,
-            num_accessed=len(first_access),
+            first_access=SortedFirstAccess.from_dict(first_access),
             errors=errors,
             events=events,
             checks=checks,
@@ -376,7 +372,33 @@ class ReferenceAddrScanner:
 
 
 @dataclass(frozen=True)
-class ReferenceTaintScanner:
+class ReferenceRaceScanner(Scanner):
+    """RaceCheck's first pass one ``Instr`` at a time, with the
+    interface of :class:`~repro.lifeguards.racecheck.RaceScanner` and
+    bit-identical :class:`AccessSummary` results."""
+
+    def __call__(self, block: Block, context: object) -> AccessSummary:
+        first_read: Dict[int, int] = {}
+        first_write: Dict[int, int] = {}
+        for i, instr in enumerate(block.instrs):
+            if instr.op in (Op.MALLOC, Op.FREE):
+                # An allocation-state change writes its whole extent.
+                for loc in instr.extent:
+                    first_write.setdefault(loc, i)
+                continue
+            for loc in instr.srcs:
+                first_read.setdefault(loc, i)
+            if instr.op in (Op.WRITE, Op.ASSIGN, Op.TAINT, Op.UNTAINT):
+                first_write.setdefault(instr.dst, i)
+        return AccessSummary(
+            block.block_id,
+            SortedFirstAccess.from_dict(first_read),
+            SortedFirstAccess.from_dict(first_write),
+        )
+
+
+@dataclass(frozen=True)
+class ReferenceTaintScanner(Scanner):
     """TaintCheck's first pass one ``Instr`` at a time, with the
     interface of :class:`~repro.lifeguards.taintcheck.TaintScanner` and
     bit-identical :class:`TaintSummary` results."""

@@ -330,10 +330,10 @@ class _ExplodingScanner(ReferenceAddrScanner):
     """Thread 2's scan of epoch 1 raises, after threads 0 and 1 were
     scanned."""
 
-    def scan_block(self, block, running):
+    def __call__(self, block, running):
         if block.block_id == (1, 2):
             raise RuntimeError("boom")
-        return super().scan_block(block, running)
+        return super().__call__(block, running)
 
 
 class _ExplodingGuard(ButterflyAddrCheck):

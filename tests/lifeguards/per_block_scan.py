@@ -4,8 +4,9 @@ against.
 
 ``_scan_columns`` is PR 18's ``AddrScanner._scan_columns`` verbatim
 (``self.use_idempotent_filter`` became the ``use_filter`` argument,
-and the ``access`` set :class:`AddrScan` no longer carries became its
-``num_accessed``; its ``first_access`` stays a dict);
+the ``access`` set :class:`AddrScan` no longer carries was dropped, and
+its ``first_access`` dict is handed over as the footprint every kernel
+now leaves);
 ``per_block_scan`` is that commit's ``AddrScanner.__call__`` for a
 columnar-backed block -- every block is one now.  Never imported by
 ``src/``.
@@ -15,7 +16,9 @@ from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.columnar import OP_FREE, OP_MALLOC, ColumnarBlock
+from repro.core.columnar import (
+    OP_FREE, OP_MALLOC, ColumnarBlock, SortedFirstAccess,
+)
 from repro.core.epoch import Block
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import (
@@ -333,8 +336,7 @@ def _scan_columns(
         killed_vars=killed_vars,
         last_event=last_event,
         first_change=first_change,
-        first_access=first_access,
-        num_accessed=len(first_access),
+        first_access=SortedFirstAccess.from_dict(first_access),
         errors=errors,
         events=n,
         checks=checks,

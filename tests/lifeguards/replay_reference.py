@@ -17,7 +17,9 @@ from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.columnar import OP_FREE, OP_MALLOC, ColumnarBlock
+from repro.core.columnar import (
+    OP_FREE, OP_MALLOC, ColumnarBlock, SortedFirstAccess,
+)
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import (
     _DETAIL_ACCESS,
@@ -25,7 +27,6 @@ from repro.lifeguards.addrcheck import (
     _DETAIL_MALLOC,
     AddrScan,
     AddrScanner,
-    SortedFirstAccess,
     _access_stream,
 )
 from repro.lifeguards.reports import ErrorKind
@@ -354,7 +355,6 @@ def scan_columns(
             last_event=last_event,
             first_change=first_change,
             first_access=SortedFirstAccess(uniq[a:b], first_ev[a:b]),
-            num_accessed=b - a,
             errors=[rec for _, rec in keyed],
             events=ev_lo[s + 1] - ev0,
             checks=checks,

@@ -244,7 +244,7 @@ class CheckedAddrCheck(ButterflyAddrCheck):
         facts = summary.facts
         self._masks[block.block_id] = (
             mask(facts.all_gen), mask(facts.killed_vars),
-            mask(summary.first_access),
+            mask(summary.first_access.locs.tolist()),
         )
         return summary
 

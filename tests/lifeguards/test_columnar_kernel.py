@@ -1,9 +1,11 @@
-"""Bit-identity of the vectorized AddrCheck first-pass kernel.
+"""Bit-identity of the vectorized first-pass kernels.
 
-The columnar kernel must produce *exactly* the scalar kernel's
+The columnar AddrCheck kernel must produce *exactly* the scalar kernel's
 :class:`AddrScan` -- same summary sets, same error records in the same
 order, same counters, same mutation of the running LSOS -- for any
-block, or differential modes downstream would drown in kernel noise.
+block, and the columnar RaceCheck kernel exactly the scalar kernel's
+read and write footprints, whether it scans a block alone or inside a
+row; else differential modes downstream would drown in kernel noise.
 These tests formalize that contract over random, adversarial, and
 hand-picked corner-case blocks; the fuzz campaign's ``columnar`` mode
 extends the same check end to end.
@@ -12,18 +14,32 @@ extends the same check end to end.
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
+from repro.lifeguards.racecheck import RaceScanner
 from repro.trace.events import Instr, Op
 from repro.trace.generator import adversarial_instrs
-from repro.verify.reference import ReferenceAddrScanner
+from repro.verify.reference import ReferenceAddrScanner, ReferenceRaceScanner
 
 _ALL_OPS = (Op.WRITE, Op.READ, Op.MALLOC, Op.FREE, Op.ASSIGN,
             Op.TAINT, Op.UNTAINT, Op.JUMP, Op.NOP)
+
+
+#: The kernels each test runs: AddrCheck with and without the
+#: idempotent filter, and RaceCheck.
+KERNELS = [True, False, "race"]
+
+
+def _footprint(fp):
+    """A footprint as plain lists, dtypes checked: ``(locs, offsets)``."""
+    assert fp.locs.dtype == fp.offsets.dtype == np.int64
+    assert fp.locs.tolist() == sorted(set(fp.locs.tolist()))
+    return fp.locs.tolist(), fp.offsets.tolist()
 
 
 def _scan_dict(scan):
@@ -33,8 +49,7 @@ def _scan_dict(scan):
         "killed_vars": scan.killed_vars,
         "last_event": scan.last_event,
         "first_change": scan.first_change,
-        "first_access": dict(scan.first_access),
-        "num_accessed": scan.num_accessed,
+        "first_access": _footprint(scan.first_access),
         "errors": scan.errors,
         "events": scan.events,
         "checks": scan.checks,
@@ -65,7 +80,36 @@ def _views_of(running, instrs):
     yield view
 
 
+def _race_dict(scan):
+    return (
+        scan.block_id, _footprint(scan.reads), _footprint(scan.writes)
+    )
+
+
+def _assert_race_kernels_agree(instrs):
+    """Alone, and as the middle block of a row whose other blocks are
+    empty or cut from the same events, the columnar scan equals the
+    per-``Instr`` one block by block."""
+    third = len(instrs) // 3
+    rows = [
+        [instrs],
+        [instrs[:third], [], instrs, instrs[third:], []],
+    ]
+    for row in rows:
+        blocks = [
+            Block(0, tid, 0, ColumnarBlock.from_instrs(events))
+            for tid, events in enumerate(row)
+        ]
+        want = [_race_dict(ReferenceRaceScanner()(b, None)) for b in blocks]
+        items = [(b, None) for b in blocks]
+        assert [_race_dict(s) for s in RaceScanner().scan_row(items)] == want
+        assert [_race_dict(RaceScanner()(b, None)) for b in blocks] == want
+
+
 def _assert_kernels_agree(instrs, running, use_filter):
+    if use_filter == "race":
+        _assert_race_kernels_agree(instrs)
+        return
     block = Block(0, 0, 0, ColumnarBlock.from_instrs(instrs))
     for running_obj, running_col in zip(
         _views_of(running, instrs), _views_of(running, instrs)
@@ -79,12 +123,12 @@ def _assert_kernels_agree(instrs, running, use_filter):
         assert running_col.base == running_obj.base
         # Results must be built from plain Python ints, not numpy
         # scalars: summaries feed sets/dicts that are later pickled.
-        for x in col.gen | set(col.first_access) | running_col.added:
+        for x in col.gen | running_col.added:
             assert type(x) is int
 
 
 class TestKernelIdentity:
-    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("use_filter", KERNELS)
     def test_corner_cases(self, use_filter):
         cases = [
             [],
@@ -109,14 +153,27 @@ class TestKernelIdentity:
             # Same location checked repeatedly (filter's bread and
             # butter) with an intervening re-arm.
             [Instr.read(4)] * 5 + [Instr.malloc(4)] + [Instr.read(4)] * 5,
+            # Sizes and sources where no kernel reads them: a sized
+            # store writes its destination alone, a READ/NOP destination
+            # is no write, MALLOC/FREE sources are no reads, and a
+            # source may repeat.
+            [Instr(Op.WRITE, dst=6, size=3), Instr(Op.TAINT, dst=2, size=2),
+             Instr(Op.READ, dst=5, srcs=(1,)), Instr(Op.NOP, dst=3, srcs=(4,)),
+             Instr(Op.MALLOC, dst=7, srcs=(6, 6), size=2),
+             Instr(Op.FREE, dst=0, srcs=(1,)), Instr.assign(5, 4, 4),
+             Instr.write(6), Instr.read(7)],
+            # Every op, twice over.
+            [Instr.write(1), Instr.read(2), Instr.malloc(3), Instr.free(3),
+             Instr.assign(4, 1, 2), Instr.taint(5), Instr.untaint(5),
+             Instr.jump(2), Instr.nop()] * 2,
         ]
         for instrs in cases:
             for running in (set(), {0, 1, 2, 3, 4, 5, 6, 7}, {2}):
                 _assert_kernels_agree(instrs, running, use_filter)
 
-    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("use_filter", KERNELS)
     def test_random_blocks(self, use_filter):
-        rng = random.Random(97 + use_filter)
+        rng = random.Random({True: 98, False: 97, "race": 99}[use_filter])
         for trial in range(60):
             instrs = adversarial_instrs(
                 rng,
@@ -169,9 +226,9 @@ class TestLargeLSOS:
                 instrs.append(Instr.free(a, size=rng.randrange(1, 4)))
         return instrs
 
-    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("use_filter", KERNELS)
     def test_dense_span(self, use_filter):
-        rng = random.Random(11 + use_filter)
+        rng = random.Random({True: 12, False: 11, "race": 10}[use_filter])
         # 300 neighbouring locations, half of them allocated: the span
         # is far below the kernel's dense limit.
         pool = range(50_000, 50_300)
@@ -180,9 +237,9 @@ class TestLargeLSOS:
         assert any(i.op is Op.FREE for i in instrs)
         _assert_kernels_agree(instrs, self.LSOS, use_filter)
 
-    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("use_filter", KERNELS)
     def test_sparse_span(self, use_filter):
-        rng = random.Random(13 + use_filter)
+        rng = random.Random({True: 14, False: 13, "race": 15}[use_filter])
         # 64 locations scattered over 2**40: the span rules out the
         # dense tables and the kernel takes the np.unique path.  Half
         # fall inside the LSOS's range, on both parities.

@@ -18,6 +18,7 @@ from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.program import TraceProgram
+from repro.trace.serialize import iter_load, save_stream_file
 from repro.workloads.registry import get_benchmark
 from tests.lifeguards.bitmask import BitInterner
 
@@ -123,13 +124,15 @@ class MaskRaceCheck(ButterflyRaceCheck):
 
     def commit_scan(self, block, scan):
         mask = self._loc_bits.mask
-        self._masks[block.block_id] = (mask(scan.reads), mask(scan.writes))
+        self._masks[block.block_id] = (
+            mask(scan.reads.locs.tolist()), mask(scan.writes.locs.tolist())
+        )
         return super().commit_scan(block, scan)
 
     def check_body(self, butterfly, side_in):
         reads, writes = self._masks[butterfly.body.block_id]
         wing_reads = wing_writes = 0
-        for w in side_in:
+        for w in butterfly.wings:
             wing_reads |= self._masks[w.block_id][0]
             wing_writes |= self._masks[w.block_id][1]
         decode = self._loc_bits.decode
@@ -187,3 +190,29 @@ class TestSetIntersectionsAgainstTheMasks:
                 size[lid] = len(pickle.dumps(guard))
         assert size[2000] <= 1.5 * size[200], size
         assert len(guard._summaries) <= 3 * threads
+
+
+class TestNoInstrOnTheProductionPath:
+    def test_a_stream_file_run_builds_no_instr(self, tmp_path, monkeypatch):
+        """The columnar scan reads a streamed block's columns alone: with
+        ``Instr`` materialization refused, a stream-file run still
+        reports exactly what the partition run does."""
+        prog = simulated_alloc_program(
+            random.Random(3), num_threads=3, total_events=600,
+            num_locations=16,
+        )
+        part = partition_by_global_order(prog, 32)
+        path = str(tmp_path / "trace.jsonl")
+        save_stream_file(part, path)
+        expected = ButterflyRaceCheck()
+        expected_stats = ButterflyEngine(expected).run(part)
+
+        def refuse(self):
+            raise AssertionError("an Instr was built on the production path")
+
+        monkeypatch.setattr(ColumnarBlock, "to_instrs", refuse)
+        guard = ButterflyRaceCheck()
+        stats = ButterflyEngine(guard).run_source(iter_load(path))
+        assert len(expected.errors) > 0
+        assert list(guard.errors) == list(expected.errors)
+        assert stats == expected_stats

@@ -1,16 +1,17 @@
 """One isolation check over every form an AddrCheck summary takes.
 
-The object kernel keeps a block's ``first_access`` as a dict, the
-columnar kernel as a :class:`SortedFirstAccess` (slices of the sorted
-arrays its scan computed), the reference lifeguard as plain sets and
-dicts of its own, and a pickle restores either kernel's as a plain
-dict.  Every form must answer the isolation check alike: the same hits
-(so the same ``unsafe-isolation`` flags), the same first-access refs on
-them, and the same ``meet``/``iso``/``checks`` counters.  The check
-runs over the adversarial families and over an allocation-edge family
-whose wings change the body's lowest and highest accessed locations,
-and locations below and above all of them, by double frees, frees
-before mallocs and reallocations.
+Both kernels leave a block's ``first_access`` as a
+:class:`SortedFirstAccess` -- the columnar kernel as slices of the
+sorted arrays its scan computed, the per-``Instr`` kernel converted from
+its dict -- a pickle restores either as the same arrays, and the
+reference lifeguard keeps plain sets and dicts of its own.  Every form
+must answer the isolation check alike: the same hits (so the same
+``unsafe-isolation`` flags), the same first-access refs on them, and the
+same ``meet``/``iso``/``checks`` counters.  The check runs over the
+adversarial families and over an allocation-edge family whose wings
+change the body's lowest and highest accessed locations, and locations
+below and above all of them, by double frees, frees before mallocs and
+reallocations.
 """
 
 import pickle
@@ -19,15 +20,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import columnar
+from repro.core.columnar import SortedFirstAccess, _sorted_hits
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
-from repro.lifeguards import addrcheck
-from repro.lifeguards.addrcheck import (
-    AddrSummary,
-    ButterflyAddrCheck,
-    SortedFirstAccess,
-    _sorted_hits,
-)
+from repro.lifeguards.addrcheck import AddrSummary, ButterflyAddrCheck
 from repro.lifeguards.reports import ErrorKind
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
@@ -69,12 +66,12 @@ def _assert_forms_agree(partition, prealloc):
                 and type(s.first_access) is dict
                 for s in resident
             )
-        elif name == "columns":
+        else:
             assert all(
-                type(s.first_access) is SortedFirstAccess for s in resident
+                type(s.first_access) is SortedFirstAccess
+                and s.num_accessed == s.first_access.locs.shape[0]
+                for s in resident
             )
-        elif name == "restored":
-            assert all(type(s.first_access) is dict for s in resident)
     errors, work = outcomes.pop("objects")
     for name, (other_errors, other_work) in outcomes.items():
         assert other_errors == errors, name
@@ -146,7 +143,7 @@ class TestFormsAgree:
                 ) if happened)
             return hits
 
-        monkeypatch.setattr(addrcheck, "_sorted_hits", spy)
+        monkeypatch.setattr(columnar, "_sorted_hits", spy)
         for seed in range(60):
             partition, prealloc = edge_program(seed)
             guard = ButterflyAddrCheck(prealloc, use_columnar_kernel=True)
@@ -170,36 +167,32 @@ class TestSortedFirstAccess:
     def test_the_probe_is_the_key_intersection(self, changed):
         fa = self._fa()
         expect = set(self.LOCS) & changed
-        assert fa.keys() & changed == expect
-        assert changed & fa.keys() == expect
-        assert all(type(x) is int for x in fa.keys() & changed)
+        assert fa.hits(changed) == expect
+        assert all(type(x) is int for x in fa.hits(changed))
+        # An array probe, repeats and all, hits the same locations.
+        probe = np.array(sorted(changed) * 2, dtype=np.int64)
+        assert fa.hits(probe) == expect
 
     def test_no_locations(self):
         fa = self._fa([], [])
-        assert fa.keys() & {1, 2} == set()
-        assert len(fa) == 0 and dict(fa.items()) == {}
-        with pytest.raises(KeyError):
-            fa[1]
+        assert fa.hits({1, 2}) == set()
+        assert 1 not in fa
+        assert fa.first_offsets([]) == []
 
-    def test_reads_like_the_dict(self):
-        fa, want = self._fa(), dict(zip(self.LOCS, self.OFFSETS))
-        assert fa == want and want == fa
-        assert dict(fa.items()) == want and list(fa) == self.LOCS
-        assert [fa[loc] for loc in self.LOCS] == self.OFFSETS
-        assert all(type(fa[loc]) is int for loc in self.LOCS)
-        for missing in (0, 4, 14):
-            assert missing not in fa
-            with pytest.raises(KeyError):
-                fa[missing]
-
-    def test_a_summary_pickles_as_plain_containers(self):
-        summary = AddrSummary(
-            facts=None, first_change={}, first_access=self._fa(),
-            num_accessed=len(self.LOCS),
-        )
-        state = pickle.loads(pickle.dumps(summary)).__getstate__()
-        assert set(state) == {"facts", "access", "first_change", "first_access"}
-        assert type(state["access"]) is set
-        assert type(state["first_access"]) is dict
-        assert state["first_access"] == dict(zip(self.LOCS, self.OFFSETS))
-        assert state["access"] == set(self.LOCS)
+    def test_either_kernels_summary_round_trips(self):
+        want = dict(zip(self.LOCS, self.OFFSETS))
+        for fa in (self._fa(), SortedFirstAccess.from_dict(want)):
+            summary = AddrSummary(
+                facts=None, first_change={}, first_access=fa,
+                num_accessed=len(self.LOCS),
+            )
+            restored = pickle.loads(pickle.dumps(summary))
+            assert restored == summary
+            assert type(restored.first_access) is SortedFirstAccess
+            assert restored.first_access.locs.tolist() == self.LOCS
+            offsets = restored.first_access.first_offsets(self.LOCS)
+            assert offsets == self.OFFSETS
+            assert all(type(x) is int for x in offsets)
+            assert fa.first_offsets([13, 3]) == [2, 4]
+            assert all(loc in fa for loc in self.LOCS)
+            assert not any(loc in fa for loc in (0, 4, 14, -(2 ** 62)))

@@ -2,13 +2,11 @@
 
 import copyreg
 import errno
-import io
 import os
 import pickle
 import random
 import sys
 import threading
-from collections import Counter
 
 import pytest
 
@@ -22,11 +20,8 @@ from repro.core.epoch import (
 from repro.core.framework import ButterflyEngine
 from repro.core.stream import EpochSource
 from repro.errors import CheckpointError
-from repro.lifeguards.addrcheck import (
-    AddrSummary,
-    ButterflyAddrCheck,
-    SortedFirstAccess,
-)
+from repro.core.columnar import SortedFirstAccess
+from repro.lifeguards.addrcheck import AddrSummary, ButterflyAddrCheck
 from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
 from repro.resilience import (
@@ -248,9 +243,10 @@ class TestStreamedResume:
 
     def test_legacy_checkpoint_refuses_stream_resume(self, tmp_path):
         # The state layout changed with version 2 (engine-owned
-        # snapshot_state) and again with version 3 (the SOS history as
-        # one live set plus deltas); a file from either previous writer
-        # is refused up front instead of being half-understood.
+        # snapshot_state), version 3 (the SOS history as one live set
+        # plus deltas) and version 4 (summaries pickle their footprint
+        # arrays); a file from any previous writer is refused up front
+        # instead of being half-understood.
         from repro.core.stream import PartitionSource
 
         part = partition_by_global_order(_program(), 8)
@@ -260,7 +256,7 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        for older in (1, 2):
+        for older in (1, 2, 3):
             stamp_version(path, older)
             with pytest.raises(
                 CheckpointError,
@@ -404,15 +400,15 @@ def _engine_at_epoch(epochs=3):
 class TestTwoHalfSave:
     def test_file_is_one_pickle_of_the_record(self, tmp_path):
         """Pickling straight into the temp file changed nothing on
-        disk: version 3, the same bytes as one ``pickle.dumps``."""
+        disk: version 4, the same bytes as one ``pickle.dumps``."""
         engine = _engine_at_epoch()
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, engine, META)
-        assert checkpoint.VERSION == 3
+        assert checkpoint.VERSION == 4
         expected = pickle.dumps(
             {
                 "format": "repro-checkpoint",
-                "version": 3,
+                "version": 4,
                 "meta": META,
                 "engine": engine.snapshot_state(),
             },
@@ -786,16 +782,17 @@ class TestEngineResumeSurface:
         assert os.listdir(tmp_path) == []
 
 
-def _save_in_the_earlier_layout(path, engine):
-    """Checkpoint ``engine`` as a build whose ``AddrSummary`` was a plain
-    dataclass wrote it: each summary as its class by name and its field
-    dict -- ``access`` a set beside the ``first_access`` dict."""
+def _save_as_version_3(path, engine):
+    """Checkpoint ``engine`` as the version 3 writer did: each AddrCheck
+    summary as its class by name and plain containers -- ``access`` a
+    set beside the ``first_access`` dict."""
 
     class Pickler(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is not AddrSummary:
                 return NotImplemented
-            first_access = dict(obj.first_access.items())
+            fa = obj.first_access
+            first_access = dict(zip(fa.locs.tolist(), fa.offsets.tolist()))
             return (copyreg.__newobj__, (AddrSummary,), {
                 "facts": obj.facts,
                 "access": set(first_access),
@@ -806,7 +803,7 @@ def _save_in_the_earlier_layout(path, engine):
     with open(path, "wb") as fh:
         Pickler(fh, pickle.HIGHEST_PROTOCOL).dump({
             "format": checkpoint.FORMAT,
-            "version": checkpoint.VERSION,
+            "version": 3,
             "meta": META,
             "engine": engine.snapshot_state(),
         })
@@ -831,22 +828,6 @@ def _save_with_mask_fields(path, engine):
             "meta": META,
             "engine": engine.snapshot_state(),
         })
-
-
-class _FieldsOnly:
-    """A class without ``__setstate__``: unpickling updates its
-    ``__dict__`` from the state, as a build whose summary is a plain
-    dataclass does."""
-
-
-def _fields_as_a_plain_dataclass_loads(payload):
-    class Unpickler(pickle.Unpickler):
-        def find_class(self, module, name):
-            if name == "AddrSummary":
-                return _FieldsOnly
-            return super().find_class(module, name)
-
-    return vars(Unpickler(io.BytesIO(payload)).load())
 
 
 def _alloc_source(epochs=6):
@@ -884,10 +865,11 @@ def _resumed(source, path):
 
 
 class TestSummaryPickles:
-    """AddrCheck summaries keep the columnar kernel's sorted arrays in
-    memory, and pickle as they did before: the same field names, plain
-    sets and dicts, checkpoint ``VERSION`` 3 -- so a checkpoint from a
-    build on either side of the change resumes on the other."""
+    """AddrCheck summaries keep the footprint arrays both kernels leave,
+    in memory and in a checkpoint (``VERSION`` 4): a restored summary
+    is the one that was saved, and a version 3 file -- whose summaries
+    are dicts and sets -- is refused before anything is unpickled into
+    the wrong shape."""
 
     def test_a_columnar_summary_loads_as_the_object_kernels(self):
         source = _alloc_source(epochs=1)
@@ -900,51 +882,38 @@ class TestSummaryPickles:
         for block in row:
             col, obj = columnar.first_pass(block), objects.first_pass(block)
             assert type(col.first_access) is SortedFirstAccess
-            assert type(obj.first_access) is dict
-            payload = pickle.dumps(col, pickle.HIGHEST_PROTOCOL)
-            assert b"numpy" not in payload
-            assert b"SortedFirstAccess" not in payload
-            restored = pickle.loads(payload)
-            assert type(restored.first_access) is dict
-            assert restored == obj
-            assert _fields_as_a_plain_dataclass_loads(payload) == {
-                "facts": obj.facts,
-                "access": set(obj.first_access),
-                "first_change": obj.first_change,
-                "first_access": obj.first_access,
-            }
+            assert type(obj.first_access) is SortedFirstAccess
+            restored = pickle.loads(pickle.dumps(col, pickle.HIGHEST_PROTOCOL))
+            assert type(restored.first_access) is SortedFirstAccess
+            assert restored == col == obj
+
+    def test_a_summary_pickles_only_its_own_slice(self):
+        # The columnar kernel's footprints are views of arrays computed
+        # for a whole row; a pickle carries the block's part alone.
+        source = _alloc_source(epochs=1)
+        row = next(iter(source.epochs()))
+        guard = ButterflyAddrCheck(source.preallocated)
+        guard.stage_row(row)
+        footprints = [guard.first_pass(block).first_access for block in row]
+        assert len(footprints) > 1
+        assert len({id(fa.locs.base) for fa in footprints}) == 1
+        for fa in footprints:
+            alone = SortedFirstAccess(fa.locs.copy(), fa.offsets.copy())
+            assert len(pickle.dumps(fa)) == len(pickle.dumps(alone))
 
     def test_a_midstream_checkpoint_resumes_bit_identically(self, tmp_path):
         reference = _streamed(_alloc_source())
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
-        assert checkpoint.VERSION == 3
+        assert checkpoint.VERSION == 4
         ck, resumed = _resumed(_alloc_source(), path)
         assert ck.next_epoch == 3
         assert resumed == reference
         assert len(reference[1]) > 0
         assert all(
-            type(s.first_access) is dict
+            type(s.first_access) is SortedFirstAccess
             for s in load_checkpoint(path).analysis._summaries.values()
         )
-
-    def test_a_summary_in_the_earlier_layout_still_resumes(self, tmp_path):
-        reference = _streamed(_alloc_source())
-        path = str(tmp_path / "earlier.ckpt")
-        _save_in_the_earlier_layout(
-            path, _streamed(_alloc_source(), stop_after=3)
-        )
-        with open(path, "rb") as fh:
-            assert b"SortedFirstAccess" not in fh.read()
-        loaded = load_checkpoint(path).analysis._summaries.values()
-        assert all(
-            type(s) is AddrSummary
-            and type(s.first_access) is dict
-            and s.num_accessed == len(s.first_access)
-            for s in loaded
-        )
-        _, resumed = _resumed(_alloc_source(), path)
-        assert resumed == reference
 
     def test_facts_with_the_mask_fields_still_resume(self, tmp_path):
         reference = _streamed(_alloc_source())
@@ -954,7 +923,7 @@ class TestSummaryPickles:
         )
         with open(path, "rb") as fh:
             assert b"killed_mask" in fh.read()
-        assert checkpoint.VERSION == 3
+        assert checkpoint.VERSION == 4
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
         # A checkpoint this build writes does not carry them.
@@ -962,25 +931,6 @@ class TestSummaryPickles:
         _streamed(_alloc_source(), fresh, stop_after=3)
         with open(fresh, "rb") as fh:
             assert b"killed_mask" not in fh.read()
-
-    def test_each_summary_materializes_once_across_saves(
-        self, tmp_path, monkeypatch
-    ):
-        pickled, built, alive = Counter(), Counter(), []
-        getstate = AddrSummary.__getstate__
-
-        def counting(summary):
-            alive.append(summary)  # no id is reused while we count
-            pickled[id(summary)] += 1
-            built[id(summary)] += summary._pickled is None
-            return getstate(summary)
-
-        monkeypatch.setattr(AddrSummary, "__getstate__", counting)
-        _streamed(_alloc_source(), str(tmp_path / "run.ckpt"))
-        assert set(built) == set(pickled)
-        assert set(built.values()) == {1}
-        assert max(pickled.values()) >= 2
-        assert sum(n >= 2 for n in pickled.values()) > len(pickled) // 2
 
 
 class TestVerify:
@@ -1032,20 +982,30 @@ class TestLoadFailures:
             load_checkpoint(str(path))
 
     def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "future.ckpt"
-        path.write_bytes(
+        # A version 3 writer's file, summaries as dicts and sets: one
+        # refusal, never a resume that crashes on the wrong shape.
+        path = str(tmp_path / "v3.ckpt")
+        _save_as_version_3(path, _streamed(_alloc_source(), stop_after=3))
+        with pytest.raises(
+            CheckpointError,
+            match=r"unsupported checkpoint version 3 \(this build reads "
+            r"version 4\)",
+        ):
+            load_checkpoint(path)
+        future = tmp_path / "future.ckpt"
+        future.write_bytes(
             pickle.dumps(
                 {"format": "repro-checkpoint", "version": 99, "meta": {},
                  "engine": {}}
             )
         )
         with pytest.raises(CheckpointError, match="version 99"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(future))
 
     def test_record_without_meta_or_engine(self, tmp_path):
         path = tmp_path / "hollow.ckpt"
         path.write_bytes(
-            pickle.dumps({"format": "repro-checkpoint", "version": 3})
+            pickle.dumps({"format": "repro-checkpoint", "version": 4})
         )
         with pytest.raises(CheckpointError, match="hollow.ckpt"):
             load_checkpoint(str(path))

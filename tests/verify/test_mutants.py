@@ -165,21 +165,39 @@ class TestSegmentCarryMutant:
 
 
 class TestProbeEdgeMutant:
-    """The summary axis of the columnar kernel: the isolation check's
-    sorted probe into a body's accessed locations misses the last one,
-    so an access racing a wing's change at the body's highest location
-    is lost."""
+    """The isolation check's sorted probe into a body's footprint
+    misses the last location, so an access racing a wing's change at
+    the body's highest location is lost.  Both kernels' summaries are
+    probed alike; the reference lifeguard's sets are not."""
 
-    def test_columnar_catches_the_missed_last_location(self, tmp_path):
+    def test_optref_catches_the_missed_last_location(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("optref",),
+            failures_dir=str(tmp_path),
+            mutant="probe-edge",
+        )
+        assert_found_and_shrunk(report, "optref", "probe-edge")
+        assert "unsafe-isolation" in report.findings[0].detail
+
+
+class TestRaceFirstWriteMutant:
+    """The columnar race scan blames a conflict on a location's last
+    write in the body, not its first: only the ``columnar`` pair runs
+    RaceCheck's two kernels side by side."""
+
+    def test_columnar_catches_the_late_first_write(self, tmp_path):
         report = run_fuzz(
             seed=4,
             trials=30,
             modes=("columnar",),
             failures_dir=str(tmp_path),
-            mutant="probe-edge",
+            mutant="race-first-write",
         )
-        assert_found_and_shrunk(report, "columnar", "probe-edge")
-        assert "unsafe-isolation" in report.findings[0].detail
+        assert_found_and_shrunk(report, "columnar", "race-first-write")
+        case, _, _ = load_repro(report.findings[0].artifact)
+        assert case.lifeguard == "race"
 
 
 class TestReversedCommitMutant:
