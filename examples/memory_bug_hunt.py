@@ -39,10 +39,8 @@ bugs = [
     Instr.free(0xBEEF),          # free of unallocated memory
     Instr.write(0xFEED),         # wild store to unallocated memory
 ]
-trace0 = program.threads[0].instrs
-for k in range(len(bugs)):
-    program.true_order.append((0, len(trace0) + k))
-program.threads[0] = ThreadTrace(trace0 + tuple(bugs))
+program.threads[0] = ThreadTrace(program.threads[0].instrs + tuple(bugs))
+program.true_order = list(program.true_order) + [0] * len(bugs)
 program.timesliced_order = None
 program.validate()
 

@@ -244,9 +244,9 @@ def _print_report(
     check`` over a generated workload, a version 1 file or a version 2
     file, ``repro resume`` and ``repro push`` print the same block for
     the same trace -- the serve-smoke job diffs check against push byte
-    for byte.  AddrCheck over an in-memory program adds its precision
-    against the sequential oracle (Figure 13's quantity), which needs
-    the whole trace and so is not part of a streamed report.
+    for byte.  AddrCheck over an in-memory program with a recorded order
+    adds its precision against the sequential oracle (Figure 13's
+    quantity), which needs the whole trace: no streamed report has it.
     """
     hello = make_hello(
         label, meta["threads"], source.num_epochs, (), meta["lifeguard"]
@@ -254,7 +254,8 @@ def _print_report(
     report = build_report(label, hello, engine, guard)
     for line in format_report(report, label, limit):
         print(line)
-    if program is not None and meta["lifeguard"] == "addrcheck":
+    recorded = program is not None and program.true_order is not None
+    if recorded and meta["lifeguard"] == "addrcheck":
         precision = Oracle(program).score(guard.errors)
         print(f"oracle (h={meta['epoch_size']} events): "
               f"true: {precision.true_positives}"

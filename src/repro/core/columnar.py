@@ -97,9 +97,8 @@ _NEEDS_DST = frozenset(
 class RowDecodeError(ValueError):
     """A raw ``[op, dst, srcs, size]`` row failed validation.
 
-    Carries the offending row so the stream reader can wrap it in the
-    same :class:`~repro.errors.TraceError` message the object decoder
-    produces.
+    Carries the offending row, which the trace readers and the serve
+    daemon name in one :class:`~repro.errors.TraceError` message.
     """
 
     def __init__(self, row: object, reason: str) -> None:
@@ -264,10 +263,10 @@ class ColumnarBlock:
     def from_rows(cls, rows: Sequence[object]) -> "ColumnarBlock":
         """Decode raw ``[op, dst, srcs, size]`` stream rows to columns.
 
-        This is the version 2 stream reader's fast path: it applies the
-        same validation as ``Instr.__post_init__`` but touches no
-        dataclass, no enum boxing, no per-event tuple -- and, for a
-        well-formed block, no row from Python at all
+        The one row decoder of both trace file layouts and the serve
+        wire: it applies the same validation as ``Instr.__post_init__``
+        but touches no dataclass, no enum boxing, no per-event tuple --
+        and, for a well-formed block, no row from Python at all
         (:func:`_bulk_columns`).  A malformed row raises
         :class:`RowDecodeError` carrying the row.
 

@@ -38,6 +38,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.columnar import ColumnarBlock
 from repro.errors import PartitionError, ReproError
 from repro.trace.events import Instr
@@ -58,9 +60,10 @@ class Block:
     of parallel arrays, which the lifeguards' first-pass kernels scan.
     ``instrs`` is the same events as :class:`Instr` objects, for what
     iterates them (the dataflow analyses, the reference kernels): a
-    partition hands over the program's own objects (never rebuilt from
-    the columns a reference is diffed against), any other block
-    materializes them from the columns on first use.
+    partition of a thread built from ``Instr`` objects hands over the
+    program's own (never rebuilt from the columns a reference is diffed
+    against), any other block materializes them from the columns on
+    first use.
 
     Blocks are immutable value objects: equality and hashing use the
     block address plus event content.  Pickling ships the columns only
@@ -203,10 +206,7 @@ class EpochPartition:
         start = cuts[lid - 1] if lid > 0 else 0
         end = cuts[lid]
         trace = self.program.threads[tid]
-        blk = Block(
-            lid, tid, start, trace.columns.slice(start, end),
-            trace.instrs[start:end],
-        )
+        blk = Block(lid, tid, start, *trace.cut(start, end))
         self._blocks[key] = blk
         return blk
 
@@ -320,21 +320,19 @@ def partition_by_global_order(
     ground-truth order as the notion of time.
     """
     _check_epoch_size(epoch_size)
-    order = program.recorded_order()
-    n = program.num_threads
-    interval = epoch_size * n
-    positions = [0] * n
-    boundaries: List[List[int]] = [[] for _ in range(n)]
-    for count, (t, _i) in enumerate(order, start=1):
-        positions[t] += 1
-        if count % interval == 0:
-            for tid in range(n):
-                boundaries[tid].append(positions[tid])
+    ids = program.recorded_order()
+    interval = epoch_size * program.num_threads
+    # Global event counts at which a heartbeat fires; thread t's cut
+    # there is how many of its events the schedule ran before it.
+    beats = np.arange(interval, len(ids) + 1, interval)
     # Close the final epoch at each trace's end.  When the last
     # heartbeat landed exactly at the end, a final (possibly empty)
     # epoch is still appended so every thread agrees.
-    for tid, trace in enumerate(program.threads):
-        boundaries[tid].append(len(trace))
+    boundaries = [
+        np.searchsorted(np.flatnonzero(ids == tid), beats).tolist()
+        + [len(trace)]
+        for tid, trace in enumerate(program.threads)
+    ]
     return EpochPartition(program, boundaries)
 
 

@@ -9,11 +9,12 @@ lifeguard side's costs live in :mod:`repro.sim.lba`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.sim.config import MachineConfig
-from repro.sim.memory import MemoryHierarchy, SharedL2, build_hierarchies
+from repro.sim.memory import MemoryHierarchy, build_hierarchies
 from repro.trace.events import Instr
+from repro.trace.interleave import round_robin
 from repro.trace.program import TraceProgram
 
 #: Bytes per abstract location when mapped onto the cache hierarchy.
@@ -73,20 +74,14 @@ def run_parallel(program: TraceProgram, config: MachineConfig) -> CMPResult:
 def run_serialized(
     program: TraceProgram,
     config: MachineConfig,
-    order: Optional[list] = None,
+    order: Optional[Sequence[int]] = None,
 ) -> CoreResult:
     """Execute all threads' events on a single core: in the given
-    order, else the recorded order, else round-robin."""
-    hierarchy = build_hierarchies(config, 1)[0]
-    core = Core(hierarchy)
+    schedule (one thread id per event), else the recorded order, else
+    round-robin."""
     if order is None:
         order = program.true_order
-    if order is not None:
-        stream = (program.instr_at(ref) for ref in order)
-    else:
-        from repro.trace.interleave import round_robin
-
-        stream = (
-            program.instr_at(ref) for ref in round_robin(program, quantum=64)
-        )
-    return core.execute(stream)
+    if order is None:
+        order = round_robin(program, quantum=64)
+    core = Core(build_hierarchies(config, 1)[0])
+    return core.execute(instr for _, instr in program.walk(order))

@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.core.epoch import EpochPartition, partition_auto
 from repro.core.framework import ButterflyEngine, EngineStats
 from repro.core.stream import PartitionSource
@@ -36,6 +38,7 @@ from repro.sim.cmp import LOCATION_STRIDE, run_parallel, run_serialized
 from repro.sim.config import COSTS, MachineConfig
 from repro.sim.logbuffer import coupled_time
 from repro.trace.events import Op
+from repro.trace.interleave import round_robin
 from repro.trace.program import TraceProgram
 
 
@@ -122,18 +125,13 @@ class LBASystem:
         """
         config = MachineConfig(cores=4)
         costs = COSTS
-        if program.timesliced_order is not None:
-            order = program.timesliced_order
-        elif program.true_order is not None:
+        order = program.timesliced_order
+        if order is None:
             order = program.true_order
-        else:
-            from repro.trace.interleave import round_robin
-
+        if order is None:
             order = round_robin(program, quantum=costs.timeslice_quantum)
         app = run_serialized(program, config, order=order)
-        switches = sum(
-            1 for a, b in zip(order, order[1:]) if a[0] != b[0]
-        )
+        switches = int(np.count_nonzero(order[1:] != order[:-1]))
         app_cycles = app.cycles + switches * costs.timeslice_switch_cycles
 
         mtlb = MetadataTLB(page_size=MTLB_PAGE_SIZE)
@@ -141,8 +139,7 @@ class LBASystem:
         lifeguard_cycles = 0
         errors = 0
         guard = SequentialAddrCheck(program.preallocated)
-        stream = ((ref, program.instr_at(ref)) for ref in order)
-        for ref, instr in stream:
+        for ref, instr in program.walk(order):
             if instr.op in (Op.MALLOC, Op.FREE):
                 locs = instr.extent
             else:

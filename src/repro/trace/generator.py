@@ -34,7 +34,7 @@ from repro.core.columnar import (
 from repro.core.epoch import Block
 from repro.core.stream import EpochSource
 from repro.trace.events import Instr, Op
-from repro.trace.program import GlobalRef, ThreadTrace, TraceProgram
+from repro.trace.program import ThreadTrace, TraceProgram
 
 
 def random_program(
@@ -170,13 +170,13 @@ def simulated_alloc_program(
     """
     allocated: set = set()
     traces: List[List[Instr]] = [[] for _ in range(num_threads)]
-    order: List[GlobalRef] = []
+    order: List[int] = []
 
     for _ in range(total_events):
         t = rng.randrange(num_threads)
         bad = rng.random() < inject_error_rate
         instr = _next_alloc_event(rng, allocated, num_locations, bad)
-        order.append((t, len(traces[t])))
+        order.append(t)
         traces[t].append(instr)
         # Track state transitions regardless of legality (a double free
         # still leaves the location free, etc.).
@@ -224,7 +224,7 @@ def alloc_handoff_program(
     falling out of use, so frees are strictly ordered too.
     """
     traces: List[List[Instr]] = [[] for _ in range(num_threads)]
-    order: List[GlobalRef] = []
+    order: List[int] = []
     live: List[int] = []  # allocation order, oldest first
     next_loc = 0
     total_events = num_threads * events_per_thread
@@ -259,7 +259,7 @@ def alloc_handoff_program(
             )
         else:
             instr = Instr.nop()
-        order.append((t, len(traces[t])))
+        order.append(t)
         traces[t].append(instr)
 
     program = TraceProgram(
@@ -514,7 +514,7 @@ def simulated_taint_program(
     computes the true error set.
     """
     traces: List[List[Instr]] = [[] for _ in range(num_threads)]
-    order: List[GlobalRef] = []
+    order: List[int] = []
 
     for _ in range(total_events):
         t = rng.randrange(num_threads)
@@ -530,7 +530,7 @@ def simulated_taint_program(
             nsrc = rng.randint(1, 2)
             srcs = [rng.randrange(num_locations) for _ in range(nsrc)]
             instr = Instr.assign(dst, *srcs)
-        order.append((t, len(traces[t])))
+        order.append(t)
         traces[t].append(instr)
 
     program = TraceProgram([ThreadTrace(tr) for tr in traces], true_order=order)

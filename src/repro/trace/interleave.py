@@ -15,33 +15,29 @@ import itertools
 import random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.trace.events import Instr, Op
+import numpy as np
+
+from repro.trace.events import Instr
 from repro.trace.program import GlobalRef, TraceProgram
 
 
-def round_robin(program: TraceProgram, quantum: int = 1) -> List[GlobalRef]:
-    """Interleave threads round-robin with a fixed quantum.
+def round_robin(program: TraceProgram, quantum: int = 1) -> np.ndarray:
+    """Interleave threads round-robin with a fixed quantum, as a
+    schedule (one thread id per event).
 
     This models the timesliced baseline: application threads share one
     core and the OS switches between them every ``quantum`` events.
     """
     if quantum < 1:
         raise ValueError("quantum must be >= 1")
-    cursors = [0] * program.num_threads
-    order: List[GlobalRef] = []
-    remaining = program.total_instructions
-    while remaining:
-        progressed = False
-        for t, trace in enumerate(program.threads):
-            take = min(quantum, len(trace) - cursors[t])
-            for _ in range(take):
-                order.append((t, cursors[t]))
-                cursors[t] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - defensive
-            break
-    return order
+    lengths = np.array([len(trace) for trace in program.threads], np.int64)
+    tids = np.repeat(np.arange(lengths.size), lengths)
+    # Each event's slice number: its index in its thread // quantum.
+    starts = np.cumsum(lengths) - lengths
+    rounds = (np.arange(tids.size) - starts[tids]) // quantum
+    # Slice by slice, thread by thread; the sort is stable, so each
+    # thread's slice stays in program order.
+    return tids[np.lexsort((tids, rounds))]
 
 
 def random_interleave(

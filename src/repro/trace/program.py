@@ -13,34 +13,57 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.columnar import ColumnarBlock
 from repro.errors import TraceError
 from repro.trace.events import Instr
 
 
-@dataclass
 class ThreadTrace:
     """The dynamic event sequence of a single application thread.
 
-    ``columns`` holds the same events as one
-    :class:`~repro.core.columnar.ColumnarBlock`, built once here, so
-    building a program pays the conversion and every partition of it
-    cuts blocks as slices of these arrays.  Both forms are fixed at
-    construction (``instrs`` becomes a tuple, the arrays read-only):
-    every block of every partition shares them.
+    The :class:`~repro.core.epoch.Block` idiom: ``columns`` holds the
+    events as one :class:`~repro.core.columnar.ColumnarBlock` of
+    read-only arrays, which every partition slices.  A thread built
+    from ``Instr`` objects (generators, fuzz cases, tests) keeps them as
+    ``instrs``, so reference legs iterate the program's own objects; one
+    built from ``columns`` alone (the trace file reader) materializes
+    ``instrs`` on first read.
     """
 
-    instrs: Tuple[Instr, ...] = ()
-    columns: ColumnarBlock = field(init=False, repr=False, compare=False)
+    __slots__ = ("columns", "_instrs")
 
-    def __post_init__(self) -> None:
-        self.instrs = tuple(self.instrs)
-        self.columns = ColumnarBlock.from_instrs(self.instrs)
+    def __init__(
+        self,
+        instrs: Sequence[Instr] = (),
+        columns: Optional[ColumnarBlock] = None,
+    ) -> None:
+        self._instrs: Optional[Tuple[Instr, ...]] = None
+        if columns is None:
+            self._instrs = tuple(instrs)
+            columns = ColumnarBlock.from_instrs(self._instrs)
         for name in ("op", "dst", "size", "src_off", "src_val"):
-            getattr(self.columns, name).flags.writeable = False
+            getattr(columns, name).flags.writeable = False
+        self.columns = columns
+
+    @property
+    def instrs(self) -> Tuple[Instr, ...]:
+        if self._instrs is None:
+            self._instrs = self.columns.to_instrs()
+        return self._instrs
+
+    def cut(
+        self, start: int, end: int
+    ) -> Tuple[ColumnarBlock, Optional[Tuple[Instr, ...]]]:
+        """Events ``[start, end)`` as a block's columns, and as ``Instr``
+        objects only if this thread holds them."""
+        held = self._instrs
+        columns = self.columns.slice(start, end)
+        return columns, None if held is None else held[start:end]
 
     def __len__(self) -> int:
-        return len(self.instrs)
+        return self.columns.length
 
     def __iter__(self) -> Iterator[Instr]:
         return iter(self.instrs)
@@ -48,40 +71,46 @@ class ThreadTrace:
     def __getitem__(self, idx: int) -> Instr:
         return self.instrs[idx]
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ThreadTrace) and self.columns == other.columns
+
 
 #: A global-order entry: (thread id, index within that thread's trace).
 GlobalRef = Tuple[int, int]
+
+_SCHEDULES = ("true_order", "timesliced_order")
 
 
 @dataclass
 class TraceProgram:
     """A parallel program's dynamic trace: one :class:`ThreadTrace` per thread.
 
-    Parameters
-    ----------
-    threads:
-        Per-thread event sequences, indexed by thread id.
-    true_order:
-        Optional ground-truth serialization as ``(thread, index)`` pairs.
-        Generators that *simulate* an execution record the interleaving
-        they actually produced here; analyses must not read it.
-    preallocated:
-        Locations allocated before the monitored window began (program
-        startup happens outside the paper's measurement interval); both
-        sequential and butterfly AddrCheck seed their metadata with
-        these.
-    timesliced_order:
-        Optional legal serialization of the *timesliced* execution
-        (threads run in long OS-quantum slices between synchronization
-        points) used by the Figure 11 baseline.  Generators with
-        barrier-phase structure record one; it is an alternative valid
-        execution of the same program, not the ground truth.
+    ``true_order`` is the ground-truth interleaving a generator that
+    *simulates* an execution recorded, as a *schedule*: one thread id
+    per event in global order (program order fixes which of its
+    thread's events each one is; :meth:`walk`).  Analyses must not read
+    it.  ``timesliced_order`` is a legal schedule of the *timesliced*
+    execution (threads run in OS-quantum slices between synchronization
+    points) that the Figure 11 baseline runs; barrier-phased generators
+    record one.  Either schedule is held as a read-only ``int64`` array,
+    whatever sequence of ids is assigned, and takes no part in ``==``.
+    ``preallocated`` locations were allocated before the monitored
+    window began (program startup is outside the paper's measurement
+    interval); sequential and butterfly AddrCheck both seed them.
     """
 
     threads: List[ThreadTrace] = field(default_factory=list)
-    true_order: Optional[List[GlobalRef]] = None
+    true_order: Optional[np.ndarray] = field(default=None, compare=False)
     preallocated: FrozenSet[int] = frozenset()
-    timesliced_order: Optional[List[GlobalRef]] = None
+    timesliced_order: Optional[np.ndarray] = field(
+        default=None, compare=False
+    )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _SCHEDULES and value is not None:
+            value = np.array(value, dtype=np.int64)
+            value.flags.writeable = False
+        super().__setattr__(name, value)
 
     # -- construction ---------------------------------------------------
 
@@ -95,26 +124,19 @@ class TraceProgram:
         if not self.threads:
             raise TraceError("a trace program needs at least one thread")
         num_threads = self.num_threads
-        for label, order in (
-            ("true_order", self.true_order),
-            ("timesliced_order", self.timesliced_order),
-        ):
-            if order is None:
+        for label in _SCHEDULES:
+            ids = getattr(self, label)
+            if ids is None:
                 continue
-            counts = [0] * num_threads
-            for t, i in order:
-                if not 0 <= t < num_threads:
-                    raise TraceError(f"{label} references unknown thread {t}")
-                if i != counts[t]:
+            if ids.ndim != 1 or ids.size and not (
+                0 <= ids.min() and ids.max() < num_threads
+            ):
+                raise TraceError(f"{label} must be one thread id per event")
+            counts = np.bincount(ids, minlength=num_threads)
+            for t, trace in enumerate(self.threads):
+                if counts[t] != len(trace):
                     raise TraceError(
-                        f"{label} violates program order in thread {t}: "
-                        f"expected index {counts[t]}, saw {i}"
-                    )
-                counts[t] += 1
-            for t, n in enumerate(counts):
-                if n != len(self.threads[t]):
-                    raise TraceError(
-                        f"{label} covers {n} of {len(self.threads[t])} "
+                        f"{label} covers {counts[t]} of {len(trace)} "
                         f"instructions in thread {t}"
                     )
 
@@ -141,13 +163,24 @@ class TraceProgram:
 
     # -- serializations ----------------------------------------------------
 
-    def recorded_order(self) -> List[GlobalRef]:
-        """The ground-truth interleaving; raises if none was recorded."""
+    def recorded_order(self) -> np.ndarray:
+        """The ground-truth schedule; raises if none was recorded."""
         if self.true_order is None:
             raise TraceError("this trace has no recorded ground-truth order")
         return self.true_order
 
+    def walk(
+        self, schedule: Sequence[int]
+    ) -> Iterator[Tuple[GlobalRef, Instr]]:
+        """Iterate ``((thread, index), instr)`` in ``schedule``'s order,
+        one per-thread cursor advancing per entry naming its thread."""
+        threads = [trace.instrs for trace in self.threads]
+        cursors = [0] * len(threads)
+        for t in np.asarray(schedule).tolist():
+            i = cursors[t]
+            cursors[t] = i + 1
+            yield (t, i), threads[t][i]
+
     def iter_recorded(self) -> Iterator[Tuple[GlobalRef, Instr]]:
         """Iterate ``((thread, index), instr)`` in ground-truth order."""
-        for ref in self.recorded_order():
-            yield ref, self.instr_at(ref)
+        return self.walk(self.recorded_order())

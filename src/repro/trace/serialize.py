@@ -6,9 +6,10 @@ effect), so they deserve a stable on-disk form.  Two layouts share the
 
 Version 1 (thread-major, :func:`dump` / :func:`load`)
     A header, then one line per thread's whole event list, then the
-    optional orders and pre-allocated set.  Compact and diff-able, but
-    a reader must materialize every thread before the first epoch can
-    be cut -- O(trace) memory.
+    optional orders (``[[thread, index], ...]`` on disk, a schedule of
+    thread ids in memory) and pre-allocated set.  Compact and
+    diff-able, but a reader must hold every thread before the first
+    epoch can be cut -- O(trace) memory.
 
 Version 2 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     A header carrying the shape (threads, epochs, preallocated), then
@@ -20,7 +21,10 @@ Version 2 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     start offset, so checkpoint resume can skip already-processed
     records without decoding them.
 
-Every structural defect in either format -- invalid JSON, truncation,
+Both layouts share one reader (:class:`_Records`) and one row decoder
+(``ColumnarBlock.from_rows``, also the serve daemon's), so a version 1
+thread is columns until something reads its ``Instr`` objects.  Every
+structural defect in either format -- invalid JSON, truncation,
 trailing garbage, out-of-order epochs -- raises :class:`TraceError`
 with ``file:line`` context, never a raw ``JSONDecodeError``.
 """
@@ -32,39 +36,117 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Iterator, List, Union
+from typing import IO, Iterator, List, Optional, Union
+
+import numpy as np
 
 from repro.core.columnar import ColumnarBlock, RowDecodeError
 from repro.core.epoch import Block, EpochPartition
 from repro.core.stream import EpochSource
 from repro.errors import TraceError
-from repro.trace.events import Instr, Op
 from repro.trace.program import ThreadTrace, TraceProgram
 
 FORMAT_VERSION = 1
 STREAM_VERSION = 2
+_VERSIONS = (FORMAT_VERSION, STREAM_VERSION)
+_TAG = "repro-trace"
 
 
-def _decode_instr(raw: list) -> Instr:
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0  # JSON ``true`` is no count
+
+
+def is_location_list(value: object) -> bool:
+    """Is ``value`` a JSON list of locations, each exactly an ``int``
+    (``true`` and ``1.0`` equal 1; a nested list is unhashable)?  The one
+    check of both layouts' and a ``HELLO`` frame's ``preallocated`` set.
+    """
+    return isinstance(value, list) and set(map(type, value)) <= {int}
+
+
+class _Records:
+    """A trace file's lines as numbered JSON records: the header check,
+    the next record and the trailing-garbage check of both layouts,
+    each failing with a :class:`TraceError` naming ``file:line``."""
+
+    def __init__(self, fp: IO[str], name: str, lineno: int = 0) -> None:
+        self.fp = fp
+        self.name = name
+        self.lineno = lineno
+
+    def fail(self, message: str) -> TraceError:
+        return TraceError(f"{self.name}:{self.lineno}: {message}")
+
+    def record(self, what: str) -> object:
+        """The next line, parsed; ``what`` names it in diagnostics."""
+        self.lineno += 1
+        line = self.fp.readline()
+        if not line.strip():
+            raise self.fail(f"unexpected end of file (expected {what})")
+        try:
+            return json.loads(line)
+        except ValueError as exc:
+            raise self.fail(f"invalid JSON ({what}): {exc}") from None
+
+    def field(self, key: str) -> object:
+        """The value of the next record, which must be ``{key: ...}``."""
+        record = self.record(key)
+        if not isinstance(record, dict) or key not in record:
+            raise self.fail(
+                f"expected a {{{key!r}: ...}} record, got {record!r}"
+            )
+        return record[key]
+
+    def header(self) -> dict:
+        """Line 1 of either layout: format, version and thread count."""
+        header = self.record("header")
+        if not isinstance(header, dict) or header.get("format") != _TAG:
+            raise self.fail("not a repro trace file")
+        version = header.get("version")
+        if not _is_count(version) or version not in _VERSIONS:
+            raise self.fail(f"unsupported trace version {version!r}")
+        if not _is_count(header.get("threads")):
+            raise self.fail(f"bad thread count {header.get('threads')!r}")
+        return header
+
+    def end(self, last: str) -> None:
+        """Only blank lines may follow the ``last`` record: a concatenated
+        or corrupted file would otherwise lose data silently."""
+        for extra in self.fp:
+            self.lineno += 1
+            if extra.strip():
+                raise self.fail(
+                    f"trailing garbage after the {last}: "
+                    f"{extra.strip()[:60]!r}"
+                )
+
+
+def _columns(rows: list, name: str, lineno: int) -> ColumnarBlock:
+    """Raw ``[op, dst, srcs, size]`` rows -> columns, with no ``Instr``:
+    a version 1 thread, a version 2 block and a wire frame alike."""
     try:
-        op, dst, srcs, size = raw
-        # Exactly ``int``: JSON ``true`` and ``1.0`` both compare equal
-        # to 1 and would otherwise be analysed as location (or size) 1.
-        if not (
-            type(size) is int
-            and (dst is None or type(dst) is int)
-            and all(type(s) is int for s in srcs)
-        ):
-            raise TypeError("locations and sizes must be integers")
-        return Instr(Op(op), dst=dst, srcs=tuple(srcs), size=size)
-    except (ValueError, TypeError) as exc:
-        raise TraceError(f"malformed instruction record: {raw!r}") from exc
+        return ColumnarBlock.from_rows(rows)
+    except RowDecodeError as exc:
+        raise TraceError(
+            f"{name}:{lineno}: malformed instruction record: {exc.row!r}"
+        ) from None
+
+
+def _pairs(ids: Optional[np.ndarray], num_threads: int) -> Optional[list]:
+    """A schedule as the file's ``[[thread, index], ...]`` record."""
+    if ids is None:
+        return None
+    index = np.empty_like(ids)
+    for t in range(num_threads):
+        mine = ids == t
+        index[mine] = np.arange(np.count_nonzero(mine))
+    return np.column_stack((ids, index)).tolist()
 
 
 def dump(program: TraceProgram, fp: IO[str]) -> None:
     """Write ``program`` to an open text file."""
     header = {
-        "format": "repro-trace",
+        "format": _TAG,
         "version": FORMAT_VERSION,
         "threads": program.num_threads,
     }
@@ -72,109 +154,77 @@ def dump(program: TraceProgram, fp: IO[str]) -> None:
     for trace in program.threads:
         # Positional, compact: [op, dst, srcs, size] per instruction.
         fp.write(json.dumps(trace.columns.to_rows()) + "\n")
-    fp.write(json.dumps({"true_order": program.true_order}) + "\n")
-    fp.write(json.dumps({"timesliced_order": program.timesliced_order}) + "\n")
+    for key in ("true_order", "timesliced_order"):
+        pairs = _pairs(getattr(program, key), program.num_threads)
+        fp.write(json.dumps({key: pairs}) + "\n")
     fp.write(json.dumps({"preallocated": sorted(program.preallocated)}) + "\n")
 
 
-def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
-    """Read a program written by :func:`dump`.
+def _schedule(
+    records: _Records, key: str, num_threads: int
+) -> Optional[List[int]]:
+    """Read a ``{key: [[thread, index], ...]}`` record as a schedule.
 
-    Every structural defect -- invalid JSON, a truncated file, missing
-    keys, wrong record shapes -- raises :class:`TraceError` carrying
-    ``name`` and the offending line number, never a raw ``KeyError`` or
-    ``ValueError``.  ``name`` defaults to a placeholder; ``load_file``
-    passes the path.
+    Program order makes each index redundant, but the file is outside
+    input: a thread id must be exactly an ``int`` in range, and an
+    index exactly its thread's running count.
     """
-    lineno = 0
+    pairs = records.field(key)
+    if not pairs:  # null: no order recorded
+        return None
+    counts = [0] * num_threads
+    entry: object = pairs
+    try:
+        for entry in pairs:
+            t, i = entry
+            if not type(t) is type(i) is int or t < 0 or counts[t] != i:
+                raise ValueError
+            counts[t] += 1
+    except (TypeError, ValueError, IndexError):
+        raise records.fail(
+            f"bad {key} entry {entry!r} (expected [thread, index] with "
+            "index that thread's next event)"
+        ) from None
+    return [t for t, _ in pairs]
 
-    def next_record(what: str) -> object:
-        nonlocal lineno
-        lineno += 1
-        line = fp.readline()
-        if not line.strip():
-            raise TraceError(
-                f"{name}:{lineno}: unexpected end of file "
-                f"(expected {what})"
-            )
-        try:
-            return json.loads(line)
-        except ValueError as exc:
-            raise TraceError(
-                f"{name}:{lineno}: invalid JSON ({what}): {exc}"
-            ) from None
 
-    def tail_field(key: str) -> object:
-        record = next_record(key)
-        if not isinstance(record, dict) or key not in record:
-            raise TraceError(
-                f"{name}:{lineno}: expected a {{{key!r}: ...}} record, "
-                f"got {record!r}"
-            )
-        return record[key]
-
-    header = next_record("header")
-    if not isinstance(header, dict) or header.get("format") != "repro-trace":
-        raise TraceError(f"{name}:{lineno}: not a repro trace file")
-    version = header.get("version")
-    if version == STREAM_VERSION:
-        raise TraceError(
-            f"{name}:{lineno}: a version {STREAM_VERSION} file is an "
-            "epoch-major stream with no recorded order: 'repro sweep' and "
-            f"the oracle need a version {FORMAT_VERSION} program file "
-            "('repro generate' without --stream); 'repro check --trace' "
-            "reads this one"
+def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
+    """Read a program written by :func:`dump`; every structural defect
+    is a :class:`TraceError` naming ``name`` (``load_file`` passes the
+    path) and the line."""
+    records = _Records(fp, name)
+    header = records.header()
+    if header["version"] == STREAM_VERSION:
+        raise records.fail(
+            "a version 2 file is an epoch-major stream with no recorded "
+            "order: 'repro sweep' and the oracle need a version 1 program "
+            "file ('repro generate' without --stream); 'repro check "
+            "--trace' reads this one"
         )
-    if version != FORMAT_VERSION:
-        raise TraceError(
-            f"{name}:{lineno}: unsupported trace version {version!r}"
-        )
-    num_threads = header.get("threads")
-    if not isinstance(num_threads, int) or num_threads < 0:
-        raise TraceError(
-            f"{name}:{lineno}: bad thread count {num_threads!r}"
-        )
+    num_threads = header["threads"]
     threads: List[ThreadTrace] = []
     for tid in range(num_threads):
-        raw = next_record(f"thread {tid} events")
-        if not isinstance(raw, list):
-            raise TraceError(
-                f"{name}:{lineno}: thread {tid} events must be a list, "
-                f"got {type(raw).__name__}"
+        rows = records.record(f"thread {tid} events")
+        if not isinstance(rows, list):
+            raise records.fail(
+                f"thread {tid} events must be a list, "
+                f"got {type(rows).__name__}"
             )
-        try:
-            threads.append(ThreadTrace([_decode_instr(r) for r in raw]))
-        except TraceError as exc:
-            raise TraceError(f"{name}:{lineno}: {exc}") from None
-    true_order = tail_field("true_order")
-    ts_order = tail_field("timesliced_order")
-    preallocated = tail_field("preallocated")
-    # The preallocated record is the last one; anything but trailing
-    # whitespace after it means a concatenated/corrupted file, and
-    # silently ignoring it would hide real data loss.
-    for extra in fp:
-        lineno += 1
-        if extra.strip():
-            raise TraceError(
-                f"{name}:{lineno}: trailing garbage after the final "
-                f"record: {extra.strip()[:60]!r}"
-            )
+        columns = _columns(rows, name, records.lineno)
+        threads.append(ThreadTrace(columns=columns))
+    true_order = _schedule(records, "true_order", num_threads)
+    timesliced_order = _schedule(records, "timesliced_order", num_threads)
+    preallocated = records.field("preallocated")
+    if not is_location_list(preallocated):
+        raise records.fail(f"bad preallocated set {preallocated!r}")
+    records.end("final record")
+    program = TraceProgram(
+        threads, true_order, frozenset(preallocated), timesliced_order
+    )
     try:
-        program = TraceProgram(
-            threads,
-            true_order=(
-                [tuple(x) for x in true_order] if true_order else None
-            ),
-            timesliced_order=(
-                [tuple(x) for x in ts_order] if ts_order else None
-            ),
-            preallocated=frozenset(preallocated),
-        )
         program.validate()
     except TraceError as exc:
         raise TraceError(f"{name}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"{name}: malformed trace records: {exc}") from None
     return program
 
 
@@ -191,27 +241,11 @@ def load_file(path: Union[str, Path]) -> TraceProgram:
 
 
 def file_version(path: Union[str, Path]) -> int:
-    """Peek a trace file's format version (1 or 2) from its header.
-
-    The CLI uses this to route ``--trace`` inputs: version 1 files are
-    materialized with :func:`load_file`, version 2 files stream through
-    :func:`iter_load`.
-    """
-    name = str(path)
+    """Peek a trace file's format version (1 or 2) from its header: the
+    CLI routes ``--trace`` version 1 files to :func:`load_file` and
+    version 2 files to :func:`iter_load`."""
     with open(path) as fp:
-        line = fp.readline()
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        raise TraceError(f"{name}:1: invalid JSON (header): {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != "repro-trace":
-        raise TraceError(f"{name}:1: not a repro trace file")
-    version = header.get("version")
-    if version not in (FORMAT_VERSION, STREAM_VERSION):
-        raise TraceError(
-            f"{name}:1: unsupported trace version {version!r}"
-        )
-    return version
+        return _Records(fp, str(path)).header()["version"]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +269,7 @@ def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
     memory.
     """
     header = {
-        "format": "repro-trace",
+        "format": _TAG,
         "version": STREAM_VERSION,
         "threads": partition.num_threads,
         "epochs": partition.num_epochs,
@@ -262,47 +296,24 @@ def save_stream_file(
         dump_stream(partition, fp)
 
 
-def is_location_list(value: object) -> bool:
-    """Is ``value`` a JSON list of locations -- each exactly an ``int``?
-
-    The one check behind a stream header's and a ``HELLO`` frame's
-    ``preallocated`` set.  ``type(x) is int``, as for instruction rows:
-    ``true`` and ``1.0`` both equal 1 and would be analysed as location
-    1, and a nested list is not hashable into the set at all.
-    """
-    return isinstance(value, list) and set(map(type, value)) <= {int}
-
-
 def stream_header(fp: IO[str], name: str) -> dict:
     """Read and validate a version 2 header (line 1 of ``fp``).
 
     Public because the serve client builds its ``HELLO`` frame from a
     stream file's header without decoding any epoch records.
     """
-    line = fp.readline()
-    if not line.strip():
-        raise TraceError(f"{name}:1: unexpected end of file (expected header)")
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        raise TraceError(f"{name}:1: invalid JSON (header): {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != "repro-trace":
-        raise TraceError(f"{name}:1: not a repro trace file")
-    if header.get("version") != STREAM_VERSION:
-        raise TraceError(
-            f"{name}:1: not a stream trace (version "
-            f"{header.get('version')!r}, expected {STREAM_VERSION})"
+    records = _Records(fp, name)
+    header = records.header()
+    if header["version"] != STREAM_VERSION:
+        raise records.fail(
+            f"not a stream trace (version {header['version']!r}, "
+            f"expected {STREAM_VERSION})"
         )
-    threads = header.get("threads")
-    if not isinstance(threads, int) or threads < 0:
-        raise TraceError(f"{name}:1: bad thread count {threads!r}")
-    epochs = header.get("epochs")
-    if not isinstance(epochs, int) or epochs < 0:
-        raise TraceError(f"{name}:1: bad epoch count {epochs!r}")
-    prealloc = header.get("preallocated")
-    if not is_location_list(prealloc):
-        raise TraceError(
-            f"{name}:1: bad preallocated set {prealloc!r}"
+    if not _is_count(header.get("epochs")):
+        raise records.fail(f"bad epoch count {header.get('epochs')!r}")
+    if not is_location_list(header.get("preallocated")):
+        raise records.fail(
+            f"bad preallocated set {header.get('preallocated')!r}"
         )
     return header
 
@@ -340,24 +351,13 @@ def decode_epoch_row(
         )
     row = []
     for tid, (start, raw) in enumerate(zip(starts, blocks)):
-        # ``type(start) is int``: a JSON ``true`` is an ``int`` to
-        # ``isinstance`` and would start the block at event 1.
-        if type(start) is not int or start < 0 or not isinstance(raw, list):
+        # A JSON ``true`` would start the block at event 1.
+        if not _is_count(start) or not isinstance(raw, list):
             raise TraceError(
                 f"{name}:{lineno}: epoch {lid} thread {tid}: malformed "
                 f"block record"
             )
-        # Fast path: decode raw rows straight into columns, so streamed
-        # epochs reach the engine without materializing one Instr.  The
-        # validation (and the error text) matches _decode_instr.
-        try:
-            cols = ColumnarBlock.from_rows(raw)
-        except RowDecodeError as exc:
-            raise TraceError(
-                f"{name}:{lineno}: malformed instruction record: "
-                f"{exc.row!r}"
-            ) from None
-        row.append(Block(lid, tid, start, columns=cols))
+        row.append(Block(lid, tid, start, _columns(raw, name, lineno)))
     return row
 
 
@@ -442,8 +442,10 @@ def decode_epoch_text(
 
 
 def _stream_rows(
-    fp: IO[str], header: dict, name: str, start: int
+    records: _Records, header: dict, start: int
 ) -> Iterator[List[Block]]:
+    """The epoch rows of a stream whose header ``records`` has read."""
+    fp, name = records.fp, records.name
     num_threads = header["threads"]
     num_epochs = header["epochs"]
     if not 0 <= start <= num_epochs:
@@ -451,7 +453,7 @@ def _stream_rows(
             f"{name}: cannot seek to epoch {start} of a "
             f"{num_epochs}-epoch stream"
         )
-    lineno = 1
+    lineno = records.lineno
     for skipped in range(start):
         lineno += 1
         if not fp.readline():
@@ -468,34 +470,17 @@ def _stream_rows(
                 f"(expected epoch {lid})"
             )
         yield decode_epoch_text(line, lid, num_threads, name, lineno)
-    lineno += 1
-    line = fp.readline()
-    if not line.strip():
-        raise TraceError(
-            f"{name}:{lineno}: unexpected end of file (expected the "
-            f"epochs_written footer; the stream was truncated)"
-        )
-    try:
-        footer = json.loads(line)
-    except ValueError as exc:
-        raise TraceError(
-            f"{name}:{lineno}: invalid JSON (footer): {exc}"
-        ) from None
+    records.lineno = lineno
+    footer = records.record("the epochs_written footer")
     if (
         not isinstance(footer, dict)
         or footer.get("epochs_written") != num_epochs
     ):
-        raise TraceError(
-            f"{name}:{lineno}: bad footer {footer!r} (expected "
+        raise records.fail(
+            f"bad footer {footer!r} (expected "
             f"{{'epochs_written': {num_epochs}}})"
         )
-    for extra in fp:
-        lineno += 1
-        if extra.strip():
-            raise TraceError(
-                f"{name}:{lineno}: trailing garbage after the footer: "
-                f"{extra.strip()[:60]!r}"
-            )
+    records.end("footer")
 
 
 class StreamTraceSource(EpochSource):
@@ -521,7 +506,8 @@ class StreamTraceSource(EpochSource):
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
         with open(self.path) as fp:
             fp.readline()  # the header, validated at construction
-            yield from _stream_rows(fp, self._header, self.path, start)
+            records = _Records(fp, self.path, lineno=1)
+            yield from _stream_rows(records, self._header, start)
 
 
 def iter_load(path: Union[str, Path]) -> StreamTraceSource:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.errors import WorkloadError
 from repro.trace.events import Instr
-from repro.trace.program import GlobalRef, ThreadTrace, TraceProgram
+from repro.trace.program import ThreadTrace, TraceProgram
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class PhasedTraceBuilder:
         self.num_threads = num_threads
         self.rng = rng
         self._traces: List[List[Instr]] = [[] for _ in range(num_threads)]
-        self._order: List[GlobalRef] = []
-        self._timesliced: List[GlobalRef] = []
-        self._ts_cursors: List[int] = [0] * num_threads
+        #: The two schedules, one thread id per event.
+        self._order: List[int] = []
+        self._timesliced: List[int] = []
 
     def phase(self, per_thread: Sequence[Sequence[Instr]]) -> None:
         """One barrier-delimited phase: ``per_thread[t]`` is thread
@@ -75,27 +75,19 @@ class PhasedTraceBuilder:
         while live:
             t = self.rng.choice(live)
             # Geometric chunk, mean ~8 events, models parallel drift.
-            chunk = 1 + min(
-                int(self.rng.expovariate(1 / 8.0)), 64
-            )
+            chunk = 1 + min(int(self.rng.expovariate(1 / 8.0)), 64)
             seq = per_thread[t]
-            for _ in range(chunk):
-                if cursors[t] >= len(seq):
-                    break
-                self._order.append((t, len(self._traces[t])))
-                self._traces[t].append(seq[cursors[t]])
-                cursors[t] += 1
+            run = seq[cursors[t]:cursors[t] + chunk]
+            self._order.extend([t] * len(run))
+            self._traces[t].extend(run)
+            cursors[t] += len(run)
             if cursors[t] >= len(seq):
                 live.remove(t)
         # The timesliced execution runs each thread's whole phase chunk
         # back-to-back (barriers force every other thread to wait until
         # the phase completes anyway).
         for t in range(self.num_threads):
-            end = len(self._traces[t])
-            self._timesliced.extend(
-                (t, i) for i in range(self._ts_cursors[t], end)
-            )
-            self._ts_cursors[t] = end
+            self._timesliced.extend([t] * cursors[t])
 
     def build(self, preallocated: frozenset = frozenset()) -> TraceProgram:
         program = TraceProgram(

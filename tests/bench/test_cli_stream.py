@@ -19,7 +19,9 @@ from repro.cli import main
 from repro.obs import read_events
 from repro.obs.recorder import normalize_events
 from repro.serve import ServeConfig, ServerThread
-from repro.trace.serialize import file_version
+from repro.trace.events import Instr
+from repro.trace.program import TraceProgram
+from repro.trace.serialize import file_version, save_file
 
 WORKLOAD = [
     "--benchmark", "OCEAN", "--threads", "2", "--events", "3000",
@@ -136,6 +138,39 @@ class TestCheckStream:
             "malformed instruction record" if field == "row"
             else "malformed block record"
         ) in error
+
+    def test_v1_location_outside_int64_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """The version 1 reader had a row decoder of its own, which
+        ended ``check --trace`` in an ``OverflowError`` traceback."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 1, "threads": 1}\n'
+            f'[["read", null, [{2**70}], 1]]\n'
+            '{"true_order": null}\n{"timesliced_order": null}\n'
+            '{"preallocated": []}\n'
+        )
+        assert main(["check", "--trace", str(path)]) == 2
+        error = _one_line_error(capsys, "check")
+        assert f"{path}:2: malformed instruction record" in error
+
+    def test_v1_file_with_no_recorded_order_reports_without_oracle(
+        self, tmp_path, capsys
+    ):
+        """``save_file`` writes ``true_order: null`` for a program built
+        from lists; ``check`` printed its report, then exited 2 asking
+        the missing order for an oracle score."""
+        path = tmp_path / "t.jsonl"
+        save_file(
+            TraceProgram.from_lists([Instr.write(1)], [Instr.read(2)]),
+            path,
+        )
+        assert main(["check", "--trace", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "flags: 2\n" in captured.out
+        assert "oracle" not in captured.out
 
 
 @pytest.fixture(scope="module")

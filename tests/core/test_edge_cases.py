@@ -57,13 +57,13 @@ class TestDegenerateInputs:
 class TestGlobalOrderEdges:
     def test_single_event_program(self):
         prog = TraceProgram.from_lists([Instr.nop()])
-        prog.true_order = [(0, 0)]
+        prog.true_order = [0]
         part = partition_by_global_order(prog, 4)
         assert part.num_epochs == 1
 
     def test_heartbeat_exactly_at_end(self):
         prog = TraceProgram.from_lists([Instr.nop()] * 4)
-        prog.true_order = [(0, i) for i in range(4)]
+        prog.true_order = [0] * 4
         part = partition_by_global_order(prog, 4)
         # One full epoch plus the closing (empty) one.
         sizes = [len(part.block(l, 0)) for l in range(part.num_epochs)]
@@ -74,7 +74,7 @@ class TestGlobalOrderEdges:
         prog = TraceProgram.from_lists(
             [Instr.nop()] * 6, [Instr.nop()] * 2
         )
-        prog.true_order = [(0, i) for i in range(6)] + [(1, 0), (1, 1)]
+        prog.true_order = [0] * 6 + [1, 1]
         part = partition_by_global_order(prog, 2)
         # Early epochs have empty thread-1 blocks.
         assert len(part.block(0, 1)) == 0

@@ -8,8 +8,13 @@ import pytest
 from repro.core.columnar import ColumnarBlock
 from repro.errors import PartitionError
 from repro.trace.events import Instr
-from repro.trace.generator import simulated_taint_program
-from repro.trace.program import TraceProgram
+from repro.trace.generator import (
+    alloc_handoff_program,
+    simulated_alloc_program,
+    simulated_taint_program,
+)
+from repro.trace.program import ThreadTrace, TraceProgram
+from repro.workloads.registry import get_benchmark
 from repro.core.epoch import (
     Block,
     EpochPartition,
@@ -118,9 +123,7 @@ class TestGlobalOrderPartition:
         prog = TraceProgram.from_lists(
             [Instr.nop()] * 6, [Instr.nop()] * 6
         )
-        prog.true_order = [
-            (t, i) for i in range(6) for t in (0, 1)
-        ]
+        prog.true_order = [t for _ in range(6) for t in (0, 1)]
         part = partition_by_global_order(prog, 2)
         assert part.boundaries[0][:-1] == [2, 4, 6][: len(part.boundaries[0]) - 1]
 
@@ -131,10 +134,10 @@ class TestGlobalOrderPartition:
         while c[0] < 9 or c[1] < 3:
             for _ in range(3):
                 if c[0] < 9:
-                    order.append((0, c[0]))
+                    order.append(0)
                     c[0] += 1
             if c[1] < 3:
-                order.append((1, c[1]))
+                order.append(1)
                 c[1] += 1
         prog = TraceProgram.from_lists(
             [Instr.nop()] * 9, [Instr.nop()] * 3
@@ -151,6 +154,50 @@ class TestGlobalOrderPartition:
 
         with pytest.raises(TraceError):
             partition_by_global_order(program([4]), 2)
+
+    @pytest.mark.parametrize("h", [1, 7, 512, 2048])
+    def test_cumulative_counts_match_the_per_event_walk(self, h):
+        """The cut samples each thread's running count every ``h * n``
+        events; the per-event walk it replaced is the reference.  The
+        handoff programs' 2 x 2048 events put a heartbeat exactly on
+        the trace end at h = 1, 512 and 2048, and the appended thread
+        never runs."""
+        programs = [
+            simulated_alloc_program(
+                random.Random(seed), num_threads=3, total_events=3000
+            )
+            for seed in range(3)
+        ]
+        programs.append(get_benchmark("OCEAN").generate(4, 3000, seed=1))
+        for seed in range(2):
+            prog = alloc_handoff_program(
+                random.Random(seed), num_threads=2, events_per_thread=2048
+            )
+            programs.append(prog)
+            programs.append(TraceProgram(
+                prog.threads + [ThreadTrace()], true_order=prog.true_order
+            ))
+        for prog in programs:
+            assert partition_by_global_order(prog, h).boundaries == (
+                reference_global_order_boundaries(prog, h)
+            )
+
+
+def reference_global_order_boundaries(program, epoch_size):
+    """The cut as a walk over every event: count each thread's events
+    and copy every count out when a heartbeat fires."""
+    n = program.num_threads
+    interval = epoch_size * n
+    positions = [0] * n
+    boundaries = [[] for _ in range(n)]
+    for count, t in enumerate(program.true_order.tolist(), start=1):
+        positions[t] += 1
+        if count % interval == 0:
+            for tid in range(n):
+                boundaries[tid].append(positions[tid])
+    for tid, trace in enumerate(program.threads):
+        boundaries[tid].append(len(trace))
+    return boundaries
 
 
 class TestExplicitBoundaries:

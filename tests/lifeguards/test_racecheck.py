@@ -13,12 +13,14 @@ from repro.core.epoch import (
     partition_with_skew,
 )
 from repro.core.framework import ButterflyEngine
-from repro.core.stream import EpochSource
+from repro.core.stream import EpochSource, PartitionSource
 from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.trace.events import Instr
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.program import TraceProgram
-from repro.trace.serialize import iter_load, save_stream_file
+from repro.trace.serialize import (
+    iter_load, load_file, save_file, save_stream_file,
+)
 from repro.workloads.registry import get_benchmark
 from tests.lifeguards.bitmask import BitInterner
 
@@ -193,10 +195,15 @@ class TestSetIntersectionsAgainstTheMasks:
 
 
 class TestNoInstrOnTheProductionPath:
-    def test_a_stream_file_run_builds_no_instr(self, tmp_path, monkeypatch):
-        """The columnar scan reads a streamed block's columns alone: with
-        ``Instr`` materialization refused, a stream-file run still
-        reports exactly what the partition run does."""
+    @pytest.mark.parametrize("layout", ["v2", "v1"])
+    def test_a_stream_file_run_builds_no_instr(
+        self, tmp_path, monkeypatch, layout
+    ):
+        """The columnar scan reads a block's columns alone, and a file's
+        threads and blocks are decoded straight to columns: with
+        ``Instr`` materialization refused, a run over a stream file, or
+        over a program file's partition, still reports exactly what the
+        generated program's partition run does."""
         prog = simulated_alloc_program(
             random.Random(3), num_threads=3, total_events=600,
             num_locations=16,
@@ -211,8 +218,16 @@ class TestNoInstrOnTheProductionPath:
             raise AssertionError("an Instr was built on the production path")
 
         monkeypatch.setattr(ColumnarBlock, "to_instrs", refuse)
+        if layout == "v1":
+            save_file(prog, path)
+            monkeypatch.setattr(Instr, "__post_init__", refuse)
+            source = PartitionSource(
+                partition_by_global_order(load_file(path), 32)
+            )
+        else:
+            source = iter_load(path)
         guard = ButterflyRaceCheck()
-        stats = ButterflyEngine(guard).run_source(iter_load(path))
+        stats = ButterflyEngine(guard).run_source(source)
         assert len(expected.errors) > 0
         assert list(guard.errors) == list(expected.errors)
         assert stats == expected_stats

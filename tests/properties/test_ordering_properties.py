@@ -12,11 +12,23 @@ from repro.core.ordering import (
 )
 from repro.trace.events import Instr
 from repro.trace.interleave import (
-    is_valid_sc_order,
     random_interleave,
     round_robin,
 )
 from repro.trace.program import TraceProgram
+
+
+def reference_round_robin(lengths, quantum):
+    """``round_robin`` as a walk: each pass gives every thread up to
+    ``quantum`` more of its events."""
+    cursors = [0] * len(lengths)
+    order = []
+    while sum(cursors) < sum(lengths):
+        for t, n in enumerate(lengths):
+            take = min(quantum, n - cursors[t])
+            order.extend([t] * take)
+            cursors[t] += take
+    return order
 
 
 def program_of(lengths):
@@ -71,8 +83,11 @@ class TestOrderingProperties:
     )
     def test_round_robin_always_valid_sc(self, lengths, quantum):
         prog = program_of(lengths)
-        order = round_robin(prog, quantum=quantum)
-        assert is_valid_sc_order(prog, order)
+        prog.true_order = round_robin(prog, quantum=quantum)
+        prog.validate()
+        assert prog.true_order.tolist() == reference_round_robin(
+            lengths, quantum
+        )
 
     @given(
         lengths=st.lists(st.integers(1, 8), min_size=2, max_size=3),

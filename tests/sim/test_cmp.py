@@ -51,7 +51,7 @@ class TestRunSerialized:
     def test_uses_given_order(self):
         prog = TraceProgram.from_lists([Instr.nop()], [Instr.nop()])
         result = run_serialized(
-            prog, MachineConfig(), order=[(1, 0), (0, 0)]
+            prog, MachineConfig(), order=[1, 0]
         )
         assert result.instructions == 2
 

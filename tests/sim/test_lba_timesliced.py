@@ -17,8 +17,8 @@ def program_with_orders():
         ThreadTrace([Instr.read(1), Instr.read(1), Instr.read(1)]),
         ThreadTrace([Instr.read(2), Instr.read(2), Instr.read(2)]),
     ]
-    true_order = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-    ts_order = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    true_order = [0, 1, 0, 1, 0, 1]
+    ts_order = [0, 0, 0, 1, 1, 1]
     prog = TraceProgram(
         threads, true_order=true_order, preallocated=frozenset({1, 2}),
         timesliced_order=ts_order,
@@ -53,14 +53,14 @@ class TestTimesliced:
 
     def test_errors_charged(self):
         threads = [ThreadTrace([Instr.read(9)])]
-        prog = TraceProgram(threads, true_order=[(0, 0)])
+        prog = TraceProgram(threads, true_order=[0])
         result = LBASystem().timesliced(prog)
         assert result.extras["errors"] == 1
         assert result.lifeguard_cycles >= COSTS.error_handling_cycles
 
     def test_nops_never_dispatch(self):
         threads = [ThreadTrace([Instr.nop()] * 100)]
-        prog = TraceProgram(threads, true_order=[(0, i) for i in range(100)])
+        prog = TraceProgram(threads, true_order=[0] * 100)
         result = LBASystem().timesliced(prog)
         assert result.lifeguard_cycles == 0
 

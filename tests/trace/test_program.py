@@ -1,5 +1,6 @@
 """Unit tests for TraceProgram / ThreadTrace."""
 
+import numpy as np
 import pytest
 
 from repro.core.columnar import ColumnarBlock
@@ -44,6 +45,21 @@ class TestShape:
         with pytest.raises(ValueError):
             trace.columns.dst[0] = 7
 
+    def test_a_decoded_thread_builds_its_instrs_on_first_read(self):
+        instrs = [Instr.nop(), Instr.read(1), Instr.assign(2, 1, 3)]
+        built = ThreadTrace(instrs)
+        decoded = ThreadTrace(
+            columns=ColumnarBlock.from_rows(built.columns.to_rows())
+        )
+        assert decoded == built
+        with pytest.raises(ValueError):
+            decoded.columns.dst[0] = 7
+        # A cut hands over Instr objects only where the thread holds them.
+        assert decoded.cut(1, 3)[1] is None
+        assert built.cut(1, 3)[1][0] is instrs[1]
+        assert decoded.instrs == tuple(instrs)
+        assert decoded.cut(1, 3)[1] == tuple(instrs[1:3])
+
 
 class TestValidation:
     def test_empty_program_rejected(self):
@@ -52,33 +68,44 @@ class TestValidation:
 
     def test_valid_true_order(self):
         prog = make_program()
-        prog.true_order = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        prog.true_order = [0, 1, 0, 1]
         prog.validate()
-
-    def test_true_order_must_respect_program_order(self):
-        prog = make_program()
-        prog.true_order = [(0, 1), (0, 0), (1, 0), (1, 1)]
-        with pytest.raises(TraceError):
-            prog.validate()
 
     def test_true_order_must_cover_trace(self):
         prog = make_program()
-        prog.true_order = [(0, 0)]
+        prog.true_order = [0]
         with pytest.raises(TraceError):
             prog.validate()
 
     def test_true_order_unknown_thread(self):
         prog = make_program()
-        prog.true_order = [(5, 0)]
-        with pytest.raises(TraceError):
+        prog.true_order = [5]
+        with pytest.raises(TraceError, match="one thread id per event"):
             prog.validate()
 
     def test_timesliced_order_validated_too(self):
         prog = make_program()
-        prog.true_order = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        prog.timesliced_order = [(0, 1)]
+        prog.true_order = [0, 1, 0, 1]
+        prog.timesliced_order = [0]
         with pytest.raises(TraceError):
             prog.validate()
+
+    def test_a_schedule_is_one_thread_id_per_event(self):
+        """Program order fixes each event's index, so a schedule holds
+        thread ids alone: ``(thread, index)`` pairs are refused."""
+        prog = make_program()
+        prog.true_order = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        with pytest.raises(TraceError, match="one thread id per event"):
+            prog.validate()
+
+    def test_schedules_are_read_only_and_stay_out_of_equality(self):
+        prog, other = make_program(), make_program()
+        prog.true_order = [0, 1, 0, 1]
+        other.true_order = [1, 1, 0, 0]
+        assert prog.true_order.dtype == np.int64
+        with pytest.raises(ValueError):
+            prog.true_order[0] = 1
+        assert prog == other
 
 
 class TestRecordedOrder:
@@ -88,6 +115,6 @@ class TestRecordedOrder:
 
     def test_iter_recorded(self):
         prog = make_program()
-        prog.true_order = [(1, 0), (1, 1), (0, 0), (0, 1)]
+        prog.true_order = [1, 1, 0, 0]
         refs = [ref for ref, _ in prog.iter_recorded()]
-        assert refs == prog.true_order
+        assert refs == [(1, 0), (1, 1), (0, 0), (0, 1)]

@@ -67,15 +67,31 @@ class TestRoundTrip:
             random.Random(0), num_threads=2, total_events=20
         )
         loaded = round_trip(prog)
-        assert loaded.true_order == prog.true_order
+        assert loaded.true_order.tolist() == prog.true_order.tolist()
         assert loaded.preallocated == prog.preallocated
 
     def test_workload_round_trip(self):
         prog = get_benchmark("OCEAN").generate(2, 3000, seed=4)
         loaded = round_trip(prog)
-        assert loaded.timesliced_order == prog.timesliced_order
+        assert (
+            loaded.timesliced_order.tolist()
+            == prog.timesliced_order.tolist()
+        )
         assert loaded.total_instructions == prog.total_instructions
         assert loaded.preallocated == prog.preallocated
+
+    def test_the_file_keeps_thread_index_pairs(self):
+        """In memory a schedule is thread ids; on disk it stays the
+        ``[[thread, index], ...]`` record every earlier file holds."""
+        prog = simulated_alloc_program(
+            random.Random(2), num_threads=3, total_events=30
+        )
+        buf = io.StringIO()
+        dump(prog, buf)
+        record = json.loads(buf.getvalue().splitlines()[4])
+        assert record == {
+            "true_order": [list(ref) for ref, _ in prog.iter_recorded()]
+        }
 
     def test_file_round_trip(self, tmp_path):
         prog = TraceProgram.from_lists([Instr.nop(), Instr.read(7)])
@@ -106,10 +122,11 @@ class TestValidation:
         with pytest.raises(TraceError):
             load(buf)
 
-    @pytest.mark.parametrize("record", NOT_INTEGERS)
+    @pytest.mark.parametrize("record", NOT_INTEGERS + OUT_OF_INT64)
     def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
         """``isinstance(True, int)``: a JSON ``true`` (or ``1.0``) used
-        to load as location 1 / size 1."""
+        to load as location 1 / size 1, and a location outside int64
+        died with an ``OverflowError`` traceback."""
         path = tmp_path / "t.jsonl"
         path.write_text(
             '{"format": "repro-trace", "version": 1, "threads": 1}\n'
@@ -121,6 +138,53 @@ class TestValidation:
             TraceError, match=r"t\.jsonl:2: malformed instruction record"
         ):
             load_file(path)
+
+    @pytest.mark.parametrize("key", ["true_order", "timesliced_order"])
+    @pytest.mark.parametrize("pairs", [
+        [[0, 0], [True, 0]],
+        [[0, 0], [1.0, 0]],
+        [[0, 0], [1, False]],
+        [[0, 0], [2, 0]],
+        [[0, 0], [-1, 0]],
+        [[0, 0], [1]],
+        [[0, 0], 1],
+        {"0": 0},
+    ])
+    def test_order_records_hold_exact_thread_index_pairs(
+        self, tmp_path, key, pairs
+    ):
+        """``[true, 0]`` used to load as thread ``True`` and so be
+        analysed as thread 1."""
+        records = {"true_order": None, "timesliced_order": None}
+        records[key] = pairs
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 1, "threads": 2}\n'
+            '[["nop", null, [], 1]]\n[["nop", null, [], 1]]\n'
+            + json.dumps({"true_order": records["true_order"]}) + "\n"
+            + json.dumps({"timesliced_order": records["timesliced_order"]})
+            + '\n{"preallocated": []}\n'
+        )
+        line = 4 if key == "true_order" else 5
+        with pytest.raises(TraceError, match=rf"t\.jsonl:{line}: .*{key}"):
+            load_file(path)
+
+    def test_order_record_must_respect_program_order(self, tmp_path):
+        prog = TraceProgram.from_lists(
+            [Instr.write(0), Instr.read(0)],
+            [Instr.malloc(1), Instr.free(1)],
+        )
+        prog.true_order = [0, 1, 0, 1]
+        buf = io.StringIO()
+        dump(prog, buf)
+        text = buf.getvalue().replace(
+            "[[0, 0], [1, 0], [0, 1], [1, 1]]",
+            "[[0, 1], [0, 0], [1, 0], [1, 1]]",
+        )
+        with pytest.raises(
+            TraceError, match=r"t:4: bad true_order entry \[0, 1\]"
+        ):
+            load(io.StringIO(text), name="t")
 
     def test_truncated_final_record_has_file_line_context(self):
         prog = TraceProgram.from_lists([Instr.nop(), Instr.read(7)])
@@ -279,23 +343,35 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match=r"s1:9: .*malformed block"):
             decode_epoch_row(epoch, 1, 2, "s1", 9)
 
-    @pytest.mark.parametrize("prealloc", [[[1]], ["x", True, 1.5, 7]])
+    @pytest.mark.parametrize("layout", ["v1", "v2"])
+    @pytest.mark.parametrize(
+        "prealloc", [[[1]], ["x", True, 1.5, 7], [1.0], [True]]
+    )
     def test_preallocated_locations_must_be_exactly_integers(
-        self, tmp_path, prealloc
+        self, tmp_path, prealloc, layout
     ):
-        """The header used to be checked for ``list`` only: ``[[1]]``
-        died with ``TypeError: unhashable type`` building the source's
-        frozenset and ``true`` was analysed as location 1."""
-        _, partition = stream_partition()
-        lines = stream_text(partition).splitlines(keepends=True)
-        header = json.loads(lines[0])
-        header["preallocated"] = prealloc
-        path = tmp_path / "t.stream.jsonl"
-        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        """Both layouts used to check the set for ``list`` only: ``[[1]]``
+        died with ``TypeError: unhashable type`` building the frozenset
+        and ``true`` or ``1.0`` was analysed as location 1."""
+        prog, partition = stream_partition()
+        path = tmp_path / "t.jsonl"
+        if layout == "v2":
+            lines = stream_text(partition).splitlines(keepends=True)
+            header = json.loads(lines[0])
+            header["preallocated"] = prealloc
+            path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+            line, read = 1, iter_load
+        else:
+            buf = io.StringIO()
+            dump(prog, buf)
+            lines = buf.getvalue().splitlines(keepends=True)
+            lines[-1] = json.dumps({"preallocated": prealloc}) + "\n"
+            path.write_text("".join(lines))
+            line, read = len(lines), load_file
         with pytest.raises(
-            TraceError, match=r"t\.stream\.jsonl:1: bad preallocated set"
+            TraceError, match=rf"t\.jsonl:{line}: bad preallocated set"
         ):
-            iter_load(path)
+            read(path)
 
     def test_truncated_epoch_record(self, tmp_path):
         _, partition = stream_partition()

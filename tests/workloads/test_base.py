@@ -28,8 +28,7 @@ class TestPhasedTraceBuilder:
         b.phase([[Instr.write(3)], [Instr.write(4)]])
         prog = b.build()
         seen_phase2 = False
-        for ref in prog.true_order:
-            instr = prog.instr_at(ref)
+        for _, instr in prog.iter_recorded():
             if instr.dst in (3, 4):
                 seen_phase2 = True
             elif seen_phase2:
@@ -39,11 +38,8 @@ class TestPhasedTraceBuilder:
         b = PhasedTraceBuilder(2, random.Random(0))
         b.phase([[Instr.nop()] * 4, [Instr.nop()] * 4])
         prog = b.build()
-        switches = sum(
-            1
-            for a, bb in zip(prog.timesliced_order, prog.timesliced_order[1:])
-            if a[0] != bb[0]
-        )
+        ids = prog.timesliced_order.tolist()
+        switches = sum(1 for a, bb in zip(ids, ids[1:]) if a != bb)
         assert switches == 1  # one switch per phase at two threads
 
     def test_wrong_phase_width_rejected(self):

@@ -44,7 +44,7 @@ class TestGeneratedTraces:
     def test_deterministic_for_seed(self, name):
         a = get_benchmark(name).generate(2, 2000, seed=5)
         b = get_benchmark(name).generate(2, 2000, seed=5)
-        assert a.true_order == b.true_order
+        assert a.true_order.tolist() == b.true_order.tolist()
         assert all(
             x.instrs == y.instrs for x, y in zip(a.threads, b.threads)
         )
@@ -65,9 +65,7 @@ class TestGeneratedTraces:
         execution: it must be error-free too."""
         prog = get_benchmark(name).generate(4, 4000, seed=11)
         guard = SequentialAddrCheck(prog.preallocated)
-        guard.run(
-            (ref, prog.instr_at(ref)) for ref in prog.timesliced_order
-        )
+        guard.run(prog.walk(prog.timesliced_order))
         assert len(guard.errors) == 0
 
     @pytest.mark.parametrize("name", ALL)
