@@ -29,6 +29,7 @@ from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.trace.events import Instr
 from repro.trace.generator import (
     ColumnarAllocSource,
+    ColumnarTaintSource,
     simulated_alloc_program,
     simulated_taint_program,
 )
@@ -288,6 +289,63 @@ def test_first_pass_cost_does_not_scale_with_the_thread_count(timing_guard):
         narrow = min(narrow, narrow_once())
         wide = min(wide, wide_once())
     assert narrow <= 1.75 * wide, (narrow, wide)
+
+
+def test_taint_first_pass_cost_does_not_scale_with_the_thread_count(
+    monkeypatch,
+):
+    """The same 128 events a row as four 32-event blocks and as one
+    128-event block (``ColumnarTaintSource``, a taint-moving event every
+    16): ``TaintScanner.scan_row`` wall per row, alternating best-of-9.
+    The parent commit scanned block by block -- ~10 numpy calls each
+    plus a Python loop over the taint-moving events -- so the narrow
+    row cost 4.1-4.9x the wide one (67-81 vs 16.4-16.5 us on a 2-vCPU
+    Xeon).  Now a row's small blocks are one group
+    (``framework.row_groups``) and one pass of the vectorized kernel:
+    1.8-2.3x (63-72 vs 31-32 us).  What still scales with the thread
+    count is the segment bookkeeping of a multi-block group (the joined
+    columns, the (segment, location) sort, the cuts) and one summary
+    per block -- ~35 us over a ~30 us group, hence 2.75 and not the
+    1.5 a kernel pass alone would give.  The count half always runs:
+    a row of small blocks is one kernel pass."""
+    rows = {
+        shape: [
+            [(block, None) for block in row]
+            for row in ColumnarTaintSource(
+                7, num_threads=shape[0], num_epochs=60,
+                events_per_block=shape[1], taint_period=16,
+                error_rate=1e-2,
+            ).epochs()
+        ]
+        for shape in ((4, 32), (1, 128))
+    }
+    scanner = taintcheck.TaintScanner()
+    kernel, passes = taintcheck._scan_group, []
+
+    def counted(blocks):
+        passes.append(len(blocks))
+        return kernel(blocks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(taintcheck, "_scan_group", counted)
+        for row in rows[4, 32]:
+            assert len(scanner.scan_row(row)) == 4
+    assert passes == [4] * len(rows[4, 32])
+
+    if not timing_asserts_enabled():
+        return
+
+    def us_per_row(shape):
+        t0 = time.perf_counter()
+        for row in rows[shape]:
+            scanner.scan_row(row)
+        return 1e6 * (time.perf_counter() - t0) / len(rows[shape])
+
+    narrow = wide = float("inf")
+    for _ in range(9):
+        narrow = min(narrow, us_per_row((4, 32)))
+        wide = min(wide, us_per_row((1, 128)))
+    assert narrow <= 2.75 * wide, (narrow, wide)
 
 
 def test_first_pass_cost_follows_the_events_not_the_change_events(

@@ -39,8 +39,8 @@ def _scan_all(scanner, blocks):
     work = 0
     for block in blocks:
         summary = scanner(block, None)
-        work += len(summary.jumps) + sum(
-            len(v) for v in summary.rules.values()
+        work += summary.jump_off.shape[0] + sum(
+            hi - lo for lo, hi in summary.written.values()
         )
     return work
 

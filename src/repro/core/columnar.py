@@ -141,8 +141,10 @@ def _walk_columns(rows: Sequence[object]) -> _Columns:
             if code in needs_dst:
                 raise RowDecodeError(row, "op requires a destination")
             dst = NO_DST
-        elif type(dst) is not int or not NO_DST <= dst <= _I64_MAX:
+        elif type(dst) is not int or not NO_DST < dst <= _I64_MAX:
             raise RowDecodeError(row, f"bad destination {dst!r}")
+        elif dst > _I64_MAX - size + 1:
+            raise RowDecodeError(row, f"extent of {size} runs past 2**63-1")
         if not isinstance(srcs, list) or not all(
             type(s) is int and NO_DST <= s <= _I64_MAX for s in srcs
         ):
@@ -173,19 +175,17 @@ def _signature_ok(signature: tuple) -> bool:
     return code != OP_ASSIGN or nsrc <= 2
 
 
-def _bulk_columns(rows: Sequence[object]) -> Optional[_Columns]:
-    """The columns of a well-formed block, or ``None``.
+def _bulk_columns(rows: Sequence[object]) -> Optional["ColumnarBlock"]:
+    """The frozen columns of a well-formed block, or ``None``.
 
     A row is valid or not by its op, the *types* of its fields and its
     source count -- a block of thousands of rows has a handful of such
-    signatures -- plus two facts about values: every size is >= 1 and
-    every flattened source is exactly an ``int``.  So the block is
-    transposed once and each rule is one C-level pass over a column;
-    nothing below loops over rows in Python bytecode except the
-    ``None`` -> :data:`NO_DST` substitution.  Every check is at least as
-    strict as the walk's, and whatever is not recognised here (a short
-    row, an unknown op, an unsized ``srcs``) is left to the walk to name.
-    """
+    signatures -- plus facts about values (sizes >= 1, sources exactly
+    ``int``, values inside int64, only ``None`` as :data:`NO_DST`, no
+    extent past 2**63-1).  So each rule is one C-level pass over a
+    column; nothing loops over rows in Python bytecode but the ``None``
+    -> :data:`NO_DST` substitution.  Every check is at least as strict as
+    the walk's, which names whatever is not recognised here."""
     try:
         if set(map(len, rows)) != {4}:  # zip would truncate to the shortest
             return None
@@ -202,9 +202,21 @@ def _bulk_columns(rows: Sequence[object]) -> Optional[_Columns]:
         return None
     if min(sizes) < 1 or not set(map(type, src_val)) <= {int}:
         return None
-    if None in dsts:
+    nones = dsts.count(None)
+    if nones:
         dsts = [NO_DST if dst is None else dst for dst in dsts]
-    return codes, dsts, sizes, list(accumulate(nsrcs, initial=0)), src_val
+    try:
+        block = ColumnarBlock._frozen(
+            codes, dsts, sizes, list(accumulate(nsrcs, initial=0)), src_val
+        )
+    except OverflowError:
+        return None
+    dst = block.dst
+    if np.count_nonzero(dst == NO_DST) != nones or (
+        max(sizes) > 1 and (dst + (block.size - 1) < dst).any()
+    ):  # a literal NO_DST, or an extent that wraps past 2**63-1
+        return None
+    return block
 
 
 class ColumnarBlock:
@@ -265,24 +277,18 @@ class ColumnarBlock:
 
         The one row decoder of both trace file layouts and the serve
         wire: it applies the same validation as ``Instr.__post_init__``
-        but touches no dataclass, no enum boxing, no per-event tuple --
-        and, for a well-formed block, no row from Python at all
+        (plus the int64 range, which keeps :data:`NO_DST` for ``None``
+        and every extent inside it) but touches no dataclass, no enum
+        boxing, no per-event tuple -- and, for a well-formed block, no
+        row from Python at all
         (:func:`_bulk_columns`).  A malformed row raises
         :class:`RowDecodeError` carrying the row.
-
-        The bulk pass leaves the int64 range to the freeze, which
-        checks every value at C level anyway: a value outside it sends
-        the block down the walk, whose range rule names its row.
         """
-        columns = _bulk_columns(rows)
-        if columns is None:
+        block = _bulk_columns(rows)
+        if block is None:
             # The reject path: walk the rows to name the first bad one.
-            columns = _walk_columns(rows)
-        try:
-            return cls._frozen(*columns)
-        except OverflowError:
-            _walk_columns(rows)
-            raise
+            block = cls._frozen(*_walk_columns(rows))
+        return block
 
     @classmethod
     def concat(cls, blocks: Sequence["ColumnarBlock"]) -> "ColumnarBlock":
@@ -358,36 +364,6 @@ class ColumnarBlock:
                 size=sizes[i],
             )
             for i in range(self.length)
-        )
-
-    def gather(self, idx) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """CSR-gather the rows at ``idx`` (a sorted numpy index array).
-
-        Returns ``(codes, dsts, bounds, flat_srcs)`` as plain Python
-        lists, where row ``k``'s sources are
-        ``flat_srcs[bounds[k]:bounds[k + 1]]``.  This is the selection
-        step of the TaintCheck scan: one table read picks the relevant
-        rows, one gather through ``idx`` materializes just those rows'
-        fields, and only the (typically sparse) selection is ever
-        touched from Python.
-        """
-        src_off = self.src_off
-        lo = src_off[idx]
-        counts = src_off[1:][idx] - lo
-        out_off = np.zeros(idx.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=out_off[1:])
-        total = int(out_off[-1])
-        if total:
-            flat = np.repeat(lo - out_off[:-1], counts)
-            flat += np.arange(total, dtype=np.int64)
-            flat_srcs = self.src_val[flat].tolist()
-        else:
-            flat_srcs = []
-        return (
-            self.op[idx].tolist(),
-            self.dst[idx].tolist(),
-            out_off.tolist(),
-            flat_srcs,
         )
 
     def to_rows(self) -> List[list]:

@@ -50,8 +50,8 @@ import abc
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Dict, Generic, List, Optional, Sequence,
-    Tuple, TypeVar, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Generic, Iterator, List, Optional,
+    Sequence, Tuple, TypeVar, Union,
 )
 
 from repro.core.epoch import (
@@ -84,6 +84,34 @@ class Scanner:
 
     def scan_row(self, items: Sequence[Tuple[Block, Any]]) -> List[Any]:
         return [self(block, context) for block, context in items]
+
+
+#: Most events a columnar row scan (AddrCheck's, TaintCheck's) hands its
+#: kernel as one group: a factor of two below the group sizes that lost
+#: to per-block scans on some run (docs/perf.md, "One scan per row").
+GROUP_EVENTS = 4096
+
+
+def row_groups(
+    items: Sequence[Tuple[Block, Any]], same: Optional[Callable] = None
+) -> Iterator[List[Tuple[Block, Any]]]:
+    """An epoch row's ``(block, context)`` items in the groups a columnar
+    kernel scans as one stream: consecutive items of summed length within
+    :data:`GROUP_EVENTS` whose contexts ``same(first, context)`` pairs."""
+    group: List[Tuple[Block, Any]] = []
+    events = 0
+    for item in items:
+        n = len(item[0])
+        if group and (
+            events + n > GROUP_EVENTS
+            or (same is not None and not same(group[0][1], item[1]))
+        ):
+            yield group
+            group, events = [], 0
+        group.append(item)
+        events += n
+    if group:
+        yield group
 
 
 @dataclass

@@ -52,7 +52,7 @@ from repro.core.columnar import (
 )
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
-from repro.core.framework import ButterflyAnalysis, Scanner
+from repro.core.framework import ButterflyAnalysis, Scanner, row_groups
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
@@ -66,18 +66,6 @@ from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 # (docs/perf.md, "Numpy's slow paths").
 _ACC_LUT = np.zeros(256, dtype=bool)
 _ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
-
-#: Most events :meth:`AddrScanner.scan_row` hands the columnar kernel as
-#: one group.  Scanning T small blocks as one stream saves T-1 rounds of
-#: the kernel's ~75 length-independent numpy calls and pays a concat
-#: plus wider arrays; measured against T per-block scans (x = faster):
-#: 4 x 128 events 1.8x, 4 x 512 1.8x, 8 x 256 2.2x, 4 x 1 024 1.6x,
-#: 3 x 2 048 1.3x -- then the temporaries outgrow the cache and the
-#: allocator's small bins: 4 x 2 048 1.0-1.4x and 2 x 4 096 0.8-1.1x
-#: (run to run), 4 x 4 096 0.8x, 4 x 25 000 0.6x.  4 096 stays a factor
-#: of two below the totals that lost on some run; a block larger than it
-#: is a group of one, i.e. the per-block scan.
-_GROUP_EVENTS = 4096
 
 _DETAIL_MALLOC = "malloc of location believed allocated"
 _DETAIL_FREE = "free of location believed unallocated"
@@ -252,23 +240,15 @@ class AddrScanner(Scanner):
         its head's edits), so a row's scans are independent and may
         share one pass: consecutive blocks over one base are handed to
         the kernel together while their summed length stays within
-        :data:`_GROUP_EVENTS`.  A single block is a group of one, so
-        this is the only route into the kernel.
+        :data:`~repro.core.framework.GROUP_EVENTS`
+        (:func:`~repro.core.framework.row_groups`).  A single block is a
+        group of one, so this is the only route into the kernel.
         """
         scans: List[AddrScan] = []
-        group: List[Tuple[ColumnarBlock, SOSView]] = []
-        events = 0
-        for block, running in items:
-            if group and not (
-                events + len(block) <= _GROUP_EVENTS
-                and running.base is group[0][1].base
-            ):
-                scans.extend(self._scan_columns(group))
-                group, events = [], 0
-            group.append((block.columns, running))
-            events += len(block)
-        if group:
-            scans.extend(self._scan_columns(group))
+        for group in row_groups(items, lambda a, b: a.base is b.base):
+            scans.extend(self._scan_columns(
+                [(block.columns, running) for block, running in group]
+            ))
         return scans
 
     def _scan_columns(

@@ -33,7 +33,8 @@ a block -- with the reaching-definitions update rules.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import (
     AbstractSet,
     Any,
@@ -41,6 +42,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -49,7 +51,6 @@ from typing import (
 import numpy as np
 
 from repro.core.columnar import (
-    NO_DST,
     OP_ASSIGN,
     OP_JUMP,
     OP_TAINT,
@@ -57,7 +58,7 @@ from repro.core.columnar import (
     OP_WRITE,
 )
 from repro.core.epoch import Block, BlockId, InstrId
-from repro.core.framework import ButterflyAnalysis, Scanner
+from repro.core.framework import ButterflyAnalysis, Scanner, row_groups
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
@@ -120,75 +121,266 @@ def _strictly_before(site: "InstrId", bound: Optional["InstrId"]) -> bool:
 #: A transfer-function right-hand side: taint, untaint, or parents.
 Value = Union[_Bottom, _Top, Tuple[int, ...]]
 
-#: One rule: (offset within block, destination location, value).
-Rule = Tuple[int, int, Value]
+#: A rule's ``kind`` code: its value is BOT, TOP, or its parents.
+_K_BOT, _K_TOP, _K_PARENTS = 0, 1, 2
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY_KIND = np.empty(0, dtype=np.uint8)
+_ZERO = np.zeros(1, dtype=np.int64)
 
 
-@dataclass
 class TaintSummary:
-    """Per-block first-pass product: the block's transfer functions.
+    """Per-block first-pass product: the block's transfer functions
+    (all visible to the wings -- the GEN-SIDE-OUT analog) as columns.
 
-    ``rules``: per destination location, the (offset, value) writes in
-    program order -- this is the GEN-SIDE-OUT analog (all of them are
-    visible to the wings since interleaving is arbitrary).
-    ``jumps``: critical uses to verify in the second pass.
-    ``lastcheck``: filled during the second pass -- the resolved taint of
-    each location's final write (the paper's LASTCHECK).
-    """
+    ``written`` maps each written location, ascending, to its run
+    ``(lo, hi)`` of the (location, offset)-sorted rules a row scan's
+    summaries share: rule ``r`` has block offset ``offsets[r]``, a
+    ``kind`` (BOT, TOP or parents) and the parents
+    ``par_val[par_off[r]:par_off[r+1]]``.  ``jump_off``/``jump_loc``
+    are the critical uses, in offset order.  What every check reads up
+    front comes from the same pass: the keys of ``written``,
+    ``last_bot`` (locations whose final write is BOT) and
+    ``last_assigns`` (each final-write ASSIGN as ``(location, offset,
+    parents)``); other locations end on TOP.  ``lastcheck`` is filled
+    in the second pass (the paper's LASTCHECK)."""
 
-    block_id: BlockId
-    rules: Dict[int, List[Tuple[int, Value]]] = field(default_factory=dict)
-    jumps: List[Tuple[int, int]] = field(default_factory=list)
-    lastcheck: Dict[int, Value] = field(default_factory=dict)
+    __slots__ = (
+        "block_id", "written", "offsets", "kind", "par_off", "par_val",
+        "jump_off", "jump_loc", "last_bot", "last_assigns", "lastcheck",
+        "_columns", "_writes",
+    )
+
+    def __init__(
+        self, block_id: BlockId,
+        written: Optional[Dict[int, Tuple[int, int]]] = None,
+        offsets: Any = _EMPTY, kind: Any = _EMPTY_KIND,
+        par_off: Any = _ZERO, par_val: Any = _EMPTY,
+        jump_off: Any = _EMPTY, jump_loc: Any = _EMPTY,
+        last_bot: Sequence[int] = (),
+        last_assigns: Sequence[Tuple[int, int, Tuple[int, ...]]] = (),
+    ) -> None:
+        self.block_id = block_id
+        self.written = {} if written is None else written
+        self.offsets, self.kind = offsets, kind
+        self.par_off, self.par_val = par_off, par_val
+        self.jump_off, self.jump_loc = jump_off, jump_loc
+        self.last_bot, self.last_assigns = last_bot, last_assigns
+        self.lastcheck: Dict[int, Value] = {}
+        self._columns: Optional[Tuple[memoryview, ...]] = None
+        self._writes: Dict[int, List[Tuple[int, Value]]] = {}
+
+    @classmethod
+    def from_rules(
+        cls, block_id: BlockId, rules: Dict[int, List[Tuple[int, Value]]],
+        jumps: Sequence[Tuple[int, int]] = (),
+    ) -> "TaintSummary":
+        """From ``location -> [(offset, value), ...]`` in program order
+        and ``[(offset, location), ...]`` jumps: the per-``Instr``
+        reference scanner's and hand-built windows' constructor."""
+        locs = sorted(loc for loc, writes in rules.items() if writes)
+        flat = [write for loc in locs for write in rules[loc]]
+        kind = [_K_BOT if v is BOT else _K_TOP if v is TOP else _K_PARENTS
+                for _, v in flat]
+        parents = [tuple(v) if k == _K_PARENTS else () for (_, v), k in
+                   zip(flat, kind)]
+        ends = list(accumulate(len(rules[loc]) for loc in locs))
+        i64 = np.int64
+        return cls(
+            block_id, dict(zip(locs, zip([0, *ends], ends))),
+            np.array([offset for offset, _ in flat], i64),
+            np.array(kind, np.uint8),
+            np.array([0, *accumulate(map(len, parents))], i64),
+            np.array([p for ps in parents for p in ps], i64),
+            np.array([offset for offset, _ in jumps], i64),
+            np.array([loc for _, loc in jumps], i64),
+            [loc for loc, e in zip(locs, ends) if kind[e - 1] == _K_BOT],
+            [(loc, flat[e - 1][0], parents[e - 1])
+             for loc, e in zip(locs, ends) if kind[e - 1] == _K_PARENTS],
+        )
+
+    def _views(self) -> Tuple[memoryview, ...]:
+        """The rule columns as memoryviews: plain ints, no copies."""
+        if self._columns is None:
+            self._columns = tuple(map(memoryview, (
+                self.offsets, self.kind, self.par_off, self.par_val)))
+        return self._columns
+
+    def writes(self, loc: int) -> Sequence[Tuple[int, Value]]:
+        """``loc``'s ``(offset, value)`` writes in offset order, built
+        the first time a walk asks, then kept."""
+        got = self._writes.get(loc)
+        if got is not None:
+            return got
+        bounds = self.written.get(loc)
+        if bounds is None:
+            return ()
+        offsets, kind, par_off, par_val = self._views()
+        lo, hi = bounds
+        got = self._writes[loc] = [
+            (offsets[r], BOT if k == _K_BOT else TOP if k == _K_TOP
+             else tuple(par_val[par_off[r]:par_off[r + 1]]))
+            for r, k in zip(range(lo, hi), kind[lo:hi])
+        ]
+        return got
+
+    def write_before(self, loc: int, offset: int) -> Optional[tuple]:
+        """``loc``'s last ``(offset, value)`` write before ``offset``,
+        or None: a bisection of :meth:`writes`' list if built, else of
+        the ``offsets`` column."""
+        writes = self._writes.get(loc)
+        if writes is not None:  # ``(offset,)`` sorts before any write
+            i = bisect_left(writes, (offset,))
+            return writes[i - 1] if i else None
+        bounds = self.written.get(loc)
+        if bounds is None:
+            return None
+        offsets, kind, par_off, par_val = self._columns or self._views()
+        lo, hi = bounds
+        r = bisect_left(offsets, offset, lo, hi) - 1
+        if r < lo:
+            return None
+        k = kind[r]
+        return offsets[r], BOT if k == _K_BOT else TOP if k == _K_TOP else (
+            tuple(par_val[par_off[r]:par_off[r + 1]]))
+
+    def __getstate__(self):
+        # The readers' caches are rebuilt on demand, never shipped.
+        return tuple(getattr(self, name) for name in self.__slots__[:-2])
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__slots__, state):
+            setattr(self, name, value)
+        self._columns, self._writes = None, {}
+
+
+def _segment_cuts(segs: Any, nseg: int) -> List[int]:
+    """Each segment's start in the ascending ``segs``, then the end:
+    the bounds of each block's share of a group's jumps."""
+    return segs.searchsorted(np.arange(nseg + 1, dtype=np.int64)).tolist()
+
+
+def _scan_group(blocks: Sequence[Block]) -> List[TaintSummary]:
+    """Vectorized first pass over a group of blocks' column arrays: one
+    table read selects the taint-relevant events of the whole group, one
+    gather pulls just their fields, one stable sort by (segment,
+    location) lays each block's rules out in runs, and one loop over the
+    runs (a location per block, never an event) deals them out."""
+    nseg = len(blocks)
+    if nseg == 1:
+        cols = blocks[0].columns
+        op, dst = cols.op, cols.dst
+        src_off, src_val = cols.src_off, cols.src_val
+    else:
+        cols = [block.columns for block in blocks]
+        op, dst, src_off, src_val = (
+            np.concatenate([getattr(c, name) for c in cols])
+            for name in ("op", "dst", "src_off", "src_val"))
+    # ``take``, not ``[op]``: a uint8 fancy index is numpy's slow path
+    # (docs/perf.md, "Numpy's slow paths").
+    idx = _TAINT_EVENT_LUT.take(op).nonzero()[0]
+    if not idx.shape[0]:
+        return [TaintSummary(block.block_id) for block in blocks]
+    if nseg == 1:
+        off = at = idx
+        src_lo = src_off.take(idx)
+    else:
+        # Event ``e`` of segment ``s`` sits at ``e + s`` of the joined
+        # source offsets, which count from its block's own ``src_val``.
+        ev_lo = np.array([
+            *accumulate((c.length for c in cols), initial=0),
+            *accumulate((c.src_val.shape[0] for c in cols), initial=0)])
+        seg = ev_lo[1:nseg + 1].searchsorted(idx, side="right")
+        off = idx - ev_lo.take(seg)
+        at = idx + seg
+        src_lo = src_off.take(at)
+        src_lo += ev_lo[nseg + 1:].take(seg)
+    ops = op.take(idx)
+
+    is_jump = ops == OP_JUMP  # critical uses: a JUMP's one source
+    jmp = is_jump.nonzero()[0]
+    jump_off = off.take(jmp)
+    jump_loc = src_val.take(src_lo.take(jmp))
+
+    # Rules, stably sorted by (segment, location): offsets ascend in runs.
+    rule = (~is_jump).nonzero()[0]
+    loc = dst.take(idx.take(rule))
+    if nseg > 1:
+        rule_seg = seg.take(rule)
+        order = np.lexsort((loc, rule_seg))
+        rule_seg = rule_seg.take(order)
+    else:
+        order = loc.argsort(kind="stable")
+    rule = rule.take(order)
+    loc = loc.take(order)
+    n_rules = rule.shape[0]
+    rule_ops = ops.take(rule)
+    # An ASSIGN's sources are its parents; none makes it TOP.
+    rule_at = at.take(rule)
+    n_par = src_off.take(rule_at + 1)
+    n_par -= src_off.take(rule_at)
+    n_par *= rule_ops == OP_ASSIGN
+    kind = (rule_ops != OP_TAINT).view(np.uint8) + (n_par > 0)
+    par_off = np.zeros(n_rules + 1, dtype=np.int64)
+    np.add.accumulate(n_par, out=par_off[1:])
+    pos = (src_lo.take(rule) - par_off[:-1]).repeat(n_par)
+    pos += np.arange(pos.shape[0], dtype=np.int64)
+    par_val = src_val.take(pos)
+    offsets = off.take(rule)
+
+    # Runs: a new one wherever the (segment, location) key changes.
+    cut = np.empty(n_rules + 1, dtype=bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(loc[1:], loc[:-1], out=cut[1:-1])
+    if nseg > 1:
+        cut[1:-1] |= rule_seg[1:] != rule_seg[:-1]
+    run = cut.nonzero()[0]
+    bounds = run.tolist()
+    locs = loc.take(run[:-1]).tolist()
+    run_seg = rule_seg.take(run[:-1]).tolist() if nseg > 1 else None
+    last_kind = kind.take(run[1:] - 1).tolist()  # each run's last write
+    if _K_PARENTS in last_kind:
+        par_list = par_off.tolist()
+        parents = par_val.tolist()
+        offsets_list = offsets.tolist()
+    written: List[Dict[int, Tuple[int, int]]] = [{} for _ in blocks]
+    bots: List[List[int]] = [[] for _ in blocks]
+    assigns: List[list] = [[] for _ in blocks]
+    for u, k in enumerate(last_kind):
+        s = run_seg[u] if run_seg else 0
+        hi = bounds[u + 1]
+        written[s][locs[u]] = (bounds[u], hi)
+        if k == _K_BOT:
+            bots[s].append(locs[u])
+        elif k == _K_PARENTS:
+            assigns[s].append((
+                locs[u], offsets_list[hi - 1],
+                tuple(parents[par_list[hi - 1]:par_list[hi]]),
+            ))
+    jump_cut = _segment_cuts(seg.take(jmp), nseg) if nseg > 1 else (
+        0, jmp.shape[0])
+    views = tuple(map(memoryview, (offsets, kind, par_off, par_val)))
+    summaries = []
+    for s, block in enumerate(blocks):
+        j0, j1 = jump_cut[s], jump_cut[s + 1]
+        summary = TaintSummary(
+            block.block_id, written[s], offsets, kind, par_off, par_val,
+            jump_off[j0:j1], jump_loc[j0:j1], bots[s], assigns[s],
+        )
+        summary._columns = views  # the group's, made once
+        summaries.append(summary)
+    return summaries
 
 
 @dataclass(frozen=True)
 class TaintScanner(Scanner):
-    """Picklable first-pass work unit: collect one block's transfer
-    functions and critical uses.
+    """Picklable first-pass work unit: a row's transfer functions and
+    critical uses, a group of blocks at a time (:func:`_scan_group`),
+    bit for bit those of
+    :class:`repro.verify.reference.ReferenceTaintScanner`."""
 
-    The kernel selects the taint-relevant events
-    (TAINT/UNTAINT/WRITE/ASSIGN/JUMP) with one LUT pass over the op
-    column and CSR-gathers only their sources, never touching the
-    READ-dominated remainder of the block.  The per-``Instr`` loop it
-    must match bit for bit is
-    :class:`repro.verify.reference.ReferenceTaintScanner`.
-    """
-
-    def __call__(self, block: Block, context: object) -> TaintSummary:
-        """One boolean table read finds the relevant events, a CSR
-        gather pulls just their sources, and a Python loop over only
-        those events rebuilds ``rules``/``jumps`` in exact stream order
-        (dict insertion order included)."""
-        cols = block.columns
-        summary = TaintSummary(block_id=block.block_id)
-        if cols.length == 0:
-            return summary
-        # ``take``, not ``[ops]``: a uint8 fancy index is numpy's slow
-        # path (docs/perf.md, "Numpy's slow paths").
-        idx = np.flatnonzero(_TAINT_EVENT_LUT.take(cols.op))
-        if not idx.shape[0]:
-            return summary
-        # Gather only the selected events' fields; READ sources
-        # dominate src_val on real traces and are never touched.
-        sel_ops, sel_dst, bounds, sel_src = cols.gather(idx)
-        rules = summary.rules
-        jumps = summary.jumps
-        for k, i in enumerate(idx.tolist()):
-            op = sel_ops[k]
-            if op == OP_JUMP:
-                jumps.append((i, sel_src[bounds[k]]))
-            elif op == OP_TAINT:
-                rules.setdefault(sel_dst[k], []).append((i, BOT))
-            elif op == OP_ASSIGN:
-                s, e = bounds[k], bounds[k + 1]
-                value = tuple(sel_src[s:e]) if e > s else TOP
-                rules.setdefault(sel_dst[k], []).append((i, value))
-            else:  # UNTAINT or WRITE stores trusted data
-                dst = sel_dst[k]
-                if dst != NO_DST:
-                    rules.setdefault(dst, []).append((i, TOP))
-        return summary
+    def scan_row(self, items: Sequence[Tuple[Block, object]]) -> list:
+        return [summary for group in row_groups(items)
+                for summary in _scan_group([block for block, _ in group])]
 
 
 def _touched(asked: Set[int], window: List[TaintSummary]) -> Set[int]:
@@ -200,7 +392,7 @@ def _touched(asked: Set[int], window: List[TaintSummary]) -> Set[int]:
     for s in window:
         if not missing:
             break
-        missing -= s.rules.keys() & missing
+        missing -= s.written.keys() & missing
     return asked - missing
 
 
@@ -229,11 +421,8 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
     """
 
     def __init__(
-        self,
-        mode: str = "relaxed",
-        max_steps: int = 4096,
-        two_phase: bool = True,
-        use_columnar_kernel: Optional[bool] = None,
+        self, mode: str = "relaxed", max_steps: int = 4096,
+        two_phase: bool = True, use_columnar_kernel: Optional[bool] = None,
     ) -> None:
         if mode not in ("relaxed", "sc"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -293,17 +482,15 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         # LASTCHECK is each location's final write, an ASSIGN's untainted
         # until a check below finds a tainted parent.  Those parents and
         # the jump targets are what this body's checks ask about.
-        lastcheck: Dict[int, Value] = {}
-        assigns: List[Tuple[int, int, Tuple[int, ...]]] = []
-        asked = {loc for _, loc in summary.jumps}
-        for loc, writes in summary.rules.items():
-            offset, value = writes[-1]
-            if value is BOT or value is TOP:
-                lastcheck[loc] = value
-            else:
-                lastcheck[loc] = TOP
-                assigns.append((loc, offset, value))
-                asked.update(value)
+        lastcheck: Dict[int, Value] = dict.fromkeys(summary.written, TOP)
+        for loc in summary.last_bot:
+            lastcheck[loc] = BOT
+        assigns = summary.last_assigns
+        jump_off = summary.jump_off.tolist()
+        jump_loc = summary.jump_loc.tolist()
+        asked = set(jump_loc)
+        for _, _, parents in assigns:
+            asked.update(parents)
         # A location no rule of the window writes gives Algorithm 1
         # nothing to replace: its verdict is LSOS membership (the SOS
         # summarises everything older), taken for all of them at once on
@@ -329,15 +516,13 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         # Critical-use checks.
         flagged = [
             (offset, loc)
-            for offset, loc in summary.jumps
+            for offset, loc in zip(jump_off, jump_loc)
             if loc in tainted or (loc in touched and walk((loc,), offset))
         ]
         return lastcheck, flagged
 
     def _algorithm1(
-        self,
-        side_in: List[TaintSummary],
-        summary: TaintSummary,
+        self, side_in: List[TaintSummary], summary: TaintSummary,
         lsos: AbstractSet[int],
     ) -> Callable[[Tuple[int, ...], int], bool]:
         """The Check algorithm over one body's window, as ``walk(parents,
@@ -365,9 +550,7 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         return walk
 
     def commit_check(
-        self,
-        butterfly: Butterfly,
-        side_in: List[TaintSummary],
+        self, butterfly: Butterfly, side_in: List[TaintSummary],
         result: Tuple[Dict[int, Value], List[Tuple[int, int]]],
     ) -> None:
         body = butterfly.body
@@ -486,11 +669,8 @@ class _RuleGraph:
     """
 
     def __init__(
-        self,
-        wing_summaries: List[TaintSummary],
-        body: TaintSummary,
-        guard: ButterflyTaintCheck,
-        fallback: Optional["_RuleGraph"] = None,
+        self, wing_summaries: List[TaintSummary], body: TaintSummary,
+        guard: ButterflyTaintCheck, fallback: Optional["_RuleGraph"] = None,
     ) -> None:
         self._guard = guard
         self._body = body
@@ -505,6 +685,9 @@ class _RuleGraph:
         # loc -> list of (site, value), filled by _rules_for.
         self._buckets: Dict[int, List[Tuple[InstrId, Value]]] = {}
         self._budget = [guard.max_steps]
+        #: ``(loc, offset)`` -> the body's last write of ``loc`` before
+        #: ``offset``, as ``(offset, value)``, or None.
+        self._local_write_before = body.write_before
 
     def _rules_for(self, loc: int) -> List[Tuple[InstrId, Value]]:
         """Every in-phase rule writing ``loc``, as ``(site, value)`` with
@@ -519,22 +702,18 @@ class _RuleGraph:
         if bucket is None:
             bucket = self._buckets[loc] = []
             for s in self._sources:
-                writes = s.rules.get(loc)
-                if writes:
+                if loc in s.written:
                     lid, tid = s.block_id
                     bucket += [
                         ((lid, tid, offset), value)
-                        for offset, value in writes
+                        for offset, value in s.writes(loc)
                     ]
         return bucket
 
     # -- top-level resolution ------------------------------------------------
 
     def tainted_parents(
-        self,
-        parents: Tuple[int, ...],
-        offset: int,
-        base: AbstractSet[int],
+        self, parents: Tuple[int, ...], offset: int, base: AbstractSet[int]
     ) -> bool:
         """Is any parent possibly tainted at body offset ``offset``?
 
@@ -566,9 +745,7 @@ class _RuleGraph:
         return False
 
     def _base_tainted(
-        self,
-        y: int,
-        base: AbstractSet[int],
+        self, y: int, base: AbstractSet[int],
         counters: Optional[Dict[int, InstrId]] = None,
     ) -> bool:
         """Entry-state taint: the LSOS, or (phase 2 only) a phase-1
@@ -611,17 +788,6 @@ class _RuleGraph:
             result = self._search_sc(y, {}, base)
         self._query_memo[y] = result
         return result
-
-    def _local_write_before(
-        self, loc: int, offset: int
-    ) -> Optional[Tuple[int, Value]]:
-        writes = self._body.rules.get(loc)
-        if not writes:
-            return None
-        # Sorted by offset by construction; ``(offset,)`` sorts before
-        # every ``(offset, value)``, so no ``Value`` is ever compared.
-        i = bisect_left(writes, (offset,))
-        return writes[i - 1] if i else None
 
     def _local_chain_tainted(
         self, value: Value, offset: int, base: AbstractSet[int]

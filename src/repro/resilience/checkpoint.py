@@ -47,13 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ButterflyEngine
 
 FORMAT = "repro-checkpoint"
-#: Version 2: the engine state is ``ButterflyEngine.snapshot_state()``
-#: (adds producer-row progress and the recorded boundary stream).
-#: Version 3: the pickled SOS history is one live set plus per-epoch
-#: deltas (was a set per epoch); AddrCheck summaries carry no masks.
-#: Version 4: AddrCheck and RaceCheck summaries pickle their footprints
-#: as sorted location and first-offset arrays (were sets and dicts).
-VERSION = 4
+#: The pickled state's layout; any other version is refused.  Version 5:
+#: TaintCheck summaries pickle their rules as columns (were a location ->
+#: rule list dict), after AddrCheck's and RaceCheck's footprints (4).
+VERSION = 5
 
 
 def _unlink_quietly(path: str) -> None:

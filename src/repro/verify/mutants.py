@@ -260,6 +260,24 @@ def blind_wholesale() -> ContextManager[None]:
 
 
 #: Registry used by ``repro fuzz --mutant`` and the self-tests.
+def taint_segment_cut() -> ContextManager[None]:
+    """Cut a TaintCheck row scan's jumps apart one entry late.
+
+    The bug a grouped scan invites: a cut off by one credits each
+    block's first jump to the block before it, checked at an offset of
+    the wrong block.  Only the columnar kernel groups blocks: the
+    ``columnar`` pair must see it."""
+    from repro.lifeguards import taintcheck
+
+    orig = taintcheck._segment_cuts
+
+    def segment_cuts(segs, nseg):
+        cuts = orig(segs, nseg)
+        return [cuts[0], *(min(c + 1, cuts[-1]) for c in cuts[1:-1]), cuts[-1]]
+
+    return _patched(taintcheck, _segment_cuts=segment_cuts)
+
+
 MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "resume-replay": resume_event_replay,
     "narrow-window": narrow_window,
@@ -271,6 +289,7 @@ MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "reversed-commit": reversed_commit,
     "lossy-decode": lossy_decode,
     "blind-wholesale": blind_wholesale,
+    "taint-segment-cut": taint_segment_cut,
 }
 
 

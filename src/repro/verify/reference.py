@@ -404,15 +404,15 @@ class ReferenceTaintScanner(Scanner):
     bit-identical :class:`TaintSummary` results."""
 
     def __call__(self, block: Block, context: object) -> TaintSummary:
-        summary = TaintSummary(block_id=block.block_id)
+        rules: Dict[int, List[Tuple[int, Value]]] = {}
+        jumps: List[Tuple[int, int]] = []
         for i, instr in enumerate(block.instrs):
             written = _value_of(instr)
             if written is not None:
-                dst, value = written
-                summary.rules.setdefault(dst, []).append((i, value))
+                rules.setdefault(written[0], []).append((i, written[1]))
             elif instr.op is Op.JUMP:
-                summary.jumps.append((i, instr.srcs[0]))
-        return summary
+                jumps.append((i, instr.srcs[0]))
+        return TaintSummary.from_rules(block.block_id, rules, jumps)
 
 
 def _value_of(instr: Instr) -> Optional[Tuple[int, Value]]:

@@ -131,6 +131,36 @@ class TestResume:
             capsys, "resume"
         )
 
+    def test_a_taintcheck_run_resumes_byte_identically(
+        self, tmp_path, capsys
+    ):
+        args = CHECK_ARGS + ["--lifeguard", "taintcheck"]
+        ck = str(tmp_path / "taint.ckpt")
+        assert main(args) == 0
+        full = capsys.readouterr().out
+        assert main(
+            args + ["--checkpoint", ck, "--stop-after-epoch", "4"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", ck]) == 0
+        assert capsys.readouterr().out == full
+
+    def test_a_version_4_taintcheck_checkpoint_is_refused(
+        self, tmp_path, capsys
+    ):
+        """Version 4 pickled TaintCheck summaries as rule dicts."""
+        ck = str(tmp_path / "taint.ckpt")
+        assert main(
+            CHECK_ARGS + ["--lifeguard", "taintcheck", "--checkpoint", ck,
+                          "--stop-after-epoch", "3"]
+        ) == 0
+        capsys.readouterr()
+        stamp_version(ck, 4)
+        assert main(["resume", "--checkpoint", ck]) == 2
+        assert "unsupported checkpoint version 4" in _one_line_error(
+            capsys, "resume"
+        )
+
     def _resume_past_the_end(self, tmp_path, capsys, check_args):
         ck = str(tmp_path / "c.ckpt")
         assert main(check_args + ["--checkpoint", ck]) == 0

@@ -113,6 +113,8 @@ class TestCheckStream:
         ("row", ["read", None, [-(2**63) - 1], 1]),
         ("start", True),
         ("start", -1),
+        ("row", ["malloc", -(2**63), [], 1]),
+        ("row", ["malloc", 2**63 - 2, [], 4]),
     ])
     def test_malformed_epoch_record_is_one_error_line(
         self, tmp_path, capsys, field, value
@@ -148,6 +150,27 @@ class TestCheckStream:
         path.write_text(
             '{"format": "repro-trace", "version": 1, "threads": 1}\n'
             f'[["read", null, [{2**70}], 1]]\n'
+            '{"true_order": null}\n{"timesliced_order": null}\n'
+            '{"preallocated": []}\n'
+        )
+        assert main(["check", "--trace", str(path)]) == 2
+        error = _one_line_error(capsys, "check")
+        assert f"{path}:2: malformed instruction record" in error
+
+    @pytest.mark.parametrize("row", [
+        ["malloc", -(2**63), [], 1],
+        ["malloc", 2**63 - 2, [], 4],
+    ])
+    def test_v1_literal_no_dst_or_wrapping_extent_is_one_error_line(
+        self, tmp_path, capsys, row
+    ):
+        """A literal -2**63 destination was read as "no destination"
+        (exit 0, no flags), and an extent past 2**63-1 wrapped to
+        negative locations the columnar AddrCheck did not flag."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 1, "threads": 1}\n'
+            + json.dumps([row, ["read", None, [-(2**63)], 1]]) + "\n"
             '{"true_order": null}\n{"timesliced_order": null}\n'
             '{"preallocated": []}\n'
         )

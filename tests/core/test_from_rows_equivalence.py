@@ -7,6 +7,8 @@ two must be one decoder: the same accept/reject decision, the same five
 columns and dtypes, the same ``RowDecodeError.row`` and message.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ locations = st.integers(min_value=0, max_value=2**40)
 @st.composite
 def good_rows(draw):
     op = draw(st.sampled_from([op.value for op in Op]))
-    dst = draw(locations | st.just(NO_DST))
+    dst = draw(locations | st.just(2**63 - 64))
     if op not in NEEDS_DST:
         dst = draw(st.none() | st.just(dst))
     if op in ("read", "jump"):
@@ -76,6 +78,14 @@ BAD_ROWS = [
     ["nop", None, None, 1],
     ["nop", None, {}, 1],
     ["read", None, (3,), 1],
+    # NO_DST is how a column says "None": as a literal it would come
+    # back as ``null`` and a MALLOC would lose its destination.
+    ["malloc", NO_DST, [], 1],
+    ["nop", NO_DST, [], 1],
+    # An extent past 2**63-1 would wrap to negative locations.
+    ["malloc", 2**63 - 2, [], 4],
+    ["free", 2**63 - 1, [], 2],
+    ["write", 2**63 - 64, [3], 66],
 ]
 
 
@@ -126,10 +136,12 @@ class TestWellFormed:
     def test_one_row_block_of_every_op(self, op):
         assert_one_decoder([[op, 9, [4], 1]], well_formed=True)
 
-    def test_none_and_literal_no_dst_destinations_share_a_code(self):
-        rows = [["nop", None, [], 1], ["nop", NO_DST, [], 1]]
+    def test_none_is_no_dst_and_extents_reach_the_max(self):
+        rows = [["nop", None, [], 1], ["malloc", 2**63 - 4, [], 4]]
         assert_one_decoder(rows, well_formed=True)
-        assert ColumnarBlock.from_rows(rows).dst.tolist() == [NO_DST, NO_DST]
+        block = ColumnarBlock.from_rows(rows)
+        assert block.dst.tolist() == [NO_DST, 2**63 - 4]
+        assert block.to_rows() == rows
 
 
 class TestMalformed:
@@ -147,6 +159,23 @@ class TestMalformed:
         with pytest.raises(RowDecodeError) as exc:
             ColumnarBlock.from_rows(rows)
         assert exc.value.row is rows[at]
+
+
+class TestRangeRules:
+    @pytest.mark.parametrize("row, reason", [
+        (["malloc", NO_DST, [], 1], "bad destination"),
+        (["read", NO_DST, [NO_DST], 1], "bad destination"),
+        (["malloc", 2**63 - 2, [], 4], "extent of 4 runs past 2**63-1"),
+    ])
+    def test_the_row_is_named_by_either_pass(self, row, reason):
+        """A literal NO_DST used to decode as "no destination" (a MALLOC
+        then failed ``to_instrs``), and an extent past 2**63-1 wrapped to
+        negative locations the columnar AddrCheck never flagged."""
+        rows = [["read", None, [1], 1], row, ["write", 2, [], 1]]
+        assert columnar._bulk_columns(rows) is None
+        with pytest.raises(RowDecodeError, match=re.escape(reason)) as exc:
+            ColumnarBlock.from_rows(rows)
+        assert exc.value.row is row
 
 
 class TestTeeth:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import Block, partition_auto
+from repro.core import framework
 from repro.core.framework import ButterflyEngine
 from repro.core.state import SOSView
 from repro.lifeguards import addrcheck
@@ -31,7 +32,7 @@ from repro.workloads.registry import get_benchmark
 from tests.lifeguards.per_block_scan import per_block_scan
 
 FIELDS = [f.name for f in dataclasses.fields(addrcheck.AddrScan)]
-CAP = addrcheck._GROUP_EVENTS
+CAP = framework.GROUP_EVENTS
 
 
 def _copy(view):

@@ -22,12 +22,29 @@ from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
 
 def summary(block_id, rules=None, jumps=()):
-    s = TaintSummary(block_id=block_id)
-    if rules:
-        for loc, writes in rules.items():
-            s.rules[loc] = list(writes)
-    s.jumps = list(jumps)
-    return s
+    return TaintSummary.from_rules(block_id, rules or {}, jumps)
+
+
+def jumps_of(s):
+    """A summary's critical uses as ``(offset, location)`` pairs."""
+    return list(zip(s.jump_off.tolist(), s.jump_loc.tolist()))
+
+
+def rules_of(s):
+    """A summary's rules as ``location -> [(offset, value), ...]``,
+    ascending by location, read off its columns directly (not through
+    ``TaintSummary.writes``, which the walk reads)."""
+    offsets, kinds = s.offsets.tolist(), s.kind.tolist()
+    par_off, par_val = s.par_off.tolist(), s.par_val.tolist()
+    return {
+        loc: [
+            (offsets[r], BOT if kinds[r] == taintcheck._K_BOT
+             else TOP if kinds[r] == taintcheck._K_TOP
+             else tuple(par_val[par_off[r]:par_off[r + 1]]))
+            for r in range(lo, hi)
+        ]
+        for loc, (lo, hi) in s.written.items()
+    }
 
 
 def graph(wings, body, mode="relaxed", fallback=None, max_steps=4096):
@@ -176,12 +193,12 @@ def reference_buckets(wings, body):
     rules = {}
     for s in wings:
         lid, tid = s.block_id
-        for loc, writes in s.rules.items():
+        for loc, writes in rules_of(s).items():
             bucket = rules.setdefault(loc, [])
             for offset, value in writes:
                 bucket.append(((lid, tid, offset), value))
     blid, btid = body.block_id
-    for loc, writes in body.rules.items():
+    for loc, writes in rules_of(body).items():
         bucket = rules.setdefault(loc, [])
         for offset, value in writes:
             bucket.append(((blid, btid, offset), value))
@@ -314,13 +331,14 @@ def reference_check_body(guard, butterfly, side_in):
     )
 
     lastcheck = {}
-    for loc, writes in own.rules.items():
+    for loc, writes in rules_of(own).items():
         offset, value = writes[-1]
         if value is not BOT and value is not TOP:
             value = BOT if tainted(value, offset) else TOP
         lastcheck[loc] = value
     flagged = [
-        (offset, loc) for offset, loc in own.jumps if tainted((loc,), offset)
+        (offset, loc) for offset, loc in jumps_of(own)
+        if tainted((loc,), offset)
     ]
     return lastcheck, flagged
 

@@ -22,6 +22,7 @@ from repro.core.stream import EpochSource
 from repro.errors import CheckpointError
 from repro.core.columnar import SortedFirstAccess
 from repro.lifeguards.addrcheck import AddrSummary, ButterflyAddrCheck
+from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
 from repro.resilience import (
@@ -37,7 +38,11 @@ from repro.resilience.checkpoint import (
     write_snapshot,
 )
 from repro.trace.events import Instr
-from repro.trace.generator import ColumnarAllocSource, simulated_alloc_program
+from repro.trace.generator import (
+    ColumnarAllocSource,
+    ColumnarTaintSource,
+    simulated_alloc_program,
+)
 from repro.trace.program import TraceProgram
 
 
@@ -244,8 +249,9 @@ class TestStreamedResume:
     def test_legacy_checkpoint_refuses_stream_resume(self, tmp_path):
         # The state layout changed with version 2 (engine-owned
         # snapshot_state), version 3 (the SOS history as one live set
-        # plus deltas) and version 4 (summaries pickle their footprint
-        # arrays); a file from any previous writer is refused up front
+        # plus deltas), version 4 (summaries pickle their footprint
+        # arrays) and version 5 (TaintCheck summaries pickle rule
+        # columns); a file from any previous writer is refused up front
         # instead of being half-understood.
         from repro.core.stream import PartitionSource
 
@@ -256,7 +262,7 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        for older in (1, 2, 3):
+        for older in (1, 2, 3, 4):
             stamp_version(path, older)
             with pytest.raises(
                 CheckpointError,
@@ -400,15 +406,15 @@ def _engine_at_epoch(epochs=3):
 class TestTwoHalfSave:
     def test_file_is_one_pickle_of_the_record(self, tmp_path):
         """Pickling straight into the temp file changed nothing on
-        disk: version 4, the same bytes as one ``pickle.dumps``."""
+        disk: version 5, the same bytes as one ``pickle.dumps``."""
         engine = _engine_at_epoch()
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, engine, META)
-        assert checkpoint.VERSION == 4
+        assert checkpoint.VERSION == 5
         expected = pickle.dumps(
             {
                 "format": "repro-checkpoint",
-                "version": 4,
+                "version": 5,
                 "meta": META,
                 "engine": engine.snapshot_state(),
             },
@@ -866,7 +872,7 @@ def _resumed(source, path):
 
 class TestSummaryPickles:
     """AddrCheck summaries keep the footprint arrays both kernels leave,
-    in memory and in a checkpoint (``VERSION`` 4): a restored summary
+    in memory and in a checkpoint (since ``VERSION`` 4): a restored summary
     is the one that was saved, and a version 3 file -- whose summaries
     are dicts and sets -- is refused before anything is unpickled into
     the wrong shape."""
@@ -905,7 +911,7 @@ class TestSummaryPickles:
         reference = _streamed(_alloc_source())
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
-        assert checkpoint.VERSION == 4
+        assert checkpoint.VERSION == 5
         ck, resumed = _resumed(_alloc_source(), path)
         assert ck.next_epoch == 3
         assert resumed == reference
@@ -923,7 +929,7 @@ class TestSummaryPickles:
         )
         with open(path, "rb") as fh:
             assert b"killed_mask" in fh.read()
-        assert checkpoint.VERSION == 4
+        assert checkpoint.VERSION == 5
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
         # A checkpoint this build writes does not carry them.
@@ -931,6 +937,80 @@ class TestSummaryPickles:
         _streamed(_alloc_source(), fresh, stop_after=3)
         with open(fresh, "rb") as fh:
             assert b"killed_mask" not in fh.read()
+
+
+def _taint_source(epochs=6):
+    return ColumnarTaintSource(
+        5, num_threads=4, num_epochs=epochs, events_per_block=96,
+        num_locations=24, taint_period=4, error_rate=0.2,
+    )
+
+
+def _taint_run(source, path=None, stop_after=None, checkpoint=None):
+    """A TaintCheck run over ``source`` (checkpointing every epoch to
+    ``path``, or resumed from ``checkpoint``); stops after
+    ``stop_after`` rows, else finishes and returns its fingerprint with
+    every resident LASTCHECK."""
+    guard = checkpoint.analysis if checkpoint else ButterflyTaintCheck()
+    engine = ButterflyEngine(guard)
+    if path is not None:
+        engine.enable_checkpoints(Checkpointer(path, META))
+    engine.attach_source(source, checkpoint)
+    start = checkpoint.next_epoch if checkpoint else 0
+    for lid, row in enumerate(source.epochs(start), start):
+        if lid == stop_after:
+            return engine
+        engine.feed_blocks(lid, row)
+    engine.finish()
+    lastchecks = sorted(
+        (key, sorted(s.lastcheck.items(), key=lambda kv: kv[0]))
+        for key, s in guard._summaries.items()
+    )
+    return _fingerprint(guard, engine.stats), repr(lastchecks)
+
+
+class TestTaintSummaryPickles:
+    """TaintCheck summaries are rule columns (``VERSION`` 5) that the
+    summaries of one row scan share: a checkpoint carries them once
+    and a resumed run is the uninterrupted one."""
+
+    def test_a_midstream_checkpoint_resumes_bit_identically(self, tmp_path):
+        reference = _taint_run(_taint_source())
+        assert len(reference[0][1]) > 0  # the drill has flags to keep
+        path = str(tmp_path / "taint.ckpt")
+        _taint_run(_taint_source(), path, stop_after=3)
+        ck = load_checkpoint(path)
+        assert ck.next_epoch == 3
+        assert _taint_run(_taint_source(), checkpoint=ck) == reference
+
+    def test_a_checkpoint_pickles_shared_columns_once(self, tmp_path):
+        engine = _taint_run(_taint_source(), stop_after=3)
+        summaries = list(engine.analysis._summaries.values())
+        by_row = {}
+        for s in summaries:
+            by_row.setdefault(s.block_id[0], set()).add(id(s.offsets))
+        assert all(len(ids) == 1 for ids in by_row.values())
+        path = str(tmp_path / "taint.ckpt")
+        save_checkpoint(path, engine, META)
+        restored = load_checkpoint(path).analysis._summaries
+        for key, s in engine.analysis._summaries.items():
+            back = restored[key]
+            assert back.offsets is restored[(key[0], 0)].offsets
+            assert back.written == s.written
+            assert back.lastcheck == s.lastcheck
+            for loc in s.written:
+                assert back.writes(loc) == s.writes(loc)
+
+    def test_a_version_4_file_is_refused_in_one_line(self, tmp_path):
+        path = str(tmp_path / "taint.ckpt")
+        _taint_run(_taint_source(), path, stop_after=3)
+        stamp_version(path, 4)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert "unsupported checkpoint version 4" in message
+        assert "this build reads version 5" in message
 
 
 class TestVerify:
@@ -989,7 +1069,7 @@ class TestLoadFailures:
         with pytest.raises(
             CheckpointError,
             match=r"unsupported checkpoint version 3 \(this build reads "
-            r"version 4\)",
+            r"version 5\)",
         ):
             load_checkpoint(path)
         future = tmp_path / "future.ckpt"
@@ -1005,7 +1085,9 @@ class TestLoadFailures:
     def test_record_without_meta_or_engine(self, tmp_path):
         path = tmp_path / "hollow.ckpt"
         path.write_bytes(
-            pickle.dumps({"format": "repro-checkpoint", "version": 4})
+            pickle.dumps(
+                {"format": "repro-checkpoint", "version": checkpoint.VERSION}
+            )
         )
         with pytest.raises(CheckpointError, match="hollow.ckpt"):
             load_checkpoint(str(path))

@@ -207,6 +207,8 @@ class TestTransportFaults:
         ["malloc", 5, [], True],
         ["write", 2**63, [3], 1],
         ["malloc", 5, [], 2**64],
+        ["malloc", -(2**63), [], 1],
+        ["malloc", 2**63 - 2, [], 4],
     ])
     def test_boolean_for_an_integer_is_refused_not_analysed(
         self, daemon, trace_file, bad_row

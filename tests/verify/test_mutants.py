@@ -200,6 +200,24 @@ class TestRaceFirstWriteMutant:
         assert case.lifeguard == "race"
 
 
+class TestTaintSegmentCutMutant:
+    """TaintCheck's row scan hands each block's first run and first jump
+    to the block before it: only the ``columnar`` pair runs the grouped
+    scan beside the per-``Instr`` one."""
+
+    def test_columnar_catches_the_late_cut(self, tmp_path):
+        report = run_fuzz(
+            seed=4,
+            trials=30,
+            modes=("columnar",),
+            failures_dir=str(tmp_path),
+            mutant="taint-segment-cut",
+        )
+        assert_found_and_shrunk(report, "columnar", "taint-segment-cut")
+        case, _, _ = load_repro(report.findings[0].artifact)
+        assert case.lifeguard == "taintcheck"
+
+
 class TestReversedCommitMutant:
     """The executor axis: fanned-out scans committed last thread first
     leave the error and event logs in another order than the serial
