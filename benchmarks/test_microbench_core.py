@@ -79,12 +79,12 @@ def test_addrcheck_end_to_end_throughput(benchmark, alloc_program):
 
 
 def test_reaching_definitions_throughput(benchmark, alloc_program):
-    """The hook-free analysis, which no command runs: the per-instruction
+    """The check-free analysis, which no command runs: the per-instruction
     scalar walk.  Mean 37.7 ms under the interned-bitset mask kernel this
     replaced, ~284 ms without it (7.5x; a quieter run of the same 2-vCPU
     host: 23.0 -> 189 ms).  The kernel went because no command, script,
-    example or e2e workload could select it (``GenericLifeguard`` always
-    installs a hook)."""
+    example or e2e workload could select it (``LifeguardSpec.build()``
+    always gives the analysis a check)."""
 
     def run():
         analysis = ReachingDefinitions(keep_history=False)

@@ -18,7 +18,11 @@ The roots are ``src/repro/cli.py``, ``scripts/``, ``benchmarks/e2e/`` and
    reached code.  A definition is reached when reached code names it --
    as a bare name, an attribute, a keyword argument or an identifier
    inside a string constant -- and then its own code is reached code;
-   this iterates to a fixpoint.  Attributes resolve by name only, so the
+   this iterates to a fixpoint.  Attributes resolve by name, with one
+   exception: inside a method of a ``src/`` class, an attribute of the
+   method's first parameter (``self.x``, ``cls.x``) names ``x`` only in
+   that class's family -- the classes in the bases of the class or of any
+   of its subclasses, by name, across ``src/`` and the roots.  So the
    walk over-approximates and never lists a live definition.  Imports,
    docstrings and ``__all__`` are not uses.  ``getattr(x, f"_pre{...}")``
    reaches every definition whose name starts with ``_pre``, a reached
@@ -85,8 +89,6 @@ SURVIVORS = {
         "tests and benchmarks/test_heartbeat_skew.py use it"),
     "src/repro/core/state.py::SOSHistory.frontier": _SOS,
     "src/repro/core/state.py::SOSHistory.published": _SOS,
-    "src/repro/workloads/server.py::SecureServer": (
-        "the TaintCheck epoch-size sensitivity workload (EXPERIMENTS.md)"),
     "src/repro/obs/recorder.py::read_events": (
         "the documented reader of --emit-events logs"),
     "src/repro/verify/shrink.py::load_repro": _REPRO,
@@ -115,6 +117,9 @@ KNOB_SURVIVORS = {
         _SHAPE,
     "src/repro/verify/generator.py::AdversarialCaseGenerator(num_locations)":
         _SHAPE,
+    "src/repro/workloads/server.py::SecureServer(attack_rate)": (
+        "the share of requests that skip validation: the registered "
+        "workload has none, test_server's true-positive cases need some"),
     "src/repro/serve/server.py::ServerThread(recorder)": (
         "the in-process daemon's recorder: ReproServer sets the serve.* "
         "gauges at construction, which test_metrics and test_server read"),
@@ -175,11 +180,17 @@ def root_files(root):
             if p.resolve() != Path(__file__).resolve()]
 
 
-def names_used(nodes):
-    """Identifiers the code under ``nodes`` names, and ``getattr`` f-string
-    prefixes.  Docstrings and ``__all__`` assignments are skipped."""
-    names, prefixes, skip = set(), set(), set()
+def names_used(nodes, receiver=None):
+    """Identifiers the code under ``nodes`` names, ``getattr`` f-string
+    prefixes, and the attributes it takes of ``receiver`` (a method's
+    first parameter; not where a nested function rebinds it), which are
+    not among the names.  Docstrings and ``__all__`` assignments are
+    skipped."""
+    names, prefixes, attrs, skip, shadowed = set(), set(), set(), set(), set()
     for top in nodes:
+        for node in ast.walk(top) if receiver else ():
+            if node is not top and receiver in _params(node):
+                shadowed.update(id(n) for n in ast.walk(node))
         for node in ast.walk(top):
             if isinstance(node, ast.Expr) and isinstance(
                     node.value, ast.Constant):  # a docstring
@@ -195,7 +206,12 @@ def names_used(nodes):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                if (isinstance(node.value, ast.Name) and receiver
+                        and node.value.id == receiver
+                        and id(node) not in shadowed):
+                    attrs.add(node.attr)
+                else:
+                    names.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg:
                 names.add(node.arg)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -208,7 +224,59 @@ def names_used(nodes):
                   and isinstance(node.args[1].values[0], ast.Constant)):
                 prefixes.add(node.args[1].values[0].value)
                 skip.add(id(node.args[1].values[0]))
-    return names, prefixes
+    return names, prefixes, attrs
+
+
+def _params(node):
+    """The parameter names of a function or lambda node (else none)."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+        return ()
+    a = node.args
+    return [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg) if x is not None]
+
+
+def _receiver(d):
+    """The first parameter of method ``d`` when ``d`` never rebinds it,
+    else ``None`` (a static method, a function, module code)."""
+    if d is None or d.owner is None or _decorated(d.node, "staticmethod"):
+        return None
+    args = d.node.args.posonlyargs + d.node.args.args
+    if not args or any(
+        isinstance(n, ast.Name) and n.id == args[0].arg
+        and not isinstance(n.ctx, ast.Load) for n in ast.walk(d.node)
+    ):
+        return None
+    return args[0].arg
+
+
+def families(trees):
+    """``family(name)``: the names of the classes in the bases of class
+    ``name`` or of any of its subclasses (itself included), by name over
+    every class statement in ``trees``."""
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(_base_names(node))
+
+    def closure(start, step):
+        found, todo = {start}, [start]
+        while todo:
+            for nxt in step(todo.pop()):
+                if nxt not in found:
+                    found.add(nxt)
+                    todo.append(nxt)
+        return found
+
+    def family(name):
+        subs = closure(name, lambda c: [k for k, bs in bases.items()
+                                        if c in bs])
+        return {a for sub in subs
+                for a in closure(sub, lambda c: bases.get(c, ()))}
+
+    return family
 
 
 class Definition:
@@ -231,10 +299,11 @@ class Definition:
         return [Definition(self.path, n, self) for n in self.node.body
                 if isinstance(n, _DEFS[:2])]
 
-    def named_by(self, names, prefixes):
+    def named_by(self, names, prefixes, scoped):
         dunder = self.name.startswith("__") and self.name.endswith("__")
         return (self.name in names or self.name.startswith(prefixes)
-                or (dunder and self.owner is not None))
+                or (self.owner is not None and (dunder or (
+                    self.owner.name, self.name) in scoped)))
 
     def code(self):
         """The nodes this definition runs, its methods excluded."""
@@ -267,19 +336,26 @@ def walk(root):
         code += [s for s in body if not isinstance(s, _DEFS)]
         candidates += tops
 
-    names, prefixes = set(), set()
-    reached_code = [(None, node) for node in code]
-    reached = []
+    family = families(trees.values())
+    names, prefixes, scoped = set(), set(), set()
+    code = [(None, node) for node in code]
+    reached_code, reached = list(code), []
     while code:
-        more_names, more_prefixes = names_used(code)
-        names |= more_names
-        prefixes |= more_prefixes
+        for d, node in code:
+            receiver = _receiver(d)
+            more_names, more_prefixes, attrs = names_used([node], receiver)
+            names |= more_names
+            prefixes |= more_prefixes
+            if attrs:
+                scoped |= {(c, a) for c in family(d.owner.name)
+                           for a in attrs}
         code, waiting = [], []
         while candidates:
             d = candidates.pop()
-            if d.named_by(names, tuple(prefixes)):
-                code += d.code()
-                reached_code += [(d, node) for node in d.code()]
+            if d.named_by(names, tuple(prefixes), scoped):
+                runs = [(d, node) for node in d.code()]
+                code += runs
+                reached_code += runs
                 reached.append(d)
                 candidates += d.methods()  # a reached class's methods
             else:
@@ -360,9 +436,12 @@ def _aliases(d):
 
 
 def _base_names(node):
-    """The names of class ``node``'s bases (``B`` or ``module.B``)."""
-    names = [getattr(b, "id", None) or getattr(b, "attr", None)
+    """The names of class ``node``'s bases (``B``, ``module.B`` or a
+    generic ``B[T]``)."""
+    bases = [b.value if isinstance(b, ast.Subscript) else b
              for b in node.bases]
+    names = [getattr(b, "id", None) or getattr(b, "attr", None)
+             for b in bases]
     return [n for n in names if n]
 
 

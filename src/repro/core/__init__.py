@@ -7,8 +7,10 @@ Module map (paper section in parentheses):
 - :mod:`repro.core.ordering` -- valid orderings, the correctness oracle (5)
 - :mod:`repro.core.state` -- SOS and LSOS containers (4.2, 5.1.2, 5.2.1)
 - :mod:`repro.core.framework` -- the generic two-pass engine (4.3)
-- :mod:`repro.core.reaching_defs` -- dynamic parallel reaching definitions (5.1)
+- :mod:`repro.core.reaching_defs` -- dynamic parallel reaching definitions
+  (5.1) and ``ReachingAnalysis``, the base of both Section 5 analyses
 - :mod:`repro.core.reaching_exprs` -- dynamic parallel reaching expressions (5.2)
+- :mod:`repro.core.generic` -- ``LifeguardSpec``: a spec builds one of them (4.3)
 """
 
 from repro.core.epoch import (

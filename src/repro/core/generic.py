@@ -32,21 +32,15 @@ Example -- a "definite initialization" lifeguard in a few lines::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Hashable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.epoch import InstrId
-from repro.core.framework import ButterflyAnalysis
-from repro.core.reaching_defs import ReachingDefinitions
+from repro.core.reaching_defs import (
+    CheckFn, Element, ReachingAnalysis, ReachingDefinitions,
+)
 from repro.core.reaching_exprs import ReachingExpressions
 from repro.errors import AnalysisError
-from repro.lifeguards.reports import ErrorLog, ErrorReport
 from repro.trace.events import Instr
-
-Element = Hashable
-
-#: A check receives (instr id, instruction, IN set) and returns the
-#: reports to flag (empty for a clean instruction).
-CheckFn = Callable[[InstrId, Instr, FrozenSet[Element]], Iterable[ErrorReport]]
 
 
 @dataclass
@@ -76,7 +70,8 @@ class LifeguardSpec:
         The locations an element depends on (a write to any kills it).
     check:
         Optional per-instruction check run during the second pass with
-        the butterfly ``IN`` set.
+        the butterfly ``IN`` set; its reports land in the analysis's
+        ``errors``.
     """
 
     name: str
@@ -93,58 +88,11 @@ class LifeguardSpec:
                 f"got {self.semantics!r}"
             )
 
-    def build(self) -> "GenericLifeguard":
-        """Instantiate the analysis for a fresh run."""
-        return GenericLifeguard(self)
-
-
-class GenericLifeguard(ButterflyAnalysis):
-    """A spec-driven lifeguard: delegates the dataflow to the matching
-    canonical analysis and collects check reports in ``errors``."""
-
-    def __init__(self, spec: LifeguardSpec) -> None:
-        self.spec = spec
-        self.errors = ErrorLog()
-        if spec.semantics == "exists":
-            self._inner = ReachingDefinitions(
-                on_instruction=self._run_check, keep_history=False
-            )
-        else:
-            self._inner = ReachingExpressions(
-                on_instruction=self._run_check, keep_history=False
-            )
-        # A spec has gen_of / kill_vars_of / element_vars, so it is the
-        # inner analysis' ElementDomain as it stands.
-        self._inner.domain = spec
-
-    # -- check plumbing ----------------------------------------------------
-
-    def _run_check(
-        self, iid: InstrId, instr: Instr, in_set: FrozenSet[Element]
-    ) -> None:
-        if self.spec.check is None:
-            return
-        for r in self.spec.check(iid, instr, in_set):
-            self.errors.record(r.kind, r.location, r.ref, r.block, r.detail)
-
-    # -- engine interface (delegation) ----------------------------------------
-
-    @property
-    def sos(self):
-        """The inner analysis' published SOS history."""
-        return self._inner.sos
-
-    def first_pass(self, block):
-        return self._inner.first_pass(block)
-
-    def meet(self, butterfly, wing_summaries):
-        return self._inner.meet(butterfly, wing_summaries)
-
-    def second_pass(self, butterfly, side_in):
-        return self._inner.second_pass(butterfly, side_in)
-
-    def epoch_update(self, lid, summaries):
-        return self._inner.epoch_update(lid, summaries)
-
-    def evict_history(self, before):
-        self._inner.evict_history(before)
+    def build(self) -> ReachingAnalysis:
+        """A fresh analysis of the chosen flavour, with this spec as its
+        domain and ``check`` as its check."""
+        flavour = (
+            ReachingDefinitions if self.semantics == "exists"
+            else ReachingExpressions
+        )
+        return flavour(domain=self, check=self.check, keep_history=False)

@@ -1,4 +1,5 @@
-"""Dynamic parallel reaching definitions (paper Section 5.1).
+"""Dynamic parallel reaching definitions (paper Section 5.1), and the
+base both Section 5 analyses share.
 
 Elements are :class:`~repro.core.dataflow.Definition` values -- a
 location plus the dynamic instruction site ``(l, t, i)`` that wrote it.
@@ -12,16 +13,22 @@ there un-clobbered (exists-semantics), so:
   universe-complement; equivalently, side kills are never applied).
 
 Epoch-level GEN/KILL and the SOS/LSOS update rules follow Sections
-5.1.1-5.1.3; the module docstrings of the individual methods spell out
-the exact instantiation of each equation at definition granularity
+5.1.1-5.1.3; the docstrings of the individual methods spell out the
+exact instantiation of each equation at definition granularity
 (definition sites are unique, which collapses the paper's
 ``GEN/KILL_{(l-1,l),t'}`` window terms to a downward-exposure test).
+
+:class:`ReachingAnalysis` holds everything the two flavours share (the
+facts table, the body walk, the check, the commits and the SOS update);
+a flavour supplies only its equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set,
+)
 
 from repro.core.dataflow import (
     BlockFacts,
@@ -32,13 +39,17 @@ from repro.core.dataflow import (
     union_side_out_gen,
 )
 from repro.core.epoch import Block, BlockId, InstrId
-from repro.core.framework import ButterflyAnalysis, Scanner
+from repro.core.framework import ButterflyAnalysis, Scanner, SideIn
 from repro.core.state import SOSHistory
 from repro.core.window import Butterfly
+from repro.lifeguards.reports import ErrorLog, ErrorReport
+from repro.trace.events import Instr
 
-#: Callback invoked with (instr id, instruction, IN set) during the
-#: second pass -- the hook a lifeguard writer uses to install checks.
-InstrHook = Callable[[InstrId, object, FrozenSet[Definition]], None]
+Element = Hashable
+
+#: A check receives (instr id, instruction, IN set) and returns the
+#: reports to flag (empty for a clean instruction).
+CheckFn = Callable[[InstrId, Instr, FrozenSet[Element]], Iterable[ErrorReport]]
 
 
 @dataclass(frozen=True)
@@ -55,35 +66,41 @@ class FactsScanner(Scanner):
         return summarize_block(block, self.domain)
 
 
-class ReachingDefinitions(
-    ButterflyAnalysis[BlockFacts, Set[Definition]]
-):
-    """The generic reaching-definitions lifeguard of Section 5.1.
+class ReachingAnalysis(ButterflyAnalysis[BlockFacts, SideIn]):
+    """What the two Section 5 analyses share.
 
-    After a run (via :class:`~repro.core.framework.ButterflyEngine`),
-    exposes per-block ``IN``/``OUT`` sets, the LSOS used for each body,
-    and the published SOS history.
+    A flavour names its default domain (``DOMAIN``) and supplies its
+    equations: ``meet``; ``_in(lsos, side_in)``, the ``IN`` set a check
+    sees; ``_gen_l`` and the ``_kill_l`` predicate of the SOS update;
+    and ``_compute_lsos``.  It may replace the per-instruction kill
+    (``_kill``) and a body's ``OUT`` (``_out``).
+
+    ``check`` runs at every body instruction with its ``IN`` set; its
+    reports land in ``errors`` in commit (thread) order.  A check is an
+    arbitrary (often unpicklable) closure, so only a check-free analysis
+    offers the parallel split.  With ``keep_history`` the per-block
+    ``IN``/``OUT`` sets, the LSOS used for each body and its side-in
+    stay readable after a run; without it, facts older than the window
+    go.  ``sos`` is the published SOS history.
     """
 
     def __init__(
         self,
-        on_instruction: Optional[InstrHook] = None,
+        domain: Optional[ElementDomain] = None,
+        check: Optional[CheckFn] = None,
         keep_history: bool = True,
     ) -> None:
-        self.domain = DefinitionDomain()
-        self.sos = SOSHistory()
-        self.on_instruction = on_instruction
+        self.domain = domain if domain is not None else self.DOMAIN()
+        self.check = check
         self.keep_history = keep_history
+        self.sos = SOSHistory()
+        self.errors = ErrorLog()
         self.facts: Dict[BlockId, BlockFacts] = {}
-        self.block_in: Dict[BlockId, FrozenSet[Definition]] = {}
-        self.block_out: Dict[BlockId, FrozenSet[Definition]] = {}
-        self.block_lsos: Dict[BlockId, FrozenSet[Definition]] = {}
-        self.side_in: Dict[BlockId, FrozenSet[Definition]] = {}
-        # The instruction hook is an arbitrary (often unpicklable)
-        # closure with ordering expectations, so parallelism is only
-        # offered for the hook-free analysis.
-        self.parallel_first_pass = on_instruction is None
-        self.parallel_second_pass = on_instruction is None
+        self.block_in: Dict[BlockId, FrozenSet] = {}
+        self.block_out: Dict[BlockId, FrozenSet] = {}
+        self.block_lsos: Dict[BlockId, FrozenSet] = {}
+        self.side_in: Dict[BlockId, FrozenSet] = {}
+        self.parallel_first_pass = self.parallel_second_pass = check is None
 
     # -- step 1 ----------------------------------------------------------
 
@@ -95,7 +112,79 @@ class ReachingDefinitions(
         self.facts[block.block_id] = scan
         return scan
 
-    # -- step 2 ------------------------------------------------------------
+    # -- step 3 ------------------------------------------------------------
+
+    def check_body(self, butterfly: Butterfly, side_in: SideIn) -> Any:
+        """Walk the body from its LSOS: run the check on each
+        instruction's ``IN``, then ``LSOS_k = GEN_k U (LSOS_{k-1} -
+        KILL_k)``.  Returns the LSOS, the running set at the body's end
+        and the check's reports.
+
+        Reads only published state (head facts, SOS), so it is safe to
+        run concurrently with other bodies of the same epoch.
+        """
+        body = butterfly.body
+        lsos = self._compute_lsos(*body.block_id)
+        running = set(lsos)
+        reports: List[ErrorReport] = []
+        domain, check = self.domain, self.check
+        for iid, instr in body.iter_ids():
+            if check is not None:
+                reports.extend(check(iid, instr, self._in(running, side_in)))
+            killed_vars = set(domain.kill_vars_of(instr))
+            if killed_vars:
+                running = self._kill(running, killed_vars)
+            running.update(domain.gen_of(instr, iid))
+        return lsos, running, reports
+
+    def commit_check(
+        self, butterfly: Butterfly, side_in: SideIn, result: Any
+    ) -> None:
+        """Record the check's reports, then the body's history."""
+        lsos, running, reports = result
+        for r in reports:
+            self.errors.record(r.kind, r.location, r.ref, r.block, r.detail)
+        if self.keep_history:
+            block_id = butterfly.body.block_id
+            self.block_lsos[block_id] = frozenset(lsos)
+            self.side_in[block_id] = frozenset(side_in)
+            self.block_in[block_id] = self._in(lsos, side_in)
+            self.block_out[block_id] = self._out(block_id, running, side_in)
+
+    def _out(
+        self, block_id: BlockId, running: Set, side_in: SideIn
+    ) -> FrozenSet:
+        """A body's ``OUT``: the ``IN`` of the walk's end."""
+        return self._in(running, side_in)
+
+    def _kill(self, elements: Set, vars_: Set[int]) -> Set:
+        """The elements no location in ``vars_`` strikes."""
+        element_vars = self.domain.element_vars
+        return {
+            e for e in elements if not any(v in vars_ for v in element_vars(e))
+        }
+
+    # -- step 4 --------------------------------------------------------------
+
+    def epoch_update(
+        self, lid: int, summaries: Dict[BlockId, BlockFacts]
+    ) -> None:
+        """Publish ``SOS_{l+2} = GEN_l U (SOS_{l+1} - KILL_l)``."""
+        self.sos.advance(
+            lid, self._gen_l(lid, summaries), self._kill_l(lid, summaries)
+        )
+        if not self.keep_history:
+            for key in [k for k in self.facts if k[0] < lid - 2]:
+                del self.facts[key]
+
+    def evict_history(self, before: int) -> None:
+        self.sos.evict(before)
+
+
+class ReachingDefinitions(ReachingAnalysis[Set[Definition]]):
+    """The generic reaching-definitions lifeguard of Section 5.1."""
+
+    DOMAIN = DefinitionDomain
 
     def meet(
         self, butterfly: Butterfly, wing_summaries: List[BlockFacts]
@@ -103,69 +192,29 @@ class ReachingDefinitions(
         """GEN-SIDE-IN: union of the wings' GEN-SIDE-OUT (meet is union)."""
         return union_side_out_gen(wing_summaries)
 
-    # -- step 3 ------------------------------------------------------------
+    def _in(
+        self, lsos: Set[Definition], side_in: Set[Definition]
+    ) -> FrozenSet[Definition]:
+        """``IN_{l,t,i} = GEN-SIDE-IN U LSOS_{l,t,i}``."""
+        return frozenset(lsos | side_in)
 
-    def check_body(
-        self, butterfly: Butterfly, side_in: Set[Definition]
-    ) -> Tuple[Set[Definition], Set[Definition]]:
-        """Walk the body computing ``IN_{l,t,i} = GEN-SIDE-IN U LSOS_{l,t,i}``
-        and the running LSOS; fire the lifeguard hook per instruction.
-
-        Reads only published state (head facts, SOS), so it is safe to
-        run concurrently with other bodies of the same epoch.
-        """
-        body = butterfly.body
-        lid, tid = body.block_id
-        lsos = self._compute_lsos(lid, tid)
-        running = self._walk_body(body, lsos, side_in)
-        return lsos, running
-
-    def commit_check(
-        self,
-        butterfly: Butterfly,
-        side_in: Set[Definition],
-        result: Tuple[Set[Definition], Set[Definition]],
-    ) -> None:
-        if not self.keep_history:
-            return
-        lsos, running = result
-        block_id = butterfly.body.block_id
-        self.block_lsos[block_id] = frozenset(lsos)
-        self.side_in[block_id] = frozenset(side_in)
-        self.block_in[block_id] = frozenset(side_in | lsos)
-        self.block_out[block_id] = frozenset(running | side_in)
-
-    def _walk_body(
-        self,
-        body: Block,
-        lsos: Set[Definition],
-        side_in: Set[Definition],
+    def _kill(
+        self, elements: Set[Definition], vars_: Set[int]
     ) -> Set[Definition]:
-        """Per-instruction LSOS update: ``LSOS_k = GEN_k U (LSOS_{k-1} -
-        KILL_k)``; IN at each instruction re-unions GEN-SIDE-IN."""
-        running: Set[Definition] = set(lsos)
-        for iid, instr in body.iter_ids():
-            if self.on_instruction is not None:
-                self.on_instruction(iid, instr, frozenset(running | side_in))
-            killed_vars = set(self.domain.kill_vars_of(instr))
-            if killed_vars:
-                running = {
-                    d for d in running if d.var not in killed_vars
-                }
-            for element in self.domain.gen_of(instr, iid):
-                running.add(element)
-        return running
+        """A write kills every definition of its location."""
+        return {d for d in elements if d.var not in vars_}
 
-    # -- step 4 --------------------------------------------------------------
-
-    def epoch_update(
+    def _gen_l(
         self, lid: int, summaries: Dict[BlockId, BlockFacts]
-    ) -> None:
-        """Publish ``SOS_{l+2} = GEN_l U (SOS_{l+1} - KILL_l)``.
+    ) -> Set[Definition]:
+        """``GEN_l``: the union of the blocks' downward-exposed defs
+        (Section 5.1.1: some valid ordering runs that block last)."""
+        return set().union(*(facts.gen for facts in summaries.values()))
 
-        ``GEN_l`` is the union of the blocks' downward-exposed defs
-        (Section 5.1.1: some valid ordering runs that block last).
-        ``KILL_l`` membership for a definition ``d`` of ``x`` from
+    def _kill_l(
+        self, lid: int, summaries: Dict[BlockId, BlockFacts]
+    ) -> Callable[[Definition], bool]:
+        """``KILL_l`` membership for a definition ``d`` of ``x`` from
         ``SOS_{l+1}`` (so ``d.epoch <= l-1``) instantiates the paper's
         formula: some block ``(l,t)`` kills ``x`` **and** every other
         thread either kills or never window-exposes ``d`` across epochs
@@ -173,35 +222,24 @@ class ReachingDefinitions(
         a write to ``x`` exists in epoch ``l`` and ``d`` is *not*
         downward-exposed by its own thread across ``(l-1, l)``.
         """
-        gen_l: Set[Definition] = set()
-        killed_vars: Set[int] = set()
-        for facts in summaries.values():
-            gen_l |= facts.gen
-            killed_vars |= facts.killed_vars
+        killed_vars = set().union(
+            *(facts.killed_vars for facts in summaries.values())
+        )
 
         def killed(d: Definition) -> bool:
             if d.var not in killed_vars:
                 return False
             if d.epoch == lid - 1:
-                own_prev = summaries_get(self.facts, (lid - 1, d.thread))
+                own_prev = self.facts.get((lid - 1, d.thread))
                 own_cur = summaries.get((lid, d.thread))
-                exposed = (
+                return not (
                     own_prev is not None
                     and d in own_prev.gen
                     and (own_cur is None or d.var not in own_cur.killed_vars)
                 )
-                if exposed:
-                    return False
             return True
 
-        self.sos.advance(lid, gen_l, killed)
-        if not self.keep_history:
-            self._evict(lid - 2)
-
-    def evict_history(self, before: int) -> None:
-        self.sos.evict(before)
-
-    # -- derived views ---------------------------------------------------------
+        return killed
 
     def _compute_lsos(self, lid: int, tid: int) -> Set[Definition]:
         """``LSOS_{l,t}`` (Section 5.1.2): head GEN, plus SOS survivors,
@@ -219,16 +257,3 @@ class ReachingDefinitions(
             elif d.epoch == lid - 2 and d.thread != tid:
                 lsos.add(d)
         return lsos
-
-    def _evict(self, older_than: int) -> None:
-        for key in [k for k in self.facts if k[0] < older_than]:
-            del self.facts[key]
-
-
-def summaries_get(
-    facts: Dict[BlockId, BlockFacts], key: BlockId
-) -> Optional[BlockFacts]:
-    """Fetch block facts tolerating the first-epoch edge (no epoch -1)."""
-    if key[0] < 0:
-        return None
-    return facts.get(key)

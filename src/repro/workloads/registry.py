@@ -8,7 +8,7 @@ from typing import Dict, List, Tuple
 from repro.errors import WorkloadError
 from repro.workloads.base import BenchmarkGenerator
 from repro.workloads.parsec import Blackscholes
-from repro.workloads.server import AllocHandoff
+from repro.workloads.server import AllocHandoff, SecureServer
 from repro.workloads.splash2 import FFT, FMM, LU, Barnes, Ocean
 
 #: Table 1's benchmark order.
@@ -23,10 +23,13 @@ BENCHMARKS: Dict[str, BenchmarkGenerator] = {
 
 
 #: Everything ``--benchmark`` accepts: Table 1 plus the epoch-size
-#: precision workload, which the table and the figures leave out.
+#: precision workload and the one workload with taint traffic
+#: (``--lifeguard taintcheck`` checks nothing on the others), which the
+#: table and the figures leave out.
 WORKLOADS: Dict[str, BenchmarkGenerator] = {
     **BENCHMARKS,
     "HANDOFF": AllocHandoff(),
+    "SECURE-SERVER": SecureServer(),
 }
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro.errors import WorkloadError
 from repro.trace.events import Instr
 from repro.trace.generator import alloc_handoff_program
 from repro.trace.program import TraceProgram
@@ -57,7 +58,10 @@ class SecureServer(BenchmarkGenerator):
         self, num_threads: int, events_per_thread: int, seed: int
     ) -> TraceProgram:
         if num_threads < 2:
-            raise ValueError("the server needs a receiver and >= 1 worker")
+            raise WorkloadError(
+                "the server needs a receiver and >= 1 worker: 2 or more "
+                f"threads, got {num_threads}"
+            )
         rng = random.Random(seed)
         b = PhasedTraceBuilder(num_threads, rng)
         spec = self.spec
@@ -123,8 +127,9 @@ class SecureServer(BenchmarkGenerator):
 
 class AllocHandoff(BenchmarkGenerator):
     """``--benchmark HANDOFF``: :func:`alloc_handoff_program` under the
-    registry's interface.  Like :class:`SecureServer` it is not one of
-    Table 1's six, so the figures never loop over it; it is the
+    registry's interface.  Like :class:`SecureServer` (``--benchmark
+    SECURE-SERVER``) it is not one of Table 1's six, so the figures
+    never loop over it; it is the
     workload whose AddrCheck false-positive rate genuinely grows with
     the epoch size, which makes it ``repro sweep``'s precision subject
     (``docs/tuning.md``)."""

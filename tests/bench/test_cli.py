@@ -374,6 +374,10 @@ class TestErrorPaths:
             ["stats", "--epoch-size", "0"],
             ["generate", "--stream", "--epoch-size", "0", "--output", "OUT"],
             ["check", "--threads", "0"],
+            # The server workload needs a receiver and a worker; it
+            # used to raise a bare ValueError.
+            ["check", "--benchmark", "SECURE-SERVER", "--threads", "1",
+             "--events", "64"],
             ["serve", "--workers", "0"],
             ["serve", "--checkpoint-every", "0"],
             ["serve", "--idle-timeout", "-1"],

@@ -134,10 +134,17 @@ class TestResume:
     def test_a_taintcheck_run_resumes_byte_identically(
         self, tmp_path, capsys
     ):
-        args = CHECK_ARGS + ["--lifeguard", "taintcheck"]
+        # OCEAN has no taint traffic, so its TaintCheck checks nothing;
+        # the server workload flags, and the resume must carry that.
+        args = [
+            "check", "--benchmark", "SECURE-SERVER", "--threads", "2",
+            "--events", "9000", "--epoch-size", "1024",
+            "--lifeguard", "taintcheck",
+        ]
         ck = str(tmp_path / "taint.ckpt")
         assert main(args) == 0
         full = capsys.readouterr().out
+        assert "\nflags: 8\n" in full
         assert main(
             args + ["--checkpoint", ck, "--stop-after-epoch", "4"]
         ) == 0

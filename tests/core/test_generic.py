@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.dataflow import Definition
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
-from repro.core.generic import GenericLifeguard, LifeguardSpec
+from repro.core.generic import LifeguardSpec
+from repro.core.reaching_defs import ReachingDefinitions
+from repro.core.reaching_exprs import ReachingExpressions
 from repro.errors import AnalysisError
 from repro.lifeguards.reports import ErrorKind, ErrorReport
 from repro.trace.events import Instr, Op
@@ -42,6 +45,43 @@ def init_check_spec():
     )
 
 
+def visible_writes_spec(check=None):
+    """Which writes can a read see: a definition reaches if SOME valid
+    ordering delivers it (exists semantics)."""
+
+    def ambiguous_read(iid, instr, reaching):
+        sites = sorted(d.site for d in reaching if d.var in instr.srcs)
+        if instr.op is Op.READ and len(sites) > 1:
+            yield ErrorReport(
+                ErrorKind.UNSAFE_ISOLATION, instr.srcs[0], ref=iid,
+                detail=f"may observe the writes at {sites}",
+            )
+
+    return LifeguardSpec(
+        name="visible-writes",
+        semantics="exists",
+        gen_of=lambda instr, iid: (
+            [Definition(instr.dst, iid)] if instr.op is Op.WRITE else []
+        ),
+        kill_vars_of=lambda instr: (
+            [instr.dst] if instr.op is Op.WRITE else []
+        ),
+        element_vars=lambda d: (d.var,),
+        check=check or ambiguous_read,
+    )
+
+
+X, Y = 0x40, 0x48
+
+#: Three threads racing on two locations: writes, frees and reads of
+#: X and Y with no ordering between the threads.
+RACY = TraceProgram.from_lists(
+    [Instr.write(X), Instr.read(X), Instr.read(Y), Instr.read(X)],
+    [Instr.write(Y), Instr.free(X), Instr.read(X), Instr.write(X)],
+    [Instr.read(Y), Instr.write(Y), Instr.free(Y), Instr.read(Y)],
+)
+
+
 def run(spec, program, h):
     guard = spec.build()
     ButterflyEngine(guard).run(partition_fixed(program, h))
@@ -60,6 +100,16 @@ class TestSpecValidation:
     def test_build_returns_fresh_instances(self):
         spec = init_check_spec()
         assert spec.build() is not spec.build()
+
+    def test_build_returns_the_flavour_itself(self):
+        forall = init_check_spec()
+        assert type(forall.build()) is ReachingExpressions
+        exists = visible_writes_spec()
+        assert type(exists.build()) is ReachingDefinitions
+        guard = exists.build()
+        assert guard.domain is exists and guard.check is exists.check
+        assert not guard.keep_history
+        assert not (guard.parallel_first_pass or guard.parallel_second_pass)
 
 
 class TestForallLifeguard:
@@ -111,8 +161,6 @@ class TestExistsLifeguard:
                     ErrorKind.TAINTED_JUMP, instr.srcs[0], ref=iid
                 )
 
-        from repro.core.dataflow import Definition
-
         spec = LifeguardSpec(
             name="dirty",
             semantics="exists",
@@ -141,3 +189,36 @@ class TestExistsLifeguard:
         )
         guard2 = run(spec, prog2, 1)
         assert len(guard2.errors) == 0
+
+
+class TestReportOrder:
+    """Reports land in ``errors`` in commit order: epoch by epoch, and
+    within an epoch by thread, then instruction -- the order the
+    engine's serial second pass visits them in."""
+
+    def test_forall_reports_in_commit_order(self):
+        guard = run(init_check_spec(), RACY, 2)
+        assert [(r.ref, r.location) for r in guard.errors] == [
+            ((0, 0, 1), X), ((0, 2, 0), Y), ((1, 0, 0), Y),
+            ((1, 0, 1), X), ((1, 1, 0), X), ((1, 2, 1), Y),
+        ]
+
+    def test_exists_reports_in_commit_order(self):
+        guard = run(visible_writes_spec(), RACY, 2)
+        assert [(r.ref, r.location) for r in guard.errors] == [
+            ((0, 0, 1), X), ((1, 0, 0), Y), ((1, 0, 1), X), ((1, 2, 1), Y),
+        ]
+        assert guard.errors.reports[0].detail == (
+            "may observe the writes at [(0, 0, 0), (1, 1, 1)]"
+        )
+
+    def test_a_check_that_yields_nothing_flags_nothing(self):
+        seen = []
+
+        def silent(iid, instr, in_set):
+            seen.append(iid)
+            return ()
+
+        guard = run(visible_writes_spec(check=silent), RACY, 2)
+        assert len(seen) == 12
+        assert len(guard.errors) == 0

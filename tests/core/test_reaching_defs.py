@@ -91,7 +91,7 @@ class TestBasics:
         seen = []
         prog = TraceProgram.from_lists([Instr.write(0), Instr.read(0)])
         analysis = ReachingDefinitions(
-            on_instruction=lambda iid, instr, ins: seen.append((iid, len(ins)))
+            check=lambda iid, instr, ins: seen.append((iid, len(ins))) or ()
         )
         ButterflyEngine(analysis).run(partition_fixed(prog, 1))
         assert len(seen) == 2

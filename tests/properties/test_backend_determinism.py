@@ -21,6 +21,7 @@ from repro.core.epoch import partition_by_global_order
 from repro.core.framework import ButterflyEngine
 from repro.core.parallel import PoolBackend
 from repro.core.reaching_defs import ReachingDefinitions
+from repro.core.reaching_exprs import ReachingExpressions
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
@@ -342,16 +343,25 @@ class TestReachingDefsDeterminism:
     )
     @settings(max_examples=15, deadline=None)
     def test_backends_identical_dataflow(self, seed, threads, h):
-        prog = simulated_alloc_program(
-            random.Random(seed),
-            num_threads=threads,
-            total_events=50,
-            num_locations=6,
-        )
-        runs = _run(lambda: ReachingDefinitions(keep_history=True), prog, h)
-        ref_guard, ref_stats = runs["serial"]
-        for name in ("threads", "processes"):
-            guard, stats = runs[name]
-            assert stats == ref_stats, name
-            assert guard.block_in == ref_guard.block_in, name
-            assert guard.block_out == ref_guard.block_out, name
+        # Both Section 5 flavours: definitions over allocation traffic,
+        # expressions over the taint program's ASSIGNs (the only events
+        # that generate an expression).
+        cases = [
+            (ReachingDefinitions, simulated_alloc_program(
+                random.Random(seed), num_threads=threads, total_events=50,
+                num_locations=6,
+            )),
+            (ReachingExpressions, simulated_taint_program(
+                random.Random(seed), num_threads=threads, total_events=50,
+                num_locations=5,
+            )),
+        ]
+        for flavour, prog in cases:
+            runs = _run(lambda: flavour(keep_history=True), prog, h)
+            ref_guard, ref_stats = runs["serial"]
+            for name in ("threads", "processes"):
+                guard, stats = runs[name]
+                label = (flavour.__name__, name)
+                assert stats == ref_stats, label
+                assert guard.block_in == ref_guard.block_in, label
+                assert guard.block_out == ref_guard.block_out, label

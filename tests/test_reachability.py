@@ -209,6 +209,132 @@ class TestRules:
         }
 
 
+FAMILY_TREE = {
+    "src/repro/__init__.py": "",
+    "src/repro/cli.py": """
+        from repro.family import A, B, Sub
+
+
+        def main(other):
+            A().entry(other)
+            return A.make(), Sub(), B()
+
+
+        if __name__ == "__main__":
+            main(None)
+    """,
+    "src/repro/family.py": """
+        class Root:
+            def inherited(self):
+                pass
+
+
+        class A(Root):
+            def entry(self, other):
+                other.by_other()
+
+                def nested(self):
+                    return self.shadowed()
+
+                return self.m(), self.inherited(), self.overridden(), nested
+
+            def m(self):
+                pass
+
+            @classmethod
+            def make(cls):
+                return cls.from_cls()
+
+            def from_cls(self):
+                pass
+
+
+        class Mixin:
+            def mixed(self):
+                pass
+
+            def unnamed(self):
+                pass
+
+
+        class Sub(A, Mixin):
+            def overridden(self):
+                return self.mixed()
+
+
+        class B:
+            def m(self):
+                pass
+
+            def inherited(self):
+                pass
+
+            def overridden(self):
+                pass
+
+            def mixed(self):
+                pass
+
+            def by_other(self):
+                pass
+
+            def shadowed(self):
+                pass
+
+            def from_cls(self):
+                pass
+    """,
+}
+
+
+@pytest.fixture
+def family_tree(tmp_path):
+    for name, text in FAMILY_TREE.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    return tmp_path
+
+
+class TestReceiverRule:
+    """``self.x``/``cls.x`` inside a method names ``x`` only in the
+    class's family; any other receiver names ``x`` everywhere."""
+
+    def test_self_m_reaches_its_class_and_not_an_unrelated_one(
+        self, reachability, family_tree
+    ):
+        names = listed(reachability, family_tree)
+        assert "A.m" not in names
+        assert "B.m" in names
+
+    def test_cls_in_a_classmethod_is_a_receiver(
+        self, reachability, family_tree
+    ):
+        names = listed(reachability, family_tree)
+        assert "A.from_cls" not in names
+        assert "B.from_cls" in names
+
+    def test_the_family_is_bases_and_subclasses_and_their_bases(
+        self, reachability, family_tree
+    ):
+        names = listed(reachability, family_tree)
+        # Root is A's base, Sub its subclass, Mixin a base of Sub.
+        assert not {"Root.inherited", "Sub.overridden", "Mixin.mixed"} & names
+        assert {"B.inherited", "B.overridden", "B.mixed"} <= names
+
+    def test_other_receivers_and_a_rebound_self_keep_the_by_name_rule(
+        self, reachability, family_tree
+    ):
+        names = listed(reachability, family_tree)
+        assert not {"B.by_other", "B.shadowed"} & names
+
+    def test_exactly_these_are_listed(self, reachability, family_tree):
+        assert listed(reachability, family_tree) == {
+            "Mixin.unnamed", "B.m", "B.inherited", "B.overridden",
+            "B.mixed", "B.from_cls",
+        }
+
+
 KNOB_TREE = {
     "src/repro/__init__.py": "",
     "src/repro/cli.py": """
@@ -216,8 +342,8 @@ KNOB_TREE = {
 
         from repro.knobs import (
             Annotated, Base, Checked, Child, Derived, Factory, Frozen,
-            Mutable, Static, by_keyword, by_position, by_reference, by_star,
-            outer, set_forwarded, test_only,
+            Instance, Mutable, Static, by_keyword, by_position, by_reference,
+            by_star, outer, set_forwarded, test_only,
         )
         import repro.knobs
 
@@ -231,6 +357,7 @@ KNOB_TREE = {
             getattr(repro.knobs, f"by_prefix_{args[0]}")()
             Child(k=1)
             Derived(d=1)
+            Instance(g=1)
             Static.make(Static.LIMIT)
             Factory.create()
             outer()
@@ -298,6 +425,15 @@ KNOB_TREE = {
 
 
         class Derived(Parent):
+            pass
+
+
+        class Template:
+            def __init__(self, g=0, unset=0):
+                pass
+
+
+        class Instance(Template[int]):
             pass
 
 
@@ -442,6 +578,13 @@ class TestKnobRules:
         assert "Parent(p)" in found
         assert not {"Parent(d)", "Base(j)"} & found
 
+    def test_a_generic_base_passes_on_its_init(self, reachability, knob_tree):
+        # ``class Instance(Template[int])`` inherits ``Template.__init__``
+        # as ``class Derived(Parent)`` does.
+        found = knobs(reachability, knob_tree)
+        assert "Template(g)" not in found
+        assert "Template(unset)" in found
+
     def test_cls_in_a_classmethod_calls_the_owning_class(
         self, reachability, knob_tree
     ):
@@ -480,7 +623,7 @@ class TestKnobRules:
     def test_exactly_these_knobs_are_listed(self, reachability, knob_tree):
         assert knobs(reachability, knob_tree) == {
             "by_keyword(unset)", "by_position(c)", "Child(unset)",
-            "Parent(p)", "Static(s)", "Factory(unset)",
+            "Parent(p)", "Template(unset)", "Static(s)", "Factory(unset)",
             "Annotated(a)", "Checked(c)", "Frozen.stored", "Mutable.never",
             "outer(w)", "inner(w)", "test_only(t)",
         }

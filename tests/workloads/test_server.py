@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.epoch import partition_by_global_order
 from repro.core.framework import ButterflyEngine
+from repro.errors import WorkloadError
 from repro.lifeguards.sequential import SequentialTaintCheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.workloads.server import SecureServer
@@ -59,5 +60,5 @@ class TestAttackedServer:
         assert not missing, missing
 
     def test_needs_two_threads(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkloadError):
             SecureServer().generate(1, 1000)
