@@ -406,7 +406,7 @@ def _resident_block_growth(num_locations):
         engine.feed_blocks(lid, row)
     gc.collect()
     growth = sys.getallocatedblocks() - before
-    resident = guard._summaries.values()
+    resident = guard.summaries.values()
     return growth, sum(s.num_accessed for s in resident) / len(resident)
 
 

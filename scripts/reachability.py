@@ -13,9 +13,11 @@ The roots are ``src/repro/cli.py``, ``scripts/``, ``benchmarks/e2e/`` and
    module that only its package's ``__init__`` and its own tests import
    is unreached.
 2. *Definitions.*  Every top-level function and class of a ``src/``
-   module, and every method of such a class.  The code of the roots
-   outside ``src/`` and the module-level code of every reached module is
-   reached code.  A definition is reached when reached code names it --
+   module, every method of such a class, and every name a module-level
+   assignment binds (a constant: all its targets bare names, dunders
+   aside; its value is its code).  The code of the roots outside
+   ``src/`` and the rest of the module-level code of every reached
+   module is reached code.  A definition is reached when reached code names it --
    as a bare name, an attribute, a keyword argument or an identifier
    inside a string constant -- and then its own code is reached code;
    this iterates to a fixpoint.  Attributes resolve by name, with one
@@ -279,14 +281,30 @@ def families(trees):
     return family
 
 
-class Definition:
-    """One top-level function or class, or one method of such a class."""
+def _assigned(node):
+    """The names a module-level statement binds as constants: every
+    target of an assignment whose targets are all bare names (an
+    annotated one needs a value), except dunders; else none."""
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target] if node.value is not None else []
+    else:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+    if not all(isinstance(t, ast.Name) for t in targets):
+        return []
+    return [t.id for t in targets
+            if not (t.id.startswith("__") and t.id.endswith("__"))]
 
-    def __init__(self, path, node, owner=None):
+
+class Definition:
+    """One top-level function or class, one method of such a class, or
+    one name a module-level assignment binds."""
+
+    def __init__(self, path, node, owner=None, name=None):
         self.path, self.node, self.owner = path, node, owner
-        self.name = node.name
-        self.qualname = f"{owner.name}.{node.name}" if owner else node.name
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        self.name = name or node.name
+        self.qualname = f"{owner.name}.{self.name}" if owner else self.name
+        first = min([node.lineno] + [
+            d.lineno for d in getattr(node, "decorator_list", ())])
         self.lines = node.end_lineno - first + 1
 
     @property
@@ -308,6 +326,8 @@ class Definition:
     def code(self):
         """The nodes this definition runs, its methods excluded."""
         n = self.node
+        if not isinstance(n, _DEFS):
+            return [n.value]  # an assignment
         if not isinstance(n, ast.ClassDef):
             return [n]
         return [*n.decorator_list, *n.bases, *n.keywords,
@@ -328,12 +348,16 @@ def walk(root):
     code = [trees[p] for p in root_files(root)]
     for module, path in modules.items():
         body = trees[path].body
-        tops = [Definition(path.relative_to(root).as_posix(), node)
-                for node in body if isinstance(node, _DEFS)]
+        rel = path.relative_to(root).as_posix()
+        tops = [Definition(rel, node) for node in body
+                if isinstance(node, _DEFS)]
+        tops += [Definition(rel, node, name=name) for node in body
+                 for name in _assigned(node)]
         if module not in reached_mods:
             unreached += tops
             continue
-        code += [s for s in body if not isinstance(s, _DEFS)]
+        code += [s for s in body
+                 if not isinstance(s, _DEFS) and not _assigned(s)]
         candidates += tops
 
     family = families(trees.values())
@@ -476,6 +500,8 @@ def _decorated(node, name):
 def _knobs_of(d):
     """The knobs of reached definition ``d``."""
     node = d.node
+    if not isinstance(node, _DEFS):
+        return []  # an assignment
     if isinstance(node, ast.ClassDef):
         dec = _decorated(node, "dataclass")
         if dec is None:

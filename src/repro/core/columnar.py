@@ -74,18 +74,11 @@ OP_ASSIGN = OP_CODES[Op.ASSIGN]
 OP_TAINT = OP_CODES[Op.TAINT]
 OP_UNTAINT = OP_CODES[Op.UNTAINT]
 OP_JUMP = OP_CODES[Op.JUMP]
-OP_NOP = OP_CODES[Op.NOP]
 
 #: Sentinel encoding ``dst=None`` (int64 minimum; never a real location).
 NO_DST = -(2**63)
 #: Largest value an int64 column holds.
 _I64_MAX = 2**63 - 1
-
-#: Ops whose sources/destination count as dereferences (mirrors
-#: ``Instr.accessed``): READ/JUMP read their source; WRITE/ASSIGN read
-#: their sources and write their destination.
-_ACCESS_CODES = frozenset((OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP))
-_DST_ACCESS_CODES = frozenset((OP_WRITE, OP_ASSIGN))
 
 #: Ops that require a destination (mirrors ``Instr.__post_init__``).
 _NEEDS_DST = frozenset(

@@ -49,6 +49,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Generic, Iterator, List, Optional,
     Sequence, Tuple, TypeVar, Union,
@@ -157,6 +158,12 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
     #: ``recorder.enabled`` so the disabled path stays free).
     recorder: Recorder = NULL_RECORDER
 
+    @cached_property
+    def summaries(self) -> Dict[BlockId, Summary]:
+        """The summary window, ``BlockId`` -> first-pass summary: the
+        engine alone fills and evicts it, the hooks only read it."""
+        return {}
+
     def emit_metrics(self, recorder: Recorder) -> None:
         """Publish end-of-run gauges (footprint sizes, conflict counts,
         ...) to ``recorder``.  Called once by the engine after
@@ -176,9 +183,9 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
         return None
 
     def commit_scan(self, block: Block, scan: Any) -> Summary:
-        """Ordered post-stage: apply a scan's effects (summaries,
-        errors, counters) to shared state; return the block summary."""
-        raise NotImplementedError
+        """Ordered post-stage: apply a scan's effects (errors, counters)
+        to shared state; return the block summary (by default, the scan)."""
+        return scan
 
     def stage_row(self, blocks: Sequence[Block]) -> None:
         """Announce the epoch row the serial schedule is about to hand
@@ -321,14 +328,15 @@ class ButterflyEngine(Generic[Summary, SideIn]):
     generated workload, a socket -- without a partition in memory.
 
     Memory model (the sliding-window invariant): the engine retains
-    block summaries and window blocks only for the butterfly window.
-    After epoch ``l``'s bodies commit and ``epoch_update(l)`` publishes
-    their effects into the SOS, summaries for epochs ``< l-1`` and
-    blocks for epochs ``< l`` are evicted, so at any instant at most
-    **3 epochs x num_threads** summaries are resident regardless of
-    trace length.  The bound is enforced (a violation raises
-    :class:`AnalysisError`), tracked in :attr:`window_high_water`, and
-    exported as the ``engine.window_resident_blocks`` gauge.
+    block summaries (in :attr:`ButterflyAnalysis.summaries`, their one
+    home) and window blocks only for the butterfly window.  After epoch
+    ``l``'s bodies commit and ``epoch_update(l)`` publishes their
+    effects into the SOS, summaries for epochs ``< l-1`` and blocks for
+    epochs ``< l`` are evicted, so at any instant at most **3 epochs x
+    num_threads** summaries are resident regardless of trace length.
+    The bound is enforced (a violation raises :class:`AnalysisError`),
+    tracked in :attr:`window_high_water`, and exported as the
+    ``engine.window_resident_blocks`` gauge.
 
     Coordinates: callers always feed *producer rows* -- ``feed_blocks``
     ids, :attr:`resume_position`, :attr:`rows_folded` and the
@@ -436,7 +444,6 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         """
         return {
             "stats": self.stats,
-            "summaries": self._summaries,
             # The resident block window (<= 2 epochs at a checkpoint
             # boundary): what lets a streamed resume seek the reader
             # forward instead of re-reading the whole prefix.
@@ -472,7 +479,6 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 "analysis object (engine.analysis is not it)"
             )
         self.stats = state["stats"]
-        self._summaries = state["summaries"]
         self._window = state["window"]
         self.window_high_water = state["window_high_water"]
         self._first_pass_errors = state["first_pass_errors"]
@@ -498,7 +504,6 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         self._attached = False
         self._num_threads = 0
         self._expected_epochs: Optional[int] = None
-        self._summaries: Dict[BlockId, Any] = {}
         self._window: Dict[BlockId, Block] = {}
         self._first_pass_errors: Dict[int, int] = {}
         self._next_to_receive = 0
@@ -619,7 +624,9 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 self.recorder.event(
                     "run.attach", epochs=num_epochs, threads=num_threads
                 )
-        if checkpoint is not None:
+        if checkpoint is None:
+            self.analysis.summaries.clear()
+        else:  # the restored analysis carries its summary window
             self.restore_state(checkpoint.state)
 
     def feed_epoch(self, lid: int) -> None:
@@ -717,7 +724,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             # mid-epoch, so require reset() before further feeding.
             for block in blocks:
                 self._window.pop(block.block_id, None)
-                self._summaries.pop(block.block_id, None)
+                self.analysis.summaries.pop(block.block_id, None)
             self._first_pass_errors.pop(lid, None)
             self._next_to_receive = lid
             self.rows_folded -= rows
@@ -791,9 +798,10 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 recorder, "block.first_pass", blocks,
                 "instrs", map(len, blocks), steps,
             )
+        summaries = analysis.summaries
         try:
             for block in blocks:
-                self._summaries[block.block_id] = next(steps)
+                summaries[block.block_id] = next(steps)
                 self.stats.first_pass_instructions += len(block)
         finally:
             if staged:
@@ -869,7 +877,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         After any receive or commit, resident summaries must cover at
         most the three epochs of the butterfly window.
         """
-        resident = len(self._summaries)
+        resident = len(self.analysis.summaries)
         if resident > self.window_high_water:
             self.window_high_water = resident
         limit = 3 * self._num_threads
@@ -889,7 +897,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 f"{self._next_to_process}, got {lid}"
             )
         analysis = self.analysis
-        summaries = self._summaries
+        summaries = analysis.summaries
         num_threads = self._num_threads
         recorder = self.recorder if self.recorder.enabled else None
         errors_before = 0 if recorder is None else self._error_count()

@@ -570,10 +570,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         self.use_idempotent_filter = use_idempotent_filter
         self.use_columnar_kernel = use_columnar_kernel
         self.errors = ErrorLog()
-        self._summaries: Dict[BlockId, AddrSummary] = {}
-        #: Per resident epoch: location -> the one thread whose block
-        #: finally frees it there, or ``_MANY_KILLERS`` (built once per
-        #: epoch by :meth:`epoch_update`, evicted with the summaries).
+        #: Per recent epoch ``l``: location -> the one thread whose
+        #: block finally frees it there, or ``_MANY_KILLERS`` (built once
+        #: per epoch by :meth:`epoch_update`, read by the LSOS of every
+        #: block of epoch ``l+2`` in place of its siblings' summaries).
         self._epoch_killers: Dict[int, Dict[int, int]] = {}
         #: Per-block work counters consumed by the timing substrate:
         #: ``events`` (log records dispatched), ``checks`` (metadata
@@ -639,20 +639,19 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             "meet": 0,
             "iso": 0,
         }
-        self._summaries[block_id] = summary
         return summary
 
     # -- step 2: meet (elementwise union of wing summaries) ----------------
 
     def meet(
-        self, butterfly: Butterfly, wing_summaries: List[AddrSummary]
+        self, butterfly: Butterfly, wings: List[AddrSummary]
     ) -> WingChanges:
         # The wings' ACCESS sets count as meet work (the paper's
         # S = (GEN, KILL, ACCESS)) but no check reads their union, so
         # only the change sets -- tens of locations -- are built.
         changed: Set[int] = set()
         work = 0
-        for s in wing_summaries:
+        for s in wings:
             f = s.facts
             changed |= f.all_gen
             changed |= f.killed_vars
@@ -668,7 +667,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         (sized by the smaller operand, or by the change set's probes
         into ``first_access``): racing state changes and accesses racing
         a state change."""
-        s = self._summaries[butterfly.body.block_id]
+        s = self.summaries[butterfly.body.block_id]
         f = s.facts
         wing_changed = side_in.changed
         return (
@@ -685,7 +684,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         change_hits, access_hits = result
         body = butterfly.body
         block_id = body.block_id
-        s = self._summaries[block_id]
+        s = self.summaries[block_id]
         errors = self.errors
         rec = self.recorder
         emit = rec.enabled
@@ -731,10 +730,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         blaming.  Set-based so the reference class attributes
         identically."""
         for wing in butterfly.wings:
-            s = self._summaries.get(wing.block_id)
-            if s is None:
-                continue
-            facts = s.facts
+            facts = self.summaries[wing.block_id].facts
             if loc in facts.all_gen or loc in facts.killed_vars:
                 return wing.block_id
         return None
@@ -762,9 +758,10 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             for loc in _final_kills(s.facts):
                 killers[loc] = t if loc not in killers else _MANY_KILLERS
         self._epoch_killers[lid] = killers
+        # Epoch lid's LSOS, the last reader of lid-2's index, is taken.
+        self._epoch_killers.pop(lid - 2, None)
 
         self.sos.publish(lid, gen_l, killers.keys())
-        self._evict(lid - 1)
 
     def evict_history(self, before: int) -> None:
         self.sos.evict(before)
@@ -779,7 +776,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
     # -- helpers ----------------------------------------------------------------
 
     def _facts(self, lid: int, tid: int) -> Optional[BlockFacts]:
-        s = self._summaries.get((lid, tid))
+        s = self.summaries.get((lid, tid))
         return s.facts if s is not None else None
 
     def _kills(self, facts: BlockFacts, loc: int) -> bool:
@@ -830,9 +827,3 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             if killers.get(loc, tid) == tid:
                 lsos.add(loc)
         return lsos
-
-    def _evict(self, older_than: int) -> None:
-        for key in [k for k in self._summaries if k[0] < older_than]:
-            del self._summaries[key]
-        for lid in [k for k in self._epoch_killers if k < older_than]:
-            del self._epoch_killers[lid]

@@ -150,7 +150,6 @@ class ButterflyRaceCheck(
     def __init__(self, use_columnar_kernel: Optional[bool] = None) -> None:
         self.use_columnar_kernel = use_columnar_kernel
         self.errors = ErrorLog()
-        self._summaries: Dict[BlockId, AccessSummary] = {}
 
     # -- step 1 ----------------------------------------------------------
 
@@ -161,23 +160,19 @@ class ButterflyRaceCheck(
             return ReferenceRaceScanner()
         return RaceScanner()
 
-    def commit_scan(self, block: Block, scan: AccessSummary) -> AccessSummary:
-        self._summaries[block.block_id] = scan
-        return scan
-
     # -- step 2 ------------------------------------------------------------
 
     def meet(
-        self, butterfly: Butterfly, wing_summaries: List[AccessSummary]
+        self, butterfly: Butterfly, wings: List[AccessSummary]
     ) -> Tuple[Any, Any]:
         """The wings' read and write locations, each side one
         concatenation (repeats and all: the check only probes them)."""
-        if not wing_summaries:
+        if not wings:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         return (
-            np.concatenate([w.reads.locs for w in wing_summaries]),
-            np.concatenate([w.writes.locs for w in wing_summaries]),
+            np.concatenate([w.reads.locs for w in wings]),
+            np.concatenate([w.writes.locs for w in wings]),
         )
 
     # -- step 3 --------------------------------------------------------------
@@ -187,7 +182,7 @@ class ButterflyRaceCheck(
     ) -> Tuple[Set[int], Set[int], Set[int]]:
         """Pure conflict intersections with the wings' union:
         write-write, body write vs wing read, body read vs wing write."""
-        s = self._summaries[butterfly.body.block_id]
+        s = self.summaries[butterfly.body.block_id]
         wing_reads, wing_writes = side_in
         return (
             s.writes.hits(wing_writes),
@@ -205,7 +200,7 @@ class ButterflyRaceCheck(
         if not (ww or wr or rw):
             return
         body = butterfly.body
-        s = self._summaries[body.block_id]
+        s = self.summaries[body.block_id]
         rec = self.recorder
         # Ascending location within each conflict class: set order is
         # hash-dependent, sorting makes the flag order a function of
@@ -237,8 +232,7 @@ class ButterflyRaceCheck(
         writes) involves ``loc`` -- the access the conflict is blamed
         on."""
         for wing in butterfly.wings:
-            s = self._summaries.get(wing.block_id)
-            if s is not None and loc in getattr(s, side):
+            if loc in getattr(self.summaries[wing.block_id], side):
                 return wing.block_id
         return None
 
@@ -249,7 +243,5 @@ class ButterflyRaceCheck(
     # -- step 4 --------------------------------------------------------------
 
     def epoch_update(self, lid: int, summaries: Dict[BlockId, AccessSummary]) -> None:
-        # Conflict detection is stateless beyond the sliding window.
-        stale = lid - 1
-        for key in [k for k in self._summaries if k[0] < stale]:
-            del self._summaries[key]
+        """Nothing to publish: conflict detection is stateless beyond
+        the sliding window."""

@@ -70,6 +70,10 @@ from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 _TAINT_EVENT_LUT = np.zeros(256, dtype=bool)
 _TAINT_EVENT_LUT[[OP_TAINT, OP_UNTAINT, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
 
+#: ``_epoch_tainters`` value for a location two or more threads' last
+#: checks resolve tainted in one epoch (no thread id is negative).
+_MANY_TAINTERS = -1
+
 
 class _Bottom:
     """Taint (the paper's bottom)."""
@@ -432,7 +436,11 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         self.use_columnar_kernel = use_columnar_kernel
         self.sos = SOSHistory()
         self.errors = ErrorLog()
-        self._summaries: Dict[BlockId, TaintSummary] = {}
+        #: Per recent epoch ``l``: location -> the one thread whose last
+        #: check resolved it tainted there, or ``_MANY_TAINTERS`` (built
+        #: by :meth:`epoch_update`).  The LSOS of epoch ``l+2`` reads it,
+        #: when the summary window no longer holds epoch ``l``.
+        self._epoch_tainters: Dict[int, Dict[int, int]] = {}
         self.parallel_first_pass = True
         self.parallel_second_pass = True
 
@@ -445,18 +453,14 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
             return ReferenceTaintScanner()
         return TaintScanner()
 
-    def commit_scan(self, block: Block, scan: TaintSummary) -> TaintSummary:
-        self._summaries[block.block_id] = scan
-        return scan
-
     # -- step 2: gather wing rule sets -------------------------------------
 
     def meet(
-        self, butterfly: Butterfly, wing_summaries: List[TaintSummary]
+        self, butterfly: Butterfly, wings: List[TaintSummary]
     ) -> List[TaintSummary]:
         # Rules must stay attributed to their epoch for the two-phase
         # resolution, so the meet keeps the summaries distinct.
-        return wing_summaries
+        return wings
 
     # -- step 3: resolve checks ----------------------------------------------
 
@@ -476,7 +480,7 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         for :meth:`commit_check` to apply."""
         body = butterfly.body
         lid, tid = body.block_id
-        summary = self._summaries[body.block_id]
+        summary = self.summaries[body.block_id]
         lsos = self._compute_lsos(lid, tid)
 
         # LASTCHECK is each location's final write, an ASSIGN's untainted
@@ -555,7 +559,7 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
     ) -> None:
         body = butterfly.body
         lastcheck, flagged = result
-        self._summaries[body.block_id].lastcheck.update(lastcheck)
+        self.summaries[body.block_id].lastcheck.update(lastcheck)
         errors = self.errors
         rec = self.recorder
         emit = rec.enabled
@@ -586,12 +590,12 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         absent (Section 6.2's LASTCHECK formulation).
         """
         threads = sorted(t for (_, t) in summaries)
-        gen_l: Set[int] = set()
+        tainters: Dict[int, int] = {}
         kill_l: Set[int] = set()
         for (l, t), s in summaries.items():
             for loc, value in s.lastcheck.items():
                 if value is BOT:
-                    gen_l.add(loc)
+                    tainters[loc] = _MANY_TAINTERS if loc in tainters else t
                 elif value is TOP:
                     if all(
                         self._lastcheck_span(loc, lid, t2) in (TOP, None)
@@ -599,25 +603,26 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
                         if t2 != t
                     ):
                         kill_l.add(loc)
+        self._epoch_tainters[lid] = tainters
+        # Epoch lid's LSOS, the last reader of lid-2's index, is taken.
+        self._epoch_tainters.pop(lid - 2, None)
         # (SOS - KILL_l) U GEN_l: a location in both sets stays tainted.
-        self.sos.publish(lid, gen_l, kill_l)
-        self._evict(lid - 1)
+        self.sos.publish(lid, tainters.keys(), kill_l)
 
     def evict_history(self, before: int) -> None:
         self.sos.evict(before)
 
     def emit_metrics(self, recorder: Any) -> None:
-        """End-of-run gauges: flagged jumps and window residency."""
+        """End-of-run gauge: flagged jumps."""
         recorder.gauge("taintcheck.tainted_jumps", len(self.errors))
-        recorder.gauge("taintcheck.resident_summaries", len(self._summaries))
 
     def _lastcheck_span(self, loc: int, lid: int, tid: int) -> Optional[Value]:
         """LASTCHECK(x, (l-1, l), t): the thread's most recent resolution
         across the two epochs, or None if it never wrote x there."""
-        cur = self._summaries.get((lid, tid))
+        cur = self.summaries.get((lid, tid))
         if cur is not None and loc in cur.lastcheck:
             return cur.lastcheck[loc]
-        prev = self._summaries.get((lid - 1, tid))
+        prev = self.summaries.get((lid - 1, tid))
         if prev is not None and loc in prev.lastcheck:
             return prev.lastcheck[loc]
         return None
@@ -633,30 +638,22 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         ``lastcheck`` -- never of the SOS element by element, and
         :meth:`check_body` reads it without copying it."""
         lsos = self.sos.get(lid)
-        head = self._summaries.get((lid - 1, tid)) if lid >= 1 else None
+        head = self.summaries.get((lid - 1, tid)) if lid >= 1 else None
         if head is None:
             return lsos
-        # The other threads' LASTCHECKs in epoch l-2, gathered once: the
-        # resurrection term probes them per head untaint.
-        siblings = [
-            s.lastcheck
-            for (l, t), s in self._summaries.items()
-            if l == lid - 2 and t != tid
-        ]
+        # Who tainted what in epoch l-2: the resurrection term keeps a
+        # head untaint of a location some sibling tainted there.
+        tainters = self._epoch_tainters.get(lid - 2, {})
         for loc, verdict in head.lastcheck.items():
             if verdict is BOT:
                 lsos.add(loc)
             elif (
                 verdict is TOP
                 and loc in lsos
-                and not any(check.get(loc) is BOT for check in siblings)
+                and tainters.get(loc, tid) == tid
             ):
                 lsos.discard(loc)
         return lsos
-
-    def _evict(self, older_than: int) -> None:
-        for key in [k for k in self._summaries if k[0] < older_than]:
-            del self._summaries[key]
 
 
 class _RuleGraph:
@@ -669,7 +666,7 @@ class _RuleGraph:
     """
 
     def __init__(
-        self, wing_summaries: List[TaintSummary], body: TaintSummary,
+        self, wings: List[TaintSummary], body: TaintSummary,
         guard: ButterflyTaintCheck, fallback: Optional["_RuleGraph"] = None,
     ) -> None:
         self._guard = guard
@@ -681,7 +678,7 @@ class _RuleGraph:
         self._query_memo: Dict[int, bool] = {}
         #: The in-phase first-pass summaries, by reference: the wings in
         #: the order the engine handed them over, then the body.
-        self._sources = [*wing_summaries, body]
+        self._sources = [*wings, body]
         # loc -> list of (site, value), filled by _rules_for.
         self._buckets: Dict[int, List[Tuple[InstrId, Value]]] = {}
         self._budget = [guard.max_steps]

@@ -4,10 +4,10 @@ The engine's ordered-commit discipline gives a natural safe point: the
 instant epoch ``l``'s bodies have committed and ``SOS_{l+2}`` is
 published, the entire analysis state is a deterministic function of the
 trace prefix.  A :class:`Checkpointer` snapshots exactly that state --
-the analysis object (the live SOS and its per-epoch deltas, its
-summaries, error log), the engine's window of block
-summaries, its ``EngineStats``/progress counters and, on an adaptive
-run, the boundary stream recorded so far
+the analysis object (the live SOS and its per-epoch deltas, the
+window of block summaries the engine keeps on it, error log), the
+engine's window of blocks, its ``EngineStats``/progress counters and,
+on an adaptive run, the boundary stream recorded so far
 (``ButterflyEngine.snapshot_state()``) -- after each committed epoch.
 
 Snapshots are written with the classic atomic-rename protocol (write to
@@ -47,10 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ButterflyEngine
 
 FORMAT = "repro-checkpoint"
-#: The pickled state's layout; any other version is refused.  Version 5:
-#: TaintCheck summaries pickle their rules as columns (were a location ->
-#: rule list dict), after AddrCheck's and RaceCheck's footprints (4).
-VERSION = 5
+#: The pickled state's layout; any other version is refused.  Version 6:
+#: the one summary window rides on the analysis (no engine ``summaries``
+#: key), after TaintCheck's rule columns (5) and the footprints (4).
+VERSION = 6
 
 
 def _unlink_quietly(path: str) -> None:
@@ -294,8 +294,8 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path} is not a repro checkpoint file")
         if raw.get("version") != VERSION:
             raise CheckpointError(
-                f"unsupported checkpoint version {raw.get('version')!r} "
-                f"(this build reads version {VERSION})"
+                f"{path}: unsupported checkpoint version "
+                f"{raw.get('version')!r} (this build reads version {VERSION})"
             )
         meta, state = raw["meta"], raw["engine"]
         if not isinstance(meta, dict) or not isinstance(state, dict):

@@ -403,6 +403,17 @@ class ReproServer:
                     f"{name.replace('_', ' ')} must be >= 1: "
                     f"{getattr(config, name)}"
                 )
+        slo = config.slo
+        if (
+            slo is not None
+            and slo.max_fold > slo.min_fold
+            and slo.queue_high >= config.queue_depth
+        ):
+            # The fold never sees more than queue_depth - 1 rows waiting.
+            raise ReproError(
+                f"slo queue high must be below queue depth ({slo.queue_high}"
+                f" >= {config.queue_depth}): the fold would never grow"
+            )
         if config.max_pending_epochs < 0:
             raise ReproError(
                 "max pending epochs must be >= 0: "

@@ -219,7 +219,7 @@ class LBASystem:
         wall_seconds = time.perf_counter() - started
 
         app = run_parallel(program, config)
-        mtlb_cycles = self._mtlb_cycles_by_thread(program, epoch_size)
+        mtlb_cycles = self._mtlb_cycles_by_thread(program, partition)
 
         # Average metadata-TLB cost per check, per lifeguard thread.
         total_checks = {
@@ -285,18 +285,20 @@ class LBASystem:
     # -- helpers --------------------------------------------------------------
 
     def _mtlb_cycles_by_thread(
-        self, program: TraceProgram, epoch_size: int
+        self, program: TraceProgram, partition: EpochPartition
     ) -> Dict[int, int]:
         """Per-lifeguard-thread metadata-TLB cost over its thread's
-        checked locations (filter-aligned: duplicates within an epoch
-        are skipped just as the lifeguard skips them)."""
+        checked locations (filter-aligned: duplicates within a block --
+        up to the partition's next cut -- are skipped as the lifeguard
+        skips them)."""
         out: Dict[int, int] = {}
         for tid, trace in enumerate(program.threads):
             mtlb = MetadataTLB(page_size=MTLB_PAGE_SIZE)
+            cuts = set(partition.boundaries[tid])
             seen: set = set()
             cycles = 0
             for i, instr in enumerate(trace):
-                if i and i % epoch_size == 0:
+                if i in cuts:
                     seen.clear()
                 if instr.op in (Op.MALLOC, Op.FREE):
                     for loc in instr.extent:

@@ -178,19 +178,18 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
             "meet": 0,
             "iso": 0,
         }
-        self._summaries[block.block_id] = summary
         return summary
 
     # -- step 2: meet (elementwise union of wing summaries) ----------------
 
     def meet(
-        self, butterfly: Butterfly, wing_summaries: List[ReferenceSummary]
+        self, butterfly: Butterfly, wings: List[ReferenceSummary]
     ) -> WingSummary:
         gen_set: Set[int] = set()
         kill_set: Set[int] = set()
         access_set: Set[int] = set()
         work = 0
-        for s in wing_summaries:
+        for s in wings:
             gen, kill = s.facts.all_gen, s.facts.killed_vars
             gen_set |= gen
             kill_set |= kill
@@ -206,7 +205,7 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
         collide with concurrent wing operations (and vice versa for the
         body's accesses against wing state changes)."""
         body = butterfly.body
-        s = self._summaries[body.block_id]
+        s = self.summaries[body.block_id]
         flags_before = len(self.errors)
         rec = self.recorder
         emit = rec.enabled

@@ -381,6 +381,9 @@ class TestErrorPaths:
             ["serve", "--workers", "0"],
             ["serve", "--checkpoint-every", "0"],
             ["serve", "--idle-timeout", "-1"],
+            # The controller sees at most queue-depth - 1 waiting rows,
+            # so the default queue high of 3 could never grow the fold.
+            ["serve", "--adaptive-epoch", "--queue-depth", "3"],
             # Ports outside 0..65535 used to die in bind/connect with an
             # OverflowError traceback.
             ["serve", "--port", "70000"],

@@ -168,6 +168,20 @@ class TestResume:
             capsys, "resume"
         )
 
+    def test_a_version_5_checkpoint_is_refused(self, tmp_path, capsys):
+        """Version 5 pickled the engine's summary window beside the
+        lifeguard's own."""
+        ck = str(tmp_path / "run.ckpt")
+        assert main(
+            CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "3"]
+        ) == 0
+        capsys.readouterr()
+        stamp_version(ck, 5)
+        assert main(["resume", "--checkpoint", ck]) == 2
+        assert "unsupported checkpoint version 5" in _one_line_error(
+            capsys, "resume"
+        )
+
     def _resume_past_the_end(self, tmp_path, capsys, check_args):
         ck = str(tmp_path / "c.ckpt")
         assert main(check_args + ["--checkpoint", ck]) == 0

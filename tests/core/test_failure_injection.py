@@ -98,10 +98,13 @@ class TestEngineMemoryDiscipline:
         prog = TraceProgram.from_lists([Instr.write(1)] * 40)
         engine.run(partition_fixed(prog, 2))
         # The engine retains at most the sliding window of summaries.
-        assert len(engine._summaries) <= 3
+        assert len(engine.analysis.summaries) <= 3
 
     def test_lifeguard_evicts_its_own_summaries(self):
+        # The window the engine evicts is the only one the guard has.
         guard = ButterflyAddrCheck()
         prog = TraceProgram.from_lists([Instr.write(1)] * 40, [Instr.read(1)] * 40)
         ButterflyEngine(guard).run(partition_fixed(prog, 2))
-        assert len(guard._summaries) <= 3 * 2
+        assert len(guard.summaries) <= 3 * 2
+        assert set(vars(guard)) >= {"summaries"}
+        assert "_summaries" not in vars(guard)

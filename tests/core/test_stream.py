@@ -1,6 +1,7 @@
 """The bounded-memory streaming pipeline: EpochSource, eviction, and
 the feed_blocks contract."""
 
+import gc
 import pickle
 import random
 
@@ -14,13 +15,19 @@ from repro.core.epoch import (
 from repro.core.framework import ButterflyAnalysis, ButterflyEngine
 from repro.core.stream import EpochSource, PartitionSource
 from repro.errors import AnalysisError
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.lifeguards.addrcheck import AddrSummary, ButterflyAddrCheck
+from repro.lifeguards.racecheck import AccessSummary, ButterflyRaceCheck
+from repro.lifeguards.taintcheck import ButterflyTaintCheck, TaintSummary
 from repro.obs.recorder import Recorder, normalize_events
 from repro.trace.events import Instr
 from repro.trace.generator import ColumnarAllocSource, simulated_alloc_program
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import iter_load, save_stream_file
-from repro.verify.reference import ReferenceAddrScanner
+from repro.verify.reference import (
+    ReferenceAddrCheck,
+    ReferenceAddrScanner,
+    ReferenceSummary,
+)
 
 
 class RecordingAnalysis(ButterflyAnalysis):
@@ -153,7 +160,7 @@ class TestWindowBound:
         engine.run_source(PartitionSource(partition))
         assert engine.window_high_water == 3 * threads
         # Post-run bookkeeping is the tail window, not 500 epochs.
-        assert len(engine._summaries) <= 3 * threads
+        assert len(engine.analysis.summaries) <= 3 * threads
         assert engine._first_pass_errors == {}
         assert len(engine._window) <= 3 * threads
 
@@ -202,6 +209,51 @@ class TestWindowBound:
             engine.finish()
         assert 0 < len(guard.block_work) <= 3 * threads
         assert pickled[2000] <= 1.1 * pickled[200]
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize(
+        "guard_class, kind",
+        [(ButterflyAddrCheck, AddrSummary),
+         (ButterflyTaintCheck, TaintSummary),
+         (ButterflyRaceCheck, AccessSummary),
+         (ReferenceAddrCheck, ReferenceSummary)],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_live_summaries_stay_within_three_epochs(
+        self, guard_class, kind, backend
+    ):
+        # The bound the engine reports is the one that holds: counted
+        # as this run's summary objects alive anywhere in the process
+        # (not as one dict's length) at every epoch commit, no lifeguard
+        # keeps a fourth epoch.
+        threads = 4
+        prog, partition = alloc_case(threads=threads, events=1200)
+        peaks = []
+
+        def alive():
+            return sum(type(o) is kind for o in gc.get_objects())
+
+        gc.collect()
+        before = alive()
+
+        class Counting(guard_class):
+            def epoch_update(self, lid, summaries):
+                resident = alive() - before
+                if resident > 3 * threads:
+                    gc.collect()  # only what a cycle keeps is garbage
+                    resident = alive() - before
+                peaks.append(resident)
+                super().epoch_update(lid, summaries)
+
+        kwargs = (
+            {} if guard_class in (ButterflyTaintCheck, ButterflyRaceCheck)
+            else {"initially_allocated": prog.preallocated}
+        )
+        with ButterflyEngine(Counting(**kwargs), backend=backend) as engine:
+            engine.run_source(PartitionSource(partition))
+            assert engine.window_high_water == 3 * threads
+        assert len(peaks) == partition.num_epochs > 4
+        assert max(peaks) == 3 * threads
 
     def test_materialized_run_obeys_the_same_bound(self):
         partition = nop_partition(threads=2, per_thread=100, h=1)
@@ -303,12 +355,12 @@ class TestFeedBlocksContract:
         engine = ButterflyEngine(analysis)
         engine.attach_source(PartitionSource(partition))
         engine.feed_blocks(0, partition.epoch_blocks(0))
-        before_summaries = dict(engine._summaries)
+        before_summaries = dict(analysis.summaries)
         before_window = dict(engine._window)
         analysis.armed = True
         with pytest.raises(RuntimeError):
             engine.feed_blocks(1, partition.epoch_blocks(1))
-        assert engine._summaries == before_summaries
+        assert analysis.summaries == before_summaries
         assert engine._window == before_window
         assert engine._next_to_receive == 1
 
@@ -386,8 +438,7 @@ class TestStagedRows:
         engine.feed_blocks(0, partition.epoch_blocks(0))
         before = (
             engine.resume_position,
-            dict(engine._summaries),
-            dict(guard._summaries),
+            dict(guard.summaries),
             [(r.kind, r.location, r.ref) for r in guard.errors.reports],
             dict(guard.block_work),
         )
@@ -395,8 +446,7 @@ class TestStagedRows:
             engine.feed_blocks(1, partition.epoch_blocks(1))
         assert before == (
             engine.resume_position,
-            engine._summaries,
-            guard._summaries,
+            guard.summaries,
             [(r.kind, r.location, r.ref) for r in guard.errors.reports],
             guard.block_work,
         )
@@ -421,7 +471,11 @@ class TestStagedRows:
         reference = ButterflyAddrCheck()
         for lid in range(2):  # a direct caller: nothing staged
             for block in partition.epoch_blocks(lid):
-                reference.first_pass(block)
+                # ... and the window is the caller's to fill, as the
+                # engine fills it.
+                reference.summaries[block.block_id] = (
+                    reference.first_pass(block)
+                )
         assert [
             (r.kind, r.location, r.ref) for r in reference.errors.reports
         ] == [

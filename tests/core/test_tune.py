@@ -586,8 +586,8 @@ def test_fold_stage_matches_the_wrapper_it_replaced(
                 "next_to_receive", "next_to_process",
             ):
                 assert state[key] == ref_state[key], (where, key)
-            assert sorted(state["summaries"]) == sorted(
-                ref_state["summaries"]
+            assert sorted(state["analysis"].summaries) == sorted(
+                ref_state["analysis"].summaries
             ), where
             assert state["rows_folded"] == rider.rider["rows_folded"], where
             assert state["boundaries"] == rider.rider["boundaries"], where

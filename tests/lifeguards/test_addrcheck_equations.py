@@ -125,14 +125,14 @@ def _block_kills(facts, loc):
 
 def reference_lsos(guard, lid, tid):
     sos = guard.sos.get(lid)
-    head = guard._summaries.get((lid - 1, tid)) if lid >= 1 else None
+    head = guard.summaries.get((lid - 1, tid)) if lid >= 1 else None
     if head is None:
         return set(sos)
     lsos = set()
     for loc in head.facts.gen:
         sibling_killed = any(
             l == lid - 2 and t != tid and _block_kills(s.facts, loc)
-            for (l, t), s in guard._summaries.items()
+            for (l, t), s in guard.summaries.items()
         )
         if not sibling_killed:
             lsos.add(loc)
@@ -449,7 +449,7 @@ class TestFinalKillFallback:
                 key: AddrSummary(facts, {}, {}, 0)
                 for key, facts in epochs.items() if key[0] == lid
             }
-            guard._summaries.update(row)
+            guard.summaries.update(row)
             if lid < last:
                 guard.epoch_update(lid, row)
         return guard
@@ -497,5 +497,5 @@ class TestFinalKillFallback:
         })
         assert guard._compute_lsos(2, 0) == reference_lsos(guard, 2, 0) == set()
         # Thread 1's own kill does not poison its own later allocation.
-        guard._summaries[(1, 1)].facts.gen.add(9)
+        guard.summaries[(1, 1)].facts.gen.add(9)
         assert guard._compute_lsos(2, 1) == reference_lsos(guard, 2, 1) == {9}

@@ -110,7 +110,7 @@ class TestOnWorkloads:
         guard = ButterflyRaceCheck()
         ButterflyEngine(guard).run(partition_by_global_order(prog, 256))
         # Only the trailing window worth of summaries is retained.
-        assert len(guard._summaries) <= 3 * prog.num_threads
+        assert len(guard.summaries) <= 3 * prog.num_threads
 
 
 class MaskRaceCheck(ButterflyRaceCheck):
@@ -191,7 +191,7 @@ class TestSetIntersectionsAgainstTheMasks:
             if lid in (200, 2000):
                 size[lid] = len(pickle.dumps(guard))
         assert size[2000] <= 1.5 * size[200], size
-        assert len(guard._summaries) <= 3 * threads
+        assert len(guard.summaries) <= 3 * threads
 
 
 class TestNoInstrOnTheProductionPath:

@@ -36,9 +36,7 @@ class RestoredSummaries(ButterflyAddrCheck):
     through a pickle, as after a checkpoint resume."""
 
     def commit_scan(self, block, scan):
-        summary = pickle.loads(pickle.dumps(super().commit_scan(block, scan)))
-        self._summaries[block.block_id] = summary
-        return summary
+        return pickle.loads(pickle.dumps(super().commit_scan(block, scan)))
 
 
 def _forms(prealloc):
@@ -58,7 +56,7 @@ def _assert_forms_agree(partition, prealloc):
         outcomes[name] = (
             [r.identity() for r in guard.errors], guard.block_work
         )
-        resident = list(guard._summaries.values())
+        resident = list(guard.summaries.values())
         if name == "reference":
             assert all(
                 type(s) is ReferenceSummary

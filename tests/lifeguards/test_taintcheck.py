@@ -200,7 +200,7 @@ class TestLastCheckAndSOS:
             [Instr.taint(1), Instr.untaint(2), Instr.nop()]
         )
         guard = run_guard(prog, 3)
-        summary = guard._summaries[(0, 0)]
+        summary = guard.summaries[(0, 0)]
         assert summary.lastcheck[1] is BOT
         assert summary.lastcheck[2] is TOP
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.epoch import partition_fixed
 from repro.core.framework import ButterflyEngine
+from repro.core.state import SOSHistory
 from repro.lifeguards import taintcheck
 from repro.lifeguards.taintcheck import (
     BOT,
@@ -325,7 +326,7 @@ class TestOnDemandBuckets:
 
 def reference_check_body(guard, butterfly, side_in):
     lid, tid = butterfly.body.block_id
-    own = guard._summaries[lid, tid]
+    own = guard.summaries[lid, tid]
     tainted = guard._algorithm1(
         side_in, own, set(guard._compute_lsos(lid, tid))
     )
@@ -538,9 +539,12 @@ class TestTouchedUntouchedSplit:
 # the oracle.
 
 
-def reference_lsos(guard, lid, tid):
+def reference_lsos(guard, lid, tid, history=None):
+    """``history`` holds every epoch's summaries (the guard's window,
+    which lacks epoch ``lid - 2`` on an engine run, by default)."""
+    history = guard.summaries if history is None else history
     sos = guard.sos.get(lid)
-    head = guard._summaries.get((lid - 1, tid)) if lid >= 1 else None
+    head = history.get((lid - 1, tid)) if lid >= 1 else None
     if head is None:
         return set(sos)
     lsos = {loc for loc, v in head.lastcheck.items() if v is BOT}
@@ -549,7 +553,7 @@ def reference_lsos(guard, lid, tid):
             lsos.add(loc)
         elif any(
             l == lid - 2 and t != tid and s.lastcheck.get(loc) is BOT
-            for (l, t), s in guard._summaries.items()
+            for (l, t), s in history.items()
         ):
             lsos.add(loc)
     return lsos
@@ -558,13 +562,20 @@ def reference_lsos(guard, lid, tid):
 def checked(summary_rows, sos=None):
     """A guard holding hand-resolved ``{(lid, tid): {loc: verdict}}``
     LASTCHECK maps, with ``sos`` published for every epoch up to the
-    last one present."""
+    last one present.  The epochs an LSOS reads two back are committed
+    through ``epoch_update`` first, as an engine would, for their
+    index."""
     guard = ButterflyTaintCheck()
     for block_id, lastcheck in summary_rows.items():
         s = TaintSummary(block_id=block_id)
         s.lastcheck.update(lastcheck)
-        guard._summaries[block_id] = s
+        guard.summaries[block_id] = s
     last = max(lid for lid, _ in summary_rows)
+    for lid in range(last - 1):
+        guard.epoch_update(lid, {
+            key: s for key, s in guard.summaries.items() if key[0] == lid
+        })
+    guard.sos = SOSHistory()
     for lid in range(last - 1):
         guard.sos.publish(lid, set(sos or ()), set())
     return guard
@@ -627,13 +638,22 @@ class TestTaintLSOSAlgebra:
             lsos_checked = 0
             sos_changed = 0
 
+            def __init__(self):
+                super().__init__()
+                #: Every committed epoch's summaries: the window has
+                #: retired epoch l-2 when epoch l's LSOS reads it.
+                self.history = {}
+
             def _compute_lsos(self, lid, tid):
                 lsos = super()._compute_lsos(lid, tid)
-                assert lsos == reference_lsos(self, lid, tid), (lid, tid)
+                assert lsos == reference_lsos(
+                    self, lid, tid, self.history
+                ), (lid, tid)
                 Checked.lsos_checked += 1
                 return lsos
 
             def epoch_update(self, lid, summaries):
+                self.history.update(summaries)
                 # SOS_{l+2} one element of SOS_{l+1} at a time, through
                 # the KILL predicate.
                 # (a copy: publishing rewrites the view's base in place)

@@ -2,6 +2,7 @@
 
 import copyreg
 import errno
+import gc
 import os
 import pickle
 import random
@@ -250,9 +251,10 @@ class TestStreamedResume:
         # The state layout changed with version 2 (engine-owned
         # snapshot_state), version 3 (the SOS history as one live set
         # plus deltas), version 4 (summaries pickle their footprint
-        # arrays) and version 5 (TaintCheck summaries pickle rule
-        # columns); a file from any previous writer is refused up front
-        # instead of being half-understood.
+        # arrays), version 5 (TaintCheck summaries pickle rule columns)
+        # and version 6 (the analysis carries the one summary window);
+        # a file from any previous writer is refused up front instead of
+        # being half-understood.
         from repro.core.stream import PartitionSource
 
         part = partition_by_global_order(_program(), 8)
@@ -262,7 +264,7 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        for older in (1, 2, 3, 4):
+        for older in (1, 2, 3, 4, 5):
             stamp_version(path, older)
             with pytest.raises(
                 CheckpointError,
@@ -406,15 +408,15 @@ def _engine_at_epoch(epochs=3):
 class TestTwoHalfSave:
     def test_file_is_one_pickle_of_the_record(self, tmp_path):
         """Pickling straight into the temp file changed nothing on
-        disk: version 5, the same bytes as one ``pickle.dumps``."""
+        disk: version 6, the same bytes as one ``pickle.dumps``."""
         engine = _engine_at_epoch()
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, engine, META)
-        assert checkpoint.VERSION == 5
+        assert checkpoint.VERSION == 6
         expected = pickle.dumps(
             {
                 "format": "repro-checkpoint",
-                "version": 5,
+                "version": 6,
                 "meta": META,
                 "engine": engine.snapshot_state(),
             },
@@ -699,6 +701,27 @@ class TestCheckpointSize:
         assert cp.sizes[2] > heap_bytes
         assert cp.sizes[-1] - cp.sizes[2] < heap_bytes // 20
 
+    def test_a_midstream_snapshot_holds_only_the_engines_window(
+        self, tmp_path
+    ):
+        """A checkpoint after epoch ``l`` carries the summaries of the
+        epochs the engine still holds (``l`` and ``l+1``, beside their
+        blocks) and no other: the retired epoch ``l-1`` is nowhere in
+        the file, on the analysis or off it."""
+        path = str(tmp_path / "run.ckpt")
+        _streamed(_alloc_source(), path, stop_after=3)
+
+        def alive():
+            return sum(type(o) is AddrSummary for o in gc.get_objects())
+
+        before = alive()
+        ck = load_checkpoint(path)
+        loaded = alive() - before
+        assert ck.next_epoch == 3
+        held = {key[0] for key in ck.state["window"]}
+        assert {key[0] for key in ck.analysis.summaries} == held == {1, 2}
+        assert loaded == len(ck.analysis.summaries) == 2 * 3
+
 
 class _FlakyAddrCheck(ButterflyAddrCheck):
     """AddrCheck whose second pass raises on demand -- after the engine
@@ -911,14 +934,14 @@ class TestSummaryPickles:
         reference = _streamed(_alloc_source())
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
-        assert checkpoint.VERSION == 5
+        assert checkpoint.VERSION == 6
         ck, resumed = _resumed(_alloc_source(), path)
         assert ck.next_epoch == 3
         assert resumed == reference
         assert len(reference[1]) > 0
         assert all(
             type(s.first_access) is SortedFirstAccess
-            for s in load_checkpoint(path).analysis._summaries.values()
+            for s in load_checkpoint(path).analysis.summaries.values()
         )
 
     def test_facts_with_the_mask_fields_still_resume(self, tmp_path):
@@ -929,7 +952,7 @@ class TestSummaryPickles:
         )
         with open(path, "rb") as fh:
             assert b"killed_mask" in fh.read()
-        assert checkpoint.VERSION == 5
+        assert checkpoint.VERSION == 6
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
         # A checkpoint this build writes does not carry them.
@@ -964,7 +987,7 @@ def _taint_run(source, path=None, stop_after=None, checkpoint=None):
     engine.finish()
     lastchecks = sorted(
         (key, sorted(s.lastcheck.items(), key=lambda kv: kv[0]))
-        for key, s in guard._summaries.items()
+        for key, s in guard.summaries.items()
     )
     return _fingerprint(guard, engine.stats), repr(lastchecks)
 
@@ -985,15 +1008,15 @@ class TestTaintSummaryPickles:
 
     def test_a_checkpoint_pickles_shared_columns_once(self, tmp_path):
         engine = _taint_run(_taint_source(), stop_after=3)
-        summaries = list(engine.analysis._summaries.values())
+        summaries = list(engine.analysis.summaries.values())
         by_row = {}
         for s in summaries:
             by_row.setdefault(s.block_id[0], set()).add(id(s.offsets))
         assert all(len(ids) == 1 for ids in by_row.values())
         path = str(tmp_path / "taint.ckpt")
         save_checkpoint(path, engine, META)
-        restored = load_checkpoint(path).analysis._summaries
-        for key, s in engine.analysis._summaries.items():
+        restored = load_checkpoint(path).analysis.summaries
+        for key, s in engine.analysis.summaries.items():
             back = restored[key]
             assert back.offsets is restored[(key[0], 0)].offsets
             assert back.written == s.written
@@ -1010,7 +1033,7 @@ class TestTaintSummaryPickles:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 4" in message
-        assert "this build reads version 5" in message
+        assert "this build reads version 6" in message
 
 
 class TestVerify:
@@ -1069,7 +1092,7 @@ class TestLoadFailures:
         with pytest.raises(
             CheckpointError,
             match=r"unsupported checkpoint version 3 \(this build reads "
-            r"version 5\)",
+            r"version 6\)",
         ):
             load_checkpoint(path)
         future = tmp_path / "future.ckpt"

@@ -147,6 +147,17 @@ class TestResumeAcrossRestart:
         assert "unsupported checkpoint version 4" in answer["error"]
 
     @pytest.mark.parametrize("shard_backend", ["thread", "process"])
+    def test_version_5_checkpoint_refuses_the_reconnect(
+        self, tmp_path, shard_backend
+    ):
+        answer = self._reconnect_to_a_spoiled_checkpoint(
+            tmp_path, shard_backend, lambda path: stamp_version(path, 5)
+        )
+        assert answer["code"] == "token"
+        assert "unsupported checkpoint version 5" in answer["error"]
+        assert "\n" not in answer["error"]
+
+    @pytest.mark.parametrize("shard_backend", ["thread", "process"])
     def test_damaged_checkpoint_refuses_the_reconnect(
         self, tmp_path, shard_backend
     ):

@@ -34,7 +34,7 @@ TREE = {
     """,
     "src/repro/cli.py": """
         import repro
-        from repro.lib import Dispatcher, Klass, reached
+        from repro.lib import READ_BY_CLI, Dispatcher, Klass, reached
 
 
         def main():
@@ -43,7 +43,7 @@ TREE = {
             klass = Klass(by_keyword=True)
             klass.by_attribute()
             getattr(klass, "by_string")
-            return Dispatcher().run("one"), repro.__version__
+            return Dispatcher().run("one"), repro.__version__, READ_BY_CLI
 
 
         if __name__ == "__main__":
@@ -52,9 +52,16 @@ TREE = {
     "src/repro/lib.py": """
         from repro.helpers import helper
 
+        READ_BY_CLI = 1
+        _READ_BY_A_REACHED_DEF = 2
+        UNREAD = 3
+        _ONLY_AN_UNREAD_CONSTANT_READS = 4
+        _UNREAD_TOO = _ONLY_AN_UNREAD_CONSTANT_READS + 1
+        __dunder__ = 5
+
 
         def reached():
-            return helper()
+            return helper(), _READ_BY_A_REACHED_DEF
 
 
         def test_only():
@@ -201,11 +208,24 @@ class TestRules:
             "reexported_only", "listed_in_all_only", "only_in_a_docstring"
         } <= names
 
+    def test_a_module_constant_nothing_else_reads_is_listed(
+        self, reachability, tree
+    ):
+        names = listed(reachability, tree)
+        assert not {"READ_BY_CLI", "_READ_BY_A_REACHED_DEF"} & names
+        # What only an unread constant reads is unread too; dunders are
+        # the interpreter's.
+        assert {
+            "UNREAD", "_UNREAD_TOO", "_ONLY_AN_UNREAD_CONSTANT_READS"
+        } <= names
+        assert "__dunder__" not in names
+
     def test_exactly_these_are_listed(self, reachability, tree):
         assert listed(reachability, tree) == {
             "test_only", "reexported_only", "listed_in_all_only",
             "only_in_a_docstring", "Klass.unnamed", "Dispatcher._other",
-            "Unreached",
+            "Unreached", "UNREAD", "_UNREAD_TOO",
+            "_ONLY_AN_UNREAD_CONSTANT_READS",
         }
 
 
