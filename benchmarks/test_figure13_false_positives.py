@@ -29,8 +29,8 @@ def test_zero_false_negatives_everywhere(suite, benchmark):
     for bench in BENCHMARKS:
         for threads in suite.config.thread_counts:
             for h in (EPOCH_SMALL, EPOCH_LARGE):
-                record = suite.run(bench, threads, h)
-                assert record.precision.false_negatives == 0, (
+                point = suite.point(bench, threads, h)
+                assert point.precision.false_negatives == 0, (
                     bench, threads, h
                 )
 

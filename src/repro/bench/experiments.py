@@ -6,7 +6,7 @@ render itself as text in the paper's presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.bench.harness import EPOCH_LARGE, EPOCH_SMALL, ExperimentSuite
@@ -94,11 +94,13 @@ def figure11(suite: ExperimentSuite) -> Figure11:
     for bench in BENCHMARKS:
         data[bench] = {}
         for threads in suite.config.thread_counts:
-            record = suite.run(bench, threads, EPOCH_LARGE)
-            data[bench][threads] = (
-                record.timesliced_norm,
-                record.butterfly_norm,
-                record.parallel_norm,
+            data[bench][threads] = tuple(
+                suite.normalized(bench, threads, result)
+                for result in (
+                    suite.timesliced(bench, threads),
+                    suite.point(bench, threads, EPOCH_LARGE).butterfly,
+                    suite.parallel(bench, threads),
+                )
             )
     return Figure11(data=data)
 
@@ -147,11 +149,11 @@ def figure12(suite: ExperimentSuite) -> Figure12:
     for bench in BENCHMARKS:
         data[bench] = {}
         for threads in suite.config.thread_counts:
-            small = suite.run(bench, threads, EPOCH_SMALL)
-            large = suite.run(bench, threads, EPOCH_LARGE)
-            data[bench][threads] = (
-                small.butterfly_norm,
-                large.butterfly_norm,
+            data[bench][threads] = tuple(
+                suite.normalized(
+                    bench, threads, suite.point(bench, threads, h).butterfly
+                )
+                for h in (EPOCH_SMALL, EPOCH_LARGE)
             )
     return Figure12(data=data)
 
@@ -191,10 +193,8 @@ def figure13(suite: ExperimentSuite) -> Figure13:
     for bench in BENCHMARKS:
         data[bench] = {}
         for threads in suite.config.thread_counts:
-            small = suite.run(bench, threads, EPOCH_SMALL)
-            large = suite.run(bench, threads, EPOCH_LARGE)
-            data[bench][threads] = (
-                small.precision.false_positive_rate,
-                large.precision.false_positive_rate,
+            data[bench][threads] = tuple(
+                suite.point(bench, threads, h).fp_rate
+                for h in (EPOCH_SMALL, EPOCH_LARGE)
             )
     return Figure13(data=data)

@@ -7,18 +7,36 @@ epochs-per-run and gap-vs-window ratios that drive both performance
 amortization and false-positive behaviour.
 
 What the epoch size does to one trace is measured in one place,
-:func:`measure_epoch_size`: ``repro sweep``, Figures 12-13
-(:meth:`ExperimentSuite.run`) and ``examples/epoch_size_tuning.py``
+:func:`measure_epoch_size`: ``repro sweep``, Figures 11-13
+(:meth:`ExperimentSuite.point`) and ``examples/epoch_size_tuning.py``
 read its :class:`TunePoint`; :func:`fit_tradeoff` fits a sweep of them
-(``docs/tuning.md``).
+(``docs/tuning.md``).  Simulated cycles are computed when something
+reads them: a point prices its run on first read of
+:attr:`TunePoint.butterfly`, and the suite builds each baseline on
+first request, so Figure 13 -- precision only -- simulates nothing.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.core.epoch import BlockId, EpochPartition, partition_auto
+from repro.core.framework import ButterflyEngine
+from repro.core.stream import PartitionSource
+from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.lifeguards.reports import (
     ErrorReport,
     PrecisionReport,
@@ -52,36 +70,6 @@ class ExperimentConfig:
     seed: int = 1
 
 
-@dataclass
-class RunRecord:
-    """Everything measured for one (benchmark, threads, h)."""
-
-    benchmark: str
-    threads: int
-    epoch_size: int
-    seq_unmonitored: SimResult
-    par_unmonitored: SimResult
-    timesliced: SimResult
-    butterfly: SimResult
-    precision: PrecisionReport
-
-    def normalized(self, result: SimResult) -> float:
-        """Execution time normalized to sequential unmonitored."""
-        return result.cycles / self.seq_unmonitored.cycles
-
-    @property
-    def timesliced_norm(self) -> float:
-        return self.normalized(self.timesliced)
-
-    @property
-    def butterfly_norm(self) -> float:
-        return self.normalized(self.butterfly)
-
-    @property
-    def parallel_norm(self) -> float:
-        return self.normalized(self.par_unmonitored)
-
-
 class Oracle:
     """Ground truth for one trace: sequential AddrCheck replayed over
     the recorded order.  It does not depend on the epoch size, so one
@@ -100,18 +88,28 @@ class Oracle:
 @dataclass
 class TunePoint:
     """Everything measured for one (trace, epoch size) point: the one
-    row ``repro sweep``, Figures 12-13 and the tradeoff fit read."""
+    row ``repro sweep``, Figures 11-13 and the tradeoff fit read."""
 
     epoch_size: int
     epochs: int
     events: int
-    #: Simulated time (deterministic): Figure 12's quantity.
-    butterfly: SimResult
     #: Flags against the oracle (deterministic): Figure 13's quantity.
     precision: PrecisionReport
     #: Host wall clock: each epoch's feed, and the whole run.
     epoch_seconds: List[float]
     wall_seconds: float
+    #: How the run cut the trace, and the lifeguard's work counters for
+    #: every block: what :attr:`butterfly` is priced from.
+    partition: EpochPartition
+    block_work: Dict[BlockId, Dict[str, int]]
+
+    @cached_property
+    def butterfly(self) -> SimResult:
+        """Simulated time (deterministic): Figures 11-12's quantity,
+        priced by the cycle model on first read."""
+        return LBASystem().butterfly(
+            self.partition, self.block_work, self.precision.flagged
+        )
 
     @property
     def fp_rate(self) -> float:
@@ -151,18 +149,43 @@ def measure_epoch_size(
 ) -> TunePoint:
     """Run butterfly AddrCheck over ``program`` at one epoch size and
     score it against ``oracle`` -- the single way this repo measures
-    what the paper's knob does at one setting."""
-    run = LBASystem().butterfly(
-        program, epoch_size, backend=backend, recorder=recorder
-    )
+    what the paper's knob does at one setting.
+
+    The engine runs on the given execution backend (results are
+    backend-independent) and is fed one epoch row at a time, so its
+    resident state is the three-epoch window however long the trace --
+    the lifeguard's work ledger included, so each epoch's rows are
+    copied out here before the window moves past them.  ``recorder``
+    threads an observability recorder through to the engine.
+    """
+    # Heartbeats fire in execution time (paper footnote 4), so cut by
+    # the recorded global order when one exists.
+    partition = partition_auto(program, epoch_size)
+    guard = ButterflyAddrCheck(initially_allocated=program.preallocated)
+    source = PartitionSource(partition)
+    block_work: Dict[BlockId, Dict[str, int]] = {}
+    epoch_seconds = []
+    started = time.perf_counter()
+    with ButterflyEngine(guard, backend=backend, recorder=recorder) as engine:
+        engine.attach_source(source)
+        for lid, blocks in enumerate(source.epochs()):
+            fed = time.perf_counter()
+            engine.feed_blocks(lid, blocks)
+            epoch_seconds.append(time.perf_counter() - fed)
+            # The guard keeps a committed epoch's (final) rows for one
+            # more feed; rows copied early are copied again.
+            block_work.update(guard.block_work)
+        engine.finish()
+        block_work.update(guard.block_work)
     return TunePoint(
         epoch_size=epoch_size,
-        epochs=run.partition.num_epochs,
+        epochs=partition.num_epochs,
         events=program.total_instructions,
-        butterfly=run.result,
-        precision=oracle.score(run.guard.errors),
-        epoch_seconds=run.epoch_seconds,
-        wall_seconds=run.wall_seconds,
+        precision=oracle.score(guard.errors),
+        epoch_seconds=epoch_seconds,
+        wall_seconds=time.perf_counter() - started,
+        partition=partition,
+        block_work=block_work,
     )
 
 
@@ -244,61 +267,71 @@ def fit_tradeoff(points: Sequence[TunePoint]) -> TradeoffCurve:
 
 
 class ExperimentSuite:
-    """Caches traces and per-configuration runs across figures."""
+    """Memoises each quantity the figures read, separately, so a figure
+    computes only what it prints: traces, their oracles, the three
+    epoch-size independent baselines (shared across Figure 12's h
+    sweep) and one :class:`TunePoint` per (benchmark, threads, h)."""
 
     def __init__(self, config: Optional[ExperimentConfig] = None) -> None:
         self.config = config or ExperimentConfig()
-        self._programs: Dict[Tuple[str, int], TraceProgram] = {}
-        self._baselines: Dict[Tuple[str, int], Tuple[SimResult, SimResult, SimResult, Oracle]] = {}
-        self._runs: Dict[Tuple[str, int, int], RunRecord] = {}
+        self._memo: Dict[Tuple[Any, ...], Any] = {}
 
-    # -- building blocks --------------------------------------------------
+    def _cached(self, key: Tuple[Any, ...], build: Callable[[], Any]) -> Any:
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def program(self, benchmark: str, threads: int) -> TraceProgram:
-        key = (benchmark, threads)
-        if key not in self._programs:
-            gen = get_benchmark(benchmark)
-            self._programs[key] = gen.generate(
+        return self._cached(
+            ("program", benchmark, threads),
+            lambda: get_benchmark(benchmark).generate(
                 threads, self.config.events_per_thread, seed=self.config.seed
-            )
-        return self._programs[key]
-
-    def baselines(
-        self, benchmark: str, threads: int
-    ) -> Tuple[SimResult, SimResult, SimResult, Oracle]:
-        """(sequential unmonitored, parallel unmonitored, timesliced,
-        oracle) -- epoch-size independent, shared across Figure 12's h
-        sweep."""
-        key = (benchmark, threads)
-        if key not in self._baselines:
-            program = self.program(benchmark, threads)
-            system = LBASystem()
-            self._baselines[key] = (
-                system.unmonitored_sequential(program),
-                system.unmonitored_parallel(program),
-                system.timesliced(program),
-                Oracle(program),
-            )
-        return self._baselines[key]
-
-    # -- full runs -----------------------------------------------------------
-
-    def run(self, benchmark: str, threads: int, epoch_size: int) -> RunRecord:
-        key = (benchmark, threads, epoch_size)
-        if key in self._runs:
-            return self._runs[key]
-        program = self.program(benchmark, threads)
-        seq_res, par_res, ts_res, oracle = self.baselines(benchmark, threads)
-        point = measure_epoch_size(program, epoch_size, oracle)
-        record = RunRecord(
-            benchmark=benchmark,
-            threads=threads,
-            epoch_size=epoch_size,
-            seq_unmonitored=seq_res,
-            par_unmonitored=par_res,
-            timesliced=ts_res,
-            butterfly=point.butterfly,
-            precision=point.precision,
+            ),
         )
-        self._runs[key] = record
-        return record
+
+    def oracle(self, benchmark: str, threads: int) -> Oracle:
+        return self._cached(
+            ("oracle", benchmark, threads),
+            lambda: Oracle(self.program(benchmark, threads)),
+        )
+
+    def sequential(self, benchmark: str, threads: int) -> SimResult:
+        """Sequential unmonitored: the normalizer."""
+        return self._cached(
+            ("sequential", benchmark, threads),
+            lambda: LBASystem().unmonitored_sequential(
+                self.program(benchmark, threads)
+            ),
+        )
+
+    def parallel(self, benchmark: str, threads: int) -> SimResult:
+        return self._cached(
+            ("parallel", benchmark, threads),
+            lambda: LBASystem().unmonitored_parallel(
+                self.program(benchmark, threads)
+            ),
+        )
+
+    def timesliced(self, benchmark: str, threads: int) -> SimResult:
+        return self._cached(
+            ("timesliced", benchmark, threads),
+            lambda: LBASystem().timesliced(self.program(benchmark, threads)),
+        )
+
+    def point(
+        self, benchmark: str, threads: int, epoch_size: int
+    ) -> TunePoint:
+        return self._cached(
+            ("point", benchmark, threads, epoch_size),
+            lambda: measure_epoch_size(
+                self.program(benchmark, threads),
+                epoch_size,
+                self.oracle(benchmark, threads),
+            ),
+        )
+
+    def normalized(
+        self, benchmark: str, threads: int, result: SimResult
+    ) -> float:
+        """Execution time normalized to sequential unmonitored."""
+        return result.cycles / self.sequential(benchmark, threads).cycles

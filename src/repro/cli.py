@@ -116,7 +116,10 @@ def _finish_events(recorder: Recorder, args: argparse.Namespace) -> None:
     """Close the event sink and confirm where the log went."""
     if getattr(args, "emit_events", None):
         recorder.close()
-        print(f"wrote {len(recorder.events)} events to {args.emit_events}")
+        print(
+            f"wrote {len(recorder.events)} events to {args.emit_events}",
+            file=sys.stderr,
+        )
 
 
 def _resolve_backend(args: argparse.Namespace) -> ExecutionBackend:
@@ -219,7 +222,7 @@ def _drive_engine(
                         "; resume with: repro resume "
                         f"--checkpoint {checkpoint_path}"
                     )
-                print(message)
+                print(message, file=sys.stderr)
                 return False
     finally:
         close = getattr(rows, "close", None)
@@ -583,7 +586,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     fh.write(json.dumps(record, sort_keys=True) + "\n")
         except OSError as exc:
             return _fail("sweep", f"cannot write {args.output}: {exc}")
-        print(f"wrote {args.output}")
+        print(f"wrote {args.output}", file=sys.stderr)
     _finish_events(recorder, args)
     return 0
 
@@ -808,7 +811,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             recorder.dump_snapshot(args.summary_json)
         except OSError as exc:
             return _fail("stats", f"cannot write {args.summary_json}: {exc}")
-        print(f"wrote metrics summary to {args.summary_json}")
+        print(f"wrote metrics summary to {args.summary_json}", file=sys.stderr)
     _finish_events(recorder, args)
     return 0
 

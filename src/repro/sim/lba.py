@@ -15,24 +15,20 @@ monitored application stalls on a full log buffer and measured time
 equals lifeguard processing time (Section 7.1); :func:`coupled_time`
 encodes that.  Lifeguard work is charged from the cost model
 :data:`~repro.sim.config.COSTS` using counters measured while
-*actually running* the butterfly AddrCheck over the trace -- the
-analysis itself is executed faithfully, only the hardware is modeled.
+*actually running* the butterfly AddrCheck over the trace
+(:func:`repro.bench.harness.measure_epoch_size`) -- the analysis itself
+is executed faithfully, only the hardware is modeled.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.core.epoch import EpochPartition, partition_auto
-from repro.core.framework import ButterflyEngine, EngineStats
-from repro.core.stream import PartitionSource
-from repro.lifeguards.addrcheck import ButterflyAddrCheck
+from repro.core.epoch import BlockId, EpochPartition
 from repro.lifeguards.sequential import SequentialAddrCheck
-from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.accelerators import IdempotentFilter, MetadataTLB
 from repro.sim.cmp import LOCATION_STRIDE, run_parallel, run_serialized
 from repro.sim.config import COSTS, MachineConfig
@@ -51,24 +47,6 @@ class SimResult:
     app_cycles: int
     lifeguard_cycles: int
     extras: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class ButterflyRun:
-    """A butterfly-monitored execution: timing plus the live lifeguard
-    (whose error log feeds the Figure 13 accounting)."""
-
-    result: SimResult
-    guard: ButterflyAddrCheck
-    partition: EpochPartition
-    engine_stats: EngineStats
-    #: The lifeguard's per-block work counters the timing was priced
-    #: from (the guard itself keeps only the window's rows on a stream).
-    block_work: Dict[Tuple[int, int], Dict[str, int]]
-    #: Wall seconds each epoch's feed took, and the whole run's
-    #: (attach to finish): host measurements, unlike ``result``.
-    epoch_seconds: List[float]
-    wall_seconds: float
 
 
 #: Cycles per summary set operation of the meet and the isolation check.
@@ -176,50 +154,22 @@ class LBASystem:
 
     def butterfly(
         self,
-        program: TraceProgram,
-        epoch_size: int,
-        backend: str = "serial",
-        recorder: Recorder = NULL_RECORDER,
-    ) -> ButterflyRun:
+        partition: EpochPartition,
+        block_work: Dict[BlockId, Dict[str, int]],
+        flags: int,
+    ) -> SimResult:
         """Parallel, Monitoring: butterfly AddrCheck on 2k cores.
 
-        Runs the real lifeguard over the partitioned trace (on the given
-        execution backend; results are backend-independent), then prices
-        its measured work with the cost model.  ``recorder`` threads an
-        observability recorder through to the engine (default: off).
-        The engine is fed one epoch row at a time
-        (:class:`~repro.core.stream.PartitionSource`), so its resident
-        state is the three-epoch window however long the trace -- the
-        lifeguard's work ledger included, so each epoch's rows are
-        copied out here before the window moves past them.
+        Prices one real lifeguard run with the cost model: the
+        ``partition`` it cut the trace into, its per-block work
+        counters ``block_work`` (``ButterflyAddrCheck.block_work`` for
+        every block) and the number of errors it ``flags``.
         """
+        program = partition.program
         config = MachineConfig.for_app_threads(program.num_threads)
         costs = COSTS
-        # Heartbeats fire in execution time (paper footnote 4), so cut
-        # by the recorded global order when one exists.
-        partition = partition_auto(program, epoch_size)
-        guard = ButterflyAddrCheck(initially_allocated=program.preallocated)
-        source = PartitionSource(partition)
-        block_work: Dict[Tuple[int, int], Dict[str, int]] = {}
-        epoch_seconds = []
-        started = time.perf_counter()
-        with ButterflyEngine(
-            guard, backend=backend, recorder=recorder
-        ) as engine:
-            engine.attach_source(source)
-            for lid, blocks in enumerate(source.epochs()):
-                fed = time.perf_counter()
-                engine.feed_blocks(lid, blocks)
-                epoch_seconds.append(time.perf_counter() - fed)
-                # The guard keeps a committed epoch's (final) rows for
-                # one more feed; rows copied early are copied again.
-                block_work.update(guard.block_work)
-            engine.finish()
-            block_work.update(guard.block_work)
-        wall_seconds = time.perf_counter() - started
-
         app = run_parallel(program, config)
-        mtlb_cycles = self._mtlb_cycles_by_thread(program, partition)
+        mtlb_cycles = self._mtlb_cycles_by_thread(partition)
 
         # Average metadata-TLB cost per check, per lifeguard thread.
         total_checks = {
@@ -265,34 +215,29 @@ class LBASystem:
                 second_max = max(second_max, second)
             lifeguard_cycles += first_max + second_max + barrier
 
-        result = SimResult(
+        return SimResult(
             label="parallel-monitoring",
             cycles=coupled_time(app.cycles, lifeguard_cycles),
             app_cycles=app.cycles,
             lifeguard_cycles=lifeguard_cycles,
             extras={
                 "epochs": partition.num_epochs,
-                "flags": float(len(guard.errors)),
+                "flags": float(flags),
                 "barrier_cycles": partition.num_epochs * barrier,
             },
-        )
-        return ButterflyRun(
-            result=result, guard=guard, partition=partition,
-            engine_stats=engine.stats, block_work=block_work,
-            epoch_seconds=epoch_seconds, wall_seconds=wall_seconds,
         )
 
     # -- helpers --------------------------------------------------------------
 
     def _mtlb_cycles_by_thread(
-        self, program: TraceProgram, partition: EpochPartition
+        self, partition: EpochPartition
     ) -> Dict[int, int]:
         """Per-lifeguard-thread metadata-TLB cost over its thread's
         checked locations (filter-aligned: duplicates within a block --
         up to the partition's next cut -- are skipped as the lifeguard
         skips them)."""
         out: Dict[int, int] = {}
-        for tid, trace in enumerate(program.threads):
+        for tid, trace in enumerate(partition.program.threads):
             mtlb = MetadataTLB(page_size=MTLB_PAGE_SIZE)
             cuts = set(partition.boundaries[tid])
             seen: set = set()

@@ -174,12 +174,6 @@ class Instr:
             locs.append(self.dst)
         return tuple(locs)
 
-    @property
-    def is_memory_op(self) -> bool:
-        """True when the event counts as a memory access for Figure 13's
-        denominator (false positives per memory access)."""
-        return bool(self.accessed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.value]
         if self.dst is not None:

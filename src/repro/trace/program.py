@@ -15,7 +15,13 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarBlock
+from repro.core.columnar import (
+    OP_ASSIGN,
+    OP_JUMP,
+    OP_READ,
+    OP_WRITE,
+    ColumnarBlock,
+)
 from repro.errors import TraceError
 from repro.trace.events import Instr
 
@@ -73,6 +79,10 @@ class ThreadTrace:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ThreadTrace) and self.columns == other.columns
+
+
+#: Op codes of the events that dereference memory (``_ACCESSING_OPS``).
+_MEMORY_OPS = (OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP)
 
 
 #: A global-order entry: (thread id, index within that thread's trace).
@@ -152,9 +162,11 @@ class TraceProgram:
 
     @property
     def memory_op_count(self) -> int:
-        """Number of memory-accessing events (Figure 13's denominator)."""
+        """Number of memory-accessing events (Figure 13's denominator):
+        the events whose ``Instr.accessed`` is never empty."""
         return sum(
-            1 for trace in self.threads for instr in trace if instr.is_memory_op
+            int(np.count_nonzero(np.isin(trace.columns.op, _MEMORY_OPS)))
+            for trace in self.threads
         )
 
     def instr_at(self, ref: GlobalRef) -> Instr:

@@ -230,7 +230,7 @@ class TestEmitEvents:
                 "--emit-events", str(path),
             ]
         ) == 0
-        assert f"events to {path}" in capsys.readouterr().out
+        assert f"events to {path}" in capsys.readouterr().err
         events = read_events(str(path))
         names = {ev["ev"] for ev in events}
         assert {"run.attach", "pass.first", "pass.second",

@@ -71,8 +71,9 @@ class TestResume:
             + ["--checkpoint", ck, "--stop-after-epoch", "4"]
             + list(extra)
         ) == 0
-        stopped = capsys.readouterr().out
-        assert "stopped after receiving epoch 4" in stopped
+        stopped = capsys.readouterr()
+        assert "stopped after receiving epoch 4" in stopped.err
+        assert stopped.out == ""
         assert main(["resume", "--checkpoint", ck]) == 0
         return full, capsys.readouterr().out
 
@@ -444,7 +445,7 @@ class TestStatsSummaryJson:
             "--events", "2000", "--epoch-size", "256",
             "--summary-json", str(out),
         ]) == 0
-        assert f"wrote metrics summary to {out}" in capsys.readouterr().out
+        assert f"wrote metrics summary to {out}" in capsys.readouterr().err
         snap = json.loads(out.read_text())
         assert set(snap) == {"counters", "gauges", "spans"}
         assert "pass.first" in snap["spans"]

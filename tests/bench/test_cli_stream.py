@@ -297,7 +297,7 @@ class TestStreamResume:
             "check", "--trace", trace,
             "--checkpoint", ck, "--stop-after-epoch", "4",
         ]) == 0
-        assert "stopped after receiving epoch 4" in capsys.readouterr().out
+        assert "stopped after receiving epoch 4" in capsys.readouterr().err
         assert main(["resume", "--checkpoint", ck]) == 0
         assert capsys.readouterr().out == full
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.experiments import figure13
 from repro.bench.harness import (
     EPOCH_LARGE,
     EPOCH_SMALL,
@@ -10,6 +11,10 @@ from repro.bench.harness import (
     ExperimentConfig,
     ExperimentSuite,
 )
+from repro.sim.accelerators import MetadataTLB
+from repro.sim.cmp import Core
+from repro.sim.lba import LBASystem
+from repro.workloads.registry import BENCHMARKS
 
 
 @pytest.fixture(scope="module")
@@ -31,27 +36,51 @@ class TestSuite:
         b = small_suite.program("LU", 2)
         assert a is b
 
-    def test_baselines_shared_across_epoch_sizes(self, small_suite):
-        r1 = small_suite.run("LU", 2, 128)
-        r2 = small_suite.run("LU", 2, 1024)
-        assert r1.seq_unmonitored is r2.seq_unmonitored
-        assert r1.timesliced is r2.timesliced
+    def test_baselines_shared_across_epoch_sizes(self, monkeypatch):
+        suite = ExperimentSuite(
+            ExperimentConfig(events_per_thread=1500, thread_counts=(2,))
+        )
+        built = []
+        for name in ("unmonitored_sequential", "unmonitored_parallel",
+                     "timesliced"):
+            def counted(system, program, _real=getattr(LBASystem, name),
+                        _name=name):
+                built.append(_name)
+                return _real(system, program)
+            monkeypatch.setattr(LBASystem, name, counted)
+        for h in (128, 1024):
+            point = suite.point("LU", 2, h)
+            suite.normalized("LU", 2, point.butterfly)
+            suite.normalized("LU", 2, suite.parallel("LU", 2))
+            suite.normalized("LU", 2, suite.timesliced("LU", 2))
+        assert sorted(built) == [
+            "timesliced", "unmonitored_parallel", "unmonitored_sequential",
+        ]
+        # Both sizes cut the one trace and score against the one oracle.
+        small, large = suite.point("LU", 2, 128), suite.point("LU", 2, 1024)
+        assert small.partition.program is large.partition.program
+        assert suite.oracle("LU", 2) is suite.oracle("LU", 2)
 
     def test_run_cached(self, small_suite):
-        a = small_suite.run("LU", 2, 128)
-        b = small_suite.run("LU", 2, 128)
+        a = small_suite.point("LU", 2, 128)
+        b = small_suite.point("LU", 2, 128)
         assert a is b
+        # Priced once, on first read.
+        assert a.butterfly is b.butterfly
 
     def test_record_normalization(self, small_suite):
-        record = small_suite.run("LU", 2, 128)
-        assert record.normalized(record.seq_unmonitored) == pytest.approx(1.0)
-        assert record.butterfly_norm > 0
-        assert record.parallel_norm < 1.0
+        seq = small_suite.sequential("LU", 2)
+        point = small_suite.point("LU", 2, 128)
+        assert small_suite.normalized("LU", 2, seq) == pytest.approx(1.0)
+        assert small_suite.normalized("LU", 2, point.butterfly) > 0
+        assert small_suite.normalized(
+            "LU", 2, small_suite.parallel("LU", 2)
+        ) < 1.0
 
     def test_precision_attached(self, small_suite):
-        record = small_suite.run("LU", 2, 128)
-        assert record.precision.false_negatives == 0
-        assert record.precision.memory_ops > 0
+        point = small_suite.point("LU", 2, 128)
+        assert point.precision.false_negatives == 0
+        assert point.precision.memory_ops > 0
 
 
 class TestRunAll:
@@ -59,9 +88,23 @@ class TestRunAll:
         suite = ExperimentSuite(
             ExperimentConfig(events_per_thread=1500, thread_counts=(2,))
         )
-        from repro.workloads.registry import BENCHMARKS
-
         for bench in BENCHMARKS:
             for threads in suite.config.thread_counts:
-                record = suite.run(bench, threads, 512)
-                assert record.precision.false_negatives == 0
+                point = suite.point(bench, threads, 512)
+                assert point.precision.false_negatives == 0
+
+
+class TestFigure13:
+    def test_simulates_no_cycles(self, monkeypatch):
+        """Figure 13 prints precision only, so it runs the lifeguard and
+        the oracle and none of the cycle model."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("Figure 13 simulated cycles")
+        monkeypatch.setattr(Core, "execute", refuse)
+        monkeypatch.setattr(LBASystem, "timesliced", refuse)
+        monkeypatch.setattr(MetadataTLB, "lookup", refuse)
+        fig = figure13(ExperimentSuite(
+            ExperimentConfig(events_per_thread=1500, thread_counts=(2,))
+        ))
+        assert set(fig.data) == set(BENCHMARKS)
+        assert all(set(per) == {2} for per in fig.data.values())

@@ -637,12 +637,13 @@ class TestFitting:
     def point(self, h, fp_rate, mean_ms):
         flags = round(fp_rate * 1000)
         return TunePoint(
-            epoch_size=h, epochs=10, events=4000, butterfly=None,
+            epoch_size=h, epochs=10, events=4000,
             precision=PrecisionReport(
                 true_errors=0, flagged=flags, true_positives=0,
                 false_positives=flags, false_negatives=0, memory_ops=1000,
             ),
             epoch_seconds=[mean_ms / 1e3] * 10, wall_seconds=4.0,
+            partition=None, block_work={},
         )
 
     def test_point_derives_its_flat_record(self):

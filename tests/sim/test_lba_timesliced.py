@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.bench.harness import Oracle, measure_epoch_size
 from repro.sim import lba
 from repro.sim.config import COSTS
 from repro.sim.lba import LBASystem
@@ -74,7 +75,12 @@ class TestTimesliced:
 
 class TestCostModelKnobs:
     """The timing responds to the cost model: each test re-prices
-    ``COSTS`` for its own runs."""
+    ``COSTS`` for its own runs (a point prices itself when
+    ``butterfly`` is first read, so a fresh point per cost)."""
+
+    @staticmethod
+    def point(prog, h):
+        return measure_epoch_size(prog, h, Oracle(prog))
 
     def test_error_cost_moves_butterfly_time(self, monkeypatch):
         prog = get_benchmark("OCEAN").generate(2, 6144, seed=9)
@@ -83,8 +89,7 @@ class TestCostModelKnobs:
             monkeypatch.setattr(
                 lba, "COSTS", replace(COSTS, error_handling_cycles=cost)
             )
-            run = LBASystem().butterfly(prog, 2048)
-            cycles.append(run.result.lifeguard_cycles)
+            cycles.append(self.point(prog, 2048).butterfly.lifeguard_cycles)
         t_cheap, t_dear = cycles
         assert t_dear > t_cheap
 
@@ -93,6 +98,6 @@ class TestCostModelKnobs:
         monkeypatch.setattr(
             lba, "COSTS", replace(COSTS, epoch_barrier_cycles=10_000)
         )
-        many = LBASystem().butterfly(prog, 256)
-        few = LBASystem().butterfly(prog, 2048)
-        assert many.result.lifeguard_cycles > few.result.lifeguard_cycles
+        many = self.point(prog, 256).butterfly
+        few = self.point(prog, 2048).butterfly
+        assert many.lifeguard_cycles > few.lifeguard_cycles

@@ -51,7 +51,7 @@ class TestConstructors:
     def test_nop(self):
         instr = Instr.nop()
         assert instr.locations == ()
-        assert not instr.is_memory_op
+        assert instr.accessed == ()
 
 
 class TestValidation:
@@ -88,7 +88,6 @@ class TestDerivedViews:
     def test_malloc_is_not_an_access(self):
         # Allocation-state changes are not dereferences.
         assert Instr.malloc(0, 8).accessed == ()
-        assert not Instr.malloc(0, 8).is_memory_op
 
     def test_malloc_locations_cover_extent(self):
         assert Instr.malloc(2, 3).locations == (2, 3, 4)

@@ -1,12 +1,16 @@
 """Unit tests for TraceProgram / ThreadTrace."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core.columnar import ColumnarBlock
 from repro.errors import TraceError
-from repro.trace.events import Instr
+from repro.trace.events import Instr, Op
+from repro.trace.generator import random_program, simulated_taint_program
 from repro.trace.program import ThreadTrace, TraceProgram
+from repro.workloads.registry import WORKLOADS
 
 
 def make_program():
@@ -59,6 +63,33 @@ class TestShape:
         assert built.cut(1, 3)[1][0] is instrs[1]
         assert decoded.instrs == tuple(instrs)
         assert decoded.cut(1, 3)[1] == tuple(instrs[1:3])
+
+
+def per_instr_memory_ops(program):
+    return sum(1 for trace in program.threads for i in trace if i.accessed)
+
+
+class TestMemoryOpCount:
+    """The column count agrees with counting ``Instr.accessed`` one
+    event at a time."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_registered_workload(self, name):
+        program = WORKLOADS[name].generate(3, 1200, seed=5)
+        assert program.memory_op_count == per_instr_memory_ops(program) > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_programs(self, seed):
+        for program in (
+            simulated_taint_program(
+                random.Random(seed), num_threads=3, total_events=200
+            ),
+            random_program(
+                random.Random(seed), num_threads=3, length=60,
+                ops=tuple(Op),
+            ),
+        ):
+            assert program.memory_op_count == per_instr_memory_ops(program)
 
 
 class TestValidation:
