@@ -85,7 +85,6 @@ SURVIVORS = {
     "src/repro/core/ordering.py::serialize_ordering": _ORDERING,
     "src/repro/trace/interleave.py": _INTERLEAVE,
     "src/repro/trace/generator.py::random_program": _INPUT,
-    "src/repro/trace/generator.py::simulated_taint_program": _INPUT,
     "src/repro/core/epoch.py::partition_with_skew": (
         "one of the five documented cuts; the no-false-negative property "
         "tests and benchmarks/test_heartbeat_skew.py use it"),
@@ -116,6 +115,14 @@ KNOB_SURVIVORS = {
     "src/repro/trace/generator.py::"
     "simulated_alloc_program(inject_error_rate)": _SHAPE,
     "src/repro/trace/generator.py::alloc_handoff_program(num_locations)":
+        _SHAPE,
+    "src/repro/trace/generator.py::simulated_taint_program(num_locations)":
+        _SHAPE,
+    "src/repro/trace/generator.py::simulated_taint_program(taint_rate)":
+        _SHAPE,
+    "src/repro/trace/generator.py::simulated_taint_program(untaint_rate)":
+        _SHAPE,
+    "src/repro/trace/generator.py::simulated_taint_program(jump_rate)":
         _SHAPE,
     "src/repro/verify/generator.py::AdversarialCaseGenerator(num_locations)":
         _SHAPE,

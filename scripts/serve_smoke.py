@@ -22,6 +22,10 @@ Scenario, end to end against a *real* ``repro serve`` subprocess:
    text page: every tentpole ``serve.*`` family present, values moving
    with real traffic.
 
+Every reference report a phase compares against must flag something
+(the TaintCheck streams carry taint traffic, the others allocation
+churn): two empty reports would be equal whatever the daemon did.
+
 ``--shard-backend {thread,process}`` runs the whole scenario against
 the chosen shard backend (CI runs the script once per backend); the
 daemon's report bytes must not depend on the choice.
@@ -66,7 +70,10 @@ from repro.serve.protocol import (  # noqa: E402
     encode_json_frame,
 )
 from repro.serve.server import make_guard  # noqa: E402
-from repro.trace.generator import simulated_alloc_program  # noqa: E402
+from repro.trace.generator import (  # noqa: E402
+    simulated_alloc_program,
+    simulated_taint_program,
+)
 from repro.trace.serialize import (  # noqa: E402
     iter_load,
     save_stream_file,
@@ -99,11 +106,28 @@ def fail(message):
     sys.exit(1)
 
 
-def write_trace(path, threads, events, seed):
-    prog = simulated_alloc_program(
-        random.Random(seed), num_threads=threads, total_events=events
-    )
+def write_trace(path, threads, events, seed, lifeguard="addrcheck"):
+    """A stream file the lifeguard flags on: TaintCheck gets taint
+    traffic, AddrCheck and RaceCheck allocation churn."""
+    rng = random.Random(seed)
+    if lifeguard == "taintcheck":
+        prog = simulated_taint_program(
+            rng, num_threads=threads, total_events=events
+        )
+    else:
+        prog = simulated_alloc_program(
+            rng, num_threads=threads, total_events=events
+        )
     save_stream_file(partition_auto(prog, 8), str(path))
+
+
+def flagged(report, what):
+    """``report``'s flag count, which must be positive: two empty
+    reports are equal whatever the daemon did."""
+    flags = len(report["errors"])
+    if flags == 0:
+        fail(f"{what}: the reference report flags nothing")
+    return flags
 
 
 def offline_report(path, stream_id, lifeguard):
@@ -175,8 +199,10 @@ def phase_concurrent_streams(tmp, summary_path):
     for i in range(STREAMS):
         sid = f"stream-{i}"
         path = tmp / f"{sid}.stream.jsonl"
-        write_trace(path, threads=2 + i % 3, events=200, seed=i)
-        traces[sid] = (path, "taintcheck" if i % 4 == 3 else "addrcheck")
+        lifeguard = "taintcheck" if i % 4 == 3 else "addrcheck"
+        write_trace(path, threads=2 + i % 3, events=200, seed=i,
+                    lifeguard=lifeguard)
+        traces[sid] = (path, lifeguard)
 
     def push(sid):
         path, lifeguard = traces[sid]
@@ -198,8 +224,10 @@ def phase_concurrent_streams(tmp, summary_path):
     if errors:
         fail("streams failed: " + "; ".join(errors))
 
+    counts = []
     for sid, (path, lifeguard) in traces.items():
         expected = offline_report(path, sid, lifeguard)
+        counts.append(flagged(expected, f"{sid} ({lifeguard})"))
         if results[sid] != expected:
             fail(f"{sid}: daemon report diverged from offline check")
         bound = 3 * expected["threads"]
@@ -208,13 +236,16 @@ def phase_concurrent_streams(tmp, summary_path):
                 f"{sid}: window high-water "
                 f"{results[sid]['window_high_water']} over bound {bound}"
             )
-    log(f"{STREAMS} concurrent streams (3 faulty) all match offline")
+    log(f"{STREAMS} concurrent streams (3 faulty) all match offline "
+        f"({min(counts)}-{max(counts)} flags each)")
 
     # CLI diff: `repro push` output == `repro check --trace` output,
-    # under each lifeguard (both print through format_report).
-    path, _ = traces["stream-0"]
+    # under each lifeguard (both print through format_report), over a
+    # trace that lifeguard flags on.
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    for lifeguard in ("addrcheck", "race", "taintcheck"):
+    for sid, lifeguard in (("stream-0", "addrcheck"), ("stream-0", "race"),
+                           ("stream-3", "taintcheck")):
+        path, _ = traces[sid]
         push_out = subprocess.run(
             [sys.executable, "-m", "repro", "push", "--trace", str(path),
              "--unix", str(sock), "--stream-id", f"{path}:{lifeguard}",
@@ -228,6 +259,12 @@ def phase_concurrent_streams(tmp, summary_path):
         )
         if push_out.returncode != 0:
             fail(f"repro push ({lifeguard}) errored: {push_out.stderr}")
+        flags = next(
+            (line for line in check_out.stdout.splitlines()
+             if line.startswith("flags: ")), "flags: 0"
+        )
+        if int(flags.split()[1]) == 0:
+            fail(f"repro check ({lifeguard}) over {sid} flags nothing")
         if push_out.stdout != check_out.stdout:
             fail(
                 f"repro push and repro check disagree ({lifeguard}):\n"
@@ -244,7 +281,7 @@ def phase_concurrent_streams(tmp, summary_path):
         fail(f"no drain farewell in output: {out!r}")
     summary = json.loads(summary_path.read_text())
     counters = summary["counters"]
-    # stream-0 was pushed four times (client + three CLI diffs).
+    # Three more pushes than streams: the three CLI diffs.
     if counters.get("serve.streams_completed", 0) < STREAMS + 3:
         fail(f"unexpected completion count: {counters}")
     for needed in ("serve.streams_accepted", "serve.epochs_folded",
@@ -313,6 +350,7 @@ def phase_sigkill_resume(tmp):
                 "re-folded"
             )
         expected = offline_report(trace, "victim", "addrcheck")
+        flagged(expected, "victim")
         if served != expected:
             fail("resumed report diverged from the uninterrupted run")
     finally:

@@ -21,9 +21,11 @@ column                meaning
 The CSR source layout is lossless for any source arity, so *every*
 legal ``Instr`` round-trips exactly (``from_instrs`` then ``to_instrs``
 is the identity).  Vector kernels (the AddrCheck first-pass scan, the
-columnar workload generator, the stream decoder) operate on the raw
-columns and never materialize ``Instr`` objects; what iterates events
-(the dataflow analyses, the per-``Instr`` reference kernels) asks a
+columnar sources, the stream decoder) operate on the raw columns, and
+the workload generators append each thread's events straight into
+columns (:class:`ColumnAppender`), so none of them materializes an
+``Instr``; what iterates events (the dataflow analyses, the
+per-``Instr`` reference kernels) asks a
 :class:`~repro.core.epoch.Block` for ``.instrs``.
 
 A block's access footprint, AddrCheck's and RaceCheck's alike, is a
@@ -74,6 +76,7 @@ OP_ASSIGN = OP_CODES[Op.ASSIGN]
 OP_TAINT = OP_CODES[Op.TAINT]
 OP_UNTAINT = OP_CODES[Op.UNTAINT]
 OP_JUMP = OP_CODES[Op.JUMP]
+OP_NOP = OP_CODES[Op.NOP]
 
 #: Sentinel encoding ``dst=None`` (int64 minimum; never a real location).
 NO_DST = -(2**63)
@@ -341,8 +344,11 @@ class ColumnarBlock:
     # -- materialization ------------------------------------------------
 
     def to_instrs(self) -> Tuple[Instr, ...]:
-        """Materialize the whole block (the slow/object path)."""
+        """Materialize the whole block (the slow/object path).  Every
+        plain NOP (no destination, no sources, size 1) is the one
+        shared :meth:`Instr.nop`."""
         ops_by_code = OPS_BY_CODE
+        nop = Instr.nop()
         # .tolist() converts numpy scalars to plain ints in one C pass.
         ops = self.op.tolist()
         dsts = self.dst.tolist()
@@ -350,7 +356,10 @@ class ColumnarBlock:
         offs = self.src_off.tolist()
         vals = self.src_val.tolist()
         return tuple(
-            Instr(
+            nop
+            if ops[i] == OP_NOP and dsts[i] == NO_DST and sizes[i] == 1
+            and offs[i] == offs[i + 1]
+            else Instr(
                 ops_by_code[ops[i]],
                 dst=None if dsts[i] == NO_DST else dsts[i],
                 srcs=tuple(vals[offs[i]:offs[i + 1]]),
@@ -407,6 +416,81 @@ class ColumnarBlock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarBlock(n={self.length})"
+
+
+class ColumnAppender:
+    """One thread's events appended one at a time as the five columns'
+    plain ints: how the workload generators build a thread's
+    :class:`ColumnarBlock` without a per-event object.  The event
+    methods mirror ``Instr``'s factories, arguments included;
+    :meth:`block` turns the lists into arrays once, at the end."""
+
+    __slots__ = ("op", "dst", "size", "src_off", "src_val")
+
+    def __init__(self) -> None:
+        self.op: List[int] = []
+        self.dst: List[int] = []
+        self.size: List[int] = []
+        self.src_off: List[int] = [0]
+        self.src_val: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def _append(self, code: int, dst: int = NO_DST, size: int = 1) -> None:
+        self.op.append(code)
+        self.dst.append(dst)
+        self.size.append(size)
+        self.src_off.append(len(self.src_val))
+
+    def read(self, addr: int) -> None:
+        self.src_val.append(addr)
+        self._append(OP_READ)
+
+    def write(self, addr: int) -> None:
+        self._append(OP_WRITE, addr)
+
+    def malloc(self, base: int, size: int = 1) -> None:
+        self._append(OP_MALLOC, base, size)
+
+    def free(self, base: int, size: int = 1) -> None:
+        self._append(OP_FREE, base, size)
+
+    def assign(self, dst: int, *srcs: int) -> None:
+        self.src_val.extend(srcs)
+        self._append(OP_ASSIGN, dst)
+
+    def taint(self, addr: int) -> None:
+        self._append(OP_TAINT, addr)
+
+    def untaint(self, addr: int) -> None:
+        self._append(OP_UNTAINT, addr)
+
+    def jump(self, addr: int) -> None:
+        self.src_val.append(addr)
+        self._append(OP_JUMP)
+
+    def nop(self) -> None:
+        self._append(OP_NOP)
+
+    def permute(self, start: int, order: Sequence[int]) -> None:
+        """Reorder the events from ``start`` on: the ``k``-th becomes
+        the one that was ``order[k]`` places after ``start``."""
+        picks = [start + k for k in order]
+        for col in (self.op, self.dst, self.size):
+            col[start:] = [col[i] for i in picks]
+        off, val = self.src_off, self.src_val
+        srcs = [val[off[i]:off[i + 1]] for i in picks]
+        val[off[start]:] = chain.from_iterable(srcs)
+        off[start + 1:] = list(
+            accumulate(map(len, srcs), initial=off[start])
+        )[1:]
+
+    def block(self) -> ColumnarBlock:
+        """The appended events as one block."""
+        return ColumnarBlock._frozen(
+            self.op, self.dst, self.size, self.src_off, self.src_val
+        )
 
 
 def expand_extents(dst: Any, idx: Any, extent: Any) -> Tuple[Any, Any]:

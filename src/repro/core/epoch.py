@@ -60,10 +60,11 @@ class Block:
     of parallel arrays, which the lifeguards' first-pass kernels scan.
     ``instrs`` is the same events as :class:`Instr` objects, for what
     iterates them (the dataflow analyses, the reference kernels): a
-    partition of a thread built from ``Instr`` objects hands over the
-    program's own (never rebuilt from the columns a reference is diffed
-    against), any other block materializes them from the columns on
-    first use.
+    partition of a thread built from ``Instr`` objects (a fuzz or test
+    program) hands over the program's own (never rebuilt from the
+    columns a reference is diffed against); any other block -- a
+    registered workload's, a trace file's -- materializes them from the
+    columns on first use.
 
     Blocks are immutable value objects: equality and hashing use the
     block address plus event content.  Pickling ships the columns only

@@ -89,6 +89,13 @@ class ErrorLog:
         return True
 
     @property
+    def entries(self) -> List[Tuple]:
+        """The raw ``(kind, location, ref, block, detail)`` tuples, in
+        flag order: what a reader that needs no :class:`ErrorReport`
+        (the REPORT builder) walks.  Not to be mutated."""
+        return self._entries
+
+    @property
     def reports(self) -> List[ErrorReport]:
         return [ErrorReport(*e) for e in self._entries]
 

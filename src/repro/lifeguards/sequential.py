@@ -9,9 +9,11 @@ These play two roles in the reproduction:
    sequential lifeguard defines the true error set for that execution;
    butterfly reports are scored against it.
 
-Both guards consume one ``Instr`` at a time (:meth:`process`): in the
-recorded order (:meth:`run_order`) or in one the caller enumerates
-(:meth:`run`, :func:`true_errors_under_any_ordering`).
+Both guards consume one event at a time through one per-event core
+(``_step``, on an op code, destination, extent and sources): an
+``Instr`` (:meth:`process`) in an order the caller enumerates
+(:meth:`run`, :func:`true_errors_under_any_ordering`), or the recorded
+order read straight off the threads' columns (:meth:`run_order`).
 """
 
 from __future__ import annotations
@@ -27,8 +29,20 @@ from typing import (
     Tuple,
 )
 
+from repro.core.columnar import (
+    OP_ASSIGN,
+    OP_CODES,
+    OP_FREE,
+    OP_JUMP,
+    OP_MALLOC,
+    OP_NOP,
+    OP_READ,
+    OP_TAINT,
+    OP_UNTAINT,
+    OP_WRITE,
+)
 from repro.lifeguards.reports import ErrorKind, ErrorLog, ErrorReport
-from repro.trace.events import Instr, Op
+from repro.trace.events import Instr
 from repro.trace.program import GlobalRef, TraceProgram
 
 
@@ -39,8 +53,16 @@ class _SequentialBase:
         self.errors = ErrorLog()
         self.events_processed = 0
 
-    def process(self, ref: Optional[GlobalRef], instr: Instr) -> None:
+    def _step(self, ref, code, dst, size, srcs) -> None:
+        """The per-event core: one event as its op code, destination
+        (read only by the ops that have one), extent and sources;
+        ``ref`` labels error reports."""
         raise NotImplementedError
+
+    def process(self, ref: Optional[GlobalRef], instr: Instr) -> None:
+        """Consume one ``Instr``."""
+        self.events_processed += 1
+        self._step(ref, OP_CODES[instr.op], instr.dst, instr.size, instr.srcs)
 
     def run(
         self, stream: Iterable[Tuple[Optional[GlobalRef], Instr]]
@@ -50,8 +72,26 @@ class _SequentialBase:
         return self.errors
 
     def run_order(self, program: TraceProgram) -> ErrorLog:
-        """Run over the program's recorded ground-truth interleaving."""
-        return self.run(program.iter_recorded())
+        """Run over the program's recorded ground-truth interleaving,
+        one per-thread cursor into the columns advancing per entry."""
+        columns = [
+            (c.op.tolist(), c.dst.tolist(), c.size.tolist(),
+             c.src_off.tolist(), c.src_val.tolist())
+            for c in (trace.columns for trace in program.threads)
+        ]
+        cursors = [0] * len(columns)
+        step = self._step
+        schedule = program.recorded_order().tolist()
+        for t in schedule:
+            i = cursors[t]
+            cursors[t] = i + 1
+            ops, dsts, sizes, offs, vals = columns[t]
+            code = ops[i]
+            if code != OP_NOP:  # nothing to either guard
+                srcs = vals[offs[i]:offs[i + 1]]
+                step((t, i), code, dsts[i], sizes[i], srcs)
+        self.events_processed += len(schedule)
+        return self.errors
 
 
 class SequentialAddrCheck(_SequentialBase):
@@ -65,32 +105,39 @@ class SequentialAddrCheck(_SequentialBase):
         super().__init__()
         self.allocated: Set[int] = set(initially_allocated)
 
-    def process(self, ref: Optional[GlobalRef], instr: Instr) -> None:
-        """Consume one event; ``ref`` labels error reports."""
-        self.events_processed += 1
-        if instr.op is Op.MALLOC:
-            for loc in instr.extent:
-                if loc in self.allocated:
+    def _step(self, ref, code, dst, size, srcs) -> None:
+        allocated = self.allocated
+        if code == OP_MALLOC:
+            for loc in range(dst, dst + size):
+                if loc in allocated:
                     self.errors.record(
                         ErrorKind.MALLOC_ALLOCATED, loc, ref=ref,
                         detail="malloc of already-allocated location",
                     )
-                self.allocated.add(loc)
-        elif instr.op is Op.FREE:
-            for loc in instr.extent:
-                if loc not in self.allocated:
+                allocated.add(loc)
+            return
+        if code == OP_FREE:
+            for loc in range(dst, dst + size):
+                if loc not in allocated:
                     self.errors.record(
                         ErrorKind.FREE_UNALLOCATED, loc, ref=ref,
                         detail="free of unallocated location",
                     )
-                self.allocated.discard(loc)
+                allocated.discard(loc)
+            return
+        # What the event dereferences (``Instr.accessed``).
+        if code == OP_READ or code == OP_JUMP:
+            accessed = srcs
+        elif code == OP_WRITE or code == OP_ASSIGN:
+            accessed = (*srcs, dst)
         else:
-            for loc in instr.accessed:
-                if loc not in self.allocated:
-                    self.errors.record(
-                        ErrorKind.ACCESS_UNALLOCATED, loc, ref=ref,
-                        detail="access to unallocated location",
-                    )
+            return
+        for loc in accessed:
+            if loc not in allocated:
+                self.errors.record(
+                    ErrorKind.ACCESS_UNALLOCATED, loc, ref=ref,
+                    detail="access to unallocated location",
+                )
 
     # -- snapshot/restore (oracle prefix memoization) ------------------
 
@@ -115,21 +162,20 @@ class SequentialTaintCheck(_SequentialBase):
         super().__init__()
         self.tainted: Set[int] = set()
 
-    def process(self, ref: Optional[GlobalRef], instr: Instr) -> None:
-        self.events_processed += 1
-        if instr.op is Op.TAINT:
-            self.tainted.add(instr.dst)
-        elif instr.op in (Op.UNTAINT, Op.WRITE):
-            if instr.dst is not None:
-                self.tainted.discard(instr.dst)
-        elif instr.op is Op.ASSIGN:
-            if any(s in self.tainted for s in instr.srcs):
-                self.tainted.add(instr.dst)
+    def _step(self, ref, code, dst, size, srcs) -> None:
+        tainted = self.tainted
+        if code == OP_TAINT:
+            tainted.add(dst)
+        elif code == OP_UNTAINT or code == OP_WRITE:
+            tainted.discard(dst)
+        elif code == OP_ASSIGN:
+            if any(s in tainted for s in srcs):
+                tainted.add(dst)
             else:
-                self.tainted.discard(instr.dst)
-        elif instr.op is Op.JUMP:
-            loc = instr.srcs[0]
-            if loc in self.tainted:
+                tainted.discard(dst)
+        elif code == OP_JUMP:
+            loc = srcs[0]
+            if loc in tainted:
                 self.errors.record(
                     ErrorKind.TAINTED_JUMP, loc, ref=ref,
                     detail="tainted data used as jump target",

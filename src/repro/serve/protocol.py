@@ -260,13 +260,13 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
         report["boundaries"] = [list(cuts) for cuts in boundaries]
     report["errors"] = [
         {
-            "kind": r.kind.value,
-            "location": r.location,
-            "ref": list(r.ref) if r.ref is not None else None,
-            "block": list(r.block) if r.block is not None else None,
-            "detail": r.detail,
+            "kind": kind.value,
+            "location": location,
+            "ref": list(ref) if ref is not None else None,
+            "block": list(block) if block is not None else None,
+            "detail": detail,
         }
-        for r in guard.errors.reports
+        for kind, location, ref, block, detail in guard.errors.entries
     ]
     return report
 

@@ -135,8 +135,9 @@ class Instr:
 
     @staticmethod
     def nop() -> "Instr":
-        """An instruction irrelevant to any analysis."""
-        return Instr(Op.NOP)
+        """An instruction irrelevant to any analysis: one shared
+        instance, since a frozen NOP carries no state of its own."""
+        return _NOP
 
     # -- derived views -------------------------------------------------
 
@@ -183,3 +184,9 @@ class Instr:
         if self.size != 1:
             parts.append(f"size={self.size}")
         return f"Instr({', '.join(parts)})"
+
+
+#: The one plain NOP (no destination, no sources, size 1) every
+#: :meth:`Instr.nop` and :meth:`~repro.core.columnar.ColumnarBlock.to_instrs`
+#: hands out.
+_NOP = Instr(Op.NOP)

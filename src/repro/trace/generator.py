@@ -29,6 +29,7 @@ from repro.core.columnar import (
     OP_TAINT,
     OP_UNTAINT,
     OP_WRITE,
+    ColumnAppender,
     ColumnarBlock,
 )
 from repro.core.epoch import Block
@@ -223,7 +224,7 @@ def alloc_handoff_program(
     accesses near their malloc); retired locations are freed only after
     falling out of use, so frees are strictly ordered too.
     """
-    traces: List[List[Instr]] = [[] for _ in range(num_threads)]
+    traces = [ColumnAppender() for _ in range(num_threads)]
     order: List[int] = []
     live: List[int] = []  # allocation order, oldest first
     next_loc = 0
@@ -238,7 +239,7 @@ def alloc_handoff_program(
 
     for step in range(total_events):
         t = schedule()
-        instr: Instr
+        out = traces[t]
         if step % HANDOFF_PERIOD == 0 and len(live) < num_locations:
             free_choices = [
                 loc for loc in range(num_locations) if loc not in live
@@ -246,24 +247,25 @@ def alloc_handoff_program(
             loc = free_choices[next_loc % len(free_choices)]
             next_loc += 1
             live.append(loc)
-            instr = Instr.malloc(loc)
+            out.malloc(loc)
         elif len(live) > 2 * RECENCY_WINDOW and rng.random() < 0.1:
             # Retire the oldest allocation: long strictly-ordered by
             # now, so the free itself is never uncertain.
-            instr = Instr.free(live.pop(0))
+            out.free(live.pop(0))
         elif live:
             recent = live[-RECENCY_WINDOW:]
             loc = rng.choice(recent)
-            instr = (
-                Instr.read(loc) if rng.random() < 0.5 else Instr.write(loc)
-            )
+            if rng.random() < 0.5:
+                out.read(loc)
+            else:
+                out.write(loc)
         else:
-            instr = Instr.nop()
+            out.nop()
         order.append(t)
-        traces[t].append(instr)
 
     program = TraceProgram(
-        [ThreadTrace(tr) for tr in traces], true_order=order
+        [ThreadTrace(columns=out.block()) for out in traces],
+        true_order=order,
     )
     program.validate()
     return program

@@ -32,10 +32,10 @@ class ThreadTrace:
     The :class:`~repro.core.epoch.Block` idiom: ``columns`` holds the
     events as one :class:`~repro.core.columnar.ColumnarBlock` of
     read-only arrays, which every partition slices.  A thread built
-    from ``Instr`` objects (generators, fuzz cases, tests) keeps them as
-    ``instrs``, so reference legs iterate the program's own objects; one
-    built from ``columns`` alone (the trace file reader) materializes
-    ``instrs`` on first read.
+    from ``Instr`` objects (the fuzz and test generators, tests) keeps
+    them as ``instrs``, so reference legs iterate the program's own
+    objects; one built from ``columns`` alone (the workload generators,
+    the trace file reader) materializes ``instrs`` on first read.
     """
 
     __slots__ = ("columns", "_instrs")
@@ -192,7 +192,3 @@ class TraceProgram:
             i = cursors[t]
             cursors[t] = i + 1
             yield (t, i), threads[t][i]
-
-    def iter_recorded(self) -> Iterator[Tuple[GlobalRef, Instr]]:
-        """Iterate ``((thread, index), instr)`` in ground-truth order."""
-        return self.walk(self.recorded_order())

@@ -16,10 +16,12 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Tuple
 
+import numpy as np
+
+from repro.core.columnar import ColumnAppender
 from repro.errors import WorkloadError
-from repro.trace.events import Instr
 from repro.trace.program import ThreadTrace, TraceProgram
 
 
@@ -49,52 +51,57 @@ class WorkloadSpec:
 
 class PhasedTraceBuilder:
     """Accumulates per-thread events phase by phase, recording a valid
-    ground-truth interleaving."""
+    ground-truth interleaving.
+
+    A generator appends thread ``t``'s events to ``threads[t]`` (a
+    :class:`~repro.core.columnar.ColumnAppender`) and closes each
+    barrier-delimited phase with :meth:`phase`."""
 
     def __init__(self, num_threads: int, rng: random.Random) -> None:
         if num_threads < 1:
             raise WorkloadError("need at least one thread")
         self.num_threads = num_threads
         self.rng = rng
-        self._traces: List[List[Instr]] = [[] for _ in range(num_threads)]
-        #: The two schedules, one thread id per event.
-        self._order: List[int] = []
-        self._timesliced: List[int] = []
+        self.threads = [ColumnAppender() for _ in range(num_threads)]
+        self._phase_start = [0] * num_threads
+        #: The two schedules as runs: thread ``ids[k]`` for ``runs[k]``
+        #: events.
+        self._order: Tuple[List[int], List[int]] = ([], [])
+        self._timesliced: Tuple[List[int], List[int]] = ([], [])
 
-    def phase(self, per_thread: Sequence[Sequence[Instr]]) -> None:
-        """One barrier-delimited phase: ``per_thread[t]`` is thread
-        ``t``'s event list; events of different threads interleave in
-        geometric chunks in the recorded order."""
-        if len(per_thread) != self.num_threads:
-            raise WorkloadError(
-                f"phase needs {self.num_threads} event lists, "
-                f"got {len(per_thread)}"
-            )
+    def phase(self) -> None:
+        """Close one phase: the events each thread appended since the
+        last one interleave in geometric chunks in the recorded order."""
+        lengths = [
+            len(out) - start
+            for out, start in zip(self.threads, self._phase_start)
+        ]
+        self._phase_start = [len(out) for out in self.threads]
+        ids, runs = self._order
         cursors = [0] * self.num_threads
-        live = [t for t in range(self.num_threads) if per_thread[t]]
+        live = [t for t in range(self.num_threads) if lengths[t]]
         while live:
             t = self.rng.choice(live)
             # Geometric chunk, mean ~8 events, models parallel drift.
             chunk = 1 + min(int(self.rng.expovariate(1 / 8.0)), 64)
-            seq = per_thread[t]
-            run = seq[cursors[t]:cursors[t] + chunk]
-            self._order.extend([t] * len(run))
-            self._traces[t].extend(run)
-            cursors[t] += len(run)
-            if cursors[t] >= len(seq):
+            run = min(chunk, lengths[t] - cursors[t])
+            ids.append(t)
+            runs.append(run)
+            cursors[t] += run
+            if cursors[t] >= lengths[t]:
                 live.remove(t)
         # The timesliced execution runs each thread's whole phase chunk
         # back-to-back (barriers force every other thread to wait until
         # the phase completes anyway).
-        for t in range(self.num_threads):
-            self._timesliced.extend([t] * cursors[t])
+        self._timesliced[0].extend(range(self.num_threads))
+        self._timesliced[1].extend(lengths)
 
     def build(self, preallocated: frozenset = frozenset()) -> TraceProgram:
         program = TraceProgram(
-            [ThreadTrace(tr) for tr in self._traces],
-            true_order=self._order,
+            [ThreadTrace(columns=out.block()) for out in self.threads],
+            true_order=np.repeat(*self._order),
             preallocated=preallocated,
-            timesliced_order=self._timesliced,
+            timesliced_order=np.repeat(*self._timesliced),
         )
         program.validate()
         return program
@@ -161,12 +168,13 @@ class StreamingWorkingSet:
         self.hot = max(4, footprint // 20)
         self._cursor = 0
 
-    def events(self, n: int) -> List[Instr]:
-        """The next ``n`` events (memory ops interleaved with compute)."""
-        out: List[Instr] = []
+    def emit(self, out: ColumnAppender, n: int) -> None:
+        """Append the next ``n`` events (memory ops interleaved with
+        compute) to ``out``."""
         rng = self.rng
+        compute = self.compute_per_mem
         stream_span = max(1, self.footprint - self.hot)
-        while len(out) < n:
+        while n > 0:
             if rng.random() < self.reuse:
                 loc = self.base + rng.randrange(self.hot)
             else:
@@ -176,10 +184,18 @@ class StreamingWorkingSet:
                 loc = self.base + self.hot + (self._cursor % stream_span)
                 self._cursor += 1
             if rng.random() < 0.5:
-                out.append(Instr.read(loc))
+                out.read(loc)
             else:
-                out.append(Instr.write(loc))
-            for _ in range(self.compute_per_mem):
-                if len(out) < n:
-                    out.append(Instr.nop())
-        return out[:n]
+                out.write(loc)
+            nops = min(compute, n - 1)
+            for _ in range(nops):
+                out.nop()
+            n -= 1 + nops
+
+
+def shuffle_since(rng: random.Random, out: ColumnAppender, start: int) -> None:
+    """Shuffle ``out``'s events from ``start`` on, drawing from ``rng``
+    exactly what ``rng.shuffle`` of a list of them would."""
+    order = list(range(len(out) - start))
+    rng.shuffle(order)
+    out.permute(start, order)

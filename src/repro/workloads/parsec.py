@@ -14,9 +14,7 @@ crossover.
 from __future__ import annotations
 
 import random
-from typing import List
 
-from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.workloads.base import (
     BenchmarkGenerator,
@@ -52,29 +50,26 @@ class Blackscholes(BenchmarkGenerator):
         footprint = self.OPTIONS * self.FIELDS
         data = [thread_region(t) for t in range(num_threads)]
 
-        b.phase(
-            [
-                [Instr.write(data[t] + i) for i in range(footprint)]
-                for t in range(num_threads)
-            ]
-        )
+        for t, out in enumerate(b.threads):
+            for i in range(footprint):
+                out.write(data[t] + i)
+        b.phase()
 
         per_option = self.FIELDS + self.FIELDS * cpm
         iter_cost = self.OPTIONS * per_option
         iters = max(1, events_per_thread // iter_cost)
         for _ in range(iters):
-            phase: List[List[Instr]] = []
-            for t in range(num_threads):
-                evs: List[Instr] = []
+            for t, out in enumerate(b.threads):
                 for opt in range(self.OPTIONS):
                     base = data[t] + opt * self.FIELDS
                     for f in range(self.FIELDS - 1):
-                        evs.append(Instr.read(base + f))
-                        evs.extend(Instr.nop() for _ in range(cpm))
-                    evs.append(Instr.write(base + self.FIELDS - 1))
-                    evs.extend(Instr.nop() for _ in range(cpm))
-                phase.append(evs)
-            b.phase(phase)
+                        out.read(base + f)
+                        for _ in range(cpm):
+                            out.nop()
+                    out.write(base + self.FIELDS - 1)
+                    for _ in range(cpm):
+                        out.nop()
+            b.phase()
         preallocated = frozenset(
             loc
             for t in range(num_threads)

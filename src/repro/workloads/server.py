@@ -20,10 +20,8 @@ worker's jump and a false positive fires.
 from __future__ import annotations
 
 import random
-from typing import List
 
 from repro.errors import WorkloadError
-from repro.trace.events import Instr
 from repro.trace.generator import alloc_handoff_program
 from repro.trace.program import TraceProgram
 from repro.workloads.base import (
@@ -84,43 +82,36 @@ class SecureServer(BenchmarkGenerator):
             }
             attacks.append(attacked)
             # Requests arrive: receiver taints every worker's slot.
-            receive: List[List[Instr]] = [[] for _ in range(num_threads)]
+            receiver = b.threads[0]
             for w in workers:
-                receive[0].extend(
-                    Instr.taint(slots[w] + f) for f in range(self.SLOT_FIELDS)
-                )
-            b.phase(receive)
+                for f in range(self.SLOT_FIELDS):
+                    receiver.taint(slots[w] + f)
+            b.phase()
             # Validation delay: everyone computes.
-            b.phase(
-                [scratch[t].events(self.GAP) for t in range(num_threads)]
-            )
+            for t, out in enumerate(b.threads):
+                scratch[t].emit(out, self.GAP)
+            b.phase()
             # Sanitization (skipped for attacked requests).
-            sanitize: List[List[Instr]] = [[] for _ in range(num_threads)]
             for w in workers:
                 if w in attacked:
                     continue
-                sanitize[0].extend(
-                    Instr.untaint(slots[w] + f)
-                    for f in range(self.SLOT_FIELDS)
-                )
-            b.phase(sanitize)
+                for f in range(self.SLOT_FIELDS):
+                    receiver.untaint(slots[w] + f)
+            b.phase()
             # More compute: the sanitize-to-use gap.
-            b.phase(
-                [scratch[t].events(self.GAP) for t in range(num_threads)]
-            )
+            for t, out in enumerate(b.threads):
+                scratch[t].emit(out, self.GAP)
+            b.phase()
             # Workers use their request in a critical way.
-            use: List[List[Instr]] = [[] for _ in range(num_threads)]
             for w in workers:
-                use[w].extend(
-                    Instr.jump(slots[w] + f)
-                    for f in range(0, self.SLOT_FIELDS, 4)
-                )
-            b.phase(use)
+                for f in range(0, self.SLOT_FIELDS, 4):
+                    b.threads[w].jump(slots[w] + f)
+            b.phase()
             # Response/cooldown: keeps the next request's taint from
             # landing adjacent to this request's use.
-            b.phase(
-                [scratch[t].events(self.GAP) for t in range(num_threads)]
-            )
+            for t, out in enumerate(b.threads):
+                scratch[t].emit(out, self.GAP)
+            b.phase()
         program = b.build()
         return program
 

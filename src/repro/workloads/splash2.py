@@ -25,13 +25,13 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.workloads.base import (
     BenchmarkGenerator,
     PhasedTraceBuilder,
     StreamingWorkingSet,
     WorkloadSpec,
+    shuffle_since,
     thread_region,
 )
 
@@ -96,47 +96,33 @@ class Barnes(BenchmarkGenerator):
         for step in range(steps):
             cur = step % 2
             # Rebuild: retire the tree from two steps ago, build this one.
-            rebuild: List[List[Instr]] = []
-            for t in range(num_threads):
-                evs: List[Instr] = []
+            for t, out in enumerate(b.threads):
                 if step >= 2:
-                    evs.append(Instr.free(cells[t][cur], self.NODES))
-                evs.append(Instr.malloc(cells[t][cur], self.NODES))
-                evs.extend(
-                    Instr.write(cells[t][cur] + i) for i in range(self.NODES)
-                )
-                rebuild.append(evs)
-            b.phase(rebuild)
+                    out.free(cells[t][cur], self.NODES)
+                out.malloc(cells[t][cur], self.NODES)
+                for i in range(self.NODES):
+                    out.write(cells[t][cur] + i)
+            b.phase()
             # Local body updates: the handoff gap.
-            b.phase(
-                [
-                    body_streams[t].events(
-                        _skewed(self.GAP, t, spec.imbalance)
-                    )
-                    for t in range(num_threads)
-                ]
-            )
+            for t, out in enumerate(b.threads):
+                body_streams[t].emit(
+                    out, _skewed(self.GAP, t, spec.imbalance)
+                )
+            b.phase()
             # Force computation: own cells heavily, others sampled.
-            force: List[List[Instr]] = []
-            for t in range(num_threads):
-                evs = [
-                    Instr.read(cells[t][cur] + rng.randrange(self.NODES))
-                    for _ in range(200)
-                ]
+            for t, out in enumerate(b.threads):
+                start = len(out)
+                for _ in range(200):
+                    out.read(cells[t][cur] + rng.randrange(self.NODES))
                 for t2 in range(num_threads):
                     if t2 == t:
                         continue
-                    evs.extend(
-                        Instr.read(cells[t2][cur] + rng.randrange(self.NODES))
-                        for _ in range(self.CROSS)
-                    )
-                evs.extend(
-                    Instr.write(bodies[t] + rng.randrange(self.BODIES))
-                    for _ in range(100)
-                )
-                rng.shuffle(evs)
-                force.append(evs)
-            b.phase(force)
+                    for _ in range(self.CROSS):
+                        out.read(cells[t2][cur] + rng.randrange(self.NODES))
+                for _ in range(100):
+                    out.write(bodies[t] + rng.randrange(self.BODIES))
+                shuffle_since(rng, out, start)
+            b.phase()
         return b.build(preallocated=_region_set(bodies, self.BODIES))
 
 
@@ -175,35 +161,28 @@ class FFT(BenchmarkGenerator):
         iters = max(1, events_per_thread // (2 * phase_cost))
         for it in range(iters):
             # Local butterfly stage.
-            b.phase(
-                [
-                    part_streams[t].events(
-                        _skewed(phase_cost, t, spec.imbalance)
-                    )
-                    for t in range(num_threads)
-                ]
-            )
+            for t, out in enumerate(b.threads):
+                part_streams[t].emit(
+                    out, _skewed(phase_cost, t, spec.imbalance)
+                )
+            b.phase()
             # Transpose: strided remote reads, local writes.  The slice
             # is sampled so one transpose costs about one phase budget.
-            transpose: List[List[Instr]] = []
             chunk = self.ROWS // max(1, num_threads)
             points_total = phase_cost // (2 + cpm)
             points_per_peer = max(1, points_total // max(1, num_threads))
             stride = max(2, chunk // points_per_peer)
             offset = (it * 3) % stride  # rotate the sampled slice so
             # successive transposes touch fresh locations
-            for t in range(num_threads):
-                evs: List[Instr] = []
+            for t, out in enumerate(b.threads):
                 for t2 in range(num_threads):
                     base = part[t2] + t * chunk
                     for i in range(offset, chunk, stride):
-                        evs.append(Instr.read(base + i))
-                        evs.append(
-                            Instr.write(part[t] + (t2 * chunk + i) % self.ROWS)
-                        )
-                        evs.extend(Instr.nop() for _ in range(cpm))
-                transpose.append(evs)
-            b.phase(transpose)
+                        out.read(base + i)
+                        out.write(part[t] + (t2 * chunk + i) % self.ROWS)
+                        for _ in range(cpm):
+                            out.nop()
+            b.phase()
         return b.build(preallocated=_region_set(part, self.ROWS))
 
 
@@ -247,42 +226,30 @@ class FMM(BenchmarkGenerator):
         steps = max(1, events_per_thread // step_cost)
         for step in range(steps):
             cur = step % 2
-            rebuild: List[List[Instr]] = []
-            for t in range(num_threads):
-                evs: List[Instr] = []
+            for t, out in enumerate(b.threads):
                 if step >= 2:
-                    evs.append(Instr.free(cells[t][cur], self.CELLS))
-                evs.append(Instr.malloc(cells[t][cur], self.CELLS))
-                evs.extend(
-                    Instr.write(cells[t][cur] + i) for i in range(self.CELLS)
+                    out.free(cells[t][cur], self.CELLS)
+                out.malloc(cells[t][cur], self.CELLS)
+                for i in range(self.CELLS):
+                    out.write(cells[t][cur] + i)
+            b.phase()
+            for t, out in enumerate(b.threads):
+                body_streams[t].emit(
+                    out, _skewed(self.GAP, t, spec.imbalance)
                 )
-                rebuild.append(evs)
-            b.phase(rebuild)
-            b.phase(
-                [
-                    body_streams[t].events(
-                        _skewed(self.GAP, t, spec.imbalance)
-                    )
-                    for t in range(num_threads)
-                ]
-            )
-            interact: List[List[Instr]] = []
-            for t in range(num_threads):
-                evs = [
-                    Instr.read(cells[t][cur] + rng.randrange(self.CELLS))
-                    for _ in range(150)
-                ]
+            b.phase()
+            for t, out in enumerate(b.threads):
+                start = len(out)
+                for _ in range(150):
+                    out.read(cells[t][cur] + rng.randrange(self.CELLS))
                 for t2 in range(num_threads):
                     if t2 != t:
-                        evs.extend(
-                            Instr.read(
+                        for _ in range(self.CROSS):
+                            out.read(
                                 cells[t2][cur] + rng.randrange(self.CELLS)
                             )
-                            for _ in range(self.CROSS)
-                        )
-                rng.shuffle(evs)
-                interact.append(evs)
-            b.phase(interact)
+                shuffle_since(rng, out, start)
+            b.phase()
         return b.build(preallocated=_region_set(bodies, self.BODIES))
 
 
@@ -335,48 +302,33 @@ class Ocean(BenchmarkGenerator):
         iters = max(1, events_per_thread // iter_cost)
         for _ in range(iters):
             # Allocate and fill this iteration's exchange buffers.
-            b.phase(
-                [
-                    [Instr.malloc(buf[t], exchange)]
-                    + [Instr.write(buf[t] + i) for i in range(exchange)]
-                    for t in range(num_threads)
-                ]
-            )
+            for t, out in enumerate(b.threads):
+                out.malloc(buf[t], exchange)
+                for i in range(exchange):
+                    out.write(buf[t] + i)
+            b.phase()
             # Interior stencil sweep (the handoff gap, jittered around
             # the small-epoch safety threshold).
             gap = int(self.GAP * rng.uniform(0.66, 1.28))
-            b.phase(
-                [
-                    grid_streams[t].events(_skewed(gap, t, spec.imbalance))
-                    for t in range(num_threads)
-                ]
-            )
+            for t, out in enumerate(b.threads):
+                grid_streams[t].emit(out, _skewed(gap, t, spec.imbalance))
+            b.phase()
             # Read both neighbours' boundary buffers.
-            reads: List[List[Instr]] = []
-            for t in range(num_threads):
-                evs: List[Instr] = []
+            for t, out in enumerate(b.threads):
                 for nb in ((t - 1) % num_threads, (t + 1) % num_threads):
                     if nb == t:
                         continue
-                    evs.extend(
-                        Instr.read(buf[nb] + i) for i in range(exchange)
-                    )
-                reads.append(evs)
-            b.phase(reads)
+                    for i in range(exchange):
+                        out.read(buf[nb] + i)
+            b.phase()
             # Second sweep, then retire the buffers.
             gap = int(self.GAP * rng.uniform(0.66, 1.28))
-            b.phase(
-                [
-                    grid_streams[t].events(_skewed(gap, t, spec.imbalance))
-                    for t in range(num_threads)
-                ]
-            )
-            b.phase(
-                [
-                    [Instr.free(buf[t], exchange)]
-                    for t in range(num_threads)
-                ]
-            )
+            for t, out in enumerate(b.threads):
+                grid_streams[t].emit(out, _skewed(gap, t, spec.imbalance))
+            b.phase()
+            for t, out in enumerate(b.threads):
+                out.free(buf[t], exchange)
+            b.phase()
         return b.build(preallocated=_region_set(grid, self.GRID))
 
 
@@ -419,13 +371,13 @@ class LU(BenchmarkGenerator):
             owner = k % num_threads
             # Diagonal factorization: the owner works hardest; the
             # pipeline leaves other threads unevenly loaded.
-            update: List[List[Instr]] = []
-            for t in range(num_threads):
+            for t, out in enumerate(b.threads):
                 if t == owner:
                     n = phase_cost // 2
                 else:
                     n = _skewed(phase_cost // 3, t, spec.imbalance)
-                evs = block_streams[t].events(n)
+                start = len(out)
+                block_streams[t].emit(out, n)
                 if t != owner:
                     # Read the pivot block from the owner: high-reuse
                     # remote reads of a small, stable region.
@@ -433,11 +385,8 @@ class LU(BenchmarkGenerator):
                         blocks[owner]
                         + (k % self.BLOCKS_PER_THREAD) * self.BLOCK
                     )
-                    evs.extend(
-                        Instr.read(pivot + rng.randrange(self.BLOCK))
-                        for _ in range(80)
-                    )
-                    rng.shuffle(evs)
-                update.append(evs)
-            b.phase(update)
+                    for _ in range(80):
+                        out.read(pivot + rng.randrange(self.BLOCK))
+                    shuffle_since(rng, out, start)
+            b.phase()
         return b.build(preallocated=_region_set(blocks, footprint))

@@ -1,12 +1,18 @@
 """Unit tests for the sequential (oracle/baseline) lifeguards."""
 
+import random
+
+import pytest
+
 from repro.lifeguards.reports import ErrorKind
 from repro.lifeguards.sequential import (
     SequentialAddrCheck,
     SequentialTaintCheck,
 )
-from repro.trace.events import Instr
-from repro.trace.program import TraceProgram
+from repro.trace.events import Instr, Op
+from repro.trace.generator import adversarial_instrs
+from repro.trace.program import ThreadTrace, TraceProgram
+from repro.workloads.registry import WORKLOADS
 
 
 def stream(*instrs):
@@ -93,3 +99,56 @@ class TestSequentialTaintCheck:
         guard = SequentialTaintCheck()
         guard.run(stream(Instr.jump(4)))
         assert len(guard.errors) == 0
+
+
+def both_walks(program, make_guard):
+    """The error logs' raw entries of ``run_order`` over the columns and
+    of ``run`` over ``walk(recorded_order())``, after checking that both
+    walks counted the same events and left the guard's metadata in the
+    same state."""
+    walked, replayed = make_guard(program), make_guard(program)
+    walked.run_order(program)
+    replayed.run(program.walk(program.recorded_order()))
+    assert walked.events_processed == replayed.events_processed
+    assert walked.snapshot_state() == replayed.snapshot_state()
+    return walked.errors.entries, replayed.errors.entries
+
+
+GUARDS = {
+    "addrcheck": lambda program: SequentialAddrCheck(program.preallocated),
+    "taintcheck": lambda program: SequentialTaintCheck(),
+}
+
+
+class TestRunOrderWalksColumns:
+    """``run_order`` reads the threads' columns; replaying the recorded
+    order's ``Instr`` objects through ``process`` must log the same
+    errors, in the same order."""
+
+    @pytest.mark.parametrize("guard", sorted(GUARDS))
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_registered_workload(self, name, guard):
+        program = WORKLOADS[name].generate(3, 6000, seed=5)
+        walked, replayed = both_walks(program, GUARDS[guard])
+        assert walked == replayed
+
+    @pytest.mark.parametrize("guard", sorted(GUARDS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adversarial_programs(self, seed, guard):
+        rng = random.Random(seed)
+        threads = [
+            adversarial_instrs(
+                rng, 120, num_locations=12, ops=tuple(Op),
+                straddle_stride=4, max_extent=3,
+            )
+            for _ in range(3)
+        ]
+        order = [t for t, instrs in enumerate(threads) for _ in instrs]
+        rng.shuffle(order)
+        program = TraceProgram(
+            [ThreadTrace(instrs) for instrs in threads],
+            true_order=order, preallocated=frozenset(range(0, 12, 3)),
+        )
+        walked, replayed = both_walks(program, GUARDS[guard])
+        assert walked == replayed
+        assert walked  # hostile soup always flags something

@@ -35,7 +35,8 @@ class TestRecordedOrderIsValid:
         )
         part = partition_by_global_order(prog, h)
         ids = instr_ids(part)
-        order = [ids[ref] for ref, _ in prog.iter_recorded()]
+        walk = prog.walk(prog.recorded_order())
+        order = [ids[ref] for ref, _ in walk]
         assert is_valid_ordering(part, order)
 
     @given(
@@ -48,5 +49,6 @@ class TestRecordedOrderIsValid:
         prog = get_benchmark(name).generate(3, 2500, seed=seed)
         part = partition_by_global_order(prog, h)
         ids = instr_ids(part)
-        order = [ids[ref] for ref, _ in prog.iter_recorded()]
+        walk = prog.walk(prog.recorded_order())
+        order = [ids[ref] for ref, _ in walk]
         assert is_valid_ordering(part, order)

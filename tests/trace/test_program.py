@@ -144,8 +144,8 @@ class TestRecordedOrder:
         with pytest.raises(TraceError):
             make_program().recorded_order()
 
-    def test_iter_recorded(self):
+    def test_walk_recorded_order(self):
         prog = make_program()
         prog.true_order = [1, 1, 0, 0]
-        refs = [ref for ref, _ in prog.iter_recorded()]
+        refs = [ref for ref, _ in prog.walk(prog.recorded_order())]
         assert refs == [(1, 0), (1, 1), (0, 0), (0, 1)]

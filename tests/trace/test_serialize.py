@@ -90,7 +90,9 @@ class TestRoundTrip:
         dump(prog, buf)
         record = json.loads(buf.getvalue().splitlines()[4])
         assert record == {
-            "true_order": [list(ref) for ref, _ in prog.iter_recorded()]
+            "true_order": [
+                list(ref) for ref, _ in prog.walk(prog.recorded_order())
+            ]
         }
 
     def test_file_round_trip(self, tmp_path):
