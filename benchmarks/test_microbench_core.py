@@ -16,12 +16,12 @@ import time
 import pytest
 
 import repro
+from repro.core.columnar import access_stream
 from repro.core.dataflow import DefinitionDomain, summarize_block
 from repro.core.epoch import partition_fixed, partition_from_boundaries
 from repro.core.framework import ButterflyEngine
 from repro.core.reaching_defs import ReachingDefinitions
 from repro.core.state import SOSHistory, SOSView
-from repro.lifeguards import addrcheck
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
 from repro.lifeguards import taintcheck
 from repro.lifeguards.racecheck import RaceScanner
@@ -446,7 +446,7 @@ def test_flatten_stays_off_numpys_slow_paths(timing_guard):
 
     new = old = float("inf")
     for _ in range(15):
-        new = min(new, best_us(addrcheck._access_stream))
+        new = min(new, best_us(access_stream))
         old = min(old, best_us(flatten_reference.flatten))
     assert 1.5 * new <= old, (new, old)
 
@@ -492,7 +492,7 @@ def test_op_class_tables_are_read_with_take():
             for node in ast.walk(ast.parse(text))
         )
     assert bad == []
-    # AddrCheck's flatten and TaintCheck.  The dataflow summarizer's
+    # The access-stream flatten and TaintCheck.  The dataflow summarizer's
     # row-filter table was a third until its columnar path went: no
     # command reached it, and the object walk has no table.
     assert takes >= 2

@@ -73,9 +73,12 @@ class ExperimentConfig:
 class Oracle:
     """Ground truth for one trace: sequential AddrCheck replayed over
     the recorded order.  It does not depend on the epoch size, so one
-    oracle scores every run of a sweep (Figure 13's false positives)."""
+    oracle scores every run of a sweep (Figure 13's false positives).
+    Nor does the trace's application side, which the oracle holds too
+    (:attr:`app`), so a sweep simulates it once."""
 
     def __init__(self, program: TraceProgram) -> None:
+        self.program = program
         truth = SequentialAddrCheck(program.preallocated)
         truth.run_order(program)
         self.errors = truth.errors
@@ -83,6 +86,13 @@ class Oracle:
 
     def score(self, flagged: Iterable[ErrorReport]) -> PrecisionReport:
         return compare_reports(self.errors, flagged, self.memory_ops)
+
+    @cached_property
+    def app(self) -> SimResult:
+        """Parallel, No Monitoring, simulated on first read: Figure 11's
+        third bar, and the application side every point's
+        :attr:`TunePoint.butterfly` runs beside its lifeguard."""
+        return LBASystem().unmonitored_parallel(self.program)
 
 
 @dataclass
@@ -98,17 +108,20 @@ class TunePoint:
     #: Host wall clock: each epoch's feed, and the whole run.
     epoch_seconds: List[float]
     wall_seconds: float
-    #: How the run cut the trace, and the lifeguard's work counters for
-    #: every block: what :attr:`butterfly` is priced from.
+    #: How the run cut the trace, the lifeguard's work counters for
+    #: every block, and the oracle that scored it (which holds the
+    #: trace's application side): what :attr:`butterfly` is priced from.
     partition: EpochPartition
     block_work: Dict[BlockId, Dict[str, int]]
+    oracle: Oracle
 
     @cached_property
     def butterfly(self) -> SimResult:
         """Simulated time (deterministic): Figures 11-12's quantity,
         priced by the cycle model on first read."""
         return LBASystem().butterfly(
-            self.partition, self.block_work, self.precision.flagged
+            self.partition, self.block_work, self.precision.flagged,
+            self.oracle.app,
         )
 
     @property
@@ -186,6 +199,7 @@ def measure_epoch_size(
         wall_seconds=time.perf_counter() - started,
         partition=partition,
         block_work=block_work,
+        oracle=oracle,
     )
 
 
@@ -305,12 +319,7 @@ class ExperimentSuite:
         )
 
     def parallel(self, benchmark: str, threads: int) -> SimResult:
-        return self._cached(
-            ("parallel", benchmark, threads),
-            lambda: LBASystem().unmonitored_parallel(
-                self.program(benchmark, threads)
-            ),
-        )
+        return self.oracle(benchmark, threads).app
 
     def timesliced(self, benchmark: str, threads: int) -> SimResult:
         return self._cached(

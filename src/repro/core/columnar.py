@@ -28,8 +28,12 @@ columns (:class:`ColumnAppender`), so none of them materializes an
 per-``Instr`` reference kernels) asks a
 :class:`~repro.core.epoch.Block` for ``.instrs``.
 
-A block's access footprint, AddrCheck's and RaceCheck's alike, is a
-:class:`SortedFirstAccess`, defined here with what both kernels share.
+What an event dereferences is one rule over the columns,
+:func:`access_stream`: AddrCheck's first pass, the schedule walk
+(:meth:`~repro.trace.program.TraceProgram.walk`) and the timing model
+all read it.  A block's access footprint,
+AddrCheck's and RaceCheck's alike, is a :class:`SortedFirstAccess`,
+defined here with what both kernels share.
 
 Columns are numpy arrays (``uint8`` ops, ``int64`` everything else);
 numpy is a dependency of the package, not an option.
@@ -77,6 +81,16 @@ OP_TAINT = OP_CODES[Op.TAINT]
 OP_UNTAINT = OP_CODES[Op.UNTAINT]
 OP_JUMP = OP_CODES[Op.JUMP]
 OP_NOP = OP_CODES[Op.NOP]
+
+# Op classes over the uint8 op column.  A class of four codes is a bool
+# table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``, which numpy
+# serves on a slow path for a uint8 index, ~2.7x the ``take``
+# (benchmarks/test_microbench_core.py holds every ``*_LUT`` in src/ to
+# that).  A class of two codes is two SIMD compares, which beat any
+# table read at 25 000 events (4.5 vs 25 us) and tie it at 2 048
+# (docs/perf.md, "Numpy's slow paths").
+_ACC_LUT = np.zeros(256, dtype=bool)
+_ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
 
 #: Sentinel encoding ``dst=None`` (int64 minimum; never a real location).
 NO_DST = -(2**63)
@@ -505,6 +519,64 @@ def expand_extents(dst: Any, idx: Any, extent: Any) -> Tuple[Any, Any]:
             np.cumsum(extent) - extent, extent
         )
     return ent, ent_loc
+
+
+def access_stream(cols: ColumnarBlock) -> Tuple[Any, Any, Any]:
+    """Every location ``cols`` dereferences, as one access stream
+    ``(acc_off, acc_loc, tot)``: event ``e`` owns the ``tot[e]`` slots
+    ``acc_off[e] .. acc_off[e+1]-1`` of ``acc_loc``, which hold its
+    sources in order then (for WRITE/ASSIGN) its destination -- the
+    order of ``Instr.accessed``.
+
+    Every masked scatter or gather goes through an index array, every
+    ``flatnonzero`` runs over bools, and the block-sized int64 arrays
+    are built in place: each temporary is one more round of fresh pages
+    from the allocator."""
+    n = cols.length
+    ops = cols.op
+    src_off = cols.src_off
+    src_val = cols.src_val
+    is_acc = _ACC_LUT.take(ops)
+    has_dst = (ops == OP_WRITE) | (ops == OP_ASSIGN)
+    tot = src_off[1:] - src_off[:-1]
+    tot *= is_acc
+    tot += has_dst
+    acc_off = np.empty(n + 1, dtype=np.int64)
+    acc_off[0] = 0
+    np.cumsum(tot, out=acc_off[1:])
+    total = int(acc_off[-1])
+    acc_loc = np.empty(total, dtype=np.int64)
+    if total:
+        dst_ev = np.flatnonzero(has_dst)
+        # A destination is its event's last slot.
+        dst_pos = acc_off[1:][dst_ev]
+        dst_pos -= 1
+        if total - dst_ev.shape[0] != src_val.shape[0]:
+            # Fewer source slots than sources: some non-access event
+            # carries sources.  Filter them out of the flattened source
+            # stream before scattering.
+            src_cnt = tot - has_dst
+            src_ev = np.repeat(
+                np.arange(n, dtype=np.int64), src_off[1:] - src_off[:-1]
+            )
+            kept = np.flatnonzero(is_acc[src_ev])
+            kept_ev = src_ev[kept]
+            # The kept sources of event e are contiguous starting at
+            # kept_start[e]; shift each run to its slot in acc_loc.
+            kept_start = np.cumsum(src_cnt) - src_cnt
+            pos = (acc_off[:-1] - kept_start)[kept_ev] + np.arange(
+                kept_ev.shape[0], dtype=np.int64
+            )
+            acc_loc[pos] = src_val[kept]
+        elif src_val.shape[0]:
+            # All sources belong to access events (the usual case): the
+            # slots that are not destination slots are exactly the
+            # sources in stream order.
+            is_src_slot = np.ones(total, dtype=bool)
+            is_src_slot[dst_pos] = False
+            acc_loc[np.flatnonzero(is_src_slot)] = src_val
+        acc_loc[dst_pos] = cols.dst[dst_ev]
+    return acc_off, acc_loc, tot
 
 
 def _sorted_hits(locs: Any, changed: Any) -> Set[int]:

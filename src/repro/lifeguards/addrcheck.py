@@ -40,14 +40,11 @@ from typing import (
 import numpy as np
 
 from repro.core.columnar import (
-    OP_ASSIGN,
     OP_FREE,
-    OP_JUMP,
     OP_MALLOC,
-    OP_READ,
-    OP_WRITE,
     ColumnarBlock,
     SortedFirstAccess,
+    access_stream,
     expand_extents,
 )
 from repro.core.dataflow import BlockFacts
@@ -56,16 +53,6 @@ from repro.core.framework import ButterflyAnalysis, Scanner, row_groups
 from repro.core.state import SOSHistory, SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
-
-# Op classes over the uint8 op column.  A class of four codes is a bool
-# table read as ``TABLE.take(ops)`` -- never ``TABLE[ops]``, which numpy
-# serves on a slow path for a uint8 index, ~2.7x the ``take``
-# (benchmarks/test_microbench_core.py holds every ``*_LUT`` in src/ to
-# that).  A class of two codes is two SIMD compares, which beat any
-# table read at 25 000 events (4.5 vs 25 us) and tie it at 2 048
-# (docs/perf.md, "Numpy's slow paths").
-_ACC_LUT = np.zeros(256, dtype=bool)
-_ACC_LUT[[OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP]] = True
 
 _DETAIL_MALLOC = "malloc of location believed allocated"
 _DETAIL_FREE = "free of location believed unallocated"
@@ -78,64 +65,6 @@ _CHANGE_ERRORS = {
     False: (ErrorKind.FREE_UNALLOCATED, _DETAIL_FREE),
 }
 _ACCESS_ERROR = ErrorKind.ACCESS_UNALLOCATED
-
-
-def _access_stream(cols: ColumnarBlock) -> Tuple[Any, Any, Any]:
-    """Flatten every location ``cols`` dereferences into one access
-    stream, ``(acc_off, acc_loc, tot)``: event ``e`` owns the ``tot[e]``
-    slots ``acc_off[e] .. acc_off[e+1]-1`` of ``acc_loc``, which hold
-    its sources in order then (for WRITE/ASSIGN) its destination -- the
-    exact order of the scalar loop.
-
-    Every masked scatter or gather goes through an index array, every
-    ``flatnonzero`` runs over bools, and the block-sized int64 arrays
-    are built in place: each temporary is one more round of fresh pages
-    from the allocator."""
-    n = cols.length
-    ops = cols.op
-    src_off = cols.src_off
-    src_val = cols.src_val
-    is_acc = _ACC_LUT.take(ops)
-    has_dst = (ops == OP_WRITE) | (ops == OP_ASSIGN)
-    tot = src_off[1:] - src_off[:-1]
-    tot *= is_acc
-    tot += has_dst
-    acc_off = np.empty(n + 1, dtype=np.int64)
-    acc_off[0] = 0
-    np.cumsum(tot, out=acc_off[1:])
-    total = int(acc_off[-1])
-    acc_loc = np.empty(total, dtype=np.int64)
-    if total:
-        dst_ev = np.flatnonzero(has_dst)
-        # A destination is its event's last slot.
-        dst_pos = acc_off[1:][dst_ev]
-        dst_pos -= 1
-        if total - dst_ev.shape[0] != src_val.shape[0]:
-            # Fewer source slots than sources: some non-access event
-            # carries sources.  Filter them out of the flattened source
-            # stream before scattering.
-            src_cnt = tot - has_dst
-            src_ev = np.repeat(
-                np.arange(n, dtype=np.int64), src_off[1:] - src_off[:-1]
-            )
-            kept = np.flatnonzero(is_acc[src_ev])
-            kept_ev = src_ev[kept]
-            # The kept sources of event e are contiguous starting at
-            # kept_start[e]; shift each run to its slot in acc_loc.
-            kept_start = np.cumsum(src_cnt) - src_cnt
-            pos = (acc_off[:-1] - kept_start)[kept_ev] + np.arange(
-                kept_ev.shape[0], dtype=np.int64
-            )
-            acc_loc[pos] = src_val[kept]
-        elif src_val.shape[0]:
-            # All sources belong to access events (the usual case): the
-            # slots that are not destination slots are exactly the
-            # sources in stream order.
-            is_src_slot = np.ones(total, dtype=bool)
-            is_src_slot[dst_pos] = False
-            acc_loc[np.flatnonzero(is_src_slot)] = src_val
-        acc_loc[dst_pos] = cols.dst[dst_ev]
-    return acc_off, acc_loc, tot
 
 
 #: ``_epoch_killers`` value for a location two or more threads finally
@@ -291,7 +220,7 @@ class AddrScanner(Scanner):
         ops = cols.op
         use_filter = self.use_idempotent_filter
 
-        acc_off, acc_loc, tot = _access_stream(cols)
+        acc_off, acc_loc, tot = access_stream(cols)
         total = acc_loc.shape[0]
 
         # Segment ``s`` owns events ``ev_lo[s]..ev_lo[s+1]-1`` and the

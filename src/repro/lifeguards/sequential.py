@@ -10,10 +10,12 @@ These play two roles in the reproduction:
    butterfly reports are scored against it.
 
 Both guards consume one event at a time through one per-event core
-(``_step``, on an op code, destination, extent and sources): an
-``Instr`` (:meth:`process`) in an order the caller enumerates
-(:meth:`run`, :func:`true_errors_under_any_ordering`), or the recorded
-order read straight off the threads' columns (:meth:`run_order`).
+(``step``, on an op code, destination, extent and the locations the
+event dereferences): an ``Instr`` (:meth:`process`) in an order the
+caller enumerates (:meth:`run`, :func:`true_errors_under_any_ordering`),
+or a schedule's plain-int events read off the threads' columns
+(:meth:`~repro.trace.program.TraceProgram.walk`: :meth:`run_order`, the
+timesliced lifeguard of :mod:`repro.sim.lba`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from repro.core.columnar import (
     OP_FREE,
     OP_JUMP,
     OP_MALLOC,
-    OP_NOP,
-    OP_READ,
     OP_TAINT,
     OP_UNTAINT,
     OP_WRITE,
@@ -53,16 +53,18 @@ class _SequentialBase:
         self.errors = ErrorLog()
         self.events_processed = 0
 
-    def _step(self, ref, code, dst, size, srcs) -> None:
+    def step(self, ref, code, dst, size, accessed) -> None:
         """The per-event core: one event as its op code, destination
-        (read only by the ops that have one), extent and sources;
-        ``ref`` labels error reports."""
+        (read only by the ops that have one), extent and the locations
+        it dereferences (its sources, then a WRITE's or ASSIGN's
+        destination); ``ref`` labels error reports."""
         raise NotImplementedError
 
     def process(self, ref: Optional[GlobalRef], instr: Instr) -> None:
         """Consume one ``Instr``."""
         self.events_processed += 1
-        self._step(ref, OP_CODES[instr.op], instr.dst, instr.size, instr.srcs)
+        self.step(ref, OP_CODES[instr.op], instr.dst, instr.size,
+                  instr.accessed)
 
     def run(
         self, stream: Iterable[Tuple[Optional[GlobalRef], Instr]]
@@ -72,24 +74,11 @@ class _SequentialBase:
         return self.errors
 
     def run_order(self, program: TraceProgram) -> ErrorLog:
-        """Run over the program's recorded ground-truth interleaving,
-        one per-thread cursor into the columns advancing per entry."""
-        columns = [
-            (c.op.tolist(), c.dst.tolist(), c.size.tolist(),
-             c.src_off.tolist(), c.src_val.tolist())
-            for c in (trace.columns for trace in program.threads)
-        ]
-        cursors = [0] * len(columns)
-        step = self._step
-        schedule = program.recorded_order().tolist()
-        for t in schedule:
-            i = cursors[t]
-            cursors[t] = i + 1
-            ops, dsts, sizes, offs, vals = columns[t]
-            code = ops[i]
-            if code != OP_NOP:  # nothing to either guard
-                srcs = vals[offs[i]:offs[i + 1]]
-                step((t, i), code, dsts[i], sizes[i], srcs)
+        """Run over the program's recorded ground-truth interleaving."""
+        schedule = program.recorded_order()
+        step = self.step
+        for ref, code, dst, size, accessed in program.walk(schedule):
+            step(ref, code, dst, size, accessed)
         self.events_processed += len(schedule)
         return self.errors
 
@@ -105,7 +94,7 @@ class SequentialAddrCheck(_SequentialBase):
         super().__init__()
         self.allocated: Set[int] = set(initially_allocated)
 
-    def _step(self, ref, code, dst, size, srcs) -> None:
+    def step(self, ref, code, dst, size, accessed) -> None:
         allocated = self.allocated
         if code == OP_MALLOC:
             for loc in range(dst, dst + size):
@@ -124,13 +113,6 @@ class SequentialAddrCheck(_SequentialBase):
                         detail="free of unallocated location",
                     )
                 allocated.discard(loc)
-            return
-        # What the event dereferences (``Instr.accessed``).
-        if code == OP_READ or code == OP_JUMP:
-            accessed = srcs
-        elif code == OP_WRITE or code == OP_ASSIGN:
-            accessed = (*srcs, dst)
-        else:
             return
         for loc in accessed:
             if loc not in allocated:
@@ -162,19 +144,21 @@ class SequentialTaintCheck(_SequentialBase):
         super().__init__()
         self.tainted: Set[int] = set()
 
-    def _step(self, ref, code, dst, size, srcs) -> None:
+    def step(self, ref, code, dst, size, accessed) -> None:
         tainted = self.tainted
         if code == OP_TAINT:
             tainted.add(dst)
         elif code == OP_UNTAINT or code == OP_WRITE:
             tainted.discard(dst)
         elif code == OP_ASSIGN:
-            if any(s in tainted for s in srcs):
+            # The sources: every dereferenced location but the
+            # destination, which comes last.
+            if any(s in tainted for s in accessed[:-1]):
                 tainted.add(dst)
             else:
                 tainted.discard(dst)
         elif code == OP_JUMP:
-            loc = srcs[0]
+            loc = accessed[0]
             if loc in tainted:
                 self.errors.record(
                     ErrorKind.TAINTED_JUMP, loc, ref=ref,

@@ -17,9 +17,7 @@ The evaluation uses two LBA accelerators:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
-
-from repro.trace.events import Instr, Op
+from typing import List, Sequence
 
 
 class MetadataTLB:
@@ -88,34 +86,29 @@ class IdempotentFilter:
         self.passed = 0
         self.filtered = 0
 
-    def _touch(self, loc: int) -> None:
-        if loc in self._checked:
-            self._checked.move_to_end(loc)
-        else:
-            self._checked[loc] = None
-            if len(self._checked) > self.capacity:
-                self._checked.popitem(last=False)
-
-    def admit(self, instr: Instr) -> bool:
-        """True when the event must reach the lifeguard."""
-        if instr.op in (Op.MALLOC, Op.FREE):
+    def admit(self, locs: Sequence[int], alloc: bool) -> bool:
+        """True when the event must reach the lifeguard: an allocation
+        event (``alloc``) over its extent ``locs``, else an access over
+        the locations it dereferences."""
+        checked = self._checked
+        if alloc:
             # Allocation-state changes invalidate prior checks of the
             # covered locations and always dispatch.
-            for loc in instr.extent:
-                self._checked.pop(loc, None)
-            self.passed += 1
-            return True
-        accessed = instr.accessed
-        if not accessed:
-            self.passed += 1
-            return True
-        if all(loc in self._checked for loc in accessed):
-            for loc in accessed:
-                self._checked.move_to_end(loc)
+            for loc in locs:
+                checked.pop(loc, None)
+        elif locs and all(loc in checked for loc in locs):
+            for loc in locs:
+                checked.move_to_end(loc)
             self.filtered += 1
             return False
-        for loc in accessed:
-            self._touch(loc)
+        else:
+            for loc in locs:
+                if loc in checked:
+                    checked.move_to_end(loc)
+                else:
+                    checked[loc] = None
+                    if len(checked) > self.capacity:
+                        checked.popitem(last=False)
         self.passed += 1
         return True
 

@@ -1,19 +1,19 @@
 """In-order cores executing event traces.
 
 A :class:`Core` charges one cycle per instruction plus the data-path
-cost of each touched location (addresses are abstract locations scaled
-to bytes).  This is the application side of the paper's machine; the
-lifeguard side's costs live in :mod:`repro.sim.lba`.
+cost of each location in their access stream (addresses are abstract
+locations scaled to bytes).  This is the application side of the
+paper's machine; the lifeguard side's costs live in :mod:`repro.sim.lba`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.core.columnar import access_stream
 from repro.sim.config import MachineConfig
 from repro.sim.memory import MemoryHierarchy, build_hierarchies
-from repro.trace.events import Instr
 from repro.trace.interleave import round_robin
 from repro.trace.program import TraceProgram
 
@@ -36,17 +36,12 @@ class Core:
     def __init__(self, hierarchy: MemoryHierarchy) -> None:
         self.hierarchy = hierarchy
 
-    def execute(self, instrs: Iterable[Instr]) -> CoreResult:
-        cycles = 0
-        count = 0
-        mem = 0
-        for instr in instrs:
-            count += 1
-            cycles += 1
-            for loc in instr.accessed:
-                mem += 1
-                cycles += self.hierarchy.access(loc * LOCATION_STRIDE)
-        return CoreResult(instructions=count, memory_accesses=mem, cycles=cycles)
+    def execute(self, accessed: Sequence[int], instructions: int) -> CoreResult:
+        """Run ``instructions`` events that dereference ``accessed``, in
+        order: one cycle each, plus each access's data-path cost."""
+        access = self.hierarchy.access
+        cycles = sum(access(loc * LOCATION_STRIDE) for loc in accessed)
+        return CoreResult(instructions, len(accessed), instructions + cycles)
 
 
 @dataclass
@@ -65,7 +60,7 @@ def run_parallel(program: TraceProgram, config: MachineConfig) -> CMPResult:
     """Execute each thread on its own core over a shared L2."""
     hierarchies = build_hierarchies(config, program.num_threads)
     results = [
-        Core(h).execute(trace)
+        Core(h).execute(access_stream(trace.columns)[1].tolist(), len(trace))
         for h, trace in zip(hierarchies, program.threads)
     ]
     return CMPResult(per_thread=results)
@@ -84,4 +79,6 @@ def run_serialized(
     if order is None:
         order = round_robin(program, quantum=64)
     core = Core(build_hierarchies(config, 1)[0])
-    return core.execute(instr for _, instr in program.walk(order))
+    walk = program.walk(order)
+    accessed = [loc for *_, locs in walk for loc in locs]
+    return core.execute(accessed, len(order))

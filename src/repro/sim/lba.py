@@ -27,13 +27,13 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.columnar import OP_FREE, OP_MALLOC, access_stream
 from repro.core.epoch import BlockId, EpochPartition
 from repro.lifeguards.sequential import SequentialAddrCheck
 from repro.sim.accelerators import IdempotentFilter, MetadataTLB
 from repro.sim.cmp import LOCATION_STRIDE, run_parallel, run_serialized
 from repro.sim.config import COSTS, MachineConfig
 from repro.sim.logbuffer import coupled_time
-from repro.trace.events import Op
 from repro.trace.interleave import round_robin
 from repro.trace.program import TraceProgram
 
@@ -117,20 +117,18 @@ class LBASystem:
         lifeguard_cycles = 0
         errors = 0
         guard = SequentialAddrCheck(program.preallocated)
-        for ref, instr in program.walk(order):
-            if instr.op in (Op.MALLOC, Op.FREE):
-                locs = instr.extent
-            else:
-                locs = instr.accessed
-                if not locs:
-                    # Compute instructions are masked out by LBA's event
-                    # selection and never dispatch.
-                    continue
-            if not filt.admit(instr):
+        for ref, code, dst, size, accessed in program.walk(order):
+            alloc = code == OP_MALLOC or code == OP_FREE
+            locs = range(dst, dst + size) if alloc else accessed
+            if not locs:
+                # Compute instructions are masked out by LBA's event
+                # selection and never dispatch.
+                continue
+            if not filt.admit(locs, alloc):
                 continue
             lifeguard_cycles += costs.dispatch_cycles
             flags_before = len(guard.errors)
-            guard.process(ref, instr)
+            guard.step(ref, code, dst, size, accessed)
             for loc in locs:
                 lifeguard_cycles += (
                     mtlb.lookup(loc * LOCATION_STRIDE) + costs.check_cycles
@@ -157,18 +155,19 @@ class LBASystem:
         partition: EpochPartition,
         block_work: Dict[BlockId, Dict[str, int]],
         flags: int,
+        app: SimResult,
     ) -> SimResult:
         """Parallel, Monitoring: butterfly AddrCheck on 2k cores.
 
         Prices one real lifeguard run with the cost model: the
         ``partition`` it cut the trace into, its per-block work
         counters ``block_work`` (``ButterflyAddrCheck.block_work`` for
-        every block) and the number of errors it ``flags``.
+        every block) and the number of errors it ``flags``, beside the
+        application side ``app`` -- the program's
+        :meth:`unmonitored_parallel` run, which no epoch size changes.
         """
         program = partition.program
-        config = MachineConfig.for_app_threads(program.num_threads)
         costs = COSTS
-        app = run_parallel(program, config)
         mtlb_cycles = self._mtlb_cycles_by_thread(partition)
 
         # Average metadata-TLB cost per check, per lifeguard thread.
@@ -217,8 +216,8 @@ class LBASystem:
 
         return SimResult(
             label="parallel-monitoring",
-            cycles=coupled_time(app.cycles, lifeguard_cycles),
-            app_cycles=app.cycles,
+            cycles=coupled_time(app.app_cycles, lifeguard_cycles),
+            app_cycles=app.app_cycles,
             lifeguard_cycles=lifeguard_cycles,
             extras={
                 "epochs": partition.num_epochs,
@@ -238,23 +237,28 @@ class LBASystem:
         skips them)."""
         out: Dict[int, int] = {}
         for tid, trace in enumerate(partition.program.threads):
+            cols = trace.columns
+            acc_off, acc_loc, _ = access_stream(cols)
+            accessed = acc_loc.tolist()
             mtlb = MetadataTLB(page_size=MTLB_PAGE_SIZE)
             cuts = set(partition.boundaries[tid])
             seen: set = set()
             cycles = 0
-            for i, instr in enumerate(trace):
+            for i, (code, dst, size, lo, hi) in enumerate(zip(
+                cols.op.tolist(), cols.dst.tolist(), cols.size.tolist(),
+                acc_off.tolist(), acc_off[1:].tolist(),
+            )):
                 if i in cuts:
                     seen.clear()
-                if instr.op in (Op.MALLOC, Op.FREE):
-                    for loc in instr.extent:
+                if code == OP_MALLOC or code == OP_FREE:
+                    for loc in range(dst, dst + size):
                         seen.discard(loc)
                         cycles += mtlb.lookup(loc * LOCATION_STRIDE)
                 else:
-                    for loc in instr.accessed:
+                    for loc in accessed[lo:hi]:
                         if loc in seen:
                             continue
                         seen.add(loc)
                         cycles += mtlb.lookup(loc * LOCATION_STRIDE)
             out[tid] = cycles
         return out
-

@@ -142,17 +142,6 @@ class Instr:
     # -- derived views -------------------------------------------------
 
     @property
-    def locations(self) -> Tuple[int, ...]:
-        """Every location this instruction touches (reads or writes)."""
-        locs = list(self.srcs)
-        if self.dst is not None:
-            if self.op in (Op.MALLOC, Op.FREE):
-                locs.extend(range(self.dst, self.dst + self.size))
-            else:
-                locs.append(self.dst)
-        return tuple(locs)
-
-    @property
     def extent(self) -> Tuple[int, ...]:
         """Locations covered by a MALLOC/FREE, else the dst singleton."""
         if self.dst is None:

@@ -105,8 +105,8 @@ def _conflicts(a: Instr, b: Instr) -> bool:
     sense used by the paper's weak assumptions)."""
     a_writes = set(a.extent)
     b_writes = set(b.extent)
-    a_all = set(a.locations)
-    b_all = set(b.locations)
+    a_all = a_writes.union(a.srcs)
+    b_all = b_writes.union(b.srcs)
     return bool(a_writes & b_all) or bool(b_writes & a_all)
 
 

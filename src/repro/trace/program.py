@@ -15,13 +15,7 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import (
-    OP_ASSIGN,
-    OP_JUMP,
-    OP_READ,
-    OP_WRITE,
-    ColumnarBlock,
-)
+from repro.core.columnar import OP_NOP, ColumnarBlock, access_stream
 from repro.errors import TraceError
 from repro.trace.events import Instr
 
@@ -79,10 +73,6 @@ class ThreadTrace:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ThreadTrace) and self.columns == other.columns
-
-
-#: Op codes of the events that dereference memory (``_ACCESSING_OPS``).
-_MEMORY_OPS = (OP_READ, OP_WRITE, OP_ASSIGN, OP_JUMP)
 
 
 #: A global-order entry: (thread id, index within that thread's trace).
@@ -163,9 +153,9 @@ class TraceProgram:
     @property
     def memory_op_count(self) -> int:
         """Number of memory-accessing events (Figure 13's denominator):
-        the events whose ``Instr.accessed`` is never empty."""
+        the events that dereference a location."""
         return sum(
-            int(np.count_nonzero(np.isin(trace.columns.op, _MEMORY_OPS)))
+            int(np.count_nonzero(access_stream(trace.columns)[2]))
             for trace in self.threads
         )
 
@@ -183,12 +173,35 @@ class TraceProgram:
 
     def walk(
         self, schedule: Sequence[int]
-    ) -> Iterator[Tuple[GlobalRef, Instr]]:
-        """Iterate ``((thread, index), instr)`` in ``schedule``'s order,
-        one per-thread cursor advancing per entry naming its thread."""
-        threads = [trace.instrs for trace in self.threads]
-        cursors = [0] * len(threads)
-        for t in np.asarray(schedule).tolist():
-            i = cursors[t]
-            cursors[t] = i + 1
-            yield (t, i), threads[t][i]
+    ) -> Iterator[Tuple[GlobalRef, int, int, int, List[int]]]:
+        """The events ``schedule`` runs (its k-th entry naming thread t
+        runs that thread's k-th event), NOPs left out, as plain ints off
+        the columns: ``((thread, index), op code, dst, size, accessed)``,
+        ``accessed`` being what the event dereferences
+        (:func:`~repro.core.columnar.access_stream`)."""
+        tids = np.asarray(schedule, dtype=np.int64)
+        lengths = np.array([len(t) for t in self.threads], dtype=np.int64)
+        counts = np.bincount(tids, minlength=lengths.shape[0])
+        if counts.shape[0] > lengths.shape[0] or (counts > lengths).any():
+            raise TraceError("the schedule runs past a thread's events")
+        # An entry's index in its thread is its rank among the entries
+        # naming that thread, which a stable sort lines up in order.
+        index = np.empty_like(tids)
+        index[np.argsort(tids, kind="stable")] = np.arange(
+            tids.shape[0]
+        ) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = ColumnarBlock.concat([trace.columns for trace in self.threads])
+        acc_off, acc_loc, _ = access_stream(cols)
+        event = (np.cumsum(lengths) - lengths)[tids] + index
+        kept = np.flatnonzero(cols.op[event] != OP_NOP)
+        event = event[kept]
+        accessed = acc_loc.tolist()
+        return zip(
+            zip(tids[kept].tolist(), index[kept].tolist()),
+            cols.op[event].tolist(),
+            cols.dst[event].tolist(),
+            cols.size[event].tolist(),
+            map(accessed.__getitem__, map(
+                slice, acc_off[event].tolist(), acc_off[event + 1].tolist()
+            )),
+        )

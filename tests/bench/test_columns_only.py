@@ -2,14 +2,16 @@
 
 A registered workload is generated straight into columns, partitioned
 into column slices, scanned by the columnar kernels, scored by an
-oracle that walks the columns, and reported from the error log's raw
-entries -- so ``repro check --benchmark`` and Figure 13 construct no
-per-event object at all.  A counting ``Instr.__post_init__`` proves it.
+oracle that walks the columns, reported from the error log's raw
+entries, and timed by a cycle model that replays the columns' access
+stream -- so ``repro check --benchmark``, Table 1 and Figures 11-13
+construct no per-event object at all.  A counting
+``Instr.__post_init__`` proves it.
 """
 
 import pytest
 
-from repro.bench.experiments import figure13
+from repro.bench.experiments import figure11, figure12, figure13, table1
 from repro.bench.harness import ExperimentConfig, ExperimentSuite
 from repro.cli import main
 from repro.trace.events import Instr
@@ -53,5 +55,23 @@ def test_figure13_builds_no_instr(instrs_built):
         ExperimentConfig(events_per_thread=6000, thread_counts=(2,))
     ))
     assert any(small or large for per in fig.data.values()
+               for small, large in per.values())
+    assert instrs_built == []
+
+
+def test_table1_and_cycle_figures_build_no_instr(instrs_built):
+    """Figures 11-12 run every cycle model: the sequential, parallel and
+    timesliced baselines and the butterfly pricing at both epoch
+    sizes."""
+    suite = ExperimentSuite(
+        ExperimentConfig(events_per_thread=3000, thread_counts=(2,))
+    )
+    table1().render()
+    eleven = figure11(suite)
+    twelve = figure12(suite)
+    assert all(ts > 0 and bf > 0 and par > 0
+               for per in eleven.data.values()
+               for ts, bf, par in per.values())
+    assert all(small > 0 and large > 0 for per in twelve.data.values()
                for small, large in per.values())
     assert instrs_built == []

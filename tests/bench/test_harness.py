@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import figure13
+from repro.bench.experiments import figure11, figure12, figure13
 from repro.bench.harness import (
     EPOCH_LARGE,
     EPOCH_SMALL,
@@ -11,6 +11,7 @@ from repro.bench.harness import (
     ExperimentConfig,
     ExperimentSuite,
 )
+from repro.sim import lba
 from repro.sim.accelerators import MetadataTLB
 from repro.sim.cmp import Core
 from repro.sim.lba import LBASystem
@@ -60,6 +61,26 @@ class TestSuite:
         small, large = suite.point("LU", 2, 128), suite.point("LU", 2, 1024)
         assert small.partition.program is large.partition.program
         assert suite.oracle("LU", 2) is suite.oracle("LU", 2)
+
+    def test_app_side_simulated_once_per_program(self, monkeypatch):
+        """Figure 11's no-monitoring bar and every butterfly point of
+        Figures 11-12 share one parallel run of each program."""
+        runs = []
+        real = lba.run_parallel
+
+        def counted(program, config):
+            runs.append(program)
+            return real(program, config)
+
+        monkeypatch.setattr(lba, "run_parallel", counted)
+        suite = ExperimentSuite(
+            ExperimentConfig(events_per_thread=1500, thread_counts=(2,))
+        )
+        figure11(suite)
+        figure12(suite)
+        programs = [suite.program(bench, 2) for bench in BENCHMARKS]
+        assert len(runs) == len(programs)
+        assert all(any(run is p for run in runs) for p in programs)
 
     def test_run_cached(self, small_suite):
         a = small_suite.point("LU", 2, 128)

@@ -643,7 +643,7 @@ class TestFitting:
                 false_positives=flags, false_negatives=0, memory_ops=1000,
             ),
             epoch_seconds=[mean_ms / 1e3] * 10, wall_seconds=4.0,
-            partition=None, block_work={},
+            partition=None, block_work={}, oracle=None,
         )
 
     def test_point_derives_its_flat_record(self):

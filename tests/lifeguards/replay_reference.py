@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Set, Tuple
 import numpy as np
 
 from repro.core.columnar import (
-    OP_FREE, OP_MALLOC, ColumnarBlock, SortedFirstAccess,
+    OP_FREE, OP_MALLOC, ColumnarBlock, SortedFirstAccess, access_stream,
 )
 from repro.core.state import SOSView
 from repro.lifeguards.addrcheck import (
@@ -27,7 +27,6 @@ from repro.lifeguards.addrcheck import (
     _DETAIL_MALLOC,
     AddrScan,
     AddrScanner,
-    _access_stream,
 )
 from repro.lifeguards.reports import ErrorKind
 
@@ -78,7 +77,7 @@ def scan_columns(
     dst_col = cols.dst
     size_col = cols.size
 
-    acc_off, acc_loc, tot = _access_stream(cols)
+    acc_off, acc_loc, tot = access_stream(cols)
     total = acc_loc.shape[0]
 
     # Segment ``s`` owns events ``ev_lo[s]..ev_lo[s+1]-1`` and the

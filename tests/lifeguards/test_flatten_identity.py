@@ -1,7 +1,7 @@
 """The columnar AddrCheck kernel's rewritten sections against the numpy
 idioms they replaced.
 
-The access-stream flatten (:func:`repro.lifeguards.addrcheck._access_stream`)
+The access-stream flatten (:func:`repro.core.columnar.access_stream`)
 must return exactly the arrays the parent's flatten returned -- kept
 test-local in :mod:`tests.lifeguards.flatten_reference` -- and
 ``scan_row`` (whose ``_occurrences`` now reads ``mark.take(key)``) must
@@ -15,9 +15,10 @@ multi-segment groups.
 import numpy as np
 import pytest
 
-from repro.core.columnar import OP_ASSIGN, OP_WRITE, ColumnarBlock
+from repro.core.columnar import (
+    OP_ASSIGN, OP_WRITE, ColumnarBlock, access_stream,
+)
 from repro.core.epoch import Block
-from repro.lifeguards import addrcheck
 from repro.trace.generator import ColumnarAllocSource
 from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
@@ -118,7 +119,7 @@ def test_flatten_matches_the_reference():
     assert len(inputs) > 100
     branches = set()
     for name, cols in inputs:
-        acc_off, acc_loc, tot = addrcheck._access_stream(cols)
+        acc_off, acc_loc, tot = access_stream(cols)
         want_off, want_loc = flatten(cols)
         assert acc_off.dtype == want_off.dtype == np.int64, name
         assert acc_loc.dtype == want_loc.dtype == np.int64, name

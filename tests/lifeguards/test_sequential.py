@@ -14,6 +14,8 @@ from repro.trace.generator import adversarial_instrs
 from repro.trace.program import ThreadTrace, TraceProgram
 from repro.workloads.registry import WORKLOADS
 
+from tests.trace.test_program import schedule_refs
+
 
 def stream(*instrs):
     return [((0, i), instr) for i, instr in enumerate(instrs)]
@@ -103,12 +105,15 @@ class TestSequentialTaintCheck:
 
 def both_walks(program, make_guard):
     """The error logs' raw entries of ``run_order`` over the columns and
-    of ``run`` over ``walk(recorded_order())``, after checking that both
-    walks counted the same events and left the guard's metadata in the
-    same state."""
+    of ``run`` over the recorded order's ``Instr`` objects, after
+    checking that both walks counted the same events and left the
+    guard's metadata in the same state."""
     walked, replayed = make_guard(program), make_guard(program)
     walked.run_order(program)
-    replayed.run(program.walk(program.recorded_order()))
+    replayed.run(
+        (ref, program.threads[ref[0]][ref[1]])
+        for ref in schedule_refs(program.recorded_order())
+    )
     assert walked.events_processed == replayed.events_processed
     assert walked.snapshot_state() == replayed.snapshot_state()
     return walked.errors.entries, replayed.errors.entries

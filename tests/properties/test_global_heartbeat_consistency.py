@@ -19,6 +19,7 @@ from repro.trace.generator import simulated_alloc_program
 from repro.workloads.registry import BENCHMARKS, get_benchmark
 
 from tests.properties.test_ordering_properties import instr_ids
+from tests.trace.test_program import schedule_refs
 
 
 class TestRecordedOrderIsValid:
@@ -35,8 +36,7 @@ class TestRecordedOrderIsValid:
         )
         part = partition_by_global_order(prog, h)
         ids = instr_ids(part)
-        walk = prog.walk(prog.recorded_order())
-        order = [ids[ref] for ref, _ in walk]
+        order = [ids[ref] for ref in schedule_refs(prog.recorded_order())]
         assert is_valid_ordering(part, order)
 
     @given(
@@ -49,6 +49,5 @@ class TestRecordedOrderIsValid:
         prog = get_benchmark(name).generate(3, 2500, seed=seed)
         part = partition_by_global_order(prog, h)
         ids = instr_ids(part)
-        walk = prog.walk(prog.recorded_order())
-        order = [ids[ref] for ref, _ in walk]
+        order = [ids[ref] for ref in schedule_refs(prog.recorded_order())]
         assert is_valid_ordering(part, order)

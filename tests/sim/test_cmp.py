@@ -1,5 +1,6 @@
 """Unit tests for cores and parallel execution."""
 
+from repro.core.columnar import ColumnarBlock, access_stream
 from repro.sim.cmp import (
     Core,
     run_parallel,
@@ -11,22 +12,27 @@ from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 
 
+def execute(instrs):
+    """One fresh core running ``instrs`` as the model does: over their
+    access stream."""
+    core = Core(build_hierarchies(MachineConfig(), 1)[0])
+    _, accessed, _ = access_stream(ColumnarBlock.from_instrs(instrs))
+    return core.execute(accessed.tolist(), len(instrs))
+
+
 class TestCore:
     def test_nop_costs_one_cycle(self):
-        core = Core(build_hierarchies(MachineConfig(), 1)[0])
-        result = core.execute([Instr.nop()] * 10)
+        result = execute([Instr.nop()] * 10)
         assert result.cycles == 10
         assert result.memory_accesses == 0
 
     def test_memory_ops_add_latency(self):
-        core = Core(build_hierarchies(MachineConfig(), 1)[0])
-        result = core.execute([Instr.read(0)])
+        result = execute([Instr.read(0)])
         assert result.cycles > 1
         assert result.memory_accesses == 1
 
     def test_assign_touches_all_locations(self):
-        core = Core(build_hierarchies(MachineConfig(), 1)[0])
-        result = core.execute([Instr.assign(0, 1, 2)])
+        result = execute([Instr.assign(0, 1, 2)])
         assert result.memory_accesses == 3
 
 

@@ -50,7 +50,7 @@ class TestConstructors:
 
     def test_nop(self):
         instr = Instr.nop()
-        assert instr.locations == ()
+        assert instr.extent == ()
         assert instr.accessed == ()
 
 
@@ -90,7 +90,7 @@ class TestDerivedViews:
         assert Instr.malloc(0, 8).accessed == ()
 
     def test_malloc_locations_cover_extent(self):
-        assert Instr.malloc(2, 3).locations == (2, 3, 4)
+        assert Instr.malloc(2, 3).extent == (2, 3, 4)
 
     def test_extent_of_plain_write_is_dst(self):
         assert Instr.write(5).extent == (5,)

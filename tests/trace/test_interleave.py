@@ -132,7 +132,7 @@ class TestRelaxedEdgeCases:
 class TestSerialize:
     def test_serialize_round_trip(self):
         prog = two_by_two()
-        order = [ref for ref, _ in prog.walk(round_robin(prog, quantum=1))]
+        order = [ref for ref, *_ in prog.walk(round_robin(prog, quantum=1))]
         instrs = serialize(prog, order)
         assert [i.op.value for i in instrs] == ["write", "read", "write", "read"]
 

@@ -1,11 +1,12 @@
 """Unit tests for TraceProgram / ThreadTrace."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.columnar import ColumnarBlock
+from repro.core.columnar import NO_DST, OP_CODES, ColumnarBlock
 from repro.errors import TraceError
 from repro.trace.events import Instr, Op
 from repro.trace.generator import random_program, simulated_taint_program
@@ -147,5 +148,47 @@ class TestRecordedOrder:
     def test_walk_recorded_order(self):
         prog = make_program()
         prog.true_order = [1, 1, 0, 0]
-        refs = [ref for ref, _ in prog.walk(prog.recorded_order())]
+        refs = [ref for ref, *_ in prog.walk(prog.recorded_order())]
         assert refs == [(1, 0), (1, 1), (0, 0), (0, 1)]
+
+    def test_walk_reads_the_columns_as_plain_ints(self):
+        """Each event the schedule runs, NOPs left out, as its op code,
+        destination, extent and ``Instr.accessed`` -- sources on a
+        non-access event included, which dereference nothing."""
+        threads = [
+            [Instr.nop(), Instr.assign(3, 1, 2), Instr.malloc(10, 3),
+             Instr(Op.TAINT, dst=4, srcs=(9,))],
+            [Instr.read(5), Instr.nop(), Instr.write(6), Instr.jump(7),
+             Instr.assign(8)],
+        ]
+        prog = TraceProgram.from_lists(*threads)
+        schedule = [1, 0, 0, 1, 1, 0, 1, 0, 1]
+        want = [
+            (ref, OP_CODES[instr.op],
+             NO_DST if instr.dst is None else instr.dst, instr.size,
+             list(instr.accessed))
+            for ref in schedule_refs(schedule)
+            for instr in [threads[ref[0]][ref[1]]]
+            if instr.op is not Op.NOP
+        ]
+        walked = list(prog.walk(schedule))
+        assert walked == want
+        assert all(type(x) is int for event in walked
+                   for x in (*event[0], *event[1:4], *event[4]))
+
+    def test_walk_refuses_a_schedule_past_a_thread(self):
+        with pytest.raises(TraceError, match="runs past"):
+            make_program().walk([0, 0, 0, 1])
+        with pytest.raises(TraceError, match="runs past"):
+            make_program().walk([2])
+
+
+def schedule_refs(schedule):
+    """``(thread, index)`` of every entry of a schedule, NOPs included:
+    the k-th entry naming thread t runs that thread's k-th event."""
+    seen = Counter()
+    refs = []
+    for t in np.asarray(schedule).tolist():
+        refs.append((t, seen[t]))
+        seen[t] += 1
+    return refs

@@ -24,6 +24,8 @@ from repro.trace.serialize import (
 )
 from repro.workloads.registry import get_benchmark
 
+from tests.trace.test_program import schedule_refs
+
 
 #: Instruction records with a JSON boolean or float where an integer
 #: belongs; ``1.0`` only ever got past the version 1 decoder.
@@ -91,7 +93,7 @@ class TestRoundTrip:
         record = json.loads(buf.getvalue().splitlines()[4])
         assert record == {
             "true_order": [
-                list(ref) for ref, _ in prog.walk(prog.recorded_order())
+                list(ref) for ref in schedule_refs(prog.recorded_order())
             ]
         }
 

@@ -43,8 +43,8 @@ class TestPhasedTraceBuilder:
         b.phase()
         prog = b.build()
         seen_phase2 = False
-        for _, instr in prog.walk(prog.recorded_order()):
-            if instr.dst in (3, 4):
+        for _, _, dst, *_ in prog.walk(prog.recorded_order()):
+            if dst in (3, 4):
                 seen_phase2 = True
             elif seen_phase2:
                 pytest.fail("phase-1 event after phase-2 in true order")

@@ -65,7 +65,8 @@ class TestGeneratedTraces:
         execution: it must be error-free too."""
         prog = get_benchmark(name).generate(4, 4000, seed=11)
         guard = SequentialAddrCheck(prog.preallocated)
-        guard.run(prog.walk(prog.timesliced_order))
+        for event in prog.walk(prog.timesliced_order):
+            guard.step(*event)
         assert len(guard.errors) == 0
 
     @pytest.mark.parametrize("name", ALL)
