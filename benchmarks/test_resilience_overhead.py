@@ -51,7 +51,6 @@ class BareReferencePool(ExecutionBackend):
 
     def __init__(self, kind):
         self.name = kind
-        self.shares_memory = kind == "threads"
         self._executor = (
             ThreadPoolExecutor(WORKERS) if kind == "threads"
             else ProcessPoolExecutor(WORKERS)

@@ -20,28 +20,28 @@ simply lack a ``l+1`` row, mirroring the paper's first/last butterflies).
 Parallel execution
 ------------------
 
-Steps 1 and 3 are embarrassingly parallel across the threads of an
-epoch (the paper's whole point), and the engine can fan them out over
-an :class:`~repro.core.parallel.ExecutionBackend`.  To keep results
+Step 1 is embarrassingly parallel across the threads of an epoch (the
+paper's whole point), and the engine can fan it out over an
+:class:`~repro.core.parallel.ExecutionBackend`.  To keep results
 bit-identical to the serial schedule, a parallelizable analysis splits
-each pass into a *pure* stage and an ordered *commit* stage:
-
-- first pass: ``first_pass_context`` (serial; may read published
-  state), a picklable *scanner* from ``make_scanner`` (pure; fans out),
-  and ``commit_scan`` (serial, ascending thread order);
-- second pass: ``meet`` + ``check_body`` (pure given published
-  summaries; fan out) and ``commit_check`` (serial, ascending thread
-  order).
-
-Analyses advertise the split via ``parallel_first_pass`` /
-``parallel_second_pass``; everything else transparently runs on the
-serial path, so legacy analyses that override ``first_pass`` /
-``second_pass`` directly keep working on any backend.
+the pass into ``first_pass_context`` (serial; may read published
+state), a picklable *scanner* from ``make_scanner`` (pure; fans out),
+and ``commit_scan`` (serial, ascending thread order), and advertises
+the split via ``parallel_first_pass``; everything else transparently
+runs on the serial path, so legacy analyses that override
+``first_pass`` directly keep working on any backend.
 
 The same independence serves the serial schedule: before calling
 ``first_pass`` block by block it announces the row (``stage_row``), and
 the first call scans the whole row (``Scanner.scan_row``), which the
 columnar kernels do as one stream.
+
+Steps 2-3 run an epoch's bodies at a time
+(:meth:`ButterflyAnalysis.second_pass_epoch`): any two bodies' wings
+differ only in the two bodies' own threads, so an analysis may build
+what the window holds once and let each body read the other threads'
+part of it.  Commits still land one body at a time in ascending thread
+order, on every backend.
 """
 
 from __future__ import annotations
@@ -143,9 +143,6 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
     #: blocks.  Requires ``make_scanner``/``commit_scan``, and
     #: ``first_pass_context`` must not depend on same-epoch commits.
     parallel_first_pass: bool = False
-    #: Set True when ``meet``/``check_body`` only read published state
-    #: and all mutation happens in ``commit_check``.
-    parallel_second_pass: bool = False
 
     #: The announced row until its first ``first_pass`` scans it, then
     #: the ``(block, scan)`` pairs still to commit, last thread first.
@@ -244,6 +241,24 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
         self.commit_check(
             butterfly, side_in, self.check_body(butterfly, side_in)
         )
+
+    def second_pass_epoch(
+        self, lid: int, butterflies: List[Butterfly],
+        wings: List[List[Summary]],
+    ) -> Iterator[None]:
+        """Steps 2-3 over epoch ``lid``'s bodies (``wings[i]`` are
+        ``butterflies[i]``'s wing summaries), yielding once after each
+        body's commit: :meth:`meet` then :meth:`second_pass`, body by
+        body in ascending thread order.
+
+        An override may build what the bodies share once -- the union
+        of the wings handed over is the window, and body ``t``'s wings
+        are its blocks of threads other than ``t`` -- but must read the
+        window from ``wings`` alone and commit the bodies in this order,
+        one per yield, so reports and event logs stay this loop's."""
+        for butterfly, wing_summaries in zip(butterflies, wings):
+            self.second_pass(butterfly, self.meet(butterfly, wing_summaries))
+            yield
 
     # -- step 4 ----------------------------------------------------------
 
@@ -905,10 +920,25 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         wings = [
             [summaries[b.block_id] for b in bf.wings] for bf in butterflies
         ]
+        steps = analysis.second_pass_epoch(lid, butterflies, wings)
+        if recorder is not None:
+            # Each body's span covers the work up to its commit.
+            steps = _spanned(
+                recorder, "block.second_pass",
+                [bf.body for bf in butterflies],
+                "wings", map(len, wings), steps,
+            )
         with _span(
             recorder, "pass.second", "epoch", lid, "bodies", len(butterflies)
         ):
-            self._second_pass(analysis, butterflies, wings, recorder)
+            for _ in steps:
+                pass
+        stats = self.stats
+        stats.meets += len(butterflies)
+        stats.wing_summaries_combined += sum(map(len, wings))
+        stats.second_pass_instructions += sum(
+            len(bf.body) for bf in butterflies
+        )
         epoch_summaries = {
             (lid, tid): summaries[(lid, tid)]
             for tid in range(num_threads)
@@ -949,56 +979,6 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         self._note_residency()
         if self._checkpointer is not None:
             self._checkpointer.after_epoch(self, lid)
-
-    def _second_pass(
-        self,
-        analysis: ButterflyAnalysis,
-        butterflies: List[Butterfly],
-        wings: List[List[Any]],
-        recorder: Optional[Recorder],
-    ) -> None:
-        """Steps 2-3 over one epoch's bodies (fanned out when possible).
-
-        As in the first pass, ``steps`` is lazy and ``block.second_pass``
-        names the span on both schedules; fanned out, it covers the
-        commit stage only.
-        """
-        stats = self.stats
-        if (
-            self.backend.concurrent
-            and self.backend.shares_memory
-            and analysis.parallel_second_pass
-            and len(butterflies) > 1
-        ):
-            # Pure stages fan out; commits land in ascending tid order,
-            # reproducing the serial schedule bit for bit.
-            def compute(bf: Butterfly, ws: List[Any]) -> Any:
-                side_in = analysis.meet(bf, ws)
-                return side_in, analysis.check_body(bf, side_in)
-
-            results = self.backend.map_ordered(
-                compute, list(zip(butterflies, wings))
-            )
-            steps = (
-                analysis.commit_check(bf, side_in, result)
-                for bf, (side_in, result) in zip(butterflies, results)
-            )
-        else:
-            steps = (
-                analysis.second_pass(bf, analysis.meet(bf, ws))
-                for bf, ws in zip(butterflies, wings)
-            )
-        if recorder is not None:
-            steps = _spanned(
-                recorder, "block.second_pass",
-                [bf.body for bf in butterflies],
-                "wings", map(len, wings), steps,
-            )
-        for bf, ws in zip(butterflies, wings):
-            stats.meets += 1
-            stats.wing_summaries_combined += len(ws)
-            next(steps)
-            stats.second_pass_instructions += len(bf.body)
 
     def _error_count(self) -> int:
         """Size of the analysis's error log, for lifeguards that keep

@@ -16,8 +16,10 @@ thread-id order).  A backend decides how the compute stage executes:
   share read-only analysis state;
 - ``processes`` -- :class:`PoolBackend` over a
   :class:`~concurrent.futures.ProcessPoolExecutor`; work units
-  (scanner, block, context) must be picklable, so only the first pass
-  fans out and second passes stay serial.
+  (scanner, block, context) must be picklable.
+
+Only the first pass fans out; second passes run an epoch at a time in
+the calling thread on every backend.
 
 There is one pooled executor and it is supervised: work units are pure
 by the engine's scan/commit contract, so re-executing one is always
@@ -87,11 +89,6 @@ class ExecutionBackend(abc.ABC):
     name: str = "abstract"
     #: Whether work units may run concurrently (enables engine fan-out).
     concurrent: bool = False
-    #: Whether compute stages can see the live analysis object.  False
-    #: for process pools: work units are pickled, so only self-contained
-    #: (scanner, block, context) units may cross; the engine keeps any
-    #: stage needing shared state on the serial path.
-    shares_memory: bool = True
     #: Observability hook (``backend.*``/``resilience.*``); the engine
     #: points this at its recorder when observability is on.  All
     #: recording happens in the coordinating thread -- workers never
@@ -168,13 +165,6 @@ class PoolBackend(ExecutionBackend):
         #: backoff jitter and ``resilience.*`` events.
         self._batches = 0
         self._consecutive_pool_failures = 0
-
-    @property
-    def shares_memory(self) -> bool:  # type: ignore[override]
-        # Tracks the current rung: after processes -> threads the
-        # second pass may start fanning out (results are identical
-        # either way by the ordered-commit contract).
-        return self.name != "processes"
 
     @property
     def executor(self) -> Executor:

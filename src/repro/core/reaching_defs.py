@@ -100,7 +100,7 @@ class ReachingAnalysis(ButterflyAnalysis[BlockFacts, SideIn]):
         self.block_out: Dict[BlockId, FrozenSet] = {}
         self.block_lsos: Dict[BlockId, FrozenSet] = {}
         self.side_in: Dict[BlockId, FrozenSet] = {}
-        self.parallel_first_pass = self.parallel_second_pass = check is None
+        self.parallel_first_pass = check is None
 
     # -- step 1 ----------------------------------------------------------
 

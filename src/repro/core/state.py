@@ -95,8 +95,10 @@ class SOSHistory:
     out a :class:`SOSView` of the live set, with those changes undone
     in its overlay for an older version.  A publish costs
     O(|GEN| + |KILL|), reading ``k`` versions back the ``k`` deltas in
-    between, and resident (and checkpointed) state is one set plus the
-    deltas -- nothing is O(|SOS|) per epoch or per block.
+    between, and resident state is one set plus the deltas: nothing on
+    the analysis path is O(|SOS|) per epoch or per block.  A checkpoint
+    is: every save pickles the whole live set, O(|SOS|) per saved
+    epoch (ROADMAP.md, "One binary format for state and epochs").
 
     The rule has two entry points.  :meth:`publish` takes ``GEN_l`` and
     ``KILL_l`` as concrete sets (AddrCheck, TaintCheck).
@@ -141,8 +143,10 @@ class SOSHistory:
         view = SOSView(self._live)
         for step in range(self._frontier, lid, -1):
             added, removed = self._deltas[step]
-            view -= added
-            view |= removed
+            if added:
+                view -= added
+            if removed:
+                view |= removed
         return view
 
     def advance(

@@ -14,14 +14,12 @@ body and are summarized by the SOS instead of appearing in the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.epoch import Block, EpochPartition
 
 
-@dataclass(frozen=True)
-class Butterfly:
+class Butterfly(NamedTuple):
     """The window of potential concurrency around one body block."""
 
     body: Block
@@ -43,8 +41,9 @@ def butterflies_for_epoch(
     other-thread blocks, row by row in thread order.
     """
     num_threads = partition.num_threads
+    block = partition.block
     rows = [
-        [partition.block(wl, wt) for wt in range(num_threads)]
+        [block(wl, wt) for wt in range(num_threads)]
         for wl in (lid - 1, lid, lid + 1)
         if 0 <= wl < partition.num_epochs
     ]
@@ -57,9 +56,30 @@ def butterflies_for_epoch(
             wings += row[:tid]
             wings += row[tid + 1:]
         butterflies.append(Butterfly(
-            body=body,
-            head=head_row[tid] if head_row else None,
-            tail=tail_row[tid] if tail_row else None,
-            wings=tuple(wings),
+            body,
+            head_row[tid] if head_row else None,
+            tail_row[tid] if tail_row else None,
+            tuple(wings),
         ))
     return butterflies
+
+
+def window_union(
+    butterflies: Sequence[Butterfly], wings: Sequence[Sequence[Any]]
+) -> List[Tuple[int, Any]]:
+    """``(thread, summary)`` for every block one epoch's wings hold,
+    each once (``wings[i]`` are ``butterflies[i]``'s wing summaries):
+    the first body's wings hold every other thread's blocks, and the
+    second body's wings hold the first body's thread's.  Body ``t``'s
+    wings are then exactly the pairs of threads other than ``t``."""
+    if not wings:
+        return []
+    first = butterflies[0]
+    union = [(b.tid, s) for b, s in zip(first.wings, wings[0])]
+    if len(wings) > 1:
+        tid = first.body.tid
+        union += [
+            (tid, s) for b, s in zip(butterflies[1].wings, wings[1])
+            if b.tid == tid
+        ]
+    return union

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import (
-    Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
 )
 
 import numpy as np
@@ -51,7 +51,7 @@ from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis, Scanner, row_groups
 from repro.core.state import SOSHistory, SOSView
-from repro.core.window import Butterfly
+from repro.core.window import Butterfly, window_union
 from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 
 _DETAIL_MALLOC = "malloc of location believed allocated"
@@ -487,7 +487,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
     """
 
     parallel_first_pass = True
-    parallel_second_pass = True
 
     def __init__(
         self,
@@ -587,6 +586,41 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             work += len(f.all_gen) + len(f.killed_vars) + s.num_accessed
         return WingChanges(changed, work)
 
+    def second_pass_epoch(
+        self, lid: int, butterflies: List[Butterfly],
+        wings: List[List[AddrSummary]],
+    ) -> Iterator[None]:
+        """Steps 2-3 for the epoch's bodies at once.  The window's
+        allocation-state changes are gathered once, from the wings
+        handed over, by thread -- the locations each thread's window
+        blocks change, i.e. per location the threads that change it --
+        and body ``t``'s side-in is the other threads' part, exactly
+        the union its own :meth:`meet` would build; the meet work it
+        books is the other threads' share of the window's.  Checks and
+        commits run body by body, in thread order."""
+        changed: Dict[int, Set[int]] = {}
+        work: Dict[int, int] = {}
+        for tid, s in window_union(butterflies, wings):
+            f = s.facts
+            count = len(f.all_gen) + len(f.killed_vars) + s.num_accessed
+            if tid in changed:
+                locs = changed[tid]
+                locs |= f.all_gen
+                locs |= f.killed_vars
+                work[tid] += count
+            else:
+                changed[tid] = f.all_gen | f.killed_vars
+                work[tid] = count
+        total = sum(work.values())
+        for butterfly in butterflies:
+            tid = butterfly.body.block_id[1]
+            side_in = WingChanges(
+                set().union(*[c for t, c in changed.items() if t != tid]),
+                total - work.get(tid, 0),
+            )
+            self.second_pass(butterfly, side_in)
+            yield
+
     # -- step 3: isolation check -------------------------------------------
 
     def check_body(
@@ -597,10 +631,11 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         into ``first_access``): racing state changes and accesses racing
         a state change."""
         s = self.summaries[butterfly.body.block_id]
-        f = s.facts
         wing_changed = side_in.changed
+        # ``first_change`` holds every location the body's GEN or KILL
+        # does, and nothing else.
         return (
-            (f.all_gen | f.killed_vars) & wing_changed,
+            s.first_change.keys() & wing_changed,
             s.first_access.hits(wing_changed),
         )
 
@@ -646,9 +681,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                         )
         work = self.block_work[block_id]
         work["flags"] += flags
-        work["iso"] += (
-            len(s.facts.all_gen | s.facts.killed_vars) + s.num_accessed
-        )
+        work["iso"] += len(s.first_change) + s.num_accessed
         work["meet"] += side_in.meet_work
 
     def _wing_with_change(

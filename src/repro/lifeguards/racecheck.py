@@ -145,7 +145,6 @@ class ButterflyRaceCheck(
     """
 
     parallel_first_pass = True
-    parallel_second_pass = True
 
     def __init__(self, use_columnar_kernel: Optional[bool] = None) -> None:
         self.use_columnar_kernel = use_columnar_kernel

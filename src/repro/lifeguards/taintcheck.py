@@ -32,7 +32,7 @@ a block -- with the reaching-definitions update rules.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import (
@@ -40,6 +40,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -60,7 +61,7 @@ from repro.core.columnar import (
 from repro.core.epoch import Block, BlockId, InstrId
 from repro.core.framework import ButterflyAnalysis, Scanner, row_groups
 from repro.core.state import SOSHistory, SOSView
-from repro.core.window import Butterfly
+from repro.core.window import Butterfly, window_union
 from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 
 #: Events that produce taint metadata (transfer-function rules) or
@@ -151,7 +152,7 @@ class TaintSummary:
     __slots__ = (
         "block_id", "written", "offsets", "kind", "par_off", "par_val",
         "jump_off", "jump_loc", "last_bot", "last_assigns", "lastcheck",
-        "_columns", "_writes",
+        "_columns", "_rules",
     )
 
     def __init__(
@@ -171,7 +172,7 @@ class TaintSummary:
         self.last_bot, self.last_assigns = last_bot, last_assigns
         self.lastcheck: Dict[int, Value] = {}
         self._columns: Optional[Tuple[memoryview, ...]] = None
-        self._writes: Dict[int, List[Tuple[int, Value]]] = {}
+        self._rules: Dict[int, List[Tuple[InstrId, Value]]] = {}
 
     @classmethod
     def from_rules(
@@ -209,32 +210,38 @@ class TaintSummary:
                 self.offsets, self.kind, self.par_off, self.par_val)))
         return self._columns
 
-    def writes(self, loc: int) -> Sequence[Tuple[int, Value]]:
-        """``loc``'s ``(offset, value)`` writes in offset order, built
-        the first time a walk asks, then kept."""
-        got = self._writes.get(loc)
+    def rules(self, loc: int) -> List[Tuple[InstrId, Value]]:
+        """``loc``'s rules in offset order as ``(site, value)``, the site
+        ``(lid, tid, offset)`` Algorithm 1 reads: built the first time a
+        walk asks, then kept for every body whose window holds this
+        block."""
+        got = self._rules.get(loc)
         if got is not None:
             return got
         bounds = self.written.get(loc)
         if bounds is None:
-            return ()
+            return []
+        lid, tid = self.block_id
         offsets, kind, par_off, par_val = self._views()
         lo, hi = bounds
-        got = self._writes[loc] = [
-            (offsets[r], BOT if k == _K_BOT else TOP if k == _K_TOP
-             else tuple(par_val[par_off[r]:par_off[r + 1]]))
+        got = self._rules[loc] = [
+            ((lid, tid, offsets[r]), BOT if k == _K_BOT else TOP
+             if k == _K_TOP else tuple(par_val[par_off[r]:par_off[r + 1]]))
             for r, k in zip(range(lo, hi), kind[lo:hi])
         ]
         return got
 
     def write_before(self, loc: int, offset: int) -> Optional[tuple]:
         """``loc``'s last ``(offset, value)`` write before ``offset``,
-        or None: a bisection of :meth:`writes`' list if built, else of
+        or None: a bisection of :meth:`rules`' list if built, else of
         the ``offsets`` column."""
-        writes = self._writes.get(loc)
-        if writes is not None:  # ``(offset,)`` sorts before any write
-            i = bisect_left(writes, (offset,))
-            return writes[i - 1] if i else None
+        rules = self._rules.get(loc)
+        if rules is not None:  # ``(site,)`` sorts before any rule there
+            i = bisect_left(rules, ((*self.block_id, offset),))
+            if not i:
+                return None
+            site, value = rules[i - 1]
+            return site[2], value
         bounds = self.written.get(loc)
         if bounds is None:
             return None
@@ -254,7 +261,7 @@ class TaintSummary:
     def __setstate__(self, state) -> None:
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
-        self._columns, self._writes = None, {}
+        self._columns, self._rules = None, {}
 
 
 def _segment_cuts(segs: Any, nseg: int) -> List[int]:
@@ -387,20 +394,127 @@ class TaintScanner(Scanner):
                 for summary in _scan_group([block for block, _ in group])]
 
 
-def _touched(asked: Set[int], window: List[TaintSummary]) -> Set[int]:
-    """The ``asked`` locations some rule of the ``window`` summaries
-    writes: one C-level key intersection per summary, over what no
-    earlier summary wrote, so the answer comes from the wings this
-    butterfly was handed and from nothing else."""
+def _touched(asked: Set[int], window: Sequence[AbstractSet[int]]) -> Set[int]:
+    """The ``asked`` locations some rule of the ``window`` writes, given
+    as the written locations of its parts: one C-level intersection per
+    part, over what no earlier part wrote, so the answer comes from the
+    wings this butterfly was handed and from nothing else."""
     missing = set(asked)
-    for s in window:
+    for written in window:
         if not missing:
             break
-        missing -= s.written.keys() & missing
+        missing -= written & missing
     return asked - missing
 
 
-class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
+class _TaintWindow:
+    """What an epoch's bodies read of their window, built once (Miné's
+    thread-modular interference at window grain: one footprint, each
+    thread reading the other threads' part of it).
+
+    The window is the union of the wings handed over.  Nothing is
+    sized by more than what the bodies' checks ask about -- their jump
+    targets and their last-write ``ASSIGN``s' parents -- where the
+    window's rules or the SOS are larger:
+
+    - ``written``: per thread, the locations its window blocks write
+      (every asked one among them) -- per location, the set of threads
+      that write it, stored transposed so that body ``t``'s view, the
+      other threads' part beside its own rules, is a few C-level set
+      operations;
+    - ``in_base``: the shared base of every body's LSOS (the published
+      ``SOS_l``), or where it is larger, the asked locations it holds,
+      probed once;
+    - ``lsos``: each body's LSOS, that base plus its head's overlay;
+    - ``jumps``: per body, the ``(offset, location)`` jumps whose target
+      is written in the window or may be in its LSOS, in offset order --
+      found for all bodies in one probe; every other jump is untouched
+      and untainted, so it can flag nothing.
+    """
+
+    __slots__ = ("written", "in_base", "lsos", "jumps")
+
+    def __init__(
+        self, guard: "ButterflyTaintCheck", lid: int,
+        butterflies: List[Butterfly], wings: List[List[TaintSummary]],
+    ) -> None:
+        summaries = guard.summaries
+        bodies = [summaries[bf.body.block_id] for bf in butterflies]
+        tids = [s.block_id[1] for s in bodies]
+        self.lsos = {tid: guard._compute_lsos(lid, tid) for tid in tids}
+        targets = np.concatenate([s.jump_loc for s in bodies])
+        # Each footprint below is read from its smaller side: the
+        # asked locations become a set only for a part (a window block,
+        # the SOS) with more locations than there are jumps, and the
+        # keys a smaller part brings in are never asked about.
+        most = targets.shape[0]
+        asked: Set[int] = set()
+
+        def narrow(keys: AbstractSet[int]) -> AbstractSet[int]:
+            if len(keys) <= most:
+                return keys
+            if not asked:
+                asked.update(targets.tolist())
+                for body in bodies:
+                    for _, _, parents in body.last_assigns:
+                        asked.update(parents)
+            return keys & asked
+
+        written: Dict[int, Set[int]] = {}
+        for tid, w in window_union(butterflies, wings):
+            keys = narrow(w.written.keys())
+            mine = written.get(tid)
+            if mine is None:
+                written[tid] = set(keys)
+            else:
+                mine.update(keys)
+        self.written = written
+        # Every body's LSOS is a view of one shared base (SOS_l).
+        self.in_base = narrow(self.lsos[tids[0]].base)
+        wanted = set(self.in_base)
+        for keys in written.values():
+            wanted.update(keys)
+        for body in bodies:
+            wanted.update(narrow(body.written.keys()))
+        for view in self.lsos.values():
+            wanted.update(view.added)
+        self.jumps: Dict[int, List[Tuple[int, int]]] = {t: [] for t in tids}
+        if not wanted:
+            return
+        keys = np.array(sorted(wanted), dtype=np.int64)
+        at = (keys.take(keys.searchsorted(targets), mode="clip") == targets
+              ).nonzero()[0].tolist()
+        ends = list(accumulate(s.jump_loc.shape[0] for s in bodies))
+        for i in at:
+            body = bisect_right(ends, i)
+            summary = bodies[body]
+            local = i - ends[body] + summary.jump_loc.shape[0]
+            self.jumps[tids[body]].append(
+                (summary.jump_off.item(local), summary.jump_loc.item(local))
+            )
+
+    def footprint(self, body: TaintSummary) -> List[AbstractSet[int]]:
+        """What the body's window writes: its own rules' locations, then
+        every other thread's share of the window's."""
+        tid = body.block_id[1]
+        parts: List[AbstractSet[int]] = [body.written.keys()]
+        parts += [keys for t, keys in self.written.items() if t != tid]
+        return parts
+
+
+class _SideIn(list):
+    """A body's side-in: its wing summaries in the order the engine
+    handed them over (Algorithm 1 reads them), and the window they were
+    cut from."""
+
+    __slots__ = ("window",)
+
+    def __init__(self, wings: List[TaintSummary], window: _TaintWindow):
+        super().__init__(wings)
+        self.window = window
+
+
+class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, "_SideIn"]):
     """The parallel TaintCheck lifeguard.
 
     Parameters
@@ -442,7 +556,6 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         #: when the summary window no longer holds epoch ``l``.
         self._epoch_tainters: Dict[int, Dict[int, int]] = {}
         self.parallel_first_pass = True
-        self.parallel_second_pass = True
 
     # -- step 1: collect transfer functions -------------------------------
 
@@ -453,35 +566,55 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
             return ReferenceTaintScanner()
         return TaintScanner()
 
-    # -- step 2: gather wing rule sets -------------------------------------
+    # -- steps 2-3: the window once per epoch, then each body's checks ----
+
+    def second_pass_epoch(
+        self, lid: int, butterflies: List[Butterfly],
+        wings: List[List[TaintSummary]],
+    ) -> Iterator[None]:
+        """The epoch's bodies against one :class:`_TaintWindow`, checked
+        and committed body by body in thread order.  The per-``Instr``
+        kernel's lifeguard (``use_columnar_kernel=False``) keeps the
+        per-body loop, so the ``columnar`` fuzz pair diffs the two."""
+        if self.use_columnar_kernel is False:
+            yield from super().second_pass_epoch(lid, butterflies, wings)
+            return
+        window = _TaintWindow(self, lid, butterflies, wings)
+        for butterfly, wing_summaries in zip(butterflies, wings):
+            self.second_pass(butterfly, _SideIn(wing_summaries, window))
+            yield
 
     def meet(
         self, butterfly: Butterfly, wings: List[TaintSummary]
-    ) -> List[TaintSummary]:
+    ) -> "_SideIn":
         # Rules must stay attributed to their epoch for the two-phase
-        # resolution, so the meet keeps the summaries distinct.
-        return wings
-
-    # -- step 3: resolve checks ----------------------------------------------
+        # resolution, so the meet keeps the summaries distinct; the
+        # window is this body's alone.
+        window = _TaintWindow(
+            self, butterfly.body.block_id[0], [butterfly], [wings]
+        )
+        return _SideIn(wings, window)
 
     def check_body(
-        self, butterfly: Butterfly, side_in: List[TaintSummary]
+        self, butterfly: Butterfly, side_in: _SideIn
     ) -> Tuple[Dict[int, Value], List[Tuple[int, int]]]:
         """Resolve the body's LASTCHECK values and critical uses.
 
         The locations the checks ask about are split first: one no rule
         of the window writes is resolved against the LSOS with all the
-        others like it, and Algorithm 1 walks only the rest.
+        others like it, and Algorithm 1 walks only the rest.  Jumps on a
+        location neither written in the window nor possibly in the LSOS
+        were set aside with the window (``side_in.window``): they flag
+        nothing.
 
         Pure stage: reads only wing rules (first-pass products) and the
-        LSOS (derived from earlier epochs' committed checks), so bodies
-        of one epoch may resolve concurrently.  Returns the resolved
-        ``lastcheck`` map and the flagged ``(offset, location)`` jumps
-        for :meth:`commit_check` to apply."""
+        LSOS (derived from earlier epochs' committed checks).  Returns
+        the resolved ``lastcheck`` map and the flagged ``(offset,
+        location)`` jumps for :meth:`commit_check` to apply."""
         body = butterfly.body
-        lid, tid = body.block_id
         summary = self.summaries[body.block_id]
-        lsos = self._compute_lsos(lid, tid)
+        window = side_in.window
+        lsos = window.lsos[body.block_id[1]]
 
         # LASTCHECK is each location's final write, an ASSIGN's untainted
         # until a check below finds a tainted parent.  Those parents and
@@ -490,18 +623,16 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         for loc in summary.last_bot:
             lastcheck[loc] = BOT
         assigns = summary.last_assigns
-        jump_off = summary.jump_off.tolist()
-        jump_loc = summary.jump_loc.tolist()
-        asked = set(jump_loc)
+        jumps = window.jumps[body.block_id[1]]
+        asked = {loc for _, loc in jumps}
         for _, _, parents in assigns:
             asked.update(parents)
         # A location no rule of the window writes gives Algorithm 1
         # nothing to replace: its verdict is LSOS membership (the SOS
-        # summarises everything older), taken for all of them at once on
-        # the view's three plain sets.
-        touched = _touched(asked, [summary, *side_in])
+        # summarises everything older), taken for all of them at once.
+        touched = _touched(asked, window.footprint(summary))
         untouched = asked - touched
-        tainted = (untouched & lsos.base) - lsos.removed
+        tainted = (untouched & window.in_base) - lsos.removed
         tainted |= untouched & lsos.added
         # Only a touched location is walked, and the phase graphs exist
         # only when there is one.
@@ -520,7 +651,7 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         # Critical-use checks.
         flagged = [
             (offset, loc)
-            for offset, loc in zip(jump_off, jump_loc)
+            for offset, loc in jumps
             if loc in tainted or (loc in touched and walk((loc,), offset))
         ]
         return lastcheck, flagged
@@ -532,29 +663,33 @@ class ButterflyTaintCheck(ButterflyAnalysis[TaintSummary, List[TaintSummary]]):
         """The Check algorithm over one body's window, as ``walk(parents,
         offset)``: is any parent possibly tainted at that body offset?"""
         lid = summary.block_id[0]
-        if self.two_phase:
-            phase1 = _RuleGraph(
-                [s for s in side_in if s.block_id[0] <= lid], summary, self
-            )
-            phase2 = _RuleGraph(
-                [s for s in side_in if s.block_id[0] >= lid], summary, self,
-                fallback=phase1,
-            )
-        else:
+        if not self.two_phase:
             # Ablation: one pass over the whole window -- sound but it
             # admits epoch-spanning paths the two phases would reject.
-            phase1 = phase2 = _RuleGraph(list(side_in), summary, self)
-        first, second = phase1.tainted_parents, phase2.tainted_parents
-
-        def walk(parents: Tuple[int, ...], offset: int) -> bool:
-            return first(parents, offset, lsos) or second(
+            graph = _RuleGraph(list(side_in), summary, self)
+            return lambda parents, offset: graph.tainted_parents(
                 parents, offset, lsos
             )
+        phase1 = _RuleGraph(
+            [s for s in side_in if s.block_id[0] <= lid], summary, self
+        )
+        # Phase 2 is built the first time phase 1 finds no taint.
+        phase2: List[_RuleGraph] = []
+
+        def walk(parents: Tuple[int, ...], offset: int) -> bool:
+            if phase1.tainted_parents(parents, offset, lsos):
+                return True
+            if not phase2:
+                phase2.append(_RuleGraph(
+                    [s for s in side_in if s.block_id[0] >= lid], summary,
+                    self, fallback=phase1,
+                ))
+            return phase2[0].tainted_parents(parents, offset, lsos)
 
         return walk
 
     def commit_check(
-        self, butterfly: Butterfly, side_in: List[TaintSummary],
+        self, butterfly: Butterfly, side_in: _SideIn,
         result: Tuple[Dict[int, Value], List[Tuple[int, int]]],
     ) -> None:
         body = butterfly.body
@@ -665,6 +800,11 @@ class _RuleGraph:
     conclusions during phase 2).
     """
 
+    __slots__ = (
+        "_guard", "_body", "_fallback", "_query_memo", "_sources",
+        "_buckets", "_budget", "_local_write_before",
+    )
+
     def __init__(
         self, wings: List[TaintSummary], body: TaintSummary,
         guard: ButterflyTaintCheck, fallback: Optional["_RuleGraph"] = None,
@@ -700,11 +840,7 @@ class _RuleGraph:
             bucket = self._buckets[loc] = []
             for s in self._sources:
                 if loc in s.written:
-                    lid, tid = s.block_id
-                    bucket += [
-                        ((lid, tid, offset), value)
-                        for offset, value in s.writes(loc)
-                    ]
+                    bucket += s.rules(loc)
         return bucket
 
     # -- top-level resolution ------------------------------------------------

@@ -37,14 +37,12 @@ class MemoryHierarchy:
         self.l1d = SetAssocCache(config.l1d, name="L1D")
         self.l1_latency = config.l1d.latency_cycles
         self.l2 = l2
-        self.cycles = 0
 
     def access(self, addr: int) -> int:
         """Cycle cost of one data access."""
         cost = self.l1_latency
         if not self.l1d.access(addr):
             cost += self.l2.access(addr)
-        self.cycles += cost
         return cost
 
 

@@ -109,7 +109,7 @@ class TestSpecValidation:
         guard = exists.build()
         assert guard.domain is exists and guard.check is exists.check
         assert not guard.keep_history
-        assert not (guard.parallel_first_pass or guard.parallel_second_pass)
+        assert not guard.parallel_first_pass
 
 
 class TestForallLifeguard:

@@ -50,17 +50,14 @@ class TestCapabilities:
     def test_serial(self):
         backend = SerialBackend()
         assert not backend.concurrent
-        assert backend.shares_memory
 
     def test_threads(self):
         backend = PoolBackend("threads")
         assert backend.concurrent
-        assert backend.shares_memory
 
     def test_processes(self):
         backend = PoolBackend("processes")
         assert backend.concurrent
-        assert not backend.shares_memory
 
 
 #: Both pool kinds.  The ids are the names of the two classes these

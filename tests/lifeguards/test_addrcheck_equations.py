@@ -15,7 +15,6 @@ from repro.core.framework import ButterflyEngine
 from repro.lifeguards.addrcheck import (
     AddrSummary,
     ButterflyAddrCheck,
-    WingChanges,
     _final_kills,
 )
 from repro.trace.events import Instr
@@ -220,7 +219,6 @@ class CheckedAddrCheck(ButterflyAddrCheck):
         self.isolation_hits = 0
         self._loc_bits = BitInterner()
         self._masks = {}
-        self._mask_side_in = {}
 
     def _compute_lsos(self, lid, tid):
         lsos = super()._compute_lsos(lid, tid)
@@ -248,22 +246,20 @@ class CheckedAddrCheck(ButterflyAddrCheck):
         )
         return summary
 
-    def meet(self, butterfly, wing_summaries):
-        side_in = super().meet(butterfly, wing_summaries)
-        if isinstance(side_in, WingChanges):
-            masked = masked_meet(self._masks, wing_summaries)
-            decode = self._loc_bits.decode
-            assert set(decode(masked.gen | masked.kill)) == side_in.changed
-            assert masked.meet_work == side_in.meet_work
-            self._mask_side_in[butterfly.body.block_id] = masked
-        return side_in
-
     def check_body(self, butterfly, side_in):
+        # The side-in is the epoch pass's (or the per-body meet's): both
+        # must equal the meet of this butterfly's wings, made of masks.
         body_id = butterfly.body.block_id
-        change_hits, access_hits = super().check_body(butterfly, side_in)
-        masked = masked_check_body(
-            self._masks, body_id, self._mask_side_in[body_id]
+        masked_side_in = masked_meet(
+            self._masks, [self.summaries[w.block_id] for w in butterfly.wings]
         )
+        decode = self._loc_bits.decode
+        assert set(
+            decode(masked_side_in.gen | masked_side_in.kill)
+        ) == side_in.changed
+        assert masked_side_in.meet_work == side_in.meet_work
+        change_hits, access_hits = super().check_body(butterfly, side_in)
+        masked = masked_check_body(self._masks, body_id, masked_side_in)
         decode = self._loc_bits.decode
         assert set(decode(masked[0])) == change_hits
         assert set(decode(masked[1])) == access_hits

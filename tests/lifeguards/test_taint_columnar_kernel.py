@@ -62,14 +62,15 @@ def _assert_plain(summary):
     assert list(summary.written) == sorted(summary.written)
     for loc, (lo, hi) in summary.written.items():
         assert type(loc) is int and type(lo) is int and type(hi) is int
-        writes = summary.writes(loc)
-        assert len(writes) == hi - lo > 0, loc
-        for offset, value in writes:
+        rules = summary.rules(loc)
+        assert len(rules) == hi - lo > 0, loc
+        for (lid, tid, offset), value in rules:
+            assert (lid, tid) == summary.block_id
             assert type(offset) is int
             if value is not BOT and value is not TOP:
                 assert type(value) is tuple
                 assert all(type(parent) is int for parent in value)
-        offset, value = writes[-1]
+        (_, _, offset), value = rules[-1]
         assert summary.write_before(loc, offset + 1) == (offset, value)
         assert type(summary.write_before(loc, offset + 1)[0]) is int
     assert all(type(loc) is int for loc in summary.last_bot)
@@ -84,7 +85,7 @@ def _assert_plain(summary):
 def _assert_same(col, obj):
     assert own(col) == own(obj), col.block_id
     for loc in obj.written:
-        assert col.writes(loc) == obj.writes(loc), loc
+        assert col.rules(loc) == obj.rules(loc), loc
     _assert_plain(col)
 
 
@@ -293,8 +294,8 @@ class TestSummaryForm:
         assert s.last_bot == [9]
         assert s.last_assigns == [(2, 4, (9,))]
         assert jumps_of(s) == [(1, 9), (6, 2)]
-        assert s.writes(9) == [(0, (1, 2)), (5, BOT)]
-        assert s.writes(4) == ()
+        assert s.rules(9) == [((1, 0, 0), (1, 2)), ((1, 0, 5), BOT)]
+        assert s.rules(4) == []
         assert s.write_before(9, 5) == (0, (1, 2))
         assert s.write_before(9, 0) is None
         assert s.write_before(4, 9) is None
@@ -310,18 +311,18 @@ class TestSummaryForm:
     def test_pickle_keeps_the_columns_and_drops_the_cache(self):
         block = _block(0, _taint_mix(50, 2))
         s = TaintScanner()(block, None)
-        s.writes(3)
+        s.rules(3)
         s.lastcheck[3] = BOT
         back = pickle.loads(pickle.dumps(s))
-        assert own(back) == own(s) and back._writes == {}
+        assert own(back) == own(s) and back._rules == {}
         assert back.lastcheck == {3: BOT}
-        assert back.writes(3) == s.writes(3)
+        assert back.rules(3) == s.rules(3)
         assert isinstance(back.offsets, np.ndarray)
 
 
 class TestSharedReaders:
     def test_threads_reading_fresh_summaries_agree(self):
-        """The readers' caches (``writes`` lists, the group's memoryviews)
+        """The readers' caches (``rules`` lists, the group's memoryviews)
         fill lazily on summaries the second pass shares across threads:
         eight threads racing on fresh copies, at a tiny switch interval,
         read exactly what one thread reads."""
@@ -331,7 +332,7 @@ class TestSharedReaders:
         blocks = [_block(t, _taint_mix(300, t)) for t in range(4)]
         fresh = TaintScanner().scan_row([(b, None) for b in blocks])
         want = [
-            ({loc: list(s.writes(loc)) for loc in s.written},
+            ({loc: list(s.rules(loc)) for loc in s.written},
              {(loc, o): s.write_before(loc, o)
               for loc in s.written for o in range(0, 300, 7)})
             for s in fresh
@@ -342,7 +343,7 @@ class TestSharedReaders:
         def read():
             try:
                 got.append([
-                    ({loc: list(s.writes(loc)) for loc in s.written},
+                    ({loc: list(s.rules(loc)) for loc in s.written},
                      {(loc, o): s.write_before(loc, o)
                       for loc in s.written for o in range(0, 300, 7)})
                     for s in shared

@@ -1022,7 +1022,7 @@ class TestTaintSummaryPickles:
             assert back.written == s.written
             assert back.lastcheck == s.lastcheck
             for loc in s.written:
-                assert back.writes(loc) == s.writes(loc)
+                assert back.rules(loc) == s.rules(loc)
 
     def test_a_version_4_file_is_refused_in_one_line(self, tmp_path):
         path = str(tmp_path / "taint.ckpt")

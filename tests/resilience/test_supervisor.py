@@ -78,11 +78,9 @@ class TestBackendSurface:
         with PoolBackend("threads") as backend:
             assert backend.name == "threads"
             assert backend.concurrent
-            assert backend.shares_memory
         with PoolBackend("processes") as backend:
             assert backend.name == "processes"
             assert backend.concurrent
-            assert not backend.shares_memory
 
     def test_serial_inner_not_concurrent(self):
         # The serial backend is not a pool and a pool cannot start on
@@ -288,7 +286,6 @@ class TestDegradationLadder:
                 0, 1, 4, 9
             ]
             assert backend.name == "threads"
-            assert backend.shares_memory
         assert any(
             ev["ev"] == "resilience.degrade"
             and ev["from_backend"] == "processes"

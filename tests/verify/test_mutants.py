@@ -250,11 +250,17 @@ class TestLossyDecodeMutant:
         assert_found_and_shrunk(report, mode, "lossy-decode")
 
 
+#: Both TaintCheck second passes: the epoch pass (the columnar kernel's
+#: lifeguard) and the per-body loop (the per-``Instr`` kernel's).
+KERNELS = ({}, {"use_columnar_kernel": False})
+
+
 class TestNarrowWindowTaintCheck:
     """TaintCheck resolves against the wings the engine hands it
     (``side_in``), not against its own record of what was scanned: a
     rule source that bypasses ``side_in`` would make ``narrow-window``
-    invisible to this lifeguard.  No campaign, no seed -- one trace."""
+    invisible to this lifeguard.  No campaign, no seed -- one trace,
+    through both second passes."""
 
     # Thread 0 jumps through 5 in epoch 0; only thread 1's epoch-1
     # block -- the body's l+1 wing -- taints it.  Adjacent epochs
@@ -272,11 +278,13 @@ class TestNarrowWindowTaintCheck:
     @pytest.mark.parametrize("two_phase", [True, False])
     @pytest.mark.parametrize("mode", ["relaxed", "sc"])
     def test_stripping_the_future_wing_loses_the_flag(self, mode, two_phase):
-        clean = self.flags(mode=mode, two_phase=two_phase)
-        assert clean == [("tainted-jump", 5, (0, 0))]
-        with apply_mutant("narrow-window"):
-            assert self.flags(mode=mode, two_phase=two_phase) == []
-        assert self.flags(mode=mode, two_phase=two_phase) == clean
+        for kernel in KERNELS:
+            config = dict(mode=mode, two_phase=two_phase, **kernel)
+            clean = self.flags(**config)
+            assert clean == [("tainted-jump", 5, (0, 0))], kernel
+            with apply_mutant("narrow-window"):
+                assert self.flags(**config) == [], kernel
+            assert self.flags(**config) == clean
 
 
 class TestBlindWholesaleMutant:
@@ -301,11 +309,13 @@ class TestBlindWholesaleMutant:
         # The two-epoch trace above: only the l+1 wing writes 5, and the
         # LSOS knows nothing about it.  No campaign, no seed.
         flags = TestNarrowWindowTaintCheck().flags
-        clean = flags(mode=mode, two_phase=two_phase)
-        assert clean == [("tainted-jump", 5, (0, 0))]
-        with apply_mutant("blind-wholesale"):
-            assert flags(mode=mode, two_phase=two_phase) == []
-        assert flags(mode=mode, two_phase=two_phase) == clean
+        for kernel in KERNELS:
+            config = dict(mode=mode, two_phase=two_phase, **kernel)
+            clean = flags(**config)
+            assert clean == [("tainted-jump", 5, (0, 0))], kernel
+            with apply_mutant("blind-wholesale"):
+                assert flags(**config) == [], kernel
+            assert flags(**config) == clean
 
 
 class TestRegistry:
