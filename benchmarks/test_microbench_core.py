@@ -23,7 +23,7 @@ from repro.core.framework import ButterflyAnalysis, ButterflyEngine
 from repro.core.reaching_defs import ReachingDefinitions
 from repro.core.state import SOSHistory, SOSView
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
-from repro.lifeguards import addrcheck, taintcheck
+from repro.lifeguards import taintcheck
 from repro.lifeguards.racecheck import RaceScanner
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.trace.events import Instr
@@ -690,16 +690,16 @@ def _per_body_second_pass_s(make_guard, source, repeats=3):
 
 
 def test_second_pass_per_body_does_not_grow_with_the_threads(monkeypatch):
-    """Steps 2-3 run an epoch at a time: each lifeguard gathers the
-    window its bodies share once per epoch, and a body reads the other
-    threads' part of it -- so what one body costs does not grow with
-    the number of threads whose blocks are in its window, as a meet
-    over each body's own 3(n-1) wings did.  The same blocks per thread
-    at 2 and at 8 threads: the window is gathered exactly once per
-    epoch on both (counted, always asserted), and a body's second pass
-    costs at most 1.5x at 8 threads what it costs at 2 (measured 0.74
-    for TaintCheck and 0.76 for AddrCheck; their per-body loops
-    1.1-1.4)."""
+    """What one body's steps 2-3 cost does not grow with the number of
+    threads whose blocks are in its window.  TaintCheck gathers the
+    window its bodies share once per epoch and a body reads the other
+    threads' part of it; AddrCheck's per-body meet unions only the
+    wings' change sets, tens of locations.  The same blocks per thread
+    at 2 and at 8 threads: TaintCheck's window is gathered exactly once
+    per epoch on both (counted, always asserted), and a body's second
+    pass costs at most 1.5x at 8 threads what it costs at 2 (measured
+    0.65-0.80 for TaintCheck's epoch pass, 1.07-1.23 for AddrCheck's
+    per-body loop)."""
     from repro.core import window
 
     def guards(threads):
@@ -728,13 +728,13 @@ def test_second_pass_per_body_does_not_grow_with_the_threads(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(taintcheck, "window_union", counted)
-        patch.setattr(addrcheck, "window_union", counted)
         for threads in (2, 8):
             for name, source, make in guards(threads):
                 del gathered[:]
                 _, report = _per_body_second_pass_s(make, source, repeats=1)
                 assert report, (name, threads)
-                assert gathered == list(range(30)), (name, threads)
+                if name == "taint":
+                    assert gathered == list(range(30)), threads
 
     if not timing_asserts_enabled():
         return

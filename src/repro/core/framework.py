@@ -36,12 +36,13 @@ The same independence serves the serial schedule: before calling
 the first call scans the whole row (``Scanner.scan_row``), which the
 columnar kernels do as one stream.
 
-Steps 2-3 run an epoch's bodies at a time
-(:meth:`ButterflyAnalysis.second_pass_epoch`): any two bodies' wings
-differ only in the two bodies' own threads, so an analysis may build
-what the window holds once and let each body read the other threads'
-part of it.  Commits still land one body at a time in ascending thread
-order, on every backend.
+Steps 2-3 run in the calling thread on every backend, an epoch's
+bodies at a time (:meth:`ButterflyAnalysis.second_pass_epoch`): by
+default each body's ``meet``, ``check_body`` and ``commit_check`` in
+ascending thread order.  Any two bodies' wings differ only in the two
+bodies' own threads, so an analysis may instead build what the window
+holds once and let each body read the other threads' part of it
+(TaintCheck does); commits still land one body at a time in that order.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
 
     def check_body(self, butterfly: Butterfly, side_in: SideIn) -> Any:
         """Pure stage of the second pass: compute checks/derived facts
-        from published state without mutating it."""
+        from published state without mutating it (so it may run twice);
+        :meth:`commit_check` applies them."""
         raise NotImplementedError
 
     def commit_check(
@@ -285,8 +287,9 @@ class _WindowView:
     things from a "partition": ``num_threads``, ``num_epochs`` and
     ``block(lid, tid)``.  The engine satisfies them from the blocks it
     currently holds -- ``num_epochs`` is the number of epochs *received
-    so far*, which reproduces the materialized tail semantics exactly
-    (a body's tail exists iff its epoch has arrived), so streamed and
+    so far*, which reproduces the materialized last-epoch semantics
+    exactly (a body's epoch-``l+1`` wings exist iff that epoch has
+    arrived), so streamed and
     materialized runs build bit-identical butterflies.
     """
 

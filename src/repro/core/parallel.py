@@ -1,25 +1,24 @@
 """Execution backends: deterministic, fault-tolerant fan-out.
 
 The paper's central claim is that lifeguards parallelize: within an
-epoch every block's first pass is independent, and every body's second
-pass depends only on already-published wing summaries (Section 4.3).
-The :class:`~repro.core.framework.ButterflyEngine` exploits that by
-splitting each pass into a *pure* compute stage (safe to run
+epoch every block's first pass is independent (Section 4.3).  The
+:class:`~repro.core.framework.ButterflyEngine` exploits that by
+splitting the first pass into a *pure* scan stage (safe to run
 concurrently) and an ordered *commit* stage (applied serially, in
-thread-id order).  A backend decides how the compute stage executes:
+thread-id order).  A backend decides how the scan stage executes:
 
 - ``serial`` -- :class:`SerialBackend`, in the calling thread (the
   default, and the reference schedule every other backend must be
   bit-identical to);
 - ``threads`` -- :class:`PoolBackend` over a
-  :class:`~concurrent.futures.ThreadPoolExecutor`; compute stages may
+  :class:`~concurrent.futures.ThreadPoolExecutor`; scan stages may
   share read-only analysis state;
 - ``processes`` -- :class:`PoolBackend` over a
   :class:`~concurrent.futures.ProcessPoolExecutor`; work units
   (scanner, block, context) must be picklable.
 
-Only the first pass fans out; second passes run an epoch at a time in
-the calling thread on every backend.
+Only the first pass fans out; steps 2-3 run in the calling thread on
+every backend.
 
 There is one pooled executor and it is supervised: work units are pure
 by the engine's scan/commit contract, so re-executing one is always
@@ -429,19 +428,11 @@ def _run_task(payload: Tuple) -> Tuple[Any, int]:
 
 
 def _block_provenance(item: Tuple) -> Optional[Tuple[int, int]]:
-    """Best-effort ``(epoch, thread)`` of a work unit.
-
-    First-pass units are ``(block, context)``; second-pass units are
-    ``(butterfly, wings)``.  Anything else yields ``None``.
-    """
+    """Best-effort ``(epoch, thread)`` of a work unit: first-pass units
+    are ``(block, context)``; anything else yields ``None``."""
     if not item:
         return None
-    head = item[0]
-    block_id = getattr(head, "block_id", None)
-    if block_id is None:
-        body = getattr(head, "body", None)
-        block_id = getattr(body, "block_id", None)
-    return block_id
+    return getattr(item[0], "block_id", None)
 
 
 def get_backend(

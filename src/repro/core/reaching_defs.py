@@ -120,8 +120,8 @@ class ReachingAnalysis(ButterflyAnalysis[BlockFacts, SideIn]):
         KILL_k)``.  Returns the LSOS, the running set at the body's end
         and the check's reports.
 
-        Reads only published state (head facts, SOS), so it is safe to
-        run concurrently with other bodies of the same epoch.
+        Reads only published state (head facts, SOS) and mutates
+        nothing; :meth:`commit_check` records the result.
         """
         body = butterfly.body
         lsos = self._compute_lsos(*body.block_id)

@@ -14,17 +14,17 @@ body and are summarized by the SOS instead of appearing in the window.
 
 from __future__ import annotations
 
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from repro.core.epoch import Block, EpochPartition
 
 
 class Butterfly(NamedTuple):
-    """The window of potential concurrency around one body block."""
+    """The window of potential concurrency around one body block.  The
+    head and tail are the body's own thread, which no pass reads here
+    (the head's effect reaches the body through its LSOS)."""
 
     body: Block
-    head: Optional[Block]
-    tail: Optional[Block]
     wings: Tuple[Block, ...]
 
 
@@ -33,9 +33,7 @@ def butterflies_for_epoch(
 ) -> List[Butterfly]:
     """All butterflies with bodies in epoch ``l``, in thread order.
 
-    This is one fan-out unit for the engine: once epoch ``l+1`` has been
-    received these bodies are mutually independent (each second pass
-    reads only wing summaries already published by first passes).  The
+    The engine asks for them once epoch ``l+1`` has been received.  The
     three rows ``l-1, l, l+1`` (those that exist) are fetched once and
     every butterfly is cut from them; each body's wings are the rows'
     other-thread blocks, row by row in thread order.
@@ -47,20 +45,13 @@ def butterflies_for_epoch(
         for wl in (lid - 1, lid, lid + 1)
         if 0 <= wl < partition.num_epochs
     ]
-    head_row = rows[0] if lid >= 1 else None
-    tail_row = rows[-1] if lid + 1 < partition.num_epochs else None
     butterflies = []
     for tid, body in enumerate(rows[lid >= 1]):
         wings: List[Block] = []
         for row in rows:
             wings += row[:tid]
             wings += row[tid + 1:]
-        butterflies.append(Butterfly(
-            body,
-            head_row[tid] if head_row else None,
-            tail_row[tid] if tail_row else None,
-            tuple(wings),
-        ))
+        butterflies.append(Butterfly(body, tuple(wings)))
     return butterflies
 
 

@@ -33,9 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from typing import (
-    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,7 +49,7 @@ from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block, BlockId
 from repro.core.framework import ButterflyAnalysis, Scanner, row_groups
 from repro.core.state import SOSHistory, SOSView
-from repro.core.window import Butterfly, window_union
+from repro.core.window import Butterfly
 from repro.lifeguards.reports import ErrorKind, ErrorLog, emit_error_event
 
 _DETAIL_MALLOC = "malloc of location believed allocated"
@@ -108,15 +106,6 @@ class AddrSummary:
     first_change: Dict[int, int]
     first_access: SortedFirstAccess
     num_accessed: int
-
-
-class WingChanges(NamedTuple):
-    """The isolation check's side-in: the union of the wings' GEN and KILL --
-    all the isolation check reads of them -- and the meet's element
-    count, which the (pure) meet defers to the ordered commit."""
-
-    changed: Set[int]
-    meet_work: int
 
 
 @dataclass
@@ -573,10 +562,12 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
 
     def meet(
         self, butterfly: Butterfly, wings: List[AddrSummary]
-    ) -> WingChanges:
-        # The wings' ACCESS sets count as meet work (the paper's
-        # S = (GEN, KILL, ACCESS)) but no check reads their union, so
-        # only the change sets -- tens of locations -- are built.
+    ) -> Set[int]:
+        """The union of the wings' GEN and KILL -- all the isolation
+        check reads of them.  The wings' ACCESS sets count as meet work
+        (the paper's ``S = (GEN, KILL, ACCESS)``) but no check reads
+        their union, so only the change sets -- tens of locations --
+        are built."""
         changed: Set[int] = set()
         work = 0
         for s in wings:
@@ -584,54 +575,19 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
             changed |= f.all_gen
             changed |= f.killed_vars
             work += len(f.all_gen) + len(f.killed_vars) + s.num_accessed
-        return WingChanges(changed, work)
-
-    def second_pass_epoch(
-        self, lid: int, butterflies: List[Butterfly],
-        wings: List[List[AddrSummary]],
-    ) -> Iterator[None]:
-        """Steps 2-3 for the epoch's bodies at once.  The window's
-        allocation-state changes are gathered once, from the wings
-        handed over, by thread -- the locations each thread's window
-        blocks change, i.e. per location the threads that change it --
-        and body ``t``'s side-in is the other threads' part, exactly
-        the union its own :meth:`meet` would build; the meet work it
-        books is the other threads' share of the window's.  Checks and
-        commits run body by body, in thread order."""
-        changed: Dict[int, Set[int]] = {}
-        work: Dict[int, int] = {}
-        for tid, s in window_union(butterflies, wings):
-            f = s.facts
-            count = len(f.all_gen) + len(f.killed_vars) + s.num_accessed
-            if tid in changed:
-                locs = changed[tid]
-                locs |= f.all_gen
-                locs |= f.killed_vars
-                work[tid] += count
-            else:
-                changed[tid] = f.all_gen | f.killed_vars
-                work[tid] = count
-        total = sum(work.values())
-        for butterfly in butterflies:
-            tid = butterfly.body.block_id[1]
-            side_in = WingChanges(
-                set().union(*[c for t, c in changed.items() if t != tid]),
-                total - work.get(tid, 0),
-            )
-            self.second_pass(butterfly, side_in)
-            yield
+        self.block_work[butterfly.body.block_id]["meet"] += work
+        return changed
 
     # -- step 3: isolation check -------------------------------------------
 
     def check_body(
-        self, butterfly: Butterfly, side_in: WingChanges
+        self, butterfly: Butterfly, wing_changed: Set[int]
     ) -> Tuple[Set[int], Set[int]]:
         """Pure isolation intersections against the wings' change set
         (sized by the smaller operand, or by the change set's probes
         into ``first_access``): racing state changes and accesses racing
         a state change."""
         s = self.summaries[butterfly.body.block_id]
-        wing_changed = side_in.changed
         # ``first_change`` holds every location the body's GEN or KILL
         # does, and nothing else.
         return (
@@ -642,7 +598,7 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
     def commit_check(
         self,
         butterfly: Butterfly,
-        side_in: WingChanges,
+        wing_changed: Set[int],
         result: Tuple[Set[int], Set[int]],
     ) -> None:
         change_hits, access_hits = result
@@ -682,7 +638,6 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
         work = self.block_work[block_id]
         work["flags"] += flags
         work["iso"] += len(s.first_change) + s.num_accessed
-        work["meet"] += side_in.meet_work
 
     def _wing_with_change(
         self, butterfly: Butterfly, loc: int

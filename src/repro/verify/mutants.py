@@ -88,11 +88,7 @@ def narrow_window() -> ContextManager[None]:
                 b for b in bf.wings
                 if b.block_id[0] <= bf.body.block_id[0]
             )
-            out.append(
-                Butterfly(
-                    body=bf.body, head=bf.head, tail=bf.tail, wings=wings
-                )
-            )
+            out.append(Butterfly(body=bf.body, wings=wings))
         return out
 
     return _patched(framework, butterflies_for_epoch=narrowed)
@@ -249,17 +245,20 @@ def blind_wholesale() -> ContextManager[None]:
     """Report every location a TaintCheck body asks about as untouched.
 
     The bug the touched/untouched split of ``check_body`` invites: a
-    location some rule of the window does write is answered by LSOS
-    membership alone, Algorithm 1 never walks, and taint that only a
-    wing's (or the body's own) transfer function carries is silently
-    missed -- a false negative the ``orderings`` oracle must see.
+    location some rule of the body's window footprint (the epoch's
+    ``_TaintWindow`` read for the other threads, beside the body's own
+    rules) does write is answered by LSOS membership alone, Algorithm 1
+    never walks, and taint that only a wing's (or the body's own)
+    transfer function carries is silently missed -- a false negative
+    the ``orderings`` oracle must see.  The per-body reference leg
+    (``use_columnar_kernel=False``) takes the same split, so the
+    ``columnar`` pair cannot see it.
     """
     from repro.lifeguards import taintcheck
 
     return _patched(taintcheck, _touched=lambda asked, window: set())
 
 
-#: Registry used by ``repro fuzz --mutant`` and the self-tests.
 def taint_segment_cut() -> ContextManager[None]:
     """Cut a TaintCheck row scan's jumps apart one entry late.
 
@@ -278,6 +277,7 @@ def taint_segment_cut() -> ContextManager[None]:
     return _patched(taintcheck, _segment_cuts=segment_cuts)
 
 
+#: Registry used by ``repro fuzz --mutant`` and the self-tests.
 MUTANTS: Dict[str, Callable[[], "contextlib.AbstractContextManager"]] = {
     "resume-replay": resume_event_replay,
     "narrow-window": narrow_window,

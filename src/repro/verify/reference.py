@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.columnar import SortedFirstAccess
 from repro.core.dataflow import BlockFacts
 from repro.core.epoch import Block
-from repro.core.framework import ButterflyAnalysis, Scanner
+from repro.core.framework import Scanner
 from repro.core.state import SOSView
 from repro.core.window import Butterfly
 from repro.lifeguards.addrcheck import (
@@ -76,9 +76,6 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
     work counters as the production class, none of its fast paths."""
 
     parallel_first_pass = False
-    #: The per-body loop: the isolation check the epoch pass is diffed
-    #: against (``optref``).
-    second_pass_epoch = ButterflyAnalysis.second_pass_epoch
 
     # -- step 1: local pass with LSOS checks ------------------------------
 

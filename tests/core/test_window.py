@@ -35,9 +35,8 @@ class TestButterflyStructure:
     def test_interior_body(self):
         bf = butterfly_for(partition(), 1, 0)
         assert bf.body.block_id == (1, 0)
-        assert bf.head.block_id == (0, 0)
-        assert bf.tail.block_id == (2, 0)
-        # Wings: epochs 0..2 of the other two threads.
+        # Wings: the head's, the body's and the tail's epochs 0..2, of
+        # the other two threads.
         assert sorted(wing_ids(bf)) == [
             (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)
         ]
@@ -54,13 +53,15 @@ class TestButterflyStructure:
 
     def test_first_epoch_has_no_head(self):
         bf = butterfly_for(partition(), 0, 1)
-        assert bf.head is None
         assert {w[0] for w in wing_ids(bf)} == {0, 1}
+        assert len(bf.wings) == 2 * 2  # two epochs x two other threads
 
     def test_last_epoch_has_no_tail(self):
         part = partition()
-        bf = butterfly_for(part, part.num_epochs - 1, 2)
-        assert bf.tail is None
+        last = part.num_epochs - 1
+        bf = butterfly_for(part, last, 2)
+        assert {w[0] for w in wing_ids(bf)} == {last - 1, last}
+        assert len(bf.wings) == 2 * 2
 
     def test_wings_never_include_own_thread(self):
         bf = butterfly_for(partition(), 1, 1)
@@ -92,9 +93,11 @@ class TestConcurrencyPredicate:
 
     def test_all_blocks_includes_window(self):
         bf = butterfly_for(partition(), 1, 0)
-        ids = {b.block_id for b in (bf.body, bf.head, bf.tail, *bf.wings)}
-        assert (1, 0) in ids and (0, 0) in ids and (2, 0) in ids
-        assert len(ids) == 9  # 3 own + 6 wings
+        ids = {b.block_id for b in (bf.body, *bf.wings)}
+        # The head (0, 0) and tail (2, 0) are the body's own thread.
+        assert (1, 0) in ids and (0, 0) not in ids and (2, 0) not in ids
+        assert {lid for lid, _ in ids} == {0, 1, 2}
+        assert len(ids) == 7  # the body + 6 wings
 
 
 class TestConcurrencyMatchesWings:

@@ -20,7 +20,7 @@ from repro.lifeguards.addrcheck import (
 from repro.trace.events import Instr
 from repro.trace.generator import ColumnarAllocSource
 from repro.trace.program import TraceProgram
-from repro.verify.reference import ReferenceAddrCheck
+from repro.verify.reference import ReferenceAddrCheck, WingSummary
 from repro.workloads import get_benchmark
 from tests.lifeguards.bitmask import BitInterner
 
@@ -238,26 +238,42 @@ class CheckedAddrCheck(ButterflyAddrCheck):
 
     def commit_scan(self, block, scan):
         summary = super().commit_scan(block, scan)
-        mask = self._loc_bits.mask
-        facts = summary.facts
-        self._masks[block.block_id] = (
-            mask(facts.all_gen), mask(facts.killed_vars),
-            mask(summary.first_access.locs.tolist()),
+        self._keep_masks(
+            block, summary.facts, summary.first_access.locs.tolist()
         )
         return summary
 
+    def _keep_masks(self, block, facts, access):
+        mask = self._loc_bits.mask
+        self._masks[block.block_id] = (
+            mask(facts.all_gen), mask(facts.killed_vars), mask(access),
+        )
+
+    def meet(self, butterfly, wings):
+        # The side-in and the meet work booked must equal the meet of
+        # this butterfly's wings, made of masks.
+        body_id = butterfly.body.block_id
+        work = self.block_work[body_id]
+        meet_before = work["meet"]
+        side_in = super().meet(butterfly, wings)
+        masked = masked_meet(
+            self._masks, [self.summaries[w.block_id] for w in butterfly.wings]
+        )
+        decode = self._loc_bits.decode
+        changed = set(decode(masked.gen | masked.kill))
+        if isinstance(side_in, WingSummary):
+            assert side_in.changed == changed
+            assert side_in.access == set(decode(masked.access))
+        else:
+            assert side_in == changed
+        assert work["meet"] - meet_before == masked.meet_work
+        return side_in
+
     def check_body(self, butterfly, side_in):
-        # The side-in is the epoch pass's (or the per-body meet's): both
-        # must equal the meet of this butterfly's wings, made of masks.
         body_id = butterfly.body.block_id
         masked_side_in = masked_meet(
             self._masks, [self.summaries[w.block_id] for w in butterfly.wings]
         )
-        decode = self._loc_bits.decode
-        assert set(
-            decode(masked_side_in.gen | masked_side_in.kill)
-        ) == side_in.changed
-        assert masked_side_in.meet_work == side_in.meet_work
         change_hits, access_hits = super().check_body(butterfly, side_in)
         masked = masked_check_body(self._masks, body_id, masked_side_in)
         decode = self._loc_bits.decode
@@ -278,7 +294,13 @@ class CheckedAddrCheck(ButterflyAddrCheck):
 
 class CheckedReference(CheckedAddrCheck, ReferenceAddrCheck):
     """The same assertions around the reference lifeguard's passes (its
-    whole-pass second pass never reaches ``check_body``)."""
+    whole-pass second pass never reaches ``check_body``, but its full
+    ``(GEN, KILL, ACCESS)`` meet is asserted like the production one)."""
+
+    def first_pass(self, block):
+        summary = super().first_pass(block)
+        self._keep_masks(block, summary.facts, summary.access)
+        return summary
 
 
 def checked(optimized, **kwargs):
