@@ -1,6 +1,6 @@
 """Serve-path overhead budget.
 
-Pushing a version-2 trace through the daemon (framing, Unix socket,
+Pushing a stream trace file through the daemon (framing, Unix socket,
 bounded queue, shard executor hop) must stay within ``BUDGET`` of
 feeding the same file to the engine offline via ``run_source`` -- the
 wire is bookkeeping around the same per-epoch analysis, not a second

@@ -13,8 +13,9 @@ Timing-sensitive: skipped under ``REPRO_CI=1``; on a live host the two
 configurations are measured interleaved so clock drift hits both.
 
 The last test is the one overhead guard that times with the cyclic
-collector *on*: decoding a version 2 stream beside a resident heap must
-cost what it costs with the collector off (``docs/perf.md``, "Decode").
+collector *on*: decoding a version 2 (row) stream beside a resident heap
+must cost what it costs with the collector off (``docs/perf.md``,
+"Decode").
 """
 
 import gc
@@ -27,7 +28,9 @@ from repro.core.stream import PartitionSource
 from repro.lifeguards.addrcheck import ButterflyAddrCheck
 from repro.obs.recorder import Recorder, normalize_events
 from repro.trace.generator import simulated_alloc_program
-from repro.trace.serialize import iter_load, save_stream_file
+from repro.trace.serialize import iter_load
+
+from tests.trace.v2_stream import save_v2_file
 
 #: The acceptance budget: streamed slowdown over materialized.
 BUDGET = 1.05
@@ -111,13 +114,15 @@ def test_decode_does_not_pay_the_cyclic_collector(timing_guard, tmp_path):
     collection, and a collection's cost grows with the resident heap.
     So this guard must leave the collector on, keep a heap resident for
     it to walk, and compare *totals* (a best-of would pick the one
-    repeat no full collection landed in).
+    repeat no full collection landed in).  It decodes a version 2 file:
+    a version 3 record parses to one string per block, so only rows
+    still give the collector anything to count.
     """
     program = simulated_alloc_program(
         random.Random(5), num_threads=4, total_events=30_000
     )
     path = tmp_path / "t.stream.jsonl"
-    save_stream_file(partition_auto(program, 2048), path)
+    save_v2_file(partition_auto(program, 2048), path)
     resident = [[i] for i in range(400_000)]  # >= 30 MB the collector tracks
 
     def decode():

@@ -79,7 +79,7 @@ from repro.serve import (
 from repro.serve.protocol import LIFEGUARD_CHOICES
 from repro.sim.lba import LBASystem
 from repro.trace.serialize import (
-    STREAM_VERSION,
+    STREAM_VERSIONS,
     file_version,
     iter_load,
     load_file,
@@ -162,7 +162,7 @@ def _run_meta(
     stream is recorded too: resume replays those exact cuts
     (:func:`partition_from_boundaries`) instead of re-deriving them
     from ``epoch_size``, so variable-size partitions -- skewed,
-    global-order -- resume on identical epoch geometry.  A version 2
+    global-order -- resume on identical epoch geometry.  A stream
     file carries its own cuts and records none.
     """
     trace_abs = os.path.abspath(trace_path) if trace_path else None
@@ -244,7 +244,7 @@ def _print_report(
     """The result block of a finished run, whatever fed it.
 
     Rendered through the serve layer's report builder, so ``repro
-    check`` over a generated workload, a version 1 file or a version 2
+    check`` over a generated workload, a version 1 file or a stream
     file, ``repro resume`` and ``repro push`` print the same block for
     the same trace -- the serve-smoke job diffs check against push byte
     for byte.  AddrCheck over an in-memory program with a recorded order
@@ -313,7 +313,7 @@ def cmd_figure13(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     """Generate a workload trace and save it to disk.
 
-    ``--stream`` writes the epoch-major version 2 layout instead: the
+    ``--stream`` writes the epoch-major version 3 layout instead: the
     epoch geometry (``--epoch-size``) is cut once at write time and
     baked into the file, and ``repro check`` later reads it back one
     epoch at a time without materializing the trace.
@@ -347,15 +347,15 @@ def _open_source(
 ) -> "tuple[EpochSource, Any]":
     """Trace path or benchmark parameters -> ``(source, program)``.
 
-    A version 2 (epoch-major) file is read one epoch at a time and
-    never materialized, so its ``program`` is ``None``; a version 1
-    file or a generated benchmark is a program in memory, which
-    ``cut(program)`` partitions and a :class:`PartitionSource` hands
-    the engine one epoch row at a time just the same.
+    A stream (epoch-major, version 2 or 3) file is read one epoch at a
+    time and never materialized, so its ``program`` is ``None``; a
+    version 1 file or a generated benchmark is a program in memory,
+    which ``cut(program)`` partitions and a :class:`PartitionSource`
+    hands the engine one epoch row at a time just the same.
     """
     if trace_path:
         try:
-            if file_version(trace_path) == STREAM_VERSION:
+            if file_version(trace_path) in STREAM_VERSIONS:
                 return iter_load(trace_path), None
             program = load_file(trace_path)
         except OSError as exc:
@@ -415,8 +415,8 @@ def _run_and_report(
 def cmd_check(args: argparse.Namespace) -> int:
     """Run one lifeguard over a workload (generated or from a file).
 
-    The engine pulls one epoch at a time whatever the input: a version
-    2 trace file is never materialized, and a generated workload or a
+    The engine pulls one epoch at a time whatever the input: a stream
+    trace file is never materialized, and a generated workload or a
     version 1 file is in memory as a trace while the engine's resident
     state still obeys the three-epoch window, whose observed peak the
     report's last line prints.
@@ -731,7 +731,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_push(args: argparse.Namespace) -> int:
-    """Push a version-2 trace to a running daemon and print its report.
+    """Push a stream trace to a running daemon and print its report.
 
     The printed block is bit-identical to ``repro check --trace`` over
     the same file (both render through the same report builder), so the
@@ -906,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 512)")
     p.add_argument(
         "--stream", action="store_true",
-        help="write the epoch-major (version 2) stream layout; 'repro "
+        help="write the epoch-major (version 3) stream layout; 'repro "
              "check' reads it back one epoch at a time",
     )
     p.set_defaults(func=cmd_generate)
@@ -1096,11 +1096,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "push",
-        help="stream a version-2 trace to a running serve daemon and "
+        help="send a stream trace file to a running serve daemon and "
              "print its report (identical to 'repro check --trace')",
     )
     p.add_argument("--trace", required=True,
-                   help="version-2 stream trace file to push")
+                   help="stream trace file (version 2 or 3) to push")
     p.add_argument("--connect", default=None, metavar="HOST:PORT",
                    help="daemon TCP address")
     p.add_argument("--unix", default=None, metavar="PATH",

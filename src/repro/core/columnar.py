@@ -41,8 +41,10 @@ numpy is a dependency of the package, not an option.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from itertools import accumulate, chain
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -102,12 +104,26 @@ _NEEDS_DST = frozenset(
     OP_CODES[op]
     for op in (Op.MALLOC, Op.FREE, Op.WRITE, Op.TAINT, Op.UNTAINT, Op.ASSIGN)
 )
+_NEEDS_DST_LUT = np.zeros(256, dtype=bool)
+_NEEDS_DST_LUT[sorted(_NEEDS_DST)] = True
+
+#: A packed block's header fields: event count, source count, and the
+#: width codes of the ``dst``, ``size``, per-event source count and
+#: ``src_val`` columns.  A 32-byte sha256 of those fields and the body
+#: (the ``op`` bytes, then those four columns at their widths) follows
+#: them, so no flipped byte of the header or body decodes.
+_PACKED_HEAD = struct.Struct("<QQ4B")
+_DIGEST = 32
+#: Width code -> little-endian column type (the op column is one byte).
+_PACKED_WIDTHS = tuple(np.dtype(f"<i{w}") for w in (1, 2, 4, 8))
 
 
 class RowDecodeError(ValueError):
-    """A raw ``[op, dst, srcs, size]`` row failed validation.
+    """A raw ``[op, dst, srcs, size]`` row or a packed block failed
+    validation.
 
-    Carries the offending row, which the trace readers and the serve
+    Carries the offending row (``None`` for a packed block, whose
+    message names the event), which the trace readers and the serve
     daemon name in one :class:`~repro.errors.TraceError` message.
     """
 
@@ -229,6 +245,74 @@ def _bulk_columns(rows: Sequence[object]) -> Optional["ColumnarBlock"]:
     return block
 
 
+def _width_code(col: Any) -> int:
+    """The code of the narrowest packed width that holds ``col``."""
+    lo, hi = (int(col.min()), int(col.max())) if col.shape[0] else (0, 0)
+    fits = (-(1 << b - 1) <= lo and hi < 1 << b - 1 for b in (8, 16, 32))
+    return next((code for code, ok in enumerate(fits) if ok), 3)
+
+
+def _unpack(text: str) -> "ColumnarBlock":
+    """A packed block (:meth:`ColumnarBlock.to_packed`) -> columns.
+
+    Lengths are checked against the header, then the digest, then every
+    rule of :func:`_walk_columns` as one vector check over a column --
+    no loop over events.  A defect raises :class:`RowDecodeError`
+    naming it (and the first offending event)."""
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        raise RowDecodeError(None, "not a hex string") from None
+    head = _PACKED_HEAD.size + _DIGEST
+    if len(raw) < head:
+        raise RowDecodeError(None, f"{len(raw)} bytes, short of a header")
+    n, nsrc_total, *codes = _PACKED_HEAD.unpack_from(raw)
+    if max(codes) >= len(_PACKED_WIDTHS):
+        raise RowDecodeError(None, f"bad width code in {codes}")
+    layout = list(zip(
+        [np.dtype(np.uint8)] + [_PACKED_WIDTHS[code] for code in codes],
+        (n, n, n, n, nsrc_total),
+    ))
+    promised = sum(dtype.itemsize * count for dtype, count in layout)
+    if len(raw) - head != promised:
+        raise RowDecodeError(
+            None, f"body of {len(raw) - head} bytes, header says {promised}"
+        )
+    view = memoryview(raw)
+    digest = hashlib.sha256(view[:_PACKED_HEAD.size])
+    digest.update(view[head:])
+    if digest.digest() != raw[_PACKED_HEAD.size:head]:
+        raise RowDecodeError(None, "sha256 does not match")
+    cols = []
+    for dtype, count in layout:
+        cols.append(np.frombuffer(raw, dtype, count, head))
+        head += dtype.itemsize * count
+    op = cols[0].copy()  # no column keeps ``raw`` alive
+    dst, size, nsrc, src_val = (col.astype(np.int64) for col in cols[1:])
+    if n:
+        if nsrc.min() < 0 or nsrc.max() > nsrc_total:
+            raise RowDecodeError(None, "bad source counts")
+        one_src = (op == OP_READ) | (op == OP_JUMP)
+        for bad, reason in (
+            (op > OP_NOP, "bad op"),
+            (size < 1, "size must be >= 1"),
+            (_NEEDS_DST_LUT.take(op) & (dst == NO_DST),
+             "op requires a destination"),
+            (dst > _I64_MAX - (size - 1), "extent runs past 2**63-1"),
+            (one_src & (nsrc != 1), "op requires exactly one source"),
+            ((op == OP_ASSIGN) & (nsrc > 2),
+             "assign takes at most two sources"),
+        ):
+            if bad.any():
+                at = int(np.flatnonzero(bad)[0])
+                raise RowDecodeError(None, f"event {at}: {reason}")
+    src_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(nsrc, out=src_off[1:])
+    if src_off[-1] != nsrc_total:
+        raise RowDecodeError(None, "source counts do not sum to the header's")
+    return ColumnarBlock(n, op, dst, size, src_off, src_val)
+
+
 class ColumnarBlock:
     """One block's events as parallel columns (see module docstring).
 
@@ -282,18 +366,22 @@ class ColumnarBlock:
         return cls._frozen(ops, dsts, sizes, src_off, src_val)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[object]) -> "ColumnarBlock":
-        """Decode raw ``[op, dst, srcs, size]`` stream rows to columns.
+    def from_rows(cls, rows: Union[str, Sequence[object]]) -> "ColumnarBlock":
+        """Decode a block record -- raw ``[op, dst, srcs, size]`` rows
+        (version 1 and 2 files) or a packed block's hex string
+        (:meth:`to_packed`, version 3) -- to columns.
 
-        The one row decoder of both trace file layouts and the serve
+        The one block decoder of every trace file layout and the serve
         wire: it applies the same validation as ``Instr.__post_init__``
         (plus the int64 range, which keeps :data:`NO_DST` for ``None``
         and every extent inside it) but touches no dataclass, no enum
         boxing, no per-event tuple -- and, for a well-formed block, no
         row from Python at all
-        (:func:`_bulk_columns`).  A malformed row raises
-        :class:`RowDecodeError` carrying the row.
+        (:func:`_bulk_columns`, :func:`_unpack`).  A malformed block
+        raises :class:`RowDecodeError`.
         """
+        if isinstance(rows, str):
+            return _unpack(rows)
         block = _bulk_columns(rows)
         if block is None:
             # The reject path: walk the rows to name the first bad one.
@@ -394,6 +482,21 @@ class ColumnarBlock:
                 self.size.tolist(),
             )
         ]
+
+    def to_packed(self) -> str:
+        """Encode as one packed block, hex: the :data:`_PACKED_HEAD`
+        fields, their and the body's sha256, then the body -- ``op``,
+        then ``dst``, ``size``, per-event source counts and ``src_val``,
+        each little-endian at the narrowest width that holds it."""
+        cols = (self.dst, self.size, np.diff(self.src_off), self.src_val)
+        codes = [_width_code(col) for col in cols]
+        body = b"".join([self.op.tobytes()] + [
+            col.astype(_PACKED_WIDTHS[code]).tobytes()
+            for col, code in zip(cols, codes)
+        ])
+        fields = _PACKED_HEAD.pack(self.length, self.src_val.shape[0], *codes)
+        digest = hashlib.sha256(fields + body).digest()
+        return (fields + digest + body).hex()
 
     # -- pickling (compact wire form) -----------------------------------
 

@@ -1,9 +1,11 @@
 """The producer side of the serve protocol: ``repro push``.
 
-A deliberately small, *synchronous* client: it reads a version-2 trace
-file and ships its epoch records to a running ``repro serve`` daemon as
-``EPOCH`` frames -- the payload is the file's own JSON line, so pushing
-never re-encodes the trace.  Blocking sockets are the point: when the
+A deliberately small, *synchronous* client: it reads a stream trace
+file (version 3's packed blocks or version 2's rows) and ships its
+epoch records to a running ``repro serve`` daemon as ``EPOCH`` frames
+-- the payload is the file's own JSON line, so pushing never re-encodes
+the trace, and the daemon checks a packed block's lengths and sha256
+as the file reader does.  Blocking sockets are the point: when the
 daemon stops reading (a stream's bounded queue filled), the producer's
 ``send`` blocks on the kernel's TCP window -- backpressure reaches the
 producer with no protocol machinery at all.
@@ -297,7 +299,7 @@ def push_trace(
     retries: int = 3,
     timeout: float = 30.0,
 ) -> Dict[str, Any]:
-    """Push one version-2 trace file; return the daemon's REPORT.
+    """Push one stream trace file; return the daemon's REPORT.
     ``retries`` reconnects follow a failed attempt, backed off by the
     default :class:`RetryPolicy`."""
     return StreamClient(

@@ -1,17 +1,18 @@
 """The serve wire protocol: length-prefixed frames over a byte stream.
 
-``repro serve`` accepts many concurrent version-2 trace streams over
-TCP or Unix sockets.  Each connection carries one stream session:
+``repro serve`` accepts many concurrent stream traces over TCP or Unix
+sockets.  Each connection carries one stream session:
 
 1. client sends ``HELLO`` (stream identity + shape + optional resume
    token);
 2. server answers ``ACK`` (the epoch to start/resume from, plus the
    stream's deterministic resume token);
 3. client sends one ``EPOCH`` frame per epoch, in order, starting at
-   the acknowledged epoch -- each payload is exactly one version-2
-   epoch record (the same JSON line ``dump_stream`` writes), so a
-   stream file can be pushed without re-encoding;
-4. client closes with ``END`` (the version-2 footer);
+   the acknowledged epoch -- each payload is exactly one stream epoch
+   record (the same JSON line ``dump_stream`` writes: version 3's
+   packed, sha256-checked hex blocks, or version 2's rows), so file,
+   wire and a process shard's pipe carry one record form;
+4. client closes with ``END`` (the stream footer);
 5. server answers ``REPORT`` (the stream's error report, work
    counters, and window peak -- bit-identical to what offline ``repro
    check`` computes over the same trace) or ``ERROR``.

@@ -1,7 +1,7 @@
 """The butterfly-as-a-service daemon: ``repro serve``.
 
-A long-running asyncio process that accepts many concurrent version-2
-trace streams over TCP or Unix sockets (the framed protocol in
+A long-running asyncio process that accepts many concurrent stream
+traces (version 2 or 3) over TCP or Unix sockets (the framed protocol in
 :mod:`repro.serve.protocol`) and folds each one through its own
 :class:`~repro.core.framework.ButterflyEngine`, holding only the
 three-epoch butterfly window per stream.

@@ -1,8 +1,8 @@
 """Trace persistence: save/load traces as JSON lines.
 
 Traces are the interchange unit of this library (the LBA log, in
-effect), so they deserve a stable on-disk form.  Two layouts share the
-``repro-trace`` envelope:
+effect), so they deserve a stable on-disk form.  Three versions of two
+layouts share the ``repro-trace`` envelope:
 
 Version 1 (thread-major, :func:`dump` / :func:`load`)
     A header, then one line per thread's whole event list, then the
@@ -11,7 +11,7 @@ Version 1 (thread-major, :func:`dump` / :func:`load`)
     diff-able, but a reader must hold every thread before the first
     epoch can be cut -- O(trace) memory.
 
-Version 2 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
+Versions 2 and 3 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     A header carrying the shape (threads, epochs, preallocated), then
     one line *per epoch* holding that epoch's blocks for every thread,
     then an ``epochs_written`` footer that distinguishes a complete
@@ -19,14 +19,18 @@ Version 2 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     so the butterfly engine can analyze traces far larger than RAM
     (see ``docs/streaming.md``).  Epoch records carry each block's
     start offset, so checkpoint resume can skip already-processed
-    records without decoding them.
+    records without decoding them.  A version 2 block is a list of
+    rows; a version 3 block (what :func:`dump_stream` writes) is one
+    packed, sha256-checked hex string of narrowed columns
+    (``ColumnarBlock.to_packed``), decoded with no per-event Python.
 
-Both layouts share one reader (:class:`_Records`) and one row decoder
-(``ColumnarBlock.from_rows``, also the serve daemon's), so a version 1
-thread is columns until something reads its ``Instr`` objects.  Every
-structural defect in either format -- invalid JSON, truncation,
-trailing garbage, out-of-order epochs -- raises :class:`TraceError`
-with ``file:line`` context, never a raw ``JSONDecodeError``.
+Every layout shares one reader (:class:`_Records`) and one block
+decoder (``ColumnarBlock.from_rows``, also the serve daemon's), so a
+version 1 thread is columns until something reads its ``Instr``
+objects.  Every structural defect in any version -- invalid JSON,
+truncation, trailing garbage, out-of-order epochs, a packed block whose
+lengths or digest do not match -- raises :class:`TraceError` with
+``file:line`` context, never a raw ``JSONDecodeError``.
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ from repro.errors import TraceError
 from repro.trace.program import ThreadTrace, TraceProgram
 
 FORMAT_VERSION = 1
-STREAM_VERSION = 2
-_VERSIONS = (FORMAT_VERSION, STREAM_VERSION)
+#: The stream version :func:`dump_stream` writes; 2 is still read.
+STREAM_VERSION = 3
+STREAM_VERSIONS = (2, STREAM_VERSION)
+_VERSIONS = (FORMAT_VERSION, *STREAM_VERSIONS)
 _TAG = "repro-trace"
 
 
@@ -121,15 +127,19 @@ class _Records:
                 )
 
 
-def _columns(rows: list, name: str, lineno: int) -> ColumnarBlock:
-    """Raw ``[op, dst, srcs, size]`` rows -> columns, with no ``Instr``:
-    a version 1 thread, a version 2 block and a wire frame alike."""
+def _columns(
+    rows: Union[list, str], name: str, lineno: int
+) -> ColumnarBlock:
+    """A block record -> columns, with no ``Instr``: a version 1 thread,
+    a version 2 or 3 block and a wire frame alike."""
     try:
         return ColumnarBlock.from_rows(rows)
     except RowDecodeError as exc:
-        raise TraceError(
-            f"{name}:{lineno}: malformed instruction record: {exc.row!r}"
-        ) from None
+        what = (
+            f"packed block: {exc}" if isinstance(rows, str)
+            else f"instruction record: {exc.row!r}"
+        )
+        raise TraceError(f"{name}:{lineno}: malformed {what}") from None
 
 
 def _pairs(ids: Optional[np.ndarray], num_threads: int) -> Optional[list]:
@@ -194,12 +204,12 @@ def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
     path) and the line."""
     records = _Records(fp, name)
     header = records.header()
-    if header["version"] == STREAM_VERSION:
+    if header["version"] in STREAM_VERSIONS:
         raise records.fail(
-            "a version 2 file is an epoch-major stream with no recorded "
-            "order: 'repro sweep' and the oracle need a version 1 program "
-            "file ('repro generate' without --stream); 'repro check "
-            "--trace' reads this one"
+            f"a version {header['version']} file is an epoch-major stream "
+            "with no recorded order: 'repro sweep' and the oracle need a "
+            "version 1 program file ('repro generate' without --stream); "
+            "'repro check --trace' reads this one"
         )
     num_threads = header["threads"]
     threads: List[ThreadTrace] = []
@@ -241,23 +251,24 @@ def load_file(path: Union[str, Path]) -> TraceProgram:
 
 
 def file_version(path: Union[str, Path]) -> int:
-    """Peek a trace file's format version (1 or 2) from its header: the
-    CLI routes ``--trace`` version 1 files to :func:`load_file` and
-    version 2 files to :func:`iter_load`."""
+    """Peek a trace file's format version (1, 2 or 3) from its header:
+    the CLI routes ``--trace`` version 1 files to :func:`load_file` and
+    stream files (:data:`STREAM_VERSIONS`) to :func:`iter_load`."""
     with open(path) as fp:
         return _Records(fp, str(path)).header()["version"]
 
 
 # ---------------------------------------------------------------------------
-# Version 2: epoch-major stream format
+# Versions 2 and 3: epoch-major stream format
 # ---------------------------------------------------------------------------
 
 
 def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
-    """Write ``partition`` as an epoch-major (version 2) stream.
+    """Write ``partition`` as an epoch-major (version 3) stream.
 
     One line per epoch, each carrying every thread's block for that
-    epoch plus the blocks' start offsets, closed by an
+    epoch (one packed hex string each, ``ColumnarBlock.to_packed``)
+    plus the blocks' start offsets, closed by an
     ``epochs_written`` footer.  The writer holds one epoch at a time
     (the partition's block cache is evicted in step), so dumping is
     O(epoch) resident like reading back is.
@@ -281,7 +292,7 @@ def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
         record = {
             "epoch": lid,
             "starts": [block.start for block in row],
-            "blocks": [block.columns.to_rows() for block in row],
+            "blocks": [block.columns.to_packed() for block in row],
         }
         fp.write(json.dumps(record) + "\n")
         partition.evict_blocks(lid + 1)
@@ -291,23 +302,23 @@ def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
 def save_stream_file(
     partition: EpochPartition, path: Union[str, Path]
 ) -> None:
-    """Write ``partition`` as a version 2 stream to ``path``."""
+    """Write ``partition`` as a version 3 stream to ``path``."""
     with open(path, "w") as fp:
         dump_stream(partition, fp)
 
 
 def stream_header(fp: IO[str], name: str) -> dict:
-    """Read and validate a version 2 header (line 1 of ``fp``).
+    """Read and validate a stream header (line 1 of ``fp``).
 
     Public because the serve client builds its ``HELLO`` frame from a
     stream file's header without decoding any epoch records.
     """
     records = _Records(fp, name)
     header = records.header()
-    if header["version"] != STREAM_VERSION:
+    if header["version"] not in STREAM_VERSIONS:
         raise records.fail(
             f"not a stream trace (version {header['version']!r}, "
-            f"expected {STREAM_VERSION})"
+            f"expected one of {STREAM_VERSIONS})"
         )
     if not _is_count(header.get("epochs")):
         raise records.fail(f"bad epoch count {header.get('epochs')!r}")
@@ -322,7 +333,9 @@ def decode_epoch_row(
     record: object, lid: int, num_threads: int, name: str, lineno: int
 ) -> List[Block]:
     """Turn one *parsed* epoch record into a row of :class:`Block`
-    objects: :func:`decode_epoch_text` after its ``json.loads``."""
+    objects: :func:`decode_epoch_text` after its ``json.loads``.  Each
+    ``blocks`` entry is a packed hex string (version 3) or a list of
+    rows (version 2)."""
     if not isinstance(record, dict):
         raise TraceError(
             f"{name}:{lineno}: expected an epoch record, got {record!r}"
@@ -352,7 +365,7 @@ def decode_epoch_row(
     row = []
     for tid, (start, raw) in enumerate(zip(starts, blocks)):
         # A JSON ``true`` would start the block at event 1.
-        if not _is_count(start) or not isinstance(raw, list):
+        if not _is_count(start) or not isinstance(raw, (list, str)):
             raise TraceError(
                 f"{name}:{lineno}: epoch {lid} thread {tid}: malformed "
                 f"block record"
@@ -364,11 +377,12 @@ def decode_epoch_row(
 class _CollectorPause:
     """Context manager: the cyclic collector is off inside the block.
 
-    ``json.loads`` returns two short-lived lists per instruction, so one
-    epoch record crosses the collector's allocation threshold dozens of
-    times, and each crossing walks the resident heap to find nothing:
-    neither the parsed rows nor the columns built from them can form a
-    cycle.  Pausing it for one record's parse -> validate -> columns
+    On a version 2 record ``json.loads`` returns two short-lived lists
+    per instruction (a version 3 record parses to one string per
+    block), so one epoch record crosses the collector's allocation
+    threshold dozens of times, and each crossing walks the resident
+    heap to find nothing: neither the parsed rows nor the columns built
+    from them can form a cycle.  Pausing it for one record's parse -> validate -> columns
     lifetime defers at most one frame's worth of garbage
     (``MAX_FRAME``), which reference counting frees anyway.
 
@@ -420,7 +434,7 @@ def decode_epoch_text(
 ) -> List[Block]:
     """One epoch record's text -> its row of columnar :class:`Block`\\ s.
 
-    The whole decode, shared by the version 2 file reader (``text`` is
+    The whole decode, shared by the stream file reader (``text`` is
     one line) and the serve daemon (``text`` is one ``EPOCH`` frame's
     UTF-8 payload; ``name`` the stream id, ``lineno`` the frame
     ordinal): a byte stream arriving over a socket is parsed, validated
@@ -484,7 +498,7 @@ def _stream_rows(
 
 
 class StreamTraceSource(EpochSource):
-    """An :class:`EpochSource` over a version 2 stream file.
+    """An :class:`EpochSource` over a stream file (version 2 or 3).
 
     Construction reads only the header (shape and preallocated set);
     each :meth:`epochs` call opens a fresh handle, so the source can be
@@ -511,7 +525,7 @@ class StreamTraceSource(EpochSource):
 
 
 def iter_load(path: Union[str, Path]) -> StreamTraceSource:
-    """Open a version 2 stream as an :class:`EpochSource`.
+    """Open a stream file (version 2 or 3) as an :class:`EpochSource`.
 
     The counterpart of :func:`load_file` for traces larger than RAM:
     nothing beyond the header is read until the engine pulls epochs.

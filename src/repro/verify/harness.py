@@ -51,7 +51,7 @@ AXES = {
     # The per-Instr reference scan kernels (``use_columnar_kernel=False``)
     # | the production columnar kernels.
     "representation": ("objects", "columns"),
-    # The in-memory partition | a round trip through a version 2 stream
+    # The in-memory partition | a round trip through a version 3 stream
     # file | that file pushed to a shared ``repro serve`` daemon with
     # thread shards, process shards, or adaptive folding (factor 3).
     "delivery": (
@@ -120,7 +120,7 @@ PRESETS: Dict[str, Preset] = {
     # below two epochs or when no epoch committed before the stop.
     "resume": Preset(BASELINE, (Point(cut="kill-and-resume"),), _LOGGED),
     # The bounded-memory streaming pipeline fed from a round-tripped
-    # version 2 file vs. the materialized run.
+    # version 3 file vs. the materialized run.
     "stream": Preset(BASELINE, (Point("columns", "stream-file"),), _LOGGED),
     # The production columnar kernels vs. the per-Instr reference
     # kernels, serial and concurrent.

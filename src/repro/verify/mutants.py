@@ -218,25 +218,30 @@ def reversed_commit() -> ContextManager[None]:
 def lossy_decode() -> ContextManager[None]:
     """Drop every MALLOC/FREE ``size`` while decoding an epoch record.
 
-    ``decode_epoch_text`` is the one decoder behind both the version 2
+    ``decode_epoch_text`` is the one decoder behind both the stream
     file reader and the daemon's ``EPOCH`` frames, and it hands every
-    parsed record to ``decode_epoch_row``, so a field lost there is
-    lost on every delivery but the in-memory partition: sized extents
-    shrink to one location.  ``stream`` and ``serve`` each have a side
-    that never went through it.  The patch is in-process: a thread
-    shard's decode sees it, a spawned process shard's worker does not
+    parsed record to ``decode_epoch_row``, so a field lost in the
+    columns it returns is lost on every delivery but the in-memory
+    partition, packed block or rows alike: sized extents shrink to one
+    location.  ``stream`` and ``serve`` each have a side that never
+    went through it.  The patch is in-process: a thread shard's decode
+    sees it, a spawned process shard's worker does not
     (``serve_process`` decodes there).
     """
+    import numpy as np
+
+    from repro.core.columnar import OP_FREE, OP_MALLOC
     from repro.trace import serialize
 
     orig = serialize.decode_epoch_row
 
     def decode(record, lid, num_threads, name, lineno):
-        if isinstance(record, dict) and isinstance(record.get("blocks"), list):
-            record = dict(record, blocks=[
-                [row[:3] + [1] for row in block] for block in record["blocks"]
-            ])
-        return orig(record, lid, num_threads, name, lineno)
+        row = orig(record, lid, num_threads, name, lineno)
+        for block in row:  # columns just built, shared with no one
+            c = block.columns
+            sized = (c.op == OP_MALLOC) | (c.op == OP_FREE)
+            c.size = np.where(sized, 1, c.size)
+        return row
 
     return _patched(serialize, decode_epoch_row=decode)
 

@@ -3,8 +3,8 @@ engine one epoch row at a time and prints through one report builder.
 
 There is no ``--stream`` switch on ``check``/``sweep``/``stats`` (only
 ``generate --stream``, which names a file format): the same trace as a
-generated workload, a version 1 file and a version 2 file prints the
-same report block under every lifeguard, killed-and-resumed runs print
+generated workload, a version 1 file and a version 2 or 3 file prints
+the same report block under every lifeguard, killed-and-resumed runs print
 what uninterrupted ones print, and event logs and sweep tables are what
 the switch's streamed side used to produce.
 """
@@ -22,6 +22,8 @@ from repro.serve import ServeConfig, ServerThread
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import file_version, save_file
+
+from tests.trace.v2_stream import as_v2, rows_record
 
 WORKLOAD = [
     "--benchmark", "OCEAN", "--threads", "2", "--events", "3000",
@@ -73,10 +75,12 @@ def _log_digest(path):
 
 class TestGenerateStream:
     def test_writes_a_version_2_trace(self, tmp_path, capsys):
+        """Named for the layout it first pinned: the writer's stream
+        version is 3 now, with no option to write 2."""
         path = tmp_path / "t.stream.jsonl"
         assert main(GENERATE_ARGS + ["--output", str(path)]) == 0
         assert "streamed" in capsys.readouterr().out
-        assert file_version(path) == 2
+        assert file_version(path) == 3
 
 
 class TestCheckStream:
@@ -126,7 +130,8 @@ class TestCheckStream:
         assert main(GENERATE_ARGS + ["--output", str(path)]) == 0
         capsys.readouterr()
         lines = path.read_text().splitlines(keepends=True)
-        epoch = json.loads(lines[2])  # line 3: epoch 1
+        # Rows are the only block form a bad row can be planted in.
+        epoch = rows_record(json.loads(lines[2]))  # line 3: epoch 1
         if field == "row":
             epoch["blocks"][1].append(value)
         else:
@@ -198,22 +203,30 @@ class TestCheckStream:
 
 @pytest.fixture(scope="module")
 def ocean_files(tmp_path_factory):
-    """One OCEAN trace as a version 1 and a version 2 file, the latter
-    cut at the ``--epoch-size 1024`` the generated run uses."""
+    """One OCEAN trace as a version 1 file and as a version 3 stream
+    file cut at the ``--epoch-size 1024`` the generated run uses, plus
+    that stream's version 2 form: ``v1, v2, v3``.  The stream files sit
+    in directories of their own under one name, so a report labelled
+    with the relative path is the same bytes for either."""
     tmp = tmp_path_factory.mktemp("ocean")
-    v1, v2 = str(tmp / "ocean.v1.jsonl"), str(tmp / "ocean.v2.jsonl")
+    v1 = str(tmp / "ocean.v1.jsonl")
+    (tmp / "v2").mkdir()
+    (tmp / "v3").mkdir()
+    v2, v3 = (str(tmp / d / "ocean.jsonl") for d in ("v2", "v3"))
     generate = ["generate"] + WORKLOAD
     assert main(generate + ["--output", v1]) == 0
     assert main(
-        generate + ["--epoch-size", "1024", "--stream", "--output", v2]
+        generate + ["--epoch-size", "1024", "--stream", "--output", v3]
     ) == 0
-    assert (file_version(v1), file_version(v2)) == (1, 2)
-    return v1, v2
+    with open(v3) as fp, open(v2, "w") as out:
+        out.write(as_v2(fp.read()))
+    assert tuple(map(file_version, (v1, v2, v3))) == (1, 2, 3)
+    return v1, v2, v3
 
 
 class TestOneReportBlock:
-    """Generated workload, v1 file, v2 file and ``repro push``: one
-    block, whatever the lifeguard."""
+    """Generated workload, v1 file, v2 and v3 files and ``repro push``:
+    one block, whatever the lifeguard."""
 
     @staticmethod
     def block(out, label):
@@ -230,20 +243,22 @@ class TestOneReportBlock:
     def test_same_block_from_workload_v1_and_v2(
         self, ocean_files, capsys, lifeguard
     ):
-        v1, v2 = ocean_files
+        v1, v2, v3 = ocean_files
         tail = ["--epoch-size", "1024", "--lifeguard", lifeguard]
         generated = _out(capsys, ["check"] + WORKLOAD + tail)
         from_v1 = _out(capsys, ["check", "--trace", v1] + tail)
-        from_v2 = _out(capsys, ["check", "--trace", v2] + tail)
         block = self.block(generated, "OCEAN")
         assert block[0] == "trace: <label>, 2 threads, 3 epochs (streamed)"
         assert self.block(from_v1, v1) == block
-        assert self.block(from_v2, v2) == block
-        # A v2 file has no program to run the sequential oracle over;
-        # the other two add AddrCheck's precision lines after the block.
-        assert from_v2.splitlines() == [
-            line.replace("<label>", v2) for line in block
-        ]
+        for stream in (v2, v3):
+            from_stream = _out(capsys, ["check", "--trace", stream] + tail)
+            assert self.block(from_stream, stream) == block
+            # A stream file has no program to run the sequential oracle
+            # over; the other two add AddrCheck's precision lines after
+            # the block.
+            assert from_stream.splitlines() == [
+                line.replace("<label>", stream) for line in block
+            ]
         oracle = [
             line for line in generated.splitlines()
             if line.startswith(("oracle ", "false-positive rate: "))
@@ -266,17 +281,35 @@ class TestOneReportBlock:
     def test_check_on_a_v2_file_is_byte_identical_to_push(
         self, ocean_files, tmp_path, capsys, lifeguard
     ):
-        _v1, v2 = ocean_files
+        _v1, v2, v3 = ocean_files
         config = ServeConfig(unix_path=str(tmp_path / "d.sock"))
         with ServerThread(config) as daemon:
-            pushed = _out(capsys, [
-                "push", "--trace", v2, "--unix", daemon.address[1],
-                "--lifeguard", lifeguard,
-            ])
-        checked = _out(
-            capsys, ["check", "--trace", v2, "--lifeguard", lifeguard]
-        )
-        assert pushed == checked
+            for stream in (v2, v3):
+                pushed = _out(capsys, [
+                    "push", "--trace", stream, "--unix", daemon.address[1],
+                    "--lifeguard", lifeguard,
+                ])
+                checked = _out(capsys, [
+                    "check", "--trace", stream, "--lifeguard", lifeguard,
+                ])
+                assert pushed == checked
+
+    @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
+    def test_v2_and_v3_files_of_one_partition_print_the_same_bytes(
+        self, ocean_files, monkeypatch, capsys, lifeguard
+    ):
+        """The packed block form changes no report: the same partition
+        read from its version 2 and version 3 files, under one relative
+        path, prints byte-identical stdout."""
+        _v1, v2, v3 = ocean_files
+        outputs = []
+        for stream in (v2, v3):
+            monkeypatch.chdir(stream.rsplit("/", 1)[0])
+            outputs.append(_out(capsys, [
+                "check", "--trace", "ocean.jsonl", "--lifeguard", lifeguard,
+            ]))
+        assert outputs[0] == outputs[1]
+        assert "flags: " in outputs[0]
 
 
 class TestStreamResume:

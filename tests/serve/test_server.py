@@ -37,6 +37,7 @@ from repro.serve.shards import ThreadShard
 from repro.trace.serialize import stream_header
 
 from tests.serve.conftest import offline_report, write_trace
+from tests.trace.v2_stream import rows_record
 
 def fast(retries):
     """A zero-backoff policy of ``retries`` reconnects: tests exercise
@@ -169,6 +170,29 @@ class TestTransportFaults:
         expected = offline_report(trace_file, "faulty")
         assert served == expected
 
+    def test_corrupt_bytes_in_a_packed_block_draw_error_protocol(
+        self, trace_file, tmp_path
+    ):
+        """The client's ``corrupt_bytes`` fault flips the middle payload
+        byte.  In a version 3 record that byte is inside a packed block
+        (a bad hex digit or a digest mismatch), and the shard's decode
+        refuses it as it refuses invalid JSON: ``ERROR protocol``, with
+        the daemon healthy after."""
+        config = ServeConfig(
+            unix_path=str(tmp_path / "flip.sock"), shard_backend="thread"
+        )
+        with ServerThread(config) as daemon:
+            client = StreamClient(
+                daemon.address, str(trace_file), "flip",
+                plan=FaultPlan(corrupt_bytes=1.0, seed=1), policy=fast(0),
+            )
+            with pytest.raises(ServeErrorFrame) as exc:
+                client.push()
+            assert exc.value.code == "protocol"
+            assert "malformed packed block" in exc.value.payload["error"]
+            served = push_trace(daemon.address, str(trace_file), "good")
+        assert served == offline_report(trace_file, "good")
+
     def test_corrupt_frame_is_contained_to_its_stream(
         self, daemon, trace_file
     ):
@@ -219,7 +243,8 @@ class TestTransportFaults:
         [internal]: OverflowError``."""
         with open(trace_file) as fp:
             stream_header(fp, str(trace_file))
-            epoch = json.loads(fp.readline())
+            # Rows are the only block form a bad row can be planted in.
+            epoch = rows_record(json.loads(fp.readline()))
         epoch["blocks"][0].append(bad_row)
         sock = raw_handshake(daemon.address, trace_file, "bool", 0)
         sock.sendall(encode_json_frame(FRAME_EPOCH, epoch))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.core import columnar
 from repro.core.epoch import partition_auto
 from repro.errors import TraceError
 from repro.trace.events import Instr
@@ -25,6 +26,7 @@ from repro.trace.serialize import (
 from repro.workloads.registry import get_benchmark
 
 from tests.trace.test_program import schedule_refs
+from tests.trace.v2_stream import rows_record, save_v2_file, v2_text
 
 
 #: Instruction records with a JSON boolean or float where an integer
@@ -271,14 +273,27 @@ class TestStreamRoundTrip:
         assert rows[0][0].instrs == partition.block(3, 0).instrs
         assert len(rows) == partition.num_epochs - 3
 
+    def test_a_version_2_file_reads_the_same_blocks(self, tmp_path):
+        """Nothing writes version 2 any more; its files still read, on
+        the row decoder version 1 needs, to the same columns."""
+        _, partition = stream_partition()
+        packed = read_stream(tmp_path, stream_text(partition))
+        rows = read_stream(tmp_path, v2_text(partition))
+        assert [[b.columns for b in row] for row in rows] == [
+            [b.columns for b in row] for row in packed
+        ]
+
     def test_file_version_distinguishes_layouts(self, tmp_path):
         prog, partition = stream_partition()
         v1 = tmp_path / "v1.jsonl"
         v2 = tmp_path / "v2.jsonl"
+        v3 = tmp_path / "v3.jsonl"
         save_file(prog, v1)
-        save_stream_file(partition, v2)
+        save_v2_file(partition, v2)
+        save_stream_file(partition, v3)
         assert file_version(v1) == 1
         assert file_version(v2) == 2
+        assert file_version(v3) == 3
         with pytest.raises(TraceError):
             file_version(__file__)
 
@@ -297,7 +312,8 @@ class TestStreamValidation:
         escape the column freeze as an ``OverflowError`` traceback."""
         _, partition = stream_partition(threads=2)
         lines = stream_text(partition).splitlines(keepends=True)
-        epoch = json.loads(lines[2])  # line 3: epoch 1
+        # Rows are the only block form a bad row can be planted in.
+        epoch = rows_record(json.loads(lines[2]))  # line 3: epoch 1
         epoch["blocks"][1].append(json.loads(record))
         lines[2] = json.dumps(epoch) + "\n"
         path = tmp_path / "t.stream.jsonl"
@@ -404,11 +420,15 @@ class TestStreamValidation:
         with pytest.raises(TraceError) as exc:
             load(io.StringIO(stream_text(partition)), name="t")
         message = str(exc.value)
-        assert message.startswith("t:1: a version 2 file is an epoch-major")
+        assert message.startswith("t:1: a version 3 file is an epoch-major")
         assert "no recorded order" in message
         assert "need a version 1 program file" in message
         assert "'repro check --trace' reads this one" in message
         assert "unsupported" not in message
+        with pytest.raises(
+            TraceError, match="t:1: a version 2 file is an epoch-major"
+        ):
+            load(io.StringIO(v2_text(partition)), name="t")
         v1 = io.StringIO()
         dump(prog, v1)
         with pytest.raises(TraceError, match="not a stream trace"):
@@ -428,3 +448,57 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match="bad footer"):
             read_stream(tmp_path, bad)
 
+
+
+#: A packed block's header: its fields, then their and the body's sha256.
+PACKED_FIELDS = columnar._PACKED_HEAD.size
+PACKED_HEAD = PACKED_FIELDS + columnar._DIGEST
+
+
+class TestPackedCorruption:
+    """Every flipped byte of a packed block is a :class:`TraceError` at
+    its line: never another exception, never a block that decodes."""
+
+    BODY_STRIDE = 211
+
+    def test_every_flipped_byte_is_refused(self, tmp_path):
+        program = get_benchmark("OCEAN").generate(2, 600, seed=5)
+        partition = partition_auto(program, 1024)
+        lines = stream_text(partition).splitlines(keepends=True)
+        assert json.loads(lines[0])["version"] == 3
+        path = tmp_path / "flip.jsonl"
+        flips = 0
+        for at in range(1, len(lines) - 1):
+            record = json.loads(lines[at])
+            for tid, packed in enumerate(record["blocks"]):
+                raw = bytes.fromhex(packed)
+                spots = [(i, 0xFF) for i in range(PACKED_HEAD)]
+                spots += [(i, 0x01) for i in range(PACKED_FIELDS)]
+                spots += [(i, 0xFF) for i in
+                          range(PACKED_HEAD, len(raw), self.BODY_STRIDE)]
+                for i, mask in spots:
+                    flipped = bytearray(raw)
+                    flipped[i] ^= mask
+                    blocks = list(record["blocks"])
+                    blocks[tid] = flipped.hex()
+                    bad = list(lines)
+                    bad[at] = json.dumps(dict(record, blocks=blocks)) + "\n"
+                    path.write_text("".join(bad))
+                    with pytest.raises(
+                        TraceError,
+                        match=rf"flip\.jsonl:{at + 1}: malformed packed block",
+                    ):
+                        list(iter_load(path).epochs())
+                    flips += 1
+        assert flips > 500
+
+    def test_a_bad_hex_digit_is_refused(self, tmp_path):
+        _, partition = stream_partition()
+        lines = stream_text(partition).splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["blocks"][0] = "zz" + record["blocks"][0][2:]
+        lines[1] = json.dumps(record) + "\n"
+        with pytest.raises(
+            TraceError, match=r"t:2: malformed packed block: not a hex"
+        ):
+            read_stream(tmp_path, "".join(lines))
