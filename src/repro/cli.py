@@ -313,7 +313,7 @@ def cmd_figure13(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     """Generate a workload trace and save it to disk.
 
-    ``--stream`` writes the epoch-major version 3 layout instead: the
+    ``--stream`` writes the epoch-major version 4 layout instead: the
     epoch geometry (``--epoch-size``) is cut once at write time and
     baked into the file, and ``repro check`` later reads it back one
     epoch at a time without materializing the trace.
@@ -347,7 +347,7 @@ def _open_source(
 ) -> "tuple[EpochSource, Any]":
     """Trace path or benchmark parameters -> ``(source, program)``.
 
-    A stream (epoch-major, version 2 or 3) file is read one epoch at a
+    A stream (epoch-major, version 2 to 4) file is read one epoch at a
     time and never materialized, so its ``program`` is ``None``; a
     version 1 file or a generated benchmark is a program in memory,
     which ``cut(program)`` partitions and a :class:`PartitionSource`
@@ -906,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 512)")
     p.add_argument(
         "--stream", action="store_true",
-        help="write the epoch-major (version 3) stream layout; 'repro "
+        help="write the epoch-major (version 4) stream layout; 'repro "
              "check' reads it back one epoch at a time",
     )
     p.set_defaults(func=cmd_generate)
@@ -1100,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
              "print its report (identical to 'repro check --trace')",
     )
     p.add_argument("--trace", required=True,
-                   help="stream trace file (version 2 or 3) to push")
+                   help="stream trace file (version 2 to 4) to push")
     p.add_argument("--connect", default=None, metavar="HOST:PORT",
                    help="daemon TCP address")
     p.add_argument("--unix", default=None, metavar="PATH",

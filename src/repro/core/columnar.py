@@ -369,7 +369,7 @@ class ColumnarBlock:
     def from_rows(cls, rows: Union[str, Sequence[object]]) -> "ColumnarBlock":
         """Decode a block record -- raw ``[op, dst, srcs, size]`` rows
         (version 1 and 2 files) or a packed block's hex string
-        (:meth:`to_packed`, version 3) -- to columns.
+        (:meth:`to_packed`, versions 3 and 4) -- to columns.
 
         The one block decoder of every trace file layout and the serve
         wire: it applies the same validation as ``Instr.__post_init__``

@@ -18,15 +18,88 @@ formulas live in the analysis modules).
 
 from __future__ import annotations
 
-from collections.abc import MutableSet
+from bisect import bisect_right
+from collections.abc import MutableSet, Set as SetABC
+from itertools import chain
 from typing import (
     AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
-    Set, Tuple,
+    List, Sequence, Set, Tuple,
 )
+
+import numpy as np
 
 from repro.errors import AnalysisError
 
 Element = Hashable
+
+
+class LocationRuns(SetABC):
+    """An immutable set of locations held as sorted, disjoint,
+    non-adjacent half-open runs ``[lo, hi)``: a preallocated set's form
+    in a stream header, a ``HELLO``, the resume token and a checkpoint
+    (OCEAN's 32,768 locations are 4 runs).  A lifeguard expands it into
+    a Python set once, where it seeds its SOS.  It equals the
+    ``frozenset`` of the same locations."""
+
+    __slots__ = ("_lo", "_hi", "_len")
+    #: The most :meth:`parse` takes: as many one-digit ints as fill a
+    #: 64 MiB frame, so a few bytes cannot ask for an unbounded set.
+    MAX_LOCATIONS = 2 ** 25
+    _from_iterable = frozenset  # ``runs & s``, ``runs - s``, ...
+
+    def __init__(self, lo: Sequence[int], hi: Sequence[int]) -> None:
+        # Canonical bounds only: :meth:`of` and :meth:`parse` check.
+        self._lo, self._hi = tuple(lo), tuple(hi)
+        self._len = sum(self._hi) - sum(self._lo)
+
+    @classmethod
+    def of(cls, locations: Iterable[int]) -> "LocationRuns":
+        """The runs of any iterable of int64 locations (one numpy sort)."""
+        if isinstance(locations, LocationRuns):
+            return locations
+        values = np.unique(np.fromiter(locations, dtype=np.int64))
+        if not values.size:
+            return cls((), ())
+        cuts = np.flatnonzero(np.diff(values) != 1) + 1
+        last = values[np.r_[cuts - 1, -1]].tolist()
+        return cls(values[np.r_[0, cuts]].tolist(), [v + 1 for v in last])
+
+    @classmethod
+    def parse(cls, value: object) -> "LocationRuns":
+        """:attr:`runs`' JSON form, checked, or ``ValueError``: runs of
+        two ``int``\\ s, ``0 <= lo < hi``, each ``lo`` above the previous
+        ``hi``, at most :attr:`MAX_LOCATIONS` locations in all.  The one
+        check of a stream header's and a ``HELLO``'s set."""
+        if not isinstance(value, list):
+            raise ValueError("not a list of runs")
+        floor = 0
+        for run in value:
+            if (
+                type(run) is not list or len(run) != 2
+                or not type(run[0]) is type(run[1]) is int
+                or not floor <= run[0] < run[1]
+            ):
+                raise ValueError(f"bad location run {run!r}")
+            floor = run[1] + 1
+        runs = cls([run[0] for run in value], [run[1] for run in value])
+        if len(runs) > cls.MAX_LOCATIONS:
+            raise ValueError(f"{len(runs)} locations")
+        return runs
+
+    @property
+    def runs(self) -> List[List[int]]:
+        """``[[lo, hi], ...]``: the JSON form."""
+        return [[lo, hi] for lo, hi in zip(self._lo, self._hi)]
+
+    def __contains__(self, location: object) -> bool:
+        at = bisect_right(self._lo, location) - 1
+        return at >= 0 and location < self._hi[at]
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(map(range, self._lo, self._hi))
+
+    def __len__(self) -> int:
+        return self._len
 
 
 class SOSView(MutableSet):
@@ -96,9 +169,10 @@ class SOSHistory:
     in its overlay for an older version.  A publish costs
     O(|GEN| + |KILL|), reading ``k`` versions back the ``k`` deltas in
     between, and resident state is one set plus the deltas: nothing on
-    the analysis path is O(|SOS|) per epoch or per block.  A checkpoint
-    is: every save pickles the whole live set, O(|SOS|) per saved
-    epoch (ROADMAP.md, "One binary format for state and epochs").
+    the analysis path is O(|SOS|) per epoch or per block.  Nor is a
+    save: the live set pickles as ``initial`` (runs kept, else frozen)
+    plus what :meth:`publish` records as gained and lost against it, so
+    it costs the changes since the run began; a load rebuilds it once.
 
     The rule has two entry points.  :meth:`publish` takes ``GEN_l`` and
     ``KILL_l`` as concrete sets (AddrCheck, TaintCheck).
@@ -110,7 +184,14 @@ class SOSHistory:
     """
 
     def __init__(self, initial: Iterable[Element] = ()) -> None:
-        self._live: Set[Element] = set(initial)
+        self._initial: AbstractSet[Element] = (
+            initial if isinstance(initial, LocationRuns)
+            else frozenset(initial)
+        )
+        self._live: Set[Element] = set(self._initial)
+        #: ``_live - _initial`` and ``_initial - _live``, pickled for it.
+        self._gained: Set[Element] = set()
+        self._lost: Set[Element] = set()
         #: ``j -> (added, removed)`` with ``SOS_j = (SOS_{j-1} - removed)
         #: | added``, ``added`` disjoint from and ``removed`` inside
         #: ``SOS_{j-1}``; kept for every ``j`` above the eviction point.
@@ -181,8 +262,20 @@ class SOSHistory:
         removed = frozenset((kill - gen) & live)
         live -= removed
         live |= added
+        # ``removed`` was live: gained, or else initial and now lost.
+        # ``added`` was not: lost, or else newly gained.
+        gained, lost = self._gained, self._lost
+        lost |= removed - gained
+        gained -= removed
+        gained |= added - lost
+        lost -= added
         self._deltas[target] = (added, removed)
         self._frontier = target
+
+    def __reduce__(self) -> tuple:
+        state = dict(self.__dict__)
+        del state["_live"]  # it goes as gains and losses on ``_initial``
+        return _load_history, (state,)
 
     def _check_next(self, target: int) -> None:
         if target != self._frontier + 1:
@@ -212,3 +305,11 @@ class SOSHistory:
             lid: frozenset(self.get(lid))
             for lid in range(self._evicted_before, self._frontier + 1)
         }
+
+
+def _load_history(state: Dict[str, object]) -> SOSHistory:
+    """Unpickle an :class:`SOSHistory`, rebuilding its live set."""
+    history = SOSHistory.__new__(SOSHistory)
+    history.__dict__.update(state)
+    history._live = set(history._initial) - history._lost | history._gained
+    return history

@@ -30,7 +30,7 @@ constructor:
 ``preallocated``
     Locations allocated before the monitored window began -- lifeguards
     seed their metadata with these, so the source must surface them
-    before the first epoch.
+    before the first epoch.  ``LocationRuns`` are kept, else frozen.
 
 and a subclass adds the rows:
 
@@ -50,6 +50,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional
 
 from repro.core.epoch import Block, EpochPartition
+from repro.core.state import LocationRuns
 
 __all__ = ["EpochSource", "PartitionSource"]
 
@@ -72,7 +73,10 @@ class EpochSource:
     ) -> None:
         self.num_threads = num_threads
         self.num_epochs = num_epochs
-        self.preallocated = frozenset(preallocated)
+        self.preallocated = (
+            preallocated if isinstance(preallocated, LocationRuns)
+            else frozenset(preallocated)
+        )
 
     def epochs(self, start: int = 0) -> Iterator[List[Block]]:
         """Yield epoch rows (one :class:`Block` per thread) from epoch

@@ -3,14 +3,15 @@
 ``repro serve`` accepts many concurrent stream traces over TCP or Unix
 sockets.  Each connection carries one stream session:
 
-1. client sends ``HELLO`` (stream identity + shape + optional resume
-   token);
+1. client sends ``HELLO`` (stream identity + shape, the preallocated
+   set as location runs ``[[lo, hi], ...]`` like a version 4 stream
+   header's, + optional resume token);
 2. server answers ``ACK`` (the epoch to start/resume from, plus the
    stream's deterministic resume token);
 3. client sends one ``EPOCH`` frame per epoch, in order, starting at
    the acknowledged epoch -- each payload is exactly one stream epoch
-   record (the same JSON line ``dump_stream`` writes: version 3's
-   packed, sha256-checked hex blocks, or version 2's rows), so file,
+   record (the same JSON line ``dump_stream`` writes: packed,
+   sha256-checked hex blocks, or version 2's rows), so file,
    wire and a process shard's pipe carry one record form;
 4. client closes with ``END`` (the stream footer);
 5. server answers ``REPORT`` (the stream's error report, work
@@ -36,8 +37,8 @@ import struct
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.state import LocationRuns
 from repro.errors import ReproError
-from repro.trace.serialize import is_location_list
 
 # -- frame types ------------------------------------------------------------
 
@@ -65,7 +66,7 @@ MAX_FRAME = 64 * 1024 * 1024
 _HEADER = struct.Struct(">BI")
 
 PROTOCOL_FORMAT = "repro-serve"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Machine-readable ``ERROR`` frame codes (``docs/serving.md``).
 ERROR_CODES = (
@@ -93,10 +94,13 @@ def encode_frame(ftype: int, payload: bytes) -> bytes:
     return _HEADER.pack(ftype, len(payload)) + payload
 
 
+def _runs_json(value: LocationRuns) -> List[List[int]]:
+    return value.runs  # json's ``default``: a HELLO's set is the one
+
+
 def encode_json_frame(ftype: int, record: Dict[str, Any]) -> bytes:
-    return encode_frame(
-        ftype, json.dumps(record, separators=(",", ":")).encode("utf-8")
-    )
+    blob = json.dumps(record, separators=(",", ":"), default=_runs_json)
+    return encode_frame(ftype, blob.encode("utf-8"))
 
 
 def decode_header(header: bytes) -> Tuple[int, int]:
@@ -151,7 +155,7 @@ def make_hello(
         "stream": stream_id,
         "threads": threads,
         "epochs": epochs,
-        "preallocated": sorted(preallocated),
+        "preallocated": LocationRuns.of(preallocated),
         "lifeguard": lifeguard,
         "token": None,
     }
@@ -179,8 +183,10 @@ def validate_hello(record: Dict[str, Any]) -> Dict[str, Any]:
     if not isinstance(epochs, int) or epochs < 0:
         raise ProtocolError(f"bad epoch count {epochs!r}")
     prealloc = record.get("preallocated")
-    if not is_location_list(prealloc):
-        raise ProtocolError(f"bad preallocated set {prealloc!r}")
+    try:
+        record["preallocated"] = LocationRuns.parse(prealloc)
+    except ValueError:
+        raise ProtocolError(f"bad preallocated set {prealloc!r}") from None
     lifeguard = record.get("lifeguard")
     if lifeguard not in LIFEGUARD_CHOICES:
         raise ProtocolError(
@@ -207,7 +213,7 @@ def resume_token(hello: Dict[str, Any]) -> str:
         "threads": hello["threads"],
         "epochs": hello["epochs"],
         "lifeguard": hello["lifeguard"],
-        "preallocated": sorted(hello["preallocated"]),
+        "preallocated": hello["preallocated"].runs,
     }
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]

@@ -186,9 +186,7 @@ def build_stream_engine(
     if checkpoint is not None:
         guard = checkpoint.analysis
     else:
-        guard = make_guard(
-            hello["lifeguard"], frozenset(hello["preallocated"])
-        )
+        guard = make_guard(hello["lifeguard"], hello["preallocated"])
     controller = EpochController(slo) if slo is not None else None
     engine = ButterflyEngine(guard, backend=backend, controller=controller)
     engine.attach_source(

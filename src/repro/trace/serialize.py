@@ -1,7 +1,7 @@
 """Trace persistence: save/load traces as JSON lines.
 
 Traces are the interchange unit of this library (the LBA log, in
-effect), so they deserve a stable on-disk form.  Three versions of two
+effect), so they deserve a stable on-disk form.  Four versions of two
 layouts share the ``repro-trace`` envelope:
 
 Version 1 (thread-major, :func:`dump` / :func:`load`)
@@ -11,7 +11,7 @@ Version 1 (thread-major, :func:`dump` / :func:`load`)
     diff-able, but a reader must hold every thread before the first
     epoch can be cut -- O(trace) memory.
 
-Versions 2 and 3 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
+Versions 2 to 4 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     A header carrying the shape (threads, epochs, preallocated), then
     one line *per epoch* holding that epoch's blocks for every thread,
     then an ``epochs_written`` footer that distinguishes a complete
@@ -20,9 +20,11 @@ Versions 2 and 3 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     (see ``docs/streaming.md``).  Epoch records carry each block's
     start offset, so checkpoint resume can skip already-processed
     records without decoding them.  A version 2 block is a list of
-    rows; a version 3 block (what :func:`dump_stream` writes) is one
-    packed, sha256-checked hex string of narrowed columns
-    (``ColumnarBlock.to_packed``), decoded with no per-event Python.
+    rows; a version 3 or 4 block is one packed, sha256-checked hex
+    string of narrowed columns (``ColumnarBlock.to_packed``), decoded
+    with no per-event Python.  Versions 2 and 3 list each preallocated
+    location; version 4 (what :func:`dump_stream` writes) gives location
+    runs ``[[lo, hi], ...]`` (``LocationRuns``), as a ``HELLO`` does.
 
 Every layout shares one reader (:class:`_Records`) and one block
 decoder (``ColumnarBlock.from_rows``, also the serve daemon's), so a
@@ -46,14 +48,15 @@ import numpy as np
 
 from repro.core.columnar import ColumnarBlock, RowDecodeError
 from repro.core.epoch import Block, EpochPartition
+from repro.core.state import LocationRuns
 from repro.core.stream import EpochSource
 from repro.errors import TraceError
 from repro.trace.program import ThreadTrace, TraceProgram
 
 FORMAT_VERSION = 1
-#: The stream version :func:`dump_stream` writes; 2 is still read.
-STREAM_VERSION = 3
-STREAM_VERSIONS = (2, STREAM_VERSION)
+#: The stream version :func:`dump_stream` writes; 2 and 3 are still read.
+STREAM_VERSION = 4
+STREAM_VERSIONS = (2, 3, STREAM_VERSION)
 _VERSIONS = (FORMAT_VERSION, *STREAM_VERSIONS)
 _TAG = "repro-trace"
 
@@ -62,10 +65,10 @@ def _is_count(value: object) -> bool:
     return type(value) is int and value >= 0  # JSON ``true`` is no count
 
 
-def is_location_list(value: object) -> bool:
+def _is_location_list(value: object) -> bool:
     """Is ``value`` a JSON list of locations, each exactly an ``int``
-    (``true`` and ``1.0`` equal 1; a nested list is unhashable)?  The one
-    check of both layouts' and a ``HELLO`` frame's ``preallocated`` set.
+    (``true`` and ``1.0`` equal 1; a nested list is unhashable)?  The
+    check of a version 1 to 3 file's ``preallocated`` set.
     """
     return isinstance(value, list) and set(map(type, value)) <= {int}
 
@@ -131,7 +134,7 @@ def _columns(
     rows: Union[list, str], name: str, lineno: int
 ) -> ColumnarBlock:
     """A block record -> columns, with no ``Instr``: a version 1 thread,
-    a version 2 or 3 block and a wire frame alike."""
+    a version 2 to 4 block and a wire frame alike."""
     try:
         return ColumnarBlock.from_rows(rows)
     except RowDecodeError as exc:
@@ -225,7 +228,7 @@ def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
     true_order = _schedule(records, "true_order", num_threads)
     timesliced_order = _schedule(records, "timesliced_order", num_threads)
     preallocated = records.field("preallocated")
-    if not is_location_list(preallocated):
+    if not _is_location_list(preallocated):
         raise records.fail(f"bad preallocated set {preallocated!r}")
     records.end("final record")
     program = TraceProgram(
@@ -251,7 +254,7 @@ def load_file(path: Union[str, Path]) -> TraceProgram:
 
 
 def file_version(path: Union[str, Path]) -> int:
-    """Peek a trace file's format version (1, 2 or 3) from its header:
+    """Peek a trace file's format version (1 to 4) from its header:
     the CLI routes ``--trace`` version 1 files to :func:`load_file` and
     stream files (:data:`STREAM_VERSIONS`) to :func:`iter_load`."""
     with open(path) as fp:
@@ -259,12 +262,12 @@ def file_version(path: Union[str, Path]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Versions 2 and 3: epoch-major stream format
+# Versions 2 to 4: epoch-major stream format
 # ---------------------------------------------------------------------------
 
 
 def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
-    """Write ``partition`` as an epoch-major (version 3) stream.
+    """Write ``partition`` as an epoch-major (version 4) stream.
 
     One line per epoch, each carrying every thread's block for that
     epoch (one packed hex string each, ``ColumnarBlock.to_packed``)
@@ -284,7 +287,7 @@ def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
         "version": STREAM_VERSION,
         "threads": partition.num_threads,
         "epochs": partition.num_epochs,
-        "preallocated": sorted(partition.program.preallocated),
+        "preallocated": LocationRuns.of(partition.program.preallocated).runs,
     }
     fp.write(json.dumps(header) + "\n")
     for lid in range(partition.num_epochs):
@@ -302,13 +305,14 @@ def dump_stream(partition: EpochPartition, fp: IO[str]) -> None:
 def save_stream_file(
     partition: EpochPartition, path: Union[str, Path]
 ) -> None:
-    """Write ``partition`` as a version 3 stream to ``path``."""
+    """Write ``partition`` as a version 4 stream to ``path``."""
     with open(path, "w") as fp:
         dump_stream(partition, fp)
 
 
 def stream_header(fp: IO[str], name: str) -> dict:
-    """Read and validate a stream header (line 1 of ``fp``).
+    """Read and validate a stream header (line 1 of ``fp``), its
+    ``preallocated`` set parsed to :class:`LocationRuns`.
 
     Public because the serve client builds its ``HELLO`` frame from a
     stream file's header without decoding any epoch records.
@@ -322,10 +326,16 @@ def stream_header(fp: IO[str], name: str) -> dict:
         )
     if not _is_count(header.get("epochs")):
         raise records.fail(f"bad epoch count {header.get('epochs')!r}")
-    if not is_location_list(header.get("preallocated")):
-        raise records.fail(
-            f"bad preallocated set {header.get('preallocated')!r}"
-        )
+    prealloc = header.get("preallocated")
+    try:
+        if header["version"] == STREAM_VERSION:
+            header["preallocated"] = LocationRuns.parse(prealloc)
+        elif _is_location_list(prealloc):
+            header["preallocated"] = LocationRuns.of(prealloc)
+        else:
+            raise ValueError
+    except (ValueError, OverflowError):  # past int64: no column holds it
+        raise records.fail(f"bad preallocated set {prealloc!r}") from None
     return header
 
 
@@ -334,8 +344,8 @@ def decode_epoch_row(
 ) -> List[Block]:
     """Turn one *parsed* epoch record into a row of :class:`Block`
     objects: :func:`decode_epoch_text` after its ``json.loads``.  Each
-    ``blocks`` entry is a packed hex string (version 3) or a list of
-    rows (version 2)."""
+    ``blocks`` entry is a packed hex string (versions 3 and 4) or a list
+    of rows (version 2)."""
     if not isinstance(record, dict):
         raise TraceError(
             f"{name}:{lineno}: expected an epoch record, got {record!r}"
@@ -378,7 +388,7 @@ class _CollectorPause:
     """Context manager: the cyclic collector is off inside the block.
 
     On a version 2 record ``json.loads`` returns two short-lived lists
-    per instruction (a version 3 record parses to one string per
+    per instruction (a packed record parses to one string per
     block), so one epoch record crosses the collector's allocation
     threshold dozens of times, and each crossing walks the resident
     heap to find nothing: neither the parsed rows nor the columns built
@@ -498,7 +508,7 @@ def _stream_rows(
 
 
 class StreamTraceSource(EpochSource):
-    """An :class:`EpochSource` over a stream file (version 2 or 3).
+    """An :class:`EpochSource` over a stream file (version 2 to 4).
 
     Construction reads only the header (shape and preallocated set);
     each :meth:`epochs` call opens a fresh handle, so the source can be
@@ -525,7 +535,7 @@ class StreamTraceSource(EpochSource):
 
 
 def iter_load(path: Union[str, Path]) -> StreamTraceSource:
-    """Open a stream file (version 2 or 3) as an :class:`EpochSource`.
+    """Open a stream file (version 2 to 4) as an :class:`EpochSource`.
 
     The counterpart of :func:`load_file` for traces larger than RAM:
     nothing beyond the header is read until the engine pulls epochs.

@@ -13,11 +13,14 @@ import pytest
 
 from repro.cli import main
 from repro.obs import read_events
+from repro.resilience import load_checkpoint
 from repro.serve.protocol import make_hello, resume_token
 from repro.serve.shards import build_stream_engine, stream_checkpoint_path
+from repro.trace.serialize import save_stream_file
 
 from tests.resilience.test_checkpoint import (
     DAMAGED_PICKLE,
+    churn_partition,
     stamp_position,
     stamp_version,
 )
@@ -182,6 +185,28 @@ class TestResume:
         assert "unsupported checkpoint version 5" in _one_line_error(
             capsys, "resume"
         )
+
+    def test_a_cut_after_gains_and_losses_resumes_byte_identically(
+        self, tmp_path, capsys
+    ):
+        """A stream file whose SOS has lost preallocated locations and
+        gained new ones by the cut: the checkpoint carries both, and
+        ``repro resume`` prints the uninterrupted report."""
+        trace = str(tmp_path / "churn.jsonl")
+        save_stream_file(churn_partition(), trace)
+        ck = str(tmp_path / "churn.ckpt")
+        assert main(["check", "--trace", trace]) == 0
+        full = capsys.readouterr().out
+        assert "\nflags: 0\n" not in full
+        assert main([
+            "check", "--trace", trace, "--checkpoint", ck,
+            "--stop-after-epoch", "4",
+        ]) == 0
+        capsys.readouterr()
+        sos = load_checkpoint(ck).analysis.sos
+        assert sos._gained and sos._lost
+        assert main(["resume", "--checkpoint", ck]) == 0
+        assert capsys.readouterr().out == full
 
     def _resume_past_the_end(self, tmp_path, capsys, check_args):
         ck = str(tmp_path / "c.ckpt")

@@ -23,7 +23,7 @@ from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import file_version, save_file
 
-from tests.trace.v2_stream import as_v2, rows_record
+from tests.trace.v2_stream import as_v2, as_v3, rows_record
 
 WORKLOAD = [
     "--benchmark", "OCEAN", "--threads", "2", "--events", "3000",
@@ -76,11 +76,11 @@ def _log_digest(path):
 class TestGenerateStream:
     def test_writes_a_version_2_trace(self, tmp_path, capsys):
         """Named for the layout it first pinned: the writer's stream
-        version is 3 now, with no option to write 2."""
+        version is 4 now, with no option to write 2 or 3."""
         path = tmp_path / "t.stream.jsonl"
         assert main(GENERATE_ARGS + ["--output", str(path)]) == 0
         assert "streamed" in capsys.readouterr().out
-        assert file_version(path) == 3
+        assert file_version(path) == 4
 
 
 class TestCheckStream:
@@ -203,29 +203,32 @@ class TestCheckStream:
 
 @pytest.fixture(scope="module")
 def ocean_files(tmp_path_factory):
-    """One OCEAN trace as a version 1 file and as a version 3 stream
+    """One OCEAN trace as a version 1 file and as a version 4 stream
     file cut at the ``--epoch-size 1024`` the generated run uses, plus
-    that stream's version 2 form: ``v1, v2, v3``.  The stream files sit
-    in directories of their own under one name, so a report labelled
-    with the relative path is the same bytes for either."""
+    that stream's version 2 and 3 forms: ``v1, v2, v3, v4``.  The
+    stream files sit in directories of their own under one name, so a
+    report labelled with the relative path is the same bytes for any."""
     tmp = tmp_path_factory.mktemp("ocean")
     v1 = str(tmp / "ocean.v1.jsonl")
-    (tmp / "v2").mkdir()
-    (tmp / "v3").mkdir()
-    v2, v3 = (str(tmp / d / "ocean.jsonl") for d in ("v2", "v3"))
+    for d in ("v2", "v3", "v4"):
+        (tmp / d).mkdir()
+    v2, v3, v4 = (str(tmp / d / "ocean.jsonl") for d in ("v2", "v3", "v4"))
     generate = ["generate"] + WORKLOAD
     assert main(generate + ["--output", v1]) == 0
     assert main(
-        generate + ["--epoch-size", "1024", "--stream", "--output", v3]
+        generate + ["--epoch-size", "1024", "--stream", "--output", v4]
     ) == 0
-    with open(v3) as fp, open(v2, "w") as out:
-        out.write(as_v2(fp.read()))
-    assert tuple(map(file_version, (v1, v2, v3))) == (1, 2, 3)
-    return v1, v2, v3
+    with open(v4) as fp:
+        text = fp.read()
+    for path, convert in ((v2, as_v2), (v3, as_v3)):
+        with open(path, "w") as out:
+            out.write(convert(text))
+    assert tuple(map(file_version, (v1, v2, v3, v4))) == (1, 2, 3, 4)
+    return v1, v2, v3, v4
 
 
 class TestOneReportBlock:
-    """Generated workload, v1 file, v2 and v3 files and ``repro push``:
+    """Generated workload, v1 file, v2 to v4 files and ``repro push``:
     one block, whatever the lifeguard."""
 
     @staticmethod
@@ -243,14 +246,14 @@ class TestOneReportBlock:
     def test_same_block_from_workload_v1_and_v2(
         self, ocean_files, capsys, lifeguard
     ):
-        v1, v2, v3 = ocean_files
+        v1, v2, v3, v4 = ocean_files
         tail = ["--epoch-size", "1024", "--lifeguard", lifeguard]
         generated = _out(capsys, ["check"] + WORKLOAD + tail)
         from_v1 = _out(capsys, ["check", "--trace", v1] + tail)
         block = self.block(generated, "OCEAN")
         assert block[0] == "trace: <label>, 2 threads, 3 epochs (streamed)"
         assert self.block(from_v1, v1) == block
-        for stream in (v2, v3):
+        for stream in (v2, v3, v4):
             from_stream = _out(capsys, ["check", "--trace", stream] + tail)
             assert self.block(from_stream, stream) == block
             # A stream file has no program to run the sequential oracle
@@ -281,10 +284,10 @@ class TestOneReportBlock:
     def test_check_on_a_v2_file_is_byte_identical_to_push(
         self, ocean_files, tmp_path, capsys, lifeguard
     ):
-        _v1, v2, v3 = ocean_files
+        _v1, v2, v3, v4 = ocean_files
         config = ServeConfig(unix_path=str(tmp_path / "d.sock"))
         with ServerThread(config) as daemon:
-            for stream in (v2, v3):
+            for stream in (v2, v3, v4):
                 pushed = _out(capsys, [
                     "push", "--trace", stream, "--unix", daemon.address[1],
                     "--lifeguard", lifeguard,
@@ -295,20 +298,21 @@ class TestOneReportBlock:
                 assert pushed == checked
 
     @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-    def test_v2_and_v3_files_of_one_partition_print_the_same_bytes(
+    def test_v2_v3_and_v4_files_of_one_partition_print_the_same_bytes(
         self, ocean_files, monkeypatch, capsys, lifeguard
     ):
-        """The packed block form changes no report: the same partition
-        read from its version 2 and version 3 files, under one relative
-        path, prints byte-identical stdout."""
-        _v1, v2, v3 = ocean_files
+        """Neither the packed block form (version 3) nor the header's
+        location runs (version 4) changes a report: the same partition
+        read from its version 2, 3 and 4 files, under one relative path,
+        prints byte-identical stdout."""
+        _v1, *streams = ocean_files
         outputs = []
-        for stream in (v2, v3):
+        for stream in streams:
             monkeypatch.chdir(stream.rsplit("/", 1)[0])
             outputs.append(_out(capsys, [
                 "check", "--trace", "ocean.jsonl", "--lifeguard", lifeguard,
             ]))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert "flags: " in outputs[0]
 
 

@@ -1,9 +1,11 @@
 """Unit tests for the SOS container."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.state import SOSHistory, SOSView
+from repro.core.state import LocationRuns, SOSHistory, SOSView
 from repro.errors import AnalysisError
 
 
@@ -184,17 +186,23 @@ _OPS = st.one_of(
         st.just("edit"), st.integers(0, 12),
         st.lists(st.tuples(st.booleans(), _ELEMENTS), max_size=8),
     ),
+    # a checkpoint: save, then carry on with what was loaded
+    st.tuples(st.just("pickle")),
 )
 
 
 class TestViewsAgainstCopies:
     @settings(max_examples=200, deadline=None)
-    @given(initial=_SETS, ops=st.lists(_OPS, max_size=14))
-    def test_any_interleaving_of_add_discard_publish_evict(self, initial, ops):
-        sos = SOSHistory(initial)
+    @given(initial=_SETS, runs=st.booleans(), ops=st.lists(_OPS, max_size=14))
+    def test_any_interleaving_of_add_discard_publish_evict(
+        self, initial, runs, ops
+    ):
+        sos = SOSHistory(LocationRuns.of(initial) if runs else initial)
         ref = CopyHistory(initial)
         for op in ops:
-            if op[0] == "publish":
+            if op[0] == "pickle":
+                sos = pickle.loads(pickle.dumps(sos))
+            elif op[0] == "publish":
                 sos.publish(sos.frontier - 1, op[1], op[2])
                 ref.publish(ref.frontier - 1, op[1], op[2])
             elif op[0] == "evict":
@@ -215,6 +223,9 @@ class TestViewsAgainstCopies:
                 _assert_view_is(view, expected)
             assert sos.frontier == ref.frontier
             assert sos.published() == ref.states
+            live = ref.states[ref.frontier]
+            assert sos._gained == live - initial
+            assert sos._lost == initial - live
             # Edits went to the overlays: no resident version moved.
             for lid, state in ref.states.items():
                 _assert_view_is(sos.get(lid), state)
@@ -247,3 +258,24 @@ def _assert_view_is(view, expected):
     assert set(view) == (set(view.base) - view.removed) | view.added
     assert view.removed <= set(view.base)
     assert not view.added & set(view.base)
+
+
+class TestCheckpointForm:
+    def test_a_save_costs_the_changes_not_the_live_set(self):
+        """Pickled, the SOS is its initial runs plus what was gained and
+        lost: 32,768 preallocated locations cost two runs."""
+        sos = SOSHistory(LocationRuns.of(range(32_768)))
+        sos.publish(0, {40_000, 40_001}, {5, 6})
+        sos.publish(1, {5}, {40_000, 7})
+        blob = pickle.dumps(sos, pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < 1024
+        restored = pickle.loads(blob)
+        assert restored._live == sos._live == (
+            set(range(32_768)) - {6, 7} | {40_001}
+        )
+        assert restored.published() == sos.published()
+        assert type(restored._initial) is LocationRuns
+
+    def test_a_frozen_initial_set_is_kept_as_given(self):
+        initial = frozenset({1, 2, 3})
+        assert SOSHistory(initial)._initial is initial

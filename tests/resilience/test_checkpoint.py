@@ -15,10 +15,12 @@ from repro.core.dataflow import BlockFacts
 from repro.core.epoch import (
     EpochController,
     SloConfig,
+    partition_auto,
     partition_by_global_order,
     partition_fixed,
 )
 from repro.core.framework import ButterflyEngine
+from repro.core.state import LocationRuns, SOSHistory
 from repro.core.stream import EpochSource
 from repro.errors import CheckpointError
 from repro.core.columnar import SortedFirstAccess
@@ -45,6 +47,7 @@ from repro.trace.generator import (
     simulated_alloc_program,
 )
 from repro.trace.program import TraceProgram
+from repro.trace.serialize import iter_load, save_stream_file
 
 
 def _program(seed=5, threads=3, events=120):
@@ -55,6 +58,17 @@ def _program(seed=5, threads=3, events=120):
         num_locations=8,
         inject_error_rate=0.2,
     )
+
+
+def churn_partition():
+    """A run whose SOS has both lost preallocated locations (FREEd) and
+    gained new ones (MALLOCed) by epoch 3: half of its 8 locations start
+    allocated.  Its flags include the double MALLOCs that start makes."""
+    program = simulated_alloc_program(
+        random.Random(2), num_threads=2, total_events=300, num_locations=8
+    )
+    program = TraceProgram(program.threads, preallocated=frozenset(range(4)))
+    return partition_auto(program, 8)
 
 
 def _fingerprint(guard, stats):
@@ -225,8 +239,6 @@ class TestStreamedResume:
         assert _fingerprint(ck.analysis, resumed.stats) == reference
 
     def test_streamed_resume_seeks_a_trace_file(self, tmp_path):
-        from repro.trace.serialize import iter_load, save_stream_file
-
         part = partition_by_global_order(_program(), 8)
         reference = self._run_uninterrupted_streamed(part)
         trace = str(tmp_path / "trace.stream.jsonl")
@@ -251,8 +263,10 @@ class TestStreamedResume:
         # The state layout changed with version 2 (engine-owned
         # snapshot_state), version 3 (the SOS history as one live set
         # plus deltas), version 4 (summaries pickle their footprint
-        # arrays), version 5 (TaintCheck summaries pickle rule columns)
-        # and version 6 (the analysis carries the one summary window);
+        # arrays), version 5 (TaintCheck summaries pickle rule columns),
+        # version 6 (the analysis carries the one summary window) and
+        # version 7 (the SOS pickles as gains and losses on its initial
+        # set);
         # a file from any previous writer is refused up front instead of
         # being half-understood.
         from repro.core.stream import PartitionSource
@@ -264,7 +278,7 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        for older in (1, 2, 3, 4, 5):
+        for older in (1, 2, 3, 4, 5, 6):
             stamp_version(path, older)
             with pytest.raises(
                 CheckpointError,
@@ -408,15 +422,15 @@ def _engine_at_epoch(epochs=3):
 class TestTwoHalfSave:
     def test_file_is_one_pickle_of_the_record(self, tmp_path):
         """Pickling straight into the temp file changed nothing on
-        disk: version 6, the same bytes as one ``pickle.dumps``."""
+        disk: version 7, the same bytes as one ``pickle.dumps``."""
         engine = _engine_at_epoch()
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, engine, META)
-        assert checkpoint.VERSION == 6
+        assert checkpoint.VERSION == 7
         expected = pickle.dumps(
             {
                 "format": "repro-checkpoint",
-                "version": 6,
+                "version": 7,
                 "meta": META,
                 "engine": engine.snapshot_state(),
             },
@@ -723,6 +737,78 @@ class TestCheckpointSize:
         assert loaded == len(ck.analysis.summaries) == 2 * 3
 
 
+class TestChurnedSOS:
+    """Since ``VERSION`` 7 a checkpoint carries the SOS as its initial set
+    plus what was gained and lost against it.  A cut where both are
+    non-empty restores the live set and finishes as the uninterrupted
+    run does."""
+
+    CUT = 4
+
+    def _trace(self, tmp_path):
+        trace = str(tmp_path / "churn.jsonl")
+        save_stream_file(churn_partition(), trace)
+        return trace
+
+    def test_a_cut_after_gains_and_losses_resumes_bit_identically(
+        self, tmp_path
+    ):
+        trace = self._trace(tmp_path)
+        source = iter_load(trace)
+        assert type(source.preallocated) is LocationRuns
+        guard = ButterflyAddrCheck(source.preallocated)
+        engine = ButterflyEngine(guard)
+        engine.attach_source(source)
+        for lid, row in enumerate(source.epochs()):
+            if lid == self.CUT:
+                live_at_cut = set(guard.sos._live)
+            engine.feed_blocks(lid, row)
+        engine.finish()
+        reference = _fingerprint(guard, engine.stats)
+        assert len(reference[1]) > 0
+
+        path = str(tmp_path / "churn.ckpt")
+        engine = _streamed(iter_load(trace), path, stop_after=self.CUT)
+        engine.close()
+        sos = load_checkpoint(path).analysis.sos
+        assert sos._gained and sos._lost
+        assert sos._live == live_at_cut
+        assert type(sos._initial) is LocationRuns
+        ck, resumed = _resumed(iter_load(trace), path)
+        assert ck.next_epoch == self.CUT
+        assert resumed == reference
+
+    def test_a_version_6_file_is_refused_in_one_line(self, tmp_path):
+        """Version 6 pickled the whole live set: a file in its layout
+        loads no further than its version."""
+
+        class Pickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not SOSHistory:
+                    return NotImplemented
+                state = dict(vars(obj))
+                for key in ("_initial", "_gained", "_lost"):
+                    del state[key]
+                return (copyreg.__newobj__, (SOSHistory,), state)
+
+        engine = _streamed(iter_load(self._trace(tmp_path)), stop_after=3)
+        path = str(tmp_path / "v6.ckpt")
+        with open(path, "wb") as fh:
+            Pickler(fh, pickle.HIGHEST_PROTOCOL).dump({
+                "format": checkpoint.FORMAT,
+                "version": 6,
+                "meta": META,
+                "engine": engine.snapshot_state(),
+            })
+        engine.close()
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert "unsupported checkpoint version 6" in message
+        assert "this build reads version 7" in message
+
+
 class _FlakyAddrCheck(ButterflyAddrCheck):
     """AddrCheck whose second pass raises on demand -- after the engine
     has already counted the epoch as received, so the feed must roll
@@ -934,7 +1020,7 @@ class TestSummaryPickles:
         reference = _streamed(_alloc_source())
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
-        assert checkpoint.VERSION == 6
+        assert checkpoint.VERSION == 7
         ck, resumed = _resumed(_alloc_source(), path)
         assert ck.next_epoch == 3
         assert resumed == reference
@@ -952,7 +1038,7 @@ class TestSummaryPickles:
         )
         with open(path, "rb") as fh:
             assert b"killed_mask" in fh.read()
-        assert checkpoint.VERSION == 6
+        assert checkpoint.VERSION == 7
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
         # A checkpoint this build writes does not carry them.
@@ -1033,7 +1119,7 @@ class TestTaintSummaryPickles:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 4" in message
-        assert "this build reads version 6" in message
+        assert "this build reads version 7" in message
 
 
 class TestVerify:
@@ -1092,7 +1178,7 @@ class TestLoadFailures:
         with pytest.raises(
             CheckpointError,
             match=r"unsupported checkpoint version 3 \(this build reads "
-            r"version 6\)",
+            r"version 7\)",
         ):
             load_checkpoint(path)
         future = tmp_path / "future.ckpt"

@@ -71,17 +71,30 @@ class TestFraming:
         }
 
 
+def wire(record):
+    """``record`` as the daemon reads it: one JSON frame's payload."""
+    frame = encode_json_frame(FRAME_HELLO, record)
+    return decode_json_payload(FRAME_HELLO, frame[HEADER_SIZE:])
+
+
 def hello(**overrides):
-    base = make_hello("s1", 2, 5, [16, 32], "addrcheck")
+    """A ``HELLO`` as it reaches the daemon, with ``overrides`` set."""
+    base = wire(make_hello("s1", 2, 5, [16, 32], "addrcheck"))
     base.update(overrides)
     return base
 
 
+def token(**overrides):
+    """The daemon's token for :func:`hello`."""
+    return resume_token(validate_hello(hello(**overrides)))
+
+
 class TestHello:
     def test_make_hello_validates(self):
+        assert hello()["preallocated"] == [[16, 17], [32, 33]]
         record = validate_hello(hello())
         assert record["stream"] == "s1"
-        assert record["preallocated"] == [16, 32]
+        assert record["preallocated"] == {16, 32}
 
     @pytest.mark.parametrize("overrides,match", [
         ({"format": "other"}, "greeting"),
@@ -97,6 +110,9 @@ class TestHello:
         ({"preallocated": [[1]]}, "preallocated"),
         ({"preallocated": [7, True]}, "preallocated"),
         ({"preallocated": [1.5]}, "preallocated"),
+        # Version 1 listed every preallocated location.
+        ({"version": 1, "preallocated": [16, 32]},
+         "unsupported protocol version 1"),
     ])
     def test_bad_hello_rejected(self, overrides, match):
         with pytest.raises(ProtocolError, match=match):
@@ -105,24 +121,26 @@ class TestHello:
 
 class TestResumeToken:
     def test_deterministic_and_filesystem_safe(self):
-        a = resume_token(hello())
-        b = resume_token(hello())
+        a = token()
+        b = token()
         assert a == b
+        # The client derives it from its own HELLO, never sent.
+        assert resume_token(make_hello("s1", 2, 5, [32, 16])) == a
         assert len(a) == 32
         int(a, 16)  # pure hex: safe as a checkpoint filename stem
 
     def test_identity_fields_change_the_token(self):
-        base = resume_token(hello())
-        assert resume_token(hello(stream="s2")) != base
-        assert resume_token(hello(threads=3)) != base
-        assert resume_token(hello(epochs=6)) != base
-        assert resume_token(hello(lifeguard="taintcheck")) != base
-        assert resume_token(hello(preallocated=[16])) != base
+        base = token()
+        assert token(stream="s2") != base
+        assert token(threads=3) != base
+        assert token(epochs=6) != base
+        assert token(lifeguard="taintcheck") != base
+        assert token(preallocated=[[16, 17]]) != base
 
     def test_token_field_itself_is_not_identity(self):
         # Reconnecting with the token present must re-derive the same
         # token -- otherwise no resume could ever match.
-        assert resume_token(hello(token="ff" * 16)) == resume_token(hello())
+        assert token(token="ff" * 16) == token()
 
 
 class TestReportFormatting:

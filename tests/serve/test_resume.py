@@ -11,6 +11,8 @@ import time
 import pytest
 
 from repro.core.epoch import partition_from_boundaries
+from repro.core.framework import ButterflyEngine
+from repro.core.state import LocationRuns
 from repro.resilience.checkpoint import load_checkpoint
 from repro.serve import ServeConfig, ServerThread, StreamClient
 from repro.serve.client import read_frame_sync
@@ -22,11 +24,13 @@ from repro.serve.protocol import (
     encode_json_frame,
     make_hello,
 )
+from repro.serve.shards import make_guard
 from repro.trace.generator import simulated_alloc_program
-from repro.trace.serialize import save_stream_file, stream_header
+from repro.trace.serialize import iter_load, save_stream_file, stream_header
 
 from tests.resilience.test_checkpoint import (
     DAMAGED_PICKLE,
+    churn_partition,
     stamp_position,
     stamp_version,
 )
@@ -295,6 +299,53 @@ def start_daemon(tmp_path, sock_name, ck, shard_backend="thread",
     banner = proc.stdout.readline()
     assert "serving on unix" in banner, (banner, proc.stderr.read())
     return proc, ("unix", sock_path)
+
+
+class TestChurnedSOSResume:
+    @pytest.mark.parametrize("shard_backend", ["thread", "process"])
+    def test_a_stream_cut_after_gains_and_losses_resumes(
+        self, tmp_path, shard_backend
+    ):
+        """The checkpoint's SOS is its initial runs plus non-empty gains
+        and losses; the restored live set is the uninterrupted run's at
+        that epoch, and the resumed REPORT the offline one."""
+        trace = tmp_path / "churn.jsonl"
+        save_stream_file(churn_partition(), str(trace))
+        ck = tmp_path / "ck"
+
+        def config(name):
+            return ServeConfig(
+                unix_path=str(tmp_path / f"{name}.sock"),
+                checkpoint_dir=str(ck),
+                shard_backend=shard_backend,
+            )
+
+        with ServerThread(config("a")) as daemon:
+            sock = raw_handshake(daemon.address, trace, "s1", 7)
+            wait_for_checkpoint(ck, min_epoch=5)
+            sock.close()  # abandon mid-stream
+        _path, checkpoint = wait_for_checkpoint(ck, min_epoch=5)
+        sos = checkpoint.analysis.sos
+        assert type(sos._initial) is LocationRuns
+        assert sos._gained and sos._lost
+
+        source = iter_load(str(trace))
+        guard = make_guard("addrcheck", source.preallocated)
+        engine = ButterflyEngine(guard)
+        engine.attach_source(source)
+        for lid, row in zip(range(checkpoint.next_epoch), source.epochs()):
+            engine.feed_blocks(lid, row)
+        engine.close()
+        assert sos._live == guard.sos._live
+
+        with ServerThread(config("b")) as daemon:
+            client = StreamClient(
+                daemon.address, str(trace), "s1", policy=fast(2)
+            )
+            served = client.push()
+        assert client.last_ack["resume_epoch"] == checkpoint.next_epoch
+        assert served == offline_report(trace, "s1")
+        assert served["errors"]
 
 
 class TestKilledDaemon:

@@ -276,12 +276,15 @@ class TestTransportFaults:
         assert answer["code"] == "protocol"
         assert "malformed block record" in answer["error"]
 
-    @pytest.mark.parametrize("prealloc", [[[1]], ["x", True, 1.5, 7]])
+    @pytest.mark.parametrize(
+        "prealloc", [[[1]], ["x", True, 1.5, 7], [[1, 3], [3, 5]]]
+    )
     def test_hello_preallocated_must_be_exactly_integers(
         self, daemon, trace_file, prealloc
     ):
         """``isinstance(True, int)`` again: HELLO used to accept
-        ``true`` as preallocated location 1."""
+        ``true`` as preallocated location 1.  Its runs must also be
+        canonical: touching runs are refused like a bad location."""
         hello = make_hello("pre", 2, 1, [], "addrcheck")
         hello["preallocated"] = prealloc
         sock = connect(daemon.address)

@@ -26,7 +26,7 @@ from repro.trace.serialize import (
 from repro.workloads.registry import get_benchmark
 
 from tests.trace.test_program import schedule_refs
-from tests.trace.v2_stream import rows_record, save_v2_file, v2_text
+from tests.trace.v2_stream import as_v3, rows_record, save_v2_file, v2_text
 
 
 #: Instruction records with a JSON boolean or float where an integer
@@ -285,15 +285,15 @@ class TestStreamRoundTrip:
 
     def test_file_version_distinguishes_layouts(self, tmp_path):
         prog, partition = stream_partition()
-        v1 = tmp_path / "v1.jsonl"
-        v2 = tmp_path / "v2.jsonl"
-        v3 = tmp_path / "v3.jsonl"
+        v1, v2, v3, v4 = (tmp_path / f"v{n}.jsonl" for n in range(1, 5))
         save_file(prog, v1)
         save_v2_file(partition, v2)
-        save_stream_file(partition, v3)
+        v3.write_text(as_v3(stream_text(partition)))
+        save_stream_file(partition, v4)
         assert file_version(v1) == 1
         assert file_version(v2) == 2
         assert file_version(v3) == 3
+        assert file_version(v4) == 4
         with pytest.raises(TraceError):
             file_version(__file__)
 
@@ -420,7 +420,7 @@ class TestStreamValidation:
         with pytest.raises(TraceError) as exc:
             load(io.StringIO(stream_text(partition)), name="t")
         message = str(exc.value)
-        assert message.startswith("t:1: a version 3 file is an epoch-major")
+        assert message.startswith("t:1: a version 4 file is an epoch-major")
         assert "no recorded order" in message
         assert "need a version 1 program file" in message
         assert "'repro check --trace' reads this one" in message
@@ -465,7 +465,7 @@ class TestPackedCorruption:
         program = get_benchmark("OCEAN").generate(2, 600, seed=5)
         partition = partition_auto(program, 1024)
         lines = stream_text(partition).splitlines(keepends=True)
-        assert json.loads(lines[0])["version"] == 3
+        assert json.loads(lines[0])["version"] == 4
         path = tmp_path / "flip.jsonl"
         flips = 0
         for at in range(1, len(lines) - 1):
