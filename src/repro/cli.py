@@ -14,7 +14,7 @@ Examples
     python -m repro check --backend processes --inject-faults crash=0.05,seed=7
     python -m repro check --benchmark OCEAN --lifeguard taintcheck
     python -m repro generate --benchmark OCEAN --stream --output big.jsonl
-    python -m repro check --trace big.jsonl        # v1 or v2 file
+    python -m repro check --trace big.jsonl        # v1 or v4 file
     python -m repro resume --checkpoint run.ckpt
     python -m repro sweep --benchmark OCEAN --threads 4
     python -m repro sweep --traces a.jsonl b.jsonl --quarantine bad/
@@ -79,7 +79,7 @@ from repro.serve import (
 from repro.serve.protocol import LIFEGUARD_CHOICES
 from repro.sim.lba import LBASystem
 from repro.trace.serialize import (
-    STREAM_VERSIONS,
+    STREAM_VERSION,
     file_version,
     iter_load,
     load_file,
@@ -347,7 +347,7 @@ def _open_source(
 ) -> "tuple[EpochSource, Any]":
     """Trace path or benchmark parameters -> ``(source, program)``.
 
-    A stream (epoch-major, version 2 to 4) file is read one epoch at a
+    A stream (epoch-major, version 4) file is read one epoch at a
     time and never materialized, so its ``program`` is ``None``; a
     version 1 file or a generated benchmark is a program in memory,
     which ``cut(program)`` partitions and a :class:`PartitionSource`
@@ -355,7 +355,7 @@ def _open_source(
     """
     if trace_path:
         try:
-            if file_version(trace_path) in STREAM_VERSIONS:
+            if file_version(trace_path) == STREAM_VERSION:
                 return iter_load(trace_path), None
             program = load_file(trace_path)
         except OSError as exc:
@@ -1100,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
              "print its report (identical to 'repro check --trace')",
     )
     p.add_argument("--trace", required=True,
-                   help="stream trace file (version 2 to 4) to push")
+                   help="stream trace file (version 4) to push")
     p.add_argument("--connect", default=None, metavar="HOST:PORT",
                    help="daemon TCP address")
     p.add_argument("--unix", default=None, metavar="PATH",

@@ -20,7 +20,7 @@ Each policy is one function from a program to an
 :func:`partition_by_global_order`, :func:`partition_with_skew`,
 :func:`partition_auto`, :func:`partition_from_boundaries`), and the
 partition's explicit ``boundaries`` are what travels on.  Downstream
-layers (the v2 stream writer, checkpoints, the serve daemon) carry
+layers (the stream writer, checkpoints, the serve daemon) carry
 those *explicit boundaries*, never the policy's parameters, so
 re-running, resuming, or re-checking a trace always reproduces
 identical cuts -- the invariant the differential harness's

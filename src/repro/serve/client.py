@@ -1,7 +1,7 @@
 """The producer side of the serve protocol: ``repro push``.
 
 A deliberately small, *synchronous* client: it reads a stream trace
-file (packed blocks or version 2's rows) and ships its
+file (version 4: packed blocks) and ships its
 epoch records to a running ``repro serve`` daemon as ``EPOCH`` frames
 -- the payload is the file's own JSON line, so pushing never re-encodes
 the trace, and the daemon checks a packed block's lengths and sha256

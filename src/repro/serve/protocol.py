@@ -11,8 +11,8 @@ sockets.  Each connection carries one stream session:
 3. client sends one ``EPOCH`` frame per epoch, in order, starting at
    the acknowledged epoch -- each payload is exactly one stream epoch
    record (the same JSON line ``dump_stream`` writes: packed,
-   sha256-checked hex blocks, or version 2's rows), so file,
-   wire and a process shard's pipe carry one record form;
+   sha256-checked hex blocks), so file, wire and a process shard's
+   pipe carry one record form;
 4. client closes with ``END`` (the stream footer);
 5. server answers ``REPORT`` (the stream's error report, work
    counters, and window peak -- bit-identical to what offline ``repro

@@ -123,6 +123,15 @@ class TraceProgram:
         """Raise :class:`TraceError` on structural problems."""
         if not self.threads:
             raise TraceError("a trace program needs at least one thread")
+        # A stream header's location runs start at 0 and the columns
+        # are int64: outside that, a stream save fails or is refused.
+        if self.preallocated:
+            lo, hi = min(self.preallocated), max(self.preallocated)
+            if lo < 0 or hi > 2**63 - 1:
+                raise TraceError(
+                    f"preallocated location {lo if lo < 0 else hi} is "
+                    "outside [0, 2**63-1]"
+                )
         num_threads = self.num_threads
         for label in _SCHEDULES:
             ids = getattr(self, label)

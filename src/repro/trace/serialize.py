@@ -1,46 +1,45 @@
 """Trace persistence: save/load traces as JSON lines.
 
 Traces are the interchange unit of this library (the LBA log, in
-effect), so they deserve a stable on-disk form.  Four versions of two
-layouts share the ``repro-trace`` envelope:
+effect), so they deserve a stable on-disk form.  Two layouts share the
+``repro-trace`` envelope:
 
 Version 1 (thread-major, :func:`dump` / :func:`load`)
-    A header, then one line per thread's whole event list, then the
-    optional orders (``[[thread, index], ...]`` on disk, a schedule of
-    thread ids in memory) and pre-allocated set.  Compact and
-    diff-able, but a reader must hold every thread before the first
-    epoch can be cut -- O(trace) memory.
+    A header, then one line per thread's whole event list as
+    ``[op, dst, srcs, size]`` rows, then the optional orders
+    (``[[thread, index], ...]`` on disk, a schedule of thread ids in
+    memory) and pre-allocated set.  Compact and diff-able, but a reader
+    must hold every thread before the first epoch can be cut -- O(trace)
+    memory.
 
-Versions 2 to 4 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
-    A header carrying the shape (threads, epochs, preallocated), then
-    one line *per epoch* holding that epoch's blocks for every thread,
-    then an ``epochs_written`` footer that distinguishes a complete
-    stream from a truncated one.  A reader holds one epoch at a time,
-    so the butterfly engine can analyze traces far larger than RAM
-    (see ``docs/streaming.md``).  Epoch records carry each block's
-    start offset, so checkpoint resume can skip already-processed
-    records without decoding them.  A version 2 block is a list of
-    rows; a version 3 or 4 block is one packed, sha256-checked hex
-    string of narrowed columns (``ColumnarBlock.to_packed``), decoded
-    with no per-event Python.  Versions 2 and 3 list each preallocated
-    location; version 4 (what :func:`dump_stream` writes) gives location
-    runs ``[[lo, hi], ...]`` (``LocationRuns``), as a ``HELLO`` does.
+Version 4 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
+    A header carrying the shape (threads, epochs) and the preallocated
+    set as location runs ``[[lo, hi], ...]`` (``LocationRuns``, as a
+    ``HELLO`` carries it), then one line *per epoch* holding that
+    epoch's blocks for every thread, then an ``epochs_written`` footer
+    that distinguishes a complete stream from a truncated one.  A reader
+    holds one epoch at a time, so the butterfly engine can analyze
+    traces far larger than RAM (see ``docs/streaming.md``).  Epoch
+    records carry each block's start offset, so checkpoint resume can
+    skip already-processed records without decoding them.  Each block
+    is one packed, sha256-checked hex string of narrowed columns
+    (``ColumnarBlock.to_packed``), decoded with no per-event Python.
+    Versions 2 and 3 (row blocks, listed preallocated locations) are
+    not read.
 
-Every layout shares one reader (:class:`_Records`) and one block
+Both layouts share one reader (:class:`_Records`) and one block
 decoder (``ColumnarBlock.from_rows``, also the serve daemon's), so a
 version 1 thread is columns until something reads its ``Instr``
-objects.  Every structural defect in any version -- invalid JSON,
-truncation, trailing garbage, out-of-order epochs, a packed block whose
-lengths or digest do not match -- raises :class:`TraceError` with
-``file:line`` context, never a raw ``JSONDecodeError``.
+objects.  Every structural defect -- invalid JSON, truncation, trailing
+garbage, out-of-order epochs, a stream block that is not a packed
+string, a packed block whose lengths or digest do not match -- raises
+:class:`TraceError` with ``file:line`` context, never a raw
+``JSONDecodeError``.
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import os
-import threading
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Union
 
@@ -54,10 +53,9 @@ from repro.errors import TraceError
 from repro.trace.program import ThreadTrace, TraceProgram
 
 FORMAT_VERSION = 1
-#: The stream version :func:`dump_stream` writes; 2 and 3 are still read.
+#: The one stream version, written by :func:`dump_stream` and read.
 STREAM_VERSION = 4
-STREAM_VERSIONS = (2, 3, STREAM_VERSION)
-_VERSIONS = (FORMAT_VERSION, *STREAM_VERSIONS)
+_VERSIONS = (FORMAT_VERSION, STREAM_VERSION)
 _TAG = "repro-trace"
 
 
@@ -68,7 +66,7 @@ def _is_count(value: object) -> bool:
 def _is_location_list(value: object) -> bool:
     """Is ``value`` a JSON list of locations, each exactly an ``int``
     (``true`` and ``1.0`` equal 1; a nested list is unhashable)?  The
-    check of a version 1 to 3 file's ``preallocated`` set.
+    check of a version 1 file's ``preallocated`` set.
     """
     return isinstance(value, list) and set(map(type, value)) <= {int}
 
@@ -133,8 +131,8 @@ class _Records:
 def _columns(
     rows: Union[list, str], name: str, lineno: int
 ) -> ColumnarBlock:
-    """A block record -> columns, with no ``Instr``: a version 1 thread,
-    a version 2 to 4 block and a wire frame alike."""
+    """A block record -> columns, with no ``Instr``: a version 1 thread's
+    rows, or a stream block's packed string (file and wire alike)."""
     try:
         return ColumnarBlock.from_rows(rows)
     except RowDecodeError as exc:
@@ -207,7 +205,7 @@ def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
     path) and the line."""
     records = _Records(fp, name)
     header = records.header()
-    if header["version"] in STREAM_VERSIONS:
+    if header["version"] == STREAM_VERSION:
         raise records.fail(
             f"a version {header['version']} file is an epoch-major stream "
             "with no recorded order: 'repro sweep' and the oracle need a "
@@ -254,15 +252,15 @@ def load_file(path: Union[str, Path]) -> TraceProgram:
 
 
 def file_version(path: Union[str, Path]) -> int:
-    """Peek a trace file's format version (1 to 4) from its header:
+    """Peek a trace file's format version (1 or 4) from its header:
     the CLI routes ``--trace`` version 1 files to :func:`load_file` and
-    stream files (:data:`STREAM_VERSIONS`) to :func:`iter_load`."""
+    stream files (:data:`STREAM_VERSION`) to :func:`iter_load`."""
     with open(path) as fp:
         return _Records(fp, str(path)).header()["version"]
 
 
 # ---------------------------------------------------------------------------
-# Versions 2 to 4: epoch-major stream format
+# Version 4: epoch-major stream format
 # ---------------------------------------------------------------------------
 
 
@@ -319,22 +317,17 @@ def stream_header(fp: IO[str], name: str) -> dict:
     """
     records = _Records(fp, name)
     header = records.header()
-    if header["version"] not in STREAM_VERSIONS:
+    if header["version"] != STREAM_VERSION:
         raise records.fail(
             f"not a stream trace (version {header['version']!r}, "
-            f"expected one of {STREAM_VERSIONS})"
+            f"expected {STREAM_VERSION})"
         )
     if not _is_count(header.get("epochs")):
         raise records.fail(f"bad epoch count {header.get('epochs')!r}")
     prealloc = header.get("preallocated")
     try:
-        if header["version"] == STREAM_VERSION:
-            header["preallocated"] = LocationRuns.parse(prealloc)
-        elif _is_location_list(prealloc):
-            header["preallocated"] = LocationRuns.of(prealloc)
-        else:
-            raise ValueError
-    except (ValueError, OverflowError):  # past int64: no column holds it
+        header["preallocated"] = LocationRuns.parse(prealloc)
+    except ValueError:
         raise records.fail(f"bad preallocated set {prealloc!r}") from None
     return header
 
@@ -344,8 +337,9 @@ def decode_epoch_row(
 ) -> List[Block]:
     """Turn one *parsed* epoch record into a row of :class:`Block`
     objects: :func:`decode_epoch_text` after its ``json.loads``.  Each
-    ``blocks`` entry is a packed hex string (versions 3 and 4) or a list
-    of rows (version 2)."""
+    ``blocks`` entry must be a packed hex string
+    (``ColumnarBlock.to_packed``); anything else, a list of rows
+    included, is a malformed block record."""
     if not isinstance(record, dict):
         raise TraceError(
             f"{name}:{lineno}: expected an epoch record, got {record!r}"
@@ -375,67 +369,14 @@ def decode_epoch_row(
     row = []
     for tid, (start, raw) in enumerate(zip(starts, blocks)):
         # A JSON ``true`` would start the block at event 1.
-        if not _is_count(start) or not isinstance(raw, (list, str)):
+        if not _is_count(start) or not isinstance(raw, str):
             raise TraceError(
                 f"{name}:{lineno}: epoch {lid} thread {tid}: malformed "
-                f"block record"
+                f"block record (expected a start count and a packed "
+                f"block string)"
             )
         row.append(Block(lid, tid, start, _columns(raw, name, lineno)))
     return row
-
-
-class _CollectorPause:
-    """Context manager: the cyclic collector is off inside the block.
-
-    On a version 2 record ``json.loads`` returns two short-lived lists
-    per instruction (a packed record parses to one string per
-    block), so one epoch record crosses the collector's allocation
-    threshold dozens of times, and each crossing walks the resident
-    heap to find nothing: neither the parsed rows nor the columns built
-    from them can form a cycle.  Pausing it for one record's parse -> validate -> columns
-    lifetime defers at most one frame's worth of garbage
-    (``MAX_FRAME``), which reference counting frees anyway.
-
-    The collector is process-global while decodes are not (daemon
-    shards, thread backends), so the pause is a depth count under a
-    lock: only the outermost entry disables and only the outermost exit
-    restores -- and only if the collector was on when it entered, so a
-    caller that runs with ``gc.disable()`` keeps it off.  A child forked
-    by one thread while another is mid-decode (a shard's engine starting
-    its process pool) would inherit the pause with nobody left to end
-    it, so the child ends it itself.
-    """
-
-    def __init__(self) -> None:
-        self._reset()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._after_fork)
-
-    def _reset(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = False
-
-    def _after_fork(self) -> None:
-        if self._depth and self._restore:
-            gc.enable()
-        self._reset()
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                self._restore = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc_info: object) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore:
-                gc.enable()
-
-
-_collector_paused = _CollectorPause()
 
 
 def decode_epoch_text(
@@ -449,20 +390,17 @@ def decode_epoch_text(
     UTF-8 payload; ``name`` the stream id, ``lineno`` the frame
     ordinal): a byte stream arriving over a socket is parsed, validated
     and rejected by the same code, with the same :class:`TraceError`
-    diagnostics, as a trace file.  The cyclic collector is paused from
-    parse to columns (:class:`_CollectorPause`) and restored before
-    this returns or raises -- never while a caller holds the row.
+    diagnostics, as a trace file.
     """
-    with _collector_paused:
-        try:
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
-            record = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise TraceError(
-                f"{name}:{lineno}: invalid JSON (epoch {lid}): {exc}"
-            ) from None
-        return decode_epoch_row(record, lid, num_threads, name, lineno)
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        record = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise TraceError(
+            f"{name}:{lineno}: invalid JSON (epoch {lid}): {exc}"
+        ) from None
+    return decode_epoch_row(record, lid, num_threads, name, lineno)
 
 
 def _stream_rows(
@@ -508,7 +446,7 @@ def _stream_rows(
 
 
 class StreamTraceSource(EpochSource):
-    """An :class:`EpochSource` over a stream file (version 2 to 4).
+    """An :class:`EpochSource` over a version 4 stream file.
 
     Construction reads only the header (shape and preallocated set);
     each :meth:`epochs` call opens a fresh handle, so the source can be
@@ -535,7 +473,7 @@ class StreamTraceSource(EpochSource):
 
 
 def iter_load(path: Union[str, Path]) -> StreamTraceSource:
-    """Open a stream file (version 2 to 4) as an :class:`EpochSource`.
+    """Open a version 4 stream file as an :class:`EpochSource`.
 
     The counterpart of :func:`load_file` for traces larger than RAM:
     nothing beyond the header is read until the engine pulls epochs.

@@ -222,8 +222,7 @@ def lossy_decode() -> ContextManager[None]:
     file reader and the daemon's ``EPOCH`` frames, and it hands every
     parsed record to ``decode_epoch_row``, so a field lost in the
     columns it returns is lost on every delivery but the in-memory
-    partition, packed block or rows alike: sized extents shrink to one
-    location.  ``stream`` and ``serve`` each have a side that never
+    partition: sized extents shrink to one location.  ``stream`` and ``serve`` each have a side that never
     went through it.  The patch is in-process: a thread shard's decode
     sees it, a spawned process shard's worker does not
     (``serve_process`` decodes there).

@@ -476,7 +476,7 @@ class TestErrorPaths:
         # Used to die with "TypeError: unhashable type: 'list'".
         path = tmp_path / "t.stream.jsonl"
         path.write_text(
-            '{"format": "repro-trace", "version": 2, "threads": 1, '
+            '{"format": "repro-trace", "version": 4, "threads": 1, '
             '"epochs": 0, "preallocated": [[1]]}\n{"epochs_written": 0}\n'
         )
         assert main(["check", "--trace", str(path)]) == 2

@@ -305,7 +305,7 @@ class TestSweepQuarantine:
         assert bad.exists()  # hard failure must not move files
 
     def test_stream_file_is_named_for_what_it_is(self, tmp_path, capsys):
-        # `check --trace` reads a version 2 file, so sweep must not
+        # `check --trace` reads a version 4 file, so sweep must not
         # call it "unsupported"; it is still a quarantinable TraceError.
         stream = tmp_path / "t.stream.jsonl"
         assert main([

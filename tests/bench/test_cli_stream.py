@@ -3,7 +3,7 @@ engine one epoch row at a time and prints through one report builder.
 
 There is no ``--stream`` switch on ``check``/``sweep``/``stats`` (only
 ``generate --stream``, which names a file format): the same trace as a
-generated workload, a version 1 file and a version 2 or 3 file prints
+generated workload, a version 1 file and a version 4 file prints
 the same report block under every lifeguard, killed-and-resumed runs print
 what uninterrupted ones print, and event logs and sweep tables are what
 the switch's streamed side used to produce.
@@ -16,14 +16,13 @@ import pickle
 import pytest
 
 from repro.cli import main
+from repro.core.columnar import ColumnarBlock
 from repro.obs import read_events
 from repro.obs.recorder import normalize_events
 from repro.serve import ServeConfig, ServerThread
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import file_version, save_file
-
-from tests.trace.v2_stream import as_v2, as_v3, rows_record
 
 WORKLOAD = [
     "--benchmark", "OCEAN", "--threads", "2", "--events", "3000",
@@ -93,6 +92,8 @@ class TestCheckStream:
         assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
     def test_version_2_trace_streams_automatically(self, tmp_path, capsys):
+        """Named for the layout it first pinned: ``generate --stream``
+        writes version 4 now, the only stream layout read."""
         path = tmp_path / "t.stream.jsonl"
         assert main(GENERATE_ARGS + ["--output", str(path)]) == 0
         capsys.readouterr()
@@ -125,15 +126,16 @@ class TestCheckStream:
     ):
         """A value outside int64 used to end ``check --trace`` in an
         ``OverflowError`` traceback (exit 1), and a ``true`` or negative
-        block start was analysed (exit 0)."""
+        block start was analysed (exit 0).  A bad row can only ride in
+        a list block, version 2's block form, which is refused whole."""
         path = tmp_path / "t.stream.jsonl"
         assert main(GENERATE_ARGS + ["--output", str(path)]) == 0
         capsys.readouterr()
         lines = path.read_text().splitlines(keepends=True)
-        # Rows are the only block form a bad row can be planted in.
-        epoch = rows_record(json.loads(lines[2]))  # line 3: epoch 1
+        epoch = json.loads(lines[2])  # line 3: epoch 1
         if field == "row":
-            epoch["blocks"][1].append(value)
+            rows = ColumnarBlock.from_rows(epoch["blocks"][1]).to_rows()
+            epoch["blocks"][1] = rows + [value]
         else:
             epoch["starts"][0] = value
         lines[2] = json.dumps(epoch) + "\n"
@@ -141,10 +143,28 @@ class TestCheckStream:
         assert main(["check", "--trace", str(path)]) == 2
         error = _one_line_error(capsys, "check")
         assert f"{path}:3: " in error
-        assert (
-            "malformed instruction record" if field == "row"
-            else "malformed block record"
-        ) in error
+        assert "malformed block record" in error
+
+    @pytest.mark.parametrize("command", ["check", "push"])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_version_2_and_3_files_are_one_error_line(
+        self, tmp_path, capsys, command, version
+    ):
+        """Nothing reads the row (2) or location-list (3) stream
+        layouts: both commands refuse the header in one line, exit 2,
+        before ``push`` ever connects."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps({
+            "format": "repro-trace", "version": version, "threads": 1,
+            "epochs": 0, "preallocated": [],
+        }) + '\n{"epochs_written": 0}\n')
+        argv = [command, "--trace", str(path)]
+        if command == "push":
+            argv += ["--unix", str(tmp_path / "no.sock")]
+        assert main(argv) == 2
+        assert _one_line_error(capsys, command).endswith(
+            f"{path}:1: unsupported trace version {version}"
+        )
 
     def test_v1_location_outside_int64_is_one_error_line(
         self, tmp_path, capsys
@@ -204,32 +224,22 @@ class TestCheckStream:
 @pytest.fixture(scope="module")
 def ocean_files(tmp_path_factory):
     """One OCEAN trace as a version 1 file and as a version 4 stream
-    file cut at the ``--epoch-size 1024`` the generated run uses, plus
-    that stream's version 2 and 3 forms: ``v1, v2, v3, v4``.  The
-    stream files sit in directories of their own under one name, so a
-    report labelled with the relative path is the same bytes for any."""
+    file cut at the ``--epoch-size 1024`` the generated run uses:
+    ``v1, v4``."""
     tmp = tmp_path_factory.mktemp("ocean")
-    v1 = str(tmp / "ocean.v1.jsonl")
-    for d in ("v2", "v3", "v4"):
-        (tmp / d).mkdir()
-    v2, v3, v4 = (str(tmp / d / "ocean.jsonl") for d in ("v2", "v3", "v4"))
+    v1, v4 = str(tmp / "ocean.v1.jsonl"), str(tmp / "ocean.jsonl")
     generate = ["generate"] + WORKLOAD
     assert main(generate + ["--output", v1]) == 0
     assert main(
         generate + ["--epoch-size", "1024", "--stream", "--output", v4]
     ) == 0
-    with open(v4) as fp:
-        text = fp.read()
-    for path, convert in ((v2, as_v2), (v3, as_v3)):
-        with open(path, "w") as out:
-            out.write(convert(text))
-    assert tuple(map(file_version, (v1, v2, v3, v4))) == (1, 2, 3, 4)
-    return v1, v2, v3, v4
+    assert (file_version(v1), file_version(v4)) == (1, 4)
+    return v1, v4
 
 
 class TestOneReportBlock:
-    """Generated workload, v1 file, v2 to v4 files and ``repro push``:
-    one block, whatever the lifeguard."""
+    """Generated workload, v1 file, v4 file and ``repro push``: one
+    block, whatever the lifeguard."""
 
     @staticmethod
     def block(out, label):
@@ -243,25 +253,24 @@ class TestOneReportBlock:
         return [lines[0].replace(label, "<label>")] + lines[1:end + 1]
 
     @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-    def test_same_block_from_workload_v1_and_v2(
+    def test_same_block_from_workload_v1_and_v4(
         self, ocean_files, capsys, lifeguard
     ):
-        v1, v2, v3, v4 = ocean_files
+        v1, v4 = ocean_files
         tail = ["--epoch-size", "1024", "--lifeguard", lifeguard]
         generated = _out(capsys, ["check"] + WORKLOAD + tail)
         from_v1 = _out(capsys, ["check", "--trace", v1] + tail)
         block = self.block(generated, "OCEAN")
         assert block[0] == "trace: <label>, 2 threads, 3 epochs (streamed)"
         assert self.block(from_v1, v1) == block
-        for stream in (v2, v3, v4):
-            from_stream = _out(capsys, ["check", "--trace", stream] + tail)
-            assert self.block(from_stream, stream) == block
-            # A stream file has no program to run the sequential oracle
-            # over; the other two add AddrCheck's precision lines after
-            # the block.
-            assert from_stream.splitlines() == [
-                line.replace("<label>", stream) for line in block
-            ]
+        from_stream = _out(capsys, ["check", "--trace", v4] + tail)
+        assert self.block(from_stream, v4) == block
+        # A stream file has no program to run the sequential oracle
+        # over; the other two add AddrCheck's precision lines after the
+        # block.
+        assert from_stream.splitlines() == [
+            line.replace("<label>", v4) for line in block
+        ]
         oracle = [
             line for line in generated.splitlines()
             if line.startswith(("oracle ", "false-positive rate: "))
@@ -281,39 +290,21 @@ class TestOneReportBlock:
         assert "false-positive rate: 7.3563% of memory accesses" in lines
 
     @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-    def test_check_on_a_v2_file_is_byte_identical_to_push(
+    def test_check_on_a_v4_file_is_byte_identical_to_push(
         self, ocean_files, tmp_path, capsys, lifeguard
     ):
-        _v1, v2, v3, v4 = ocean_files
+        _v1, v4 = ocean_files
         config = ServeConfig(unix_path=str(tmp_path / "d.sock"))
         with ServerThread(config) as daemon:
-            for stream in (v2, v3, v4):
-                pushed = _out(capsys, [
-                    "push", "--trace", stream, "--unix", daemon.address[1],
-                    "--lifeguard", lifeguard,
-                ])
-                checked = _out(capsys, [
-                    "check", "--trace", stream, "--lifeguard", lifeguard,
-                ])
-                assert pushed == checked
-
-    @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-    def test_v2_v3_and_v4_files_of_one_partition_print_the_same_bytes(
-        self, ocean_files, monkeypatch, capsys, lifeguard
-    ):
-        """Neither the packed block form (version 3) nor the header's
-        location runs (version 4) changes a report: the same partition
-        read from its version 2, 3 and 4 files, under one relative path,
-        prints byte-identical stdout."""
-        _v1, *streams = ocean_files
-        outputs = []
-        for stream in streams:
-            monkeypatch.chdir(stream.rsplit("/", 1)[0])
-            outputs.append(_out(capsys, [
-                "check", "--trace", "ocean.jsonl", "--lifeguard", lifeguard,
-            ]))
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert "flags: " in outputs[0]
+            pushed = _out(capsys, [
+                "push", "--trace", v4, "--unix", daemon.address[1],
+                "--lifeguard", lifeguard,
+            ])
+        checked = _out(capsys, [
+            "check", "--trace", v4, "--lifeguard", lifeguard,
+        ])
+        assert pushed == checked
+        assert "flags: " in checked
 
 
 class TestStreamResume:

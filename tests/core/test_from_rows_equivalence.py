@@ -1,11 +1,11 @@
-"""``ColumnarBlock.from_rows``: the bulk pass against the per-row walk,
-and the packed (version 3) form against both.
+"""``ColumnarBlock.from_rows``: a version 1 thread's rows against the
+per-``Instr`` reference, and the packed form (every stream block)
+against both.
 
-A well-formed block is validated by its distinct row signatures in a
-few C-level passes (``_bulk_columns``); the per-row loop
-(``_walk_columns``) is kept as the path that names a malformed row.  The
-two must be one decoder: the same accept/reject decision, the same five
-columns and dtypes, the same ``RowDecodeError.row`` and message.
+Rows are validated one at a time (``_walk_columns``), and a malformed
+block names its first offending row in ``RowDecodeError.row``.  A
+well-formed block decodes to the columns ``from_instrs`` builds from
+the same events: the same five columns and dtypes.
 """
 
 import hashlib
@@ -111,31 +111,29 @@ def outcome(decode, rows):
     )
 
 
-def walk(rows):
-    """The per-row reference: the walk alone, frozen the same way."""
-    return ColumnarBlock._frozen(*columnar._walk_columns(rows))
+def reference(rows):
+    """Each row through ``Instr`` (and its ``__post_init__`` checks),
+    then ``from_instrs``: the columns the row decoder must build."""
+    return ColumnarBlock.from_instrs([
+        Instr(Op(op), dst=dst, srcs=tuple(srcs), size=size)
+        for op, dst, srcs, size in rows
+    ])
 
 
 def assert_one_decoder(rows, well_formed):
-    """``from_rows`` and the walk agree on ``rows`` -- and the bulk pass
-    really took the well-formed block rather than deferring to the walk
-    (which would make the comparison vacuous)."""
-    bulk = columnar._bulk_columns(rows)
-    if well_formed and rows:
-        assert bulk is not None, "bulk pass refused a well-formed block"
-    if not well_formed:
-        assert bulk is None, "bulk pass accepted a malformed block"
-    expected = outcome(walk, rows)
-    assert expected[0] == ("ok" if well_formed else "error")
-    assert outcome(ColumnarBlock.from_rows, rows) == expected
+    """``from_rows`` accepts exactly the well-formed ``rows``, as the
+    columns the reference builds, and back to the same rows; a
+    malformed block is one ``RowDecodeError`` naming one of its rows."""
+    decoded = outcome(ColumnarBlock.from_rows, rows)
+    if well_formed:
+        assert decoded == outcome(reference, rows)
+        assert ColumnarBlock.from_rows(rows).to_rows() == rows
+    else:
+        assert decoded[0] == "error"
+        assert any(decoded[1] is row for row in rows)
 
 
 class TestWellFormed:
-    @settings(max_examples=200, deadline=None)
-    @given(good_blocks)
-    def test_bulk_accept_equals_walk_accept(self, rows):
-        assert_one_decoder(rows, well_formed=True)
-
     def test_empty_block(self):
         assert_one_decoder([], well_formed=True)
         assert ColumnarBlock.from_rows([]) == ColumnarBlock.from_instrs([])
@@ -178,33 +176,15 @@ class TestRangeRules:
     def test_the_row_is_named_by_either_pass(self, row, reason):
         """A literal NO_DST used to decode as "no destination" (a MALLOC
         then failed ``to_instrs``), and an extent past 2**63-1 wrapped to
-        negative locations the columnar AddrCheck never flagged."""
+        negative locations the columnar AddrCheck never flagged.  (Named
+        for the bulk pass that once ran beside the walk.)"""
         rows = [["read", None, [1], 1], row, ["write", 2, [], 1]]
-        assert columnar._bulk_columns(rows) is None
         with pytest.raises(RowDecodeError, match=re.escape(reason)) as exc:
             ColumnarBlock.from_rows(rows)
         assert exc.value.row is row
 
 
-class TestTeeth:
-    def test_a_bulk_pass_without_the_arity_rule_is_caught(self, monkeypatch):
-        """The ``lossy-decode`` idea, for this suite: skip one signature
-        rule and the equivalence check must fail."""
-        signature_ok = columnar._signature_ok
-
-        def no_arity_rule(signature):
-            code, dst_type, _nsrc, size_type, srcs_type = signature
-            return signature_ok((code, dst_type, 1, size_type, srcs_type))
-
-        monkeypatch.setattr(columnar, "_signature_ok", no_arity_rule)
-        assert_one_decoder([["write", 1, [2], 1]], well_formed=True)
-        for bad in (["read", None, [1, 2], 1], ["assign", 0, [1, 2, 3], 1]):
-            with pytest.raises(AssertionError, match="accepted a malformed"):
-                assert_one_decoder([bad], well_formed=False)
-
-
-
-# -- version 3: packed blocks --------------------------------------------
+# -- packed blocks (version 4 streams) ------------------------------------
 
 
 def pack(op, dst, size, nsrc, src_val, codes=None):

@@ -22,8 +22,6 @@ from repro.serve.protocol import (
 from repro.trace.serialize import dump_stream, iter_load, stream_header
 from repro.workloads.registry import get_benchmark
 
-from tests.trace.v2_stream import as_v3
-
 LOCATION_SETS = st.frozensets(st.integers(0, 200), max_size=40)
 
 #: Each is refused by the header check and the HELLO check alike.
@@ -104,16 +102,18 @@ class TestStreamHeader:
         )
         assert len(encode_json_frame(FRAME_HELLO, hello)) <= 1024
 
-    def test_a_version_3_list_reads_as_the_same_runs(self, ocean, tmp_path):
-        _program, text = ocean
-        v3, v4 = tmp_path / "v3.jsonl", tmp_path / "v4.jsonl"
-        v3.write_text(as_v3(text))
-        v4.write_text(text)
-        assert len(v3.read_text().split("\n", 1)[0]) > 32_768
-        old, new = iter_load(v3).preallocated, iter_load(v4).preallocated
-        assert type(old) is type(new) is LocationRuns
-        # One canonical form: either file's push has the same token.
-        assert old == new and old.runs == new.runs
+    def test_a_version_3_list_header_is_refused(self, ocean, tmp_path):
+        """Version 3 listed every location; it is not read any more,
+        whatever its list holds."""
+        program, text = ocean
+        header = json.loads(text.split("\n", 1)[0])
+        header.update(version=3, preallocated=sorted(program.preallocated))
+        path = tmp_path / "v3.jsonl"
+        path.write_text(json.dumps(header) + "\n" + text.split("\n", 1)[1])
+        with pytest.raises(
+            TraceError, match=r"v3\.jsonl:1: unsupported trace version 3$"
+        ):
+            iter_load(path)
 
     @pytest.mark.parametrize("value", BAD_RUNS)
     def test_a_version_4_header_refuses(self, tmp_path, value):
@@ -121,17 +121,6 @@ class TestStreamHeader:
         path.write_text(json.dumps({
             "format": "repro-trace", "version": 4, "threads": 1,
             "epochs": 0, "preallocated": value,
-        }) + '\n{"epochs_written": 0}\n')
-        with pytest.raises(
-            TraceError, match=r"t\.jsonl:1: bad preallocated set"
-        ):
-            iter_load(path)
-
-    def test_a_version_3_location_past_int64_is_refused(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text(json.dumps({
-            "format": "repro-trace", "version": 3, "threads": 1,
-            "epochs": 0, "preallocated": [1, 2**63],
         }) + '\n{"epochs_written": 0}\n')
         with pytest.raises(
             TraceError, match=r"t\.jsonl:1: bad preallocated set"

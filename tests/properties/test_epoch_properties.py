@@ -133,7 +133,7 @@ class TestSkewTailClamping:
     @settings(max_examples=20, deadline=None)
     def test_zero_length_tails_round_trip(self, lengths, h, skew, seed):
         """A short thread's clamped tail (zero-length blocks) survives
-        the v2 stream format and checkpoint/resume bit-identically."""
+        the stream format and checkpoint/resume bit-identically."""
         assume(2 * skew < h)
         assume(max(lengths) - min(lengths) >= h)  # favors clamped tails
         prog = program_of(lengths)
@@ -148,7 +148,7 @@ class TestSkewTailClamping:
         reference = _run(partition_from_boundaries(prog, part.boundaries))
 
         with tempfile.TemporaryDirectory() as tmp:
-            # v2 stream round-trip.
+            # Stream round-trip.
             path = os.path.join(tmp, "t.stream.jsonl")
             save_stream_file(
                 partition_from_boundaries(prog, part.boundaries), path

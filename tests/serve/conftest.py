@@ -18,7 +18,7 @@ from repro.trace.serialize import (
 
 
 def write_trace(path, threads=2, events=200, h=8, seed=0):
-    """A stream trace file (version 3); returns its partition."""
+    """A stream trace file (version 4); returns its partition."""
     prog = simulated_alloc_program(
         random.Random(seed), num_threads=threads, total_events=events
     )

@@ -26,7 +26,7 @@ from tests.serve.test_server import fast, raw_handshake
 
 
 def handoff_trace(tmp_path, h=4, seed=3, threads=3, events=120):
-    """A saved v2 stream whose FP rate genuinely depends on the
+    """A saved stream whose FP rate genuinely depends on the
     heartbeat (allocation handoffs land in the wings)."""
     prog = alloc_handoff_program(
         random.Random(seed), num_threads=threads, events_per_thread=events

@@ -222,7 +222,7 @@ class TestResumeAcrossRestart:
 
 
 def write_irregular_trace(path, seed=4):
-    """A v2 stream with explicit variable-size cuts: unequal blocks,
+    """A stream with explicit variable-size cuts: unequal blocks,
     and a zero-length tail on thread 1 (it runs out of events early)."""
     prog = simulated_alloc_program(
         random.Random(seed),

@@ -1,7 +1,6 @@
 """Integration tests for the serve daemon: correctness, concurrency,
 fault isolation, backpressure, and the overload ladder."""
 
-import gc
 import json
 import socket
 import threading
@@ -9,6 +8,7 @@ import time
 
 import pytest
 
+from repro.core.columnar import ColumnarBlock
 from repro.errors import ReproError
 from repro.obs.recorder import Recorder
 from repro.resilience.faults import FaultPlan
@@ -37,7 +37,7 @@ from repro.serve.shards import ThreadShard
 from repro.trace.serialize import stream_header
 
 from tests.serve.conftest import offline_report, write_trace
-from tests.trace.v2_stream import rows_record
+
 
 def fast(retries):
     """A zero-backoff policy of ``retries`` reconnects: tests exercise
@@ -174,7 +174,7 @@ class TestTransportFaults:
         self, trace_file, tmp_path
     ):
         """The client's ``corrupt_bytes`` fault flips the middle payload
-        byte.  In a version 3 record that byte is inside a packed block
+        byte.  In a version 4 record that byte is inside a packed block
         (a bad hex digit or a digest mismatch), and the shard's decode
         refuses it as it refuses invalid JSON: ``ERROR protocol``, with
         the daemon healthy after."""
@@ -208,23 +208,27 @@ class TestTransportFaults:
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")
 
-    def test_a_refused_epoch_leaves_the_collector_as_it_was(
-        self, daemon, trace_file, collector
-    ):
-        """The loop pauses the cyclic collector to decode an EPOCH
-        payload; a session that dies there must not leave it off (or
-        turn on one the embedding process had turned off)."""
-        sock = raw_handshake(daemon.address, trace_file, "bad", 1)
-        sock.sendall(encode_frame(
-            FRAME_EPOCH,
-            b'{"epoch": 1, "starts": [0, 0], '
-            b'"blocks": [[["read", null, [], 1]], []]}',
-        ))
+    def test_a_list_block_draws_error_protocol(self, daemon, trace_file):
+        """Version 2's block form -- a list of rows, here well formed --
+        inside an otherwise valid record is refused by the shard's
+        decode, thread or process, as the file reader refuses it."""
+        with open(trace_file) as fp:
+            stream_header(fp, str(trace_file))
+            epoch = json.loads(fp.readline())
+        epoch["blocks"][1] = ColumnarBlock.from_rows(
+            epoch["blocks"][1]
+        ).to_rows()
+        assert epoch["blocks"][1]
+        sock = raw_handshake(daemon.address, trace_file, "rows", 0)
+        sock.sendall(encode_json_frame(FRAME_EPOCH, epoch))
         ftype, payload = read_frame_sync(sock)
         sock.close()
         assert ftype == FRAME_ERROR
-        assert json.loads(payload)["code"] == "protocol"
-        assert gc.isenabled() is collector
+        answer = json.loads(payload)
+        assert answer["code"] == "protocol"
+        assert "epoch 0 thread 1: malformed block record" in answer["error"]
+        served = push_trace(daemon.address, str(trace_file), "good")
+        assert served == offline_report(trace_file, "good")
 
     @pytest.mark.parametrize("bad_row", [
         ["write", True, [3], 1],
@@ -240,19 +244,21 @@ class TestTransportFaults:
         """``isinstance(True, int)``: the EPOCH decoder used to take a
         JSON ``true`` as location (or size) 1 and fold it -- and answer
         an integer the int64 columns cannot hold with ``serve error
-        [internal]: OverflowError``."""
+        [internal]: OverflowError``.  A row can only ride in a list
+        block now, which is refused before any row is read."""
         with open(trace_file) as fp:
             stream_header(fp, str(trace_file))
-            # Rows are the only block form a bad row can be planted in.
-            epoch = rows_record(json.loads(fp.readline()))
-        epoch["blocks"][0].append(bad_row)
+            epoch = json.loads(fp.readline())
+        epoch["blocks"][0] = ColumnarBlock.from_rows(
+            epoch["blocks"][0]
+        ).to_rows() + [bad_row]
         sock = raw_handshake(daemon.address, trace_file, "bool", 0)
         sock.sendall(encode_json_frame(FRAME_EPOCH, epoch))
         ftype, payload = read_frame_sync(sock)
         assert ftype == FRAME_ERROR
         answer = json.loads(payload)
         assert answer["code"] == "protocol"
-        assert "malformed instruction record" in answer["error"]
+        assert "malformed block record" in answer["error"]
         sock.close()
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core import columnar
+from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import partition_auto
 from repro.errors import TraceError
 from repro.trace.events import Instr
@@ -26,7 +27,6 @@ from repro.trace.serialize import (
 from repro.workloads.registry import get_benchmark
 
 from tests.trace.test_program import schedule_refs
-from tests.trace.v2_stream import as_v3, rows_record, save_v2_file, v2_text
 
 
 #: Instruction records with a JSON boolean or float where an integer
@@ -239,6 +239,29 @@ def read_stream(tmp_path, text):
     return list(iter_load(path).epochs())
 
 
+def old_stream_header(version):
+    """A version 2 or 3 stream's header line, hand-written: nothing in
+    the package writes either layout any more."""
+    return json.dumps({
+        "format": "repro-trace", "version": version, "threads": 1,
+        "epochs": 0, "preallocated": [3, 4, 5],
+    }) + "\n"
+
+
+def with_list_block(lines, extra_row=None):
+    """``lines`` (a version 4 stream) with epoch 1's thread 1 block
+    written as version 2 wrote blocks -- a list of rows, plus
+    ``extra_row`` if given; returns the changed record as well."""
+    epoch = json.loads(lines[2])  # line 3: epoch 1
+    rows = ColumnarBlock.from_rows(epoch["blocks"][1]).to_rows()
+    if extra_row is not None:
+        rows.append(json.loads(extra_row))
+    epoch["blocks"][1] = rows
+    lines = list(lines)
+    lines[2] = json.dumps(epoch) + "\n"
+    return lines, epoch
+
+
 class TestStreamRoundTrip:
     def test_blocks_round_trip_exactly(self, tmp_path):
         _, partition = stream_partition()
@@ -273,29 +296,49 @@ class TestStreamRoundTrip:
         assert rows[0][0].instrs == partition.block(3, 0).instrs
         assert len(rows) == partition.num_epochs - 3
 
-    def test_a_version_2_file_reads_the_same_blocks(self, tmp_path):
-        """Nothing writes version 2 any more; its files still read, on
-        the row decoder version 1 needs, to the same columns."""
-        _, partition = stream_partition()
-        packed = read_stream(tmp_path, stream_text(partition))
-        rows = read_stream(tmp_path, v2_text(partition))
-        assert [[b.columns for b in row] for row in rows] == [
-            [b.columns for b in row] for row in packed
-        ]
-
     def test_file_version_distinguishes_layouts(self, tmp_path):
         prog, partition = stream_partition()
-        v1, v2, v3, v4 = (tmp_path / f"v{n}.jsonl" for n in range(1, 5))
+        v1, v4 = tmp_path / "v1.jsonl", tmp_path / "v4.jsonl"
         save_file(prog, v1)
-        save_v2_file(partition, v2)
-        v3.write_text(as_v3(stream_text(partition)))
         save_stream_file(partition, v4)
         assert file_version(v1) == 1
-        assert file_version(v2) == 2
-        assert file_version(v3) == 3
         assert file_version(v4) == 4
         with pytest.raises(TraceError):
             file_version(__file__)
+
+    @pytest.mark.parametrize("location", [-5, 2**63])
+    def test_a_preallocated_location_no_stream_carries_is_refused(
+        self, tmp_path, location
+    ):
+        """A stream header's runs start at 0, so a program holding a
+        negative preallocated location used to save as a stream its
+        own reader refused (``bad preallocated set [[-5, -4]]``), and
+        one past int64 died saving it (``OverflowError``).  Every
+        program is validated where it is made -- ``load`` and each
+        generator -- so the refusal comes before any stream is written.
+        """
+        prog = TraceProgram.from_lists([Instr.read(2)])
+        prog.preallocated = frozenset({location, 2})
+        refused = rf"preallocated location {location} is outside"
+        with pytest.raises(TraceError, match=refused):
+            prog.validate()
+        path = tmp_path / "bad.jsonl"
+        save_file(prog, path)
+        with pytest.raises(TraceError, match=rf"bad\.jsonl: {refused}"):
+            load_file(path)
+
+    def test_a_v1_preallocated_set_survives_the_v4_round_trip(
+        self, tmp_path
+    ):
+        """Version 1 file -> version 4 stream -> ``iter_load``: the
+        same set, 0 and gapped runs included."""
+        prog = TraceProgram.from_lists([Instr.read(2)], [Instr.nop()])
+        prog.preallocated = frozenset({0, 1, 2, 7, 9, 10, 2**40})
+        v1, v4 = tmp_path / "p.v1.jsonl", tmp_path / "p.v4.jsonl"
+        save_file(prog, v1)
+        loaded = load_file(v1)
+        save_stream_file(partition_auto(loaded, 32), v4)
+        assert iter_load(v4).preallocated == prog.preallocated
 
 
 class TestStreamValidation:
@@ -306,40 +349,55 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match=r"t:\d+.*footer"):
             read_stream(tmp_path, no_footer)
 
-    @pytest.mark.parametrize("record", NOT_INTEGERS + OUT_OF_INT64)
+    @pytest.mark.parametrize("record", [None] + NOT_INTEGERS + OUT_OF_INT64)
     def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
-        """And integers the int64 columns cannot hold, which used to
-        escape the column freeze as an ``OverflowError`` traceback."""
+        """A row (well formed, or with a JSON ``true``, a ``1.0`` or an
+        integer the int64 columns cannot hold) can only reach a stream
+        record inside a list block, version 2's block form, and a list
+        block is refused before any of its rows is read: at its line by
+        the file reader, and by the decoder the daemon's ``EPOCH``
+        frames share.  Version 1 thread lines still name the row
+        (``TestValidation``)."""
         _, partition = stream_partition(threads=2)
         lines = stream_text(partition).splitlines(keepends=True)
-        # Rows are the only block form a bad row can be planted in.
-        epoch = rows_record(json.loads(lines[2]))  # line 3: epoch 1
-        epoch["blocks"][1].append(json.loads(record))
-        lines[2] = json.dumps(epoch) + "\n"
+        lines, epoch = with_list_block(lines, record)
         path = tmp_path / "t.stream.jsonl"
         path.write_text("".join(lines))
+        refused = r"epoch 1 thread 1: malformed block record"
         with pytest.raises(
-            TraceError,
-            match=r"t\.stream\.jsonl:3: malformed instruction record",
+            TraceError, match=rf"t\.stream\.jsonl:3: {refused}"
         ):
             list(iter_load(path).epochs())
-        # The decoder the daemon's EPOCH frames share.
-        with pytest.raises(
-            TraceError, match=r"s1:9: malformed instruction record"
-        ):
+        with pytest.raises(TraceError, match=rf"s1:9: {refused}"):
             decode_epoch_row(epoch, 1, 2, "s1", 9)
 
     def test_int64_extremes_still_decode(self):
         lo, hi = -(2**63), 2**63 - 1
+        packed = ColumnarBlock.from_rows(
+            [["write", hi, [lo, hi], 1], ["malloc", 0, [], hi]]
+        ).to_packed()
         row = decode_epoch_row(
-            {"epoch": 0, "starts": [0],
-             "blocks": [[["write", hi, [lo, hi], 1],
-                         ["malloc", 0, [], hi]]]},
-            0, 1, "s1", 2,
+            {"epoch": 0, "starts": [0], "blocks": [packed]}, 0, 1, "s1", 2,
         )
         assert [(i.dst, i.srcs, i.size) for i in row[0].instrs] == [
             (hi, (lo, hi), 1), (0, (), hi),
         ]
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_version_2_and_3_files_are_refused(self, tmp_path, version):
+        """Version 2 (row blocks) and 3 (listed preallocated locations)
+        are not read: the header alone is refused, in one line, by every
+        reader."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            old_stream_header(version) + '{"epochs_written": 0}\n'
+        )
+        for read in (iter_load, load_file, file_version):
+            with pytest.raises(
+                TraceError,
+                match=rf"/old\.jsonl:1: unsupported trace version {version}$",
+            ):
+                read(path)
 
     @pytest.mark.parametrize("start", [True, -1])
     def test_block_starts_must_be_non_negative_integers(
@@ -363,7 +421,7 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match=r"s1:9: .*malformed block"):
             decode_epoch_row(epoch, 1, 2, "s1", 9)
 
-    @pytest.mark.parametrize("layout", ["v1", "v2"])
+    @pytest.mark.parametrize("layout", ["v1", "v4"])
     @pytest.mark.parametrize(
         "prealloc", [[[1]], ["x", True, 1.5, 7], [1.0], [True]]
     )
@@ -375,7 +433,7 @@ class TestStreamValidation:
         and ``true`` or ``1.0`` was analysed as location 1."""
         prog, partition = stream_partition()
         path = tmp_path / "t.jsonl"
-        if layout == "v2":
+        if layout == "v4":
             lines = stream_text(partition).splitlines(keepends=True)
             header = json.loads(lines[0])
             header["preallocated"] = prealloc
@@ -426,9 +484,9 @@ class TestStreamValidation:
         assert "'repro check --trace' reads this one" in message
         assert "unsupported" not in message
         with pytest.raises(
-            TraceError, match="t:1: a version 2 file is an epoch-major"
+            TraceError, match="t:1: unsupported trace version 2"
         ):
-            load(io.StringIO(v2_text(partition)), name="t")
+            load(io.StringIO(old_stream_header(2)), name="t")
         v1 = io.StringIO()
         dump(prog, v1)
         with pytest.raises(TraceError, match="not a stream trace"):

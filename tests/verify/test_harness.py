@@ -86,7 +86,7 @@ class TestCleanAgreement:
 class TestStreamMode:
     def test_stream_checks_every_case(self):
         # stream-vs-materialized applies to every case (no skip
-        # condition): the round-trip through a version 2 file plus the
+        # condition): the round-trip through a version 4 file plus the
         # bounded-window feed must be invisible in all outputs.
         with DifferentialHarness(modes=("stream",)) as harness:
             gen = AdversarialCaseGenerator(5)
