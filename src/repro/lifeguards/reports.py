@@ -57,17 +57,19 @@ class ErrorReport:
 
 
 class ErrorLog:
-    """Collects reports with deduplication.
+    """Collects flags with deduplication, each as the row a report carries.
 
-    :meth:`record` is the one way in: it appends the raw fields and
-    defers building :class:`ErrorReport` objects until the log is read,
-    because report construction dominates hot lifeguard loops on
-    error-dense workloads.
+    A row is ``(kind, location, ref, block, detail)``: ``kind`` an
+    :class:`ErrorKind`'s value, ``ref`` and ``block`` int pairs or
+    ``None``.  Atomic values only (no enum member, no list), so the cyclic
+    collector untracks a row once it survives a collection and never
+    walks it again.  :meth:`record` is the one way in; :attr:`reports`
+    builds :class:`ErrorReport` objects from :attr:`rows`.
     """
 
     def __init__(self) -> None:
-        #: Raw (kind, location, ref, block, detail) tuples, in flag order.
-        self._entries: List[Tuple] = []
+        #: The flags, in flag order.  Not to be mutated.
+        self.rows: List[Tuple] = []
         self._seen: Set[Tuple] = set()
 
     def record(
@@ -78,32 +80,44 @@ class ErrorLog:
         block: Optional[Tuple[int, int]] = None,
         detail: str = "",
     ) -> bool:
-        """Append a report's fields; returns False if an identical one
-        (same :meth:`ErrorReport.identity`) exists."""
-        key = (kind, location, ref, block)
+        """Append a flag's row; returns False if one with the same first
+        four fields (:meth:`ErrorReport.identity`) exists."""
+        # ``_value_`` is the member's plain attribute: ``kind.value`` is
+        # a Python-level property, and the str hashes in C.
+        key = (kind._value_, location, ref, block)
         seen = self._seen
         if key in seen:
             return False
         seen.add(key)
-        self._entries.append((kind, location, ref, block, detail))
+        self.rows.append(key + (detail,))
         return True
 
     @property
-    def entries(self) -> List[Tuple]:
-        """The raw ``(kind, location, ref, block, detail)`` tuples, in
-        flag order: what a reader that needs no :class:`ErrorReport`
-        (the REPORT builder) walks.  Not to be mutated."""
-        return self._entries
-
-    @property
     def reports(self) -> List[ErrorReport]:
-        return [ErrorReport(*e) for e in self._entries]
+        return [
+            ErrorReport(ErrorKind(kind), location, ref, block, detail)
+            for kind, location, ref, block, detail in self.rows
+        ]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.reports)
+
+    def __reduce__(self):
+        # Each flag once: the dedup set is the rows' first four fields.
+        # A reconstructor rather than ``__setstate__``, so an older
+        # layout still unpickles and a checkpoint is refused by version.
+        return (_log_of_rows, (self.rows,))
+
+
+def _log_of_rows(rows: List[Tuple]) -> ErrorLog:
+    """The unpickled :class:`ErrorLog` of ``rows``."""
+    log = ErrorLog()
+    log.rows = rows
+    log._seen = {row[:4] for row in rows}
+    return log
 
 
 def emit_error_event(
@@ -164,11 +178,13 @@ def compare_reports(
     """Match butterfly reports against sequential ground truth.
 
     A flagged event counts as a true positive when the ground truth
-    contains an error at the same ``(ref, location)``; block-granularity
-    flags match any truth event on the same location within the block's
-    instruction range (conservative credit).  Everything else flagged is
-    a false positive.  False negatives -- truth events never flagged --
-    must be zero by Theorems 6.1/6.2 and the suite asserts exactly that.
+    contains an error at the same ``(ref, location)``; a block-granularity
+    flag matches any truth event on the same location, anywhere in the
+    trace -- not only within the flagged block (conservative credit), and
+    a truth event whose location was so flagged counts as caught.
+    Everything else flagged is a false positive.  False negatives -- truth
+    events never flagged -- must be zero by Theorems 6.1/6.2 and the
+    suite asserts exactly that.
     """
     truth_events: Set[Tuple[GlobalRef, int]] = set()
     for r in truth:

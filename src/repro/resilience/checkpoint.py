@@ -47,11 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ButterflyEngine
 
 FORMAT = "repro-checkpoint"
-#: The pickled state's layout; any other version is refused.  Version 7:
-#: the SOS pickles as its initial set plus what was gained and lost
-#: against it, after the one summary window on the analysis (6),
-#: TaintCheck's rule columns (5) and the footprints (4).
-VERSION = 7
+#: The pickled state's layout; any other version is refused.  Version 8:
+#: the error log as its report rows, after the SOS as its initial set
+#: plus gains and losses (7), the one summary window on the analysis
+#: (6), TaintCheck's rule columns (5) and the footprints (4).
+VERSION = 8
 
 
 def _unlink_quietly(path: str) -> None:

@@ -14,7 +14,8 @@ sockets.  Each connection carries one stream session:
    sha256-checked hex blocks), so file, wire and a process shard's
    pipe carry one record form;
 4. client closes with ``END`` (the stream footer);
-5. server answers ``REPORT`` (the stream's error report, work
+5. server answers ``REPORT`` (the stream's error report as one
+   ``[kind, location, ref, block, detail]`` array per flag, work
    counters, and window peak -- bit-identical to what offline ``repro
    check`` computes over the same trace) or ``ERROR``.
 
@@ -66,7 +67,7 @@ MAX_FRAME = 64 * 1024 * 1024
 _HEADER = struct.Struct(">BI")
 
 PROTOCOL_FORMAT = "repro-serve"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Machine-readable ``ERROR`` frame codes (``docs/serving.md``).
 ERROR_CODES = (
@@ -251,6 +252,10 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
     partition (``partition_from_boundaries``) and must reproduce this
     report bit for bit; a fixed engine recorded nothing, so its report
     has no such key unless the caller passes the cuts explicitly.
+
+    ``errors`` is ``guard.errors.rows`` as recorded, one ``(kind, location,
+    ref, block, detail)`` tuple per flag; the wire carries JSON arrays, so
+    compare an offline report with a wire one in their JSON form.
     """
     if boundaries is None:
         boundaries = engine.recorded_boundaries
@@ -265,16 +270,7 @@ def build_report(stream_id: str, hello: Dict[str, Any], engine, guard,
     }
     if boundaries is not None:
         report["boundaries"] = [list(cuts) for cuts in boundaries]
-    report["errors"] = [
-        {
-            "kind": kind.value,
-            "location": location,
-            "ref": list(ref) if ref is not None else None,
-            "block": list(block) if block is not None else None,
-            "detail": detail,
-        }
-        for kind, location, ref, block, detail in guard.errors.entries
-    ]
+    report["errors"] = list(guard.errors.rows)
     return report
 
 
@@ -292,9 +288,9 @@ def format_report(
     lines = [f"trace: {label}, {threads} threads, {epochs} epochs (streamed)"]
     errors = report["errors"]
     lines.append(f"flags: {len(errors)}")
-    for err in errors[:limit]:
-        ref = tuple(err["ref"]) if err["ref"] is not None else None
-        lines.append(f"  {err['kind']:18s} loc=0x{err['location']:x} at {ref}")
+    for kind, location, ref, _, _ in errors[:limit]:
+        ref = tuple(ref) if ref is not None else None
+        lines.append(f"  {kind:18s} loc=0x{location:x} at {ref}")
     lines.append(
         f"stream: peak resident summaries {report['window_high_water']} "
         f"(bound {report['window_bound']})"

@@ -168,11 +168,13 @@ class Outcome:
     stats: EngineStats
     events: Optional[List[Dict[str, Any]]]
     window_high_water: int
-    report: Dict[str, Any]  # ``build_report``'s, minus its stream id
+    report: Dict[str, Any]  # ``build_report``'s as JSON, minus its stream id
 
 
 def _outcome(name: str, report: Dict[str, Any], errors=None, events=None):
-    """An :class:`Outcome` around an end-of-stream ``report``."""
+    """An :class:`Outcome` around an end-of-stream ``report``, in its JSON
+    form: an offline report's flags are tuples, a wire report's lists."""
+    report = json.loads(json.dumps(report))
     del report["stream"]
     return Outcome(
         name, errors, EngineStats(**report["stats"]), events,

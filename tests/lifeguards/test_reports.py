@@ -1,5 +1,7 @@
 """Unit tests for error reports and precision accounting."""
 
+import pickle
+
 from repro.lifeguards.reports import (
     ErrorKind,
     ErrorLog,
@@ -35,6 +37,27 @@ class TestErrorLog:
         record(log, report(kind=ErrorKind.UNSAFE_ISOLATION))
         assert len(log) == 2
 
+    def test_a_log_pickles_each_flag_once_and_keeps_deduplicating(self):
+        log = ErrorLog()
+        assert log.record(ErrorKind.ACCESS_UNALLOCATED, 5, ref=(0, 1))
+        assert log.record(
+            ErrorKind.UNSAFE_ISOLATION, 5, ref=(1, 2), block=(0, 1),
+            detail="race",
+        )
+        loaded = pickle.loads(pickle.dumps(log))
+        assert loaded.rows == log.rows
+        assert [r.identity() for r in loaded.reports] == [
+            r.identity() for r in log.reports
+        ]
+        assert not loaded.record(ErrorKind.ACCESS_UNALLOCATED, 5, ref=(0, 1))
+        assert loaded.record(ErrorKind.FREE_UNALLOCATED, 5, ref=(0, 1))
+        assert len(loaded) == 3
+
+    def test_an_empty_log_round_trips(self):
+        loaded = pickle.loads(pickle.dumps(ErrorLog()))
+        assert loaded.rows == []
+        assert loaded.record(ErrorKind.TAINTED_JUMP, 1)
+
 
 class TestCompareReports:
     def test_all_false_positives_on_clean_truth(self):
@@ -67,6 +90,9 @@ class TestCompareReports:
         ]
         pr = compare_reports(truth, flagged, memory_ops=10)
         assert pr.false_negatives == 0
+        # The truth event lies outside the flagged block (thread 1, not
+        # 0): the location alone earns the credit.
+        assert pr.true_positives == 1
 
     def test_one_shot_flagged_iterable_is_read_once(self):
         # A generator of flags must score exactly like the list: the

@@ -104,7 +104,7 @@ class TestSequentialTaintCheck:
 
 
 def both_walks(program, make_guard):
-    """The error logs' raw entries of ``run_order`` over the columns and
+    """The error logs' rows of ``run_order`` over the columns and
     of ``run`` over the recorded order's ``Instr`` objects, after
     checking that both walks counted the same events and left the
     guard's metadata in the same state."""
@@ -116,7 +116,7 @@ def both_walks(program, make_guard):
     )
     assert walked.events_processed == replayed.events_processed
     assert walked.snapshot_state() == replayed.snapshot_state()
-    return walked.errors.entries, replayed.errors.entries
+    return walked.errors.rows, replayed.errors.rows
 
 
 GUARDS = {

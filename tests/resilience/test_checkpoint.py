@@ -25,6 +25,7 @@ from repro.core.stream import EpochSource
 from repro.errors import CheckpointError
 from repro.core.columnar import SortedFirstAccess
 from repro.lifeguards.addrcheck import AddrSummary, ButterflyAddrCheck
+from repro.lifeguards.reports import ErrorKind, ErrorLog
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
@@ -264,9 +265,9 @@ class TestStreamedResume:
         # snapshot_state), version 3 (the SOS history as one live set
         # plus deltas), version 4 (summaries pickle their footprint
         # arrays), version 5 (TaintCheck summaries pickle rule columns),
-        # version 6 (the analysis carries the one summary window) and
+        # version 6 (the analysis carries the one summary window),
         # version 7 (the SOS pickles as gains and losses on its initial
-        # set);
+        # set) and version 8 (the error log pickles its report rows);
         # a file from any previous writer is refused up front instead of
         # being half-understood.
         from repro.core.stream import PartitionSource
@@ -278,7 +279,7 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        for older in (1, 2, 3, 4, 5, 6):
+        for older in (1, 2, 3, 4, 5, 6, 7):
             stamp_version(path, older)
             with pytest.raises(
                 CheckpointError,
@@ -422,15 +423,15 @@ def _engine_at_epoch(epochs=3):
 class TestTwoHalfSave:
     def test_file_is_one_pickle_of_the_record(self, tmp_path):
         """Pickling straight into the temp file changed nothing on
-        disk: version 7, the same bytes as one ``pickle.dumps``."""
+        disk: version 8, the same bytes as one ``pickle.dumps``."""
         engine = _engine_at_epoch()
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, engine, META)
-        assert checkpoint.VERSION == 7
+        assert checkpoint.VERSION == 8
         expected = pickle.dumps(
             {
                 "format": "repro-checkpoint",
-                "version": 7,
+                "version": 8,
                 "meta": META,
                 "engine": engine.snapshot_state(),
             },
@@ -806,7 +807,46 @@ class TestChurnedSOS:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 6" in message
-        assert "this build reads version 7" in message
+        assert "this build reads version 8" in message
+
+
+class TestErrorLogRows:
+    """Since ``VERSION`` 8 the error log pickles each flag once, as the
+    row its report carries (``tests/lifeguards/test_reports.py``: the
+    dedup set is rebuilt on load)."""
+
+    def test_a_version_7_file_is_refused_in_one_line(self, tmp_path):
+        """Version 7 pickled each flag twice, as an ``ErrorKind`` entry
+        and a dedup key: a file in its layout loads no further than its
+        version."""
+
+        class Pickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is not ErrorLog:
+                    return NotImplemented
+                entries = [(ErrorKind(r[0]),) + r[1:] for r in obj.rows]
+                return (copyreg.__newobj__, (ErrorLog,), {
+                    "_entries": entries,
+                    "_seen": {entry[:4] for entry in entries},
+                })
+
+        engine = _streamed(_alloc_source(), stop_after=3)
+        assert len(engine.analysis.errors) > 0
+        path = str(tmp_path / "v7.ckpt")
+        with open(path, "wb") as fh:
+            Pickler(fh, pickle.HIGHEST_PROTOCOL).dump({
+                "format": checkpoint.FORMAT,
+                "version": 7,
+                "meta": META,
+                "engine": engine.snapshot_state(),
+            })
+        engine.close()
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert "\n" not in message
+        assert "unsupported checkpoint version 7" in message
+        assert "this build reads version 8" in message
 
 
 class _FlakyAddrCheck(ButterflyAddrCheck):
@@ -1020,7 +1060,7 @@ class TestSummaryPickles:
         reference = _streamed(_alloc_source())
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
-        assert checkpoint.VERSION == 7
+        assert checkpoint.VERSION == 8
         ck, resumed = _resumed(_alloc_source(), path)
         assert ck.next_epoch == 3
         assert resumed == reference
@@ -1038,7 +1078,7 @@ class TestSummaryPickles:
         )
         with open(path, "rb") as fh:
             assert b"killed_mask" in fh.read()
-        assert checkpoint.VERSION == 7
+        assert checkpoint.VERSION == 8
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
         # A checkpoint this build writes does not carry them.
@@ -1119,7 +1159,7 @@ class TestTaintSummaryPickles:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 4" in message
-        assert "this build reads version 7" in message
+        assert "this build reads version 8" in message
 
 
 class TestVerify:
@@ -1178,7 +1218,7 @@ class TestLoadFailures:
         with pytest.raises(
             CheckpointError,
             match=r"unsupported checkpoint version 3 \(this build reads "
-            r"version 7\)",
+            r"version 8\)",
         ):
             load_checkpoint(path)
         future = tmp_path / "future.ckpt"

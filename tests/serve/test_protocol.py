@@ -113,6 +113,8 @@ class TestHello:
         # Version 1 listed every preallocated location.
         ({"version": 1, "preallocated": [16, 32]},
          "unsupported protocol version 1"),
+        # Version 2 carried each flag of a REPORT as a keyed object.
+        ({"version": 2}, "unsupported protocol version 2"),
     ])
     def test_bad_hello_rejected(self, overrides, match):
         with pytest.raises(ProtocolError, match=match):
@@ -151,10 +153,8 @@ class TestReportFormatting:
             "epochs": 5,
             "window_high_water": 4,
             "window_bound": 6,
-            "errors": [
-                {"kind": "use-after-free", "location": 255,
-                 "ref": [1, 2, 3], "block": None, "detail": ""},
-            ] * 3,
+            # A wire report: each row a JSON array.
+            "errors": [["use-after-free", 255, [1, 2, 3], None, ""]] * 3,
         }
         lines = format_report(report, "demo.jsonl", limit=2)
         assert lines[0] == "trace: demo.jsonl, 2 threads, 5 epochs (streamed)"
@@ -170,10 +170,10 @@ class TestReportFormatting:
             "epochs": 3,
             "window_high_water": 2,
             "window_bound": 6,
+            # An offline report: each row the log's tuple.
             "errors": [
-                {"kind": "unsafe-isolation", "location": 16,
-                 "ref": [0, 1], "block": [0, 0],
-                 "detail": "potential write-write conflict"},
+                ("unsafe-isolation", 16, (0, 1), (0, 0),
+                 "potential write-write conflict"),
             ],
         }
         lines = format_report(report, "demo", limit=10)
@@ -203,13 +203,13 @@ class TestOneReportShape:
         assert set(report) == set(_finished_report("addrcheck"))
         assert report["errors"], "the trace must flag for this to mean much"
         for err in report["errors"]:
-            assert set(err) == {"kind", "location", "ref", "block", "detail"}
+            assert type(err) is tuple and len(err) == 5
         lines = format_report(report, "demo")
         assert lines[1] == f"flags: {len(report['errors'])}"
         if lifeguard == "race":
             assert {
-                (err["kind"], err["location"], err["detail"])
-                for err in report["errors"]
+                (kind, location, detail)
+                for kind, location, _, _, detail in report["errors"]
             } == {("unsafe-isolation", 5, "potential write-write conflict")}
 
 

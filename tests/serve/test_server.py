@@ -305,6 +305,31 @@ class TestTransportFaults:
         served = push_trace(daemon.address, str(trace_file), "good")
         assert served == offline_report(trace_file, "good")
 
+    def test_a_version_2_hello_draws_error_protocol(
+        self, daemon, trace_file
+    ):
+        """Version 2 carried each flag as a keyed object; a client that
+        speaks it would misread a version 3 REPORT's row arrays, so its
+        HELLO is refused before any stream state exists."""
+        with open(trace_file) as fp:
+            header = stream_header(fp, str(trace_file))
+        hello = make_hello("v2", header["threads"], header["epochs"],
+                           header["preallocated"])
+        hello["version"] = 2
+        sock = connect(daemon.address)
+        sock.sendall(encode_json_frame(FRAME_HELLO, hello))
+        ftype, payload = read_frame_sync(sock)
+        assert ftype == FRAME_ERROR
+        answer = json.loads(payload)
+        assert answer["code"] == "protocol"
+        assert "unsupported protocol version 2" in answer["error"]
+        assert sock.recv(1) == b""  # terminal: the daemon hung up
+        sock.close()
+        served = push_trace(daemon.address, str(trace_file), "good")
+        assert served == offline_report(trace_file, "good")
+        assert served["errors"]
+        assert all(len(row) == 5 for row in served["errors"])
+
     def test_idle_producer_times_out(self, tmp_path, trace_file):
         config = ServeConfig(
             unix_path=str(tmp_path / "s.sock"), idle_timeout=0.2

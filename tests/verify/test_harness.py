@@ -160,7 +160,8 @@ class TestColumnarMode:
                 report = harness.run(case, Point("columns")).report
                 assert report["lifeguard"] == lifeguard
                 assert any(
-                    "conflict" in err["detail"] for err in report["errors"]
+                    "conflict" in detail
+                    for _, _, _, _, detail in report["errors"]
                 ) == (lifeguard == "race")
 
     def test_columnar_threads_backend(self):
