@@ -28,7 +28,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -63,9 +62,9 @@ EPOCH_LARGE = PAPER_EPOCHS["64K"] // SCALE
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Suite-wide knobs."""
+    """Suite-wide knobs; their defaults are the figure commands'."""
 
-    events_per_thread: int = 8192
+    events_per_thread: int = 32768
     thread_counts: Tuple[int, ...] = (2, 4, 8)
     seed: int = 1
 
@@ -286,8 +285,8 @@ class ExperimentSuite:
     epoch-size independent baselines (shared across Figure 12's h
     sweep) and one :class:`TunePoint` per (benchmark, threads, h)."""
 
-    def __init__(self, config: Optional[ExperimentConfig] = None) -> None:
-        self.config = config or ExperimentConfig()
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.config = config
         self._memo: Dict[Tuple[Any, ...], Any] = {}
 
     def _cached(self, key: Tuple[Any, ...], build: Callable[[], Any]) -> Any:

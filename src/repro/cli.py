@@ -15,7 +15,6 @@ Examples
     python -m repro check --benchmark OCEAN --lifeguard taintcheck
     python -m repro generate --benchmark OCEAN --stream --output big.jsonl
     python -m repro check --trace big.jsonl        # v1 or v4 file
-    python -m repro resume --checkpoint run.ckpt
     python -m repro sweep --benchmark OCEAN --threads 4
     python -m repro sweep --traces a.jsonl b.jsonl --quarantine bad/
     python -m repro sweep --benchmark HANDOFF --sizes 2 8 32 --output fit.json
@@ -45,11 +44,7 @@ from repro.bench.harness import (
     measure_epoch_size,
 )
 from repro.bench.reporting import render_table
-from repro.core.epoch import (
-    SloConfig,
-    partition_auto,
-    partition_from_boundaries,
-)
+from repro.core.epoch import SloConfig, partition_auto
 from repro.core.framework import ButterflyEngine
 from repro.core.parallel import (
     BACKEND_CHOICES,
@@ -63,7 +58,7 @@ from repro.resilience import (
     Checkpointer,
     FaultPlan,
     RetryPolicy,
-    load_checkpoint,
+    resume_checkpoint,
 )
 from repro.serve import (
     SHARD_BACKEND_CHOICES,
@@ -145,27 +140,21 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-#: What :func:`_run_meta` records and ``repro resume`` reads back.
-_RUN_META_KEYS = (
-    "benchmark", "trace", "trace_sha256", "threads", "events", "seed",
-    "epoch_size", "lifeguard", "boundaries",
-)
-
-
 def _run_meta(
-    args: argparse.Namespace, source: EpochSource, trace_path: Optional[str]
+    args: argparse.Namespace, source: EpochSource
 ) -> Dict[str, Any]:
-    """The checkpoint's configuration fingerprint: everything needed to
-    rebuild the identical trace and partition at resume time.
+    """The checkpoint's configuration fingerprint: what identifies the
+    trace, its partition and the lifeguard.  A rerun continues a
+    checkpoint only when its own fingerprint equals this one.
 
-    When the source cuts an in-memory program, its explicit boundary
-    stream is recorded too: resume replays those exact cuts
-    (:func:`partition_from_boundaries`) instead of re-deriving them
-    from ``epoch_size``, so variable-size partitions -- skewed,
-    global-order -- resume on identical epoch geometry.  A stream
-    file carries its own cuts and records none.
+    When the source cuts an in-memory program, its epoch size and
+    boundary stream are recorded too, so a rerun whose cuts came out
+    different is refused rather than continued on other epoch
+    geometry.  A stream file carries its own cuts, which its digest
+    covers, and records neither: ``--epoch-size`` does not apply to it.
     """
-    trace_abs = os.path.abspath(trace_path) if trace_path else None
+    trace_abs = os.path.abspath(args.trace) if args.trace else None
+    cuts_program = isinstance(source, PartitionSource)
     return {
         "benchmark": None if trace_abs else args.benchmark,
         "trace": trace_abs,
@@ -173,11 +162,11 @@ def _run_meta(
         "threads": source.num_threads,
         "events": None if trace_abs else args.events,
         "seed": None if trace_abs else args.seed,
-        "epoch_size": args.epoch_size,
+        "epoch_size": args.epoch_size if cuts_program else None,
         "lifeguard": args.lifeguard,
         "boundaries": (
             [list(cuts) for cuts in source.partition.boundaries]
-            if isinstance(source, PartitionSource) else None
+            if cuts_program else None
         ),
     }
 
@@ -198,7 +187,7 @@ def _drive_engine(
     seeking the reader past epochs the checkpoint covers.
 
     ``--stop-after-epoch N`` exits cleanly right after receiving epoch
-    ``N`` -- the kill/resume drill used by the resilience tests and the
+    ``N`` -- the kill/rerun drill used by the resilience tests and the
     CI fault-injection job.
     """
     if checkpoint_path:
@@ -206,7 +195,7 @@ def _drive_engine(
             Checkpointer(
                 checkpoint_path,
                 meta,
-                every=getattr(args, "checkpoint_every", 1),
+                every=args.checkpoint_every,
             )
         )
     stop_after = getattr(args, "stop_after_epoch", None)
@@ -219,8 +208,8 @@ def _drive_engine(
                 message = f"stopped after receiving epoch {lid}"
                 if checkpoint_path:
                     message += (
-                        "; resume with: repro resume "
-                        f"--checkpoint {checkpoint_path}"
+                        "; rerun the same command to continue from "
+                        f"{checkpoint_path}"
                     )
                 print(message, file=sys.stderr)
                 return False
@@ -245,7 +234,7 @@ def _print_report(
 
     Rendered through the serve layer's report builder, so ``repro
     check`` over a generated workload, a version 1 file or a stream
-    file, ``repro resume`` and ``repro push`` print the same block for
+    file, resumed or not, and ``repro push`` print the same block for
     the same trace -- the serve-smoke job diffs check against push byte
     for byte.  AddrCheck over an in-memory program with a recorded order
     adds its precision against the sequential oracle (Figure 13's
@@ -279,15 +268,18 @@ def _suite(args: argparse.Namespace) -> ExperimentSuite:
 
 
 def _add_suite_args(parser: argparse.ArgumentParser) -> None:
+    defaults = ExperimentConfig()
     parser.add_argument(
-        "--events", type=int, default=32768,
-        help="events per application thread (default: 32768)",
+        "--events", type=int, default=defaults.events_per_thread,
+        help="events per application thread (default: %(default)s)",
     )
     parser.add_argument(
-        "--threads", type=int, nargs="+", default=[2, 4, 8],
-        help="application thread counts (default: 2 4 8)",
+        "--threads", type=int, nargs="+",
+        default=list(defaults.thread_counts),
+        help="application thread counts (default: "
+             + " ".join(map(str, defaults.thread_counts)) + ")",
     )
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -337,54 +329,50 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_source(
-    trace_path: Optional[str],
-    benchmark: str,
-    threads: int,
-    events: int,
-    seed: int,
-    cut,
-) -> "tuple[EpochSource, Any]":
-    """Trace path or benchmark parameters -> ``(source, program)``.
+def _open_source(args: argparse.Namespace) -> "tuple[EpochSource, Any]":
+    """``--trace`` or the benchmark flags -> ``(source, program)``.
 
     A stream (epoch-major, version 4) file is read one epoch at a
     time and never materialized, so its ``program`` is ``None``; a
     version 1 file or a generated benchmark is a program in memory,
-    which ``cut(program)`` partitions and a :class:`PartitionSource`
-    hands the engine one epoch row at a time just the same.
+    which ``partition_auto`` cuts and a :class:`PartitionSource` hands
+    the engine one epoch row at a time just the same.
     """
-    if trace_path:
+    if args.trace:
         try:
-            if file_version(trace_path) == STREAM_VERSION:
-                return iter_load(trace_path), None
-            program = load_file(trace_path)
+            if file_version(args.trace) == STREAM_VERSION:
+                return iter_load(args.trace), None
+            program = load_file(args.trace)
         except OSError as exc:
-            raise ReproError(f"cannot read {trace_path}: {exc}") from exc
+            raise ReproError(f"cannot read {args.trace}: {exc}") from exc
     else:
-        program = get_benchmark(benchmark).generate(
-            threads, events, seed=seed
+        program = get_benchmark(args.benchmark).generate(
+            args.threads, args.events, seed=args.seed
         )
-    return PartitionSource(cut(program)), program
+    return PartitionSource(partition_auto(program, args.epoch_size)), program
 
 
-def _run_and_report(
-    args: argparse.Namespace,
-    recorder: Recorder,
-    guard: Any,
-    source: EpochSource,
-    program,
-    meta: Dict[str, Any],
-    label: str,
-    checkpoint=None,
-) -> int:
-    """Drive one check/resume run and print its result block.
+def cmd_check(args: argparse.Namespace) -> int:
+    """Run one lifeguard over a workload (generated or from a file).
 
-    With ``checkpoint`` the engine is attached with it and continues
-    the checkpointed run: no second ``run.attach`` event, and the log
-    numbering picks up at the checkpoint boundary, so the resumed event
-    log is the exact suffix of the uninterrupted one, never a re-count
-    of finished epochs.
+    The engine pulls one epoch at a time whatever the input: a stream
+    trace file is never materialized, and a generated workload or a
+    version 1 file is in memory as a trace while the engine's resident
+    state still obeys the three-epoch window, whose observed peak the
+    report's last line prints.
+
+    ``--checkpoint PATH`` follows the serve daemon's resume rule
+    (:func:`~repro.resilience.checkpoint.resume_checkpoint`): an absent
+    PATH starts fresh, and a checkpoint whose fingerprint equals this
+    run's is continued -- no second ``run.attach`` event, the log
+    numbering picking up at the checkpoint boundary, and the report
+    byte-identical to an uninterrupted run's.  Any other file is
+    refused.
     """
+    recorder = _open_recorder(args)
+    source, program = _open_source(args)
+    meta = _run_meta(args, source)
+    checkpoint = None
     if args.checkpoint:
         # Refused before any epoch is analysed, as --emit-events is: the
         # first save would otherwise fail after one.
@@ -394,6 +382,11 @@ def _run_and_report(
                 f"cannot write {args.checkpoint}: no such directory "
                 f"{directory}"
             )
+        checkpoint = resume_checkpoint(args.checkpoint, meta)
+    guard = (
+        checkpoint.analysis if checkpoint is not None
+        else make_guard(args.lifeguard, source.preallocated)
+    )
     backend = _resolve_backend(args)
     engine = ButterflyEngine(guard, backend=backend, recorder=recorder)
     try:
@@ -406,81 +399,11 @@ def _run_and_report(
         backend.close()
     if finished:
         _print_report(
-            label, meta, args.limit, source, program, engine, guard
+            args.trace or args.benchmark, meta, args.limit, source,
+            program, engine, guard,
         )
     _finish_events(recorder, args)
     return 0
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    """Run one lifeguard over a workload (generated or from a file).
-
-    The engine pulls one epoch at a time whatever the input: a stream
-    trace file is never materialized, and a generated workload or a
-    version 1 file is in memory as a trace while the engine's resident
-    state still obeys the three-epoch window, whose observed peak the
-    report's last line prints.
-    """
-    recorder = _open_recorder(args)
-    source, program = _open_source(
-        args.trace, args.benchmark, args.threads, args.events, args.seed,
-        lambda program: partition_auto(program, args.epoch_size),
-    )
-    return _run_and_report(
-        args, recorder,
-        make_guard(args.lifeguard, source.preallocated),
-        source, program, _run_meta(args, source, args.trace),
-        label=args.trace or args.benchmark,
-    )
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    """Continue a checkpointed run killed at an epoch boundary.
-
-    The checkpoint's configuration fingerprint rebuilds the identical
-    trace and partition; the continued run's error log, stats, and
-    output are bit-identical to an uninterrupted one.  The workload is
-    whatever the checkpoint recorded -- there is nothing to pass but
-    the checkpoint -- and a trace file that changed since is refused.
-    """
-    recorder = _open_recorder(args)
-    checkpoint = load_checkpoint(args.checkpoint)
-    meta = checkpoint.meta
-    missing = [key for key in _RUN_META_KEYS if key not in meta]
-    if missing:
-        return _fail(
-            "resume",
-            f"{args.checkpoint} is not a repro check checkpoint (its "
-            f"meta has no {', '.join(missing)}); a repro serve "
-            "checkpoint resumes when its stream reconnects",
-        )
-    trace_path = meta["trace"]
-    if trace_path and meta["trace_sha256"]:
-        try:
-            digest = _sha256(trace_path)
-        except OSError as exc:
-            return _fail("resume", f"cannot read {trace_path}: {exc}")
-        if digest != meta["trace_sha256"]:
-            return _fail(
-                "resume",
-                f"trace file {trace_path} changed since the "
-                "checkpoint was taken (sha256 mismatch)",
-            )
-    # Replay the recorded cuts verbatim: the interrupted run's
-    # partition may not be derivable from epoch_size (skewed or
-    # otherwise variable cuts), and resuming on different geometry
-    # would silently change the analysis.
-    source, program = _open_source(
-        trace_path, meta["benchmark"], meta["threads"], meta["events"],
-        meta["seed"],
-        lambda program: partition_from_boundaries(
-            program, meta["boundaries"]
-        ),
-    )
-    return _run_and_report(
-        args, recorder, checkpoint.analysis, source, program, meta,
-        label=trace_path or meta["benchmark"], checkpoint=checkpoint,
-    )
 
 
 def _quarantine_file(path: str, directory: str) -> str:
@@ -647,8 +570,6 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
     # fixed-epoch daemon (the default) has no SLO at all.
     slo = SloConfig(
         target_fold_ms=args.slo_target_ms,
-        queue_high=args.slo_queue_high,
-        queue_low=args.slo_queue_low,
         min_fold=args.slo_min_fold,
         max_fold=args.slo_max_fold,
     ) if args.adaptive_epoch else None
@@ -864,18 +785,6 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="write a checkpoint every N committed epochs (default: 1)",
-    )
-    parser.add_argument(
-        "--stop-after-epoch", type=int, default=None, metavar="N",
-        help="exit cleanly after receiving epoch N (kill/resume drill; "
-             "the last checkpoint then covers epoch N-1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -923,25 +832,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_limit_arg(p)
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot run state to PATH after each committed "
-                        "epoch (resume with 'repro resume')")
-    _add_checkpoint_args(p)
+                        "epoch; if PATH already holds this run's "
+                        "checkpoint, continue from it")
+    p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
+                   help="write a checkpoint every N committed epochs "
+                        "(default: 1)")
+    p.add_argument("--stop-after-epoch", type=int, default=None,
+                   metavar="N",
+                   help="exit cleanly after receiving epoch N (kill/rerun "
+                        "drill; the last checkpoint then covers epoch N-1)")
     _add_backend_arg(p)
     _add_resilience_args(p)
     _add_emit_events_arg(p)
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "resume",
-        help="continue a checkpointed run killed at an epoch boundary",
-    )
-    p.add_argument("--checkpoint", required=True, metavar="PATH",
-                   help="checkpoint file written by 'repro check'")
-    _add_limit_arg(p)
-    _add_checkpoint_args(p)
-    _add_backend_arg(p)
-    _add_resilience_args(p)
-    _add_emit_events_arg(p)
-    p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser(
         "sweep",
@@ -1047,8 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "port (0 picks a free one and prints it)")
     p.add_argument("--queue-depth", type=int, default=4,
                    help="per-stream bounded epoch queue; a full queue "
-                        "pauses that stream's socket reads "
-                        "(default: 4)")
+                        "pauses that stream's socket reads and, under "
+                        "--adaptive-epoch (which needs 2 or more), "
+                        "doubles the fold factor (default: 4)")
     p.add_argument("--max-streams", type=int, default=64,
                    help="active-stream cap; beyond it connects are "
                         "refused with ERROR busy (default: 64)")
@@ -1081,12 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="MS",
                    help="adaptive: per-fold latency budget; a breach "
                         "halves the fold factor (default: 50)")
-    p.add_argument("--slo-queue-high", type=int, default=3, metavar="N",
-                   help="adaptive: queue depth at or above which the "
-                        "fold factor doubles (default: 3)")
-    p.add_argument("--slo-queue-low", type=int, default=1, metavar="N",
-                   help="adaptive: queue depth at or below which the "
-                        "fold factor shrinks by one (default: 1)")
     p.add_argument("--slo-min-fold", type=int, default=1, metavar="N",
                    help="adaptive: fold-factor floor (default: 1)")
     p.add_argument("--slo-max-fold", type=int, default=64, metavar="N",

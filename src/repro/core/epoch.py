@@ -372,16 +372,12 @@ class SloConfig:
 
     ``target_fold_ms`` is the hard latency objective: one fold (receive
     + first pass + the previous epoch's second pass) must not take
-    longer than this, or results are arriving late.  The queue
-    watermarks steer precision: a backed-up queue means the producer is
-    bursting and per-epoch overhead is the bottleneck (grow the fold),
-    a drained queue means there is headroom to run precise (shrink
-    toward ``min_fold``).
+    longer than this, or results are arriving late.  The fold factor
+    moves between ``min_fold`` and ``max_fold``; the queue steering it
+    is the daemon's own (:class:`EpochController`).
     """
 
     target_fold_ms: float = 50.0
-    queue_high: int = 3
-    queue_low: int = 1
     min_fold: int = 1
     max_fold: int = 64
 
@@ -407,10 +403,23 @@ class EpochController:
     sequence reproduces the same fold factors; live runs are still timing-dependent, which
     is why the engine records the boundaries it used instead of
     assuming anyone can re-derive them.
+
+    The queue watermarks come from the stream's bounded queue of
+    ``queue_depth`` rows (``--queue-depth``): the fold sees at most
+    ``queue_depth - 1`` rows waiting behind it, so that many is a full
+    queue -- the producer is bursting and per-epoch overhead is the
+    bottleneck (grow the fold) -- while :attr:`QUEUE_LOW` or fewer is a
+    drained one, headroom to run precise (shrink toward ``min_fold``).
     """
 
-    def __init__(self, slo: Optional[SloConfig] = None) -> None:
+    #: Rows waiting at or below which the queue counts as drained.
+    QUEUE_LOW = 1
+
+    def __init__(
+        self, slo: Optional[SloConfig] = None, queue_depth: int = 4
+    ) -> None:
         self.slo = slo or SloConfig()
+        self.queue_high = queue_depth - 1
         self.fold_factor = self.slo.min_fold
         self.observations = 0
         self.slo_breaches = 0
@@ -434,9 +443,9 @@ class EpochController:
             # Reports are exactly the signal precision exists for, so
             # bias toward tight windows while they are firing.
             self.fold_factor = max(slo.min_fold, self.fold_factor - 1)
-        elif queue_depth >= slo.queue_high:
+        elif queue_depth >= self.queue_high:
             self.fold_factor = min(slo.max_fold, self.fold_factor * 2)
-        elif queue_depth <= slo.queue_low:
+        elif queue_depth <= self.QUEUE_LOW:
             self.fold_factor = max(slo.min_fold, self.fold_factor - 1)
         return self.fold_factor
 

@@ -10,6 +10,7 @@ from repro.resilience.checkpoint import (
     Checkpoint,
     Checkpointer,
     load_checkpoint,
+    resume_checkpoint,
     save_checkpoint,
 )
 from repro.resilience.faults import (
@@ -34,5 +35,6 @@ __all__ = [
     "TRANSPORT_FAULT_KINDS",
     "load_checkpoint",
     "result_is_valid",
+    "resume_checkpoint",
     "save_checkpoint",
 ]

@@ -21,12 +21,14 @@ does both inline; a :class:`CheckpointWriter` runs the second half in
 the background for the serve daemon, one writer per shard.
 
 A checkpoint embeds a ``meta`` fingerprint of the run configuration
-(workload, seed, epoch size, lifeguard, trace digest).  ``repro
-resume`` rebuilds the run from it and refuses a trace file whose digest
-changed; the daemon refuses a checkpoint whose fingerprint disagrees
-with the reconnecting stream's HELLO (:meth:`Checkpoint.verify`) --
-continuing an analysis over a different trace would silently produce
-garbage.  Otherwise attaching an engine with the loaded checkpoint
+(workload, seed, epoch size, lifeguard, trace digest).  A rerun ``repro
+check --checkpoint`` and a reconnecting stream share one rule
+(:func:`resume_checkpoint`): an absent file starts fresh, and a present
+one is refused unless its fingerprint equals the run's -- the command
+line's for ``check``, the HELLO's for the daemon
+(:meth:`Checkpoint.verify`) -- since continuing an analysis over a
+different trace would silently produce garbage.  Otherwise attaching
+an engine with the loaded checkpoint
 (``engine.attach_source(source, checkpoint)``) restores it mid-stream,
 so the continued run's error log, stats, and summaries are
 bit-identical to an uninterrupted one (the equivalence tests in
@@ -235,6 +237,11 @@ class CheckpointWriter:
                 self._cond.notify_all()
 
 
+def _brief(value: Any) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 class Checkpoint:
     """A loaded checkpoint: config fingerprint plus engine state."""
 
@@ -265,10 +272,12 @@ class Checkpoint:
         return self.state["boundaries"] is not None
 
     def verify(self, expected_meta: Dict[str, Any]) -> None:
-        """Refuse to resume under a different configuration."""
+        """Refuse to resume under a different configuration, naming
+        each differing key (a long value, such as a boundary stream, by
+        its first characters)."""
         mismatches = [
-            f"{key}: checkpoint={self.meta.get(key)!r} "
-            f"run={expected_meta.get(key)!r}"
+            f"{key}: checkpoint={_brief(self.meta.get(key))} "
+            f"run={_brief(expected_meta.get(key))}"
             for key in sorted(set(self.meta) | set(expected_meta))
             if self.meta.get(key) != expected_meta.get(key)
         ]
@@ -314,6 +323,27 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{type(exc).__name__}: {exc}"
         ) from exc
     return Checkpoint(meta, state)
+
+
+def resume_checkpoint(
+    path: str, meta: Dict[str, Any]
+) -> Optional[Checkpoint]:
+    """The one resume rule of ``repro check --checkpoint`` and the serve
+    daemon: the checkpoint at ``path`` that a run fingerprinted ``meta``
+    continues from, or ``None`` to start fresh.
+
+    Temps of saves that never committed are discarded first.  An absent
+    ``path`` starts fresh; a present one must load
+    (:func:`load_checkpoint`) and carry exactly ``meta``
+    (:meth:`Checkpoint.verify`), or the :class:`CheckpointError` says
+    why not.
+    """
+    discard_temps(path)
+    if not os.path.exists(path):
+        return None
+    checkpoint = load_checkpoint(path)
+    checkpoint.verify(meta)
+    return checkpoint
 
 
 class Checkpointer:

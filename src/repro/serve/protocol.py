@@ -279,7 +279,7 @@ def format_report(
 ) -> List[str]:
     """Render a report as the ``repro check`` streamed-result block.
 
-    ``repro check``, ``repro resume`` and ``repro push`` all print
+    ``repro check`` (resumed or not) and ``repro push`` both print
     through here, so the commands' outputs over the same trace can be
     diffed byte for byte -- the serve-smoke job's acceptance check.
     """

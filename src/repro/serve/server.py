@@ -109,7 +109,8 @@ __all__ = [
 @dataclass
 class ServeConfig:
     """Daemon knobs (CLI flags map onto these one to one, except that
-    ``--adaptive-epoch`` and the ``--slo-*`` flags build ``slo``)."""
+    ``--adaptive-epoch`` and the ``--slo-*`` flags build ``slo``, whose
+    controller takes its queue watermarks from ``queue_depth``)."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -403,16 +404,13 @@ class ReproServer:
                     f"{name.replace('_', ' ')} must be >= 1: "
                     f"{getattr(config, name)}"
                 )
-        slo = config.slo
-        if (
-            slo is not None
-            and slo.max_fold > slo.min_fold
-            and slo.queue_high >= config.queue_depth
-        ):
-            # The fold never sees more than queue_depth - 1 rows waiting.
+        if config.slo is not None and config.queue_depth < 2:
+            # The fold sees at most queue_depth - 1 rows waiting, and the
+            # controller reads that many as a full queue: a depth of 1
+            # would read every fold as a burst.
             raise ReproError(
-                f"slo queue high must be below queue depth ({slo.queue_high}"
-                f" >= {config.queue_depth}): the fold would never grow"
+                "adaptive epochs need queue depth >= 2: "
+                f"{config.queue_depth}"
             )
         if config.max_pending_epochs < 0:
             raise ReproError(

@@ -78,8 +78,7 @@ from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.resilience.checkpoint import (
     Checkpointer,
     CheckpointWriter,
-    discard_temps,
-    load_checkpoint,
+    resume_checkpoint,
 )
 from repro.serve.protocol import build_report, checkpoint_meta
 from repro.trace.serialize import decode_epoch_text
@@ -143,6 +142,7 @@ def build_stream_engine(
     backend: str,
     slo: Optional[SloConfig] = None,
     writer: Optional[CheckpointWriter] = None,
+    queue_depth: int = 4,
 ) -> Tuple[ButterflyEngine, int]:
     """``(engine, resume_epoch)``: fresh, or restored from checkpoint.
 
@@ -158,7 +158,8 @@ def build_stream_engine(
     ``slo`` (``ServeConfig.slo``; the frozen dataclass crosses a
     process shard's pipe as it is) gives the engine an
     :class:`~repro.core.epoch.EpochController` holding it, so it
-    coalesces producer rows into larger analysis epochs; ``None`` means
+    coalesces producer rows into larger analysis epochs, steered by a
+    stream queue ``queue_depth`` rows deep; ``None`` means
     fixed producer-sized epochs.  Either way the caller
     feeds -- and the returned resume epoch counts -- producer rows.  A
     checkpoint written by the other mode is refused: the two runs do
@@ -170,10 +171,8 @@ def build_stream_engine(
     if path is not None:
         if writer is not None:
             writer.settle(path)
-        discard_temps(path)
-    if path is not None and os.path.exists(path):
-        checkpoint = load_checkpoint(path)
-        checkpoint.verify(meta)
+        checkpoint = resume_checkpoint(path, meta)
+    if checkpoint is not None:
         if checkpoint.adaptive != (slo is not None):
             raise CheckpointError(
                 f"checkpoint for stream {hello['stream']!r} was written "
@@ -183,11 +182,12 @@ def build_stream_engine(
                 f"restart the daemon in the matching mode or delete the "
                 f"checkpoint"
             )
-    if checkpoint is not None:
         guard = checkpoint.analysis
     else:
         guard = make_guard(hello["lifeguard"], hello["preallocated"])
-    controller = EpochController(slo) if slo is not None else None
+    controller = (
+        EpochController(slo, queue_depth) if slo is not None else None
+    )
     engine = ButterflyEngine(guard, backend=backend, controller=controller)
     engine.attach_source(
         EpochSource(hello["threads"], hello["epochs"], hello["preallocated"]),
@@ -215,13 +215,14 @@ class _ShardTable:
     def dispatch(self, command: str, *args: Any) -> Any:
         """Execute one command against the table."""
         if command == "open":
-            token, hello, checkpoint_dir, checkpoint_every, backend, slo = args
+            (token, hello, checkpoint_dir, checkpoint_every, backend, slo,
+             queue_depth) = args
             stale = self.streams.pop(token, None)
             if stale is not None:
                 stale.engine.close()
             engine, resume_epoch = build_stream_engine(
                 hello, token, checkpoint_dir, checkpoint_every, backend, slo,
-                writer=self.writer,
+                writer=self.writer, queue_depth=queue_depth,
             )
             self.streams[token] = _ShardStream(
                 engine, hello, stream_checkpoint_path(checkpoint_dir, token)
@@ -376,6 +377,7 @@ class _Shard:
             # the shards.
             "serial",
             config.slo,
+            config.queue_depth,
         )
         return StreamHandle(self, token, resume_epoch)
 

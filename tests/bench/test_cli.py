@@ -121,7 +121,6 @@ class TestCommands:
             for action in parser._actions
             if "--lifeguard" in action.option_strings
         }
-        # resume has none: the checkpoint names its lifeguard.
         assert sorted(choices) == ["check", "push", "stats"]
         assert set(choices.values()) == {
             ("addrcheck", "race", "taintcheck")
@@ -356,6 +355,21 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "invalid choice: 'tune'" in capsys.readouterr().err
 
+    def test_resume_subcommand_is_gone(self, capsys):
+        # Rerunning `repro check --checkpoint PATH` continues PATH.
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", "--checkpoint", "run.ckpt"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'resume'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--slo-queue-high", "--slo-queue-low"])
+    def test_slo_queue_watermarks_are_gone(self, capsys, flag):
+        # The adaptive controller takes them from --queue-depth.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--adaptive-epoch", flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_generate_unwritable_output(self, tmp_path, capsys):
         rc = main(
             ["generate", "--events", "64",
@@ -381,9 +395,9 @@ class TestErrorPaths:
             ["serve", "--workers", "0"],
             ["serve", "--checkpoint-every", "0"],
             ["serve", "--idle-timeout", "-1"],
-            # The controller sees at most queue-depth - 1 waiting rows,
-            # so the default queue high of 3 could never grow the fold.
-            ["serve", "--adaptive-epoch", "--queue-depth", "3"],
+            # The controller reads queue-depth - 1 waiting rows as a
+            # full queue: at depth 1 every fold would look like a burst.
+            ["serve", "--adaptive-epoch", "--queue-depth", "1"],
             # Ports outside 0..65535 used to die in bind/connect with an
             # OverflowError traceback.
             ["serve", "--port", "70000"],
@@ -393,7 +407,6 @@ class TestErrorPaths:
             # A negative --limit used to slice errors[:-1]: one report
             # short under a header that counted them all.
             ["check", "--events", "64", "--limit", "-1"],
-            ["resume", "--checkpoint", "OUT", "--limit", "-1"],
             ["push", "--trace", "OUT", "--unix", "OUT", "--limit", "-1"],
         ],
         ids=lambda argv: " ".join(argv),

@@ -1,9 +1,10 @@
 """CLI resilience surfaces: failure paths, resume, quarantine, faults.
 
 Every failure exits 2 with a one-line ``repro <cmd>: error: ...``
-diagnostic on stderr (never a traceback), and the recovery paths --
-``repro resume``, ``--quarantine``, ``--inject-faults`` -- must leave
-results indistinguishable from an undisturbed run.
+diagnostic on stderr (never a traceback), and the recovery paths -- a
+rerun ``repro check --checkpoint``, ``--quarantine``,
+``--inject-faults`` -- must leave results indistinguishable from an
+undisturbed run.
 """
 
 import json
@@ -77,7 +78,7 @@ class TestResume:
         stopped = capsys.readouterr()
         assert "stopped after receiving epoch 4" in stopped.err
         assert stopped.out == ""
-        assert main(["resume", "--checkpoint", ck]) == 0
+        assert main(CHECK_ARGS + ["--checkpoint", ck] + list(extra)) == 0
         return full, capsys.readouterr().out
 
     def test_resumed_output_identical_to_uninterrupted(self, tmp_path, capsys):
@@ -92,36 +93,90 @@ class TestResume:
         )
         assert resumed == full
 
-    def test_resume_takes_no_workload_flags(self, tmp_path, capsys):
-        # The checkpoint names its workload; the seven flags that could
-        # only refuse (--epoch-size 512 against a 256 checkpoint) are
-        # not declared any more, so argparse rejects them.
-        with pytest.raises(SystemExit) as exc:
-            main(["resume", "--checkpoint", str(tmp_path / "run.ckpt"),
-                  "--epoch-size", "512"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --epoch-size 512" in (
-            capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [
+            ("--seed", "2", "seed"),
+            ("--epoch-size", "512", "epoch_size"),
+            ("--lifeguard", "race", "lifeguard"),
+        ],
+        ids=["seed", "epoch_size", "lifeguard"],
+    )
+    def test_a_changed_fingerprint_key_is_refused(
+        self, tmp_path, capsys, flag, value, key
+    ):
+        # The checkpoint is the run's own only when the fingerprint
+        # matches: --epoch-size 512 against a 256 checkpoint would
+        # continue an analysis of other epochs.
+        ck = str(tmp_path / "run.ckpt")
+        assert main(
+            CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "3"]
+        ) == 0
+        capsys.readouterr()
+        before = load_checkpoint(ck).next_epoch
+        assert main(CHECK_ARGS + ["--checkpoint", ck, flag, value]) == 2
+        message = _one_line_error(capsys, "check")
+        assert "checkpoint was taken under a different configuration" in (
+            message
         )
+        assert f"{key}: checkpoint=" in message
+        assert load_checkpoint(ck).next_epoch == before  # left as it was
 
     def test_missing_checkpoint_file(self, tmp_path, capsys):
-        assert main(
-            ["resume", "--checkpoint", str(tmp_path / "absent.ckpt")]
-        ) == 2
-        assert "cannot read checkpoint" in _one_line_error(capsys, "resume")
+        # An absent PATH starts the run fresh and checkpoints it there...
+        ck = tmp_path / "absent.ckpt"
+        assert main(CHECK_ARGS) == 0
+        full = capsys.readouterr().out
+        assert main(CHECK_ARGS + ["--checkpoint", str(ck)]) == 0
+        assert capsys.readouterr().out == full
+        assert ck.exists()
+        # ...while a PATH that is there but cannot be read is refused.
+        unreadable = tmp_path / "dir.ckpt"
+        unreadable.mkdir()
+        assert main(CHECK_ARGS + ["--checkpoint", str(unreadable)]) == 2
+        assert "cannot read checkpoint" in _one_line_error(capsys, "check")
 
     def test_garbage_checkpoint_file(self, tmp_path, capsys):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\x00\x01 not a checkpoint")
-        assert main(["resume", "--checkpoint", str(path)]) == 2
-        _one_line_error(capsys, "resume")
+        assert main(CHECK_ARGS + ["--checkpoint", str(path)]) == 2
+        _one_line_error(capsys, "check")
 
     def test_damaged_checkpoint_file(self, tmp_path, capsys):
         # Not one of pickle's own error types: used to print a stack.
         path = tmp_path / "damaged.ckpt"
         path.write_bytes(DAMAGED_PICKLE)
-        assert main(["resume", "--checkpoint", str(path)]) == 2
-        assert "UnicodeDecodeError" in _one_line_error(capsys, "resume")
+        assert main(CHECK_ARGS + ["--checkpoint", str(path)]) == 2
+        assert "UnicodeDecodeError" in _one_line_error(capsys, "check")
+
+    def test_a_rerun_after_a_completed_run_reprints_its_report(
+        self, tmp_path, capsys
+    ):
+        ck = str(tmp_path / "run.ckpt")
+        assert main(CHECK_ARGS + ["--checkpoint", ck]) == 0
+        full = capsys.readouterr().out
+        assert main(CHECK_ARGS + ["--checkpoint", ck]) == 0
+        assert capsys.readouterr().out == full
+
+    def test_a_killed_writers_temp_is_discarded_on_rerun(
+        self, tmp_path, capsys
+    ):
+        # A writer killed between the halves of a save leaves its temp
+        # beside the checkpoint; the rerun continues from the committed
+        # file and removes the temp.
+        ck = str(tmp_path / "run.ckpt")
+        assert main(CHECK_ARGS) == 0
+        full = capsys.readouterr().out
+        assert main(
+            CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "4"]
+        ) == 0
+        capsys.readouterr()
+        stray = f"{ck}.{'ab' * 16}.tmp"
+        with open(stray, "wb") as fh:  # half a snapshot
+            fh.write(DAMAGED_PICKLE)
+        assert main(CHECK_ARGS + ["--checkpoint", ck]) == 0
+        assert capsys.readouterr().out == full
+        assert not os.path.exists(stray)
 
     def test_version_1_checkpoint_is_refused(self, tmp_path, capsys):
         ck = str(tmp_path / "run.ckpt")
@@ -130,16 +185,16 @@ class TestResume:
         ) == 0
         capsys.readouterr()
         stamp_version(ck, 1)
-        assert main(["resume", "--checkpoint", ck]) == 2
+        assert main(CHECK_ARGS + ["--checkpoint", ck]) == 2
         assert "unsupported checkpoint version 1" in _one_line_error(
-            capsys, "resume"
+            capsys, "check"
         )
 
     def test_a_taintcheck_run_resumes_byte_identically(
         self, tmp_path, capsys
     ):
         # OCEAN has no taint traffic, so its TaintCheck checks nothing;
-        # the server workload flags, and the resume must carry that.
+        # the server workload flags, and the rerun must carry that.
         args = [
             "check", "--benchmark", "SECURE-SERVER", "--threads", "2",
             "--events", "9000", "--epoch-size", "1024",
@@ -153,7 +208,7 @@ class TestResume:
             args + ["--checkpoint", ck, "--stop-after-epoch", "4"]
         ) == 0
         capsys.readouterr()
-        assert main(["resume", "--checkpoint", ck]) == 0
+        assert main(args + ["--checkpoint", ck]) == 0
         assert capsys.readouterr().out == full
 
     def test_a_version_4_taintcheck_checkpoint_is_refused(
@@ -167,9 +222,11 @@ class TestResume:
         ) == 0
         capsys.readouterr()
         stamp_version(ck, 4)
-        assert main(["resume", "--checkpoint", ck]) == 2
+        assert main(
+            CHECK_ARGS + ["--lifeguard", "taintcheck", "--checkpoint", ck]
+        ) == 2
         assert "unsupported checkpoint version 4" in _one_line_error(
-            capsys, "resume"
+            capsys, "check"
         )
 
     def test_a_version_5_checkpoint_is_refused(self, tmp_path, capsys):
@@ -181,9 +238,9 @@ class TestResume:
         ) == 0
         capsys.readouterr()
         stamp_version(ck, 5)
-        assert main(["resume", "--checkpoint", ck]) == 2
+        assert main(CHECK_ARGS + ["--checkpoint", ck]) == 2
         assert "unsupported checkpoint version 5" in _one_line_error(
-            capsys, "resume"
+            capsys, "check"
         )
 
     def test_a_cut_after_gains_and_losses_resumes_byte_identically(
@@ -191,7 +248,7 @@ class TestResume:
     ):
         """A stream file whose SOS has lost preallocated locations and
         gained new ones by the cut: the checkpoint carries both, and
-        ``repro resume`` prints the uninterrupted report."""
+        the rerun prints the uninterrupted report."""
         trace = str(tmp_path / "churn.jsonl")
         save_stream_file(churn_partition(), trace)
         ck = str(tmp_path / "churn.ckpt")
@@ -205,7 +262,7 @@ class TestResume:
         capsys.readouterr()
         sos = load_checkpoint(ck).analysis.sos
         assert sos._gained and sos._lost
-        assert main(["resume", "--checkpoint", ck]) == 0
+        assert main(["check", "--trace", trace, "--checkpoint", ck]) == 0
         assert capsys.readouterr().out == full
 
     def _resume_past_the_end(self, tmp_path, capsys, check_args):
@@ -213,8 +270,8 @@ class TestResume:
         assert main(check_args + ["--checkpoint", ck]) == 0
         capsys.readouterr()
         stamp_position(ck, 999)
-        assert main(["resume", "--checkpoint", ck]) == 2
-        return _one_line_error(capsys, "resume")
+        assert main(check_args + ["--checkpoint", ck]) == 2
+        return _one_line_error(capsys, "check")
 
     def test_position_past_a_generated_trace_is_refused(
         self, tmp_path, capsys
@@ -246,10 +303,13 @@ class TestResume:
                                          "serial")
         engine.checkpoint_now()
         path = stream_checkpoint_path(str(tmp_path), token)
-        assert main(["resume", "--checkpoint", path]) == 2
-        assert "is not a repro check checkpoint" in _one_line_error(
-            capsys, "resume"
+        assert main(CHECK_ARGS + ["--checkpoint", path]) == 2
+        # A stream's fingerprint shares no run's: its keys are named.
+        message = _one_line_error(capsys, "check")
+        assert "checkpoint was taken under a different configuration" in (
+            message
         )
+        assert "stream: checkpoint='s1' run=None" in message
 
     def test_resume_trace_run_verifies_digest(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"
@@ -266,8 +326,11 @@ class TestResume:
         # Tamper with the trace after the checkpoint was taken.
         with open(trace, "a") as fh:
             fh.write("\n")
-        assert main(["resume", "--checkpoint", ck]) == 2
-        assert "sha256 mismatch" in _one_line_error(capsys, "resume")
+        assert main([
+            "check", "--trace", str(trace), "--epoch-size", "256",
+            "--checkpoint", ck,
+        ]) == 2
+        assert "trace_sha256: checkpoint=" in _one_line_error(capsys, "check")
 
 
 class TestSweepQuarantine:
@@ -416,7 +479,7 @@ class TestFaultInjectionCLI:
             capsys, "check"
         )
 
-    @pytest.mark.parametrize("command", ["check", "resume", "sweep", "stats"])
+    @pytest.mark.parametrize("command", ["check", "rerun", "sweep", "stats"])
     def test_compute_faults_on_the_serial_backend_are_refused(
         self, command, tmp_path, capsys
     ):
@@ -425,18 +488,20 @@ class TestFaultInjectionCLI:
         faults = ["--inject-faults", "crash=1.0", "--retries", "1"]
         if command == "check":
             argv = CHECK_ARGS + faults
-        elif command == "resume":
+        elif command == "rerun":
             ck = str(tmp_path / "run.ckpt")
             assert main(
                 CHECK_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "1"]
             ) == 0
             capsys.readouterr()
-            argv = ["resume", "--checkpoint", ck] + faults
+            argv = CHECK_ARGS + ["--checkpoint", ck] + faults
         else:
             argv = [command, "--benchmark", "LU", "--threads", "2",
                     "--events", "500"] + faults
         assert main(argv) == 2
-        message = _one_line_error(capsys, command)
+        message = _one_line_error(
+            capsys, "check" if command == "rerun" else command
+        )
         assert "--backend threads|processes" in message
         # ...and the default backend still takes a transport-only plan
         # (nothing there is the backend's to inject).

@@ -326,23 +326,39 @@ class TestStreamResume:
             "--checkpoint", ck, "--stop-after-epoch", "4",
         ]) == 0
         assert "stopped after receiving epoch 4" in capsys.readouterr().err
-        assert main(["resume", "--checkpoint", ck]) == 0
+        assert main(["check", "--trace", trace, "--checkpoint", ck]) == 0
         assert capsys.readouterr().out == full
+
+    def test_epoch_size_does_not_fingerprint_a_stream_file(
+        self, tmp_path, capsys
+    ):
+        # The file's own cuts decide its epochs; --epoch-size is not read.
+        trace = self._generate(tmp_path, capsys)
+        ck = str(tmp_path / "t.ckpt")
+        full = _out(capsys, ["check", "--trace", trace])
+        _out(capsys, [
+            "check", "--trace", trace,
+            "--checkpoint", ck, "--stop-after-epoch", "4",
+        ])
+        assert _out(capsys, [
+            "check", "--trace", trace, "--epoch-size", "1024",
+            "--checkpoint", ck,
+        ]) == full
 
     @pytest.mark.parametrize("stream_key", [True, False])
     @pytest.mark.parametrize("from_file", [False, True])
-    def test_checkpoint_with_a_stream_key_still_resumes(
+    def test_a_stream_key_is_refused(
         self, tmp_path, capsys, from_file, stream_key
     ):
         """Checkpoints written while ``check`` had a ``--stream``
-        switch recorded it in their fingerprint; ``resume`` reads only
-        the keys it rebuilds the run from, so the key is inert."""
+        switch recorded it in their fingerprint.  A rerun continues
+        only a checkpoint whose fingerprint equals its own, as a
+        reconnecting stream does, so the key is named and refused."""
         workload = (
             ["--trace", self._generate(tmp_path, capsys)] if from_file
             else WORKLOAD + ["--epoch-size", "256"]
         )
         ck = str(tmp_path / "t.ckpt")
-        full = _out(capsys, ["check"] + workload)
         _out(capsys, ["check"] + workload + [
             "--checkpoint", ck, "--stop-after-epoch", "4",
         ])
@@ -352,7 +368,10 @@ class TestStreamResume:
         payload["meta"]["stream"] = stream_key
         with open(ck, "wb") as fh:
             pickle.dump(payload, fh)
-        assert _out(capsys, ["resume", "--checkpoint", ck]) == full
+        assert main(["check"] + workload + ["--checkpoint", ck]) == 2
+        assert f"stream: checkpoint={stream_key} run=None" in (
+            _one_line_error(capsys, "check")
+        )
 
     def test_stitched_event_log_equals_uninterrupted(
         self, tmp_path, capsys
@@ -370,8 +389,8 @@ class TestStreamResume:
             "--checkpoint", ck, "--stop-after-epoch", "4",
         ]) == 0
         assert main([
-            "resume", "--checkpoint", ck,
-            "--emit-events", str(resumed_log),
+            "check", "--trace", trace, "--emit-events", str(resumed_log),
+            "--checkpoint", ck,
         ]) == 0
         resumed = read_events(str(resumed_log))
         boundary = resumed[0]["seq"]
@@ -392,8 +411,8 @@ class TestStreamResume:
         capsys.readouterr()
         with open(trace, "a") as fh:
             fh.write("\n")
-        assert main(["resume", "--checkpoint", ck]) == 2
-        assert "sha256 mismatch" in _one_line_error(capsys, "resume")
+        assert main(["check", "--trace", trace, "--checkpoint", ck]) == 2
+        assert "trace_sha256: checkpoint=" in _one_line_error(capsys, "check")
 
 
 class TestSweepAndStatsStream:

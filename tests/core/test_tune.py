@@ -64,10 +64,7 @@ class TestSloConfig:
 
 
 def slo(**kw):
-    base = dict(
-        target_fold_ms=10.0, queue_high=3, queue_low=1, min_fold=1,
-        max_fold=16,
-    )
+    base = dict(target_fold_ms=10.0, min_fold=1, max_fold=16)
     base.update(kw)
     return SloConfig(**base)
 
@@ -86,6 +83,13 @@ class TestEpochController:
         c.fold_factor = 4
         assert c.observe(queue_depth=0, fold_ns=1 * MS, rows=4) == 3
         assert c.observe(queue_depth=1, fold_ns=1 * MS, rows=3) == 2
+
+    @pytest.mark.parametrize("queue_depth", [2, 4, 8])
+    def test_a_full_queue_is_the_high_watermark(self, queue_depth):
+        # The fold sees at most queue_depth - 1 rows waiting.
+        c = EpochController(slo(), queue_depth)
+        assert c.observe(queue_depth - 2, fold_ns=1 * MS, rows=1) == 1
+        assert c.observe(queue_depth - 1, fold_ns=1 * MS, rows=1) == 2
 
     def test_mid_band_queue_holds_steady(self):
         c = EpochController(slo())

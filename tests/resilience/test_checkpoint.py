@@ -39,6 +39,7 @@ from repro.resilience.checkpoint import (
     CheckpointWriter,
     commit_snapshot,
     discard_temps,
+    resume_checkpoint,
     write_snapshot,
 )
 from repro.trace.events import Instr
@@ -463,6 +464,56 @@ class TestTwoHalfSave:
         assert sorted(os.listdir(tmp_path)) == [
             "a.ckpt", "a.ckpt2.123-4.tmp", "b.ckpt.123-4.tmp",
         ]
+
+
+class TestResumeRule:
+    """:func:`resume_checkpoint`, the rule ``repro check --checkpoint``
+    and a reconnecting stream share."""
+
+    def test_an_absent_file_starts_fresh(self, tmp_path):
+        stray = tmp_path / "run.ckpt.0a1b.tmp"
+        stray.write_bytes(DAMAGED_PICKLE)
+        assert resume_checkpoint(str(tmp_path / "run.ckpt"), META) is None
+        assert os.listdir(tmp_path) == []
+
+    def test_a_matching_fingerprint_continues(self, tmp_path):
+        engine = _engine_at_epoch()
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, engine, META)
+        stray = tmp_path / "run.ckpt.0a1b.tmp"
+        stray.write_bytes(DAMAGED_PICKLE)
+        loaded = resume_checkpoint(path, dict(META))
+        assert loaded.meta == META
+        assert loaded.next_epoch == engine.resume_position
+        assert os.listdir(tmp_path) == ["run.ckpt"]
+
+    @pytest.mark.parametrize(
+        "meta, named",
+        [
+            (dict(META, seed=6), "seed: checkpoint=5 run=6"),
+            (dict(META, lifeguard="race"),
+             "lifeguard: checkpoint=None run='race'"),
+            ({"benchmark": "X", "epoch_size": 8},
+             "seed: checkpoint=5 run=None"),
+        ],
+        ids=["changed", "added", "dropped"],
+    )
+    def test_a_different_fingerprint_is_refused_by_key(
+        self, tmp_path, meta, named
+    ):
+        path = str(tmp_path / "run.ckpt")
+        save_checkpoint(path, _engine_at_epoch(), META)
+        with pytest.raises(CheckpointError) as exc:
+            resume_checkpoint(path, meta)
+        assert "taken under a different configuration" in str(exc.value)
+        assert named in str(exc.value)
+        assert os.path.exists(path)  # refused, never removed
+
+    def test_a_damaged_file_is_refused(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_bytes(DAMAGED_PICKLE)
+        with pytest.raises(CheckpointError, match="UnicodeDecodeError"):
+            resume_checkpoint(str(path), META)
 
 
 @pytest.fixture
