@@ -60,6 +60,7 @@ from repro.resilience import (
     RetryPolicy,
     resume_checkpoint,
 )
+from repro.resilience.checkpoint import CheckpointWriter
 from repro.serve import (
     SHARD_BACKEND_CHOICES,
     ReproServer,
@@ -189,18 +190,25 @@ def _drive_engine(
     ``--stop-after-epoch N`` exits cleanly right after receiving epoch
     ``N`` -- the kill/rerun drill used by the resilience tests and the
     CI fault-injection job.
+
+    A save's fsyncs and rename run on a writer thread beside the next
+    epoch's analysis; the newest snapshot is committed before this
+    returns, and a failed commit is raised here.
     """
-    if checkpoint_path:
+    writer = CheckpointWriter() if checkpoint_path else None
+    if writer is not None:
         engine.enable_checkpoints(
             Checkpointer(
                 checkpoint_path,
                 meta,
                 every=args.checkpoint_every,
+                writer=writer,
             )
         )
     stop_after = getattr(args, "stop_after_epoch", None)
     start = engine.resume_position
     rows = source.epochs(start)
+    finished = True
     try:
         for lid, blocks in enumerate(rows, start=start):
             engine.feed_blocks(lid, blocks)
@@ -212,13 +220,20 @@ def _drive_engine(
                         f"{checkpoint_path}"
                     )
                 print(message, file=sys.stderr)
-                return False
+                finished = False
+                break
+        else:
+            engine.finish()
     finally:
         close = getattr(rows, "close", None)
         if close is not None:
             close()
-    engine.finish()
-    return True
+        if writer is not None:
+            writer.close()
+    failure = writer.failure(checkpoint_path) if writer is not None else None
+    if failure is not None:
+        raise failure
+    return finished
 
 
 def _print_report(

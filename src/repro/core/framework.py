@@ -156,11 +156,28 @@ class ButterflyAnalysis(abc.ABC, Generic[Summary, SideIn]):
     #: ``recorder.enabled`` so the disabled path stays free).
     recorder: Recorder = NULL_RECORDER
 
+    #: True while the engine re-runs step 1 on the epoch a restored
+    #: snapshot left out (:meth:`ButterflyEngine.snapshot_state`): the
+    #: snapshot already holds what that pass booked, so it books no
+    #: counter of the analysis's own, and every flag it raises must
+    #: already be in the log.
+    replaying: bool = False
+
     @cached_property
     def summaries(self) -> Dict[BlockId, Summary]:
         """The summary window, ``BlockId`` -> first-pass summary: the
         engine alone fills and evicts it, the hooks only read it."""
         return {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """An analysis pickles without its summary window -- a snapshot
+        carries the summaries it keeps beside it -- and without a live
+        recorder (a sink holds an open file; a resumed run attaches its
+        own)."""
+        state = dict(self.__dict__)
+        state.pop("summaries", None)
+        state.pop("recorder", None)
+        return state
 
     def emit_metrics(self, recorder: Recorder) -> None:
         """Publish end-of-run gauges (footprint sizes, conflict counts,
@@ -306,6 +323,24 @@ class _WindowView:
         return self._blocks[(lid, tid)]
 
 
+class _RetiredBlock:
+    """A committed epoch's block in a restored window: its address, which
+    the next epoch's butterflies name it by as a wing, without its
+    events -- no pass reads those once the epoch has committed."""
+
+    __slots__ = ("lid", "tid", "block_id", "start", "_length")
+
+    def __init__(self, lid: int, tid: int, start: int, length: int) -> None:
+        self.lid = lid
+        self.tid = tid
+        self.block_id: BlockId = (lid, tid)
+        self.start = start
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+
 #: What :func:`_span` hands out while recording is off: one shared,
 #: stateless context manager, so that path builds nothing per epoch.
 _NO_SPAN = NULL_RECORDER.span("")
@@ -414,11 +449,13 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         ``after_epoch(engine, lid)`` is called each time epoch ``lid``'s
         bodies have committed and its SOS advance has been published --
         the engine's natural safe point for resume.  The checkpointer's
-        ``position`` starts at :attr:`resume_position`: after a
-        resuming attach, the snapshot the engine was restored from.
+        ``position`` starts at :attr:`resume_position` and its
+        ``flags`` at the error log's length: after a resuming attach,
+        the snapshot the engine was restored from.
         """
         self._checkpointer = checkpointer
         checkpointer.position = self.resume_position
+        checkpointer.flags = self._error_count()
 
     def checkpoint_now(self) -> int:
         """Force a durable snapshot through the attached checkpointer --
@@ -442,10 +479,11 @@ class ButterflyEngine(Generic[Summary, SideIn]):
     @property
     def resume_position(self) -> int:
         """The next producer row a restarted feeder must send: every
-        row below it is part of a committed analysis epoch (a
-        rolled-back feed does not advance it, rows still buffered for
-        the next fold are not covered, a restored snapshot sets it)."""
-        return self.rows_folded
+        row below it was received whole.  A feed still running does not
+        advance it (a snapshot taken inside one re-feeds that row), nor
+        does a rolled-back feed; rows buffered for the next fold are not
+        covered; a restored snapshot sets it."""
+        return self.rows_folded - self._receiving
 
     def note_queue_depth(self, depth: int) -> None:
         """Latest backpressure observation (rows waiting behind the one
@@ -453,24 +491,52 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         self._queue_depth = depth
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Everything :meth:`restore_state` needs to continue this run.
+        """Everything :meth:`restore_state` needs to continue this run,
+        and none of the input a restarted feeder sends again.
 
         Holds live references (the analysis object included): pickle it
-        before feeding further.  Rows buffered for the next fold are not
-        part of it -- :attr:`resume_position` tells the feeder to
-        re-send them.
+        before feeding further.  Taken inside a feed -- the per-epoch
+        save after epoch ``l`` commits, while row ``l+1`` is being
+        received -- it leaves the newest epoch out, blocks and
+        summaries: :attr:`resume_position` is that epoch's first row,
+        and the restored engine re-runs its step 1 from the re-fed rows
+        (:meth:`_replay`), which reads nothing epoch ``l``'s commit
+        changed.  Taken between feeds (a forced save), the received,
+        uncommitted epoch stays whole, so the position is every row fed.
+        A committed epoch's blocks go as ``(lid, tid, start, length)``:
+        the next epoch's butterflies name them as wings, and no pass
+        reads their events.  Rows buffered for the next fold are not
+        part of it -- the feeder re-sends them.
         """
+        committed = self._next_to_process
+        # The epoch being received when the save runs inside a feed.
+        newest = self._next_to_receive - 1 if self._receiving else None
+        window = self._window.values()
         return {
             "stats": self.stats,
-            # The resident block window (<= 2 epochs at a checkpoint
-            # boundary): what lets a streamed resume seek the reader
-            # forward instead of re-reading the whole prefix.
-            "window": self._window,
+            "retired": [
+                (b.lid, b.tid, b.start, len(b))
+                for b in window if b.lid < committed
+            ],
+            "received": [
+                b for b in window if b.lid >= committed and b.lid != newest
+            ],
+            "summaries": {
+                bid: summary
+                for bid, summary in self.analysis.summaries.items()
+                if bid[0] != newest
+            },
             "window_high_water": self.window_high_water,
             "first_pass_errors": self._first_pass_errors,
-            "next_to_receive": self._next_to_receive,
-            "next_to_process": self._next_to_process,
-            "rows_folded": self.rows_folded,
+            "next_to_receive": (
+                self._next_to_receive if newest is None else newest
+            ),
+            "next_to_process": committed,
+            "rows_folded": self.resume_position,
+            # Rows the restored engine re-runs step 1 on before it goes
+            # on: the epoch left out here, or one a restored snapshot
+            # left out and the feeder has not re-sent yet.
+            "replay_rows": self._receiving or self._replay_rows,
             # ``None`` for a fixed engine -- which is also how a reader
             # tells the two kinds of run apart.
             "boundaries": self.recorded_boundaries,
@@ -497,12 +563,19 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 "analysis object (engine.analysis is not it)"
             )
         self.stats = state["stats"]
-        self._window = state["window"]
+        self._window = {
+            (lid, tid): _RetiredBlock(lid, tid, start, length)
+            for lid, tid, start, length in state["retired"]
+        }
+        for block in state["received"]:
+            self._window[block.block_id] = block
+        self.analysis.summaries.update(state["summaries"])
         self.window_high_water = state["window_high_water"]
         self._first_pass_errors = state["first_pass_errors"]
         self._next_to_receive = state["next_to_receive"]
         self._next_to_process = state["next_to_process"]
         self.rows_folded = state["rows_folded"]
+        self._replay_rows = state["replay_rows"]
         self.recorded_boundaries = state["boundaries"]
         if self.recorder.enabled:
             self.recorder.resume_from(state["events_emitted"])
@@ -538,6 +611,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         self.recorded_boundaries: Optional[List[List[int]]] = None
         self._pending: List[List[Block]] = []
         self._queue_depth = 0
+        #: Producer rows of the analysis epoch being received, while
+        #: :meth:`_commit` runs (0 between feeds).
+        self._receiving = 0
+        #: Rows to re-run step 1 on before a restored run goes on: the
+        #: epoch its snapshot left out (0 once re-run, or when none).
+        self._replay_rows = 0
 
     def close(self) -> None:
         """Shut down an engine-owned backend's worker pool."""
@@ -642,9 +721,8 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                 self.recorder.event(
                     "run.attach", epochs=num_epochs, threads=num_threads
                 )
-        if checkpoint is None:
-            self.analysis.summaries.clear()
-        else:  # the restored analysis carries its summary window
+        self.analysis.summaries.clear()
+        if checkpoint is not None:
             self.restore_state(checkpoint.state)
 
     def feed_epoch(self, lid: int) -> None:
@@ -662,6 +740,11 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         Without a controller the row is analysis epoch ``lid``; with
         one it is buffered, and the buffer folds into one analysis
         epoch once it holds the controller's fold factor of rows.
+
+        A restored engine whose snapshot left its newest epoch out
+        first buffers that epoch's rows and re-runs its step 1
+        (:meth:`_replay`); the epoch's bodies then run with the next
+        row, as they would have.
 
         Failed feeds are atomic at the engine level: a feed that raises
         rolls the engine's receipt bookkeeping (window blocks, block
@@ -693,6 +776,11 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                     f"epoch {lid}: block {tid} carries id "
                     f"{block.block_id}, expected {(lid, tid)}"
                 )
+        if self._replay_rows:
+            self._pending.append(blocks)
+            if len(self._pending) == self._replay_rows:
+                self._replay()
+            return
         if self.controller is None:
             self._commit(lid, blocks, 1)
             return
@@ -734,6 +822,7 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             for tid, block in enumerate(blocks):
                 cuts[tid].append(block.start + len(block))
         self.rows_folded += rows
+        self._receiving = rows
         try:
             self._receive(lid, blocks)
         except Exception:
@@ -751,24 +840,83 @@ class ButterflyEngine(Generic[Summary, SideIn]):
                     del thread_cuts[lid:]
             self._failed = True
             raise
+        finally:
+            self._receiving = 0
+
+    def _replay(self) -> None:
+        """Re-run step 1 on the epoch a restored snapshot left out, from
+        its buffered re-fed rows, cut as the snapshot recorded.
+
+        Quiet: the snapshot already holds what the pass booked the
+        first time -- ``EngineStats``, the analysis's own counters
+        (:attr:`ButterflyAnalysis.replaying`), its flags and events --
+        so it books and emits nothing, and a flag the log does not
+        already hold is an :class:`AnalysisError`.  Any failure leaves
+        the engine failed.
+        """
+        rows, self._pending, self._replay_rows = self._pending, [], 0
+        lid = self._next_to_receive
+        blocks = [
+            merge_block_run(lid, [row[tid] for row in rows])
+            for tid in range(self._num_threads)
+        ]
+        analysis = self.analysis
+        flags = self._error_count()
+        try:
+            cuts = self.recorded_boundaries
+            if cuts is not None and [c[lid] for c in cuts] != [
+                b.start + len(b) for b in blocks
+            ]:
+                raise AnalysisError(
+                    f"epoch {lid}: the re-fed rows do not end at its "
+                    f"recorded cut"
+                )
+            for block in blocks:
+                self._window[block.block_id] = block
+            analysis.replaying = True
+            try:
+                self._first_pass(
+                    analysis, blocks, self._row_scanner(blocks), None
+                )
+            finally:
+                del analysis.replaying  # back to the class's False
+            raised = self._error_count() - flags
+            if raised:
+                raise AnalysisError(
+                    f"epoch {lid}: re-running step 1 raised {raised} "
+                    f"flag(s) the checkpoint does not hold"
+                )
+        except Exception:
+            self._failed = True
+            raise
+        self._next_to_receive += 1
+        self.rows_folded += len(rows)
+
+    def _row_scanner(self, blocks: List[Block]) -> Optional[Scanner]:
+        """The scanner ``blocks``' step 1 fans out with, or ``None`` for
+        the serial schedule."""
+        analysis = self.analysis
+        if (
+            self.backend.concurrent
+            and analysis.parallel_first_pass
+            and len(blocks) > 1
+        ):
+            return analysis._scanner()
+        return None
 
     def _receive(self, lid: int, blocks: List[Block]) -> None:
         analysis = self.analysis
         for block in blocks:
             self._window[block.block_id] = block
-        scanner = (
-            analysis._scanner()
-            if self.backend.concurrent
-            and analysis.parallel_first_pass
-            and len(blocks) > 1
-            else None
-        )
         recorder = self.recorder if self.recorder.enabled else None
         errors_before = 0 if recorder is None else self._error_count()
         with _span(
             recorder, "pass.first", "epoch", lid, "blocks", len(blocks)
         ):
-            self._first_pass(analysis, blocks, scanner, recorder)
+            self._first_pass(
+                analysis, blocks, self._row_scanner(blocks), recorder
+            )
+        self.stats.first_pass_instructions += sum(map(len, blocks))
         self._next_to_receive += 1
         if recorder is not None:
             self._first_pass_errors[lid] = self._error_count() - errors_before
@@ -820,7 +968,6 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         try:
             for block in blocks:
                 summaries[block.block_id] = next(steps)
-                self.stats.first_pass_instructions += len(block)
         finally:
             if staged:
                 analysis.stage_row(())
@@ -844,6 +991,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
             raise AnalysisError(
                 "finish() called before all epochs were fed "
                 f"({received}/{self._expected_epochs})"
+            )
+        if self._replay_rows:
+            raise AnalysisError(
+                "finish() called before the rows of the epoch the "
+                "restored snapshot left out were re-fed (from "
+                f"{self.rows_folded})"
             )
         if self._pending:
             self._fold()

@@ -546,16 +546,17 @@ class ButterflyAddrCheck(ButterflyAnalysis[AddrSummary, Any]):
                 flags += 1
                 if emit:
                     emit_error_event(rec, block, kind, loc, i, "first")
-        self.recorded_accesses += scan.accesses
-        self.block_work[block_id] = {
-            "events": scan.events,
-            "checks": scan.checks,
-            "accesses": scan.accesses,
-            "allocs": scan.allocs,
-            "flags": flags,
-            "meet": 0,
-            "iso": 0,
-        }
+        if not self.replaying:
+            self.recorded_accesses += scan.accesses
+            self.block_work[block_id] = {
+                "events": scan.events,
+                "checks": scan.checks,
+                "accesses": scan.accesses,
+                "allocs": scan.allocs,
+                "flags": flags,
+                "meet": 0,
+                "iso": 0,
+            }
         return summary
 
     # -- step 2: meet (elementwise union of wing summaries) ----------------

@@ -11,8 +11,9 @@ number of memory-accessing events.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.trace.program import GlobalRef
 
@@ -67,10 +68,10 @@ class ErrorLog:
     builds :class:`ErrorReport` objects from :attr:`rows`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[Tuple] = ()) -> None:
         #: The flags, in flag order.  Not to be mutated.
-        self.rows: List[Tuple] = []
-        self._seen: Set[Tuple] = set()
+        self.rows: List[Tuple] = list(rows)
+        self._seen: Set[Tuple] = {row[:4] for row in self.rows}
 
     def record(
         self,
@@ -105,19 +106,33 @@ class ErrorLog:
     def __iter__(self):
         return iter(self.reports)
 
-    def __reduce__(self):
-        # Each flag once: the dedup set is the rows' first four fields.
-        # A reconstructor rather than ``__setstate__``, so an older
-        # layout still unpickles and a checkpoint is refused by version.
-        return (_log_of_rows, (self.rows,))
+
+#: A flag row's ``kind`` and ``detail`` as JSON strings, by value: a
+#: run flags a handful of distinct strings thousands of times.
+_JSON_TEXT: Dict[str, str] = {}
 
 
-def _log_of_rows(rows: List[Tuple]) -> ErrorLog:
-    """The unpickled :class:`ErrorLog` of ``rows``."""
-    log = ErrorLog()
-    log.rows = rows
-    log._seen = {row[:4] for row in rows}
-    return log
+def _json_text(text: str) -> str:
+    encoded = _JSON_TEXT.get(text)
+    if encoded is None:
+        encoded = _JSON_TEXT[text] = json.dumps(text)
+    return encoded
+
+
+def row_lines(rows: Sequence[Tuple]) -> str:
+    """``rows`` as JSON lines, one ``[kind, location, ref, block,
+    detail]`` array each -- the form a REPORT carries a flag in.
+
+    Formatted directly (the fields are a string, an int, two int pairs
+    or ``None``, and a string): ``json.dumps`` per row costs three times
+    as much."""
+    return "".join([
+        f'[{_json_text(kind)},{location},'
+        f'{"null" if ref is None else "[%d,%d]" % ref},'
+        f'{"null" if block is None else "[%d,%d]" % block},'
+        f'{_json_text(detail)}]\n'
+        for kind, location, ref, block, detail in rows
+    ])
 
 
 def emit_error_event(

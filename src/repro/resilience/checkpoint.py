@@ -3,22 +3,36 @@
 The engine's ordered-commit discipline gives a natural safe point: the
 instant epoch ``l``'s bodies have committed and ``SOS_{l+2}`` is
 published, the entire analysis state is a deterministic function of the
-trace prefix.  A :class:`Checkpointer` snapshots exactly that state --
-the analysis object (the live SOS and its per-epoch deltas, the
-window of block summaries the engine keeps on it, error log), the
-engine's window of blocks, its ``EngineStats``/progress counters and,
-on an adaptive run, the boundary stream recorded so far
-(``ButterflyEngine.snapshot_state()``) -- after each committed epoch.
+trace prefix.  A :class:`Checkpointer` saves, after each committed
+epoch, what neither that prefix nor the committed state can give back
+(``ButterflyEngine.snapshot_state()``): the analysis object (the live
+SOS and its per-epoch deltas, its per-epoch indexes and counters), the
+summaries of the committed epoch, the engine's ``EngineStats`` and
+progress counters and, on an adaptive run, the boundary stream recorded
+so far.  No event crosses into it: a committed epoch's blocks go as
+their addresses, and the epoch being received is left out -- its rows
+are re-fed on resume and its first pass re-run, quietly.  (A forced
+save between feeds, the daemon's on a failing stream, keeps the
+received epoch whole, so it resumes at every row fed.)
+
+A save is two files.  The flags go to a *segment* beside the snapshot
+(:func:`flags_path`): JSON lines, one ``[kind, location, ref, block,
+detail]`` row each, the form a REPORT carries a flag in, and each save
+appends only the rows raised since the previous one.  The snapshot
+itself is a pickle recording how many rows of the segment it committed;
+a load reads exactly that many and ignores a longer tail (torn, or
+appended by a save that never committed).
 
 Snapshots are written with the classic atomic-rename protocol (write to
 a sibling temp file, fsync, ``os.replace``), so a checkpoint file on
 disk is always a complete, loadable snapshot no matter when the writer
-was killed.  The protocol has two halves: :func:`write_snapshot` pickles
-the state into the temp file and must run at the epoch boundary (the
-only instant the state is consistent); :func:`commit_snapshot` makes it
-durable and may run later, on another thread.  :func:`save_checkpoint`
-does both inline; a :class:`CheckpointWriter` runs the second half in
-the background for the serve daemon, one writer per shard.
+was killed.  The protocol has two halves: :func:`write_snapshot` appends
+the new flags and pickles the state into the temp file, and must run at
+the epoch boundary (the only instant the state is consistent);
+:func:`commit_snapshot` makes both durable -- the segment first -- and
+may run later, on another thread.  :func:`save_checkpoint` does both
+inline; a :class:`CheckpointWriter` runs the second half in the
+background -- one per serve shard, one per ``repro check`` run.
 
 A checkpoint embeds a ``meta`` fingerprint of the run configuration
 (workload, seed, epoch size, lifeguard, trace digest).  A rerun ``repro
@@ -37,11 +51,17 @@ bit-identical to an uninterrupted one (the equivalence tests in
 
 from __future__ import annotations
 
+import copyreg
+import io
+import itertools
+import json
 import os
 import pickle
 import threading
 import uuid
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import CheckpointError
 
@@ -49,11 +69,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.framework import ButterflyEngine
 
 FORMAT = "repro-checkpoint"
-#: The pickled state's layout; any other version is refused.  Version 8:
-#: the error log as its report rows, after the SOS as its initial set
-#: plus gains and losses (7), the one summary window on the analysis
-#: (6), TaintCheck's rule columns (5) and the footprints (4).
-VERSION = 8
+#: The pickled state's layout; any other version is refused.  Version 9:
+#: the flags in the segment beside the snapshot, no block's events and
+#: no summary of the epoch being received, after the error log as its
+#: report rows (8), the SOS as its initial set plus gains and losses
+#: (7), the one summary window on the analysis (6), TaintCheck's rule
+#: columns (5) and the footprints (4).
+VERSION = 9
+
+
+def flags_path(path: str) -> str:
+    """The flag segment beside the checkpoint at ``path``."""
+    return path + ".flags"
 
 
 def _unlink_quietly(path: str) -> None:
@@ -63,53 +90,114 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
-def write_snapshot(
-    path: str, engine: "ButterflyEngine", meta: Dict[str, Any]
-) -> str:
-    """Pickle ``engine`` (and its analysis) into a fresh sibling temp
-    file of ``path``, without ``fsync``; returns the temp file's path.
-
-    The first half of a save, and the half that must run at the epoch
-    boundary.  The pickle streams into the file rather than through an
-    in-memory copy.  The analysis's recorder is detached during
-    pickling (a live sink holds an open file handle); resume re-attaches
-    whatever recorder the resuming run configures.
-    """
-    # Unique: one snapshot of a path can be committing while the fold
-    # writes the next.
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    analysis = engine.analysis
-    had_recorder = "recorder" in analysis.__dict__
-    saved_recorder = analysis.__dict__.pop("recorder", None)
-    try:
-        with open(tmp, "xb") as fh:
-            pickle.dump(
-                {
-                    "format": FORMAT,
-                    "version": VERSION,
-                    "meta": dict(meta),
-                    "engine": engine.snapshot_state(),
-                },
-                fh,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-    except BaseException:
-        _unlink_quietly(tmp)
-        raise
-    finally:
-        if had_recorder:
-            analysis.recorder = saved_recorder
-    return tmp
+def remove_checkpoint(path: str) -> None:
+    """Delete the checkpoint at ``path`` and its flag segment (what is
+    absent already is fine): the run is complete."""
+    _unlink_quietly(path)
+    _unlink_quietly(flags_path(path))
 
 
-def commit_snapshot(tmp: str, path: str) -> None:
-    """The second half of a save: ``fsync`` the temp file written by
-    :func:`write_snapshot` and atomically rename it onto ``path``."""
-    fd = os.open(tmp, os.O_RDONLY)
+def _fsync(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _empty_log(log: Any) -> Tuple:
+    return type(log), ()
+
+
+#: The array element types a snapshot holds, by the code it records.
+_ARRAY_TYPES = {"i8": np.int64, "u1": np.uint8, "b1": np.bool_}
+
+
+def _reduce_array(array: np.ndarray) -> Tuple:
+    # Raw bytes under a code from a fixed table: unpickling numpy's own
+    # form runs dtype and buffer reconstructors that a damaged file can
+    # crash the process in, where this raises.
+    code = f"{array.dtype.kind}{array.dtype.itemsize}"
+    if _ARRAY_TYPES.get(code) is not array.dtype.type:
+        raise TypeError(f"no checkpoint form for a {array.dtype} array")
+    return _load_array, (code, array.shape, array.tobytes())
+
+
+def _load_array(code: str, shape: Tuple[int, ...], data: bytes) -> Any:
+    return np.frombuffer(data, dtype=_ARRAY_TYPES[code]).reshape(shape)
+
+
+def _write_file(path: str, data: Any, flags: int) -> None:
+    """``data`` written to ``path`` opened with ``flags``, unbuffered:
+    one ``write`` unless the disk takes less."""
+    view = memoryview(data)
+    fd = os.open(path, os.O_WRONLY | flags, 0o644)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def write_snapshot(
+    path: str, engine: "ButterflyEngine", meta: Dict[str, Any],
+    saved_flags: int = 0,
+) -> str:
+    """Append the flags raised since the first ``saved_flags`` to the
+    segment beside ``path`` (all of them, afresh, when it is 0), then
+    pickle ``engine``'s snapshot into a fresh sibling temp file of
+    ``path``, neither fsynced; returns the temp file's path.
+
+    The first half of a save, and the half that must run at the epoch
+    boundary.
+    """
+    from repro.lifeguards.reports import row_lines
+
+    log = getattr(engine.analysis, "errors", None)
+    if log is not None:
+        _write_file(
+            flags_path(path),
+            row_lines(log.rows[saved_flags:]).encode(),
+            os.O_CREAT | (os.O_APPEND if saved_flags else os.O_TRUNC),
+        )
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {
+        **copyreg.dispatch_table, np.ndarray: _reduce_array,
+    }
+    if log is not None:
+        # Its rows are in the segment: the log goes empty.
+        pickler.dispatch_table[type(log)] = _empty_log
+    pickler.dump({
+        "format": FORMAT,
+        "version": VERSION,
+        "meta": dict(meta),
+        "engine": engine.snapshot_state(),
+        # The segment beside it, by name (a temp file is loaded too),
+        # and the rows of it this snapshot commits.
+        "flags": None if log is None else (
+            os.path.basename(flags_path(path)), len(log)
+        ),
+    })
+    # Unique: one snapshot of a path can be committing while the fold
+    # writes the next.
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        _write_file(tmp, buffer.getbuffer(), os.O_CREAT | os.O_EXCL)
+    except BaseException:
+        _unlink_quietly(tmp)
+        raise
+    return tmp
+
+
+def commit_snapshot(tmp: str, path: str) -> None:
+    """The second half of a save: ``fsync`` the flag segment and the
+    temp file written by :func:`write_snapshot`, then atomically rename
+    the temp file onto ``path``."""
+    segment = flags_path(path)
+    if os.path.exists(segment):
+        _fsync(segment)
+    _fsync(tmp)
     os.replace(tmp, path)
 
 
@@ -131,6 +219,41 @@ def discard_temps(path: str) -> None:
             _unlink_quietly(os.path.join(directory, entry))
 
 
+def _read_flags(segment: str, count: int) -> List[Tuple]:
+    """The first ``count`` rows of ``segment``; a torn or uncommitted
+    tail is ignored."""
+    lines: List[bytes] = []
+    if count:
+        with open(segment, "rb") as fh:
+            lines = list(itertools.islice(fh, count))
+        if lines and not lines[-1].endswith(b"\n"):
+            lines.pop()  # torn
+    if len(lines) < count:
+        raise CheckpointError(
+            f"{segment} holds {len(lines)} of the {count} flag rows its "
+            f"checkpoint committed"
+        )
+    return [
+        (
+            kind, location,
+            None if ref is None else tuple(ref),
+            None if block is None else tuple(block),
+            detail,
+        )
+        for kind, location, ref, block, detail
+        in json.loads(b"[" + b",".join(lines) + b"]")
+    ]
+
+
+def _cut_flags(path: str, count: int) -> None:
+    """Cut the segment beside ``path`` back to its first ``count`` rows,
+    dropping a tail no snapshot committed."""
+    with open(flags_path(path), "r+b") as fh:
+        for _ in range(count):
+            fh.readline()
+        fh.truncate()
+
+
 class CheckpointWriter:
     """Commits snapshots in the background: the serve daemon's one disk
     owner per shard.
@@ -140,8 +263,11 @@ class CheckpointWriter:
     :func:`commit_snapshot`.  Latest wins per checkpoint path: a temp
     submitted while an older one for the same path still waits
     supersedes it, and the older temp is unlinked, never renamed.  A
-    failed commit is kept per path until :meth:`failure`, :meth:`settle`
-    or :meth:`flush` hands it to the stream's next command.
+    completed stream's checkpoint is removed the same way
+    (:meth:`remove`), so no late rename outlives it and nobody waits for
+    its commit.  A failed commit is kept per path until :meth:`failure`,
+    :meth:`settle` or :meth:`flush` hands it to the stream's next
+    command.
 
     Moving the commit off the fold changes only when a snapshot becomes
     durable, never what it holds: that is fixed at its epoch boundary.
@@ -150,16 +276,18 @@ class CheckpointWriter:
     def __init__(self, name: str = "repro-checkpoint-writer") -> None:
         self._name = name
         self._cond = threading.Condition()
-        #: path -> the newest uncommitted temp for it.
-        self._pending: Dict[str, str] = {}
+        #: path -> the newest uncommitted temp for it, or ``None`` for
+        #: a queued removal.
+        self._pending: Dict[str, Optional[str]] = {}
         self._committing: Optional[str] = None
         self._failed: Dict[str, BaseException] = {}
         self._thread: Optional[threading.Thread] = None
         self._closing = False
 
-    def submit(self, path: str, tmp: str) -> None:
-        """Queue ``tmp`` for commit onto ``path``, superseding any older
-        uncommitted temp for the same path."""
+    def submit(self, path: str, tmp: Optional[str]) -> None:
+        """Queue ``tmp`` for commit onto ``path`` (``None``: the removal
+        of ``path``'s checkpoint), superseding any older uncommitted
+        temp for the same path."""
         with self._cond:
             superseded = self._pending.pop(path, None)
             self._pending[path] = tmp
@@ -184,16 +312,24 @@ class CheckpointWriter:
             f"{type(exc).__name__}: {exc}"
         )
 
+    def remove(self, path: str) -> None:
+        """Delete ``path``'s checkpoint and flag segment once its
+        in-flight commit is through, dropping its uncommitted temp: the
+        stream is complete."""
+        self.submit(path, None)
+
     def settle(self, path: str) -> Optional[CheckpointError]:
         """Drop ``path``'s uncommitted temp and wait out its in-flight
-        commit, so nothing renames onto ``path`` until the next
-        :meth:`submit`; then :meth:`failure`."""
+        commit and a queued removal, so nothing renames onto ``path``
+        until the next :meth:`submit`; then :meth:`failure`."""
         with self._cond:
-            superseded = self._pending.pop(path, None)
+            superseded = self._pending.get(path)
+            if superseded is not None:
+                del self._pending[path]
         if superseded is not None:
             _unlink_quietly(superseded)
         with self._cond:
-            while self._committing == path:
+            while self._committing == path or path in self._pending:
                 self._cond.wait()
         return self.failure(path)
 
@@ -225,11 +361,14 @@ class CheckpointWriter:
                 tmp = self._pending.pop(path)
                 self._committing = path
             failure: Optional[BaseException] = None
-            try:
-                commit_snapshot(tmp, path)
-            except Exception as exc:
-                _unlink_quietly(tmp)
-                failure = exc
+            if tmp is None:
+                remove_checkpoint(path)
+            else:
+                try:
+                    commit_snapshot(tmp, path)
+                except Exception as exc:
+                    _unlink_quietly(tmp)
+                    failure = exc
             with self._cond:
                 self._committing = None
                 if failure is not None:
@@ -295,8 +434,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     and a damaged pickle raises whatever its mangled opcodes run into
     (``UnicodeDecodeError``, ``MemoryError``, ``KeyError``, ...), so
     every failure of the load or the shape checks is a
-    :class:`CheckpointError` naming the path.
+    :class:`CheckpointError` naming the path.  The analysis's error log
+    is the first rows of the flag segment, as many as the snapshot
+    committed.
     """
+    from repro.lifeguards.reports import ErrorLog
+
     try:
         with open(path, "rb") as fh:
             raw = pickle.load(fh)
@@ -313,6 +456,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"{path} is not a readable checkpoint: meta and engine "
                 "must be records"
             )
+        if raw["flags"] is not None:
+            name, count = raw["flags"]
+            segment = os.path.join(os.path.dirname(path), name)
+            state["analysis"].errors = ErrorLog(_read_flags(segment, count))
     except CheckpointError:
         raise
     except OSError as exc:
@@ -357,6 +504,11 @@ class Checkpointer:
     inline.  With one (the serve daemon's shard writer), the per-epoch
     saves write the snapshot on the fold and hand the commit to the
     writer; :meth:`save_now` stays inline and flushes first.
+
+    Each save appends the flags raised since the previous one to the
+    segment.  The first save of a fresh run starts the segment over; the
+    first of a restored one first cuts it back to the rows the restored
+    snapshot committed.
     """
 
     def __init__(
@@ -377,6 +529,9 @@ class Checkpointer:
         #: before the first, of the one the engine was restored from
         #: (``enable_checkpoints`` sets it; 0 means none).
         self.position = 0
+        #: Flag rows in the segment, on the same terms (0: a fresh run).
+        self.flags = 0
+        self._segment_checked = False
 
     def save_now(self, engine: "ButterflyEngine") -> None:
         """Write one snapshot immediately (the forced-save entry point
@@ -386,8 +541,7 @@ class Checkpointer:
         supersedes a failed background commit)."""
         if self.writer is not None:
             self.writer.settle(self.path)
-        save_checkpoint(self.path, engine, self.meta)
-        self.position = engine.resume_position
+        commit_snapshot(self._write(engine), self.path)
 
     def flush(self) -> None:
         """Make the newest snapshot written durable without taking a new
@@ -399,14 +553,22 @@ class Checkpointer:
             if failure is not None:
                 raise failure
 
+    def _write(self, engine: "ButterflyEngine") -> str:
+        """The first half of a save, past the flags already written."""
+        if not self._segment_checked:
+            if self.flags:
+                _cut_flags(self.path, self.flags)
+            self._segment_checked = True
+        tmp = write_snapshot(self.path, engine, self.meta, self.flags)
+        self.position = engine.resume_position
+        self.flags = len(getattr(engine.analysis, "errors", ()))
+        return tmp
+
     def _save_epoch(self, engine: "ButterflyEngine") -> None:
         if self.writer is None:
             self.save_now(engine)
         else:
-            self.writer.submit(
-                self.path, write_snapshot(self.path, engine, self.meta)
-            )
-            self.position = engine.resume_position
+            self.writer.submit(self.path, self._write(engine))
 
     def after_epoch(self, engine: "ButterflyEngine", lid: int) -> None:
         if (lid + 1) % self.every:

@@ -93,7 +93,6 @@ from repro.serve.shards import (
     SHARD_BACKENDS,
     StreamHandle,
     make_guard,
-    stream_checkpoint_path,
 )
 
 __all__ = [
@@ -238,6 +237,8 @@ class StreamSession:
         self.resume_epoch = 0
         self.next_epoch = 0
         self.ended = False
+        #: The REPORT was sent: closing the engine deletes the checkpoint.
+        self.completed = False
         #: Set by the shed rung / drain / a failed consumer to stop the
         #: read loop at the next frame boundary.
         self.stopped: Optional[str] = None
@@ -290,12 +291,6 @@ class StreamSession:
         )
 
     # -- engine setup ---------------------------------------------------
-
-    @property
-    def checkpoint_path(self) -> Optional[str]:
-        return stream_checkpoint_path(
-            self.server.config.checkpoint_dir, self.token
-        )
 
     async def open_engine(self) -> None:
         """Fresh engine, or one restored from this stream's checkpoint,
@@ -673,7 +668,7 @@ class ReproServer:
                 self.sessions.pop(session.stream_id, None)
                 self._gauge_active()
                 if session.engine is not None:
-                    await session.engine.close()
+                    await session.engine.close(session.completed)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -820,9 +815,9 @@ class ReproServer:
             session.stream_id, session.hello
         )
         await session.send(FRAME_REPORT, report)
-        path = session.checkpoint_path
-        if path is not None and os.path.exists(path):
-            os.unlink(path)  # the run is complete; nothing to resume
+        # The run is complete: closing the engine deletes its checkpoint
+        # on the shard, off this loop.
+        session.completed = True
         self.count("streams_completed")
         self.emit(
             "completed",

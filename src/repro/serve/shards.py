@@ -15,10 +15,11 @@ and a malformed record fails as that feed.  Each per-epoch checkpoint
 is pickled on the fold, at the epoch boundary, into a temp file; the
 shard's :class:`~repro.resilience.checkpoint.CheckpointWriter` thread
 does the ``fsync`` and rename off the fold path, latest-wins per
-stream.  A forced save (``checkpoint``) is a flush and ``report``
-discards the stream's uncommitted snapshot, so neither an ``ERROR``
-frame's resume epoch nor a finished stream's deleted checkpoint can be
-overtaken by a late commit.
+stream.  A forced save (``checkpoint``) is a flush, so an ``ERROR``
+frame's resume epoch is on disk; ``close`` of a stream whose REPORT was
+sent queues the removal of its snapshot and flag segment on the writer,
+behind its last commit, so no late rename resurrects a finished
+stream's checkpoint and nothing waits for one.
 
 The two shard kinds differ only in where the table lives:
 
@@ -243,18 +244,19 @@ class _ShardTable:
             # A flush: what is on disk afterwards is what the ERROR names.
             return engine.checkpoint_now()
         if command == "close":
+            _token, completed = args
             engine.close()
             del self.streams[token]
             if path is not None:
                 self.writer.failure(path)  # nobody is left to tell
+                if completed:
+                    # The REPORT went out: nothing is left to resume.
+                    # The writer removes it after its last commit, so a
+                    # late rename cannot resurrect it.
+                    self.writer.remove(path)
             return None
         if path is not None:
-            # report waits for the stream's last commit, so a late
-            # rename cannot resurrect the checkpoint of a finished run.
-            failure = (
-                self.writer.settle(path) if command == "report"
-                else self.writer.failure(path)
-            )
+            failure = self.writer.failure(path)
             if failure is not None:
                 raise failure
         if command == "feed":
@@ -326,13 +328,15 @@ class StreamHandle:
             "checkpoint", self._token
         )
 
-    async def close(self) -> None:
-        """Release the engine's resources (never raises)."""
+    async def close(self, completed: bool = False) -> None:
+        """Release the engine's resources (never raises); once the
+        stream's REPORT was sent (``completed``), delete its checkpoint
+        too."""
         if self._closed:
             return
         self._closed = True
         try:
-            await self._shard.call("close", self._token)
+            await self._shard.call("close", self._token, completed)
         except Exception:
             # A dead worker (or a shard already shut down) has nothing
             # to close; resume covers it.

@@ -150,7 +150,6 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
             else:
                 for loc in instr.accessed:
                     accesses += 1
-                    self.recorded_accesses += 1
                     access.add(loc)
                     first_access.setdefault(loc, i)
                     if self.use_idempotent_filter and loc in checked:
@@ -168,15 +167,17 @@ class ReferenceAddrCheck(ButterflyAddrCheck):
                                 rec, block, ErrorKind.ACCESS_UNALLOCATED,
                                 loc, i, "first",
                             )
-        self.block_work[block.block_id] = {
-            "events": events,
-            "checks": checks,
-            "accesses": accesses,
-            "allocs": allocs,
-            "flags": len(self.errors) - flags_before,
-            "meet": 0,
-            "iso": 0,
-        }
+        if not self.replaying:
+            self.recorded_accesses += accesses
+            self.block_work[block.block_id] = {
+                "events": events,
+                "checks": checks,
+                "accesses": accesses,
+                "allocs": allocs,
+                "flags": len(self.errors) - flags_before,
+                "meet": 0,
+                "iso": 0,
+            }
         return summary
 
     # -- step 2: meet (elementwise union of wing summaries) ----------------

@@ -30,6 +30,11 @@ CHECK_ARGS = [
     "check", "--benchmark", "OCEAN", "--threads", "2",
     "--events", "3000", "--epoch-size", "256",
 ]
+#: A run that flags from its first epochs on.
+FLAGGING_ARGS = [
+    "check", "--benchmark", "OCEAN", "--threads", "4",
+    "--events", "8000", "--epoch-size", "1024",
+]
 
 
 def _one_line_error(capsys, command):
@@ -177,6 +182,55 @@ class TestResume:
         assert main(CHECK_ARGS + ["--checkpoint", ck]) == 0
         assert capsys.readouterr().out == full
         assert not os.path.exists(stray)
+
+    def test_a_torn_flag_row_is_ignored_on_rerun(self, tmp_path, capsys):
+        # A save appends its flags before its snapshot commits: half a
+        # row past the committed count changes nothing, and the rerun's
+        # first save cuts it off.
+        ck = str(tmp_path / "run.ckpt")
+        assert main(FLAGGING_ARGS) == 0
+        full = capsys.readouterr().out
+        assert main(
+            FLAGGING_ARGS + ["--checkpoint", ck, "--stop-after-epoch", "4"]
+        ) == 0
+        capsys.readouterr()
+        committed = len(load_checkpoint(ck).analysis.errors)
+        with open(ck + ".flags", "a") as fh:
+            fh.write('["access-unallocated",12,[0,')
+        assert main(FLAGGING_ARGS + ["--checkpoint", ck]) == 0
+        assert capsys.readouterr().out == full
+        with open(ck + ".flags") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert len(rows) == len(load_checkpoint(ck).analysis.errors)
+        assert len(rows) > committed
+
+    def test_a_short_flag_segment_is_refused(self, tmp_path, capsys):
+        ck = str(tmp_path / "run.ckpt")
+        assert main(FLAGGING_ARGS + ["--checkpoint", ck]) == 0
+        capsys.readouterr()
+        with open(ck + ".flags") as fh:
+            first = fh.readline()
+        with open(ck + ".flags", "w") as fh:
+            fh.write(first)
+        assert main(FLAGGING_ARGS + ["--checkpoint", ck]) == 2
+        assert "flag rows its checkpoint committed" in _one_line_error(
+            capsys, "check"
+        )
+
+    def test_a_failed_background_commit_is_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.resilience import checkpoint
+
+        def commit(tmp, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint, "commit_snapshot", commit)
+        ck = str(tmp_path / "run.ckpt")
+        assert main(CHECK_ARGS + ["--checkpoint", ck]) == 2
+        message = _one_line_error(capsys, "check")
+        assert f"checkpoint commit to {ck} failed" in message
+        assert "No space left on device" in message
 
     def test_version_1_checkpoint_is_refused(self, tmp_path, capsys):
         ck = str(tmp_path / "run.ckpt")

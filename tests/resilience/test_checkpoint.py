@@ -3,6 +3,8 @@
 import copyreg
 import errno
 import gc
+import io
+import json
 import os
 import pickle
 import random
@@ -23,9 +25,11 @@ from repro.core.framework import ButterflyEngine
 from repro.core.state import LocationRuns, SOSHistory
 from repro.core.stream import EpochSource
 from repro.errors import CheckpointError
-from repro.core.columnar import SortedFirstAccess
+from repro import cli
+from repro.core.columnar import ColumnarBlock, SortedFirstAccess
 from repro.lifeguards.addrcheck import AddrSummary, ButterflyAddrCheck
 from repro.lifeguards.reports import ErrorKind, ErrorLog
+from repro.lifeguards.racecheck import ButterflyRaceCheck
 from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
@@ -127,7 +131,8 @@ class TestSaveLoadRoundtrip:
         reference = _run_uninterrupted(part)
         path = str(tmp_path / "run.ckpt")
 
-        # Kill the run after feeding epoch 2 (checkpoint covers epoch 1).
+        # Kill the run after feeding epoch 2 (checkpoint covers epoch 1;
+        # epoch 2, received as it was taken, is re-fed).
         guard = ButterflyAddrCheck()
         engine = ButterflyEngine(guard)
         engine.enable_checkpoints(Checkpointer(path, META))
@@ -137,7 +142,7 @@ class TestSaveLoadRoundtrip:
 
         ck = load_checkpoint(path)
         assert ck.meta == META
-        assert ck.next_epoch == 3
+        assert ck.next_epoch == 2
         resumed = ButterflyEngine(ck.analysis)
         resumed.attach(part, ck)
         for lid in range(ck.next_epoch, part.num_epochs):
@@ -234,7 +239,7 @@ class TestStreamedResume:
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
 
         ck = load_checkpoint(path)
-        assert ck.next_epoch == 3
+        assert ck.next_epoch == 2
         resumed = ButterflyEngine(ck.analysis)
         resumed.attach_source(PartitionSource(part), ck)
         self._feed_stream(resumed, PartitionSource(part), ck.next_epoch)
@@ -268,9 +273,10 @@ class TestStreamedResume:
         # arrays), version 5 (TaintCheck summaries pickle rule columns),
         # version 6 (the analysis carries the one summary window),
         # version 7 (the SOS pickles as gains and losses on its initial
-        # set) and version 8 (the error log pickles its report rows);
-        # a file from any previous writer is refused up front instead of
-        # being half-understood.
+        # set), version 8 (the error log pickles its report rows) and
+        # version 9 (the flags in a segment beside the snapshot, no
+        # block's events); a file from any previous writer is refused
+        # up front instead of being half-understood.
         from repro.core.stream import PartitionSource
 
         part = partition_by_global_order(_program(), 8)
@@ -280,7 +286,7 @@ class TestStreamedResume:
         engine.attach_source(PartitionSource(part))
         self._feed_stream(engine, PartitionSource(part), 0, stop_after=3)
         load_checkpoint(path)  # this build's own version loads
-        for older in (1, 2, 3, 4, 5, 6, 7):
+        for older in (1, 2, 3, 4, 5, 6, 7, 8):
             stamp_version(path, older)
             with pytest.raises(
                 CheckpointError,
@@ -410,7 +416,9 @@ class TestCheckpointerPolicy:
         engine.enable_checkpoints(Checkpointer(path, META))
         engine.run(part)
         assert os.path.exists(path)
-        assert os.listdir(tmp_path) == ["atomic.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "atomic.ckpt", "atomic.ckpt.flags",
+        ]
 
 
 def _engine_at_epoch(epochs=3):
@@ -423,23 +431,27 @@ def _engine_at_epoch(epochs=3):
 
 class TestTwoHalfSave:
     def test_file_is_one_pickle_of_the_record(self, tmp_path):
-        """Pickling straight into the temp file changed nothing on
-        disk: version 8, the same bytes as one ``pickle.dumps``."""
+        """Version 9: one pickle of the record, its error log empty --
+        the flags are the segment's lines, as many as it names."""
         engine = _engine_at_epoch()
+        rows = engine.analysis.errors.rows
+        assert rows
         path = str(tmp_path / "run.ckpt")
         save_checkpoint(path, engine, META)
-        assert checkpoint.VERSION == 8
-        expected = pickle.dumps(
-            {
-                "format": "repro-checkpoint",
-                "version": 8,
-                "meta": META,
-                "engine": engine.snapshot_state(),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        assert checkpoint.VERSION == 9
         with open(path, "rb") as fh:
-            assert fh.read() == expected
+            record = pickle.load(fh)
+            assert fh.read() == b""
+        assert sorted(record) == [
+            "engine", "flags", "format", "meta", "version",
+        ]
+        assert record["version"] == 9
+        assert record["flags"] == ("run.ckpt.flags", len(rows))
+        assert not record["engine"]["analysis"].errors.rows
+        with open(path + ".flags", encoding="utf-8") as fh:
+            assert [json.loads(line) for line in fh] == json.loads(
+                json.dumps(rows)
+            )
 
     def test_a_snapshot_is_durable_only_once_committed(self, tmp_path):
         engine = _engine_at_epoch()
@@ -450,7 +462,7 @@ class TestTwoHalfSave:
         assert tmp.endswith(".tmp")
         assert not os.path.exists(path)
         commit_snapshot(tmp, path)
-        assert os.listdir(tmp_path) == ["run.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == ["run.ckpt", "run.ckpt.flags"]
         assert load_checkpoint(path).next_epoch == engine.resume_position
 
     def test_discard_temps_removes_only_this_paths_temps(self, tmp_path):
@@ -485,7 +497,7 @@ class TestResumeRule:
         loaded = resume_checkpoint(path, dict(META))
         assert loaded.meta == META
         assert loaded.next_epoch == engine.resume_position
-        assert os.listdir(tmp_path) == ["run.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == ["run.ckpt", "run.ckpt.flags"]
 
     @pytest.mark.parametrize(
         "meta, named",
@@ -559,6 +571,24 @@ class TestCheckpointWriter:
         assert committed == [a, c]
         assert os.listdir(tmp_path) == ["s.ckpt"]
         assert (tmp_path / "s.ckpt").read_text() == "c"
+
+    def test_a_removal_runs_after_the_inflight_commit(
+        self, tmp_path, gated_commits
+    ):
+        gate, started, committed = gated_commits
+        writer = CheckpointWriter()
+        path = str(tmp_path / "s.ckpt")
+        writer.submit(path, _temp(tmp_path, "a"))
+        assert started.acquire(timeout=10.0)  # a is in flight
+        b = _temp(tmp_path, "b")
+        writer.submit(path, b)
+        writer.remove(path)
+        assert not os.path.exists(b)  # superseded by the removal
+        threading.Timer(0.2, gate.set).start()
+        assert writer.settle(path) is None  # a, then the removal
+        assert len(committed) == 1
+        assert os.listdir(tmp_path) == []
+        writer.close()
 
     def test_streams_do_not_supersede_each_other(self, tmp_path):
         writer = CheckpointWriter()
@@ -691,8 +721,9 @@ class TestCheckpointWriter:
         cp.save_now(engine)
         assert len(committed) == 2  # a, then the forced save
         writer.close()
-        assert os.listdir(tmp_path) == ["s.ckpt"]
-        assert load_checkpoint(path).next_epoch == engine.resume_position
+        assert sorted(os.listdir(tmp_path)) == ["s.ckpt", "s.ckpt.flags"]
+        assert load_checkpoint(path).next_epoch == cp.position
+        assert cp.position == engine.resume_position
 
     def test_per_epoch_saves_go_through_the_writer(self, tmp_path):
         part = partition_by_global_order(_program(), 8)
@@ -708,7 +739,7 @@ class TestCheckpointWriter:
         writer.close()
         assert writer.failure(path) is None
         ck = load_checkpoint(path)
-        assert ck.next_epoch == 3
+        assert ck.next_epoch == 2
         resumed = ButterflyEngine(ck.analysis)
         resumed.attach(part, ck)
         for lid in range(ck.next_epoch, part.num_epochs):
@@ -770,10 +801,9 @@ class TestCheckpointSize:
     def test_a_midstream_snapshot_holds_only_the_engines_window(
         self, tmp_path
     ):
-        """A checkpoint after epoch ``l`` carries the summaries of the
-        epochs the engine still holds (``l`` and ``l+1``, beside their
-        blocks) and no other: the retired epoch ``l-1`` is nowhere in
-        the file, on the analysis or off it."""
+        """A checkpoint after epoch ``l`` carries the summaries of ``l``
+        alone: the retired ``l-1`` is nowhere in the file, and ``l+1``,
+        received as the save ran, is re-fed and its step 1 re-run."""
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
 
@@ -783,11 +813,73 @@ class TestCheckpointSize:
         before = alive()
         ck = load_checkpoint(path)
         loaded = alive() - before
-        assert ck.next_epoch == 3
-        held = {key[0] for key in ck.state["window"]}
-        assert {key[0] for key in ck.analysis.summaries} == held == {1, 2}
-        assert loaded == len(ck.analysis.summaries) == 2 * 3
+        assert ck.next_epoch == 2
+        assert ck.state["replay_rows"] == 1
+        assert {lid for lid, _, _, _ in ck.state["retired"]} == {1}
+        assert not ck.state["received"]
+        assert {key[0] for key in ck.state["summaries"]} == {1}
+        assert not ck.analysis.summaries
+        assert loaded == len(ck.state["summaries"]) == 3
 
+    @pytest.mark.parametrize("lifeguard", ["addrcheck", "taintcheck", "race"])
+    def test_no_column_crosses_into_a_snapshot(self, lifeguard):
+        """Every per-epoch save pickles without meeting a block's
+        events."""
+
+        class NoColumns(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is ColumnarBlock:
+                    raise AssertionError("a block's events were pickled")
+                return NotImplemented
+
+        class Boundaries:
+            """Pickles the snapshot at every epoch boundary."""
+
+            position = flags = saves = 0
+
+            def after_epoch(self, engine, lid):
+                NoColumns(io.BytesIO()).dump(engine.snapshot_state())
+                self.saves += 1
+
+        if lifeguard == "taintcheck":
+            source, guard = _taint_source(), ButterflyTaintCheck()
+        else:
+            source = _alloc_source()
+            guard = (
+                ButterflyRaceCheck() if lifeguard == "race"
+                else ButterflyAddrCheck(source.preallocated)
+            )
+        boundaries = Boundaries()
+        engine = ButterflyEngine(guard)
+        engine.enable_checkpoints(boundaries)
+        engine.attach_source(source)
+        for lid, row in enumerate(source.epochs()):
+            engine.feed_blocks(lid, row)
+        engine.finish()
+        assert boundaries.saves == source.num_epochs
+        assert len(guard.errors) > 0
+
+    def test_a_late_save_costs_what_an_early_one_does(self, tmp_path):
+        """OCEAN 4 x 115,000 at h = 2,048: the snapshot at epoch 52 is
+        the size of the one at epoch 4, and the flag segment grows by
+        the same bytes a flag."""
+        sizes = {}
+        for epoch in (4, 52):
+            path = str(tmp_path / f"e{epoch}.ckpt")
+            assert cli.main([
+                "check", "--benchmark", "OCEAN", "--threads", "4",
+                "--events", "115000", "--epoch-size", "2048",
+                "--checkpoint", path, "--stop-after-epoch", str(epoch),
+            ]) in (0, None)
+            flags = len(load_checkpoint(path).analysis.errors)
+            segment = os.path.getsize(checkpoint.flags_path(path))
+            sizes[epoch] = (os.path.getsize(path), flags, segment / flags)
+        (early, early_flags, early_row), (late, late_flags, late_row) = (
+            sizes[4], sizes[52]
+        )
+        assert late_flags > 8 * early_flags
+        assert abs(late - early) < early // 50
+        assert abs(late_row - early_row) < early_row / 20
 
 class TestChurnedSOS:
     """Since ``VERSION`` 7 a checkpoint carries the SOS as its initial set
@@ -827,7 +919,8 @@ class TestChurnedSOS:
         assert sos._live == live_at_cut
         assert type(sos._initial) is LocationRuns
         ck, resumed = _resumed(iter_load(trace), path)
-        assert ck.next_epoch == self.CUT
+        # Row CUT - 1, received as the save ran, is re-fed.
+        assert ck.next_epoch == self.CUT - 1
         assert resumed == reference
 
     def test_a_version_6_file_is_refused_in_one_line(self, tmp_path):
@@ -858,7 +951,7 @@ class TestChurnedSOS:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 6" in message
-        assert "this build reads version 8" in message
+        assert "this build reads version 9" in message
 
 
 class TestErrorLogRows:
@@ -897,7 +990,7 @@ class TestErrorLogRows:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 7" in message
-        assert "this build reads version 8" in message
+        assert "this build reads version 9" in message
 
 
 class _FlakyAddrCheck(ButterflyAddrCheck):
@@ -963,7 +1056,11 @@ class TestEngineResumeSurface:
 
         ck = load_checkpoint(path)
         resumed, _ = self._engine(kind, part, checkpoint=ck)
-        assert resumed.resume_position == ck.next_epoch == self.ROWS
+        # The last save left the newest analysis epoch, received as it
+        # ran, out: its row (or the two folded into it) is re-fed.
+        assert resumed.resume_position == ck.next_epoch == (
+            2 if kind == "adaptive" else 3
+        )
         assert resumed.recorded_boundaries == engine.recorded_boundaries
 
     def test_checkpoint_now_writes_a_loadable_snapshot(self, kind, tmp_path):
@@ -1033,6 +1130,8 @@ def _save_with_mask_fields(path, engine):
             "version": checkpoint.VERSION,
             "meta": META,
             "engine": engine.snapshot_state(),
+            # The error log pickles whole: no segment to read.
+            "flags": None,
         })
 
 
@@ -1111,14 +1210,14 @@ class TestSummaryPickles:
         reference = _streamed(_alloc_source())
         path = str(tmp_path / "run.ckpt")
         _streamed(_alloc_source(), path, stop_after=3)
-        assert checkpoint.VERSION == 8
+        assert checkpoint.VERSION == 9
         ck, resumed = _resumed(_alloc_source(), path)
-        assert ck.next_epoch == 3
+        assert ck.next_epoch == 2
         assert resumed == reference
         assert len(reference[1]) > 0
-        assert all(
-            type(s.first_access) is SortedFirstAccess
-            for s in load_checkpoint(path).analysis.summaries.values()
+        held = load_checkpoint(path).state["summaries"].values()
+        assert held and all(
+            type(s.first_access) is SortedFirstAccess for s in held
         )
 
     def test_facts_with_the_mask_fields_still_resume(self, tmp_path):
@@ -1129,7 +1228,7 @@ class TestSummaryPickles:
         )
         with open(path, "rb") as fh:
             assert b"killed_mask" in fh.read()
-        assert checkpoint.VERSION == 8
+        assert checkpoint.VERSION == 9
         _, resumed = _resumed(_alloc_source(), path)
         assert resumed == reference
         # A checkpoint this build writes does not carry them.
@@ -1180,7 +1279,7 @@ class TestTaintSummaryPickles:
         path = str(tmp_path / "taint.ckpt")
         _taint_run(_taint_source(), path, stop_after=3)
         ck = load_checkpoint(path)
-        assert ck.next_epoch == 3
+        assert ck.next_epoch == 2
         assert _taint_run(_taint_source(), checkpoint=ck) == reference
 
     def test_a_checkpoint_pickles_shared_columns_once(self, tmp_path):
@@ -1192,7 +1291,8 @@ class TestTaintSummaryPickles:
         assert all(len(ids) == 1 for ids in by_row.values())
         path = str(tmp_path / "taint.ckpt")
         save_checkpoint(path, engine, META)
-        restored = load_checkpoint(path).analysis.summaries
+        restored = load_checkpoint(path).state["summaries"]
+        assert sorted(restored) == sorted(engine.analysis.summaries)
         for key, s in engine.analysis.summaries.items():
             back = restored[key]
             assert back.offsets is restored[(key[0], 0)].offsets
@@ -1210,7 +1310,7 @@ class TestTaintSummaryPickles:
         message = str(exc.value)
         assert "\n" not in message
         assert "unsupported checkpoint version 4" in message
-        assert "this build reads version 8" in message
+        assert "this build reads version 9" in message
 
 
 class TestVerify:
@@ -1269,7 +1369,7 @@ class TestLoadFailures:
         with pytest.raises(
             CheckpointError,
             match=r"unsupported checkpoint version 3 \(this build reads "
-            r"version 8\)",
+            r"version 9\)",
         ):
             load_checkpoint(path)
         future = tmp_path / "future.ckpt"

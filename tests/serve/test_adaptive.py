@@ -167,11 +167,13 @@ class TestCheckpointModeGuard:
         with pytest.raises(CheckpointError, match="adaptive-epoch daemon"):
             build_stream_engine(hello, token, ck, 1, "serial", None)
 
-        # The matching mode resumes, in producer-row coordinates.
+        # The matching mode resumes, in producer-row coordinates: the
+        # save after epoch 0 (rows 0-1) committed left out epoch 1, being
+        # received, so its rows 2-3 are re-fed.
         resumed, resume = build_stream_engine(
             hello, token, ck, 1, "serial", self.ADAPTIVE
         )
-        assert resume == 4
+        assert resume == 2
         resumed.close()
 
     def test_adaptive_daemon_refuses_fixed_checkpoint(self, tmp_path):

@@ -74,15 +74,16 @@ def test_kill_between_snapshot_and_commit_resumes_from_the_durable_epoch(
         tmp_path, "a.sock", ck, backend, fault="block-commit-after=2"
     )
     try:
-        # Rows 0-1 first: the fold of epoch 0 snapshots next_epoch 2,
-        # committed before anything can supersede it -- the durable
-        # point.  Every later snapshot stays a temp file.
-        sock = raw_handshake(address, trace, "s1", 2)
+        # Rows 0-2 first: epoch 1's commit, while row 2 is received,
+        # snapshots next_epoch 2 (row 2 is re-fed on resume), committed
+        # before anything can supersede it -- the durable point.  Every
+        # later snapshot stays a temp file.
+        sock = raw_handshake(address, trace, "s1", 3)
         wait_for_checkpoint(ck, min_epoch=2)
-        for line in lines[2:]:
+        for line in lines[3:]:
             sock.sendall(encode_frame(FRAME_EPOCH, line.encode()))
         deadline = time.monotonic() + 20.0
-        # Epoch k's fold snapshots next_epoch k + 2: wait for epoch 3.
+        # Epoch k's commit snapshots next_epoch k + 1: wait for epoch 4.
         while newest_snapshot(ck) < 5:
             assert time.monotonic() < deadline, "the fold never got to 3"
             time.sleep(0.01)
@@ -178,11 +179,11 @@ def test_a_failed_background_commit_fails_the_stream(
     )
     lines = trace_lines(trace_file)
     with ServerThread(config) as daemon:
-        sock = raw_handshake(daemon.address, trace_file, "s1", 2)
+        sock = raw_handshake(daemon.address, trace_file, "s1", 3)
         wait_for_checkpoint(ck, min_epoch=2)
-        sock.sendall(encode_frame(FRAME_EPOCH, lines[2].encode()))
+        sock.sendall(encode_frame(FRAME_EPOCH, lines[3].encode()))
         time.sleep(0.3)  # the commit of the next snapshot fails
-        for line in lines[3:]:
+        for line in lines[4:]:
             sock.sendall(encode_frame(FRAME_EPOCH, line.encode()))
         ftype, payload = read_frame_sync(sock)
         sock.close()
@@ -190,9 +191,10 @@ def test_a_failed_background_commit_fails_the_stream(
     answer = json.loads(payload)
     assert answer["code"] == "internal"
     assert "No space left on device" in answer["error"]
-    assert answer["resume_epoch"] == 3
+    # The forced save, between feeds, holds every row folded: 0-3.
+    assert answer["resume_epoch"] == 4
     [path] = ck.glob("*.ckpt")
-    assert load_checkpoint(str(path)).next_epoch == 3
+    assert load_checkpoint(str(path)).next_epoch == 4
     assert not list(ck.glob("*.tmp"))
 
     monkeypatch.setattr(checkpoint, "commit_snapshot", commit)
@@ -204,5 +206,5 @@ def test_a_failed_background_commit_fails_the_stream(
             daemon.address, str(trace_file), "s1", policy=fast(0)
         )
         served = client.push()
-    assert client.last_ack["resume_epoch"] == 3
+    assert client.last_ack["resume_epoch"] == 4
     assert served == offline_report(trace_file, "s1")

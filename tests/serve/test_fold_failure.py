@@ -270,7 +270,9 @@ def test_a_half_updated_analysis_is_never_checkpointed(
     The session's forced save must not snapshot that analysis: it makes
     the last good snapshot durable instead, the ``ERROR`` names that
     snapshot's epoch, and a reconnect with the token completes with the
-    offline report."""
+    offline report.  That snapshot was taken after epoch 2 committed,
+    while row 3 was being received, so it rewinds to row 3: the
+    reconnect re-feeds it and re-runs its first pass."""
     path, lines = long_trace
     ck = tmp_path / "ck"
     proc, address = start_daemon(
@@ -294,7 +296,7 @@ def test_a_half_updated_analysis_is_never_checkpointed(
     assert answer["code"] == "internal"
     assert "injected epoch_update failure at 3" in answer["error"]
     on_disk = load_checkpoint(str(ck / f"{answer['token']}.ckpt"))
-    assert answer["resume_epoch"] == on_disk.next_epoch == 4
+    assert answer["resume_epoch"] == on_disk.next_epoch == 3
 
     config = ServeConfig(
         unix_path=str(tmp_path / "healthy.sock"),
