@@ -457,6 +457,12 @@ class ButterflyEngine(Generic[Summary, SideIn]):
         checkpointer.position = self.resume_position
         checkpointer.flags = self._error_count()
 
+    @property
+    def checkpointer(self) -> Optional[Any]:
+        """The attached checkpointer (``None`` when checkpointing is
+        off)."""
+        return self._checkpointer
+
     def checkpoint_now(self) -> int:
         """Force a durable snapshot through the attached checkpointer --
         the save path a serve session takes on failure, outside the

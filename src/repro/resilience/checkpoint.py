@@ -245,6 +245,22 @@ def _read_flags(segment: str, count: int) -> List[Tuple]:
     ]
 
 
+def flag_rows_json(path: str, count: int) -> Optional[bytes]:
+    """The first ``count`` rows of the segment beside ``path`` as the
+    body of a JSON array -- ``[...],[...]``, the bytes compact
+    ``json.dumps`` gives those rows -- or ``None`` when it holds fewer
+    or cannot be read.
+    """
+    try:
+        with open(flags_path(path), "rb") as fh:
+            lines = fh.read().split(b"\n", count)
+    except OSError:
+        return None
+    if len(lines) <= count:
+        return None
+    return b",".join(lines[:count])
+
+
 def _cut_flags(path: str, count: int) -> None:
     """Cut the segment beside ``path`` back to its first ``count`` rows,
     dropping a tail no snapshot committed."""

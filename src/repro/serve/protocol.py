@@ -104,6 +104,24 @@ def encode_json_frame(ftype: int, record: Dict[str, Any]) -> bytes:
     return encode_frame(ftype, blob.encode("utf-8"))
 
 
+def encode_report_frame(
+    report: Dict[str, Any], rows: Optional[bytes] = None
+) -> bytes:
+    """The ``REPORT`` frame of ``report``.  ``rows``, when given, is its
+    ``errors`` already encoded as the body of a JSON array (a
+    checkpoint's flag segment holds them so): spliced in rather than
+    encoded again, the frame is byte-identical."""
+    if rows is None or next(reversed(report)) != "errors":
+        return encode_json_frame(FRAME_REPORT, report)
+    head = dict(report)
+    del head["errors"]
+    blob = json.dumps(head, separators=(",", ":"), default=_runs_json)
+    return encode_frame(
+        FRAME_REPORT,
+        blob[:-1].encode("utf-8") + b',"errors":[' + rows + b"]}",
+    )
+
+
 def decode_header(header: bytes) -> Tuple[int, int]:
     """``(frame type, payload length)`` from the 5 header bytes."""
     ftype, length = _HEADER.unpack(header)

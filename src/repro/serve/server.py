@@ -78,7 +78,6 @@ from repro.serve.protocol import (
     FRAME_EPOCH,
     FRAME_ERROR,
     FRAME_HELLO,
-    FRAME_REPORT,
     HEADER_SIZE,
     ProtocolError,
     decode_header,
@@ -305,7 +304,10 @@ class StreamSession:
     # -- frame handling (loop thread) -----------------------------------
 
     async def send(self, ftype: int, record: Dict[str, Any]) -> None:
-        self.writer.write(encode_json_frame(ftype, record))
+        await self.send_frame(encode_json_frame(ftype, record))
+
+    async def send_frame(self, frame: bytes) -> None:
+        self.writer.write(frame)
         await self.writer.drain()
 
     def handle_end(self, payload: bytes) -> None:
@@ -811,10 +813,10 @@ class ReproServer:
         await asyncio.wait({session.consumer})
         if session.consumer_failed():
             raise session.consumer_error()
-        report = await session.engine.report(
+        report, flags = await session.engine.report(
             session.stream_id, session.hello
         )
-        await session.send(FRAME_REPORT, report)
+        await session.send_frame(report)
         # The run is complete: closing the engine deletes its checkpoint
         # on the shard, off this loop.
         session.completed = True
@@ -823,7 +825,7 @@ class ReproServer:
             "completed",
             stream=session.stream_id,
             epochs=session.next_epoch,
-            flags=len(report["errors"]),
+            flags=flags,
         )
 
     async def _fail_session(

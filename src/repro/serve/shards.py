@@ -79,9 +79,14 @@ from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.resilience.checkpoint import (
     Checkpointer,
     CheckpointWriter,
+    flag_rows_json,
     resume_checkpoint,
 )
-from repro.serve.protocol import build_report, checkpoint_meta
+from repro.serve.protocol import (
+    build_report,
+    checkpoint_meta,
+    encode_report_frame,
+)
 from repro.trace.serialize import decode_epoch_text
 
 
@@ -267,7 +272,15 @@ class _ShardTable:
             return None
         if command == "report":
             _token, stream_id, hello = args
-            return build_report(stream_id, hello, engine, engine.analysis)
+            report = build_report(stream_id, hello, engine, engine.analysis)
+            flags = len(report["errors"])
+            rows = None
+            checkpointer = engine.checkpointer
+            if checkpointer is not None and checkpointer.flags == flags:
+                # The last save wrote every flag to the segment, in the
+                # form the frame carries them.
+                rows = flag_rows_json(path, flags)
+            return encode_report_frame(report, rows), flags
         raise ReproError(f"unknown shard command {command!r}")
 
     def close(self) -> None:
@@ -316,7 +329,10 @@ class StreamHandle:
     async def finish(self) -> None:
         await self._shard.call("finish", self._token)
 
-    async def report(self, stream_id: str, hello: Dict[str, Any]) -> Dict:
+    async def report(
+        self, stream_id: str, hello: Dict[str, Any]
+    ) -> Tuple[bytes, int]:
+        """The stream's encoded ``REPORT`` frame and its flag count."""
         return await self._shard.call(
             "report", self._token, stream_id, hello
         )

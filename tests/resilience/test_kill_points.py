@@ -21,7 +21,15 @@ from repro.lifeguards.taintcheck import ButterflyTaintCheck
 from repro.obs import Recorder
 from repro.obs.recorder import normalize_events
 from repro.resilience import Checkpointer, load_checkpoint
-from repro.serve.protocol import build_report, make_hello, resume_token
+from repro.serve.protocol import (
+    FRAME_REPORT,
+    HEADER_SIZE,
+    build_report,
+    decode_header,
+    decode_json_payload,
+    make_hello,
+    resume_token,
+)
 from repro.serve.shards import SHARD_BACKENDS
 from repro.trace.generator import ColumnarAllocSource, ColumnarTaintSource
 
@@ -176,9 +184,13 @@ def test_every_kill_point_resumes_exactly_on_a_shard(tmp_path, backend, slo):
 
     def finish():
         call("finish", token)
-        report = call("report", token, "s", hello)
+        frame, flags = call("report", token, "s", hello)
         call("close", token, True)
-        return json.loads(json.dumps(report))
+        ftype, length = decode_header(frame[:HEADER_SIZE])
+        report = decode_json_payload(ftype, frame[HEADER_SIZE:])
+        assert ftype == FRAME_REPORT and length == len(frame) - HEADER_SIZE
+        assert flags == len(report["errors"])
+        return report
 
     try:
         run(str(tmp_path / "reference"), 0, len(lines))

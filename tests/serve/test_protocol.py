@@ -223,3 +223,47 @@ class TestErrorPayload:
     def test_all_ladder_codes_exist(self):
         for code in ("busy", "shed", "timeout", "drain"):
             assert code in ERROR_CODES
+
+
+class TestReportFrame:
+    """A shard splices the rows its checkpoint's flag segment already
+    holds into the REPORT frame: the bytes must be those of encoding the
+    report whole."""
+
+    @pytest.mark.parametrize("lifeguard", ["addrcheck", "race"])
+    def test_spliced_rows_are_byte_identical(self, tmp_path, lifeguard):
+        from repro.resilience.checkpoint import flag_rows_json
+        from repro.serve.protocol import FRAME_REPORT, encode_report_frame
+        from repro.serve.shards import build_stream_engine
+        from repro.trace.serialize import decode_epoch_text, stream_header
+
+        from tests.serve.conftest import write_trace
+        from tests.serve.test_durability import trace_lines
+
+        trace = tmp_path / "t.stream.jsonl"
+        write_trace(trace, threads=3, events=600, seed=2)
+        lines = trace_lines(trace)
+        with open(trace) as fp:
+            header = stream_header(fp, str(trace))
+        hello = make_hello(
+            "s", 3, len(lines), header["preallocated"], lifeguard
+        )
+        engine, _ = build_stream_engine(
+            hello, resume_token(hello), str(tmp_path), 1, "serial"
+        )
+        for lid, line in enumerate(lines):
+            engine.feed_blocks(
+                lid, decode_epoch_text(line.encode(), lid, 3, "s", lid + 2)
+            )
+        engine.finish()
+        report = build_report("s", hello, engine, engine.analysis)
+        assert report["errors"]
+        checkpointer = engine.checkpointer
+        assert checkpointer.flags == len(report["errors"])
+        rows = flag_rows_json(checkpointer.path, checkpointer.flags)
+        assert encode_report_frame(report, rows) == encode_json_frame(
+            FRAME_REPORT, report
+        )
+        # A segment short of the log's rows is not spliced.
+        assert flag_rows_json(checkpointer.path, checkpointer.flags + 1) is None
+        engine.close()
