@@ -517,9 +517,9 @@ class Checkpointer:
     committed and its SOS advance has been published.
 
     Without a ``writer`` every save is :meth:`save_now`, both halves
-    inline.  With one (the serve daemon's shard writer), the per-epoch
-    saves write the snapshot on the fold and hand the commit to the
-    writer; :meth:`save_now` stays inline and flushes first.
+    inline.  With one (a serve shard's, or a ``repro check`` run's), the
+    per-epoch saves write the snapshot on the fold and hand the commit
+    to the writer; :meth:`save_now` stays inline and flushes first.
 
     Each save appends the flags raised since the previous one to the
     segment.  The first save of a fresh run starts the segment over; the
