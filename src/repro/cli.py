@@ -13,8 +13,9 @@ Examples
     python -m repro check --benchmark OCEAN --checkpoint run.ckpt
     python -m repro check --backend processes --inject-faults crash=0.05,seed=7
     python -m repro check --benchmark OCEAN --lifeguard taintcheck
+    python -m repro generate --benchmark OCEAN --output ocean.jsonl
     python -m repro generate --benchmark OCEAN --stream --output big.jsonl
-    python -m repro check --trace big.jsonl        # v1 or v4 file
+    python -m repro check --trace big.jsonl        # program or stream file
     python -m repro sweep --benchmark OCEAN --threads 4
     python -m repro sweep --traces a.jsonl b.jsonl --quarantine bad/
     python -m repro sweep --benchmark HANDOFF --sizes 2 8 32 --output fit.json
@@ -248,7 +249,7 @@ def _print_report(
     """The result block of a finished run, whatever fed it.
 
     Rendered through the serve layer's report builder, so ``repro
-    check`` over a generated workload, a version 1 file or a stream
+    check`` over a generated workload, a program file or a stream
     file, resumed or not, and ``repro push`` print the same block for
     the same trace -- the serve-smoke job diffs check against push byte
     for byte.  AddrCheck over an in-memory program with a recorded order
@@ -318,7 +319,9 @@ def cmd_figure13(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    """Generate a workload trace and save it to disk.
+    """Generate a workload trace and save it to disk: by default a
+    version 5 program file (packed threads and the recorded orders the
+    oracle and ``repro sweep --traces`` read).
 
     ``--stream`` writes the epoch-major version 4 layout instead: the
     epoch geometry (``--epoch-size``) is cut once at write time and
@@ -349,7 +352,7 @@ def _open_source(args: argparse.Namespace) -> "tuple[EpochSource, Any]":
 
     A stream (epoch-major, version 4) file is read one epoch at a
     time and never materialized, so its ``program`` is ``None``; a
-    version 1 file or a generated benchmark is a program in memory,
+    program file or a generated benchmark is a program in memory,
     which ``partition_auto`` cuts and a :class:`PartitionSource` hands
     the engine one epoch row at a time just the same.
     """
@@ -372,7 +375,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     The engine pulls one epoch at a time whatever the input: a stream
     trace file is never materialized, and a generated workload or a
-    version 1 file is in memory as a trace while the engine's resident
+    program file is in memory as a trace while the engine's resident
     state still obeys the three-epoch window, whose observed peak the
     report's last line prints.
 

@@ -21,7 +21,7 @@ column                meaning
 The CSR source layout is lossless for any source arity, so *every*
 legal ``Instr`` round-trips exactly (``from_instrs`` then ``to_instrs``
 is the identity).  Vector kernels (the AddrCheck first-pass scan, the
-columnar sources, the stream decoder) operate on the raw columns, and
+columnar sources, the block decoder) operate on the raw columns, and
 the workload generators append each thread's events straight into
 columns (:class:`ColumnAppender`), so none of them materializes an
 ``Instr``; what iterates events (the dataflow analyses, the
@@ -35,6 +35,12 @@ all read it.  A block's access footprint,
 AddrCheck's and RaceCheck's alike, is a :class:`SortedFirstAccess`,
 defined here with what both kernels share.
 
+Every block a file or a wire carries -- a program file's threads, a
+stream's blocks, an ``EPOCH`` frame's -- is one packed record
+(:meth:`ColumnarBlock.to_packed`): the columns at their narrowest
+widths behind a sha256, as hex, decoded by
+:meth:`ColumnarBlock.from_rows` with one vector check per rule.
+
 Columns are numpy arrays (``uint8`` ops, ``int64`` everything else);
 numpy is a dependency of the package, not an option.
 """
@@ -44,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from itertools import accumulate, chain
-from typing import Any, Dict, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,9 +75,7 @@ OP_CODES = {
 OPS_BY_CODE: Tuple[Op, ...] = tuple(
     op for op, _ in sorted(OP_CODES.items(), key=lambda kv: kv[1])
 )
-#: ``op.value`` -> code, for decoding raw stream rows without Op boxing.
-CODE_OF_VALUE = {op.value: code for op, code in OP_CODES.items()}
-#: code -> ``op.value``, for encoding them.
+#: code -> ``op.value``, for :meth:`ColumnarBlock.to_rows`.
 VALUE_OF_CODE: Tuple[str, ...] = tuple(op.value for op in OPS_BY_CODE)
 
 OP_READ = OP_CODES[Op.READ]
@@ -100,12 +104,9 @@ NO_DST = -(2**63)
 _I64_MAX = 2**63 - 1
 
 #: Ops that require a destination (mirrors ``Instr.__post_init__``).
-_NEEDS_DST = frozenset(
-    OP_CODES[op]
-    for op in (Op.MALLOC, Op.FREE, Op.WRITE, Op.TAINT, Op.UNTAINT, Op.ASSIGN)
-)
 _NEEDS_DST_LUT = np.zeros(256, dtype=bool)
-_NEEDS_DST_LUT[sorted(_NEEDS_DST)] = True
+_NEEDS_DST_LUT[[OP_MALLOC, OP_FREE, OP_WRITE, OP_TAINT, OP_UNTAINT,
+                OP_ASSIGN]] = True
 
 #: A packed block's header fields: event count, source count, and the
 #: width codes of the ``dst``, ``size``, per-event source count and
@@ -119,70 +120,10 @@ _PACKED_WIDTHS = tuple(np.dtype(f"<i{w}") for w in (1, 2, 4, 8))
 
 
 class RowDecodeError(ValueError):
-    """A raw ``[op, dst, srcs, size]`` row or a packed block failed
-    validation.
-
-    Carries the offending row (``None`` for a packed block, whose
-    message names the event), which the trace readers and the serve
-    daemon name in one :class:`~repro.errors.TraceError` message.
-    """
-
-    def __init__(self, row: object, reason: str) -> None:
-        super().__init__(reason)
-        self.row = row
-
-
-#: ``(ops, dsts, sizes, src_off, src_val)`` as plain sequences of ints.
-_Columns = Tuple[Sequence[int], ...]
-
-
-def _walk_columns(rows: Sequence[object]) -> _Columns:
-    """Validate a version 1 thread's raw rows one at a time, in Python,
-    naming the first offending row in the :class:`RowDecodeError`."""
-    code_of = CODE_OF_VALUE
-    needs_dst = _NEEDS_DST
-    ops: List[int] = []
-    dsts: List[int] = []
-    sizes: List[int] = []
-    src_off: List[int] = [0]
-    src_val: List[int] = []
-    # Bound once: the loop runs once per event of a version 1 file.
-    add_op, add_dst, add_size = ops.append, dsts.append, sizes.append
-    add_off, add_srcs = src_off.append, src_val.extend
-    for row in rows:
-        try:
-            op_value, dst, srcs, size = row
-            code = code_of[op_value]
-        except (ValueError, TypeError, KeyError):
-            raise RowDecodeError(row, "bad row shape or op") from None
-        # ``type(x) is int``, not ``isinstance``: a JSON ``true`` is
-        # an ``int`` to the latter and would be analysed as 1.
-        if type(size) is not int or not 1 <= size <= _I64_MAX:
-            raise RowDecodeError(row, f"size must be >= 1, got {size!r}")
-        if dst is None:
-            if code in needs_dst:
-                raise RowDecodeError(row, "op requires a destination")
-            dst = NO_DST
-        elif type(dst) is not int or not NO_DST < dst <= _I64_MAX:
-            raise RowDecodeError(row, f"bad destination {dst!r}")
-        elif dst > _I64_MAX - size + 1:
-            raise RowDecodeError(row, f"extent of {size} runs past 2**63-1")
-        if type(srcs) is not list:
-            raise RowDecodeError(row, f"bad sources {srcs!r}")
-        for src in srcs:  # not all(<generator>): the walk runs ~1.5x faster
-            if type(src) is not int or not NO_DST <= src <= _I64_MAX:
-                raise RowDecodeError(row, f"bad sources {srcs!r}")
-        nsrc = len(srcs)
-        if (code == OP_READ or code == OP_JUMP) and nsrc != 1:
-            raise RowDecodeError(row, "op requires exactly one source")
-        if code == OP_ASSIGN and nsrc > 2:
-            raise RowDecodeError(row, "assign takes at most two sources")
-        add_op(code)
-        add_dst(dst)
-        add_size(size)
-        add_srcs(srcs)
-        add_off(len(src_val))
-    return ops, dsts, sizes, src_off, src_val
+    """A packed block failed validation.  The message names the defect
+    and, for a rule over the events, the first offending event; the
+    trace readers and the serve daemon name it in one
+    :class:`~repro.errors.TraceError` message."""
 
 
 def _width_code(col: Any) -> int:
@@ -195,20 +136,24 @@ def _width_code(col: Any) -> int:
 def _unpack(text: str) -> "ColumnarBlock":
     """A packed block (:meth:`ColumnarBlock.to_packed`) -> columns.
 
-    Lengths are checked against the header, then the digest, then every
-    rule of :func:`_walk_columns` as one vector check over a column --
-    no loop over events.  A defect raises :class:`RowDecodeError`
-    naming it (and the first offending event)."""
+    Lengths are checked against the header, then the digest, then the
+    rules of ``Instr.__post_init__`` -- an op code in the table, a
+    destination where the op needs one, a size of at least 1, one
+    source for a READ or JUMP, at most two for an ASSIGN -- and the
+    int64 bound on an extent, each as one vector check over a column:
+    no loop over events.  A defect, a record that is not a hex string
+    included, raises :class:`RowDecodeError` naming it (and the first
+    offending event)."""
     try:
         raw = bytes.fromhex(text)
-    except ValueError:
-        raise RowDecodeError(None, "not a hex string") from None
+    except (TypeError, ValueError):
+        raise RowDecodeError("not a hex string") from None
     head = _PACKED_HEAD.size + _DIGEST
     if len(raw) < head:
-        raise RowDecodeError(None, f"{len(raw)} bytes, short of a header")
+        raise RowDecodeError(f"{len(raw)} bytes, short of a header")
     n, nsrc_total, *codes = _PACKED_HEAD.unpack_from(raw)
     if max(codes) >= len(_PACKED_WIDTHS):
-        raise RowDecodeError(None, f"bad width code in {codes}")
+        raise RowDecodeError(f"bad width code in {codes}")
     layout = list(zip(
         [np.dtype(np.uint8)] + [_PACKED_WIDTHS[code] for code in codes],
         (n, n, n, n, nsrc_total),
@@ -222,7 +167,7 @@ def _unpack(text: str) -> "ColumnarBlock":
     digest = hashlib.sha256(view[:_PACKED_HEAD.size])
     digest.update(view[head:])
     if digest.digest() != raw[_PACKED_HEAD.size:head]:
-        raise RowDecodeError(None, "sha256 does not match")
+        raise RowDecodeError("sha256 does not match")
     cols = []
     for dtype, count in layout:
         cols.append(np.frombuffer(raw, dtype, count, head))
@@ -231,7 +176,7 @@ def _unpack(text: str) -> "ColumnarBlock":
     dst, size, nsrc, src_val = (col.astype(np.int64) for col in cols[1:])
     if n:
         if nsrc.min() < 0 or nsrc.max() > nsrc_total:
-            raise RowDecodeError(None, "bad source counts")
+            raise RowDecodeError("bad source counts")
         one_src = (op == OP_READ) | (op == OP_JUMP)
         for bad, reason in (
             (op > OP_NOP, "bad op"),
@@ -245,11 +190,11 @@ def _unpack(text: str) -> "ColumnarBlock":
         ):
             if bad.any():
                 at = int(np.flatnonzero(bad)[0])
-                raise RowDecodeError(None, f"event {at}: {reason}")
+                raise RowDecodeError(f"event {at}: {reason}")
     src_off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(nsrc, out=src_off[1:])
     if src_off[-1] != nsrc_total:
-        raise RowDecodeError(None, "source counts do not sum to the header's")
+        raise RowDecodeError("source counts do not sum to the header's")
     return ColumnarBlock(n, op, dst, size, src_off, src_val)
 
 
@@ -306,23 +251,18 @@ class ColumnarBlock:
         return cls._frozen(ops, dsts, sizes, src_off, src_val)
 
     @classmethod
-    def from_rows(cls, rows: Union[str, Sequence[object]]) -> "ColumnarBlock":
-        """Decode a block record -- a packed block's hex string
-        (:meth:`to_packed`, every stream block on file and wire) or a
-        version 1 thread's raw ``[op, dst, srcs, size]`` rows -- to
+    def from_rows(cls, packed: str) -> "ColumnarBlock":
+        """Decode a packed block's hex string (:meth:`to_packed`) to
         columns.
 
-        The one block decoder of both trace file layouts and the serve
-        wire: it applies the same validation as ``Instr.__post_init__``
-        (plus the int64 range, which keeps :data:`NO_DST` for ``None``
-        and every extent inside it) but touches no dataclass, no enum
-        boxing, no per-event tuple; a packed block touches no event from
-        Python at all (:func:`_unpack`).  A malformed block raises
-        :class:`RowDecodeError`.
+        The one block decoder of both trace file layouts -- a program
+        file's threads, a stream's blocks -- and of the serve wire: it
+        applies the same validation as ``Instr.__post_init__`` (plus the
+        int64 bound on every extent) and touches no event from Python
+        (:func:`_unpack`).  A malformed block, or a record that is not a
+        string, raises :class:`RowDecodeError`.
         """
-        if isinstance(rows, str):
-            return _unpack(rows)
-        return cls._frozen(*_walk_columns(rows))
+        return _unpack(packed)
 
     @classmethod
     def concat(cls, blocks: Sequence["ColumnarBlock"]) -> "ColumnarBlock":
@@ -407,7 +347,9 @@ class ColumnarBlock:
         )
 
     def to_rows(self) -> List[list]:
-        """Encode as raw ``[op, dst, srcs, size]`` stream rows."""
+        """The events as ``[op, dst, srcs, size]`` lists.  No file or
+        wire carries them; the end-to-end benchmark's traced replay
+        times this encode."""
         value_of = VALUE_OF_CODE
         offs = self.src_off.tolist()
         vals = self.src_val.tolist()

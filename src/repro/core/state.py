@@ -82,8 +82,8 @@ class LocationRuns(SetABC):
                 raise ValueError(f"bad location run {run!r}")
             floor = run[1] + 1
         runs = cls([run[0] for run in value], [run[1] for run in value])
-        if len(runs) > cls.MAX_LOCATIONS:
-            raise ValueError(f"{len(runs)} locations")
+        if runs._len > cls.MAX_LOCATIONS:  # ``len()`` stops at 2**63-1
+            raise ValueError(f"{runs._len} locations")
         return runs
 
     @property

@@ -2,37 +2,39 @@
 
 Traces are the interchange unit of this library (the LBA log, in
 effect), so they deserve a stable on-disk form.  Two layouts share the
-``repro-trace`` envelope:
+``repro-trace`` envelope, and both carry events the one way a file or
+the serve wire does: each block as one packed, sha256-checked hex
+string of narrowed columns (``ColumnarBlock.to_packed``), decoded with
+no per-event Python, and a preallocated set as location runs
+``[[lo, hi], ...]`` (``LocationRuns``, as a ``HELLO`` carries it).
 
-Version 1 (thread-major, :func:`dump` / :func:`load`)
-    A header, then one line per thread's whole event list as
-    ``[op, dst, srcs, size]`` rows, then the optional orders
-    (``[[thread, index], ...]`` on disk, a schedule of thread ids in
-    memory) and pre-allocated set.  Compact and diff-able, but a reader
-    must hold every thread before the first epoch can be cut -- O(trace)
-    memory.
+Version 5 (thread-major program file, :func:`dump` / :func:`load`)
+    A header, then one line per thread holding that thread's whole
+    event list as one packed block, then the optional orders (each a
+    flat list of thread ids, one per event in global order, or
+    ``null``) and the preallocated set.  The only layout that keeps the
+    recorded orders the oracle and ``repro sweep --traces`` need, but a
+    reader must hold every thread before the first epoch can be cut --
+    O(trace) memory.
 
 Version 4 (epoch-major stream, :func:`dump_stream` / :func:`iter_load`)
     A header carrying the shape (threads, epochs) and the preallocated
-    set as location runs ``[[lo, hi], ...]`` (``LocationRuns``, as a
-    ``HELLO`` carries it), then one line *per epoch* holding that
-    epoch's blocks for every thread, then an ``epochs_written`` footer
-    that distinguishes a complete stream from a truncated one.  A reader
-    holds one epoch at a time, so the butterfly engine can analyze
-    traces far larger than RAM (see ``docs/streaming.md``).  Epoch
-    records carry each block's start offset, so checkpoint resume can
-    skip already-processed records without decoding them.  Each block
-    is one packed, sha256-checked hex string of narrowed columns
-    (``ColumnarBlock.to_packed``), decoded with no per-event Python.
-    Versions 2 and 3 (row blocks, listed preallocated locations) are
-    not read.
+    set, then one line *per epoch* holding that epoch's blocks for every
+    thread, then an ``epochs_written`` footer that distinguishes a
+    complete stream from a truncated one.  A reader holds one epoch at
+    a time, so the butterfly engine can analyze traces far larger than
+    RAM (see ``docs/streaming.md``).  Epoch records carry each block's
+    start offset, so checkpoint resume can skip already-processed
+    records without decoding them.
 
-Both layouts share one reader (:class:`_Records`) and one block
-decoder (``ColumnarBlock.from_rows``, also the serve daemon's), so a
-version 1 thread is columns until something reads its ``Instr``
-objects.  Every structural defect -- invalid JSON, truncation, trailing
-garbage, out-of-order epochs, a stream block that is not a packed
-string, a packed block whose lengths or digest do not match -- raises
+Versions 1 to 3 (JSON event rows, listed preallocated locations) are
+not read: their header is refused in one line.  Both layouts share one
+reader (:class:`_Records`) and one block decoder
+(``ColumnarBlock.from_rows``, also the serve daemon's), so a program
+file's thread is columns until something reads its ``Instr`` objects.
+Every structural defect -- invalid JSON, truncation, trailing garbage,
+out-of-order epochs, a block that is not a packed string, a packed
+block whose lengths or digest do not match -- raises
 :class:`TraceError` with ``file:line`` context, never a raw
 ``JSONDecodeError``.
 """
@@ -43,8 +45,6 @@ import json
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Union
 
-import numpy as np
-
 from repro.core.columnar import ColumnarBlock, RowDecodeError
 from repro.core.epoch import Block, EpochPartition
 from repro.core.state import LocationRuns
@@ -52,7 +52,8 @@ from repro.core.stream import EpochSource
 from repro.errors import TraceError
 from repro.trace.program import ThreadTrace, TraceProgram
 
-FORMAT_VERSION = 1
+#: The program file's version, written by :func:`dump` and read.
+FORMAT_VERSION = 5
 #: The one stream version, written by :func:`dump_stream` and read.
 STREAM_VERSION = 4
 _VERSIONS = (FORMAT_VERSION, STREAM_VERSION)
@@ -61,14 +62,6 @@ _TAG = "repro-trace"
 
 def _is_count(value: object) -> bool:
     return type(value) is int and value >= 0  # JSON ``true`` is no count
-
-
-def _is_location_list(value: object) -> bool:
-    """Is ``value`` a JSON list of locations, each exactly an ``int``
-    (``true`` and ``1.0`` equal 1; a nested list is unhashable)?  The
-    check of a version 1 file's ``preallocated`` set.
-    """
-    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 class _Records:
@@ -128,34 +121,23 @@ class _Records:
                 )
 
 
-def _columns(
-    rows: Union[list, str], name: str, lineno: int
-) -> ColumnarBlock:
-    """A block record -> columns, with no ``Instr``: a version 1 thread's
-    rows, or a stream block's packed string (file and wire alike)."""
+def _columns(packed: object, name: str, lineno: int) -> ColumnarBlock:
+    """A block record -- a packed hex string, a program file's thread or
+    a stream's block (file and wire alike) -- to columns, with no
+    ``Instr``."""
     try:
-        return ColumnarBlock.from_rows(rows)
+        return ColumnarBlock.from_rows(packed)
     except RowDecodeError as exc:
-        what = (
-            f"packed block: {exc}" if isinstance(rows, str)
-            else f"instruction record: {exc.row!r}"
-        )
-        raise TraceError(f"{name}:{lineno}: malformed {what}") from None
-
-
-def _pairs(ids: Optional[np.ndarray], num_threads: int) -> Optional[list]:
-    """A schedule as the file's ``[[thread, index], ...]`` record."""
-    if ids is None:
-        return None
-    index = np.empty_like(ids)
-    for t in range(num_threads):
-        mine = ids == t
-        index[mine] = np.arange(np.count_nonzero(mine))
-    return np.column_stack((ids, index)).tolist()
+        raise TraceError(
+            f"{name}:{lineno}: malformed packed block: {exc}"
+        ) from None
 
 
 def dump(program: TraceProgram, fp: IO[str]) -> None:
-    """Write ``program`` to an open text file."""
+    """Write ``program`` to an open text file as a version 5 program
+    file; a program :meth:`TraceProgram.validate` refuses is not
+    written."""
+    program.validate()
     header = {
         "format": _TAG,
         "version": FORMAT_VERSION,
@@ -163,40 +145,34 @@ def dump(program: TraceProgram, fp: IO[str]) -> None:
     }
     fp.write(json.dumps(header) + "\n")
     for trace in program.threads:
-        # Positional, compact: [op, dst, srcs, size] per instruction.
-        fp.write(json.dumps(trace.columns.to_rows()) + "\n")
+        fp.write(json.dumps(trace.columns.to_packed()) + "\n")
     for key in ("true_order", "timesliced_order"):
-        pairs = _pairs(getattr(program, key), program.num_threads)
-        fp.write(json.dumps({key: pairs}) + "\n")
-    fp.write(json.dumps({"preallocated": sorted(program.preallocated)}) + "\n")
+        ids = getattr(program, key)
+        ids = None if ids is None else ids.tolist()
+        fp.write(json.dumps({key: ids}) + "\n")
+    runs = LocationRuns.of(program.preallocated).runs
+    fp.write(json.dumps({"preallocated": runs}) + "\n")
 
 
 def _schedule(
     records: _Records, key: str, num_threads: int
 ) -> Optional[List[int]]:
-    """Read a ``{key: [[thread, index], ...]}`` record as a schedule.
-
-    Program order makes each index redundant, but the file is outside
-    input: a thread id must be exactly an ``int`` in range, and an
-    index exactly its thread's running count.
+    """Read a ``{key: [thread id, ...]}`` record (``null``: no order
+    recorded) as a schedule.  Each id must be exactly an ``int`` (a JSON
+    ``true`` is no thread 1) naming a thread; that the record covers
+    each thread's events once is :meth:`TraceProgram.validate`'s check.
     """
-    pairs = records.field(key)
-    if not pairs:  # null: no order recorded
-        return None
-    counts = [0] * num_threads
-    entry: object = pairs
-    try:
-        for entry in pairs:
-            t, i = entry
-            if not type(t) is type(i) is int or t < 0 or counts[t] != i:
-                raise ValueError
-            counts[t] += 1
-    except (TypeError, ValueError, IndexError):
+    ids = records.field(key)
+    if ids is not None and (
+        type(ids) is not list
+        or not set(map(type, ids)) <= {int}
+        or ids and not 0 <= min(ids) <= max(ids) < num_threads
+    ):
         raise records.fail(
-            f"bad {key} entry {entry!r} (expected [thread, index] with "
-            "index that thread's next event)"
-        ) from None
-    return [t for t, _ in pairs]
+            f"bad {key} record (expected a list of thread ids below "
+            f"{num_threads}, one per event)"
+        )
+    return ids
 
 
 def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
@@ -209,28 +185,25 @@ def load(fp: IO[str], name: str = "<trace>") -> TraceProgram:
         raise records.fail(
             f"a version {header['version']} file is an epoch-major stream "
             "with no recorded order: 'repro sweep' and the oracle need a "
-            "version 1 program file ('repro generate' without --stream); "
-            "'repro check --trace' reads this one"
+            f"version {FORMAT_VERSION} program file ('repro generate' "
+            "without --stream); 'repro check --trace' reads this one"
         )
-    num_threads = header["threads"]
-    threads: List[ThreadTrace] = []
-    for tid in range(num_threads):
-        rows = records.record(f"thread {tid} events")
-        if not isinstance(rows, list):
-            raise records.fail(
-                f"thread {tid} events must be a list, "
-                f"got {type(rows).__name__}"
-            )
-        columns = _columns(rows, name, records.lineno)
-        threads.append(ThreadTrace(columns=columns))
-    true_order = _schedule(records, "true_order", num_threads)
-    timesliced_order = _schedule(records, "timesliced_order", num_threads)
-    preallocated = records.field("preallocated")
-    if not _is_location_list(preallocated):
-        raise records.fail(f"bad preallocated set {preallocated!r}")
+    threads = [
+        ThreadTrace(columns=_columns(
+            records.record(f"thread {tid} events"), name, records.lineno
+        ))
+        for tid in range(header["threads"])
+    ]
+    true_order = _schedule(records, "true_order", len(threads))
+    timesliced_order = _schedule(records, "timesliced_order", len(threads))
+    prealloc = records.field("preallocated")
+    try:
+        preallocated = LocationRuns.parse(prealloc)
+    except ValueError:
+        raise records.fail(f"bad preallocated set {prealloc!r}") from None
     records.end("final record")
     program = TraceProgram(
-        threads, true_order, frozenset(preallocated), timesliced_order
+        threads, true_order, preallocated, timesliced_order
     )
     try:
         program.validate()
@@ -252,8 +225,8 @@ def load_file(path: Union[str, Path]) -> TraceProgram:
 
 
 def file_version(path: Union[str, Path]) -> int:
-    """Peek a trace file's format version (1 or 4) from its header:
-    the CLI routes ``--trace`` version 1 files to :func:`load_file` and
+    """Peek a trace file's format version (5 or 4) from its header:
+    the CLI routes ``--trace`` program files to :func:`load_file` and
     stream files (:data:`STREAM_VERSION`) to :func:`iter_load`."""
     with open(path) as fp:
         return _Records(fp, str(path)).header()["version"]
@@ -338,8 +311,8 @@ def decode_epoch_row(
     """Turn one *parsed* epoch record into a row of :class:`Block`
     objects: :func:`decode_epoch_text` after its ``json.loads``.  Each
     ``blocks`` entry must be a packed hex string
-    (``ColumnarBlock.to_packed``); anything else, a list of rows
-    included, is a malformed block record."""
+    (``ColumnarBlock.to_packed``); anything else, a list included, is
+    a malformed block record."""
     if not isinstance(record, dict):
         raise TraceError(
             f"{name}:{lineno}: expected an epoch record, got {record!r}"

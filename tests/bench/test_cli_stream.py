@@ -3,7 +3,8 @@ engine one epoch row at a time and prints through one report builder.
 
 There is no ``--stream`` switch on ``check``/``sweep``/``stats`` (only
 ``generate --stream``, which names a file format): the same trace as a
-generated workload, a version 1 file and a version 4 file prints
+generated workload, a version 5 program file and a version 4 stream
+file prints
 the same report block under every lifeguard, killed-and-resumed runs print
 what uninterrupted ones print, and event logs and sweep tables are what
 the switch's streamed side used to produce.
@@ -23,6 +24,8 @@ from repro.serve import ServeConfig, ServerThread
 from repro.trace.events import Instr
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import file_version, save_file
+
+from tests.core.test_from_rows_equivalence import pack_rows
 
 WORKLOAD = [
     "--benchmark", "OCEAN", "--threads", "2", "--events", "3000",
@@ -170,7 +173,10 @@ class TestCheckStream:
         self, tmp_path, capsys
     ):
         """The version 1 reader had a row decoder of its own, which
-        ended ``check --trace`` in an ``OverflowError`` traceback."""
+        ended ``check --trace`` in an ``OverflowError`` traceback; then
+        it named the row.  No reader takes version 1 now: the header is
+        the one error line, and a packed block's int64 columns cannot
+        hold such a location."""
         path = tmp_path / "t.jsonl"
         path.write_text(
             '{"format": "repro-trace", "version": 1, "threads": 1}\n'
@@ -180,7 +186,7 @@ class TestCheckStream:
         )
         assert main(["check", "--trace", str(path)]) == 2
         error = _one_line_error(capsys, "check")
-        assert f"{path}:2: malformed instruction record" in error
+        assert error.endswith(f"{path}:1: unsupported trace version 1")
 
     @pytest.mark.parametrize("row", [
         ["malloc", -(2**63), [], 1],
@@ -191,19 +197,30 @@ class TestCheckStream:
     ):
         """A literal -2**63 destination was read as "no destination"
         (exit 0, no flags), and an extent past 2**63-1 wrapped to
-        negative locations the columnar AddrCheck did not flag."""
-        path = tmp_path / "t.jsonl"
-        path.write_text(
-            '{"format": "repro-trace", "version": 1, "threads": 1}\n'
-            + json.dumps([row, ["read", None, [-(2**63)], 1]]) + "\n"
+        negative locations the columnar AddrCheck did not flag.  The
+        version 1 file is refused at its header now, and the same rows
+        packed into a version 5 file's thread are refused at its line
+        (-2**63 is how a column says "no destination", which a MALLOC
+        needs)."""
+        rows = [row, ["read", None, [-(2**63)], 1]]
+        trailer = (
             '{"true_order": null}\n{"timesliced_order": null}\n'
             '{"preallocated": []}\n'
         )
-        assert main(["check", "--trace", str(path)]) == 2
-        error = _one_line_error(capsys, "check")
-        assert f"{path}:2: malformed instruction record" in error
+        path = tmp_path / "t.jsonl"
+        for version, thread, refused in (
+            (1, json.dumps(rows), ":1: unsupported trace version 1"),
+            (5, json.dumps(pack_rows(rows)),
+             ":2: malformed packed block: event 0: "),
+        ):
+            path.write_text(
+                '{"format": "repro-trace", "version": %d, "threads": 1}\n'
+                % version + thread + "\n" + trailer
+            )
+            assert main(["check", "--trace", str(path)]) == 2
+            assert f"{path}{refused}" in _one_line_error(capsys, "check")
 
-    def test_v1_file_with_no_recorded_order_reports_without_oracle(
+    def test_program_file_with_no_recorded_order_reports_without_oracle(
         self, tmp_path, capsys
     ):
         """``save_file`` writes ``true_order: null`` for a program built
@@ -223,22 +240,22 @@ class TestCheckStream:
 
 @pytest.fixture(scope="module")
 def ocean_files(tmp_path_factory):
-    """One OCEAN trace as a version 1 file and as a version 4 stream
-    file cut at the ``--epoch-size 1024`` the generated run uses:
-    ``v1, v4``."""
+    """One OCEAN trace as a version 5 program file and as a version 4
+    stream file cut at the ``--epoch-size 1024`` the generated run uses:
+    ``v5, v4``."""
     tmp = tmp_path_factory.mktemp("ocean")
-    v1, v4 = str(tmp / "ocean.v1.jsonl"), str(tmp / "ocean.jsonl")
+    v5, v4 = str(tmp / "ocean.v5.jsonl"), str(tmp / "ocean.jsonl")
     generate = ["generate"] + WORKLOAD
-    assert main(generate + ["--output", v1]) == 0
+    assert main(generate + ["--output", v5]) == 0
     assert main(
         generate + ["--epoch-size", "1024", "--stream", "--output", v4]
     ) == 0
-    assert (file_version(v1), file_version(v4)) == (1, 4)
-    return v1, v4
+    assert (file_version(v5), file_version(v4)) == (5, 4)
+    return v5, v4
 
 
 class TestOneReportBlock:
-    """Generated workload, v1 file, v4 file and ``repro push``: one
+    """Generated workload, v5 file, v4 file and ``repro push``: one
     block, whatever the lifeguard."""
 
     @staticmethod
@@ -253,16 +270,16 @@ class TestOneReportBlock:
         return [lines[0].replace(label, "<label>")] + lines[1:end + 1]
 
     @pytest.mark.parametrize("lifeguard", LIFEGUARDS)
-    def test_same_block_from_workload_v1_and_v4(
+    def test_same_block_from_workload_v5_and_v4(
         self, ocean_files, capsys, lifeguard
     ):
-        v1, v4 = ocean_files
+        v5, v4 = ocean_files
         tail = ["--epoch-size", "1024", "--lifeguard", lifeguard]
         generated = _out(capsys, ["check"] + WORKLOAD + tail)
-        from_v1 = _out(capsys, ["check", "--trace", v1] + tail)
+        from_v5 = _out(capsys, ["check", "--trace", v5] + tail)
         block = self.block(generated, "OCEAN")
         assert block[0] == "trace: <label>, 2 threads, 3 epochs (streamed)"
-        assert self.block(from_v1, v1) == block
+        assert self.block(from_v5, v5) == block
         from_stream = _out(capsys, ["check", "--trace", v4] + tail)
         assert self.block(from_stream, v4) == block
         # A stream file has no program to run the sequential oracle
@@ -276,7 +293,7 @@ class TestOneReportBlock:
             if line.startswith(("oracle ", "false-positive rate: "))
         ]
         assert len(oracle) == (2 if lifeguard == "addrcheck" else 0)
-        assert from_v1.splitlines()[len(block):] == oracle
+        assert from_v5.splitlines()[len(block):] == oracle
 
     def test_flagging_run_prints_reports_and_oracle(self, capsys):
         out = _out(capsys, ["check"] + WORKLOAD + ["--epoch-size", "1024"])
@@ -293,7 +310,7 @@ class TestOneReportBlock:
     def test_check_on_a_v4_file_is_byte_identical_to_push(
         self, ocean_files, tmp_path, capsys, lifeguard
     ):
-        _v1, v4 = ocean_files
+        _v5, v4 = ocean_files
         config = ServeConfig(unix_path=str(tmp_path / "d.sock"))
         with ServerThread(config) as daemon:
             pushed = _out(capsys, [

@@ -3,11 +3,13 @@
 
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.columnar import (
+    NO_DST,
     OP_CODES,
     OPS_BY_CODE,
     ColumnarBlock,
@@ -16,6 +18,8 @@ from repro.core.columnar import (
 from repro.core.epoch import Block
 from repro.trace.events import Instr, Op
 from repro.trace.generator import adversarial_instrs
+
+from tests.core.test_from_rows_equivalence import pack
 
 
 def _sample_instrs():
@@ -63,9 +67,15 @@ class TestRoundTrip:
         assert list(cols.to_instrs()) == instrs
 
     def test_rows_round_trip(self):
+        """``to_rows`` lists each event as ``[op, dst, srcs, size]``; the
+        packed form, the one a file or wire carries, decodes back."""
         instrs = _sample_instrs()
-        cols = ColumnarBlock.from_rows(ColumnarBlock.from_instrs(instrs).to_rows())
-        assert list(cols.to_instrs()) == instrs
+        cols = ColumnarBlock.from_instrs(instrs)
+        assert cols.to_rows() == [
+            [i.op.value, i.dst, list(i.srcs), i.size] for i in instrs
+        ]
+        decoded = ColumnarBlock.from_rows(cols.to_packed())
+        assert list(decoded.to_instrs()) == instrs
 
     def test_empty_block(self):
         cols = ColumnarBlock.from_instrs([])
@@ -74,40 +84,48 @@ class TestRoundTrip:
         assert cols.to_rows() == []
 
 
+READ, WRITE = OP_CODES[Op.READ], OP_CODES[Op.WRITE]
+
+
 class TestRowValidation:
+    """Each event of a packed block (a row of its columns) is checked as
+    ``Instr.__post_init__`` checks it; the blocks carry true digests."""
+
+    @staticmethod
+    def refused(reason, *columns):
+        with pytest.raises(RowDecodeError, match=re.escape(reason)):
+            ColumnarBlock.from_rows(pack(*columns))
+
     def test_bad_shape(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([["write", 1]])
+        with pytest.raises(RowDecodeError, match="header says"):
+            ColumnarBlock.from_rows(pack([WRITE], [1], [1], [0], [])[:-2])
 
     def test_unknown_op(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([["teleport", 1, [], 1]])
+        self.refused("event 0: bad op", [9], [1], [1], [0], [])
 
     def test_bad_size(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([[Op.MALLOC.value, 1, [], 0]])
+        self.refused("event 0: size must be >= 1",
+                     [OP_CODES[Op.MALLOC]], [1], [0], [0], [])
 
     def test_missing_destination(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([[Op.WRITE.value, None, [], 1]])
+        self.refused("event 0: op requires a destination",
+                     [WRITE], [NO_DST], [1], [0], [])
 
     def test_bad_sources(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([[Op.READ.value, None, ["x"], 1]])
+        self.refused("bad source counts", [READ], [NO_DST], [1], [1], [])
 
     def test_read_needs_exactly_one_source(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([[Op.READ.value, None, [1, 2], 1]])
+        self.refused("event 0: op requires exactly one source",
+                     [READ], [NO_DST], [1], [2], [1, 2])
 
     def test_assign_takes_at_most_two_sources(self):
-        with pytest.raises(RowDecodeError):
-            ColumnarBlock.from_rows([[Op.ASSIGN.value, 0, [1, 2, 3], 1]])
+        self.refused("event 0: assign takes at most two sources",
+                     [OP_CODES[Op.ASSIGN]], [0], [1], [3], [1, 2, 3])
 
     def test_error_carries_row(self):
-        row = [Op.READ.value, None, [], 1]
-        with pytest.raises(RowDecodeError) as exc:
-            ColumnarBlock.from_rows([row])
-        assert exc.value.row == row
+        self.refused("event 2: op requires exactly one source",
+                     [READ, WRITE, READ], [NO_DST, 5, NO_DST], [1, 1, 1],
+                     [1, 0, 0], [4])
 
 
 class TestPickling:

@@ -1,11 +1,14 @@
-"""``ColumnarBlock.from_rows``: a version 1 thread's rows against the
-per-``Instr`` reference, and the packed form (every stream block)
-against both.
+"""``ColumnarBlock.from_rows``: the one block decoder -- of every
+program file thread, stream block and ``EPOCH`` frame, each a packed
+block -- against the per-``Instr`` reference.
 
-Rows are validated one at a time (``_walk_columns``), and a malformed
-block names its first offending row in ``RowDecodeError.row``.  A
-well-formed block decodes to the columns ``from_instrs`` builds from
-the same events: the same five columns and dtypes.
+A well-formed block decodes to the columns ``from_instrs`` builds from
+the same events: the same five columns and dtypes.  A block a writer
+packed from raw columns that break a rule of ``Instr.__post_init__``
+(or the int64 bound on an extent), with its true digest, is one
+``RowDecodeError`` naming the first event that breaks the rule; a record
+that is not a packed string -- a version 1 row included -- is refused
+whole.
 """
 
 import hashlib
@@ -97,15 +100,57 @@ BAD_ROWS = [
 ]
 
 
-def outcome(decode, rows):
-    """``("ok", columns, dtypes)`` or ``("error", row, message)``."""
-    try:
-        block = decode(rows)
-    except RowDecodeError as exc:
-        return "error", exc.row, str(exc)
-    assert block.length == len(rows)
+I64_MAX = 2**63 - 1
+#: ``op.value`` -> code; a name the table lacks packs as the first
+#: unused code.
+CODE_OF_NAME = {op.value: code for op, code in OP_CODES.items()}
+
+
+def raw(rows):
+    """The columns a writer that skipped validation would pack for
+    ``rows``: ``(op, dst, size, per-event source count, sources)``, with
+    ``None`` as :data:`NO_DST`."""
     return (
-        "ok",
+        [CODE_OF_NAME.get(op, len(OP_CODES)) for op, _, _, _ in rows],
+        [NO_DST if dst is None else dst for _, dst, _, _ in rows],
+        [size for _, _, _, size in rows],
+        [len(srcs) for _, _, srcs, _ in rows],
+        [src for _, _, srcs, _ in rows for src in srcs],
+    )
+
+
+def pack_rows(rows):
+    """``rows``' raw columns as one packed block with its true digest."""
+    return pack(*raw(rows))
+
+
+def carried(row):
+    """Can the int64 columns carry ``row`` -- and so its defect?  Not a
+    wrong shape or a field that is not exactly an int (the form has no
+    place for either), nor a literal :data:`NO_DST`, which is how a
+    column says ``None``."""
+    if type(row) is not list or len(row) != 4:
+        return False
+    op, dst, srcs, size = row
+
+    def ints(*values):
+        return all(type(v) is int and NO_DST <= v <= I64_MAX for v in values)
+
+    return (
+        type(op) is str and type(srcs) is list and ints(*srcs, size)
+        and (dst is None or dst != NO_DST and ints(dst))
+    )
+
+
+#: The rows of ``BAD_ROWS`` a packed block can carry: an unknown op, a
+#: size below 1, a missing destination, a wrong source count, an extent
+#: past 2**63-1.
+CARRIED = [row for row in BAD_ROWS if carried(row)]
+
+
+def outcome(block):
+    """A block's five columns and their dtypes."""
+    return (
         [getattr(block, name).tolist() for name in COLUMNS],
         [getattr(block, name).dtype.str for name in COLUMNS],
     )
@@ -113,78 +158,77 @@ def outcome(decode, rows):
 
 def reference(rows):
     """Each row through ``Instr`` (and its ``__post_init__`` checks),
-    then ``from_instrs``: the columns the row decoder must build."""
+    then ``from_instrs``: the columns the decoder must build."""
     return ColumnarBlock.from_instrs([
         Instr(Op(op), dst=dst, srcs=tuple(srcs), size=size)
         for op, dst, srcs, size in rows
     ])
 
 
-def assert_one_decoder(rows, well_formed):
-    """``from_rows`` accepts exactly the well-formed ``rows``, as the
-    columns the reference builds, and back to the same rows; a
-    malformed block is one ``RowDecodeError`` naming one of its rows."""
-    decoded = outcome(ColumnarBlock.from_rows, rows)
-    if well_formed:
-        assert decoded == outcome(reference, rows)
-        assert ColumnarBlock.from_rows(rows).to_rows() == rows
-    else:
-        assert decoded[0] == "error"
-        assert any(decoded[1] is row for row in rows)
+def assert_one_decoder(rows):
+    """The block packed from ``rows``' columns decodes to the columns
+    the reference builds, and lists back as the same rows."""
+    decoded = ColumnarBlock.from_rows(pack_rows(rows))
+    assert outcome(decoded) == outcome(reference(rows))
+    assert decoded.to_rows() == rows
 
 
 class TestWellFormed:
     def test_empty_block(self):
-        assert_one_decoder([], well_formed=True)
-        assert ColumnarBlock.from_rows([]) == ColumnarBlock.from_instrs([])
+        assert_one_decoder([])
+        assert ColumnarBlock.from_rows(pack_rows([])) == (
+            ColumnarBlock.from_instrs([])
+        )
 
     @pytest.mark.parametrize("op", [op.value for op in Op])
     def test_one_row_block_of_every_op(self, op):
-        assert_one_decoder([[op, 9, [4], 1]], well_formed=True)
+        assert_one_decoder([[op, 9, [4], 1]])
 
     def test_none_is_no_dst_and_extents_reach_the_max(self):
         rows = [["nop", None, [], 1], ["malloc", 2**63 - 4, [], 4]]
-        assert_one_decoder(rows, well_formed=True)
-        block = ColumnarBlock.from_rows(rows)
+        assert_one_decoder(rows)
+        block = ColumnarBlock.from_rows(pack_rows(rows))
         assert block.dst.tolist() == [NO_DST, 2**63 - 4]
-        assert block.to_rows() == rows
 
 
 class TestMalformed:
     @pytest.mark.parametrize("bad", BAD_ROWS)
     def test_alone(self, bad):
-        assert_one_decoder([bad], well_formed=False)
+        """Each row the version 1 row decoder refused.  No decoder takes
+        a row now: in a packed string's place, alone or as a block's
+        list, it is refused whole; and where the columns can carry its
+        defect, the block packed from them is refused naming event 0."""
+        for record in (bad, [bad]):
+            with pytest.raises(RowDecodeError, match="not a hex string"):
+                ColumnarBlock.from_rows(record)
+        if carried(bad):
+            with pytest.raises(RowDecodeError, match=r"^event 0: "):
+                ColumnarBlock.from_rows(pack_rows([bad]))
+
+    def test_the_carried_rows_break_every_event_rule(self):
+        reasons = set()
+        for row in CARRIED:
+            with pytest.raises(RowDecodeError) as exc:
+                ColumnarBlock.from_rows(pack_rows([row]))
+            reasons.add(str(exc.value).split(": ", 1)[1])
+        assert reasons == {
+            "bad op", "size must be >= 1", "op requires a destination",
+            "extent runs past 2**63-1", "op requires exactly one source",
+            "assign takes at most two sources",
+        }
 
     @settings(max_examples=200, deadline=None)
-    @given(good_blocks, st.sampled_from(BAD_ROWS), st.sampled_from(BAD_ROWS),
-           st.data())
-    def test_the_first_offending_row_is_named(self, rows, bad, later, data):
+    @given(good_blocks, st.sampled_from(CARRIED), st.data())
+    def test_the_first_offending_row_is_named(self, rows, bad, data):
+        """Each rule is one check over a column, which names the first
+        event breaking it: here ``bad``, and again at the end."""
         at = data.draw(st.integers(0, len(rows)))
-        rows = rows[:at] + [bad] + rows[at:] + [later]
-        assert_one_decoder(rows, well_formed=False)
-        with pytest.raises(RowDecodeError) as exc:
-            ColumnarBlock.from_rows(rows)
-        assert exc.value.row is rows[at]
+        rows = rows[:at] + [bad] + rows[at:] + [bad]
+        with pytest.raises(RowDecodeError, match=rf"^event {at}: "):
+            ColumnarBlock.from_rows(pack_rows(rows))
 
 
-class TestRangeRules:
-    @pytest.mark.parametrize("row, reason", [
-        (["malloc", NO_DST, [], 1], "bad destination"),
-        (["read", NO_DST, [NO_DST], 1], "bad destination"),
-        (["malloc", 2**63 - 2, [], 4], "extent of 4 runs past 2**63-1"),
-    ])
-    def test_the_row_is_named_by_either_pass(self, row, reason):
-        """A literal NO_DST used to decode as "no destination" (a MALLOC
-        then failed ``to_instrs``), and an extent past 2**63-1 wrapped to
-        negative locations the columnar AddrCheck never flagged.  (Named
-        for the bulk pass that once ran beside the walk.)"""
-        rows = [["read", None, [1], 1], row, ["write", 2, [], 1]]
-        with pytest.raises(RowDecodeError, match=re.escape(reason)) as exc:
-            ColumnarBlock.from_rows(rows)
-        assert exc.value.row is row
-
-
-# -- packed blocks (version 4 streams) ------------------------------------
+# -- packed blocks ---------------------------------------------------------
 
 
 def pack(op, dst, size, nsrc, src_val, codes=None):
@@ -203,16 +247,12 @@ def pack(op, dst, size, nsrc, src_val, codes=None):
 
 
 def assert_round_trips(block):
-    """``from_rows(packed(c)) == c == from_rows(c.to_rows())``, dtypes
-    included."""
-    for decoded in (
-        ColumnarBlock.from_rows(block.to_packed()),
-        ColumnarBlock.from_rows(block.to_rows()),
-    ):
-        assert decoded == block
-        assert [getattr(decoded, name).dtype.str for name in COLUMNS] == [
-            "|u1", "<i8", "<i8", "<i8", "<i8",
-        ]
+    """``from_rows(packed(c)) == c``, dtypes included."""
+    decoded = ColumnarBlock.from_rows(block.to_packed())
+    assert decoded == block
+    assert [getattr(decoded, name).dtype.str for name in COLUMNS] == [
+        "|u1", "<i8", "<i8", "<i8", "<i8",
+    ]
 
 
 def instrs_block(*instrs):
@@ -223,7 +263,9 @@ class TestPacked:
     @settings(max_examples=200, deadline=None)
     @given(good_blocks)
     def test_packed_equals_rows_equals_columns(self, rows):
-        assert_round_trips(ColumnarBlock.from_rows(rows))
+        block = reference(rows)
+        assert_round_trips(block)
+        assert block.to_rows() == rows
 
     @pytest.mark.parametrize("block", [
         instrs_block(),
@@ -313,9 +355,51 @@ class TestPackedMalformed:
         "bad-width-code", "digest-mismatch", "bad-hex-digit", "odd-hex",
     ])
     def test_is_a_row_decode_error(self, packed, reason):
-        with pytest.raises(RowDecodeError, match=re.escape(reason)) as exc:
+        with pytest.raises(RowDecodeError, match=re.escape(reason)):
             ColumnarBlock.from_rows(packed)
-        assert exc.value.row is None
+
+    @pytest.mark.parametrize("op, dst, size, srcs, reason", [
+        (9, 1, 1, [], "bad op"),
+        (255, NO_DST, 1, [], "bad op"),
+        (MALLOC, 1, -3, [], "size must be >= 1"),
+        (OP_CODES[Op.FREE], NO_DST, 1, [], "op requires a destination"),
+        (OP_CODES[Op.WRITE], NO_DST, 1, [], "op requires a destination"),
+        (OP_CODES[Op.TAINT], NO_DST, 1, [], "op requires a destination"),
+        (OP_CODES[Op.UNTAINT], NO_DST, 1, [], "op requires a destination"),
+        (OP_CODES[Op.ASSIGN], NO_DST, 1, [1], "op requires a destination"),
+        (OP_CODES[Op.WRITE], 2**63 - 64, 66, [],
+         "extent runs past 2**63-1"),
+        (OP_CODES[Op.READ], NO_DST, 1, [1, 2],
+         "op requires exactly one source"),
+        (OP_CODES[Op.JUMP], NO_DST, 1, [], "op requires exactly one source"),
+        (OP_CODES[Op.ASSIGN], 0, 1, [1, 2, 3],
+         "assign takes at most two sources"),
+    ], ids=[
+        "op-9", "op-255", "negative-size", "free-no-dst", "write-no-dst",
+        "taint-no-dst", "untaint-no-dst", "assign-no-dst", "write-extent",
+        "read-2-sources", "jump-0-sources", "assign-3",
+    ])
+    def test_each_rule_names_its_event(self, op, dst, size, srcs, reason):
+        """The offending event behind two good ones (a NOP and a READ),
+        and a good one after it: the message names event 2."""
+        block = pack(
+            [OP_CODES[Op.NOP], OP_CODES[Op.READ], op, OP_CODES[Op.NOP]],
+            [NO_DST, NO_DST, dst, NO_DST], [1, 1, size, 1],
+            [0, 1, len(srcs), 0], [7] + srcs,
+        )
+        refused = re.escape(f"event 2: {reason}")
+        with pytest.raises(RowDecodeError, match=refused):
+            ColumnarBlock.from_rows(block)
+
+    @pytest.mark.parametrize("record", [
+        [], [["nop", None, [], 1]], None, 7, True, 1.5, {"op": 8}, b"00",
+    ])
+    def test_a_record_that_is_not_a_string_is_refused(self, record):
+        """A packed block's columns are ints of fixed widths, so a field
+        cannot hold a ``true``, a float or a string; what is not a string
+        at all -- rows, a number, an object -- is refused whole."""
+        with pytest.raises(RowDecodeError, match="not a hex string"):
+            ColumnarBlock.from_rows(record)
 
     def test_a_wider_width_than_needed_still_decodes(self):
         """Narrowest is what the writer picks, not a rule of the form:

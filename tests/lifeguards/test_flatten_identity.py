@@ -19,6 +19,7 @@ from repro.core.columnar import (
     OP_ASSIGN, OP_WRITE, ColumnarBlock, access_stream,
 )
 from repro.core.epoch import Block
+from repro.trace.events import Instr, Op
 from repro.trace.generator import ColumnarAllocSource
 from repro.verify.generator import FAMILIES, AdversarialCaseGenerator
 
@@ -57,27 +58,27 @@ def _adversarial_rows():
     return out
 
 
-#: TAINT/NOP/MALLOC/FREE/UNTAINT rows with sources sit between access
+#: TAINT/NOP/MALLOC/FREE/UNTAINT events with sources sit between access
 #: events: the flatten's filter branch.
 _SOURCES_ON_NON_ACCESS = [
-    ["malloc", 1000, [3, 4], 2],
-    ["read", None, [1], 1],
-    ["taint", 7, [1, 2, 3], 1],
-    ["write", 5, [9], 1],
-    ["nop", None, [500, 501], 1],
-    ["assign", 2, [1000, 21], 1],
-    ["untaint", 7, [8], 1],
-    ["free", 1000, [6], 1],
-    ["jump", None, [1000], 1],
+    Instr(Op.MALLOC, dst=1000, srcs=(3, 4), size=2),
+    Instr.read(1),
+    Instr(Op.TAINT, dst=7, srcs=(1, 2, 3)),
+    Instr(Op.WRITE, dst=5, srcs=(9,)),
+    Instr(Op.NOP, srcs=(500, 501)),
+    Instr.assign(2, 1000, 21),
+    Instr(Op.UNTAINT, dst=7, srcs=(8,)),
+    Instr(Op.FREE, dst=1000, srcs=(6,)),
+    Instr.jump(1000),
 ]
 
 #: No READ/WRITE/ASSIGN/JUMP at all: an empty access stream.
 _ACCESS_FREE = [
-    ["malloc", 40, [], 3],
-    ["nop", None, [], 1],
-    ["taint", 41, [], 1],
-    ["untaint", 41, [7], 1],
-    ["free", 40, [], 3],
+    Instr.malloc(40, 3),
+    Instr.nop(),
+    Instr.taint(41),
+    Instr(Op.UNTAINT, dst=41, srcs=(7,)),
+    Instr.free(40, 3),
 ]
 
 
@@ -100,8 +101,8 @@ def _column_inputs():
             out.append((f"{label}-{lid}-row", ColumnarBlock.concat(
                 [b.columns for b in row]
             )))
-    sources = ColumnarBlock.from_rows(_SOURCES_ON_NON_ACCESS)
-    access_free = ColumnarBlock.from_rows(_ACCESS_FREE)
+    sources = ColumnarBlock.from_instrs(_SOURCES_ON_NON_ACCESS)
+    access_free = ColumnarBlock.from_instrs(_ACCESS_FREE)
     empty = ColumnarBlock.from_instrs(())
     out += [
         ("sources-on-non-access", sources),
@@ -161,12 +162,14 @@ def test_every_adversarial_family_scans_identically(use_filter):
 def test_edge_blocks_scan_identically(use_filter):
     """Sources on non-access events, an access-free block and empty
     blocks, alone and as segments of one group."""
-    def block(tid, rows):
-        return Block(2, tid, 0, columns=ColumnarBlock.from_rows(rows))
+    def block(tid, instrs):
+        return Block(2, tid, 0, columns=ColumnarBlock.from_instrs(instrs))
 
     base = frozenset(range(0, 12)) | {500, 1000}
-    rows = [_SOURCES_ON_NON_ACCESS, _ACCESS_FREE, [], _SOURCES_ON_NON_ACCESS]
-    blocks = [block(tid, r) for tid, r in enumerate(rows)]
+    events = [
+        _SOURCES_ON_NON_ACCESS, _ACCESS_FREE, [], _SOURCES_ON_NON_ACCESS,
+    ]
+    blocks = [block(tid, e) for tid, e in enumerate(events)]
     for items in (
         _views(blocks, base, lambda tid: [tid, 41]),
         *([item] for item in _views(blocks, base)),

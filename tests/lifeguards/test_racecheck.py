@@ -195,7 +195,7 @@ class TestSetIntersectionsAgainstTheMasks:
 
 
 class TestNoInstrOnTheProductionPath:
-    @pytest.mark.parametrize("layout", ["v2", "v1"])
+    @pytest.mark.parametrize("layout", ["stream", "program"])
     def test_a_stream_file_run_builds_no_instr(
         self, tmp_path, monkeypatch, layout
     ):
@@ -218,7 +218,7 @@ class TestNoInstrOnTheProductionPath:
             raise AssertionError("an Instr was built on the production path")
 
         monkeypatch.setattr(ColumnarBlock, "to_instrs", refuse)
-        if layout == "v1":
+        if layout == "program":
             save_file(prog, path)
             monkeypatch.setattr(Instr, "__post_init__", refuse)
             source = PartitionSource(

@@ -23,7 +23,7 @@ from repro.core.framework import ButterflyEngine
 from repro.core.state import SOSView
 from repro.lifeguards import addrcheck
 from repro.lifeguards.addrcheck import AddrScanner, ButterflyAddrCheck
-from repro.trace.events import Instr
+from repro.trace.events import Instr, Op
 from repro.trace.generator import ColumnarAllocSource
 from repro.trace.serialize import iter_load, save_stream_file
 from repro.verify.reference import ReferenceAddrScanner
@@ -149,9 +149,7 @@ class TestRowsOfRealRuns:
             assert_row_matches_per_block(row, use_filter)
 
 
-def _block(tid, instrs=None, rows=None, lid=2):
-    if rows is not None:
-        return Block(lid, tid, 0, columns=ColumnarBlock.from_rows(rows))
+def _block(tid, instrs, lid=2):
     return Block(lid, tid, 0, columns=ColumnarBlock.from_instrs(instrs))
 
 
@@ -318,20 +316,20 @@ class TestHandBuiltRows:
         """TAINT/NOP/MALLOC rows with sources: they are not
         dereferences, so the kernel filters them out of the flattened
         source stream (its ``kept_ev`` branch)."""
-        def rows(tid):
+        def instrs(tid):
             return [
-                ["malloc", 1000 + tid, [3, 4], 2],
-                ["read", None, [tid], 1],
-                ["taint", 7, [1, 2, 3], 1],
-                ["write", 5 + tid, [9], 1],
-                ["nop", None, [500, 501], 1],
-                ["assign", 2, [1000 + tid, 21], 1],
-                ["untaint", 7, [8], 1],
-                ["free", 1000 + tid, [6], 1],
-                ["jump", None, [1000 + tid], 1],
+                Instr(Op.MALLOC, dst=1000 + tid, srcs=(3, 4), size=2),
+                Instr.read(tid),
+                Instr(Op.TAINT, dst=7, srcs=(1, 2, 3)),
+                Instr(Op.WRITE, dst=5 + tid, srcs=(9,)),
+                Instr(Op.NOP, srcs=(500, 501)),
+                Instr.assign(2, 1000 + tid, 21),
+                Instr(Op.UNTAINT, dst=7, srcs=(8,)),
+                Instr(Op.FREE, dst=1000 + tid, srcs=(6,)),
+                Instr.jump(1000 + tid),
             ]
 
-        blocks = [_block(tid, rows=rows(tid)) for tid in range(4)]
+        blocks = [_block(tid, instrs(tid)) for tid in range(4)]
         assert_row_matches_per_block(
             _views(blocks, self.BASE, self._tweak), use_filter
         )

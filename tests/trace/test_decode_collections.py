@@ -1,14 +1,15 @@
-"""Decoding a version 4 stream gives the cyclic collector nothing to do.
+"""Decoding a trace file gives the cyclic collector nothing to do.
 
-A packed record parses to one string per block, and nothing the decode
-builds can form a cycle, so reading a whole stream -- beside a resident
-heap a collection would have to walk -- starts no collection at all.
-This is the deterministic half of
-``benchmarks/test_streaming_overhead.py::
+A packed record parses to one string per block (a stream's epoch
+record) or per thread (a program file's thread line), the schedules to
+one list of ints each, and nothing the decode builds can form a cycle,
+so reading a whole file -- beside a resident heap a collection would
+have to walk -- starts no collection at all.  This is the deterministic
+half of ``benchmarks/test_streaming_overhead.py::
 test_decode_does_not_pay_the_cyclic_collector``, which times the same
-decode with the collector on and off.  Rows are what once made the
-collector run: a version 1 file's per-instruction lists, decoded here
-too to show the count can move.
+decode with the collector on and off.  Per-event lists are what once
+made the collector run (a version 1 file's rows); building them here
+shows the count can move.
 """
 
 import gc
@@ -48,9 +49,9 @@ def test_decoding_a_version_4_stream_starts_no_collection(tmp_path):
         random.Random(5), num_threads=4, total_events=30_000
     )
     assert program.total_instructions >= 30_000
-    stream, rows = tmp_path / "t.stream.jsonl", tmp_path / "t.v1.jsonl"
+    stream, threads = tmp_path / "t.stream.jsonl", tmp_path / "t.jsonl"
     save_stream_file(partition_auto(program, 512), stream)
-    save_file(program, rows)
+    save_file(program, threads)
     resident = [[i] for i in range(400_000)]  # a heap for a collection
 
     def decode():
@@ -59,6 +60,16 @@ def test_decoding_a_version_4_stream_starts_no_collection(tmp_path):
             epochs += 1
         assert epochs >= 10
 
+    def load():
+        assert load_file(threads).total_instructions == (
+            program.total_instructions
+        )
+
+    def rows():
+        """One list per event, as the version 1 reader built them."""
+        return [[e, None, [], 1] for e in range(program.total_instructions)]
+
     assert collections_during(decode) == 0
-    assert collections_during(lambda: load_file(rows)) > 0
+    assert collections_during(load) == 0
+    assert collections_during(rows) > 0
     del resident

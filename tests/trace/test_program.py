@@ -54,7 +54,7 @@ class TestShape:
         instrs = [Instr.nop(), Instr.read(1), Instr.assign(2, 1, 3)]
         built = ThreadTrace(instrs)
         decoded = ThreadTrace(
-            columns=ColumnarBlock.from_rows(built.columns.to_rows())
+            columns=ColumnarBlock.from_rows(built.columns.to_packed())
         )
         assert decoded == built
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from repro.core import columnar
 from repro.core.columnar import ColumnarBlock
 from repro.core.epoch import partition_auto
 from repro.errors import TraceError
-from repro.trace.events import Instr
+from repro.trace.events import Instr, Op
 from repro.trace.generator import simulated_alloc_program
 from repro.trace.program import TraceProgram
 from repro.trace.serialize import (
@@ -29,8 +29,8 @@ from repro.workloads.registry import get_benchmark
 from tests.trace.test_program import schedule_refs
 
 
-#: Instruction records with a JSON boolean or float where an integer
-#: belongs; ``1.0`` only ever got past the version 1 decoder.
+#: Instruction rows with a JSON boolean or float where an integer
+#: belongs; ``1.0`` only ever got past the version 1 row decoder.
 NOT_INTEGERS = [
     '["write", true, [3], 1]',
     '["malloc", 5, [], true]',
@@ -46,6 +46,35 @@ OUT_OF_INT64 = [
     f'["read", null, [{-(2**63) - 1}], 1]',
     f'["malloc", 5, [], {2**64}]',
 ]
+
+#: Whole schedule and preallocated records of a one-thread program
+#: file with a JSON boolean or float for a thread id or a run bound.
+NOT_INTEGER_RECORDS = [
+    '{"true_order": [true]}',
+    '{"true_order": [0.0]}',
+    '{"timesliced_order": [false]}',
+    '{"preallocated": [[0, true]]}',
+    '{"preallocated": [[1.0, 2]]}',
+    '{"preallocated": [[false, 1]]}',
+]
+
+
+HEADER = '{"format": "repro-trace", "version": 5, "threads": %d}\n'
+#: One thread of a single NOP, as a program file's thread line.
+NOP_THREAD = json.dumps(ColumnarBlock.from_instrs([Instr.nop()]).to_packed())
+
+
+def program_text(threads=1, true_order=None, timesliced_order=None,
+                 preallocated=()):
+    """A hand-written version 5 file: ``threads`` one-NOP threads (or
+    the given thread lines), then the three trailing records as given."""
+    lines = threads if isinstance(threads, list) else [NOP_THREAD] * threads
+    return (
+        HEADER % len(lines) + "".join(line + "\n" for line in lines)
+        + json.dumps({"true_order": true_order}) + "\n"
+        + json.dumps({"timesliced_order": timesliced_order}) + "\n"
+        + json.dumps({"preallocated": preallocated}) + "\n"
+    )
 
 
 def round_trip(program):
@@ -84,20 +113,35 @@ class TestRoundTrip:
         assert loaded.total_instructions == prog.total_instructions
         assert loaded.preallocated == prog.preallocated
 
-    def test_the_file_keeps_thread_index_pairs(self):
-        """In memory a schedule is thread ids; on disk it stays the
-        ``[[thread, index], ...]`` record every earlier file holds."""
-        prog = simulated_alloc_program(
-            random.Random(2), num_threads=3, total_events=30
-        )
+    def test_the_file_keeps_thread_id_schedules(self):
+        """A schedule is thread ids in memory and on disk: one flat list
+        (program order fixes which event each entry is), or ``null``."""
+        prog = get_benchmark("OCEAN").generate(2, 400, seed=3)
         buf = io.StringIO()
         dump(prog, buf)
-        record = json.loads(buf.getvalue().splitlines()[4])
-        assert record == {
-            "true_order": [
-                list(ref) for ref in schedule_refs(prog.recorded_order())
-            ]
+        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert lines[3] == {"true_order": prog.true_order.tolist()}
+        assert lines[4] == {
+            "timesliced_order": prog.timesliced_order.tolist()
         }
+        loaded = round_trip(prog)
+        assert schedule_refs(loaded.recorded_order()) == schedule_refs(
+            prog.recorded_order()
+        )
+
+    def test_threads_are_packed_blocks_and_the_set_is_runs(self):
+        """The stream's encodings: a thread line is its events as one
+        packed block, and the preallocated set is location runs."""
+        prog = TraceProgram.from_lists(
+            [Instr.malloc(0, 4), Instr.write(1)], [Instr.read(2)]
+        )
+        prog.preallocated = frozenset({0, 1, 2, 7, 9, 10})
+        buf = io.StringIO()
+        dump(prog, buf)
+        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert lines[0]["version"] == 5
+        assert lines[1:3] == [t.columns.to_packed() for t in prog.threads]
+        assert lines[5] == {"preallocated": [[0, 3], [7, 8], [9, 11]]}
 
     def test_file_round_trip(self, tmp_path):
         prog = TraceProgram.from_lists([Instr.nop(), Instr.read(7)])
@@ -121,74 +165,67 @@ class TestValidation:
             load(buf)
 
     def test_rejects_malformed_instruction(self):
-        buf = io.StringIO(
-            '{"format": "repro-trace", "version": 1, "threads": 1}\n'
-            '[["bogus-op"]]\n'
-        )
-        with pytest.raises(TraceError):
-            load(buf)
+        buf = io.StringIO(program_text(['[["bogus-op"]]']))
+        with pytest.raises(
+            TraceError, match=r"t:2: malformed packed block: not a hex"
+        ):
+            load(buf, name="t")
 
-    @pytest.mark.parametrize("record", NOT_INTEGERS + OUT_OF_INT64)
+    @pytest.mark.parametrize(
+        "record", NOT_INTEGERS + OUT_OF_INT64 + NOT_INTEGER_RECORDS
+    )
     def test_rejects_booleans_and_floats_for_integers(self, tmp_path, record):
         """``isinstance(True, int)``: a JSON ``true`` (or ``1.0``) used
-        to load as location 1 / size 1, and a location outside int64
-        died with an ``OverflowError`` traceback."""
+        to load as location 1 / size 1 / thread 1, and a location outside
+        int64 died with an ``OverflowError`` traceback.  A packed block's
+        fixed-width int columns hold neither, so a row can only reach a
+        thread line in the packed string's place, and is refused whole
+        there; a schedule or run record is refused at its line."""
+        lines = program_text().splitlines(keepends=True)
+        if record.startswith("{"):
+            at = ["true_order", "timesliced_order", "preallocated"].index(
+                next(iter(json.loads(record)))
+            ) + 2
+            lines[at] = record + "\n"
+            refused = rf"t\.jsonl:{at + 1}: bad "
+        else:
+            lines[1] = f'[["nop", null, [], 1], {record}]\n'
+            refused = r"t\.jsonl:2: malformed packed block"
         path = tmp_path / "t.jsonl"
-        path.write_text(
-            '{"format": "repro-trace", "version": 1, "threads": 1}\n'
-            f'[["nop", null, [], 1], {record}]\n'
-            '{"true_order": null}\n{"timesliced_order": null}\n'
-            '{"preallocated": []}\n'
-        )
-        with pytest.raises(
-            TraceError, match=r"t\.jsonl:2: malformed instruction record"
-        ):
+        path.write_text("".join(lines))
+        with pytest.raises(TraceError, match=refused):
             load_file(path)
 
     @pytest.mark.parametrize("key", ["true_order", "timesliced_order"])
-    @pytest.mark.parametrize("pairs", [
-        [[0, 0], [True, 0]],
-        [[0, 0], [1.0, 0]],
-        [[0, 0], [1, False]],
-        [[0, 0], [2, 0]],
-        [[0, 0], [-1, 0]],
-        [[0, 0], [1]],
-        [[0, 0], 1],
+    @pytest.mark.parametrize("ids", [
+        [0, True],
+        [0, 1.0],
+        [0, 2],
+        [0, -1],
+        [0, 2**64],
+        [0, [1]],
         {"0": 0},
+        "01",
     ])
-    def test_order_records_hold_exact_thread_index_pairs(
-        self, tmp_path, key, pairs
-    ):
+    def test_order_records_hold_exact_thread_ids(self, tmp_path, key, ids):
         """``[true, 0]`` used to load as thread ``True`` and so be
-        analysed as thread 1."""
-        records = {"true_order": None, "timesliced_order": None}
-        records[key] = pairs
+        analysed as thread 1; a thread id past int64 must not end in an
+        ``OverflowError`` either."""
         path = tmp_path / "t.jsonl"
-        path.write_text(
-            '{"format": "repro-trace", "version": 1, "threads": 2}\n'
-            '[["nop", null, [], 1]]\n[["nop", null, [], 1]]\n'
-            + json.dumps({"true_order": records["true_order"]}) + "\n"
-            + json.dumps({"timesliced_order": records["timesliced_order"]})
-            + '\n{"preallocated": []}\n'
-        )
+        path.write_text(program_text(2, **{key: ids}))
         line = 4 if key == "true_order" else 5
-        with pytest.raises(TraceError, match=rf"t\.jsonl:{line}: .*{key}"):
+        with pytest.raises(TraceError, match=rf"t\.jsonl:{line}: bad {key}"):
             load_file(path)
 
-    def test_order_record_must_respect_program_order(self, tmp_path):
-        prog = TraceProgram.from_lists(
-            [Instr.write(0), Instr.read(0)],
-            [Instr.malloc(1), Instr.free(1)],
-        )
-        prog.true_order = [0, 1, 0, 1]
-        buf = io.StringIO()
-        dump(prog, buf)
-        text = buf.getvalue().replace(
-            "[[0, 0], [1, 0], [0, 1], [1, 1]]",
-            "[[0, 1], [0, 0], [1, 0], [1, 1]]",
-        )
+    def test_order_record_must_respect_program_order(self):
+        """A schedule lists each thread's events once, in program order.
+        A thread-id list cannot reorder a thread's events (program order
+        fixes which event each entry is), so what it can get wrong is
+        how many of them it covers."""
+        text = program_text(2, true_order=[0, 0, 1])
         with pytest.raises(
-            TraceError, match=r"t:4: bad true_order entry \[0, 1\]"
+            TraceError,
+            match=r"^t: true_order covers 2 of 1 instructions in thread 0$",
         ):
             load(io.StringIO(text), name="t")
 
@@ -240,8 +277,8 @@ def read_stream(tmp_path, text):
 
 
 def old_stream_header(version):
-    """A version 2 or 3 stream's header line, hand-written: nothing in
-    the package writes either layout any more."""
+    """A version 1, 2 or 3 header line, hand-written: nothing in the
+    package writes those layouts any more."""
     return json.dumps({
         "format": "repro-trace", "version": version, "threads": 1,
         "epochs": 0, "preallocated": [3, 4, 5],
@@ -298,10 +335,10 @@ class TestStreamRoundTrip:
 
     def test_file_version_distinguishes_layouts(self, tmp_path):
         prog, partition = stream_partition()
-        v1, v4 = tmp_path / "v1.jsonl", tmp_path / "v4.jsonl"
-        save_file(prog, v1)
+        program, v4 = tmp_path / "program.jsonl", tmp_path / "v4.jsonl"
+        save_file(prog, program)
         save_stream_file(partition, v4)
-        assert file_version(v1) == 1
+        assert file_version(program) == 5
         assert file_version(v4) == 4
         with pytest.raises(TraceError):
             file_version(__file__)
@@ -315,7 +352,9 @@ class TestStreamRoundTrip:
         own reader refused (``bad preallocated set [[-5, -4]]``), and
         one past int64 died saving it (``OverflowError``).  Every
         program is validated where it is made -- ``load`` and each
-        generator -- so the refusal comes before any stream is written.
+        generator -- and where it is saved, so the refusal comes before
+        any stream or program file is written; a hand-written file
+        holding either location is refused by its reader.
         """
         prog = TraceProgram.from_lists([Instr.read(2)])
         prog.preallocated = frozenset({location, 2})
@@ -323,20 +362,28 @@ class TestStreamRoundTrip:
         with pytest.raises(TraceError, match=refused):
             prog.validate()
         path = tmp_path / "bad.jsonl"
-        save_file(prog, path)
-        with pytest.raises(TraceError, match=rf"bad\.jsonl: {refused}"):
+        with pytest.raises(TraceError, match=refused):
+            save_file(prog, path)
+        assert not path.read_text()
+        runs = sorted([[2, 3], [location, location + 1]])
+        path.write_text(program_text(preallocated=runs))
+        with pytest.raises(
+            TraceError,
+            match=rf"bad\.jsonl(:5: bad preallocated set|: {refused})",
+        ):
             load_file(path)
 
-    def test_a_v1_preallocated_set_survives_the_v4_round_trip(
+    def test_a_program_files_preallocated_set_survives_the_v4_round_trip(
         self, tmp_path
     ):
-        """Version 1 file -> version 4 stream -> ``iter_load``: the
-        same set, 0 and gapped runs included."""
+        """Program file -> version 4 stream -> ``iter_load``: the same
+        set, 0 and gapped runs included."""
         prog = TraceProgram.from_lists([Instr.read(2)], [Instr.nop()])
         prog.preallocated = frozenset({0, 1, 2, 7, 9, 10, 2**40})
-        v1, v4 = tmp_path / "p.v1.jsonl", tmp_path / "p.v4.jsonl"
-        save_file(prog, v1)
-        loaded = load_file(v1)
+        program, v4 = tmp_path / "p.jsonl", tmp_path / "p.v4.jsonl"
+        save_file(prog, program)
+        loaded = load_file(program)
+        assert loaded.preallocated == prog.preallocated
         save_stream_file(partition_auto(loaded, 32), v4)
         assert iter_load(v4).preallocated == prog.preallocated
 
@@ -373,8 +420,8 @@ class TestStreamValidation:
 
     def test_int64_extremes_still_decode(self):
         lo, hi = -(2**63), 2**63 - 1
-        packed = ColumnarBlock.from_rows(
-            [["write", hi, [lo, hi], 1], ["malloc", 0, [], hi]]
+        packed = ColumnarBlock.from_instrs(
+            [Instr(Op.WRITE, dst=hi, srcs=(lo, hi)), Instr.malloc(0, hi)]
         ).to_packed()
         row = decode_epoch_row(
             {"epoch": 0, "starts": [0], "blocks": [packed]}, 0, 1, "s1", 2,
@@ -421,9 +468,10 @@ class TestStreamValidation:
         with pytest.raises(TraceError, match=r"s1:9: .*malformed block"):
             decode_epoch_row(epoch, 1, 2, "s1", 9)
 
-    @pytest.mark.parametrize("layout", ["v1", "v4"])
+    @pytest.mark.parametrize("layout", ["program", "v4"])
     @pytest.mark.parametrize(
-        "prealloc", [[[1]], ["x", True, 1.5, 7], [1.0], [True]]
+        "prealloc",
+        [[[1]], ["x", True, 1.5, 7], [1.0], [True], [[0, 2**64]]],
     )
     def test_preallocated_locations_must_be_exactly_integers(
         self, tmp_path, prealloc, layout
@@ -472,6 +520,9 @@ class TestStreamValidation:
             read_stream(tmp_path, polluted)
 
     def test_v1_reader_refuses_v2_and_vice_versa(self, tmp_path):
+        """``load``, once the version 1 reader, reads version 5 program
+        files; neither it nor the stream reader takes a version 1, 2 or 3
+        file, and each refuses the other's layout."""
         prog, partition = stream_partition()
         # Not "unsupported": `check --trace` reads the file, so the
         # message says what it is and which command takes it.
@@ -480,17 +531,23 @@ class TestStreamValidation:
         message = str(exc.value)
         assert message.startswith("t:1: a version 4 file is an epoch-major")
         assert "no recorded order" in message
-        assert "need a version 1 program file" in message
+        assert "need a version 5 program file" in message
         assert "'repro check --trace' reads this one" in message
         assert "unsupported" not in message
-        with pytest.raises(
-            TraceError, match="t:1: unsupported trace version 2"
-        ):
-            load(io.StringIO(old_stream_header(2)), name="t")
-        v1 = io.StringIO()
-        dump(prog, v1)
+        for version in (1, 2):
+            header = old_stream_header(version)
+            with pytest.raises(
+                TraceError, match=f"t:1: unsupported trace version {version}$"
+            ):
+                load(io.StringIO(header), name="t")
+            with pytest.raises(
+                TraceError, match=f"t:1: unsupported trace version {version}$"
+            ):
+                read_stream(tmp_path, header)
+        program = io.StringIO()
+        dump(prog, program)
         with pytest.raises(TraceError, match="not a stream trace"):
-            read_stream(tmp_path, v1.getvalue())
+            read_stream(tmp_path, program.getvalue())
 
     def test_seek_past_the_end_rejected(self, tmp_path):
         _, partition = stream_partition()
@@ -514,12 +571,38 @@ PACKED_HEAD = PACKED_FIELDS + columnar._DIGEST
 
 
 class TestPackedCorruption:
-    """Every flipped byte of a packed block is a :class:`TraceError` at
-    its line: never another exception, never a block that decodes."""
+    """Every flipped byte of a packed block is a one-line
+    :class:`TraceError` at its line: never another exception, never a
+    block that decodes."""
 
     BODY_STRIDE = 211
 
+    def flips(self, packed):
+        """``packed`` with one byte flipped: every header byte (all bits,
+        then the low bit of each field byte) and a stride of the body."""
+        raw = bytes.fromhex(packed)
+        spots = [(i, 0xFF) for i in range(PACKED_HEAD)]
+        spots += [(i, 0x01) for i in range(PACKED_FIELDS)]
+        spots += [(i, 0xFF) for i in
+                  range(PACKED_HEAD, len(raw), self.BODY_STRIDE)]
+        for i, mask in spots:
+            flipped = bytearray(raw)
+            flipped[i] ^= mask
+            yield flipped.hex()
+
+    @staticmethod
+    def refused(path, lines, at, read):
+        path.write_text("".join(lines))
+        with pytest.raises(
+            TraceError,
+            match=rf"flip\.jsonl:{at + 1}: malformed packed block",
+        ) as exc:
+            read(path)
+        assert "\n" not in str(exc.value)
+
     def test_every_flipped_byte_is_refused(self, tmp_path):
+        """Over a stream's blocks, then the same program's file, whose
+        thread lines are packed blocks too."""
         program = get_benchmark("OCEAN").generate(2, 600, seed=5)
         partition = partition_auto(program, 1024)
         lines = stream_text(partition).splitlines(keepends=True)
@@ -529,26 +612,27 @@ class TestPackedCorruption:
         for at in range(1, len(lines) - 1):
             record = json.loads(lines[at])
             for tid, packed in enumerate(record["blocks"]):
-                raw = bytes.fromhex(packed)
-                spots = [(i, 0xFF) for i in range(PACKED_HEAD)]
-                spots += [(i, 0x01) for i in range(PACKED_FIELDS)]
-                spots += [(i, 0xFF) for i in
-                          range(PACKED_HEAD, len(raw), self.BODY_STRIDE)]
-                for i, mask in spots:
-                    flipped = bytearray(raw)
-                    flipped[i] ^= mask
+                for flipped in self.flips(packed):
                     blocks = list(record["blocks"])
-                    blocks[tid] = flipped.hex()
+                    blocks[tid] = flipped
                     bad = list(lines)
                     bad[at] = json.dumps(dict(record, blocks=blocks)) + "\n"
-                    path.write_text("".join(bad))
-                    with pytest.raises(
-                        TraceError,
-                        match=rf"flip\.jsonl:{at + 1}: malformed packed block",
-                    ):
-                        list(iter_load(path).epochs())
+                    self.refused(
+                        path, bad, at, lambda p: list(iter_load(p).epochs())
+                    )
                     flips += 1
         assert flips > 500
+        buf = io.StringIO()
+        dump(program, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        assert json.loads(lines[0])["version"] == 5
+        for at in range(1, 1 + program.num_threads):
+            for flipped in self.flips(json.loads(lines[at])):
+                bad = list(lines)
+                bad[at] = json.dumps(flipped) + "\n"
+                self.refused(path, bad, at, load_file)
+                flips += 1
+        assert flips > 700
 
     def test_a_bad_hex_digit_is_refused(self, tmp_path):
         _, partition = stream_partition()
